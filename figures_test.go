@@ -9,7 +9,7 @@ import (
 // These tests assert the qualitative shapes of the paper's figures at a
 // reduced scale: who wins, by roughly what factor, and where behaviour
 // changes.  Absolute values are calibration-dependent and are checked only
-// for plausibility; EXPERIMENTS.md records the full-scale numbers.
+// for plausibility.
 
 const shapeScale = 0.08
 

@@ -79,6 +79,8 @@ func (m *Mount) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload) er
 }
 
 // Read fetches up to n bytes at off, returning the data and the byte count.
+// The data is read-only (on NFS mounts it aliases the client page cache) and
+// stays valid until the caller Releases it.
 func (m *Mount) Read(ctx *rpc.Ctx, f *File, off, n int64) (payload.Payload, int64, error) {
 	if f.nf != nil {
 		return m.nfsc.Read(ctx, f.nf, off, n)

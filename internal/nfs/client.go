@@ -138,6 +138,7 @@ type Client struct {
 	// (Figure 7) and small-I/O (Figures 6d/6e) workloads.
 	pcHits      *metrics.Counter
 	pcMisses    *metrics.Counter
+	pcCopied    *metrics.Counter
 	raChunks    *metrics.Counter
 	layoutHits  *metrics.Counter
 	slotWaits   *metrics.Histogram
@@ -211,6 +212,8 @@ func NewClient(cfg ClientConfig) *Client {
 			"Reads served entirely from the client page cache (no RPC)."),
 		pcMisses: reg.Counter("nfs_client_pagecache_misses_total",
 			"Reads that fetched at least one chunk from a server."),
+		pcCopied: reg.Counter("nfs_client_pagecache_copied_bytes_total",
+			"Bytes the page cache copied: every buffered write, and reads or flushes not served as a view of one cached segment."),
 		raChunks: reg.Counter("nfs_client_readahead_chunks_total",
 			"Chunks fetched asynchronously by sequential readahead."),
 		layoutHits: reg.Counter("nfs_client_layout_cache_hits_total",
@@ -590,7 +593,7 @@ func (c *Client) open(ctx *rpc.Ctx, path string, create bool) (*File, error) {
 	}
 	c.stateMu.Unlock()
 	if pc == nil {
-		pc = newPageCache(c.cfg.Real)
+		pc = newPageCache(c.cfg.Real, c.pcCopied)
 	}
 	f := &File{
 		c:         c,
@@ -730,8 +733,9 @@ func (c *Client) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload) e
 }
 
 // wbChunk is one gathered dirty run awaiting write-back: the owning file,
-// its logical offset, a pooled snapshot of the cache content, and the
-// completion hook that unblocks the owner's Fsync.
+// its logical offset, a snapshot of the cache content (a view of the cached
+// segment when the run lies inside one, so later overwrites cannot change
+// what is sent), and the completion hook that unblocks the owner's Fsync.
 type wbChunk struct {
 	f    *File
 	off  int64
@@ -778,8 +782,8 @@ func (c *Client) flushAsync(ctx *rpc.Ctx, f *File, chunk extent) {
 // (extents carry no owner tag, so cross-file runs must never merge) and the
 // per-chunk lists are concatenated into a single RunIndexed.  A failing
 // extent is recorded on its owning file and absorbed, so one file's error
-// cannot starve another file's flush.  Chunk payloads return to the buffer
-// pool once the batch completes.
+// cannot starve another file's flush.  Chunk payloads are released once the
+// batch completes.
 func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 	c.wbMu.Lock()
 	chunks := c.wbQueue
@@ -1025,6 +1029,9 @@ func (c *Client) Close(ctx *rpc.Ctx, f *File) error {
 
 // Read returns up to n bytes at off, serving from the page cache, fetching
 // RSize-rounded chunks on miss, and prefetching ahead on sequential access.
+// The payload is a read-only snapshot, usually a view of the cache's own
+// memory (pageCache.slice): the caller must not modify its bytes and should
+// Release it when done, which is what lets the underlying buffer be reused.
 func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64) (payload.Payload, int64, error) {
 	c.chargeCache(ctx, n)
 	if off >= f.size {
@@ -1140,15 +1147,6 @@ func (c *Client) readRange(ctx *rpc.Ctx, f *File, chunk extent) error {
 	return c.readChunks(ctx, f, []extent{chunk}, ioengine.RunOpts{Class: ioengine.Background})
 }
 
-// fillRelease installs fetched data into the page cache and releases the
-// payload: the cache copies content, so a reply backed by a pooled transfer
-// buffer (server-side RealPooled over the fabric, borrow-decoded frame over
-// TCP) returns to the pool right here — the end of the zero-copy READ path.
-func fillRelease(f *File, off int64, data payload.Payload) {
-	f.cache.fill(off, data)
-	data.Release()
-}
-
 // readChunks fetches a set of RSize chunks into the cache in one engine
 // run: striped across data servers under a layout, or from the MDS
 // otherwise.  Striped extents carry the same recovery ladder as writes — a
@@ -1173,7 +1171,7 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		if err != nil {
 			return err
 		}
-		fillRelease(f, e.Off, rep.Results[1].(*ResRead).Data)
+		f.cache.fill(e.Off, rep.Results[1].(*ResRead).Data)
 		return nil
 	}
 	if f.mapper == nil {
@@ -1209,7 +1207,7 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		if err != nil {
 			return err
 		}
-		fillRelease(f, e.Off, rep.Results[1].(*ResRead).Data)
+		f.cache.fill(e.Off, rep.Results[1].(*ResRead).Data)
 		return nil
 	}
 	recovery := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
@@ -1231,7 +1229,7 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 				if err2 != nil {
 					return err2
 				}
-				fillRelease(f, se.Off, rep.Results[1].(*ResRead).Data)
+				f.cache.fill(se.Off, rep.Results[1].(*ResRead).Data)
 			}
 			return nil
 		}
@@ -1242,7 +1240,7 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		if err2 != nil {
 			return err2
 		}
-		fillRelease(f, e.Off, rep.Results[1].(*ResRead).Data)
+		f.cache.fill(e.Off, rep.Results[1].(*ResRead).Data)
 		return nil
 	})
 	mdsProxy := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
@@ -1272,7 +1270,7 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 					// before serving them (read-repair).
 					c.readRepair(ctx, f, layout, e, data)
 				}
-				fillRelease(f, alt.Off, data)
+				f.cache.fill(alt.Off, data)
 				return nil
 			}
 			return err

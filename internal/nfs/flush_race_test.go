@@ -48,7 +48,7 @@ func TestFlushAsyncErrRace(t *testing.T) {
 	f := &File{
 		c:       c,
 		Path:    "/race",
-		cache:   newPageCache(false),
+		cache:   newPageCache(false, nil),
 		touched: make(map[int]bool),
 	}
 	ctx := &rpc.Ctx{} // real-time mode: flushes are concurrent goroutines

@@ -30,11 +30,19 @@ type Payload struct {
 
 // releaseCell is the shared once-only release state behind a pooled
 // payload.  All copies of the Payload struct point at the same cell, so
-// whichever copy Releases first wins and the rest are no-ops.
+// whichever copy Releases first wins and the rest are no-ops.  What is
+// released is one reference on owner.
 type releaseCell struct {
 	released atomic.Bool
-	fn       func()
+	owner    xdr.Owner
 }
+
+// releaseFunc adapts a plain release hook to the single reference a
+// releaseCell drops.
+type releaseFunc func()
+
+func (releaseFunc) Retain()    {}
+func (f releaseFunc) Release() { f() }
 
 // Real wraps actual bytes.
 func Real(b []byte) Payload { return Payload{N: int64(len(b)), Bytes: b} }
@@ -44,7 +52,14 @@ func Real(b []byte) Payload { return Payload{N: int64(len(b)), Bytes: b} }
 // content.  Payloads that are never Released simply fall to the garbage
 // collector — a missed pool reuse, not a leak or a correctness bug.
 func RealPooled(b []byte, release func()) Payload {
-	return Payload{N: int64(len(b)), Bytes: b, rel: &releaseCell{fn: release}}
+	return RealOwned(b, releaseFunc(release))
+}
+
+// RealOwned wraps bytes kept alive by a reference the caller has already
+// taken on o (a ref-counted frame or cache segment); Release drops that
+// reference.
+func RealOwned(b []byte, o xdr.Owner) Payload {
+	return Payload{N: int64(len(b)), Bytes: b, rel: &releaseCell{owner: o}}
 }
 
 // Release returns the payload's backing buffer to its owner.  It is
@@ -52,7 +67,7 @@ func RealPooled(b []byte, release func()) Payload {
 // without a release hook.  The caller must not touch Bytes afterwards.
 func (p Payload) Release() {
 	if p.rel != nil && p.rel.released.CompareAndSwap(false, true) {
-		p.rel.fn()
+		p.rel.owner.Release()
 	}
 }
 
@@ -68,12 +83,16 @@ func (p Payload) IsSynthetic() bool { return p.Bytes == nil && p.N > 0 }
 // WireSize returns the XDR-encoded size (length word + padded body).
 func (p Payload) WireSize() int64 { return int64(xdr.SizeOpaque(int(p.N))) }
 
-// MarshalXDR encodes the payload as a variable-length opaque.  Synthetic
+// MarshalXDR encodes the payload as a variable-length opaque.  Real bytes
+// go through Encoder.OpaqueRef: a gathering encoder (the TCP transport's)
+// sends bulk content by reference, so the payload must stay alive and
+// unmodified until the frame is written — the caller of a WRITE holds it
+// across the call, a server's READ buffer is held by ctx.Defer.  Synthetic
 // payloads encode as zeros, appended straight into the frame buffer — only
 // the TCP transport ever calls this for bulk data.
 func (p Payload) MarshalXDR(e *xdr.Encoder) {
 	if p.Bytes != nil {
-		e.Opaque(p.Bytes)
+		e.OpaqueRef(p.Bytes)
 		return
 	}
 	if p.N > xdr.MaxOpaque {
@@ -93,14 +112,13 @@ func (p *Payload) UnmarshalXDR(d *xdr.Decoder) error {
 	if err != nil {
 		return err
 	}
-	p.Bytes = ref.Bytes
-	p.N = int64(len(ref.Bytes))
-	p.rel = nil
-	if ref.Borrowed {
-		o := d.BorrowOwner()
-		o.Retain()
-		p.rel = &releaseCell{fn: o.Release}
+	if !ref.Borrowed {
+		*p = Real(ref.Bytes)
+		return nil
 	}
+	o := d.BorrowOwner()
+	o.Retain()
+	*p = RealOwned(ref.Bytes, o)
 	return nil
 }
 

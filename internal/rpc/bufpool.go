@@ -7,30 +7,44 @@ import (
 )
 
 // Buffer pool for transfer-sized []byte, shared by the TCP transport's frame
-// encode/decode paths and by server backends producing bulk read payloads.
-// Buffers live in power-of-two size classes so a steady-state server reuses
-// the same handful of allocations regardless of request mix — the bufpool
-// idiom of production NFS servers.
+// decode path, by server backends producing bulk read payloads and by the
+// client page cache's write buffers.  Buffers live in size classes so a
+// steady-state server reuses the same handful of allocations regardless of
+// request mix — the bufpool idiom of production NFS servers.
+//
+// A class is a power of two plus frameSlack: what gets pooled is a
+// power-of-two transfer, bare (a backend's read buffer) or wrapped in a few
+// dozen bytes of RPC and compound framing (the frame it arrives in).  The
+// client page cache keeps READ reply frames for as long as it caches their
+// payload, so a 2 MiB reply must not round up to a 4 MiB buffer.
 //
 // Pooled buffers are returned dirty; every user overwrites the full length
 // it requested (frame reads use io.ReadFull, backend reads are clamped to
 // the stored size, and sparse stores zero-fill holes explicitly).
 
 const (
-	minBufBits = 10 // smallest class: 1 KiB
-	maxBufBits = 25 // largest class: 32 MiB, above MaxOpaque + framing
+	minBufBits = 10 // smallest class: 1 KiB + frameSlack
+	maxBufBits = 25 // largest class: 32 MiB + frameSlack, above MaxOpaque + framing
 	numClasses = maxBufBits - minBufBits + 1
+
+	// frameSlack is the headroom every class has over its power of two:
+	// several times the framing around one bulk payload (HeaderBytes plus
+	// an NFS compound's or PVFS2 reply's scalars, ≈ 100 bytes).
+	frameSlack = 512
 )
 
 var bufClasses [numClasses]sync.Pool
 
+// classSize is the capacity of class c's buffers.
+func classSize(c int) int { return 1<<(c+minBufBits) + frameSlack }
+
 // classFor returns the smallest class whose size is >= n, or -1 when n is
 // larger than the largest class.
 func classFor(n int) int {
-	if n <= 1<<minBufBits {
+	if n <= classSize(0) {
 		return 0
 	}
-	c := bits.Len(uint(n-1)) - minBufBits
+	c := bits.Len(uint(n-frameSlack-1)) - minBufBits
 	if c >= numClasses {
 		return -1
 	}
@@ -47,14 +61,14 @@ func GetBuf(n int) []byte {
 	if p, ok := bufClasses[c].Get().(*[]byte); ok {
 		return (*p)[:n]
 	}
-	return make([]byte, n, 1<<(c+minBufBits))
+	return make([]byte, n, classSize(c))
 }
 
 // PutBuf recycles a buffer obtained from GetBuf (or any slice of a pooled
 // size).  The caller must not touch b afterwards.
 func PutBuf(b []byte) {
-	c := bits.Len(uint(cap(b))) - 1 - minBufBits // largest class <= cap
-	if c < 0 || c >= numClasses || cap(b) != 1<<(c+minBufBits) {
+	c := classFor(cap(b))
+	if c < 0 || cap(b) != classSize(c) {
 		// Oversized or odd-capacity buffers are left to the GC rather than
 		// poisoning a class with a wrong-sized backing array.
 		return

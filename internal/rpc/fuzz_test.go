@@ -19,6 +19,7 @@ func FuzzBorrowLifetime(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add(bytes.Repeat([]byte{0xA5}, 64), uint8(1)) // content == poison byte
 	f.Add(make([]byte, 4096), uint8(200))
+	f.Add(bytes.Repeat([]byte("gather!"), xdr.GatherMin/7+1), uint8(7)) // sent by reference, padding after
 
 	f.Fuzz(func(t *testing.T, data []byte, extra uint8) {
 		if len(data) > 1<<20 {
@@ -27,13 +28,21 @@ func FuzzBorrowLifetime(f *testing.F) {
 		prev := SetPoisonOnPut(true)
 		defer SetPoisonOnPut(prev)
 
-		// Encode the payload plus a trailing word into a pooled frame, the
-		// way the TCP transport lays out a reply body.
+		// Encode the payload plus a trailing word the way the TCP transport
+		// does — a gathering encoder, payloads of GatherMin bytes or more by
+		// reference — and land the segments in a pooled frame, as the peer's
+		// readFrame would.
 		enc := xdr.NewEncoder()
+		enc.EnableGather()
 		payload.Real(data).MarshalXDR(enc)
 		enc.Uint32(uint32(extra))
-		frame := GetBuf(len(enc.Bytes()))
-		copy(frame, enc.Bytes())
+		if byRef := len(data) >= xdr.GatherMin; (enc.Refs() == 1) != byRef {
+			t.Fatalf("%d-byte payload: %d by-reference segments", len(data), enc.Refs())
+		}
+		frame := GetBuf(enc.Len())[:0]
+		for _, seg := range enc.Buffers(nil) {
+			frame = append(frame, seg...)
+		}
 
 		// Decode in borrow mode under a ref-counted frame, as TCPClient.Call
 		// does: the creator's reference is dropped once decoding finishes,

@@ -24,10 +24,11 @@ import (
 // The fixed portion totals HeaderBytes (40), so simulated NIC charges match
 // what the TCP transport actually writes.
 //
-// Frames are encoded into and decoded from pooled buffers (bufpool.go): a
-// steady-state connection allocates nothing per call.  Bodies decode in
-// borrow mode (xdr.Decoder.EnableBorrow), so bulk payload fields alias the
-// pooled record instead of copying:
+// Frames are encoded by pooled gathering encoders (writeFrame) and decoded
+// from pooled buffers (bufpool.go): a steady-state connection allocates
+// nothing per call, and a bulk payload is never copied in user space on
+// either side.  Bodies decode in borrow mode (xdr.Decoder.EnableBorrow), so
+// bulk payload fields alias the pooled record instead of copying:
 //
 //   - Requests: the connection loop keeps the frame alive until the handler
 //     returns, so borrows need no reference count — handlers must consume
@@ -59,20 +60,34 @@ func (e *SendError) Unwrap() error { return e.Err }
 // authPlaceholder is the fixed 20-byte stand-in credential.
 var authPlaceholder [20]byte
 
-// appendFrame encodes a full frame into a pooled buffer.  The caller owns
-// the returned buffer and must PutBuf it after the socket write.  The
-// buffer is sized up front from the body's WireSize so bulk frames stay in
-// their pool class instead of growing out of it.
-func appendFrame(xid, mtype, word uint32, body xdr.Marshaler) []byte {
-	need := HeaderBytes + 16
-	if body != nil {
-		if s, ok := body.(interface{ WireSize() int64 }); ok {
-			need = HeaderBytes + int(s.WireSize()) + 8
-		} else {
-			need = 512
-		}
-	}
-	e := xdr.NewEncoderBuf(GetBuf(need))
+// frameEncoder is a pooled gathering encoder plus the scratch vector its
+// frames are written from.  Header, scalars, length words and padding land
+// in the encoder's head buffer, which stays with the pooled value; bulk
+// payloads are referenced, never copied (xdr.Encoder.OpaqueRef).
+type frameEncoder struct {
+	enc  *xdr.Encoder
+	bufs [][]byte    // wire-ordered segments of the frame being written
+	wv   net.Buffers // the write cursor over bufs (WriteTo consumes it)
+}
+
+var frameEncoders = sync.Pool{New: func() any {
+	fe := &frameEncoder{enc: xdr.NewEncoder()}
+	fe.enc.EnableGather()
+	return fe
+}}
+
+// maxPooledHead bounds the head buffer a pooled frameEncoder keeps: a frame
+// that encoded bulk bytes inline (a synthetic payload's zeros) must not pin
+// a transfer-sized buffer under every pooled encoder.
+const maxPooledHead = 64 << 10
+
+// writeFrame serializes one frame onto w under mu (frames from concurrent
+// calls interleave whole, never byte-wise), returning the frame length.
+// Head and by-reference payloads go out as one gathered write (writev on a
+// socket); body's payloads must stay alive until writeFrame returns.
+func writeFrame(w io.Writer, mu *sync.Mutex, xid, mtype, word uint32, body xdr.Marshaler) (int, error) {
+	fe := frameEncoders.Get().(*frameEncoder)
+	e := fe.enc
 	e.Uint32(0) // record length, patched below
 	e.Uint32(xid)
 	e.Uint32(mtype)
@@ -81,20 +96,27 @@ func appendFrame(xid, mtype, word uint32, body xdr.Marshaler) []byte {
 	if body != nil {
 		e.Marshal(body)
 	}
-	b := e.Bytes()
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-	return b
-}
-
-// writeFrame serializes one frame onto w under mu (frames from concurrent
-// calls interleave whole, never byte-wise), returning the frame length.
-func writeFrame(w io.Writer, mu *sync.Mutex, xid, mtype, word uint32, body xdr.Marshaler) (int, error) {
-	b := appendFrame(xid, mtype, word, body)
-	mu.Lock()
-	_, err := w.Write(b)
-	mu.Unlock()
-	n := len(b)
-	PutBuf(b)
+	n := e.Len()
+	binary.BigEndian.PutUint32(e.Bytes(), uint32(n-4))
+	var err error
+	if e.Refs() == 0 {
+		mu.Lock()
+		_, err = w.Write(e.Bytes())
+		mu.Unlock()
+	} else {
+		bufCopiesAvoided.Add(uint64(e.Refs()))
+		fe.bufs = e.Buffers(fe.bufs[:0])
+		fe.wv = fe.bufs
+		mu.Lock()
+		_, err = fe.wv.WriteTo(w)
+		mu.Unlock()
+		clear(fe.bufs)
+		fe.wv = nil
+	}
+	e.Reset()
+	if cap(e.Bytes()) <= maxPooledHead {
+		frameEncoders.Put(fe)
+	}
 	return n, err
 }
 

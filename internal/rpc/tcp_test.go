@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"dpnfs/internal/metrics"
+	"dpnfs/internal/payload"
 	"dpnfs/internal/xdr"
 )
 
@@ -261,13 +263,119 @@ func TestBufPoolReuse(t *testing.T) {
 	if !reused {
 		t.Fatal("pooled buffer never reused")
 	}
-	if got := GetBuf(100); cap(got) != 1<<minBufBits {
-		t.Fatalf("small buffer capacity %d, want %d", cap(got), 1<<minBufBits)
+	if got := GetBuf(100); cap(got) != classSize(0) {
+		t.Fatalf("small buffer capacity %d, want %d", cap(got), classSize(0))
+	}
+	// A power-of-two payload plus its framing stays in the payload's class.
+	if got := GetBuf(2<<20 + HeaderBytes + 100); cap(got) != 2<<20+frameSlack {
+		t.Fatalf("2 MiB frame capacity %d, want %d", cap(got), 2<<20+frameSlack)
 	}
 	if got := len(GetBuf(5000)); got != 5000 {
 		t.Fatalf("GetBuf length %d, want 5000", got)
 	}
 	// Oversized buffers bypass the pool without panicking.
-	huge := GetBuf((1 << maxBufBits) + 1)
+	huge := GetBuf(classSize(numClasses-1) + 1)
 	PutBuf(huge)
+}
+
+// bulkMsg is a tagged payload: the shape of a WRITE call or a READ reply.
+type bulkMsg struct {
+	Tag  uint64
+	Data payload.Payload
+}
+
+func (m *bulkMsg) MarshalXDR(e *xdr.Encoder) {
+	e.Uint64(m.Tag)
+	m.Data.MarshalXDR(e)
+}
+
+func (m *bulkMsg) UnmarshalXDR(d *xdr.Decoder) (err error) {
+	if m.Tag, err = d.Uint64(); err != nil {
+		return err
+	}
+	return m.Data.UnmarshalXDR(d)
+}
+
+func (m *bulkMsg) WireSize() int64 { return xdr.SizeUint64 + m.Data.WireSize() }
+
+// TestGatheredFramesNeverInterleave drives eight concurrent callers, each
+// moving 2 MB both ways, down ONE socket.  Frames go out as gathered writes
+// (head, payload by reference, tail); the write mutex must keep each frame's
+// segments contiguous on the wire in both directions, and the byte counters
+// must still see header + payload although the payload never enters the
+// encoder's buffer.
+func TestGatheredFramesNeverInterleave(t *testing.T) {
+	const (
+		callers = 8
+		rounds  = 2
+		size    = 2 << 20
+	)
+	fill := func(b []byte, tag uint64) []byte {
+		for i := range b {
+			b[i] = byte(uint64(i)*31 + tag)
+		}
+		return b
+	}
+	reg := NewRegistry()
+	reg.Register(procEcho, func() xdr.Unmarshaler { return &bulkMsg{} })
+	handler := func(ctx *Ctx, _ uint32, req any) (xdr.Marshaler, Status) {
+		m := req.(*bulkMsg)
+		if !bytes.Equal(m.Data.Bytes, fill(make([]byte, size), m.Tag)) {
+			return nil, StatusGarbageArgs // a frame was torn on the way in
+		}
+		// The reply payload is a pooled buffer held until the frame is
+		// written, the way the storage servers hand out READ data.
+		buf := fill(GetBuf(size), m.Tag+1000)
+		ctx.Defer(func() { PutBuf(buf) })
+		return &bulkMsg{Tag: m.Tag + 1000, Data: payload.Real(buf)}, StatusOK
+	}
+	metricsReg := metrics.NewRegistry()
+	tr := NewTCPTransport(1) // one connection: every frame shares it
+	tr.Metrics = metricsReg
+	defer tr.Close()
+	if _, err := tr.Serve("srv", "bulk", reg, handler, callers); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := tr.Dial("cli", "srv", "bulk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := SetPoisonOnPut(true) // a payload recycled before its frame left reads 0xA5
+	defer SetPoisonOnPut(prev)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			out := make([]byte, size)
+			for r := 0; r < rounds; r++ {
+				tag := uint64(c*rounds + r)
+				var rep bulkMsg
+				if err := conn.Call(&Ctx{}, procEcho, &bulkMsg{Tag: tag, Data: payload.Real(fill(out, tag))}, &rep); err != nil {
+					errs <- fmt.Errorf("caller %d round %d: %w", c, r, err)
+					return
+				}
+				ok := rep.Tag == tag+1000 && bytes.Equal(rep.Data.Bytes, fill(make([]byte, size), tag+1000))
+				rep.Data.Release()
+				if !ok {
+					errs <- fmt.Errorf("caller %d round %d: reply torn or misrouted", c, r)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	want := uint64(callers * rounds * (HeaderBytes + xdr.SizeUint64 + xdr.SizeOpaque(size)))
+	for _, name := range []string{"rpc_client_bytes_sent_total", "rpc_client_bytes_received_total"} {
+		if got := metricsReg.CounterVec(name, "", "transport", "service").With("tcp", "bulk").Value(); got != want {
+			t.Errorf("%s = %d, want %d (header + payload per frame)", name, got, want)
+		}
+	}
 }

@@ -104,10 +104,10 @@ func (s *KServer) BusyTime() Duration { return Duration(s.busy) }
 // resources that are held across other blocking operations (e.g. the PVFS2
 // kernel⇄daemon transfer-buffer pool).
 type Semaphore struct {
-	name    string
-	reason  string // park reason, precomputed
-	avail   int
-	cap     int
+	name   string
+	reason string // park reason, precomputed
+	avail  int
+	cap    int
 	// waiters is a head-indexed FIFO: popping advances head instead of
 	// re-slicing, so append keeps reusing the same backing array.
 	waiters []semWaiter

@@ -481,26 +481,6 @@ func (s *Store) SetSize(id store.FileID, size int64) error {
 // store.Content so servers can call Sync unconditionally.
 func (s *Store) Sync(p *sim.Proc) error { return nil }
 
-// Discard returns every chunk in the store to the chunk pool.  The caller
-// asserts the store will never be read again — a dropped client page cache,
-// not a server backend (durable backends checkpoint through Extents, which
-// must keep its chunks).
-func (s *Store) Discard() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, n := range s.byID {
-		if n.data == nil {
-			continue
-		}
-		for ci, c := range n.data.chunks {
-			delete(n.data.chunks, ci)
-			delete(n.data.sums, ci)
-			putChunk(c)
-		}
-		n.size = 0
-	}
-}
-
 // CorruptChunk implements store.Corruptible: it flips one readable byte in
 // one materialized chunk — chosen deterministically from seed — without
 // resealing the checksum, modelling media bit rot.  It reports whether any
@@ -697,12 +677,12 @@ func (sp *sparse) reseal(ci int64) {
 	sp.sums[ci] = xdr.ChecksumSalted(sp.chunkSalt(ci), sp.chunks[ci])
 }
 
-// chunkFree recycles chunk slabs across files and stores.  Client page
-// caches are dropped and rebuilt wholesale (DropCaches, close-to-open
-// revalidation); without the freelist every rebuild allocates its working
-// set chunk by chunk.  A plain guarded slice, not a sync.Pool: Put(&c)
-// would box the slice header and cost the very alloc the pool is here to
-// save.  maxFreeChunks bounds retention (64 MiB); overflow falls to GC.
+// chunkFree recycles chunk slabs across files and stores: truncation feeds
+// it, so a server that truncates and rewrites files does not allocate its
+// working set again chunk by chunk.  A plain guarded slice, not a
+// sync.Pool: Put(&c) would box the slice header and cost the very alloc the
+// pool is here to save.  maxFreeChunks bounds retention (64 MiB); overflow
+// falls to GC.
 var chunkFree struct {
 	sync.Mutex
 	free [][]byte

@@ -36,9 +36,28 @@ var (
 	ErrTooLong = errors.New("xdr: variable-length field exceeds limit")
 )
 
+// GatherMin is the smallest opaque a gathering encoder (EnableGather) passes
+// by reference instead of copying.  Below it the memcpy is cheaper than the
+// two extra I/O vectors a by-reference segment costs the socket write.
+const GatherMin = 4 << 10
+
 // Encoder appends XDR-encoded data to an internal buffer.
+//
+// A gathering encoder (EnableGather) keeps that buffer small: OpaqueRef
+// records opaques of GatherMin bytes or more by reference, and Buffers
+// interleaves them with the buffer's scalars, length words and padding in
+// wire order — byte for byte the flat encoding, minus the copy.
 type Encoder struct {
-	buf []byte
+	buf    []byte
+	gather bool
+	refs   []gatherRef
+}
+
+// gatherRef is one by-reference opaque: b belongs on the wire between
+// buf[:at] and buf[at:].
+type gatherRef struct {
+	at int
+	b  []byte
 }
 
 // NewEncoder returns an empty encoder.
@@ -49,14 +68,55 @@ func NewEncoder() *Encoder { return &Encoder{} }
 // message; Bytes may still reallocate past cap(b).
 func NewEncoderBuf(b []byte) *Encoder { return &Encoder{buf: b[:0]} }
 
-// Bytes returns the encoded buffer (not a copy).
+// EnableGather switches the encoder into gather mode for good (Reset keeps
+// it).  Every slice handed to OpaqueRef from then on must stay alive and
+// unmodified until the caller has consumed Buffers — for the TCP transport,
+// until the socket write returns.
+func (e *Encoder) EnableGather() { e.gather = true }
+
+// Bytes returns the encoded buffer (not a copy).  On a gathering encoder
+// that took opaques by reference this is the head buffer only; Buffers has
+// the whole encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// Len returns the number of encoded bytes so far, by-reference opaques
+// included.
+func (e *Encoder) Len() int {
+	n := len(e.buf)
+	for _, r := range e.refs {
+		n += len(r.b)
+	}
+	return n
+}
 
-// Reset discards the buffer contents, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Reset discards the contents, retaining the buffer's capacity and dropping
+// every by-reference slice.
+func (e *Encoder) Reset() {
+	e.buf = e.buf[:0]
+	clear(e.refs)
+	e.refs = e.refs[:0]
+}
+
+// Refs reports how many opaques the encoder holds by reference.
+func (e *Encoder) Refs() int { return len(e.refs) }
+
+// Buffers appends the encoding to dst as a wire-ordered sequence of slices
+// — head bytes and by-reference opaques interleaved — and returns it.  The
+// slices alias the encoder and its referenced opaques; nothing is copied.
+func (e *Encoder) Buffers(dst [][]byte) [][]byte {
+	from := 0
+	for _, r := range e.refs {
+		if r.at > from {
+			dst = append(dst, e.buf[from:r.at])
+		}
+		dst = append(dst, r.b)
+		from = r.at
+	}
+	if from < len(e.buf) {
+		dst = append(dst, e.buf[from:])
+	}
+	return dst
+}
 
 // Uint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) Uint32(v uint32) {
@@ -86,7 +146,12 @@ func (e *Encoder) Bool(v bool) {
 // FixedOpaque encodes bytes with no length word, padded to 4-byte alignment.
 func (e *Encoder) FixedOpaque(b []byte) {
 	e.buf = append(e.buf, b...)
-	for pad := (4 - len(b)%4) % 4; pad > 0; pad-- {
+	e.pad(len(b))
+}
+
+// pad appends the alignment padding that follows an n-byte opaque body.
+func (e *Encoder) pad(n int) {
+	for pad := (4 - n%4) % 4; pad > 0; pad-- {
 		e.buf = append(e.buf, 0)
 	}
 }
@@ -114,6 +179,20 @@ func (e *Encoder) Opaque(b []byte) {
 	}
 	e.Uint32(uint32(len(b)))
 	e.FixedOpaque(b)
+}
+
+// OpaqueRef encodes a variable-length opaque the caller keeps alive (see
+// EnableGather).  A gathering encoder takes b by reference when it is at
+// least GatherMin bytes; otherwise, and on a flat encoder, OpaqueRef is
+// Opaque.
+func (e *Encoder) OpaqueRef(b []byte) {
+	if !e.gather || len(b) < GatherMin || len(b) > MaxOpaque {
+		e.Opaque(b) // which rejects the oversized one
+		return
+	}
+	e.Uint32(uint32(len(b)))
+	e.refs = append(e.refs, gatherRef{at: len(e.buf), b: b})
+	e.pad(len(b))
 }
 
 // String encodes an XDR string.
