@@ -8,7 +8,7 @@
 //	dpnfs-bench -fig 8d -clients 1,4,8
 //	dpnfs-bench -fig degraded           # throughput across a storage-node crash
 //	dpnfs-bench -fig recovery           # same crash on the WAL backend, with replay
-//	dpnfs-bench -fig window             # I/O-engine sliding window vs waves
+//	dpnfs-bench -fig window             # throughput vs I/O-engine window size
 //	dpnfs-bench -fig tail               # read-latency percentiles, hedged vs not
 //	dpnfs-bench -fig rebalance          # foreground writes under a node join
 //	dpnfs-bench -fig sweep              # open-loop scaling, 64 → 10k clients

@@ -474,9 +474,9 @@ func counterSum(reg *metrics.Registry, name string) float64 {
 }
 
 // Window-sweep parameters: mixed request sizes (12 MB spanning every
-// device down to single-stripe-unit slivers) make the per-wave transfer
-// times heterogeneous, which is exactly where lock-step dispatch stalls on
-// its slowest member and the sliding window does not.
+// device down to single-stripe-unit slivers) make the transfer times
+// heterogeneous, so the sweep shows how many slots it takes to keep every
+// device busy behind a slow transfer.
 var windowSweepBlocks = []int64{12 << 20, 64 << 10, 2 << 20, 8 << 10, 4 << 20, 256 << 10}
 
 // windowSweepSizes are the MaxFlight values swept.
@@ -484,44 +484,34 @@ var windowSweepSizes = []int{1, 2, 4, 8, 16}
 
 // WindowSweep is the repository's I/O-engine figure (not from the paper):
 // aggregate mixed-size IOR write throughput as a function of the engine's
-// window size (cluster.Config.MaxFlight), comparing the sliding in-flight
-// window against the pre-engine lock-step wave dispatch
-// (cluster.Config.IOWave) on the cacheless PVFS2 client, whose every
-// application request fans straight out through the engine.  X is the
-// window size; see docs/ARCHITECTURE.md ("The striped-I/O engine").
+// window size (cluster.Config.MaxFlight) on the cacheless PVFS2 client,
+// whose every application request fans straight out through the engine.  X
+// is the window size; see docs/ARCHITECTURE.md ("The striped-I/O engine").
 func WindowSweep(opt Options) (Figure, error) {
 	opt = opt.withDefaults([]int{3}, []cluster.Arch{cluster.ArchPVFS2})
 	fig := Figure{
 		ID:     "window",
-		Title:  "sliding window vs lock-step waves, mixed-size IOR",
+		Title:  "I/O-engine window-size sweep, mixed-size IOR",
 		XLabel: "window",
 		YLabel: "aggregate MB/s",
 	}
 	n := opt.Clients[0]
 	for _, arch := range opt.Archs {
-		for _, mode := range []struct {
-			label string
-			wave  bool
-		}{{"window", false}, {"wave", true}} {
-			s := Series{Label: archLabel(arch) + " " + mode.label}
-			for _, w := range windowSweepSizes {
-				cl := newCluster(opt, cluster.Config{
-					Arch: arch, Clients: n,
-					MaxFlight: w, IOWave: mode.wave,
-				})
-				res, err := workload.IOR(cl, workload.IORConfig{
-					FileSize:    scaleBytes(120<<20, opt.Scale),
-					MixedBlocks: windowSweepBlocks,
-					Separate:    true,
-				})
-				cl.Close()
-				if err != nil {
-					return fig, fmt.Errorf("window/%s/%s/%d: %w", arch, mode.label, w, err)
-				}
-				s.Points = append(s.Points, Point{X: w, Y: res.ThroughputMBs()})
+		s := Series{Label: archLabel(arch) + " window"}
+		for _, w := range windowSweepSizes {
+			cl := newCluster(opt, cluster.Config{Arch: arch, Clients: n, MaxFlight: w})
+			res, err := workload.IOR(cl, workload.IORConfig{
+				FileSize:    scaleBytes(120<<20, opt.Scale),
+				MixedBlocks: windowSweepBlocks,
+				Separate:    true,
+			})
+			cl.Close()
+			if err != nil {
+				return fig, fmt.Errorf("window/%s/%d: %w", arch, w, err)
 			}
-			fig.Series = append(fig.Series, s)
+			s.Points = append(s.Points, Point{X: w, Y: res.ThroughputMBs()})
 		}
+		fig.Series = append(fig.Series, s)
 	}
 	return fig, nil
 }

@@ -79,32 +79,19 @@ type Config struct {
 	NetBPS       float64 // NIC bandwidth (paper: gigabit; Fig 6c: 100 Mbps)
 	Threads      int     // NFS server threads (paper: 8)
 
-	// Unified striped-I/O engine knobs (internal/ioengine), applied to both
-	// the NFS and PVFS2 clients.  Zero values keep each client's defaults
-	// (PVFS2: window 8, 256 KB transfers; NFS: window 32, no extra split).
+	// Striped-I/O engine options (internal/ioengine), applied to both the
+	// NFS and PVFS2 clients through engineConfig.  Zero values keep each
+	// client's defaults (PVFS2: window 8, 256 KB transfers; NFS: window 32,
+	// no extra split) and leave the tail-latency scheduling off
+	// (docs/ARCHITECTURE.md "Tail-latency scheduling").
 	MaxFlight   int   // sliding-window size: concurrent outstanding requests
 	MaxTransfer int64 // per-request payload cap; larger extents are split
-	// IOWave dispatches striped I/O in lock-step batches instead of the
-	// sliding window — the pre-engine behaviour, kept for the bench
-	// window-sweep comparison (dpnfs-bench -fig window).
-	IOWave bool
-
-	// Tail-latency scheduling knobs (docs/ARCHITECTURE.md "Tail-latency
-	// scheduling"), applied to both clients' engines.  All off/zero by
-	// default — figures calibrated before these knobs are unchanged.
-	//
 	// IOBackgroundShare caps the window fraction background work (NFS
-	// write-back and readahead) may hold; foreground always dispatches
-	// first.  IOHedge enables hedged duplicate reads for stragglers, with
-	// IOHedgeAfter flooring and IOHedgeFactor scaling the adaptive
-	// threshold.  IOAdaptive lets each engine's window float between
-	// IOMinFlight and MaxFlight by AIMD.
+	// write-back and readahead, rebalance copies) may hold; foreground
+	// always dispatches first.
 	IOBackgroundShare float64
-	IOHedge           bool
-	IOHedgeAfter      time.Duration
-	IOHedgeFactor     float64
-	IOAdaptive        bool
-	IOMinFlight       int
+	// IOHedge enables hedged duplicate reads for stragglers.
+	IOHedge bool
 
 	NFSCosts  nfs.Costs
 	PVFSCosts pvfs.Costs
@@ -503,25 +490,29 @@ func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer s
 		ids = append(ids, uint32(cl.devIDFor(s.Name)))
 	}
 	return pvfs.NewClient(pvfs.ClientConfig{
-		Node:            n,
-		Costs:           cl.Cfg.PVFSCosts,
-		Meta:            cl.dial(n.Name, cl.mdsNode.Name, pvfs.ServiceMeta),
-		IO:              io,
-		IOIDs:           ids,
-		Class:           class,
-		Issuer:          issuer,
-		Retry:           retry,
+		Node:    n,
+		Costs:   cl.Cfg.PVFSCosts,
+		Meta:    cl.dial(n.Name, cl.mdsNode.Name, pvfs.ServiceMeta),
+		IO:      io,
+		IOIDs:   ids,
+		Class:   class,
+		Issuer:  issuer,
+		Retry:   retry,
+		Engine:  cl.engineConfig(),
+		Metrics: cl.Cfg.Metrics,
+	})
+}
+
+// engineConfig is the one place the cluster's striped-I/O options become an
+// ioengine.Config; both mount builders pass it on, and each client fills in
+// its own name, issuer, registry and default window.
+func (cl *Cluster) engineConfig() ioengine.Config {
+	return ioengine.Config{
 		MaxFlight:       cl.Cfg.MaxFlight,
 		MaxTransfer:     cl.Cfg.MaxTransfer,
-		Wave:            cl.Cfg.IOWave,
 		BackgroundShare: cl.Cfg.IOBackgroundShare,
 		Hedge:           cl.Cfg.IOHedge,
-		HedgeAfter:      cl.Cfg.IOHedgeAfter,
-		HedgeFactor:     cl.Cfg.IOHedgeFactor,
-		Adaptive:        cl.Cfg.IOAdaptive,
-		MinFlight:       cl.Cfg.IOMinFlight,
-		Metrics:         cl.Cfg.Metrics,
-	})
+	}
 }
 
 // clientNode creates the i-th application client node.
@@ -544,18 +535,10 @@ func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client 
 			return cl.dial(n.Name, addr, ServiceDS)
 		},
 		WSize: cl.Cfg.WSize, RSize: cl.Cfg.RSize,
-		MaxReadAhead:    8 * cl.Cfg.RSize,
-		MaxFlight:       cl.Cfg.MaxFlight,
-		MaxTransfer:     cl.Cfg.MaxTransfer,
-		Wave:            cl.Cfg.IOWave,
-		BackgroundShare: cl.Cfg.IOBackgroundShare,
-		Hedge:           cl.Cfg.IOHedge,
-		HedgeAfter:      cl.Cfg.IOHedgeAfter,
-		HedgeFactor:     cl.Cfg.IOHedgeFactor,
-		Adaptive:        cl.Cfg.IOAdaptive,
-		MinFlight:       cl.Cfg.IOMinFlight,
-		Real:            cl.Cfg.Real,
-		Metrics:         cl.Cfg.Metrics,
+		MaxReadAhead: 8 * cl.Cfg.RSize,
+		Engine:       cl.engineConfig(),
+		Real:         cl.Cfg.Real,
+		Metrics:      cl.Cfg.Metrics,
 	})
 	cl.nfsClients = append(cl.nfsClients, c)
 	return c

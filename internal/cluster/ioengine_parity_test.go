@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 // the tiny MaxTransfer forces request splitting, and small sequential
 // re-reads make adjacent missing chunks coalesce — every engine feature is
 // on the data path.
-func driveEngineWorkload(t *testing.T, arch Arch, wave bool, window int) [][]byte {
+func driveEngineWorkload(t *testing.T, arch Arch) [][]byte {
 	t.Helper()
 	const (
 		clients  = 2
@@ -31,9 +30,8 @@ func driveEngineWorkload(t *testing.T, arch Arch, wave bool, window int) [][]byt
 		StripeSize:  stripe,
 		WSize:       stripe,
 		RSize:       stripe,
-		MaxFlight:   window,
+		MaxFlight:   3,
 		MaxTransfer: 20_000, // misaligned: splits nearly every extent
-		IOWave:      wave,
 		Real:        true,
 	})
 	defer cl.Close()
@@ -63,7 +61,7 @@ func driveEngineWorkload(t *testing.T, arch Arch, wave bool, window int) [][]byt
 		}
 		return m.Close(ctx, f)
 	}); err != nil {
-		t.Fatalf("%s wave=%v write phase: %v", arch, wave, err)
+		t.Fatalf("%s write phase: %v", arch, err)
 	}
 
 	out := make([][]byte, clients)
@@ -90,31 +88,24 @@ func driveEngineWorkload(t *testing.T, arch Arch, wave bool, window int) [][]byt
 		out[i] = got
 		return m.Close(ctx, f)
 	}); err != nil {
-		t.Fatalf("%s wave=%v read phase: %v", arch, wave, err)
+		t.Fatalf("%s read phase: %v", arch, err)
 	}
 	return out
 }
 
-// TestIOEngineParityAllArchitectures is the refactor's correctness pin
+// TestIOEngineParityAllArchitectures is the engine's correctness pin
 // (ISSUE 4): on all five architectures, data routed through the I/O
 // engine's sliding window — with coalescing and MaxTransfer splitting
-// engaged — reads back byte-identical to the written pattern, and the wave
-// schedule (the pre-engine dispatch) produces exactly the same bytes.
+// engaged — reads back byte-identical to the written pattern.
 func TestIOEngineParityAllArchitectures(t *testing.T) {
 	for _, arch := range Archs {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
-			window := driveEngineWorkload(t, arch, false, 3)
-			wave := driveEngineWorkload(t, arch, true, 3)
-			for i := range window {
-				for off, b := range window[i] {
+			for i, got := range driveEngineWorkload(t, arch) {
+				for off, b := range got {
 					if want := parityPattern(i, int64(off)); b != want {
 						t.Fatalf("client %d: byte %d = %#x, want %#x", i, off, b, want)
 					}
-				}
-				if !bytes.Equal(window[i], wave[i]) {
-					t.Fatalf("client %d: wave-mode read-back differs from sliding window (lens %d vs %d)",
-						i, len(wave[i]), len(window[i]))
 				}
 			}
 		})

@@ -3,18 +3,18 @@ package fserr
 import (
 	"testing"
 
-	"dpnfs/internal/vfs"
+	"dpnfs/internal/store"
 )
 
 func TestRoundTripAllVFSErrors(t *testing.T) {
 	errs := []error{
 		nil,
-		vfs.ErrNotExist,
-		vfs.ErrExist,
-		vfs.ErrIsDir,
-		vfs.ErrNotDir,
-		vfs.ErrNotEmpty,
-		vfs.ErrInval,
+		store.ErrNotExist,
+		store.ErrExist,
+		store.ErrIsDir,
+		store.ErrNotDir,
+		store.ErrNotEmpty,
+		store.ErrInval,
 	}
 	for _, err := range errs {
 		if got := ToErrno(err).Err(); got != err {

@@ -10,8 +10,8 @@ import (
 )
 
 // benchExtents is a mixed-size request stream over six devices: bulk runs
-// that split against MaxTransfer next to slivers that don't — the
-// heterogeneity that separates wave from window dispatch.
+// that split against MaxTransfer next to slivers that don't, so slots free
+// up at uneven times.
 func benchExtents() []stripe.Extent {
 	sizes := []int64{2 << 20, 8 << 10, 512 << 10, 64 << 10, 1 << 20, 4 << 10}
 	var out []stripe.Extent
@@ -24,15 +24,15 @@ func benchExtents() []stripe.Extent {
 	return out
 }
 
-// benchEngine drives one full Prepare+Run cycle per iteration on a fresh
-// simulation kernel, with per-request virtual service time proportional to
-// length (plus a per-device skew), and reports the schedule's virtual
-// completion time alongside the usual wall-clock and allocation numbers.
-func benchEngine(b *testing.B, wave bool) {
-	b.Helper()
+// BenchmarkEngineWindow drives one full Prepare+Run cycle per iteration on a
+// fresh simulation kernel, with per-request virtual service time
+// proportional to length (plus a per-device skew), and reports the
+// schedule's virtual completion time alongside the usual wall-clock and
+// allocation numbers (allocs/op is the dispatch overhead CI bounds).
+func BenchmarkEngineWindow(b *testing.B) {
 	var virtual sim.Time
 	for i := 0; i < b.N; i++ {
-		e := New(Config{MaxFlight: 4, MaxTransfer: 256 << 10, Wave: wave})
+		e := New(Config{MaxFlight: 4, MaxTransfer: 256 << 10})
 		k := sim.NewKernel(1)
 		k.Go("bench", func(p *sim.Proc) {
 			reqs := e.Prepare(benchExtents())
@@ -51,11 +51,3 @@ func benchEngine(b *testing.B, wave bool) {
 	}
 	b.ReportMetric(float64(virtual)/1e6, "virtual-ms/run")
 }
-
-// BenchmarkEngineWindow measures the sliding-window scheduler; compare the
-// virtual-ms/run metric against BenchmarkEngineWave for the wave→window
-// schedule win, and allocs/op for dispatch overhead (-benchmem).
-func BenchmarkEngineWindow(b *testing.B) { benchEngine(b, false) }
-
-// BenchmarkEngineWave measures the historical lock-step dispatch.
-func BenchmarkEngineWave(b *testing.B) { benchEngine(b, true) }

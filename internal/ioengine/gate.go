@@ -7,19 +7,18 @@ import (
 )
 
 // gate is the engine's class-aware window: a counting limiter with two
-// strict-priority FIFO queues (foreground before background), a background
-// occupancy share, and a runtime-adjustable limit for the AIMD controller.
-// It serves both execution modes — simulated processes park on a per-waiter
-// sim.Chan (resumed in deterministic virtual-time order), real-time callers
-// block on a buffered Go channel.
+// strict-priority FIFO queues (foreground before background) and a
+// background occupancy share.  It serves both execution modes — simulated
+// processes park on a per-waiter sim.Chan (resumed in deterministic
+// virtual-time order), real-time callers block on a buffered Go channel.
 //
-// Slots are handed over, not raced for: release and setLimit admit waiting
-// requests directly (charging the slot to the waiter before signalling it),
-// so a waking foreground request can never lose its slot to a later
-// background arrival.
+// Slots are handed over, not raced for: release admits waiting requests
+// directly (charging the slot to the waiter before signalling it), so a
+// waking foreground request can never lose its slot to a later background
+// arrival.
 type gate struct {
 	mu     sync.Mutex
-	limit  int     // current effective window
+	limit  int     // window size
 	share  float64 // background occupancy share (<=0 or >=1: uncapped)
 	held   int     // slots occupied, all classes
 	bgHeld int     // slots occupied by Background
@@ -36,7 +35,7 @@ func newGate(limit int, share float64) *gate {
 	return &gate{limit: limit, share: share}
 }
 
-// bgAllowed is the background slot cap under the current limit.
+// bgAllowed is the background slot cap.
 func (g *gate) bgAllowed() int {
 	if g.share <= 0 || g.share >= 1 {
 		return g.limit
@@ -100,34 +99,32 @@ func (w *gateWaiter) signal() {
 }
 
 // acquireSim takes one slot for a simulated process, parking it in virtual
-// time if none is admissible.  Reports whether the caller had to queue.
-func (g *gate) acquireSim(p *sim.Proc, class Class, name string) bool {
+// time if none is admissible.
+func (g *gate) acquireSim(p *sim.Proc, class Class, name string) {
 	g.mu.Lock()
 	if g.admitLocked(class) {
 		g.takeLocked(class)
 		g.mu.Unlock()
-		return false
+		return
 	}
 	w := &gateWaiter{class: class, simCh: sim.NewChan(name + "/gate")}
 	g.q[class] = append(g.q[class], w)
 	g.mu.Unlock()
 	w.simCh.Recv(p)
-	return true
 }
 
 // acquireRT is acquireSim for real-time callers (wall-clock blocking).
-func (g *gate) acquireRT(class Class) bool {
+func (g *gate) acquireRT(class Class) {
 	g.mu.Lock()
 	if g.admitLocked(class) {
 		g.takeLocked(class)
 		g.mu.Unlock()
-		return false
+		return
 	}
 	w := &gateWaiter{class: class, rtCh: make(chan struct{}, 1)}
 	g.q[class] = append(g.q[class], w)
 	g.mu.Unlock()
 	<-w.rtCh
-	return true
 }
 
 // tryAcquire takes a slot only if one is admissible right now — the hedge
@@ -151,23 +148,4 @@ func (g *gate) release(class Class) {
 	}
 	g.wakeLocked()
 	g.mu.Unlock()
-}
-
-// setLimit changes the effective window.  Growing admits waiters
-// immediately; shrinking lets in-flight requests drain down naturally.
-func (g *gate) setLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.mu.Lock()
-	g.limit = n
-	g.wakeLocked()
-	g.mu.Unlock()
-}
-
-// limitNow reads the current effective window.
-func (g *gate) limitNow() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.limit
 }

@@ -180,8 +180,7 @@ func (h *hedgeLoad) exit() {
 func TestWindowBoundHoldsWithHedges(t *testing.T) {
 	const window = 4
 	e := New(Config{
-		MaxFlight: window, Hedge: true, HedgeAfter: 2 * time.Millisecond,
-		Metrics: metrics.NewRegistry(),
+		MaxFlight: window, Hedge: true, Metrics: metrics.NewRegistry(),
 	})
 	// Fast requests first, stragglers last: when the straggler timers fire
 	// the queue has drained, two slots are spare, and the two hedges fill
@@ -245,8 +244,7 @@ func TestWindowBoundHoldsWithHedges(t *testing.T) {
 func TestHedgesRealTime(t *testing.T) {
 	const window = 4
 	e := New(Config{
-		MaxFlight: window, Hedge: true, HedgeAfter: time.Millisecond,
-		Metrics: metrics.NewRegistry(),
+		MaxFlight: window, Hedge: true, Metrics: metrics.NewRegistry(),
 	})
 	// As in the sim twin: fast requests first so slots are spare when the
 	// straggler timers fire.
@@ -351,53 +349,6 @@ func TestBackgroundShareAndPriority(t *testing.T) {
 	}
 	if got := e.classReqs[Foreground].Value(); got != 10 {
 		t.Errorf("foreground class counter %d, want 10", got)
-	}
-}
-
-// TestAdaptiveWindowAIMD pins the controller's two directions: sustained
-// congestion (fast EWMA far above slow) shrinks the window toward MinFlight,
-// and queued demand without congestion grows it back toward MaxFlight.
-func TestAdaptiveWindowAIMD(t *testing.T) {
-	e := New(Config{
-		MaxFlight: 8, Adaptive: true, MinFlight: 2,
-		Metrics: metrics.NewRegistry(),
-	})
-	run := func(n int, d time.Duration) {
-		k := sim.NewKernel(1)
-		k.Go("load", func(p *sim.Proc) {
-			err := e.Run(&rpc.Ctx{P: p}, scattered(n, 64), func(ctx *rpc.Ctx, r stripe.Extent) error {
-				ctx.P.Sleep(d)
-				return nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run(64, time.Millisecond) // seed the EWMAs at a fast baseline
-	if got := e.Window(); got != 8 {
-		t.Fatalf("steady window %d, want 8", got)
-	}
-	run(64, 200*time.Millisecond) // sustained 200x latency: congestion
-	shrunk := e.Window()
-	if shrunk >= 8 {
-		t.Fatalf("window %d did not shrink under congestion", shrunk)
-	}
-	if shrunk < 2 {
-		t.Fatalf("window %d shrank below MinFlight", shrunk)
-	}
-	// Queued fast traffic (more demand than slots) grows it back.
-	for i := 0; i < 8; i++ {
-		run(64, time.Millisecond)
-	}
-	if grown := e.Window(); grown <= shrunk {
-		t.Errorf("window stayed at %d after congestion cleared, want additive increase above %d", grown, shrunk)
-	}
-	if got := e.maxflightG.Value(); got != int64(e.Window()) {
-		t.Errorf("ioengine_maxflight gauge %d, want %d", got, e.Window())
 	}
 }
 

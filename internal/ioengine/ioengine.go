@@ -15,15 +15,14 @@
 //     the next request.  Under the simulation kernel requests run as
 //     simulated processes in virtual time; in real-time (TCP) mode they run
 //     as plain goroutines — the rpc.Ctx passed in selects the mode, exactly
-//     as elsewhere in the repository.  Config.Wave restores the historical
-//     lock-step batching for comparison (the bench window-sweep figure).
+//     as elsewhere in the repository.
 //   - Policies wrap the per-request operation with failure handling: bounded
 //     retry/backoff (PVFS2 riding out a crashed daemon), or fallback ladders
 //     (the NFS client's layout-recovery retry and MDS-proxied last resort).
 //
 // # Tail-latency scheduling
 //
-// Beyond the basic window the engine implements four scheduling features
+// Beyond the basic window the engine implements three scheduling features
 // (docs/ARCHITECTURE.md "Tail-latency scheduling"), all off by default and
 // enabled per Config/RunOpts:
 //
@@ -34,25 +33,20 @@
 //     work may hold, so write-back and readahead can never crowd out
 //     synchronous reads.
 //   - Hedged requests: when a request has been in flight longer than an
-//     adaptive straggler threshold (HedgeFactor × a latency EWMA, floored
-//     at HedgeAfter), a duplicate is launched — but only on a spare slot
-//     (the window bound holds with hedges outstanding).  Whichever copy
-//     completes first wins and is recorded exactly once; the loser's
-//     result is suppressed at completion.  Under the simulation kernel the
-//     straggler timer is a virtual-time sleep, so hedged runs stay
-//     deterministic by seed; only real-time (TCP) mode arms wall-clock
-//     timers (counted by ioengine_wallclock_timers_total).
+//     adaptive straggler threshold (4 × a latency EWMA, floored at 10 ms),
+//     a duplicate is launched — but only on a spare slot (the window bound
+//     holds with hedges outstanding).  Whichever copy completes first wins
+//     and is recorded exactly once; the loser's result is suppressed at
+//     completion.  Under the simulation kernel the straggler timer is a
+//     virtual-time sleep, so hedged runs stay deterministic by seed; only
+//     real-time (TCP) mode arms wall-clock timers (counted by
+//     ioengine_wallclock_timers_total).
 //   - Replica steering: SteerReplicas rewrites read extents produced by a
 //     stripe.Replicated mapper onto each extent's least-loaded replica
 //     device, using the engine's live per-device in-flight counts, with a
 //     deterministic tie-break.  stripe.Replicated.Alternates gives issuers
 //     the replica→replica failover ladder to try before their MDS-proxy
 //     rung.
-//   - Adaptive window: with Config.Adaptive the effective window floats
-//     between MinFlight and MaxFlight by AIMD — additive increase while
-//     requests queue for slots, multiplicative decrease when the fast
-//     latency EWMA runs well above the slow one (congestion).  The current
-//     window is exported as the ioengine_maxflight gauge.
 //
 // Errors propagate deterministically: whatever the completion interleaving,
 // Run returns the error of the lowest-indexed failed request, and no new
@@ -60,8 +54,8 @@
 //
 // The engine records its behaviour in the shared metrics registry
 // (docs/METRICS.md): window occupancy, slot waits (total and per class),
-// hedge launches/wins/cancellations, the adaptive window, and how many
-// requests coalescing and splitting added or removed.
+// hedge launches/wins/cancellations, and how many requests coalescing and
+// splitting added or removed.
 package ioengine
 
 import (
@@ -114,6 +108,39 @@ func WithFallback(fb func(ctx *rpc.Ctx, r stripe.Extent, err error) error) Polic
 	}
 }
 
+// RepairLedger makes a client's read-repair exactly-once per key (one
+// corrupt device extent): the first corrupt read of an extent rewrites the
+// bad copy, concurrent and later corrupt reads of the same extent only
+// re-serve good bytes — so a rewrite that does not take cannot loop.  The
+// zero value is ready to use.
+type RepairLedger[K comparable] struct {
+	mu      sync.Mutex
+	claimed map[K]bool
+}
+
+// Once runs rewrite if no earlier call claimed key, and reports whether it
+// ran and succeeded.  Repair is best-effort (the caller already holds good
+// data), so a failed rewrite only releases the claim for a later attempt.
+func (l *RepairLedger[K]) Once(key K, rewrite func() error) bool {
+	l.mu.Lock()
+	if l.claimed[key] {
+		l.mu.Unlock()
+		return false
+	}
+	if l.claimed == nil {
+		l.claimed = make(map[K]bool)
+	}
+	l.claimed[key] = true
+	l.mu.Unlock()
+	if rewrite() != nil {
+		l.mu.Lock()
+		delete(l.claimed, key)
+		l.mu.Unlock()
+		return false
+	}
+	return true
+}
+
 // Class is a request's QoS priority class.
 type Class int
 
@@ -149,18 +176,14 @@ type RunOpts struct {
 // PVFS2 client's "limited request parallelization" depth (paper §5).
 const DefaultMaxFlight = 8
 
-// Defaults for the tail-latency knobs.
+// The straggler threshold behind hedging.
 const (
-	// DefaultHedgeAfter floors the straggler threshold: a request is never
-	// hedged before being in flight this long.
-	DefaultHedgeAfter = 10 * time.Millisecond
-	// DefaultHedgeFactor multiplies the fast latency EWMA to form the
-	// adaptive straggler threshold.
-	DefaultHedgeFactor = 4.0
-	// DefaultMinFlight floors the AIMD-adaptive window.
-	DefaultMinFlight = 2
-	// aimdEvery is how many completions pass between AIMD adjustments.
-	aimdEvery = 16
+	// stragglerFloor floors the threshold: a request is never hedged before
+	// being in flight this long.
+	stragglerFloor = 10 * time.Millisecond
+	// stragglerFactor multiplies the latency EWMA to form the adaptive
+	// threshold.
+	stragglerFactor = 4.0
 )
 
 // Config describes one engine instance (one per protocol client).
@@ -170,17 +193,11 @@ type Config struct {
 	// Issuer labels the engine's metrics ("nfs", "pvfs").
 	Issuer string
 	// MaxFlight bounds concurrently outstanding requests across every Run
-	// on this engine (0 = DefaultMaxFlight).  With Adaptive set it is the
-	// ceiling of the AIMD window.
+	// on this engine (0 = DefaultMaxFlight).
 	MaxFlight int
 	// MaxTransfer caps a single request's length; Prepare splits larger
 	// extents (0 = no splitting).
 	MaxTransfer int64
-	// Wave issues requests in lock-step batches of MaxFlight instead of the
-	// sliding window: each batch waits for its slowest transfer before the
-	// next batch starts.  This reproduces the pre-engine PVFS2 dispatch for
-	// the bench window-sweep comparison; leave false in production paths.
-	Wave bool
 	// BackgroundShare caps the fraction of the window that Background-class
 	// requests may hold at once (at least one slot).  0 or >= 1 leaves
 	// background uncapped; foreground waiters still dispatch first.
@@ -188,16 +205,6 @@ type Config struct {
 	// Hedge enables hedged duplicate requests for runs that opt in via
 	// RunOpts.Hedge.
 	Hedge bool
-	// HedgeAfter floors the straggler threshold (0 = DefaultHedgeAfter).
-	HedgeAfter time.Duration
-	// HedgeFactor multiplies the latency EWMA to form the straggler
-	// threshold (0 = DefaultHedgeFactor).
-	HedgeFactor float64
-	// Adaptive lets the effective window float between MinFlight and
-	// MaxFlight by AIMD on the engine's own latency/slot-wait signals.
-	Adaptive bool
-	// MinFlight floors the adaptive window (0 = DefaultMinFlight).
-	MinFlight int
 	// Metrics is the shared observability registry; nil discards.
 	Metrics *metrics.Registry
 }
@@ -211,14 +218,11 @@ type Engine struct {
 
 	gate *gate // the class-aware window (both execution modes)
 
-	// schedMu guards the latency EWMAs and AIMD counters.  Under the
-	// simulation kernel completions arrive in deterministic virtual-time
-	// order, so the adaptive state is reproducible by seed.
-	schedMu     sync.Mutex
-	latFast     float64 // fast EWMA of request latency, seconds (α=1/8)
-	latSlow     float64 // slow EWMA, the congestion baseline (α=1/64)
-	completions int     // since the last AIMD adjustment
-	waited      int     // acquisitions that queued, since the last adjustment
+	// latMu guards the latency EWMA behind the straggler threshold.  Under
+	// the simulation kernel completions arrive in deterministic virtual-time
+	// order, so the threshold is reproducible by seed.
+	latMu   sync.Mutex
+	latEWMA float64 // EWMA of request latency, seconds (α=1/8)
 
 	// devMu guards the per-device in-flight counts behind SteerReplicas.
 	devMu   sync.Mutex
@@ -237,7 +241,6 @@ type Engine struct {
 	hedgeLaunched *metrics.Counter
 	hedgeWon      *metrics.Counter
 	hedgeCanceled *metrics.Counter
-	maxflightG    *metrics.Gauge
 	wallTimers    *metrics.Counter
 }
 
@@ -255,18 +258,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.Issuer == "" {
 		cfg.Issuer = cfg.Name
-	}
-	if cfg.HedgeAfter <= 0 {
-		cfg.HedgeAfter = DefaultHedgeAfter
-	}
-	if cfg.HedgeFactor <= 0 {
-		cfg.HedgeFactor = DefaultHedgeFactor
-	}
-	if cfg.MinFlight <= 0 {
-		cfg.MinFlight = DefaultMinFlight
-	}
-	if cfg.MinFlight > cfg.MaxFlight {
-		cfg.MinFlight = cfg.MaxFlight
 	}
 	reg := cfg.Metrics
 	e := &Engine{
@@ -300,9 +291,6 @@ func New(cfg Config) *Engine {
 		hedgeCanceled: reg.CounterVec("ioengine_hedges_cancelled_total",
 			"Hedges whose primary completed first (the duplicate's result was suppressed).",
 			"issuer").With(cfg.Issuer),
-		maxflightG: reg.GaugeVec("ioengine_maxflight",
-			"Current effective window size (AIMD-adaptive when Config.Adaptive).",
-			"issuer").With(cfg.Issuer),
 		wallTimers: reg.CounterVec("ioengine_wallclock_timers_total",
 			"Wall-clock straggler timers armed (real-time mode only; zero on the fabric).",
 			"issuer").With(cfg.Issuer),
@@ -318,16 +306,8 @@ func New(cfg Config) *Engine {
 			"Slot-wait time per QoS class.",
 			metrics.DurationBuckets, "issuer", "class").With(cfg.Issuer, c.String())
 	}
-	e.maxflightG.Set(int64(cfg.MaxFlight))
 	return e
 }
-
-// MaxFlight reports the engine's window ceiling after defaults.
-func (e *Engine) MaxFlight() int { return e.cfg.MaxFlight }
-
-// Window reports the current effective window size (equals MaxFlight unless
-// Config.Adaptive shrank it).
-func (e *Engine) Window() int { return e.gate.limitNow() }
 
 // Prepare turns mapper extents into the engine's request stream: adjacent
 // extents on the same device that are contiguous in both logical and device
@@ -404,14 +384,6 @@ func (e *Engine) SteerReplicas(rm *stripe.Replicated, exts []stripe.Extent) []st
 	return out
 }
 
-// DevLoad reports the in-flight request count for one device (tests and
-// steering diagnostics).
-func (e *Engine) DevLoad(dev int) int {
-	e.devMu.Lock()
-	defer e.devMu.Unlock()
-	return e.devLoad[dev]
-}
-
 func (e *Engine) devBegin(dev int) {
 	if dev < 0 {
 		return
@@ -481,39 +453,53 @@ type IndexedDoFunc func(ctx *rpc.Ctx, i int, r stripe.Extent) error
 // index in reqs to fn.  Unlike RunWith it takes no policies: a batch mixes
 // extents with different failure ladders, so the caller pre-composes the
 // right ladder into fn per index.
+//
+// The schedule is the sliding window: the issue loop blocks on a free slot,
+// then hands the request to its own process/goroutine, so a completing
+// transfer immediately admits the next one.
 func (e *Engine) RunIndexed(ctx *rpc.Ctx, opts RunOpts, reqs []stripe.Extent, fn IndexedDoFunc) error {
 	if len(reqs) == 0 {
 		return nil
 	}
 	e.requests.Add(uint64(len(reqs)))
 	e.classReqs[opts.Class].Add(uint64(len(reqs)))
-	if e.cfg.Wave {
-		return e.runWaves(ctx, opts.Class, reqs, fn)
+	hedge := opts.Hedge && e.cfg.Hedge
+	if len(reqs) == 1 && !hedge {
+		// Degenerate fan-out (one extent per gathered chunk is the common
+		// NFS case): run on the caller, still under the window bound.
+		e.acquire(ctx, opts.Class)
+		defer e.release(opts.Class)
+		start := ctx.Stamp()
+		e.devBegin(reqs[0].Dev)
+		err := fn(ctx, 0, reqs[0])
+		e.devEnd(reqs[0].Dev)
+		e.observeLatency(ctx.Since(start).Seconds())
+		return err
 	}
-	return e.runWindow(ctx, opts, reqs, fn)
+	var ferr firstError
+	g := &group{ctx: ctx}
+	for i, r := range reqs {
+		if ferr.get() != nil {
+			break
+		}
+		e.issue(g, i, r, fn, &ferr, opts, hedge)
+	}
+	g.wait()
+	return ferr.get()
 }
 
 // acquire takes one window slot for class, recording slot-wait and
 // occupancy.
 func (e *Engine) acquire(ctx *rpc.Ctx, class Class) {
-	var queued bool
-	var wait time.Duration
+	start := ctx.Stamp()
 	if ctx.P != nil {
-		start := ctx.Now()
-		queued = e.gate.acquireSim(ctx.P, class, e.cfg.Name)
-		wait = time.Duration(ctx.Now() - start)
+		e.gate.acquireSim(ctx.P, class, e.cfg.Name)
 	} else {
-		start := time.Now()
-		queued = e.gate.acquireRT(class)
-		wait = time.Since(start)
+		e.gate.acquireRT(class)
 	}
+	wait := ctx.Since(start)
 	e.slotWait.ObserveDuration(wait)
 	e.classWait[class].ObserveDuration(wait)
-	if queued {
-		e.schedMu.Lock()
-		e.waited++
-		e.schedMu.Unlock()
-	}
 	e.noteIssued(class)
 }
 
@@ -542,56 +528,26 @@ func (e *Engine) release(class Class) {
 }
 
 // observeLatency feeds one completed request's service time into the
-// hedging EWMA and, when adaptive, the AIMD controller.
+// hedging EWMA.
 func (e *Engine) observeLatency(sec float64) {
-	e.schedMu.Lock()
-	if e.latFast == 0 && e.latSlow == 0 {
-		e.latFast, e.latSlow = sec, sec
+	e.latMu.Lock()
+	if e.latEWMA == 0 {
+		e.latEWMA = sec
 	} else {
-		e.latFast += (sec - e.latFast) / 8
-		e.latSlow += (sec - e.latSlow) / 64
+		e.latEWMA += (sec - e.latEWMA) / 8
 	}
-	adjust := false
-	var congested bool
-	var waited int
-	e.completions++
-	if e.cfg.Adaptive && e.completions >= aimdEvery {
-		e.completions = 0
-		waited, e.waited = e.waited, 0
-		congested = e.latFast > 2*e.latSlow
-		adjust = true
-	}
-	e.schedMu.Unlock()
-	if !adjust {
-		return
-	}
-	cur := e.gate.limitNow()
-	next := cur
-	if congested && cur > e.cfg.MinFlight {
-		// Multiplicative decrease: back off to 3/4 under congestion.
-		next = cur * 3 / 4
-		if next < e.cfg.MinFlight {
-			next = e.cfg.MinFlight
-		}
-	} else if !congested && waited > 0 && cur < e.cfg.MaxFlight {
-		// Additive increase while demand is queueing for slots.
-		next = cur + 1
-	}
-	if next != cur {
-		e.gate.setLimit(next)
-		e.maxflightG.Set(int64(next))
-	}
+	e.latMu.Unlock()
 }
 
-// hedgeThreshold is the current straggler threshold: HedgeFactor times the
-// fast latency EWMA, floored at HedgeAfter.
+// hedgeThreshold is the current straggler threshold: stragglerFactor times
+// the latency EWMA, floored at stragglerFloor.
 func (e *Engine) hedgeThreshold() time.Duration {
-	e.schedMu.Lock()
-	ewma := e.latFast
-	e.schedMu.Unlock()
-	d := time.Duration(ewma * e.cfg.HedgeFactor * float64(time.Second))
-	if d < e.cfg.HedgeAfter {
-		d = e.cfg.HedgeAfter
+	e.latMu.Lock()
+	ewma := e.latEWMA
+	e.latMu.Unlock()
+	d := time.Duration(ewma * stragglerFactor * float64(time.Second))
+	if d < stragglerFloor {
+		d = stragglerFloor
 	}
 	return d
 }
@@ -680,46 +636,41 @@ func (e *Engine) complete(st *reqState, i int, err error, ferr *firstError, isHe
 	return false
 }
 
-// now returns elapsed seconds measured on the mode's clock.
-func elapsedSince(ctx *rpc.Ctx, simStart sim.Time, wallStart time.Time) float64 {
-	if ctx.P != nil {
-		return time.Duration(ctx.Now() - simStart).Seconds()
-	}
-	return time.Since(wallStart).Seconds()
-}
-
 // issue blocks on a free window slot, then hands request i to its own
 // worker: the group gains one unit — the request's completion — and the
-// first copy to finish signals it.  The worker releases its slot when it
-// returns, win or lose, so the window bound holds even while a losing
-// straggler is still running after Run unblocked.  With hedging, a straggler
-// watcher launches a duplicate on a spare slot once the request outlives the
+// first copy to finish signals it.  With hedging, a straggler watcher
+// launches a duplicate on a spare slot once the request outlives the
 // adaptive threshold.
 func (e *Engine) issue(g *group, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, opts RunOpts, hedge bool) {
 	e.acquire(g.ctx, opts.Class)
 	st := &reqState{}
 	g.add()
-	g.launch(e.cfg.Name+"/io", func(c *rpc.Ctx) {
-		var simStart sim.Time
-		var wallStart time.Time
-		if c.P != nil {
-			simStart = c.Now()
-		} else {
-			wallStart = time.Now()
-		}
+	e.launchCopy(g, st, i, r, fn, ferr, opts.Class, false)
+	if hedge {
+		e.watchStraggler(g, st, i, r, fn, ferr, opts)
+	}
+}
+
+// launchCopy runs one copy of request i — the primary or its hedge — on a
+// slot the caller already holds.  The copy releases the slot when it
+// returns, win or lose, so the window bound holds even while a losing
+// straggler is still running after Run unblocked.
+func (e *Engine) launchCopy(g *group, st *reqState, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, class Class, isHedge bool) {
+	suffix := "/io"
+	if isHedge {
+		suffix = "/hedge"
+	}
+	g.launch(e.cfg.Name+suffix, func(c *rpc.Ctx) {
+		start := c.Stamp()
 		e.devBegin(r.Dev)
 		err := fn(c, i, r)
 		e.devEnd(r.Dev)
-		sec := elapsedSince(c, simStart, wallStart)
-		won := e.complete(st, i, err, ferr, false, sec)
-		e.release(opts.Class)
+		won := e.complete(st, i, err, ferr, isHedge, c.Since(start).Seconds())
+		e.release(class)
 		if won {
 			g.done()
 		}
 	})
-	if hedge {
-		e.watchStraggler(g, st, i, r, fn, ferr, opts)
-	}
 }
 
 // watchStraggler arms the straggler timer for one request: a virtual-time
@@ -760,92 +711,5 @@ func (e *Engine) tryHedge(g *group, st *reqState, i int, r stripe.Extent, fn Ind
 	st.hedged = true
 	st.mu.Unlock()
 	e.hedgeLaunched.Inc()
-	g.launch(e.cfg.Name+"/hedge", func(c *rpc.Ctx) {
-		var simStart sim.Time
-		var wallStart time.Time
-		if c.P != nil {
-			simStart = c.Now()
-		} else {
-			wallStart = time.Now()
-		}
-		e.devBegin(r.Dev)
-		err := fn(c, i, r)
-		e.devEnd(r.Dev)
-		sec := elapsedSince(c, simStart, wallStart)
-		won := e.complete(st, i, err, ferr, true, sec)
-		e.release(opts.Class)
-		if won {
-			g.done()
-		}
-	})
-}
-
-// runWindow is the sliding window: the issue loop blocks on a free slot,
-// then hands the request to its own process/goroutine, so a completing
-// transfer immediately admits the next one.
-func (e *Engine) runWindow(ctx *rpc.Ctx, opts RunOpts, reqs []stripe.Extent, fn IndexedDoFunc) error {
-	hedge := opts.Hedge && e.cfg.Hedge
-	if len(reqs) == 1 && !hedge {
-		// Degenerate fan-out (one extent per gathered chunk is the common
-		// NFS case): run on the caller, still under the window bound.
-		e.acquire(ctx, opts.Class)
-		defer e.release(opts.Class)
-		var simStart sim.Time
-		var wallStart time.Time
-		if ctx.P != nil {
-			simStart = ctx.Now()
-		} else {
-			wallStart = time.Now()
-		}
-		e.devBegin(reqs[0].Dev)
-		err := fn(ctx, 0, reqs[0])
-		e.devEnd(reqs[0].Dev)
-		e.observeLatency(elapsedSince(ctx, simStart, wallStart))
-		return err
-	}
-	var ferr firstError
-	g := &group{ctx: ctx}
-	for i, r := range reqs {
-		if ferr.get() != nil {
-			break
-		}
-		e.issue(g, i, r, fn, &ferr, opts, hedge)
-	}
-	g.wait()
-	return ferr.get()
-}
-
-// runWaves is the historical lock-step dispatch: batches of MaxFlight, each
-// waiting for its slowest member.  Kept for the bench comparison and for
-// reproducing pre-engine schedules.  Waves never hedge.
-func (e *Engine) runWaves(ctx *rpc.Ctx, class Class, reqs []stripe.Extent, fn IndexedDoFunc) error {
-	opts := RunOpts{Class: class}
-	var ferr firstError
-	for start := 0; start < len(reqs); start += e.cfg.MaxFlight {
-		end := start + e.cfg.MaxFlight
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		batch := reqs[start:end]
-		if len(batch) == 1 {
-			e.acquire(ctx, class)
-			e.devBegin(batch[0].Dev)
-			err := fn(ctx, start, batch[0])
-			e.devEnd(batch[0].Dev)
-			e.release(class)
-			if err != nil {
-				ferr.record(start, err)
-			}
-		} else {
-			g := &group{ctx: ctx}
-			for j, r := range batch {
-				e.issue(g, start+j, r, fn, &ferr, opts, false)
-			}
-			g.wait()
-		}
-		if ferr.get() != nil {
-			break
-		}
-	}
-	return ferr.get()
+	e.launchCopy(g, st, i, r, fn, ferr, opts.Class, true)
 }

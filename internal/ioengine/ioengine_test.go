@@ -131,13 +131,12 @@ func (tr *tracker) exit() {
 	tr.mu.Unlock()
 }
 
-// TestRunTable sweeps window sizes × dispatch mode × coalescing ×
-// per-request error injection, in both simulated and real-time execution.
+// TestRunTable sweeps window sizes × coalescing × per-request error
+// injection, in both simulated and real-time execution.
 func TestRunTable(t *testing.T) {
 	type tc struct {
 		name      string
 		window    int
-		wave      bool
 		transfer  int64
 		reqs      []stripe.Extent
 		failAt    map[int]error // request index -> injected error
@@ -149,7 +148,6 @@ func TestRunTable(t *testing.T) {
 		{name: "window 1 serial", window: 1, reqs: scattered(6, 64), wantErrAt: -1},
 		{name: "window 4", window: 4, reqs: scattered(10, 64), wantErrAt: -1},
 		{name: "window wider than load", window: 32, reqs: scattered(5, 64), wantErrAt: -1},
-		{name: "waves", window: 3, wave: true, reqs: scattered(10, 64), wantErrAt: -1},
 		{name: "coalesced single request", window: 4, reqs: seqExtents(8, 64), wantErrAt: -1},
 		{name: "split fan-out", window: 2, transfer: 64, reqs: []stripe.Extent{{Dev: 0, Len: 512}}, wantErrAt: -1},
 		{
@@ -157,19 +155,14 @@ func TestRunTable(t *testing.T) {
 			reqs:   scattered(12, 64),
 			failAt: map[int]error{7: errB, 2: errA}, wantErrAt: 2,
 		},
-		{
-			name: "wave error stops later waves", window: 2, wave: true,
-			reqs:   scattered(8, 64),
-			failAt: map[int]error{1: errA}, wantErrAt: 1,
-		},
 	}
 	for _, mode := range []string{"sim", "realtime"} {
 		for _, c := range cases {
 			c := c
 			t.Run(mode+"/"+c.name, func(t *testing.T) {
 				e := New(Config{
-					MaxFlight: c.window, Wave: c.wave,
-					MaxTransfer: c.transfer, Metrics: metrics.NewRegistry(),
+					MaxFlight: c.window, MaxTransfer: c.transfer,
+					Metrics: metrics.NewRegistry(),
 				})
 				reqs := e.Prepare(c.reqs)
 				var tr tracker
@@ -306,6 +299,27 @@ func TestWithFallbackLadder(t *testing.T) {
 	want := []string{"primary", "recovery", "mds"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("ladder order %v, want %v", order, want)
+	}
+}
+
+// TestRepairLedgerOnce pins the exactly-once claim: the first caller runs
+// the rewrite, later callers of the same key skip it, other keys are
+// independent, and a failed rewrite releases its claim for a retry.
+func TestRepairLedgerOnce(t *testing.T) {
+	var l RepairLedger[int]
+	runs := 0
+	ok := func() error { runs++; return nil }
+	if !l.Once(1, ok) || l.Once(1, ok) || runs != 1 {
+		t.Fatalf("key 1: rewrite ran %d times, want once and only the first call true", runs)
+	}
+	if !l.Once(2, ok) || runs != 2 {
+		t.Fatalf("key 2 was blocked by key 1's claim (runs=%d)", runs)
+	}
+	if l.Once(3, func() error { return errors.New("replica also failing") }) {
+		t.Fatal("a failed rewrite reported success")
+	}
+	if !l.Once(3, ok) || runs != 3 {
+		t.Fatalf("key 3: failed rewrite did not release the claim (runs=%d)", runs)
 	}
 }
 

@@ -37,31 +37,16 @@ type ClientConfig struct {
 	MaxReadAhead int64
 	// FlushParallel bounds concurrent asynchronous write-back flushes.
 	FlushParallel int
-	// MaxFlight bounds the striped-I/O engine's sliding window: requests in
-	// flight to data servers across all of the mount's concurrent I/O
-	// (default 32 — wide enough that the session slot table and
-	// FlushParallel bind first, as the pre-engine client behaved).
-	MaxFlight int
-	// MaxTransfer caps a single data-server request; 0 disables extra
-	// splitting (chunks are already gathered to WSize/RSize).
-	MaxTransfer int64
-	// Wave dispatches striped I/O in lock-step batches instead of the
-	// sliding window (bench comparison only).
-	Wave bool
-	// BackgroundShare caps the window fraction background work (write-back
-	// flushes, readahead fills) may hold; foreground reads and commits
-	// always dispatch first.  0 leaves background uncapped.
-	BackgroundShare float64
-	// Hedge enables hedged duplicate READs for straggling foreground
-	// requests (writes never hedge).  HedgeAfter/HedgeFactor tune the
-	// adaptive straggler threshold (0 = engine defaults).
-	Hedge       bool
-	HedgeAfter  time.Duration
-	HedgeFactor float64
-	// Adaptive lets the engine's window float between MinFlight and
-	// MaxFlight by AIMD (0 MinFlight = engine default).
-	Adaptive  bool
-	MinFlight int
+	// Engine holds the striped-I/O engine's options (internal/ioengine).
+	// MaxFlight bounds requests in flight to data servers across all of the
+	// mount's concurrent I/O (default 32 — wide enough that the session slot
+	// table and FlushParallel bind first, as the pre-engine client behaved);
+	// MaxTransfer 0 disables extra splitting (chunks are already gathered to
+	// WSize/RSize); BackgroundShare caps the window fraction write-back
+	// flushes and readahead fills may hold; Hedge enables hedged duplicate
+	// READs for straggling foreground requests (writes never hedge).
+	// NewClient fills Name, Issuer and Metrics itself.
+	Engine ioengine.Config
 	// Real makes reads and writes carry actual bytes end to end.
 	Real bool
 	// Metrics is the shared observability registry (docs/METRICS.md).  Nil
@@ -158,11 +143,8 @@ type Client struct {
 	corruptReads *metrics.Counter
 	readRepairs  *metrics.Counter
 
-	// repairedMu/repaired make read-repair exactly-once per extent: the
-	// first corrupt read of an extent rewrites the bad copy, concurrent and
-	// later corrupt reads of the same extent only re-serve good bytes.
-	repairedMu sync.Mutex
-	repaired   map[repairKey]bool
+	// repaired makes read-repair exactly-once per extent.
+	repaired ioengine.RepairLedger[repairKey]
 }
 
 // repairKey identifies one repaired device extent.
@@ -194,8 +176,8 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.FlushParallel <= 0 {
 		cfg.FlushParallel = 16
 	}
-	if cfg.MaxFlight <= 0 {
-		cfg.MaxFlight = 32
+	if cfg.Engine.MaxFlight <= 0 {
+		cfg.Engine.MaxFlight = 32
 	}
 	if cfg.Name == "" {
 		cfg.Name = "client"
@@ -234,27 +216,15 @@ func NewClient(cfg ClientConfig) *Client {
 			"READs that returned a data-integrity error (block or wire checksum mismatch)."),
 		readRepairs: reg.Counter("nfs_client_read_repairs_total",
 			"Corrupt extents rewritten with good bytes fetched from a replica."),
-		repaired: make(map[repairKey]bool),
 	}
 	c.slotSem = sim.NewSemaphore(cfg.Name+"/slots", int(cfg.Slots))
 	c.rtSlots = make(chan struct{}, cfg.Slots)
 	c.flushSem = sim.NewSemaphore(cfg.Name+"/flush", cfg.FlushParallel)
 	c.rtFlush = make(chan struct{}, cfg.FlushParallel)
 	c.flushProc = cfg.Name + "/flush"
-	c.engine = ioengine.New(ioengine.Config{
-		Name:            cfg.Name + "/engine",
-		Issuer:          "nfs",
-		MaxFlight:       cfg.MaxFlight,
-		MaxTransfer:     cfg.MaxTransfer,
-		Wave:            cfg.Wave,
-		BackgroundShare: cfg.BackgroundShare,
-		Hedge:           cfg.Hedge,
-		HedgeAfter:      cfg.HedgeAfter,
-		HedgeFactor:     cfg.HedgeFactor,
-		Adaptive:        cfg.Adaptive,
-		MinFlight:       cfg.MinFlight,
-		Metrics:         reg,
-	})
+	eng := cfg.Engine
+	eng.Name, eng.Issuer, eng.Metrics = cfg.Name+"/engine", "nfs", reg
+	c.engine = ioengine.New(eng)
 	for i := int(cfg.Slots) - 1; i >= 0; i-- {
 		c.freeSlots = append(c.freeSlots, uint32(i))
 	}
@@ -289,17 +259,15 @@ func (c *Client) call(ctx *rpc.Ctx, conn rpc.Conn, sessioned bool, ops ...Op) (*
 	if sessioned && c.session != 0 {
 		// Slot-table backpressure is visible here: the wait is virtual time
 		// under simulation and wall clock over TCP.
+		waitStart := ctx.Stamp()
 		if ctx.P != nil {
-			waitStart := ctx.Now()
 			c.slotSem.Acquire(ctx.P, 1)
-			c.slotWaits.ObserveDuration(time.Duration(ctx.Now() - waitStart))
 			defer c.slotSem.Release(1)
 		} else {
-			waitStart := time.Now()
 			c.rtSlots <- struct{}{}
-			c.slotWaits.ObserveDuration(time.Since(waitStart))
 			defer func() { <-c.rtSlots }()
 		}
+		c.slotWaits.ObserveDuration(ctx.Since(waitStart))
 		c.slotWaitCnt.Inc()
 		c.slotMu.Lock()
 		slot := c.freeSlots[len(c.freeSlots)-1]
@@ -316,17 +284,10 @@ func (c *Client) call(ctx *rpc.Ctx, conn rpc.Conn, sessioned bool, ops ...Op) (*
 		}()
 	}
 	atomic.AddUint64(&c.RPCs, 1)
-	start := ctx.Now()
-	var wallStart time.Time
-	if ctx.P == nil {
-		wallStart = time.Now() // real-time mode: wall-clock latency
-	}
+	start := ctx.Stamp()
 	var rep CompoundRep
 	err := conn.Call(ctx, ProcCompound, args, &rep)
-	elapsed := time.Duration(ctx.Now() - start)
-	if ctx.P == nil {
-		elapsed = time.Since(wallStart)
-	}
+	elapsed := ctx.Since(start)
 	for _, op := range ops {
 		var bytes int64
 		switch o := op.(type) {
@@ -856,46 +817,22 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.DoFunc {
 	layout := f.layout
 	chunk := func(e stripe.Extent) payload.Payload { return data.Slice(e.Off-off, e.Len) }
+	write := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
+		_, err := c.dsWrite(ctx, f, l, e, chunk(e))
+		return err
+	}
 	primary := func(ctx *rpc.Ctx, e stripe.Extent) error {
-		_, err := c.dsWrite(ctx, f, layout, e, chunk(e))
+		err := write(ctx, layout, e)
 		if err == nil {
 			f.markTouched(e.Dev)
 		}
 		return err
 	}
-	recovery := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
-		c.devErrors.Inc()
-		l2 := c.recoverLayout(ctx, f)
-		if l2 == nil {
-			return err
-		}
-		if l2.Gen != layout.Gen {
-			// Membership changed underneath us: the extent's device index is
-			// meaningless under the new geometry.  Remap the logical range
-			// through the fresh layout and write each sub-extent; the commit
-			// goes through the MDS because the touched-device indices no
-			// longer line up.
-			m2, merr := l2.Mapper()
-			if merr != nil {
-				return err
-			}
-			for _, se := range m2.Map(e.Off, e.Len) {
-				if _, err2 := c.dsWrite(ctx, f, l2, se, data.Slice(se.Off-off, se.Len)); err2 != nil {
-					return err2
-				}
-			}
-			f.markTouched(-1)
-			return nil
-		}
-		if e.Dev >= len(l2.Devices) {
-			return err
-		}
-		if _, err2 := c.dsWrite(ctx, f, l2, e, chunk(e)); err2 != nil {
-			return err2
-		}
-		f.markTouched(e.Dev)
-		return nil
-	})
+	// A retry that had to remap commits through the MDS (settled(-1)): the
+	// touched-device indices no longer line up with the fresh geometry.
+	recovery := c.recoveryRung(f, layout,
+		func(m stripe.Mapper, e stripe.Extent) []stripe.Extent { return m.Map(e.Off, e.Len) },
+		write, f.markTouched)
 	mdsProxy := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
 		c.mdsFallbacks.Inc()
 		_, err := c.call(ctx, c.cfg.MDS, true,
@@ -911,6 +848,49 @@ func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.
 	// recovery): try the layout's data server, recover the layout on error,
 	// and proxy through the MDS as the last rung.
 	return mdsProxy(recovery(primary))
+}
+
+// recoveryRung builds the layout-recovery rung the write and read ladders
+// share.  A device error evicts the file's cached layout, re-drives
+// GETDEVICELIST + LAYOUTGET, and retries the extent once through op — the
+// ladder's data-server operation — under the fresh layout.  When that layout
+// was regenerated under a new membership (its Gen moved past layout's) the
+// extent's device index is meaningless under the new geometry, so remap maps
+// the logical range through the fresh mapper and op runs on each sub-extent.
+// settled, when non-nil, learns where the retried extent landed: its device
+// index, or -1 (the MDS) after a remap.  Failures of recovery itself return
+// the original error so the next rung (the MDS proxy) takes over.
+func (c *Client) recoveryRung(f *File, layout *pnfs.FileLayout,
+	remap func(m stripe.Mapper, e stripe.Extent) []stripe.Extent,
+	op func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error,
+	settled func(dev int)) ioengine.Policy {
+	return ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
+		c.devErrors.Inc()
+		l2 := c.recoverLayout(ctx, f)
+		if l2 == nil {
+			return err
+		}
+		dev := e.Dev
+		exts := []stripe.Extent{e}
+		if l2.Gen != layout.Gen {
+			m2, merr := l2.Mapper()
+			if merr != nil {
+				return err
+			}
+			dev, exts = -1, remap(m2, e)
+		} else if e.Dev >= len(l2.Devices) {
+			return err
+		}
+		for _, se := range exts {
+			if err2 := op(ctx, l2, se); err2 != nil {
+				return err2
+			}
+		}
+		if settled != nil {
+			settled(dev)
+		}
+		return nil
+	})
 }
 
 // dsWrite sends one extent's WRITE to its data server under layout l.
@@ -1191,8 +1171,16 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		// Steer each extent to its least-loaded replica device before issue.
 		extents = c.engine.SteerReplicas(rm, extents)
 	}
+	read := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
+		rep, err := c.dsRead(ctx, f, l, e, want)
+		if err != nil {
+			return err
+		}
+		f.cache.fill(e.Off, rep.Results[1].(*ResRead).Data)
+		return nil
+	}
 	primary := func(ctx *rpc.Ctx, e stripe.Extent) error {
-		rep, err := c.dsRead(ctx, f, layout, e, want)
+		err := read(ctx, layout, e)
 		// A checksum mismatch gets a bounded number of same-source re-reads
 		// before the failure ladder engages: a misdirected read is one-shot,
 		// so the next read of the same block is clean, while persistent rot
@@ -1202,47 +1190,15 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 			if attempt >= rpc.IntegrityRetries {
 				break
 			}
-			rep, err = c.dsRead(ctx, f, layout, e, want)
+			err = read(ctx, layout, e)
 		}
-		if err != nil {
-			return err
-		}
-		f.cache.fill(e.Off, rep.Results[1].(*ResRead).Data)
-		return nil
+		return err
 	}
-	recovery := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
-		c.devErrors.Inc()
-		l2 := c.recoverLayout(ctx, f)
-		if l2 == nil {
-			return err
-		}
-		if l2.Gen != layout.Gen {
-			// The layout was regenerated under a new membership: remap the
-			// logical range through the fresh geometry instead of retrying
-			// the now-meaningless device index.
-			m2, merr := l2.Mapper()
-			if merr != nil {
-				return err
-			}
-			for _, se := range m2.ReadMap(e.Off, e.Len, e.Off/c.cfg.RSize) {
-				rep, err2 := c.dsRead(ctx, f, l2, se, want)
-				if err2 != nil {
-					return err2
-				}
-				f.cache.fill(se.Off, rep.Results[1].(*ResRead).Data)
-			}
-			return nil
-		}
-		if e.Dev >= len(l2.Devices) {
-			return err
-		}
-		rep, err2 := c.dsRead(ctx, f, l2, e, want)
-		if err2 != nil {
-			return err2
-		}
-		f.cache.fill(e.Off, rep.Results[1].(*ResRead).Data)
-		return nil
-	})
+	recovery := c.recoveryRung(f, layout,
+		func(m stripe.Mapper, e stripe.Extent) []stripe.Extent {
+			return m.ReadMap(e.Off, e.Len, e.Off/c.cfg.RSize)
+		},
+		read, nil)
 	mdsProxy := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
 		c.mdsFallbacks.Inc()
 		return mdsRead(ctx, e)
@@ -1289,22 +1245,13 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 // claim for a later attempt.
 func (c *Client) readRepair(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, good payload.Payload) {
 	key := repairKey{fh: f.fh, dev: e.Dev, devOff: e.DevOff}
-	c.repairedMu.Lock()
-	claimed := !c.repaired[key]
-	if claimed {
-		c.repaired[key] = true
+	rewrite := func() error {
+		_, err := c.dsWrite(ctx, f, l, e, good)
+		return err
 	}
-	c.repairedMu.Unlock()
-	if !claimed {
-		return
+	if c.repaired.Once(key, rewrite) {
+		c.readRepairs.Inc()
 	}
-	if _, err := c.dsWrite(ctx, f, l, e, good); err != nil {
-		c.repairedMu.Lock()
-		delete(c.repaired, key)
-		c.repairedMu.Unlock()
-		return
-	}
-	c.readRepairs.Inc()
 }
 
 // dsRead sends one extent's READ to its data server under layout l.

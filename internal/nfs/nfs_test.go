@@ -13,7 +13,7 @@ import (
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
-	"dpnfs/internal/vfs"
+	"dpnfs/internal/store"
 	"dpnfs/internal/xdr"
 )
 
@@ -225,7 +225,7 @@ func TestNamespaceOps(t *testing.T) {
 		if err := m.client.Remove(ctx, "/d/b"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.client.Open(ctx, "/d/b"); err != vfs.ErrNotExist {
+		if _, err := m.client.Open(ctx, "/d/b"); err != store.ErrNotExist {
 			t.Fatalf("open removed file: %v", err)
 		}
 	})
@@ -258,7 +258,7 @@ func TestTruncateDropsCache(t *testing.T) {
 func TestOpenMissingFails(t *testing.T) {
 	m := newTestMount(t, false)
 	m.run(t, func(ctx *rpc.Ctx) {
-		if _, err := m.client.Open(ctx, "/nope"); err != vfs.ErrNotExist {
+		if _, err := m.client.Open(ctx, "/nope"); err != store.ErrNotExist {
 			t.Fatalf("open missing: %v", err)
 		}
 	})

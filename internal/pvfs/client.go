@@ -3,7 +3,6 @@ package pvfs
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dpnfs/internal/fserr"
 	"dpnfs/internal/ioengine"
@@ -29,37 +28,20 @@ type ClientConfig struct {
 	// client keeps addressing the right daemons after membership changes.
 	IOIDs []uint32
 	Costs Costs
-	// MaxFlight bounds concurrent outstanding I/O requests ("limited
-	// request parallelization", paper §5) — the I/O engine's sliding-window
-	// size.
-	MaxFlight int
-	// MaxTransfer caps a single I/O request's payload; larger extents are
-	// split ("large transfer buffers").
-	MaxTransfer int64
-	// Wave dispatches striped I/O in lock-step batches instead of the
-	// sliding window — the pre-engine behaviour, kept for the bench
-	// window-sweep comparison.
-	Wave bool
+	// Engine holds the striped-I/O engine's options (internal/ioengine).
+	// MaxFlight bounds concurrent outstanding I/O requests ("limited request
+	// parallelization", paper §5; default 8) and MaxTransfer caps a single
+	// request's payload ("large transfer buffers"; default 256 KB).  Hedge
+	// enables hedged duplicate reads for stragglers (writes never hedge).
+	// The library has no write-back or readahead — all its I/O is
+	// synchronous — so BackgroundShare only matters to a client whose Class
+	// is Background.  NewClient fills Name, Issuer and Metrics itself.
+	Engine ioengine.Config
 	// Retry bounds the per-daemon retry loop that rides out injected
 	// storage-node crashes (internal/faults): striped I/O to a crashed
 	// daemon backs off and retries until the node restarts or the budget
 	// runs out.  Zero-valued fields take rpc.DefaultRetryPolicy.
 	Retry rpc.RetryPolicy
-	// BackgroundShare caps the window fraction Background-class work may
-	// hold.  The PVFS2 library has no write-back or readahead — all its I/O
-	// is synchronous Foreground — so this only matters if an embedding adds
-	// background traffic on the same engine.
-	BackgroundShare float64
-	// Hedge enables hedged duplicate reads for stragglers (writes never
-	// hedge); HedgeAfter/HedgeFactor tune the adaptive threshold (0 =
-	// engine defaults).
-	Hedge       bool
-	HedgeAfter  time.Duration
-	HedgeFactor float64
-	// Adaptive lets the engine's window float between MinFlight and
-	// MaxFlight by AIMD (0 MinFlight = engine default).
-	Adaptive  bool
-	MinFlight int
 	// Class is the QoS class all of this client's striped I/O runs under
 	// (zero value = Foreground).  The cluster's rebalance engine sets
 	// Background here so migration traffic yields to application I/O.
@@ -88,11 +70,8 @@ type Client struct {
 	io     map[uint32]rpc.Conn
 	ioSync map[uint32]rpc.Conn
 	// repaired records extents this client already read-repaired, keyed by
-	// (data handle, device, device offset): repair is exactly-once per
-	// extent per client, so a rewrite that does not take (the replica is
-	// also failing) cannot loop.
-	repairedMu sync.Mutex
-	repaired   map[repairKey]bool
+	// (data handle, device, device offset).
+	repaired ioengine.RepairLedger[repairKey]
 }
 
 // repairKey identifies one repaired device extent.
@@ -107,11 +86,11 @@ type repairKey struct {
 // a daemon outage shorter than the retry budget; the serial flush path gets
 // the same protection from retry-wrapped conns.
 func NewClient(cfg ClientConfig) *Client {
-	if cfg.MaxFlight <= 0 {
-		cfg.MaxFlight = 8
+	if cfg.Engine.MaxFlight <= 0 {
+		cfg.Engine.MaxFlight = 8
 	}
-	if cfg.MaxTransfer <= 0 {
-		cfg.MaxTransfer = 256 << 10 // PVFS2 flow buffer size
+	if cfg.Engine.MaxTransfer <= 0 {
+		cfg.Engine.MaxTransfer = 256 << 10 // PVFS2 flow buffer size
 	}
 	stats := newClientStats(cfg.Metrics)
 	name := "pvfs-client"
@@ -122,21 +101,9 @@ func NewClient(cfg ClientConfig) *Client {
 	if issuer == "" {
 		issuer = "pvfs"
 	}
-	c := &Client{cfg: cfg, stats: stats, repaired: make(map[repairKey]bool)}
-	c.engine = ioengine.New(ioengine.Config{
-		Name:            name,
-		Issuer:          issuer,
-		MaxFlight:       cfg.MaxFlight,
-		MaxTransfer:     cfg.MaxTransfer,
-		Wave:            cfg.Wave,
-		BackgroundShare: cfg.BackgroundShare,
-		Hedge:           cfg.Hedge,
-		HedgeAfter:      cfg.HedgeAfter,
-		HedgeFactor:     cfg.HedgeFactor,
-		Adaptive:        cfg.Adaptive,
-		MinFlight:       cfg.MinFlight,
-		Metrics:         cfg.Metrics,
-	})
+	eng := cfg.Engine
+	eng.Name, eng.Issuer, eng.Metrics = name, issuer, cfg.Metrics
+	c := &Client{cfg: cfg, stats: stats, engine: ioengine.New(eng)}
 	c.retry = ioengine.WithRetry(cfg.Retry, stats.ioRetries.Inc)
 	c.io = make(map[uint32]rpc.Conn, len(cfg.IO))
 	c.ioSync = make(map[uint32]rpc.Conn, len(cfg.IO))
@@ -409,29 +376,22 @@ func (c *Client) readRepair(ctx *rpc.Ctx, f *File, r stripe.Extent, good payload
 	if good.Bytes == nil || good.Len() == 0 {
 		return
 	}
-	key := repairKey{data: f.Data, dev: r.Dev, devOff: r.DevOff}
-	c.repairedMu.Lock()
-	claimed := !c.repaired[key]
-	if claimed {
-		c.repaired[key] = true
-	}
-	c.repairedMu.Unlock()
-	if !claimed {
-		return
-	}
 	conn, err := f.conn(r.Dev)
 	if err != nil {
 		return
 	}
-	var rep IOWriteRep
-	args := &IOWriteArgs{Handle: f.Data, Off: r.DevOff, Data: good}
-	if err := conn.Call(ctx, ProcIOWrite, args, &rep); err != nil || rep.Errno != 0 {
-		c.repairedMu.Lock()
-		delete(c.repaired, key)
-		c.repairedMu.Unlock()
-		return
+	key := repairKey{data: f.Data, dev: r.Dev, devOff: r.DevOff}
+	rewrite := func() error {
+		var rep IOWriteRep
+		args := &IOWriteArgs{Handle: f.Data, Off: r.DevOff, Data: good}
+		if err := conn.Call(ctx, ProcIOWrite, args, &rep); err != nil {
+			return err
+		}
+		return rep.Errno.Err()
 	}
-	c.stats.readRepairs.Inc()
+	if c.repaired.Once(key, rewrite) {
+		c.stats.readRepairs.Inc()
+	}
 }
 
 // Sync flushes the file's buffered data on each storage daemon holding one

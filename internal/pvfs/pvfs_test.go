@@ -10,7 +10,7 @@ import (
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simdisk"
 	"dpnfs/internal/simnet"
-	"dpnfs/internal/vfs"
+	"dpnfs/internal/store"
 )
 
 // testFS wires one MDS, nDev storage daemons, and one client node onto a
@@ -194,13 +194,13 @@ func TestNamespaceOps(t *testing.T) {
 		if err != nil || len(names) != 2 || names[0] != "a" || names[1] != "b" {
 			t.Fatalf("readdir: %v, %v", names, err)
 		}
-		if _, err := fs.client.Open(ctx, "/dir/missing"); err != vfs.ErrNotExist {
+		if _, err := fs.client.Open(ctx, "/dir/missing"); err != store.ErrNotExist {
 			t.Fatalf("open missing: %v", err)
 		}
 		if err := fs.client.Remove(ctx, "/dir/a"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.client.Open(ctx, "/dir/a"); err != vfs.ErrNotExist {
+		if _, err := fs.client.Open(ctx, "/dir/a"); err != store.ErrNotExist {
 			t.Fatalf("open removed: %v", err)
 		}
 	})

@@ -116,6 +116,30 @@ func (c *Ctx) Now() sim.Time {
 	return 0
 }
 
+// Stamp is one reading of a Ctx's clock: virtual time under the simulation
+// kernel, wall clock otherwise.  Since, on a Ctx of the same mode, turns it
+// into an elapsed time.
+type Stamp struct {
+	virt sim.Time
+	wall time.Time
+}
+
+// Stamp reads the mode's clock, starting a latency measurement.
+func (c *Ctx) Stamp() Stamp {
+	if c.P != nil {
+		return Stamp{virt: c.P.Now()}
+	}
+	return Stamp{wall: time.Now()}
+}
+
+// Since returns the time elapsed on the mode's clock since s was taken.
+func (c *Ctx) Since(s Stamp) time.Duration {
+	if c.P != nil {
+		return time.Duration(c.P.Now() - s.virt)
+	}
+	return time.Since(s.wall)
+}
+
 // UseCPU charges d of CPU service on cpu; no-op in real-time mode.
 func (c *Ctx) UseCPU(cpu *sim.KServer, d time.Duration) {
 	if c.P != nil && cpu != nil && d > 0 {

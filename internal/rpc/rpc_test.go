@@ -333,3 +333,29 @@ func TestCtxNoopsInRealTimeMode(t *testing.T) {
 		t.Fatal("real-time ctx reports nonzero virtual time")
 	}
 }
+
+// TestStampMeasuresTheModesClock pins the stopwatch: virtual time under the
+// kernel (exactly the slept duration, whatever the host does), wall clock
+// in real-time mode.
+func TestStampMeasuresTheModesClock(t *testing.T) {
+	k := sim.NewKernel(1)
+	k.Go("test", func(p *sim.Proc) {
+		ctx := &Ctx{P: p}
+		p.Sleep(time.Second) // a nonzero start, so Since must subtract it
+		start := ctx.Stamp()
+		p.Sleep(3 * time.Millisecond)
+		if got := ctx.Since(start); got != 3*time.Millisecond {
+			t.Errorf("virtual Since = %v, want exactly 3ms", got)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := &Ctx{}
+	start := ctx.Stamp()
+	time.Sleep(2 * time.Millisecond)
+	if got := ctx.Since(start); got < 2*time.Millisecond || got > time.Minute {
+		t.Errorf("wall-clock Since = %v after a 2ms sleep", got)
+	}
+}

@@ -129,18 +129,10 @@ func instrumentHandler(reg *metrics.Registry, transport, service string, h Handl
 	return func(ctx *Ctx, proc uint32, req any) (xdr.Marshaler, Status) {
 		requests.Inc()
 		busy.Inc()
-		start := ctx.Now()
-		var wall time.Time
-		if ctx.P == nil {
-			wall = time.Now()
-		}
+		start := ctx.Stamp()
 		defer func() {
 			busy.Dec()
-			if ctx.P == nil {
-				seconds.ObserveDuration(time.Since(wall))
-			} else {
-				seconds.ObserveDuration(time.Duration(ctx.Now() - start))
-			}
+			seconds.ObserveDuration(ctx.Since(start))
 		}()
 		return h(ctx, proc, req)
 	}

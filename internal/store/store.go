@@ -8,9 +8,8 @@
 //
 // Three implementations ship with the repo:
 //
-//   - store/mem: the historical in-memory store (moved from internal/vfs),
-//     volatile, timing-free.  The default backend, so all figures are
-//     unchanged.
+//   - store/mem: the historical in-memory store, volatile, timing-free.
+//     The default backend, so all figures are unchanged.
 //   - store/wal: a write-ahead-logged store — every mutation appends a
 //     record, Sync makes the log durable (charged to the node's simdisk),
 //     and Recover replays checkpoint+log after a crash.

@@ -49,7 +49,7 @@ type IORConfig struct {
 	Block    int64 // application request size (paper: 2-4 MB or 8 KB)
 	// MixedBlocks, when non-empty, cycles the request size through the list
 	// instead of using Block — the heterogeneous-request pattern the
-	// window-sweep figure uses to expose wave-dispatch stalls.
+	// window-sweep figure uses to make transfer times uneven.
 	MixedBlocks []int64
 	Separate    bool // separate files vs disjoint regions of one file
 	Read        bool // read phase (against a warm server cache) vs write
