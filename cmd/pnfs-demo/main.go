@@ -22,6 +22,7 @@ import (
 	"dpnfs/internal/nfs"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/store/mem"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 	flag.Parse()
 
 	if *listen != "" {
-		srv := nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewVFSBackend(nil)})
+		srv := nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New(), nil)})
 		tcp, err := rpc.ListenTCP(*listen, nfs.Registry(), srv.Handle)
 		if err != nil {
 			log.Fatal(err)
@@ -42,7 +43,7 @@ func main() {
 	addr := *connect
 	var tcp *rpc.TCPServer
 	if addr == "" {
-		srv := nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewVFSBackend(nil)})
+		srv := nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New(), nil)})
 		var err error
 		tcp, err = rpc.ListenTCP("127.0.0.1:0", nfs.Registry(), srv.Handle)
 		if err != nil {

@@ -528,7 +528,7 @@ func (cl *Cluster) clientNode(i int) *simnet.Node {
 // its layouts (the in-process stand-in for CB_LAYOUTRECALL).
 func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client {
 	c := nfs.NewClient(nfs.ClientConfig{
-		Fabric: cl.Fabric, Node: n, Costs: cl.Cfg.NFSCosts,
+		Node: n, Costs: cl.Cfg.NFSCosts,
 		Name: n.Name,
 		MDS:  cl.dial(n.Name, mdsNode.Name, ServiceMDS),
 		DialDS: func(addr string) rpc.Conn {

@@ -179,3 +179,66 @@ func TestTCPAllArchitectures(t *testing.T) {
 		})
 	}
 }
+
+// TestTCPModelOnlyGatesStayClosed pins the two behaviours that are
+// simulated-only on purpose (docs/ARCHITECTURE.md "Execution modes"): NFS
+// readahead and the PVFS2 daemon's modelled transfer-buffer pool.  One
+// sequential write and read-back engages both on the fabric and neither
+// over TCP; whoever lifts a gate (ROADMAP lead (c)) changes this test too.
+func TestTCPModelOnlyGatesStayClosed(t *testing.T) {
+	const (
+		stripe = 64 << 10
+		blocks = 16
+	)
+	for _, kind := range []TransportKind{TransportSim, TransportTCP} {
+		t.Run(string(kind), func(t *testing.T) {
+			cl := New(Config{
+				Arch: ArchDirectPNFS, Clients: 1, Backends: 4,
+				StripeSize: stripe, WSize: stripe, RSize: stripe,
+				Real: true, Transport: kind,
+			})
+			defer cl.Close()
+			if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+				f, err := m.Create(ctx, "/seq")
+				if err != nil {
+					return err
+				}
+				for b := int64(0); b < blocks; b++ {
+					if err := m.Write(ctx, f, b*stripe, payload.Real(make([]byte, stripe))); err != nil {
+						return err
+					}
+				}
+				if err := m.Close(ctx, f); err != nil {
+					return err
+				}
+				m.DropCaches()
+				if f, err = m.Open(ctx, "/seq"); err != nil {
+					return err
+				}
+				for b := int64(0); b < blocks; b++ {
+					data, n, err := m.Read(ctx, f, b*stripe, stripe)
+					if err != nil || n != stripe {
+						return fmt.Errorf("read block %d: n=%d err=%v", b, n, err)
+					}
+					data.Release()
+				}
+				return m.Close(ctx, f)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			readahead := counterSum(cl, "nfs_client_readahead_chunks_total")
+			var bufWaits uint64
+			for _, m := range cl.Metrics().Snapshot().Metrics {
+				if m.Name == "pvfs_storage_buffer_wait_seconds" {
+					for _, s := range m.Series {
+						bufWaits += s.Count
+					}
+				}
+			}
+			if engaged := kind == TransportSim; (readahead > 0) != engaged || (bufWaits > 0) != engaged {
+				t.Errorf("%s: readahead chunks = %v, buffer-pool waits = %d; want both nonzero on sim, both zero on tcp",
+					kind, readahead, bufWaits)
+			}
+		})
+	}
+}

@@ -3,36 +3,30 @@ package ioengine
 import (
 	"sync"
 
-	"dpnfs/internal/sim"
+	"dpnfs/internal/rpc"
 )
 
 // gate is the engine's class-aware window: a counting limiter with two
 // strict-priority FIFO queues (foreground before background) and a
-// background occupancy share.  It serves both execution modes — simulated
-// processes park on a per-waiter sim.Chan (resumed in deterministic
-// virtual-time order), real-time callers block on a buffered Go channel.
+// background occupancy share.  A waiter parks on its own rpc.Wakeup, so one
+// acquire serves both execution modes (under the kernel waiters resume in
+// deterministic virtual-time order).
 //
 // Slots are handed over, not raced for: release admits waiting requests
-// directly (charging the slot to the waiter before signalling it), so a
-// waking foreground request can never lose its slot to a later background
-// arrival.
+// directly (charging the slot to the waiter before waking it), so a waking
+// foreground request can never lose its slot to a later background arrival.
 type gate struct {
 	mu     sync.Mutex
+	name   string  // labels parked waiters in simulated deadlock reports
 	limit  int     // window size
 	share  float64 // background occupancy share (<=0 or >=1: uncapped)
 	held   int     // slots occupied, all classes
 	bgHeld int     // slots occupied by Background
-	q      [numClasses][]*gateWaiter
+	q      [numClasses][]rpc.Wakeup
 }
 
-type gateWaiter struct {
-	class Class
-	simCh *sim.Chan     // sim mode: parked simulated process
-	rtCh  chan struct{} // real-time mode: buffered(1), signalled once
-}
-
-func newGate(limit int, share float64) *gate {
-	return &gate{limit: limit, share: share}
+func newGate(name string, limit int, share float64) *gate {
+	return &gate{name: name + "/gate", limit: limit, share: share}
 }
 
 // bgAllowed is the background slot cap.
@@ -74,57 +68,35 @@ func (g *gate) takeLocked(class Class) {
 
 // wakeLocked admits as many waiters as the limit and share allow: the whole
 // foreground queue first (strict priority), then background within its
-// share.  Each admitted waiter is charged its slot before being signalled.
+// share.  Each admitted waiter is charged its slot before being woken.
 func (g *gate) wakeLocked() {
 	for len(g.q[Foreground]) > 0 && g.held < g.limit {
 		w := g.q[Foreground][0]
 		g.q[Foreground] = g.q[Foreground][1:]
 		g.takeLocked(Foreground)
-		w.signal()
+		w.Wake()
 	}
 	for len(g.q[Background]) > 0 && g.held < g.limit && g.bgHeld < g.bgAllowed() {
 		w := g.q[Background][0]
 		g.q[Background] = g.q[Background][1:]
 		g.takeLocked(Background)
-		w.signal()
+		w.Wake()
 	}
 }
 
-func (w *gateWaiter) signal() {
-	if w.simCh != nil {
-		w.simCh.Send(nil)
-		return
-	}
-	w.rtCh <- struct{}{}
-}
-
-// acquireSim takes one slot for a simulated process, parking it in virtual
-// time if none is admissible.
-func (g *gate) acquireSim(p *sim.Proc, class Class, name string) {
+// acquire takes one slot for class, parking the caller's flow on the mode's
+// clock while none is admissible.
+func (g *gate) acquire(ctx *rpc.Ctx, class Class) {
 	g.mu.Lock()
 	if g.admitLocked(class) {
 		g.takeLocked(class)
 		g.mu.Unlock()
 		return
 	}
-	w := &gateWaiter{class: class, simCh: sim.NewChan(name + "/gate")}
+	w := rpc.NewWakeup(ctx, g.name)
 	g.q[class] = append(g.q[class], w)
 	g.mu.Unlock()
-	w.simCh.Recv(p)
-}
-
-// acquireRT is acquireSim for real-time callers (wall-clock blocking).
-func (g *gate) acquireRT(class Class) {
-	g.mu.Lock()
-	if g.admitLocked(class) {
-		g.takeLocked(class)
-		g.mu.Unlock()
-		return
-	}
-	w := &gateWaiter{class: class, rtCh: make(chan struct{}, 1)}
-	g.q[class] = append(g.q[class], w)
-	g.mu.Unlock()
-	<-w.rtCh
+	w.Wait(ctx)
 }
 
 // tryAcquire takes a slot only if one is admissible right now — the hedge

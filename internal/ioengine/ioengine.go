@@ -64,7 +64,6 @@ import (
 
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/rpc"
-	"dpnfs/internal/sim"
 	"dpnfs/internal/stripe"
 )
 
@@ -216,7 +215,7 @@ type Config struct {
 type Engine struct {
 	cfg Config
 
-	gate *gate // the class-aware window (both execution modes)
+	gate *gate // the class-aware window
 
 	// latMu guards the latency EWMA behind the straggler threshold.  Under
 	// the simulation kernel completions arrive in deterministic virtual-time
@@ -262,7 +261,7 @@ func New(cfg Config) *Engine {
 	reg := cfg.Metrics
 	e := &Engine{
 		cfg:     cfg,
-		gate:    newGate(cfg.MaxFlight, cfg.BackgroundShare),
+		gate:    newGate(cfg.Name, cfg.MaxFlight, cfg.BackgroundShare),
 		devLoad: make(map[int]int),
 		requests: reg.CounterVec("ioengine_requests_total",
 			"Requests issued by the striped-I/O engine (after coalescing and splitting).",
@@ -476,15 +475,21 @@ func (e *Engine) RunIndexed(ctx *rpc.Ctx, opts RunOpts, reqs []stripe.Extent, fn
 		e.observeLatency(ctx.Since(start).Seconds())
 		return err
 	}
+	// done counts per-REQUEST completions, not per-worker exits: issue adds
+	// one unit per request, and whichever copy (primary or hedge) completes
+	// first signals it.  That is what makes hedging effective — Run unblocks
+	// the moment every request has a winning completion, while losing
+	// duplicates keep running detached just long enough to return their
+	// window slots.
 	var ferr firstError
-	g := &group{ctx: ctx}
+	var done rpc.Group
 	for i, r := range reqs {
 		if ferr.get() != nil {
 			break
 		}
-		e.issue(g, i, r, fn, &ferr, opts, hedge)
+		e.issue(ctx, &done, i, r, fn, &ferr, opts, hedge)
 	}
-	g.wait()
+	done.Wait(ctx)
 	return ferr.get()
 }
 
@@ -492,11 +497,7 @@ func (e *Engine) RunIndexed(ctx *rpc.Ctx, opts RunOpts, reqs []stripe.Extent, fn
 // occupancy.
 func (e *Engine) acquire(ctx *rpc.Ctx, class Class) {
 	start := ctx.Stamp()
-	if ctx.P != nil {
-		e.gate.acquireSim(ctx.P, class, e.cfg.Name)
-	} else {
-		e.gate.acquireRT(class)
-	}
+	e.gate.acquire(ctx, class)
 	wait := ctx.Since(start)
 	e.slotWait.ObserveDuration(wait)
 	e.classWait[class].ObserveDuration(wait)
@@ -552,55 +553,6 @@ func (e *Engine) hedgeThreshold() time.Duration {
 	return d
 }
 
-// group tracks per-REQUEST completions, not per-worker exits: issue adds one
-// unit per request, and whichever copy (primary or hedge) completes first
-// signals it.  That is what makes hedging effective — Run unblocks the
-// moment every request has a winning completion, while losing duplicates
-// keep running detached (simulated processes the kernel drains, or plain
-// goroutines) just long enough to return their window slots.
-type group struct {
-	ctx *rpc.Ctx
-	wg  sync.WaitGroup
-	swg sim.WaitGroup
-}
-
-// add reserves one request completion.
-func (g *group) add() {
-	if g.ctx.P == nil {
-		g.wg.Add(1)
-		return
-	}
-	g.swg.Add(1)
-}
-
-// done signals one request's first completion.
-func (g *group) done() {
-	if g.ctx.P == nil {
-		g.wg.Done()
-		return
-	}
-	g.swg.Done()
-}
-
-// launch starts one detached request copy on the mode's runtime.
-func (g *group) launch(name string, work func(c *rpc.Ctx)) {
-	if g.ctx.P == nil {
-		go work(&rpc.Ctx{})
-		return
-	}
-	g.ctx.P.Kernel().Go(name, func(p *sim.Proc) {
-		work(&rpc.Ctx{P: p})
-	})
-}
-
-func (g *group) wait() {
-	if g.ctx.P == nil {
-		g.wg.Wait()
-		return
-	}
-	g.swg.Wait(g.ctx.P)
-}
-
 // reqState is the per-request completion record shared by a primary and its
 // hedge: whichever copy finishes first marks done and is the one recorded.
 type reqState struct {
@@ -637,30 +589,30 @@ func (e *Engine) complete(st *reqState, i int, err error, ferr *firstError, isHe
 }
 
 // issue blocks on a free window slot, then hands request i to its own
-// worker: the group gains one unit — the request's completion — and the
-// first copy to finish signals it.  With hedging, a straggler watcher
-// launches a duplicate on a spare slot once the request outlives the
-// adaptive threshold.
-func (e *Engine) issue(g *group, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, opts RunOpts, hedge bool) {
-	e.acquire(g.ctx, opts.Class)
+// worker: done gains one unit — the request's completion — and the first
+// copy to finish signals it.  With hedging, a straggler watcher launches a
+// duplicate on a spare slot once the request outlives the adaptive
+// threshold.
+func (e *Engine) issue(ctx *rpc.Ctx, done *rpc.Group, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, opts RunOpts, hedge bool) {
+	e.acquire(ctx, opts.Class)
 	st := &reqState{}
-	g.add()
-	e.launchCopy(g, st, i, r, fn, ferr, opts.Class, false)
+	done.Add(ctx, 1)
+	e.launchCopy(ctx, done, st, i, r, fn, ferr, opts.Class, false)
 	if hedge {
-		e.watchStraggler(g, st, i, r, fn, ferr, opts)
+		e.watchStraggler(ctx, done, st, i, r, fn, ferr, opts)
 	}
 }
 
-// launchCopy runs one copy of request i — the primary or its hedge — on a
-// slot the caller already holds.  The copy releases the slot when it
-// returns, win or lose, so the window bound holds even while a losing
-// straggler is still running after Run unblocked.
-func (e *Engine) launchCopy(g *group, st *reqState, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, class Class, isHedge bool) {
+// launchCopy runs one copy of request i — the primary or its hedge — as its
+// own flow, on a slot the caller already holds.  The copy releases the slot
+// when it returns, win or lose, so the window bound holds even while a
+// losing straggler is still running after Run unblocked.
+func (e *Engine) launchCopy(ctx *rpc.Ctx, done *rpc.Group, st *reqState, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, class Class, isHedge bool) {
 	suffix := "/io"
 	if isHedge {
 		suffix = "/hedge"
 	}
-	g.launch(e.cfg.Name+suffix, func(c *rpc.Ctx) {
+	ctx.Go(e.cfg.Name+suffix, func(c *rpc.Ctx) {
 		start := c.Stamp()
 		e.devBegin(r.Dev)
 		err := fn(c, i, r)
@@ -668,37 +620,35 @@ func (e *Engine) launchCopy(g *group, st *reqState, i int, r stripe.Extent, fn I
 		won := e.complete(st, i, err, ferr, isHedge, c.Since(start).Seconds())
 		e.release(class)
 		if won {
-			g.done()
+			done.Done(c)
 		}
 	})
 }
 
-// watchStraggler arms the straggler timer for one request: a virtual-time
-// sleep under the simulation kernel (deterministic by seed), a wall-clock
-// timer goroutine in real-time mode.  The watcher runs outside the group —
-// Run never waits on a timer, only on issued copies.
-func (e *Engine) watchStraggler(g *group, st *reqState, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, opts RunOpts) {
+// watchStraggler arms the straggler timer for one request: a flow that
+// pauses for the threshold on the mode's clock (virtual time under the
+// simulation kernel, so hedged runs stay deterministic by seed), then tries
+// to hedge.  The watcher runs outside done — Run never waits on a timer,
+// only on issued copies.
+func (e *Engine) watchStraggler(ctx *rpc.Ctx, done *rpc.Group, st *reqState, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, opts RunOpts) {
 	d := e.hedgeThreshold()
-	if g.ctx.P != nil {
-		g.ctx.P.Kernel().Go(e.cfg.Name+"/hedge-timer", func(p *sim.Proc) {
-			p.Sleep(d)
-			e.tryHedge(g, st, i, r, fn, ferr, opts)
-		})
-		return
+	// Mode test on purpose: the counter exists to prove that no wall-clock
+	// timer is ever armed on the fabric (docs/METRICS.md).
+	if ctx.P == nil {
+		e.wallTimers.Inc()
 	}
-	e.wallTimers.Inc()
-	go func() {
-		time.Sleep(d)
-		e.tryHedge(g, st, i, r, fn, ferr, opts)
-	}()
+	ctx.Go(e.cfg.Name+"/hedge-timer", func(c *rpc.Ctx) {
+		c.Pause(d)
+		e.tryHedge(c, done, st, i, r, fn, ferr, opts)
+	})
 }
 
 // tryHedge launches the duplicate if the primary is still in flight and a
 // spare slot is free.  The duplicate joins the race for the request's single
-// group unit, which the primary reserved at issue: whichever copy completes
+// unit of done, which the primary reserved at issue: whichever copy completes
 // first signals it, so a winning hedge unblocks Run while the straggling
 // primary is still out.
-func (e *Engine) tryHedge(g *group, st *reqState, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, opts RunOpts) {
+func (e *Engine) tryHedge(ctx *rpc.Ctx, done *rpc.Group, st *reqState, i int, r stripe.Extent, fn IndexedDoFunc, ferr *firstError, opts RunOpts) {
 	st.mu.Lock()
 	if st.done || st.hedged {
 		st.mu.Unlock()
@@ -711,5 +661,5 @@ func (e *Engine) tryHedge(g *group, st *reqState, i int, r stripe.Extent, fn Ind
 	st.hedged = true
 	st.mu.Unlock()
 	e.hedgeLaunched.Inc()
-	e.launchCopy(g, st, i, r, fn, ferr, opts.Class, true)
+	e.launchCopy(ctx, done, st, i, r, fn, ferr, opts.Class, true)
 }

@@ -22,9 +22,8 @@ import (
 
 // ClientConfig wires an NFSv4.1 client (one mount) to its node and servers.
 type ClientConfig struct {
-	Fabric *simnet.Fabric
-	Node   *simnet.Node
-	MDS    rpc.Conn
+	Node *simnet.Node
+	MDS  rpc.Conn
 	// DialDS opens a connection to a data server by device address.  Nil
 	// disables pNFS even if the server offers layouts.
 	DialDS func(addr string) rpc.Conn
@@ -62,11 +61,9 @@ type Client struct {
 	clientID uint64
 	session  uint64
 
-	// Slot table: free slot IDs and per-slot sequence numbers.  slotSem
-	// bounds concurrency under simulation; rtSlots is its real-time twin
-	// (a buffered channel) for concurrent goroutines over TCP.
-	slotSem   *sim.Semaphore
-	rtSlots   chan struct{}
+	// Slot table: slots bounds concurrent sessioned compounds; slotMu guards
+	// the free slot IDs and per-slot sequence numbers.
+	slots     *rpc.Sem
 	slotMu    sync.Mutex
 	freeSlots []uint32
 	slotSeq   []uint32
@@ -78,9 +75,6 @@ type Client struct {
 	// (internal/ioengine): extent coalescing, the sliding in-flight window,
 	// and the per-request policy ladder (layout recovery, MDS fallback).
 	engine *ioengine.Engine
-	// rtFlush bounds concurrent write-back flushes in real-time (TCP) mode,
-	// the wall-clock twin of flushSem.
-	rtFlush chan struct{}
 
 	// wbQueue gathers dirty chunks — across all open files — awaiting
 	// write-back.  A drain flow takes the whole queue and issues it as one
@@ -88,14 +82,14 @@ type Client struct {
 	// a single in-flight budget instead of fanning out per file.
 	wbMu    sync.Mutex
 	wbQueue []wbChunk
-
-	// flushProc names the simulated flush processes (hoisted: one string
-	// per mount, not one per flush).
-	flushProc string
+	// flushSlots bounds concurrent drain flows (FlushParallel); flushProc
+	// names them under the kernel (hoisted: one string per mount, not one
+	// per flush).
+	flushSlots *rpc.Sem
+	flushProc  string
 
 	// stateMu guards devices, active, epoch, layouts, and inodeCache:
-	// recovery paths mutate them from parallel extent flows (simulated
-	// processes under the kernel, real goroutines over TCP).
+	// recovery paths mutate them from parallel extent flows.
 	stateMu sync.Mutex
 	devices map[pnfs.DeviceID]rpc.Conn
 	// active is the device set advertised by the most recent GETDEVICELIST.
@@ -107,8 +101,7 @@ type Client struct {
 	// files compare it to decide whether to refetch their layout.
 	epoch uint64
 
-	flushSem *sim.Semaphore
-	layouts  map[uint64]*pnfs.FileLayout
+	layouts map[uint64]*pnfs.FileLayout
 	// inodeCache retains page caches across open/close per filehandle,
 	// with close-to-open consistency: the cache is reused only when the
 	// server's change attribute still matches (Linux NFS inode cache).
@@ -217,10 +210,8 @@ func NewClient(cfg ClientConfig) *Client {
 		readRepairs: reg.Counter("nfs_client_read_repairs_total",
 			"Corrupt extents rewritten with good bytes fetched from a replica."),
 	}
-	c.slotSem = sim.NewSemaphore(cfg.Name+"/slots", int(cfg.Slots))
-	c.rtSlots = make(chan struct{}, cfg.Slots)
-	c.flushSem = sim.NewSemaphore(cfg.Name+"/flush", cfg.FlushParallel)
-	c.rtFlush = make(chan struct{}, cfg.FlushParallel)
+	c.slots = rpc.NewSem(cfg.Name+"/slots", int(cfg.Slots))
+	c.flushSlots = rpc.NewSem(cfg.Name+"/flush", cfg.FlushParallel)
 	c.flushProc = cfg.Name + "/flush"
 	eng := cfg.Engine
 	eng.Name, eng.Issuer, eng.Metrics = cfg.Name+"/engine", "nfs", reg
@@ -260,13 +251,8 @@ func (c *Client) call(ctx *rpc.Ctx, conn rpc.Conn, sessioned bool, ops ...Op) (*
 		// Slot-table backpressure is visible here: the wait is virtual time
 		// under simulation and wall clock over TCP.
 		waitStart := ctx.Stamp()
-		if ctx.P != nil {
-			c.slotSem.Acquire(ctx.P, 1)
-			defer c.slotSem.Release(1)
-		} else {
-			c.rtSlots <- struct{}{}
-			defer func() { <-c.rtSlots }()
-		}
+		c.slots.Acquire(ctx)
+		defer c.slots.Release(ctx)
 		c.slotWaits.ObserveDuration(ctx.Since(waitStart))
 		c.slotWaitCnt.Inc()
 		c.slotMu.Lock()
@@ -469,11 +455,9 @@ type File struct {
 	cache *pageCache
 
 	// Async write-back state.  pendMu guards asyncErr and touched: both are
-	// written from spawned flush (and readahead) flows — simulated processes
-	// under the kernel, real goroutines in TCP mode.
+	// written from spawned flush (and readahead) flows.
 	pendMu    sync.Mutex
-	pending   sim.WaitGroup  // simulated flush processes in flight
-	rtPending sync.WaitGroup // real-time flush goroutines in flight
+	pending   rpc.Group // queued write-back chunks not yet drained
 	asyncErr  error
 	touched   map[int]bool // device indices with unstable writes (-1 = MDS)
 	committed int64        // size last published via LAYOUTCOMMIT
@@ -488,7 +472,7 @@ type File struct {
 type raFlight struct {
 	ext  extent
 	done bool
-	wg   sim.WaitGroup
+	wg   rpc.Group
 }
 
 // Size returns the client's view of the file size.
@@ -696,45 +680,28 @@ func (c *Client) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload) e
 // wbChunk is one gathered dirty run awaiting write-back: the owning file,
 // its logical offset, a snapshot of the cache content (a view of the cached
 // segment when the run lies inside one, so later overwrites cannot change
-// what is sent), and the completion hook that unblocks the owner's Fsync.
+// what is sent).  Its owner's Fsync waits on f.pending until it is drained.
 type wbChunk struct {
 	f    *File
 	off  int64
 	data payload.Payload
-	done func()
 }
 
-// flushAsync queues one chunk for write-back and spawns a drain flow — a
-// simulated process under the kernel, a real goroutine in TCP mode — that
+// flushAsync queues one chunk for write-back and spawns a drain flow that
 // takes *every* queued chunk, across all files, and issues them as a single
 // coalesced engine run.  Flows are bounded by FlushParallel; a flow that
 // finds the queue already drained by a sibling exits immediately.  Failures
 // surface through the owning file's setAsyncErr for its next Fsync.
 func (c *Client) flushAsync(ctx *rpc.Ctx, f *File, chunk extent) {
 	wb := wbChunk{f: f, off: chunk.Off, data: f.cache.slice(chunk.Off, chunk.len())}
-	if ctx.P == nil {
-		f.rtPending.Add(1)
-		wb.done = f.rtPending.Done
-		c.wbMu.Lock()
-		c.wbQueue = append(c.wbQueue, wb)
-		c.wbMu.Unlock()
-		go func() {
-			c.rtFlush <- struct{}{}
-			defer func() { <-c.rtFlush }()
-			c.drainWriteBack(&rpc.Ctx{})
-		}()
-		return
-	}
-	f.pending.Add(1)
-	wb.done = f.pending.Done
+	f.pending.Add(ctx, 1)
 	c.wbMu.Lock()
 	c.wbQueue = append(c.wbQueue, wb)
 	c.wbMu.Unlock()
-	k := ctx.P.Kernel()
-	k.Go(c.flushProc, func(p *sim.Proc) {
-		c.flushSem.Acquire(p, 1)
-		defer c.flushSem.Release(1)
-		c.drainWriteBack(&rpc.Ctx{P: p})
+	ctx.Go(c.flushProc, func(ctx *rpc.Ctx) {
+		c.flushSlots.Acquire(ctx)
+		defer c.flushSlots.Release(ctx)
+		c.drainWriteBack(ctx)
 	})
 }
 
@@ -801,9 +768,7 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 	}
 	for _, wb := range chunks {
 		wb.data.Release()
-		if wb.done != nil {
-			wb.done()
-		}
+		wb.f.pending.Done(ctx)
 	}
 }
 
@@ -927,11 +892,7 @@ func (c *Client) Fsync(ctx *rpc.Ctx, f *File) error {
 		f.cache.clean(run.Off, end)
 		c.flushAsync(ctx, f, extent{run.Off, end})
 	}
-	if ctx.P != nil {
-		f.pending.Wait(ctx.P)
-	} else {
-		f.rtPending.Wait()
-	}
+	f.pending.Wait(ctx)
 	if err := f.takeAsyncErr(); err != nil {
 		return err
 	}
@@ -1021,11 +982,9 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64) (payload.Payload, int
 		n = f.size - off
 	}
 	// Wait for overlapping in-flight prefetches rather than re-fetching.
-	if ctx.P != nil {
-		for _, fl := range f.inflight {
-			if !fl.done && fl.ext.Off < off+n && off < fl.ext.End {
-				fl.wg.Wait(ctx.P)
-			}
+	for _, fl := range f.inflight {
+		if !fl.done && fl.ext.Off < off+n && off < fl.ext.End {
+			fl.wg.Wait(ctx)
 		}
 	}
 	// Fetch what is still missing, rounded out to RSize chunks.
@@ -1052,6 +1011,8 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64) (payload.Payload, int
 		return payload.Payload{}, 0, err
 	}
 	// Sequential readahead: extend the window while the pattern holds.
+	// Simulated-only on purpose: f.inflight and raFlight.done are unlocked,
+	// and prefetching over TCP changes measured behaviour (ROADMAP lead (c)).
 	if c.cfg.MaxReadAhead > 0 && ctx.P != nil {
 		if off == f.seqEnd {
 			f.raWindow *= 2
@@ -1095,15 +1056,14 @@ func (c *Client) prefetch(ctx *rpc.Ctx, f *File, start, window int64) {
 		for _, gap := range f.cache.missingResident(f.raFrontier, chunkEnd) {
 			c.raChunks.Inc()
 			fl := &raFlight{ext: gap}
-			fl.wg.Add(1)
+			fl.wg.Add(ctx, 1)
 			f.inflight = append(f.inflight, fl)
-			k := ctx.P.Kernel()
-			k.Go(c.cfg.Name+"/readahead", func(p *sim.Proc) {
+			ctx.Go(c.cfg.Name+"/readahead", func(ctx *rpc.Ctx) {
 				defer func() {
 					fl.done = true
-					fl.wg.Done()
+					fl.wg.Done(ctx)
 				}()
-				if err := c.readRange(&rpc.Ctx{P: p}, f, fl.ext); err != nil {
+				if err := c.readRange(ctx, f, fl.ext); err != nil {
 					f.setAsyncErr(err)
 				}
 			})

@@ -10,6 +10,7 @@ import (
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
+	"dpnfs/internal/store/mem"
 	"dpnfs/internal/xdr"
 )
 
@@ -17,7 +18,7 @@ import (
 // healthy data server share its store, so I/O through either path lands in
 // the same place (the Direct-pNFS arrangement, minus the daemon plumbing).
 type pnfsTestBackend struct {
-	*VFSBackend
+	*StoreBackend
 }
 
 func (b *pnfsTestBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
@@ -58,14 +59,14 @@ func TestFailoverPNFSFallsBackThroughMDS(t *testing.T) {
 	goodNode := f.AddNode(simnet.NodeConfig{Name: "good"})
 	clNode := f.AddNode(simnet.NodeConfig{Name: "client"})
 
-	backend := &pnfsTestBackend{NewVFSBackend(nil)}
+	backend := &pnfsTestBackend{NewStoreBackend(mem.New(), nil)}
 	mds := NewServer(ServerConfig{Backend: backend, Costs: DefaultCosts(), Node: mdsNode})
 	rpc.ServeSim(rpc.ServerConfig{Fabric: f, Node: mdsNode, Service: "mds", Handler: mds.Handle})
 	ds := NewServer(ServerConfig{Backend: backend, Costs: DefaultCosts(), Node: goodNode})
 	rpc.ServeSim(rpc.ServerConfig{Fabric: f, Node: goodNode, Service: "ds", Handler: ds.Handle})
 
 	client := NewClient(ClientConfig{
-		Fabric: f, Node: clNode, Costs: DefaultCosts(), Real: true,
+		Node: clNode, Costs: DefaultCosts(), Real: true,
 		MDS: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: "mds"},
 		DialDS: func(addr string) rpc.Conn {
 			if addr == "bad" {

@@ -14,15 +14,17 @@ import (
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
+	"dpnfs/internal/store/mem"
 	"dpnfs/internal/xdr"
 )
 
-// testMount wires one NFS server (VFSBackend) and one client mount.
+// testMount wires one NFS server (StoreBackend over a fresh in-memory
+// store) and one client mount.
 type testMount struct {
 	k      *sim.Kernel
 	client *Client
 	server *Server
-	back   *VFSBackend
+	back   *StoreBackend
 }
 
 func newTestMount(t *testing.T, real bool) *testMount {
@@ -43,10 +45,13 @@ func newTestMountFull(t *testing.T, real bool, reg *metrics.Registry) *testMount
 	f := simnet.NewFabric(k)
 	srvNode := f.AddNode(simnet.NodeConfig{Name: "server"})
 	clNode := f.AddNode(simnet.NodeConfig{Name: "client"})
-	back := NewVFSBackend(nil)
-	server := NewServer(ServerConfig{Fabric: f, Node: srvNode, Backend: back, Costs: DefaultCosts()})
+	back := NewStoreBackend(mem.New(), nil)
+	server := NewServer(ServerConfig{
+		Transport: &rpc.FabricTransport{Fabric: f}, Node: srvNode,
+		Backend: back, Costs: DefaultCosts(),
+	})
 	client := NewClient(ClientConfig{
-		Fabric: f, Node: clNode, Costs: DefaultCosts(),
+		Node: clNode, Costs: DefaultCosts(),
 		MDS:          &rpc.SimTransport{Fabric: f, Src: clNode, Dst: srvNode, Service: Service},
 		Real:         real,
 		MaxReadAhead: 4 << 20,
@@ -267,7 +272,7 @@ func TestOpenMissingFails(t *testing.T) {
 func TestSessionReplayCache(t *testing.T) {
 	// A retransmitted (same slot+seq) compound must return the cached reply
 	// without re-executing.
-	back := NewVFSBackend(nil)
+	back := NewStoreBackend(mem.New(), nil)
 	srv := NewServer(ServerConfig{Backend: back, Costs: DefaultCosts()})
 	ctx := &rpc.Ctx{}
 
@@ -311,7 +316,7 @@ func TestSessionReplayCache(t *testing.T) {
 }
 
 func TestCompoundStopsAtFirstFailure(t *testing.T) {
-	back := NewVFSBackend(nil)
+	back := NewStoreBackend(mem.New(), nil)
 	srv := NewServer(ServerConfig{Backend: back, Costs: DefaultCosts()})
 	ctx := &rpc.Ctx{}
 	rep, _ := srv.Handle(ctx, ProcCompound, &CompoundArgs{Ops: []Op{

@@ -11,6 +11,7 @@ import (
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/store/mem"
 )
 
 func newTestCache() (*pageCache, *metrics.Counter) {
@@ -383,11 +384,11 @@ func TestPageCacheConcurrent(t *testing.T) {
 	}
 }
 
-// tcpMount serves a VFS-backed NFS server on a real loopback socket and
+// tcpMount serves a store-backed NFS server on a real loopback socket and
 // mounts it with a real-bytes client in real-goroutine mode.
-func tcpMount(t *testing.T) (*Client, *VFSBackend) {
+func tcpMount(t *testing.T) (*Client, *StoreBackend) {
 	t.Helper()
-	back := NewVFSBackend(nil)
+	back := NewStoreBackend(mem.New(), nil)
 	srv := NewServer(ServerConfig{Backend: back, Costs: DefaultCosts()})
 	ln, err := rpc.ListenTCP("127.0.0.1:0", Registry(), srv.Handle)
 	if err != nil {

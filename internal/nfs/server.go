@@ -14,7 +14,6 @@ import (
 	"dpnfs/internal/simdisk"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
-	"dpnfs/internal/store/mem"
 	"dpnfs/internal/xdr"
 )
 
@@ -80,14 +79,13 @@ type session struct {
 
 // ServerConfig wires a Server to its node and backend.
 type ServerConfig struct {
-	Fabric  *simnet.Fabric
 	Node    *simnet.Node
 	Backend Backend
 	Costs   Costs
 	Threads int // NFS server threads (paper: 8)
-	// Transport, when set, registers the service through the transport
-	// abstraction (simulated fabric or real TCP) under Node's name instead
-	// of the legacy Fabric path.
+	// Transport, when set together with Node, registers the service under
+	// Node's name (simulated fabric or real TCP).  Without it the server is
+	// only reachable through Handle (rpc.ListenTCP in the demo and tests).
 	Transport rpc.Transport
 	// Service overrides the registered service name (default Service); the
 	// cluster layer uses distinct names for metadata and data roles.
@@ -126,7 +124,7 @@ type Server struct {
 const maxOpNum = 64
 
 // NewServer creates the server and registers its RPC service when a
-// transport or fabric is configured.
+// transport is configured.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 8
@@ -159,19 +157,10 @@ func NewServer(cfg ServerConfig) *Server {
 			s.opCounters[num] = opsVec.With(service, opName(uint32(num)))
 		}
 	}
-	switch {
-	case cfg.Transport != nil && cfg.Node != nil:
+	if cfg.Transport != nil && cfg.Node != nil {
 		if _, err := cfg.Transport.Serve(cfg.Node.Name, service, Registry(), s.Handle, cfg.Threads); err != nil {
 			panic("nfs: register service: " + err.Error())
 		}
-	case cfg.Fabric != nil:
-		rpc.ServeSim(rpc.ServerConfig{
-			Fabric:  cfg.Fabric,
-			Node:    cfg.Node,
-			Service: Service,
-			Threads: cfg.Threads,
-			Handler: s.Handle,
-		})
 	}
 	return s
 }
@@ -456,28 +445,18 @@ func perMB(d time.Duration, n int64) time.Duration {
 }
 
 // StoreBackend serves a local store.Store, optionally charging a simulated
-// disk.  It is the backend for plain NFS servers in unit tests and the TCP
-// demo; it does not serve pNFS layouts.  Write with stable=true and Commit
-// drive the store's Sync, so a durable store (store/wal, store/cached)
-// journals exactly at the NFS commit points.
+// disk (a nil Disk charges nothing).  It is the backend for plain NFS servers
+// in unit tests and the TCP demo; it does not serve pNFS layouts.  Write with
+// stable=true and Commit drive the store's Sync, so a durable store
+// (store/wal, store/cached) journals exactly at the NFS commit points.
 type StoreBackend struct {
 	Store store.Store
 	Disk  *simdisk.Disk
 }
 
-// VFSBackend is the historical name of StoreBackend.
-//
-// Deprecated: use StoreBackend.
-type VFSBackend = StoreBackend
-
 // NewStoreBackend wraps an existing store.
 func NewStoreBackend(st store.Store, disk *simdisk.Disk) *StoreBackend {
 	return &StoreBackend{Store: st, Disk: disk}
-}
-
-// NewVFSBackend wraps a fresh in-memory store.
-func NewVFSBackend(disk *simdisk.Disk) *StoreBackend {
-	return NewStoreBackend(mem.New(), disk)
 }
 
 // Root implements Backend.
@@ -550,7 +529,7 @@ func (b *StoreBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool
 	} else if off+n > at.Size {
 		n = at.Size - off
 	}
-	if ctx.P != nil && b.Disk != nil && n > 0 {
+	if n > 0 {
 		b.Disk.Read(ctx.P, fh, off, n)
 	}
 	eof := off+n >= at.Size
@@ -600,16 +579,12 @@ func (b *StoreBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Pa
 	if err != nil {
 		return 0, err
 	}
-	if ctx.P != nil && b.Disk != nil {
-		b.Disk.Write(ctx.P, fh, off, data.Len())
-	}
+	b.Disk.Write(ctx.P, fh, off, data.Len())
 	if stable {
 		if err := b.Store.Sync(ctx.P); err != nil {
 			return 0, err
 		}
-		if ctx.P != nil && b.Disk != nil {
-			b.Disk.Sync(ctx.P)
-		}
+		b.Disk.Sync(ctx.P)
 	}
 	return newSize, nil
 }
@@ -619,9 +594,7 @@ func (b *StoreBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 	if err := b.Store.Sync(ctx.P); err != nil {
 		return err
 	}
-	if ctx.P != nil && b.Disk != nil {
-		b.Disk.Sync(ctx.P)
-	}
+	b.Disk.Sync(ctx.P)
 	return nil
 }
 

@@ -30,13 +30,14 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 	mdsNode := f.AddNode(simnet.NodeConfig{Name: "mds"})
 	clNode := f.AddNode(simnet.NodeConfig{Name: "client0"})
 	costs := DefaultCosts()
+	tr := &rpc.FabricTransport{Fabric: f}
 
 	var storage []*StorageServer
 	var mdsConns, clConns []rpc.Conn
 	for i := 0; i < nDev; i++ {
 		n := f.AddNode(simnet.NodeConfig{Name: "io" + string(rune('0'+i))})
 		s := NewStorageServer(StorageConfig{
-			Fabric: f, Node: n, Costs: costs,
+			Transport: tr, Node: n, Costs: costs,
 			Disk: simdisk.New(simdisk.Config{Name: n.Name}),
 		})
 		storage = append(storage, s)
@@ -44,7 +45,7 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 		clConns = append(clConns, &rpc.SimTransport{Fabric: f, Src: clNode, Dst: n, Service: ServiceIO})
 	}
 	meta := NewMetaServer(MetaConfig{
-		Fabric: f, Node: mdsNode, Costs: costs,
+		Transport: tr, Node: mdsNode, Costs: costs,
 		Dist:    DistParams{StripeSize: stripeSize, NumServers: uint32(nDev)},
 		IOConns: mdsConns,
 	})
@@ -288,7 +289,7 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 		f := simnet.NewFabric(k)
 		ioNode := f.AddNode(simnet.NodeConfig{Name: "io"})
 		srv := NewStorageServer(StorageConfig{
-			Fabric: f, Node: ioNode, Costs: DefaultCosts(),
+			Transport: &rpc.FabricTransport{Fabric: f}, Node: ioNode, Costs: DefaultCosts(),
 			Disk:    simdisk.New(simdisk.Config{Name: "d"}),
 			Buffers: buffers, BufSize: 256 << 10, Threads: 32,
 		})

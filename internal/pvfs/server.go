@@ -49,10 +49,9 @@ func perMB(d time.Duration, n int64) time.Duration {
 
 // StorageConfig describes one storage daemon.
 type StorageConfig struct {
-	Fabric *simnet.Fabric
-	Node   *simnet.Node
-	Disk   *simdisk.Disk
-	Costs  Costs
+	Node  *simnet.Node
+	Disk  *simdisk.Disk
+	Costs Costs
 	// Store is the content repository backing this daemon's datafile
 	// objects (nil: a fresh in-memory store).  Durable stores (store/wal,
 	// store/cached) journal on sync requests and survive CrashVolatile.
@@ -60,9 +59,8 @@ type StorageConfig struct {
 	Buffers int   // fixed transfer-buffer pool between kernel and daemon
 	BufSize int64 // bytes per transfer buffer
 	Threads int   // daemon request concurrency
-	// Transport, when set, registers ServiceIO through the transport
-	// abstraction (simulated fabric or real TCP) under Node's name instead
-	// of the legacy Fabric path.
+	// Transport, when set together with Node, registers ServiceIO under
+	// Node's name (simulated fabric or real TCP).
 	Transport rpc.Transport
 	// WireChecksums makes real read replies carry a CRC32C over the payload
 	// so clients can verify it end to end (docs/BACKENDS.md).
@@ -85,7 +83,7 @@ type StorageServer struct {
 }
 
 // NewStorageServer creates the daemon state and registers its RPC service
-// on the node when a transport or fabric is configured.
+// on the node when a transport is configured.
 func NewStorageServer(cfg StorageConfig) *StorageServer {
 	if cfg.Buffers <= 0 {
 		cfg.Buffers = 16
@@ -110,19 +108,10 @@ func NewStorageServer(cfg StorageConfig) *StorageServer {
 		name = cfg.Node.Name + "/bufpool"
 	}
 	s.bufPool = sim.NewSemaphore(name, cfg.Buffers)
-	switch {
-	case cfg.Transport != nil && cfg.Node != nil:
+	if cfg.Transport != nil && cfg.Node != nil {
 		if _, err := cfg.Transport.Serve(cfg.Node.Name, ServiceIO, IORegistry(), s.Handle, cfg.Threads); err != nil {
 			panic("pvfs: register storage service: " + err.Error())
 		}
-	case cfg.Fabric != nil:
-		rpc.ServeSim(rpc.ServerConfig{
-			Fabric:  cfg.Fabric,
-			Node:    cfg.Node,
-			Service: ServiceIO,
-			Threads: cfg.Threads,
-			Handler: s.Handle,
-		})
 	}
 	return s
 }
@@ -268,9 +257,11 @@ func (s *StorageServer) bufSlots(n int64) int {
 	return slots
 }
 
-// acquireBuffers blocks until the transfer buffers are available (sim mode
-// only) and returns a release func.
+// acquireBuffers blocks until the transfer buffers are available and returns
+// a release func.
 func (s *StorageServer) acquireBuffers(ctx *rpc.Ctx, n int64) func() {
+	// Simulated-only on purpose: the 16×256 KB pool models the 2007 daemon;
+	// bounding real TCP transfers by it is a behaviour change (ROADMAP (c)).
 	if ctx.P == nil {
 		return func() {}
 	}
@@ -340,21 +331,19 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		if err != nil {
 			return &IOWriteRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		if ctx.P != nil && s.cfg.Disk != nil {
-			// A write that partially covers a block of existing data forces
-			// a read-modify-write of the boundary blocks; appends past EOF
-			// extend sparsely and skip it.  The client-side gathering of
-			// the NFS architectures issues aligned wsize flushes and never
-			// pays this; cacheless PVFS2 clients pass small application
-			// requests straight through (paper §6.3.1).
-			const blk = 64 << 10
-			if a.Off < prev.Size {
-				if head := a.Off % blk; head != 0 {
-					s.cfg.Disk.Read(ctx.P, uint64(a.Handle), a.Off-head, blk)
-				}
-				if tail := (a.Off + n) % blk; tail != 0 && a.Off+n < prev.Size {
-					s.cfg.Disk.Read(ctx.P, uint64(a.Handle), (a.Off+n)-tail, blk)
-				}
+		// A write that partially covers a block of existing data forces a
+		// read-modify-write of the boundary blocks; appends past EOF extend
+		// sparsely and skip it.  The client-side gathering of the NFS
+		// architectures issues aligned wsize flushes and never pays this;
+		// cacheless PVFS2 clients pass small application requests straight
+		// through (paper §6.3.1).
+		const blk = 64 << 10
+		if a.Off < prev.Size {
+			if head := a.Off % blk; head != 0 {
+				s.cfg.Disk.Read(ctx.P, uint64(a.Handle), a.Off-head, blk)
+			}
+			if tail := (a.Off + n) % blk; tail != 0 && a.Off+n < prev.Size {
+				s.cfg.Disk.Read(ctx.P, uint64(a.Handle), (a.Off+n)-tail, blk)
 			}
 		}
 		var objSize int64
@@ -366,18 +355,14 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		if err != nil {
 			return &IOWriteRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		if ctx.P != nil && s.cfg.Disk != nil {
-			s.cfg.Disk.Write(ctx.P, uint64(a.Handle), a.Off, n)
-		}
+		s.cfg.Disk.Write(ctx.P, uint64(a.Handle), a.Off, n)
 		if a.Sync {
 			// Durability point: a durable store journals here, then the
 			// data disk takes its barrier.
 			if err := s.store.Sync(ctx.P); err != nil {
 				return &IOWriteRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 			}
-			if ctx.P != nil && s.cfg.Disk != nil {
-				s.cfg.Disk.Sync(ctx.P)
-			}
+			s.cfg.Disk.Sync(ctx.P)
 		}
 		if n > 0 {
 			s.stats.bytesWrite.Add(uint64(n))
@@ -403,7 +388,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		ctx.UseCPU(cpu, s.cfg.Costs.ServerPerOp+perMB(s.cfg.Costs.ServerPerMB, n))
 		release := s.acquireBuffers(ctx, n)
 		ctx.Defer(release)
-		if ctx.P != nil && s.cfg.Disk != nil && n > 0 {
+		if n > 0 {
 			s.cfg.Disk.Read(ctx.P, uint64(a.Handle), a.Off, n)
 		}
 		if n > 0 {
@@ -458,9 +443,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		if err := s.store.Sync(ctx.P); err != nil {
 			return &IOFlushRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		if ctx.P != nil && s.cfg.Disk != nil {
-			s.cfg.Disk.Sync(ctx.P)
-		}
+		s.cfg.Disk.Sync(ctx.P)
 		return &IOFlushRep{}, rpc.StatusOK
 
 	case ProcIOTruncate:
@@ -480,7 +463,6 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 
 // MetaConfig describes the metadata server.
 type MetaConfig struct {
-	Fabric  *simnet.Fabric
 	Node    *simnet.Node
 	Costs   Costs
 	Dist    DistParams
@@ -494,8 +476,8 @@ type MetaConfig struct {
 	// operations (create, getattr, truncate) survive a storage-daemon
 	// outage shorter than the budget.  Zero takes rpc.DefaultRetryPolicy.
 	Retry rpc.RetryPolicy
-	// Transport, when set, registers ServiceMeta through the transport
-	// abstraction instead of the legacy Fabric path.
+	// Transport, when set together with Node, registers ServiceMeta under
+	// Node's name (simulated fabric or real TCP).
 	Transport rpc.Transport
 	// Metrics is the shared observability registry (docs/METRICS.md); nil
 	// discards.
@@ -533,7 +515,7 @@ type MetaServer struct {
 }
 
 // NewMetaServer creates the MDS and registers its RPC service on the node
-// when fabric is non-nil.
+// when a transport is configured.
 func NewMetaServer(cfg MetaConfig) *MetaServer {
 	if cfg.Dist.StripeSize <= 0 {
 		cfg.Dist.StripeSize = 2 << 20
@@ -564,19 +546,10 @@ func NewMetaServer(cfg MetaConfig) *MetaServer {
 	for i, conn := range conns {
 		m.ioByID[uint32(i)] = conn
 	}
-	switch {
-	case cfg.Transport != nil && cfg.Node != nil:
+	if cfg.Transport != nil && cfg.Node != nil {
 		if _, err := cfg.Transport.Serve(cfg.Node.Name, ServiceMeta, MetaRegistry(), m.Handle, cfg.Threads); err != nil {
 			panic("pvfs: register meta service: " + err.Error())
 		}
-	case cfg.Fabric != nil:
-		rpc.ServeSim(rpc.ServerConfig{
-			Fabric:  cfg.Fabric,
-			Node:    cfg.Node,
-			Service: ServiceMeta,
-			Threads: cfg.Threads,
-			Handler: m.Handle,
-		})
 	}
 	return m
 }

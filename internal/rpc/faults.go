@@ -103,7 +103,7 @@ func (p RetryPolicy) Do(ctx *Ctx, onRetry func(), op func() error) error {
 			if onRetry != nil {
 				onRetry()
 			}
-			sleepCtx(ctx, backoff)
+			ctx.Pause(backoff)
 			backoff *= 2
 			if backoff > p.Cap {
 				backoff = p.Cap
@@ -144,13 +144,4 @@ func (r *retryConn) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unma
 	return r.pol.Do(ctx, r.onRetry, func() error {
 		return r.inner.Call(ctx, proc, args, rep)
 	})
-}
-
-// sleepCtx pauses in virtual time under the kernel, wall clock otherwise.
-func sleepCtx(ctx *Ctx, d time.Duration) {
-	if ctx.P != nil {
-		ctx.P.Sleep(d)
-	} else {
-		time.Sleep(d)
-	}
 }

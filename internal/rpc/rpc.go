@@ -4,12 +4,16 @@
 //
 //   - SimTransport moves XDR-encoded frames across the simnet fabric in
 //     virtual time, charging NIC bandwidth for every byte and letting server
-//     handlers charge CPU and disk resources.  All benchmarks use it.
-//   - TCP (tcp.go) speaks the same frames over real sockets for the
-//     cmd/pnfs-demo binary and loopback integration tests.
+//     handlers charge CPU and disk resources.  Every figure (cmd/dpnfs-bench)
+//     and the perf/ sim_figures workload run on it.
+//   - TCP (tcp.go) speaks the same frames over real sockets on the wall
+//     clock: cmd/dpnfs-serve, cmd/pnfs-demo, dpnfs-bench -transport tcp, the
+//     loopback integration tests and the other three perf/ workloads.
 //
 // A Ctx carries the simulated process when running under the kernel; in
-// real-time mode Ctx.P is nil and resource charges are no-ops.
+// real-time mode Ctx.P is nil and model charges (UseCPU, Sleep) are no-ops.
+// Which runtime executes concurrency is decided in this package only:
+// exec.go holds the mode-polymorphic primitives every other package uses.
 package rpc
 
 import (
@@ -22,9 +26,6 @@ import (
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/xdr"
 )
-
-// realWG aliases sync.WaitGroup for real-time Parallel.
-type realWG = sync.WaitGroup
 
 // Status is an RPC-level status word.  0 is success; protocol-level errors
 // ride inside reply bodies, not here.
@@ -320,9 +321,8 @@ func copyReply(dst xdr.Unmarshaler, src xdr.Marshaler) error {
 	return nil
 }
 
-// Parallel runs fn(i) for i in [0, n) concurrently and waits for all of
-// them: simulated processes under the kernel, plain goroutines in real-time
-// mode.  Each invocation gets its own Ctx.
+// Parallel runs fn(i) for i in [0, n) concurrently, each as its own flow of
+// ctx's mode with its own Ctx, and waits for all of them.
 func Parallel(ctx *Ctx, n int, fn func(ctx *Ctx, i int)) {
 	if n <= 0 {
 		return
@@ -331,29 +331,20 @@ func Parallel(ctx *Ctx, n int, fn func(ctx *Ctx, i int)) {
 		fn(ctx, 0)
 		return
 	}
-	if ctx.P == nil {
-		var wg realWG
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				fn(&Ctx{}, i)
-			}(i)
-		}
-		wg.Wait()
-		return
+	name := "par"
+	if ctx.P != nil {
+		name = ctx.P.Name() + "/par"
 	}
-	k := ctx.P.Kernel()
-	var wg sim.WaitGroup
-	wg.Add(n)
+	var g Group
+	g.Add(ctx, n)
 	for i := 0; i < n; i++ {
 		i := i
-		k.Go(ctx.P.Name()+"/par", func(w *sim.Proc) {
-			defer wg.Done()
-			fn(&Ctx{P: w}, i)
+		ctx.Go(name, func(w *Ctx) {
+			defer g.Done(w)
+			fn(w, i)
 		})
 	}
-	wg.Wait(ctx.P)
+	g.Wait(ctx)
 }
 
 // ServerConfig describes a simulated RPC service endpoint.

@@ -172,11 +172,7 @@ func (s *Scrubber) Pass(ctx *rpc.Ctx) (Result, error) {
 		// Repairs went through WriteAt; journaling backends stage them like
 		// any other write, so make them durable before reporting success.
 		if sy, ok := s.cfg.Store.(store.Syncer); ok {
-			var p *sim.Proc
-			if ctx != nil {
-				p = ctx.P
-			}
-			if err := sy.Sync(p); err != nil {
+			if err := sy.Sync(ctx.P); err != nil {
 				return res, fmt.Errorf("scrub %s: sync repairs: %w", s.cfg.Node, err)
 			}
 		}
@@ -251,14 +247,11 @@ func (s *Scrubber) repair(ctx *rpc.Ctx, id store.FileID, r stripe.Extent, res *R
 }
 
 // pace sleeps off the virtual time the just-verified bytes are worth under
-// RateBPS.  Only simulated passes are paced; xdr.Checksum verification
-// itself is free in virtual time, so the sleep is the entire cost model.
+// RateBPS.  Only simulated passes are paced (Ctx.Sleep is a model charge);
+// xdr.Checksum verification itself is free in virtual time, so the sleep is
+// the entire cost model.
 func (s *Scrubber) pace(ctx *rpc.Ctx, n int64) {
-	if s.cfg.RateBPS <= 0 || ctx == nil || ctx.P == nil {
-		return
-	}
-	d := sim.Duration(float64(n) / float64(s.cfg.RateBPS) * 1e9)
-	if d > 0 {
-		ctx.P.Sleep(d)
+	if s.cfg.RateBPS > 0 {
+		ctx.Sleep(sim.Duration(float64(n) / float64(s.cfg.RateBPS) * 1e9))
 	}
 }

@@ -206,10 +206,6 @@ func (c *Chan) Recv(p *Proc) any {
 		c.waiters = append(c.waiters, p)
 		p.park(c.reason)
 	}
-	return c.pop()
-}
-
-func (c *Chan) pop() any {
 	v := c.queue[c.qhead]
 	c.queue[c.qhead] = nil
 	c.qhead++
@@ -218,14 +214,6 @@ func (c *Chan) pop() any {
 		c.qhead = 0
 	}
 	return v
-}
-
-// TryRecv returns the next message without blocking, or (nil, false).
-func (c *Chan) TryRecv() (any, bool) {
-	if c.qhead == len(c.queue) {
-		return nil, false
-	}
-	return c.pop(), true
 }
 
 // Len reports the number of queued messages.

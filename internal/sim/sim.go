@@ -220,10 +220,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.sleepUntil(p.k.now + Time(d))
 }
 
-// Yield reschedules the calling process at the current time, letting any
-// other runnable process at this instant run first.
-func (p *Proc) Yield() { p.sleepUntil(p.k.now) }
-
 // SleepUntilTime blocks the calling process until the given virtual time.
 // It is a no-op if the time is not in the future.
 func (p *Proc) SleepUntilTime(at Time) {

@@ -60,7 +60,10 @@ func DefaultConfig(name string) Config {
 	}
 }
 
-// Disk is a simulated disk plus page cache.
+// Disk is a simulated disk plus page cache.  Read, Write and Sync are model
+// charges: on a nil Disk (no disk modelled) or with a nil process (real-time
+// mode, where the store does real work instead) they charge nothing — the
+// rule rpc.Ctx.UseCPU follows — so servers call them unconditionally.
 type Disk struct {
 	cfg   Config
 	head  *sim.FIFOServer
@@ -148,6 +151,9 @@ func (d *Disk) service(fileID uint64, off, n int64, bps float64, pos time.Durati
 // the write-behind buffer and the page cache; p blocks only when the dirty
 // backlog exceeds the configured limit.
 func (d *Disk) Write(p *sim.Proc, fileID uint64, off, n int64) {
+	if d == nil || p == nil {
+		return
+	}
 	if n < 0 {
 		panic(fmt.Sprintf("simdisk %s: negative write %d", d.cfg.Name, n))
 	}
@@ -166,6 +172,9 @@ func (d *Disk) Write(p *sim.Proc, fileID uint64, off, n int64) {
 // Sync blocks p until all buffered writes have reached the platter, then
 // pays the write-barrier cost on the head (queued FIFO with other work).
 func (d *Disk) Sync(p *sim.Proc) {
+	if d == nil || p == nil {
+		return
+	}
 	p.SleepUntilTime(d.head.FreeAt())
 	cost := d.cfg.SyncCost
 	if d.slow > 1 {
@@ -177,6 +186,9 @@ func (d *Disk) Sync(p *sim.Proc) {
 // Read completes a read of n bytes at off in fileID, consulting the page
 // cache block by block; only missing blocks pay for disk service.
 func (d *Disk) Read(p *sim.Proc, fileID uint64, off, n int64) {
+	if d == nil || p == nil {
+		return
+	}
 	if n < 0 {
 		panic(fmt.Sprintf("simdisk %s: negative read %d", d.cfg.Name, n))
 	}

@@ -553,10 +553,6 @@ func (s *Store) MisdirectNextRead(seed int64) bool {
 	return true
 }
 
-// ArmMisdirect arms a one-shot wrong-block read against a specific file
-// (test hook; fault plans go through MisdirectNextRead).
-func (s *Store) ArmMisdirect(id store.FileID) { s.armMisdirect(id) }
-
 // Stats reports the number of live (namespace-reachable) inodes.
 func (s *Store) Stats() (inodes int) {
 	s.mu.RLock()

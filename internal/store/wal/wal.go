@@ -401,15 +401,13 @@ func (s *Store) Sync(p *sim.Proc) error {
 	// Charge the disk outside the lock: under simulation the proc yields
 	// to the kernel here, and holding a Go mutex across that would wedge
 	// other procs on this store.
-	if s.cfg.Disk != nil && p != nil {
-		if flushBytes > 0 {
-			s.cfg.Disk.Write(p, journalFile, flushOff, flushBytes)
-		}
-		if ckptBytes > 0 {
-			s.cfg.Disk.Write(p, journalFile, ckptOff, ckptBytes)
-		}
-		s.cfg.Disk.Sync(p)
+	if flushBytes > 0 {
+		s.cfg.Disk.Write(p, journalFile, flushOff, flushBytes)
 	}
+	if ckptBytes > 0 {
+		s.cfg.Disk.Write(p, journalFile, ckptOff, ckptBytes)
+	}
+	s.cfg.Disk.Sync(p)
 	return nil
 }
 
