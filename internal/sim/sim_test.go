@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -354,4 +356,112 @@ func TestSchedulePastPanics(t *testing.T) {
 	k.now = 100
 	p := &Proc{k: k, name: "x", wake: make(chan struct{}, 1)}
 	k.schedule(p, 50)
+}
+
+// goldenScenario runs a scripted mix of every blocking primitive — sleepers
+// that tie, a semaphore convoy, a Chan ping-pong, a process that spawns
+// children and joins them through a WaitGroup — and returns "microseconds:name" for
+// every resumption (process start and every return from a blocking call).
+func goldenScenario(t *testing.T) (trace []string, fired uint64) {
+	k := NewKernel(1)
+	rec := func(p *Proc) {
+		trace = append(trace, fmt.Sprintf("%d:%s", p.Now()/Time(time.Microsecond), p.Name()))
+	}
+	for i, period := range []Duration{time.Millisecond, time.Millisecond, 2 * time.Millisecond} {
+		k.Go(fmt.Sprintf("sleeper%d", i), func(p *Proc) {
+			rec(p)
+			for j := 0; j < 3; j++ {
+				p.Sleep(period)
+				rec(p)
+			}
+		})
+	}
+	sem := NewSemaphore("convoy", 2)
+	for i := 0; i < 4; i++ {
+		k.Go(fmt.Sprintf("convoy%d", i), func(p *Proc) {
+			rec(p)
+			sem.Acquire(p, 1)
+			rec(p)
+			p.Sleep(1500 * time.Microsecond)
+			rec(p)
+			sem.Release(1)
+		})
+	}
+	ping, pong := NewChan("ping"), NewChan("pong")
+	k.Go("pinger", func(p *Proc) {
+		rec(p)
+		for i := 0; i < 3; i++ {
+			ping.Send(i)
+			pong.Recv(p)
+			rec(p)
+		}
+	})
+	k.Go("ponger", func(p *Proc) {
+		rec(p)
+		for i := 0; i < 3; i++ {
+			ping.Recv(p)
+			rec(p)
+			p.Sleep(700 * time.Microsecond)
+			rec(p)
+			pong.Send(i)
+		}
+	})
+	k.Go("parent", func(p *Proc) {
+		rec(p)
+		p.Sleep(2 * time.Millisecond)
+		rec(p)
+		var wg WaitGroup
+		for i := 0; i < 3; i++ {
+			wg.Add(1)
+			d := Duration(3-i) * 500 * time.Microsecond
+			k.Go(fmt.Sprintf("child%d", i), func(c *Proc) {
+				defer wg.Done()
+				rec(c)
+				c.Sleep(d)
+				rec(c)
+			})
+		}
+		wg.Wait(p)
+		rec(p)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return trace, k.EventsFired()
+}
+
+// goldenTrace is goldenScenario's output under the kernel as it stood before
+// the baton-passing rework (captured at commit 9378812): the scheduling order
+// every figure depends on.
+var goldenTrace = strings.Fields(`
+0:sleeper0 0:sleeper1 0:sleeper2 0:convoy0 0:convoy0 0:convoy1 0:convoy1 0:convoy2
+0:convoy3 0:pinger 0:ponger 0:ponger 0:parent
+700:ponger 700:pinger 700:ponger
+1000:sleeper0 1000:sleeper1
+1400:ponger 1400:pinger 1400:ponger
+1500:convoy0 1500:convoy1 1500:convoy2 1500:convoy3
+2000:sleeper2 2000:parent 2000:sleeper0 2000:sleeper1 2000:child0 2000:child1 2000:child2
+2100:ponger 2100:pinger
+2500:child2
+3000:convoy2 3000:convoy3 3000:sleeper0 3000:sleeper1 3000:child1
+3500:child0 3500:parent
+4000:sleeper2
+6000:sleeper2
+`)
+
+const goldenEventsFired = 41
+
+func TestGoldenTrace(t *testing.T) {
+	trace, fired := goldenScenario(t)
+	if fired != goldenEventsFired {
+		t.Errorf("EventsFired = %d, want %d", fired, goldenEventsFired)
+	}
+	if len(trace) != len(goldenTrace) {
+		t.Fatalf("trace has %d resumptions, want %d:\n%s", len(trace), len(goldenTrace), strings.Join(trace, "\n"))
+	}
+	for i := range trace {
+		if trace[i] != goldenTrace[i] {
+			t.Fatalf("resumption %d: got %q, want %q\nfull trace:\n%s", i, trace[i], goldenTrace[i], strings.Join(trace, "\n"))
+		}
+	}
 }
