@@ -81,6 +81,7 @@ func BenchmarkAblationDirectVsBlindLayout(b *testing.B) {
 				FileSize: int64(float64(500<<20) * benchScale()),
 				Block:    2 << 20, Separate: true, Read: true,
 			})
+			cl.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,6 +100,7 @@ func BenchmarkAblationWriteGathering(b *testing.B) {
 				FileSize: int64(float64(500<<20) * benchScale()),
 				Block:    block, Separate: true,
 			})
+			cl.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -130,6 +132,7 @@ func BenchmarkAblationAggregationDrivers(b *testing.B) {
 				FileSize: int64(float64(200<<20) * benchScale()),
 				Block:    2 << 20, Separate: true,
 			})
+			cl.Close()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -40,6 +40,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	cl := directpnfs.New(directpnfs.Config{Arch: directpnfs.Arch(*arch), Clients: *clients})
+	defer cl.Close()
 	res, err := directpnfs.IOR(cl, directpnfs.IORConfig{
 		FileSize: *mb << 20,
 		Block:    *block,

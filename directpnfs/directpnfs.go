@@ -15,6 +15,7 @@
 //
 //	cfg := directpnfs.Config{Arch: directpnfs.ArchDirectPNFS, Clients: 4}
 //	cl := directpnfs.New(cfg)
+//	defer cl.Close()
 //	elapsed, err := cl.Run(func(ctx *directpnfs.Ctx, m *directpnfs.Mount, i int) error {
 //		f, err := m.Create(ctx, fmt.Sprintf("/data-%d", i))
 //		if err != nil {

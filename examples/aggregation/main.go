@@ -15,6 +15,7 @@ import (
 
 func run(label string, cfg directpnfs.Config) {
 	cl := directpnfs.New(cfg)
+	defer cl.Close()
 	res, err := directpnfs.IOR(cl, directpnfs.IORConfig{
 		FileSize: 64 << 20,
 		Block:    1 << 20,

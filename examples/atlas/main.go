@@ -25,6 +25,7 @@ func main() {
 		}
 		fmt.Printf("  %-12s %7.1f MB/s aggregate (%v virtual)\n",
 			arch, res.ThroughputMBs(), res.Elapsed.Round(1e6))
+		cl.Close()
 	}
 	fmt.Println("\nDirect-pNFS rides out the small-request mix; PVFS2 pays per-request overhead.")
 }

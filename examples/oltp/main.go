@@ -28,5 +28,6 @@ func main() {
 		}
 		fmt.Printf("  %-12s %7.1f MB/s  %8.0f txn/s  (%v virtual)\n",
 			arch, res.ThroughputMBs(), res.TPS(), res.Elapsed.Round(1e6))
+		cl.Close()
 	}
 }

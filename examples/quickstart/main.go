@@ -17,6 +17,7 @@ func main() {
 		Clients: 1,
 		Real:    true, // carry real bytes end to end
 	})
+	defer cl.Close()
 
 	data := make([]byte, 8<<20)
 	for i := range data {

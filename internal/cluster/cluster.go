@@ -937,10 +937,14 @@ func (cl *Cluster) Transport() rpc.Transport { return cl.tr }
 // dpnfs-bench embeds its snapshot in JSON reports.
 func (cl *Cluster) Metrics() *metrics.Registry { return cl.Cfg.Metrics }
 
-// Close tears down transport state: listeners and connection pools in TCP
-// mode, a no-op on the simulated fabric.  TCP-mode clusters must be closed
-// or they leak sockets.
-func (cl *Cluster) Close() error { return cl.tr.Close() }
+// Close tears down the cluster: listeners and connection pools in TCP
+// mode, the simulation kernel's goroutines (server daemons, idle workers)
+// on the fabric.  Every cluster must be closed, or it leaks sockets or
+// goroutines and everything they reference.
+func (cl *Cluster) Close() error {
+	cl.K.Shutdown()
+	return cl.tr.Close()
+}
 
 // NodeStats is a utilization snapshot for one back-end node.
 type NodeStats struct {

@@ -2,6 +2,7 @@ package pvfs
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"dpnfs/internal/metrics"
 )
@@ -53,11 +54,32 @@ func ProcName(proc uint32) string {
 	return fmt.Sprintf("proc-%d", proc)
 }
 
-// storageStats bundles one storage daemon's instruments.  The request
-// counters are resolved per proc on first use (bounded: the proc table is
-// fixed), everything else at construction.
+// procCounters is a request-counter family partitioned by procedure.  A
+// child is resolved on the procedure's first request, not at construction:
+// snapshots list series in creation order and omit procedures never seen.
+// After that a request costs one atomic load and one add.
+type procCounters struct {
+	vec   *metrics.CounterVec
+	cache [ProcIOTruncate + 1]atomic.Pointer[metrics.Counter] // by procedure number
+}
+
+// inc counts one request for proc.
+func (c *procCounters) inc(proc uint32) {
+	if proc >= uint32(len(c.cache)) {
+		c.vec.With(ProcName(proc)).Inc()
+		return
+	}
+	ctr := c.cache[proc].Load()
+	if ctr == nil {
+		ctr = c.vec.With(ProcName(proc))
+		c.cache[proc].Store(ctr)
+	}
+	ctr.Inc()
+}
+
+// storageStats bundles one storage daemon's instruments.
 type storageStats struct {
-	requests   *metrics.CounterVec
+	requests   procCounters
 	bytesRead  *metrics.Counter
 	bytesWrite *metrics.Counter
 	buffers    *metrics.Gauge
@@ -67,8 +89,8 @@ type storageStats struct {
 // newStorageStats resolves the daemon's instruments; reg may be nil.
 func newStorageStats(reg *metrics.Registry) *storageStats {
 	return &storageStats{
-		requests: reg.CounterVec("pvfs_storage_requests_total",
-			"Storage-daemon requests, by procedure.", "proc"),
+		requests: procCounters{vec: reg.CounterVec("pvfs_storage_requests_total",
+			"Storage-daemon requests, by procedure.", "proc")},
 		bytesRead: reg.Counter("pvfs_storage_bytes_read_total",
 			"Datafile bytes served by io-read (storage-daemon read throughput)."),
 		bytesWrite: reg.Counter("pvfs_storage_bytes_written_total",
@@ -82,14 +104,14 @@ func newStorageStats(reg *metrics.Registry) *storageStats {
 
 // metaStats bundles the metadata server's instruments.
 type metaStats struct {
-	requests  *metrics.CounterVec
+	requests  procCounters
 	ioRetries *metrics.Counter
 }
 
 func newMetaStats(reg *metrics.Registry) *metaStats {
 	return &metaStats{
-		requests: reg.CounterVec("pvfs_meta_requests_total",
-			"Metadata-server requests, by procedure.", "proc"),
+		requests: procCounters{vec: reg.CounterVec("pvfs_meta_requests_total",
+			"Metadata-server requests, by procedure.", "proc")},
 		ioRetries: reg.Counter("pvfs_meta_io_retries_total",
 			"MDS fan-out calls to storage daemons retried after a retryable transport failure."),
 	}

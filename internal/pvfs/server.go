@@ -278,7 +278,7 @@ func (s *StorageServer) acquireBuffers(ctx *rpc.Ctx, n int64) func() {
 
 // Handle dispatches one storage daemon request.
 func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
-	s.stats.requests.With(ProcName(proc)).Inc()
+	s.stats.requests.inc(proc)
 	var cpu *sim.KServer
 	if s.cfg.Node != nil {
 		cpu = s.cfg.Node.CPU
@@ -675,7 +675,7 @@ func (m *MetaServer) fanoutConns(ctx *rpc.Ctx, conns []rpc.Conn, fn func(ctx *rp
 
 // Handle dispatches one metadata request.
 func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
-	m.stats.requests.With(ProcName(proc)).Inc()
+	m.stats.requests.inc(proc)
 	var cpu *sim.KServer
 	if m.cfg.Node != nil {
 		cpu = m.cfg.Node.CPU

@@ -252,6 +252,12 @@ type SimTransport struct {
 	// stats, when set by FabricTransport.Dial, records per-call latency
 	// (virtual time) and wire bytes.
 	stats *connStats
+
+	// replies holds the reply channels of finished calls for reuse.  Every
+	// call that sends a request receives exactly one reply (a lossy link
+	// delays, it never drops), so a channel is empty again once Call has
+	// received from it.
+	replies []*sim.Chan
 }
 
 // Call implements Conn over the simulated fabric.  It blocks the calling
@@ -273,12 +279,18 @@ func (t *SimTransport) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.U
 		done(time.Duration(ctx.Now()-start), err)
 		return err
 	}
-	rc := sim.NewChan("reply")
+	var rc *sim.Chan
+	if n := len(t.replies); n > 0 {
+		rc, t.replies = t.replies[n-1], t.replies[:n-1]
+	} else {
+		rc = sim.NewChan("reply")
+	}
 	msg := call{proc: proc, req: args, replyTo: rc, from: t.Src}
 	size := WireSizeOf(args) + HeaderBytes
 	t.stats.addSent(size)
 	t.Fabric.Send(ctx.P, t.Src, t.Dst, t.Service, msg, size)
 	rm := rc.Recv(ctx.P).(simnet.Message)
+	t.replies = append(t.replies, rc)
 	r := rm.Payload.(reply)
 	if t.stats != nil {
 		// Error replies still carry a frame header on the wire; count it so

@@ -1,13 +1,32 @@
 // Package sim implements a deterministic discrete-event simulation kernel
 // with cooperatively scheduled goroutine processes and virtual time.
 //
-// The kernel runs exactly one process goroutine at a time.  A process blocks
-// by sleeping for a virtual duration, by waiting on a queue-backed primitive
-// (Semaphore, Chan), or by using a service resource (FIFOServer, KServer,
-// see resource.go).  Blocking hands control back to the kernel, which pops
-// the next event from a time-ordered queue and resumes the corresponding
-// process.  Ties are broken by event sequence number, so simulations are
-// fully deterministic.
+// Exactly one goroutine runs at a time: the one that holds the baton.  A
+// process blocks by sleeping for a virtual duration, by waiting on a
+// queue-backed primitive (Semaphore, Chan, WaitGroup), or by using a service
+// resource (FIFOServer, KServer, see resource.go).  There is no scheduler
+// goroutine: the process that blocks, or ends, itself pops the next event
+// from the time-ordered queue and wakes that event's process directly; when
+// the event is its own it just keeps running.  Run only starts the chain and
+// waits to be told the queue has drained.  Ties are broken by event sequence
+// number, so simulations are fully deterministic.
+//
+// One rule makes the baton race-free without a lock: after waking its
+// successor a goroutine touches nothing but its own wake channel, and
+// everything it did before is ordered before the successor's next step by
+// that channel send.
+//
+// Goroutines are recycled.  Go only records the process and schedules its
+// start event; the goroutine is bound when that event fires, taken from the
+// kernel's list of idle workers (most recently idled first, so its stack is
+// already grown) or started if the list is empty, and goes back on the list
+// when the process returns.  A process that ends through runtime.Goexit takes
+// its goroutine with it but still passes the baton on.
+//
+// Parked daemons and idle workers are goroutines that nothing else will ever
+// wake, and they keep the kernel and everything it references alive: a
+// kernel that is no longer needed must be Shutdown (cluster.Cluster.Close
+// does it).
 //
 // All benchmark clusters in this repository run on virtual time: a run that
 // simulates minutes of I/O completes in milliseconds of wall time, and the
@@ -19,9 +38,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -40,59 +59,37 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // event is a scheduled resumption of a process.
 type event struct {
-	at    Time
-	seq   uint64
-	p     *Proc
-	index int // heap index
-	dead  bool
+	at  Time
+	seq uint64
+	p   *Proc
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the dispatch order: by time, ties by scheduling order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+	return e.seq < o.seq
 }
 
 // Kernel is a discrete-event simulation kernel.  Create one with NewKernel,
-// start processes with Go, and drive the simulation with Run.
+// start processes with Go, drive the simulation with Run, and release its
+// goroutines with Shutdown.
 type Kernel struct {
 	now    Time
 	seq    uint64
-	events eventQueue
-	yield  chan struct{}
+	events []event // binary min-heap ordered by event.before
 	rng    *rand.Rand
 
-	running int              // live (started, unfinished) processes
-	parked  map[*Proc]string // processes blocked on a primitive, with reason
-	nextID  int
+	// drained returns the baton to the goroutine inside Run or Shutdown.
+	// Its one-slot buffer lets Run signal itself when there is nothing to
+	// run.
+	drained chan struct{}
+	idle    []*worker // goroutines waiting for a process to run, LIFO
+	stopped bool      // Shutdown has begun
 
-	// free recycles fired events.  Nothing retains an *event past its
-	// dispatch (schedule's return value is never stored), and the kernel is
-	// cooperatively single-threaded, so a plain freelist is safe.  Its high
-	// water mark is the maximum number of simultaneously scheduled events.
-	free []*event
+	procs  []*Proc // started, unfinished processes: the ones that hold a goroutine
+	nextID int
 
 	// Stats
 	eventsFired uint64
@@ -102,9 +99,8 @@ type Kernel struct {
 // that any stochastic workload driven from Kernel.Rand is reproducible.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		yield:  make(chan struct{}),
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(map[*Proc]string),
+		drained: make(chan struct{}, 1),
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -118,15 +114,26 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // EventsFired reports how many events the kernel has dispatched.
 func (k *Kernel) EventsFired() uint64 { return k.eventsFired }
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a function whose execution is interleaved
 // with all other processes under the kernel's virtual clock.
 type Proc struct {
 	k      *Kernel
 	id     int
 	name   string
-	wake   chan struct{}
-	done   bool
+	fn     func(p *Proc)
+	w      *worker // the goroutine running fn; nil until the start event fires
+	slot   int     // index in k.procs while started and unfinished
+	parked string  // why the process is blocked on a primitive; "" when it is not
 	daemon bool
+}
+
+// worker is a goroutine that runs processes, one after another.  Receiving
+// from wake is how it takes the baton: as the goroutine of a blocked process
+// when that process's event fires, or, off the kernel's idle list, to start
+// the process in p.
+type worker struct {
+	wake chan struct{}
+	p    *Proc
 }
 
 // MarkDaemon marks the process as a daemon: a server loop that legitimately
@@ -147,68 +154,181 @@ func (p *Proc) Now() Time { return p.k.now }
 // Run, or from inside another process.  The new process begins executing at
 // the current virtual time, after already-scheduled events at that time.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
+	if k.stopped {
+		panic("sim: Go on a kernel that was shut down")
+	}
 	k.nextID++
-	p := &Proc{k: k, id: k.nextID, name: name, wake: make(chan struct{}, 1)}
-	k.running++
-	go func() {
-		<-p.wake
-		// The deferred yield also covers runtime.Goexit (e.g. t.Fatal
-		// inside a simulated process): the kernel must regain control even
-		// when fn never returns normally.
-		defer func() {
-			p.done = true
-			k.running--
-			k.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
+	p := &Proc{k: k, id: k.nextID, name: name, fn: fn}
 	k.schedule(p, k.now)
 	return p
 }
 
 // schedule enqueues a resumption of p at time at.
-func (k *Kernel) schedule(p *Proc, at Time) *event {
+func (k *Kernel) schedule(p *Proc, at Time) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %d < %d", at, k.now))
 	}
 	k.seq++
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free = k.free[:n-1]
-		*ev = event{at: at, seq: k.seq, p: p}
-	} else {
-		ev = &event{at: at, seq: k.seq, p: p}
+	// Sift up.
+	q := append(k.events, event{at: at, seq: k.seq, p: p})
+	i := len(q) - 1
+	ev := q[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	heap.Push(&k.events, ev)
-	return ev
+	q[i] = ev
+	k.events = q
 }
 
-// recycle returns a fired event to the freelist.
-func (k *Kernel) recycle(ev *event) {
-	ev.p = nil
-	k.free = append(k.free, ev)
+// pop removes the earliest event, advances the clock to it and returns its
+// process; nil when no event is left.  After Shutdown has begun nothing is
+// ever due, whatever deferred functions schedule.
+func (k *Kernel) pop() *Proc {
+	q := k.events
+	if len(q) == 0 || k.stopped {
+		return nil
+	}
+	first := q[0]
+	n := len(q) - 1
+	ev := q[n]
+	q[n] = event{}
+	q = q[:n]
+	// Sift the former last event down from the root.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&ev) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = ev
+	}
+	k.events = q
+
+	k.now = first.at
+	k.eventsFired++
+	first.p.parked = ""
+	return first.p
+}
+
+// handoff passes the baton: to p's goroutine, or, when p is nil, back to
+// Run or Shutdown.  It is the last thing its caller does with kernel state;
+// from here on the caller may touch nothing but its own wake channel.
+func (k *Kernel) handoff(p *Proc) {
+	if p == nil {
+		k.drained <- struct{}{}
+		return
+	}
+	if p.w == nil { // p's start event: give it a goroutine
+		if n := len(k.idle); n > 0 {
+			p.w = k.idle[n-1]
+			k.idle[n-1] = nil
+			k.idle = k.idle[:n-1]
+		} else {
+			p.w = &worker{wake: make(chan struct{}, 1)}
+			go k.work(p.w)
+		}
+		p.w.p = p
+	}
+	p.w.wake <- struct{}{}
+}
+
+// work is the body of a worker goroutine.
+func (k *Kernel) work(w *worker) {
+	for {
+		<-w.wake
+		if k.stopped {
+			k.drained <- struct{}{}
+			return
+		}
+		for {
+			k.run(w.p)
+			next := k.pop()
+			if next == nil || next.w != nil {
+				w.p = nil
+				k.idle = append(k.idle, w)
+				k.handoff(next)
+				break
+			}
+			// The next event starts a process: run it right here.
+			next.w, w.p = w, next
+		}
+	}
+}
+
+// run executes p to its end on the calling worker goroutine.  If p ends
+// through runtime.Goexit (t.Fatal inside a simulated process, or Shutdown)
+// or a panic, the goroutine is about to die and cannot be recycled, so the
+// deferred function passes the baton on in its place.
+func (k *Kernel) run(p *Proc) {
+	p.slot = len(k.procs)
+	k.procs = append(k.procs, p)
+	returned := false
+	defer func() {
+		n := len(k.procs) - 1
+		last := k.procs[n]
+		k.procs[p.slot], last.slot = last, p.slot
+		k.procs[n] = nil
+		k.procs = k.procs[:n]
+		if !returned {
+			k.handoff(k.pop())
+		}
+	}()
+	p.fn(p)
+	returned = true
+}
+
+// block passes the baton to the process of the next event and waits for an
+// event of p to fire.  When that next event is p's own, p just keeps
+// running.
+func (p *Proc) block() {
+	k := p.k
+	next := k.pop()
+	if next == p {
+		return
+	}
+	if k.stopped {
+		// A deferred function run by Shutdown tried to block.
+		runtime.Goexit()
+	}
+	k.handoff(next)
+	<-p.w.wake
+	if k.stopped {
+		runtime.Goexit()
+	}
 }
 
 // ready makes a parked process runnable at the current virtual time.
 func (k *Kernel) ready(p *Proc) {
-	delete(k.parked, p)
+	p.parked = ""
 	k.schedule(p, k.now)
 }
 
-// park blocks the calling process until another process (or the kernel event
-// loop) resumes it.  reason is reported by deadlock diagnostics.
+// park blocks the calling process until another process resumes it.  reason
+// is reported by deadlock diagnostics.
 func (p *Proc) park(reason string) {
-	p.k.parked[p] = reason
-	p.k.yield <- struct{}{}
-	<-p.wake
+	p.parked = reason
+	p.block()
 }
 
 // sleepUntil blocks the calling process until virtual time at.
 func (p *Proc) sleepUntil(at Time) {
 	p.k.schedule(p, at)
-	p.k.yield <- struct{}{}
-	<-p.wake
+	p.block()
 }
 
 // Sleep blocks the calling process for virtual duration d.  Negative
@@ -251,31 +371,50 @@ func (e *DeadlockError) Error() string {
 
 // Run drives the simulation until no scheduled events remain.  It returns a
 // *DeadlockError if processes are still blocked when the event queue drains,
-// and nil otherwise.  Run must be called from the goroutine that created the
-// kernel, and only once at a time.
+// and nil otherwise.  Run must not be called from inside a process, and only
+// once at a time; processes added after it returns run on the next call.
 func (k *Kernel) Run() error {
-	for k.events.Len() > 0 {
-		ev := heap.Pop(&k.events).(*event)
-		if ev.dead {
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		k.eventsFired++
-		p := ev.p
-		k.recycle(ev)
-		delete(k.parked, p)
-		p.wake <- struct{}{}
-		<-k.yield
+	if k.stopped {
+		panic("sim: Run on a kernel that was shut down")
 	}
+	k.handoff(k.pop())
+	<-k.drained
 	stuck := make(map[string]string)
-	for p, why := range k.parked {
-		if !p.daemon {
-			stuck[fmt.Sprintf("%s#%d", p.name, p.id)] = why
+	for _, p := range k.procs {
+		if p.parked != "" && !p.daemon {
+			stuck[fmt.Sprintf("%s#%d", p.name, p.id)] = p.parked
 		}
 	}
 	if len(stuck) > 0 {
 		return &DeadlockError{Parked: stuck, At: k.now}
 	}
 	return nil
+}
+
+// Shutdown ends every goroutine the kernel owns: idle workers, and every
+// process that started but has not finished (parked daemons, deadlocked
+// processes, a process whose wake-up is still queued).  Those processes end
+// one at a time, in creation order, by runtime.Goexit at the call they are
+// blocked in, so their deferred functions run; sim primitives called from
+// there wake nobody, and one that would block ends the process instead.
+// Processes that never started have no goroutine and are dropped.  Shutdown
+// returns when the last goroutine has handed the baton back for good.  It
+// must not be called from inside a process or while Run is in progress.
+// Calling it again is a no-op; Go and Run panic once it has begun.
+func (k *Kernel) Shutdown() {
+	if k.stopped {
+		return
+	}
+	k.stopped = true
+	live := append([]*Proc(nil), k.procs...)
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	for _, p := range live {
+		p.w.wake <- struct{}{}
+		<-k.drained
+	}
+	for _, w := range k.idle {
+		w.wake <- struct{}{}
+		<-k.drained
+	}
+	k.events, k.idle = nil, nil
 }

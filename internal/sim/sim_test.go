@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -354,7 +355,7 @@ func TestSchedulePastPanics(t *testing.T) {
 	}()
 	k := NewKernel(1)
 	k.now = 100
-	p := &Proc{k: k, name: "x", wake: make(chan struct{}, 1)}
+	p := &Proc{k: k, name: "x"}
 	k.schedule(p, 50)
 }
 
@@ -463,5 +464,306 @@ func TestGoldenTrace(t *testing.T) {
 		if trace[i] != goldenTrace[i] {
 			t.Fatalf("resumption %d: got %q, want %q\nfull trace:\n%s", i, trace[i], goldenTrace[i], strings.Join(trace, "\n"))
 		}
+	}
+}
+
+func TestRunTwice(t *testing.T) {
+	k := NewKernel(1)
+	ch := NewChan("work")
+	var got []int
+	k.Go("server", func(p *Proc) {
+		p.MarkDaemon()
+		for {
+			got = append(got, ch.Recv(p).(int))
+		}
+	})
+	k.Go("first", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		ch.Send(1)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != Time(time.Millisecond) || len(got) != 1 {
+		t.Fatalf("after first Run: now %d, got %v", k.Now(), got)
+	}
+	// The second batch starts where the first stopped and finds the daemon
+	// still serving.
+	k.Go("second", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		ch.Send(2)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != Time(2*time.Millisecond) || len(got) != 2 || got[1] != 2 {
+		t.Fatalf("after second Run: now %d, got %v", k.Now(), got)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run with nothing to do: %v", err)
+	}
+	k.Shutdown()
+}
+
+func TestDeadlockErrorNamesAndReasons(t *testing.T) {
+	k := NewKernel(1)
+	ch := NewChan("never")
+	sem := NewSemaphore("pool", 1)
+	var wg WaitGroup
+	wg.Add(1)
+	k.Go("daemon", func(p *Proc) {
+		p.MarkDaemon()
+		NewChan("idle").Recv(p)
+	})
+	k.Go("a", func(p *Proc) { ch.Recv(p) })
+	k.Go("b", func(p *Proc) {
+		sem.Acquire(p, 1)
+		p.Sleep(time.Millisecond)
+		sem.Acquire(p, 1)
+	})
+	k.Go("c", func(p *Proc) { wg.Wait(p) })
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("want *DeadlockError, got %v", err)
+	}
+	want := map[string]string{"a#2": "chan never", "b#3": "semaphore pool", "c#4": "waitgroup"}
+	if len(de.Parked) != len(want) {
+		t.Fatalf("parked %v, want %v", de.Parked, want)
+	}
+	for name, why := range want {
+		if de.Parked[name] != why {
+			t.Fatalf("parked %v, want %v", de.Parked, want)
+		}
+	}
+	const msg = "sim: deadlock at t=1ms: 3 parked process(es): [a#2: chan never] [b#3: semaphore pool] [c#4: waitgroup]"
+	if err.Error() != msg {
+		t.Fatalf("message %q, want %q", err.Error(), msg)
+	}
+	k.Shutdown()
+}
+
+// A process that ends through runtime.Goexit — what t.Fatal does — must
+// pass the baton on like one that returns.
+func TestGoexitInsideProcess(t *testing.T) {
+	k := NewKernel(1)
+	var finished []string
+	for _, name := range []string{"before", "after"} {
+		k.Go(name, func(p *Proc) {
+			p.Sleep(2 * time.Millisecond)
+			finished = append(finished, name)
+		})
+		if name == "before" {
+			k.Go("quitter", func(p *Proc) {
+				defer func() { finished = append(finished, "quitter's defer") }()
+				p.Sleep(time.Millisecond)
+				runtime.Goexit()
+			})
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(finished, ", "); got != "quitter's defer, before, after" {
+		t.Fatalf("finished: %s", got)
+	}
+	k.Shutdown()
+}
+
+// When the next event belongs to the process that is blocking, it keeps
+// running: no channel operation, no goroutine switch, but the event counts.
+func TestOwnEventNextNeedsNoSwitch(t *testing.T) {
+	k := NewKernel(1)
+	const sleeps = 100
+	k.Go("solo", func(p *Proc) {
+		// With its one-slot wake channel full, a handoff to this process
+		// would block forever and a wait on it would steal the token.
+		p.w.wake <- struct{}{}
+		for i := 0; i < sleeps; i++ {
+			p.Sleep(time.Millisecond)
+		}
+		select {
+		case <-p.w.wake:
+		default:
+			t.Error("a Sleep received from the process's own wake channel")
+		}
+	})
+	done := make(chan error)
+	go func() { done <- k.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a Sleep whose own event was next went through the wake channel")
+	}
+	if k.EventsFired() != sleeps+1 || k.Now() != Time(sleeps*time.Millisecond) {
+		t.Fatalf("fired %d events to t=%d, want %d to t=%d", k.EventsFired(), k.Now(), sleeps+1, sleeps*time.Millisecond)
+	}
+	k.Shutdown()
+}
+
+// waitGoroutines waits for goroutines that have handed the baton back and
+// are on their way out, and fails if more than want remain.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestShutdown(t *testing.T) {
+	cases := []struct {
+		name string
+		// build populates the kernel and returns what the deferred
+		// functions of its processes must have logged after Shutdown.
+		build func(t *testing.T, k *Kernel, log func(string)) (want string)
+	}{
+		{"parked daemons and a deadlocked process", func(t *testing.T, k *Kernel, log func(string)) string {
+			for _, name := range []string{"d1", "d2"} {
+				k.Go(name, func(p *Proc) {
+					defer log(name)
+					p.MarkDaemon()
+					NewChan("idle").Recv(p)
+				})
+			}
+			k.Go("stuck", func(p *Proc) {
+				defer log("stuck")
+				NewSemaphore("none", 1).Acquire(p, 1)
+				NewSemaphore("none", 1).Acquire(p, 1)
+				var wg WaitGroup
+				wg.Add(1)
+				wg.Wait(p)
+			})
+			if _, ok := k.Run().(*DeadlockError); !ok {
+				t.Fatal("want a deadlock")
+			}
+			return "d1 d2 stuck" // creation order
+		}},
+		{"idle recycled workers", func(t *testing.T, k *Kernel, log func(string)) string {
+			for i := 0; i < 8; i++ {
+				k.Go("short", func(p *Proc) { p.Sleep(time.Millisecond) })
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(k.idle) != 8 {
+				t.Fatalf("%d idle workers, want 8", len(k.idle))
+			}
+			// A second batch runs on the same goroutines.
+			before := runtime.NumGoroutine()
+			for i := 0; i < 8; i++ {
+				k.Go("short", func(p *Proc) { p.Sleep(time.Millisecond) })
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if runtime.NumGoroutine() != before || len(k.idle) != 8 {
+				t.Fatalf("second batch: %d goroutines (were %d), %d idle", runtime.NumGoroutine(), before, len(k.idle))
+			}
+			return ""
+		}},
+		{"processes that never started", func(t *testing.T, k *Kernel, log func(string)) string {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 4; i++ {
+				k.Go("unborn", func(p *Proc) {
+					defer log("unborn")
+					p.Sleep(time.Millisecond)
+				})
+			}
+			if runtime.NumGoroutine() != before {
+				t.Fatalf("Go took a goroutine before the start event fired")
+			}
+			return "" // Run never called: nothing ran, nothing to unwind
+		}},
+		{"a started process whose wake-up is still queued", func(t *testing.T, k *Kernel, log func(string)) string {
+			ch := NewChan("inbox")
+			k.Go("server", func(p *Proc) {
+				defer log("server")
+				p.MarkDaemon()
+				ch.Recv(p)
+				log("server got a message")
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			ch.Send(1) // readies the server; nobody calls Run again
+			return "server"
+		}},
+		{"deferred functions that use the primitives", func(t *testing.T, k *Kernel, log func(string)) string {
+			sem := NewSemaphore("threads", 1)
+			ch := NewChan("done")
+			var wg WaitGroup
+			wg.Add(1)
+			k.Go("waiter", func(p *Proc) {
+				defer log("waiter")
+				p.MarkDaemon()
+				sem.Acquire(p, 1)
+				ch.Recv(p) // woken by nobody: holder's deferred Send must not resume it
+				log("waiter resumed")
+			})
+			k.Go("holder", func(p *Proc) {
+				defer log("holder")
+				defer sem.Release(1)
+				defer ch.Send(1)
+				defer wg.Done()
+				p.MarkDaemon()
+				sem.Acquire(p, 1)
+			})
+			k.Go("reparker", func(p *Proc) {
+				defer log("reparker")
+				defer func() {
+					NewChan("again").Recv(p)
+					log("reparker resumed")
+				}()
+				p.MarkDaemon()
+				NewChan("first").Recv(p)
+			})
+			k.Go("resleeper", func(p *Proc) {
+				defer log("resleeper")
+				defer func() {
+					p.Sleep(time.Millisecond)
+					log("resleeper resumed")
+				}()
+				p.MarkDaemon()
+				NewChan("first").Recv(p)
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return "waiter holder reparker resleeper"
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			k := NewKernel(1)
+			var logged []string
+			want := tc.build(t, k, func(s string) { logged = append(logged, s) })
+			k.Shutdown()
+			waitGoroutines(t, start)
+			if got := strings.Join(logged, " "); got != want {
+				t.Errorf("deferred functions logged %q, want %q", got, want)
+			}
+			k.Shutdown() // a no-op
+			for name, fn := range map[string]func(){
+				"Go":  func() { k.Go("late", func(*Proc) {}) },
+				"Run": func() { k.Run() },
+			} {
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "shut down") {
+							t.Errorf("%s after Shutdown: recovered %q, want a panic that says the kernel was shut down", name, msg)
+						}
+					}()
+					fn()
+				}()
+			}
+		})
 	}
 }
