@@ -169,10 +169,10 @@ func (k *Kernel) schedule(p *Proc, at Time) {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %d < %d", at, k.now))
 	}
 	k.seq++
+	ev := event{at: at, seq: k.seq, p: p}
+	q := append(k.events, ev)
 	// Sift up.
-	q := append(k.events, event{at: at, seq: k.seq, p: p})
 	i := len(q) - 1
-	ev := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(&q[parent]) {
