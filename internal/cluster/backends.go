@@ -18,7 +18,8 @@ import (
 // the co-located PVFS2 storage daemon through a loopback conduit (paper
 // §5), so offsets arriving from clients address the stripe objects
 // directly.  All daemon costs (CPU, fixed buffer pool, disk) are charged by
-// calling the daemon's handler in-process.
+// calling the daemon's handler in-process.  It is an nfs.Backend and nothing
+// else: data servers perform no namespace or layout duties (paper §4.2).
 type directDSBackend struct {
 	storage *pvfs.StorageServer
 	node    *simnet.Node
@@ -68,34 +69,6 @@ func (b *directDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 	return resp.(*pvfs.IOFlushRep).Errno.Err()
 }
 
-// Data servers perform no namespace or layout duties.
-func (b *directDSBackend) Root() uint64 { return 1 }
-func (b *directDSBackend) Lookup(*rpc.Ctx, uint64, string) (uint64, nfs.Attr, error) {
-	return 0, nfs.Attr{}, store.ErrInval
-}
-func (b *directDSBackend) Create(*rpc.Ctx, uint64, string) (uint64, nfs.Attr, error) {
-	return 0, nfs.Attr{}, store.ErrInval
-}
-func (b *directDSBackend) Mkdir(*rpc.Ctx, uint64, string) (uint64, nfs.Attr, error) {
-	return 0, nfs.Attr{}, store.ErrInval
-}
-func (b *directDSBackend) Remove(*rpc.Ctx, uint64, string) error         { return store.ErrInval }
-func (b *directDSBackend) Rename(*rpc.Ctx, uint64, string, string) error { return store.ErrInval }
-func (b *directDSBackend) ReadDir(*rpc.Ctx, uint64) ([]string, error)    { return nil, store.ErrInval }
-func (b *directDSBackend) GetAttr(ctx *rpc.Ctx, fh uint64) (nfs.Attr, error) {
-	// A data server can report its local object size; clients do not use
-	// this (sizes come from the MDS), but it keeps GETATTR well-defined.
-	return nfs.Attr{Size: b.storage.ObjectSize(pvfs.Handle(fh))}, nil
-}
-func (b *directDSBackend) SetSize(*rpc.Ctx, uint64, int64) error { return store.ErrInval }
-func (b *directDSBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
-	return nil, nfs.ErrNoPNFS
-}
-func (b *directDSBackend) LayoutGet(*rpc.Ctx, uint64) (*pnfs.FileLayout, error) {
-	return nil, nfs.ErrNoPNFS
-}
-func (b *directDSBackend) LayoutCommit(*rpc.Ctx, uint64, int64) error { return nfs.ErrNoPNFS }
-
 // directMDSBackend is the Direct-pNFS metadata server: co-located with the
 // PVFS2 metadata manager (direct in-process calls — no overlapping
 // metadata protocols, paper §4.1), serving layouts through the layout
@@ -129,78 +102,57 @@ func (b *directMDSBackend) snapshot() ([]pnfs.DeviceInfo, uint64) {
 	return b.devices, b.gen
 }
 
-// metaCall invokes the co-located PVFS2 metadata manager in-process.
-func (b *directMDSBackend) metaCall(ctx *rpc.Ctx, proc uint32, req any) (any, error) {
+// metaCall invokes the co-located PVFS2 metadata manager in-process — through
+// MetaServer.Handle, never around it, so the per-procedure request counters
+// and the MetaPerOp CPU charge are those of a remote caller — copies the
+// typed reply into rep and turns its status (errno points into rep) into its
+// error: pvfs.Client's call helper, minus the wire.
+func metaCall[R any](b *directMDSBackend, ctx *rpc.Ctx, proc uint32, req any, rep *R, errno *fserr.Errno) error {
 	resp, status := b.meta.Handle(ctx, proc, req)
 	if status != rpc.StatusOK {
-		return nil, fserr.ErrIO
+		return fserr.ErrIO
 	}
-	return resp, nil
+	*rep = *any(resp).(*R)
+	return errno.Err()
 }
 
 func (b *directMDSBackend) Root() uint64 { return uint64(b.meta.RootHandle()) }
 
 func (b *directMDSBackend) Lookup(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	resp, err := b.metaCall(ctx, pvfs.ProcLookupH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name})
-	if err != nil {
+	var rep pvfs.LookupRep
+	if err := metaCall(b, ctx, pvfs.ProcLookupH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name}, &rep, &rep.Errno); err != nil {
 		return 0, nfs.Attr{}, err
-	}
-	rep := resp.(*pvfs.LookupRep)
-	if rep.Errno != 0 {
-		return 0, nfs.Attr{}, rep.Errno.Err()
 	}
 	at, _ := b.meta.Namespace().GetAttr(store.FileID(rep.Handle))
 	return uint64(rep.Handle), nfs.Attr{IsDir: rep.IsDir, Size: at.Size, Change: at.Change}, nil
 }
 
 func (b *directMDSBackend) Create(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	resp, err := b.metaCall(ctx, pvfs.ProcCreateH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name})
-	if err != nil {
-		return 0, nfs.Attr{}, err
-	}
-	rep := resp.(*pvfs.CreateRep)
-	if rep.Errno != 0 {
-		return 0, nfs.Attr{}, rep.Errno.Err()
-	}
-	return uint64(rep.Handle), nfs.Attr{}, nil
+	var rep pvfs.CreateRep
+	err := metaCall(b, ctx, pvfs.ProcCreateH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name}, &rep, &rep.Errno)
+	return uint64(rep.Handle), nfs.Attr{}, err
 }
 
 func (b *directMDSBackend) Mkdir(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	resp, err := b.metaCall(ctx, pvfs.ProcMkdirH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name})
-	if err != nil {
-		return 0, nfs.Attr{}, err
-	}
-	rep := resp.(*pvfs.MkdirRep)
-	if rep.Errno != 0 {
-		return 0, nfs.Attr{}, rep.Errno.Err()
-	}
-	return uint64(rep.Handle), nfs.Attr{IsDir: true}, nil
+	var rep pvfs.MkdirRep
+	err := metaCall(b, ctx, pvfs.ProcMkdirH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name}, &rep, &rep.Errno)
+	return uint64(rep.Handle), nfs.Attr{IsDir: true}, err
 }
 
 func (b *directMDSBackend) Remove(ctx *rpc.Ctx, dir uint64, name string) error {
-	resp, err := b.metaCall(ctx, pvfs.ProcRemoveH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name})
-	if err != nil {
-		return err
-	}
-	return resp.(*pvfs.RemoveRep).Errno.Err()
+	var rep pvfs.RemoveRep
+	return metaCall(b, ctx, pvfs.ProcRemoveH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name}, &rep, &rep.Errno)
 }
 
 func (b *directMDSBackend) Rename(ctx *rpc.Ctx, dir uint64, src, dst string) error {
-	resp, err := b.metaCall(ctx, pvfs.ProcRenameH, &pvfs.RenameHArgs{Dir: pvfs.Handle(dir), Src: src, Dst: dst})
-	if err != nil {
-		return err
-	}
-	return resp.(*pvfs.RemoveRep).Errno.Err()
+	var rep pvfs.RemoveRep
+	return metaCall(b, ctx, pvfs.ProcRenameH, &pvfs.RenameHArgs{Dir: pvfs.Handle(dir), Src: src, Dst: dst}, &rep, &rep.Errno)
 }
 
 func (b *directMDSBackend) ReadDir(ctx *rpc.Ctx, dir uint64) ([]string, error) {
-	resp, err := b.metaCall(ctx, pvfs.ProcReadDirH, &pvfs.ReadDirHArgs{Dir: pvfs.Handle(dir)})
-	if err != nil {
+	var rep pvfs.ReadDirRep
+	if err := metaCall(b, ctx, pvfs.ProcReadDirH, &pvfs.ReadDirHArgs{Handle: pvfs.Handle(dir)}, &rep, &rep.Errno); err != nil {
 		return nil, err
-	}
-	rep := resp.(*pvfs.ReadDirRep)
-	if rep.Errno != 0 {
-		return nil, rep.Errno.Err()
 	}
 	return rep.Names, nil
 }
@@ -216,12 +168,9 @@ func (b *directMDSBackend) GetAttr(ctx *rpc.Ctx, fh uint64) (nfs.Attr, error) {
 }
 
 func (b *directMDSBackend) SetSize(ctx *rpc.Ctx, fh uint64, size int64) error {
-	resp, err := b.metaCall(ctx, pvfs.ProcTruncate, &pvfs.TruncateArgs{Handle: pvfs.Handle(fh), Size: size})
-	if err != nil {
+	var rep pvfs.TruncateRep
+	if err := metaCall(b, ctx, pvfs.ProcTruncate, &pvfs.TruncateArgs{Handle: pvfs.Handle(fh), Size: size}, &rep, &rep.Errno); err != nil {
 		return err
-	}
-	if e := resp.(*pvfs.TruncateRep).Errno; e != 0 {
-		return e.Err()
 	}
 	return b.meta.Namespace().Truncate(store.FileID(fh), size)
 }
@@ -355,8 +304,46 @@ func (bl *blindLayouts) setGen(gen uint64) {
 	bl.mu.Unlock()
 }
 
+// DevList implements nfs.LayoutSource.
+func (bl *blindLayouts) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
+	devs, _ := bl.snapshot()
+	return devs, nil
+}
+
+// LayoutGet implements nfs.LayoutSource: every file gets the same rotated
+// stripe over the data servers, addressed by its own filehandle.
+func (bl *blindLayouts) LayoutGet(_ *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
+	devs, gen := bl.snapshot()
+	l := &pnfs.FileLayout{
+		Aggregation: pnfs.AggRoundRobin,
+		Params:      []int64{bl.stripe},
+		Direct:      false,
+		Gen:         gen,
+	}
+	n := len(devs)
+	for i := range devs {
+		d := devs[(i+bl.shift)%n]
+		l.Devices = append(l.Devices, d.ID)
+		l.FHs = append(l.FHs, fh)
+	}
+	return l, nil
+}
+
+// LayoutCommit is metadata-free here: sizes are always reconstructed from
+// the datafiles, so there is nothing to publish.
+func (bl *blindLayouts) LayoutCommit(*rpc.Ctx, uint64, int64) error { return nil }
+
+// blindMDSBackend is the two/three-tier pNFS metadata server: the export
+// every server of those architectures is, plus the layout role only it has.
+type blindMDSBackend struct {
+	*exportBackend
+	*blindLayouts
+}
+
 // exportBackend serves NFS from a PVFS2 client — the single-server NFSv4
-// export and the two/three-tier data and metadata servers.
+// export and the two/three-tier data and metadata servers.  It is an
+// nfs.Backend and an nfs.Namespace; only the two/three-tier metadata server
+// adds the layout role (blindMDSBackend).
 //
 // The conduit costs model the kernel NFSD ↔ PVFS2 kernel-module data path:
 // reads stream with little extra copying, but writes cross the user/kernel
@@ -364,10 +351,9 @@ func (bl *blindLayouts) setGen(gen uint64) {
 // synchronously — the asymmetry behind NFSv4's flat, low write curve
 // against its NIC-bound read curve (Figures 6a vs 7a).
 type exportBackend struct {
-	pv      *pvfs.Client
-	node    *simnet.Node
-	dist    pvfs.DistParams
-	layouts *blindLayouts // non-nil on the pNFS MDS of 2/3-tier setups
+	pv   *pvfs.Client
+	node *simnet.Node
+	dist pvfs.DistParams
 
 	// Placement-aware (dynamic) mode: off until the first membership change
 	// — the legacy static-distribution fast path keeps pre-membership runs
@@ -514,38 +500,6 @@ func (b *exportBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 	}
 	return b.pv.Sync(ctx, f)
 }
-
-func (b *exportBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
-	if b.layouts == nil {
-		return nil, nfs.ErrNoPNFS
-	}
-	devs, _ := b.layouts.snapshot()
-	return devs, nil
-}
-
-func (b *exportBackend) LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
-	if b.layouts == nil {
-		return nil, nfs.ErrNoPNFS
-	}
-	devs, gen := b.layouts.snapshot()
-	l := &pnfs.FileLayout{
-		Aggregation: pnfs.AggRoundRobin,
-		Params:      []int64{b.layouts.stripe},
-		Direct:      false,
-		Gen:         gen,
-	}
-	n := len(devs)
-	for i := range devs {
-		d := devs[(i+b.layouts.shift)%n]
-		l.Devices = append(l.Devices, d.ID)
-		l.FHs = append(l.FHs, fh)
-	}
-	return l, nil
-}
-
-// LayoutCommit is metadata-free here: sizes are always reconstructed from
-// the datafiles, so there is nothing to publish.
-func (b *exportBackend) LayoutCommit(*rpc.Ctx, uint64, int64) error { return nil }
 
 func perMB(d time.Duration, n int64) time.Duration {
 	return time.Duration(float64(d) * float64(n) / (1 << 20))

@@ -584,15 +584,7 @@ func (cl *Cluster) build2Tier() {
 	for _, n := range cl.storageNodes {
 		cl.exportDSOn(n)
 	}
-	cl.blind = &blindLayouts{stripe: cl.Cfg.WSize, devices: cl.deviceList(cl.storageNodes), shift: 1}
-	mds := &exportBackend{
-		pv:      cl.pvfsClientAt(cl.mdsNode),
-		node:    cl.mdsNode,
-		dist:    cl.PVFSMeta.Dist(),
-		layouts: cl.blind,
-	}
-	cl.exports = append(cl.exports, mds)
-	nfsServeOn(cl, cl.mdsNode, ServiceMDS, mds)
+	cl.blindMDSOn(cl.mdsNode, cl.storageNodes)
 	for i := 0; i < cl.Cfg.Clients; i++ {
 		n := cl.clientNode(i)
 		cl.mounts = append(cl.mounts, &Mount{cl: cl, node: n, nfsc: cl.nfsMountAt(n, cl.mdsNode)})
@@ -612,15 +604,7 @@ func (cl *Cluster) build3Tier() {
 		dsNodes = append(dsNodes, n)
 		cl.exportDSOn(n)
 	}
-	cl.blind = &blindLayouts{stripe: cl.Cfg.WSize, devices: cl.deviceList(dsNodes), shift: 1}
-	mds := &exportBackend{
-		pv:      cl.pvfsClientAt(dsNodes[0]),
-		node:    dsNodes[0],
-		dist:    cl.PVFSMeta.Dist(),
-		layouts: cl.blind,
-	}
-	cl.exports = append(cl.exports, mds)
-	nfsServeOn(cl, dsNodes[0], ServiceMDS, mds)
+	cl.blindMDSOn(dsNodes[0], dsNodes)
 	for i := 0; i < cl.Cfg.Clients; i++ {
 		n := cl.clientNode(i)
 		cl.mounts = append(cl.mounts, &Mount{cl: cl, node: n, nfsc: cl.nfsMountAt(n, dsNodes[0])})
@@ -630,9 +614,7 @@ func (cl *Cluster) build3Tier() {
 // buildNFSv4 wires the single-server export.
 func (cl *Cluster) buildNFSv4() {
 	srv := cl.addNode(simnet.NodeConfig{Name: "nfssrv", BytesPerSec: cl.Cfg.NetBPS})
-	b := &exportBackend{pv: cl.pvfsClientAt(srv), node: srv, dist: cl.PVFSMeta.Dist()}
-	cl.exports = append(cl.exports, b)
-	nfsServeOn(cl, srv, ServiceMDS, b)
+	nfsServeOn(cl, srv, ServiceMDS, cl.exportOn(srv))
 	for i := 0; i < cl.Cfg.Clients; i++ {
 		n := cl.clientNode(i)
 		cl.mounts = append(cl.mounts, &Mount{cl: cl, node: n, nfsc: cl.nfsMountAt(n, srv)})
@@ -651,14 +633,26 @@ func (cl *Cluster) deviceList(nodes []*simnet.Node) []pnfs.DeviceInfo {
 	return out
 }
 
-// exportDSOn registers a file-based pNFS data server on node n: an NFS
-// server whose backend re-exports the PVFS2 file system through a client
-// library instance (logical offsets, no layout knowledge).
-func (cl *Cluster) exportDSOn(n *simnet.Node) *exportBackend {
+// exportOn builds the backend of an NFS server on node n that re-exports the
+// PVFS2 file system through its own client library instance (logical offsets,
+// no layout knowledge), recorded so the membership reconciler can switch it
+// to placement-aware mode.
+func (cl *Cluster) exportOn(n *simnet.Node) *exportBackend {
 	b := &exportBackend{pv: cl.pvfsClientAt(n), node: n, dist: cl.PVFSMeta.Dist()}
 	cl.exports = append(cl.exports, b)
-	nfsServeOn(cl, n, ServiceDS, b)
 	return b
+}
+
+// exportDSOn registers a file-based pNFS data server on node n.
+func (cl *Cluster) exportDSOn(n *simnet.Node) {
+	nfsServeOn(cl, n, ServiceDS, cl.exportOn(n))
+}
+
+// blindMDSOn registers the two/three-tier pNFS metadata server on node n,
+// handing out blind layouts over dsNodes.
+func (cl *Cluster) blindMDSOn(n *simnet.Node, dsNodes []*simnet.Node) {
+	cl.blind = &blindLayouts{stripe: cl.Cfg.WSize, devices: cl.deviceList(dsNodes), shift: 1}
+	nfsServeOn(cl, n, ServiceMDS, blindMDSBackend{cl.exportOn(n), cl.blind})
 }
 
 // nfsServeOn registers an NFS server for a backend under an explicit

@@ -68,7 +68,6 @@ type Client struct {
 	freeSlots []uint32
 	slotSeq   []uint32
 
-	root   uint64
 	pnfsOK bool
 
 	// engine is the striped-I/O scheduler every data-path fan-out rides
@@ -334,10 +333,8 @@ func (c *Client) Mount(ctx *rpc.Ctx) error {
 		if _, ok := rep.Results[1].(*ResGetDevList); !ok {
 			return fmt.Errorf("nfs: mount root: %w", err)
 		}
-		c.root = c.rootFromRep()
 		return nil
 	}
-	c.root = c.rootFromRep()
 	if dl, ok := rep.Results[1].(*ResGetDevList); ok && dl.Errno == 0 && c.cfg.DialDS != nil {
 		c.stateMu.Lock()
 		c.active = make(map[pnfs.DeviceID]bool, len(dl.Devices))
@@ -414,11 +411,6 @@ func (c *Client) epochNow() uint64 {
 	defer c.stateMu.Unlock()
 	return c.epoch
 }
-
-// rootFromRep is a placeholder for servers whose root is implicit: the
-// protocol's PUTROOTFH establishes the cursor server-side, and our servers
-// expose Root() = 1 by construction.
-func (c *Client) rootFromRep() uint64 { return 1 }
 
 // PNFS reports whether the mount obtained a device list.
 func (c *Client) PNFS() bool { return c.pnfsOK }

@@ -1,7 +1,6 @@
 package nfs
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -17,21 +16,29 @@ import (
 	"dpnfs/internal/xdr"
 )
 
-// ErrNoPNFS is returned by backends that do not serve layouts (plain NFSv4
-// exports); clients then fall back to proxied I/O through the server.
-var ErrNoPNFS = errors.New("nfs: backend does not support pNFS layouts")
-
-// Backend is the storage engine behind an NFSv4.1 server.  Different
-// architectures plug different engines in:
+// Backend is the data half of the storage engine behind an NFSv4.1 server —
+// the one role every server has.  The namespace and the layouts are optional
+// roles (Namespace, LayoutSource) that NewServer discovers on the same value;
+// a server whose backend lacks one answers those operations itself.  Which
+// server of which architecture has which role:
 //
-//   - a local store behind the repository interfaces (StoreBackend, plain
-//     NFS servers and tests — any store.Store: mem, wal, cached);
-//   - a PVFS2 client (the single-server NFSv4 export and the two/three-tier
-//     pNFS data servers);
-//   - the Direct-pNFS metadata server (PVFS2 MDS co-located, with the
-//     layout translator) and data server (loopback conduit to the local
-//     storage daemon).
+//	server                          backend               Namespace  LayoutSource
+//	Direct-pNFS MDS                 co-located PVFS2 MDS  yes        yes (translated, exact)
+//	Direct-pNFS data server         local storage daemon  no         no
+//	2/3-tier pNFS MDS               PVFS2 client          yes        yes (blind striping)
+//	2/3-tier pNFS data server       PVFS2 client          yes        no
+//	plain NFSv4 server              PVFS2 client          yes        no
+//	unit tests, pnfs-demo           StoreBackend          yes        no
 type Backend interface {
+	Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, error)
+	Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error)
+	Commit(ctx *rpc.Ctx, fh uint64) error
+}
+
+// Namespace is the role of a backend that owns names and attributes.  A
+// server without it (a Direct-pNFS data server: "no namespace or layout
+// duties", paper §4.2) answers every namespace operation with Inval.
+type Namespace interface {
 	Root() uint64
 	Lookup(ctx *rpc.Ctx, dir uint64, name string) (uint64, Attr, error)
 	Create(ctx *rpc.Ctx, dir uint64, name string) (uint64, Attr, error)
@@ -41,9 +48,12 @@ type Backend interface {
 	ReadDir(ctx *rpc.Ctx, dir uint64) ([]string, error)
 	GetAttr(ctx *rpc.Ctx, fh uint64) (Attr, error)
 	SetSize(ctx *rpc.Ctx, fh uint64, size int64) error
-	Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, error)
-	Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error)
-	Commit(ctx *rpc.Ctx, fh uint64) error
+}
+
+// LayoutSource is the role of a pNFS metadata server's backend.  A server
+// without it fails GETDEVICELIST, which is how a mounting client learns to
+// proxy its I/O through the server instead.
+type LayoutSource interface {
 	DevList(ctx *rpc.Ctx) ([]pnfs.DeviceInfo, error)
 	LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error)
 	LayoutCommit(ctx *rpc.Ctx, fh uint64, newSize int64) error
@@ -105,6 +115,9 @@ type ServerConfig struct {
 // transport runs them on real goroutines.
 type Server struct {
 	cfg ServerConfig
+	// The backend's optional roles, nil when it does not have them.
+	ns      Namespace
+	layouts LayoutSource
 
 	// Per-op counters are resolved once at construction and indexed by op
 	// number, so the COMPOUND loop records with a single atomic add.
@@ -134,6 +147,8 @@ func NewServer(cfg ServerConfig) *Server {
 		sessions: make(map[uint64]*session),
 		clients:  make(map[string]uint64),
 	}
+	s.ns, _ = cfg.Backend.(Namespace)
+	s.layouts, _ = cfg.Backend.(LayoutSource)
 	service := cfg.Service
 	if service == "" {
 		service = Service
@@ -263,7 +278,7 @@ func compoundIdempotent(ops []Op) bool {
 // run executes the op list with a current-filehandle cursor.
 func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *CompoundRep {
 	rep := &CompoundRep{}
-	b := s.cfg.Backend
+	b, ns, layouts := s.cfg.Backend, s.ns, s.layouts
 	var cur uint64
 	fail := func(r Result) *CompoundRep {
 		rep.Results = append(rep.Results, r)
@@ -302,7 +317,10 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, &ResCreateSession{Session: sid, Slots: slots})
 
 		case *OpPutRootFH:
-			cur = b.Root()
+			if ns == nil {
+				return fail(&ResPutRootFH{errnoOnly{Errno: fserr.Inval}})
+			}
+			cur = ns.Root()
 			rep.Results = append(rep.Results, &ResPutRootFH{})
 
 		case *OpPutFH:
@@ -310,7 +328,10 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, &ResPutFH{})
 
 		case *OpLookup:
-			fh, at, err := b.Lookup(ctx, cur, o.Name)
+			if ns == nil {
+				return fail(&ResLookup{fhAttr{Errno: fserr.Inval}})
+			}
+			fh, at, err := ns.Lookup(ctx, cur, o.Name)
 			if err != nil {
 				return fail(&ResLookup{fhAttr{Errno: fserr.ToErrno(err)}})
 			}
@@ -318,9 +339,12 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, &ResLookup{fhAttr{FH: fh, Attr: at}})
 
 		case *OpOpen:
-			fh, at, err := b.Lookup(ctx, cur, o.Name)
+			if ns == nil {
+				return fail(&ResOpen{fhAttr: fhAttr{Errno: fserr.Inval}})
+			}
+			fh, at, err := ns.Lookup(ctx, cur, o.Name)
 			if err == store.ErrNotExist && o.Create {
-				fh, at, err = b.Create(ctx, cur, o.Name)
+				fh, at, err = ns.Create(ctx, cur, o.Name)
 			}
 			if err != nil {
 				return fail(&ResOpen{fhAttr: fhAttr{Errno: fserr.ToErrno(err)}})
@@ -339,14 +363,20 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, &ResClose{})
 
 		case *OpGetAttr:
-			at, err := b.GetAttr(ctx, cur)
+			if ns == nil {
+				return fail(&ResGetAttr{Errno: fserr.Inval})
+			}
+			at, err := ns.GetAttr(ctx, cur)
 			if err != nil {
 				return fail(&ResGetAttr{Errno: fserr.ToErrno(err)})
 			}
 			rep.Results = append(rep.Results, &ResGetAttr{Attr: at})
 
 		case *OpSetAttr:
-			if err := b.SetSize(ctx, cur, o.Size); err != nil {
+			if ns == nil {
+				return fail(&ResSetAttr{errnoOnly{Errno: fserr.Inval}})
+			}
+			if err := ns.SetSize(ctx, cur, o.Size); err != nil {
 				return fail(&ResSetAttr{errnoOnly{Errno: fserr.ToErrno(err)}})
 			}
 			rep.Results = append(rep.Results, &ResSetAttr{})
@@ -384,7 +414,10 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, &ResCommit{})
 
 		case *OpCreate:
-			fh, at, err := b.Mkdir(ctx, cur, o.Name)
+			if ns == nil {
+				return fail(&ResCreate{fhAttr{Errno: fserr.Inval}})
+			}
+			fh, at, err := ns.Mkdir(ctx, cur, o.Name)
 			if err != nil {
 				return fail(&ResCreate{fhAttr{Errno: fserr.ToErrno(err)}})
 			}
@@ -392,40 +425,60 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, &ResCreate{fhAttr{FH: fh, Attr: at}})
 
 		case *OpRemove:
-			if err := b.Remove(ctx, cur, o.Name); err != nil {
+			if ns == nil {
+				return fail(&ResRemove{errnoOnly{Errno: fserr.Inval}})
+			}
+			if err := ns.Remove(ctx, cur, o.Name); err != nil {
 				return fail(&ResRemove{errnoOnly{Errno: fserr.ToErrno(err)}})
 			}
 			rep.Results = append(rep.Results, &ResRemove{})
 
 		case *OpRename:
-			if err := b.Rename(ctx, cur, o.Src, o.Dst); err != nil {
+			if ns == nil {
+				return fail(&ResRename{errnoOnly{Errno: fserr.Inval}})
+			}
+			if err := ns.Rename(ctx, cur, o.Src, o.Dst); err != nil {
 				return fail(&ResRename{errnoOnly{Errno: fserr.ToErrno(err)}})
 			}
 			rep.Results = append(rep.Results, &ResRename{})
 
 		case *OpReadDir:
-			names, err := b.ReadDir(ctx, cur)
+			if ns == nil {
+				return fail(&ResReadDir{Errno: fserr.Inval})
+			}
+			names, err := ns.ReadDir(ctx, cur)
 			if err != nil {
 				return fail(&ResReadDir{Errno: fserr.ToErrno(err)})
 			}
 			rep.Results = append(rep.Results, &ResReadDir{Names: names})
 
 		case *OpGetDevList:
-			devs, err := b.DevList(ctx)
+			if layouts == nil {
+				return fail(&ResGetDevList{Errno: fserr.Inval})
+			}
+			devs, err := layouts.DevList(ctx)
 			if err != nil {
 				return fail(&ResGetDevList{Errno: fserr.Inval})
 			}
 			rep.Results = append(rep.Results, &ResGetDevList{Devices: devs})
 
 		case *OpLayoutGet:
-			l, err := b.LayoutGet(ctx, cur)
+			if layouts == nil {
+				return fail(&ResLayoutGet{Errno: fserr.Inval})
+			}
+			l, err := layouts.LayoutGet(ctx, cur)
 			if err != nil {
 				return fail(&ResLayoutGet{Errno: fserr.Inval})
 			}
 			rep.Results = append(rep.Results, &ResLayoutGet{Layout: *l})
 
 		case *OpLayoutCommit:
-			if err := b.LayoutCommit(ctx, cur, o.NewSize); err != nil {
+			if layouts == nil {
+				// IO, not Inval: what the "no pNFS" error of a layout-less
+				// backend has always mapped to on the wire.
+				return fail(&ResLayoutCommit{errnoOnly{Errno: fserr.IO}})
+			}
+			if err := layouts.LayoutCommit(ctx, cur, o.NewSize); err != nil {
 				return fail(&ResLayoutCommit{errnoOnly{Errno: fserr.ToErrno(err)}})
 			}
 			rep.Results = append(rep.Results, &ResLayoutCommit{})
@@ -446,7 +499,8 @@ func perMB(d time.Duration, n int64) time.Duration {
 
 // StoreBackend serves a local store.Store, optionally charging a simulated
 // disk (a nil Disk charges nothing).  It is the backend for plain NFS servers
-// in unit tests and the TCP demo; it does not serve pNFS layouts.  Write with
+// in unit tests and the TCP demo: a Backend and a Namespace, not a
+// LayoutSource, so clients mounting it proxy all I/O through it.  Write with
 // stable=true and Commit drive the store's Sync, so a durable store
 // (store/wal, store/cached) journals exactly at the NFS commit points.
 type StoreBackend struct {
@@ -459,10 +513,10 @@ func NewStoreBackend(st store.Store, disk *simdisk.Disk) *StoreBackend {
 	return &StoreBackend{Store: st, Disk: disk}
 }
 
-// Root implements Backend.
+// Root implements Namespace.
 func (b *StoreBackend) Root() uint64 { return uint64(b.Store.Root()) }
 
-// Lookup implements Backend.
+// Lookup implements Namespace.
 func (b *StoreBackend) Lookup(_ *rpc.Ctx, dir uint64, name string) (uint64, Attr, error) {
 	at, err := b.Store.Lookup(store.FileID(dir), name)
 	if err != nil {
@@ -471,7 +525,7 @@ func (b *StoreBackend) Lookup(_ *rpc.Ctx, dir uint64, name string) (uint64, Attr
 	return uint64(at.ID), attrOf(at), nil
 }
 
-// Create implements Backend.
+// Create implements Namespace.
 func (b *StoreBackend) Create(_ *rpc.Ctx, dir uint64, name string) (uint64, Attr, error) {
 	at, err := b.Store.Create(store.FileID(dir), name)
 	if err != nil {
@@ -480,7 +534,7 @@ func (b *StoreBackend) Create(_ *rpc.Ctx, dir uint64, name string) (uint64, Attr
 	return uint64(at.ID), attrOf(at), nil
 }
 
-// Mkdir implements Backend.
+// Mkdir implements Namespace.
 func (b *StoreBackend) Mkdir(_ *rpc.Ctx, dir uint64, name string) (uint64, Attr, error) {
 	at, err := b.Store.Mkdir(store.FileID(dir), name)
 	if err != nil {
@@ -489,22 +543,22 @@ func (b *StoreBackend) Mkdir(_ *rpc.Ctx, dir uint64, name string) (uint64, Attr,
 	return uint64(at.ID), attrOf(at), nil
 }
 
-// Remove implements Backend.
+// Remove implements Namespace.
 func (b *StoreBackend) Remove(_ *rpc.Ctx, dir uint64, name string) error {
 	return b.Store.Remove(store.FileID(dir), name)
 }
 
-// Rename implements Backend.
+// Rename implements Namespace.
 func (b *StoreBackend) Rename(_ *rpc.Ctx, dir uint64, src, dst string) error {
 	return b.Store.Rename(store.FileID(dir), src, store.FileID(dir), dst)
 }
 
-// ReadDir implements Backend.
+// ReadDir implements Namespace.
 func (b *StoreBackend) ReadDir(_ *rpc.Ctx, dir uint64) ([]string, error) {
 	return b.Store.ReadDir(store.FileID(dir))
 }
 
-// GetAttr implements Backend.
+// GetAttr implements Namespace.
 func (b *StoreBackend) GetAttr(_ *rpc.Ctx, fh uint64) (Attr, error) {
 	at, err := b.Store.GetAttr(store.FileID(fh))
 	if err != nil {
@@ -513,7 +567,7 @@ func (b *StoreBackend) GetAttr(_ *rpc.Ctx, fh uint64) (Attr, error) {
 	return attrOf(at), nil
 }
 
-// SetSize implements Backend.
+// SetSize implements Namespace.
 func (b *StoreBackend) SetSize(_ *rpc.Ctx, fh uint64, size int64) error {
 	return b.Store.Truncate(store.FileID(fh), size)
 }
@@ -597,15 +651,6 @@ func (b *StoreBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 	b.Disk.Sync(ctx.P)
 	return nil
 }
-
-// DevList implements Backend: no pNFS.
-func (b *StoreBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) { return nil, ErrNoPNFS }
-
-// LayoutGet implements Backend: no pNFS.
-func (b *StoreBackend) LayoutGet(*rpc.Ctx, uint64) (*pnfs.FileLayout, error) { return nil, ErrNoPNFS }
-
-// LayoutCommit implements Backend: no pNFS.
-func (b *StoreBackend) LayoutCommit(*rpc.Ctx, uint64, int64) error { return ErrNoPNFS }
 
 func attrOf(at store.Attr) Attr {
 	return Attr{IsDir: at.IsDir, Size: at.Size, Change: at.Change}

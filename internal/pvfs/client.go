@@ -179,28 +179,31 @@ func (f *File) conn(dev int) (rpc.Conn, error) {
 	return f.io[dev], nil
 }
 
+// metaCall is the one way this client talks to the metadata server: charge
+// the library's per-op cost, issue the call, and turn the reply's status
+// (errno points into rep) into its error.
+func (c *Client) metaCall(ctx *rpc.Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler, errno *fserr.Errno) error {
+	c.chargeOp(ctx, 0)
+	if err := c.cfg.Meta.Call(ctx, proc, args, rep); err != nil {
+		return err
+	}
+	return errno.Err()
+}
+
 // Create makes a new file and returns an open reference.
 func (c *Client) Create(ctx *rpc.Ctx, path string) (*File, error) {
-	c.chargeOp(ctx, 0)
 	var rep CreateRep
-	if err := c.cfg.Meta.Call(ctx, ProcCreate, &CreateArgs{Path: path}, &rep); err != nil {
+	if err := c.metaCall(ctx, ProcCreate, &CreateArgs{Path: path}, &rep, &rep.Errno); err != nil {
 		return nil, err
-	}
-	if rep.Errno != 0 {
-		return nil, rep.Errno.Err()
 	}
 	return c.newFile(rep.Handle, rep.Data, rep.Dist), nil
 }
 
 // Open resolves an existing file.
 func (c *Client) Open(ctx *rpc.Ctx, path string) (*File, error) {
-	c.chargeOp(ctx, 0)
 	var rep LookupRep
-	if err := c.cfg.Meta.Call(ctx, ProcLookup, &LookupArgs{Path: path}, &rep); err != nil {
+	if err := c.metaCall(ctx, ProcLookup, &LookupArgs{Path: path}, &rep, &rep.Errno); err != nil {
 		return nil, err
-	}
-	if rep.Errno != 0 {
-		return nil, rep.Errno.Err()
 	}
 	if rep.IsDir {
 		return nil, fmt.Errorf("pvfs: %s is a directory", path)
@@ -418,56 +421,32 @@ func (c *Client) Sync(ctx *rpc.Ctx, f *File) error {
 // GetAttr returns the file's logical size (reconstructed by the MDS from
 // every storage daemon).
 func (c *Client) GetAttr(ctx *rpc.Ctx, f *File) (int64, error) {
-	c.chargeOp(ctx, 0)
-	var rep GetAttrRep
-	if err := c.cfg.Meta.Call(ctx, ProcGetAttr, &GetAttrArgs{Handle: f.Handle}, &rep); err != nil {
-		return 0, err
-	}
-	if rep.Errno != 0 {
-		return 0, rep.Errno.Err()
-	}
-	return rep.Size, nil
+	_, size, _, err := c.GetAttrH(ctx, f.Handle)
+	return size, err
 }
 
 // Truncate sets the file's logical size.
 func (c *Client) Truncate(ctx *rpc.Ctx, f *File, size int64) error {
-	c.chargeOp(ctx, 0)
-	var rep TruncateRep
-	if err := c.cfg.Meta.Call(ctx, ProcTruncate, &TruncateArgs{Handle: f.Handle, Size: size}, &rep); err != nil {
-		return err
-	}
-	return rep.Errno.Err()
+	return c.TruncateH(ctx, f.Handle, size)
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(ctx *rpc.Ctx, path string) error {
-	c.chargeOp(ctx, 0)
 	var rep MkdirRep
-	if err := c.cfg.Meta.Call(ctx, ProcMkdir, &MkdirArgs{Path: path}, &rep); err != nil {
-		return err
-	}
-	return rep.Errno.Err()
+	return c.metaCall(ctx, ProcMkdir, &MkdirArgs{Path: path}, &rep, &rep.Errno)
 }
 
 // Remove unlinks a file (removing its datafiles) or an empty directory.
 func (c *Client) Remove(ctx *rpc.Ctx, path string) error {
-	c.chargeOp(ctx, 0)
 	var rep RemoveRep
-	if err := c.cfg.Meta.Call(ctx, ProcRemove, &RemoveArgs{Path: path}, &rep); err != nil {
-		return err
-	}
-	return rep.Errno.Err()
+	return c.metaCall(ctx, ProcRemove, &RemoveArgs{Path: path}, &rep, &rep.Errno)
 }
 
 // ReadDir lists a directory.
 func (c *Client) ReadDir(ctx *rpc.Ctx, path string) ([]string, error) {
-	c.chargeOp(ctx, 0)
 	var rep ReadDirRep
-	if err := c.cfg.Meta.Call(ctx, ProcReadDir, &ReadDirArgs{Path: path}, &rep); err != nil {
+	if err := c.metaCall(ctx, ProcReadDir, &ReadDirArgs{Path: path}, &rep, &rep.Errno); err != nil {
 		return nil, err
-	}
-	if rep.Errno != 0 {
-		return nil, rep.Errno.Err()
 	}
 	return rep.Names, nil
 }

@@ -3,15 +3,17 @@ package pvfs
 import (
 	"dpnfs/internal/fserr"
 	"dpnfs/internal/rpc"
-	"dpnfs/internal/store"
 	"dpnfs/internal/stripe"
 	"dpnfs/internal/xdr"
 )
 
 // Handle-based namespace procedures.  The NFS servers that export PVFS2
 // (the plain NFSv4 server and the two/three-tier pNFS data and metadata
-// servers) resolve names against a directory filehandle, so the metadata
-// protocol offers handle-based variants alongside the path-based ones.
+// servers) resolve names against a directory filehandle, so each namespace
+// verb has two procedure numbers — one addressed by path, one by directory
+// handle — over a single body in MetaServer (server.go): the path procedure
+// walks from the root to the same (directory, name) the handle procedure is
+// given, then both run the verb's one implementation.
 const (
 	ProcLookupH uint32 = iota + 50
 	ProcCreateH
@@ -21,16 +23,6 @@ const (
 	ProcReadDirH
 	ProcPlacementH
 )
-
-// PlacementHArgs fetches a file's data placement by handle.
-type PlacementHArgs struct{ Handle Handle }
-
-func (a *PlacementHArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Handle)) }
-func (a *PlacementHArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	a.Handle = Handle(h)
-	return err
-}
 
 // PlacementRep is the reply to ProcPlacementH: where the file's bytes live
 // right now.  Data servers that export PVFS2 use it to re-resolve a file
@@ -107,95 +99,6 @@ func (a *RenameHArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
-// ReadDirHArgs lists a directory by handle.
-type ReadDirHArgs struct{ Dir Handle }
-
-func (a *ReadDirHArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Dir)) }
-func (a *ReadDirHArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	a.Dir = Handle(h)
-	return err
-}
-
-// handleMeta dispatches the handle-based metadata procedures; it is called
-// from MetaServer.Handle.
-func (m *MetaServer) handleMeta(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
-	switch proc {
-	case ProcLookupH:
-		a := req.(*DirOpArgs)
-		at, err := m.store.Lookup(store.FileID(a.Dir), a.Name)
-		if err != nil {
-			return &LookupRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		place := m.PlacementOf(Handle(at.ID))
-		return &LookupRep{Handle: Handle(at.ID), IsDir: at.IsDir, Size: -1, Dist: place.Dist, Data: place.Data}, rpc.StatusOK
-
-	case ProcCreateH:
-		a := req.(*DirOpArgs)
-		at, err := m.store.Create(store.FileID(a.Dir), a.Name)
-		if err != nil {
-			return &CreateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		h := Handle(at.ID)
-		dist := m.Dist()
-		if err := m.createObjects(ctx, h, dist); err != nil {
-			return &CreateRep{Errno: fserr.IO}, rpc.StatusOK
-		}
-		m.SetPlacement(h, Placement{Data: h, Dist: dist})
-		m.syncMeta(ctx)
-		return &CreateRep{Handle: h, Dist: dist, Data: h}, rpc.StatusOK
-
-	case ProcPlacementH:
-		a := req.(*PlacementHArgs)
-		if _, err := m.store.GetAttr(store.FileID(a.Handle)); err != nil {
-			return &PlacementRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		place := m.PlacementOf(a.Handle)
-		return &PlacementRep{Data: place.Data, Dist: place.Dist}, rpc.StatusOK
-
-	case ProcMkdirH:
-		a := req.(*DirOpArgs)
-		at, err := m.store.Mkdir(store.FileID(a.Dir), a.Name)
-		if err != nil {
-			return &MkdirRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		m.syncMeta(ctx)
-		return &MkdirRep{Handle: Handle(at.ID)}, rpc.StatusOK
-
-	case ProcRemoveH:
-		a := req.(*DirOpArgs)
-		at, err := m.store.Lookup(store.FileID(a.Dir), a.Name)
-		if err != nil {
-			return &RemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		if !at.IsDir {
-			m.removeObjects(ctx, Handle(at.ID))
-		}
-		if err := m.store.Remove(store.FileID(a.Dir), a.Name); err != nil {
-			return &RemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		m.syncMeta(ctx)
-		return &RemoveRep{}, rpc.StatusOK
-
-	case ProcRenameH:
-		a := req.(*RenameHArgs)
-		if err := m.store.Rename(store.FileID(a.Dir), a.Src, store.FileID(a.Dir), a.Dst); err != nil {
-			return &RemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		m.syncMeta(ctx)
-		return &RemoveRep{}, rpc.StatusOK
-
-	case ProcReadDirH:
-		a := req.(*ReadDirHArgs)
-		names, err := m.store.ReadDir(store.FileID(a.Dir))
-		if err != nil {
-			return &ReadDirRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		return &ReadDirRep{Names: names}, rpc.StatusOK
-	}
-	return nil, rpc.StatusProcUnavail
-}
-
 // RootHandle returns the namespace root handle.
 func (m *MetaServer) RootHandle() Handle { return Handle(m.store.Root()) }
 
@@ -221,86 +124,55 @@ func (c *Client) OpenPlaced(h, data Handle, dist DistParams) *File {
 
 // PlacementH fetches the file's current data placement from the MDS.
 func (c *Client) PlacementH(ctx *rpc.Ctx, h Handle) (Handle, DistParams, error) {
-	c.chargeOp(ctx, 0)
 	var rep PlacementRep
-	if err := c.cfg.Meta.Call(ctx, ProcPlacementH, &PlacementHArgs{Handle: h}, &rep); err != nil {
+	if err := c.metaCall(ctx, ProcPlacementH, &PlacementHArgs{Handle: h}, &rep, &rep.Errno); err != nil {
 		return 0, DistParams{}, err
-	}
-	if rep.Errno != 0 {
-		return 0, DistParams{}, rep.Errno.Err()
 	}
 	return rep.Data, rep.Dist, nil
 }
 
 // LookupH resolves name within the directory handle.
 func (c *Client) LookupH(ctx *rpc.Ctx, dir Handle, name string) (Handle, bool, error) {
-	c.chargeOp(ctx, 0)
 	var rep LookupRep
-	if err := c.cfg.Meta.Call(ctx, ProcLookupH, &DirOpArgs{Dir: dir, Name: name}, &rep); err != nil {
+	if err := c.metaCall(ctx, ProcLookupH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno); err != nil {
 		return 0, false, err
-	}
-	if rep.Errno != 0 {
-		return 0, false, rep.Errno.Err()
 	}
 	return rep.Handle, rep.IsDir, nil
 }
 
 // CreateH creates a file within the directory handle.
 func (c *Client) CreateH(ctx *rpc.Ctx, dir Handle, name string) (*File, error) {
-	c.chargeOp(ctx, 0)
 	var rep CreateRep
-	if err := c.cfg.Meta.Call(ctx, ProcCreateH, &DirOpArgs{Dir: dir, Name: name}, &rep); err != nil {
+	if err := c.metaCall(ctx, ProcCreateH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno); err != nil {
 		return nil, err
 	}
-	if rep.Errno != 0 {
-		return nil, rep.Errno.Err()
-	}
-	data := rep.Data
-	if data == 0 {
-		data = rep.Handle
-	}
-	return c.newFile(rep.Handle, data, rep.Dist), nil
+	return c.newFile(rep.Handle, rep.Data, rep.Dist), nil
 }
 
 // MkdirH creates a directory within the directory handle.
 func (c *Client) MkdirH(ctx *rpc.Ctx, dir Handle, name string) (Handle, error) {
-	c.chargeOp(ctx, 0)
 	var rep MkdirRep
-	if err := c.cfg.Meta.Call(ctx, ProcMkdirH, &DirOpArgs{Dir: dir, Name: name}, &rep); err != nil {
-		return 0, err
-	}
-	return rep.Handle, rep.Errno.Err()
+	err := c.metaCall(ctx, ProcMkdirH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno)
+	return rep.Handle, err
 }
 
 // RemoveH unlinks name within the directory handle.
 func (c *Client) RemoveH(ctx *rpc.Ctx, dir Handle, name string) error {
-	c.chargeOp(ctx, 0)
 	var rep RemoveRep
-	if err := c.cfg.Meta.Call(ctx, ProcRemoveH, &DirOpArgs{Dir: dir, Name: name}, &rep); err != nil {
-		return err
-	}
-	return rep.Errno.Err()
+	return c.metaCall(ctx, ProcRemoveH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno)
 }
 
 // RenameH renames src to dst within the directory handle.
 func (c *Client) RenameH(ctx *rpc.Ctx, dir Handle, src, dst string) error {
-	c.chargeOp(ctx, 0)
 	var rep RemoveRep
-	if err := c.cfg.Meta.Call(ctx, ProcRenameH, &RenameHArgs{Dir: dir, Src: src, Dst: dst}, &rep); err != nil {
-		return err
-	}
-	return rep.Errno.Err()
+	return c.metaCall(ctx, ProcRenameH, &RenameHArgs{Dir: dir, Src: src, Dst: dst}, &rep, &rep.Errno)
 }
 
 // ReadDirH lists the directory handle.
 func (c *Client) ReadDirH(ctx *rpc.Ctx, dir Handle) ([]string, error) {
-	c.chargeOp(ctx, 0)
 	var rep ReadDirRep
-	if err := c.cfg.Meta.Call(ctx, ProcReadDirH, &ReadDirHArgs{Dir: dir}, &rep); err != nil {
+	if err := c.metaCall(ctx, ProcReadDirH, &ReadDirHArgs{Handle: dir}, &rep, &rep.Errno); err != nil {
 		return nil, err
-	}
-	if rep.Errno != 0 {
-		return nil, rep.Errno.Err()
 	}
 	return rep.Names, nil
 }
@@ -308,25 +180,17 @@ func (c *Client) ReadDirH(ctx *rpc.Ctx, dir Handle) ([]string, error) {
 // GetAttrH fetches attributes by handle (size and change reconstruction
 // fan-out for files).
 func (c *Client) GetAttrH(ctx *rpc.Ctx, h Handle) (bool, int64, uint64, error) {
-	c.chargeOp(ctx, 0)
 	var rep GetAttrRep
-	if err := c.cfg.Meta.Call(ctx, ProcGetAttr, &GetAttrArgs{Handle: h}, &rep); err != nil {
+	if err := c.metaCall(ctx, ProcGetAttr, &GetAttrArgs{Handle: h}, &rep, &rep.Errno); err != nil {
 		return false, 0, 0, err
-	}
-	if rep.Errno != 0 {
-		return false, 0, 0, rep.Errno.Err()
 	}
 	return rep.IsDir, rep.Size, rep.Change, nil
 }
 
 // TruncateH sets the logical size by handle.
 func (c *Client) TruncateH(ctx *rpc.Ctx, h Handle, size int64) error {
-	c.chargeOp(ctx, 0)
 	var rep TruncateRep
-	if err := c.cfg.Meta.Call(ctx, ProcTruncate, &TruncateArgs{Handle: h, Size: size}, &rep); err != nil {
-		return err
-	}
-	return rep.Errno.Err()
+	return c.metaCall(ctx, ProcTruncate, &TruncateArgs{Handle: h, Size: size}, &rep, &rep.Errno)
 }
 
 // Mapper exposes the file's stripe mapper (used by layout translation

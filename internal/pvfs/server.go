@@ -682,87 +682,65 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, 
 	}
 	ctx.UseCPU(cpu, m.cfg.Costs.MetaPerOp)
 	switch proc {
+	// Each namespace verb has a path procedure and a handle procedure over
+	// one body: the path form walks from the root to the (directory, name)
+	// the handle form is given.
 	case ProcLookup:
-		a := req.(*LookupArgs)
-		at, err := m.store.LookupPath(a.Path)
-		if err != nil {
-			return &LookupRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		place := m.PlacementOf(Handle(at.ID))
-		return &LookupRep{
-			Handle: Handle(at.ID),
-			IsDir:  at.IsDir,
-			Size:   -1, // size is reconstructed by GetAttr, not lookup
-			Dist:   place.Dist,
-			Data:   place.Data,
-		}, rpc.StatusOK
+		return m.lookup(m.store.LookupPath(req.(*LookupArgs).Path)), rpc.StatusOK
+	case ProcLookupH:
+		a := req.(*DirOpArgs)
+		return m.lookup(m.store.Lookup(store.FileID(a.Dir), a.Name)), rpc.StatusOK
 
 	case ProcCreate:
-		a := req.(*CreateArgs)
-		dir, name, err := m.splitPath(a.Path)
+		dir, name, err := m.splitPath(req.(*CreateArgs).Path)
 		if err != nil {
 			return &CreateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		at, err := m.store.Create(dir, name)
-		if err != nil {
-			return &CreateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		h := Handle(at.ID)
-		// Create the datafile object on each storage daemon of the current
-		// default distribution before the file becomes visible — the
-		// expensive part of PVFS2 creates.
-		dist := m.Dist()
-		ferr := m.createObjects(ctx, h, dist)
-		if ferr != nil {
-			return &CreateRep{Errno: fserr.IO}, rpc.StatusOK
-		}
-		m.SetPlacement(h, Placement{Data: h, Dist: dist})
-		m.syncMeta(ctx)
-		return &CreateRep{Handle: h, Dist: dist, Data: h}, rpc.StatusOK
-
-	case ProcRemove:
-		a := req.(*RemoveArgs)
-		dir, name, err := m.splitPath(a.Path)
-		if err != nil {
-			return &RemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		at, err := m.store.Lookup(dir, name)
-		if err != nil {
-			return &RemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		if !at.IsDir {
-			m.removeObjects(ctx, Handle(at.ID))
-		}
-		if err := m.store.Remove(dir, name); err != nil {
-			return &RemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		m.syncMeta(ctx)
-		return &RemoveRep{}, rpc.StatusOK
+		return m.create(ctx, dir, name), rpc.StatusOK
+	case ProcCreateH:
+		a := req.(*DirOpArgs)
+		return m.create(ctx, store.FileID(a.Dir), a.Name), rpc.StatusOK
 
 	case ProcMkdir:
-		a := req.(*MkdirArgs)
-		dir, name, err := m.splitPath(a.Path)
+		dir, name, err := m.splitPath(req.(*MkdirArgs).Path)
 		if err != nil {
 			return &MkdirRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		at, err := m.store.Mkdir(dir, name)
+		return m.mkdir(ctx, dir, name), rpc.StatusOK
+	case ProcMkdirH:
+		a := req.(*DirOpArgs)
+		return m.mkdir(ctx, store.FileID(a.Dir), a.Name), rpc.StatusOK
+
+	case ProcRemove:
+		dir, name, err := m.splitPath(req.(*RemoveArgs).Path)
 		if err != nil {
-			return &MkdirRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
+			return &RemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		m.syncMeta(ctx)
-		return &MkdirRep{Handle: Handle(at.ID)}, rpc.StatusOK
+		return m.remove(ctx, dir, name), rpc.StatusOK
+	case ProcRemoveH:
+		a := req.(*DirOpArgs)
+		return m.remove(ctx, store.FileID(a.Dir), a.Name), rpc.StatusOK
+
+	case ProcRenameH: // no path form: only the NFS exports rename
+		a := req.(*RenameHArgs)
+		return m.rename(ctx, store.FileID(a.Dir), a.Src, a.Dst), rpc.StatusOK
 
 	case ProcReadDir:
-		a := req.(*ReadDirArgs)
-		at, err := m.store.LookupPath(a.Path)
+		at, err := m.store.LookupPath(req.(*ReadDirArgs).Path)
 		if err != nil {
 			return &ReadDirRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		names, err := m.store.ReadDir(at.ID)
-		if err != nil {
-			return &ReadDirRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
+		return m.readDir(at.ID), rpc.StatusOK
+	case ProcReadDirH:
+		return m.readDir(store.FileID(req.(*ReadDirHArgs).Handle)), rpc.StatusOK
+
+	case ProcPlacementH:
+		a := req.(*PlacementHArgs)
+		if _, err := m.store.GetAttr(store.FileID(a.Handle)); err != nil {
+			return &PlacementRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		return &ReadDirRep{Names: names}, rpc.StatusOK
+		place := m.PlacementOf(a.Handle)
+		return &PlacementRep{Data: place.Data, Dist: place.Dist}, rpc.StatusOK
 
 	case ProcGetAttr:
 		a := req.(*GetAttrArgs)
@@ -806,9 +784,6 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, 
 		change += at.Change
 		return &GetAttrRep{Size: size, Change: change}, rpc.StatusOK
 
-	case ProcLookupH, ProcCreateH, ProcMkdirH, ProcRemoveH, ProcRenameH, ProcReadDirH, ProcPlacementH:
-		return m.handleMeta(ctx, proc, req)
-
 	case ProcTruncate:
 		a := req.(*TruncateArgs)
 		if _, err := m.store.GetAttr(store.FileID(a.Handle)); err != nil {
@@ -828,6 +803,92 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, 
 		return &TruncateRep{}, rpc.StatusOK
 	}
 	return nil, rpc.StatusProcUnavail
+}
+
+// lookup answers a resolved (or failed) name lookup.
+func (m *MetaServer) lookup(at store.Attr, err error) *LookupRep {
+	if err != nil {
+		return &LookupRep{Errno: fserr.ToErrno(err)}
+	}
+	place := m.PlacementOf(Handle(at.ID))
+	return &LookupRep{
+		Handle: Handle(at.ID),
+		IsDir:  at.IsDir,
+		Size:   -1, // size is reconstructed by GetAttr, not lookup
+		Dist:   place.Dist,
+		Data:   place.Data,
+	}
+}
+
+// create makes the file name in dir.  The datafile object on each storage
+// daemon of the current default distribution is created before the file
+// becomes visible — the expensive part of PVFS2 creates.
+func (m *MetaServer) create(ctx *rpc.Ctx, dir store.FileID, name string) *CreateRep {
+	at, err := m.store.Create(dir, name)
+	if err != nil {
+		return &CreateRep{Errno: fserr.ToErrno(err)}
+	}
+	h := Handle(at.ID)
+	dist := m.Dist()
+	if err := m.createObjects(ctx, h, dist); err != nil {
+		return &CreateRep{Errno: fserr.IO}
+	}
+	m.SetPlacement(h, Placement{Data: h, Dist: dist})
+	m.syncMeta(ctx)
+	return &CreateRep{Handle: h, Dist: dist, Data: h}
+}
+
+// mkdir makes the directory name in dir (metadata only).
+func (m *MetaServer) mkdir(ctx *rpc.Ctx, dir store.FileID, name string) *MkdirRep {
+	at, err := m.store.Mkdir(dir, name)
+	if err != nil {
+		return &MkdirRep{Errno: fserr.ToErrno(err)}
+	}
+	m.syncMeta(ctx)
+	return &MkdirRep{Handle: Handle(at.ID)}
+}
+
+// remove unlinks name from dir; a file's datafile objects go first.
+func (m *MetaServer) remove(ctx *rpc.Ctx, dir store.FileID, name string) *RemoveRep {
+	at, err := m.store.Lookup(dir, name)
+	if err != nil {
+		return &RemoveRep{Errno: fserr.ToErrno(err)}
+	}
+	if !at.IsDir {
+		m.removeObjects(ctx, Handle(at.ID))
+	}
+	if err := m.store.Remove(dir, name); err != nil {
+		return &RemoveRep{Errno: fserr.ToErrno(err)}
+	}
+	m.syncMeta(ctx)
+	return &RemoveRep{}
+}
+
+// rename moves src to dst within dir.  A file the rename replaced is
+// unreachable by name afterwards, so both ends are resolved first and the
+// replaced file's datafile objects are removed like an unlinked file's — but
+// not when dst already was src (a no-op rename), and never for directories.
+func (m *MetaServer) rename(ctx *rpc.Ctx, dir store.FileID, src, dst string) *RemoveRep {
+	moved, _ := m.store.Lookup(dir, src)
+	replaced, err := m.store.Lookup(dir, dst)
+	hadTarget := err == nil && !replaced.IsDir && replaced.ID != moved.ID
+	if err := m.store.Rename(dir, src, dir, dst); err != nil {
+		return &RemoveRep{Errno: fserr.ToErrno(err)}
+	}
+	if hadTarget {
+		m.removeObjects(ctx, Handle(replaced.ID))
+	}
+	m.syncMeta(ctx)
+	return &RemoveRep{}
+}
+
+// readDir lists directory dir.
+func (m *MetaServer) readDir(dir store.FileID) *ReadDirRep {
+	names, err := m.store.ReadDir(dir)
+	if err != nil {
+		return &ReadDirRep{Errno: fserr.ToErrno(err)}
+	}
+	return &ReadDirRep{Names: names}
 }
 
 // createObjects creates the datafile objects for handle h on each server of

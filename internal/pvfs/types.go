@@ -55,8 +55,50 @@ const (
 // Handle identifies a PVFS2 object (meta file or datafile) cluster-wide.
 type Handle uint64
 
-// LookupArgs resolves a path to a handle and distribution parameters.
-type LookupArgs struct{ Path string }
+// Three wire shapes cover every single-field message of both services; the
+// per-procedure names below are aliases, so each shape is encoded in one
+// place and a call site still says which request it is building.
+
+// PathArgs addresses a namespace entry by absolute path.
+type PathArgs struct{ Path string }
+
+// HandleArgs addresses one object (meta file, directory or datafile).
+type HandleArgs struct{ Handle Handle }
+
+// ErrnoRep is the reply of every procedure that returns only a status.
+type ErrnoRep struct{ Errno fserr.Errno }
+
+// Requests of the metadata service's path procedures.
+type (
+	LookupArgs  = PathArgs // resolves a path to a handle and distribution parameters
+	CreateArgs  = PathArgs // creates a regular file; the MDS creates its datafile objects before replying
+	RemoveArgs  = PathArgs // unlinks a file (removing its datafiles everywhere) or an empty directory
+	MkdirArgs   = PathArgs // creates a directory (metadata only)
+	ReadDirArgs = PathArgs // lists a directory
+)
+
+// Requests addressed by handle: GetAttr makes the MDS gather datafile sizes
+// from every storage node to reconstruct the logical size; the IO* requests
+// name the datafile object for Handle on the receiving storage node.
+type (
+	GetAttrArgs    = HandleArgs
+	PlacementHArgs = HandleArgs // fetches a file's data placement
+	ReadDirHArgs   = HandleArgs // lists a directory
+	IOCreateArgs   = HandleArgs
+	IORemoveArgs   = HandleArgs
+	IOGetSizeArgs  = HandleArgs
+	IOFlushArgs    = HandleArgs // forces buffered object data to stable storage
+)
+
+// Status-only replies.
+type (
+	RemoveRep     = ErrnoRep // also the reply to ProcRemoveH and ProcRenameH
+	TruncateRep   = ErrnoRep
+	IOCreateRep   = ErrnoRep
+	IORemoveRep   = ErrnoRep
+	IOFlushRep    = ErrnoRep
+	IOTruncateRep = ErrnoRep
+)
 
 // LookupRep is the reply to ProcLookup.
 type LookupRep struct {
@@ -131,10 +173,6 @@ func (p DistParams) ServerIDs() []uint32 {
 	return ids
 }
 
-// CreateArgs creates a regular file; the MDS creates datafile objects on
-// every storage node before replying.
-type CreateArgs struct{ Path string }
-
 // CreateRep is the reply to ProcCreate.
 type CreateRep struct {
 	Errno  fserr.Errno
@@ -144,34 +182,17 @@ type CreateRep struct {
 	Data Handle
 }
 
-// RemoveArgs unlinks a file or empty directory, removing datafiles from
-// every storage node.
-type RemoveArgs struct{ Path string }
-
-// RemoveRep is the reply to ProcRemove.
-type RemoveRep struct{ Errno fserr.Errno }
-
-// MkdirArgs creates a directory (metadata only).
-type MkdirArgs struct{ Path string }
-
 // MkdirRep is the reply to ProcMkdir.
 type MkdirRep struct {
 	Errno  fserr.Errno
 	Handle Handle
 }
 
-// ReadDirArgs lists a directory.
-type ReadDirArgs struct{ Path string }
-
 // ReadDirRep is the reply to ProcReadDir.
 type ReadDirRep struct {
 	Errno fserr.Errno
 	Names []string
 }
-
-// GetAttrArgs fetches attributes; the MDS gathers datafile sizes from every
-// storage node to reconstruct the logical size.
-type GetAttrArgs struct{ Handle Handle }
 
 // GetAttrRep is the reply to ProcGetAttr.
 type GetAttrRep struct {
@@ -188,9 +209,6 @@ type TruncateArgs struct {
 	Handle Handle
 	Size   int64
 }
-
-// TruncateRep is the reply to ProcTruncate.
-type TruncateRep struct{ Errno fserr.Errno }
 
 // IOReadArgs reads from a datafile (device-space offset).
 type IOReadArgs struct {
@@ -230,21 +248,6 @@ type IOWriteRep struct {
 	ObjSize int64 // datafile size after the write
 }
 
-// IOCreateArgs creates the datafile object for Handle on this node.
-type IOCreateArgs struct{ Handle Handle }
-
-// IOCreateRep is the reply to ProcIOCreate.
-type IOCreateRep struct{ Errno fserr.Errno }
-
-// IORemoveArgs deletes the datafile object for Handle on this node.
-type IORemoveArgs struct{ Handle Handle }
-
-// IORemoveRep is the reply to ProcIORemove.
-type IORemoveRep struct{ Errno fserr.Errno }
-
-// IOGetSizeArgs asks for the datafile object size.
-type IOGetSizeArgs struct{ Handle Handle }
-
 // IOGetSizeRep is the reply to ProcIOGetSize.
 type IOGetSizeRep struct {
 	Errno  fserr.Errno
@@ -252,27 +255,32 @@ type IOGetSizeRep struct {
 	Change uint64 // object change counter
 }
 
-// IOFlushArgs forces buffered object data to stable storage.
-type IOFlushArgs struct{ Handle Handle }
-
-// IOFlushRep is the reply to ProcIOFlush.
-type IOFlushRep struct{ Errno fserr.Errno }
-
 // IOTruncateArgs truncates the datafile object.
 type IOTruncateArgs struct {
 	Handle  Handle
 	ObjSize int64
 }
 
-// IOTruncateRep is the reply to ProcIOTruncate.
-type IOTruncateRep struct{ Errno fserr.Errno }
-
 // ---- XDR ----
 
-func (a *LookupArgs) MarshalXDR(e *xdr.Encoder) { e.String(a.Path) }
-func (a *LookupArgs) UnmarshalXDR(d *xdr.Decoder) error {
+func (a *PathArgs) MarshalXDR(e *xdr.Encoder) { e.String(a.Path) }
+func (a *PathArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	var err error
 	a.Path, err = d.String()
+	return err
+}
+
+func (a *HandleArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Handle)) }
+func (a *HandleArgs) UnmarshalXDR(d *xdr.Decoder) error {
+	h, err := d.Uint64()
+	a.Handle = Handle(h)
+	return err
+}
+
+func (r *ErrnoRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
+func (r *ErrnoRep) UnmarshalXDR(d *xdr.Decoder) error {
+	v, err := d.Uint32()
+	r.Errno = fserr.Errno(v)
 	return err
 }
 
@@ -348,13 +356,6 @@ func (p *DistParams) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
-func (a *CreateArgs) MarshalXDR(e *xdr.Encoder) { e.String(a.Path) }
-func (a *CreateArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	a.Path, err = d.String()
-	return err
-}
-
 func (r *CreateRep) MarshalXDR(e *xdr.Encoder) {
 	e.Uint32(uint32(r.Errno))
 	e.Uint64(uint64(r.Handle))
@@ -381,27 +382,6 @@ func (r *CreateRep) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
-func (a *RemoveArgs) MarshalXDR(e *xdr.Encoder) { e.String(a.Path) }
-func (a *RemoveArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	a.Path, err = d.String()
-	return err
-}
-
-func (r *RemoveRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
-func (r *RemoveRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	r.Errno = fserr.Errno(v)
-	return err
-}
-
-func (a *MkdirArgs) MarshalXDR(e *xdr.Encoder) { e.String(a.Path) }
-func (a *MkdirArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	a.Path, err = d.String()
-	return err
-}
-
 func (r *MkdirRep) MarshalXDR(e *xdr.Encoder) {
 	e.Uint32(uint32(r.Errno))
 	e.Uint64(uint64(r.Handle))
@@ -415,13 +395,6 @@ func (r *MkdirRep) UnmarshalXDR(d *xdr.Decoder) error {
 	r.Errno = fserr.Errno(v)
 	h, err := d.Uint64()
 	r.Handle = Handle(h)
-	return err
-}
-
-func (a *ReadDirArgs) MarshalXDR(e *xdr.Encoder) { e.String(a.Path) }
-func (a *ReadDirArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	a.Path, err = d.String()
 	return err
 }
 
@@ -459,13 +432,6 @@ func (r *ReadDirRep) UnmarshalXDR(d *xdr.Decoder) error {
 	return nil
 }
 
-func (a *GetAttrArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Handle)) }
-func (a *GetAttrArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	a.Handle = Handle(h)
-	return err
-}
-
 func (r *GetAttrRep) MarshalXDR(e *xdr.Encoder) {
 	e.Uint32(uint32(r.Errno))
 	e.Bool(r.IsDir)
@@ -501,13 +467,6 @@ func (a *TruncateArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	}
 	a.Handle = Handle(h)
 	a.Size, err = d.Int64()
-	return err
-}
-
-func (r *TruncateRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
-func (r *TruncateRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	r.Errno = fserr.Errno(v)
 	return err
 }
 
@@ -611,41 +570,6 @@ func (r *IOWriteRep) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
-func (a *IOCreateArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Handle)) }
-func (a *IOCreateArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	a.Handle = Handle(h)
-	return err
-}
-
-func (r *IOCreateRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
-func (r *IOCreateRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	r.Errno = fserr.Errno(v)
-	return err
-}
-
-func (a *IORemoveArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Handle)) }
-func (a *IORemoveArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	a.Handle = Handle(h)
-	return err
-}
-
-func (r *IORemoveRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
-func (r *IORemoveRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	r.Errno = fserr.Errno(v)
-	return err
-}
-
-func (a *IOGetSizeArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Handle)) }
-func (a *IOGetSizeArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	a.Handle = Handle(h)
-	return err
-}
-
 func (r *IOGetSizeRep) MarshalXDR(e *xdr.Encoder) {
 	e.Uint32(uint32(r.Errno))
 	e.Int64(r.Size)
@@ -665,20 +589,6 @@ func (r *IOGetSizeRep) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
-func (a *IOFlushArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Handle)) }
-func (a *IOFlushArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	a.Handle = Handle(h)
-	return err
-}
-
-func (r *IOFlushRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
-func (r *IOFlushRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	r.Errno = fserr.Errno(v)
-	return err
-}
-
 func (a *IOTruncateArgs) MarshalXDR(e *xdr.Encoder) {
 	e.Uint64(uint64(a.Handle))
 	e.Int64(a.ObjSize)
@@ -691,13 +601,6 @@ func (a *IOTruncateArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	}
 	a.Handle = Handle(h)
 	a.ObjSize, err = d.Int64()
-	return err
-}
-
-func (r *IOTruncateRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
-func (r *IOTruncateRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	r.Errno = fserr.Errno(v)
 	return err
 }
 

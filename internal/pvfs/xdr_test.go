@@ -124,7 +124,7 @@ func TestPropertyRegistryDecodesOwnEncoding(t *testing.T) {
 			&IOFlushArgs{Handle: Handle(h)},
 			&IOTruncateArgs{Handle: Handle(h), ObjSize: off},
 			&DirOpArgs{Dir: Handle(h), Name: path},
-			&ReadDirHArgs{Dir: Handle(h)},
+			&ReadDirHArgs{Handle: Handle(h)},
 		}
 		for _, m := range msgs {
 			out, ok := m.(xdr.Unmarshaler)
