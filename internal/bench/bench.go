@@ -176,25 +176,40 @@ func (f Figure) Value(label string, x int) float64 {
 	return -1
 }
 
+// sweep fills fig with one series per architecture and one point per client
+// count.  Each point builds a fresh cluster from cfg (Arch and Clients are
+// set here), runs measure on it for the point's Y value, and closes it; the
+// first error ends the sweep.
+func sweep(fig Figure, opt Options, cfg cluster.Config, measure func(*cluster.Cluster) (float64, error)) (Figure, error) {
+	for _, arch := range opt.Archs {
+		s := Series{Label: archLabel(arch)}
+		for _, n := range opt.Clients {
+			cfg.Arch, cfg.Clients = arch, n
+			cl := newCluster(opt, cfg)
+			y, err := measure(cl)
+			cl.Close()
+			if err != nil {
+				return fig, err
+			}
+			s.Points = append(s.Points, Point{X: n, Y: y})
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig, nil
+}
+
 // iorFigure sweeps client counts × architectures for one IOR setting.
 func iorFigure(id, title string, opt Options, netBPS float64, ior workload.IORConfig, archs []cluster.Arch) (Figure, error) {
 	opt = opt.withDefaults([]int{1, 2, 3, 4, 5, 6, 7, 8}, archs)
 	fig := Figure{ID: id, Title: title, XLabel: "clients", YLabel: "aggregate MB/s"}
 	ior.FileSize = scaleBytes(500<<20, opt.Scale)
-	for _, arch := range opt.Archs {
-		s := Series{Label: archLabel(arch)}
-		for _, n := range opt.Clients {
-			cl := newCluster(opt, cluster.Config{Arch: arch, Clients: n, NetBPS: netBPS})
-			res, err := workload.IOR(cl, ior)
-			cl.Close()
-			if err != nil {
-				return fig, fmt.Errorf("%s/%s/%d clients: %w", id, arch, n, err)
-			}
-			s.Points = append(s.Points, Point{X: n, Y: res.ThroughputMBs()})
+	return sweep(fig, opt, cluster.Config{NetBPS: netBPS}, func(cl *cluster.Cluster) (float64, error) {
+		res, err := workload.IOR(cl, ior)
+		if err != nil {
+			return 0, fmt.Errorf("%s/%s/%d clients: %w", id, cl.Cfg.Arch, cl.Cfg.Clients, err)
 		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+		return res.ThroughputMBs(), nil
+	})
 }
 
 // Fig6a: aggregate write throughput, separate files, large block.
@@ -258,40 +273,20 @@ var fig8Archs = []cluster.Arch{cluster.ArchDirectPNFS, cluster.ArchPVFS2}
 func Fig8a(opt Options) (Figure, error) {
 	opt = opt.withDefaults([]int{1, 4, 8}, fig8Archs)
 	fig := Figure{ID: "Fig8a", Title: "ATLAS digitization replay", XLabel: "clients", YLabel: "aggregate MB/s"}
-	for _, arch := range opt.Archs {
-		s := Series{Label: archLabel(arch)}
-		for _, n := range opt.Clients {
-			cl := newCluster(opt, cluster.Config{Arch: arch, Clients: n})
-			res, err := workload.ATLAS(cl, workload.ATLASConfig{TotalBytes: scaleBytes(650<<20, opt.Scale)})
-			cl.Close()
-			if err != nil {
-				return fig, err
-			}
-			s.Points = append(s.Points, Point{X: n, Y: res.ThroughputMBs()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	return sweep(fig, opt, cluster.Config{}, func(cl *cluster.Cluster) (float64, error) {
+		res, err := workload.ATLAS(cl, workload.ATLASConfig{TotalBytes: scaleBytes(650<<20, opt.Scale)})
+		return res.ThroughputMBs(), err
+	})
 }
 
 // Fig8b: BTIO running time (seconds, lower is better), 1/4/9 clients.
 func Fig8b(opt Options) (Figure, error) {
 	opt = opt.withDefaults([]int{1, 4, 9}, fig8Archs)
 	fig := Figure{ID: "Fig8b", Title: "NAS BT-IO class A", XLabel: "clients", YLabel: "time (s)"}
-	for _, arch := range opt.Archs {
-		s := Series{Label: archLabel(arch)}
-		for _, n := range opt.Clients {
-			cl := newCluster(opt, cluster.Config{Arch: arch, Clients: n})
-			res, err := workload.BTIO(cl, workload.BTIOConfig{CheckpointBytes: scaleBytes(400<<20, opt.Scale)})
-			cl.Close()
-			if err != nil {
-				return fig, err
-			}
-			s.Points = append(s.Points, Point{X: n, Y: res.Elapsed.Seconds()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	return sweep(fig, opt, cluster.Config{}, func(cl *cluster.Cluster) (float64, error) {
+		res, err := workload.BTIO(cl, workload.BTIOConfig{CheckpointBytes: scaleBytes(400<<20, opt.Scale)})
+		return res.Elapsed.Seconds(), err
+	})
 }
 
 // Fig8c: OLTP aggregate throughput, 1/4/8 clients.
@@ -302,23 +297,13 @@ func Fig8c(opt Options) (Figure, error) {
 	if txns < 50 {
 		txns = 50
 	}
-	for _, arch := range opt.Archs {
-		s := Series{Label: archLabel(arch)}
-		for _, n := range opt.Clients {
-			cl := newCluster(opt, cluster.Config{Arch: arch, Clients: n})
-			res, err := workload.OLTP(cl, workload.OLTPConfig{
-				Transactions: txns,
-				FileBytes:    scaleBytes(512<<20, opt.Scale),
-			})
-			cl.Close()
-			if err != nil {
-				return fig, err
-			}
-			s.Points = append(s.Points, Point{X: n, Y: res.ThroughputMBs()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	return sweep(fig, opt, cluster.Config{}, func(cl *cluster.Cluster) (float64, error) {
+		res, err := workload.OLTP(cl, workload.OLTPConfig{
+			Transactions: txns,
+			FileBytes:    scaleBytes(512<<20, opt.Scale),
+		})
+		return res.ThroughputMBs(), err
+	})
 }
 
 // Fig8d: Postmark transactions per second, 1/4/8 clients.  The paper runs
@@ -330,23 +315,11 @@ func Fig8d(opt Options) (Figure, error) {
 	if txns < 25 {
 		txns = 25
 	}
-	for _, arch := range opt.Archs {
-		s := Series{Label: archLabel(arch)}
-		for _, n := range opt.Clients {
-			cl := newCluster(opt, cluster.Config{
-				Arch: arch, Clients: n,
-				StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
-			})
-			res, err := workload.Postmark(cl, workload.PostmarkConfig{Transactions: txns})
-			cl.Close()
-			if err != nil {
-				return fig, err
-			}
-			s.Points = append(s.Points, Point{X: n, Y: res.TPS()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	cfg := cluster.Config{StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10}
+	return sweep(fig, opt, cfg, func(cl *cluster.Cluster) (float64, error) {
+		res, err := workload.Postmark(cl, workload.PostmarkConfig{Transactions: txns})
+		return res.TPS(), err
+	})
 }
 
 // Degraded-figure schedule: the crash window is deep enough into the run
@@ -439,7 +412,7 @@ func Recovery(opt Options) (Figure, error) {
 			RestartAt: degradedRestartAt,
 			Tail:      degradedTail,
 		})
-		replayed += counterSum(cl.Metrics(), "store_wal_replays_total")
+		replayed += cl.Metrics().Snapshot().Total("store_wal_replays_total")
 		cl.Close()
 		if err != nil {
 			return fig, fmt.Errorf("recovery/%s: %w", arch, err)
@@ -457,20 +430,6 @@ func Recovery(opt Options) (Figure, error) {
 		return fig, fmt.Errorf("recovery: no WAL records replayed — the crash never exercised recovery")
 	}
 	return fig, nil
-}
-
-// counterSum totals one counter family's series values in a registry.
-func counterSum(reg *metrics.Registry, name string) float64 {
-	var total float64
-	for _, fam := range reg.Snapshot().Metrics {
-		if fam.Name != name {
-			continue
-		}
-		for _, s := range fam.Series {
-			total += s.Value
-		}
-	}
-	return total
 }
 
 // Window-sweep parameters: mixed request sizes (12 MB spanning every
@@ -550,6 +509,3 @@ var All = map[string]func(Options) (Figure, error){
 
 // IDs lists figure IDs in presentation order.
 var IDs = []string{"6a", "6b", "6c", "6d", "6e", "7a", "7b", "7c", "7d", "8a", "8b", "8c", "8d", "ssh", "degraded", "recovery", "window", "tail", "rebalance", "sweep", "integrity"}
-
-// Elapsed wraps a duration for table rendering.
-func Elapsed(d time.Duration) float64 { return d.Seconds() }

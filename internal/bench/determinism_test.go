@@ -8,6 +8,11 @@ import (
 	"dpnfs/internal/metrics"
 )
 
+// counterSum totals one counter family's series values in a registry.
+func counterSum(reg *metrics.Registry, name string) float64 {
+	return reg.Snapshot().Total(name)
+}
+
 // TestFigureDeterminism pins the package's seed-threading rule (see the
 // package doc): two runs of the same figure with the same options — and,
 // for the degraded figure, the same fault plan — produce identical Figure

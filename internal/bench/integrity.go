@@ -123,10 +123,11 @@ func integrityCounters(opt Options, cl *cluster.Cluster) integrityGuards {
 	if reg == nil {
 		return integrityGuards{}
 	}
+	snap := reg.Snapshot()
 	return integrityGuards{
-		injected: counterSum(reg, "faults_injected_total"),
-		repairs: counterSum(reg, "nfs_client_read_repairs_total") +
-			counterSum(reg, "pvfs_client_read_repairs_total"),
-		scanned: counterSum(reg, "scrub_extents_total"),
+		injected: snap.Total("faults_injected_total"),
+		repairs: snap.Total("nfs_client_read_repairs_total") +
+			snap.Total("pvfs_client_read_repairs_total"),
+		scanned: snap.Total("scrub_extents_total"),
 	}
 }

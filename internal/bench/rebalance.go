@@ -52,7 +52,7 @@ func Rebalance(opt Options) (Figure, error) {
 		if err == nil {
 			err = cl.ReconcileErr()
 		}
-		migrated := counterSum(cl.Metrics(), "rebalance_bytes_total")
+		migrated := cl.Metrics().Snapshot().Total("rebalance_bytes_total")
 		cl.Close()
 		if err != nil {
 			return fig, fmt.Errorf("rebalance/%s: %w", arch, err)

@@ -15,16 +15,7 @@ import (
 // metrics registry — used to prove a fault scenario actually engaged the
 // machinery under test (non-vacuousness).
 func counterSum(cl *Cluster, name string) float64 {
-	var sum float64
-	for _, m := range cl.Metrics().Snapshot().Metrics {
-		if m.Name != name {
-			continue
-		}
-		for _, s := range m.Series {
-			sum += s.Value
-		}
-	}
-	return sum
+	return cl.Metrics().Snapshot().Total(name)
 }
 
 // failoverPattern gives every client a distinct, position-dependent byte

@@ -131,6 +131,34 @@ type Snapshot struct {
 	Metrics []MetricSnapshot `json:"metrics"`
 }
 
+// Total sums the values of a counter or gauge family over all its series;
+// an absent family totals 0.
+func (s Snapshot) Total(name string) float64 {
+	var total float64
+	for _, fam := range s.Metrics {
+		if fam.Name == name {
+			for _, ser := range fam.Series {
+				total += ser.Value
+			}
+		}
+	}
+	return total
+}
+
+// HistTotal sums a histogram family's observations over all its series:
+// the sum of the observed values and how many there were.
+func (s Snapshot) HistTotal(name string) (sum float64, count uint64) {
+	for _, fam := range s.Metrics {
+		if fam.Name == name {
+			for _, ser := range fam.Series {
+				sum += ser.Sum
+				count += ser.Count
+			}
+		}
+	}
+	return sum, count
+}
+
 // MetricSnapshot is one family's state.
 type MetricSnapshot struct {
 	Name   string           `json:"name"`

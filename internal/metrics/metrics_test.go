@@ -293,3 +293,39 @@ func TestSnapshotShape(t *testing.T) {
 		t.Fatalf("counter series %+v", ctr.Series[0])
 	}
 }
+
+// TestSnapshotTotals: Total and HistTotal sum a family over every label
+// series (registries narrowed WithLabel included), and an absent family —
+// or a family of the other kind — totals zero.
+func TestSnapshotTotals(t *testing.T) {
+	r := NewRegistry()
+	ops := r.WithLabel("arch", "pvfs2").CounterVec("ops_total", "", "op")
+	ops.With("READ").Add(5)
+	ops.With("WRITE").Add(7)
+	r.WithLabel("arch", "nfsv4").CounterVec("ops_total", "", "op").With("READ").Add(30)
+	r.Gauge("depth", "").Set(4)
+	lat := r.HistogramVec("lat_seconds", "", []float64{1}, "op")
+	lat.With("READ").Observe(0.5)
+	lat.With("READ").Observe(2)
+	lat.With("WRITE").Observe(4)
+
+	snap := r.Snapshot()
+	if got := snap.Total("ops_total"); got != 42 {
+		t.Errorf("Total(ops_total) = %v, want 42", got)
+	}
+	if got := snap.Total("depth"); got != 4 {
+		t.Errorf("Total(depth) = %v, want 4", got)
+	}
+	if sum, n := snap.HistTotal("lat_seconds"); sum != 6.5 || n != 3 {
+		t.Errorf("HistTotal(lat_seconds) = (%v, %d), want (6.5, 3)", sum, n)
+	}
+	if got := snap.Total("absent_total"); got != 0 {
+		t.Errorf("Total of an absent family = %v", got)
+	}
+	if sum, n := snap.HistTotal("ops_total"); sum != 0 || n != 0 {
+		t.Errorf("HistTotal of a counter family = (%v, %d)", sum, n)
+	}
+	if got := snap.Total("lat_seconds"); got != 0 {
+		t.Errorf("Total of a histogram family = %v", got)
+	}
+}

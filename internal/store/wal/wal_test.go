@@ -16,16 +16,7 @@ import (
 
 // counterSum totals one counter family's series values in a registry.
 func counterSum(reg *metrics.Registry, name string) float64 {
-	var total float64
-	for _, fam := range reg.Snapshot().Metrics {
-		if fam.Name != name {
-			continue
-		}
-		for _, s := range fam.Series {
-			total += s.Value
-		}
-	}
-	return total
+	return reg.Snapshot().Total(name)
 }
 
 func TestConformance(t *testing.T) {

@@ -78,22 +78,6 @@ func openLoopBuckets() []float64 {
 	return append(b, 0.15, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60)
 }
 
-// histTotals sums one histogram family's (sum, count) across label series.
-func histTotals(reg *metrics.Registry, name string) (float64, uint64) {
-	var sum float64
-	var count uint64
-	for _, fam := range reg.Snapshot().Metrics {
-		if fam.Name != name {
-			continue
-		}
-		for _, s := range fam.Series {
-			sum += s.Sum
-			count += s.Count
-		}
-	}
-	return sum, count
-}
-
 // OpenLoop runs the experiment.  It requires the simulated transport:
 // latencies are virtual-time intervals and arrival schedules are seeded, so
 // a run is exactly reproducible.
@@ -157,7 +141,7 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 	// the shared registry as a before/after delta for the same reason.
 	hist := metrics.NewRegistry().Histogram("workload_openloop_read_seconds",
 		"Arrival-to-completion latency for the open-loop experiment.", openLoopBuckets())
-	occSum0, occCnt0 := histTotals(cl.Metrics(), "ioengine_window_occupancy")
+	occSum0, occCnt0 := cl.Metrics().Snapshot().HistTotal("ioengine_window_occupancy")
 
 	res := OpenLoopResult{LogicalClients: cfg.LogicalClients}
 	elapsed, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
@@ -246,7 +230,7 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 	res.P50 = hist.Quantile(0.50)
 	res.P99 = hist.Quantile(0.99)
 	res.P999 = hist.Quantile(0.999)
-	if occSum1, occCnt1 := histTotals(cl.Metrics(), "ioengine_window_occupancy"); occCnt1 > occCnt0 {
+	if occSum1, occCnt1 := cl.Metrics().Snapshot().HistTotal("ioengine_window_occupancy"); occCnt1 > occCnt0 {
 		res.Occupancy = (occSum1 - occSum0) / float64(occCnt1-occCnt0)
 	}
 	return res, nil

@@ -55,20 +55,6 @@ func tailBuckets() []float64 {
 	return append(b, 0.15, 0.5, 1, 2.5)
 }
 
-// counterTotal sums one counter family across its label series.
-func counterTotal(reg *metrics.Registry, name string) float64 {
-	var total float64
-	for _, fam := range reg.Snapshot().Metrics {
-		if fam.Name != name {
-			continue
-		}
-		for _, s := range fam.Series {
-			total += s.Value
-		}
-	}
-	return total
-}
-
 // Tail runs the experiment.  It requires the simulated transport: latencies
 // are virtual-time intervals, which also makes the distributions exactly
 // reproducible for a given (seed, plan).
@@ -114,7 +100,7 @@ func Tail(cl *cluster.Cluster, cfg TailConfig) (TailResult, error) {
 
 	phase := func(armed bool, phaseSeed int64) (TailPhase, error) {
 		cl.ArmFaults(armed)
-		hedges0 := counterTotal(cl.Metrics(), "ioengine_hedges_launched_total")
+		hedges0 := cl.Metrics().Snapshot().Total("ioengine_hedges_launched_total")
 		// A private registry holds the phase's latency histogram, so the
 		// distribution never leaks into (or double-counts in) the cluster's
 		// shared registry across phases.
@@ -149,7 +135,7 @@ func Tail(cl *cluster.Cluster, cfg TailConfig) (TailResult, error) {
 			P99:    hist.Quantile(0.99),
 			P999:   hist.Quantile(0.999),
 			Reads:  hist.Count(),
-			Hedges: counterTotal(cl.Metrics(), "ioengine_hedges_launched_total") - hedges0,
+			Hedges: cl.Metrics().Snapshot().Total("ioengine_hedges_launched_total") - hedges0,
 		}, nil
 	}
 
