@@ -80,26 +80,46 @@ type directMDSBackend struct {
 	aggP  []int64
 	proxy *pvfs.Client // fallback I/O path through the MDS
 
-	// mu guards devices and gen: the membership reconciler replaces them
-	// while server processes serve GETDEVICELIST/LAYOUTGET.
+	deviceTable
+}
+
+// deviceTable is the half of a LayoutSource both metadata servers share: the
+// advertised data-server list and the layout generation, which the
+// membership reconciler replaces while server processes serve
+// GETDEVICELIST/LAYOUTGET.
+type deviceTable struct {
 	mu      sync.Mutex
 	devices []pnfs.DeviceInfo
 	gen     uint64
 }
 
-// setDevices replaces the advertised device list and layout generation
-// after a membership change.
-func (b *directMDSBackend) setDevices(devs []pnfs.DeviceInfo, gen uint64) {
-	b.mu.Lock()
-	b.devices = devs
-	b.gen = gen
-	b.mu.Unlock()
+func (t *deviceTable) snapshot() ([]pnfs.DeviceInfo, uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.devices, t.gen
 }
 
-func (b *directMDSBackend) snapshot() ([]pnfs.DeviceInfo, uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.devices, b.gen
+// set replaces the advertised device list and layout generation after a
+// membership change.
+func (t *deviceTable) set(devs []pnfs.DeviceInfo, gen uint64) {
+	t.mu.Lock()
+	t.devices = devs
+	t.gen = gen
+	t.mu.Unlock()
+}
+
+// setGen bumps only the generation (3-tier membership: the data-server tier
+// is unchanged but clients must refetch layouts).
+func (t *deviceTable) setGen(gen uint64) {
+	t.mu.Lock()
+	t.gen = gen
+	t.mu.Unlock()
+}
+
+// DevList implements nfs.LayoutSource.
+func (t *deviceTable) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
+	devs, _ := t.snapshot()
+	return devs, nil
 }
 
 // metaCall invokes the co-located PVFS2 metadata manager in-process — through
@@ -203,11 +223,6 @@ func (b *directMDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 	return b.proxy.Sync(ctx, b.openCurrent(fh))
 }
 
-func (b *directMDSBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
-	devs, _ := b.snapshot()
-	return devs, nil
-}
-
 // LayoutGet translates the parallel FS's native layout into a pNFS
 // file-based layout (paper §4.2): exact distribution, direct offsets.
 // Under the default round-robin aggregation the layout comes from the
@@ -273,41 +288,9 @@ func (b *directMDSBackend) LayoutCommit(ctx *rpc.Ctx, fh uint64, newSize int64) 
 // unit u land on the data server one past the storage node that actually
 // holds it (the general, misaligned case the paper measures).
 type blindLayouts struct {
-	// mu guards devices and gen against the membership reconciler.
-	mu      sync.Mutex
-	stripe  int64
-	devices []pnfs.DeviceInfo
-	shift   int
-	gen     uint64
-}
-
-func (bl *blindLayouts) snapshot() ([]pnfs.DeviceInfo, uint64) {
-	bl.mu.Lock()
-	defer bl.mu.Unlock()
-	return bl.devices, bl.gen
-}
-
-// set replaces the device list and layout generation (2-tier membership,
-// where data servers ride the storage nodes).
-func (bl *blindLayouts) set(devs []pnfs.DeviceInfo, gen uint64) {
-	bl.mu.Lock()
-	bl.devices = devs
-	bl.gen = gen
-	bl.mu.Unlock()
-}
-
-// setGen bumps only the generation (3-tier membership: the data-server tier
-// is unchanged but clients must refetch layouts).
-func (bl *blindLayouts) setGen(gen uint64) {
-	bl.mu.Lock()
-	bl.gen = gen
-	bl.mu.Unlock()
-}
-
-// DevList implements nfs.LayoutSource.
-func (bl *blindLayouts) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
-	devs, _ := bl.snapshot()
-	return devs, nil
+	deviceTable
+	stripe int64
+	shift  int
 }
 
 // LayoutGet implements nfs.LayoutSource: every file gets the same rotated

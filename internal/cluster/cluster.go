@@ -556,11 +556,11 @@ func (cl *Cluster) buildDirect() {
 		})
 	}
 	mdsBackend := &directMDSBackend{
-		meta:    cl.PVFSMeta,
-		devices: cl.deviceList(cl.storageNodes),
-		agg:     cl.Cfg.Aggregation,
-		aggP:    cl.Cfg.AggParams,
-		proxy:   cl.pvfsClientAt(cl.mdsNode),
+		meta:        cl.PVFSMeta,
+		deviceTable: deviceTable{devices: cl.deviceList(cl.storageNodes)},
+		agg:         cl.Cfg.Aggregation,
+		aggP:        cl.Cfg.AggParams,
+		proxy:       cl.pvfsClientAt(cl.mdsNode),
 	}
 	cl.directMDS = mdsBackend
 	nfsServeOn(cl, cl.mdsNode, ServiceMDS, mdsBackend)
@@ -651,7 +651,7 @@ func (cl *Cluster) exportDSOn(n *simnet.Node) {
 // blindMDSOn registers the two/three-tier pNFS metadata server on node n,
 // handing out blind layouts over dsNodes.
 func (cl *Cluster) blindMDSOn(n *simnet.Node, dsNodes []*simnet.Node) {
-	cl.blind = &blindLayouts{stripe: cl.Cfg.WSize, devices: cl.deviceList(dsNodes), shift: 1}
+	cl.blind = &blindLayouts{deviceTable: deviceTable{devices: cl.deviceList(dsNodes)}, stripe: cl.Cfg.WSize, shift: 1}
 	nfsServeOn(cl, n, ServiceMDS, blindMDSBackend{cl.exportOn(n), cl.blind})
 }
 

@@ -297,7 +297,7 @@ func (cl *Cluster) publishTopology() {
 	cl.memberMu.Unlock()
 	active := cl.activeNodes()
 	if cl.directMDS != nil {
-		cl.directMDS.setDevices(cl.deviceList(active), gen)
+		cl.directMDS.set(cl.deviceList(active), gen)
 	}
 	if cl.blind != nil {
 		if cl.Cfg.Arch == ArchPNFS2Tier {
