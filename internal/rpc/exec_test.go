@@ -199,7 +199,7 @@ func TestParallelRunsEveryIndexOnce(t *testing.T) {
 func TestModeForkStaysInRPC(t *testing.T) {
 	allowed := map[string]int{ // "pkg/file.go:func" -> mode tests allowed there
 		"ioengine/ioengine.go:watchStraggler": 1, // ioengine_wallclock_timers_total counts real-time timers only
-		"nfs/client.go:Read":                  1, // NFS readahead
+		"nfs/read.go:Read":                    1, // NFS readahead
 		"pvfs/server.go:acquireBuffers":       1, // the modelled PVFS2 transfer-buffer pool
 	}
 	seen := map[string]int{}
