@@ -30,7 +30,7 @@ type directDSBackend struct {
 // the prototype funnels NFS I/O through the local PVFS2 client and loopback
 // device rather than direct VFS access (paper §5).
 func (b *directDSBackend) conduit(ctx *rpc.Ctx, bytes int64) {
-	ctx.UseCPU(b.node.CPU, b.costs.ClientPerOp/2+perMB(time.Millisecond, bytes))
+	ctx.UseCPU(b.node.CPU, b.costs.ClientPerOp/2+rpc.PerMB(time.Millisecond, bytes))
 }
 
 func (b *directDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, error) {
@@ -398,7 +398,7 @@ const (
 
 func (b *exportBackend) conduit(ctx *rpc.Ctx, perMBCost time.Duration, bytes int64) {
 	if b.node != nil {
-		ctx.UseCPU(b.node.CPU, perMB(perMBCost, bytes))
+		ctx.UseCPU(b.node.CPU, rpc.PerMB(perMBCost, bytes))
 	}
 }
 
@@ -482,8 +482,4 @@ func (b *exportBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 		return err
 	}
 	return b.pv.Sync(ctx, f)
-}
-
-func perMB(d time.Duration, n int64) time.Duration {
-	return time.Duration(float64(d) * float64(n) / (1 << 20))
 }

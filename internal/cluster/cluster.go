@@ -77,7 +77,6 @@ type Config struct {
 	StripeSize   int64   // parallel FS stripe (paper: 2 MB)
 	WSize, RSize int64   // NFS transfer sizes (paper: 2 MB)
 	NetBPS       float64 // NIC bandwidth (paper: gigabit; Fig 6c: 100 Mbps)
-	Threads      int     // NFS server threads (paper: 8)
 
 	// Striped-I/O engine options (internal/ioengine), applied to both the
 	// NFS and PVFS2 clients through engineConfig.  Zero values keep each
@@ -93,9 +92,7 @@ type Config struct {
 	// IOHedge enables hedged duplicate reads for stragglers.
 	IOHedge bool
 
-	NFSCosts  nfs.Costs
-	PVFSCosts pvfs.Costs
-	Disk      simdisk.Config // template; Name is overridden per node
+	Disk simdisk.Config // template; Name is overridden per node
 
 	// Backend selects the store implementation behind every server
 	// (docs/BACKENDS.md): "mem" (default; volatile, the behaviour all
@@ -167,15 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NetBPS == 0 {
 		c.NetBPS = simnet.Gigabit
-	}
-	if c.Threads <= 0 {
-		c.Threads = 8
-	}
-	if c.NFSCosts == (nfs.Costs{}) {
-		c.NFSCosts = nfs.DefaultCosts()
-	}
-	if c.PVFSCosts == (pvfs.Costs{}) {
-		c.PVFSCosts = pvfs.DefaultCosts()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -393,7 +381,7 @@ func (cl *Cluster) buildBackend(nodes int, diskScale float64) {
 		ioConnsFromMDS = append(ioConnsFromMDS, cl.dial(cl.mdsNode.Name, n.Name, pvfs.ServiceIO))
 	}
 	cl.PVFSMeta = pvfs.NewMetaServer(pvfs.MetaConfig{
-		Transport: cl.tr, Node: cl.mdsNode, Costs: cfg.PVFSCosts,
+		Transport: cl.tr, Node: cl.mdsNode, Costs: pvfs.DefaultCosts(),
 		Dist: pvfs.DistParams{
 			StripeSize: cfg.StripeSize,
 			NumServers: uint32(len(cl.storageNodes)),
@@ -440,7 +428,7 @@ func (cl *Cluster) addStorageSubstrate(n *simnet.Node, diskScale float64) *pvfs.
 	cl.Disks = append(cl.Disks, disk)
 	cl.diskByNode[n.Name] = disk
 	ss := pvfs.NewStorageServer(pvfs.StorageConfig{
-		Transport: cl.tr, Node: n, Disk: disk, Costs: cfg.PVFSCosts,
+		Transport: cl.tr, Node: n, Disk: disk, Costs: pvfs.DefaultCosts(),
 		Metrics:       cfg.Metrics,
 		Store:         cfg.ContentBackend(n.Name, disk, cfg.Metrics),
 		WireChecksums: cfg.WireChecksums,
@@ -491,7 +479,7 @@ func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer s
 	}
 	return pvfs.NewClient(pvfs.ClientConfig{
 		Node:    n,
-		Costs:   cl.Cfg.PVFSCosts,
+		Costs:   pvfs.DefaultCosts(),
 		Meta:    cl.dial(n.Name, cl.mdsNode.Name, pvfs.ServiceMeta),
 		IO:      io,
 		IOIDs:   ids,
@@ -528,7 +516,7 @@ func (cl *Cluster) clientNode(i int) *simnet.Node {
 // its layouts (the in-process stand-in for CB_LAYOUTRECALL).
 func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client {
 	c := nfs.NewClient(nfs.ClientConfig{
-		Node: n, Costs: cl.Cfg.NFSCosts,
+		Node: n, Costs: nfs.DefaultCosts(),
 		Name: n.Name,
 		MDS:  cl.dial(n.Name, mdsNode.Name, ServiceMDS),
 		DialDS: func(addr string) rpc.Conn {
@@ -552,7 +540,7 @@ func (cl *Cluster) buildDirect() {
 		nfsServeOn(cl, n, ServiceDS, &directDSBackend{
 			storage: cl.Storage[i],
 			node:    n,
-			costs:   cl.Cfg.PVFSCosts,
+			costs:   pvfs.DefaultCosts(),
 		})
 	}
 	mdsBackend := &directMDSBackend{
@@ -659,7 +647,7 @@ func (cl *Cluster) blindMDSOn(n *simnet.Node, dsNodes []*simnet.Node) {
 // service name.
 func nfsServeOn(cl *Cluster, n *simnet.Node, service string, b nfs.Backend) {
 	nfs.NewServer(nfs.ServerConfig{
-		Backend: b, Costs: cl.Cfg.NFSCosts, Node: n, Threads: cl.Cfg.Threads,
+		Backend: b, Costs: nfs.DefaultCosts(), Node: n,
 		Transport: cl.tr, Service: service, Metrics: cl.Cfg.Metrics,
 		WireChecksums: cl.Cfg.WireChecksums,
 	})

@@ -212,6 +212,40 @@ func TestScrubRepairsLatentRot(t *testing.T) {
 	}
 }
 
+// TestScheduleScrubRefusedWithoutADriver: only the simulated run loop replays
+// scheduled passes, so a TCP cluster must refuse the schedule — an error the
+// caller sees, nothing queued — where it used to accept times that never ran;
+// the simulated cluster queues them, and the next run takes them.
+func TestScheduleScrubRefusedWithoutADriver(t *testing.T) {
+	queued := func(cl *Cluster) int {
+		cl.scrubMu.Lock()
+		defer cl.scrubMu.Unlock()
+		return len(cl.scrubTimes)
+	}
+	tcp := New(Config{Arch: ArchPVFS2, Clients: 1, Transport: TransportTCP})
+	defer tcp.Close()
+	if err := tcp.ScheduleScrub(time.Millisecond); err == nil {
+		t.Error("a TCP cluster accepted scheduled scrub passes it has no driver to run")
+	}
+	if n := queued(tcp); n != 0 {
+		t.Errorf("refused schedule left %d pass times queued", n)
+	}
+	sim := New(Config{Arch: ArchPVFS2, Clients: 1})
+	defer sim.Close()
+	if err := sim.ScheduleScrub(time.Millisecond, 2*time.Millisecond); err != nil {
+		t.Fatalf("simulated cluster refused a schedule: %v", err)
+	}
+	if n := queued(sim); n != 2 {
+		t.Fatalf("%d pass times queued, want 2", n)
+	}
+	if _, err := sim.Run(func(*rpc.Ctx, *Mount, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n, ran := queued(sim), len(sim.ScrubResults()); n != 0 || ran == 0 {
+		t.Fatalf("after the run: %d times still queued, %d pass outcomes; want 0 and some", n, ran)
+	}
+}
+
 // TestScheduledScrubRunsInBackground drives the scrub-driver path: a pass
 // scheduled mid-run repairs rot injected earlier in the same run, while the
 // applications keep reading — and the recorded outcome carries the repairs.

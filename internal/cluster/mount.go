@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strings"
+
 	"dpnfs/internal/nfs"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pvfs"
@@ -149,6 +151,26 @@ func (m *Mount) Remove(ctx *rpc.Ctx, path string) error {
 		return m.nfsc.Remove(ctx, path)
 	}
 	return m.pv.Remove(ctx, path)
+}
+
+// Rename renames src to dst within directory dirPath, replacing dst if it
+// exists (a replaced file's objects are removed from the storage nodes).
+func (m *Mount) Rename(ctx *rpc.Ctx, dirPath, src, dst string) error {
+	if m.nfsc != nil {
+		return m.nfsc.Rename(ctx, dirPath, src, dst)
+	}
+	dir := m.pv.RootHandle()
+	for _, name := range strings.Split(strings.Trim(dirPath, "/"), "/") {
+		if name == "" {
+			continue
+		}
+		h, _, err := m.pv.LookupH(ctx, dir, name)
+		if err != nil {
+			return err
+		}
+		dir = h
+	}
+	return m.pv.RenameH(ctx, dir, src, dst)
 }
 
 // ReadDir lists a directory.

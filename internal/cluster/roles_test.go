@@ -59,7 +59,7 @@ func TestRenameOverFileRemovesItsObjects(t *testing.T) {
 		return b
 	}
 	aBytes, bBytes := fill(300_000, 1), fill(200_000, 2)
-	for _, arch := range []Arch{ArchDirectPNFS, ArchPNFS2Tier, ArchPNFS3Tier, ArchNFSv4} {
+	for _, arch := range Archs {
 		t.Run(string(arch), func(t *testing.T) {
 			cl := New(Config{Arch: arch, Clients: 1, Real: true, StripeSize: 64 << 10})
 			defer cl.Close()
@@ -98,20 +98,20 @@ func TestRenameOverFileRemovesItsObjects(t *testing.T) {
 					return fmt.Errorf("setup: daemons hold %d bytes of /b, want %d", stored(oldB), len(bBytes))
 				}
 
-				if err := m.nfsc.Rename(ctx, "/", "a", "a"); err != nil {
+				if err := m.Rename(ctx, "/", "a", "a"); err != nil {
 					return fmt.Errorf("rename onto itself: %w", err)
 				}
-				if err := m.nfsc.Rename(ctx, "/", "a", "full"); err != store.ErrIsDir {
+				if err := m.Rename(ctx, "/", "a", "full"); err != store.ErrIsDir {
 					return fmt.Errorf("rename of a file onto a directory: %v, want ErrIsDir", err)
 				}
-				if err := m.nfsc.Rename(ctx, "/", "empty", "full"); err != store.ErrNotEmpty {
+				if err := m.Rename(ctx, "/", "empty", "full"); err != store.ErrNotEmpty {
 					return fmt.Errorf("rename onto a non-empty directory: %v, want ErrNotEmpty", err)
 				}
 				if stored(a) != int64(len(aBytes)) || stored(oldB) != int64(len(bBytes)) || stored(x) != int64(len(bBytes)) {
 					return fmt.Errorf("no-op and refused renames touched objects: a=%d b=%d full/x=%d", stored(a), stored(oldB), stored(x))
 				}
 
-				if err := m.nfsc.Rename(ctx, "/", "a", "b"); err != nil {
+				if err := m.Rename(ctx, "/", "a", "b"); err != nil {
 					return fmt.Errorf("rename a -> b: %w", err)
 				}
 				for i, s := range cl.Storage {

@@ -12,12 +12,14 @@ import (
 	"fmt"
 	"time"
 
+	"dpnfs/internal/ioengine"
+	"dpnfs/internal/payload"
 	"dpnfs/internal/pvfs"
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/scrub"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/store"
-	"dpnfs/internal/xdr"
+	"dpnfs/internal/stripe"
 )
 
 // ScrubOutcome records one node's pass within one scheduled or synchronous
@@ -62,59 +64,62 @@ func (cl *Cluster) buildScrubbers() {
 	}
 }
 
-// replicaFetch builds the repair source for storage node dev: good bytes are
-// read from the node's replica partners (device d's partners are d%inner +
-// r*inner — the same geometry stripe.Replicated fans writes over, so every
-// partner holds a byte-identical object at the same offset) over the normal
-// io-read procedure, with wire-checksum verification when enabled.  The
-// store file is reverse-mapped to its datafile handle, which the metadata
-// server allocated identically on every daemon.
+// replicaFetch builds the repair source for storage node dev: good bytes
+// come from the node's replica partners through the shared replica rung
+// (ioengine.Replicas over the substrate's stripe.Replicated geometry — every
+// partner holds a byte-identical object at the same offset) and the PVFS2
+// client's verified single-copy read.  The rung only fetches here: the
+// scrubber rewrites its own store and verifies it afterwards.  The store
+// file is reverse-mapped to its datafile handle, which the metadata server
+// allocated identically on every daemon.
 func (cl *Cluster) replicaFetch(dev, copies int, ss *pvfs.StorageServer) scrub.Fetch {
-	inner := len(cl.storageNodes) / copies
 	node := cl.storageNodes[dev].Name
+	geometry := stripe.NewReplicated(stripe.NewRoundRobin(1, len(cl.storageNodes)/copies), copies)
 	conns := make(map[int]rpc.Conn)
 	return func(ctx *rpc.Ctx, id store.FileID, off int64, b []byte) (int, error) {
 		h, ok := ss.HandleFor(id)
 		if !ok {
 			return 0, fmt.Errorf("scrub %s: store file %d has no datafile handle", node, id)
 		}
-		base := dev % inner
-		for r := 0; r < copies; r++ {
-			d := base + r*inner
-			if d == dev {
-				continue
-			}
-			conn := conns[d]
-			if conn == nil {
-				conn = cl.dial(node, cl.storageNodes[d].Name, pvfs.ServiceIO)
-				conns[d] = conn
-			}
-			var rep pvfs.IOReadRep
-			args := &pvfs.IOReadArgs{Handle: h, Off: off, Len: int64(len(b)), WantReal: true}
-			if err := conn.Call(ctx, pvfs.ProcIORead, args, &rep); err != nil || rep.Errno != 0 {
-				continue // down or corrupt partner: try the next one
-			}
-			if rep.Data.Bytes == nil {
-				continue
-			}
-			if rep.HasSum && xdr.Checksum(rep.Data.Bytes) != rep.Sum {
-				rep.Data.Release()
-				continue
-			}
-			n := copy(b, rep.Data.Bytes)
-			rep.Data.Release()
-			return n, nil
+		partners := ioengine.Replicas[struct{}]{
+			Map: geometry,
+			Read: func(ctx *rpc.Ctx, alt stripe.Extent, _ bool) (payload.Payload, error) {
+				conn := conns[alt.Dev]
+				if conn == nil {
+					conn = cl.dial(node, cl.storageNodes[alt.Dev].Name, pvfs.ServiceIO)
+					conns[alt.Dev] = conn
+				}
+				data, err := pvfs.ReadCopy(ctx, conn, h, alt.DevOff, alt.Len, true)
+				if err == nil && data.Bytes == nil {
+					err = fmt.Errorf("scrub %s: partner %d returned no bytes", node, alt.Dev)
+				}
+				return data, err
+			},
 		}
-		return 0, fmt.Errorf("scrub %s: no live replica for file %d @%d", node, id, off)
+		good, err := partners.Recover(ctx, stripe.Extent{Dev: dev, DevOff: off, Len: int64(len(b))},
+			fmt.Errorf("scrub %s: no live replica for file %d @%d", node, id, off))
+		if err != nil {
+			return 0, err
+		}
+		n := copy(b, good.Bytes)
+		good.Release()
+		return n, nil
 	}
 }
 
 // ScheduleScrub queues full-cluster scrub passes at the given offsets into
 // the next Run, replayed by the scrub-driver exactly as fault plans are.
-func (cl *Cluster) ScheduleScrub(at ...time.Duration) {
+// Only the simulated run loop has a scrub-driver, so — like the membership
+// operations — a TCP cluster refuses the schedule instead of dropping it;
+// ScrubPass works on both transports.
+func (cl *Cluster) ScheduleScrub(at ...time.Duration) error {
+	if cl.Cfg.Transport != TransportSim {
+		return fmt.Errorf("cluster: scheduled scrub passes require the simulated transport (use ScrubPass)")
+	}
 	cl.scrubMu.Lock()
 	cl.scrubTimes = append(cl.scrubTimes, at...)
 	cl.scrubMu.Unlock()
+	return nil
 }
 
 // takeScrubTimes steals the queued pass times for the run about to start.

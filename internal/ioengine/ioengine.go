@@ -16,9 +16,14 @@
 //     simulated processes in virtual time; in real-time (TCP) mode they run
 //     as plain goroutines — the rpc.Ctx passed in selects the mode, exactly
 //     as elsewhere in the repository.
-//   - Policies wrap the per-request operation with failure handling: bounded
-//     retry/backoff (PVFS2 riding out a crashed daemon), or fallback ladders
-//     (the NFS client's layout-recovery retry and MDS-proxied last resort).
+//   - Policies wrap the per-request operation with failure handling, one
+//     rung each (docs/FAULTS.md "Recovery paths per architecture" tabulates
+//     trigger, bound and counter): WithRetry is the bounded retry/backoff
+//     loop (PVFS2 riding out a crashed daemon), WithFallback hangs a rung
+//     behind an operation (the NFS client's layout re-drive and MDS-proxied
+//     last resort), and Replicas is the replica rung every read ladder
+//     shares — read another copy, and after a checksum failure rewrite the
+//     bad one exactly once (RepairLedger).
 //
 // # Tail-latency scheduling
 //
@@ -44,9 +49,8 @@
 //   - Replica steering: SteerReplicas rewrites read extents produced by a
 //     stripe.Replicated mapper onto each extent's least-loaded replica
 //     device, using the engine's live per-device in-flight counts, with a
-//     deterministic tie-break.  stripe.Replicated.Alternates gives issuers
-//     the replica→replica failover ladder to try before their MDS-proxy
-//     rung.
+//     deterministic tie-break.  When the steered copy fails, Replicas walks
+//     the others (stripe.Replicated.AlternatesLive).
 //
 // Errors propagate deterministically: whatever the completion interleaving,
 // Run returns the error of the lowest-indexed failed request, and no new
@@ -63,6 +67,7 @@ import (
 	"time"
 
 	"dpnfs/internal/metrics"
+	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/stripe"
 )
@@ -138,6 +143,65 @@ func (l *RepairLedger[K]) Once(key K, rewrite func() error) bool {
 		return false
 	}
 	return true
+}
+
+// Replicas is the replica rung of a read ladder, the one implementation
+// behind the NFS client, the PVFS2 client and the scrubber's repair fetch
+// (docs/FAULTS.md "Recovery paths per architecture").  After an extent's
+// read failed — for any reason: a replica can answer where the first copy is
+// down, unreachable or rotten — it reads each other copy once, in replica
+// order, until one is clean.  When the failure was a checksum mismatch and
+// Rewrite is set, the bad copy is rewritten with the clean bytes, exactly
+// once per Key.
+type Replicas[K comparable] struct {
+	// Map places the copies.  Live, when non-nil, keeps the rung off
+	// devices that have left the cluster (stripe.Replicated.AlternatesLive).
+	Map  *stripe.Replicated
+	Live func(dev int) bool
+	// Read reads one copy and verifies it (reply status and checksums).
+	// real asks for actual bytes even from a caller that reads
+	// synthetically: a rewrite stores content, not sizes.
+	Read func(ctx *rpc.Ctx, alt stripe.Extent, real bool) (payload.Payload, error)
+	// Rewrite overwrites one copy with good bytes.  Nil leaves repair to the
+	// caller (the scrubber rewrites its own store and verifies it after).
+	Rewrite func(ctx *rpc.Ctx, bad stripe.Extent, good payload.Payload) error
+	// Ledger and Key make the rewrite exactly-once; Repaired counts the
+	// rewrites that took.
+	Ledger   *RepairLedger[K]
+	Key      func(bad stripe.Extent) K
+	Repaired *metrics.Counter
+}
+
+// Recover returns the first clean copy of e among its alternates, or cause
+// when no copy is clean.  The caller owns the returned payload.
+func (r *Replicas[K]) Recover(ctx *rpc.Ctx, e stripe.Extent, cause error) (payload.Payload, error) {
+	repair := r.Rewrite != nil && rpc.RetryableIntegrity(cause)
+	for _, alt := range r.Map.AlternatesLive(e, r.Live) {
+		good, err := r.Read(ctx, alt, repair)
+		if err != nil {
+			continue
+		}
+		if repair && good.Bytes != nil && good.Len() > 0 {
+			rewrite := func() error { return r.Rewrite(ctx, e, good) }
+			if r.Ledger.Once(r.Key(e), rewrite) {
+				r.Repaired.Inc()
+			}
+		}
+		return good, nil
+	}
+	return payload.Payload{}, cause
+}
+
+// Policy hangs the rung behind a read: when the read fails, deliver gets the
+// clean copy Recover found, as it would have got the read's own bytes.
+func (r *Replicas[K]) Policy(deliver func(e stripe.Extent, good payload.Payload)) Policy {
+	return WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, cause error) error {
+		good, err := r.Recover(ctx, e, cause)
+		if err == nil {
+			deliver(e, good)
+		}
+		return err
+	})
 }
 
 // Class is a request's QoS priority class.

@@ -12,7 +12,6 @@ import (
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pnfs"
 	"dpnfs/internal/rpc"
-	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
 	"dpnfs/internal/stripe"
@@ -30,7 +29,6 @@ type ClientConfig struct {
 	Name   string // client identity for EXCHANGE_ID
 
 	WSize, RSize int64 // write/read transfer sizes (paper: 2 MB)
-	Slots        uint32
 	// MaxReadAhead bounds the readahead window (0 disables readahead).
 	MaxReadAhead int64
 	// FlushParallel bounds concurrent asynchronous write-back flushes.
@@ -134,9 +132,13 @@ type Client struct {
 	corruptReads *metrics.Counter
 	readRepairs  *metrics.Counter
 
-	// repaired makes read-repair exactly-once per extent.
+	// repaired makes the replica rung's rewrite exactly-once per extent.
 	repaired ioengine.RepairLedger[repairKey]
 }
+
+// sessionSlots is the session's slot-table size: the bound on concurrent
+// sessioned compounds.
+const sessionSlots = 64
 
 // repairKey identifies one repaired device extent.
 type repairKey struct {
@@ -160,9 +162,6 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	if cfg.RSize <= 0 {
 		cfg.RSize = 2 << 20
-	}
-	if cfg.Slots == 0 {
-		cfg.Slots = 64
 	}
 	if cfg.FlushParallel <= 0 {
 		cfg.FlushParallel = 16
@@ -208,35 +207,27 @@ func NewClient(cfg ClientConfig) *Client {
 		readRepairs: reg.Counter("nfs_client_read_repairs_total",
 			"Corrupt extents rewritten with good bytes fetched from a replica."),
 	}
-	c.slots = rpc.NewSem(cfg.Name+"/slots", int(cfg.Slots))
+	c.slots = rpc.NewSem(cfg.Name+"/slots", sessionSlots)
 	c.flushSlots = rpc.NewSem(cfg.Name+"/flush", cfg.FlushParallel)
 	c.flushProc = cfg.Name + "/flush"
 	eng := cfg.Engine
 	eng.Name, eng.Issuer, eng.Metrics = cfg.Name+"/engine", "nfs", reg
 	c.engine = ioengine.New(eng)
-	for i := int(cfg.Slots) - 1; i >= 0; i-- {
+	for i := sessionSlots - 1; i >= 0; i-- {
 		c.freeSlots = append(c.freeSlots, uint32(i))
 	}
-	c.slotSeq = make([]uint32, cfg.Slots)
+	c.slotSeq = make([]uint32, sessionSlots)
 	return c
 }
 
 func (c *Client) chargeOp(ctx *rpc.Ctx, nOps int, bytes int64) {
-	var cpu *sim.KServer
-	if c.cfg.Node != nil {
-		cpu = c.cfg.Node.CPU
-	}
-	ctx.UseCPU(cpu, time.Duration(nOps)*c.cfg.Costs.ClientPerOp+perMB(c.cfg.Costs.ClientPerMB, bytes))
+	ctx.UseCPU(c.cfg.Node.Processor(), time.Duration(nOps)*c.cfg.Costs.ClientPerOp+rpc.PerMB(c.cfg.Costs.ClientPerMB, bytes))
 }
 
 // chargeCache accounts for a page-cache-only operation: a buffered write or
 // a cache-hit read (no RPC).
 func (c *Client) chargeCache(ctx *rpc.Ctx, bytes int64) {
-	var cpu *sim.KServer
-	if c.cfg.Node != nil {
-		cpu = c.cfg.Node.CPU
-	}
-	ctx.UseCPU(cpu, c.cfg.Costs.CachePerOp+perMB(c.cfg.Costs.ClientPerMB, bytes))
+	ctx.UseCPU(c.cfg.Node.Processor(), c.cfg.Costs.CachePerOp+rpc.PerMB(c.cfg.Costs.ClientPerMB, bytes))
 }
 
 // call sends a compound.  Sessioned calls (to the MDS) occupy a slot; data
@@ -309,7 +300,7 @@ func (c *Client) call(ctx *rpc.Ctx, conn rpc.Conn, sessioned bool, ops ...Op) (*
 func (c *Client) Mount(ctx *rpc.Ctx) error {
 	rep, err := c.call(ctx, c.cfg.MDS, false,
 		&OpExchangeID{ClientName: c.cfg.Name},
-		&OpCreateSession{Slots: c.cfg.Slots},
+		&OpCreateSession{Slots: sessionSlots},
 	)
 	if err != nil {
 		return fmt.Errorf("nfs: mount handshake: %w", err)
@@ -319,7 +310,7 @@ func (c *Client) Mount(ctx *rpc.Ctx) error {
 	c.session = cs.Session
 	// A fresh session starts every slot's sequence at zero.
 	c.slotMu.Lock()
-	c.slotSeq = make([]uint32, c.cfg.Slots)
+	c.slotSeq = make([]uint32, sessionSlots)
 	c.slotMu.Unlock()
 
 	rep, err = c.call(ctx, c.cfg.MDS, true, &OpPutRootFH{}, &OpGetDevList{})

@@ -25,6 +25,28 @@ func (c *Client) deviceActive(id pnfs.DeviceID) bool {
 	return c.active[id] && c.devices[id] != nil
 }
 
+// extentCall sends PUTFH + op for extent e of f to the server that holds it —
+// the one place a data-path compound is addressed.  A striped extent goes to
+// its data server under layout l, sessionless, by the stripe object's
+// filehandle; op gets the offset that server expects (the device offset when
+// the layout exposes the stripe objects directly, the logical offset
+// otherwise).  Dev < 0, the engine's MDS marker, goes to the metadata server
+// over a session slot, by the file's own handle and logical offset.
+func (c *Client) extentCall(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, op func(off int64) Op) (*CompoundRep, error) {
+	if e.Dev < 0 {
+		return c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, op(e.Off))
+	}
+	conn := c.device(l.Devices[e.Dev])
+	if conn == nil {
+		return nil, fmt.Errorf("nfs: no conn for device %d", l.Devices[e.Dev])
+	}
+	off := e.Off
+	if l.Direct {
+		off = e.DevOff
+	}
+	return c.call(ctx, conn, false, &OpPutFH{FH: l.FHs[e.Dev]}, op(off))
+}
+
 // refreshDevices re-drives GETDEVICELIST, dials any newly advertised
 // device, and replaces the active set.  Conns for departed devices are
 // retained so data written under older layout generations stays reachable.

@@ -1,8 +1,6 @@
 package nfs
 
 import (
-	"fmt"
-
 	"dpnfs/internal/ioengine"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pnfs"
@@ -137,12 +135,12 @@ func (c *Client) readRange(ctx *rpc.Ctx, f *File, chunk extent) error {
 
 // readChunks fetches a set of RSize chunks into the cache in one engine
 // run: striped across data servers under a layout, or from the MDS
-// otherwise.  Striped extents carry the same recovery ladder as writes — a
-// device error evicts and refetches the layout for one retry, and extents
-// that still cannot reach a data server are read through the MDS — with one
-// extra rung under a replicated layout: a failed extent first retries on
-// each alternate replica device before the layout re-drive.  Replicated
-// reads are also steered to the least-loaded replica before issue.
+// otherwise.  A striped extent's read ladder composes the rungs tabulated in
+// docs/FAULTS.md "Recovery paths per architecture", in this order: bounded
+// same-source re-reads of a checksum mismatch, then (replicated layouts
+// only) the replica rung, then the layout re-drive the write ladder shares,
+// then the MDS proxy.  Replicated reads are also steered to the least-loaded
+// replica before issue.
 func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengine.RunOpts) error {
 	if len(chunks) == 0 {
 		return nil
@@ -151,25 +149,24 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		return err
 	}
 	want := c.cfg.Real
-	mdsRead := func(ctx *rpc.Ctx, e stripe.Extent) error {
-		rep, err := c.call(ctx, c.cfg.MDS, true,
-			&OpPutFH{FH: f.fh},
-			&OpRead{StateID: f.stateID, Off: e.Off, Len: e.Len, WantReal: want},
-		)
+	read := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
+		data, err := c.readExtent(ctx, f, l, e, want)
 		if err != nil {
 			return err
 		}
-		f.cache.fill(e.Off, rep.Results[1].(*ResRead).Data)
+		f.cache.fill(e.Off, data)
 		return nil
 	}
-	if f.mapper == nil {
+	layout := f.layout
+	if layout == nil {
+		// No layout: every chunk is one MDS pseudo-extent (Dev -1).
 		reqs := make([]stripe.Extent, len(chunks))
 		for i, ch := range chunks {
-			reqs[i] = stripe.Extent{Off: ch.Off, Len: ch.len()}
+			reqs[i] = stripe.Extent{Dev: -1, Off: ch.Off, Len: ch.len()}
 		}
-		return c.engine.RunWith(ctx, opts, reqs, mdsRead)
+		return c.engine.RunWith(ctx, opts, reqs,
+			func(ctx *rpc.Ctx, e stripe.Extent) error { return read(ctx, layout, e) })
 	}
-	layout := f.layout
 	var extents []stripe.Extent
 	for _, ch := range chunks {
 		extents = append(extents, f.mapper.ReadMap(ch.Off, ch.len(), ch.Off/c.cfg.RSize)...)
@@ -179,20 +176,12 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		// Steer each extent to its least-loaded replica device before issue.
 		extents = c.engine.SteerReplicas(rm, extents)
 	}
-	read := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
-		rep, err := c.dsRead(ctx, f, l, e, want)
-		if err != nil {
-			return err
-		}
-		f.cache.fill(e.Off, rep.Results[1].(*ResRead).Data)
-		return nil
-	}
 	primary := func(ctx *rpc.Ctx, e stripe.Extent) error {
 		err := read(ctx, layout, e)
 		// A checksum mismatch gets a bounded number of same-source re-reads
 		// before the failure ladder engages: a misdirected read is one-shot,
 		// so the next read of the same block is clean, while persistent rot
-		// escalates to replica read-repair below (rpc.IntegrityRetries).
+		// escalates to the replica rung below (rpc.IntegrityRetries).
 		for attempt := 0; rpc.RetryableIntegrity(err); attempt++ {
 			c.corruptReads.Inc()
 			if attempt >= rpc.IntegrityRetries {
@@ -209,71 +198,44 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		read, nil)
 	mdsProxy := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
 		c.mdsFallbacks.Inc()
-		return mdsRead(ctx, e)
+		e.Dev = -1
+		return read(ctx, layout, e)
 	})
 	policies := []ioengine.Policy{mdsProxy, recovery}
 	if replicated {
-		// Innermost rung: before evicting the layout, retry the extent on
-		// each alternate replica device in turn — every replica holds the
-		// same stripe object, so only Dev changes.  The liveness filter
-		// keeps failover off devices that have left the cluster.
-		live := func(dev int) bool {
-			return dev >= 0 && dev < len(layout.Devices) && c.deviceActive(layout.Devices[dev])
+		// Innermost rung: before evicting the layout, read the extent from
+		// another replica device — every replica holds the same stripe
+		// object, so only Dev changes.  The liveness filter keeps the rung
+		// off devices that have left the cluster.
+		replicas := ioengine.Replicas[repairKey]{
+			Map: rm,
+			Live: func(dev int) bool {
+				return dev >= 0 && dev < len(layout.Devices) && c.deviceActive(layout.Devices[dev])
+			},
+			Read: func(ctx *rpc.Ctx, alt stripe.Extent, real bool) (payload.Payload, error) {
+				return c.readExtent(ctx, f, layout, alt, want || real)
+			},
+			Rewrite: func(ctx *rpc.Ctx, bad stripe.Extent, good payload.Payload) error {
+				return c.writeExtent(ctx, f, layout, bad, good)
+			},
+			Ledger:   &c.repaired,
+			Key:      func(bad stripe.Extent) repairKey { return repairKey{f.fh, bad.Dev, bad.DevOff} },
+			Repaired: c.readRepairs,
 		}
-		replicaFB := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
-			corrupt := rpc.RetryableIntegrity(err)
-			for _, alt := range rm.AlternatesLive(e, live) {
-				rep, err2 := c.dsRead(ctx, f, layout, alt, want)
-				if err2 != nil {
-					continue
-				}
-				data := rep.Results[1].(*ResRead).Data
-				if corrupt {
-					// The extent failed its checksum, not its transport:
-					// rewrite the bad copy with the replica's good bytes
-					// before serving them (read-repair).
-					c.readRepair(ctx, f, layout, e, data)
-				}
-				f.cache.fill(alt.Off, data)
-				return nil
-			}
-			return err
-		})
-		policies = append(policies, replicaFB)
+		policies = append(policies, replicas.Policy(func(e stripe.Extent, good payload.Payload) {
+			f.cache.fill(e.Off, good)
+		}))
 	}
 	return c.engine.RunWith(ctx, opts, c.engine.Prepare(extents), primary, policies...)
 }
 
-// readRepair rewrites a corrupt extent with good bytes just read from a
-// replica, exactly once per (file, device, device-offset): the first corrupt
-// read repairs the copy, concurrent and later corrupt reads of the same
-// extent only re-serve good bytes.  The rewrite is best-effort — the caller
-// already holds good data, and the background scrubber sweeps up copies the
-// client never rewrites — so a failed repair only releases the exactly-once
-// claim for a later attempt.
-func (c *Client) readRepair(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, good payload.Payload) {
-	key := repairKey{fh: f.fh, dev: e.Dev, devOff: e.DevOff}
-	rewrite := func() error {
-		_, err := c.dsWrite(ctx, f, l, e, good)
-		return err
+// readExtent reads one extent from the server that holds it under layout l.
+func (c *Client) readExtent(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, want bool) (payload.Payload, error) {
+	rep, err := c.extentCall(ctx, f, l, e, func(off int64) Op {
+		return &OpRead{StateID: f.stateID, Off: off, Len: e.Len, WantReal: want}
+	})
+	if err != nil {
+		return payload.Payload{}, err
 	}
-	if c.repaired.Once(key, rewrite) {
-		c.readRepairs.Inc()
-	}
-}
-
-// dsRead sends one extent's READ to its data server under layout l.
-func (c *Client) dsRead(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, want bool) (*CompoundRep, error) {
-	conn := c.device(l.Devices[e.Dev])
-	if conn == nil {
-		return nil, fmt.Errorf("nfs: no conn for device %d", l.Devices[e.Dev])
-	}
-	devOff := e.Off
-	if l.Direct {
-		devOff = e.DevOff
-	}
-	return c.call(ctx, conn, false,
-		&OpPutFH{FH: l.FHs[e.Dev]},
-		&OpRead{StateID: f.stateID, Off: devOff, Len: e.Len, WantReal: want},
-	)
+	return rep.Results[1].(*ResRead).Data, nil
 }

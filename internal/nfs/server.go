@@ -87,12 +87,14 @@ type session struct {
 	lastRep []*CompoundRep
 }
 
+// serverThreads is the number of NFS server threads (paper: 8).
+const serverThreads = 8
+
 // ServerConfig wires a Server to its node and backend.
 type ServerConfig struct {
 	Node    *simnet.Node
 	Backend Backend
 	Costs   Costs
-	Threads int // NFS server threads (paper: 8)
 	// Transport, when set together with Node, registers the service under
 	// Node's name (simulated fabric or real TCP).  Without it the server is
 	// only reachable through Handle (rpc.ListenTCP in the demo and tests).
@@ -139,9 +141,6 @@ const maxOpNum = 64
 // NewServer creates the server and registers its RPC service when a
 // transport is configured.
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 8
-	}
 	s := &Server{
 		cfg:      cfg,
 		sessions: make(map[uint64]*session),
@@ -173,7 +172,7 @@ func NewServer(cfg ServerConfig) *Server {
 		}
 	}
 	if cfg.Transport != nil && cfg.Node != nil {
-		if _, err := cfg.Transport.Serve(cfg.Node.Name, service, Registry(), s.Handle, cfg.Threads); err != nil {
+		if _, err := cfg.Transport.Serve(cfg.Node.Name, service, Registry(), s.Handle, serverThreads); err != nil {
 			panic("nfs: register service: " + err.Error())
 		}
 	}
@@ -190,10 +189,7 @@ func (s *Server) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.
 		return nil, rpc.StatusGarbageArgs
 	}
 	s.compounds.Inc()
-	var cpu *sim.KServer
-	if s.cfg.Node != nil {
-		cpu = s.cfg.Node.CPU
-	}
+	cpu := s.cfg.Node.Processor()
 	ctx.UseCPU(cpu, time.Duration(len(args.Ops))*s.cfg.Costs.ServerPerOp)
 
 	// Session check and replay cache.  The lock covers only the in-memory
@@ -382,7 +378,7 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, &ResSetAttr{})
 
 		case *OpRead:
-			ctx.UseCPU(cpu, perMB(s.cfg.Costs.ServerPerMB, o.Len))
+			ctx.UseCPU(cpu, rpc.PerMB(s.cfg.Costs.ServerPerMB, o.Len))
 			data, eof, err := b.Read(ctx, cur, o.Off, o.Len, o.WantReal)
 			if err != nil {
 				return fail(&ResRead{Errno: fserr.ToErrno(err)})
@@ -397,7 +393,7 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, res)
 
 		case *OpWrite:
-			ctx.UseCPU(cpu, perMB(s.cfg.Costs.ServerPerMB, o.Data.Len()))
+			ctx.UseCPU(cpu, rpc.PerMB(s.cfg.Costs.ServerPerMB, o.Data.Len()))
 			newSize, err := b.Write(ctx, cur, o.Off, o.Data, o.Stable)
 			if err != nil {
 				return fail(&ResWrite{Errno: fserr.ToErrno(err)})
@@ -491,10 +487,6 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 		}
 	}
 	return rep
-}
-
-func perMB(d time.Duration, n int64) time.Duration {
-	return time.Duration(float64(d) * float64(n) / (1 << 20))
 }
 
 // StoreBackend serves a local store.Store, optionally charging a simulated

@@ -1,7 +1,6 @@
 package nfs
 
 import (
-	"fmt"
 	"sort"
 
 	"dpnfs/internal/ioengine"
@@ -84,25 +83,14 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 			f.setAsyncErr(err)
 			continue
 		}
-		if f.mapper == nil {
-			// No layout: the whole chunk goes through the MDS as one
-			// pseudo-extent (Dev -1, the engine's MDS marker).
-			reqs = append(reqs, stripe.Extent{Dev: -1, Off: wb.off, Len: data.Len()})
-			fns = append(fns, func(ctx *rpc.Ctx, e stripe.Extent) error {
-				_, err := c.call(ctx, c.cfg.MDS, true,
-					&OpPutFH{FH: f.fh},
-					&OpWrite{StateID: f.stateID, Off: e.Off, Data: data},
-				)
-				if err == nil {
-					f.markTouched(-1)
-				}
-				return err
-			})
-			owners = append(owners, f)
-			continue
+		// No layout: the whole chunk goes through the MDS as one
+		// pseudo-extent (Dev -1, the engine's MDS marker).
+		exts := []stripe.Extent{{Dev: -1, Off: wb.off, Len: data.Len()}}
+		if f.mapper != nil {
+			exts = c.engine.Prepare(f.mapper.Map(wb.off, data.Len()))
 		}
 		fn := c.chunkLadder(f, wb.off, data)
-		for _, e := range c.engine.Prepare(f.mapper.Map(wb.off, data.Len())) {
+		for _, e := range exts {
 			reqs = append(reqs, e)
 			fns = append(fns, fn)
 			owners = append(owners, f)
@@ -127,19 +115,18 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 	}
 }
 
-// chunkLadder builds the per-extent dispatch for one gathered chunk:
-// striped writes under the file's pNFS layout behind a two-rung policy
-// ladder.  A device error evicts the cached layout, re-drives
-// GETDEVICELIST + LAYOUTGET, and retries once against the fresh layout
-// (the recalled-layout path, paper §4); extents that still cannot reach a
-// data server are proxied through the metadata server, which writes into
-// the parallel file system on the client's behalf.
+// chunkLadder builds the per-extent dispatch for one gathered chunk.  Without
+// a layout that is the write itself — the MDS is the only server.  Under a
+// pNFS layout the striped write sits behind a two-rung policy ladder: a
+// device error evicts the cached layout, re-drives GETDEVICELIST +
+// LAYOUTGET, and retries once against the fresh layout (the recalled-layout
+// path, paper §4); extents that still cannot reach a data server are proxied
+// through the metadata server, which writes into the parallel file system on
+// the client's behalf.
 func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.DoFunc {
 	layout := f.layout
-	chunk := func(e stripe.Extent) payload.Payload { return data.Slice(e.Off-off, e.Len) }
 	write := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
-		_, err := c.dsWrite(ctx, f, l, e, chunk(e))
-		return err
+		return c.writeExtent(ctx, f, l, e, data.Slice(e.Off-off, e.Len))
 	}
 	primary := func(ctx *rpc.Ctx, e stripe.Extent) error {
 		err := write(ctx, layout, e)
@@ -148,6 +135,9 @@ func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.
 		}
 		return err
 	}
+	if layout == nil {
+		return primary
+	}
 	// A retry that had to remap commits through the MDS (settled(-1)): the
 	// touched-device indices no longer line up with the fresh geometry.
 	recovery := c.recoveryRung(f, layout,
@@ -155,14 +145,8 @@ func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.
 		write, f.markTouched)
 	mdsProxy := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
 		c.mdsFallbacks.Inc()
-		_, err := c.call(ctx, c.cfg.MDS, true,
-			&OpPutFH{FH: f.fh},
-			&OpWrite{StateID: f.stateID, Off: e.Off, Data: chunk(e)},
-		)
-		if err == nil {
-			f.markTouched(-1)
-		}
-		return err
+		e.Dev = -1
+		return primary(ctx, e)
 	})
 	// Same composition order RunWith would apply to (primary, mdsProxy,
 	// recovery): try the layout's data server, recover the layout on error,
@@ -170,20 +154,12 @@ func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.
 	return mdsProxy(recovery(primary))
 }
 
-// dsWrite sends one extent's WRITE to its data server under layout l.
-func (c *Client) dsWrite(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, chunk payload.Payload) (*CompoundRep, error) {
-	conn := c.device(l.Devices[e.Dev])
-	if conn == nil {
-		return nil, fmt.Errorf("nfs: no conn for device %d", l.Devices[e.Dev])
-	}
-	devOff := e.Off
-	if l.Direct {
-		devOff = e.DevOff
-	}
-	return c.call(ctx, conn, false,
-		&OpPutFH{FH: l.FHs[e.Dev]},
-		&OpWrite{StateID: f.stateID, Off: devOff, Data: chunk},
-	)
+// writeExtent writes one extent to the server that holds it under layout l.
+func (c *Client) writeExtent(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, chunk payload.Payload) error {
+	_, err := c.extentCall(ctx, f, l, e, func(off int64) Op {
+		return &OpWrite{StateID: f.stateID, Off: off, Data: chunk}
+	})
+	return err
 }
 
 // Fsync flushes all dirty data, commits unstable writes on every touched
@@ -220,28 +196,31 @@ func (c *Client) Fsync(ctx *rpc.Ctx, f *File) error {
 	sort.Ints(devs)
 	commits := make([]stripe.Extent, len(devs))
 	for i, dev := range devs {
+		// Dev < 0 is the MDS marker.  An out-of-range or unknown device (the
+		// layout was regenerated under a new membership between the write
+		// and this commit) is the MDS's to commit the same way.
+		if dev >= 0 && (dev >= len(f.layout.Devices) || c.device(f.layout.Devices[dev]) == nil) {
+			dev = -1
+		}
 		commits[i] = stripe.Extent{Dev: dev}
 	}
-	err := c.engine.Run(ctx, commits, func(ctx *rpc.Ctx, r stripe.Extent) error {
-		// r.Dev < 0 is the explicit MDS marker; an out-of-range or unknown
-		// device (the layout was regenerated under a new membership between
-		// the write and this commit) falls back to the MDS the same way.
-		if r.Dev < 0 || r.Dev >= len(f.layout.Devices) || c.device(f.layout.Devices[r.Dev]) == nil {
-			_, err := c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpCommit{})
+	commit := func(ctx *rpc.Ctx, r stripe.Extent) error {
+		_, err := c.extentCall(ctx, f, f.layout, r, func(int64) Op { return &OpCommit{} })
+		return err
+	}
+	// Crashed data server: commit through the MDS instead, which flushes the
+	// parallel FS daemons on the client's behalf.  A commit that was the
+	// MDS's to begin with has no further rung.
+	viaMDS := ioengine.WithFallback(func(ctx *rpc.Ctx, r stripe.Extent, err error) error {
+		if r.Dev < 0 {
 			return err
 		}
-		conn := c.device(f.layout.Devices[r.Dev])
-		_, err := c.call(ctx, conn, false, &OpPutFH{FH: f.layout.FHs[r.Dev]}, &OpCommit{})
-		if err != nil {
-			// Crashed data server: commit through the MDS instead, which
-			// flushes the parallel FS daemons on the client's behalf.
-			c.devErrors.Inc()
-			c.mdsFallbacks.Inc()
-			_, err = c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpCommit{})
-		}
-		return err
+		c.devErrors.Inc()
+		c.mdsFallbacks.Inc()
+		r.Dev = -1
+		return commit(ctx, r)
 	})
-	if err != nil {
+	if err := c.engine.Run(ctx, commits, commit, viaMDS); err != nil {
 		return err
 	}
 	// Publish the (possibly extended) size to the metadata server.

@@ -9,7 +9,6 @@ import (
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
-	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
 	"dpnfs/internal/stripe"
@@ -69,7 +68,7 @@ type Client struct {
 	// not ride the engine.
 	io     map[uint32]rpc.Conn
 	ioSync map[uint32]rpc.Conn
-	// repaired records extents this client already read-repaired, keyed by
+	// repaired records extents the replica rung already rewrote, keyed by
 	// (data handle, device, device offset).
 	repaired ioengine.RepairLedger[repairKey]
 }
@@ -141,11 +140,7 @@ type File struct {
 }
 
 func (c *Client) chargeOp(ctx *rpc.Ctx, bytes int64) {
-	var cpu *sim.KServer
-	if c.cfg.Node != nil {
-		cpu = c.cfg.Node.CPU
-	}
-	ctx.UseCPU(cpu, c.cfg.Costs.ClientPerOp+perMB(c.cfg.Costs.ClientPerMB, bytes))
+	ctx.UseCPU(c.cfg.Node.Processor(), c.cfg.Costs.ClientPerOp+rpc.PerMB(c.cfg.Costs.ClientPerMB, bytes))
 }
 
 func (c *Client) newFile(h, data Handle, dist DistParams) *File {
@@ -228,25 +223,12 @@ func (c *Client) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload, s
 	// (Foreground by default; never hedged — writes are not idempotent
 	// against concurrent writers).
 	err := c.engine.RunWith(ctx, ioengine.RunOpts{Class: c.cfg.Class}, reqs, func(ctx *rpc.Ctx, r stripe.Extent) error {
-		conn, err := f.conn(r.Dev)
+		objSize, err := f.writeCopy(ctx, r, data.Slice(r.Off-off, r.Len), syncData)
 		if err != nil {
 			return err
 		}
-		var rep IOWriteRep
-		args := &IOWriteArgs{
-			Handle: f.Data,
-			Off:    r.DevOff,
-			Data:   data.Slice(r.Off-off, r.Len),
-			Sync:   syncData,
-		}
-		if err := conn.Call(ctx, ProcIOWrite, args, &rep); err != nil {
-			return err
-		}
-		if rep.Errno != 0 {
-			return rep.Errno.Err()
-		}
 		mu.Lock()
-		if end := logicalEnd(f.mapper, r.Dev, rep.ObjSize); end > logical {
+		if end := logicalEnd(f.mapper, r.Dev, objSize); end > logical {
 			logical = end
 		}
 		mu.Unlock()
@@ -255,8 +237,28 @@ func (c *Client) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload, s
 	return logical, err
 }
 
+// writeCopy writes data to extent r's copy on its daemon — an application
+// write or the replica rung's rewrite of a bad copy — and returns the
+// daemon's new object size.
+func (f *File) writeCopy(ctx *rpc.Ctx, r stripe.Extent, data payload.Payload, syncData bool) (int64, error) {
+	conn, err := f.conn(r.Dev)
+	if err != nil {
+		return 0, err
+	}
+	var rep IOWriteRep
+	args := &IOWriteArgs{Handle: f.Data, Off: r.DevOff, Data: data, Sync: syncData}
+	if err := conn.Call(ctx, ProcIOWrite, args, &rep); err != nil {
+		return 0, err
+	}
+	return rep.ObjSize, rep.Errno.Err()
+}
+
 // Read fetches up to n bytes at off.  It returns the data (real bytes only
-// if wantReal) and the number of logical bytes before EOF.
+// if wantReal) and the number of logical bytes before EOF.  Each extent's
+// read runs under the library's ladder (docs/FAULTS.md "Recovery paths per
+// architecture"): the retry loop outermost and, under a replicated
+// distribution, the replica rung inside it — so each attempt tries every
+// copy once, and a copy that failed its checksum is rewritten exactly once.
 func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (payload.Payload, int64, error) {
 	c.chargeOp(ctx, n)
 	seed := off / f.Dist.StripeSize
@@ -270,36 +272,49 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 	// below it that a daemon skipped are holes (zeros).
 	var mu sync.Mutex
 	var maxEnd int64
+	deliver := func(r stripe.Extent, data payload.Payload) {
+		got := data.Len()
+		if got == 0 {
+			return
+		}
+		// The copy stays under mu: a hedged duplicate writes the same bytes
+		// to the same region as its primary.
+		mu.Lock()
+		if end := r.Off + got; end > maxEnd {
+			maxEnd = end
+		}
+		if wantReal && data.Bytes != nil {
+			copy(buf[r.Off-off:], data.Bytes)
+		}
+		mu.Unlock()
+	}
+	policies := []ioengine.Policy{c.retry}
+	if rm, ok := f.mapper.(*stripe.Replicated); ok {
+		replicas := ioengine.Replicas[repairKey]{
+			Map: rm,
+			Read: func(ctx *rpc.Ctx, alt stripe.Extent, real bool) (payload.Payload, error) {
+				return c.readCopy(ctx, f, alt, wantReal || real)
+			},
+			Rewrite: func(ctx *rpc.Ctx, bad stripe.Extent, good payload.Payload) error {
+				_, err := f.writeCopy(ctx, bad, good, false)
+				return err
+			},
+			Ledger:   &c.repaired,
+			Key:      func(bad stripe.Extent) repairKey { return repairKey{f.Data, bad.Dev, bad.DevOff} },
+			Repaired: c.stats.readRepairs,
+		}
+		policies = append(policies, replicas.Policy(deliver))
+	}
 	// Synchronous read: runs at the client's configured class, and is
 	// eligible for hedged duplicates when the engine has hedging enabled
 	// (reads are idempotent).
 	err := c.engine.RunWith(ctx, ioengine.RunOpts{Class: c.cfg.Class, Hedge: true}, reqs, func(ctx *rpc.Ctx, r stripe.Extent) error {
-		rep, err := c.readExtent(ctx, f, r, wantReal)
-		if err != nil {
-			// Replica ladder: a dead device or a corrupt block is retried
-			// on each surviving copy; corruption additionally rewrites the
-			// bad copy with the good bytes (read-repair, exactly once per
-			// extent).
-			rep, err = c.readAlternates(ctx, f, r, wantReal, err)
+		data, err := c.readCopy(ctx, f, r, wantReal)
+		if err == nil {
+			deliver(r, data)
 		}
-		if err != nil {
-			return err
-		}
-		got := rep.Data.Len()
-		if got > 0 {
-			// The copy stays under mu: a hedged duplicate writes the same
-			// bytes to the same region as its primary.
-			mu.Lock()
-			if end := r.Off + got; end > maxEnd {
-				maxEnd = end
-			}
-			if wantReal && rep.Data.Bytes != nil {
-				copy(buf[r.Off-off:], rep.Data.Bytes)
-			}
-			mu.Unlock()
-		}
-		return nil
-	}, c.retry)
+		return err
+	}, policies...)
 	if err != nil {
 		return payload.Payload{}, 0, err
 	}
@@ -316,85 +331,40 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 	return payload.Synthetic(valid), valid, nil
 }
 
-// readExtent issues one extent read to its device's daemon and verifies the
-// reply (errno mapping plus the optional wire checksum).
-func (c *Client) readExtent(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal bool) (IOReadRep, error) {
+// readCopy reads extent r's copy from its daemon, verified (ReadCopy), and
+// counts a checksum failure.
+func (c *Client) readCopy(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal bool) (payload.Payload, error) {
 	conn, err := f.conn(r.Dev)
 	if err != nil {
-		return IOReadRep{}, err
+		return payload.Payload{}, err
 	}
+	data, err := ReadCopy(ctx, conn, f.Data, r.DevOff, r.Len, wantReal)
+	if rpc.RetryableIntegrity(err) {
+		c.stats.corruptReads.Inc()
+	}
+	return data, err
+}
+
+// ReadCopy reads n bytes at off of datafile h from one storage daemon and
+// verifies the reply: the transport, the daemon's status, then the wire
+// checksum when the daemon attached one — damage after the daemon read the
+// bytes surfaces as the same store.ErrCorrupt a block-checksum mismatch
+// does.  It is the single-copy read under every replica ladder: this
+// client's Read and the scrubber's repair fetch.
+func ReadCopy(ctx *rpc.Ctx, conn rpc.Conn, h Handle, off, n int64, wantReal bool) (payload.Payload, error) {
 	var rep IOReadRep
-	args := &IOReadArgs{Handle: f.Data, Off: r.DevOff, Len: r.Len, WantReal: wantReal}
+	args := &IOReadArgs{Handle: h, Off: off, Len: n, WantReal: wantReal}
 	if err := conn.Call(ctx, ProcIORead, args, &rep); err != nil {
-		return IOReadRep{}, err
+		return payload.Payload{}, err
 	}
 	if rep.Errno != 0 {
-		if rep.Errno == fserr.Corrupt {
-			c.stats.corruptReads.Inc()
-		}
-		return IOReadRep{}, rep.Errno.Err()
+		return payload.Payload{}, rep.Errno.Err()
 	}
 	if rep.HasSum && rep.Data.Bytes != nil && xdr.Checksum(rep.Data.Bytes) != rep.Sum {
-		// The payload was damaged after the daemon read it (or on the
-		// wire): surface it as the same bounded-retry integrity error a
-		// block-checksum mismatch produces.
-		c.stats.corruptReads.Inc()
 		rep.Data.Release()
-		return IOReadRep{}, store.ErrCorrupt
+		return payload.Payload{}, store.ErrCorrupt
 	}
-	return rep, nil
-}
-
-// readAlternates re-drives a failed extent read on each surviving replica.
-// Only the two laddered failure kinds are eligible — a down device and a
-// data-integrity error; anything else (bad handle, wiring bug) propagates
-// unchanged.  An integrity failure that a replica absorbs also rewrites the
-// bad copy with the replica's bytes.
-func (c *Client) readAlternates(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal bool, cause error) (IOReadRep, error) {
-	rm, ok := f.mapper.(*stripe.Replicated)
-	if !ok || (!rpc.Retryable(cause) && !rpc.RetryableIntegrity(cause)) {
-		return IOReadRep{}, cause
-	}
-	corrupt := rpc.RetryableIntegrity(cause)
-	for _, alt := range rm.Alternates(r) {
-		// Repair needs real bytes even when the caller wanted a synthetic
-		// read (it rewrites stored content, not sizes).
-		rep, err := c.readExtent(ctx, f, alt, wantReal || corrupt)
-		if err != nil {
-			continue
-		}
-		if corrupt {
-			c.readRepair(ctx, f, r, rep.Data)
-		}
-		return rep, nil
-	}
-	return IOReadRep{}, cause
-}
-
-// readRepair rewrites the corrupt extent on its original device with the
-// good bytes just fetched from a replica, at most once per extent per
-// client.  The write reseals the block checksums; failure releases the
-// claim so a later read can try again.
-func (c *Client) readRepair(ctx *rpc.Ctx, f *File, r stripe.Extent, good payload.Payload) {
-	if good.Bytes == nil || good.Len() == 0 {
-		return
-	}
-	conn, err := f.conn(r.Dev)
-	if err != nil {
-		return
-	}
-	key := repairKey{data: f.Data, dev: r.Dev, devOff: r.DevOff}
-	rewrite := func() error {
-		var rep IOWriteRep
-		args := &IOWriteArgs{Handle: f.Data, Off: r.DevOff, Data: good}
-		if err := conn.Call(ctx, ProcIOWrite, args, &rep); err != nil {
-			return err
-		}
-		return rep.Errno.Err()
-	}
-	if c.repaired.Once(key, rewrite) {
-		c.stats.readRepairs.Inc()
-	}
+	return rep.Data, nil
 }
 
 // Sync flushes the file's buffered data on each storage daemon holding one

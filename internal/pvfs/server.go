@@ -43,10 +43,6 @@ func DefaultCosts() Costs {
 	}
 }
 
-func perMB(d time.Duration, n int64) time.Duration {
-	return time.Duration(float64(d) * float64(n) / (1 << 20))
-}
-
 // StorageConfig describes one storage daemon.
 type StorageConfig struct {
 	Node  *simnet.Node
@@ -279,10 +275,7 @@ func (s *StorageServer) acquireBuffers(ctx *rpc.Ctx, n int64) func() {
 // Handle dispatches one storage daemon request.
 func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
 	s.stats.requests.inc(proc)
-	var cpu *sim.KServer
-	if s.cfg.Node != nil {
-		cpu = s.cfg.Node.CPU
-	}
+	cpu := s.cfg.Node.Processor()
 	switch proc {
 	case ProcIOCreate:
 		a := req.(*IOCreateArgs)
@@ -324,7 +317,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 			return &IOWriteRep{Errno: fserr.Stale}, rpc.StatusOK
 		}
 		n := a.Data.Len()
-		ctx.UseCPU(cpu, s.cfg.Costs.ServerPerOp+perMB(s.cfg.Costs.ServerPerMB, n))
+		ctx.UseCPU(cpu, s.cfg.Costs.ServerPerOp+rpc.PerMB(s.cfg.Costs.ServerPerMB, n))
 		release := s.acquireBuffers(ctx, n)
 		ctx.Defer(release)
 		prev, err := s.store.GetAttr(id)
@@ -385,7 +378,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		} else if a.Off+n > at.Size {
 			n = at.Size - a.Off
 		}
-		ctx.UseCPU(cpu, s.cfg.Costs.ServerPerOp+perMB(s.cfg.Costs.ServerPerMB, n))
+		ctx.UseCPU(cpu, s.cfg.Costs.ServerPerOp+rpc.PerMB(s.cfg.Costs.ServerPerMB, n))
 		release := s.acquireBuffers(ctx, n)
 		ctx.Defer(release)
 		if n > 0 {
@@ -676,11 +669,7 @@ func (m *MetaServer) fanoutConns(ctx *rpc.Ctx, conns []rpc.Conn, fn func(ctx *rp
 // Handle dispatches one metadata request.
 func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
 	m.stats.requests.inc(proc)
-	var cpu *sim.KServer
-	if m.cfg.Node != nil {
-		cpu = m.cfg.Node.CPU
-	}
-	ctx.UseCPU(cpu, m.cfg.Costs.MetaPerOp)
+	ctx.UseCPU(m.cfg.Node.Processor(), m.cfg.Costs.MetaPerOp)
 	switch proc {
 	// Each namespace verb has a path procedure and a handle procedure over
 	// one body: the path form walks from the root to the (directory, name)

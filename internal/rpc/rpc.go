@@ -148,6 +148,11 @@ func (c *Ctx) UseCPU(cpu *sim.KServer, d time.Duration) {
 	}
 }
 
+// PerMB scales a per-megabyte CPU cost to n bytes.
+func PerMB(d time.Duration, n int64) time.Duration {
+	return time.Duration(float64(d) * float64(n) / (1 << 20))
+}
+
 // Sleep pauses for d of virtual time; no-op in real-time mode.
 func (c *Ctx) Sleep(d time.Duration) {
 	if c.P != nil && d > 0 {

@@ -54,6 +54,15 @@ func (n *NIC) xmitTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / n.BytesPerSec * 1e9)
 }
 
+// Processor returns the node's CPU, or nil for a nil node (endpoints built
+// without a simulated node charge no CPU).
+func (n *Node) Processor() *sim.KServer {
+	if n == nil {
+		return nil
+	}
+	return n.CPU
+}
+
 // Node is a machine in the simulated cluster.
 type Node struct {
 	Name     string

@@ -89,7 +89,9 @@ func Integrity(cl *cluster.Cluster, cfg IntegrityConfig) (IntegrityResult, error
 		return IntegrityResult{}, fmt.Errorf("integrity setup: %w", err)
 	}
 	cl.ArmFaults(true)
-	cl.ScheduleScrub(cfg.ScrubAt)
+	if err := cl.ScheduleScrub(cfg.ScrubAt); err != nil {
+		return IntegrityResult{}, fmt.Errorf("integrity setup: %w", err)
+	}
 
 	var mu sync.Mutex
 	var window [3]int64 // verified bytes per window
