@@ -170,8 +170,6 @@ func opName(num uint32) string {
 		return "LAYOUTGET"
 	case OpNumLayoutReturn:
 		return "LAYOUTRETURN"
-	case OpNumSequence:
-		return "SEQUENCE"
 	case OpNumGetDevList:
 		return "GETDEVICELIST"
 	}

@@ -44,7 +44,6 @@ const (
 	OpNumLayoutCommit  uint32 = 49
 	OpNumLayoutGet     uint32 = 50
 	OpNumLayoutReturn  uint32 = 51
-	OpNumSequence      uint32 = 53
 	OpNumGetDevList    uint32 = 56
 )
 

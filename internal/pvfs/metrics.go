@@ -36,6 +36,8 @@ func ProcName(proc uint32) string {
 		return "rename-h"
 	case ProcReadDirH:
 		return "readdir-h"
+	case ProcPlacementH:
+		return "placement-h"
 	case ProcIORead:
 		return "io-read"
 	case ProcIOWrite:
