@@ -23,14 +23,18 @@ import (
 type directDSBackend struct {
 	storage *pvfs.StorageServer
 	node    *simnet.Node
-	costs   pvfs.Costs
 }
+
+// conduitPerOp is the loopback PVFS2 client's per-request cost: half the
+// client library's per-op cost, the network half of the crossing being
+// absent.
+const conduitPerOp = 225 * time.Microsecond
 
 // conduit charges the loopback PVFS2 client cost on the data server node —
 // the prototype funnels NFS I/O through the local PVFS2 client and loopback
 // device rather than direct VFS access (paper §5).
 func (b *directDSBackend) conduit(ctx *rpc.Ctx, bytes int64) {
-	ctx.UseCPU(b.node.CPU, b.costs.ClientPerOp/2+rpc.PerMB(time.Millisecond, bytes))
+	ctx.UseCPU(b.node.CPU, conduitPerOp+rpc.PerMB(time.Millisecond, bytes))
 }
 
 func (b *directDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, error) {

@@ -381,7 +381,7 @@ func (cl *Cluster) buildBackend(nodes int, diskScale float64) {
 		ioConnsFromMDS = append(ioConnsFromMDS, cl.dial(cl.mdsNode.Name, n.Name, pvfs.ServiceIO))
 	}
 	cl.PVFSMeta = pvfs.NewMetaServer(pvfs.MetaConfig{
-		Transport: cl.tr, Node: cl.mdsNode, Costs: pvfs.DefaultCosts(),
+		Transport: cl.tr, Node: cl.mdsNode,
 		Dist: pvfs.DistParams{
 			StripeSize: cfg.StripeSize,
 			NumServers: uint32(len(cl.storageNodes)),
@@ -428,7 +428,7 @@ func (cl *Cluster) addStorageSubstrate(n *simnet.Node, diskScale float64) *pvfs.
 	cl.Disks = append(cl.Disks, disk)
 	cl.diskByNode[n.Name] = disk
 	ss := pvfs.NewStorageServer(pvfs.StorageConfig{
-		Transport: cl.tr, Node: n, Disk: disk, Costs: pvfs.DefaultCosts(),
+		Transport: cl.tr, Node: n, Disk: disk,
 		Metrics:       cfg.Metrics,
 		Store:         cfg.ContentBackend(n.Name, disk, cfg.Metrics),
 		WireChecksums: cfg.WireChecksums,
@@ -479,7 +479,6 @@ func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer s
 	}
 	return pvfs.NewClient(pvfs.ClientConfig{
 		Node:    n,
-		Costs:   pvfs.DefaultCosts(),
 		Meta:    cl.dial(n.Name, cl.mdsNode.Name, pvfs.ServiceMeta),
 		IO:      io,
 		IOIDs:   ids,
@@ -516,7 +515,7 @@ func (cl *Cluster) clientNode(i int) *simnet.Node {
 // its layouts (the in-process stand-in for CB_LAYOUTRECALL).
 func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client {
 	c := nfs.NewClient(nfs.ClientConfig{
-		Node: n, Costs: nfs.DefaultCosts(),
+		Node: n,
 		Name: n.Name,
 		MDS:  cl.dial(n.Name, mdsNode.Name, ServiceMDS),
 		DialDS: func(addr string) rpc.Conn {
@@ -540,7 +539,6 @@ func (cl *Cluster) buildDirect() {
 		nfsServeOn(cl, n, ServiceDS, &directDSBackend{
 			storage: cl.Storage[i],
 			node:    n,
-			costs:   pvfs.DefaultCosts(),
 		})
 	}
 	mdsBackend := &directMDSBackend{
@@ -647,7 +645,7 @@ func (cl *Cluster) blindMDSOn(n *simnet.Node, dsNodes []*simnet.Node) {
 // service name.
 func nfsServeOn(cl *Cluster, n *simnet.Node, service string, b nfs.Backend) {
 	nfs.NewServer(nfs.ServerConfig{
-		Backend: b, Costs: nfs.DefaultCosts(), Node: n,
+		Backend: b, Node: n,
 		Transport: cl.tr, Service: service, Metrics: cl.Cfg.Metrics,
 		WireChecksums: cl.Cfg.WireChecksums,
 	})

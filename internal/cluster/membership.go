@@ -239,7 +239,6 @@ func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 		nfsServeOn(cl, n, ServiceDS, &directDSBackend{
 			storage: cl.Storage[len(cl.Storage)-1],
 			node:    n,
-			costs:   pvfs.DefaultCosts(),
 		})
 	case ArchPNFS2Tier:
 		cl.exportDSOn(n)

@@ -25,18 +25,15 @@ type ClientConfig struct {
 	// DialDS opens a connection to a data server by device address.  Nil
 	// disables pNFS even if the server offers layouts.
 	DialDS func(addr string) rpc.Conn
-	Costs  Costs
 	Name   string // client identity for EXCHANGE_ID
 
 	WSize, RSize int64 // write/read transfer sizes (paper: 2 MB)
 	// MaxReadAhead bounds the readahead window (0 disables readahead).
 	MaxReadAhead int64
-	// FlushParallel bounds concurrent asynchronous write-back flushes.
-	FlushParallel int
 	// Engine holds the striped-I/O engine's options (internal/ioengine).
 	// MaxFlight bounds requests in flight to data servers across all of the
 	// mount's concurrent I/O (default 32 — wide enough that the session slot
-	// table and FlushParallel bind first, as the pre-engine client behaved);
+	// table and flushParallel bind first, as the pre-engine client behaved);
 	// MaxTransfer 0 disables extra splitting (chunks are already gathered to
 	// WSize/RSize); BackgroundShare caps the window fraction write-back
 	// flushes and readahead fills may hold; Hedge enables hedged duplicate
@@ -78,7 +75,7 @@ type Client struct {
 	// a single in-flight budget instead of fanning out per file.
 	wbMu    sync.Mutex
 	wbQueue []wbChunk
-	// flushSlots bounds concurrent drain flows (FlushParallel); flushProc
+	// flushSlots bounds concurrent drain flows (flushParallel); flushProc
 	// names them under the kernel (hoisted: one string per mount, not one
 	// per flush).
 	flushSlots *rpc.Sem
@@ -140,6 +137,9 @@ type Client struct {
 // sessioned compounds.
 const sessionSlots = 64
 
+// flushParallel bounds concurrent asynchronous write-back flushes.
+const flushParallel = 16
+
 // repairKey identifies one repaired device extent.
 type repairKey struct {
 	fh     uint64
@@ -162,9 +162,6 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	if cfg.RSize <= 0 {
 		cfg.RSize = 2 << 20
-	}
-	if cfg.FlushParallel <= 0 {
-		cfg.FlushParallel = 16
 	}
 	if cfg.Engine.MaxFlight <= 0 {
 		cfg.Engine.MaxFlight = 32
@@ -208,7 +205,7 @@ func NewClient(cfg ClientConfig) *Client {
 			"Corrupt extents rewritten with good bytes fetched from a replica."),
 	}
 	c.slots = rpc.NewSem(cfg.Name+"/slots", sessionSlots)
-	c.flushSlots = rpc.NewSem(cfg.Name+"/flush", cfg.FlushParallel)
+	c.flushSlots = rpc.NewSem(cfg.Name+"/flush", flushParallel)
 	c.flushProc = cfg.Name + "/flush"
 	eng := cfg.Engine
 	eng.Name, eng.Issuer, eng.Metrics = cfg.Name+"/engine", "nfs", reg
@@ -221,13 +218,13 @@ func NewClient(cfg ClientConfig) *Client {
 }
 
 func (c *Client) chargeOp(ctx *rpc.Ctx, nOps int, bytes int64) {
-	ctx.UseCPU(c.cfg.Node.Processor(), time.Duration(nOps)*c.cfg.Costs.ClientPerOp+rpc.PerMB(c.cfg.Costs.ClientPerMB, bytes))
+	ctx.UseCPU(c.cfg.Node.Processor(), time.Duration(nOps)*clientPerOp+rpc.PerMB(clientPerMB, bytes))
 }
 
 // chargeCache accounts for a page-cache-only operation: a buffered write or
 // a cache-hit read (no RPC).
 func (c *Client) chargeCache(ctx *rpc.Ctx, bytes int64) {
-	ctx.UseCPU(c.cfg.Node.Processor(), c.cfg.Costs.CachePerOp+rpc.PerMB(c.cfg.Costs.ClientPerMB, bytes))
+	ctx.UseCPU(c.cfg.Node.Processor(), cachePerOp+rpc.PerMB(clientPerMB, bytes))
 }
 
 // call sends a compound.  Sessioned calls (to the MDS) occupy a slot; data

@@ -60,13 +60,13 @@ func TestFailoverPNFSFallsBackThroughMDS(t *testing.T) {
 	clNode := f.AddNode(simnet.NodeConfig{Name: "client"})
 
 	backend := &pnfsTestBackend{NewStoreBackend(mem.New(), nil)}
-	mds := NewServer(ServerConfig{Backend: backend, Costs: DefaultCosts(), Node: mdsNode})
+	mds := NewServer(ServerConfig{Backend: backend, Node: mdsNode})
 	rpc.ServeSim(rpc.ServerConfig{Fabric: f, Node: mdsNode, Service: "mds", Handler: mds.Handle})
-	ds := NewServer(ServerConfig{Backend: backend, Costs: DefaultCosts(), Node: goodNode})
+	ds := NewServer(ServerConfig{Backend: backend, Node: goodNode})
 	rpc.ServeSim(rpc.ServerConfig{Fabric: f, Node: goodNode, Service: "ds", Handler: ds.Handle})
 
 	client := NewClient(ClientConfig{
-		Node: clNode, Costs: DefaultCosts(), Real: true,
+		Node: clNode, Real: true,
 		MDS: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: "mds"},
 		DialDS: func(addr string) rpc.Conn {
 			if addr == "bad" {

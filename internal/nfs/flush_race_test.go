@@ -39,11 +39,9 @@ func (c *flakyConn) Call(_ *rpc.Ctx, _ uint32, args xdr.Marshaler, reply xdr.Unm
 func TestFlushAsyncErrRace(t *testing.T) {
 	conn := &flakyConn{}
 	c := NewClient(ClientConfig{
-		MDS:           conn,
-		Costs:         DefaultCosts(),
-		WSize:         4 << 10,
-		FlushParallel: 8,
-		Name:          "race-test",
+		MDS:   conn,
+		WSize: 4 << 10,
+		Name:  "race-test",
 	})
 	f := &File{
 		c:       c,

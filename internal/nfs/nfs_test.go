@@ -48,10 +48,10 @@ func newTestMountFull(t *testing.T, real bool, reg *metrics.Registry) *testMount
 	back := NewStoreBackend(mem.New(), nil)
 	server := NewServer(ServerConfig{
 		Transport: &rpc.FabricTransport{Fabric: f}, Node: srvNode,
-		Backend: back, Costs: DefaultCosts(),
+		Backend: back,
 	})
 	client := NewClient(ClientConfig{
-		Node: clNode, Costs: DefaultCosts(),
+		Node:         clNode,
 		MDS:          &rpc.SimTransport{Fabric: f, Src: clNode, Dst: srvNode, Service: Service},
 		Real:         real,
 		MaxReadAhead: 4 << 20,
@@ -273,7 +273,7 @@ func TestSessionReplayCache(t *testing.T) {
 	// A retransmitted (same slot+seq) compound must return the cached reply
 	// without re-executing.
 	back := NewStoreBackend(mem.New(), nil)
-	srv := NewServer(ServerConfig{Backend: back, Costs: DefaultCosts()})
+	srv := NewServer(ServerConfig{Backend: back})
 	ctx := &rpc.Ctx{}
 
 	// Handshake.
@@ -317,7 +317,7 @@ func TestSessionReplayCache(t *testing.T) {
 
 func TestCompoundStopsAtFirstFailure(t *testing.T) {
 	back := NewStoreBackend(mem.New(), nil)
-	srv := NewServer(ServerConfig{Backend: back, Costs: DefaultCosts()})
+	srv := NewServer(ServerConfig{Backend: back})
 	ctx := &rpc.Ctx{}
 	rep, _ := srv.Handle(ctx, ProcCompound, &CompoundArgs{Ops: []Op{
 		&OpPutRootFH{},

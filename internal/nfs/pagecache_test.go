@@ -389,7 +389,7 @@ func TestPageCacheConcurrent(t *testing.T) {
 func tcpMount(t *testing.T) (*Client, *StoreBackend) {
 	t.Helper()
 	back := NewStoreBackend(mem.New(), nil)
-	srv := NewServer(ServerConfig{Backend: back, Costs: DefaultCosts()})
+	srv := NewServer(ServerConfig{Backend: back})
 	ln, err := rpc.ListenTCP("127.0.0.1:0", Registry(), srv.Handle)
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +402,7 @@ func tcpMount(t *testing.T) (*Client, *StoreBackend) {
 		conn.Close()
 		ln.Close()
 	})
-	c := NewClient(ClientConfig{MDS: conn, Costs: DefaultCosts(), Real: true, Name: "tcp-client"})
+	c := NewClient(ClientConfig{MDS: conn, Real: true, Name: "tcp-client"})
 	if err := c.Mount(&rpc.Ctx{}); err != nil {
 		t.Fatal(err)
 	}

@@ -59,27 +59,17 @@ type LayoutSource interface {
 	LayoutCommit(ctx *rpc.Ctx, fh uint64, newSize int64) error
 }
 
-// Costs is the CPU cost model for the in-kernel NFS implementation.  The
-// per-op costs are far below PVFS2's user-level daemon costs, which is what
-// lets the NFSv4 architectures win every small-I/O workload in §6.
-type Costs struct {
-	ServerPerOp time.Duration // per compound operation
-	ServerPerMB time.Duration // data movement on the server, per MiB
-	ClientPerOp time.Duration // client-side RPC construction, per compound op
-	ClientPerMB time.Duration // client-side page-cache copy, per MiB
-	CachePerOp  time.Duration // page-cache hit / buffered write, per call
-}
-
-// DefaultCosts models the paper's Linux 2.6.17 kernel NFS stack.
-func DefaultCosts() Costs {
-	return Costs{
-		ServerPerOp: 90 * time.Microsecond,
-		ServerPerMB: 3 * time.Millisecond,
-		ClientPerOp: 70 * time.Microsecond,
-		ClientPerMB: 5 * time.Millisecond,
-		CachePerOp:  4 * time.Microsecond,
-	}
-}
+// The CPU cost model of the in-kernel NFS implementation: the paper's Linux
+// 2.6.17 kernel NFS stack.  The per-op costs are far below PVFS2's
+// user-level daemon costs, which is what lets the NFSv4 architectures win
+// every small-I/O workload in §6.
+const (
+	serverPerOp = 90 * time.Microsecond // per compound operation
+	serverPerMB = 3 * time.Millisecond  // data movement on the server, per MiB
+	clientPerOp = 70 * time.Microsecond // client-side RPC construction, per compound op
+	clientPerMB = 5 * time.Millisecond  // client-side page-cache copy, per MiB
+	cachePerOp  = 4 * time.Microsecond  // page-cache hit / buffered write, per call
+)
 
 // session is one NFSv4.1 session's slot table with per-slot replay state.
 type session struct {
@@ -94,7 +84,6 @@ const serverThreads = 8
 type ServerConfig struct {
 	Node    *simnet.Node
 	Backend Backend
-	Costs   Costs
 	// Transport, when set together with Node, registers the service under
 	// Node's name (simulated fabric or real TCP).  Without it the server is
 	// only reachable through Handle (rpc.ListenTCP in the demo and tests).
@@ -190,7 +179,7 @@ func (s *Server) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.
 	}
 	s.compounds.Inc()
 	cpu := s.cfg.Node.Processor()
-	ctx.UseCPU(cpu, time.Duration(len(args.Ops))*s.cfg.Costs.ServerPerOp)
+	ctx.UseCPU(cpu, time.Duration(len(args.Ops))*serverPerOp)
 
 	// Session check and replay cache.  The lock covers only the in-memory
 	// checks — backend work in run() may suspend the handler process.
@@ -378,7 +367,7 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, &ResSetAttr{})
 
 		case *OpRead:
-			ctx.UseCPU(cpu, rpc.PerMB(s.cfg.Costs.ServerPerMB, o.Len))
+			ctx.UseCPU(cpu, rpc.PerMB(serverPerMB, o.Len))
 			data, eof, err := b.Read(ctx, cur, o.Off, o.Len, o.WantReal)
 			if err != nil {
 				return fail(&ResRead{Errno: fserr.ToErrno(err)})
@@ -393,7 +382,7 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 			rep.Results = append(rep.Results, res)
 
 		case *OpWrite:
-			ctx.UseCPU(cpu, rpc.PerMB(s.cfg.Costs.ServerPerMB, o.Data.Len()))
+			ctx.UseCPU(cpu, rpc.PerMB(serverPerMB, o.Data.Len()))
 			newSize, err := b.Write(ctx, cur, o.Off, o.Data, o.Stable)
 			if err != nil {
 				return fail(&ResWrite{Errno: fserr.ToErrno(err)})

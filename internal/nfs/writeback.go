@@ -43,7 +43,7 @@ type wbChunk struct {
 
 // flushAsync queues one chunk for write-back and spawns a drain flow that
 // takes *every* queued chunk, across all files, and issues them as a single
-// coalesced engine run.  Flows are bounded by FlushParallel; a flow that
+// coalesced engine run.  Flows are bounded by flushParallel; a flow that
 // finds the queue already drained by a sibling exits immediately.  Failures
 // surface through the owning file's setAsyncErr for its next Fsync.
 func (c *Client) flushAsync(ctx *rpc.Ctx, f *File, chunk extent) {

@@ -26,7 +26,6 @@ type ClientConfig struct {
 	// through these IDs via the placement's DistParams.Servers, so a
 	// client keeps addressing the right daemons after membership changes.
 	IOIDs []uint32
-	Costs Costs
 	// Engine holds the striped-I/O engine's options (internal/ioengine).
 	// MaxFlight bounds concurrent outstanding I/O requests ("limited request
 	// parallelization", paper §5; default 8) and MaxTransfer caps a single
@@ -140,7 +139,7 @@ type File struct {
 }
 
 func (c *Client) chargeOp(ctx *rpc.Ctx, bytes int64) {
-	ctx.UseCPU(c.cfg.Node.Processor(), c.cfg.Costs.ClientPerOp+rpc.PerMB(c.cfg.Costs.ClientPerMB, bytes))
+	ctx.UseCPU(c.cfg.Node.Processor(), clientPerOp+rpc.PerMB(clientPerMB, bytes))
 }
 
 func (c *Client) newFile(h, data Handle, dist DistParams) *File {

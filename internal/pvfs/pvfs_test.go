@@ -29,7 +29,6 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 	f := simnet.NewFabric(k)
 	mdsNode := f.AddNode(simnet.NodeConfig{Name: "mds"})
 	clNode := f.AddNode(simnet.NodeConfig{Name: "client0"})
-	costs := DefaultCosts()
 	tr := &rpc.FabricTransport{Fabric: f}
 
 	var storage []*StorageServer
@@ -37,7 +36,7 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 	for i := 0; i < nDev; i++ {
 		n := f.AddNode(simnet.NodeConfig{Name: "io" + string(rune('0'+i))})
 		s := NewStorageServer(StorageConfig{
-			Transport: tr, Node: n, Costs: costs,
+			Transport: tr, Node: n,
 			Disk: simdisk.New(simdisk.Config{Name: n.Name}),
 		})
 		storage = append(storage, s)
@@ -45,12 +44,12 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 		clConns = append(clConns, &rpc.SimTransport{Fabric: f, Src: clNode, Dst: n, Service: ServiceIO})
 	}
 	meta := NewMetaServer(MetaConfig{
-		Transport: tr, Node: mdsNode, Costs: costs,
+		Transport: tr, Node: mdsNode,
 		Dist:    DistParams{StripeSize: stripeSize, NumServers: uint32(nDev)},
 		IOConns: mdsConns,
 	})
 	client := NewClient(ClientConfig{
-		Node: clNode, Costs: costs,
+		Node: clNode,
 		Meta: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: ServiceMeta},
 		IO:   clConns,
 	})
@@ -289,7 +288,7 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 		f := simnet.NewFabric(k)
 		ioNode := f.AddNode(simnet.NodeConfig{Name: "io"})
 		srv := NewStorageServer(StorageConfig{
-			Transport: &rpc.FabricTransport{Fabric: f}, Node: ioNode, Costs: DefaultCosts(),
+			Transport: &rpc.FabricTransport{Fabric: f}, Node: ioNode,
 			Disk:    simdisk.New(simdisk.Config{Name: "d"}),
 			Buffers: buffers, BufSize: 256 << 10, Threads: 32,
 		})

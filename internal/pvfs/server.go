@@ -19,35 +19,23 @@ import (
 	"dpnfs/internal/xdr"
 )
 
-// Costs captures the CPU cost model for the user-level PVFS2 daemons and
-// client library.  The per-op charges are what make PVFS2 collapse on
-// small-I/O workloads (paper §6.2, §6.4); the per-MB charges bound
-// cache-resident read throughput.
-type Costs struct {
-	ServerPerOp time.Duration // daemon request processing + kernel crossings
-	ServerPerMB time.Duration // data movement CPU per MiB on storage nodes
-	ClientPerOp time.Duration // client library + kernel module crossing
-	ClientPerMB time.Duration // client-side copy cost per MiB
-	MetaPerOp   time.Duration // metadata request processing on the MDS
-}
-
-// DefaultCosts reflects the paper's testbed: a user-level file system with
-// "substantial per-request overhead" on dual-P4 servers and dual-P3 clients.
-func DefaultCosts() Costs {
-	return Costs{
-		ServerPerOp: 550 * time.Microsecond,
-		ServerPerMB: 20 * time.Millisecond,
-		ClientPerOp: 450 * time.Microsecond,
-		ClientPerMB: 5 * time.Millisecond,
-		MetaPerOp:   300 * time.Microsecond,
-	}
-}
+// The CPU cost model of the user-level PVFS2 daemons and client library on
+// the paper's testbed: a user-level file system with "substantial
+// per-request overhead" on dual-P4 servers and dual-P3 clients.  The per-op
+// charges are what make PVFS2 collapse on small-I/O workloads (paper §6.2,
+// §6.4); the per-MB charges bound cache-resident read throughput.
+const (
+	serverPerOp = 550 * time.Microsecond // daemon request processing + kernel crossings
+	serverPerMB = 20 * time.Millisecond  // data movement CPU per MiB on storage nodes
+	clientPerOp = 450 * time.Microsecond // client library + kernel module crossing
+	clientPerMB = 5 * time.Millisecond   // client-side copy cost per MiB
+	metaPerOp   = 300 * time.Microsecond // metadata request processing on the MDS
+)
 
 // StorageConfig describes one storage daemon.
 type StorageConfig struct {
-	Node  *simnet.Node
-	Disk  *simdisk.Disk
-	Costs Costs
+	Node *simnet.Node
+	Disk *simdisk.Disk
 	// Store is the content repository backing this daemon's datafile
 	// objects (nil: a fresh in-memory store).  Durable stores (store/wal,
 	// store/cached) journal on sync requests and survive CrashVolatile.
@@ -279,7 +267,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 	switch proc {
 	case ProcIOCreate:
 		a := req.(*IOCreateArgs)
-		ctx.UseCPU(cpu, s.cfg.Costs.MetaPerOp)
+		ctx.UseCPU(cpu, metaPerOp)
 		s.mu.Lock()
 		if _, dup := s.objects[a.Handle]; dup {
 			s.mu.Unlock()
@@ -296,7 +284,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 
 	case ProcIORemove:
 		a := req.(*IORemoveArgs)
-		ctx.UseCPU(cpu, s.cfg.Costs.MetaPerOp)
+		ctx.UseCPU(cpu, metaPerOp)
 		s.mu.Lock()
 		if _, ok := s.objects[a.Handle]; !ok {
 			s.mu.Unlock()
@@ -317,7 +305,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 			return &IOWriteRep{Errno: fserr.Stale}, rpc.StatusOK
 		}
 		n := a.Data.Len()
-		ctx.UseCPU(cpu, s.cfg.Costs.ServerPerOp+rpc.PerMB(s.cfg.Costs.ServerPerMB, n))
+		ctx.UseCPU(cpu, serverPerOp+rpc.PerMB(serverPerMB, n))
 		release := s.acquireBuffers(ctx, n)
 		ctx.Defer(release)
 		prev, err := s.store.GetAttr(id)
@@ -378,7 +366,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		} else if a.Off+n > at.Size {
 			n = at.Size - a.Off
 		}
-		ctx.UseCPU(cpu, s.cfg.Costs.ServerPerOp+rpc.PerMB(s.cfg.Costs.ServerPerMB, n))
+		ctx.UseCPU(cpu, serverPerOp+rpc.PerMB(serverPerMB, n))
 		release := s.acquireBuffers(ctx, n)
 		ctx.Defer(release)
 		if n > 0 {
@@ -416,7 +404,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 
 	case ProcIOGetSize:
 		a := req.(*IOGetSizeArgs)
-		ctx.UseCPU(cpu, s.cfg.Costs.MetaPerOp)
+		ctx.UseCPU(cpu, metaPerOp)
 		id, ok := s.object(a.Handle)
 		if !ok {
 			return &IOGetSizeRep{Errno: fserr.Stale}, rpc.StatusOK
@@ -429,7 +417,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 
 	case ProcIOFlush:
 		a := req.(*IOFlushArgs)
-		ctx.UseCPU(cpu, s.cfg.Costs.ServerPerOp)
+		ctx.UseCPU(cpu, serverPerOp)
 		if _, ok := s.object(a.Handle); !ok {
 			return &IOFlushRep{Errno: fserr.Stale}, rpc.StatusOK
 		}
@@ -441,7 +429,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 
 	case ProcIOTruncate:
 		a := req.(*IOTruncateArgs)
-		ctx.UseCPU(cpu, s.cfg.Costs.MetaPerOp)
+		ctx.UseCPU(cpu, metaPerOp)
 		id, ok := s.object(a.Handle)
 		if !ok {
 			return &IOTruncateRep{Errno: fserr.Stale}, rpc.StatusOK
@@ -457,7 +445,6 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 // MetaConfig describes the metadata server.
 type MetaConfig struct {
 	Node    *simnet.Node
-	Costs   Costs
 	Dist    DistParams
 	IOConns []rpc.Conn // one per storage daemon, in device order
 	// Store is the metadata repository backing the namespace (nil: a fresh
@@ -669,7 +656,7 @@ func (m *MetaServer) fanoutConns(ctx *rpc.Ctx, conns []rpc.Conn, fn func(ctx *rp
 // Handle dispatches one metadata request.
 func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
 	m.stats.requests.inc(proc)
-	ctx.UseCPU(m.cfg.Node.Processor(), m.cfg.Costs.MetaPerOp)
+	ctx.UseCPU(m.cfg.Node.Processor(), metaPerOp)
 	switch proc {
 	// Each namespace verb has a path procedure and a handle procedure over
 	// one body: the path form walks from the root to the (directory, name)
