@@ -26,39 +26,88 @@ type CompoundRep struct {
 	Results []Result
 }
 
-// opCtor and resCtor construct empty ops/results by operation number for
-// decoding.
-var (
-	opCtor  = map[uint32]func() Op{}
-	resCtor = map[uint32]func() Result{}
+// role names the optional backend role an operation needs (server.go).
+type role uint8
+
+const (
+	roleNone      role = iota
+	roleNamespace      // Namespace
+	roleLayouts        // LayoutSource
 )
 
-func init() {
-	register := func(op func() Op, res func() Result) {
-		n := op().Num()
-		opCtor[n] = op
-		resCtor[n] = res
+// maxOpNum bounds the RFC 5661 operation-number space this package speaks.
+const maxOpNum = 64
+
+// opTable is where an operation is declared: one row per OpNum* constant,
+// indexed by it.  Everything that depends on which operations exist reads
+// it — the COMPOUND codec (op, res), the metric label (name), the replay
+// cache (idempotent: a pure read the server re-executes on a retransmission
+// instead of caching its reply) and the server's role check (needs, and the
+// status it answers with itself when the backend lacks the role).  res
+// builds the operation's result carrying a status; res(fserr.OK) is the
+// empty result the decoder fills.
+var opTable = [maxOpNum + 1]struct {
+	name       string
+	idempotent bool
+	needs      role
+	absent     fserr.Errno
+	op         func() Op
+	res        func(fserr.Errno) Result
+}{
+	OpNumClose: {name: "CLOSE",
+		op: func() Op { return &OpClose{} }, res: func(e fserr.Errno) Result { return &ResClose{errnoOnly{e}} }},
+	OpNumCommit: {name: "COMMIT",
+		op: func() Op { return &OpCommit{} }, res: func(e fserr.Errno) Result { return &ResCommit{errnoOnly{e}} }},
+	OpNumCreate: {name: "CREATE", needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpCreate{} }, res: func(e fserr.Errno) Result { return &ResCreate{fhAttr{Errno: e}} }},
+	OpNumGetAttr: {name: "GETATTR", idempotent: true, needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpGetAttr{} }, res: func(e fserr.Errno) Result { return &ResGetAttr{Errno: e} }},
+	OpNumLookup: {name: "LOOKUP", idempotent: true, needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpLookup{} }, res: func(e fserr.Errno) Result { return &ResLookup{fhAttr{Errno: e}} }},
+	OpNumOpen: {name: "OPEN", needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpOpen{} }, res: func(e fserr.Errno) Result { return &ResOpen{fhAttr: fhAttr{Errno: e}} }},
+	OpNumPutFH: {name: "PUTFH", idempotent: true,
+		op: func() Op { return &OpPutFH{} }, res: func(e fserr.Errno) Result { return &ResPutFH{errnoOnly{e}} }},
+	OpNumPutRootFH: {name: "PUTROOTFH", idempotent: true, needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpPutRootFH{} }, res: func(e fserr.Errno) Result { return &ResPutRootFH{errnoOnly{e}} }},
+	OpNumRead: {name: "READ", idempotent: true,
+		op: func() Op { return &OpRead{} }, res: func(e fserr.Errno) Result { return &ResRead{Errno: e} }},
+	OpNumReadDir: {name: "READDIR", idempotent: true, needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpReadDir{} }, res: func(e fserr.Errno) Result { return &ResReadDir{Errno: e} }},
+	OpNumRemove: {name: "REMOVE", needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpRemove{} }, res: func(e fserr.Errno) Result { return &ResRemove{errnoOnly{e}} }},
+	OpNumRename: {name: "RENAME", needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpRename{} }, res: func(e fserr.Errno) Result { return &ResRename{errnoOnly{e}} }},
+	OpNumSetAttr: {name: "SETATTR", needs: roleNamespace, absent: fserr.Inval,
+		op: func() Op { return &OpSetAttr{} }, res: func(e fserr.Errno) Result { return &ResSetAttr{errnoOnly{e}} }},
+	OpNumWrite: {name: "WRITE",
+		op: func() Op { return &OpWrite{} }, res: func(e fserr.Errno) Result { return &ResWrite{Errno: e} }},
+	OpNumExchangeID: {name: "EXCHANGE_ID",
+		op: func() Op { return &OpExchangeID{} }, res: func(e fserr.Errno) Result { return &ResExchangeID{Errno: e} }},
+	OpNumCreateSession: {name: "CREATE_SESSION",
+		op: func() Op { return &OpCreateSession{} }, res: func(e fserr.Errno) Result { return &ResCreateSession{Errno: e} }},
+	// IO, not Inval: what the "no pNFS" error of a layout-less backend has
+	// always mapped to on the wire.
+	OpNumLayoutCommit: {name: "LAYOUTCOMMIT", needs: roleLayouts, absent: fserr.IO,
+		op: func() Op { return &OpLayoutCommit{} }, res: func(e fserr.Errno) Result { return &ResLayoutCommit{errnoOnly{e}} }},
+	OpNumLayoutGet: {name: "LAYOUTGET", idempotent: true, needs: roleLayouts, absent: fserr.Inval,
+		op: func() Op { return &OpLayoutGet{} }, res: func(e fserr.Errno) Result { return &ResLayoutGet{Errno: e} }},
+	OpNumLayoutReturn: {name: "LAYOUTRETURN",
+		op: func() Op { return &OpLayoutReturn{} }, res: func(e fserr.Errno) Result { return &ResLayoutReturn{errnoOnly{e}} }},
+	OpNumGetDevList: {name: "GETDEVICELIST", idempotent: true, needs: roleLayouts, absent: fserr.Inval,
+		op: func() Op { return &OpGetDevList{} }, res: func(e fserr.Errno) Result { return &ResGetDevList{Errno: e} }},
+}
+
+// known reports whether num is an operation this package declares.
+func known(num uint32) bool { return num <= maxOpNum && opTable[num].op != nil }
+
+// opName renders the RFC 5661 operation name, the metric label of both the
+// client's and the server's per-op instruments.
+func opName(num uint32) string {
+	if known(num) {
+		return opTable[num].name
 	}
-	register(func() Op { return &OpPutRootFH{} }, func() Result { return &ResPutRootFH{} })
-	register(func() Op { return &OpPutFH{} }, func() Result { return &ResPutFH{} })
-	register(func() Op { return &OpLookup{} }, func() Result { return &ResLookup{} })
-	register(func() Op { return &OpOpen{} }, func() Result { return &ResOpen{} })
-	register(func() Op { return &OpClose{} }, func() Result { return &ResClose{} })
-	register(func() Op { return &OpGetAttr{} }, func() Result { return &ResGetAttr{} })
-	register(func() Op { return &OpSetAttr{} }, func() Result { return &ResSetAttr{} })
-	register(func() Op { return &OpRead{} }, func() Result { return &ResRead{} })
-	register(func() Op { return &OpWrite{} }, func() Result { return &ResWrite{} })
-	register(func() Op { return &OpCommit{} }, func() Result { return &ResCommit{} })
-	register(func() Op { return &OpCreate{} }, func() Result { return &ResCreate{} })
-	register(func() Op { return &OpRemove{} }, func() Result { return &ResRemove{} })
-	register(func() Op { return &OpRename{} }, func() Result { return &ResRename{} })
-	register(func() Op { return &OpReadDir{} }, func() Result { return &ResReadDir{} })
-	register(func() Op { return &OpGetDevList{} }, func() Result { return &ResGetDevList{} })
-	register(func() Op { return &OpLayoutGet{} }, func() Result { return &ResLayoutGet{} })
-	register(func() Op { return &OpLayoutCommit{} }, func() Result { return &ResLayoutCommit{} })
-	register(func() Op { return &OpLayoutReturn{} }, func() Result { return &ResLayoutReturn{} })
-	register(func() Op { return &OpExchangeID{} }, func() Result { return &ResExchangeID{} })
-	register(func() Op { return &OpCreateSession{} }, func() Result { return &ResCreateSession{} })
+	return fmt.Sprintf("OP_%d", num)
 }
 
 // MarshalXDR implements xdr.Marshaler.
@@ -102,11 +151,10 @@ func (c *CompoundArgs) UnmarshalXDR(d *xdr.Decoder) error {
 		if err != nil {
 			return err
 		}
-		ctor, ok := opCtor[num]
-		if !ok {
+		if !known(num) {
 			return fmt.Errorf("nfs: unknown operation %d", num)
 		}
-		c.Ops[i] = ctor()
+		c.Ops[i] = opTable[num].op()
 		if err := c.Ops[i].UnmarshalXDR(d); err != nil {
 			return err
 		}
@@ -153,11 +201,10 @@ func (c *CompoundRep) UnmarshalXDR(d *xdr.Decoder) error {
 		if err != nil {
 			return err
 		}
-		ctor, ok := resCtor[num]
-		if !ok {
+		if !known(num) {
 			return fmt.Errorf("nfs: unknown result %d", num)
 		}
-		c.Results[i] = ctor()
+		c.Results[i] = opTable[num].res(fserr.OK)
 		if err := c.Results[i].UnmarshalXDR(d); err != nil {
 			return err
 		}

@@ -129,53 +129,6 @@ func (m *OpMetrics) Percentile(p float64) time.Duration {
 	return time.Duration(m.lat.Quantile(p/100) * float64(time.Second))
 }
 
-// opName renders the RFC 5661 operation names.
-func opName(num uint32) string {
-	switch num {
-	case OpNumClose:
-		return "CLOSE"
-	case OpNumCommit:
-		return "COMMIT"
-	case OpNumCreate:
-		return "CREATE"
-	case OpNumGetAttr:
-		return "GETATTR"
-	case OpNumLookup:
-		return "LOOKUP"
-	case OpNumOpen:
-		return "OPEN"
-	case OpNumPutFH:
-		return "PUTFH"
-	case OpNumPutRootFH:
-		return "PUTROOTFH"
-	case OpNumRead:
-		return "READ"
-	case OpNumReadDir:
-		return "READDIR"
-	case OpNumRemove:
-		return "REMOVE"
-	case OpNumRename:
-		return "RENAME"
-	case OpNumSetAttr:
-		return "SETATTR"
-	case OpNumWrite:
-		return "WRITE"
-	case OpNumExchangeID:
-		return "EXCHANGE_ID"
-	case OpNumCreateSession:
-		return "CREATE_SESSION"
-	case OpNumLayoutCommit:
-		return "LAYOUTCOMMIT"
-	case OpNumLayoutGet:
-		return "LAYOUTGET"
-	case OpNumLayoutReturn:
-		return "LAYOUTRETURN"
-	case OpNumGetDevList:
-		return "GETDEVICELIST"
-	}
-	return fmt.Sprintf("OP_%d", num)
-}
-
 // String renders a mountstats-style table sorted by total time.
 func (m *Metrics) String() string {
 	type row struct {

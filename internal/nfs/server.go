@@ -124,9 +124,6 @@ type Server struct {
 	clients  map[string]uint64
 }
 
-// maxOpNum bounds the RFC 5661 operation-number space this server speaks.
-const maxOpNum = 64
-
 // NewServer creates the server and registers its RPC service when a
 // transport is configured.
 func NewServer(cfg ServerConfig) *Server {
@@ -152,12 +149,10 @@ func NewServer(cfg ServerConfig) *Server {
 		"Payload bytes accepted by WRITE.", "service").With(service)
 	opsVec := reg.CounterVec("nfs_server_ops_total",
 		"Operations executed inside COMPOUNDs, by RFC 5661 op name.", "service", "op")
-	// Register in op-number order, not map order: series snapshots render
-	// in insertion order, so ranging over the map would make two otherwise
-	// identical runs emit differently ordered (byte-unequal) reports.
-	for num := 0; num <= maxOpNum; num++ {
-		if _, ok := opCtor[uint32(num)]; ok {
-			s.opCounters[num] = opsVec.With(service, opName(uint32(num)))
+	// Series snapshots render in registration order: op-number order.
+	for num, row := range opTable {
+		if row.op != nil {
+			s.opCounters[num] = opsVec.With(service, row.name)
 		}
 	}
 	if cfg.Transport != nil && cfg.Node != nil {
@@ -236,34 +231,27 @@ func (s *Server) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.
 	return rep, rpc.StatusOK
 }
 
-// idempotentOp marks operations the server may re-execute on a
-// retransmitted compound instead of replaying a cached reply: pure reads
-// of namespace, attributes, data, and layout state.
-var idempotentOp = [maxOpNum + 1]bool{
-	OpNumPutRootFH:  true,
-	OpNumPutFH:      true,
-	OpNumLookup:     true,
-	OpNumGetAttr:    true,
-	OpNumRead:       true,
-	OpNumReadDir:    true,
-	OpNumGetDevList: true,
-	OpNumLayoutGet:  true,
-}
-
 // compoundIdempotent reports whether every op in the list is idempotent.
 func compoundIdempotent(ops []Op) bool {
 	for _, op := range ops {
-		if n := op.Num(); n > maxOpNum || !idempotentOp[n] {
+		if n := op.Num(); !known(n) || !opTable[n].idempotent {
 			return false
 		}
 	}
 	return true
 }
 
-// run executes the op list with a current-filehandle cursor.
+// lacks reports whether the backend is without the role r.
+func (s *Server) lacks(r role) bool {
+	return r == roleNamespace && s.ns == nil || r == roleLayouts && s.layouts == nil
+}
+
+// run executes the op list with a current-filehandle cursor.  Execution
+// stops at the first operation that fails — because the backend lacks the
+// role it needs, or in exec — and that operation's own result type carries
+// the status.
 func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *CompoundRep {
 	rep := &CompoundRep{}
-	b, ns, layouts := s.cfg.Backend, s.ns, s.layouts
 	var cur uint64
 	fail := func(r Result) *CompoundRep {
 		rep.Results = append(rep.Results, r)
@@ -271,211 +259,166 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 		return rep
 	}
 	for _, op := range args.Ops {
-		if n := op.Num(); n <= maxOpNum && s.opCounters[n] != nil {
-			s.opCounters[n].Inc()
+		n := op.Num()
+		if !known(n) {
+			return fail(&ResPutFH{errnoOnly{fserr.Inval}})
 		}
-		switch o := op.(type) {
-		case *OpExchangeID:
-			s.mu.Lock()
-			id, ok := s.clients[o.ClientName]
-			if !ok {
-				s.nextID++
-				id = s.nextID
-				s.clients[o.ClientName] = id
-			}
-			s.mu.Unlock()
-			rep.Results = append(rep.Results, &ResExchangeID{ClientID: id})
-
-		case *OpCreateSession:
-			slots := o.Slots
-			if slots == 0 || slots > 256 {
-				slots = 64
-			}
-			s.mu.Lock()
-			s.nextID++
-			sid := s.nextID
-			s.sessions[sid] = &session{
-				lastSeq: make([]uint32, slots),
-				lastRep: make([]*CompoundRep, slots),
-			}
-			s.mu.Unlock()
-			rep.Results = append(rep.Results, &ResCreateSession{Session: sid, Slots: slots})
-
-		case *OpPutRootFH:
-			if ns == nil {
-				return fail(&ResPutRootFH{errnoOnly{Errno: fserr.Inval}})
-			}
-			cur = ns.Root()
-			rep.Results = append(rep.Results, &ResPutRootFH{})
-
-		case *OpPutFH:
-			cur = o.FH
-			rep.Results = append(rep.Results, &ResPutFH{})
-
-		case *OpLookup:
-			if ns == nil {
-				return fail(&ResLookup{fhAttr{Errno: fserr.Inval}})
-			}
-			fh, at, err := ns.Lookup(ctx, cur, o.Name)
-			if err != nil {
-				return fail(&ResLookup{fhAttr{Errno: fserr.ToErrno(err)}})
-			}
-			cur = fh
-			rep.Results = append(rep.Results, &ResLookup{fhAttr{FH: fh, Attr: at}})
-
-		case *OpOpen:
-			if ns == nil {
-				return fail(&ResOpen{fhAttr: fhAttr{Errno: fserr.Inval}})
-			}
-			fh, at, err := ns.Lookup(ctx, cur, o.Name)
-			if err == store.ErrNotExist && o.Create {
-				fh, at, err = ns.Create(ctx, cur, o.Name)
-			}
-			if err != nil {
-				return fail(&ResOpen{fhAttr: fhAttr{Errno: fserr.ToErrno(err)}})
-			}
-			cur = fh
-			s.mu.Lock()
-			s.nextID++
-			stateID := s.nextID
-			s.mu.Unlock()
-			rep.Results = append(rep.Results, &ResOpen{
-				fhAttr:  fhAttr{FH: fh, Attr: at},
-				StateID: stateID,
-			})
-
-		case *OpClose:
-			rep.Results = append(rep.Results, &ResClose{})
-
-		case *OpGetAttr:
-			if ns == nil {
-				return fail(&ResGetAttr{Errno: fserr.Inval})
-			}
-			at, err := ns.GetAttr(ctx, cur)
-			if err != nil {
-				return fail(&ResGetAttr{Errno: fserr.ToErrno(err)})
-			}
-			rep.Results = append(rep.Results, &ResGetAttr{Attr: at})
-
-		case *OpSetAttr:
-			if ns == nil {
-				return fail(&ResSetAttr{errnoOnly{Errno: fserr.Inval}})
-			}
-			if err := ns.SetSize(ctx, cur, o.Size); err != nil {
-				return fail(&ResSetAttr{errnoOnly{Errno: fserr.ToErrno(err)}})
-			}
-			rep.Results = append(rep.Results, &ResSetAttr{})
-
-		case *OpRead:
-			ctx.UseCPU(cpu, rpc.PerMB(serverPerMB, o.Len))
-			data, eof, err := b.Read(ctx, cur, o.Off, o.Len, o.WantReal)
-			if err != nil {
-				return fail(&ResRead{Errno: fserr.ToErrno(err)})
-			}
-			if n := data.Len(); n > 0 {
-				s.bytesRead.Add(uint64(n))
-			}
-			res := &ResRead{Eof: eof, Data: data}
-			if s.cfg.WireChecksums && data.Bytes != nil {
-				res.Sum, res.HasSum = xdr.Checksum(data.Bytes), true
-			}
-			rep.Results = append(rep.Results, res)
-
-		case *OpWrite:
-			ctx.UseCPU(cpu, rpc.PerMB(serverPerMB, o.Data.Len()))
-			newSize, err := b.Write(ctx, cur, o.Off, o.Data, o.Stable)
-			if err != nil {
-				return fail(&ResWrite{Errno: fserr.ToErrno(err)})
-			}
-			if n := o.Data.Len(); n > 0 {
-				s.bytesWrite.Add(uint64(n))
-			}
-			rep.Results = append(rep.Results, &ResWrite{Count: o.Data.Len(), NewSize: newSize})
-
-		case *OpCommit:
-			if err := b.Commit(ctx, cur); err != nil {
-				return fail(&ResCommit{errnoOnly{Errno: fserr.ToErrno(err)}})
-			}
-			rep.Results = append(rep.Results, &ResCommit{})
-
-		case *OpCreate:
-			if ns == nil {
-				return fail(&ResCreate{fhAttr{Errno: fserr.Inval}})
-			}
-			fh, at, err := ns.Mkdir(ctx, cur, o.Name)
-			if err != nil {
-				return fail(&ResCreate{fhAttr{Errno: fserr.ToErrno(err)}})
-			}
-			cur = fh
-			rep.Results = append(rep.Results, &ResCreate{fhAttr{FH: fh, Attr: at}})
-
-		case *OpRemove:
-			if ns == nil {
-				return fail(&ResRemove{errnoOnly{Errno: fserr.Inval}})
-			}
-			if err := ns.Remove(ctx, cur, o.Name); err != nil {
-				return fail(&ResRemove{errnoOnly{Errno: fserr.ToErrno(err)}})
-			}
-			rep.Results = append(rep.Results, &ResRemove{})
-
-		case *OpRename:
-			if ns == nil {
-				return fail(&ResRename{errnoOnly{Errno: fserr.Inval}})
-			}
-			if err := ns.Rename(ctx, cur, o.Src, o.Dst); err != nil {
-				return fail(&ResRename{errnoOnly{Errno: fserr.ToErrno(err)}})
-			}
-			rep.Results = append(rep.Results, &ResRename{})
-
-		case *OpReadDir:
-			if ns == nil {
-				return fail(&ResReadDir{Errno: fserr.Inval})
-			}
-			names, err := ns.ReadDir(ctx, cur)
-			if err != nil {
-				return fail(&ResReadDir{Errno: fserr.ToErrno(err)})
-			}
-			rep.Results = append(rep.Results, &ResReadDir{Names: names})
-
-		case *OpGetDevList:
-			if layouts == nil {
-				return fail(&ResGetDevList{Errno: fserr.Inval})
-			}
-			devs, err := layouts.DevList(ctx)
-			if err != nil {
-				return fail(&ResGetDevList{Errno: fserr.Inval})
-			}
-			rep.Results = append(rep.Results, &ResGetDevList{Devices: devs})
-
-		case *OpLayoutGet:
-			if layouts == nil {
-				return fail(&ResLayoutGet{Errno: fserr.Inval})
-			}
-			l, err := layouts.LayoutGet(ctx, cur)
-			if err != nil {
-				return fail(&ResLayoutGet{Errno: fserr.Inval})
-			}
-			rep.Results = append(rep.Results, &ResLayoutGet{Layout: *l})
-
-		case *OpLayoutCommit:
-			if layouts == nil {
-				// IO, not Inval: what the "no pNFS" error of a layout-less
-				// backend has always mapped to on the wire.
-				return fail(&ResLayoutCommit{errnoOnly{Errno: fserr.IO}})
-			}
-			if err := layouts.LayoutCommit(ctx, cur, o.NewSize); err != nil {
-				return fail(&ResLayoutCommit{errnoOnly{Errno: fserr.ToErrno(err)}})
-			}
-			rep.Results = append(rep.Results, &ResLayoutCommit{})
-
-		case *OpLayoutReturn:
-			rep.Results = append(rep.Results, &ResLayoutReturn{})
-
-		default:
-			return fail(&ResPutFH{errnoOnly{Errno: fserr.Inval}})
+		row := &opTable[n]
+		s.opCounters[n].Inc()
+		if s.lacks(row.needs) {
+			return fail(row.res(row.absent))
 		}
+		res, err := s.exec(ctx, cpu, &cur, op)
+		if err != nil {
+			return fail(row.res(fserr.ToErrno(err)))
+		}
+		rep.Results = append(rep.Results, res)
 	}
 	return rep
+}
+
+// exec runs one operation whose role the backend has, moving the current
+// filehandle as the operation defines.
+func (s *Server) exec(ctx *rpc.Ctx, cpu *sim.KServer, cur *uint64, op Op) (Result, error) {
+	b, ns, layouts := s.cfg.Backend, s.ns, s.layouts
+	switch o := op.(type) {
+	case *OpExchangeID:
+		s.mu.Lock()
+		id, ok := s.clients[o.ClientName]
+		if !ok {
+			s.nextID++
+			id = s.nextID
+			s.clients[o.ClientName] = id
+		}
+		s.mu.Unlock()
+		return &ResExchangeID{ClientID: id}, nil
+
+	case *OpCreateSession:
+		slots := o.Slots
+		if slots == 0 || slots > 256 {
+			slots = 64
+		}
+		s.mu.Lock()
+		s.nextID++
+		sid := s.nextID
+		s.sessions[sid] = &session{
+			lastSeq: make([]uint32, slots),
+			lastRep: make([]*CompoundRep, slots),
+		}
+		s.mu.Unlock()
+		return &ResCreateSession{Session: sid, Slots: slots}, nil
+
+	case *OpPutRootFH:
+		*cur = ns.Root()
+		return &ResPutRootFH{}, nil
+
+	case *OpPutFH:
+		*cur = o.FH
+		return &ResPutFH{}, nil
+
+	case *OpLookup:
+		fh, at, err := ns.Lookup(ctx, *cur, o.Name)
+		if err != nil {
+			return nil, err
+		}
+		*cur = fh
+		return &ResLookup{fhAttr{FH: fh, Attr: at}}, nil
+
+	case *OpOpen:
+		fh, at, err := ns.Lookup(ctx, *cur, o.Name)
+		if err == store.ErrNotExist && o.Create {
+			fh, at, err = ns.Create(ctx, *cur, o.Name)
+		}
+		if err != nil {
+			return nil, err
+		}
+		*cur = fh
+		s.mu.Lock()
+		s.nextID++
+		stateID := s.nextID
+		s.mu.Unlock()
+		return &ResOpen{fhAttr: fhAttr{FH: fh, Attr: at}, StateID: stateID}, nil
+
+	case *OpClose:
+		return &ResClose{}, nil
+
+	case *OpGetAttr:
+		at, err := ns.GetAttr(ctx, *cur)
+		return &ResGetAttr{Attr: at}, err
+
+	case *OpSetAttr:
+		return &ResSetAttr{}, ns.SetSize(ctx, *cur, o.Size)
+
+	case *OpRead:
+		ctx.UseCPU(cpu, rpc.PerMB(serverPerMB, o.Len))
+		data, eof, err := b.Read(ctx, *cur, o.Off, o.Len, o.WantReal)
+		if err != nil {
+			return nil, err
+		}
+		if n := data.Len(); n > 0 {
+			s.bytesRead.Add(uint64(n))
+		}
+		res := &ResRead{Eof: eof, Data: data}
+		if s.cfg.WireChecksums && data.Bytes != nil {
+			res.Sum, res.HasSum = xdr.Checksum(data.Bytes), true
+		}
+		return res, nil
+
+	case *OpWrite:
+		ctx.UseCPU(cpu, rpc.PerMB(serverPerMB, o.Data.Len()))
+		newSize, err := b.Write(ctx, *cur, o.Off, o.Data, o.Stable)
+		if err != nil {
+			return nil, err
+		}
+		if n := o.Data.Len(); n > 0 {
+			s.bytesWrite.Add(uint64(n))
+		}
+		return &ResWrite{Count: o.Data.Len(), NewSize: newSize}, nil
+
+	case *OpCommit:
+		return &ResCommit{}, b.Commit(ctx, *cur)
+
+	case *OpCreate:
+		fh, at, err := ns.Mkdir(ctx, *cur, o.Name)
+		if err != nil {
+			return nil, err
+		}
+		*cur = fh
+		return &ResCreate{fhAttr{FH: fh, Attr: at}}, nil
+
+	case *OpRemove:
+		return &ResRemove{}, ns.Remove(ctx, *cur, o.Name)
+
+	case *OpRename:
+		return &ResRename{}, ns.Rename(ctx, *cur, o.Src, o.Dst)
+
+	case *OpReadDir:
+		names, err := ns.ReadDir(ctx, *cur)
+		return &ResReadDir{Names: names}, err
+
+	// The two layout queries answer Inval whatever the source's error: it is
+	// how a mounting client learns to proxy its I/O through this server.
+	case *OpGetDevList:
+		devs, err := layouts.DevList(ctx)
+		if err != nil {
+			return nil, store.ErrInval
+		}
+		return &ResGetDevList{Devices: devs}, nil
+
+	case *OpLayoutGet:
+		l, err := layouts.LayoutGet(ctx, *cur)
+		if err != nil {
+			return nil, store.ErrInval
+		}
+		return &ResLayoutGet{Layout: *l}, nil
+
+	case *OpLayoutCommit:
+		return &ResLayoutCommit{}, layouts.LayoutCommit(ctx, *cur, o.NewSize)
+
+	case *OpLayoutReturn:
+		return &ResLayoutReturn{}, nil
+	}
+	return nil, store.ErrInval
 }
 
 // StoreBackend serves a local store.Store, optionally charging a simulated

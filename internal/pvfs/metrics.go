@@ -9,49 +9,8 @@ import (
 
 // ProcName renders a PVFS2 procedure number as a stable metric label.
 func ProcName(proc uint32) string {
-	switch proc {
-	case ProcLookup:
-		return "lookup"
-	case ProcCreate:
-		return "create"
-	case ProcRemove:
-		return "remove"
-	case ProcMkdir:
-		return "mkdir"
-	case ProcReadDir:
-		return "readdir"
-	case ProcGetAttr:
-		return "getattr"
-	case ProcTruncate:
-		return "truncate"
-	case ProcLookupH:
-		return "lookup-h"
-	case ProcCreateH:
-		return "create-h"
-	case ProcMkdirH:
-		return "mkdir-h"
-	case ProcRemoveH:
-		return "remove-h"
-	case ProcRenameH:
-		return "rename-h"
-	case ProcReadDirH:
-		return "readdir-h"
-	case ProcPlacementH:
-		return "placement-h"
-	case ProcIORead:
-		return "io-read"
-	case ProcIOWrite:
-		return "io-write"
-	case ProcIOCreate:
-		return "io-create"
-	case ProcIORemove:
-		return "io-remove"
-	case ProcIOGetSize:
-		return "io-getsize"
-	case ProcIOFlush:
-		return "io-flush"
-	case ProcIOTruncate:
-		return "io-truncate"
+	if proc < uint32(len(procTable)) && procTable[proc].name != "" {
+		return procTable[proc].name
 	}
 	return fmt.Sprintf("proc-%d", proc)
 }
@@ -62,7 +21,7 @@ func ProcName(proc uint32) string {
 // After that a request costs one atomic load and one add.
 type procCounters struct {
 	vec   *metrics.CounterVec
-	cache [ProcIOTruncate + 1]atomic.Pointer[metrics.Counter] // by procedure number
+	cache [len(procTable)]atomic.Pointer[metrics.Counter] // by procedure number
 }
 
 // inc counts one request for proc.

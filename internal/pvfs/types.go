@@ -604,35 +604,51 @@ func (a *IOTruncateArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
-// MetaRegistry returns the request registry for the metadata service.
-func MetaRegistry() *rpc.Registry {
+// procTable is where a procedure of either service is declared: one row per
+// Proc* constant, indexed by it.  The request registries the TCP transport
+// decodes through (MetaRegistry, IORegistry), the "proc" metric label
+// (ProcName) and the bound of the request counters' cache all read it.
+var procTable = [...]struct {
+	service string
+	name    string
+	req     func() xdr.Unmarshaler
+}{
+	ProcLookup:     {ServiceMeta, "lookup", func() xdr.Unmarshaler { return &LookupArgs{} }},
+	ProcCreate:     {ServiceMeta, "create", func() xdr.Unmarshaler { return &CreateArgs{} }},
+	ProcRemove:     {ServiceMeta, "remove", func() xdr.Unmarshaler { return &RemoveArgs{} }},
+	ProcMkdir:      {ServiceMeta, "mkdir", func() xdr.Unmarshaler { return &MkdirArgs{} }},
+	ProcReadDir:    {ServiceMeta, "readdir", func() xdr.Unmarshaler { return &ReadDirArgs{} }},
+	ProcGetAttr:    {ServiceMeta, "getattr", func() xdr.Unmarshaler { return &GetAttrArgs{} }},
+	ProcTruncate:   {ServiceMeta, "truncate", func() xdr.Unmarshaler { return &TruncateArgs{} }},
+	ProcLookupH:    {ServiceMeta, "lookup-h", func() xdr.Unmarshaler { return &DirOpArgs{} }},
+	ProcCreateH:    {ServiceMeta, "create-h", func() xdr.Unmarshaler { return &DirOpArgs{} }},
+	ProcMkdirH:     {ServiceMeta, "mkdir-h", func() xdr.Unmarshaler { return &DirOpArgs{} }},
+	ProcRemoveH:    {ServiceMeta, "remove-h", func() xdr.Unmarshaler { return &DirOpArgs{} }},
+	ProcRenameH:    {ServiceMeta, "rename-h", func() xdr.Unmarshaler { return &RenameHArgs{} }},
+	ProcReadDirH:   {ServiceMeta, "readdir-h", func() xdr.Unmarshaler { return &ReadDirHArgs{} }},
+	ProcPlacementH: {ServiceMeta, "placement-h", func() xdr.Unmarshaler { return &PlacementHArgs{} }},
+	ProcIORead:     {ServiceIO, "io-read", func() xdr.Unmarshaler { return &IOReadArgs{} }},
+	ProcIOWrite:    {ServiceIO, "io-write", func() xdr.Unmarshaler { return &IOWriteArgs{} }},
+	ProcIOCreate:   {ServiceIO, "io-create", func() xdr.Unmarshaler { return &IOCreateArgs{} }},
+	ProcIORemove:   {ServiceIO, "io-remove", func() xdr.Unmarshaler { return &IORemoveArgs{} }},
+	ProcIOGetSize:  {ServiceIO, "io-getsize", func() xdr.Unmarshaler { return &IOGetSizeArgs{} }},
+	ProcIOFlush:    {ServiceIO, "io-flush", func() xdr.Unmarshaler { return &IOFlushArgs{} }},
+	ProcIOTruncate: {ServiceIO, "io-truncate", func() xdr.Unmarshaler { return &IOTruncateArgs{} }},
+}
+
+// registry collects one service's request constructors from procTable.
+func registry(service string) *rpc.Registry {
 	reg := rpc.NewRegistry()
-	reg.Register(ProcLookup, func() xdr.Unmarshaler { return &LookupArgs{} })
-	reg.Register(ProcCreate, func() xdr.Unmarshaler { return &CreateArgs{} })
-	reg.Register(ProcRemove, func() xdr.Unmarshaler { return &RemoveArgs{} })
-	reg.Register(ProcMkdir, func() xdr.Unmarshaler { return &MkdirArgs{} })
-	reg.Register(ProcReadDir, func() xdr.Unmarshaler { return &ReadDirArgs{} })
-	reg.Register(ProcGetAttr, func() xdr.Unmarshaler { return &GetAttrArgs{} })
-	reg.Register(ProcTruncate, func() xdr.Unmarshaler { return &TruncateArgs{} })
-	reg.Register(ProcLookupH, func() xdr.Unmarshaler { return &DirOpArgs{} })
-	reg.Register(ProcCreateH, func() xdr.Unmarshaler { return &DirOpArgs{} })
-	reg.Register(ProcMkdirH, func() xdr.Unmarshaler { return &DirOpArgs{} })
-	reg.Register(ProcRemoveH, func() xdr.Unmarshaler { return &DirOpArgs{} })
-	reg.Register(ProcRenameH, func() xdr.Unmarshaler { return &RenameHArgs{} })
-	reg.Register(ProcReadDirH, func() xdr.Unmarshaler { return &ReadDirHArgs{} })
-	reg.Register(ProcPlacementH, func() xdr.Unmarshaler { return &PlacementHArgs{} })
+	for proc, row := range procTable {
+		if row.service == service {
+			reg.Register(uint32(proc), row.req)
+		}
+	}
 	return reg
 }
 
+// MetaRegistry returns the request registry for the metadata service.
+func MetaRegistry() *rpc.Registry { return registry(ServiceMeta) }
+
 // IORegistry returns the request registry for the storage I/O service.
-func IORegistry() *rpc.Registry {
-	reg := rpc.NewRegistry()
-	reg.Register(ProcIORead, func() xdr.Unmarshaler { return &IOReadArgs{} })
-	reg.Register(ProcIOWrite, func() xdr.Unmarshaler { return &IOWriteArgs{} })
-	reg.Register(ProcIOCreate, func() xdr.Unmarshaler { return &IOCreateArgs{} })
-	reg.Register(ProcIORemove, func() xdr.Unmarshaler { return &IORemoveArgs{} })
-	reg.Register(ProcIOGetSize, func() xdr.Unmarshaler { return &IOGetSizeArgs{} })
-	reg.Register(ProcIOFlush, func() xdr.Unmarshaler { return &IOFlushArgs{} })
-	reg.Register(ProcIOTruncate, func() xdr.Unmarshaler { return &IOTruncateArgs{} })
-	return reg
-}
+func IORegistry() *rpc.Registry { return registry(ServiceIO) }
