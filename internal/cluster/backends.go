@@ -17,9 +17,10 @@ import (
 // directDSBackend is the Direct-pNFS data server: the NFS server accesses
 // the co-located PVFS2 storage daemon through a loopback conduit (paper
 // §5), so offsets arriving from clients address the stripe objects
-// directly.  All daemon costs (CPU, fixed buffer pool, disk) are charged by
-// calling the daemon's handler in-process.  It is an nfs.Backend and nothing
-// else: data servers perform no namespace or layout duties (paper §4.2).
+// directly.  The conduit is a call of the daemon's typed data procedures,
+// which charge every daemon cost (CPU, fixed buffer pool, disk) as they do
+// for a remote caller.  It is an nfs.Backend and nothing else: data servers
+// perform no namespace or layout duties (paper §4.2).
 type directDSBackend struct {
 	storage *pvfs.StorageServer
 	node    *simnet.Node
@@ -39,38 +40,19 @@ func (b *directDSBackend) conduit(ctx *rpc.Ctx, bytes int64) {
 
 func (b *directDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, error) {
 	b.conduit(ctx, n)
-	resp, status := b.storage.Handle(ctx, pvfs.ProcIORead, &pvfs.IOReadArgs{
-		Handle: pvfs.Handle(fh), Off: off, Len: n, WantReal: wantReal,
-	})
-	if status != rpc.StatusOK {
-		return payload.Payload{}, false, fserr.ErrIO
-	}
-	rep := resp.(*pvfs.IOReadRep)
-	if rep.Errno != 0 {
-		return payload.Payload{}, false, rep.Errno.Err()
-	}
-	return rep.Data, rep.Eof, nil
+	rep := b.storage.Read(ctx, &pvfs.IOReadArgs{Handle: pvfs.Handle(fh), Off: off, Len: n, WantReal: wantReal})
+	return rep.Data, rep.Eof, rep.Errno.Err()
 }
 
 func (b *directDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
 	b.conduit(ctx, data.Len())
-	resp, status := b.storage.Handle(ctx, pvfs.ProcIOWrite, &pvfs.IOWriteArgs{
-		Handle: pvfs.Handle(fh), Off: off, Data: data, Sync: stable,
-	})
-	if status != rpc.StatusOK {
-		return 0, fserr.ErrIO
-	}
-	rep := resp.(*pvfs.IOWriteRep)
+	rep := b.storage.Write(ctx, &pvfs.IOWriteArgs{Handle: pvfs.Handle(fh), Off: off, Data: data, Sync: stable})
 	return rep.ObjSize, rep.Errno.Err()
 }
 
 func (b *directDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 	b.conduit(ctx, 0)
-	resp, status := b.storage.Handle(ctx, pvfs.ProcIOFlush, &pvfs.IOFlushArgs{Handle: pvfs.Handle(fh)})
-	if status != rpc.StatusOK {
-		return fserr.ErrIO
-	}
-	return resp.(*pvfs.IOFlushRep).Errno.Err()
+	return b.storage.Flush(ctx, &pvfs.IOFlushArgs{Handle: pvfs.Handle(fh)}).Errno.Err()
 }
 
 // directMDSBackend is the Direct-pNFS metadata server: co-located with the

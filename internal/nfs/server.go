@@ -514,35 +514,11 @@ func (b *StoreBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool
 	if !wantReal {
 		return payload.Synthetic(n), eof, nil
 	}
-	// Transfer-buffer ownership, in order of preference:
-	//   - serializing transport: the payload is copied onto the wire
-	//     before deferred hooks run, so a Defer returns the pooled buffer;
-	//   - reference-passing transport, reply not retained: the single
-	//     consumer gets a pooled buffer with a Release hook;
-	//   - retained reply (replay cache): fresh allocation, never recycled.
-	switch {
-	case ctx.Serialized():
-		buf := rpc.GetBuf(int(n))
-		ctx.Defer(func() { rpc.PutBuf(buf) })
-		if _, err := b.Store.ReadAt(store.FileID(fh), off, buf); err != nil {
-			return payload.Payload{}, false, err
-		}
-		return payload.Real(buf), eof, nil
-	case !ctx.Retained():
-		buf := rpc.GetBuf(int(n))
-		if _, err := b.Store.ReadAt(store.FileID(fh), off, buf); err != nil {
-			rpc.PutBuf(buf)
-			return payload.Payload{}, false, err
-		}
-		rpc.CountCopyAvoided()
-		return payload.RealPooled(buf, func() { rpc.PutBuf(buf) }), eof, nil
-	default:
-		buf := make([]byte, n)
-		if _, err := b.Store.ReadAt(store.FileID(fh), off, buf); err != nil {
-			return payload.Payload{}, false, err
-		}
-		return payload.Real(buf), eof, nil
-	}
+	data, err := ctx.ReplyBuf(n, func(buf []byte) error {
+		_, err := b.Store.ReadAt(store.FileID(fh), off, buf)
+		return err
+	})
+	return data, eof, err
 }
 
 // Write implements Backend.

@@ -262,6 +262,15 @@ func (s *StorageServer) acquireBuffers(ctx *rpc.Ctx, n int64) func() {
 
 // Handle dispatches one storage daemon request.
 func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
+	// The data procedures are typed methods, which count themselves.
+	switch proc {
+	case ProcIOWrite:
+		return s.Write(ctx, req.(*IOWriteArgs)), rpc.StatusOK
+	case ProcIORead:
+		return s.Read(ctx, req.(*IOReadArgs)), rpc.StatusOK
+	case ProcIOFlush:
+		return s.Flush(ctx, req.(*IOFlushArgs)), rpc.StatusOK
+	}
 	s.stats.requests.inc(proc)
 	cpu := s.cfg.Node.Processor()
 	switch proc {
@@ -298,110 +307,6 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		s.mu.Unlock()
 		return &IORemoveRep{}, rpc.StatusOK
 
-	case ProcIOWrite:
-		a := req.(*IOWriteArgs)
-		id, ok := s.object(a.Handle)
-		if !ok {
-			return &IOWriteRep{Errno: fserr.Stale}, rpc.StatusOK
-		}
-		n := a.Data.Len()
-		ctx.UseCPU(cpu, serverPerOp+rpc.PerMB(serverPerMB, n))
-		release := s.acquireBuffers(ctx, n)
-		ctx.Defer(release)
-		prev, err := s.store.GetAttr(id)
-		if err != nil {
-			return &IOWriteRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		// A write that partially covers a block of existing data forces a
-		// read-modify-write of the boundary blocks; appends past EOF extend
-		// sparsely and skip it.  The client-side gathering of the NFS
-		// architectures issues aligned wsize flushes and never pays this;
-		// cacheless PVFS2 clients pass small application requests straight
-		// through (paper §6.3.1).
-		const blk = 64 << 10
-		if a.Off < prev.Size {
-			if head := a.Off % blk; head != 0 {
-				s.cfg.Disk.Read(ctx.P, uint64(a.Handle), a.Off-head, blk)
-			}
-			if tail := (a.Off + n) % blk; tail != 0 && a.Off+n < prev.Size {
-				s.cfg.Disk.Read(ctx.P, uint64(a.Handle), (a.Off+n)-tail, blk)
-			}
-		}
-		var objSize int64
-		if a.Data.IsSynthetic() {
-			objSize, err = s.store.WriteSyntheticAt(id, a.Off, n)
-		} else {
-			objSize, err = s.store.WriteAt(id, a.Off, a.Data.Bytes)
-		}
-		if err != nil {
-			return &IOWriteRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		s.cfg.Disk.Write(ctx.P, uint64(a.Handle), a.Off, n)
-		if a.Sync {
-			// Durability point: a durable store journals here, then the
-			// data disk takes its barrier.
-			if err := s.store.Sync(ctx.P); err != nil {
-				return &IOWriteRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-			}
-			s.cfg.Disk.Sync(ctx.P)
-		}
-		if n > 0 {
-			s.stats.bytesWrite.Add(uint64(n))
-		}
-		return &IOWriteRep{ObjSize: objSize}, rpc.StatusOK
-
-	case ProcIORead:
-		a := req.(*IOReadArgs)
-		id, ok := s.object(a.Handle)
-		if !ok {
-			return &IOReadRep{Errno: fserr.Stale}, rpc.StatusOK
-		}
-		at, err := s.store.GetAttr(id)
-		if err != nil {
-			return &IOReadRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		n := a.Len
-		if a.Off >= at.Size {
-			n = 0
-		} else if a.Off+n > at.Size {
-			n = at.Size - a.Off
-		}
-		ctx.UseCPU(cpu, serverPerOp+rpc.PerMB(serverPerMB, n))
-		release := s.acquireBuffers(ctx, n)
-		ctx.Defer(release)
-		if n > 0 {
-			s.cfg.Disk.Read(ctx.P, uint64(a.Handle), a.Off, n)
-		}
-		if n > 0 {
-			s.stats.bytesRead.Add(uint64(n))
-		}
-		rep := &IOReadRep{Eof: n < a.Len}
-		if a.WantReal {
-			// Pooled transfer buffer: Defer-released when the transport
-			// serializes the reply, consumer-released (payload.Release)
-			// when the client gets the buffer by reference.  The PVFS2
-			// protocol has no replay cache, so replies never outlive
-			// their one consumer.
-			buf := rpc.GetBuf(int(n))
-			if _, err := s.store.ReadAt(id, a.Off, buf); err != nil {
-				rpc.PutBuf(buf)
-				return &IOReadRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-			}
-			if s.cfg.WireChecksums {
-				rep.Sum, rep.HasSum = xdr.Checksum(buf), true
-			}
-			if ctx.Serialized() {
-				ctx.Defer(func() { rpc.PutBuf(buf) })
-				rep.Data = payload.Real(buf)
-			} else {
-				rpc.CountCopyAvoided()
-				rep.Data = payload.RealPooled(buf, func() { rpc.PutBuf(buf) })
-			}
-		} else {
-			rep.Data = payload.Synthetic(n)
-		}
-		return rep, rpc.StatusOK
-
 	case ProcIOGetSize:
 		a := req.(*IOGetSizeArgs)
 		ctx.UseCPU(cpu, metaPerOp)
@@ -414,18 +319,6 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 			return &IOGetSizeRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
 		return &IOGetSizeRep{Size: at.Size, Change: at.Change}, rpc.StatusOK
-
-	case ProcIOFlush:
-		a := req.(*IOFlushArgs)
-		ctx.UseCPU(cpu, serverPerOp)
-		if _, ok := s.object(a.Handle); !ok {
-			return &IOFlushRep{Errno: fserr.Stale}, rpc.StatusOK
-		}
-		if err := s.store.Sync(ctx.P); err != nil {
-			return &IOFlushRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		s.cfg.Disk.Sync(ctx.P)
-		return &IOFlushRep{}, rpc.StatusOK
 
 	case ProcIOTruncate:
 		a := req.(*IOTruncateArgs)
@@ -440,6 +333,120 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		return &IOTruncateRep{}, rpc.StatusOK
 	}
 	return nil, rpc.StatusProcUnavail
+}
+
+// Write, Read and Flush are the daemon's data procedures as typed calls:
+// Handle serves them to remote clients, and a co-located Direct-pNFS data
+// server calls them directly — the paper's loopback conduit (§5) is a
+// function call.  Either way a call counts as one request of its procedure
+// and pays the daemon's CPU, transfer-buffer and disk charges.
+
+// Write serves ProcIOWrite.
+func (s *StorageServer) Write(ctx *rpc.Ctx, a *IOWriteArgs) *IOWriteRep {
+	s.stats.requests.inc(ProcIOWrite)
+	id, ok := s.object(a.Handle)
+	if !ok {
+		return &IOWriteRep{Errno: fserr.Stale}
+	}
+	n := a.Data.Len()
+	ctx.UseCPU(s.cfg.Node.Processor(), serverPerOp+rpc.PerMB(serverPerMB, n))
+	release := s.acquireBuffers(ctx, n)
+	ctx.Defer(release)
+	prev, err := s.store.GetAttr(id)
+	if err != nil {
+		return &IOWriteRep{Errno: fserr.ToErrno(err)}
+	}
+	// A write that partially covers a block of existing data forces a
+	// read-modify-write of the boundary blocks; appends past EOF extend
+	// sparsely and skip it.  The client-side gathering of the NFS
+	// architectures issues aligned wsize flushes and never pays this;
+	// cacheless PVFS2 clients pass small application requests straight
+	// through (paper §6.3.1).
+	const blk = 64 << 10
+	if a.Off < prev.Size {
+		if head := a.Off % blk; head != 0 {
+			s.cfg.Disk.Read(ctx.P, uint64(a.Handle), a.Off-head, blk)
+		}
+		if tail := (a.Off + n) % blk; tail != 0 && a.Off+n < prev.Size {
+			s.cfg.Disk.Read(ctx.P, uint64(a.Handle), (a.Off+n)-tail, blk)
+		}
+	}
+	var objSize int64
+	if a.Data.IsSynthetic() {
+		objSize, err = s.store.WriteSyntheticAt(id, a.Off, n)
+	} else {
+		objSize, err = s.store.WriteAt(id, a.Off, a.Data.Bytes)
+	}
+	if err != nil {
+		return &IOWriteRep{Errno: fserr.ToErrno(err)}
+	}
+	s.cfg.Disk.Write(ctx.P, uint64(a.Handle), a.Off, n)
+	if a.Sync {
+		// Durability point: a durable store journals here, then the
+		// data disk takes its barrier.
+		if err := s.store.Sync(ctx.P); err != nil {
+			return &IOWriteRep{Errno: fserr.ToErrno(err)}
+		}
+		s.cfg.Disk.Sync(ctx.P)
+	}
+	if n > 0 {
+		s.stats.bytesWrite.Add(uint64(n))
+	}
+	return &IOWriteRep{ObjSize: objSize}
+}
+
+// Read serves ProcIORead.
+func (s *StorageServer) Read(ctx *rpc.Ctx, a *IOReadArgs) *IOReadRep {
+	s.stats.requests.inc(ProcIORead)
+	id, ok := s.object(a.Handle)
+	if !ok {
+		return &IOReadRep{Errno: fserr.Stale}
+	}
+	at, err := s.store.GetAttr(id)
+	if err != nil {
+		return &IOReadRep{Errno: fserr.ToErrno(err)}
+	}
+	n := a.Len
+	if a.Off >= at.Size {
+		n = 0
+	} else if a.Off+n > at.Size {
+		n = at.Size - a.Off
+	}
+	ctx.UseCPU(s.cfg.Node.Processor(), serverPerOp+rpc.PerMB(serverPerMB, n))
+	release := s.acquireBuffers(ctx, n)
+	ctx.Defer(release)
+	if n > 0 {
+		s.cfg.Disk.Read(ctx.P, uint64(a.Handle), a.Off, n)
+		s.stats.bytesRead.Add(uint64(n))
+	}
+	rep := &IOReadRep{Eof: n < a.Len, Data: payload.Synthetic(n)}
+	if a.WantReal {
+		rep.Data, err = ctx.ReplyBuf(n, func(buf []byte) error {
+			_, err := s.store.ReadAt(id, a.Off, buf)
+			return err
+		})
+		if err != nil {
+			return &IOReadRep{Errno: fserr.ToErrno(err)}
+		}
+		if s.cfg.WireChecksums {
+			rep.Sum, rep.HasSum = xdr.Checksum(rep.Data.Bytes), true
+		}
+	}
+	return rep
+}
+
+// Flush serves ProcIOFlush.
+func (s *StorageServer) Flush(ctx *rpc.Ctx, a *IOFlushArgs) *IOFlushRep {
+	s.stats.requests.inc(ProcIOFlush)
+	ctx.UseCPU(s.cfg.Node.Processor(), serverPerOp)
+	if _, ok := s.object(a.Handle); !ok {
+		return &IOFlushRep{Errno: fserr.Stale}
+	}
+	if err := s.store.Sync(ctx.P); err != nil {
+		return &IOFlushRep{Errno: fserr.ToErrno(err)}
+	}
+	s.cfg.Disk.Sync(ctx.P)
+	return &IOFlushRep{}
 }
 
 // MetaConfig describes the metadata server.

@@ -97,8 +97,9 @@ var poisonOnPut atomic.Bool
 func SetPoisonOnPut(on bool) bool { return poisonOnPut.Swap(on) }
 
 // Buffer-flow counters (docs/METRICS.md): how many opaques were decoded by
-// reference out of pooled frames, and how many payload copies the pooled
-// hot path avoided.  They are package-global (the pool itself is global);
+// reference out of pooled frames, and how many pooled reply buffers
+// Ctx.ReplyBuf handed to their consumer by reference where the pre-pool
+// code copied.  They are package-global (the pool itself is global);
 // BufCounters reads them for metric snapshots.
 var (
 	bufBorrowed      atomic.Uint64
@@ -111,12 +112,6 @@ func countBorrowed(n int) {
 		bufBorrowed.Add(uint64(n))
 	}
 }
-
-// CountCopyAvoided credits one avoided payload copy (a pooled buffer handed
-// across a layer boundary by reference where the pre-pool code copied) to
-// rpc_buf_copies_avoided_total.  Exported for the client/server layers that
-// hand out pooled payloads.
-func CountCopyAvoided() { bufCopiesAvoided.Add(1) }
 
 // BufCounters returns the cumulative borrow and avoided-copy counts.
 func BufCounters() (borrowed, copiesAvoided uint64) {

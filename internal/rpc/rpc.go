@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"dpnfs/internal/payload"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/xdr"
@@ -64,36 +65,51 @@ type Ctx struct {
 	P        *sim.Proc
 	deferred []func()
 	// serialized is set by transports that marshal replies onto a wire
-	// before running deferred hooks: a handler's reply payload is fully
-	// copied out by the time Defer hooks run, so backends may hand out
-	// pooled buffers.  Reference-passing transports leave it false.
+	// before running deferred hooks; reference-passing transports leave it
+	// false.  retained is set by Retain.  ReplyBuf reads both.
 	serialized bool
-	// retained is set by Retain: the reply may outlive its first
-	// transmission (replay caches), so no part of it may alias pooled
-	// buffers — neither Defer-released nor consumer-released ones.
-	retained bool
+	retained   bool
 }
-
-// Serialized reports whether reply payloads are copied onto a wire before
-// deferred hooks run.  Backends use it to decide whether bulk read buffers
-// may come from the shared pool (released via Defer) or must be fresh
-// allocations the caller can retain.
-func (c *Ctx) Serialized() bool { return c.serialized }
 
 // Retain marks the call's reply as potentially retained beyond its first
 // transmission — e.g. stored in a session replay cache, from which a
-// retransmission would re-marshal it.  Backends must then allocate fresh
-// reply buffers even on a serializing transport, so servers call this
-// before running any compound whose reply they may cache.
-func (c *Ctx) Retain() {
-	c.serialized = false
-	c.retained = true
-}
+// retransmission would re-marshal it — so servers call this before running
+// any compound whose reply they may cache.
+func (c *Ctx) Retain() { c.retained = true }
 
-// Retained reports whether Retain was called.  On a reference-passing
-// transport, a backend may hand the (single) consumer a pooled reply
-// buffer with a Release hook only when the reply is not retained.
-func (c *Ctx) Retained() bool { return c.retained }
+// ReplyBuf is the one rule for who owns a bulk reply buffer.  It hands fill
+// a buffer of n bytes (contents unspecified; fill overwrites all of it) and
+// returns the filled buffer as a payload owned as the call requires:
+//
+//   - a retained reply (Retain) may be re-marshalled long after this call,
+//     so it gets a fresh allocation that is never recycled;
+//   - on a serializing transport the payload is copied onto the wire before
+//     deferred hooks run, so a Defer returns the pooled buffer;
+//   - on a reference-passing transport the single consumer gets the pooled
+//     buffer itself and returns it through the payload's Release hook
+//     (counted in rpc_buf_copies_avoided_total).
+//
+// A fill error is returned with no payload and nothing left to release.
+func (c *Ctx) ReplyBuf(n int64, fill func(buf []byte) error) (payload.Payload, error) {
+	if c.retained {
+		buf := make([]byte, n)
+		if err := fill(buf); err != nil {
+			return payload.Payload{}, err
+		}
+		return payload.Real(buf), nil
+	}
+	buf := GetBuf(int(n))
+	if err := fill(buf); err != nil {
+		PutBuf(buf)
+		return payload.Payload{}, err
+	}
+	if c.serialized {
+		c.Defer(func() { PutBuf(buf) })
+		return payload.Real(buf), nil
+	}
+	bufCopiesAvoided.Add(1)
+	return payload.RealPooled(buf, func() { PutBuf(buf) }), nil
+}
 
 // Defer registers fn to run after the server has finished transmitting the
 // reply.  Storage daemons use it to hold transfer buffers until the data has

@@ -234,16 +234,19 @@ func TestTCPTransportPoolKeying(t *testing.T) {
 }
 
 // TestCtxRetainDisablesPooling pins the replay-cache contract: once a
-// server marks a call's reply as retained, backends must see a
-// non-serialized context and allocate fresh buffers.
+// server marks a call's reply as retained, ReplyBuf hands out a fresh
+// buffer with nothing to release, even on a serializing transport.
 func TestCtxRetainDisablesPooling(t *testing.T) {
+	fill := func(buf []byte) error { return nil }
 	ctx := &Ctx{serialized: true}
-	if !ctx.Serialized() {
-		t.Fatal("ctx not serialized")
+	if _, err := ctx.ReplyBuf(4096, fill); err != nil || len(ctx.deferred) != 1 {
+		t.Fatalf("serializing ctx: err %v, %d deferred releases, want 1", err, len(ctx.deferred))
 	}
+	ctx.runDeferred()
 	ctx.Retain()
-	if ctx.Serialized() {
-		t.Fatal("Retain left the ctx serialized")
+	p, err := ctx.ReplyBuf(4096, fill)
+	if err != nil || len(ctx.deferred) != 0 || cap(p.Bytes) != 4096 {
+		t.Fatalf("retained ctx: err %v, %d deferred releases, cap %d; want a fresh exact-size buffer", err, len(ctx.deferred), cap(p.Bytes))
 	}
 }
 
