@@ -271,21 +271,24 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 	// below it that a daemon skipped are holes (zeros).
 	var mu sync.Mutex
 	var maxEnd int64
+	// deliver copies one reply — the primary's, a hedged duplicate's or the
+	// replica rung's — into buf and releases it: the reply's buffer (a
+	// borrowed TCP frame, a daemon's pooled transfer buffer) goes back to
+	// its pool here.
 	deliver := func(r stripe.Extent, data payload.Payload) {
-		got := data.Len()
-		if got == 0 {
-			return
+		if got := data.Len(); got > 0 {
+			// The copy stays under mu: a hedged duplicate writes the same
+			// bytes to the same region as its primary.
+			mu.Lock()
+			if end := r.Off + got; end > maxEnd {
+				maxEnd = end
+			}
+			if wantReal && data.Bytes != nil {
+				copy(buf[r.Off-off:], data.Bytes)
+			}
+			mu.Unlock()
 		}
-		// The copy stays under mu: a hedged duplicate writes the same bytes
-		// to the same region as its primary.
-		mu.Lock()
-		if end := r.Off + got; end > maxEnd {
-			maxEnd = end
-		}
-		if wantReal && data.Bytes != nil {
-			copy(buf[r.Off-off:], data.Bytes)
-		}
-		mu.Unlock()
+		data.Release()
 	}
 	policies := []ioengine.Policy{c.retry}
 	if rm, ok := f.mapper.(*stripe.Replicated); ok {
