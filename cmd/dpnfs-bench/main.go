@@ -21,11 +21,13 @@
 // MB/s before, during, and after the outage per architecture.  The recovery
 // figure re-runs that schedule on the write-ahead-logged backend
 // (docs/BACKENDS.md): the crash discards the victim's volatile state and
-// the restart replays its journal.  Both run on the sim transport only.
+// the restart replays its journal.
 //
 // With -transport=tcp the same workloads run end-to-end over real TCP
 // connections on this host: wall-clock numbers that measure the protocol
-// implementation, not the paper's simulated testbed.
+// implementation, not the paper's simulated testbed.  The figures that
+// measure virtual time (marked * in the -fig help) run on the sim transport
+// only; -fig all skips them.
 //
 // With -report the run also writes a machine-readable JSON report: every
 // figure's series plus a per-figure snapshot of the unified metrics
@@ -44,7 +46,14 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure id (6a..6e, 7a..7d, 8a..8d, ssh, degraded, recovery, window, tail, rebalance, sweep, integrity) or 'all'")
+	names := make([]string, len(directpnfs.FigureIDs))
+	for i, id := range directpnfs.FigureIDs {
+		names[i] = id
+		if directpnfs.FigureSimOnly[id] {
+			names[i] += "*"
+		}
+	}
+	fig := flag.String("fig", "all", "figure id ("+strings.Join(names, ", ")+"; * = sim transport only) or 'all'")
 	scale := flag.Float64("scale", 1.0, "data-size scale factor (1.0 = paper sizes)")
 	clients := flag.String("clients", "", "comma-separated client counts (default: per figure)")
 	transport := flag.String("transport", "sim", "cluster wiring: sim (virtual time) or tcp (real loopback sockets)")
@@ -76,13 +85,10 @@ func main() {
 	if *fig == "all" {
 		ids = directpnfs.FigureIDs
 		if opt.Transport == cluster.TransportTCP {
-			// The degraded/recovery/rebalance figures' throughput windows
-			// and the tail/sweep figures' latency percentiles are
-			// virtual-time intervals; skip them rather than failing the
-			// whole sweep.
+			// Skip the sim-only figures rather than failing the whole sweep.
 			kept := ids[:0:0]
 			for _, id := range ids {
-				if id == "degraded" || id == "recovery" || id == "tail" || id == "rebalance" || id == "sweep" || id == "integrity" {
+				if directpnfs.FigureSimOnly[id] {
 					fmt.Fprintf(os.Stderr, "skipping %s: sim transport only\n", id)
 					continue
 				}

@@ -154,6 +154,10 @@ var Figures = bench.All
 // FigureIDs lists the figure IDs in the paper's presentation order.
 var FigureIDs = bench.IDs
 
+// FigureSimOnly holds the IDs of the figures that need the virtual clock:
+// their generators refuse FigureOptions.Transport TCP.
+var FigureSimOnly = bench.SimOnly
+
 // Generate regenerates one paper figure by ID ("6a".."6e", "7a".."7d",
 // "8a".."8d", "ssh").  Unknown IDs return an error listing the known set.
 func Generate(id string, opt FigureOptions) (Figure, error) {

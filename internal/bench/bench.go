@@ -333,36 +333,30 @@ const (
 	degradedVictim    = "io1" // a non-MDS storage node present in every arch
 )
 
-// Degraded is the repository's degraded-mode figure (not from the paper):
-// aggregate write throughput before, during, and after a storage-node
-// crash, per architecture, under one shared fault plan.  X is the phase
-// (1=before, 2=during, 3=after).  See docs/FAULTS.md for interpretation.
-func Degraded(opt Options) (Figure, error) {
+// crashFigure runs the degraded-mode schedule — crash degradedVictim
+// mid-run, restart it later — on every architecture over the given store
+// backend, one series of three phase points each.  inspect, when non-nil,
+// sees each cluster after its run and before it is closed.
+func crashFigure(fig Figure, opt Options, backend string, inspect func(*cluster.Cluster)) (Figure, error) {
 	opt = opt.withDefaults([]int{2}, cluster.Archs)
-	fig := Figure{
-		ID:     "degraded",
-		Title:  "write under a storage-node crash (phases: 1=before 2=during 3=after)",
-		XLabel: "phase",
-		YLabel: "aggregate MB/s",
-	}
-	if opt.Transport == cluster.TransportTCP {
-		return fig, fmt.Errorf("degraded: this figure requires the sim transport (virtual-time windows)")
-	}
+	fig.XLabel, fig.YLabel = "phase", "aggregate MB/s"
 	plan := faults.NewPlan(1,
 		faults.StorageNodeCrash{At: degradedCrashAt, Node: degradedVictim},
 		faults.StorageNodeRestart{At: degradedRestartAt, Node: degradedVictim},
 	)
-	n := opt.Clients[0]
 	for _, arch := range opt.Archs {
-		cl := newCluster(opt, cluster.Config{Arch: arch, Clients: n, Faults: plan})
+		cl := newCluster(opt, cluster.Config{Arch: arch, Clients: opt.Clients[0], Faults: plan, Backend: backend})
 		res, err := workload.Degraded(cl, workload.DegradedConfig{
 			CrashAt:   degradedCrashAt,
 			RestartAt: degradedRestartAt,
 			Tail:      degradedTail,
 		})
+		if inspect != nil {
+			inspect(cl)
+		}
 		cl.Close()
 		if err != nil {
-			return fig, fmt.Errorf("degraded/%s: %w", arch, err)
+			return fig, fmt.Errorf("%s/%s: %w", fig.ID, arch, err)
 		}
 		fig.Series = append(fig.Series, Series{
 			Label: archLabel(arch),
@@ -376,6 +370,17 @@ func Degraded(opt Options) (Figure, error) {
 	return fig, nil
 }
 
+// Degraded is the repository's degraded-mode figure (not from the paper):
+// aggregate write throughput before, during, and after a storage-node
+// crash, per architecture, under one shared fault plan.  X is the phase
+// (1=before, 2=during, 3=after).  See docs/FAULTS.md for interpretation.
+func Degraded(opt Options) (Figure, error) {
+	return crashFigure(Figure{
+		ID:    "degraded",
+		Title: "write under a storage-node crash (phases: 1=before 2=during 3=after)",
+	}, opt, cluster.BackendMem, nil)
+}
+
 // Recovery is the repository's crash-recovery figure (not from the paper):
 // the degraded-mode schedule re-run on the write-ahead-logged backend
 // (cluster.Config.Backend "wal", docs/BACKENDS.md).  Unlike the degraded
@@ -386,50 +391,17 @@ func Degraded(opt Options) (Figure, error) {
 // 3=after).  The figure errors if no journal records were replayed, so it
 // cannot silently degenerate into the volatile degraded figure.
 func Recovery(opt Options) (Figure, error) {
-	opt = opt.withDefaults([]int{2}, cluster.Archs)
-	fig := Figure{
-		ID:     "recovery",
-		Title:  "write across a crash with WAL replay (phases: 1=before 2=during 3=after)",
-		XLabel: "phase",
-		YLabel: "aggregate MB/s",
-	}
-	if opt.Transport == cluster.TransportTCP {
-		return fig, fmt.Errorf("recovery: this figure requires the sim transport (virtual-time windows)")
-	}
-	plan := faults.NewPlan(1,
-		faults.StorageNodeCrash{At: degradedCrashAt, Node: degradedVictim},
-		faults.StorageNodeRestart{At: degradedRestartAt, Node: degradedVictim},
-	)
-	n := opt.Clients[0]
 	var replayed float64
-	for _, arch := range opt.Archs {
-		cl := newCluster(opt, cluster.Config{
-			Arch: arch, Clients: n, Faults: plan,
-			Backend: cluster.BackendWAL,
-		})
-		res, err := workload.Degraded(cl, workload.DegradedConfig{
-			CrashAt:   degradedCrashAt,
-			RestartAt: degradedRestartAt,
-			Tail:      degradedTail,
-		})
+	fig, err := crashFigure(Figure{
+		ID:    "recovery",
+		Title: "write across a crash with WAL replay (phases: 1=before 2=during 3=after)",
+	}, opt, cluster.BackendWAL, func(cl *cluster.Cluster) {
 		replayed += cl.Metrics().Snapshot().Total("store_wal_replays_total")
-		cl.Close()
-		if err != nil {
-			return fig, fmt.Errorf("recovery/%s: %w", arch, err)
-		}
-		fig.Series = append(fig.Series, Series{
-			Label: archLabel(arch),
-			Points: []Point{
-				{X: 1, Y: res.Before},
-				{X: 2, Y: res.During},
-				{X: 3, Y: res.After},
-			},
-		})
+	})
+	if err == nil && replayed == 0 {
+		err = fmt.Errorf("recovery: no WAL records replayed — the crash never exercised recovery")
 	}
-	if replayed == 0 {
-		return fig, fmt.Errorf("recovery: no WAL records replayed — the crash never exercised recovery")
-	}
-	return fig, nil
+	return fig, err
 }
 
 // Window-sweep parameters: mixed request sizes (12 MB spanning every
@@ -498,14 +470,45 @@ func SSHBuild(opt Options) (Figure, error) {
 	return fig, nil
 }
 
-// All maps figure IDs to their generators.
-var All = map[string]func(Options) (Figure, error){
-	"6a": Fig6a, "6b": Fig6b, "6c": Fig6c, "6d": Fig6d, "6e": Fig6e,
-	"7a": Fig7a, "7b": Fig7b, "7c": Fig7c, "7d": Fig7d,
-	"8a": Fig8a, "8b": Fig8b, "8c": Fig8c, "8d": Fig8d,
-	"ssh": SSHBuild, "degraded": Degraded, "recovery": Recovery, "window": WindowSweep,
-	"tail": Tail, "rebalance": Rebalance, "sweep": Sweep, "integrity": Integrity,
+// registry lists every figure in presentation order.  simOnly marks the
+// figures that need the virtual clock — their throughput windows, latency
+// percentiles, scrub schedules and membership changes are virtual-time
+// quantities driven on the simulated fabric — and so refuse the TCP
+// transport; the workloads underneath refuse it too, as their own API check.
+var registry = []struct {
+	id      string
+	gen     func(Options) (Figure, error)
+	simOnly bool
+}{
+	{"6a", Fig6a, false}, {"6b", Fig6b, false}, {"6c", Fig6c, false}, {"6d", Fig6d, false}, {"6e", Fig6e, false},
+	{"7a", Fig7a, false}, {"7b", Fig7b, false}, {"7c", Fig7c, false}, {"7d", Fig7d, false},
+	{"8a", Fig8a, false}, {"8b", Fig8b, false}, {"8c", Fig8c, false}, {"8d", Fig8d, false},
+	{"ssh", SSHBuild, false}, {"degraded", Degraded, true}, {"recovery", Recovery, true}, {"window", WindowSweep, false},
+	{"tail", Tail, true}, {"rebalance", Rebalance, true}, {"sweep", Sweep, true}, {"integrity", Integrity, true},
 }
 
-// IDs lists figure IDs in presentation order.
-var IDs = []string{"6a", "6b", "6c", "6d", "6e", "7a", "7b", "7c", "7d", "8a", "8b", "8c", "8d", "ssh", "degraded", "recovery", "window", "tail", "rebalance", "sweep", "integrity"}
+// The registry's three views: All maps figure IDs to their generators (a
+// sim-only figure's entry refuses Options.Transport TCP before building
+// anything), IDs lists the IDs in presentation order, and SimOnly holds the
+// IDs a TCP run has to skip.
+var (
+	All     = map[string]func(Options) (Figure, error){}
+	IDs     []string
+	SimOnly = map[string]bool{}
+)
+
+func init() {
+	for _, f := range registry {
+		IDs = append(IDs, f.id)
+		All[f.id] = f.gen
+		if f.simOnly {
+			SimOnly[f.id] = true
+			All[f.id] = func(opt Options) (Figure, error) {
+				if opt.Transport == cluster.TransportTCP {
+					return Figure{}, fmt.Errorf("bench: figure %q needs the virtual clock (sim transport only)", f.id)
+				}
+				return f.gen(opt)
+			}
+		}
+	}
+}

@@ -66,6 +66,16 @@ func TestAllRegistryComplete(t *testing.T) {
 			t.Errorf("figure %q missing from registry", id)
 		}
 	}
+	// The simOnly mark is read through All: a marked figure refuses TCP
+	// there, before it builds anything.
+	if len(SimOnly) != 6 {
+		t.Errorf("%d sim-only figures, want 6: %v", len(SimOnly), SimOnly)
+	}
+	for id := range SimOnly {
+		if _, err := All[id](Options{Transport: cluster.TransportTCP}); err == nil || !strings.Contains(err.Error(), "virtual clock") {
+			t.Errorf("sim-only figure %q on TCP: err %v, want the registry's refusal", id, err)
+		}
+	}
 }
 
 func TestOptionsDefaults(t *testing.T) {

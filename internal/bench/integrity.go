@@ -44,9 +44,6 @@ func Integrity(opt Options) (Figure, error) {
 		XLabel: "phase",
 		YLabel: "aggregate MB/s",
 	}
-	if opt.Transport == cluster.TransportTCP {
-		return fig, fmt.Errorf("integrity: this figure requires the sim transport (virtual-time windows)")
-	}
 	n := opt.Clients[0]
 	fileSize := scaleBytes(8<<20, opt.Scale)
 	for _, arch := range opt.Archs {

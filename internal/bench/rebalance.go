@@ -37,9 +37,6 @@ func Rebalance(opt Options) (Figure, error) {
 		XLabel: "phase",
 		YLabel: "aggregate MB/s",
 	}
-	if opt.Transport == cluster.TransportTCP {
-		return fig, fmt.Errorf("rebalance: this figure requires the sim transport (membership drives the simulated fabric)")
-	}
 	n := opt.Clients[0]
 	dataSize := scaleBytes(16<<20, opt.Scale)
 	for _, arch := range opt.Archs {

@@ -51,13 +51,9 @@ var sweepMetrics = []struct {
 //
 // Options.Clients overrides the logical-client axis (not the mount count,
 // which is fixed at sweepMounts); Options.Scale scales the per-mount file
-// size and the arrival window.  Requires the sim transport: latencies and
-// schedules are virtual-time quantities.
+// size and the arrival window.
 func Sweep(opt Options) (Figure, error) {
 	opt = opt.withDefaults(sweepClients, cluster.Archs)
-	if opt.Transport == cluster.TransportTCP {
-		return Figure{}, fmt.Errorf("bench: the sweep figure requires the sim transport")
-	}
 	window := time.Duration(float64(2*time.Second) * opt.Scale)
 	if window < 250*time.Millisecond {
 		window = 250 * time.Millisecond

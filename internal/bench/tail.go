@@ -61,9 +61,6 @@ func Tail(opt Options) (Figure, error) {
 		XLabel: "permille",
 		YLabel: "latency ms",
 	}
-	if opt.Transport == cluster.TransportTCP {
-		return fig, fmt.Errorf("tail: this figure requires the sim transport (virtual-time latencies)")
-	}
 	plan := faults.NewPlan(1,
 		faults.SlowDisk{At: 0, Node: tailVictim, Factor: tailSlowFactor},
 		faults.LinkDegrade{At: 0, Node: tailVictim, Loss: tailLoss},
