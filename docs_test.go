@@ -3,9 +3,15 @@ package dpnfs_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"dpnfs/internal/metrics"
+	"dpnfs/internal/nfs"
+	"dpnfs/internal/pvfs"
+	"dpnfs/internal/store/mem"
 )
 
 // mdLink matches inline markdown links and images: [text](target).
@@ -91,6 +97,66 @@ func TestRequiredDocsLinked(t *testing.T) {
 	for _, want := range []string{"docs/ARCHITECTURE.md", "docs/METRICS.md", "docs/FAULTS.md", "docs/BACKENDS.md"} {
 		if !strings.Contains(string(readme), want) {
 			t.Errorf("README.md does not link %s", want)
+		}
+	}
+}
+
+// TestMetricsDocListsEveryLabelValue holds the `op` and `proc` label values
+// docs/METRICS.md lists to the tables the operations are declared in, read
+// through what those tables feed: the per-op counters an NFS server
+// registers at construction, and the PVFS2 request registries and ProcName.
+func TestMetricsDocListsEveryLabelValue(t *testing.T) {
+	raw, err := os.ReadFile("docs/METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// listed returns the backquoted values that follow leadIn in its
+	// paragraph, however the paragraph is wrapped.
+	listed := func(leadIn string) []string {
+		for _, para := range strings.Split(string(raw), "\n\n") {
+			_, rest, ok := strings.Cut(strings.Join(strings.Fields(para), " "), leadIn)
+			if !ok {
+				continue
+			}
+			var out []string
+			for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(rest, -1) {
+				out = append(out, m[1])
+			}
+			return out
+		}
+		t.Fatalf("docs/METRICS.md has no paragraph with %q", leadIn)
+		return nil
+	}
+
+	reg := metrics.NewRegistry()
+	nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New(), nil), Metrics: reg})
+	var ops []string
+	for _, fam := range reg.Snapshot().Metrics {
+		if fam.Name == "nfs_server_ops_total" {
+			for _, s := range fam.Series {
+				ops = append(ops, s.Labels["op"])
+			}
+		}
+	}
+	var meta, io []string
+	for proc := uint32(0); proc < 1024; proc++ {
+		if pvfs.MetaRegistry().New(proc) != nil {
+			meta = append(meta, pvfs.ProcName(proc))
+		}
+		if pvfs.IORegistry().New(proc) != nil {
+			io = append(io, pvfs.ProcName(proc))
+		}
+	}
+	for _, c := range []struct {
+		leadIn string
+		want   []string
+	}{
+		{"Every `op` value, in operation-number order:", ops},
+		{"Every `proc` value of `pvfs_meta_requests_total`, in procedure-number order:", meta},
+		{"Every `proc` value of `pvfs_storage_requests_total`, in procedure-number order:", io},
+	} {
+		if got := listed(c.leadIn); len(c.want) == 0 || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("docs/METRICS.md, %q\n lists %v\n  want %v", c.leadIn, got, c.want)
 		}
 	}
 }

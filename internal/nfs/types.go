@@ -8,6 +8,17 @@
 // (EXCHANGE_ID / CREATE_SESSION establish them; per-slot sequence numbers
 // give replay semantics), and the server threads a current-filehandle
 // through the op list.
+//
+// # Where an operation is declared
+//
+// An operation is its OpNum* constant, its Op and Result types with their
+// Num() and XDR methods (this file), one row of opTable (compound.go) and
+// one arm of Server.exec (server.go).  The row carries everything else
+// that depends on which operations exist: the metric label, whether a
+// retransmission may re-execute it, which optional backend role it needs
+// and the constructors the COMPOUND codec decodes through.  Adding an
+// operation is those four edits plus its name in docs/METRICS.md;
+// TestOpTableComplete and the docs test fail until all are made.
 package nfs
 
 import (

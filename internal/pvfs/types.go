@@ -14,6 +14,20 @@
 //   - file size reconstructed from per-node datafile sizes (metadata is
 //     decentralized, so GetAttr fans out to every storage node);
 //   - create/remove touch every storage node to manage datafile objects.
+//
+// # Where a procedure is declared
+//
+// A procedure of either service is its Proc* constant, its request and
+// reply types with their XDR methods, one row of procTable (this file) —
+// which service serves it, its metric label and the request constructor
+// the TCP transport decodes through — and its body: an arm of
+// MetaServer.Handle or StorageServer.Handle, where the storage daemon's
+// three data procedures are the typed methods Read, Write and Flush that a
+// co-located Direct-pNFS data server calls directly.  Callers add their own
+// wrapper (Client, and cluster's directMDSBackend for the in-process
+// metadata manager).  Adding a procedure is those edits plus its name in
+// docs/METRICS.md; TestProcTableComplete and the docs test fail until the
+// table and the docs agree with the constants.
 package pvfs
 
 import (
