@@ -139,11 +139,12 @@ func TestMetricsDocListsEveryLabelValue(t *testing.T) {
 		}
 	}
 	var meta, io []string
+	metaReg, ioReg := pvfs.MetaRegistry(), pvfs.IORegistry()
 	for proc := uint32(0); proc < 1024; proc++ {
-		if pvfs.MetaRegistry().New(proc) != nil {
+		if metaReg.New(proc) != nil {
 			meta = append(meta, pvfs.ProcName(proc))
 		}
-		if pvfs.IORegistry().New(proc) != nil {
+		if ioReg.New(proc) != nil {
 			io = append(io, pvfs.ProcName(proc))
 		}
 	}

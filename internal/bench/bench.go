@@ -499,16 +499,17 @@ var (
 
 func init() {
 	for _, f := range registry {
-		IDs = append(IDs, f.id)
-		All[f.id] = f.gen
+		gen := f.gen
 		if f.simOnly {
 			SimOnly[f.id] = true
-			All[f.id] = func(opt Options) (Figure, error) {
+			gen = func(opt Options) (Figure, error) {
 				if opt.Transport == cluster.TransportTCP {
 					return Figure{}, fmt.Errorf("bench: figure %q needs the virtual clock (sim transport only)", f.id)
 				}
 				return f.gen(opt)
 			}
 		}
+		IDs = append(IDs, f.id)
+		All[f.id] = gen
 	}
 }

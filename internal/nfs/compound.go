@@ -35,9 +35,6 @@ const (
 	roleLayouts        // LayoutSource
 )
 
-// maxOpNum bounds the RFC 5661 operation-number space this package speaks.
-const maxOpNum = 64
-
 // opTable is where an operation is declared: one row per OpNum* constant,
 // indexed by it.  Everything that depends on which operations exist reads
 // it — the COMPOUND codec (op, res), the metric label (name), the replay
@@ -46,7 +43,7 @@ const maxOpNum = 64
 // status it answers with itself when the backend lacks the role).  res
 // builds the operation's result carrying a status; res(fserr.OK) is the
 // empty result the decoder fills.
-var opTable = [maxOpNum + 1]struct {
+var opTable = [...]struct {
 	name       string
 	idempotent bool
 	needs      role
@@ -99,7 +96,7 @@ var opTable = [maxOpNum + 1]struct {
 }
 
 // known reports whether num is an operation this package declares.
-func known(num uint32) bool { return num <= maxOpNum && opTable[num].op != nil }
+func known(num uint32) bool { return num < uint32(len(opTable)) && opTable[num].op != nil }
 
 // opName renders the RFC 5661 operation name, the metric label of both the
 // client's and the server's per-op instruments.

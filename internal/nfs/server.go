@@ -116,7 +116,7 @@ type Server struct {
 	replays    *metrics.Counter
 	bytesRead  *metrics.Counter
 	bytesWrite *metrics.Counter
-	opCounters [maxOpNum + 1]*metrics.Counter
+	opCounters [len(opTable)]*metrics.Counter
 
 	mu       sync.Mutex // guards nextID, sessions, clients, session slots
 	nextID   uint64
