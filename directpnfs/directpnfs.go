@@ -9,7 +9,11 @@
 // Applications run as simulated processes against an
 // architecture-independent Mount (Create/Open/Read/Write/Fsync/Close plus
 // namespace operations), and every benchmark figure from the paper's
-// evaluation can be regenerated through the Figures registry.
+// evaluation can be regenerated through the Figures registry.  New chooses a
+// Mount's client protocol once — NFSv4.1 on four architectures, the PVFS2
+// library on native PVFS2 — and every Mount call is one dispatch to it, with
+// one contract: Create, for instance, creates or opens on every
+// architecture.
 //
 // Quick start:
 //

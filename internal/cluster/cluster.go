@@ -319,27 +319,39 @@ func New(cfg Config) *Cluster {
 		"Workload run durations (virtual time on sim, wall clock on tcp).",
 		[]float64{0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000, 3000})
 
+	// mds is the node the NFS clients mount; native PVFS2 has none.
+	var mds *simnet.Node
 	switch cfg.Arch {
 	case ArchDirectPNFS:
 		cl.buildBackend(cfg.Backends, 1.0)
-		cl.buildDirect()
+		mds = cl.buildDirect()
 	case ArchPVFS2:
 		cl.buildBackend(cfg.Backends, 1.0)
-		cl.buildPVFS2()
 	case ArchPNFS2Tier:
 		cl.buildBackend(cfg.Backends, 1.0)
-		cl.build2Tier()
+		mds = cl.build2Tier()
 	case ArchPNFS3Tier:
 		// Half the nodes become storage (two disks each: more bandwidth,
 		// but shared CPU/bus keeps it below 2x — paper §6.2), the other
 		// half become dedicated data servers.
 		cl.buildBackend(cfg.Backends/2, 1.7)
-		cl.build3Tier()
+		mds = cl.build3Tier()
 	case ArchNFSv4:
 		cl.buildBackend(cfg.Backends, 1.0)
-		cl.buildNFSv4()
+		mds = cl.buildNFSv4()
 	default:
 		panic(fmt.Sprintf("cluster: unknown architecture %q", cfg.Arch))
+	}
+	// The client protocol is chosen here, once per mount.
+	for i := 0; i < cfg.Clients; i++ {
+		n := cl.clientNode(i)
+		var p protocol
+		if mds != nil {
+			p = nfsMount{cl.nfsMountAt(n, mds)}
+		} else {
+			p = pvfsMount{cl.pvfsClientAt(n), cfg.Real}
+		}
+		cl.mounts = append(cl.mounts, &Mount{node: n, p: p})
 	}
 	if cfg.Faults != nil {
 		cl.injector = faults.NewInjector(cfg.Faults, cl, cfg.Metrics)
@@ -536,8 +548,8 @@ func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client 
 
 // buildDirect wires Direct-pNFS: an NFS data server on every storage node
 // (loopback conduit to the local daemon) and the metadata server co-located
-// with the PVFS2 MDS, serving translated layouts.
-func (cl *Cluster) buildDirect() {
+// with the PVFS2 MDS, serving translated layouts.  Clients mount the MDS.
+func (cl *Cluster) buildDirect() *simnet.Node {
 	for i, n := range cl.storageNodes {
 		nfsServeOn(cl, n, ServiceDS, &directDSBackend{
 			storage: cl.Storage[i],
@@ -553,36 +565,24 @@ func (cl *Cluster) buildDirect() {
 	}
 	cl.directMDS = mdsBackend
 	nfsServeOn(cl, cl.mdsNode, ServiceMDS, mdsBackend)
-	for i := 0; i < cl.Cfg.Clients; i++ {
-		n := cl.clientNode(i)
-		cl.mounts = append(cl.mounts, &Mount{cl: cl, node: n, nfsc: cl.nfsMountAt(n, cl.mdsNode)})
-	}
-}
-
-// buildPVFS2 wires native PVFS2 clients.
-func (cl *Cluster) buildPVFS2() {
-	for i := 0; i < cl.Cfg.Clients; i++ {
-		n := cl.clientNode(i)
-		cl.mounts = append(cl.mounts, &Mount{cl: cl, node: n, pv: cl.pvfsClientAt(n)})
-	}
+	return cl.mdsNode
 }
 
 // build2Tier wires file-based pNFS with data servers co-located with the
-// storage nodes but striping blindly over logical offsets.
-func (cl *Cluster) build2Tier() {
+// storage nodes but striping blindly over logical offsets.  Clients mount
+// the metadata server on the PVFS2 MDS node.
+func (cl *Cluster) build2Tier() *simnet.Node {
 	for _, n := range cl.storageNodes {
 		cl.exportDSOn(n)
 	}
 	cl.blindMDSOn(cl.mdsNode, cl.storageNodes)
-	for i := 0; i < cl.Cfg.Clients; i++ {
-		n := cl.clientNode(i)
-		cl.mounts = append(cl.mounts, &Mount{cl: cl, node: n, nfsc: cl.nfsMountAt(n, cl.mdsNode)})
-	}
+	return cl.mdsNode
 }
 
 // build3Tier wires file-based pNFS with dedicated data-server nodes in
-// front of the storage nodes.
-func (cl *Cluster) build3Tier() {
+// front of the storage nodes.  Clients mount the first data server, which
+// doubles as the metadata server.
+func (cl *Cluster) build3Tier() *simnet.Node {
 	nDS := cl.Cfg.Backends - len(cl.storageNodes)
 	var dsNodes []*simnet.Node
 	for i := 0; i < nDS; i++ {
@@ -594,20 +594,14 @@ func (cl *Cluster) build3Tier() {
 		cl.exportDSOn(n)
 	}
 	cl.blindMDSOn(dsNodes[0], dsNodes)
-	for i := 0; i < cl.Cfg.Clients; i++ {
-		n := cl.clientNode(i)
-		cl.mounts = append(cl.mounts, &Mount{cl: cl, node: n, nfsc: cl.nfsMountAt(n, dsNodes[0])})
-	}
+	return dsNodes[0]
 }
 
-// buildNFSv4 wires the single-server export.
-func (cl *Cluster) buildNFSv4() {
+// buildNFSv4 wires the single-server export, the node clients mount.
+func (cl *Cluster) buildNFSv4() *simnet.Node {
 	srv := cl.addNode(simnet.NodeConfig{Name: "nfssrv", BytesPerSec: cl.Cfg.NetBPS})
 	nfsServeOn(cl, srv, ServiceMDS, cl.exportOn(srv))
-	for i := 0; i < cl.Cfg.Clients; i++ {
-		n := cl.clientNode(i)
-		cl.mounts = append(cl.mounts, &Mount{cl: cl, node: n, nfsc: cl.nfsMountAt(n, srv)})
-	}
+	return srv
 }
 
 // deviceList builds pNFS device infos for a node set.  IDs come from the
@@ -834,7 +828,7 @@ func (cl *Cluster) runSubsetInner(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Moun
 		i, m := i, m
 		cl.K.Go(fmt.Sprintf("app%d", i), func(p *sim.Proc) {
 			ctx := &rpc.Ctx{P: p}
-			if err := m.mount(ctx); err != nil {
+			if err := m.p.mount(ctx); err != nil {
 				errs[i] = err
 				return
 			}
@@ -894,7 +888,7 @@ func (cl *Cluster) runSubsetRealtime(mounts []*Mount, fn func(ctx *rpc.Ctx, m *M
 		go func(i int, m *Mount) {
 			defer wg.Done()
 			ctx := &rpc.Ctx{}
-			if err := m.mount(ctx); err != nil {
+			if err := m.p.mount(ctx); err != nil {
 				errs[i] = err
 				return
 			}

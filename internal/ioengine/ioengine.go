@@ -426,17 +426,15 @@ func (e *Engine) coalesceExtents(in []stripe.Extent) []stripe.Extent {
 // placed it (then the lowest replica index), so steering is deterministic:
 // with no load imbalance it is the identity.
 func (e *Engine) SteerReplicas(rm *stripe.Replicated, exts []stripe.Extent) []stripe.Extent {
-	n := rm.Inner.NumDevices()
-	if rm.Copies < 2 || n <= 0 {
+	if rm.Copies < 2 || rm.Inner.NumDevices() <= 0 {
 		return exts
 	}
 	out := make([]stripe.Extent, len(exts))
 	e.devMu.Lock()
 	for i, x := range exts {
-		base := x.Dev % n
 		best, bestLoad := x.Dev, e.devLoad[x.Dev]
 		for r := 0; r < rm.Copies; r++ {
-			if d := base + r*n; e.devLoad[d] < bestLoad {
+			if d := rm.ReplicaDev(x.Dev, r); e.devLoad[d] < bestLoad {
 				best, bestLoad = d, e.devLoad[d]
 			}
 		}

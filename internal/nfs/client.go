@@ -423,23 +423,29 @@ func (f *File) markTouched(dev int) {
 	f.pendMu.Unlock()
 }
 
-// walkOps builds the lookup chain for a path's directory components.
-func walkOps(path string) ([]Op, string) {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
+// walkOps builds the compound that makes directory dir the current FH
+// (PUTROOTFH, then one LOOKUP per component) and then runs tail on it.
+func walkOps(dir string, tail ...Op) []Op {
 	ops := []Op{&OpPutRootFH{}}
-	for _, dir := range parts[:len(parts)-1] {
-		if dir == "" {
-			continue
+	for _, name := range strings.Split(strings.Trim(dir, "/"), "/") {
+		if name != "" {
+			ops = append(ops, &OpLookup{Name: name})
 		}
-		ops = append(ops, &OpLookup{Name: dir})
 	}
-	return ops, parts[len(parts)-1]
+	return append(ops, tail...)
+}
+
+// splitPath splits path into its parent directory and final name.
+func splitPath(path string) (dir, name string) {
+	path = strings.Trim(path, "/")
+	i := strings.LastIndexByte(path, '/')
+	return path[:i+1], path[i+1:]
 }
 
 // open opens or creates path.
 func (c *Client) open(ctx *rpc.Ctx, path string, create bool) (*File, error) {
-	ops, name := walkOps(path)
-	ops = append(ops, &OpOpen{Name: name, Create: create}, &OpGetAttr{})
+	dir, name := splitPath(path)
+	ops := walkOps(dir, &OpOpen{Name: name, Create: create}, &OpGetAttr{})
 	rep, err := c.call(ctx, c.cfg.MDS, true, ops...)
 	if err != nil {
 		return nil, err
@@ -515,39 +521,27 @@ func (c *Client) Truncate(ctx *rpc.Ctx, f *File, size int64) error {
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(ctx *rpc.Ctx, path string) error {
-	ops, name := walkOps(path)
-	_, err := c.call(ctx, c.cfg.MDS, true, append(ops, &OpCreate{Name: name})...)
+	dir, name := splitPath(path)
+	_, err := c.call(ctx, c.cfg.MDS, true, walkOps(dir, &OpCreate{Name: name})...)
 	return err
 }
 
 // Remove unlinks a file or empty directory.
 func (c *Client) Remove(ctx *rpc.Ctx, path string) error {
-	ops, name := walkOps(path)
-	_, err := c.call(ctx, c.cfg.MDS, true, append(ops, &OpRemove{Name: name})...)
+	dir, name := splitPath(path)
+	_, err := c.call(ctx, c.cfg.MDS, true, walkOps(dir, &OpRemove{Name: name})...)
 	return err
 }
 
 // Rename renames src to dst within directory dirPath.
 func (c *Client) Rename(ctx *rpc.Ctx, dirPath, src, dst string) error {
-	ops := []Op{&OpPutRootFH{}}
-	for _, dir := range strings.Split(strings.Trim(dirPath, "/"), "/") {
-		if dir != "" {
-			ops = append(ops, &OpLookup{Name: dir})
-		}
-	}
-	_, err := c.call(ctx, c.cfg.MDS, true, append(ops, &OpRename{Src: src, Dst: dst})...)
+	_, err := c.call(ctx, c.cfg.MDS, true, walkOps(dirPath, &OpRename{Src: src, Dst: dst})...)
 	return err
 }
 
 // ReadDir lists a directory.
 func (c *Client) ReadDir(ctx *rpc.Ctx, path string) ([]string, error) {
-	ops := []Op{&OpPutRootFH{}}
-	for _, dir := range strings.Split(strings.Trim(path, "/"), "/") {
-		if dir != "" {
-			ops = append(ops, &OpLookup{Name: dir})
-		}
-	}
-	rep, err := c.call(ctx, c.cfg.MDS, true, append(ops, &OpReadDir{})...)
+	rep, err := c.call(ctx, c.cfg.MDS, true, walkOps(path, &OpReadDir{})...)
 	if err != nil {
 		return nil, err
 	}

@@ -2,47 +2,99 @@ package pvfs
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dpnfs/internal/payload"
 	"dpnfs/internal/xdr"
 )
 
-// fuzzTargets instantiates every PVFS2 wire type (types.go), in a fixed
-// order so a fuzz input's selector byte is stable across runs.
+// fuzzTargets instantiates every PVFS2 wire type once: each distinct request
+// type of procTable in table order, then the replies (and the DistParams
+// they embed), which the table does not list.  The order is fixed so a fuzz
+// input's selector byte is stable across runs.
 func fuzzTargets() []func() xdr.Unmarshaler {
-	return []func() xdr.Unmarshaler{
-		func() xdr.Unmarshaler { return &LookupArgs{} },
+	var out []func() xdr.Unmarshaler
+	seen := map[reflect.Type]bool{}
+	for _, row := range procTable {
+		if row.req == nil || seen[reflect.TypeOf(row.req())] {
+			continue
+		}
+		seen[reflect.TypeOf(row.req())] = true
+		out = append(out, row.req)
+	}
+	return append(out,
+		func() xdr.Unmarshaler { return &ErrnoRep{} },
 		func() xdr.Unmarshaler { return &LookupRep{} },
-		func() xdr.Unmarshaler { return &CreateArgs{} },
 		func() xdr.Unmarshaler { return &CreateRep{} },
-		func() xdr.Unmarshaler { return &RemoveArgs{} },
-		func() xdr.Unmarshaler { return &RemoveRep{} },
-		func() xdr.Unmarshaler { return &MkdirArgs{} },
 		func() xdr.Unmarshaler { return &MkdirRep{} },
-		func() xdr.Unmarshaler { return &ReadDirArgs{} },
 		func() xdr.Unmarshaler { return &ReadDirRep{} },
-		func() xdr.Unmarshaler { return &GetAttrArgs{} },
 		func() xdr.Unmarshaler { return &GetAttrRep{} },
-		func() xdr.Unmarshaler { return &TruncateArgs{} },
-		func() xdr.Unmarshaler { return &TruncateRep{} },
-		func() xdr.Unmarshaler { return &IOReadArgs{} },
+		func() xdr.Unmarshaler { return &PlacementRep{} },
 		func() xdr.Unmarshaler { return &IOReadRep{} },
-		func() xdr.Unmarshaler { return &IOWriteArgs{} },
 		func() xdr.Unmarshaler { return &IOWriteRep{} },
-		func() xdr.Unmarshaler { return &IOCreateArgs{} },
-		func() xdr.Unmarshaler { return &IOCreateRep{} },
-		func() xdr.Unmarshaler { return &IORemoveArgs{} },
-		func() xdr.Unmarshaler { return &IORemoveRep{} },
-		func() xdr.Unmarshaler { return &IOGetSizeArgs{} },
 		func() xdr.Unmarshaler { return &IOGetSizeRep{} },
-		func() xdr.Unmarshaler { return &IOFlushArgs{} },
-		func() xdr.Unmarshaler { return &IOFlushRep{} },
-		func() xdr.Unmarshaler { return &IOTruncateArgs{} },
-		func() xdr.Unmarshaler { return &IOTruncateRep{} },
-		func() xdr.Unmarshaler { return &DirOpArgs{} },
-		func() xdr.Unmarshaler { return &RenameHArgs{} },
-		func() xdr.Unmarshaler { return &ReadDirHArgs{} },
+		func() xdr.Unmarshaler { return &DistParams{} },
+	)
+}
+
+// fuzzSelector returns the selector byte of msg's type among targets.
+func fuzzSelector(tb testing.TB, targets []func() xdr.Unmarshaler, msg any) byte {
+	tb.Helper()
+	for i, ctor := range targets {
+		if reflect.TypeOf(ctor()) == reflect.TypeOf(msg) {
+			return byte(i)
+		}
+	}
+	tb.Fatalf("%T is not a fuzz target", msg)
+	return 0
+}
+
+// TestFuzzTargetsComplete: every type of the package source with an
+// UnmarshalXDR method is a fuzz target, exactly once, so a new reply type
+// cannot go unfuzzed.
+func TestFuzzTargetsComplete(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoders := map[string]bool{}
+	for name, f := range pkgs["pvfs"].Files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || fd.Name.Name != "UnmarshalXDR" {
+				continue
+			}
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			decoders[recv.(*ast.Ident).Name] = true
+		}
+	}
+	if len(decoders) == 0 {
+		t.Fatal("found no UnmarshalXDR methods in the package source")
+	}
+	targets := map[string]int{}
+	for _, ctor := range fuzzTargets() {
+		targets[reflect.TypeOf(ctor()).Elem().Name()]++
+	}
+	for name := range decoders {
+		if targets[name] != 1 {
+			t.Errorf("%s has an UnmarshalXDR method and is a fuzz target %d times, want once", name, targets[name])
+		}
+	}
+	for name := range targets {
+		if !decoders[name] {
+			t.Errorf("fuzz target %s has no UnmarshalXDR method in the package source", name)
+		}
 	}
 }
 
@@ -52,19 +104,20 @@ func fuzzTargets() []func() xdr.Unmarshaler {
 // does decode must re-encode canonically (encode → decode → encode is a
 // fixed point).  Seeds come from the xdr_test.go round-trip corpus.
 func FuzzDecodeWireTypes(f *testing.F) {
-	seed := func(sel byte, m xdr.Marshaler) { f.Add(sel, xdr.Marshal(m)) }
-	seed(1, &LookupRep{Errno: 2, Handle: 7, IsDir: true, Size: -1,
-		Dist: DistParams{StripeSize: 1 << 20, NumServers: 6}})
-	seed(3, &CreateRep{Handle: 9, Dist: DistParams{StripeSize: 2 << 20, NumServers: 3}})
-	seed(9, &ReadDirRep{Names: []string{"a", "bb", "ccc"}})
-	seed(11, &GetAttrRep{Size: 1 << 40, Change: 99})
-	seed(15, &IOReadRep{Data: payload.Real([]byte("xyz")), Eof: true})
-	seed(16, &IOWriteArgs{Handle: 5, Off: 64, Data: payload.Real([]byte("data")), Sync: true})
-	seed(29, &RenameHArgs{Dir: 4, Src: "a", Dst: "b"})
-	f.Add(byte(9), []byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // hostile name count
-	f.Add(byte(15), []byte{0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff})
-
 	targets := fuzzTargets()
+	seed := func(m xdr.Marshaler) { f.Add(fuzzSelector(f, targets, m), xdr.Marshal(m)) }
+	seed(&LookupRep{Errno: 2, Handle: 7, IsDir: true, Size: -1,
+		Dist: DistParams{StripeSize: 1 << 20, NumServers: 6}})
+	seed(&CreateRep{Handle: 9, Dist: DistParams{StripeSize: 2 << 20, NumServers: 3}})
+	seed(&ReadDirRep{Names: []string{"a", "bb", "ccc"}})
+	seed(&GetAttrRep{Size: 1 << 40, Change: 99})
+	seed(&PlacementRep{Data: 12, Dist: DistParams{StripeSize: 1 << 20, Servers: []uint32{4, 2}, Copies: 2}})
+	seed(&IOReadRep{Data: payload.Real([]byte("xyz")), Eof: true})
+	seed(&IOWriteArgs{Handle: 5, Off: 64, Data: payload.Real([]byte("data")), Sync: true})
+	seed(&RenameHArgs{Dir: 4, Src: "a", Dst: "b"})
+	f.Add(fuzzSelector(f, targets, &ReadDirRep{}), []byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // hostile name count
+	f.Add(fuzzSelector(f, targets, &IOReadRep{}), []byte{0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff})
+
 	f.Fuzz(func(t *testing.T, sel byte, data []byte) {
 		ctor := targets[int(sel)%len(targets)]
 		msg := ctor()

@@ -32,6 +32,12 @@ const (
 	metaPerOp   = 300 * time.Microsecond // metadata request processing on the MDS
 )
 
+// LoopbackClientPerOp is the per-request cost of a client library co-located
+// with the daemon it calls (the Direct-pNFS data server's conduit, paper §5):
+// half the library's per-op cost, the network half of the crossing being
+// absent.
+const LoopbackClientPerOp = clientPerOp / 2
+
 // StorageConfig describes one storage daemon.
 type StorageConfig struct {
 	Node *simnet.Node

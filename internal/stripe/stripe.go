@@ -308,6 +308,13 @@ func (m *Replicated) LogicalEnd(dev int, objSize int64) int64 {
 	return e.LogicalEnd(dev%m.Inner.NumDevices(), objSize)
 }
 
+// ReplicaDev returns the device that holds replica r of what device dev
+// holds: the same inner-scheme device in replica r's device range.
+func (m *Replicated) ReplicaDev(dev, r int) int {
+	n := m.Inner.NumDevices()
+	return dev%n + r*n
+}
+
 // Alternates returns e re-based onto every other replica's device, in
 // replica order.  DevOff is unchanged — replicas hold identical stripe
 // objects — so an issuer can retry a failed read extent on each alternate
@@ -319,10 +326,9 @@ func (m *Replicated) Alternates(e Extent) []Extent {
 	if m.Copies < 2 || e.Dev < 0 || e.Dev >= n*m.Copies {
 		return nil
 	}
-	base := e.Dev % n
 	out := make([]Extent, 0, m.Copies-1)
 	for r := 0; r < m.Copies; r++ {
-		if d := base + r*n; d != e.Dev {
+		if d := m.ReplicaDev(e.Dev, r); d != e.Dev {
 			alt := e
 			alt.Dev = d
 			out = append(out, alt)
