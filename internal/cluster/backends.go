@@ -171,14 +171,6 @@ func (b *directMDSBackend) GetAttr(ctx *rpc.Ctx, fh uint64) (nfs.Attr, error) {
 	return nfs.Attr{IsDir: at.IsDir, Size: at.Size, Change: at.Change}, nil
 }
 
-func (b *directMDSBackend) SetSize(ctx *rpc.Ctx, fh uint64, size int64) error {
-	var rep pvfs.TruncateRep
-	if err := metaCall(b, ctx, pvfs.ProcTruncate, &pvfs.TruncateArgs{Handle: pvfs.Handle(fh), Size: size}, &rep, &rep.Errno); err != nil {
-		return err
-	}
-	return b.meta.Namespace().Truncate(store.FileID(fh), size)
-}
-
 // Read and Write proxy through the co-located PVFS2 client; they are a
 // fallback only — Direct-pNFS clients hold layouts and go to the data
 // servers directly.  The proxy resolves each file's current placement
@@ -432,10 +424,6 @@ func (b *exportBackend) GetAttr(ctx *rpc.Ctx, fh uint64) (nfs.Attr, error) {
 		return nfs.Attr{}, err
 	}
 	return nfs.Attr{IsDir: isDir, Size: size, Change: change}, nil
-}
-
-func (b *exportBackend) SetSize(ctx *rpc.Ctx, fh uint64, size int64) error {
-	return b.pv.TruncateH(ctx, pvfs.Handle(fh), size)
 }
 
 // Read interprets logical file offsets through the PVFS2 client — the

@@ -752,9 +752,11 @@ func (cl *Cluster) SetDiskSlow(node string, factor float64) {
 	}
 }
 
-// Run drives the simulation with fn as client i's application process and
-// returns the virtual duration from start to when every application process
-// has finished.
+// Run starts fn as client i's application flow, next to the drivers of any
+// armed fault plan, queued membership operations and scheduled scrub
+// passes, waits for all of them, and returns the time from the start until
+// the last application finished: virtual on the fabric, wall clock over
+// TCP.
 func (cl *Cluster) Run(fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
 	return cl.runSubset(cl.mounts, fn)
 }
@@ -773,35 +775,35 @@ func (cl *Cluster) runSubset(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Mount, i 
 }
 
 func (cl *Cluster) runSubsetInner(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
-	if cl.Cfg.Transport == TransportTCP {
-		return cl.runSubsetRealtime(mounts, fn)
-	}
-	errs := make([]error, len(mounts))
-	start := cl.K.Now()
-	finish := start
+	flows := cl.flows()
+	apps := make([]struct {
+		err  error
+		took time.Duration
+	}, len(mounts))
 	if inj := cl.armedInjector(); inj != nil {
 		// The fault driver replays the plan relative to this run's start.
-		// The kernel drains all scheduled events before Run returns, so
-		// every event fires even if the applications finish first — a
-		// paired crash/restart plan always leaves the cluster healed.
+		// The run waits for its drivers, so every event fires even if the
+		// applications finish first — a paired crash/restart plan always
+		// leaves the cluster healed, on both transports.
 		events := inj.Events()
-		cl.K.Go("faults-driver", func(p *sim.Proc) {
+		flows.Go("faults-driver", func(ctx *rpc.Ctx) {
+			start := ctx.Stamp()
 			for _, ev := range events {
-				p.SleepUntilTime(start + sim.Time(ev.When()))
+				pauseUntil(ctx, start, ev.When())
 				inj.Apply(ev)
 			}
 		})
 	}
 	if ops := cl.takePendingOps(); len(ops) > 0 {
-		// The membership reconciler runs as its own simulated process,
-		// applying each scheduled join/drain relative to this run's start
-		// (same shape as the fault driver above).  Errors are recorded on
-		// the cluster — applications keep running through them, exactly as
-		// they would through a failed operator action.
-		cl.K.Go("reconcile-driver", func(p *sim.Proc) {
-			ctx := &rpc.Ctx{P: p}
+		// The membership reconciler applies each scheduled join/drain
+		// relative to this run's start (same shape as the fault driver
+		// above).  Errors are recorded on the cluster — applications keep
+		// running through them, exactly as they would through a failed
+		// operator action.
+		flows.Go("reconcile-driver", func(ctx *rpc.Ctx) {
+			start := ctx.Stamp()
 			for _, op := range ops {
-				p.SleepUntilTime(start + sim.Time(op.at))
+				pauseUntil(ctx, start, op.at)
 				if err := cl.applyMemberOp(ctx, op); err != nil {
 					cl.memberMu.Lock()
 					cl.reconcileErr = err
@@ -812,96 +814,57 @@ func (cl *Cluster) runSubsetInner(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Moun
 	}
 	if times := cl.takeScrubTimes(); len(times) > 0 {
 		// The scrub driver mirrors the fault driver: a finite schedule of
-		// pass times replayed relative to this run's start, so the kernel
-		// still drains and every scheduled pass runs even if the
-		// applications finish first.  Scan failures are recorded in the
-		// pass outcomes, not surfaced as run errors.
-		cl.K.Go("scrub-driver", func(p *sim.Proc) {
-			ctx := &rpc.Ctx{P: p}
+		// pass times, every one of which runs even if the applications
+		// finish first.  Scan failures are recorded in the pass outcomes,
+		// not surfaced as run errors.
+		flows.Go("scrub-driver", func(ctx *rpc.Ctx) {
+			start := ctx.Stamp()
 			for _, at := range times {
-				p.SleepUntilTime(start + sim.Time(at))
+				pauseUntil(ctx, start, at)
 				cl.scrubPassCtx(ctx, at)
 			}
 		})
 	}
 	for i, m := range mounts {
-		i, m := i, m
-		cl.K.Go(fmt.Sprintf("app%d", i), func(p *sim.Proc) {
-			ctx := &rpc.Ctx{P: p}
-			if err := m.p.mount(ctx); err != nil {
-				errs[i] = err
+		flows.Go(fmt.Sprintf("app%d", i), func(ctx *rpc.Ctx) {
+			start := ctx.Stamp()
+			app := &apps[i]
+			if app.err = m.p.mount(ctx); app.err != nil {
 				return
 			}
-			if err := fn(ctx, m, i); err != nil {
-				errs[i] = err
-			}
-			if p.Now() > finish {
-				finish = p.Now()
-			}
+			app.err = fn(ctx, m, i)
+			app.took = ctx.Since(start)
 		})
 	}
-	if err := cl.K.Run(); err != nil {
+	if err := flows.Wait(); err != nil {
 		return 0, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
+	var d time.Duration
+	for _, app := range apps {
+		if app.err != nil {
+			return 0, app.err
 		}
+		d = max(d, app.took)
 	}
-	return time.Duration(finish - start), nil
+	return d, nil
 }
 
-// runSubsetRealtime drives the application processes as real goroutines
-// against the TCP transport, measuring wall-clock time.  Ctx.P is nil: all
-// simulated resource charges are no-ops and only the sockets set the pace.
-func (cl *Cluster) runSubsetRealtime(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
-	errs := make([]error, len(mounts))
-	start := time.Now()
-	if inj := cl.armedInjector(); inj != nil {
-		// Wall-clock fault driver.  Events not yet due when the run ends
-		// are skipped (unlike the simulated driver, which always drains);
-		// plans for TCP runs should fit inside the workload's duration.
-		stop := make(chan struct{})
-		var drv sync.WaitGroup
-		drv.Add(1)
-		go func() {
-			defer drv.Done()
-			for _, ev := range inj.Events() {
-				if d := time.Until(start.Add(ev.When())); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-stop:
-						return
-					}
-				}
-				inj.Apply(ev)
-			}
-		}()
-		defer func() {
-			close(stop)
-			drv.Wait()
-		}()
+// flows returns the starter for a run's top-level flows: on the kernel's
+// virtual clock on the fabric, on the wall clock over TCP.
+func (cl *Cluster) flows() rpc.Flows {
+	if cl.Cfg.Transport == TransportTCP {
+		return rpc.NewFlows(nil)
 	}
-	var wg sync.WaitGroup
-	for i, m := range mounts {
-		wg.Add(1)
-		go func(i int, m *Mount) {
-			defer wg.Done()
-			ctx := &rpc.Ctx{}
-			if err := m.p.mount(ctx); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = fn(ctx, m, i)
-		}(i, m)
+	return rpc.NewFlows(cl.K)
+}
+
+// pauseUntil pauses a driver until offset at into the run it stamped at
+// start.  A due offset does not pause at all: a zero pause is still a
+// kernel event, and the figures depend on the event order.
+func pauseUntil(ctx *rpc.Ctx, start rpc.Stamp, at time.Duration) {
+	if d := at - ctx.Since(start); d > 0 {
+		ctx.Pause(d)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
 }
 
 // Transport exposes the cluster's RPC wiring (cmd/dpnfs-serve prints TCP

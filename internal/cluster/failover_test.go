@@ -187,6 +187,51 @@ func TestFailoverTCPTransport(t *testing.T) {
 	}
 }
 
+// TestTCPRunDrainsFaultPlan: a TCP run waits for its fault driver the way
+// the kernel drains it, so a crash/restart plan that outlives the
+// applications still fires in full and leaves the cluster healed — while
+// the run's duration stays the applications' own.
+func TestTCPRunDrainsFaultPlan(t *testing.T) {
+	const restartAt = 150 * time.Millisecond
+	cl := New(Config{
+		Arch: ArchDirectPNFS, Clients: 1, Real: true, Transport: TransportTCP,
+		StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
+		Faults: faults.NewPlan(1,
+			faults.StorageNodeCrash{At: 10 * time.Millisecond, Node: "io1"},
+			faults.StorageNodeRestart{At: restartAt, Node: "io1"},
+		),
+	})
+	defer cl.Close()
+	d, err := cl.Run(func(*rpc.Ctx, *Mount, int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d >= restartAt {
+		t.Errorf("run took %v: it waited for the fault driver, want under %v", d, restartAt)
+	}
+	if got := counterSum(cl, "faults_injected_total"); got != 2 {
+		t.Fatalf("plan applied %v events, want 2", got)
+	}
+	// io1 is up again: a write striped over every storage node meets no
+	// injected node-down error.
+	cl.ArmFaults(false)
+	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
+		f, err := m.Create(ctx, "/healed")
+		if err != nil {
+			return err
+		}
+		if err := m.Write(ctx, f, 0, payload.Real(failoverPattern(i, 512<<10))); err != nil {
+			return err
+		}
+		return m.Close(ctx, f)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := counterSum(cl, "rpc_client_fault_errors_total"); got != 0 {
+		t.Fatalf("%v calls found a node down after the plan's restart", got)
+	}
+}
+
 // TestFailoverWriteRecovery crashes a storage node in the middle of a write
 // burst on every architecture: writes must land (via MDS-proxied fallback
 // or retry) and a cold read after recovery must return exactly what was

@@ -4,7 +4,7 @@
 // (ScrubPass, for tests and operator tooling) or on a schedule replayed
 // relative to a workload run's start (ScheduleScrub + the scrub-driver in
 // runSubsetInner), mirroring the faults-driver idiom so scheduled passes
-// are deterministic under seed replay.
+// are deterministic under seed replay.  Both run on either transport.
 
 package cluster
 
@@ -17,7 +17,6 @@ import (
 	"dpnfs/internal/pvfs"
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/scrub"
-	"dpnfs/internal/sim"
 	"dpnfs/internal/store"
 	"dpnfs/internal/stripe"
 )
@@ -108,18 +107,12 @@ func (cl *Cluster) replicaFetch(dev, copies int, ss *pvfs.StorageServer) scrub.F
 }
 
 // ScheduleScrub queues full-cluster scrub passes at the given offsets into
-// the next Run, replayed by the scrub-driver exactly as fault plans are.
-// Only the simulated run loop has a scrub-driver, so — like the membership
-// operations — a TCP cluster refuses the schedule instead of dropping it;
-// ScrubPass works on both transports.
-func (cl *Cluster) ScheduleScrub(at ...time.Duration) error {
-	if cl.Cfg.Transport != TransportSim {
-		return fmt.Errorf("cluster: scheduled scrub passes require the simulated transport (use ScrubPass)")
-	}
+// the next Run, replayed by the scrub-driver exactly as fault plans are, on
+// either transport.
+func (cl *Cluster) ScheduleScrub(at ...time.Duration) {
 	cl.scrubMu.Lock()
 	cl.scrubTimes = append(cl.scrubTimes, at...)
 	cl.scrubMu.Unlock()
-	return nil
 }
 
 // takeScrubTimes steals the queued pass times for the run about to start.
@@ -132,22 +125,16 @@ func (cl *Cluster) takeScrubTimes() []time.Duration {
 }
 
 // ScrubPass runs one synchronous full-cluster pass (every node, in node
-// order) and returns the per-node outcomes.  On the simulated transport the
-// pass runs as its own kernel process so pacing and background scheduling
-// charge virtual time; over TCP it runs inline on the wall clock.  The
-// returned error is the first scan failure, if any — corruption found and
-// repaired is a result, not an error.
+// order) as its own flow — on the fabric a kernel process, so pacing and
+// background scheduling charge virtual time — and returns the per-node
+// outcomes.  The returned error is the first scan failure, if any —
+// corruption found and repaired is a result, not an error.
 func (cl *Cluster) ScrubPass() ([]ScrubOutcome, error) {
 	var outs []ScrubOutcome
-	if cl.Cfg.Transport == TransportTCP {
-		outs = cl.scrubPassCtx(&rpc.Ctx{}, 0)
-	} else {
-		cl.K.Go("scrub-pass", func(p *sim.Proc) {
-			outs = cl.scrubPassCtx(&rpc.Ctx{P: p}, 0)
-		})
-		if err := cl.K.Run(); err != nil {
-			return nil, err
-		}
+	flows := cl.flows()
+	flows.Go("scrub-pass", func(ctx *rpc.Ctx) { outs = cl.scrubPassCtx(ctx, 0) })
+	if err := flows.Wait(); err != nil {
+		return nil, err
 	}
 	for _, o := range outs {
 		if o.Err != nil {

@@ -507,18 +507,6 @@ func (c *Client) GetAttr(ctx *rpc.Ctx, f *File) (Attr, error) {
 	return at, nil
 }
 
-// Truncate sets the file size.
-func (c *Client) Truncate(ctx *rpc.Ctx, f *File, size int64) error {
-	_, err := c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpSetAttr{Size: size})
-	if err != nil {
-		return err
-	}
-	f.size = size
-	f.committed = size
-	f.cache.truncate(size)
-	return nil
-}
-
 // Mkdir creates a directory.
 func (c *Client) Mkdir(ctx *rpc.Ctx, path string) error {
 	dir, name := splitPath(path)

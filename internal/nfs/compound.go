@@ -75,8 +75,6 @@ var opTable = [...]struct {
 		op: func() Op { return &OpRemove{} }, res: func(e fserr.Errno) Result { return &ResRemove{errnoOnly{e}} }},
 	OpNumRename: {name: "RENAME", needs: roleNamespace, absent: fserr.Inval,
 		op: func() Op { return &OpRename{} }, res: func(e fserr.Errno) Result { return &ResRename{errnoOnly{e}} }},
-	OpNumSetAttr: {name: "SETATTR", needs: roleNamespace, absent: fserr.Inval,
-		op: func() Op { return &OpSetAttr{} }, res: func(e fserr.Errno) Result { return &ResSetAttr{errnoOnly{e}} }},
 	OpNumWrite: {name: "WRITE",
 		op: func() Op { return &OpWrite{} }, res: func(e fserr.Errno) Result { return &ResWrite{Errno: e} }},
 	OpNumExchangeID: {name: "EXCHANGE_ID",

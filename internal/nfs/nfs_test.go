@@ -236,30 +236,6 @@ func TestNamespaceOps(t *testing.T) {
 	})
 }
 
-func TestTruncateDropsCache(t *testing.T) {
-	m := newTestMount(t, true)
-	m.run(t, func(ctx *rpc.Ctx) {
-		f, _ := m.client.Create(ctx, "/f")
-		m.client.Write(ctx, f, 0, payload.Real(bytes.Repeat([]byte{7}, 1000)))
-		m.client.Fsync(ctx, f)
-		if err := m.client.Truncate(ctx, f, 10); err != nil {
-			t.Fatal(err)
-		}
-		if f.Size() != 10 {
-			t.Fatalf("size after truncate %d", f.Size())
-		}
-		got, n, err := m.client.Read(ctx, f, 0, 100)
-		if err != nil || n != 10 {
-			t.Fatalf("read after truncate: %d %v", n, err)
-		}
-		for _, b := range got.Bytes {
-			if b != 7 {
-				t.Fatal("kept bytes corrupted")
-			}
-		}
-	})
-}
-
 func TestOpenMissingFails(t *testing.T) {
 	m := newTestMount(t, false)
 	m.run(t, func(ctx *rpc.Ctx) {
@@ -396,7 +372,6 @@ func TestPropertyOpsRoundTrip(t *testing.T) {
 			&OpOpen{Name: name, Create: create},
 			&OpWrite{Off: off, Data: payload.Real(make([]byte, int(n)%512)), Stable: stable},
 			&OpCommit{Off: off, Len: int64(n)},
-			&OpSetAttr{Size: off},
 		}}
 		var out CompoundArgs
 		if err := xdr.Unmarshal(xdr.Marshal(in), &out); err != nil {

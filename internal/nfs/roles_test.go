@@ -64,7 +64,7 @@ func TestServerAnswersForAbsentRoles(t *testing.T) {
 	ds := NewServer(ServerConfig{Backend: back})
 	refused(ds, fserr.Inval, &OpPutRootFH{})
 	for _, op := range []Op{
-		&OpLookup{Name: "f"}, &OpOpen{Name: "f", Create: true}, &OpGetAttr{}, &OpSetAttr{Size: 1},
+		&OpLookup{Name: "f"}, &OpOpen{Name: "f", Create: true}, &OpGetAttr{},
 		&OpCreate{Name: "d"}, &OpRemove{Name: "f"}, &OpRename{Src: "a", Dst: "b"}, &OpReadDir{},
 		&OpGetDevList{}, &OpLayoutGet{},
 	} {

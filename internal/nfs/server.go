@@ -52,7 +52,6 @@ type Namespace interface {
 	Rename(ctx *rpc.Ctx, dir uint64, src, dst string) error
 	ReadDir(ctx *rpc.Ctx, dir uint64) ([]string, error)
 	GetAttr(ctx *rpc.Ctx, fh uint64) (Attr, error)
-	SetSize(ctx *rpc.Ctx, fh uint64, size int64) error
 }
 
 // LayoutSource is the role of a pNFS metadata server's backend.  A server
@@ -353,9 +352,6 @@ func (s *Server) exec(ctx *rpc.Ctx, cpu *sim.KServer, cur *uint64, op Op) (Resul
 		at, err := ns.GetAttr(ctx, *cur)
 		return &ResGetAttr{Attr: at}, err
 
-	case *OpSetAttr:
-		return &ResSetAttr{}, ns.SetSize(ctx, *cur, o.Size)
-
 	case *OpRead:
 		ctx.UseCPU(cpu, rpc.PerMB(serverPerMB, o.Len))
 		data, eof, blocks, err := b.Read(ctx, *cur, o.Off, o.Len, o.WantReal)
@@ -498,11 +494,6 @@ func (b *StoreBackend) GetAttr(_ *rpc.Ctx, fh uint64) (Attr, error) {
 		return Attr{}, err
 	}
 	return attrOf(at), nil
-}
-
-// SetSize implements Namespace.
-func (b *StoreBackend) SetSize(_ *rpc.Ctx, fh uint64, size int64) error {
-	return b.Store.Truncate(store.FileID(fh), size)
 }
 
 // Read implements Backend.

@@ -51,7 +51,6 @@ const (
 	OpNumReadDir       uint32 = 26
 	OpNumRemove        uint32 = 28
 	OpNumRename        uint32 = 29
-	OpNumSetAttr       uint32 = 34
 	OpNumWrite         uint32 = 38
 	OpNumExchangeID    uint32 = 42
 	OpNumCreateSession uint32 = 43
@@ -125,9 +124,6 @@ type OpClose struct{ StateID uint64 }
 // OpGetAttr fetches attributes of the current filehandle.
 type OpGetAttr struct{}
 
-// OpSetAttr sets the file size (truncate) of the current filehandle.
-type OpSetAttr struct{ Size int64 }
-
 // OpRead reads from the current filehandle.
 type OpRead struct {
 	StateID  uint64
@@ -189,7 +185,6 @@ func (*OpLookup) Num() uint32        { return OpNumLookup }
 func (*OpOpen) Num() uint32          { return OpNumOpen }
 func (*OpClose) Num() uint32         { return OpNumClose }
 func (*OpGetAttr) Num() uint32       { return OpNumGetAttr }
-func (*OpSetAttr) Num() uint32       { return OpNumSetAttr }
 func (*OpRead) Num() uint32          { return OpNumRead }
 func (*OpWrite) Num() uint32         { return OpNumWrite }
 func (*OpCommit) Num() uint32        { return OpNumCommit }
@@ -244,13 +239,6 @@ func (o *OpClose) UnmarshalXDR(d *xdr.Decoder) error {
 
 func (*OpGetAttr) MarshalXDR(*xdr.Encoder)         {}
 func (*OpGetAttr) UnmarshalXDR(*xdr.Decoder) error { return nil }
-
-func (o *OpSetAttr) MarshalXDR(e *xdr.Encoder) { e.Int64(o.Size) }
-func (o *OpSetAttr) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	o.Size, err = d.Int64()
-	return err
-}
 
 func (o *OpRead) MarshalXDR(e *xdr.Encoder) {
 	e.Uint64(o.StateID)
@@ -466,9 +454,6 @@ func (r *ResGetAttr) UnmarshalXDR(d *xdr.Decoder) error {
 	r.Errno = fserr.Errno(v)
 	return r.Attr.UnmarshalXDR(d)
 }
-
-// ResSetAttr is the SETATTR result.
-type ResSetAttr struct{ errnoOnly }
 
 // ResRead is the READ result.  Its payload carries one of three checksum
 // forms (docs/BACKENDS.md "Block checksums"), told apart on the wire by the
@@ -769,7 +754,6 @@ func (*ResLookup) Num() uint32        { return OpNumLookup }
 func (*ResOpen) Num() uint32          { return OpNumOpen }
 func (*ResClose) Num() uint32         { return OpNumClose }
 func (*ResGetAttr) Num() uint32       { return OpNumGetAttr }
-func (*ResSetAttr) Num() uint32       { return OpNumSetAttr }
 func (*ResRead) Num() uint32          { return OpNumRead }
 func (*ResWrite) Num() uint32         { return OpNumWrite }
 func (*ResCommit) Num() uint32        { return OpNumCommit }

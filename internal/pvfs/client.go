@@ -399,7 +399,8 @@ func (c *Client) GetAttr(ctx *rpc.Ctx, f *File) (int64, error) {
 
 // Truncate sets the file's logical size.
 func (c *Client) Truncate(ctx *rpc.Ctx, f *File, size int64) error {
-	return c.TruncateH(ctx, f.Handle, size)
+	var rep TruncateRep
+	return c.metaCall(ctx, ProcTruncate, &TruncateArgs{Handle: f.Handle, Size: size}, &rep, &rep.Errno)
 }
 
 // Mkdir creates a directory.

@@ -187,12 +187,6 @@ func (c *Client) GetAttrH(ctx *rpc.Ctx, h Handle) (bool, int64, uint64, error) {
 	return rep.IsDir, rep.Size, rep.Change, nil
 }
 
-// TruncateH sets the logical size by handle.
-func (c *Client) TruncateH(ctx *rpc.Ctx, h Handle, size int64) error {
-	var rep TruncateRep
-	return c.metaCall(ctx, ProcTruncate, &TruncateArgs{Handle: h, Size: size}, &rep, &rep.Errno)
-}
-
 // Mapper exposes the file's stripe mapper (used by layout translation
 // tests).
 func (f *File) Mapper() stripe.Mapper { return f.mapper }

@@ -26,6 +26,49 @@ func (c *Ctx) Go(name string, fn func(*Ctx)) {
 	c.P.Kernel().Go(name, func(p *sim.Proc) { fn(&Ctx{P: p}) })
 }
 
+// Flows starts a run's top-level flows — the ones no Ctx spawned — and
+// waits for all of them: kernel processes drained by Kernel.Run on the
+// fabric, goroutines joined by a sync.WaitGroup in real time.  It is a
+// value: copies share the flows they start.
+type Flows struct {
+	k  *sim.Kernel
+	wg *sync.WaitGroup // real time only
+}
+
+// NewFlows returns a starter on k's virtual clock, or on the wall clock
+// when k is nil.
+func NewFlows(k *sim.Kernel) Flows {
+	if k != nil {
+		return Flows{k: k}
+	}
+	return Flows{wg: new(sync.WaitGroup)}
+}
+
+// Go starts fn as a top-level flow called name, with a fresh Ctx of the
+// starter's mode.
+func (f Flows) Go(name string, fn func(*Ctx)) {
+	if f.k != nil {
+		f.k.Go(name, func(p *sim.Proc) { fn(&Ctx{P: p}) })
+		return
+	}
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		fn(&Ctx{})
+	}()
+}
+
+// Wait blocks until every flow started has returned.  Under the kernel that
+// is Kernel.Run, which drains every scheduled event and returns its error
+// (a deadlock).
+func (f Flows) Wait() error {
+	if f.k != nil {
+		return f.k.Run()
+	}
+	f.wg.Wait()
+	return nil
+}
+
 // Pause blocks the flow for d on the mode's clock.  Unlike Sleep — a model
 // charge that costs real-time callers nothing — a Pause is part of the
 // algorithm (a retry backoff, a straggler timer) and holds in both modes.

@@ -166,6 +166,44 @@ func TestPauseBlocksOnTheModesClock(t *testing.T) {
 	})
 }
 
+// TestFlowsWaitForEveryFlow: Wait returns only after every top-level flow
+// returned, in both modes; under the kernel the flows all start at one
+// virtual instant, and a flow left parked is reported as a deadlock.
+func TestFlowsWaitForEveryFlow(t *testing.T) {
+	const n = 4
+	k := sim.NewKernel(1)
+	defer k.Shutdown()
+	for _, mode := range []*sim.Kernel{k, nil} {
+		var (
+			mu   sync.Mutex
+			done []int
+		)
+		flows := NewFlows(mode)
+		for i := 0; i < n; i++ {
+			flows.Go("flow", func(ctx *Ctx) {
+				ctx.Pause(time.Duration(n-i) * time.Millisecond)
+				mu.Lock()
+				done = append(done, i)
+				mu.Unlock()
+			})
+		}
+		if err := flows.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if len(done) != n {
+			t.Fatalf("Wait returned after %d of %d flows", len(done), n)
+		}
+		if mode != nil && !reflect.DeepEqual(done, []int{3, 2, 1, 0}) {
+			t.Errorf("simulated flows finished in order %v, want shortest pause first", done)
+		}
+	}
+	stuck := NewFlows(k)
+	stuck.Go("stuck", func(ctx *Ctx) { NewWakeup(ctx, "never").Wait(ctx) })
+	if err := stuck.Wait(); err == nil {
+		t.Error("a flow parked for good did not fail the wait")
+	}
+}
+
 func TestParallelRunsEveryIndexOnce(t *testing.T) {
 	eachMode(t, func(t *testing.T, ctx *Ctx) {
 		for _, n := range []int{0, 1, 2, 17} {
@@ -204,7 +242,7 @@ func TestModeForkStaysInRPC(t *testing.T) {
 	}
 	seen := map[string]int{}
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"ioengine", "nfs", "pvfs", "scrub"} {
+	for _, pkg := range []string{"cluster", "ioengine", "nfs", "pvfs", "scrub"} {
 		paths, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil || len(paths) == 0 {
 			t.Fatalf("no sources for package %s (err %v)", pkg, err)

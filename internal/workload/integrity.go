@@ -89,9 +89,7 @@ func Integrity(cl *cluster.Cluster, cfg IntegrityConfig) (IntegrityResult, error
 		return IntegrityResult{}, fmt.Errorf("integrity setup: %w", err)
 	}
 	cl.ArmFaults(true)
-	if err := cl.ScheduleScrub(cfg.ScrubAt); err != nil {
-		return IntegrityResult{}, fmt.Errorf("integrity setup: %w", err)
-	}
+	cl.ScheduleScrub(cfg.ScrubAt)
 
 	var mu sync.Mutex
 	var window [3]int64 // verified bytes per window
