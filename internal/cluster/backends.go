@@ -186,11 +186,17 @@ func (b *directMDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal 
 	return data, got < n, store.BlockSums{}, err
 }
 
+// Write answers a stable write with the durability of a write and a COMMIT
+// (exportBackend.Write).
 func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
 	f := b.openCurrent(fh)
-	size, err := b.proxy.Write(ctx, f, off, data, stable)
-	if err == nil {
-		b.meta.Namespace().SetSize(store.FileID(fh), size)
+	size, err := b.proxy.Write(ctx, f, off, data, false)
+	if err != nil {
+		return size, err
+	}
+	b.meta.Namespace().SetSize(store.FileID(fh), size)
+	if stable {
+		err = b.proxy.Sync(ctx, f)
 	}
 	return size, err
 }
@@ -439,13 +445,21 @@ func (b *exportBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal boo
 	return data, got < n, store.BlockSums{}, err
 }
 
+// Write answers a stable write with the durability of a write and a COMMIT:
+// the PVFS2 client flushes every daemon of the file, not only those the
+// write reached, so the datafile objects the file's create left unsynced
+// survive a crash as well — GETATTR reconstructs the size from all of them.
 func (b *exportBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
 	b.conduit(ctx, exportWritePerMB, data.Len())
 	f, err := b.openCurrent(ctx, fh)
 	if err != nil {
 		return 0, err
 	}
-	return b.pv.Write(ctx, f, off, data, stable)
+	size, err := b.pv.Write(ctx, f, off, data, false)
+	if err == nil && stable {
+		err = b.pv.Sync(ctx, f)
+	}
+	return size, err
 }
 
 func (b *exportBackend) Commit(ctx *rpc.Ctx, fh uint64) error {

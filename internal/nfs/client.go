@@ -196,7 +196,7 @@ func NewClient(cfg ClientConfig) *Client {
 		raChunks: reg.Counter("nfs_client_readahead_chunks_total",
 			"Chunks fetched asynchronously by sequential readahead."),
 		layoutHits: reg.Counter("nfs_client_layout_cache_hits_total",
-			"Opens that reused a cached layout instead of LAYOUTGET."),
+			"Opens of existing files that reused a cached layout instead of LAYOUTGET (a create fetches its layout inside the OPEN compound)."),
 		slotWaits: reg.Histogram("nfs_client_slot_wait_seconds",
 			"Time spent waiting for a free session slot.", metrics.DurationBuckets),
 		slotWaitCnt: reg.Counter("nfs_client_slot_acquires_total",
@@ -380,9 +380,12 @@ type File struct {
 	cache *pageCache
 
 	// Async write-back state.  pendMu guards asyncErr and touched: both are
-	// written from spawned flush (and readahead) flows.
+	// written from spawned flush (and readahead) flows.  queued counts the
+	// chunks pending holds, so Fsync can tell that none is queued or in
+	// flight without waiting on pending.
 	pendMu    sync.Mutex
 	pending   rpc.Group // queued write-back chunks not yet drained
+	queued    atomic.Int64
 	asyncErr  error
 	touched   map[int]bool // device indices with unstable writes (-1 = MDS)
 	committed int64        // size last published via LAYOUTCOMMIT
@@ -423,6 +426,19 @@ func (f *File) markTouched(dev int) {
 	f.pendMu.Unlock()
 }
 
+// settled reports whether no write-back chunk of f is queued or in flight
+// and no server holds unstable writes of it.  A chunk marks its device
+// touched before it stops counting as queued, so the order of the two
+// checks leaves no window between them.
+func (f *File) settled() bool {
+	if f.queued.Load() != 0 {
+		return false
+	}
+	f.pendMu.Lock()
+	defer f.pendMu.Unlock()
+	return len(f.touched) == 0
+}
+
 // walkOps builds the compound that makes directory dir the current FH
 // (PUTROOTFH, then one LOOKUP per component) and then runs tail on it.
 func walkOps(dir string, tail ...Op) []Op {
@@ -442,16 +458,27 @@ func splitPath(path string) (dir, name string) {
 	return path[:i+1], path[i+1:]
 }
 
-// open opens or creates path.
+// open opens or creates path.  A create on a pNFS mount fetches the layout
+// in the same compound — LAYOUTGET runs on the current filehandle OPEN set —
+// since a new file's layout is never cached; an open goes through the
+// layout cache.
 func (c *Client) open(ctx *rpc.Ctx, path string, create bool) (*File, error) {
 	dir, name := splitPath(path)
-	ops := walkOps(dir, &OpOpen{Name: name, Create: create}, &OpGetAttr{})
+	tail := []Op{&OpOpen{Name: name, Create: create}, &OpGetAttr{}}
+	inline := create && c.pnfsOK
+	var epoch uint64
+	if inline {
+		epoch = c.epochNow()
+		tail = append(tail, &OpLayoutGet{})
+	}
+	ops := walkOps(dir, tail...)
 	rep, err := c.call(ctx, c.cfg.MDS, true, ops...)
 	if err != nil {
 		return nil, err
 	}
-	or := rep.Results[len(rep.Results)-2].(*ResOpen)
-	ga := rep.Results[len(rep.Results)-1].(*ResGetAttr)
+	res := rep.Results[len(ops)-len(tail):]
+	or := res[0].(*ResOpen)
+	ga := res[1].(*ResGetAttr)
 	// Close-to-open consistency: reuse the inode's page cache if no other
 	// client changed the file since we last saw it.  The File takes its own
 	// reference; the inode cache keeps one.
@@ -476,10 +503,14 @@ func (c *Client) open(ctx *rpc.Ctx, path string, create bool) (*File, error) {
 		touched:   make(map[int]bool),
 		committed: ga.Attr.Size,
 	}
-	if c.pnfsOK {
-		if err := f.fetchLayout(ctx); err != nil {
-			return nil, err
-		}
+	switch {
+	case inline:
+		err = f.adoptLayout(ctx, res[2].(*ResLayoutGet), epoch)
+	case c.pnfsOK:
+		err = f.fetchLayout(ctx)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
 }

@@ -105,18 +105,28 @@ func (f *File) fetchLayout(ctx *rpc.Ctx) error {
 	f.c.stateMu.Unlock()
 	if ok {
 		f.c.layoutHits.Inc()
-		f.layout = l
-	} else {
-		rep, err := f.c.call(ctx, f.c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpLayoutGet{})
-		if err != nil {
-			return err
-		}
-		lg := rep.Results[1].(*ResLayoutGet)
-		f.layout = &lg.Layout
-		f.c.stateMu.Lock()
-		f.c.layouts[f.fh] = f.layout
-		f.c.stateMu.Unlock()
+		return f.useLayout(ctx, l, epoch)
 	}
+	rep, err := f.c.call(ctx, f.c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpLayoutGet{})
+	if err != nil {
+		return err
+	}
+	return f.adoptLayout(ctx, rep.Results[1].(*ResLayoutGet), epoch)
+}
+
+// adoptLayout caches the layout a LAYOUTGET returned for f — on its own, or
+// inside a creating OPEN's compound — and makes it f's, as of epoch.
+func (f *File) adoptLayout(ctx *rpc.Ctx, lg *ResLayoutGet, epoch uint64) error {
+	f.c.stateMu.Lock()
+	f.c.layouts[f.fh] = &lg.Layout
+	f.c.stateMu.Unlock()
+	return f.useLayout(ctx, &lg.Layout, epoch)
+}
+
+// useLayout makes l f's layout as of epoch, dialing any device l references
+// that joined after mount.
+func (f *File) useLayout(ctx *rpc.Ctx, l *pnfs.FileLayout, epoch uint64) error {
+	f.layout = l
 	m, err := f.layout.Mapper()
 	if err != nil {
 		return fmt.Errorf("nfs: layout for %s: %w", f.Path, err)

@@ -390,6 +390,16 @@ func (pc *pageCache) firstDirty() (extent, bool) {
 	return pc.dirty.first()
 }
 
+// loneDirty returns the dirty extent when there is exactly one.
+func (pc *pageCache) loneDirty() (extent, bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if len(pc.dirty) != 1 {
+		return extent{}, false
+	}
+	return pc.dirty[0], true
+}
+
 // slice returns the cached content of [off, off+n) — the caller must have
 // established residency.  Synthetic mode returns a synthetic payload.
 //

@@ -24,37 +24,43 @@ func (c *Client) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload) e
 		if !ok {
 			break
 		}
-		chunk := extent{run.Off, run.Off + c.cfg.WSize}
-		f.cache.clean(chunk.Off, chunk.End)
-		c.flushAsync(ctx, f, chunk)
+		c.flushAsync(ctx, f, extent{run.Off, run.Off + c.cfg.WSize})
 	}
 	return nil
 }
 
+// takeDirty marks run flushed and returns a snapshot of its content (a view
+// of the cached segment when the run lies inside one, so later overwrites
+// cannot change what is sent).
+func (f *File) takeDirty(run extent) payload.Payload {
+	f.cache.clean(run.Off, run.End)
+	data, ok := f.cache.slice(run.Off, run.len())
+	if !ok {
+		// Dirty bytes are the cache's own, sealed as they were written: only
+		// fetched bytes can fail softly.
+		panic("nfs: a dirty run failed its first checksum as if fetched")
+	}
+	return data
+}
+
 // wbChunk is one gathered dirty run awaiting write-back: the owning file,
-// its logical offset, a snapshot of the cache content (a view of the cached
-// segment when the run lies inside one, so later overwrites cannot change
-// what is sent).  Its owner's Fsync waits on f.pending until it is drained.
+// its logical offset, and its content (takeDirty).  Its owner's Fsync waits
+// on f.pending until it is drained.
 type wbChunk struct {
 	f    *File
 	off  int64
 	data payload.Payload
 }
 
-// flushAsync queues one chunk for write-back and spawns a drain flow that
-// takes *every* queued chunk, across all files, and issues them as a single
-// coalesced engine run.  Flows are bounded by flushParallel; a flow that
-// finds the queue already drained by a sibling exits immediately.  Failures
-// surface through the owning file's setAsyncErr for its next Fsync.
+// flushAsync queues one dirty chunk for write-back and spawns a drain flow
+// that takes *every* queued chunk, across all files, and issues them as a
+// single coalesced engine run.  Flows are bounded by flushParallel; a flow
+// that finds the queue already drained by a sibling exits immediately.
+// Failures surface through the owning file's setAsyncErr for its next Fsync.
 func (c *Client) flushAsync(ctx *rpc.Ctx, f *File, chunk extent) {
-	data, ok := f.cache.slice(chunk.Off, chunk.len())
-	if !ok {
-		// Dirty bytes are the cache's own, sealed as they were written: only
-		// fetched bytes can fail softly.
-		panic("nfs: a dirty run failed its first checksum as if fetched")
-	}
-	wb := wbChunk{f: f, off: chunk.Off, data: data}
+	wb := wbChunk{f: f, off: chunk.Off, data: f.takeDirty(chunk)}
 	f.pending.Add(ctx, 1)
+	f.queued.Add(1)
 	c.wbMu.Lock()
 	c.wbQueue = append(c.wbQueue, wb)
 	c.wbMu.Unlock()
@@ -85,17 +91,12 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 	var owners []*File
 	for _, wb := range chunks {
 		f, data := wb.f, wb.data
-		if err := f.ensureLayout(ctx); err != nil {
+		exts, err := c.chunkExtents(ctx, f, wb.off, data.Len())
+		if err != nil {
 			f.setAsyncErr(err)
 			continue
 		}
-		// No layout: the whole chunk goes through the MDS as one
-		// pseudo-extent (Dev -1, the engine's MDS marker).
-		exts := []stripe.Extent{{Dev: -1, Off: wb.off, Len: data.Len()}}
-		if f.mapper != nil {
-			exts = c.engine.Prepare(f.mapper.Map(wb.off, data.Len()))
-		}
-		fn := c.chunkLadder(f, wb.off, data)
+		fn := c.chunkLadder(f, wb.off, data, false)
 		for _, e := range exts {
 			reqs = append(reqs, e)
 			fns = append(fns, fn)
@@ -117,8 +118,22 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 	}
 	for _, wb := range chunks {
 		wb.data.Release()
+		wb.f.queued.Add(-1)
 		wb.f.pending.Done(ctx)
 	}
+}
+
+// chunkExtents maps a gathered chunk of f onto the requests that write it:
+// its data-server extents under f's layout or, without one, the whole chunk
+// as one pseudo-extent for the MDS (Dev -1, the engine's MDS marker).
+func (c *Client) chunkExtents(ctx *rpc.Ctx, f *File, off, n int64) ([]stripe.Extent, error) {
+	if err := f.ensureLayout(ctx); err != nil {
+		return nil, err
+	}
+	if f.mapper == nil {
+		return []stripe.Extent{{Dev: -1, Off: off, Len: n}}, nil
+	}
+	return c.engine.Prepare(f.mapper.Map(off, n)), nil
 }
 
 // chunkLadder builds the per-extent dispatch for one gathered chunk.  Without
@@ -128,16 +143,22 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 // LAYOUTGET, and retries once against the fresh layout (the recalled-layout
 // path, paper §4); extents that still cannot reach a data server are proxied
 // through the metadata server, which writes into the parallel file system on
-// the client's behalf.
-func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.DoFunc {
+// the client's behalf.  Every rung writes stable when stable is set, and
+// then leaves no server a COMMIT to do; otherwise each marks the server its
+// unstable write landed on touched.
+func (c *Client) chunkLadder(f *File, off int64, data payload.Payload, stable bool) ioengine.DoFunc {
 	layout := f.layout
 	write := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
-		return c.writeExtent(ctx, f, l, e, data.Slice(e.Off-off, e.Len))
+		return c.writeExtent(ctx, f, l, e, data.Slice(e.Off-off, e.Len), stable)
+	}
+	touched := f.markTouched
+	if stable {
+		touched = nil
 	}
 	primary := func(ctx *rpc.Ctx, e stripe.Extent) error {
 		err := write(ctx, layout, e)
-		if err == nil {
-			f.markTouched(e.Dev)
+		if err == nil && touched != nil {
+			touched(e.Dev)
 		}
 		return err
 	}
@@ -148,7 +169,7 @@ func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.
 	// touched-device indices no longer line up with the fresh geometry.
 	recovery := c.recoveryRung(f, layout,
 		func(m stripe.Mapper, e stripe.Extent) []stripe.Extent { return m.Map(e.Off, e.Len) },
-		write, f.markTouched)
+		write, touched)
 	mdsProxy := ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, _ error) error {
 		c.mdsFallbacks.Inc()
 		e.Dev = -1
@@ -161,9 +182,9 @@ func (c *Client) chunkLadder(f *File, off int64, data payload.Payload) ioengine.
 }
 
 // writeExtent writes one extent to the server that holds it under layout l.
-func (c *Client) writeExtent(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, chunk payload.Payload) error {
+func (c *Client) writeExtent(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, chunk payload.Payload, stable bool) error {
 	_, err := c.extentCall(ctx, f, l, e, func(off int64) Op {
-		return &OpWrite{StateID: f.stateID, Off: off, Data: chunk}
+		return &OpWrite{StateID: f.stateID, Off: off, Data: chunk, Stable: stable}
 	})
 	return err
 }
@@ -172,8 +193,33 @@ func (c *Client) writeExtent(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe
 // server, and publishes metadata via LAYOUTCOMMIT — the paper's prototype
 // semantics: data reaches stable storage on fsync/close only (§5).
 func (c *Client) Fsync(ctx *rpc.Ctx, f *File) error {
+	due, err := c.flush(ctx, f)
+	if err != nil || !due {
+		return err
+	}
+	if _, err := c.call(ctx, c.cfg.MDS, true,
+		&OpPutFH{FH: f.fh}, &OpLayoutCommit{NewSize: f.size}); err != nil {
+		return err
+	}
+	f.committed = f.size
+	return nil
+}
+
+// flush makes every dirty byte of f stable and reports whether a
+// LAYOUTCOMMIT is due: data went out under a layout and the file grew past
+// the size last published.  A lone dirty run of at most WSize, with nothing
+// else of the file queued, in flight or awaiting COMMIT, goes out FILE_SYNC
+// and skips COMMIT (the Linux client's FLUSH_COND_STABLE).  Otherwise every
+// run goes out UNSTABLE through write-back, WSize bytes at a time, and every
+// server that took unstable writes is sent a COMMIT.
+func (c *Client) flush(ctx *rpc.Ctx, f *File) (layoutCommit bool, err error) {
 	c.chargeOp(ctx, 1, 0)
-	// Flush every remaining dirty run, WSize bytes at a time.
+	if run, ok := f.cache.loneDirty(); ok && run.len() <= c.cfg.WSize && f.settled() {
+		if err := c.flushStable(ctx, f, run); err != nil {
+			return false, err
+		}
+		return f.layout != nil && f.size > f.committed, nil
+	}
 	for {
 		run, ok := f.cache.firstDirty()
 		if !ok {
@@ -183,12 +229,11 @@ func (c *Client) Fsync(ctx *rpc.Ctx, f *File) error {
 		if end > run.Off+c.cfg.WSize {
 			end = run.Off + c.cfg.WSize
 		}
-		f.cache.clean(run.Off, end)
 		c.flushAsync(ctx, f, extent{run.Off, end})
 	}
 	f.pending.Wait(ctx)
 	if err := f.takeAsyncErr(); err != nil {
-		return err
+		return false, err
 	}
 	// COMMIT on every server that took unstable writes.  The commit fan-out
 	// rides the engine too (sorted for a deterministic issue order).
@@ -227,29 +272,48 @@ func (c *Client) Fsync(ctx *rpc.Ctx, f *File) error {
 		return commit(ctx, r)
 	})
 	if err := c.engine.Run(ctx, commits, commit, viaMDS); err != nil {
-		return err
+		return false, err
 	}
-	// Publish the (possibly extended) size to the metadata server.
-	if f.layout != nil && len(devs) > 0 && f.size > f.committed {
-		if _, err := c.call(ctx, c.cfg.MDS, true,
-			&OpPutFH{FH: f.fh}, &OpLayoutCommit{NewSize: f.size}); err != nil {
-			return err
-		}
-		f.committed = f.size
-	}
-	return nil
+	return f.layout != nil && len(devs) > 0 && f.size > f.committed, nil
 }
 
-// Close fsyncs and releases the open state, retaining the page cache in
-// the inode cache keyed by the post-flush change attribute.
-func (c *Client) Close(ctx *rpc.Ctx, f *File) error {
-	if err := c.Fsync(ctx, f); err != nil {
-		return err
+// flushStable writes f's lone dirty run FILE_SYNC, on the caller's flow,
+// through the same ladder and window class as write-back.  A failure of an
+// earlier write-back flush is reported first, as Fsync always has.
+func (c *Client) flushStable(ctx *rpc.Ctx, f *File, run extent) error {
+	data := f.takeDirty(run)
+	defer data.Release()
+	exts, err := c.chunkExtents(ctx, f, run.Off, run.len())
+	if err == nil {
+		err = c.engine.RunWith(ctx, ioengine.RunOpts{Class: ioengine.Background}, exts,
+			c.chunkLadder(f, run.Off, data, true))
 	}
-	rep, err := c.call(ctx, c.cfg.MDS, true,
-		&OpPutFH{FH: f.fh}, &OpGetAttr{}, &OpClose{StateID: f.stateID})
+	if aerr := f.takeAsyncErr(); aerr != nil {
+		return aerr
+	}
+	return err
+}
+
+// Close flushes f and releases the open state, retaining the page cache in
+// the inode cache keyed by the post-flush change attribute.  A LAYOUTCOMMIT
+// the flush left due rides in the CLOSE compound: PUTFH, LAYOUTCOMMIT,
+// GETATTR, CLOSE.
+func (c *Client) Close(ctx *rpc.Ctx, f *File) error {
+	due, err := c.flush(ctx, f)
 	if err != nil {
 		return err
+	}
+	ops := append(make([]Op, 0, 4), &OpPutFH{FH: f.fh})
+	if due {
+		ops = append(ops, &OpLayoutCommit{NewSize: f.size})
+	}
+	ops = append(ops, &OpGetAttr{}, &OpClose{StateID: f.stateID})
+	rep, err := c.call(ctx, c.cfg.MDS, true, ops...)
+	if err != nil {
+		return err
+	}
+	if due {
+		f.committed = f.size
 	}
 	c.stateMu.Lock()
 	// The File's cache reference transfers to the inode cache; whatever the
@@ -258,7 +322,7 @@ func (c *Client) Close(ctx *rpc.Ctx, f *File) error {
 		st.pc.release()
 	}
 	c.inodeCache[f.fh] = &inodeState{
-		change: rep.Results[1].(*ResGetAttr).Attr.Change,
+		change: rep.Results[len(ops)-2].(*ResGetAttr).Attr.Change,
 		pc:     f.cache,
 	}
 	c.stateMu.Unlock()

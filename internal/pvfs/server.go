@@ -302,7 +302,8 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		a := req.(*IORemoveArgs)
 		ctx.UseCPU(cpu, metaPerOp)
 		s.mu.Lock()
-		if _, ok := s.objects[a.Handle]; !ok {
+		id, ok := s.objects[a.Handle]
+		if !ok {
 			s.mu.Unlock()
 			return &IORemoveRep{Errno: fserr.NoEnt}, rpc.StatusOK
 		}
@@ -312,6 +313,13 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		}
 		delete(s.objects, a.Handle)
 		s.mu.Unlock()
+		// The daemon addresses its objects only through their handles, so
+		// with the handle gone nothing reaches id again: its bytes go back
+		// to the store now, not at the next checkpoint or recovery.  A
+		// request that resolved the handle before it went finds no id.
+		if r, ok := s.store.(store.Reclaimer); ok {
+			_ = r.Reclaim(id)
+		}
 		return &IORemoveRep{}, rpc.StatusOK
 
 	case ProcIOGetSize:

@@ -143,7 +143,8 @@ func (s *Scrubber) files() ([]store.FileID, error) {
 // can.  The walk order, chunking, and pacing are all deterministic, so a
 // pass is reproducible under seed replay.  Errors other than checksum
 // failures (a crashed store, a failed walk) abort the pass; checksum
-// failures never do — finding them is the job.
+// failures never do — finding them is the job.  A file removed and
+// reclaimed since the walk (store.Reclaimer) has nothing left to scan.
 func (s *Scrubber) Pass(ctx *rpc.Ctx) (Result, error) {
 	ids, err := s.files()
 	if err != nil {
@@ -152,6 +153,9 @@ func (s *Scrubber) Pass(ctx *rpc.Ctx) (Result, error) {
 	var res Result
 	for _, id := range ids {
 		exts, err := s.cfg.Store.Extents(id)
+		if errors.Is(err, store.ErrNotExist) {
+			continue
+		}
 		if err != nil {
 			return res, fmt.Errorf("scrub %s: extents of file %d: %w", s.cfg.Node, id, err)
 		}
@@ -207,7 +211,7 @@ func (s *Scrubber) scanChunk(ctx *rpc.Ctx, id store.FileID, r stripe.Extent, res
 	s.scanned.Inc()
 	_, err := s.cfg.Store.ReadAt(id, r.Off, buf)
 	s.pace(ctx, r.Len)
-	if err == nil {
+	if err == nil || errors.Is(err, store.ErrNotExist) {
 		return nil
 	}
 	if !errors.Is(err, store.ErrCorrupt) {

@@ -37,12 +37,14 @@ type dirtyFile struct {
 var (
 	_ store.Store       = (*Store)(nil)
 	_ store.Recoverable = (*Store)(nil)
-	// Corruption hooks, torn-write arming and summed reads promote from the
-	// embedded WAL: rot lands on the shared materialized image, which both
-	// the cached front and the journal's checkpoints read through.
+	// Corruption hooks, torn-write arming, summed reads and reclaim promote
+	// from the embedded WAL: rot lands on the shared materialized image,
+	// which both the cached front and the journal's checkpoints read
+	// through.  Sync skips whatever dirty ranges a reclaimed node left.
 	_ store.Corruptible  = (*Store)(nil)
 	_ store.TornWriter   = (*Store)(nil)
 	_ store.SummedReader = (*Store)(nil)
+	_ store.Reclaimer    = (*Store)(nil)
 )
 
 // New returns a cached store over a fresh WAL built from cfg.

@@ -24,6 +24,10 @@ func TestSummedRead(t *testing.T) {
 	storetest.RunSummedRead(t, func(t *testing.T) store.Store { return New(wal.Config{Name: "test"}) })
 }
 
+func TestReclaimer(t *testing.T) {
+	storetest.RunReclaimer(t, func(t *testing.T) store.Store { return New(wal.Config{Name: "test"}) })
+}
+
 // The write-back contract: data writes stage volatile and journal only at
 // Sync, while namespace mutations journal immediately (and become durable
 // at the next Sync even when no data was dirty).

@@ -19,3 +19,7 @@ func TestCorruptible(t *testing.T) {
 func TestSummedRead(t *testing.T) {
 	storetest.RunSummedRead(t, func(t *testing.T) store.Store { return mem.New() })
 }
+
+func TestReclaimer(t *testing.T) {
+	storetest.RunReclaimer(t, func(t *testing.T) store.Store { return mem.New() })
+}

@@ -65,6 +65,7 @@ var (
 	_ store.Store        = (*Store)(nil)
 	_ store.Corruptible  = (*Store)(nil)
 	_ store.SummedReader = (*Store)(nil)
+	_ store.Reclaimer    = (*Store)(nil)
 )
 
 // New returns an empty store with a root directory (FileID 1).
@@ -157,7 +158,7 @@ func (n *node) attr() store.Attr {
 }
 
 // GetAttr returns attributes of id.  Unlinked-but-open nodes remain
-// addressable until the store is checkpointed or recovered.
+// addressable until reclaimed (Remove).
 func (s *Store) GetAttr(id store.FileID) (store.Attr, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -259,8 +260,8 @@ func (s *Store) LastID() store.FileID {
 }
 
 // Remove unlinks name from dir.  Non-empty directories are refused.  The
-// node stays addressable by id (open-but-unlinked semantics); it is
-// reclaimed when a durable backend checkpoints or recovers.
+// node stays addressable by id (open-but-unlinked semantics) until Reclaim,
+// or until a durable backend rebuilds its image at recovery.
 func (s *Store) Remove(dir store.FileID, name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -279,6 +280,28 @@ func (s *Store) Remove(dir store.FileID, name string) error {
 	c.parent, c.name = nil, ""
 	d.change++
 	s.linked--
+	return nil
+}
+
+// Reclaim implements store.Reclaimer: it forgets the unlinked node id and
+// hands its chunk slabs back to the pool.  Readers copy out under the read
+// lock, so no slab is in use once Reclaim holds the write lock.
+func (s *Store) Reclaim(id store.FileID) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, ok := s.byID[id]
+	if !ok {
+		return store.ErrNotExist
+	}
+	if n.parent != nil || n == s.root {
+		return store.ErrInval
+	}
+	delete(s.byID, id)
+	if n.data != nil {
+		for _, c := range n.data.chunks {
+			putChunk(c)
+		}
+	}
 	return nil
 }
 
@@ -575,6 +598,19 @@ func (s *Store) Stats() (inodes int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.linked
+}
+
+// Chunks reports how many chunk slabs the store's files hold, linked or
+// not: the memory Reclaim gives back.
+func (s *Store) Chunks() (n int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, nd := range s.byID {
+		if nd.data != nil {
+			n += len(nd.data.chunks)
+		}
+	}
+	return n
 }
 
 // Extent is a materialized byte range of a file (Extents).

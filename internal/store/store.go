@@ -78,8 +78,12 @@ type Metadata interface {
 	// Mkdir makes a directory in dir.
 	Mkdir(dir FileID, name string) (Attr, error)
 	// Remove unlinks name from dir.  Non-empty directories are refused.
-	// The unlinked node remains addressable by id until the store is
-	// checkpointed or recovered (open-but-unlinked POSIX semantics).
+	// The unlinked node remains addressable by id (open-but-unlinked POSIX
+	// semantics) until a durable store rebuilds itself from its log at
+	// recovery, or until a caller that knows nothing addresses the id any
+	// more reclaims it (Reclaimer): a storage daemon does, right after
+	// IO-REMOVE drops the object's handle.  NFS servers and the PVFS2
+	// metadata server never reclaim, so an open file outlives its unlink.
 	Remove(dir FileID, name string) error
 	// Rename moves srcName in srcDir to dstName in dstDir, replacing a
 	// same-kind target if present (empty directories only).
@@ -175,6 +179,19 @@ func ReadSummed(s Content, id FileID, off int64, b []byte) (int, BlockSums, erro
 	}
 	n, err := s.ReadAt(id, off, b)
 	return n, BlockSums{}, err
+}
+
+// Reclaimer is implemented by backends that can release an unlinked node at
+// once.  It is optional, found by type assertion like SummedReader.
+// store/mem implements it, wal forwards it to its image (an unlinked node is
+// never replayed, so dropping it needs no record), and cached inherits it
+// from wal.
+type Reclaimer interface {
+	// Reclaim drops the unlinked node id and returns its storage; every
+	// later operation on id fails with ErrNotExist.  A node still linked into
+	// the namespace is refused with ErrInval, an unknown id with
+	// ErrNotExist.
+	Reclaim(id FileID) error
 }
 
 // TornWriter is implemented by journaling backends that can model a torn

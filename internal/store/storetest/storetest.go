@@ -461,6 +461,138 @@ func RunSummedRead(t *testing.T, mk Factory) {
 	})
 }
 
+// RunReclaimer drives the store.Reclaimer contract: a reclaimed unlinked file
+// is gone for every operation, a linked file or the root is refused and left
+// as it was, and a file created afterwards — which may be handed the
+// reclaimed storage — reads back only its own bytes, holes as zeros.
+func RunReclaimer(t *testing.T, mk Factory) {
+	reclaimer := func(t *testing.T, s store.Store) store.Reclaimer {
+		t.Helper()
+		r, ok := s.(store.Reclaimer)
+		if !ok {
+			t.Fatalf("%T does not implement store.Reclaimer", s)
+		}
+		return r
+	}
+	const chunk = store.ChunkSize
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+
+	t.Run("ReclaimedIDIsGone", func(t *testing.T) {
+		s := mk(t)
+		r := reclaimer(t, s)
+		keep, _ := s.Create(s.Root(), "keep")
+		gone, _ := s.Create(s.Root(), "gone")
+		kept := fill(2*chunk+10, 'k')
+		if _, err := s.WriteAt(keep.ID, 0, kept); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WriteAt(gone.ID, 0, fill(3*chunk, 'g')); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Reclaim(gone.ID); err != store.ErrInval {
+			t.Fatalf("reclaim of a linked file: %v, want ErrInval", err)
+		}
+		if err := s.Remove(s.Root(), "gone"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Reclaim(gone.ID); err != nil {
+			t.Fatalf("reclaim of an unlinked file: %v", err)
+		}
+		buf := make([]byte, 16)
+		if _, err := s.GetAttr(gone.ID); err != store.ErrNotExist {
+			t.Fatalf("getattr after reclaim: %v, want ErrNotExist", err)
+		}
+		if _, err := s.ReadAt(gone.ID, 0, buf); err != store.ErrNotExist {
+			t.Fatalf("read after reclaim: %v, want ErrNotExist", err)
+		}
+		if _, err := s.WriteAt(gone.ID, 0, buf); err != store.ErrNotExist {
+			t.Fatalf("write after reclaim: %v, want ErrNotExist", err)
+		}
+		if err := r.Reclaim(gone.ID); err != store.ErrNotExist {
+			t.Fatalf("second reclaim: %v, want ErrNotExist", err)
+		}
+		if err := r.Reclaim(s.Root()); err != store.ErrInval {
+			t.Fatalf("reclaim of the root: %v, want ErrInval", err)
+		}
+		// The linked file is untouched, and a new file sees only its own
+		// bytes wherever its chunks came from.
+		got := make([]byte, len(kept))
+		if n, err := s.ReadAt(keep.ID, 0, got); err != nil || n != len(kept) || !bytes.Equal(got, kept) {
+			t.Fatalf("linked file after reclaim: n=%d, %v", n, err)
+		}
+		fresh, _ := s.Create(s.Root(), "fresh")
+		for _, off := range []int64{10, chunk + 20, 2*chunk + 30} {
+			if _, err := s.WriteAt(fresh.ID, off, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make([]byte, 2*chunk+31)
+		for _, off := range []int64{10, chunk + 20, 2*chunk + 30} {
+			want[off] = 'x'
+		}
+		got = make([]byte, len(want))
+		if n, err := s.ReadAt(fresh.ID, 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
+			t.Fatalf("a file created after the reclaim reads foreign bytes: n=%d, %v", n, err)
+		}
+		if names, _ := s.ReadDir(s.Root()); strings.Join(names, ",") != "fresh,keep" {
+			t.Fatalf("namespace after reclaim: %v", names)
+		}
+	})
+
+	// Reclaim writes no record: a synced unlink stays unlinked across a
+	// crash, and an unlink the crash lost brings the file back from the log.
+	t.Run("RecoveryIgnoresReclaim", func(t *testing.T) {
+		s := mk(t)
+		r := reclaimer(t, s)
+		rec, ok := s.(store.Recoverable)
+		if !ok {
+			t.Skipf("%T is not store.Recoverable", s)
+		}
+		durable := fill(chunk+5, 'd')
+		for _, name := range []string{"synced-unlink", "lost-unlink"} {
+			f, _ := s.Create(s.Root(), name)
+			if _, err := s.WriteAt(f.ID, 0, durable); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Sync(nil); err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range []string{"synced-unlink", "lost-unlink"} {
+			at, _ := s.Lookup(s.Root(), name)
+			if err := s.Remove(s.Root(), name); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Reclaim(at.ID); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				if err := s.Sync(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rec.Crash()
+		if _, err := rec.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Lookup(s.Root(), "synced-unlink"); err != store.ErrNotExist {
+			t.Fatalf("synced unlink undone by recovery: %v", err)
+		}
+		at, err := s.Lookup(s.Root(), "lost-unlink")
+		if err != nil {
+			t.Fatalf("file whose unlink the crash lost: %v", err)
+		}
+		got := make([]byte, len(durable))
+		if n, err := s.ReadAt(at.ID, 0, got); err != nil || n != len(durable) || !bytes.Equal(got, durable) {
+			t.Fatalf("file whose unlink the crash lost reads back n=%d, %v", n, err)
+		}
+	})
+}
+
 // RecoverableFactory builds a fresh store that also implements
 // store.Recoverable.
 type RecoverableFactory func(t *testing.T) store.Store

@@ -93,6 +93,7 @@ var (
 	_ store.Corruptible  = (*Store)(nil)
 	_ store.TornWriter   = (*Store)(nil)
 	_ store.SummedReader = (*Store)(nil)
+	_ store.Reclaimer    = (*Store)(nil)
 )
 
 // New returns an empty WAL store.
@@ -201,6 +202,18 @@ func (s *Store) ReadSummedAt(id store.FileID, off int64, b []byte) (int, store.B
 		return 0, store.BlockSums{}, err
 	}
 	return img.ReadSummedAt(id, off, b)
+}
+
+// Reclaim implements store.Reclaimer on the materialized image.  It
+// journals nothing: replay never brings back a node that was unlinked when
+// the log was cut, and one whose unlink was lost with the tail comes back
+// from the log's records, not from the image.
+func (s *Store) Reclaim(id store.FileID) error {
+	img, err := s.image()
+	if err != nil {
+		return err
+	}
+	return img.Reclaim(id)
 }
 
 // Stats reports the number of live inodes (0 while crashed).
