@@ -186,8 +186,6 @@ func (b *directMDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal 
 	return data, got < n, store.BlockSums{}, err
 }
 
-// Write answers a stable write with the durability of a write and a COMMIT
-// (exportBackend.Write).
 func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
 	f := b.openCurrent(fh)
 	size, err := b.proxy.Write(ctx, f, off, data, false)
@@ -196,13 +194,23 @@ func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payloa
 	}
 	b.meta.Namespace().SetSize(store.FileID(fh), size)
 	if stable {
-		err = b.proxy.Sync(ctx, f)
+		err = commitFile(ctx, b.proxy, f)
 	}
 	return size, err
 }
 
 func (b *directMDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
-	return b.proxy.Sync(ctx, b.openCurrent(fh))
+	return commitFile(ctx, b.proxy, b.openCurrent(fh))
+}
+
+// commitFile is COMMIT for the servers that reach data through a PVFS2
+// client, and the end of their stable WRITEs: a FILE_SYNC write costs what
+// a write plus COMMIT costs.  The client flushes every daemon of the file,
+// not only those a write reached, so the datafile objects the file's create
+// left unsynced survive a crash as well — GETATTR reconstructs the size
+// from all of them.
+func commitFile(ctx *rpc.Ctx, pv *pvfs.Client, f *pvfs.File) error {
+	return pv.Sync(ctx, f)
 }
 
 // LayoutGet translates the parallel FS's native layout into a pNFS
@@ -445,10 +453,6 @@ func (b *exportBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal boo
 	return data, got < n, store.BlockSums{}, err
 }
 
-// Write answers a stable write with the durability of a write and a COMMIT:
-// the PVFS2 client flushes every daemon of the file, not only those the
-// write reached, so the datafile objects the file's create left unsynced
-// survive a crash as well — GETATTR reconstructs the size from all of them.
 func (b *exportBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
 	b.conduit(ctx, exportWritePerMB, data.Len())
 	f, err := b.openCurrent(ctx, fh)
@@ -457,7 +461,7 @@ func (b *exportBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.P
 	}
 	size, err := b.pv.Write(ctx, f, off, data, false)
 	if err == nil && stable {
-		err = b.pv.Sync(ctx, f)
+		err = commitFile(ctx, b.pv, f)
 	}
 	return size, err
 }
@@ -467,5 +471,5 @@ func (b *exportBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 	if err != nil {
 		return err
 	}
-	return b.pv.Sync(ctx, f)
+	return commitFile(ctx, b.pv, f)
 }

@@ -13,6 +13,7 @@
 package cached
 
 import (
+	"errors"
 	"sort"
 	"sync"
 
@@ -27,6 +28,10 @@ type Store struct {
 
 	mu    sync.Mutex
 	dirty map[store.FileID]*dirtyFile
+
+	// testHookJournal, when set, runs in Sync between a file's GetAttr and
+	// its first journal record.
+	testHookJournal func(id store.FileID)
 }
 
 type dirtyFile struct {
@@ -121,23 +126,39 @@ func (s *Store) Sync(p *sim.Proc) error {
 	s.mu.Unlock()
 
 	for _, id := range ids {
-		at, err := s.Store.GetAttr(id)
-		if err != nil {
-			continue // unlinked and reclaimed, or crashed mid-flush
-		}
-		df := flush[id]
-		for _, e := range df.real.clip(at.Size) {
-			if err := s.Store.JournalWriteAt(id, e.lo, e.hi-e.lo); err != nil {
-				return err
-			}
-		}
-		for _, e := range df.syn.clip(at.Size) {
-			if err := s.Store.JournalWriteSyntheticAt(id, e.lo, e.hi-e.lo); err != nil {
-				return err
-			}
+		// A file reclaimed before or during its turn owes no bytes to
+		// anyone; the batch goes on, or every later file's ranges — already
+		// taken from s.dirty — would be lost with a Sync reported failed.
+		if err := s.journal(id, flush[id]); err != nil && !errors.Is(err, store.ErrNotExist) {
+			return err
 		}
 	}
 	return s.Store.Sync(p)
+}
+
+// journal appends df's ranges, clipped to id's current size, to the log.
+// It fails with store.ErrNotExist once id is reclaimed (store.Reclaimer): a
+// storage daemon reclaims an object right after IO-REMOVE, without waiting
+// for a Sync that may be running.
+func (s *Store) journal(id store.FileID, df *dirtyFile) error {
+	at, err := s.Store.GetAttr(id)
+	if err != nil {
+		return err
+	}
+	if s.testHookJournal != nil {
+		s.testHookJournal(id)
+	}
+	for _, e := range df.real.clip(at.Size) {
+		if err := s.Store.JournalWriteAt(id, e.lo, e.hi-e.lo); err != nil {
+			return err
+		}
+	}
+	for _, e := range df.syn.clip(at.Size) {
+		if err := s.Store.JournalWriteSyntheticAt(id, e.lo, e.hi-e.lo); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Crash discards the dirty tracking along with the WAL's volatile state.

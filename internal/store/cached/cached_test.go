@@ -92,6 +92,60 @@ func TestRemoveDropsDirty(t *testing.T) {
 	}
 }
 
+// A storage daemon reclaims an object right after IO-REMOVE, with no lock
+// against a Sync that another file's COMMIT is running.  A file reclaimed
+// between Sync's GetAttr and its journal records must neither fail the Sync
+// nor cost the files after it in the batch their committed bytes.
+func TestSyncRacingReclaim(t *testing.T) {
+	s := New(wal.Config{Name: "test"})
+	var ids []store.FileID
+	for _, name := range []string{"a", "b", "c"} {
+		at, err := s.Create(s.Root(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WriteAt(at.ID, 0, []byte("bytes of "+name)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, at.ID)
+	}
+	victim := ids[0] // Sync journals in id order: the victim goes first
+	fired := false
+	s.testHookJournal = func(id store.FileID) {
+		if id != victim || fired {
+			return
+		}
+		fired = true
+		if err := s.Remove(s.Root(), "a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Reclaim(victim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(nil); err != nil {
+		t.Fatalf("Sync with a file reclaimed mid-batch: %v", err)
+	}
+	if !fired {
+		t.Fatal("hook never ran between GetAttr and the journal")
+	}
+
+	s.Crash()
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Lookup(s.Root(), "a"); err != store.ErrNotExist {
+		t.Fatalf("reclaimed file after recovery: %v", err)
+	}
+	for i, name := range []string{"b", "c"} {
+		buf := make([]byte, 32)
+		n, err := s.ReadAt(ids[i+1], 0, buf)
+		if err != nil || string(buf[:n]) != "bytes of "+name {
+			t.Fatalf("%s after recovery: %q, %v", name, buf[:n], err)
+		}
+	}
+}
+
 func TestExtentCoalescing(t *testing.T) {
 	var xs extents
 	xs.add(10, 20)
