@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"dpnfs/internal/cluster"
-	"dpnfs/internal/faults"
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/workload"
@@ -330,22 +329,17 @@ const (
 	degradedCrashAt   = 2 * time.Second
 	degradedRestartAt = 6 * time.Second
 	degradedTail      = 3 * time.Second
-	degradedVictim    = "io1" // a non-MDS storage node present in every arch
 )
 
-// crashFigure runs the degraded-mode schedule — crash degradedVictim
-// mid-run, restart it later — on every architecture over the given store
+// crashFigure runs the degraded-mode schedule — crash io1 mid-run, restart
+// it later (workload.Degraded) — on every architecture over the given store
 // backend, one series of three phase points each.  inspect, when non-nil,
 // sees each cluster after its run and before it is closed.
 func crashFigure(fig Figure, opt Options, backend string, inspect func(*cluster.Cluster)) (Figure, error) {
 	opt = opt.withDefaults([]int{2}, cluster.Archs)
 	fig.XLabel, fig.YLabel = "phase", "aggregate MB/s"
-	plan := faults.NewPlan(1,
-		faults.StorageNodeCrash{At: degradedCrashAt, Node: degradedVictim},
-		faults.StorageNodeRestart{At: degradedRestartAt, Node: degradedVictim},
-	)
 	for _, arch := range opt.Archs {
-		cl := newCluster(opt, cluster.Config{Arch: arch, Clients: opt.Clients[0], Faults: plan, Backend: backend})
+		cl := newCluster(opt, cluster.Config{Arch: arch, Clients: opt.Clients[0], Backend: backend})
 		res, err := workload.Degraded(cl, workload.DegradedConfig{
 			CrashAt:   degradedCrashAt,
 			RestartAt: degradedRestartAt,

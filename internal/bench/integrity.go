@@ -71,14 +71,13 @@ func Integrity(opt Options) (Figure, error) {
 			AggParams:     []int64{2, 64 << 10},
 			WireChecksums: true,
 			ScrubRateBPS:  integrityScrubRate,
-			Faults:        faults.NewPlan(1, events...),
 		})
 		res, err := workload.Integrity(cl, workload.IntegrityConfig{
 			FileSize: fileSize,
 			RotAt:    integrityRotAt,
 			ScrubAt:  integrityScrubAt,
 			Deadline: integrityDeadline,
-		})
+		}, faults.NewPlan(1, events...))
 		post := integrityCounters(opt, cl)
 		cl.Close()
 		if err != nil {

@@ -85,7 +85,6 @@ func Tail(opt Options) (Figure, error) {
 				Arch: arch, Clients: n,
 				StripeSize: block, WSize: block, RSize: block,
 				Disk:    disk,
-				Faults:  plan,
 				IOHedge: mode.hedge,
 			})
 			res, err := workload.Tail(cl, workload.TailConfig{
@@ -93,7 +92,7 @@ func Tail(opt Options) (Figure, error) {
 				FileSize: fileSize,
 				Passes:   passes,
 				Seed:     7,
-			})
+			}, plan)
 			cl.Close()
 			if err != nil {
 				return fig, fmt.Errorf("tail/%s/%s: %w", arch, mode.label, err)

@@ -43,10 +43,12 @@ func TestChaosAllArchitectures(t *testing.T) {
 				cl := New(Config{
 					Arch: arch, Clients: 2, Real: true,
 					StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
-					Seed:   plan.Seed,
-					Faults: plan,
+					Seed: plan.Seed,
 				})
 				defer cl.Close()
+				if err := cl.Schedule(plan); err != nil {
+					return err
+				}
 				steps := int64(fileSize / step)
 				pace := horizon / time.Duration(steps)
 				_, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
@@ -105,9 +107,10 @@ func TestChaosDeterministic(t *testing.T) {
 		cl := New(Config{
 			Arch: ArchDirectPNFS, Clients: 2, Real: true,
 			StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
-			Seed: 7, Faults: plan,
+			Seed: 7,
 		})
 		defer cl.Close()
+		schedule(t, cl, plan.Events...)
 		elapsed, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 			f, err := m.Create(ctx, fmt.Sprintf("/d.%d", i))
 			if err != nil {

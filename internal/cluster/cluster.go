@@ -130,7 +130,7 @@ type Config struct {
 
 	// ScrubRateBPS bounds each node's background scrubber to this many
 	// verified bytes per virtual second (0 = unpaced).  Scrub passes only
-	// run when scheduled (ScheduleScrub) or driven explicitly (ScrubPass).
+	// run when scheduled (faults.Scrub) or driven explicitly (ScrubPass).
 	ScrubRateBPS int64
 
 	// Metrics is the cluster's observability registry, threaded through
@@ -138,14 +138,6 @@ type Config struct {
 	// per-cluster registry; benchmarks pass a shared one to aggregate a
 	// whole figure sweep.
 	Metrics *metrics.Registry
-
-	// Faults, when set, is the deterministic fault plan replayed against
-	// the cluster (docs/FAULTS.md).  While armed (the default; see
-	// ArmFaults) the plan re-arms relative to the start of every
-	// Run/RunClient, so pair each crash with a restart to leave the
-	// cluster healed between runs.  All five architectures accept the same
-	// plan.
-	Faults *faults.Plan
 }
 
 // Defaults fills in the paper's testbed values.
@@ -215,24 +207,26 @@ type Cluster struct {
 	storageNodes []*simnet.Node
 	mdsNode      *simnet.Node
 
-	// Fault-injection state (Config.Faults, docs/FAULTS.md).
-	injector      *faults.Injector
-	faultMu       sync.Mutex
-	disarmed      bool
+	// Fault-injection state (docs/FAULTS.md).  injected counts applied
+	// fault events (faults_injected_total); it is registered by the first
+	// Schedule that queues one.
 	diskByNode    map[string]*simdisk.Disk
 	storageByNode map[string]*pvfs.StorageServer
 	skippedFaults *metrics.CounterVec
+	injected      *metrics.CounterVec
 
 	// Membership state (elastic join/drain, membership.go).  devIDs maps a
 	// node name to its stable pNFS device ID: allocated on first sight,
 	// never reused after the node departs (see the device-ID stability note
-	// in package pnfs).
+	// in package pnfs).  memberMu also guards schedule, the events queued
+	// for the next run, so a join or drain is checked against the queue it
+	// joins.
 	memberMu     sync.Mutex
 	devIDs       map[string]pnfs.DeviceID
 	nextDevID    uint32
 	members      map[string]*member
 	layoutGen    uint64
-	pendingOps   []memberOp
+	schedule     faults.Plan
 	reconcileErr error
 	memberGauge  *metrics.GaugeVec
 
@@ -254,11 +248,10 @@ type Cluster struct {
 	nodeByName map[string]*simnet.Node
 
 	// Background-scrubber state (scrub.go): one scanner per storage node,
-	// built on first use; scheduled pass times queued for the next Run.
+	// built on first use, and every pass outcome recorded so far.
 	scrubOnce    sync.Once
 	scrubbers    []*scrub.Scrubber
 	scrubMu      sync.Mutex
-	scrubTimes   []time.Duration
 	scrubResults []ScrubOutcome
 }
 
@@ -352,9 +345,6 @@ func New(cfg Config) *Cluster {
 			p = pvfsMount{cl.pvfsClientAt(n), cfg.Real}
 		}
 		cl.mounts = append(cl.mounts, &Mount{node: n, p: p})
-	}
-	if cfg.Faults != nil {
-		cl.injector = faults.NewInjector(cfg.Faults, cl, cfg.Metrics)
 	}
 	return cl
 }
@@ -671,24 +661,80 @@ func (cl *Cluster) FaultCandidates() []string {
 	return out
 }
 
-// ArmFaults enables (the default) or disables replay of Config.Faults for
-// subsequent runs — benchmarks disarm it around setup phases so only the
-// measured run suffers the plan.
-func (cl *Cluster) ArmFaults(on bool) {
-	cl.faultMu.Lock()
-	cl.disarmed = !on
-	cl.faultMu.Unlock()
+// Schedule queues every event of p for the next Run, RunClient or
+// Reconcile, which replays them relative to its own start and then forgets
+// them: a plan fires once.  Joins and drains are checked here, against the
+// membership and the queue they join (admit); if one is refused, Schedule
+// returns why and queues nothing.
+func (cl *Cluster) Schedule(p *faults.Plan) error {
+	cl.memberMu.Lock()
+	defer cl.memberMu.Unlock()
+	queued := cl.schedule.Events
+	faultEvents := false
+	for _, ev := range p.Events {
+		if err := cl.admit(ev); err != nil {
+			cl.schedule.Events = queued
+			return err
+		}
+		cl.schedule.Events = append(cl.schedule.Events, ev)
+		faultEvents = faultEvents || laneOf(ev) == faultLane
+	}
+	if faultEvents && cl.injected == nil {
+		cl.injected = cl.Cfg.Metrics.CounterVec("faults_injected_total",
+			"Fault events applied to the cluster, by event kind and target node.",
+			"kind", "node")
+	}
+	return nil
 }
 
-// armedInjector returns the injector if a plan is configured and armed.
-func (cl *Cluster) armedInjector() *faults.Injector {
-	cl.faultMu.Lock()
-	defer cl.faultMu.Unlock()
-	if cl.disarmed {
-		return nil
+// A run replays its schedule on one driver flow per lane, started in this
+// order: fault events, membership changes, scrub passes.  A rebalance or a
+// scrub pass blocks its lane for as long as it takes; the other lanes keep
+// their times.
+const (
+	faultLane = iota
+	memberLane
+	scrubLane
+)
+
+var laneNames = [...]string{"faults-driver", "reconcile-driver", "scrub-driver"}
+
+func laneOf(ev faults.Event) int {
+	switch ev.(type) {
+	case faults.Join, faults.Drain:
+		return memberLane
+	case faults.Scrub:
+		return scrubLane
 	}
-	return cl.injector
+	return faultLane
 }
+
+// takeSchedule claims the queued events for the run about to start, split
+// into lanes, each in stable At order.
+func (cl *Cluster) takeSchedule() (lanes [len(laneNames)][]faults.Event) {
+	cl.memberMu.Lock()
+	var events []faults.Event
+	if len(cl.schedule.Events) > 0 { // most runs have none: no sort, no garbage
+		events = cl.schedule.Sorted()
+		cl.schedule.Events = nil
+	}
+	cl.memberMu.Unlock()
+	for _, ev := range events {
+		l := laneOf(ev)
+		lanes[l] = append(lanes[l], ev)
+	}
+	return lanes
+}
+
+// planTarget is the cluster as the faults.Target its lanes replay events
+// through.  Joins, drains and scrub passes need the lane's flow, and they
+// are reached only this way, after Schedule has checked them.  Their
+// failures are recorded for ReconcileErr and ScrubResults; the run goes on.
+type planTarget struct{ *Cluster }
+
+func (t planTarget) Join(ctx *rpc.Ctx, node string)       { t.recordReconcile(t.applyJoin(ctx, node)) }
+func (t planTarget) Drain(ctx *rpc.Ctx, node string)      { t.recordReconcile(t.applyDrain(ctx, node)) }
+func (t planTarget) Scrub(ctx *rpc.Ctx, at time.Duration) { t.scrubPassCtx(ctx, at) }
 
 // faultTargetable reports whether a fault event may touch the named node:
 // it must be one the cluster built and must not have been drained away by
@@ -752,11 +798,10 @@ func (cl *Cluster) SetDiskSlow(node string, factor float64) {
 	}
 }
 
-// Run starts fn as client i's application flow, next to the drivers of any
-// armed fault plan, queued membership operations and scheduled scrub
-// passes, waits for all of them, and returns the time from the start until
-// the last application finished: virtual on the fabric, wall clock over
-// TCP.
+// Run starts fn as client i's application flow, next to the drivers of the
+// scheduled events (Schedule), waits for all of them, and returns the time
+// from the start until the last application finished: virtual on the
+// fabric, wall clock over TCP.
 func (cl *Cluster) Run(fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
 	return cl.runSubset(cl.mounts, fn)
 }
@@ -780,48 +825,22 @@ func (cl *Cluster) runSubsetInner(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Moun
 		err  error
 		took time.Duration
 	}, len(mounts))
-	if inj := cl.armedInjector(); inj != nil {
-		// The fault driver replays the plan relative to this run's start.
-		// The run waits for its drivers, so every event fires even if the
+	for lane, events := range cl.takeSchedule() {
+		if len(events) == 0 {
+			continue
+		}
+		// Each driver replays its lane relative to this run's start.  The
+		// run waits for its drivers, so every event fires even if the
 		// applications finish first — a paired crash/restart plan always
 		// leaves the cluster healed, on both transports.
-		events := inj.Events()
-		flows.Go("faults-driver", func(ctx *rpc.Ctx) {
+		flows.Go(laneNames[lane], func(ctx *rpc.Ctx) {
 			start := ctx.Stamp()
 			for _, ev := range events {
 				pauseUntil(ctx, start, ev.When())
-				inj.Apply(ev)
-			}
-		})
-	}
-	if ops := cl.takePendingOps(); len(ops) > 0 {
-		// The membership reconciler applies each scheduled join/drain
-		// relative to this run's start (same shape as the fault driver
-		// above).  Errors are recorded on the cluster — applications keep
-		// running through them, exactly as they would through a failed
-		// operator action.
-		flows.Go("reconcile-driver", func(ctx *rpc.Ctx) {
-			start := ctx.Stamp()
-			for _, op := range ops {
-				pauseUntil(ctx, start, op.at)
-				if err := cl.applyMemberOp(ctx, op); err != nil {
-					cl.memberMu.Lock()
-					cl.reconcileErr = err
-					cl.memberMu.Unlock()
+				ev.Apply(ctx, planTarget{cl})
+				if lane == faultLane {
+					cl.injected.With(ev.Kind(), ev.Target()).Inc()
 				}
-			}
-		})
-	}
-	if times := cl.takeScrubTimes(); len(times) > 0 {
-		// The scrub driver mirrors the fault driver: a finite schedule of
-		// pass times, every one of which runs even if the applications
-		// finish first.  Scan failures are recorded in the pass outcomes,
-		// not surfaced as run errors.
-		flows.Go("scrub-driver", func(ctx *rpc.Ctx) {
-			start := ctx.Stamp()
-			for _, at := range times {
-				pauseUntil(ctx, start, at)
-				cl.scrubPassCtx(ctx, at)
 			}
 		})
 	}

@@ -51,13 +51,11 @@ func TestFailoverAllArchitectures(t *testing.T) {
 			cl := New(Config{
 				Arch: arch, Clients: 2, Real: true,
 				StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
-				Faults: plan,
 			})
 			defer cl.Close()
 
-			// Populate with faults disarmed: only the verified read run
-			// suffers the crash.
-			cl.ArmFaults(false)
+			// Populate before the plan is scheduled: only the verified read
+			// runs suffer the crash.
 			if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 				f, err := m.Create(ctx, fmt.Sprintf("/fo.%d", i))
 				if err != nil {
@@ -73,7 +71,6 @@ func TestFailoverAllArchitectures(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("populate: %v", err)
 			}
-			cl.ArmFaults(true)
 
 			// Paced cold read spanning the crash/restart window.
 			readBack := func(pace time.Duration) error {
@@ -103,6 +100,7 @@ func TestFailoverAllArchitectures(t *testing.T) {
 				})
 				return err
 			}
+			schedule(t, cl, plan.Events...)
 			// ~8 steps x 60 ms of pacing stretches the read run well past
 			// the restart, so the outage lands mid-read.
 			if err := readBack(60 * time.Millisecond); err != nil {
@@ -117,8 +115,9 @@ func TestFailoverAllArchitectures(t *testing.T) {
 				t.Fatal("no call ever hit the crashed node — the scenario tested nothing")
 			}
 			// A second cold read after full recovery must also be
-			// byte-identical (and runs with the plan re-armed: the paired
-			// crash/restart replays and heals again).
+			// byte-identical, under the same plan scheduled again: the
+			// paired crash/restart replays and heals again.
+			schedule(t, cl, plan.Events...)
 			if err := readBack(60 * time.Millisecond); err != nil {
 				t.Fatalf("read after recovery: %v", err)
 			}
@@ -145,9 +144,9 @@ func TestFailoverTCPTransport(t *testing.T) {
 		Arch: ArchDirectPNFS, Clients: 2, Real: true,
 		Transport:  TransportTCP,
 		StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
-		Faults: plan,
 	})
 	defer cl.Close()
+	schedule(t, cl, plan.Events...)
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 		f, err := m.Create(ctx, fmt.Sprintf("/tcp.%d", i))
 		if err != nil {
@@ -196,12 +195,12 @@ func TestTCPRunDrainsFaultPlan(t *testing.T) {
 	cl := New(Config{
 		Arch: ArchDirectPNFS, Clients: 1, Real: true, Transport: TransportTCP,
 		StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
-		Faults: faults.NewPlan(1,
-			faults.StorageNodeCrash{At: 10 * time.Millisecond, Node: "io1"},
-			faults.StorageNodeRestart{At: restartAt, Node: "io1"},
-		),
 	})
 	defer cl.Close()
+	schedule(t, cl,
+		faults.StorageNodeCrash{At: 10 * time.Millisecond, Node: "io1"},
+		faults.StorageNodeRestart{At: restartAt, Node: "io1"},
+	)
 	d, err := cl.Run(func(*rpc.Ctx, *Mount, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +213,6 @@ func TestTCPRunDrainsFaultPlan(t *testing.T) {
 	}
 	// io1 is up again: a write striped over every storage node meets no
 	// injected node-down error.
-	cl.ArmFaults(false)
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 		f, err := m.Create(ctx, "/healed")
 		if err != nil {
@@ -229,6 +227,47 @@ func TestTCPRunDrainsFaultPlan(t *testing.T) {
 	}
 	if got := counterSum(cl, "rpc_client_fault_errors_total"); got != 0 {
 		t.Fatalf("%v calls found a node down after the plan's restart", got)
+	}
+}
+
+// TestScheduledPlanFiresOnce: a plan is queued for the next run only.  Two
+// identical runs write a file striped over every storage node while io1
+// would be down; the crash/restart pair scheduled once lands in the first
+// run alone, and the second meets no node-down error.
+func TestScheduledPlanFiresOnce(t *testing.T) {
+	cl := New(Config{
+		Arch: ArchDirectPNFS, Clients: 1, Real: true,
+		StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
+	})
+	defer cl.Close()
+	schedule(t, cl,
+		faults.StorageNodeCrash{At: 10 * time.Millisecond, Node: "io1"},
+		faults.StorageNodeRestart{At: 300 * time.Millisecond, Node: "io1"},
+	)
+	for run, want := range []struct {
+		injected   float64
+		downErrors bool
+	}{{2, true}, {0, false}} {
+		injected, downErrors := counterSum(cl, "faults_injected_total"), counterSum(cl, "rpc_client_fault_errors_total")
+		if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
+			ctx.Sleep(20 * time.Millisecond) // io1 is down from 10 ms if the plan replays
+			f, err := m.Create(ctx, fmt.Sprintf("/once.%d", run))
+			if err != nil {
+				return err
+			}
+			if err := m.Write(ctx, f, 0, payload.Real(failoverPattern(run, 512<<10))); err != nil {
+				return err
+			}
+			return m.Close(ctx, f)
+		}); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if got := counterSum(cl, "faults_injected_total") - injected; got != want.injected {
+			t.Fatalf("run %d injected %v events, want %v", run, got, want.injected)
+		}
+		if got := counterSum(cl, "rpc_client_fault_errors_total") - downErrors; (got > 0) != want.downErrors {
+			t.Fatalf("run %d met %v node-down errors, want some: %v", run, got, want.downErrors)
+		}
 	}
 }
 
@@ -252,9 +291,9 @@ func TestFailoverWriteRecovery(t *testing.T) {
 			cl := New(Config{
 				Arch: arch, Clients: 2, Real: true,
 				StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
-				Faults: plan,
 			})
 			defer cl.Close()
+			schedule(t, cl, plan.Events...)
 
 			if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 				f, err := m.Create(ctx, fmt.Sprintf("/fw.%d", i))
@@ -276,9 +315,8 @@ func TestFailoverWriteRecovery(t *testing.T) {
 				t.Fatalf("write under crash: %v", err)
 			}
 
-			// Cold read-back with the cluster healthy (the plan healed the
-			// node before the run ended; disarm for the verification pass).
-			cl.ArmFaults(false)
+			// Cold read-back with the cluster healthy: the plan healed the
+			// node before the run ended, and it does not replay.
 			if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 				m.DropCaches()
 				f, err := m.Open(ctx, fmt.Sprintf("/fw.%d", i))
@@ -327,14 +365,12 @@ func TestFailoverWALBackend(t *testing.T) {
 			cl := New(Config{
 				Arch: arch, Clients: 2, Real: true,
 				StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
-				Faults:  plan,
 				Backend: BackendWAL,
 			})
 			defer cl.Close()
 
-			// Populate with faults disarmed; Fsync makes every write
-			// durable before the crash can land.
-			cl.ArmFaults(false)
+			// Populate before the plan is scheduled; Fsync makes every
+			// write durable before the crash can land.
 			if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 				f, err := m.Create(ctx, fmt.Sprintf("/wal.%d", i))
 				if err != nil {
@@ -350,7 +386,7 @@ func TestFailoverWALBackend(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("populate: %v", err)
 			}
-			cl.ArmFaults(true)
+			schedule(t, cl, plan.Events...)
 
 			// Paced cold read spanning the outage: bytes served during it
 			// come through the recovery paths, bytes after it come from the

@@ -16,7 +16,7 @@ import (
 // every stripe stored twice, real payloads (there have to be bytes to rot),
 // and wire checksums on.  3-tier halves its backends into storage nodes, so
 // it gets eight to keep the copy count dividing the storage-node count.
-func integrityCluster(arch Arch, plan *faults.Plan) *Cluster {
+func integrityCluster(arch Arch) *Cluster {
 	backends := 6
 	if arch == ArchPNFS3Tier {
 		backends = 8
@@ -27,15 +27,13 @@ func integrityCluster(arch Arch, plan *faults.Plan) *Cluster {
 		Aggregation:   pnfs.AggReplicated,
 		AggParams:     []int64{2, 64 << 10},
 		WireChecksums: true,
-		Faults:        plan,
 	})
 }
 
-// populateIntegrity writes each client's distinct pattern with faults
-// disarmed, so both replicas hold clean, complete copies.
-func populateIntegrity(t *testing.T, cl *Cluster, fileSize int) {
+// populateIntegrity writes each client's distinct pattern, so both replicas
+// hold clean, complete copies, and then schedules events for the next run.
+func populateIntegrity(t *testing.T, cl *Cluster, fileSize int, events ...faults.Event) {
 	t.Helper()
-	cl.ArmFaults(false)
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 		f, err := m.Create(ctx, fmt.Sprintf("/rot.%d", i))
 		if err != nil {
@@ -51,7 +49,7 @@ func populateIntegrity(t *testing.T, cl *Cluster, fileSize int) {
 	}); err != nil {
 		t.Fatalf("populate: %v", err)
 	}
-	cl.ArmFaults(true)
+	schedule(t, cl, events...)
 }
 
 // readBackIntegrity cold-reads the full corpus and fails on the first byte
@@ -127,10 +125,10 @@ func TestBitRotRepairAllArchitectures(t *testing.T) {
 					Seed: int64(100 + d),
 				})
 			}
-			cl := integrityCluster(arch, faults.NewPlan(1, events...))
+			cl := integrityCluster(arch)
 			defer cl.Close()
 
-			populateIntegrity(t, cl, fileSize)
+			populateIntegrity(t, cl, fileSize, events...)
 			readBackIntegrity(t, cl, fileSize, step, 50*time.Millisecond)
 
 			if got := counterSum(cl, "faults_injected_total"); got < 1 {
@@ -161,18 +159,16 @@ func TestScrubRepairsLatentRot(t *testing.T) {
 			Seed: int64(200 + d),
 		})
 	}
-	cl := integrityCluster(ArchPVFS2, faults.NewPlan(1, events...))
+	cl := integrityCluster(ArchPVFS2)
 	defer cl.Close()
-	populateIntegrity(t, cl, fileSize)
+	populateIntegrity(t, cl, fileSize, events...)
 
 	// Apply the rot with no foreground reads in flight: the kernel drains
-	// the fault plan even though the applications return immediately.
-	// Disarm afterwards — an armed plan replays on every Run, and this
-	// test needs the rot to stay latent, not re-injected behind the scrub.
+	// the fault plan even though the applications return immediately.  The
+	// plan fires in this run only, so the rot stays latent behind the scrub.
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error { return nil }); err != nil {
 		t.Fatalf("rot run: %v", err)
 	}
-	cl.ArmFaults(false)
 
 	outs, err := cl.ScrubPass()
 	if err != nil {
@@ -213,7 +209,7 @@ func TestScrubRepairsLatentRot(t *testing.T) {
 }
 
 // TestScheduledScrubRunsOnBothTransports: the one run loop replays
-// scheduled passes on the fabric and over TCP alike — the queued times are
+// scheduled passes on the fabric and over TCP alike — the queued passes are
 // taken by the next run and every one of them runs, even though the
 // applications return at once.
 func TestScheduledScrubRunsOnBothTransports(t *testing.T) {
@@ -221,20 +217,15 @@ func TestScheduledScrubRunsOnBothTransports(t *testing.T) {
 		t.Run(string(tr), func(t *testing.T) {
 			cl := New(Config{Arch: ArchPVFS2, Clients: 1, Transport: tr})
 			defer cl.Close()
-			queued := func() int {
-				cl.scrubMu.Lock()
-				defer cl.scrubMu.Unlock()
-				return len(cl.scrubTimes)
-			}
-			cl.ScheduleScrub(time.Millisecond, 2*time.Millisecond)
-			if n := queued(); n != 2 {
-				t.Fatalf("%d pass times queued, want 2", n)
+			schedule(t, cl, faults.Scrub{At: time.Millisecond}, faults.Scrub{At: 2 * time.Millisecond})
+			if n := queued(cl); n != 2 {
+				t.Fatalf("%d passes queued, want 2", n)
 			}
 			if _, err := cl.Run(func(*rpc.Ctx, *Mount, int) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
-			if n, ran := queued(), len(cl.ScrubResults()); n != 0 || ran == 0 {
-				t.Fatalf("after the run: %d times still queued, %d pass outcomes; want 0 and some", n, ran)
+			if n, ran := queued(cl), len(cl.ScrubResults()); n != 0 || ran == 0 {
+				t.Fatalf("after the run: %d passes still queued, %d pass outcomes; want 0 and some", n, ran)
 			}
 		})
 	}
@@ -253,11 +244,10 @@ func TestScheduledScrubRunsInBackground(t *testing.T) {
 			Seed: int64(300 + d),
 		})
 	}
-	cl := integrityCluster(ArchPVFS2, faults.NewPlan(1, events...))
+	cl := integrityCluster(ArchPVFS2)
 	defer cl.Close()
-	populateIntegrity(t, cl, fileSize)
+	populateIntegrity(t, cl, fileSize, append(events, faults.Scrub{At: 20 * time.Millisecond})...)
 
-	cl.ScheduleScrub(20 * time.Millisecond)
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 		ctx.P.Sleep(200 * time.Millisecond) // outlive the scheduled pass
 		return nil
@@ -282,7 +272,6 @@ func TestScheduledScrubRunsInBackground(t *testing.T) {
 	if repaired < 1 {
 		t.Fatalf("scheduled scrub repaired %d chunks, want >= 1", repaired)
 	}
-	cl.ArmFaults(false) // the armed plan would replay into the read run
 	readBackIntegrity(t, cl, fileSize, 64<<10, 0)
 }
 
@@ -305,9 +294,9 @@ func TestScrubDeterministicUnderSeedReplay(t *testing.T) {
 				Seed: int64(400 + d),
 			})
 		}
-		cl := integrityCluster(ArchDirectPNFS, faults.NewPlan(7, events...))
+		cl := integrityCluster(ArchDirectPNFS)
 		defer cl.Close()
-		populateIntegrity(t, cl, fileSize)
+		populateIntegrity(t, cl, fileSize, events...)
 		if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error { return nil }); err != nil {
 			t.Fatalf("rot run: %v", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pnfs"
@@ -34,8 +35,10 @@ func callsTo(cl *Cluster, service string) (n float64) {
 // rotten issues exactly the calls the table's bounds add up to — per remote
 // service, so a rung applied twice, or alternates walked by two layers, moves
 // a count — repairs the extent at most once however often it is read, and
-// hands back the checksum failure when no copy is clean.  The last rows do
-// the same for a scrub pass, whose repair fetch is the same replica rung.
+// hands back the checksum failure when no copy is clean.  The scrub rows do
+// the same for a scrub pass, whose repair fetch is the same replica rung, and
+// the last rows for the write ladders: a write-back extent and a COMMIT whose
+// data server stays down.
 func TestReplicaLadderBounds(t *testing.T) {
 	const (
 		unit   = 64 << 10
@@ -202,6 +205,79 @@ func TestReplicaLadderBounds(t *testing.T) {
 			if got := callsTo(cl, pvfs.ServiceIO) - before; got != row.fetches || found != row.found || repaired != row.repaired {
 				t.Fatalf("pass made %v partner reads, found %d, repaired %d; want %v, %d, %d",
 					got, found, repaired, row.fetches, row.found, row.repaired)
+			}
+		})
+	}
+
+	// The write ladders, on an unreplicated Direct-pNFS cluster whose io1
+	// stays down, so every rung runs to its bound and the error the
+	// application finally sees is the PVFS2 retry loop's behind the MDS.
+	// Write-back of one extent on io1: the primary WRITE, the layout
+	// re-drive (GETDEVICELIST + LAYOUTGET, one retried WRITE), the MDS proxy
+	// (one WRITE), and behind it the MDS's PVFS2 client, which tries io1's
+	// daemon for its whole retry budget.  COMMIT after unstable writes to
+	// io0 and io1: one COMMIT per touched data server, io1's falls back to
+	// one COMMIT through the MDS, which flushes the file's daemons in order —
+	// io0, then io1 for the whole budget.
+	budget := float64(rpc.DefaultRetryPolicy().Max)
+	for _, row := range []struct {
+		name      string
+		unstable  bool // write io0 and io1 while up, then COMMIT with io1 down
+		calls     calls
+		fallbacks float64
+	}{
+		{"direct-pnfs/write-back-ds-down", false,
+			calls{ServiceDS: 1 + 1, ServiceMDS: 2 + 1, pvfs.ServiceIO: budget}, 1},
+		{"direct-pnfs/commit-ds-down", true,
+			calls{ServiceDS: 2, ServiceMDS: 1, pvfs.ServiceIO: 1 + budget}, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cl := New(Config{
+				Arch: ArchDirectPNFS, Clients: 1, Backends: 6, Real: true,
+				StripeSize: unit, WSize: unit, RSize: unit,
+			})
+			defer cl.Close()
+			if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+				f, err := m.Create(ctx, "/w")
+				if err != nil {
+					return err
+				}
+				if row.unstable {
+					// Two WSize runs go out UNSTABLE through write-back.
+					if err := m.Write(ctx, f, 0, payload.Real(want)); err != nil {
+						return err
+					}
+					ctx.Sleep(100 * time.Millisecond) // let write-back land
+				}
+				cl.SetNodeDown("io1", true)
+				before := calls{}
+				for _, s := range services {
+					before[s] = callsTo(cl, s)
+				}
+				if !row.unstable {
+					// The file's second stripe unit lives on io1.
+					if err := m.Write(ctx, f, unit, payload.Real(want[unit:])); err != nil {
+						return err
+					}
+				}
+				if err := m.Fsync(ctx, f); err == nil {
+					return fmt.Errorf("fsync succeeded with io1 down for good")
+				}
+				cost := calls{}
+				for _, s := range services {
+					if d := callsTo(cl, s) - before[s]; d != 0 {
+						cost[s] = d
+					}
+				}
+				if fmt.Sprint(cost) != fmt.Sprint(row.calls) {
+					return fmt.Errorf("calls %v, want exactly %v", cost, row.calls)
+				}
+				if got := counterSum(cl, "nfs_client_mds_fallbacks_total"); got != row.fallbacks {
+					return fmt.Errorf("%v MDS fallbacks, want %v", got, row.fallbacks)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"dpnfs/internal/faults"
 	"dpnfs/internal/ioengine"
 	"dpnfs/internal/pnfs"
 	"dpnfs/internal/pvfs"
@@ -31,20 +32,6 @@ type member struct {
 	state memberState
 }
 
-// Membership operation kinds.
-const (
-	opJoin  = "join"
-	opDrain = "drain"
-)
-
-// memberOp is one scheduled membership change, applied by the in-process
-// reconciliation loop at virtual offset `at` relative to the next Run.
-type memberOp struct {
-	kind string
-	name string
-	at   time.Duration
-}
-
 // membershipSupported gates the elastic operations: they drive the
 // simulated fabric (dialing conns and spawning servers mid-run has no TCP
 // counterpart here) and rebalance only understands the default round-robin
@@ -59,62 +46,50 @@ func (cl *Cluster) membershipSupported() error {
 	return nil
 }
 
-// AddStorageNode schedules the join of a brand-new storage node at virtual
-// offset at, relative to the start of the next Run (or Reconcile).  The
-// node gets a never-before-seen stable device ID; existing files are
-// rebalanced onto the widened stripe in the background.
-func (cl *Cluster) AddStorageNode(name string, at time.Duration) error {
+// admit checks one event against the membership and the queue it joins
+// (memberMu held).  Faults and scrub passes are always admitted.  A join or
+// a drain needs membershipSupported, a join a node name never used before
+// (device IDs are never reused), a drain an active member other than the
+// metadata manager, and neither may target a node that already has a
+// membership event queued.
+func (cl *Cluster) admit(ev faults.Event) error {
+	if laneOf(ev) != memberLane {
+		return nil
+	}
 	if err := cl.membershipSupported(); err != nil {
 		return err
 	}
-	cl.memberMu.Lock()
-	defer cl.memberMu.Unlock()
-	if _, ok := cl.nodeByName[name]; ok {
-		return fmt.Errorf("cluster: node %q already exists", name)
+	name := ev.Target()
+	if _, join := ev.(faults.Join); join {
+		if _, ok := cl.nodeByName[name]; ok {
+			return fmt.Errorf("cluster: node %q already exists", name)
+		}
+		if _, ok := cl.devIDs[name]; ok {
+			return fmt.Errorf("cluster: node name %q was a member before; device IDs are never reused", name)
+		}
+	} else {
+		m := cl.members[name]
+		if m == nil {
+			return fmt.Errorf("cluster: %q is not a storage member", name)
+		}
+		if m.state != memberActive {
+			return fmt.Errorf("cluster: %q is not active (already draining or removed)", name)
+		}
+		if m.node == cl.mdsNode {
+			return fmt.Errorf("cluster: cannot drain %q: it doubles as the metadata manager", name)
+		}
 	}
-	if _, ok := cl.devIDs[name]; ok {
-		return fmt.Errorf("cluster: node name %q was a member before; device IDs are never reused", name)
-	}
-	for _, op := range cl.pendingOps {
-		if op.name == name {
+	for _, q := range cl.schedule.Events {
+		if laneOf(q) == memberLane && q.Target() == name {
 			return fmt.Errorf("cluster: node %q already has a pending membership operation", name)
 		}
 	}
-	cl.pendingOps = append(cl.pendingOps, memberOp{kind: opJoin, name: name, at: at})
 	return nil
 }
 
-// DrainNode schedules the drain of an active storage node at virtual offset
-// at, relative to the start of the next Run (or Reconcile): the node stops
-// receiving new placements, its data migrates to the remaining members, and
-// it is then removed from membership.  Its device ID retires with it.
-func (cl *Cluster) DrainNode(name string, at time.Duration) error {
-	if err := cl.membershipSupported(); err != nil {
-		return err
-	}
-	cl.memberMu.Lock()
-	defer cl.memberMu.Unlock()
-	m := cl.members[name]
-	if m == nil {
-		return fmt.Errorf("cluster: %q is not a storage member", name)
-	}
-	if m.state != memberActive {
-		return fmt.Errorf("cluster: %q is not active (already draining or removed)", name)
-	}
-	if m.node == cl.mdsNode {
-		return fmt.Errorf("cluster: cannot drain %q: it doubles as the metadata manager", name)
-	}
-	for _, op := range cl.pendingOps {
-		if op.name == name {
-			return fmt.Errorf("cluster: node %q already has a pending membership operation", name)
-		}
-	}
-	cl.pendingOps = append(cl.pendingOps, memberOp{kind: opDrain, name: name, at: at})
-	return nil
-}
-
-// Reconcile applies every scheduled membership operation immediately, in a
-// run of its own with no application workload.
+// Reconcile replays the scheduled events (Schedule) immediately, in a run
+// of its own with no application workload, and returns the membership
+// failure it met, if any.
 func (cl *Cluster) Reconcile() error {
 	if _, err := cl.runSubset(nil, nil); err != nil {
 		return err
@@ -123,9 +98,9 @@ func (cl *Cluster) Reconcile() error {
 }
 
 // ReconcileErr returns the most recent reconciliation failure, if any.
-// Applications keep running through a failed membership operation (exactly
-// as they would through a failed operator action), so callers that schedule
-// ops must check this after the run.
+// Applications keep running through a failed join or drain (exactly as they
+// would through a failed operator action), so callers that schedule one
+// must check this after the run.
 func (cl *Cluster) ReconcileErr() error {
 	cl.memberMu.Lock()
 	defer cl.memberMu.Unlock()
@@ -140,27 +115,13 @@ func (cl *Cluster) MigrationWindow() (start, end time.Duration) {
 	return cl.migStart, cl.migEnd
 }
 
-// takePendingOps claims the scheduled operations for the run that is about
-// to start, ordered by their offsets.
-func (cl *Cluster) takePendingOps() []memberOp {
-	cl.memberMu.Lock()
-	defer cl.memberMu.Unlock()
-	ops := cl.pendingOps
-	cl.pendingOps = nil
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
-	return ops
-}
-
-// applyMemberOp executes one scheduled membership change on the reconciler
-// process.
-func (cl *Cluster) applyMemberOp(ctx *rpc.Ctx, op memberOp) error {
-	switch op.kind {
-	case opJoin:
-		return cl.applyJoin(ctx, op.name)
-	case opDrain:
-		return cl.applyDrain(ctx, op.name)
+// recordReconcile keeps a failed join or drain for ReconcileErr.
+func (cl *Cluster) recordReconcile(err error) {
+	if err != nil {
+		cl.memberMu.Lock()
+		cl.reconcileErr = err
+		cl.memberMu.Unlock()
 	}
-	return fmt.Errorf("cluster: unknown membership op %q", op.kind)
 }
 
 // updateMemberGauges publishes cluster_members{state}.

@@ -22,6 +22,22 @@ func memberPattern(i, size int) []byte {
 	return data
 }
 
+// schedule queues the events as one plan, failing the test if Schedule
+// refuses them.
+func schedule(t *testing.T, cl *Cluster, events ...faults.Event) {
+	t.Helper()
+	if err := cl.Schedule(faults.NewPlan(1, events...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queued counts the events waiting for the next run.
+func queued(cl *Cluster) int {
+	cl.memberMu.Lock()
+	defer cl.memberMu.Unlock()
+	return len(cl.schedule.Events)
+}
+
 // writeMemberCorpus writes each client's pattern file and syncs it.
 func writeMemberCorpus(cl *Cluster, size int) error {
 	_, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
@@ -72,9 +88,7 @@ func TestJoinWidensClusterAndPreservesData(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := len(cl.activeNodes())
-			if err := cl.AddStorageNode("io9", 0); err != nil {
-				t.Fatal(err)
-			}
+			schedule(t, cl, faults.Join{Node: "io9"})
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
@@ -141,9 +155,7 @@ func TestDrainRetiresDeviceIDAndPreservesData(t *testing.T) {
 					survivorIDs[name] = uint32(id)
 				}
 			}
-			if err := cl.DrainNode("io1", 0); err != nil {
-				t.Fatal(err)
-			}
+			schedule(t, cl, faults.Drain{Node: "io1"})
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
@@ -158,13 +170,11 @@ func TestDrainRetiresDeviceIDAndPreservesData(t *testing.T) {
 				}
 			}
 			// The drained name may not rejoin: its device ID is retired.
-			if err := cl.AddStorageNode("io1", 0); err == nil {
+			if err := cl.Schedule(faults.NewPlan(1, faults.Join{Node: "io1"})); err == nil {
 				t.Fatal("re-adding a drained node name was accepted")
 			}
 			// A fresh node gets a fresh ID, never the retired one.
-			if err := cl.AddStorageNode("io9", 0); err != nil {
-				t.Fatal(err)
-			}
+			schedule(t, cl, faults.Join{Node: "io9"})
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
@@ -180,27 +190,23 @@ func TestDrainRetiresDeviceIDAndPreservesData(t *testing.T) {
 
 func TestFaultsOnDrainedNodeAreCountedNoOps(t *testing.T) {
 	// The plan targets io1 — written against the original topology — but by
-	// the time it is armed the node has been drained away.  Every event must
+	// the time it runs the node has been drained away.  Every event must
 	// become a counted no-op instead of a fabric-lookup panic.
-	plan := faults.NewPlan(1,
+	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1, Real: true, StripeSize: 64 << 10})
+	defer cl.Close()
+	if err := writeMemberCorpus(cl, 300_000); err != nil {
+		t.Fatal(err)
+	}
+	schedule(t, cl, faults.Drain{Node: "io1"})
+	if err := cl.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	schedule(t, cl,
 		faults.StorageNodeCrash{At: 10 * time.Millisecond, Node: "io1"},
 		faults.SlowDisk{At: 20 * time.Millisecond, Node: "io1", Factor: 4},
 		faults.LinkDegrade{At: 30 * time.Millisecond, Node: "io1", Loss: 0.5},
 		faults.StorageNodeRestart{At: 40 * time.Millisecond, Node: "io1"},
 	)
-	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1, Real: true, StripeSize: 64 << 10, Faults: plan})
-	defer cl.Close()
-	cl.ArmFaults(false)
-	if err := writeMemberCorpus(cl, 300_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.DrainNode("io1", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Reconcile(); err != nil {
-		t.Fatal(err)
-	}
-	cl.ArmFaults(true)
 	// The measured run outlives the last event, so the driver drains the
 	// whole plan against the post-drain topology.
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
@@ -230,32 +236,45 @@ func TestFaultsOnDrainedNodeAreCountedNoOps(t *testing.T) {
 	}
 }
 
+// TestMembershipValidation: Schedule checks every join and drain against
+// the membership and the queue, and a refused plan queues nothing — not
+// even the events before the one refused.
 func TestMembershipValidation(t *testing.T) {
 	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1})
 	defer cl.Close()
-	if err := cl.AddStorageNode("io1", 0); err == nil {
-		t.Fatal("adding an existing node was accepted")
+	cl2 := New(Config{Arch: ArchDirectPNFS, Clients: 1, Aggregation: pnfs.AggReplicated})
+	defer cl2.Close()
+	fault := faults.SlowDisk{At: time.Millisecond, Node: "io2", Factor: 1}
+	scrub := faults.Scrub{At: time.Millisecond}
+	refused := func(cl *Cluster, what string, events ...faults.Event) {
+		t.Helper()
+		before := queued(cl)
+		if err := cl.Schedule(faults.NewPlan(1, events...)); err == nil {
+			t.Fatalf("%s was accepted", what)
+		}
+		if n := queued(cl); n != before {
+			t.Fatalf("%s: refused plan left %d events queued, want %d", what, n, before)
+		}
 	}
-	if err := cl.DrainNode("io0", 0); err == nil {
-		t.Fatal("draining the metadata node was accepted")
-	}
-	if err := cl.DrainNode("nope", 0); err == nil {
-		t.Fatal("draining an unknown node was accepted")
-	}
-	if err := cl.AddStorageNode("io9", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.DrainNode("io9", time.Second); err == nil {
-		t.Fatal("second pending op for the same node was accepted")
+	refused(cl, "adding an existing node", fault, faults.Join{Node: "io1"})
+	refused(cl, "draining the metadata node", scrub, faults.Drain{Node: "io0"})
+	refused(cl, "draining an unknown node", faults.Drain{Node: "nope"})
+	refused(cl, "two membership events for one node in one plan",
+		faults.Join{Node: "io9"}, faults.Drain{At: time.Second, Node: "io9"})
+	schedule(t, cl, faults.Join{Node: "io9"}, fault)
+	refused(cl, "a second pending op for the same node", scrub, faults.Drain{At: time.Second, Node: "io9"})
+	if n := queued(cl); n != 2 {
+		t.Fatalf("%d events queued, want the accepted join and fault", n)
 	}
 	if err := cl.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
-	cl2 := New(Config{Arch: ArchDirectPNFS, Clients: 1, Aggregation: pnfs.AggReplicated})
-	defer cl2.Close()
-	if err := cl2.AddStorageNode("io9", 0); err == nil {
-		t.Fatal("membership with custom aggregation was accepted")
+	if n := queued(cl); n != 0 {
+		t.Fatalf("%d events still queued after the run", n)
 	}
+	refused(cl2, "membership with custom aggregation", faults.Join{Node: "io9"})
+	// Faults and scrub passes need no membership support.
+	schedule(t, cl2, fault, scrub)
 }
 
 func TestCrashDuringDrainReissuesPendingChunksOnce(t *testing.T) {
@@ -291,9 +310,7 @@ func TestCrashDuringDrainReissuesPendingChunksOnce(t *testing.T) {
 				cl.RestartVolatile("io1")
 				cl.SetNodeDown("io1", false)
 			}
-			if err := cl.DrainNode("io1", 0); err != nil {
-				t.Fatal(err)
-			}
+			schedule(t, cl, faults.Drain{Node: "io1"})
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
@@ -305,6 +322,66 @@ func TestCrashDuringDrainReissuesPendingChunksOnce(t *testing.T) {
 			}
 			if cl.rebalanceReissued.Value() == 0 {
 				t.Fatal("no chunks were re-issued despite the mid-migration crash")
+			}
+			if err := verifyMemberCorpus(cl, size); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestScheduleComposesCrashWithDrain: one plan drains io1 and, while the
+// rebalance is copying, crashes io2 — a WAL-backed survivor that holds both
+// source data and the new placement's shadow objects — and restarts it.
+// The crash fires on time from its own lane while the drain blocks the
+// reconcile lane; chunks that met the outage are re-issued once, and the
+// corpus reads back byte-identical on the post-drain topology.  The crash
+// lands just after the first file's shadow objects were created, before any
+// chunk reached io2: a shadow create that was not yet durable would be lost
+// with io2's volatile state, and the re-issued chunks would find a stale
+// handle.
+func TestScheduleComposesCrashWithDrain(t *testing.T) {
+	const (
+		size    = 1 << 20
+		crashAt = 9 * time.Millisecond
+		// Longer than the fast first pass retries, so chunks bound for io2
+		// fall to the re-issue pass, which waits out the restart.
+		restartAt = crashAt + 500*time.Millisecond
+	)
+	for _, arch := range Archs {
+		t.Run(string(arch), func(t *testing.T) {
+			cl := New(Config{
+				Arch: arch, Clients: 2, Real: true,
+				StripeSize: 64 << 10, Backend: BackendWAL,
+			})
+			defer cl.Close()
+			if err := writeMemberCorpus(cl, size); err != nil {
+				t.Fatal(err)
+			}
+			start := cl.Now()
+			schedule(t, cl,
+				faults.Drain{Node: "io1"},
+				faults.StorageNodeCrash{At: crashAt, Node: "io2"},
+				faults.StorageNodeRestart{At: restartAt, Node: "io2"},
+			)
+			if err := cl.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			if migStart, migEnd := cl.MigrationWindow(); start+crashAt < migStart || start+restartAt >= migEnd {
+				t.Fatalf("outage %v..%v is not inside the migration window %v..%v",
+					crashAt, restartAt, migStart-start, migEnd-start)
+			}
+			if got := counterSum(cl, "faults_injected_total"); got != 2 {
+				t.Fatalf("faults_injected_total = %v, want the crash/restart pair", got)
+			}
+			if got := counterSum(cl, "rebalance_files_total"); got < 1 {
+				t.Fatalf("rebalance_files_total = %v, want >= 1", got)
+			}
+			if cl.rebalanceReissued.Value() == 0 {
+				t.Fatal("no chunk met the outage: the crash tested nothing")
+			}
+			if st := cl.members["io1"].state; st != memberRemoved {
+				t.Fatalf("io1 state %v after the drain, want removed", st)
 			}
 			if err := verifyMemberCorpus(cl, size); err != nil {
 				t.Fatal(err)

@@ -39,13 +39,11 @@ func TestReplicaFailoverAvoidsMDS(t *testing.T) {
 		// io3-io5 the mirror, so the io1 crash always leaves an alternate.
 		Aggregation: pnfs.AggReplicated,
 		AggParams:   []int64{2, 64 << 10},
-		Faults:      plan,
 	})
 	defer cl.Close()
 
-	// Populate with faults disarmed: Map fans every write out to both
-	// replica devices, so each copy independently holds the whole file.
-	cl.ArmFaults(false)
+	// Populate before the plan is scheduled: Map fans every write out to
+	// both replica devices, so each copy independently holds the whole file.
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
 		f, err := m.Create(ctx, fmt.Sprintf("/rep.%d", i))
 		if err != nil {
@@ -61,7 +59,7 @@ func TestReplicaFailoverAvoidsMDS(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("populate: %v", err)
 	}
-	cl.ArmFaults(true)
+	schedule(t, cl, plan.Events...)
 
 	// Paced cold read spanning the outage.  ReadMap picks one replica per
 	// chunk by seed, so some reads do land on the dead io1 — the replica

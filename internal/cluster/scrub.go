@@ -1,10 +1,10 @@
 // Background scrub wiring: one scrub.Scrubber per storage node, repairing
 // from the node's replica partners when the substrate is replicated
 // (DistParams.Copies via distCopies).  Passes run either synchronously
-// (ScrubPass, for tests and operator tooling) or on a schedule replayed
-// relative to a workload run's start (ScheduleScrub + the scrub-driver in
-// runSubsetInner), mirroring the faults-driver idiom so scheduled passes
-// are deterministic under seed replay.  Both run on either transport.
+// (ScrubPass, for tests and operator tooling) or as faults.Scrub events of
+// a scheduled plan, replayed on the run's scrub lane (Schedule,
+// runSubsetInner) so they are deterministic under seed replay.  Both run on
+// either transport.
 
 package cluster
 
@@ -104,24 +104,6 @@ func (cl *Cluster) replicaFetch(dev, copies int, ss *pvfs.StorageServer) scrub.F
 		good.Release()
 		return n, nil
 	}
-}
-
-// ScheduleScrub queues full-cluster scrub passes at the given offsets into
-// the next Run, replayed by the scrub-driver exactly as fault plans are, on
-// either transport.
-func (cl *Cluster) ScheduleScrub(at ...time.Duration) {
-	cl.scrubMu.Lock()
-	cl.scrubTimes = append(cl.scrubTimes, at...)
-	cl.scrubMu.Unlock()
-}
-
-// takeScrubTimes steals the queued pass times for the run about to start.
-func (cl *Cluster) takeScrubTimes() []time.Duration {
-	cl.scrubMu.Lock()
-	defer cl.scrubMu.Unlock()
-	times := cl.scrubTimes
-	cl.scrubTimes = nil
-	return times
 }
 
 // ScrubPass runs one synchronous full-cluster pass (every node, in node

@@ -52,61 +52,66 @@ func BackendFactory(kind string) (StoreFactory, error) {
 	}
 }
 
-// CrashVolatile implements faults.VolatileTarget: the crashing node's
-// storage daemon loses its volatile state (store image, handle table).
-// Under the default mem backend the store is not store.Recoverable and the
-// daemon keeps its image — the original reboot-with-state-intact model;
-// under wal/cached everything unsynced is gone until RestartVolatile.
+// CrashVolatile implements faults.Target: the crashing node's storage
+// daemon loses its volatile state (store image, handle table).  Under the
+// default mem backend the store is not store.Recoverable and the daemon
+// keeps its image — the original reboot-with-state-intact model; under
+// wal/cached everything unsynced is gone until RestartVolatile.
 func (cl *Cluster) CrashVolatile(node string) {
 	if ss, ok := cl.storageByNode[node]; ok {
 		ss.CrashVolatile()
 	}
 }
 
-// CorruptData implements faults.CorruptionTarget: flips one stored byte on
-// the node's store, deterministically from seed, without resealing its
-// block checksum.  Nodes whose store has nothing materialized (synthetic
-// payloads, empty stores) are counted no-ops, like any untargetable fault.
+// CorruptData implements faults.Target: flips one stored byte on the node's
+// store, deterministically from seed, without resealing its block checksum.
 func (cl *Cluster) CorruptData(node string, seed int64) {
-	if !cl.faultTargetable("bit-rot", node) {
-		return
-	}
-	ss, ok := cl.storageByNode[node]
-	if !ok || !ss.CorruptData(seed) {
-		cl.skippedFaults.With("bit-rot", node).Inc()
-	}
+	cl.corrupt("bit-rot", node, func(s store.Store) bool {
+		c, ok := s.(store.Corruptible)
+		return ok && c.CorruptChunk(seed)
+	})
 }
 
-// MisdirectRead implements faults.CorruptionTarget: arms a one-shot
-// wrong-block read on the node's store.
+// MisdirectRead implements faults.Target: arms a one-shot wrong-block read
+// on the node's store.
 func (cl *Cluster) MisdirectRead(node string, seed int64) {
-	if !cl.faultTargetable("misdirected-read", node) {
-		return
-	}
-	ss, ok := cl.storageByNode[node]
-	if !ok || !ss.MisdirectRead(seed) {
-		cl.skippedFaults.With("misdirected-read", node).Inc()
-	}
+	cl.corrupt("misdirected-read", node, func(s store.Store) bool {
+		c, ok := s.(store.Corruptible)
+		return ok && c.MisdirectNextRead(seed)
+	})
 }
 
-// ArmTornWrite implements faults.CorruptionTarget: the node's next crash
-// persists only a prefix of its final journal record.  A no-op (counted)
-// for non-journaling backends.
+// ArmTornWrite implements faults.Target: the node's next crash persists only
+// a prefix of its final journal record.
 func (cl *Cluster) ArmTornWrite(node string) {
-	if !cl.faultTargetable("torn-write", node) {
+	cl.corrupt("torn-write", node, func(s store.Store) bool {
+		tw, ok := s.(store.TornWriter)
+		if ok {
+			tw.ArmTornWrite()
+		}
+		return ok
+	})
+}
+
+// corrupt applies one corruption hook to the node's store.  Untargetable
+// nodes, stores without the hook (non-journaling backends have no torn
+// writes) and stores with nothing materialized to damage (synthetic
+// payloads, empty stores) are counted no-ops, like any untargetable fault.
+func (cl *Cluster) corrupt(kind, node string, hook func(store.Store) bool) {
+	if !cl.faultTargetable(kind, node) {
 		return
 	}
 	ss, ok := cl.storageByNode[node]
-	if !ok || !ss.ArmTornWrite() {
-		cl.skippedFaults.With("torn-write", node).Inc()
+	if !ok || !hook(ss.Store()) {
+		cl.skippedFaults.With(kind, node).Inc()
 	}
 }
 
-// RestartVolatile implements faults.VolatileTarget: replays the node's
-// durable log into a fresh image before the node rejoins.  Replay time is
-// deliberately not charged to the simulation — recovery happens inside the
-// outage window the fault plan already models.  A replay failure is a
-// corrupt log, which is a bug, so it fails loudly.
+// RestartVolatile implements faults.Target: replays the node's durable log
+// into a fresh image before the node rejoins.  Replay time is deliberately
+// not charged to the simulation — recovery happens inside the outage window
+// the fault plan already models.  A replay failure is a corrupt log, which
+// is a bug, so it fails loudly.
 func (cl *Cluster) RestartVolatile(node string) {
 	if ss, ok := cl.storageByNode[node]; ok {
 		if _, err := ss.RecoverVolatile(); err != nil {

@@ -1,10 +1,12 @@
-// Package faults is the deterministic fault-injection engine: a Plan is a
-// seed-driven schedule of events (storage-node crashes and restarts, link
-// degradation, slow disks) that a cluster replays against itself while a
-// workload runs.  The same plan drives every architecture, which is what
-// turns the simulator into a testbed for the paper's *unhappy* paths —
+// Package faults is the deterministic event engine: a Plan is a
+// seed-driven schedule of events — storage-node crashes and restarts, link
+// degradation, slow disks, silent corruption, and the operator's joins,
+// drains and scrub passes — that a cluster replays against itself during
+// its next workload run.  The same plan drives every architecture, which is
+// what turns the simulator into a testbed for the paper's *unhappy* paths —
 // layout recall/refetch and MDS-proxied fallback under storage-node loss
-// (paper §3–§4, §6).
+// (paper §3–§4, §6) — and for how they compose with membership changes and
+// scrubbing.
 //
 // Determinism: a plan's schedule is fixed by its Events (and, for
 // RandomPlan, by its seed alone).  Under the simulation kernel events fire
@@ -12,10 +14,9 @@
 // plan) pair are byte-identical — the property the bench determinism
 // regression test pins.
 //
-// The engine itself is transport- and protocol-agnostic: it manipulates an
-// abstract Target (implemented by cluster.Cluster), and every applied
-// injection is counted in the shared metrics registry as
-// faults_injected_total{kind,node}.
+// The engine itself is transport- and protocol-agnostic: every event
+// applies itself to an abstract Target (implemented by cluster.Cluster),
+// on the flow that replays it.
 package faults
 
 import (
@@ -24,13 +25,14 @@ import (
 	"sort"
 	"time"
 
-	"dpnfs/internal/metrics"
+	"dpnfs/internal/rpc"
 )
 
-// Target is the surface an injector manipulates.  cluster.Cluster implements
-// it for both transports: on the simulated fabric all three hooks apply; in
-// TCP mode only node down/up is meaningful (links and disks are not
-// modeled on real sockets) and the others are no-ops.
+// Target is the surface plan events act on.  cluster.Cluster implements it
+// for both transports: node faults apply on either, while links and disks
+// are properties of the simulated models (no-ops over TCP).  Join, Drain
+// and Scrub block the flow that replays them for as long as the rebalance
+// or the pass takes; a Target records their failures itself.
 type Target interface {
 	// SetNodeDown marks every RPC service on node unreachable (down=true)
 	// or reachable again (down=false).  Calls to a down node surface as
@@ -44,31 +46,14 @@ type Target interface {
 	// SetDiskSlow scales the node's disk service time by factor (>= 1).
 	// Factor 1 restores full speed.
 	SetDiskSlow(node string, factor float64)
-}
-
-// VolatileTarget is the optional extension a Target implements when node
-// crashes should also discard volatile state — in-memory store images and
-// handle tables — and replay durable state on restart.  This is the surface
-// the durable backends (internal/store/wal, docs/BACKENDS.md) exercise:
-// with it, a crash event models a real reboot in which everything not yet
-// synced to the write-ahead log is lost.  Targets whose stores are purely
-// volatile simply do not implement it and keep the original reboot-with-
-// image-intact semantics.
-type VolatileTarget interface {
-	// CrashVolatile discards the node's volatile state at crash time.
+	// CrashVolatile discards the node's volatile state — in-memory store
+	// images and handle tables — at crash time, and RestartVolatile replays
+	// its durable state before the node rejoins: with a durable backend
+	// (internal/store/wal, docs/BACKENDS.md) a crash is a real reboot that
+	// loses everything not yet synced.  Purely volatile stores keep their
+	// image, the original reboot-with-image-intact semantics.
 	CrashVolatile(node string)
-	// RestartVolatile replays the node's durable state before the node
-	// rejoins the cluster.
 	RestartVolatile(node string)
-}
-
-// CorruptionTarget is the optional extension a Target implements when data
-// integrity faults — silent corruption of stored bytes, not node loss — can
-// be injected into a node's store (docs/FAULTS.md "Corruption").  Every hook
-// is deterministic in (node, seed), so a corruption plan replays exactly.
-// Targets without checksummed stores simply do not implement it and the
-// corruption events become counted no-ops.
-type CorruptionTarget interface {
 	// CorruptData flips one stored byte on node's store, chosen
 	// deterministically from seed, without updating its block checksum —
 	// bit rot on the media.
@@ -80,20 +65,27 @@ type CorruptionTarget interface {
 	// ArmTornWrite makes node's next crash persist only a prefix of the
 	// final acknowledged journal record, so recovery sees a torn write.
 	ArmTornWrite(node string)
+	// Join brings a brand-new storage node into the cluster and rebalances
+	// existing files onto the widened stripe.
+	Join(ctx *rpc.Ctx, node string)
+	// Drain migrates every byte off an active storage node and retires it.
+	Drain(ctx *rpc.Ctx, node string)
+	// Scrub runs one full-cluster scrub pass, recorded as scheduled at at.
+	Scrub(ctx *rpc.Ctx, at time.Duration)
 }
 
-// Event is one scheduled injection.  Concrete events are the exported
-// structs below; At is relative to the start of the run the plan is armed
-// for.
+// Event is one scheduled action.  Concrete events are the exported structs
+// below; At is relative to the start of the run the plan is scheduled for.
 type Event interface {
 	// When returns the event's offset from the start of the run.
 	When() time.Duration
 	// Kind returns a short label for metrics and traces.
 	Kind() string
-	// Target returns the node the event manipulates.
+	// Target returns the node the event manipulates ("" for the whole
+	// cluster).
 	Target() string
-	// Apply performs the injection.
-	Apply(tg Target)
+	// Apply performs the event on the flow that replays it.
+	Apply(ctx *rpc.Ctx, tg Target)
 }
 
 // StorageNodeCrash takes every service on Node offline at At.
@@ -105,18 +97,16 @@ type StorageNodeCrash struct {
 func (e StorageNodeCrash) When() time.Duration { return e.At }
 func (e StorageNodeCrash) Kind() string        { return "crash" }
 func (e StorageNodeCrash) Target() string      { return e.Node }
-func (e StorageNodeCrash) Apply(tg Target) {
+func (e StorageNodeCrash) Apply(_ *rpc.Ctx, tg Target) {
 	tg.SetNodeDown(e.Node, true)
-	if vt, ok := tg.(VolatileTarget); ok {
-		vt.CrashVolatile(e.Node)
-	}
+	tg.CrashVolatile(e.Node)
 }
 
 // StorageNodeRestart brings a crashed node back at At.  Disk media survives
 // the crash (the model is a node reboot, not media loss); whether the
-// node's *store* survives depends on the backend: a VolatileTarget replays
-// its durable log here, while purely volatile targets come back with the
-// image intact.
+// node's *store* survives depends on the backend: a durable store replays
+// its log here, while a purely volatile one comes back with the image
+// intact.
 type StorageNodeRestart struct {
 	At   time.Duration
 	Node string
@@ -125,10 +115,8 @@ type StorageNodeRestart struct {
 func (e StorageNodeRestart) When() time.Duration { return e.At }
 func (e StorageNodeRestart) Kind() string        { return "restart" }
 func (e StorageNodeRestart) Target() string      { return e.Node }
-func (e StorageNodeRestart) Apply(tg Target) {
-	if vt, ok := tg.(VolatileTarget); ok {
-		vt.RestartVolatile(e.Node)
-	}
+func (e StorageNodeRestart) Apply(_ *rpc.Ctx, tg Target) {
+	tg.RestartVolatile(e.Node)
 	tg.SetNodeDown(e.Node, false)
 }
 
@@ -146,7 +134,9 @@ type LinkDegrade struct {
 func (e LinkDegrade) When() time.Duration { return e.At }
 func (e LinkDegrade) Kind() string        { return "link-degrade" }
 func (e LinkDegrade) Target() string      { return e.Node }
-func (e LinkDegrade) Apply(tg Target)     { tg.SetLink(e.Node, e.Loss, e.ExtraRTT) }
+func (e LinkDegrade) Apply(_ *rpc.Ctx, tg Target) {
+	tg.SetLink(e.Node, e.Loss, e.ExtraRTT)
+}
 
 // LinkRestore heals a degraded link at At.
 type LinkRestore struct {
@@ -154,10 +144,10 @@ type LinkRestore struct {
 	Node string
 }
 
-func (e LinkRestore) When() time.Duration { return e.At }
-func (e LinkRestore) Kind() string        { return "link-restore" }
-func (e LinkRestore) Target() string      { return e.Node }
-func (e LinkRestore) Apply(tg Target)     { tg.SetLink(e.Node, 0, 0) }
+func (e LinkRestore) When() time.Duration         { return e.At }
+func (e LinkRestore) Kind() string                { return "link-restore" }
+func (e LinkRestore) Target() string              { return e.Node }
+func (e LinkRestore) Apply(_ *rpc.Ctx, tg Target) { tg.SetLink(e.Node, 0, 0) }
 
 // SlowDisk multiplies the node's disk service time by Factor at At.
 // Factor 1 restores full speed.
@@ -167,10 +157,10 @@ type SlowDisk struct {
 	Factor float64
 }
 
-func (e SlowDisk) When() time.Duration { return e.At }
-func (e SlowDisk) Kind() string        { return "slow-disk" }
-func (e SlowDisk) Target() string      { return e.Node }
-func (e SlowDisk) Apply(tg Target)     { tg.SetDiskSlow(e.Node, e.Factor) }
+func (e SlowDisk) When() time.Duration         { return e.At }
+func (e SlowDisk) Kind() string                { return "slow-disk" }
+func (e SlowDisk) Target() string              { return e.Node }
+func (e SlowDisk) Apply(_ *rpc.Ctx, tg Target) { tg.SetDiskSlow(e.Node, e.Factor) }
 
 // BitRot silently flips one stored byte on Node at At, leaving the block's
 // checksum stale.  Which byte is a pure function of (the store's contents,
@@ -182,14 +172,10 @@ type BitRot struct {
 	Seed int64
 }
 
-func (e BitRot) When() time.Duration { return e.At }
-func (e BitRot) Kind() string        { return "bit-rot" }
-func (e BitRot) Target() string      { return e.Node }
-func (e BitRot) Apply(tg Target) {
-	if ct, ok := tg.(CorruptionTarget); ok {
-		ct.CorruptData(e.Node, e.Seed)
-	}
-}
+func (e BitRot) When() time.Duration         { return e.At }
+func (e BitRot) Kind() string                { return "bit-rot" }
+func (e BitRot) Target() string              { return e.Node }
+func (e BitRot) Apply(_ *rpc.Ctx, tg Target) { tg.CorruptData(e.Node, e.Seed) }
 
 // MisdirectedRead arms a one-shot wrong-block read on Node at At: the next
 // read of a victim block (chosen deterministically from Seed) is served
@@ -201,14 +187,10 @@ type MisdirectedRead struct {
 	Seed int64
 }
 
-func (e MisdirectedRead) When() time.Duration { return e.At }
-func (e MisdirectedRead) Kind() string        { return "misdirected-read" }
-func (e MisdirectedRead) Target() string      { return e.Node }
-func (e MisdirectedRead) Apply(tg Target) {
-	if ct, ok := tg.(CorruptionTarget); ok {
-		ct.MisdirectRead(e.Node, e.Seed)
-	}
-}
+func (e MisdirectedRead) When() time.Duration         { return e.At }
+func (e MisdirectedRead) Kind() string                { return "misdirected-read" }
+func (e MisdirectedRead) Target() string              { return e.Node }
+func (e MisdirectedRead) Apply(_ *rpc.Ctx, tg Target) { tg.MisdirectRead(e.Node, e.Seed) }
 
 // TornWrite arms Node so that its next crash persists only a prefix of the
 // final acknowledged journal record.  Meaningful only when paired with a
@@ -220,20 +202,52 @@ type TornWrite struct {
 	Node string
 }
 
-func (e TornWrite) When() time.Duration { return e.At }
-func (e TornWrite) Kind() string        { return "torn-write" }
-func (e TornWrite) Target() string      { return e.Node }
-func (e TornWrite) Apply(tg Target) {
-	if ct, ok := tg.(CorruptionTarget); ok {
-		ct.ArmTornWrite(e.Node)
-	}
+func (e TornWrite) When() time.Duration         { return e.At }
+func (e TornWrite) Kind() string                { return "torn-write" }
+func (e TornWrite) Target() string              { return e.Node }
+func (e TornWrite) Apply(_ *rpc.Ctx, tg Target) { tg.ArmTornWrite(e.Node) }
+
+// Join adds a brand-new storage node named Node at At.  It gets a
+// never-before-seen device ID, and existing files are rebalanced onto the
+// widened stripe before the event's flow moves on.
+type Join struct {
+	At   time.Duration
+	Node string
 }
 
-// Plan is a schedule of fault events.  A cluster built with
-// cluster.Config.Faults re-arms the plan relative to the start of every
-// workload run (Run/RunClient) while faults are armed; pair every crash
-// with a restart (and every degrade with a restore) so the cluster heals
-// between runs.
+func (e Join) When() time.Duration           { return e.At }
+func (e Join) Kind() string                  { return "join" }
+func (e Join) Target() string                { return e.Node }
+func (e Join) Apply(ctx *rpc.Ctx, tg Target) { tg.Join(ctx, e.Node) }
+
+// Drain retires the active storage node Node at At: it stops receiving new
+// placements, its data migrates to the remaining members, and it leaves
+// membership with its device ID.
+type Drain struct {
+	At   time.Duration
+	Node string
+}
+
+func (e Drain) When() time.Duration           { return e.At }
+func (e Drain) Kind() string                  { return "drain" }
+func (e Drain) Target() string                { return e.Node }
+func (e Drain) Apply(ctx *rpc.Ctx, tg Target) { tg.Drain(ctx, e.Node) }
+
+// Scrub runs one full-cluster scrub pass at At: every node's scrubber
+// verifies its whole store, repairing from replicas where it can.
+type Scrub struct {
+	At time.Duration
+}
+
+func (e Scrub) When() time.Duration           { return e.At }
+func (e Scrub) Kind() string                  { return "scrub" }
+func (e Scrub) Target() string                { return "" }
+func (e Scrub) Apply(ctx *rpc.Ctx, tg Target) { tg.Scrub(ctx, e.At) }
+
+// Plan is a schedule of events.  A plan handed to cluster.Cluster.Schedule
+// replays once, relative to the start of the next workload run; pair every
+// crash with a restart (and every degrade with a restore) so the cluster
+// heals before the runs after it.
 type Plan struct {
 	// Seed records the derivation seed for reproducibility reporting; it is
 	// informational for hand-built plans and authoritative for RandomPlan.
@@ -273,36 +287,6 @@ func (p *Plan) String() string {
 		s += fmt.Sprintf(" %s@%v:%s", e.Kind(), e.When(), e.Target())
 	}
 	return s + "}"
-}
-
-// Injector binds a plan to a target and counts every applied injection in
-// the metrics registry (faults_injected_total, docs/METRICS.md).
-type Injector struct {
-	plan    *Plan
-	target  Target
-	applied *metrics.CounterVec
-}
-
-// NewInjector builds an injector.  reg may be nil (injections go uncounted).
-func NewInjector(plan *Plan, target Target, reg *metrics.Registry) *Injector {
-	in := &Injector{plan: plan, target: target}
-	if reg != nil {
-		in.applied = reg.CounterVec("faults_injected_total",
-			"Fault events applied to the cluster, by event kind and target node.",
-			"kind", "node")
-	}
-	return in
-}
-
-// Events returns the plan's events in firing order.
-func (in *Injector) Events() []Event { return in.plan.Sorted() }
-
-// Apply performs one injection and counts it.
-func (in *Injector) Apply(ev Event) {
-	ev.Apply(in.target)
-	if in.applied != nil {
-		in.applied.With(ev.Kind(), ev.Target()).Inc()
-	}
 }
 
 // PlanOpts selects optional event families for RandomPlanWith.

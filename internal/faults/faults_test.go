@@ -1,11 +1,12 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
-	"dpnfs/internal/metrics"
+	"dpnfs/internal/rpc"
 )
 
 // recordingTarget logs applied injections for assertions.
@@ -34,6 +35,20 @@ func (r *recordingTarget) SetDiskSlow(node string, factor float64) {
 		r.log = append(r.log, "disk-slow:"+node)
 	}
 }
+func (r *recordingTarget) CrashVolatile(node string)   { r.log = append(r.log, "crash:"+node) }
+func (r *recordingTarget) RestartVolatile(node string) { r.log = append(r.log, "replay:"+node) }
+func (r *recordingTarget) CorruptData(node string, seed int64) {
+	r.log = append(r.log, fmt.Sprintf("rot:%s/%d", node, seed))
+}
+func (r *recordingTarget) MisdirectRead(node string, seed int64) {
+	r.log = append(r.log, fmt.Sprintf("misdirect:%s/%d", node, seed))
+}
+func (r *recordingTarget) ArmTornWrite(node string)      { r.log = append(r.log, "torn:"+node) }
+func (r *recordingTarget) Join(_ *rpc.Ctx, node string)  { r.log = append(r.log, "join:"+node) }
+func (r *recordingTarget) Drain(_ *rpc.Ctx, node string) { r.log = append(r.log, "drain:"+node) }
+func (r *recordingTarget) Scrub(_ *rpc.Ctx, at time.Duration) {
+	r.log = append(r.log, "scrub@"+at.String())
+}
 
 func TestPlanSortedAndHorizon(t *testing.T) {
 	p := NewPlan(1,
@@ -50,34 +65,34 @@ func TestPlanSortedAndHorizon(t *testing.T) {
 	}
 }
 
-func TestInjectorAppliesAndCounts(t *testing.T) {
-	reg := metrics.NewRegistry()
+// TestEventsApplyThroughTarget: every event kind, replayed in firing order,
+// applies itself through the one Target — a crash also drops volatile
+// state before a restart replays it, and the membership and scrub events
+// reach their hooks with the node and time they carry.
+func TestEventsApplyThroughTarget(t *testing.T) {
 	tg := &recordingTarget{}
-	in := NewInjector(NewPlan(1,
+	p := NewPlan(1,
 		StorageNodeCrash{At: 0, Node: "io1"},
 		LinkDegrade{At: time.Millisecond, Node: "io2", Loss: 0.1, ExtraRTT: time.Millisecond},
 		SlowDisk{At: 2 * time.Millisecond, Node: "io3", Factor: 3},
 		StorageNodeRestart{At: 3 * time.Millisecond, Node: "io1"},
 		LinkRestore{At: 4 * time.Millisecond, Node: "io2"},
 		SlowDisk{At: 5 * time.Millisecond, Node: "io3", Factor: 1},
-	), tg, reg)
-	for _, ev := range in.Events() {
-		in.Apply(ev)
+		Scrub{At: 9 * time.Millisecond},
+		Drain{At: 8 * time.Millisecond, Node: "io4"},
+		Join{At: 7 * time.Millisecond, Node: "io9"},
+		TornWrite{At: 6 * time.Millisecond, Node: "io2"},
+		BitRot{At: 6 * time.Millisecond, Node: "io2", Seed: 5},
+		MisdirectedRead{At: 6 * time.Millisecond, Node: "io3", Seed: 6},
+	)
+	for _, ev := range p.Sorted() {
+		ev.Apply(nil, tg)
 	}
-	want := []string{"down:io1", "link-bad:io2", "disk-slow:io3", "up:io1", "link-ok:io2", "disk-ok:io3"}
+	want := []string{"down:io1", "crash:io1", "link-bad:io2", "disk-slow:io3", "replay:io1", "up:io1",
+		"link-ok:io2", "disk-ok:io3", "torn:io2", "rot:io2/5", "misdirect:io3/6",
+		"join:io9", "drain:io4", "scrub@9ms"}
 	if !reflect.DeepEqual(tg.log, want) {
 		t.Fatalf("applied %v, want %v", tg.log, want)
-	}
-	var total float64
-	for _, m := range reg.Snapshot().Metrics {
-		if m.Name == "faults_injected_total" {
-			for _, s := range m.Series {
-				total += s.Value
-			}
-		}
-	}
-	if total != 6 {
-		t.Fatalf("faults_injected_total = %v, want 6", total)
 	}
 }
 

@@ -59,14 +59,11 @@ type Client struct {
 	stats  *clientStats
 	engine *ioengine.Engine
 	retry  ioengine.Policy
-	// mu guards the conn maps: AddServer may race with newFile when the
-	// cluster reconfigures while clients are running.
+	// mu guards io, the daemon conns keyed by stable server ID: AddServer
+	// may race with newFile when the cluster reconfigures while clients are
+	// running.
 	mu sync.Mutex
-	// io/ioSync key the daemon conns by stable server ID.  ioSync wraps
-	// each conn in the retry policy for the serial fsync path, which does
-	// not ride the engine.
-	io     map[uint32]rpc.Conn
-	ioSync map[uint32]rpc.Conn
+	io map[uint32]rpc.Conn
 	// repaired records extents the replica rung already rewrote, keyed by
 	// (data handle, device, device offset).
 	repaired ioengine.RepairLedger[repairKey]
@@ -81,8 +78,8 @@ type repairKey struct {
 
 // NewClient returns a client with defaults applied.  Striped reads and
 // writes flow through the I/O engine under a retry policy, so they survive
-// a daemon outage shorter than the retry budget; the serial flush path gets
-// the same protection from retry-wrapped conns.
+// a daemon outage shorter than the retry budget; the serial flush path runs
+// each call under the same policy.
 func NewClient(cfg ClientConfig) *Client {
 	if cfg.Engine.MaxFlight <= 0 {
 		cfg.Engine.MaxFlight = 8
@@ -104,14 +101,12 @@ func NewClient(cfg ClientConfig) *Client {
 	c := &Client{cfg: cfg, stats: stats, engine: ioengine.New(eng)}
 	c.retry = ioengine.WithRetry(cfg.Retry, stats.ioRetries.Inc)
 	c.io = make(map[uint32]rpc.Conn, len(cfg.IO))
-	c.ioSync = make(map[uint32]rpc.Conn, len(cfg.IO))
 	for i, conn := range cfg.IO {
 		id := uint32(i)
 		if i < len(cfg.IOIDs) {
 			id = cfg.IOIDs[i]
 		}
 		c.io[id] = conn
-		c.ioSync[id] = rpc.WithRetry(conn, cfg.Retry, stats.ioRetries.Inc)
 	}
 	return c
 }
@@ -123,11 +118,10 @@ func (c *Client) AddServer(id uint32, conn rpc.Conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.io[id] = conn
-	c.ioSync[id] = rpc.WithRetry(conn, c.cfg.Retry, c.stats.ioRetries.Inc)
 }
 
 // File is an open PVFS2 file reference.  Data is the handle the datafiles
-// live under (it diverges from Handle after a migration); io/ioSync hold the
+// live under (it diverges from Handle after a migration); io holds the
 // daemon conns for the file's placement, in stripe-device order.
 type File struct {
 	Handle Handle
@@ -135,7 +129,6 @@ type File struct {
 	Dist   DistParams
 	mapper stripe.Mapper
 	io     []rpc.Conn
-	ioSync []rpc.Conn
 }
 
 func (c *Client) chargeOp(ctx *rpc.Ctx, bytes int64) {
@@ -153,12 +146,10 @@ func (c *Client) newFile(h, data Handle, dist DistParams) *File {
 		Dist:   dist,
 		mapper: dist.Mapper(),
 		io:     make([]rpc.Conn, len(ids)),
-		ioSync: make([]rpc.Conn, len(ids)),
 	}
 	c.mu.Lock()
 	for i, id := range ids {
 		f.io[i] = c.io[id]
-		f.ioSync[i] = c.ioSync[id]
 	}
 	c.mu.Unlock()
 	return f
@@ -372,15 +363,19 @@ func ReadCopy(ctx *rpc.Ctx, conn rpc.Conn, h Handle, off, n int64, wantReal bool
 // Sync flushes the file's buffered data on each storage daemon holding one
 // of its datafiles.  The flushes are issued serially, matching the
 // sequential datafile flush in the PVFS2 client's fsync path — one source
-// of its poor synchronous small-I/O performance (§6.4.1).
+// of its poor synchronous small-I/O performance (§6.4.1).  Each flush runs
+// under the client's retry loop, the one the engine runs striped I/O under.
 func (c *Client) Sync(ctx *rpc.Ctx, f *File) error {
 	c.chargeOp(ctx, 0)
-	for i, conn := range f.ioSync {
-		if conn == nil {
-			return fmt.Errorf("pvfs: no conn for device %d of handle %x", i, uint64(f.Handle))
+	for i := range f.io {
+		conn, err := f.conn(i)
+		if err != nil {
+			return err
 		}
 		var rep IOFlushRep
-		if err := conn.Call(ctx, ProcIOFlush, &IOFlushArgs{Handle: f.Data}, &rep); err != nil {
+		if err := c.cfg.Retry.Do(ctx, c.stats.ioRetries.Inc, func() error {
+			return conn.Call(ctx, ProcIOFlush, &IOFlushArgs{Handle: f.Data}, &rep)
+		}); err != nil {
 			return err
 		}
 		if rep.Errno != 0 {

@@ -290,7 +290,7 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 		srv := NewStorageServer(StorageConfig{
 			Transport: &rpc.FabricTransport{Fabric: f}, Node: ioNode,
 			Disk:    simdisk.New(simdisk.Config{Name: "d"}),
-			Buffers: buffers, BufSize: 256 << 10, Threads: 32,
+			buffers: buffers,
 		})
 		// Seed the object and warm the cache so only buffers matter.
 		ctxSeed := &rpc.Ctx{}

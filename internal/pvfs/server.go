@@ -32,6 +32,14 @@ const (
 	metaPerOp   = 300 * time.Microsecond // metadata request processing on the MDS
 )
 
+// The daemons' request concurrency and the storage daemon's fixed
+// transfer-buffer pool between kernel and daemon, as the 2007 daemons ran.
+const (
+	daemonThreads  = 16
+	storageBuffers = 16
+	storageBufSize = 256 << 10
+)
+
 // LoopbackClientPerOp is the per-request cost of a client library co-located
 // with the daemon it calls (the Direct-pNFS data server's conduit, paper §5):
 // half the library's per-op cost, the network half of the crossing being
@@ -45,10 +53,7 @@ type StorageConfig struct {
 	// Store is the content repository backing this daemon's datafile
 	// objects (nil: a fresh in-memory store).  Durable stores (store/wal,
 	// store/cached) journal on sync requests and survive CrashVolatile.
-	Store   store.Store
-	Buffers int   // fixed transfer-buffer pool between kernel and daemon
-	BufSize int64 // bytes per transfer buffer
-	Threads int   // daemon request concurrency
+	Store store.Store
 	// Transport, when set together with Node, registers ServiceIO under
 	// Node's name (simulated fabric or real TCP).
 	Transport rpc.Transport
@@ -58,6 +63,8 @@ type StorageConfig struct {
 	// Metrics is the shared observability registry (docs/METRICS.md); nil
 	// discards.
 	Metrics *metrics.Registry
+
+	buffers int // transfer-buffer pool size (0: storageBuffers)
 }
 
 // StorageServer is one PVFS2 storage daemon (Trove+BMI equivalent): it owns
@@ -75,14 +82,8 @@ type StorageServer struct {
 // NewStorageServer creates the daemon state and registers its RPC service
 // on the node when a transport is configured.
 func NewStorageServer(cfg StorageConfig) *StorageServer {
-	if cfg.Buffers <= 0 {
-		cfg.Buffers = 16
-	}
-	if cfg.BufSize <= 0 {
-		cfg.BufSize = 256 << 10
-	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 16
+	if cfg.buffers <= 0 {
+		cfg.buffers = storageBuffers
 	}
 	if cfg.Store == nil {
 		cfg.Store = mem.New()
@@ -97,9 +98,9 @@ func NewStorageServer(cfg StorageConfig) *StorageServer {
 	if cfg.Node != nil {
 		name = cfg.Node.Name + "/bufpool"
 	}
-	s.bufPool = sim.NewSemaphore(name, cfg.Buffers)
+	s.bufPool = sim.NewSemaphore(name, cfg.buffers)
 	if cfg.Transport != nil && cfg.Node != nil {
-		if _, err := cfg.Transport.Serve(cfg.Node.Name, ServiceIO, IORegistry(), s.Handle, cfg.Threads); err != nil {
+		if _, err := cfg.Transport.Serve(cfg.Node.Name, ServiceIO, IORegistry(), s.Handle, daemonThreads); err != nil {
 			panic("pvfs: register storage service: " + err.Error())
 		}
 	}
@@ -161,39 +162,6 @@ func (s *StorageServer) CrashVolatile() {
 	rec.Crash()
 }
 
-// CorruptData flips one stored byte in the daemon's store, chosen
-// deterministically from seed, leaving the block checksum stale.  It
-// reports whether any materialized block was eligible (false also when the
-// backend has no corruption hooks).
-func (s *StorageServer) CorruptData(seed int64) bool {
-	c, ok := s.store.(store.Corruptible)
-	if !ok {
-		return false
-	}
-	return c.CorruptChunk(seed)
-}
-
-// MisdirectRead arms a one-shot wrong-block read in the daemon's store,
-// reporting whether a victim was found.
-func (s *StorageServer) MisdirectRead(seed int64) bool {
-	c, ok := s.store.(store.Corruptible)
-	if !ok {
-		return false
-	}
-	return c.MisdirectNextRead(seed)
-}
-
-// ArmTornWrite arms the daemon's store so its next crash tears the final
-// journal record; false when the backend does not journal.
-func (s *StorageServer) ArmTornWrite() bool {
-	tw, ok := s.store.(store.TornWriter)
-	if !ok {
-		return false
-	}
-	tw.ArmTornWrite()
-	return true
-}
-
 // RecoverVolatile replays the durable log after a restart and rebuilds the
 // handle table from the recovered object names ("h%x" in the store root).
 // It reports the number of log records replayed (0 for mem stores).
@@ -237,12 +205,12 @@ func (s *StorageServer) Disk() *simdisk.Disk { return s.cfg.Disk }
 // bufSlots computes how many pool buffers an n-byte transfer occupies,
 // clamped to the pool size so a single huge request cannot deadlock.
 func (s *StorageServer) bufSlots(n int64) int {
-	slots := int((n + s.cfg.BufSize - 1) / s.cfg.BufSize)
+	slots := int((n + storageBufSize - 1) / storageBufSize)
 	if slots < 1 {
 		slots = 1
 	}
-	if slots > s.cfg.Buffers {
-		slots = s.cfg.Buffers
+	if slots > s.cfg.buffers {
+		slots = s.cfg.buffers
 	}
 	return slots
 }
@@ -296,6 +264,17 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		}
 		s.objects[a.Handle] = at.ID
 		s.mu.Unlock()
+		if a.Handle >= shadowBase {
+			// A migration's shadow object is durable before the MDS can flip
+			// a placement onto it: the copy syncs only the daemons it
+			// writes, and a crash before the first would lose the object.
+			// An ordinary datafile becomes durable at the file's first
+			// COMMIT, which flushes every daemon of the file.  (mem's Sync
+			// is free, so the default timing is unchanged.)
+			if err := s.store.Sync(ctx.P); err != nil {
+				return &IOCreateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
+			}
+		}
 		return &IOCreateRep{}, rpc.StatusOK
 
 	case ProcIORemove:
@@ -476,12 +455,7 @@ type MetaConfig struct {
 	// Store is the metadata repository backing the namespace (nil: a fresh
 	// in-memory store).  Durable stores are journalled synchronously after
 	// every namespace mutation.
-	Store   store.Store
-	Threads int
-	// Retry bounds the retry loop on IOConns fan-out calls so metadata
-	// operations (create, getattr, truncate) survive a storage-daemon
-	// outage shorter than the budget.  Zero takes rpc.DefaultRetryPolicy.
-	Retry rpc.RetryPolicy
+	Store store.Store
 	// Transport, when set together with Node, registers ServiceMeta under
 	// Node's name (simulated fabric or real TCP).
 	Transport rpc.Transport
@@ -529,13 +503,13 @@ func NewMetaServer(cfg MetaConfig) *MetaServer {
 	if cfg.Dist.NumServers == 0 {
 		cfg.Dist.NumServers = uint32(len(cfg.IOConns))
 	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 16
-	}
 	stats := newMetaStats(cfg.Metrics)
+	// Calls to the storage daemons retry under the default policy, so
+	// metadata operations (create, getattr, truncate) survive a daemon
+	// outage shorter than its budget.
 	conns := make([]rpc.Conn, len(cfg.IOConns))
 	for i, conn := range cfg.IOConns {
-		conns[i] = rpc.WithRetry(conn, cfg.Retry, stats.ioRetries.Inc)
+		conns[i] = rpc.WithRetry(conn, rpc.DefaultRetryPolicy(), stats.ioRetries.Inc)
 	}
 	cfg.IOConns = conns
 	if cfg.Store == nil {
@@ -553,7 +527,7 @@ func NewMetaServer(cfg MetaConfig) *MetaServer {
 		m.ioByID[uint32(i)] = conn
 	}
 	if cfg.Transport != nil && cfg.Node != nil {
-		if _, err := cfg.Transport.Serve(cfg.Node.Name, ServiceMeta, MetaRegistry(), m.Handle, cfg.Threads); err != nil {
+		if _, err := cfg.Transport.Serve(cfg.Node.Name, ServiceMeta, MetaRegistry(), m.Handle, daemonThreads); err != nil {
 			panic("pvfs: register meta service: " + err.Error())
 		}
 	}
@@ -595,10 +569,10 @@ func (m *MetaServer) SetDefaultDist(d DistParams) {
 }
 
 // AddIOConn registers (or replaces) the conn to the storage daemon with the
-// given stable server ID, wrapped in the server's retry policy.  Joining
+// given stable server ID, wrapped in the default retry policy.  Joining
 // nodes get IDs beyond the construction-time range.
 func (m *MetaServer) AddIOConn(id uint32, conn rpc.Conn) {
-	wrapped := rpc.WithRetry(conn, m.cfg.Retry, m.stats.ioRetries.Inc)
+	wrapped := rpc.WithRetry(conn, rpc.DefaultRetryPolicy(), m.stats.ioRetries.Inc)
 	m.mu.Lock()
 	m.ioByID[id] = wrapped
 	m.mu.Unlock()

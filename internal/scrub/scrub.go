@@ -50,9 +50,9 @@ type Source interface {
 // corrupt and is retried on the next pass.
 type Fetch func(ctx *rpc.Ctx, id store.FileID, off int64, b []byte) (int, error)
 
-// DefaultChunk is the scan granularity: one store chunk, so each
-// verification read maps onto exactly one block checksum.
-const DefaultChunk = 64 << 10
+// chunkSize is the scan granularity: one store chunk, so each verification
+// read maps onto exactly one block checksum.
+const chunkSize = store.ChunkSize
 
 // Config wires a Scrubber to one node's store.
 type Config struct {
@@ -63,8 +63,6 @@ type Config struct {
 	// Fetch supplies replica bytes for repair; nil makes the scrubber
 	// detect-only (unreplicated aggregations have nowhere to repair from).
 	Fetch Fetch
-	// ChunkSize is the scan read size (0 = DefaultChunk).
-	ChunkSize int64
 	// RateBPS bounds verified bytes per virtual second (0 = unpaced).
 	// Pacing needs a simulation clock; over real transports the engine's
 	// background share is the only throttle.
@@ -97,9 +95,6 @@ type Scrubber struct {
 
 // New returns a scrubber over cfg with defaults applied.
 func New(cfg Config) *Scrubber {
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = DefaultChunk
-	}
 	name := cfg.Node
 	if name == "" {
 		name = "scrub"
@@ -184,13 +179,13 @@ func (s *Scrubber) Pass(ctx *rpc.Ctx) (Result, error) {
 	return res, nil
 }
 
-// chunked splits a file's materialized extents into ChunkSize-aligned scan
+// chunked splits a file's materialized extents into chunkSize-aligned scan
 // requests (Dev is unused; the scrubber owns exactly one store).
 func (s *Scrubber) chunked(exts []mem.Extent) []stripe.Extent {
 	var reqs []stripe.Extent
 	for _, e := range exts {
 		for off, end := e.Off, e.Off+e.Len; off < end; {
-			n := s.cfg.ChunkSize - off%s.cfg.ChunkSize
+			n := chunkSize - off%chunkSize
 			if off+n > end {
 				n = end - off
 			}

@@ -6,15 +6,16 @@ import (
 	"time"
 
 	"dpnfs/internal/cluster"
+	"dpnfs/internal/faults"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
 )
 
 // DegradedConfig parameterizes the degraded-mode experiment: clients stream
-// synchronous block writes while the cluster's fault plan crashes a storage
-// node mid-run and restarts it, and throughput is accounted into three
-// windows.  CrashAt/RestartAt must match the cluster's faults.Plan — the
-// bench layer builds both from one set of numbers.
+// synchronous block writes while a storage node crashes at CrashAt and
+// restarts at RestartAt, and throughput is accounted into three windows
+// bounded by the same two times.  The victim is the first storage node that
+// does not double as the metadata manager ("io1" on every architecture).
 type DegradedConfig struct {
 	Block     int64         // per-write block size (default 2 MB)
 	CrashAt   time.Duration // start of the outage window
@@ -54,8 +55,7 @@ func Degraded(cl *cluster.Cluster, cfg DegradedConfig) (DegradedResult, error) {
 		cfg.Tail = 3 * time.Second
 	}
 
-	// Setup outside the fault schedule: the measured run alone suffers it.
-	cl.ArmFaults(false)
+	// Setup before the crash is scheduled: the measured run alone suffers it.
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
 		f, err := m.Create(ctx, fmt.Sprintf("/degraded.%d", i))
 		if err != nil {
@@ -65,7 +65,16 @@ func Degraded(cl *cluster.Cluster, cfg DegradedConfig) (DegradedResult, error) {
 	}); err != nil {
 		return DegradedResult{}, fmt.Errorf("degraded setup: %w", err)
 	}
-	cl.ArmFaults(true)
+	victims := cl.FaultCandidates()
+	if len(victims) == 0 {
+		return DegradedResult{}, fmt.Errorf("degraded: no storage node to crash")
+	}
+	if err := cl.Schedule(faults.NewPlan(1,
+		faults.StorageNodeCrash{At: cfg.CrashAt, Node: victims[0]},
+		faults.StorageNodeRestart{At: cfg.RestartAt, Node: victims[0]},
+	)); err != nil {
+		return DegradedResult{}, err
+	}
 
 	var mu sync.Mutex
 	var window [3]int64 // bytes completed per window

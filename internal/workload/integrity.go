@@ -7,15 +7,16 @@ import (
 	"time"
 
 	"dpnfs/internal/cluster"
+	"dpnfs/internal/faults"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
 )
 
 // IntegrityConfig parameterizes the integrity experiment: clients stream
-// verified reads over a pre-written corpus while the cluster's fault plan
-// rots store chunks mid-run and a scheduled background scrub pass cleans up
-// after them.  RotAt/ScrubAt must match the cluster's faults.Plan and
-// ScheduleScrub call — the bench layer builds all three from one schedule.
+// verified reads over a pre-written corpus while a rot plan corrupts store
+// chunks mid-run and a background scrub pass, scheduled at ScrubAt, cleans
+// up after them.  RotAt must match the rot plan's times — the bench layer
+// builds both from one schedule.
 type IntegrityConfig struct {
 	FileSize int64         // per-client corpus (default 4 MB)
 	Block    int64         // per-read block (default 256 KB)
@@ -45,13 +46,15 @@ func integrityPattern(i int, n int64) []byte {
 // windows are virtual-time intervals, which is also what makes the result
 // exactly reproducible for a given (seed, plan).
 //
-// Every client writes its pattern file with faults disarmed, then loops
-// sequential Block-sized reads over it — dropping caches at the top of each
-// pass so every pass exercises the stores — and compares every byte against
-// the regenerated pattern.  A single mismatched byte fails the run: silent
-// corruption cannot hide in the throughput numbers.  Completion times
-// bucket the verified bytes into the three windows.
-func Integrity(cl *cluster.Cluster, cfg IntegrityConfig) (IntegrityResult, error) {
+// Every client writes its pattern file before anything is scheduled; rot
+// and the scrub pass are then scheduled for the measured run, in which
+// every client loops sequential Block-sized reads over its file — dropping
+// caches at the top of each pass so every pass exercises the stores — and
+// compares every byte against the regenerated pattern.  A single
+// mismatched byte fails the run: silent corruption cannot hide in the
+// throughput numbers.  Completion times bucket the verified bytes into the
+// three windows.
+func Integrity(cl *cluster.Cluster, cfg IntegrityConfig, rot *faults.Plan) (IntegrityResult, error) {
 	if cl.Cfg.Transport == cluster.TransportTCP {
 		return IntegrityResult{}, fmt.Errorf("workload: the integrity experiment requires the sim transport")
 	}
@@ -71,8 +74,6 @@ func Integrity(cl *cluster.Cluster, cfg IntegrityConfig) (IntegrityResult, error
 		cfg.Deadline = cfg.ScrubAt + 200*time.Millisecond
 	}
 
-	// Populate outside the fault schedule: the measured run alone suffers it.
-	cl.ArmFaults(false)
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
 		f, err := m.Create(ctx, fmt.Sprintf("/integrity.%d", i))
 		if err != nil {
@@ -88,8 +89,12 @@ func Integrity(cl *cluster.Cluster, cfg IntegrityConfig) (IntegrityResult, error
 	}); err != nil {
 		return IntegrityResult{}, fmt.Errorf("integrity setup: %w", err)
 	}
-	cl.ArmFaults(true)
-	cl.ScheduleScrub(cfg.ScrubAt)
+	if err := cl.Schedule(rot); err != nil {
+		return IntegrityResult{}, err
+	}
+	if err := cl.Schedule(faults.NewPlan(rot.Seed, faults.Scrub{At: cfg.ScrubAt})); err != nil {
+		return IntegrityResult{}, err
+	}
 
 	var mu sync.Mutex
 	var window [3]int64 // verified bytes per window

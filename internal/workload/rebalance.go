@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dpnfs/internal/cluster"
+	"dpnfs/internal/faults"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
 )
@@ -89,7 +90,7 @@ func Rebalance(cl *cluster.Cluster, cfg RebalanceConfig) (RebalanceResult, error
 		return RebalanceResult{}, fmt.Errorf("rebalance setup: %w", err)
 	}
 
-	if err := cl.AddStorageNode(cfg.Node, cfg.JoinAt); err != nil {
+	if err := cl.Schedule(faults.NewPlan(1, faults.Join{At: cfg.JoinAt, Node: cfg.Node})); err != nil {
 		return RebalanceResult{}, err
 	}
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dpnfs/internal/cluster"
+	"dpnfs/internal/faults"
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
@@ -13,9 +14,9 @@ import (
 
 // TailConfig parameterizes the tail-latency experiment: clients issue
 // synchronous block reads one at a time and every read's completion latency
-// is recorded, first on a healthy cluster and then under the cluster's
-// armed fault plan (a degraded storage node).  The per-request latency
-// distribution — not aggregate MB/s — is the result.
+// is recorded, first on a healthy cluster and then under a fault plan that
+// degrades a storage node.  The per-request latency distribution — not
+// aggregate MB/s — is the result.
 type TailConfig struct {
 	Block    int64 // per-read block size (default 64 KB)
 	FileSize int64 // per-client file size (default 8 MB)
@@ -38,8 +39,8 @@ type TailPhase struct {
 
 // TailResult holds both phases.
 type TailResult struct {
-	Steady   TailPhase // faults disarmed
-	Degraded TailPhase // fault plan armed (degraded node)
+	Steady   TailPhase // no faults
+	Degraded TailPhase // under the degrading plan
 }
 
 // tailBuckets resolve the latency histogram: geometric up to 150 ms, then
@@ -59,14 +60,14 @@ func tailBuckets() []float64 {
 // are virtual-time intervals, which also makes the distributions exactly
 // reproducible for a given (seed, plan).
 //
-// Setup (outside the fault schedule) writes each client a private file.
-// Each phase then drops client caches and has every client read its file's
-// blocks once per pass, in a per-client seeded shuffle, one synchronous
-// read at a time — so each sample is an isolated request-level latency, and
-// a straggling block (slow disk, lost message) surfaces directly as a tail
-// sample rather than hiding inside a deep pipeline.  The steady phase runs
-// with faults disarmed; the degraded phase re-arms the cluster's plan.
-func Tail(cl *cluster.Cluster, cfg TailConfig) (TailResult, error) {
+// Setup writes each client a private file.  Each phase then drops client
+// caches and has every client read its file's blocks once per pass, in a
+// per-client seeded shuffle, one synchronous read at a time — so each
+// sample is an isolated request-level latency, and a straggling block (slow
+// disk, lost message) surfaces directly as a tail sample rather than hiding
+// inside a deep pipeline.  The steady phase runs
+// on a healthy cluster; degrade is scheduled for the degraded phase alone.
+func Tail(cl *cluster.Cluster, cfg TailConfig, degrade *faults.Plan) (TailResult, error) {
 	if cl.Cfg.Transport == cluster.TransportTCP {
 		return TailResult{}, fmt.Errorf("workload: the tail experiment requires the sim transport")
 	}
@@ -81,8 +82,6 @@ func Tail(cl *cluster.Cluster, cfg TailConfig) (TailResult, error) {
 	}
 	blocks := int(cfg.FileSize / cfg.Block)
 
-	// Setup outside the fault schedule: only the degraded phase suffers it.
-	cl.ArmFaults(false)
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
 		f, err := m.Create(ctx, fmt.Sprintf("/tail.%d", i))
 		if err != nil {
@@ -98,8 +97,7 @@ func Tail(cl *cluster.Cluster, cfg TailConfig) (TailResult, error) {
 		return TailResult{}, fmt.Errorf("tail setup: %w", err)
 	}
 
-	phase := func(armed bool, phaseSeed int64) (TailPhase, error) {
-		cl.ArmFaults(armed)
+	phase := func(phaseSeed int64) (TailPhase, error) {
 		hedges0 := cl.Metrics().Snapshot().Total("ioengine_hedges_launched_total")
 		// A private registry holds the phase's latency histogram, so the
 		// distribution never leaks into (or double-counts in) the cluster's
@@ -139,11 +137,14 @@ func Tail(cl *cluster.Cluster, cfg TailConfig) (TailResult, error) {
 		}, nil
 	}
 
-	steady, err := phase(false, 1)
+	steady, err := phase(1)
 	if err != nil {
 		return TailResult{}, fmt.Errorf("tail steady phase: %w", err)
 	}
-	degraded, err := phase(true, 2)
+	if err := cl.Schedule(degrade); err != nil {
+		return TailResult{}, err
+	}
+	degraded, err := phase(2)
 	if err != nil {
 		return TailResult{}, fmt.Errorf("tail degraded phase: %w", err)
 	}
