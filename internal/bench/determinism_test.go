@@ -101,7 +101,7 @@ func TestRebalanceFigureDeterminism(t *testing.T) {
 		return fig, []float64{
 			counterSum(reg, "rebalance_bytes_total"),
 			counterSum(reg, "rebalance_files_total"),
-			counterSum(reg, "rebalance_reissued_chunks_total"),
+			counterSum(reg, "rpc_client_fault_errors_total"),
 		}
 	}
 	fig1, mig1 := run()
@@ -115,9 +115,9 @@ func TestRebalanceFigureDeterminism(t *testing.T) {
 	if mig1[0] < 1 || mig1[1] < 1 {
 		t.Errorf("vacuous run: migrated %v bytes across %v files", mig1[0], mig1[1])
 	}
-	// A healthy join re-issues nothing: the fast first pass moves it all.
+	// A healthy join meets no down node: the one pass moves it all.
 	if mig1[2] != 0 {
-		t.Errorf("healthy join re-issued %v chunks, want 0", mig1[2])
+		t.Errorf("healthy join met %v node-down errors, want 0", mig1[2])
 	}
 	for _, s := range fig1.Series {
 		before, after := s.Points[0].Y, s.Points[2].Y

@@ -110,9 +110,13 @@ func (t *deviceTable) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
 // MetaServer.Handle, never around it, so the per-procedure request counters
 // and the MetaPerOp CPU charge are those of a remote caller — copies the
 // typed reply into rep and turns its status (errno points into rep) into its
-// error: pvfs.Client's call helper, minus the wire.
+// error: pvfs.Client's call helper, minus the wire.  A metadata store that
+// crashed under the call stays a crash, which the NFS server answers as one.
 func metaCall[R any](b *directMDSBackend, ctx *rpc.Ctx, proc uint32, req any, rep *R, errno *fserr.Errno) error {
 	resp, status := b.meta.Handle(ctx, proc, req)
+	if status == rpc.StatusDown {
+		return store.ErrUnavailable
+	}
 	if status != rpc.StatusOK {
 		return fserr.ErrIO
 	}
@@ -328,13 +332,12 @@ type exportBackend struct {
 	node *simnet.Node
 	dist pvfs.DistParams
 
-	// Placement-aware (dynamic) mode: off until the first membership change
-	// — the legacy static-distribution fast path keeps pre-membership runs
-	// byte-identical.  Once on, every data op resolves the file's current
-	// placement through PLACEMENT_H, cached per handle until the next
-	// generation bump.
+	// Placement-aware (dynamic) mode: off while placeGen is 0, that is until
+	// the first membership change — the legacy static-distribution fast path
+	// keeps pre-membership runs byte-identical.  Once on, every data op
+	// resolves the file's current placement through PLACEMENT_H, cached per
+	// handle until the next generation bump.
 	mu       sync.Mutex
-	dynamic  bool
 	placeGen uint64
 	places   map[pvfs.Handle]cachedPlace
 }
@@ -345,11 +348,10 @@ type cachedPlace struct {
 	gen  uint64
 }
 
-// setDynamic switches the export to placement-aware mode at generation gen,
-// invalidating the per-handle placement cache.
+// setDynamic moves the export to layout generation gen (never 0), which
+// makes it placement-aware and invalidates the per-handle placement cache.
 func (b *exportBackend) setDynamic(gen uint64) {
 	b.mu.Lock()
-	b.dynamic = true
 	b.placeGen = gen
 	b.mu.Unlock()
 }
@@ -359,10 +361,10 @@ func (b *exportBackend) setDynamic(gen uint64) {
 func (b *exportBackend) openCurrent(ctx *rpc.Ctx, fh uint64) (*pvfs.File, error) {
 	h := pvfs.Handle(fh)
 	b.mu.Lock()
-	dyn, gen := b.dynamic, b.placeGen
+	gen := b.placeGen
 	cp, ok := b.places[h]
 	b.mu.Unlock()
-	if !dyn {
+	if gen == 0 {
 		return b.pv.OpenHandle(h, b.dist), nil
 	}
 	if ok && cp.gen == gen {

@@ -230,14 +230,11 @@ type Cluster struct {
 	reconcileErr error
 	memberGauge  *metrics.GaugeVec
 
-	// Rebalance bookkeeping: virtual-time window of the last migration and
-	// the test hooks the crash-during-drain suite uses (membership.go).
-	migStart, migEnd  time.Duration
-	migChunkHook      func(file, chunk int)
-	migReissueHook    func()
-	rebalanceBytes    *metrics.Counter
-	rebalanceFiles    *metrics.Counter
-	rebalanceReissued *metrics.Counter
+	// Rebalance bookkeeping: virtual-time window of the last migration
+	// (membership.go).
+	migStart, migEnd time.Duration
+	rebalanceBytes   *metrics.Counter
+	rebalanceFiles   *metrics.Counter
 
 	// Client/backend registries the reconciler pushes topology changes to.
 	pvClients  []pvClientRef
@@ -289,8 +286,6 @@ func New(cfg Config) *Cluster {
 		"Bytes copied onto their new placement by membership rebalances.")
 	cl.rebalanceFiles = cfg.Metrics.Counter("rebalance_files_total",
 		"Files whose placement a membership rebalance moved.")
-	cl.rebalanceReissued = cfg.Metrics.Counter("rebalance_reissued_chunks_total",
-		"Migration chunks re-issued by the second (patient) rebalance pass.")
 	switch cfg.Transport {
 	case TransportTCP:
 		tr := rpc.NewTCPTransport(0)

@@ -3,12 +3,17 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dpnfs/internal/faults"
+	"dpnfs/internal/metrics"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/simdisk"
+	"dpnfs/internal/store"
+	"dpnfs/internal/store/wal"
 )
 
 // counterSum totals every series of a counter family in the cluster's
@@ -424,6 +429,110 @@ func TestFailoverWALBackend(t *testing.T) {
 			}
 			if got := counterSum(cl, "store_wal_replays_total"); got < 1 {
 				t.Fatalf("store_wal_replays_total = %v, want >= 1 replayed record", got)
+			}
+		})
+	}
+}
+
+// crashingStore is a WAL store that crashes its node from inside the store
+// call it is armed for, so the request that made the call is in a handler
+// at the crash instant on either transport.
+type crashingStore struct {
+	*wal.Store
+	writes  atomic.Int32
+	crashAt int32 // the WriteAt, counted from 1, that crashes the node
+	crash   func()
+}
+
+func (s *crashingStore) WriteAt(id store.FileID, off int64, b []byte) (int64, error) {
+	if s.writes.Add(1) == s.crashAt {
+		s.crash()
+	}
+	return s.Store.WriteAt(id, off, b)
+}
+
+// TestCrashUnderInFlightWrite writes blocks of WSize and fsyncs each (on the
+// NFS architectures each goes out FILE_SYNC), while the WAL store of io2
+// crashes inside the write call of io2's second block and the node restarts
+// 300 ms later.  The handler holding that write meets a store that is gone:
+// it must answer as a down node does, so every architecture's retry ladder
+// rides the outage out on both transports — the writer sees no error, and
+// every block, including the ones acknowledged before the crash, reads back.
+func TestCrashUnderInFlightWrite(t *testing.T) {
+	const (
+		victim = "io2"
+		block  = 64 << 10
+		blocks = 12
+		outage = 300 * time.Millisecond
+	)
+	for _, tr := range []TransportKind{TransportSim, TransportTCP} {
+		t.Run(string(tr), func(t *testing.T) {
+			for _, arch := range Archs {
+				t.Run(string(arch), func(t *testing.T) {
+					var cl *Cluster
+					var crashed atomic.Pointer[rpc.Wakeup] // armed by the writer
+					walFactory, _ := BackendFactory(BackendWAL)
+					cl = New(Config{
+						Arch: arch, Clients: 1, Real: true, Transport: tr,
+						StripeSize: block, WSize: block, RSize: block, Backend: BackendWAL,
+						ContentBackend: func(node string, disk *simdisk.Disk, reg *metrics.Registry) store.Store {
+							st := walFactory(node, disk, reg)
+							if node != victim {
+								return st
+							}
+							return &crashingStore{Store: st.(*wal.Store), crashAt: 2, crash: func() {
+								cl.SetNodeDown(victim, true)
+								cl.CrashVolatile(victim)
+								crashed.Load().Wake()
+							}}
+						},
+					})
+					defer cl.Close()
+					want := failoverPattern(0, blocks*block)
+					if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
+						wake := rpc.NewWakeup(ctx, "crash")
+						crashed.Store(&wake)
+						ctx.Go("restart", func(ctx *rpc.Ctx) {
+							wake.Wait(ctx)
+							ctx.Pause(outage)
+							cl.RestartVolatile(victim)
+							cl.SetNodeDown(victim, false)
+						})
+						f, err := m.Create(ctx, "/inflight")
+						if err != nil {
+							return err
+						}
+						for off := int64(0); off < blocks*block; off += block {
+							if err := m.Write(ctx, f, off, payload.Real(want[off:off+block])); err != nil {
+								return fmt.Errorf("write at %d: %w", off, err)
+							}
+							if err := m.Fsync(ctx, f); err != nil {
+								return fmt.Errorf("fsync at %d: %w", off, err)
+							}
+						}
+						if err := m.Close(ctx, f); err != nil {
+							return err
+						}
+						m.DropCaches()
+						g, err := m.Open(ctx, "/inflight")
+						if err != nil {
+							return err
+						}
+						got, n, err := m.Read(ctx, g, 0, blocks*block)
+						if err != nil {
+							return err
+						}
+						if n != blocks*block || !bytes.Equal(got.Bytes, want) {
+							return fmt.Errorf("read-back differs (%d bytes)", n)
+						}
+						return m.Close(ctx, g)
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if got := counterSum(cl, "rpc_client_fault_errors_total"); got == 0 {
+						t.Fatal("no call met the crashed node: the crash tested nothing")
+					}
+				})
 			}
 		})
 	}

@@ -279,14 +279,15 @@ func (cl *Cluster) publishTopology() {
 }
 
 // rebalance copies every file whose placement differs from target onto
-// target, through two Background-class PVFS2 client libraries on the
-// metadata node: a fast-failing one for the first pass and a patient one
-// for the single re-issue pass.  Chunks are written with Sync so every
-// acknowledged byte is on stable storage before the placement flips, and
-// source objects are left in place so reads under the previous layout
-// generation stay correct until every client has been invalidated.  The
-// Background class keeps migration inside the engines' BackgroundShare
-// window slots, protecting foreground latency.
+// target, through one Background-class PVFS2 client library on the metadata
+// node, in one pass.  Chunks are written with Sync so every acknowledged
+// byte is on stable storage before the placement flips, and source objects
+// are left in place so reads under the previous layout generation stay
+// correct until every client has been invalidated.  A node that crashes
+// mid-copy fails its calls retryably, however far they got, so the client's
+// retry loop waits out the outage.  The Background class keeps migration
+// inside the engines' BackgroundShare window slots, protecting foreground
+// latency.
 func (cl *Cluster) rebalance(ctx *rpc.Ctx, target pvfs.DistParams) error {
 	cl.memberMu.Lock()
 	cl.migStart = time.Duration(cl.K.Now())
@@ -296,15 +297,13 @@ func (cl *Cluster) rebalance(ctx *rpc.Ctx, target pvfs.DistParams) error {
 		cl.migEnd = time.Duration(cl.K.Now())
 		cl.memberMu.Unlock()
 	}()
-	mig := cl.pvfsClientWith(cl.mdsNode, ioengine.Background, "rebalance",
-		rpc.RetryPolicy{Max: 2, Base: 50 * time.Millisecond, Cap: 100 * time.Millisecond})
-	patient := cl.pvfsClientWith(cl.mdsNode, ioengine.Background, "rebalance", rpc.RetryPolicy{})
-	files, err := cl.listFiles(ctx, patient)
+	mig := cl.pvfsClientWith(cl.mdsNode, ioengine.Background, "rebalance", rpc.RetryPolicy{})
+	files, err := cl.listFiles(ctx, mig)
 	if err != nil {
 		return err
 	}
-	for i, h := range files {
-		if err := cl.migrateFile(ctx, mig, patient, h, i, target); err != nil {
+	for _, h := range files {
+		if err := cl.migrateFile(ctx, mig, h, target); err != nil {
 			return err
 		}
 	}
@@ -362,11 +361,10 @@ func sameDist(a, b pvfs.DistParams) bool {
 
 // migrateFile moves one file onto target: shadow objects are created on the
 // target servers, data is copied chunk by chunk (Sync'd, so acknowledged
-// bytes are durable under WAL-backed stores), failed chunks are re-issued
-// exactly once through the patient client, and only then does the
+// bytes are durable under WAL-backed stores), and only then does the
 // placement flip.  A crash mid-copy therefore leaves the old placement
 // fully intact.
-func (cl *Cluster) migrateFile(ctx *rpc.Ctx, mig, patient *pvfs.Client, h pvfs.Handle, fileIdx int, target pvfs.DistParams) error {
+func (cl *Cluster) migrateFile(ctx *rpc.Ctx, mig *pvfs.Client, h pvfs.Handle, target pvfs.DistParams) error {
 	place := cl.PVFSMeta.PlacementOf(h)
 	if sameDist(place.Dist, target) {
 		return nil
@@ -377,66 +375,30 @@ func (cl *Cluster) migrateFile(ctx *rpc.Ctx, mig, patient *pvfs.Client, h pvfs.H
 	}
 	src := mig.OpenPlaced(h, place.Data, place.Dist)
 	dst := mig.OpenPlaced(h, shadow.Data, shadow.Dist)
-	srcP := patient.OpenPlaced(h, place.Data, place.Dist)
-	dstP := patient.OpenPlaced(h, shadow.Data, shadow.Dist)
-	size, err := patient.GetAttr(ctx, srcP)
+	size, err := mig.GetAttr(ctx, src)
 	if err != nil {
 		return err
 	}
-	chunk := target.StripeSize * int64(len(target.ServerIDs()))
-	if chunk <= 0 {
-		chunk = target.StripeSize
-	}
-	type span struct{ off, n int64 }
-	var pending []span
-	for off, ci := int64(0), 0; off < size; off, ci = off+chunk, ci+1 {
-		n := size - off
-		if n > chunk {
-			n = chunk
+	chunk := max(target.StripeSize*int64(len(target.ServerIDs())), target.StripeSize)
+	for off := int64(0); off < size; off += chunk {
+		n := min(size-off, chunk)
+		data, got, err := mig.Read(ctx, src, off, n, cl.Cfg.Real)
+		if err == nil && got > 0 { // a hole has nothing to carry over
+			_, err = mig.Write(ctx, dst, off, data, true)
 		}
-		if hook := cl.migChunkHook; hook != nil {
-			hook(fileIdx, ci)
-		}
-		if err := copySpan(ctx, mig, src, dst, off, n, cl.Cfg.Real); err != nil {
-			// First-pass failure (a crashed source node, say): remember the
-			// span; the single re-issue pass below retries it patiently.
-			pending = append(pending, span{off, n})
-			continue
+		if err != nil {
+			return fmt.Errorf("cluster: migration chunk %x@%d: %w", uint64(h), off, err)
 		}
 		cl.rebalanceBytes.Add(uint64(n))
 	}
-	if len(pending) > 0 {
-		if hook := cl.migReissueHook; hook != nil {
-			hook()
-		}
-		for _, p := range pending {
-			cl.rebalanceReissued.Inc()
-			if err := copySpan(ctx, patient, srcP, dstP, p.off, p.n, cl.Cfg.Real); err != nil {
-				return fmt.Errorf("cluster: re-issued migration chunk %x@%d: %w", uint64(h), p.off, err)
-			}
-			cl.rebalanceBytes.Add(uint64(p.n))
-		}
-	}
 	cl.PVFSMeta.CommitMigrate(h, shadow)
-	// Trailing holes would shrink the size reconstructed from the new
-	// objects; publish the exact logical size onto the new placement.
-	if err := patient.Truncate(ctx, dstP, size); err != nil {
+	// The copy skips holes, so a sparse file's new objects can stop short
+	// of the sizes the new geometry gives them; publish the exact logical
+	// size onto the new placement (the daemons sync a truncate of shadow
+	// objects, like their creation).
+	if err := mig.Truncate(ctx, dst, size); err != nil {
 		return err
 	}
 	cl.rebalanceFiles.Inc()
 	return nil
-}
-
-// copySpan copies [off, off+n) from src to dst through client c, syncing
-// the written chunk to stable storage.
-func copySpan(ctx *rpc.Ctx, c *pvfs.Client, src, dst *pvfs.File, off, n int64, real bool) error {
-	data, got, err := c.Read(ctx, src, off, n, real)
-	if err != nil {
-		return err
-	}
-	if got == 0 {
-		return nil // a hole: nothing to carry over
-	}
-	_, err = c.Write(ctx, dst, off, data, true)
-	return err
 }

@@ -277,115 +277,134 @@ func TestMembershipValidation(t *testing.T) {
 	schedule(t, cl2, fault, scrub)
 }
 
-func TestCrashDuringDrainReissuesPendingChunksOnce(t *testing.T) {
-	// The drained node is WAL-backed and killed mid-migration: its volatile
-	// store image is discarded while chunks are still being copied off it.
-	// First-pass copies fail fast, the reconciler restarts the node (WAL
-	// replay restores every acknowledged byte) and re-issues exactly the
-	// pending chunks once, and the corpus must read back byte-identical on
-	// the post-drain topology.
-	const size = 1 << 20
+// TestScheduleComposesCrashWithDrain: one plan drains io1 and, while the
+// rebalance is copying, crashes a WAL-backed node and restarts it 500 ms
+// later.  The crash fires on time from its own lane while the drain blocks
+// the reconcile lane, the rebalance's one pass waits the outage out, and the
+// corpus reads back byte-identical on the post-drain topology.  The rows:
+//
+//   - io2, a survivor holding source data and the new placement's shadow
+//     objects, crashed at 9 ms: just after the first file's shadow objects
+//     were created, before any chunk reached io2.  A shadow create that was
+//     not durable would be lost, and the copy would meet a stale handle.
+//   - io2 crashed at 87 ms and at 90 ms, on Direct-pNFS while one of its
+//     handlers holds a request: the request must fail as a call to a down
+//     node does, not with an I/O error that aborts the drain (in
+//     PrepareMigrate at 87 ms, in a metadata call of the file at 90 ms).
+//   - io1, the drained node itself, crashed mid-copy.
+func TestScheduleComposesCrashWithDrain(t *testing.T) {
+	const (
+		size   = 1 << 20
+		outage = 500 * time.Millisecond
+	)
+	rows := []struct {
+		node    string
+		crashAt time.Duration
+	}{
+		{"io2", 9 * time.Millisecond},
+		{"io2", 87 * time.Millisecond},
+		{"io2", 90 * time.Millisecond},
+		{"io1", 40 * time.Millisecond},
+	}
 	for _, arch := range Archs {
-		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
-			cl := New(Config{
-				Arch: arch, Clients: 2, Real: true,
-				StripeSize: 64 << 10, Backend: BackendWAL,
-			})
-			defer cl.Close()
-			if err := writeMemberCorpus(cl, size); err != nil {
-				t.Fatal(err)
-			}
-			crashed := false
-			reissues := 0
-			cl.migChunkHook = func(file, chunk int) {
-				if !crashed && file == 0 && chunk == 1 {
-					crashed = true
-					cl.CrashVolatile("io1")
-					cl.SetNodeDown("io1", true)
-				}
-			}
-			cl.migReissueHook = func() {
-				reissues++
-				cl.RestartVolatile("io1")
-				cl.SetNodeDown("io1", false)
-			}
-			schedule(t, cl, faults.Drain{Node: "io1"})
-			if err := cl.Reconcile(); err != nil {
-				t.Fatal(err)
-			}
-			if !crashed {
-				t.Fatal("the crash hook never fired: migration had no second chunk")
-			}
-			if reissues != 1 {
-				t.Fatalf("re-issue pass ran %d times, want exactly 1", reissues)
-			}
-			if cl.rebalanceReissued.Value() == 0 {
-				t.Fatal("no chunks were re-issued despite the mid-migration crash")
-			}
-			if err := verifyMemberCorpus(cl, size); err != nil {
-				t.Fatal(err)
+			for _, row := range rows {
+				t.Run(fmt.Sprintf("%s@%v", row.node, row.crashAt), func(t *testing.T) {
+					cl := New(Config{
+						Arch: arch, Clients: 2, Real: true,
+						StripeSize: 64 << 10, Backend: BackendWAL,
+					})
+					defer cl.Close()
+					if err := writeMemberCorpus(cl, size); err != nil {
+						t.Fatal(err)
+					}
+					start := cl.Now()
+					restartAt := row.crashAt + outage
+					schedule(t, cl,
+						faults.Drain{Node: "io1"},
+						faults.StorageNodeCrash{At: row.crashAt, Node: row.node},
+						faults.StorageNodeRestart{At: restartAt, Node: row.node},
+					)
+					if err := cl.Reconcile(); err != nil {
+						t.Fatal(err)
+					}
+					if migStart, migEnd := cl.MigrationWindow(); start+row.crashAt < migStart || start+restartAt >= migEnd {
+						t.Fatalf("outage %v..%v is not inside the migration window %v..%v",
+							row.crashAt, restartAt, migStart-start, migEnd-start)
+					}
+					if got := counterSum(cl, "faults_injected_total"); got != 2 {
+						t.Fatalf("faults_injected_total = %v, want the crash/restart pair", got)
+					}
+					if got := counterSum(cl, "rpc_client_fault_errors_total"); got == 0 {
+						t.Fatal("no call met the crashed node: the crash tested nothing")
+					}
+					if got := counterSum(cl, "rebalance_files_total"); got < 1 {
+						t.Fatalf("rebalance_files_total = %v, want >= 1", got)
+					}
+					if st := cl.members["io1"].state; st != memberRemoved {
+						t.Fatalf("io1 state %v after the drain, want removed", st)
+					}
+					if err := verifyMemberCorpus(cl, size); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestScheduleComposesCrashWithDrain: one plan drains io1 and, while the
-// rebalance is copying, crashes io2 — a WAL-backed survivor that holds both
-// source data and the new placement's shadow objects — and restarts it.
-// The crash fires on time from its own lane while the drain blocks the
-// reconcile lane; chunks that met the outage are re-issued once, and the
-// corpus reads back byte-identical on the post-drain topology.  The crash
-// lands just after the first file's shadow objects were created, before any
-// chunk reached io2: a shadow create that was not yet durable would be lost
-// with io2's volatile state, and the re-issued chunks would find a stale
-// handle.
-func TestScheduleComposesCrashWithDrain(t *testing.T) {
-	const (
-		size    = 1 << 20
-		crashAt = 9 * time.Millisecond
-		// Longer than the fast first pass retries, so chunks bound for io2
-		// fall to the re-issue pass, which waits out the restart.
-		restartAt = crashAt + 500*time.Millisecond
-	)
-	for _, arch := range Archs {
-		t.Run(string(arch), func(t *testing.T) {
-			cl := New(Config{
-				Arch: arch, Clients: 2, Real: true,
-				StripeSize: 64 << 10, Backend: BackendWAL,
-			})
-			defer cl.Close()
-			if err := writeMemberCorpus(cl, size); err != nil {
-				t.Fatal(err)
-			}
-			start := cl.Now()
-			schedule(t, cl,
-				faults.Drain{Node: "io1"},
-				faults.StorageNodeCrash{At: crashAt, Node: "io2"},
-				faults.StorageNodeRestart{At: restartAt, Node: "io2"},
-			)
-			if err := cl.Reconcile(); err != nil {
-				t.Fatal(err)
-			}
-			if migStart, migEnd := cl.MigrationWindow(); start+crashAt < migStart || start+restartAt >= migEnd {
-				t.Fatalf("outage %v..%v is not inside the migration window %v..%v",
-					crashAt, restartAt, migStart-start, migEnd-start)
-			}
-			if got := counterSum(cl, "faults_injected_total"); got != 2 {
-				t.Fatalf("faults_injected_total = %v, want the crash/restart pair", got)
-			}
-			if got := counterSum(cl, "rebalance_files_total"); got < 1 {
-				t.Fatalf("rebalance_files_total = %v, want >= 1", got)
-			}
-			if cl.rebalanceReissued.Value() == 0 {
-				t.Fatal("no chunk met the outage: the crash tested nothing")
-			}
-			if st := cl.members["io1"].state; st != memberRemoved {
-				t.Fatalf("io1 state %v after the drain, want removed", st)
-			}
-			if err := verifyMemberCorpus(cl, size); err != nil {
-				t.Fatal(err)
-			}
-		})
+// TestMigrationTruncateSurvivesCrash: the object sizes a migration publishes
+// on the new placement after the flip (its post-commit truncate) are as
+// durable as the shadow objects' creation.  The file is sparse, so the copy
+// leaves some shadow objects short of the size the new geometry gives them
+// and the truncate extends them.  Every WAL storage node then crashes right
+// after the drain, before anything else syncs it, and restarts: each shadow
+// object keeps its size.
+func TestMigrationTruncateSurvivesCrash(t *testing.T) {
+	const off, n = 1 << 20, 64 << 10
+	cl := New(Config{Arch: ArchPVFS2, Clients: 1, Real: true, StripeSize: 64 << 10, Backend: BackendWAL})
+	defer cl.Close()
+	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
+		f, err := m.Create(ctx, "/sparse")
+		if err != nil {
+			return err
+		}
+		if err := m.Write(ctx, f, off, payload.Real(memberPattern(i, n))); err != nil {
+			return err
+		}
+		if err := m.Fsync(ctx, f); err != nil {
+			return err
+		}
+		return m.Close(ctx, f)
+	}); err != nil {
+		t.Fatal(err)
 	}
+	schedule(t, cl, faults.Drain{Node: "io1"})
+	if err := cl.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	at, err := cl.PVFSMeta.Namespace().LookupPath("/sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := cl.PVFSMeta.PlacementOf(pvfsHandle(at.ID))
+	want := map[uint32]int64{}
+	for _, e := range place.Dist.Mapper().Map(0, off+n) {
+		id := place.Dist.ServerIDs()[e.Dev]
+		want[id] = max(want[id], e.DevOff+e.Len)
+	}
+	check := func(when string) {
+		t.Helper()
+		for name, ss := range cl.storageByNode {
+			if got, w := ss.ObjectSize(place.Data), want[uint32(cl.devIDs[name])]; got != w {
+				t.Errorf("%s: shadow object on %s is %d bytes, want %d", when, name, got, w)
+			}
+		}
+	}
+	check("after the drain")
+	for name := range cl.storageByNode {
+		cl.CrashVolatile(name)
+		cl.RestartVolatile(name)
+	}
+	check("after a crash right after it")
 }

@@ -34,6 +34,12 @@ const (
 	// stored copy, so clients retry briefly and then repair from a replica
 	// rather than retrying forever (docs/FAULTS.md "Corruption").
 	Corrupt
+	// Unavailable reports that the store crashed under the request.  It
+	// never reaches a client: each server answers it with rpc.StatusDown, as
+	// if the request had gone to a down node, so the caller retries
+	// (docs/FAULTS.md).  It maps both ways so that a conduit passing errors
+	// between a daemon and a co-located server keeps the crash visible.
+	Unavailable
 )
 
 // ToErrno converts a store (or nil) error into a wire code.
@@ -55,6 +61,8 @@ func ToErrno(err error) Errno {
 		return Inval
 	case store.ErrCorrupt:
 		return Corrupt
+	case store.ErrUnavailable:
+		return Unavailable
 	default:
 		return IO
 	}
@@ -81,6 +89,8 @@ func (e Errno) Err() error {
 		return ErrStale
 	case Corrupt:
 		return store.ErrCorrupt
+	case Unavailable:
+		return store.ErrUnavailable
 	default:
 		return ErrIO
 	}

@@ -15,6 +15,8 @@ func TestRoundTripAllVFSErrors(t *testing.T) {
 		store.ErrNotDir,
 		store.ErrNotEmpty,
 		store.ErrInval,
+		store.ErrCorrupt,
+		store.ErrUnavailable,
 	}
 	for _, err := range errs {
 		if got := ToErrno(err).Err(); got != err {

@@ -15,6 +15,7 @@ import (
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
 	"dpnfs/internal/store/mem"
+	"dpnfs/internal/store/wal"
 	"dpnfs/internal/xdr"
 )
 
@@ -415,5 +416,29 @@ func TestSmallWritesMatchLargeWriteThroughput(t *testing.T) {
 	if ratio > 1.6 {
 		t.Fatalf("8 KiB writes %.2fx slower than 2 MiB writes; gathering not effective (small=%v large=%v)",
 			ratio, small, large)
+	}
+}
+
+// TestServerAnswersACrashedStoreAsDown: a compound whose store crashed under
+// it is answered with rpc.StatusDown, as a down node would answer, and the
+// session's replay cache keeps nothing of it: the caller's retry on the same
+// slot and sequence runs again once the store has recovered.
+func TestServerAnswersACrashedStoreAsDown(t *testing.T) {
+	st := wal.New(wal.Config{Name: "nfs"})
+	srv := NewServer(ServerConfig{Backend: NewStoreBackend(st, nil)})
+	ctx := &rpc.Ctx{}
+	rep, _ := srv.Handle(ctx, ProcCompound, &CompoundArgs{Ops: []Op{&OpExchangeID{ClientName: "c"}, &OpCreateSession{Slots: 1}}})
+	session := rep.(*CompoundRep).Results[1].(*ResCreateSession).Session
+	create := &CompoundArgs{Session: session, Seq: 1, Ops: []Op{&OpPutRootFH{}, &OpOpen{Name: "f", Create: true}}}
+	st.Crash()
+	if rep, status := srv.Handle(ctx, ProcCompound, create); status != rpc.StatusDown {
+		t.Fatalf("OPEN on a crashed store answered %v %+v, want rpc.StatusDown", status, rep)
+	}
+	if _, err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	rep, status := srv.Handle(ctx, ProcCompound, create)
+	if status != rpc.StatusOK || rep.(*CompoundRep).Status != fserr.OK {
+		t.Fatalf("retried OPEN after recovery answered %v %+v", status, rep)
 	}
 }

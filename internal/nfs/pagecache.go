@@ -22,13 +22,13 @@ import (
 // Content is never copied on the READ path: fill adopts the reply payload
 // (over TCP, the pooled frame it was borrow-decoded from) as a segment, and
 // slice hands out views that retain the segment's buffer.  Segments are
-// immutable — an overlapping write or truncate replaces them with cuts of
-// themselves — so a view is a stable snapshot that outlives DropCaches,
-// Close, truncate and overwrite, and the buffer returns to its pool at the
-// last Release.  Every segment carries a location-salted CRC32C per 64 KB
-// block, verified on every slice: a fill adopts the sums the server's store
-// verified for whole blocks (store.BlockSums) and seals the rest, a write
-// seals its blocks as it copies them in.
+// immutable — an overlapping write replaces them with cuts of themselves —
+// so a view is a stable snapshot that outlives DropCaches, Close and
+// overwrite, and the buffer returns to its pool at the last Release.  Every
+// segment carries a location-salted CRC32C per 64 KB block, verified on
+// every slice: a fill adopts the sums the server's store verified for whole
+// blocks (store.BlockSums) and seals the rest, a write seals its blocks as
+// it copies them in.
 //
 // There is no eviction: the paper's working sets fit client RAM (≤ 650 MB
 // per client against 2 GB), and synthetic mode stores no bytes anyway.
@@ -372,15 +372,6 @@ func (pc *pageCache) missingResident(lo, hi int64) []extent {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return pc.resident.missing(lo, hi)
-}
-
-// truncate drops cached state at and beyond size.
-func (pc *pageCache) truncate(size int64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.resident = pc.resident.subtract(size, 1<<62)
-	pc.dirty = pc.dirty.subtract(size, 1<<62)
-	pc.carve(size, 1<<62)
 }
 
 // firstDirty returns the lowest dirty extent.

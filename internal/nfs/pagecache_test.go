@@ -49,6 +49,16 @@ func randBytes(rng *rand.Rand, n int64) []byte {
 	return b
 }
 
+// dropFrom opens a gap at off: it drops every cached byte at and beyond off,
+// dirty or not, so that fills land on non-resident ranges again.
+func dropFrom(pc *pageCache, off int64) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	pc.resident = pc.resident.subtract(off, 1<<62)
+	pc.dirty = pc.dirty.subtract(off, 1<<62)
+	pc.carve(off, 1<<62)
+}
+
 // checkInvariants compares the cache's lists with the model's per-byte
 // flags: segments sorted, disjoint and exactly covering the resident bytes
 // (the model feeds no synthetic payloads, so there are no holes inside
@@ -86,7 +96,7 @@ func checkInvariants(t *testing.T, pc *pageCache, resident, dirty []bool) {
 	}
 }
 
-// TestPageCacheModel drives random overlapping write/fill/truncate/slice
+// TestPageCacheModel drives random overlapping write/fill/drop/slice
 // against a flat byte array with per-byte residency and dirty flags.  Every
 // slice must read exactly the model's bytes — holes and ranges past the last
 // segment as zeros — views kept across later operations must not change,
@@ -152,7 +162,7 @@ func TestPageCacheModel(t *testing.T) {
 					}
 				}
 			case op < 7:
-				pc.truncate(off)
+				dropFrom(pc, off)
 				for i := off; i < space; i++ {
 					model[i], resident[i], dirty[i] = 0, false, false
 				}
@@ -208,9 +218,9 @@ func TestPageCacheModel(t *testing.T) {
 	}
 }
 
-// TestPageCacheViewIsSnapshot: a view taken before an overlapping write,
-// truncate, or the cache's own release keeps reading the old bytes, and the
-// cache serves the new ones.
+// TestPageCacheViewIsSnapshot: a view taken before an overlapping write, a
+// drop, or the cache's own release keeps reading the old bytes, and the cache
+// serves the new ones.
 func TestPageCacheViewIsSnapshot(t *testing.T) {
 	pc, _ := newTestCache()
 	old := bytes.Repeat([]byte("old-"), sumBlock/2) // two blocks
@@ -223,7 +233,7 @@ func TestPageCacheViewIsSnapshot(t *testing.T) {
 	flush, _ := pc.slice(0, int64(len(old))) // what flushAsync would queue
 
 	pc.write(50, payload.Real(bytes.Repeat([]byte("NEW!"), 1024)))
-	pc.truncate(3000)
+	dropFrom(pc, 3000)
 	got, _ := pc.slice(0, 3000)
 	want := append(bytes.Clone(old[:50]), bytes.Repeat([]byte("NEW!"), 1024)...)
 	if !bytes.Equal(got.Bytes, want[:3000]) {
@@ -233,7 +243,7 @@ func TestPageCacheViewIsSnapshot(t *testing.T) {
 	pc.release()
 
 	if !bytes.Equal(view.Bytes, old[100:100+4096]) || !bytes.Equal(flush.Bytes, old) {
-		t.Fatal("a view changed under an overlapping write/truncate/release")
+		t.Fatal("a view changed under an overlapping write/drop/release")
 	}
 	if released.Load() != 0 {
 		t.Fatal("the adopted payload was released while views still pin it")
@@ -495,7 +505,7 @@ func TestPageCacheConcurrent(t *testing.T) {
 		})
 		worker(20+g, func(rng *rand.Rand, off, n int64) error {
 			if rng.Intn(4) == 0 {
-				pc.truncate(off) // opens a gap for the next fill
+				dropFrom(pc, off) // opens a gap for the next fill
 			}
 			fills.Add(1)
 			pc.fill(off, counted(bytes.Clone(pat[off:off+n]), &released), noSums)
@@ -508,7 +518,7 @@ func TestPageCacheConcurrent(t *testing.T) {
 			}
 			p, _ := pc.slice(off, n)
 			defer p.Release()
-			// A concurrent truncate may have dropped part of the range
+			// A concurrent drop may have emptied part of the range
 			// again: those bytes read as zeros, never as anything else.
 			for i, b := range p.Bytes {
 				if b != pat[off+int64(i)] && b != 0 {

@@ -223,16 +223,22 @@ func (s *Server) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.
 	}
 
 	rep := s.run(ctx, cpu, args)
+	// A store that crashed under the compound is answered as a down node
+	// is, and nothing is cached: the caller's retry re-executes it.
+	down := rep.Status == fserr.Unavailable
 
 	if sess != nil {
 		s.mu.Lock()
 		sess.lastSeq[args.Slot] = args.Seq
-		if cacheReply {
+		if cacheReply && !down {
 			sess.lastRep[args.Slot] = rep
 		} else {
 			sess.lastRep[args.Slot] = nil
 		}
 		s.mu.Unlock()
+	}
+	if down {
+		return nil, rpc.StatusDown
 	}
 	return rep, rpc.StatusOK
 }

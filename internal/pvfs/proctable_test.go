@@ -8,6 +8,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"dpnfs/internal/fserr"
+	"dpnfs/internal/rpc"
+	"dpnfs/internal/store/wal"
 )
 
 // procConstants evaluates the package's Proc* constants from its source:
@@ -124,5 +128,42 @@ func TestProcTableComplete(t *testing.T) {
 	}
 	if got := ProcName(uint32(len(procTable))); got != "proc-"+strconv.Itoa(len(procTable)) {
 		t.Errorf("an undeclared procedure renders as %q, want it numeric", got)
+	}
+}
+
+// TestEveryProcedureAnswersACrashedStoreAsDown: a request whose store has
+// crashed under it is answered with rpc.StatusDown by every procedure of
+// both services — the one check in each server's Handle reads every reply
+// type's status word — so no crash reaches a caller as EIO.
+func TestEveryProcedureAnswersACrashedStoreAsDown(t *testing.T) {
+	const obj, fresh Handle = 7, 8
+	daemonStore, nsStore := wal.New(wal.Config{Name: "io"}), wal.New(wal.Config{Name: "mds"})
+	daemon := NewStorageServer(StorageConfig{Store: daemonStore})
+	meta := NewMetaServer(MetaConfig{Store: nsStore})
+	if e := daemonCreate(daemon, obj); e != fserr.OK {
+		t.Fatalf("IO-CREATE: %v", e)
+	}
+	daemonStore.Crash()
+	nsStore.Crash()
+	for i, row := range procTable {
+		if row.req == nil {
+			continue
+		}
+		// Storage requests name an object the daemon knows (a create, one
+		// it does not), so they reach the store rather than answer Stale.
+		req := row.req()
+		if h := reflect.ValueOf(req).Elem().FieldByName("Handle"); row.service == ServiceIO && h.IsValid() {
+			h.SetUint(uint64(obj))
+			if uint32(i) == ProcIOCreate {
+				h.SetUint(uint64(fresh))
+			}
+		}
+		handle := meta.Handle
+		if row.service == ServiceIO {
+			handle = daemon.Handle
+		}
+		if rep, status := handle(&rpc.Ctx{}, uint32(i), req); status != rpc.StatusDown {
+			t.Errorf("%s on a crashed store answered %v %+v, want rpc.StatusDown", row.name, status, rep)
+		}
 	}
 }

@@ -234,8 +234,19 @@ func (s *StorageServer) acquireBuffers(ctx *rpc.Ctx, n int64) func() {
 	}
 }
 
+// answerCrash is the one crash check of both servers' Handle: a request
+// whose store crashed under it (fserr.Unavailable) is answered as a down
+// node is, with rpc.StatusDown, which the caller's transport turns into the
+// retryable error of a call to a down node.
+func answerCrash(rep *xdr.Marshaler, status *rpc.Status) {
+	if r, ok := (*rep).(interface{ errno() fserr.Errno }); ok && r.errno() == fserr.Unavailable {
+		*rep, *status = nil, rpc.StatusDown
+	}
+}
+
 // Handle dispatches one storage daemon request.
-func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
+func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshaler, status rpc.Status) {
+	defer answerCrash(&rep, &status)
 	// The data procedures are typed methods, which count themselves.
 	switch proc {
 	case ProcIOWrite:
@@ -264,18 +275,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		}
 		s.objects[a.Handle] = at.ID
 		s.mu.Unlock()
-		if a.Handle >= shadowBase {
-			// A migration's shadow object is durable before the MDS can flip
-			// a placement onto it: the copy syncs only the daemons it
-			// writes, and a crash before the first would lose the object.
-			// An ordinary datafile becomes durable at the file's first
-			// COMMIT, which flushes every daemon of the file.  (mem's Sync
-			// is free, so the default timing is unchanged.)
-			if err := s.store.Sync(ctx.P); err != nil {
-				return &IOCreateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-			}
-		}
-		return &IOCreateRep{}, rpc.StatusOK
+		return &IOCreateRep{Errno: s.syncShadow(ctx, a.Handle)}, rpc.StatusOK
 
 	case ProcIORemove:
 		a := req.(*IORemoveArgs)
@@ -324,9 +324,23 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshale
 		if err := s.store.Truncate(id, a.ObjSize); err != nil {
 			return &IOTruncateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		return &IOTruncateRep{}, rpc.StatusOK
+		return &IOTruncateRep{Errno: s.syncShadow(ctx, a.Handle)}, rpc.StatusOK
 	}
 	return nil, rpc.StatusProcUnavail
+}
+
+// syncShadow makes the create or truncate of a migration's shadow object h
+// durable before it is acknowledged: the copy syncs only the daemons it
+// writes, so a crash could otherwise lose an object the MDS is about to flip
+// a placement onto, or the object size the migration publishes after the
+// flip.  An ordinary datafile becomes durable at the file's first COMMIT,
+// which flushes every daemon of the file.  (mem's Sync is free, so the
+// default timing is unchanged.)
+func (s *StorageServer) syncShadow(ctx *rpc.Ctx, h Handle) fserr.Errno {
+	if h < shadowBase {
+		return fserr.OK
+	}
+	return fserr.ToErrno(s.store.Sync(ctx.P))
 }
 
 // Write, Read and Flush are the daemon's data procedures as typed calls:
@@ -654,7 +668,8 @@ func (m *MetaServer) fanoutConns(ctx *rpc.Ctx, conns []rpc.Conn, fn func(ctx *rp
 }
 
 // Handle dispatches one metadata request.
-func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
+func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshaler, status rpc.Status) {
+	defer answerCrash(&rep, &status)
 	m.stats.requests.inc(proc)
 	ctx.UseCPU(m.cfg.Node.Processor(), metaPerOp)
 	switch proc {

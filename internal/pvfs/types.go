@@ -291,6 +291,19 @@ func (a *HandleArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
+// errno is every reply's status word, which the servers' Handle checks for
+// a store that crashed under the request (answerCrash).
+func (r *ErrnoRep) errno() fserr.Errno     { return r.Errno }
+func (r *LookupRep) errno() fserr.Errno    { return r.Errno }
+func (r *CreateRep) errno() fserr.Errno    { return r.Errno }
+func (r *MkdirRep) errno() fserr.Errno     { return r.Errno }
+func (r *ReadDirRep) errno() fserr.Errno   { return r.Errno }
+func (r *GetAttrRep) errno() fserr.Errno   { return r.Errno }
+func (r *PlacementRep) errno() fserr.Errno { return r.Errno }
+func (r *IOReadRep) errno() fserr.Errno    { return r.Errno }
+func (r *IOWriteRep) errno() fserr.Errno   { return r.Errno }
+func (r *IOGetSizeRep) errno() fserr.Errno { return r.Errno }
+
 func (r *ErrnoRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
 func (r *ErrnoRep) UnmarshalXDR(d *xdr.Decoder) error {
 	v, err := d.Uint32()

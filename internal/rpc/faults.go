@@ -1,8 +1,9 @@
 // Injected-failure surface of the rpc layer (internal/faults): calls to a
 // crashed node return a retryable *DownError on both transports — after an
 // RPC timeout of virtual time on the simulated fabric, immediately over TCP
-// — and WithRetry gives protocol clients a deterministic backoff loop that
-// rides out an outage until the node restarts.
+// — whether the call found the node down or its handler met the crash
+// (StatusDown), and WithRetry gives protocol clients a deterministic backoff
+// loop that rides out an outage until the node restarts.
 package rpc
 
 import (
@@ -22,7 +23,7 @@ import (
 const DownCallTimeout = 200 * time.Millisecond
 
 // DownError is the retryable error surfaced for calls to a node taken down
-// by fault injection.
+// by fault injection, and for calls whose handler met the crash.
 type DownError struct{ Node string }
 
 func (e *DownError) Error() string {
@@ -30,8 +31,9 @@ func (e *DownError) Error() string {
 }
 
 // Retryable reports whether err is a transient transport failure that a
-// client may retry (currently: injected node-down faults).  Protocol-level
-// errors riding inside replies are never retryable.
+// client may retry: a call to a crashed node, which either found the node
+// down or was in a handler when the node's store crashed under it.
+// Protocol-level errors riding inside replies are never retryable.
 func Retryable(err error) bool {
 	var de *DownError
 	return errors.As(err, &de)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dpnfs/internal/metrics"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/xdr"
@@ -156,4 +157,61 @@ func TestTCPTransportDownNode(t *testing.T) {
 	if err := conn.Call(&Ctx{}, procEcho, &echoArgs{N: 5}, &got); err != nil || got.N != 6 {
 		t.Fatalf("call after restart: %+v, %v", got, err)
 	}
+}
+
+// TestStatusDownIsADownNode: a handler whose server crashed under the
+// request answers StatusDown, and both transports turn that into the
+// retryable *DownError a call to a down node gets, counted as a fault like
+// one.  On the fabric the caller pays the whole DownCallTimeout, as if the
+// request had gone unanswered, however long the handler ran first.
+func TestStatusDownIsADownNode(t *testing.T) {
+	crashed := func(ctx *Ctx, proc uint32, req any) (xdr.Marshaler, Status) {
+		ctx.Sleep(30 * time.Millisecond) // the handler was under way
+		return nil, StatusDown
+	}
+	check := func(tr string, reg *metrics.Registry, err error, node string) {
+		t.Helper()
+		var de *DownError
+		if !errors.As(err, &de) || de.Node != node || !Retryable(err) {
+			t.Errorf("%s: call answered StatusDown returned %v, want a retryable DownError{%s}", tr, err, node)
+		}
+		if got := reg.Snapshot().Total("rpc_client_fault_errors_total"); got != 1 {
+			t.Errorf("%s: rpc_client_fault_errors_total = %v, want 1", tr, got)
+		}
+	}
+
+	k := sim.NewKernel(1)
+	f := simnet.NewFabric(k)
+	f.AddNode(simnet.NodeConfig{Name: "client"})
+	f.AddNode(simnet.NodeConfig{Name: "server"})
+	simReg := metrics.NewRegistry()
+	fabric := &FabricTransport{Fabric: f, Metrics: simReg}
+	if _, err := fabric.Serve("server", "echo", nil, crashed, 4); err != nil {
+		t.Fatal(err)
+	}
+	conn, _ := fabric.Dial("client", "server", "echo")
+	k.Go("caller", func(p *sim.Proc) {
+		before := p.Now()
+		err := conn.Call(&Ctx{P: p}, procEcho, &echoArgs{N: 1}, nil)
+		check("sim", simReg, err, "server")
+		if waited := time.Duration(p.Now() - before); waited != DownCallTimeout {
+			t.Errorf("sim: call answered StatusDown took %v, want %v", waited, DownCallTimeout)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	tcpReg := metrics.NewRegistry()
+	tcp := NewTCPTransport(1)
+	tcp.Metrics = tcpReg
+	defer tcp.Close()
+	if _, err := tcp.Serve("io0", "echo", echoRegistry(), crashed, 2); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := tcp.Dial("c0", "io0", "echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("tcp", tcpReg, conn.Call(&Ctx{}, procEcho, &echoArgs{N: 1}, nil), "io0")
 }

@@ -38,6 +38,10 @@ const (
 	StatusProcUnavail
 	StatusGarbageArgs
 	StatusSystemErr
+	// StatusDown answers a request whose server crashed under it.  No
+	// caller sees it: the transports turn it into the *DownError a call to a
+	// down node gets.
+	StatusDown
 )
 
 func (s Status) Error() string {
@@ -48,6 +52,8 @@ func (s Status) Error() string {
 		return "rpc: procedure unavailable"
 	case StatusGarbageArgs:
 		return "rpc: garbage arguments"
+	case StatusDown:
+		return "rpc: server crashed under the request"
 	default:
 		return fmt.Sprintf("rpc: system error (%d)", uint32(s))
 	}
@@ -292,13 +298,7 @@ func (t *SimTransport) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.U
 	done := t.stats.callStart()
 	start := ctx.Now()
 	if t.Dst.Down() {
-		// Injected crash: the request goes unanswered until the RPC timer
-		// expires, then surfaces as a retryable failure.
-		ctx.P.Sleep(DownCallTimeout)
-		err := &DownError{Node: t.Dst.Name}
-		t.stats.fault()
-		done(time.Duration(ctx.Now()-start), err)
-		return err
+		return t.down(ctx, start, done)
 	}
 	var rc *sim.Chan
 	if n := len(t.replies); n > 0 {
@@ -322,6 +322,9 @@ func (t *SimTransport) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.U
 		}
 		t.stats.addRecv(recv)
 	}
+	if r.status == StatusDown {
+		return t.down(ctx, start, done)
+	}
 	if r.status != StatusOK {
 		done(time.Duration(ctx.Now()-start), r.status)
 		return r.status
@@ -331,6 +334,19 @@ func (t *SimTransport) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.U
 		return nil
 	}
 	err := copyReply(rep, r.resp)
+	done(time.Duration(ctx.Now()-start), err)
+	return err
+}
+
+// down fails a call to a crashed node: it went unanswered, or its handler
+// met the crash (StatusDown), and surfaces as a retryable failure once the
+// RPC timer expires, DownCallTimeout after the call started.
+func (t *SimTransport) down(ctx *Ctx, start sim.Time, done func(time.Duration, error)) error {
+	if rest := DownCallTimeout - time.Duration(ctx.Now()-start); rest > 0 {
+		ctx.P.Sleep(rest)
+	}
+	err := &DownError{Node: t.Dst.Name}
+	t.stats.fault()
 	done(time.Duration(ctx.Now()-start), err)
 	return err
 }

@@ -138,13 +138,18 @@ type downGate struct {
 	pool *TCPPool
 }
 
-// Call implements Conn, rejecting calls while the node is marked down.
+// Call implements Conn, rejecting calls while the node is marked down and
+// failing a call whose handler met the crash (StatusDown) the same way.
 func (g *downGate) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
-	if g.tr.nodeDown(g.node) {
+	var err error = StatusDown
+	if !g.tr.nodeDown(g.node) {
+		err = g.pool.Call(ctx, proc, args, rep)
+	}
+	if err == StatusDown {
 		g.pool.stats.fault()
 		return &DownError{Node: g.node}
 	}
-	return g.pool.Call(ctx, proc, args, rep)
+	return err
 }
 
 // NewTCPTransport returns an empty loopback transport.

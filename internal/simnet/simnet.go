@@ -80,9 +80,10 @@ type Node struct {
 }
 
 // SetDown marks the node crashed (unreachable) or restarted.  The rpc layer
-// surfaces calls to a down node as retryable errors; in-flight work
-// completes (the model is a node that stops accepting new requests, then
-// reboots with its storage intact).
+// surfaces calls to a down node as retryable errors.  A request already in a
+// handler runs on: against a volatile store that keeps its image it
+// completes, and against a durable store that crashed with the node it is
+// answered as if it had found the node down (rpc.StatusDown).
 func (n *Node) SetDown(down bool) { n.down = down }
 
 // Down reports whether the node is currently crashed.
