@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"dpnfs/internal/cluster"
 	"dpnfs/internal/metrics"
@@ -321,32 +320,28 @@ func Fig8d(opt Options) (Figure, error) {
 	})
 }
 
-// Degraded-figure schedule: the crash window is deep enough into the run
-// for a clean "before" baseline, and the outage is long enough that every
-// architecture's recovery machinery (layout refetch, MDS-proxied fallback,
-// striped-I/O retry) engages before the restart heals it.
-const (
-	degradedCrashAt   = 2 * time.Second
-	degradedRestartAt = 6 * time.Second
-	degradedTail      = 3 * time.Second
-)
-
-// crashFigure runs the degraded-mode schedule — crash io1 mid-run, restart
-// it later (workload.Degraded) — on every architecture over the given store
-// backend, one series of three phase points each.  inspect, when non-nil,
-// sees each cluster after its run and before it is closed.
-func crashFigure(fig Figure, opt Options, backend string, inspect func(*cluster.Cluster)) (Figure, error) {
+// phaseFigure runs one phased experiment (workload.Phases) per architecture
+// on a cluster built from config(arch), one series of three phase points
+// each.  check, when non-nil, judges each successful run by delta, a
+// counter's growth over that run alone: the registry may be shared by the
+// whole sweep (Options.Metrics).
+func phaseFigure(fig Figure, opt Options, config func(cluster.Arch) cluster.Config,
+	measure func(*cluster.Cluster) (workload.Phases, error),
+	check func(delta func(counter string) float64) error) (Figure, error) {
 	opt = opt.withDefaults([]int{2}, cluster.Archs)
 	fig.XLabel, fig.YLabel = "phase", "aggregate MB/s"
 	for _, arch := range opt.Archs {
-		cl := newCluster(opt, cluster.Config{Arch: arch, Clients: opt.Clients[0], Backend: backend})
-		res, err := workload.Degraded(cl, workload.DegradedConfig{
-			CrashAt:   degradedCrashAt,
-			RestartAt: degradedRestartAt,
-			Tail:      degradedTail,
-		})
-		if inspect != nil {
-			inspect(cl)
+		var pre metrics.Snapshot
+		if opt.Metrics != nil {
+			pre = opt.Metrics.Snapshot()
+		}
+		cfg := config(arch)
+		cfg.Arch, cfg.Clients = arch, opt.Clients[0]
+		cl := newCluster(opt, cfg)
+		res, err := measure(cl)
+		if err == nil && check != nil {
+			post := cl.Metrics().Snapshot()
+			err = check(func(counter string) float64 { return post.Total(counter) - pre.Total(counter) })
 		}
 		cl.Close()
 		if err != nil {
@@ -366,13 +361,15 @@ func crashFigure(fig Figure, opt Options, backend string, inspect func(*cluster.
 
 // Degraded is the repository's degraded-mode figure (not from the paper):
 // aggregate write throughput before, during, and after a storage-node
-// crash, per architecture, under one shared fault plan.  X is the phase
-// (1=before, 2=during, 3=after).  See docs/FAULTS.md for interpretation.
+// crash (workload.Degraded), per architecture, under one shared fault plan.
+// X is the phase (1=before, 2=during, 3=after).  See docs/FAULTS.md for
+// interpretation.
 func Degraded(opt Options) (Figure, error) {
-	return crashFigure(Figure{
+	return phaseFigure(Figure{
 		ID:    "degraded",
 		Title: "write under a storage-node crash (phases: 1=before 2=during 3=after)",
-	}, opt, cluster.BackendMem, nil)
+	}, opt, func(cluster.Arch) cluster.Config { return cluster.Config{Backend: cluster.BackendMem} },
+		workload.Degraded, nil)
 }
 
 // Recovery is the repository's crash-recovery figure (not from the paper):
@@ -382,20 +379,20 @@ func Degraded(opt Options) (Figure, error) {
 // restart must replay the node's journal before it rejoins — throughput
 // across the three phases shows what durability costs and that recovery
 // actually restores service.  X is the phase (1=before, 2=during,
-// 3=after).  The figure errors if no journal records were replayed, so it
-// cannot silently degenerate into the volatile degraded figure.
+// 3=after).  The figure errors if an architecture's run replayed no journal
+// record, so it cannot silently degenerate into the volatile degraded figure.
 func Recovery(opt Options) (Figure, error) {
-	var replayed float64
-	fig, err := crashFigure(Figure{
+	return phaseFigure(Figure{
 		ID:    "recovery",
 		Title: "write across a crash with WAL replay (phases: 1=before 2=during 3=after)",
-	}, opt, cluster.BackendWAL, func(cl *cluster.Cluster) {
-		replayed += cl.Metrics().Snapshot().Total("store_wal_replays_total")
-	})
-	if err == nil && replayed == 0 {
-		err = fmt.Errorf("recovery: no WAL records replayed — the crash never exercised recovery")
-	}
-	return fig, err
+	}, opt, func(cluster.Arch) cluster.Config { return cluster.Config{Backend: cluster.BackendWAL} },
+		workload.Degraded,
+		func(delta func(string) float64) error {
+			if delta("store_wal_replays_total") < 1 {
+				return fmt.Errorf("no WAL records replayed — the crash never exercised recovery")
+			}
+			return nil
+		})
 }
 
 // Window-sweep parameters: mixed request sizes (12 MB spanning every

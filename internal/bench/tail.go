@@ -69,13 +69,6 @@ func Tail(opt Options) (Figure, error) {
 	disk.CacheBytes = tailDiskCache
 	n := opt.Clients[0]
 	fileSize := scaleBytes(64<<20, opt.Scale)
-	block := int64(64 << 10)
-	// Keep the latency sample count (and so the p999 resolution) roughly
-	// scale-independent: small files get more shuffled passes.
-	passes := 1
-	if blocks := fileSize / block; blocks < 512 {
-		passes = int((512 + blocks - 1) / blocks)
-	}
 	for _, arch := range opt.Archs {
 		for _, mode := range []struct {
 			label string
@@ -83,16 +76,11 @@ func Tail(opt Options) (Figure, error) {
 		}{{"unhedged", false}, {"hedged", true}} {
 			cl := newCluster(opt, cluster.Config{
 				Arch: arch, Clients: n,
-				StripeSize: block, WSize: block, RSize: block,
+				StripeSize: workload.TailBlock, WSize: workload.TailBlock, RSize: workload.TailBlock,
 				Disk:    disk,
 				IOHedge: mode.hedge,
 			})
-			res, err := workload.Tail(cl, workload.TailConfig{
-				Block:    block,
-				FileSize: fileSize,
-				Passes:   passes,
-				Seed:     7,
-			}, plan)
+			res, err := workload.Tail(cl, workload.TailConfig{FileSize: fileSize}, plan)
 			cl.Close()
 			if err != nil {
 				return fig, fmt.Errorf("tail/%s/%s: %w", arch, mode.label, err)

@@ -457,17 +457,16 @@ func (cl *Cluster) devIDFor(name string) pnfs.DeviceID {
 // Every client is recorded in pvClients so a later join can hand it a conn
 // to the new storage server.
 func (cl *Cluster) pvfsClientAt(n *simnet.Node) *pvfs.Client {
-	c := cl.pvfsClientWith(n, 0, "", rpc.RetryPolicy{})
+	c := cl.pvfsClientWith(n, 0, "")
 	cl.pvClients = append(cl.pvClients, pvClientRef{c: c, node: n})
 	return c
 }
 
-// pvfsClientWith builds a PVFS2 client on n with an explicit QoS class,
-// issuer label, and retry policy (zero values keep the foreground/"pvfs"/
-// default-retry behaviour).  The client's IO conns are keyed by stable
-// server ID, so its files keep addressing the right daemons across
-// membership changes.
-func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer string, retry rpc.RetryPolicy) *pvfs.Client {
+// pvfsClientWith builds a PVFS2 client on n with an explicit QoS class and
+// issuer label (zero values keep the foreground/"pvfs" behaviour).  The
+// client's IO conns are keyed by stable server ID, so its files keep
+// addressing the right daemons across membership changes.
+func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer string) *pvfs.Client {
 	var io []rpc.Conn
 	var ids []uint32
 	for _, s := range cl.storageNodes {
@@ -484,7 +483,6 @@ func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer s
 		IOIDs:   ids,
 		Class:   class,
 		Issuer:  issuer,
-		Retry:   retry,
 		Engine:  cl.engineConfig(),
 		Metrics: cl.Cfg.Metrics,
 	})

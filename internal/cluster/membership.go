@@ -297,7 +297,7 @@ func (cl *Cluster) rebalance(ctx *rpc.Ctx, target pvfs.DistParams) error {
 		cl.migEnd = time.Duration(cl.K.Now())
 		cl.memberMu.Unlock()
 	}()
-	mig := cl.pvfsClientWith(cl.mdsNode, ioengine.Background, "rebalance", rpc.RetryPolicy{})
+	mig := cl.pvfsClientWith(cl.mdsNode, ioengine.Background, "rebalance")
 	files, err := cl.listFiles(ctx, mig)
 	if err != nil {
 		return err

@@ -35,11 +35,6 @@ type ClientConfig struct {
 	// synchronous — so BackgroundShare only matters to a client whose Class
 	// is Background.  NewClient fills Name, Issuer and Metrics itself.
 	Engine ioengine.Config
-	// Retry bounds the per-daemon retry loop that rides out injected
-	// storage-node crashes (internal/faults): striped I/O to a crashed
-	// daemon backs off and retries until the node restarts or the budget
-	// runs out.  Zero-valued fields take rpc.DefaultRetryPolicy.
-	Retry rpc.RetryPolicy
 	// Class is the QoS class all of this client's striped I/O runs under
 	// (zero value = Foreground).  The cluster's rebalance engine sets
 	// Background here so migration traffic yields to application I/O.
@@ -77,9 +72,9 @@ type repairKey struct {
 }
 
 // NewClient returns a client with defaults applied.  Striped reads and
-// writes flow through the I/O engine under a retry policy, so they survive
-// a daemon outage shorter than the retry budget; the serial flush path runs
-// each call under the same policy.
+// writes flow through the I/O engine under rpc.DefaultRetryPolicy, so they
+// survive a daemon outage shorter than its budget; the serial flush path
+// runs each call under the same policy.
 func NewClient(cfg ClientConfig) *Client {
 	if cfg.Engine.MaxFlight <= 0 {
 		cfg.Engine.MaxFlight = 8
@@ -99,7 +94,7 @@ func NewClient(cfg ClientConfig) *Client {
 	eng := cfg.Engine
 	eng.Name, eng.Issuer, eng.Metrics = name, issuer, cfg.Metrics
 	c := &Client{cfg: cfg, stats: stats, engine: ioengine.New(eng)}
-	c.retry = ioengine.WithRetry(cfg.Retry, stats.ioRetries.Inc)
+	c.retry = ioengine.WithRetry(rpc.DefaultRetryPolicy(), stats.ioRetries.Inc)
 	c.io = make(map[uint32]rpc.Conn, len(cfg.IO))
 	for i, conn := range cfg.IO {
 		id := uint32(i)
@@ -373,7 +368,7 @@ func (c *Client) Sync(ctx *rpc.Ctx, f *File) error {
 			return err
 		}
 		var rep IOFlushRep
-		if err := c.cfg.Retry.Do(ctx, c.stats.ioRetries.Inc, func() error {
+		if err := rpc.DefaultRetryPolicy().Do(ctx, c.stats.ioRetries.Inc, func() error {
 			return conn.Call(ctx, ProcIOFlush, &IOFlushArgs{Handle: f.Data}, &rep)
 		}); err != nil {
 			return err

@@ -18,17 +18,16 @@ import (
 // degrades a storage node.  The per-request latency distribution — not
 // aggregate MB/s — is the result.
 type TailConfig struct {
-	Block    int64 // per-read block size (default 64 KB)
 	FileSize int64 // per-client file size (default 8 MB)
-	// Passes repeats the full shuffled scan per phase (default 1); client
-	// caches are dropped between passes so every read is an RPC.  More
-	// passes give the p999 estimate more samples at small file sizes.
-	Passes int
-	// Seed drives the per-client shuffled read order (the simulation's own
-	// randomness threads from cluster.Config.Seed; this seed only permutes
-	// block order, so the experiment follows the bench determinism rule).
-	Seed int64
 }
+
+// TailBlock is the tail experiment's read size.
+const TailBlock = 64 << 10
+
+// tailSeed drives the per-client shuffled read order.  The simulation's own
+// randomness threads from cluster.Config.Seed; this seed only permutes block
+// order, so the experiment follows the bench determinism rule.
+const tailSeed = 7
 
 // TailPhase is one phase's read-latency distribution.
 type TailPhase struct {
@@ -71,16 +70,17 @@ func Tail(cl *cluster.Cluster, cfg TailConfig, degrade *faults.Plan) (TailResult
 	if cl.Cfg.Transport == cluster.TransportTCP {
 		return TailResult{}, fmt.Errorf("workload: the tail experiment requires the sim transport")
 	}
-	if cfg.Block <= 0 {
-		cfg.Block = 64 << 10
-	}
-	if cfg.FileSize < cfg.Block {
+	if cfg.FileSize < TailBlock {
 		cfg.FileSize = 8 << 20
 	}
-	if cfg.Passes <= 0 {
-		cfg.Passes = 1
+	blocks := int(cfg.FileSize / TailBlock)
+	// Keep the latency sample count, and so the p999 resolution, roughly
+	// size-independent: small files get more shuffled passes, with client
+	// caches dropped between passes so every read is an RPC.
+	passes := 1
+	if blocks < 512 {
+		passes = (512 + blocks - 1) / blocks
 	}
-	blocks := int(cfg.FileSize / cfg.Block)
 
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
 		f, err := m.Create(ctx, fmt.Sprintf("/tail.%d", i))
@@ -88,7 +88,7 @@ func Tail(cl *cluster.Cluster, cfg TailConfig, degrade *faults.Plan) (TailResult
 			return err
 		}
 		for b := 0; b < blocks; b++ {
-			if err := m.Write(ctx, f, int64(b)*cfg.Block, payload.Synthetic(cfg.Block)); err != nil {
+			if err := m.Write(ctx, f, int64(b)*TailBlock, payload.Synthetic(TailBlock)); err != nil {
 				return err
 			}
 		}
@@ -105,8 +105,8 @@ func Tail(cl *cluster.Cluster, cfg TailConfig, degrade *faults.Plan) (TailResult
 		hist := metrics.NewRegistry().Histogram("workload_tail_read_seconds",
 			"Per-read completion latency for the tail experiment.", tailBuckets())
 		if _, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
-			rng := rand.New(rand.NewSource(cfg.Seed + phaseSeed*1009 + int64(i)))
-			for pass := 0; pass < cfg.Passes; pass++ {
+			rng := rand.New(rand.NewSource(tailSeed + phaseSeed*1009 + int64(i)))
+			for pass := 0; pass < passes; pass++ {
 				m.DropCaches()
 				f, err := m.Open(ctx, fmt.Sprintf("/tail.%d", i))
 				if err != nil {
@@ -115,7 +115,7 @@ func Tail(cl *cluster.Cluster, cfg TailConfig, degrade *faults.Plan) (TailResult
 				order := rng.Perm(blocks)
 				for _, b := range order {
 					t0 := ctx.Now()
-					if _, _, err := m.Read(ctx, f, int64(b)*cfg.Block, cfg.Block); err != nil {
+					if _, _, err := m.Read(ctx, f, int64(b)*TailBlock, TailBlock); err != nil {
 						return err
 					}
 					hist.ObserveDuration(time.Duration(ctx.Now() - t0))
