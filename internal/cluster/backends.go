@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"dpnfs/internal/fserr"
 	"dpnfs/internal/nfs"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pnfs"
@@ -56,9 +55,12 @@ func (b *directDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 // directMDSBackend is the Direct-pNFS metadata server: co-located with the
 // PVFS2 metadata manager (direct in-process calls — no overlapping
 // metadata protocols, paper §4.1), serving layouts through the layout
-// translator.  File sizes are maintained locally from LAYOUTCOMMITs, so
-// GETATTR never ripples into the parallel FS.
+// translator.  Its namespace verbs are the exports' (pvfsNamespace) over a
+// client whose conn to the metadata manager has no wire.  File sizes are
+// maintained locally from LAYOUTCOMMITs, so GETATTR never ripples into the
+// parallel FS.
 type directMDSBackend struct {
+	pvfsNamespace
 	meta  *pvfs.MetaServer
 	agg   string
 	aggP  []int64
@@ -106,63 +108,16 @@ func (t *deviceTable) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
 	return devs, nil
 }
 
-// metaCall invokes the co-located PVFS2 metadata manager in-process — through
-// MetaServer.Handle, never around it, so the per-procedure request counters
-// and the MetaPerOp CPU charge are those of a remote caller — copies the
-// typed reply into rep and turns its status (errno points into rep) into its
-// error: pvfs.Client's call helper, minus the wire.  A metadata store that
-// crashed under the call stays a crash, which the NFS server answers as one.
-func metaCall[R any](b *directMDSBackend, ctx *rpc.Ctx, proc uint32, req any, rep *R, errno *fserr.Errno) error {
-	resp, status := b.meta.Handle(ctx, proc, req)
-	if status == rpc.StatusDown {
-		return store.ErrUnavailable
-	}
-	if status != rpc.StatusOK {
-		return fserr.ErrIO
-	}
-	*rep = *any(resp).(*R)
-	return errno.Err()
-}
-
-func (b *directMDSBackend) Root() uint64 { return uint64(b.meta.RootHandle()) }
-
+// Lookup adds the size and change the MDS keeps locally from LAYOUTCOMMITs,
+// so an OPEN's attributes need no ripple either.
 func (b *directMDSBackend) Lookup(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	var rep pvfs.LookupRep
-	if err := metaCall(b, ctx, pvfs.ProcLookupH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name}, &rep, &rep.Errno); err != nil {
+	fh, attr, err := b.pvfsNamespace.Lookup(ctx, dir, name)
+	if err != nil {
 		return 0, nfs.Attr{}, err
 	}
-	at, _ := b.meta.Namespace().GetAttr(store.FileID(rep.Handle))
-	return uint64(rep.Handle), nfs.Attr{IsDir: rep.IsDir, Size: at.Size, Change: at.Change}, nil
-}
-
-func (b *directMDSBackend) Create(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	var rep pvfs.CreateRep
-	err := metaCall(b, ctx, pvfs.ProcCreateH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name}, &rep, &rep.Errno)
-	return uint64(rep.Handle), nfs.Attr{}, err
-}
-
-func (b *directMDSBackend) Mkdir(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	var rep pvfs.MkdirRep
-	err := metaCall(b, ctx, pvfs.ProcMkdirH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name}, &rep, &rep.Errno)
-	return uint64(rep.Handle), nfs.Attr{IsDir: true}, err
-}
-
-func (b *directMDSBackend) Remove(ctx *rpc.Ctx, dir uint64, name string) error {
-	var rep pvfs.RemoveRep
-	return metaCall(b, ctx, pvfs.ProcRemoveH, &pvfs.DirOpArgs{Dir: pvfs.Handle(dir), Name: name}, &rep, &rep.Errno)
-}
-
-func (b *directMDSBackend) Rename(ctx *rpc.Ctx, dir uint64, src, dst string) error {
-	var rep pvfs.RemoveRep
-	return metaCall(b, ctx, pvfs.ProcRenameH, &pvfs.RenameHArgs{Dir: pvfs.Handle(dir), Src: src, Dst: dst}, &rep, &rep.Errno)
-}
-
-func (b *directMDSBackend) ReadDir(ctx *rpc.Ctx, dir uint64) ([]string, error) {
-	var rep pvfs.ReadDirRep
-	if err := metaCall(b, ctx, pvfs.ProcReadDirH, &pvfs.ReadDirHArgs{Handle: pvfs.Handle(dir)}, &rep, &rep.Errno); err != nil {
-		return nil, err
-	}
-	return rep.Names, nil
+	at, _ := b.meta.Namespace().GetAttr(store.FileID(fh))
+	attr.Size, attr.Change = at.Size, at.Change
+	return fh, attr, nil
 }
 
 // GetAttr serves from the MDS-local namespace: sizes arrive via
@@ -328,7 +283,7 @@ type blindMDSBackend struct {
 // synchronously — the asymmetry behind NFSv4's flat, low write curve
 // against its NIC-bound read curve (Figures 6a vs 7a).
 type exportBackend struct {
-	pv   *pvfs.Client
+	pvfsNamespace
 	node *simnet.Node
 	dist pvfs.DistParams
 
@@ -365,7 +320,7 @@ func (b *exportBackend) openCurrent(ctx *rpc.Ctx, fh uint64) (*pvfs.File, error)
 	cp, ok := b.places[h]
 	b.mu.Unlock()
 	if gen == 0 {
-		return b.pv.OpenHandle(h, b.dist), nil
+		return b.pv.OpenPlaced(h, h, b.dist), nil
 	}
 	if ok && cp.gen == gen {
 		return b.pv.OpenPlaced(h, cp.data, cp.dist), nil
@@ -394,42 +349,44 @@ func (b *exportBackend) conduit(ctx *rpc.Ctx, perMBCost time.Duration, bytes int
 	}
 }
 
-func (b *exportBackend) Root() uint64 { return uint64(b.pv.RootHandle()) }
+// pvfsNamespace is the nfs.Namespace of every NFS server that reaches the
+// PVFS2 namespace through a client library — bar GetAttr, which each server
+// answers its own way.  The exports' clients call the metadata manager over
+// the wire; the Direct-pNFS MDS's calls it in-process (rpc.LocalConn).
+// Either way each verb is one handle procedure through MetaServer.Handle,
+// which counts it, charges its CPU and answers a crashed store as one.
+type pvfsNamespace struct{ pv *pvfs.Client }
 
-func (b *exportBackend) Lookup(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	h, isDir, err := b.pv.LookupH(ctx, pvfs.Handle(dir), name)
+func (n pvfsNamespace) Root() uint64 { return uint64(n.pv.RootHandle()) }
+
+func (n pvfsNamespace) Lookup(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
+	h, isDir, err := n.pv.LookupH(ctx, pvfs.Handle(dir), name)
 	if err != nil {
 		return 0, nfs.Attr{}, err
 	}
 	return uint64(h), nfs.Attr{IsDir: isDir}, nil
 }
 
-func (b *exportBackend) Create(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	f, err := b.pv.CreateH(ctx, pvfs.Handle(dir), name)
-	if err != nil {
-		return 0, nfs.Attr{}, err
-	}
-	return uint64(f.Handle), nfs.Attr{}, nil
+func (n pvfsNamespace) Create(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
+	h, err := n.pv.CreateH(ctx, pvfs.Handle(dir), name)
+	return uint64(h), nfs.Attr{}, err
 }
 
-func (b *exportBackend) Mkdir(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	h, err := b.pv.MkdirH(ctx, pvfs.Handle(dir), name)
-	if err != nil {
-		return 0, nfs.Attr{}, err
-	}
-	return uint64(h), nfs.Attr{IsDir: true}, nil
+func (n pvfsNamespace) Mkdir(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
+	h, err := n.pv.MkdirH(ctx, pvfs.Handle(dir), name)
+	return uint64(h), nfs.Attr{IsDir: true}, err
 }
 
-func (b *exportBackend) Remove(ctx *rpc.Ctx, dir uint64, name string) error {
-	return b.pv.RemoveH(ctx, pvfs.Handle(dir), name)
+func (n pvfsNamespace) Remove(ctx *rpc.Ctx, dir uint64, name string) error {
+	return n.pv.RemoveH(ctx, pvfs.Handle(dir), name)
 }
 
-func (b *exportBackend) Rename(ctx *rpc.Ctx, dir uint64, src, dst string) error {
-	return b.pv.RenameH(ctx, pvfs.Handle(dir), src, dst)
+func (n pvfsNamespace) Rename(ctx *rpc.Ctx, dir uint64, src, dst string) error {
+	return n.pv.RenameH(ctx, pvfs.Handle(dir), src, dst)
 }
 
-func (b *exportBackend) ReadDir(ctx *rpc.Ctx, dir uint64) ([]string, error) {
-	return b.pv.ReadDirH(ctx, pvfs.Handle(dir))
+func (n pvfsNamespace) ReadDir(ctx *rpc.Ctx, dir uint64) ([]string, error) {
+	return n.pv.ReadDirH(ctx, pvfs.Handle(dir))
 }
 
 // GetAttr ripples into the parallel file system: the PVFS2 client gathers

@@ -540,11 +540,15 @@ func (cl *Cluster) buildDirect() *simnet.Node {
 		})
 	}
 	mdsBackend := &directMDSBackend{
-		meta:        cl.PVFSMeta,
-		deviceTable: deviceTable{devices: cl.deviceList(cl.storageNodes)},
-		agg:         cl.Cfg.Aggregation,
-		aggP:        cl.Cfg.AggParams,
-		proxy:       cl.pvfsClientAt(cl.mdsNode),
+		// No node and no registry: the in-process client charges no library
+		// CPU and registers no series, so a namespace verb costs the MDS what
+		// MetaServer.Handle charges for it, and nothing more.
+		pvfsNamespace: pvfsNamespace{pvfs.NewClient(pvfs.ClientConfig{Meta: rpc.LocalConn(cl.PVFSMeta.Handle)})},
+		meta:          cl.PVFSMeta,
+		deviceTable:   deviceTable{devices: cl.deviceList(cl.storageNodes)},
+		agg:           cl.Cfg.Aggregation,
+		aggP:          cl.Cfg.AggParams,
+		proxy:         cl.pvfsClientAt(cl.mdsNode),
 	}
 	cl.directMDS = mdsBackend
 	nfsServeOn(cl, cl.mdsNode, ServiceMDS, mdsBackend)
@@ -604,7 +608,7 @@ func (cl *Cluster) deviceList(nodes []*simnet.Node) []pnfs.DeviceInfo {
 // no layout knowledge), recorded so the membership reconciler can switch it
 // to placement-aware mode.
 func (cl *Cluster) exportOn(n *simnet.Node) *exportBackend {
-	b := &exportBackend{pv: cl.pvfsClientAt(n), node: n, dist: cl.PVFSMeta.Dist()}
+	b := &exportBackend{pvfsNamespace: pvfsNamespace{cl.pvfsClientAt(n)}, node: n, dist: cl.PVFSMeta.Dist()}
 	cl.exports = append(cl.exports, b)
 	return b
 }

@@ -142,3 +142,131 @@ func TestRenameOverFileRemovesItsObjects(t *testing.T) {
 		})
 	}
 }
+
+// metaRequests reads pvfs_meta_requests_total by procedure.
+func metaRequests(cl *Cluster) map[string]float64 {
+	out := make(map[string]float64)
+	for _, fam := range cl.Metrics().Snapshot().Metrics {
+		if fam.Name != "pvfs_meta_requests_total" {
+			continue
+		}
+		for _, ser := range fam.Series {
+			out[ser.Labels["proc"]] += ser.Value
+		}
+	}
+	return out
+}
+
+// mdsVerb is one namespace verb of the Direct-pNFS metadata server, and the
+// PVFS2 procedure it must cost ("" for none).
+type mdsVerb struct {
+	name, proc string
+	call       func(ctx *rpc.Ctx) error
+}
+
+// mdsVerbs calls every namespace verb of b once, in an order in which each
+// succeeds on an empty root: the names the later verbs use come from the
+// earlier ones.
+func mdsVerbs(b *directMDSBackend) []mdsVerb {
+	root := b.Root()
+	var file uint64
+	return []mdsVerb{
+		{"Root", "", func(*rpc.Ctx) error {
+			if got := b.Root(); got != root {
+				return fmt.Errorf("root moved from %d to %d", root, got)
+			}
+			return nil
+		}},
+		{"Create", "create-h", func(ctx *rpc.Ctx) (err error) {
+			file, _, err = b.Create(ctx, root, "f")
+			return err
+		}},
+		{"Mkdir", "mkdir-h", func(ctx *rpc.Ctx) error {
+			_, _, err := b.Mkdir(ctx, root, "d")
+			return err
+		}},
+		{"Lookup", "lookup-h", func(ctx *rpc.Ctx) error {
+			_, _, err := b.Lookup(ctx, root, "f")
+			return err
+		}},
+		{"GetAttr", "", func(ctx *rpc.Ctx) error {
+			_, err := b.GetAttr(ctx, file)
+			return err
+		}},
+		{"Rename", "rename-h", func(ctx *rpc.Ctx) error { return b.Rename(ctx, root, "f", "g") }},
+		{"ReadDir", "readdir-h", func(ctx *rpc.Ctx) error {
+			_, err := b.ReadDir(ctx, root)
+			return err
+		}},
+		{"Remove", "remove-h", func(ctx *rpc.Ctx) error { return b.Remove(ctx, root, "g") }},
+	}
+}
+
+// TestDirectMDSNamespaceCostsARemoteCall: the Direct-pNFS metadata server
+// calls its co-located metadata manager in-process, but each namespace verb
+// still enters MetaServer.Handle as one handle procedure — counted there
+// exactly once, as a remote export's call is — while Root and the local
+// GetAttr (no ripple, paper §4.1) issue none.
+func TestDirectMDSNamespaceCostsARemoteCall(t *testing.T) {
+	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1})
+	defer cl.Close()
+	if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, _ *Mount, _ int) error {
+		for _, v := range mdsVerbs(cl.directMDS) {
+			before := metaRequests(cl)
+			if err := v.call(ctx); err != nil {
+				return fmt.Errorf("%s: %w", v.name, err)
+			}
+			after := metaRequests(cl)
+			if v.proc != "" && after[v.proc] != before[v.proc]+1 {
+				t.Errorf("%s: pvfs_meta_requests_total{proc=%q} grew by %v, want 1", v.name, v.proc, after[v.proc]-before[v.proc])
+			}
+			for proc, n := range after {
+				if proc != v.proc && n != before[proc] {
+					t.Errorf("%s: pvfs_meta_requests_total{proc=%q} grew by %v, want 0", v.name, proc, n-before[proc])
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDirectMDSNamespaceAnswersACrashedStore: while the metadata manager's
+// namespace store is crashed, every namespace verb of the Direct-pNFS
+// metadata server returns store.ErrUnavailable — the error nfs.Server answers
+// with rpc.StatusDown — whether it reaches the store through
+// MetaServer.Handle or, as GetAttr does, directly; after Recover each one
+// succeeds again.
+func TestDirectMDSNamespaceAnswersACrashedStore(t *testing.T) {
+	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1, Backend: BackendWAL})
+	defer cl.Close()
+	ns := cl.PVFSMeta.Namespace().(store.Recoverable)
+	run := func(phase string, check func(name string, err error)) {
+		t.Helper()
+		if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, _ *Mount, _ int) error {
+			for _, v := range mdsVerbs(cl.directMDS) {
+				if v.name != "Root" {
+					check(v.name, v.call(ctx))
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+	}
+	ns.Crash()
+	run("crashed", func(name string, err error) {
+		if !errors.Is(err, store.ErrUnavailable) {
+			t.Errorf("crashed store: %s returned %v, want store.ErrUnavailable", name, err)
+		}
+	})
+	if _, err := ns.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	run("recovered", func(name string, err error) {
+		if err != nil {
+			t.Errorf("recovered store: %s: %v", name, err)
+		}
+	})
+}

@@ -289,31 +289,12 @@ func (p *Plan) String() string {
 	return s + "}"
 }
 
-// PlanOpts selects optional event families for RandomPlanWith.
-type PlanOpts struct {
-	// Corruption adds data-integrity events to the plan: one or two bit-rot
-	// flips, (half the time) an armed misdirected read, and (half the time)
-	// a torn write armed shortly before the crash.  Opt-in because
-	// corruption events are only meaningful against checksummed stores with
-	// real (non-synthetic) payloads; the default plans stay availability-
-	// only so existing figures are unchanged.
-	Corruption bool
-}
-
 // RandomPlan derives a reproducible plan from seed alone: one crash/restart
 // pair on one of nodes, plus (half the time each) a degraded link and a
 // slow disk, all within horizon.  The crash lands in the first fifth of the
 // horizon and heals before 0.8·horizon, so a workload paced across the
 // horizon always overlaps the outage.
 func RandomPlan(seed int64, nodes []string, horizon time.Duration) *Plan {
-	return RandomPlanWith(seed, nodes, horizon, PlanOpts{})
-}
-
-// RandomPlanWith is RandomPlan with optional event families.  For any opts,
-// the base schedule is identical to RandomPlan's for the same seed: optional
-// draws happen after all base draws, so enabling an option extends a plan
-// without perturbing it.
-func RandomPlanWith(seed int64, nodes []string, horizon time.Duration, opts PlanOpts) *Plan {
 	if len(nodes) == 0 {
 		panic("faults: RandomPlan needs at least one node")
 	}
@@ -344,24 +325,6 @@ func RandomPlanWith(seed int64, nodes []string, horizon time.Duration, opts Plan
 			SlowDisk{At: at(0, 0.3), Node: n, Factor: 2 + rng.Float64()*6},
 			SlowDisk{At: at(0.6, 0.85), Node: n, Factor: 1},
 		)
-	}
-	if opts.Corruption {
-		// Rot lands after the restart window so the victim's store is live
-		// when the flip applies, and before 0.9·horizon so a workload paced
-		// across the horizon still reads (and can repair) the bad block.
-		for i, flips := 0, 1+rng.Intn(2); i < flips; i++ {
-			n := nodes[rng.Intn(len(nodes))]
-			p.Events = append(p.Events, BitRot{At: at(0.55, 0.9), Node: n, Seed: rng.Int63()})
-		}
-		if rng.Float64() < 0.5 {
-			n := nodes[rng.Intn(len(nodes))]
-			p.Events = append(p.Events, MisdirectedRead{At: at(0.55, 0.9), Node: n, Seed: rng.Int63()})
-		}
-		if rng.Float64() < 0.5 {
-			// Armed just before the crash: the tear is in the flush the
-			// crash interrupts.
-			p.Events = append(p.Events, TornWrite{At: crash - crash/10, Node: victim})
-		}
 	}
 	return p
 }

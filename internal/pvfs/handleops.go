@@ -99,25 +99,16 @@ func (a *RenameHArgs) UnmarshalXDR(d *xdr.Decoder) error {
 	return err
 }
 
-// RootHandle returns the namespace root handle.
-func (m *MetaServer) RootHandle() Handle { return Handle(m.store.Root()) }
-
 // ---- client-side wrappers ----
 
 // RootHandle returns the file system root handle (well-known: the MDS
 // namespace root is always inode 1).
 func (c *Client) RootHandle() Handle { return 1 }
 
-// OpenHandle builds an open file reference from a handle without a metadata
-// round trip: the distribution is a file-system-wide constant, so data
-// servers exporting PVFS2 can address any file directly.  Files that may
-// have been migrated need OpenPlaced with a fresh placement instead.
-func (c *Client) OpenHandle(h Handle, dist DistParams) *File {
-	return c.newFile(h, h, dist)
-}
-
 // OpenPlaced builds an open file reference from an explicit placement
-// (data handle + distribution), as returned by Lookup/Create/PlacementH.
+// (data handle + distribution), as returned by Lookup/Create/PlacementH,
+// without a metadata round trip.  Before any migration a file's data lives
+// under its own handle with the file-system-wide distribution.
 func (c *Client) OpenPlaced(h, data Handle, dist DistParams) *File {
 	return c.newFile(h, data, dist)
 }
@@ -140,13 +131,11 @@ func (c *Client) LookupH(ctx *rpc.Ctx, dir Handle, name string) (Handle, bool, e
 	return rep.Handle, rep.IsDir, nil
 }
 
-// CreateH creates a file within the directory handle.
-func (c *Client) CreateH(ctx *rpc.Ctx, dir Handle, name string) (*File, error) {
+// CreateH creates a file within the directory handle and returns its handle.
+func (c *Client) CreateH(ctx *rpc.Ctx, dir Handle, name string) (Handle, error) {
 	var rep CreateRep
-	if err := c.metaCall(ctx, ProcCreateH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno); err != nil {
-		return nil, err
-	}
-	return c.newFile(rep.Handle, rep.Data, rep.Dist), nil
+	err := c.metaCall(ctx, ProcCreateH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno)
+	return rep.Handle, err
 }
 
 // MkdirH creates a directory within the directory handle.

@@ -23,11 +23,13 @@
 // the TCP transport decodes through — and its body: an arm of
 // MetaServer.Handle or StorageServer.Handle, where the storage daemon's
 // three data procedures are the typed methods Read, Write and Flush that a
-// co-located Direct-pNFS data server calls directly.  Callers add their own
-// wrapper (Client, and cluster's directMDSBackend for the in-process
-// metadata manager).  Adding a procedure is those edits plus its name in
-// docs/METRICS.md; TestProcTableComplete and the docs test fail until the
-// table and the docs agree with the constants.
+// co-located Direct-pNFS data server calls directly.  Every other caller
+// goes through Client: over the wire, or — for the Direct-pNFS metadata
+// server, in the same process as the metadata manager — over an
+// rpc.LocalConn that runs MetaServer.Handle on the caller's flow.  Adding a
+// procedure is those edits plus its name in docs/METRICS.md;
+// TestProcTableComplete and the docs test fail until the table and the docs
+// agree with the constants.
 package pvfs
 
 import (

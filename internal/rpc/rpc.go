@@ -25,6 +25,7 @@ import (
 	"dpnfs/internal/payload"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
+	"dpnfs/internal/store"
 	"dpnfs/internal/xdr"
 )
 
@@ -368,6 +369,26 @@ func copyReply(dst xdr.Unmarshaler, src xdr.Marshaler) error {
 	}
 	dv.Elem().Set(sv.Elem())
 	return nil
+}
+
+// LocalConn is a Conn with no wire, for a client in the same process as the
+// server it calls: Call runs the handler on the caller's own flow and copies
+// the typed reply, as SimTransport delivers it, charging nothing in between.
+// A handler that met a crash (StatusDown) comes back as store.ErrUnavailable,
+// so a server calling through the conn answers the crash as its own; any
+// other non-OK status is returned as that Status.
+type LocalConn Handler
+
+// Call implements Conn.
+func (h LocalConn) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
+	resp, status := h(ctx, proc, args)
+	switch status {
+	case StatusOK:
+		return copyReply(rep, resp)
+	case StatusDown:
+		return store.ErrUnavailable
+	}
+	return status
 }
 
 // Parallel runs fn(i) for i in [0, n) concurrently, each as its own flow of

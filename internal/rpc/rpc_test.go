@@ -1,12 +1,14 @@
 package rpc
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
+	"dpnfs/internal/store"
 	"dpnfs/internal/xdr"
 )
 
@@ -171,6 +173,30 @@ func TestCopyReplyTypeMismatch(t *testing.T) {
 	src := &other{}
 	if err := copyReply(&dst, src); err == nil {
 		t.Fatal("type mismatch not detected")
+	}
+}
+
+// TestLocalConn: the wire-less conn copies an OK reply, turns a handler that
+// met a crash into store.ErrUnavailable, and returns any other status as is.
+func TestLocalConn(t *testing.T) {
+	conn := LocalConn(func(ctx *Ctx, proc uint32, req any) (xdr.Marshaler, Status) {
+		if proc == procEcho+1 {
+			return nil, StatusDown
+		}
+		return echoHandler(ctx, proc, req)
+	})
+	var got echoArgs
+	if err := conn.Call(&Ctx{}, procEcho, &echoArgs{N: 41, Blob: []byte("payload")}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.N != 42 || string(got.Blob) != "payload" {
+		t.Fatalf("echo returned %+v", got)
+	}
+	if err := conn.Call(&Ctx{}, procEcho+1, &echoArgs{}, &got); !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("crashed handler returned %v, want store.ErrUnavailable", err)
+	}
+	if err := conn.Call(&Ctx{}, 999, &echoArgs{}, &got); err != StatusProcUnavail {
+		t.Fatalf("bad proc returned %v, want StatusProcUnavail", err)
 	}
 }
 
