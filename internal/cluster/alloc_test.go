@@ -14,14 +14,15 @@ import (
 // Steady-state allocation ceilings for the client READ and WRITE hot paths
 // (sim transport, mem backend, real bytes).  These pin the zero-copy work:
 // pooled transfer buffers, borrowed XDR decode, page-cache segments that
-// adopt the reply instead of copying it.  The ceilings sit above measured
+// adopt the reply instead of copying it.  The ceilings are the measured
 // values (301 read, 390 write per 8 MB pass, as BenchmarkClientRead/Write
-// -benchmem report them); before buffer pooling the same loops cost ~1000
-// (read) and ~1120 (write) allocs per pass, so a ceiling trip means a
-// per-chunk copy or per-op allocation has crept back into the data path.
+// -benchmem report them) plus 10 %, so one more allocation per message
+// trips them; before buffer pooling the same loops cost ~1000 (read) and
+// ~1120 (write) allocs per pass.  A ceiling trip means a per-chunk copy or
+// per-op allocation has crept back into the data path.
 const (
-	readAllocCeiling  = 490
-	writeAllocCeiling = 670
+	readAllocCeiling  = 331
+	writeAllocCeiling = 429
 )
 
 func TestReadAllocCeiling(t *testing.T) {

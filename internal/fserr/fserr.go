@@ -12,10 +12,14 @@ import (
 	"fmt"
 
 	"dpnfs/internal/store"
+	"dpnfs/internal/xdr"
 )
 
 // Errno is a wire-level error code.  OK is zero.
 type Errno uint32
+
+// XDR passes the code as one unsigned word.
+func (e *Errno) XDR(f xdr.Filter) { f.U32((*uint32)(e)) }
 
 // Wire error codes.
 const (

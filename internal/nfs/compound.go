@@ -105,116 +105,53 @@ func opName(num uint32) string {
 	return fmt.Sprintf("OP_%d", num)
 }
 
-// MarshalXDR implements xdr.Marshaler.
-func (c *CompoundArgs) MarshalXDR(e *xdr.Encoder) {
-	e.String(c.Tag)
-	e.Uint64(c.Session)
-	e.Uint32(c.Slot)
-	e.Uint32(c.Seq)
-	e.Uint32(uint32(len(c.Ops)))
-	for _, op := range c.Ops {
-		e.Uint32(op.Num())
-		op.MarshalXDR(e)
+// maxCompoundOps bounds the operations (and results) a COMPOUND decodes.
+const maxCompoundOps = 1024
+
+func (c *CompoundArgs) XDR(f xdr.Filter) {
+	f.Text(&c.Tag)
+	f.U64(&c.Session)
+	f.U32(&c.Slot)
+	f.U32(&c.Seq)
+	numbered(f, &c.Ops, xdr.SizeUint32, func(num uint32) Op { return opTable[num].op() })
+}
+
+func (c *CompoundRep) XDR(f xdr.Filter) {
+	c.Status.XDR(f)
+	// Every result leads with its status word.
+	numbered(f, &c.Results, 2*xdr.SizeUint32, func(num uint32) Result { return opTable[num].res(fserr.OK) })
+}
+
+// numbered passes a COMPOUND's counted list of operations or results, each
+// a union armed by its operation number; decoding builds each entry from the
+// operation table.
+func numbered[T interface {
+	Num() uint32
+	xdr.Codec
+}](f xdr.Filter, list *[]T, elem int, build func(num uint32) T) {
+	n := f.Count(len(*list), maxCompoundOps, elem)
+	if f.Decoding() {
+		*list = make([]T, n)
+	}
+	for i, v := range *list {
+		if !f.Decoding() {
+			f.Union(v.Num())
+		} else if num := f.Union(0); known(num) {
+			v = build(num)
+			(*list)[i] = v
+		} else {
+			f.Fail(fmt.Errorf("nfs: unknown operation %d", num))
+			return
+		}
+		v.XDR(f)
 	}
 }
 
-// UnmarshalXDR implements xdr.Unmarshaler.
-func (c *CompoundArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if c.Tag, err = d.String(); err != nil {
-		return err
-	}
-	if c.Session, err = d.Uint64(); err != nil {
-		return err
-	}
-	if c.Slot, err = d.Uint32(); err != nil {
-		return err
-	}
-	if c.Seq, err = d.Uint32(); err != nil {
-		return err
-	}
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if n > 1024 {
-		return xdr.ErrTooLong
-	}
-	c.Ops = make([]Op, n)
-	for i := range c.Ops {
-		num, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		if !known(num) {
-			return fmt.Errorf("nfs: unknown operation %d", num)
-		}
-		c.Ops[i] = opTable[num].op()
-		if err := c.Ops[i].UnmarshalXDR(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WireSize sums per-op wire sizes without materializing bulk payloads.
-func (c *CompoundArgs) WireSize() int64 {
-	size := int64(xdr.SizeString(c.Tag)) + xdr.SizeUint64 + 3*xdr.SizeUint32
-	for _, op := range c.Ops {
-		size += xdr.SizeUint32 + rpc.WireSizeOf(op)
-	}
-	return size
-}
-
-// MarshalXDR implements xdr.Marshaler.
-func (c *CompoundRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(c.Status))
-	e.Uint32(uint32(len(c.Results)))
-	for _, r := range c.Results {
-		e.Uint32(r.Num())
-		r.MarshalXDR(e)
-	}
-}
-
-// UnmarshalXDR implements xdr.Unmarshaler.
-func (c *CompoundRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	c.Status = fserr.Errno(v)
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if n > 1024 {
-		return xdr.ErrTooLong
-	}
-	c.Results = make([]Result, n)
-	for i := range c.Results {
-		num, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		if !known(num) {
-			return fmt.Errorf("nfs: unknown result %d", num)
-		}
-		c.Results[i] = opTable[num].res(fserr.OK)
-		if err := c.Results[i].UnmarshalXDR(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WireSize sums per-result wire sizes without materializing bulk payloads.
-func (c *CompoundRep) WireSize() int64 {
-	size := int64(2 * xdr.SizeUint32)
-	for _, r := range c.Results {
-		size += xdr.SizeUint32 + rpc.WireSizeOf(r)
-	}
-	return size
-}
+// CompoundArgs and CompoundRep cross rpc.Conn on their own.
+func (c *CompoundArgs) MarshalXDR(e *xdr.Encoder)         { c.XDR(e) }
+func (c *CompoundArgs) UnmarshalXDR(d *xdr.Decoder) error { return d.Decode(c) }
+func (c *CompoundRep) MarshalXDR(e *xdr.Encoder)          { c.XDR(e) }
+func (c *CompoundRep) UnmarshalXDR(d *xdr.Decoder) error  { return d.Decode(c) }
 
 // Registry returns the rpc request registry for the NFS service (TCP mode).
 func Registry() *rpc.Registry {

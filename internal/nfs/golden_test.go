@@ -7,7 +7,6 @@ import (
 
 	"dpnfs/internal/fserr"
 	"dpnfs/internal/payload"
-	"dpnfs/internal/rpc"
 	"dpnfs/internal/store"
 	"dpnfs/internal/xdr"
 )
@@ -34,24 +33,24 @@ var goldenReadResult = []struct {
 }
 
 // TestGoldenReadResult holds each form to its bytes both ways: the value
-// encodes to them (WireSizeOf agreeing, since the fabric charges it), and
+// encodes to them (Size agreeing, since the fabric charges it), and
 // they decode to a value that encodes to them again.
 func TestGoldenReadResult(t *testing.T) {
 	for _, g := range goldenReadResult {
-		enc := xdr.Marshal(g.res)
+		enc := xdr.Encode(g.res)
 		if got := hex.EncodeToString(enc); got != g.hex {
 			t.Errorf("%s encodes to\n  %s\nwant\n  %s", g.name, got, g.hex)
 			continue
 		}
-		if got := rpc.WireSizeOf(g.res); got != int64(len(enc)) {
-			t.Errorf("%s: WireSizeOf %d, encoding is %d bytes", g.name, got, len(enc))
+		if got := xdr.Size(g.res); got != int64(len(enc)) {
+			t.Errorf("%s: Size %d, encoding is %d bytes", g.name, got, len(enc))
 		}
 		var back ResRead
-		if err := xdr.Unmarshal(enc, &back); err != nil {
+		if err := xdr.Decode(enc, &back); err != nil {
 			t.Errorf("%s: decode of golden bytes: %v", g.name, err)
 			continue
 		}
-		if got := hex.EncodeToString(xdr.Marshal(&back)); got != g.hex {
+		if got := hex.EncodeToString(xdr.Encode(&back)); got != g.hex {
 			t.Errorf("%s: golden bytes decode to %+v, which re-encodes to\n  %s", g.name, back, got)
 		}
 	}
@@ -63,9 +62,9 @@ func TestGoldenReadResult(t *testing.T) {
 // re-encode canonically.
 func FuzzDecodeReadResult(f *testing.F) {
 	for _, g := range goldenReadResult {
-		f.Add(xdr.Marshal(g.res))
+		f.Add(xdr.Encode(g.res))
 	}
-	block := xdr.Marshal(goldenReadResult[len(goldenReadResult)-1].res)
+	block := xdr.Encode(goldenReadResult[len(goldenReadResult)-1].res)
 	hostile := bytes.Clone(block[:32])             // through the salt
 	f.Add(append(hostile, 0x7f, 0xff, 0xff, 0xff)) // sum count far past the input
 	unknown := bytes.Clone(block)
@@ -74,15 +73,15 @@ func FuzzDecodeReadResult(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r ResRead
-		if err := xdr.Unmarshal(data, &r); err != nil {
+		if err := xdr.Decode(data, &r); err != nil {
 			return
 		}
-		re := xdr.Marshal(&r)
+		re := xdr.Encode(&r)
 		var r2 ResRead
-		if err := xdr.Unmarshal(re, &r2); err != nil {
+		if err := xdr.Decode(re, &r2); err != nil {
 			t.Fatalf("re-encoded result failed to decode: %v", err)
 		}
-		if !bytes.Equal(re, xdr.Marshal(&r2)) {
+		if !bytes.Equal(re, xdr.Encode(&r2)) {
 			t.Fatal("encode/decode/encode is not a fixed point")
 		}
 	})

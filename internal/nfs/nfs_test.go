@@ -333,9 +333,9 @@ func TestCompoundXDRRoundTrip(t *testing.T) {
 	if w.Off != 100 || !w.Stable || string(w.Data.Bytes) != "hello" {
 		t.Fatalf("write op mangled: %+v", w)
 	}
-	// WireSize must agree with the real encoding.
-	if got, want := in.WireSize(), int64(len(xdr.Marshal(in))); got != want {
-		t.Fatalf("WireSize %d != encoded %d", got, want)
+	// WireSizeOf must agree with the real encoding.
+	if got, want := rpc.WireSizeOf(in), int64(len(xdr.Marshal(in))); got != want {
+		t.Fatalf("WireSizeOf %d != encoded %d", got, want)
 	}
 }
 
@@ -359,8 +359,8 @@ func TestCompoundRepXDRRoundTrip(t *testing.T) {
 	if r := out.Results[2].(*ResRead); !r.Eof || string(r.Data.Bytes) != "abc" {
 		t.Fatalf("read result mangled: %+v", r)
 	}
-	if got, want := in.WireSize(), int64(len(xdr.Marshal(in))); got != want {
-		t.Fatalf("WireSize %d != encoded %d", got, want)
+	if got, want := rpc.WireSizeOf(in), int64(len(xdr.Marshal(in))); got != want {
+		t.Fatalf("WireSizeOf %d != encoded %d", got, want)
 	}
 }
 

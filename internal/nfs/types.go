@@ -11,12 +11,14 @@
 //
 // # Where an operation is declared
 //
-// An operation is its OpNum* constant, its Op and Result types with their
-// Num() and XDR methods (this file), one row of opTable (compound.go) and
-// one arm of Server.exec (server.go).  The row carries everything else
-// that depends on which operations exist: the metric label, whether a
-// retransmission may re-execute it, which optional backend role it needs
-// and the constructors the COMPOUND codec decodes through.  Adding an
+// An operation is its OpNum* constant, its Op and Result types (this file),
+// one row of opTable (compound.go) and one arm of Server.exec (server.go).
+// Each type has a Num() method and one XDR method, its wire shape: the
+// fields in wire order, passed to an xdr.Filter that encodes, decodes or
+// sizes them, so nothing else is written per type.  The row carries
+// everything else that depends on which operations exist: the metric label,
+// whether a retransmission may re-execute it, which optional backend role it
+// needs and the constructors the COMPOUND codec decodes through.  Adding an
 // operation is those four edits plus its name in docs/METRICS.md;
 // TestOpTableComplete and the docs test fail until all are made.
 package nfs
@@ -67,43 +69,34 @@ type Attr struct {
 	Change uint64
 }
 
-func (a *Attr) MarshalXDR(e *xdr.Encoder) {
-	e.Bool(a.IsDir)
-	e.Int64(a.Size)
-	e.Uint64(a.Change)
-}
-
-func (a *Attr) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if a.IsDir, err = d.Bool(); err != nil {
-		return err
-	}
-	if a.Size, err = d.Int64(); err != nil {
-		return err
-	}
-	a.Change, err = d.Uint64()
-	return err
+func (a *Attr) XDR(f xdr.Filter) {
+	f.Flag(&a.IsDir)
+	f.I64(&a.Size)
+	f.U64(&a.Change)
 }
 
 // Op is one operation inside a COMPOUND request.
 type Op interface {
 	Num() uint32
-	xdr.Marshaler
-	xdr.Unmarshaler
+	xdr.Codec
 }
 
 // Result is one operation result inside a COMPOUND reply.
 type Result interface {
 	Num() uint32
 	Status() fserr.Errno
-	xdr.Marshaler
-	xdr.Unmarshaler
+	xdr.Codec
 }
 
 // ---- Operations ----
 
+// noArgs is embedded by operations that carry no arguments.
+type noArgs struct{}
+
+func (noArgs) XDR(xdr.Filter) {}
+
 // OpPutRootFH sets the current filehandle to the export root.
-type OpPutRootFH struct{}
+type OpPutRootFH struct{ noArgs }
 
 // OpPutFH sets the current filehandle.
 type OpPutFH struct{ FH uint64 }
@@ -122,7 +115,7 @@ type OpOpen struct {
 type OpClose struct{ StateID uint64 }
 
 // OpGetAttr fetches attributes of the current filehandle.
-type OpGetAttr struct{}
+type OpGetAttr struct{ noArgs }
 
 // OpRead reads from the current filehandle.
 type OpRead struct {
@@ -154,20 +147,20 @@ type OpRemove struct{ Name string }
 type OpRename struct{ Src, Dst string }
 
 // OpReadDir lists the current directory.
-type OpReadDir struct{}
+type OpReadDir struct{ noArgs }
 
 // OpGetDevList retrieves the data-server device list (pNFS, issued at
 // mount).
-type OpGetDevList struct{}
+type OpGetDevList struct{ noArgs }
 
 // OpLayoutGet retrieves the file layout for the current filehandle.
-type OpLayoutGet struct{}
+type OpLayoutGet struct{ noArgs }
 
 // OpLayoutCommit publishes post-I/O metadata (possibly extended size).
 type OpLayoutCommit struct{ NewSize int64 }
 
 // OpLayoutReturn returns the layout for the current filehandle.
-type OpLayoutReturn struct{}
+type OpLayoutReturn struct{ noArgs }
 
 // OpExchangeID introduces a client to the server.
 type OpExchangeID struct{ ClientName string }
@@ -199,171 +192,47 @@ func (*OpLayoutReturn) Num() uint32  { return OpNumLayoutReturn }
 func (*OpExchangeID) Num() uint32    { return OpNumExchangeID }
 func (*OpCreateSession) Num() uint32 { return OpNumCreateSession }
 
-// XDR implementations.
-func (*OpPutRootFH) MarshalXDR(*xdr.Encoder)         {}
-func (*OpPutRootFH) UnmarshalXDR(*xdr.Decoder) error { return nil }
+// Wire shapes (xdr.Codec).
+func (o *OpPutFH) XDR(f xdr.Filter)        { f.U64(&o.FH) }
+func (o *OpLookup) XDR(f xdr.Filter)       { f.Text(&o.Name) }
+func (o *OpClose) XDR(f xdr.Filter)        { f.U64(&o.StateID) }
+func (o *OpCreate) XDR(f xdr.Filter)       { f.Text(&o.Name) }
+func (o *OpRemove) XDR(f xdr.Filter)       { f.Text(&o.Name) }
+func (o *OpLayoutCommit) XDR(f xdr.Filter) { f.I64(&o.NewSize) }
+func (o *OpExchangeID) XDR(f xdr.Filter)   { f.Text(&o.ClientName) }
 
-func (o *OpPutFH) MarshalXDR(e *xdr.Encoder) { e.Uint64(o.FH) }
-func (o *OpPutFH) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	o.FH, err = d.Uint64()
-	return err
+func (o *OpOpen) XDR(f xdr.Filter) {
+	f.Text(&o.Name)
+	f.Flag(&o.Create)
 }
 
-func (o *OpLookup) MarshalXDR(e *xdr.Encoder) { e.String(o.Name) }
-func (o *OpLookup) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	o.Name, err = d.String()
-	return err
+func (o *OpRead) XDR(f xdr.Filter) {
+	f.U64(&o.StateID)
+	f.I64(&o.Off)
+	f.I64(&o.Len)
+	f.Flag(&o.WantReal)
 }
 
-func (o *OpOpen) MarshalXDR(e *xdr.Encoder) {
-	e.String(o.Name)
-	e.Bool(o.Create)
-}
-func (o *OpOpen) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if o.Name, err = d.String(); err != nil {
-		return err
-	}
-	o.Create, err = d.Bool()
-	return err
+func (o *OpWrite) XDR(f xdr.Filter) {
+	f.U64(&o.StateID)
+	f.I64(&o.Off)
+	f.Payload(&o.Data)
+	f.Flag(&o.Stable)
 }
 
-func (o *OpClose) MarshalXDR(e *xdr.Encoder) { e.Uint64(o.StateID) }
-func (o *OpClose) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	o.StateID, err = d.Uint64()
-	return err
+func (o *OpCommit) XDR(f xdr.Filter) {
+	f.I64(&o.Off)
+	f.I64(&o.Len)
 }
 
-func (*OpGetAttr) MarshalXDR(*xdr.Encoder)         {}
-func (*OpGetAttr) UnmarshalXDR(*xdr.Decoder) error { return nil }
-
-func (o *OpRead) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(o.StateID)
-	e.Int64(o.Off)
-	e.Int64(o.Len)
-	e.Bool(o.WantReal)
-}
-func (o *OpRead) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if o.StateID, err = d.Uint64(); err != nil {
-		return err
-	}
-	if o.Off, err = d.Int64(); err != nil {
-		return err
-	}
-	if o.Len, err = d.Int64(); err != nil {
-		return err
-	}
-	o.WantReal, err = d.Bool()
-	return err
+func (o *OpRename) XDR(f xdr.Filter) {
+	f.Text(&o.Src)
+	f.Text(&o.Dst)
 }
 
-func (o *OpWrite) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(o.StateID)
-	e.Int64(o.Off)
-	o.Data.MarshalXDR(e)
-	e.Bool(o.Stable)
-}
-func (o *OpWrite) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if o.StateID, err = d.Uint64(); err != nil {
-		return err
-	}
-	if o.Off, err = d.Int64(); err != nil {
-		return err
-	}
-	if err = o.Data.UnmarshalXDR(d); err != nil {
-		return err
-	}
-	o.Stable, err = d.Bool()
-	return err
-}
-
-// WireSize avoids materializing bulk write payloads under simulation.
-func (o *OpWrite) WireSize() int64 {
-	return xdr.SizeUint64 + xdr.SizeUint64 + o.Data.WireSize() + xdr.SizeBool
-}
-
-func (o *OpCommit) MarshalXDR(e *xdr.Encoder) {
-	e.Int64(o.Off)
-	e.Int64(o.Len)
-}
-func (o *OpCommit) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if o.Off, err = d.Int64(); err != nil {
-		return err
-	}
-	o.Len, err = d.Int64()
-	return err
-}
-
-func (o *OpCreate) MarshalXDR(e *xdr.Encoder) { e.String(o.Name) }
-func (o *OpCreate) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	o.Name, err = d.String()
-	return err
-}
-
-func (o *OpRemove) MarshalXDR(e *xdr.Encoder) { e.String(o.Name) }
-func (o *OpRemove) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	o.Name, err = d.String()
-	return err
-}
-
-func (o *OpRename) MarshalXDR(e *xdr.Encoder) {
-	e.String(o.Src)
-	e.String(o.Dst)
-}
-func (o *OpRename) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if o.Src, err = d.String(); err != nil {
-		return err
-	}
-	o.Dst, err = d.String()
-	return err
-}
-
-func (*OpReadDir) MarshalXDR(*xdr.Encoder)         {}
-func (*OpReadDir) UnmarshalXDR(*xdr.Decoder) error { return nil }
-
-func (*OpGetDevList) MarshalXDR(*xdr.Encoder)         {}
-func (*OpGetDevList) UnmarshalXDR(*xdr.Decoder) error { return nil }
-
-func (*OpLayoutGet) MarshalXDR(*xdr.Encoder)         {}
-func (*OpLayoutGet) UnmarshalXDR(*xdr.Decoder) error { return nil }
-
-func (o *OpLayoutCommit) MarshalXDR(e *xdr.Encoder) { e.Int64(o.NewSize) }
-func (o *OpLayoutCommit) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	o.NewSize, err = d.Int64()
-	return err
-}
-
-func (*OpLayoutReturn) MarshalXDR(*xdr.Encoder)         {}
-func (*OpLayoutReturn) UnmarshalXDR(*xdr.Decoder) error { return nil }
-
-func (o *OpExchangeID) MarshalXDR(e *xdr.Encoder) { e.String(o.ClientName) }
-func (o *OpExchangeID) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	o.ClientName, err = d.String()
-	return err
-}
-
-func (o *OpCreateSession) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(o.ClientID)
-	e.Uint32(o.Slots)
-}
-func (o *OpCreateSession) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if o.ClientID, err = d.Uint64(); err != nil {
-		return err
-	}
-	o.Slots, err = d.Uint32()
-	return err
+func (o *OpCreateSession) XDR(f xdr.Filter) {
+	f.U64(&o.ClientID)
+	f.U32(&o.Slots)
 }
 
 // ---- Results ----
@@ -371,13 +240,8 @@ func (o *OpCreateSession) UnmarshalXDR(d *xdr.Decoder) error {
 // errnoOnly is embedded by results that carry only a status.
 type errnoOnly struct{ Errno fserr.Errno }
 
-func (r *errnoOnly) Status() fserr.Errno       { return r.Errno }
-func (r *errnoOnly) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
-func (r *errnoOnly) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	r.Errno = fserr.Errno(v)
-	return err
-}
+func (r *errnoOnly) Status() fserr.Errno { return r.Errno }
+func (r *errnoOnly) XDR(f xdr.Filter)    { r.Errno.XDR(f) }
 
 // fhAttr is embedded by results that return a filehandle plus attributes.
 type fhAttr struct {
@@ -387,21 +251,10 @@ type fhAttr struct {
 }
 
 func (r *fhAttr) Status() fserr.Errno { return r.Errno }
-func (r *fhAttr) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint64(r.FH)
-	r.Attr.MarshalXDR(e)
-}
-func (r *fhAttr) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	if r.FH, err = d.Uint64(); err != nil {
-		return err
-	}
-	return r.Attr.UnmarshalXDR(d)
+func (r *fhAttr) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.U64(&r.FH)
+	r.Attr.XDR(f)
 }
 
 // ResPutRootFH is the PUTROOTFH result.
@@ -419,17 +272,9 @@ type ResOpen struct {
 	StateID uint64
 }
 
-func (r *ResOpen) MarshalXDR(e *xdr.Encoder) {
-	r.fhAttr.MarshalXDR(e)
-	e.Uint64(r.StateID)
-}
-func (r *ResOpen) UnmarshalXDR(d *xdr.Decoder) error {
-	if err := r.fhAttr.UnmarshalXDR(d); err != nil {
-		return err
-	}
-	var err error
-	r.StateID, err = d.Uint64()
-	return err
+func (r *ResOpen) XDR(f xdr.Filter) {
+	r.fhAttr.XDR(f)
+	f.U64(&r.StateID)
 }
 
 // ResClose is the CLOSE result.
@@ -442,17 +287,9 @@ type ResGetAttr struct {
 }
 
 func (r *ResGetAttr) Status() fserr.Errno { return r.Errno }
-func (r *ResGetAttr) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	r.Attr.MarshalXDR(e)
-}
-func (r *ResGetAttr) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	return r.Attr.UnmarshalXDR(d)
+func (r *ResGetAttr) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	r.Attr.XDR(f)
 }
 
 // ResRead is the READ result.  Its payload carries one of three checksum
@@ -479,6 +316,10 @@ const (
 	sumBlocks
 )
 
+// maxBlockSums bounds a READ result's block-sum count: one per 512 bytes of
+// the largest opaque, far above any store's block count.
+const maxBlockSums = xdr.MaxOpaque / 512
+
 func (r *ResRead) sumForm() uint32 {
 	switch {
 	case r.HasSum:
@@ -490,70 +331,23 @@ func (r *ResRead) sumForm() uint32 {
 }
 
 func (r *ResRead) Status() fserr.Errno { return r.Errno }
-func (r *ResRead) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Bool(r.Eof)
-	r.Data.MarshalXDR(e)
-	e.Uint32(r.Sum)
-	form := r.sumForm()
-	e.Uint32(form)
-	if form == sumBlocks {
-		e.Uint64(r.Blocks.Salt0)
-		e.Uint32(uint32(len(r.Blocks.Sums)))
-		for _, s := range r.Blocks.Sums {
-			e.Uint32(s)
+func (r *ResRead) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.Flag(&r.Eof)
+	f.Payload(&r.Data)
+	f.U32(&r.Sum)
+	switch form := f.Union(r.sumForm()); form {
+	case sumNone:
+	case sumPayload:
+		if f.Decoding() {
+			r.HasSum = true
 		}
+	case sumBlocks:
+		f.U64(&r.Blocks.Salt0)
+		xdr.Slice(f, &r.Blocks.Sums, maxBlockSums, xdr.SizeUint32, xdr.Filter.U32)
+	default:
+		f.Fail(fmt.Errorf("nfs: READ result has checksum form %d", form))
 	}
-}
-func (r *ResRead) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	if r.Eof, err = d.Bool(); err != nil {
-		return err
-	}
-	if err = r.Data.UnmarshalXDR(d); err != nil {
-		return err
-	}
-	if r.Sum, err = d.Uint32(); err != nil {
-		return err
-	}
-	form, err := d.Uint32()
-	switch {
-	case err != nil:
-		return err
-	case form == sumPayload:
-		r.HasSum = true
-	case form == sumBlocks:
-		if r.Blocks.Salt0, err = d.Uint64(); err != nil {
-			return err
-		}
-		n, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		if int64(n)*xdr.SizeUint32 > int64(d.Remaining()) {
-			return xdr.ErrShortBuffer
-		}
-		r.Blocks.Sums = make([]uint32, n)
-		for i := range r.Blocks.Sums {
-			r.Blocks.Sums[i], _ = d.Uint32() // cannot run short: n was checked against Remaining
-		}
-	case form != sumNone:
-		return fmt.Errorf("nfs: READ result has checksum form %d", form)
-	}
-	return nil
-}
-
-// WireSize avoids materializing bulk read payloads under simulation.
-func (r *ResRead) WireSize() int64 {
-	n := xdr.SizeUint32 + xdr.SizeBool + r.Data.WireSize() + xdr.SizeUint32 + xdr.SizeUint32
-	if r.sumForm() == sumBlocks {
-		n += xdr.SizeUint64 + xdr.SizeUint32 + int64(len(r.Blocks.Sums))*xdr.SizeUint32
-	}
-	return n
 }
 
 // ResWrite is the WRITE result.
@@ -564,22 +358,10 @@ type ResWrite struct {
 }
 
 func (r *ResWrite) Status() fserr.Errno { return r.Errno }
-func (r *ResWrite) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Int64(r.Count)
-	e.Int64(r.NewSize)
-}
-func (r *ResWrite) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	if r.Count, err = d.Int64(); err != nil {
-		return err
-	}
-	r.NewSize, err = d.Int64()
-	return err
+func (r *ResWrite) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.I64(&r.Count)
+	f.I64(&r.NewSize)
 }
 
 // ResCommit is the COMMIT result.
@@ -601,35 +383,9 @@ type ResReadDir struct {
 }
 
 func (r *ResReadDir) Status() fserr.Errno { return r.Errno }
-func (r *ResReadDir) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint32(uint32(len(r.Names)))
-	for _, n := range r.Names {
-		e.String(n)
-	}
-}
-func (r *ResReadDir) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	// Each name needs at least its 4-byte length word; reject corrupt
-	// counts before allocating.
-	if n > 1<<20 || int64(n) > int64(d.Remaining()/4) {
-		return xdr.ErrTooLong
-	}
-	r.Names = make([]string, n)
-	for i := range r.Names {
-		if r.Names[i], err = d.String(); err != nil {
-			return err
-		}
-	}
-	return nil
+func (r *ResReadDir) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	xdr.Slice(f, &r.Names, 1<<20, xdr.SizeUint32, xdr.Filter.Text)
 }
 
 // ResGetDevList is the GETDEVICELIST result.
@@ -639,39 +395,10 @@ type ResGetDevList struct {
 }
 
 func (r *ResGetDevList) Status() fserr.Errno { return r.Errno }
-func (r *ResGetDevList) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint32(uint32(len(r.Devices)))
-	for _, dev := range r.Devices {
-		e.Uint32(uint32(dev.ID))
-		e.String(dev.Addr)
-	}
-}
-func (r *ResGetDevList) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if n > 4096 {
-		return xdr.ErrTooLong
-	}
-	r.Devices = make([]pnfs.DeviceInfo, n)
-	for i := range r.Devices {
-		id, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		r.Devices[i].ID = pnfs.DeviceID(id)
-		if r.Devices[i].Addr, err = d.String(); err != nil {
-			return err
-		}
-	}
-	return nil
+func (r *ResGetDevList) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	xdr.Slice(f, &r.Devices, pnfs.MaxDevices, 2*xdr.SizeUint32, // an ID and an address length
+		func(f xdr.Filter, d *pnfs.DeviceInfo) { d.XDR(f) })
 }
 
 // ResLayoutGet is the LAYOUTGET result.
@@ -681,17 +408,9 @@ type ResLayoutGet struct {
 }
 
 func (r *ResLayoutGet) Status() fserr.Errno { return r.Errno }
-func (r *ResLayoutGet) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	r.Layout.MarshalXDR(e)
-}
-func (r *ResLayoutGet) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	return r.Layout.UnmarshalXDR(d)
+func (r *ResLayoutGet) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	r.Layout.XDR(f)
 }
 
 // ResLayoutCommit is the LAYOUTCOMMIT result.
@@ -707,18 +426,9 @@ type ResExchangeID struct {
 }
 
 func (r *ResExchangeID) Status() fserr.Errno { return r.Errno }
-func (r *ResExchangeID) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint64(r.ClientID)
-}
-func (r *ResExchangeID) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	r.ClientID, err = d.Uint64()
-	return err
+func (r *ResExchangeID) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.U64(&r.ClientID)
 }
 
 // ResCreateSession is the CREATE_SESSION result.
@@ -729,22 +439,10 @@ type ResCreateSession struct {
 }
 
 func (r *ResCreateSession) Status() fserr.Errno { return r.Errno }
-func (r *ResCreateSession) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint64(r.Session)
-	e.Uint32(r.Slots)
-}
-func (r *ResCreateSession) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	if r.Session, err = d.Uint64(); err != nil {
-		return err
-	}
-	r.Slots, err = d.Uint32()
-	return err
+func (r *ResCreateSession) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.U64(&r.Session)
+	f.U32(&r.Slots)
 }
 
 // Num implementations for results.

@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"bytes"
 	"encoding/hex"
 	"reflect"
 	"testing"
@@ -153,9 +154,53 @@ func TestGoldenCompoundWire(t *testing.T) {
 	}
 }
 
-// encodeWire, decodeWire and sizeWire drive a golden row through the codec.
-func encodeWire(m any) []byte { return xdr.Marshal(m.(xdr.Marshaler)) }
+// encodeWire, decodeWire and sizeWire drive a golden row through the codec;
+// the compounds, which cross rpc.Conn, are sized as the fabric sizes them.
+func encodeWire(m any) []byte { return xdr.Encode(m.(xdr.Codec)) }
 
-func decodeWire(b []byte, m any) error { return xdr.Unmarshal(b, m.(xdr.Unmarshaler)) }
+func decodeWire(b []byte, m any) error { return xdr.Decode(b, m.(xdr.Codec)) }
 
-func sizeWire(m any) int64 { return rpc.WireSizeOf(m.(xdr.Marshaler)) }
+func sizeWire(m any) int64 {
+	if c, ok := m.(xdr.Marshaler); ok {
+		return rpc.WireSizeOf(c)
+	}
+	return xdr.Size(m.(xdr.Codec))
+}
+
+// FuzzDecodeCompound decodes arbitrary bytes as a COMPOUND request (rep
+// false) or reply (rep true), seeded with every golden row — each operation
+// and result inside a one-entry compound.  Decoding must never panic or
+// allocate past the input, and anything that decodes must re-encode to a
+// fixed point.
+func FuzzDecodeCompound(f *testing.F) {
+	for _, g := range goldenCompound {
+		switch m := g.msg.(type) {
+		case *CompoundArgs:
+			f.Add(false, xdr.Encode(m))
+		case *CompoundRep:
+			f.Add(true, xdr.Encode(m))
+		case Result:
+			f.Add(true, xdr.Encode(&CompoundRep{Results: []Result{m}}))
+		case Op:
+			f.Add(false, xdr.Encode(&CompoundArgs{Ops: []Op{m}}))
+		}
+	}
+	f.Fuzz(func(t *testing.T, rep bool, data []byte) {
+		fresh := func() xdr.Codec { return &CompoundArgs{} }
+		if rep {
+			fresh = func() xdr.Codec { return &CompoundRep{} }
+		}
+		c := fresh()
+		if err := xdr.Decode(data, c); err != nil {
+			return
+		}
+		re := xdr.Encode(c)
+		c2 := fresh()
+		if err := xdr.Decode(re, c2); err != nil {
+			t.Fatalf("re-encoded %T failed to decode: %v", c, err)
+		}
+		if !bytes.Equal(re, xdr.Encode(c2)) {
+			t.Fatalf("%T: encode/decode/encode is not a fixed point", c)
+		}
+	})
+}

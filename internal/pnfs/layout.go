@@ -157,65 +157,31 @@ func init() {
 	})
 }
 
-// MarshalXDR implements xdr.Marshaler.
-func (l *FileLayout) MarshalXDR(e *xdr.Encoder) {
-	e.String(l.Aggregation)
-	e.Uint32(uint32(len(l.Params)))
-	for _, p := range l.Params {
-		e.Int64(p)
-	}
-	e.Uint32(uint32(len(l.Devices)))
-	for i, d := range l.Devices {
-		e.Uint32(uint32(d))
-		e.Uint64(l.FHs[i])
-	}
-	e.Bool(l.Direct)
-	e.Uint64(l.Gen)
+// MaxDevices bounds the device lists a decoder accepts: GETDEVICELIST's
+// and a layout's, whose params share the bound.
+const MaxDevices = 4096
+
+func (id *DeviceID) XDR(f xdr.Filter) { f.U32((*uint32)(id)) }
+
+func (d *DeviceInfo) XDR(f xdr.Filter) {
+	d.ID.XDR(f)
+	f.Text(&d.Addr)
 }
 
-// UnmarshalXDR implements xdr.Unmarshaler.
-func (l *FileLayout) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if l.Aggregation, err = d.String(); err != nil {
-		return err
+// XDR passes the layout; each device travels with its file handle.
+func (l *FileLayout) XDR(f xdr.Filter) {
+	f.Text(&l.Aggregation)
+	xdr.Slice(f, &l.Params, MaxDevices, xdr.SizeUint64, xdr.Filter.I64)
+	n := f.Count(len(l.Devices), MaxDevices, xdr.SizeUint32+xdr.SizeUint64)
+	if f.Decoding() {
+		l.Devices, l.FHs = make([]DeviceID, n), make([]uint64, n)
 	}
-	np, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if np > 4096 {
-		return xdr.ErrTooLong
-	}
-	l.Params = make([]int64, np)
-	for i := range l.Params {
-		if l.Params[i], err = d.Int64(); err != nil {
-			return err
-		}
-	}
-	nd, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if nd > 4096 {
-		return xdr.ErrTooLong
-	}
-	l.Devices = make([]DeviceID, nd)
-	l.FHs = make([]uint64, nd)
 	for i := range l.Devices {
-		v, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		l.Devices[i] = DeviceID(v)
-		if l.FHs[i], err = d.Uint64(); err != nil {
-			return err
-		}
+		l.Devices[i].XDR(f)
+		f.U64(&l.FHs[i])
 	}
-	if l.Direct, err = d.Bool(); err != nil {
-		return err
-	}
-	l.Gen, err = d.Uint64()
-	return err
+	f.Flag(&l.Direct)
+	f.U64(&l.Gen)
 }
 
 // Validate checks internal consistency (device/FH parity, instantiable

@@ -21,7 +21,7 @@ func sampleLayout() *FileLayout {
 func TestLayoutXDRRoundTrip(t *testing.T) {
 	in := sampleLayout()
 	var out FileLayout
-	if err := xdr.Unmarshal(xdr.Marshal(in), &out); err != nil {
+	if err := xdr.Decode(xdr.Encode(in), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Aggregation != in.Aggregation || out.Direct != in.Direct ||
@@ -44,7 +44,7 @@ func TestPropertyLayoutXDRRoundTrip(t *testing.T) {
 			in.FHs = append(in.FHs, uint64(i)*7+1)
 		}
 		var out FileLayout
-		if err := xdr.Unmarshal(xdr.Marshal(in), &out); err != nil {
+		if err := xdr.Decode(xdr.Encode(in), &out); err != nil {
 			return false
 		}
 		if out.Aggregation != in.Aggregation || out.Direct != in.Direct {

@@ -14,36 +14,37 @@ import (
 )
 
 // fuzzTargets instantiates every PVFS2 wire type once: each distinct request
-// type of procTable in table order, then the replies (and the DistParams
-// they embed), which the table does not list.  The order is fixed so a fuzz
-// input's selector byte is stable across runs.
-func fuzzTargets() []func() xdr.Unmarshaler {
-	var out []func() xdr.Unmarshaler
+// type of procTable in table order, then the replies and the parts they
+// embed (DistParams, Handle), which the table does not list.  The order is
+// fixed so a fuzz input's selector byte is stable across runs.
+func fuzzTargets() []func() xdr.Codec {
+	var out []func() xdr.Codec
 	seen := map[reflect.Type]bool{}
 	for _, row := range procTable {
 		if row.req == nil || seen[reflect.TypeOf(row.req())] {
 			continue
 		}
 		seen[reflect.TypeOf(row.req())] = true
-		out = append(out, row.req)
+		out = append(out, func() xdr.Codec { return row.req().(xdr.Codec) })
 	}
 	return append(out,
-		func() xdr.Unmarshaler { return &ErrnoRep{} },
-		func() xdr.Unmarshaler { return &LookupRep{} },
-		func() xdr.Unmarshaler { return &CreateRep{} },
-		func() xdr.Unmarshaler { return &MkdirRep{} },
-		func() xdr.Unmarshaler { return &ReadDirRep{} },
-		func() xdr.Unmarshaler { return &GetAttrRep{} },
-		func() xdr.Unmarshaler { return &PlacementRep{} },
-		func() xdr.Unmarshaler { return &IOReadRep{} },
-		func() xdr.Unmarshaler { return &IOWriteRep{} },
-		func() xdr.Unmarshaler { return &IOGetSizeRep{} },
-		func() xdr.Unmarshaler { return &DistParams{} },
+		func() xdr.Codec { return &ErrnoRep{} },
+		func() xdr.Codec { return &LookupRep{} },
+		func() xdr.Codec { return &CreateRep{} },
+		func() xdr.Codec { return &MkdirRep{} },
+		func() xdr.Codec { return &ReadDirRep{} },
+		func() xdr.Codec { return &GetAttrRep{} },
+		func() xdr.Codec { return &PlacementRep{} },
+		func() xdr.Codec { return &IOReadRep{} },
+		func() xdr.Codec { return &IOWriteRep{} },
+		func() xdr.Codec { return &IOGetSizeRep{} },
+		func() xdr.Codec { return &DistParams{} },
+		func() xdr.Codec { return new(Handle) },
 	)
 }
 
 // fuzzSelector returns the selector byte of msg's type among targets.
-func fuzzSelector(tb testing.TB, targets []func() xdr.Unmarshaler, msg any) byte {
+func fuzzSelector(tb testing.TB, targets []func() xdr.Codec, msg any) byte {
 	tb.Helper()
 	for i, ctor := range targets {
 		if reflect.TypeOf(ctor()) == reflect.TypeOf(msg) {
@@ -54,8 +55,8 @@ func fuzzSelector(tb testing.TB, targets []func() xdr.Unmarshaler, msg any) byte
 	return 0
 }
 
-// TestFuzzTargetsComplete: every type of the package source with an
-// UnmarshalXDR method is a fuzz target, exactly once, so a new reply type
+// TestFuzzTargetsComplete: every type of the package source with a wire
+// shape (an XDR method) is a fuzz target, exactly once, so a new reply type
 // cannot go unfuzzed.
 func TestFuzzTargetsComplete(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nil, 0)
@@ -69,7 +70,7 @@ func TestFuzzTargetsComplete(t *testing.T) {
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != "UnmarshalXDR" {
+			if !ok || fd.Recv == nil || fd.Name.Name != "XDR" {
 				continue
 			}
 			recv := fd.Recv.List[0].Type
@@ -80,7 +81,7 @@ func TestFuzzTargetsComplete(t *testing.T) {
 		}
 	}
 	if len(decoders) == 0 {
-		t.Fatal("found no UnmarshalXDR methods in the package source")
+		t.Fatal("found no XDR methods in the package source")
 	}
 	targets := map[string]int{}
 	for _, ctor := range fuzzTargets() {
@@ -88,12 +89,12 @@ func TestFuzzTargetsComplete(t *testing.T) {
 	}
 	for name := range decoders {
 		if targets[name] != 1 {
-			t.Errorf("%s has an UnmarshalXDR method and is a fuzz target %d times, want once", name, targets[name])
+			t.Errorf("%s has an XDR method and is a fuzz target %d times, want once", name, targets[name])
 		}
 	}
 	for name := range targets {
 		if !decoders[name] {
-			t.Errorf("fuzz target %s has no UnmarshalXDR method in the package source", name)
+			t.Errorf("fuzz target %s has no XDR method in the package source", name)
 		}
 	}
 }
@@ -105,7 +106,7 @@ func TestFuzzTargetsComplete(t *testing.T) {
 // fixed point).  Seeds come from the xdr_test.go round-trip corpus.
 func FuzzDecodeWireTypes(f *testing.F) {
 	targets := fuzzTargets()
-	seed := func(m xdr.Marshaler) { f.Add(fuzzSelector(f, targets, m), xdr.Marshal(m)) }
+	seed := func(m xdr.Codec) { f.Add(fuzzSelector(f, targets, m), xdr.Encode(m)) }
 	seed(&LookupRep{Errno: 2, Handle: 7, IsDir: true, Size: -1,
 		Dist: DistParams{StripeSize: 1 << 20, NumServers: 6}})
 	seed(&CreateRep{Handle: 9, Dist: DistParams{StripeSize: 2 << 20, NumServers: 3}})
@@ -121,19 +122,15 @@ func FuzzDecodeWireTypes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sel byte, data []byte) {
 		ctor := targets[int(sel)%len(targets)]
 		msg := ctor()
-		if err := xdr.Unmarshal(data, msg); err != nil {
+		if err := xdr.Decode(data, msg); err != nil {
 			return // malformed frames must error out cleanly
 		}
-		m, ok := msg.(xdr.Marshaler)
-		if !ok {
-			return
-		}
-		re := xdr.Marshal(m)
+		re := xdr.Encode(msg)
 		msg2 := ctor()
-		if err := xdr.Unmarshal(re, msg2); err != nil {
+		if err := xdr.Decode(re, msg2); err != nil {
 			t.Fatalf("%T: re-encoded frame failed to decode: %v", msg, err)
 		}
-		if !bytes.Equal(re, xdr.Marshal(msg2.(xdr.Marshaler))) {
+		if !bytes.Equal(re, xdr.Encode(msg2)) {
 			t.Fatalf("%T: encode/decode/encode is not a fixed point", msg)
 		}
 	})

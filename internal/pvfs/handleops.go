@@ -33,24 +33,10 @@ type PlacementRep struct {
 	Dist  DistParams
 }
 
-func (r *PlacementRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint64(uint64(r.Data))
-	r.Dist.MarshalXDR(e)
-}
-
-func (r *PlacementRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	r.Data = Handle(h)
-	return r.Dist.UnmarshalXDR(d)
+func (r *PlacementRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	r.Data.XDR(f)
+	r.Dist.XDR(f)
 }
 
 // DirOpArgs addresses a name within a directory by handle.
@@ -59,19 +45,9 @@ type DirOpArgs struct {
 	Name string
 }
 
-func (a *DirOpArgs) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(uint64(a.Dir))
-	e.String(a.Name)
-}
-
-func (a *DirOpArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	a.Dir = Handle(h)
-	a.Name, err = d.String()
-	return err
+func (a *DirOpArgs) XDR(f xdr.Filter) {
+	a.Dir.XDR(f)
+	f.Text(&a.Name)
 }
 
 // RenameHArgs renames Src to Dst within directory Dir.
@@ -80,23 +56,10 @@ type RenameHArgs struct {
 	Src, Dst string
 }
 
-func (a *RenameHArgs) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(uint64(a.Dir))
-	e.String(a.Src)
-	e.String(a.Dst)
-}
-
-func (a *RenameHArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	a.Dir = Handle(h)
-	if a.Src, err = d.String(); err != nil {
-		return err
-	}
-	a.Dst, err = d.String()
-	return err
+func (a *RenameHArgs) XDR(f xdr.Filter) {
+	a.Dir.XDR(f)
+	f.Text(&a.Src)
+	f.Text(&a.Dst)
 }
 
 // ---- client-side wrappers ----

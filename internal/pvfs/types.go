@@ -18,9 +18,11 @@
 // # Where a procedure is declared
 //
 // A procedure of either service is its Proc* constant, its request and
-// reply types with their XDR methods, one row of procTable (this file) —
-// which service serves it, its metric label and the request constructor
-// the TCP transport decodes through — and its body: an arm of
+// reply types — each with one XDR method, its wire shape, which an
+// xdr.Filter encodes, decodes or sizes, and the one-line MarshalXDR and
+// UnmarshalXDR adapters package rpc calls — one row of procTable (this
+// file) — which service serves it, its metric label and the request
+// constructor the TCP transport decodes through — and its body: an arm of
 // MetaServer.Handle or StorageServer.Handle, where the storage daemon's
 // three data procedures are the typed methods Read, Write and Flush that a
 // co-located Direct-pNFS data server calls directly.  Every other caller
@@ -279,19 +281,11 @@ type IOTruncateArgs struct {
 
 // ---- XDR ----
 
-func (a *PathArgs) MarshalXDR(e *xdr.Encoder) { e.String(a.Path) }
-func (a *PathArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	a.Path, err = d.String()
-	return err
-}
+func (h *Handle) XDR(f xdr.Filter) { f.U64((*uint64)(h)) }
 
-func (a *HandleArgs) MarshalXDR(e *xdr.Encoder) { e.Uint64(uint64(a.Handle)) }
-func (a *HandleArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	a.Handle = Handle(h)
-	return err
-}
+func (a *PathArgs) XDR(f xdr.Filter)   { f.Text(&a.Path) }
+func (a *HandleArgs) XDR(f xdr.Filter) { a.Handle.XDR(f) }
+func (r *ErrnoRep) XDR(f xdr.Filter)   { r.Errno.XDR(f) }
 
 // errno is every reply's status word, which the servers' Handle checks for
 // a store that crashed under the request (answerCrash).
@@ -306,332 +300,129 @@ func (r *IOReadRep) errno() fserr.Errno    { return r.Errno }
 func (r *IOWriteRep) errno() fserr.Errno   { return r.Errno }
 func (r *IOGetSizeRep) errno() fserr.Errno { return r.Errno }
 
-func (r *ErrnoRep) MarshalXDR(e *xdr.Encoder) { e.Uint32(uint32(r.Errno)) }
-func (r *ErrnoRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	r.Errno = fserr.Errno(v)
-	return err
+func (r *LookupRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	r.Handle.XDR(f)
+	f.Flag(&r.IsDir)
+	f.I64(&r.Size)
+	r.Dist.XDR(f)
+	r.Data.XDR(f)
 }
 
-func (r *LookupRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint64(uint64(r.Handle))
-	e.Bool(r.IsDir)
-	e.Int64(r.Size)
-	r.Dist.MarshalXDR(e)
-	e.Uint64(uint64(r.Data))
+// maxServers bounds a distribution's server list.
+const maxServers = 4096
+
+func (p *DistParams) XDR(f xdr.Filter) {
+	f.I64(&p.StripeSize)
+	f.U32(&p.NumServers)
+	xdr.Slice(f, &p.Servers, maxServers, xdr.SizeUint32, xdr.Filter.U32)
+	f.U32(&p.Copies)
 }
 
-func (r *LookupRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	r.Handle = Handle(h)
-	if r.IsDir, err = d.Bool(); err != nil {
-		return err
-	}
-	if r.Size, err = d.Int64(); err != nil {
-		return err
-	}
-	if err = r.Dist.UnmarshalXDR(d); err != nil {
-		return err
-	}
-	dh, err := d.Uint64()
-	r.Data = Handle(dh)
-	return err
+func (r *CreateRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	r.Handle.XDR(f)
+	r.Dist.XDR(f)
+	r.Data.XDR(f)
 }
 
-func (p *DistParams) MarshalXDR(e *xdr.Encoder) {
-	e.Int64(p.StripeSize)
-	e.Uint32(p.NumServers)
-	e.Uint32(uint32(len(p.Servers)))
-	for _, id := range p.Servers {
-		e.Uint32(id)
-	}
-	e.Uint32(p.Copies)
+func (r *MkdirRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	r.Handle.XDR(f)
 }
 
-func (p *DistParams) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if p.StripeSize, err = d.Int64(); err != nil {
-		return err
-	}
-	if p.NumServers, err = d.Uint32(); err != nil {
-		return err
-	}
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if n > 4096 {
-		return xdr.ErrTooLong
-	}
-	p.Servers = nil
-	if n > 0 {
-		p.Servers = make([]uint32, n)
-		for i := range p.Servers {
-			if p.Servers[i], err = d.Uint32(); err != nil {
-				return err
-			}
-		}
-	}
-	p.Copies, err = d.Uint32()
-	return err
+func (r *ReadDirRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	xdr.Slice(f, &r.Names, 1<<20, xdr.SizeUint32, xdr.Filter.Text)
 }
 
-func (r *CreateRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint64(uint64(r.Handle))
-	r.Dist.MarshalXDR(e)
-	e.Uint64(uint64(r.Data))
+func (r *GetAttrRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.Flag(&r.IsDir)
+	f.I64(&r.Size)
+	f.U64(&r.Change)
 }
 
-func (r *CreateRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	r.Handle = Handle(h)
-	if err = r.Dist.UnmarshalXDR(d); err != nil {
-		return err
-	}
-	dh, err := d.Uint64()
-	r.Data = Handle(dh)
-	return err
+func (a *TruncateArgs) XDR(f xdr.Filter) {
+	a.Handle.XDR(f)
+	f.I64(&a.Size)
 }
 
-func (r *MkdirRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint64(uint64(r.Handle))
+func (a *IOReadArgs) XDR(f xdr.Filter) {
+	a.Handle.XDR(f)
+	f.I64(&a.Off)
+	f.I64(&a.Len)
+	f.Flag(&a.WantReal)
 }
 
-func (r *MkdirRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	h, err := d.Uint64()
-	r.Handle = Handle(h)
-	return err
+func (r *IOReadRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.Payload(&r.Data)
+	f.Flag(&r.Eof)
+	f.U32(&r.Sum)
+	f.Flag(&r.HasSum)
 }
 
-func (r *ReadDirRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Uint32(uint32(len(r.Names)))
-	for _, n := range r.Names {
-		e.String(n)
-	}
+func (a *IOWriteArgs) XDR(f xdr.Filter) {
+	a.Handle.XDR(f)
+	f.I64(&a.Off)
+	f.Payload(&a.Data)
+	f.Flag(&a.Sync)
 }
 
-func (r *ReadDirRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	n, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	// Every encoded name needs at least its 4-byte length word, so a count
-	// beyond Remaining()/4 is a corrupt (or hostile) frame — reject it
-	// before allocating, instead of letting an 8-byte frame demand a
-	// million-entry slice.
-	if n > 1<<20 || int64(n) > int64(d.Remaining()/4) {
-		return xdr.ErrTooLong
-	}
-	r.Names = make([]string, n)
-	for i := range r.Names {
-		if r.Names[i], err = d.String(); err != nil {
-			return err
-		}
-	}
-	return nil
+func (r *IOWriteRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.I64(&r.ObjSize)
 }
 
-func (r *GetAttrRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Bool(r.IsDir)
-	e.Int64(r.Size)
-	e.Uint64(r.Change)
+func (r *IOGetSizeRep) XDR(f xdr.Filter) {
+	r.Errno.XDR(f)
+	f.I64(&r.Size)
+	f.U64(&r.Change)
 }
 
-func (r *GetAttrRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	if r.IsDir, err = d.Bool(); err != nil {
-		return err
-	}
-	if r.Size, err = d.Int64(); err != nil {
-		return err
-	}
-	r.Change, err = d.Uint64()
-	return err
+func (a *IOTruncateArgs) XDR(f xdr.Filter) {
+	a.Handle.XDR(f)
+	f.I64(&a.ObjSize)
 }
 
-func (a *TruncateArgs) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(uint64(a.Handle))
-	e.Int64(a.Size)
-}
-
-func (a *TruncateArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	a.Handle = Handle(h)
-	a.Size, err = d.Int64()
-	return err
-}
-
-func (a *IOReadArgs) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(uint64(a.Handle))
-	e.Int64(a.Off)
-	e.Int64(a.Len)
-	e.Bool(a.WantReal)
-}
-
-func (a *IOReadArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	a.Handle = Handle(h)
-	if a.Off, err = d.Int64(); err != nil {
-		return err
-	}
-	if a.Len, err = d.Int64(); err != nil {
-		return err
-	}
-	a.WantReal, err = d.Bool()
-	return err
-}
-
-func (r *IOReadRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	r.Data.MarshalXDR(e)
-	e.Bool(r.Eof)
-	e.Uint32(r.Sum)
-	e.Bool(r.HasSum)
-}
-
-func (r *IOReadRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	if err = r.Data.UnmarshalXDR(d); err != nil {
-		return err
-	}
-	if r.Eof, err = d.Bool(); err != nil {
-		return err
-	}
-	if r.Sum, err = d.Uint32(); err != nil {
-		return err
-	}
-	r.HasSum, err = d.Bool()
-	return err
-}
-
-// WireSize lets bulk read replies cross the simulated NIC without
-// materializing payload bytes.
-func (r *IOReadRep) WireSize() int64 {
-	return xdr.SizeUint32 + r.Data.WireSize() + xdr.SizeBool + xdr.SizeUint32 + xdr.SizeBool
-}
-
-func (a *IOWriteArgs) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(uint64(a.Handle))
-	e.Int64(a.Off)
-	a.Data.MarshalXDR(e)
-	e.Bool(a.Sync)
-}
-
-func (a *IOWriteArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	a.Handle = Handle(h)
-	if a.Off, err = d.Int64(); err != nil {
-		return err
-	}
-	if err = a.Data.UnmarshalXDR(d); err != nil {
-		return err
-	}
-	a.Sync, err = d.Bool()
-	return err
-}
-
-// WireSize lets bulk writes cross the simulated NIC without materializing
-// payload bytes.
-func (a *IOWriteArgs) WireSize() int64 {
-	return xdr.SizeUint64 + xdr.SizeUint64 + a.Data.WireSize() + xdr.SizeBool
-}
-
-func (r *IOWriteRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Int64(r.ObjSize)
-}
-
-func (r *IOWriteRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	r.ObjSize, err = d.Int64()
-	return err
-}
-
-func (r *IOGetSizeRep) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Errno))
-	e.Int64(r.Size)
-	e.Uint64(r.Change)
-}
-
-func (r *IOGetSizeRep) UnmarshalXDR(d *xdr.Decoder) error {
-	v, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Errno = fserr.Errno(v)
-	if r.Size, err = d.Int64(); err != nil {
-		return err
-	}
-	r.Change, err = d.Uint64()
-	return err
-}
-
-func (a *IOTruncateArgs) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(uint64(a.Handle))
-	e.Int64(a.ObjSize)
-}
-
-func (a *IOTruncateArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	h, err := d.Uint64()
-	if err != nil {
-		return err
-	}
-	a.Handle = Handle(h)
-	a.ObjSize, err = d.Int64()
-	return err
-}
+// Every request and reply crosses rpc.Conn on its own.
+func (a *PathArgs) MarshalXDR(e *xdr.Encoder)               { a.XDR(e) }
+func (a *PathArgs) UnmarshalXDR(d *xdr.Decoder) error       { return d.Decode(a) }
+func (a *HandleArgs) MarshalXDR(e *xdr.Encoder)             { a.XDR(e) }
+func (a *HandleArgs) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(a) }
+func (r *ErrnoRep) MarshalXDR(e *xdr.Encoder)               { r.XDR(e) }
+func (r *ErrnoRep) UnmarshalXDR(d *xdr.Decoder) error       { return d.Decode(r) }
+func (r *LookupRep) MarshalXDR(e *xdr.Encoder)              { r.XDR(e) }
+func (r *LookupRep) UnmarshalXDR(d *xdr.Decoder) error      { return d.Decode(r) }
+func (r *CreateRep) MarshalXDR(e *xdr.Encoder)              { r.XDR(e) }
+func (r *CreateRep) UnmarshalXDR(d *xdr.Decoder) error      { return d.Decode(r) }
+func (r *MkdirRep) MarshalXDR(e *xdr.Encoder)               { r.XDR(e) }
+func (r *MkdirRep) UnmarshalXDR(d *xdr.Decoder) error       { return d.Decode(r) }
+func (r *ReadDirRep) MarshalXDR(e *xdr.Encoder)             { r.XDR(e) }
+func (r *ReadDirRep) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(r) }
+func (r *GetAttrRep) MarshalXDR(e *xdr.Encoder)             { r.XDR(e) }
+func (r *GetAttrRep) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(r) }
+func (a *TruncateArgs) MarshalXDR(e *xdr.Encoder)           { a.XDR(e) }
+func (a *TruncateArgs) UnmarshalXDR(d *xdr.Decoder) error   { return d.Decode(a) }
+func (a *IOReadArgs) MarshalXDR(e *xdr.Encoder)             { a.XDR(e) }
+func (a *IOReadArgs) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(a) }
+func (r *IOReadRep) MarshalXDR(e *xdr.Encoder)              { r.XDR(e) }
+func (r *IOReadRep) UnmarshalXDR(d *xdr.Decoder) error      { return d.Decode(r) }
+func (a *IOWriteArgs) MarshalXDR(e *xdr.Encoder)            { a.XDR(e) }
+func (a *IOWriteArgs) UnmarshalXDR(d *xdr.Decoder) error    { return d.Decode(a) }
+func (r *IOWriteRep) MarshalXDR(e *xdr.Encoder)             { r.XDR(e) }
+func (r *IOWriteRep) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(r) }
+func (r *IOGetSizeRep) MarshalXDR(e *xdr.Encoder)           { r.XDR(e) }
+func (r *IOGetSizeRep) UnmarshalXDR(d *xdr.Decoder) error   { return d.Decode(r) }
+func (a *IOTruncateArgs) MarshalXDR(e *xdr.Encoder)         { a.XDR(e) }
+func (a *IOTruncateArgs) UnmarshalXDR(d *xdr.Decoder) error { return d.Decode(a) }
+func (r *PlacementRep) MarshalXDR(e *xdr.Encoder)           { r.XDR(e) }
+func (r *PlacementRep) UnmarshalXDR(d *xdr.Decoder) error   { return d.Decode(r) }
+func (a *DirOpArgs) MarshalXDR(e *xdr.Encoder)              { a.XDR(e) }
+func (a *DirOpArgs) UnmarshalXDR(d *xdr.Decoder) error      { return d.Decode(a) }
+func (a *RenameHArgs) MarshalXDR(e *xdr.Encoder)            { a.XDR(e) }
+func (a *RenameHArgs) UnmarshalXDR(d *xdr.Decoder) error    { return d.Decode(a) }
 
 // procTable is where a procedure of either service is declared: one row per
 // Proc* constant, indexed by it.  The request registries the TCP transport

@@ -97,12 +97,12 @@ func TestAllMessageTypesRoundTrip(t *testing.T) {
 
 func TestBulkWireSizesMatchEncoding(t *testing.T) {
 	w := &IOWriteArgs{Handle: 1, Off: 2, Data: payload.Real(make([]byte, 100)), Sync: true}
-	if got, want := w.WireSize(), int64(len(xdr.Marshal(w))); got != want {
-		t.Fatalf("IOWriteArgs WireSize %d != %d", got, want)
+	if got, want := rpc.WireSizeOf(w), int64(len(xdr.Marshal(w))); got != want {
+		t.Fatalf("IOWriteArgs WireSizeOf %d != %d", got, want)
 	}
 	r := &IOReadRep{Data: payload.Real(make([]byte, 33)), Eof: true}
-	if got, want := r.WireSize(), int64(len(xdr.Marshal(r))); got != want {
-		t.Fatalf("IOReadRep WireSize %d != %d", got, want)
+	if got, want := rpc.WireSizeOf(r), int64(len(xdr.Marshal(r))); got != want {
+		t.Fatalf("IOReadRep WireSizeOf %d != %d", got, want)
 	}
 }
 

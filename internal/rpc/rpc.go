@@ -183,25 +183,18 @@ func (c *Ctx) Sleep(d time.Duration) {
 	}
 }
 
-// Msg is a protocol message: XDR-encodable, and able to report its wire
-// size.  Bulk-data messages implement WireSize without materializing
-// payload bytes; everything else can embed SizeByEncoding semantics via the
-// WireSizeOf helper.
-type Msg interface {
-	xdr.Marshaler
-	WireSize() int64
-}
-
 // sizeEncPool recycles the scratch encoders behind WireSizeOf's fallback,
-// so sizing a message without a WireSize method costs an encode pass but
-// no allocation in steady state.
+// so sizing a message that only encodes costs an encode pass but no
+// allocation in steady state.
 var sizeEncPool = sync.Pool{New: func() any { return xdr.NewEncoder() }}
 
-// WireSizeOf returns m's encoded size, using WireSize when available and
-// falling back to encoding into a pooled scratch buffer.
+// WireSizeOf returns m's encoded size.  A message that declares its wire
+// shape (xdr.Codec) is sized by a sizing pass over that declaration, which
+// never materializes a payload; any other is encoded into a pooled scratch
+// buffer.
 func WireSizeOf(m xdr.Marshaler) int64 {
-	if s, ok := m.(interface{ WireSize() int64 }); ok {
-		return s.WireSize()
+	if c, ok := m.(xdr.Codec); ok {
+		return xdr.Size(c)
 	}
 	e := sizeEncPool.Get().(*xdr.Encoder)
 	e.Reset()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dpnfs/internal/payload"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
@@ -18,23 +19,13 @@ type echoArgs struct {
 	Blob []byte
 }
 
-func (a *echoArgs) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(a.N)
-	e.Opaque(a.Blob)
+func (a *echoArgs) XDR(f xdr.Filter) {
+	f.U64(&a.N)
+	f.Blob(&a.Blob)
 }
 
-func (a *echoArgs) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if a.N, err = d.Uint64(); err != nil {
-		return err
-	}
-	a.Blob, err = d.Opaque()
-	return err
-}
-
-func (a *echoArgs) WireSize() int64 {
-	return xdr.SizeUint64 + int64(xdr.SizeOpaque(len(a.Blob)))
-}
+func (a *echoArgs) MarshalXDR(e *xdr.Encoder)         { a.XDR(e) }
+func (a *echoArgs) UnmarshalXDR(d *xdr.Decoder) error { return d.Decode(a) }
 
 const procEcho = 7
 
@@ -156,14 +147,27 @@ func TestSimTransportErrorStatus(t *testing.T) {
 	}
 }
 
-func TestWireSizeOfPrefersWireSize(t *testing.T) {
-	a := &echoArgs{Blob: make([]byte, 100)}
-	if got, want := WireSizeOf(a), a.WireSize(); got != want {
-		t.Fatalf("WireSizeOf = %d, want %d", got, want)
+// encodeOnly is a message that only encodes, as benchmark probe messages do.
+type encodeOnly []uint32
+
+func (m encodeOnly) MarshalXDR(e *xdr.Encoder) {
+	for _, w := range m {
+		e.Uint32(w)
 	}
-	// And WireSize must agree with the actual encoding.
-	if got, want := a.WireSize(), int64(len(xdr.Marshal(a))); got != want {
-		t.Fatalf("WireSize %d != encoded size %d", got, want)
+}
+
+// TestWireSizeOfMatchesEncoding: a message that declares its wire shape
+// (xdr.Codec) is sized by a sizing pass, one that only encodes by an encode
+// pass, and both agree with the encoding.
+func TestWireSizeOfMatchesEncoding(t *testing.T) {
+	for _, m := range []xdr.Marshaler{
+		&echoArgs{N: 1, Blob: make([]byte, 101)},
+		&bulkMsg{Tag: 2, Data: payload.Synthetic(33)},
+		encodeOnly{3, 4, 5},
+	} {
+		if got, want := WireSizeOf(m), int64(len(xdr.Marshal(m))); got != want {
+			t.Errorf("%T: WireSizeOf %d, encoding is %d bytes", m, got, want)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := writeFrame(&buf, &mu, 7, msgCall, procEcho, body); err != nil {
 		t.Fatal(err)
 	}
-	if want := HeaderBytes + int(body.WireSize()); buf.Len() != want {
+	if want := HeaderBytes + int(WireSizeOf(body)); buf.Len() != want {
 		t.Fatalf("frame length %d, want HeaderBytes+body = %d", buf.Len(), want)
 	}
 	xid, mtype, word, got, rec, err := readFrame(&buf)
@@ -287,19 +287,13 @@ type bulkMsg struct {
 	Data payload.Payload
 }
 
-func (m *bulkMsg) MarshalXDR(e *xdr.Encoder) {
-	e.Uint64(m.Tag)
-	m.Data.MarshalXDR(e)
+func (m *bulkMsg) XDR(f xdr.Filter) {
+	f.U64(&m.Tag)
+	f.Payload(&m.Data)
 }
 
-func (m *bulkMsg) UnmarshalXDR(d *xdr.Decoder) (err error) {
-	if m.Tag, err = d.Uint64(); err != nil {
-		return err
-	}
-	return m.Data.UnmarshalXDR(d)
-}
-
-func (m *bulkMsg) WireSize() int64 { return xdr.SizeUint64 + m.Data.WireSize() }
+func (m *bulkMsg) MarshalXDR(e *xdr.Encoder)         { m.XDR(e) }
+func (m *bulkMsg) UnmarshalXDR(d *xdr.Decoder) error { return d.Decode(m) }
 
 // TestGatheredFramesNeverInterleave drives eight concurrent callers, each
 // moving 2 MB both ways, down ONE socket.  Frames go out as gathered writes

@@ -105,10 +105,7 @@ func TestCallFramesMatchFlatEncoding(t *testing.T) {
 	for _, wc := range wireCases() {
 		msgs := []struct {
 			proc uint32
-			body interface {
-				xdr.Marshaler
-				WireSize() int64
-			}
+			body xdr.Marshaler
 		}{
 			{nfs.ProcCompound, &nfs.CompoundArgs{Session: 9, Slot: 2, Seq: 5, Ops: []nfs.Op{
 				&nfs.OpPutFH{FH: 77},
@@ -137,9 +134,9 @@ func TestCallFramesMatchFlatEncoding(t *testing.T) {
 				t.Errorf("%s %T: frame on the wire differs from the flat encoding (%d vs %d bytes)",
 					wc.name, m.body, len(got), len(want))
 			}
-			if int64(len(got)) != rpc.HeaderBytes+m.body.WireSize() {
-				t.Errorf("%s %T: frame is %d bytes, HeaderBytes+WireSize = %d",
-					wc.name, m.body, len(got), rpc.HeaderBytes+m.body.WireSize())
+			if int64(len(got)) != rpc.HeaderBytes+rpc.WireSizeOf(m.body) {
+				t.Errorf("%s %T: frame is %d bytes, HeaderBytes+WireSizeOf = %d",
+					wc.name, m.body, len(got), rpc.HeaderBytes+rpc.WireSizeOf(m.body))
 			}
 		}
 	}

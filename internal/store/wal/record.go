@@ -35,38 +35,22 @@ type record struct {
 	data      []byte
 }
 
-// MarshalXDR encodes r: op, dir, dir2, id, off, size, name, name2, data.
-func (r *record) MarshalXDR(e *xdr.Encoder) {
-	e.Uint32(r.op)
-	e.Uint64(uint64(r.dir))
-	e.Uint64(uint64(r.dir2))
-	e.Uint64(uint64(r.id))
-	e.Int64(r.off)
-	e.Int64(r.size)
-	e.String(r.name)
-	e.String(r.name2)
-	e.Opaque(r.data)
+// XDR passes r in its on-log order: op, dir, dir2, id, off, size, name,
+// name2, data.
+func (r *record) XDR(f xdr.Filter) {
+	f.U32(&r.op)
+	f.U64((*uint64)(&r.dir))
+	f.U64((*uint64)(&r.dir2))
+	f.U64((*uint64)(&r.id))
+	f.I64(&r.off)
+	f.I64(&r.size)
+	f.Text(&r.name)
+	f.Text(&r.name2)
+	f.Blob(&r.data)
 }
 
-// UnmarshalXDR decodes the layout written by MarshalXDR.
-func (r *record) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	read := func(f func() error) {
-		if err == nil {
-			err = f()
-		}
-	}
-	read(func() error { var e error; r.op, e = d.Uint32(); return e })
-	read(func() error { v, e := d.Uint64(); r.dir = store.FileID(v); return e })
-	read(func() error { v, e := d.Uint64(); r.dir2 = store.FileID(v); return e })
-	read(func() error { v, e := d.Uint64(); r.id = store.FileID(v); return e })
-	read(func() error { var e error; r.off, e = d.Int64(); return e })
-	read(func() error { var e error; r.size, e = d.Int64(); return e })
-	read(func() error { var e error; r.name, e = d.String(); return e })
-	read(func() error { var e error; r.name2, e = d.String(); return e })
-	read(func() error { var e error; r.data, e = d.Opaque(); return e })
-	return err
-}
+func (r *record) MarshalXDR(e *xdr.Encoder)         { r.XDR(e) }
+func (r *record) UnmarshalXDR(d *xdr.Decoder) error { return d.Decode(r) }
 
 // apply replays r against img.  Content records for ids missing from the
 // namespace are tolerated: the file was unlinked before the crash and the

@@ -5,6 +5,7 @@
 // before the blob is decoded — so a flipped bit anywhere in the frame,
 // including the trailer itself, fails verification before any decoder sees
 // the bytes.
+
 package xdr
 
 import (

@@ -64,8 +64,8 @@ func FuzzDecodePrimitives(f *testing.F) {
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range []*testMsg{
 		{},
-		{A: 1, B: -5, C: "abc", D: []byte{9, 8, 7}, E: true, F: 2.5},
-		{A: 0xffffffff, B: 1 << 62, C: "日本語", D: make([]byte, 33), F: -1},
+		{A: 1, B: -5, C: "abc", D: []byte{9, 8, 7}, E: true, F: 2, G: []uint32{5}},
+		{A: 0xffffffff, B: 1 << 62, C: "日本語", D: make([]byte, 33), F: 1 << 63, G: make([]uint32, 64)},
 	} {
 		f.Add(Marshal(m))
 	}

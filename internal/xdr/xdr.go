@@ -3,9 +3,32 @@
 // repository: big-endian 4-byte aligned primitives, variable-length opaques
 // and strings, and counted arrays.
 //
-// Every protocol message implements Marshaler/Unmarshaler, so the same
-// byte-exact encoding flows over both the simulated fabric (where only the
-// encoded length matters for timing) and real TCP (cmd/pnfs-demo).
+// # One declaration per message
+//
+// Every message declares its wire shape once, as a Codec method that passes
+// its fields, in wire order, to a Filter.  The idiom is the ONC RPC XDR
+// library's, where one xdr_* routine per type serves every direction of an
+// XDR handle.  A Filter has three directions:
+//
+//   - *Encoder appends the encoding (the bytes TCP sends);
+//   - *Decoder fills the message from the wire, keeping its first error;
+//   - the sizer behind Size counts the bytes an Encoder would append without
+//     building them, which is what the simulated fabric charges per call.
+//
+// So the bytes a message sends, the bytes it decodes from and the size it is
+// charged come from the same declaration and cannot drift apart.  Messages
+// that travel through package rpc on their own also implement Marshaler and
+// Unmarshaler, as one-line adapters over their Codec method; the value-style
+// Encoder and Decoder methods (Uint32, Opaque, ...) are the layer underneath,
+// used directly by framing, payloads and benchmark probes.
+//
+// # The count rule
+//
+// Every counted array goes through Filter.Count, which takes the array's
+// upper bound and the smallest encoding of one element.  A decoded count
+// above the bound, or one whose elements could not fit in the rest of the
+// input, is rejected before anything is allocated: a short frame with a
+// hostile count costs an error, not a large allocation.
 package xdr
 
 import (
@@ -217,6 +240,7 @@ type Decoder struct {
 	off      int
 	owner    Owner
 	borrowed int
+	err      error // the first error of a Filter-style decode (Decode)
 }
 
 // NewDecoder returns a decoder over b (which is not copied).
@@ -383,13 +407,7 @@ func Marshal(m Marshaler) []byte {
 // Unmarshal decodes b into u, requiring full consumption of the buffer.
 func Unmarshal(b []byte, u Unmarshaler) error {
 	d := NewDecoder(b)
-	if err := u.UnmarshalXDR(d); err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("xdr: %d trailing bytes after decode of %T", d.Remaining(), u)
-	}
-	return nil
+	return d.whole(u, u.UnmarshalXDR(d))
 }
 
 // Float64 encodes an IEEE-754 double (used by workload trace files).

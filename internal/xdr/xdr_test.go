@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -99,56 +100,43 @@ func TestTruncatedOpaqueBody(t *testing.T) {
 	}
 }
 
+// testMsg passes one field of every Filter primitive but Payload.
 type testMsg struct {
 	A uint32
 	B int64
 	C string
 	D []byte
 	E bool
-	F float64
+	F uint64
+	G []uint32
 }
 
-func (m *testMsg) MarshalXDR(e *Encoder) {
-	e.Uint32(m.A)
-	e.Int64(m.B)
-	e.String(m.C)
-	e.Opaque(m.D)
-	e.Bool(m.E)
-	e.Float64(m.F)
+func (m *testMsg) XDR(f Filter) {
+	f.U32(&m.A)
+	f.I64(&m.B)
+	f.Text(&m.C)
+	f.Blob(&m.D)
+	f.Flag(&m.E)
+	f.U64(&m.F)
+	Slice(f, &m.G, 64, SizeUint32, Filter.U32)
 }
 
-func (m *testMsg) UnmarshalXDR(d *Decoder) error {
-	var err error
-	if m.A, err = d.Uint32(); err != nil {
-		return err
-	}
-	if m.B, err = d.Int64(); err != nil {
-		return err
-	}
-	if m.C, err = d.String(); err != nil {
-		return err
-	}
-	if m.D, err = d.Opaque(); err != nil {
-		return err
-	}
-	if m.E, err = d.Bool(); err != nil {
-		return err
-	}
-	m.F, err = d.Float64()
-	return err
-}
+func (m *testMsg) MarshalXDR(e *Encoder)         { m.XDR(e) }
+func (m *testMsg) UnmarshalXDR(d *Decoder) error { return d.Decode(m) }
 
-// Property: any message round-trips exactly through Marshal/Unmarshal.
+// Property: any message round-trips exactly through Marshal/Unmarshal, and
+// Size is the length of its encoding.
 func TestPropertyMessageRoundTrip(t *testing.T) {
-	f := func(a uint32, b int64, c string, d []byte, e bool, fl float64) bool {
-		in := &testMsg{A: a, B: b, C: c, D: d, E: e, F: fl}
+	f := func(a uint32, b int64, c string, d []byte, e bool, fl uint64, g []uint32) bool {
+		in := &testMsg{A: a, B: b, C: c, D: d, E: e, F: fl, G: g[:min(len(g), 64)]}
 		var out testMsg
-		if err := Unmarshal(Marshal(in), &out); err != nil {
+		enc := Marshal(in)
+		if err := Unmarshal(enc, &out); err != nil || Size(in) != int64(len(enc)) {
 			return false
 		}
 		return out.A == in.A && out.B == in.B && out.C == in.C &&
-			bytes.Equal(out.D, in.D) && out.E == in.E &&
-			(out.F == in.F || (out.F != out.F && in.F != in.F)) // NaN-safe
+			bytes.Equal(out.D, in.D) && out.E == in.E && out.F == in.F &&
+			slices.Equal(out.G, in.G)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -157,7 +145,7 @@ func TestPropertyMessageRoundTrip(t *testing.T) {
 
 func TestUnmarshalRejectsTrailingBytes(t *testing.T) {
 	e := NewEncoder()
-	(&testMsg{}).MarshalXDR(e)
+	(&testMsg{}).XDR(e)
 	e.Uint32(99) // junk
 	var out testMsg
 	if err := Unmarshal(e.Bytes(), &out); err == nil {
