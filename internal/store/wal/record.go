@@ -49,9 +49,6 @@ func (r *record) XDR(f xdr.Filter) {
 	f.Blob(&r.data)
 }
 
-func (r *record) MarshalXDR(e *xdr.Encoder)         { r.XDR(e) }
-func (r *record) UnmarshalXDR(d *xdr.Decoder) error { return d.Decode(r) }
-
 // apply replays r against img.  Content records for ids missing from the
 // namespace are tolerated: the file was unlinked before the crash and the
 // checkpoint reclaimed it, but its tail-of-log writes survive.

@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"dpnfs/internal/rpc"
 	"dpnfs/internal/xdr"
 )
 
@@ -46,26 +45,26 @@ var goldenRecords = []struct {
 }
 
 // TestGoldenRecordEncoding holds each opcode's record to its bytes both ways:
-// it encodes to them, WireSizeOf agrees with their length, and they decode
-// to a record that encodes to them again.
+// it encodes to them, Size agrees with their length, and they decode to a
+// record that encodes to them again.
 func TestGoldenRecordEncoding(t *testing.T) {
 	seen := map[uint32]bool{}
 	for _, g := range goldenRecords {
 		seen[g.rec.op] = true
-		enc := xdr.Marshal(&g.rec)
+		enc := xdr.Encode(&g.rec)
 		if got := hex.EncodeToString(enc); got != g.hex {
 			t.Errorf("opcode %d encodes to\n  %s\nwant\n  %s", g.rec.op, got, g.hex)
 			continue
 		}
-		if got := rpc.WireSizeOf(&g.rec); got != int64(len(enc)) {
-			t.Errorf("opcode %d: WireSizeOf %d, encoding is %d bytes", g.rec.op, got, len(enc))
+		if got := xdr.Size(&g.rec); got != int64(len(enc)) {
+			t.Errorf("opcode %d: Size %d, encoding is %d bytes", g.rec.op, got, len(enc))
 		}
 		var back record
-		if err := xdr.Unmarshal(enc, &back); err != nil {
+		if err := xdr.Decode(enc, &back); err != nil {
 			t.Errorf("opcode %d: decode of golden bytes: %v", g.rec.op, err)
 			continue
 		}
-		if got := hex.EncodeToString(xdr.Marshal(&back)); got != g.hex {
+		if got := hex.EncodeToString(xdr.Encode(&back)); got != g.hex {
 			t.Errorf("opcode %d: golden bytes decode to %+v, which re-encodes to\n  %s", g.rec.op, back, got)
 		}
 	}

@@ -123,7 +123,7 @@ func New(cfg Config) *Store {
 // trailer so replay can tell a torn or rotted record from a good one.
 // Caller holds s.mu and has already applied r to the image.
 func (s *Store) appendLocked(r *record) {
-	enc := xdr.AppendChecksum(xdr.Marshal(r))
+	enc := xdr.AppendChecksum(xdr.Encode(r))
 	s.pending = append(s.pending, enc)
 	s.pendingSz += int64(len(enc))
 	s.records.Inc()
@@ -442,7 +442,7 @@ func (s *Store) checkpointLocked() int64 {
 	var bytes int64
 	var sum uint32
 	add := func(r *record) {
-		enc := xdr.AppendChecksum(xdr.Marshal(r))
+		enc := xdr.AppendChecksum(xdr.Encode(r))
 		recs = append(recs, enc)
 		sum = xdr.ChecksumUpdate(sum, enc)
 		bytes += int64(len(enc))
@@ -554,7 +554,7 @@ func (s *Store) Recover() (int, error) {
 				return replayed, fmt.Errorf("wal %s: corrupt record %d: %w", s.cfg.Name, replayed, cerr)
 			}
 			var r record
-			if err := xdr.Unmarshal(body, &r); err != nil {
+			if err := xdr.Decode(body, &r); err != nil {
 				return replayed, fmt.Errorf("wal %s: corrupt record %d: %w", s.cfg.Name, replayed, err)
 			}
 			if err := r.apply(img); err != nil {

@@ -48,9 +48,9 @@ func TestRecordRoundTrip(t *testing.T) {
 		{op: opReserveID, id: 99},
 	}
 	for i, r := range recs {
-		enc := xdr.Marshal(&r)
+		enc := xdr.Encode(&r)
 		var got record
-		if err := xdr.Unmarshal(enc, &got); err != nil {
+		if err := xdr.Decode(enc, &got); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if got.data == nil {
