@@ -410,7 +410,7 @@ func Unmarshal(b []byte, u Unmarshaler) error {
 	return d.whole(u, u.UnmarshalXDR(d))
 }
 
-// Float64 encodes an IEEE-754 double (used by workload trace files).
+// Float64 encodes an IEEE-754 double as its 64-bit pattern.
 func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
 
 // Float64 decodes an IEEE-754 double.

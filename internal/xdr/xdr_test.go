@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -66,6 +67,25 @@ func TestBoolRoundTrip(t *testing.T) {
 	b, err := d.Bool()
 	if err != nil || !a || b {
 		t.Fatalf("bool round-trip: %v %v %v", a, b, err)
+	}
+}
+
+func TestFloat64RoundTrip(t *testing.T) {
+	in := []float64{0, math.Copysign(0, -1), 1.5, -3.25e300, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	e := NewEncoder()
+	for _, v := range in {
+		e.Float64(v)
+	}
+	if e.Len() != 8*len(in) {
+		t.Fatalf("encoded length %d, want %d", e.Len(), 8*len(in))
+	}
+	d := NewDecoder(e.Bytes())
+	for _, want := range in {
+		got, err := d.Float64()
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("float64 round-trip: got %v (%v), want %v", got, err, want)
+		}
 	}
 }
 
