@@ -1,5 +1,7 @@
 package nfs
 
+import "slices"
+
 // extent is a half-open byte range [Off, End).
 type extent struct {
 	Off, End int64
@@ -11,49 +13,60 @@ func (e extent) len() int64 { return e.End - e.Off }
 // page-cache residency and dirtiness at byte granularity.
 type extList []extent
 
-// insert adds [off, end), merging with neighbours.
+// insert adds [off, end), merging with neighbours.  It works in place: the
+// result may share l's backing array, so l must not be used afterwards.
 func (l extList) insert(off, end int64) extList {
 	if off >= end {
 		return l
 	}
-	out := make(extList, 0, len(l)+1)
+	// l[i:j] are the extents that touch or overlap [off, end).
 	i := 0
-	for ; i < len(l) && l[i].End < off; i++ {
-		out = append(out, l[i])
+	for i < len(l) && l[i].End < off {
+		i++
 	}
-	ne := extent{off, end}
-	for ; i < len(l) && l[i].Off <= end; i++ {
-		if l[i].Off < ne.Off {
-			ne.Off = l[i].Off
-		}
-		if l[i].End > ne.End {
-			ne.End = l[i].End
-		}
+	j := i
+	for j < len(l) && l[j].Off <= end {
+		j++
 	}
-	out = append(out, ne)
-	out = append(out, l[i:]...)
-	return out
+	if i == j {
+		return slices.Insert(l, i, extent{off, end})
+	}
+	l[i] = extent{min(l[i].Off, off), max(l[j-1].End, end)}
+	return append(l[:i+1], l[j:]...)
 }
 
-// subtract removes [off, end).
+// subtract removes [off, end).  Like insert it works in place.
 func (l extList) subtract(off, end int64) extList {
 	if off >= end {
 		return l
 	}
-	out := make(extList, 0, len(l)+1)
-	for _, e := range l {
-		if e.End <= off || e.Off >= end {
-			out = append(out, e)
-			continue
-		}
-		if e.Off < off {
-			out = append(out, extent{e.Off, off})
-		}
-		if e.End > end {
-			out = append(out, extent{end, e.End})
-		}
+	// l[i:j] are the extents that overlap [off, end).
+	i := 0
+	for i < len(l) && l[i].End <= off {
+		i++
 	}
-	return out
+	j := i
+	for j < len(l) && l[j].Off < end {
+		j++
+	}
+	if i == j {
+		return l
+	}
+	if j == i+1 && l[i].Off < off && l[i].End > end {
+		// [off, end) splits one extent in two.
+		l = slices.Insert(l, i+1, extent{end, l[i].End})
+		l[i].End = off
+		return l
+	}
+	if l[i].Off < off {
+		l[i].End = off
+		i++
+	}
+	if l[j-1].End > end {
+		l[j-1].Off = end
+		j--
+	}
+	return append(l[:i], l[j:]...)
 }
 
 // missing returns the gaps of [off, end) not covered by the list.

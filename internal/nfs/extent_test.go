@@ -79,6 +79,30 @@ func TestMissing(t *testing.T) {
 	}
 }
 
+// insert and subtract work in place: extending the last extent, and adding
+// one past it into spare capacity, allocate nothing.
+func TestExtListInPlaceAllocatesNothing(t *testing.T) {
+	l := extList{}.insert(0, 10).insert(20, 30)
+	extend := func() {
+		last := l[len(l)-1]
+		l = l.insert(last.End, last.End+10)
+	}
+	if allocs := testing.AllocsPerRun(100, extend); allocs != 0 {
+		t.Errorf("extending the last extent: %v allocations, want 0", allocs)
+	}
+	appendPast := func() {
+		past := l[len(l)-1].End + 10
+		l = l.insert(past, past+10)
+		l = l.subtract(past, past+10)
+	}
+	if allocs := testing.AllocsPerRun(100, appendPast); allocs != 0 {
+		t.Errorf("appending past the last extent: %v allocations, want 0", allocs)
+	}
+	if len(l) != 2 || l[0] != (extent{0, 10}) || l[1] != (extent{20, 30 + 101*10}) {
+		t.Fatalf("list after the runs: %v", l)
+	}
+}
+
 // Property: extList agrees with a bitmap reference model under a random op
 // sequence.
 func TestPropertyExtListMatchesBitmap(t *testing.T) {

@@ -1,32 +1,38 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation kernel
-// with cooperatively scheduled goroutine processes and virtual time.
+// with cooperatively scheduled processes and virtual time.
 //
-// Exactly one goroutine runs at a time: the one that holds the baton.  A
-// process blocks by sleeping for a virtual duration, by waiting on a
-// queue-backed primitive (Semaphore, Chan, WaitGroup), or by using a service
-// resource (FIFOServer, KServer, see resource.go).  There is no scheduler
-// goroutine: the process that blocks, or ends, itself pops the next event
-// from the time-ordered queue and wakes that event's process directly; when
-// the event is its own it just keeps running.  Run only starts the chain and
-// waits to be told the queue has drained.  Ties are broken by event sequence
-// number, so simulations are fully deterministic.
+// Every process runs as a coroutine (iter.Pull), and exactly one of them runs
+// at a time.  A process blocks by sleeping for a virtual duration, by waiting
+// on a queue-backed primitive (Semaphore, Chan, WaitGroup), or by using a
+// service resource (FIFOServer, KServer, see resource.go).  The process that
+// blocks, or ends, pops the next event from the time-ordered queue itself;
+// when the event is its own it just keeps running, and otherwise it records
+// that event's process and yields.  The kernel's loop then resumes the
+// recorded process's coroutine: a direct switch on one thread, with no
+// channel and no trip through the Go scheduler.  Run starts the loop and
+// waits for it to report that the queue has drained.  Ties are broken by
+// event sequence number, so simulations are fully deterministic.
 //
-// One rule makes the baton race-free without a lock: after waking its
-// successor a goroutine touches nothing but its own wake channel, and
-// everything it did before is ordered before the successor's next step by
-// that channel send.
-//
-// Goroutines are recycled.  Go only records the process and schedules its
-// start event; the goroutine is bound when that event fires, taken from the
+// Coroutines are recycled.  Go only records the process and schedules its
+// start event; the coroutine is bound when that event fires, taken from the
 // kernel's list of idle workers (most recently idled first, so its stack is
-// already grown) or started if the list is empty, and goes back on the list
-// when the process returns.  A process that ends through runtime.Goexit takes
-// its goroutine with it but still passes the baton on.
+// already grown) or created if the list is empty, and goes back on the list
+// when the process returns.  A process that ends through runtime.Goexit (what
+// t.Fatal does) takes its coroutine with it, and iter.Pull passes the Goexit
+// on to the loop's goroutine; that is why the loop does not run on Run's
+// caller, and why a deferred function starts a new loop goroutine to carry
+// on.
 //
-// Parked daemons and idle workers are goroutines that nothing else will ever
-// wake, and they keep the kernel and everything it references alive: a
+// Parked daemons and idle workers are coroutines that nothing else will ever
+// resume, and they keep the kernel and everything it references alive: a
 // kernel that is no longer needed must be Shutdown (cluster.Cluster.Close
-// does it).
+// does it).  Shutdown stops each coroutine, so its process ends through
+// runtime.Goexit at the call it is blocked in and its deferred functions run.
+//
+// The sim package needs Go 1.23 or later (iter.Pull), which the build
+// constraint above states.
 //
 // All benchmark clusters in this repository run on virtual time: a run that
 // simulates minutes of I/O completes in milliseconds of wall time, and the
@@ -39,6 +45,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -81,27 +88,23 @@ type Kernel struct {
 	events []event // binary min-heap ordered by event.before
 	rng    *rand.Rand
 
-	// drained returns the baton to the goroutine inside Run or Shutdown.
-	// Its one-slot buffer lets Run signal itself when there is nothing to
-	// run.
-	drained chan struct{}
-	idle    []*worker // goroutines waiting for a process to run, LIFO
-	stopped bool      // Shutdown has begun
+	next    *Proc         // the process the loop resumes next; nil once the queue has drained
+	passes  chan struct{} // Run starts a pass of the loop and waits on it for the end; nil before the first Run
+	idle    []*worker     // coroutines waiting for a process to run, LIFO
+	stopped bool          // Shutdown has begun
 
-	procs  []*Proc // started, unfinished processes: the ones that hold a goroutine
+	procs  []*Proc // started, unfinished processes: the ones that hold a coroutine
 	nextID int
 
 	// Stats
 	eventsFired uint64
+	resumes     uint64 // coroutine switches made by the loop
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed, so
 // that any stochastic workload driven from Kernel.Rand is reproducible.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		drained: make(chan struct{}, 1),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -121,19 +124,20 @@ type Proc struct {
 	id     int
 	name   string
 	fn     func(p *Proc)
-	w      *worker // the goroutine running fn; nil until the start event fires
+	w      *worker // the coroutine running fn; nil until the start event fires
 	slot   int     // index in k.procs while started and unfinished
 	parked string  // why the process is blocked on a primitive; "" when it is not
 	daemon bool
 }
 
-// worker is a goroutine that runs processes, one after another.  Receiving
-// from wake is how it takes the baton: as the goroutine of a blocked process
-// when that process's event fires, or, off the kernel's idle list, to start
-// the process in p.
+// worker is a coroutine that runs processes, one after another.  The loop
+// resumes it when an event of its process p fires, or, off the kernel's idle
+// list, to start the process in p.
 type worker struct {
-	wake chan struct{}
-	p    *Proc
+	p      *Proc
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool // valid inside the coroutine only
 }
 
 // MarkDaemon marks the process as a daemon: a server loop that legitimately
@@ -225,55 +229,40 @@ func (k *Kernel) pop() *Proc {
 	return first.p
 }
 
-// handoff passes the baton: to p's goroutine, or, when p is nil, back to
-// Run or Shutdown.  It is the last thing its caller does with kernel state;
-// from here on the caller may touch nothing but its own wake channel.
-func (k *Kernel) handoff(p *Proc) {
-	if p == nil {
-		k.drained <- struct{}{}
-		return
-	}
-	if p.w == nil { // p's start event: give it a goroutine
-		if n := len(k.idle); n > 0 {
-			p.w = k.idle[n-1]
-			k.idle[n-1] = nil
-			k.idle = k.idle[:n-1]
-		} else {
-			p.w = &worker{wake: make(chan struct{}, 1)}
-			go k.work(p.w)
-		}
-		p.w.p = p
-	}
-	p.w.wake <- struct{}{}
+// newWorker creates an idle worker coroutine.
+func (k *Kernel) newWorker() *worker {
+	w := new(worker)
+	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		k.work(w)
+	})
+	return w
 }
 
-// work is the body of a worker goroutine.
+// work is the body of a worker coroutine.  It returns when Shutdown stops
+// the worker while it is idle.
 func (k *Kernel) work(w *worker) {
 	for {
-		<-w.wake
-		if k.stopped {
-			k.drained <- struct{}{}
-			return
-		}
-		for {
-			k.run(w.p)
-			next := k.pop()
-			if next == nil || next.w != nil {
-				w.p = nil
-				k.idle = append(k.idle, w)
-				k.handoff(next)
-				break
-			}
+		k.run(w.p)
+		next := k.pop()
+		if next != nil && next.w == nil {
 			// The next event starts a process: run it right here.
 			next.w, w.p = w, next
+			continue
+		}
+		w.p = nil
+		k.idle = append(k.idle, w)
+		k.next = next
+		if !w.yield(struct{}{}) {
+			return
 		}
 	}
 }
 
-// run executes p to its end on the calling worker goroutine.  If p ends
+// run executes p to its end on the calling worker coroutine.  If p ends
 // through runtime.Goexit (t.Fatal inside a simulated process, or Shutdown)
-// or a panic, the goroutine is about to die and cannot be recycled, so the
-// deferred function passes the baton on in its place.
+// or a panic, the coroutine is about to die and cannot be recycled, so the
+// deferred function pops the next event for the loop in its place.
 func (k *Kernel) run(p *Proc) {
 	p.slot = len(k.procs)
 	k.procs = append(k.procs, p)
@@ -285,16 +274,16 @@ func (k *Kernel) run(p *Proc) {
 		k.procs[n] = nil
 		k.procs = k.procs[:n]
 		if !returned {
-			k.handoff(k.pop())
+			k.next = k.pop()
 		}
 	}()
 	p.fn(p)
 	returned = true
 }
 
-// block passes the baton to the process of the next event and waits for an
-// event of p to fire.  When that next event is p's own, p just keeps
-// running.
+// block pops the next event and, unless that event is p's own (then p just
+// keeps running), records its process for the loop and yields until an event
+// of p fires.
 func (p *Proc) block() {
 	k := p.k
 	next := k.pop()
@@ -305,9 +294,9 @@ func (p *Proc) block() {
 		// A deferred function run by Shutdown tried to block.
 		runtime.Goexit()
 	}
-	k.handoff(next)
-	<-p.w.wake
-	if k.stopped {
+	k.next = next
+	if !p.w.yield(struct{}{}) {
+		// Shutdown stopped the coroutine.
 		runtime.Goexit()
 	}
 }
@@ -377,30 +366,72 @@ func (k *Kernel) Run() error {
 	if k.stopped {
 		panic("sim: Run on a kernel that was shut down")
 	}
-	k.handoff(k.pop())
-	<-k.drained
-	stuck := make(map[string]string)
+	k.next = k.pop()
+	if k.passes == nil {
+		k.passes = make(chan struct{})
+		go k.loop()
+	} else {
+		k.passes <- struct{}{}
+	}
+	<-k.passes
+	var stuck map[string]string
 	for _, p := range k.procs {
 		if p.parked != "" && !p.daemon {
+			if stuck == nil {
+				stuck = make(map[string]string)
+			}
 			stuck[fmt.Sprintf("%s#%d", p.name, p.id)] = p.parked
 		}
 	}
-	if len(stuck) > 0 {
+	if stuck != nil {
 		return &DeadlockError{Parked: stuck, At: k.now}
 	}
 	return nil
 }
 
-// Shutdown ends every goroutine the kernel owns: idle workers, and every
+// loop is the goroutine that resumes processes: one pass per Run, each until
+// the queue drains, and then it waits for the next Run until Shutdown.  A
+// process that ends through runtime.Goexit ends the loop's goroutine too,
+// since iter.Pull passes a Goexit on to whoever resumed the coroutine; the
+// deferred function then starts a new loop goroutine to finish the pass.
+func (k *Kernel) loop() {
+	defer func() {
+		if !k.stopped {
+			go k.loop()
+		}
+	}()
+	for {
+		for p := k.next; p != nil; p = k.next {
+			if p.w == nil { // p's start event: give it a worker
+				if n := len(k.idle); n > 0 {
+					p.w = k.idle[n-1]
+					k.idle[n-1] = nil
+					k.idle = k.idle[:n-1]
+				} else {
+					p.w = k.newWorker()
+				}
+				p.w.p = p
+			}
+			k.resumes++
+			p.w.resume()
+		}
+		k.passes <- struct{}{}
+		if _, ok := <-k.passes; !ok {
+			return
+		}
+	}
+}
+
+// Shutdown ends every coroutine the kernel owns: idle workers, and every
 // process that started but has not finished (parked daemons, deadlocked
-// processes, a process whose wake-up is still queued).  Those processes end
-// one at a time, in creation order, by runtime.Goexit at the call they are
-// blocked in, so their deferred functions run; sim primitives called from
-// there wake nobody, and one that would block ends the process instead.
-// Processes that never started have no goroutine and are dropped.  Shutdown
-// returns when the last goroutine has handed the baton back for good.  It
-// must not be called from inside a process or while Run is in progress.
-// Calling it again is a no-op; Go and Run panic once it has begun.
+// processes, a process whose wake-up is still queued), and then the loop's
+// goroutine.  Those processes end one at a time, in creation order, by
+// runtime.Goexit at the call they are blocked in, so their deferred functions
+// run; sim primitives called from there wake nobody, and one that would block
+// ends the process instead.  Processes that never started have no coroutine
+// and are dropped.  Shutdown must not be called from inside a process or
+// while Run is in progress.  Calling it again is a no-op; Go and Run panic
+// once it has begun.
 func (k *Kernel) Shutdown() {
 	if k.stopped {
 		return
@@ -409,12 +440,20 @@ func (k *Kernel) Shutdown() {
 	live := append([]*Proc(nil), k.procs...)
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 	for _, p := range live {
-		p.w.wake <- struct{}{}
-		<-k.drained
+		// stop passes the process's Goexit on to its caller, so it needs a
+		// goroutine of its own.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			p.w.stop()
+		}()
+		<-done
 	}
 	for _, w := range k.idle {
-		w.wake <- struct{}{}
-		<-k.drained
+		w.stop()
+	}
+	if k.passes != nil {
+		close(k.passes)
 	}
 	k.events, k.idle = nil, nil
 }

@@ -544,7 +544,7 @@ func TestDeadlockErrorNamesAndReasons(t *testing.T) {
 }
 
 // A process that ends through runtime.Goexit — what t.Fatal does — must
-// pass the baton on like one that returns.
+// let the simulation go on like one that returns.
 func TestGoexitInsideProcess(t *testing.T) {
 	k := NewKernel(1)
 	var finished []string
@@ -571,32 +571,20 @@ func TestGoexitInsideProcess(t *testing.T) {
 }
 
 // When the next event belongs to the process that is blocking, it keeps
-// running: no channel operation, no goroutine switch, but the event counts.
+// running: no coroutine switch, but the event counts.
 func TestOwnEventNextNeedsNoSwitch(t *testing.T) {
 	k := NewKernel(1)
 	const sleeps = 100
 	k.Go("solo", func(p *Proc) {
-		// With its one-slot wake channel full, a handoff to this process
-		// would block forever and a wait on it would steal the token.
-		p.w.wake <- struct{}{}
 		for i := 0; i < sleeps; i++ {
 			p.Sleep(time.Millisecond)
 		}
-		select {
-		case <-p.w.wake:
-		default:
-			t.Error("a Sleep received from the process's own wake channel")
-		}
 	})
-	done := make(chan error)
-	go func() { done <- k.Run() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a Sleep whose own event was next went through the wake channel")
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.resumes != 1 {
+		t.Errorf("the loop resumed the process %d times, want 1 (its start)", k.resumes)
 	}
 	if k.EventsFired() != sleeps+1 || k.Now() != Time(sleeps*time.Millisecond) {
 		t.Fatalf("fired %d events to t=%d, want %d to t=%d", k.EventsFired(), k.Now(), sleeps+1, sleeps*time.Millisecond)
@@ -604,8 +592,50 @@ func TestOwnEventNextNeedsNoSwitch(t *testing.T) {
 	k.Shutdown()
 }
 
-// waitGoroutines waits for goroutines that have handed the baton back and
-// are on their way out, and fails if more than want remain.
+// A switch between processes allocates nothing: two daemons that ping-pong
+// over Chans, started by a message from outside Run, make 1000 round trips
+// per Run.
+func TestHandoffAllocatesNothing(t *testing.T) {
+	const roundTrips = 1000
+	k := NewKernel(1)
+	start, ping, pong := NewChan("start"), NewChan("ping"), NewChan("pong")
+	k.Go("pinger", func(p *Proc) {
+		p.MarkDaemon()
+		for {
+			start.Recv(p)
+			for i := 0; i < roundTrips; i++ {
+				ping.Send(i & 0xff)
+				pong.Recv(p)
+			}
+		}
+	})
+	k.Go("ponger", func(p *Proc) {
+		p.MarkDaemon()
+		for {
+			pong.Send(ping.Recv(p))
+		}
+	})
+	pass := func() {
+		start.Send(0)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass() // warm-up: starts both processes and grows the queues
+	resumes := k.resumes
+	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
+		t.Errorf("%v allocations per %d round trips, want 0", allocs, roundTrips)
+	}
+	// Each round trip is two switches, and each pass one more to wake the
+	// pinger: AllocsPerRun made 11 passes.
+	if got, want := k.resumes-resumes, uint64(11*(2*roundTrips+1)); got != want {
+		t.Errorf("%d resumes in 11 passes, want %d", got, want)
+	}
+	k.Shutdown()
+}
+
+// waitGoroutines waits for goroutines that Shutdown has ended but that may
+// still be on their way out, and fails if more than want remain.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
