@@ -39,8 +39,9 @@ func TestCloseReleasesSimulatedCluster(t *testing.T) {
 	for i := 1; i < 20; i++ {
 		cycle()
 	}
-	// Shutdown returns when each coroutine has ended; the goroutines it
-	// used to stop them may still be on their way out.
+	// Shutdown returns when each coroutine has ended; the kernel's loop
+	// goroutine, and those Shutdown stops processes from, may still be on
+	// their way out.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after 20 cycles, %d before the first", runtime.NumGoroutine(), goroutines)

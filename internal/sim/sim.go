@@ -48,6 +48,7 @@ import (
 	"iter"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -81,7 +82,7 @@ func (e *event) before(o *event) bool {
 
 // Kernel is a discrete-event simulation kernel.  Create one with NewKernel,
 // start processes with Go, drive the simulation with Run, and release its
-// goroutines with Shutdown.
+// coroutines with Shutdown.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -273,8 +274,14 @@ func (k *Kernel) run(p *Proc) {
 		k.procs[p.slot], last.slot = last, p.slot
 		k.procs[n] = nil
 		k.procs = k.procs[:n]
-		if !returned {
-			k.next = k.pop()
+		if returned {
+			return
+		}
+		k.next = k.pop()
+		if r := recover(); r != nil {
+			// iter.Pull re-panics on the loop's goroutine with the value
+			// alone, so the value carries the stack that panicked.
+			panic(fmt.Sprintf("%v\n\nprocess %s panicked:\n%s", r, p.name, debug.Stack()))
 		}
 	}()
 	p.fn(p)
@@ -374,26 +381,24 @@ func (k *Kernel) Run() error {
 		k.passes <- struct{}{}
 	}
 	<-k.passes
-	var stuck map[string]string
+	stuck := make(map[string]string)
 	for _, p := range k.procs {
 		if p.parked != "" && !p.daemon {
-			if stuck == nil {
-				stuck = make(map[string]string)
-			}
 			stuck[fmt.Sprintf("%s#%d", p.name, p.id)] = p.parked
 		}
 	}
-	if stuck != nil {
+	if len(stuck) > 0 {
 		return &DeadlockError{Parked: stuck, At: k.now}
 	}
 	return nil
 }
 
 // loop is the goroutine that resumes processes: one pass per Run, each until
-// the queue drains, and then it waits for the next Run until Shutdown.  A
-// process that ends through runtime.Goexit ends the loop's goroutine too,
-// since iter.Pull passes a Goexit on to whoever resumed the coroutine; the
-// deferred function then starts a new loop goroutine to finish the pass.
+// the queue drains.  It lives from the first Run to Shutdown, so that no
+// goroutine is still on its way out when Run returns.  A process that ends
+// through runtime.Goexit ends the loop's goroutine too, since iter.Pull passes
+// a Goexit on to whoever resumed the coroutine; the deferred function then
+// starts a new loop goroutine to finish the pass.
 func (k *Kernel) loop() {
 	defer func() {
 		if !k.stopped {
