@@ -22,8 +22,8 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,8 +123,8 @@ func (r *Registry) WithLabel(label, value string) *Registry {
 	r = r.orDiscard()
 	return &Registry{
 		core:       r.core,
-		baseNames:  append(append([]string(nil), r.baseNames...), label),
-		baseValues: append(append([]string(nil), r.baseValues...), value),
+		baseNames:  concat(r.baseNames, []string{label}),
+		baseValues: concat(r.baseValues, []string{value}),
 	}
 }
 
@@ -144,21 +144,17 @@ func (r *Registry) orDiscard() *Registry {
 // family's schema is the view's base labels followed by the requested
 // labels.  Re-registering an existing name with a different kind or label
 // schema panics: metric schemas are wired once at startup and a mismatch
-// is a programming error.
+// is a programming error.  Finding an existing family allocates nothing.
 func (r *Registry) lookup(name, help string, kind Kind, labels []string, bounds []float64) *family {
 	r = r.orDiscard()
-	full := append(append([]string(nil), r.baseNames...), labels...)
 	c := r.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f, ok := c.families[name]; ok {
-		if f.kind != kind || len(f.labels) != len(full) {
+		n := len(r.baseNames)
+		if f.kind != kind || len(f.labels) != n+len(labels) ||
+			!slices.Equal(f.labels[:n], r.baseNames) || !slices.Equal(f.labels[n:], labels) {
 			panic(fmt.Sprintf("metrics: %s re-registered with a different schema", name))
-		}
-		for i := range full {
-			if f.labels[i] != full[i] {
-				panic(fmt.Sprintf("metrics: %s re-registered with a different schema", name))
-			}
 		}
 		return f
 	}
@@ -166,7 +162,7 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []string, bounds 
 		name:   name,
 		help:   help,
 		kind:   kind,
-		labels: full,
+		labels: concat(r.baseNames, labels),
 		bounds: bounds,
 		series: make(map[string]*series),
 	}
@@ -174,18 +170,33 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []string, bounds 
 	return f
 }
 
-// child returns the series for the label values, creating it on first use.
-func (f *family) child(values []string) *series {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
+// concat returns a new slice holding a followed by b.
+func concat(a, b []string) []string {
+	return append(append(make([]string, 0, len(a)+len(b)), a...), b...)
+}
+
+// child returns the series for the label values base followed by values,
+// creating it on first use.  The series key, each value followed by a NUL,
+// is built in a stack buffer and looked up without converting it to a
+// string, so finding an existing series allocates nothing.
+func (f *family) child(base, values []string) *series {
+	if len(base)+len(values) != len(f.labels) {
+		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", f.name, len(f.labels), len(base)+len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	var buf [128]byte
+	key := buf[:0]
+	for _, v := range base {
+		key = append(append(key, v...), 0)
+	}
+	for _, v := range values {
+		key = append(append(key, v...), 0)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[key]; ok {
+	if s, ok := f.series[string(key)]; ok {
 		return s
 	}
-	s := &series{values: append([]string(nil), values...)}
+	s := &series{values: concat(base, values)}
 	switch f.kind {
 	case KindCounter:
 		s.c = &Counter{}
@@ -194,8 +205,9 @@ func (f *family) child(values []string) *series {
 	case KindHistogram:
 		s.h = newHistogram(f.bounds)
 	}
-	f.series[key] = s
-	f.order = append(f.order, key)
+	k := string(key)
+	f.series[k] = s
+	f.order = append(f.order, k)
 	return s
 }
 
@@ -332,7 +344,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 
 // With returns the child counter for the label values.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.child(append(append([]string(nil), v.base...), values...)).c
+	return v.f.child(v.base, values).c
 }
 
 // Counter registers (or finds) an unlabeled counter.
@@ -353,7 +365,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 
 // With returns the child gauge for the label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(append(append([]string(nil), v.base...), values...)).g
+	return v.f.child(v.base, values).g
 }
 
 // Gauge registers (or finds) an unlabeled gauge.
@@ -376,7 +388,7 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 
 // With returns the child histogram for the label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.child(append(append([]string(nil), v.base...), values...)).h
+	return v.f.child(v.base, values).h
 }
 
 // Histogram registers (or finds) an unlabeled histogram.

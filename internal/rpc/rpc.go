@@ -124,12 +124,14 @@ func (c *Ctx) ReplyBuf(n int64, fill func(buf []byte) error) (payload.Payload, e
 // throughput bound.
 func (c *Ctx) Defer(fn func()) { c.deferred = append(c.deferred, fn) }
 
-// runDeferred executes deferred hooks in LIFO order.
+// runDeferred executes deferred hooks in LIFO order, then drops them,
+// keeping the slice's capacity for the Ctx's next call.
 func (c *Ctx) runDeferred() {
 	for i := len(c.deferred) - 1; i >= 0; i-- {
 		c.deferred[i]()
 	}
-	c.deferred = nil
+	clear(c.deferred)
+	c.deferred = c.deferred[:0]
 }
 
 // Now returns virtual time under simulation and the zero Time otherwise.
@@ -248,18 +250,20 @@ func (r *Registry) New(proc uint32) xdr.Unmarshaler {
 	return ctor()
 }
 
-// call is the payload carried through the simulated fabric for a request.
-type call struct {
-	proc    uint32
-	req     any
-	replyTo *sim.Chan
-	from    *simnet.Node
-}
-
-// reply is the payload for a response.
-type reply struct {
+// frame is one simulated call: the request on its way out and, once the
+// handler has run, the reply on its way back.  Only the *frame crosses the
+// fabric, both ways.  The caller owns it except while the request is out:
+// from delivery to the server's inbox until the reply lands on done, the
+// server does, and it drops its reference before it sends the reply.  The
+// caller clears req and resp when it takes the reply, so an idle frame pins
+// no request or reply buffer.
+type frame struct {
+	proc   uint32
+	req    any
+	from   *simnet.Node
 	status Status
 	resp   xdr.Marshaler
+	done   *sim.Chan // where the reply lands; empty while the frame is idle
 }
 
 // SimTransport is a Conn bound to (fabric, client node, server node,
@@ -274,11 +278,10 @@ type SimTransport struct {
 	// (virtual time) and wire bytes.
 	stats *connStats
 
-	// replies holds the reply channels of finished calls for reuse.  Every
-	// call that sends a request receives exactly one reply (a lossy link
-	// delays, it never drops), so a channel is empty again once Call has
-	// received from it.
-	replies []*sim.Chan
+	// frames holds the frames of finished calls for reuse.  Every call that
+	// sends a request receives exactly one reply (a lossy link delays, it
+	// never drops), so a frame is idle again once Call has taken its reply.
+	frames []*frame
 }
 
 // Call implements Conn over the simulated fabric.  It blocks the calling
@@ -289,59 +292,57 @@ func (t *SimTransport) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.U
 	if ctx.P == nil {
 		panic("rpc: SimTransport.Call without a simulated process")
 	}
-	done := t.stats.callStart()
+	t.stats.callStart()
 	start := ctx.Now()
 	if t.Dst.Down() {
-		return t.down(ctx, start, done)
+		return t.down(ctx, start)
 	}
-	var rc *sim.Chan
-	if n := len(t.replies); n > 0 {
-		rc, t.replies = t.replies[n-1], t.replies[:n-1]
+	var f *frame
+	if n := len(t.frames); n > 0 {
+		f, t.frames = t.frames[n-1], t.frames[:n-1]
 	} else {
-		rc = sim.NewChan("reply")
+		f = &frame{done: sim.NewChan("reply")}
 	}
-	msg := call{proc: proc, req: args, replyTo: rc, from: t.Src}
+	f.proc, f.req, f.from = proc, args, t.Src
 	size := WireSizeOf(args) + HeaderBytes
 	t.stats.addSent(size)
-	t.Fabric.Send(ctx.P, t.Src, t.Dst, t.Service, msg, size)
-	rm := rc.Recv(ctx.P).(simnet.Message)
-	t.replies = append(t.replies, rc)
-	r := rm.Payload.(reply)
+	t.Fabric.Send(ctx.P, t.Src, t.Dst, t.Dst.Service(t.Service), f, size)
+	f.done.Recv(ctx.P)
+	status, resp := f.status, f.resp
+	f.req, f.resp = nil, nil
+	t.frames = append(t.frames, f)
 	if t.stats != nil {
 		// Error replies still carry a frame header on the wire; count it so
 		// sim and TCP byte accounting agree for identical traffic.
 		recv := int64(HeaderBytes)
-		if r.resp != nil {
-			recv += WireSizeOf(r.resp)
+		if resp != nil {
+			recv += WireSizeOf(resp)
 		}
 		t.stats.addRecv(recv)
 	}
-	if r.status == StatusDown {
-		return t.down(ctx, start, done)
+	if status == StatusDown {
+		return t.down(ctx, start)
 	}
-	if r.status != StatusOK {
-		done(time.Duration(ctx.Now()-start), r.status)
-		return r.status
+	var err error
+	if status != StatusOK {
+		err = status
+	} else if rep != nil {
+		err = copyReply(rep, resp)
 	}
-	if rep == nil {
-		done(time.Duration(ctx.Now()-start), nil)
-		return nil
-	}
-	err := copyReply(rep, r.resp)
-	done(time.Duration(ctx.Now()-start), err)
+	t.stats.callEnd(time.Duration(ctx.Now()-start), err)
 	return err
 }
 
 // down fails a call to a crashed node: it went unanswered, or its handler
 // met the crash (StatusDown), and surfaces as a retryable failure once the
 // RPC timer expires, DownCallTimeout after the call started.
-func (t *SimTransport) down(ctx *Ctx, start sim.Time, done func(time.Duration, error)) error {
+func (t *SimTransport) down(ctx *Ctx, start sim.Time) error {
 	if rest := DownCallTimeout - time.Duration(ctx.Now()-start); rest > 0 {
 		ctx.P.Sleep(rest)
 	}
 	err := &DownError{Node: t.Dst.Name}
 	t.stats.fault()
-	done(time.Duration(ctx.Now()-start), err)
+	t.stats.callEnd(time.Duration(ctx.Now()-start), err)
 	return err
 }
 
@@ -421,31 +422,81 @@ type ServerConfig struct {
 
 // ServeSim starts the dispatcher process for a simulated RPC service.  Each
 // request is handled by its own process, bounded by Threads concurrent
-// handlers served FIFO.
+// handlers served FIFO.  The process runs on an idle slot of the service,
+// so a request costs the kernel one Proc and nothing else.
 func ServeSim(cfg ServerConfig) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 8
 	}
-	threads := sim.NewSemaphore(cfg.Node.Name+"/"+cfg.Service+"/threads", cfg.Threads)
+	s := &simServer{
+		cfg:        cfg,
+		threads:    sim.NewSemaphore(cfg.Node.Name+"/"+cfg.Service+"/threads", cfg.Threads),
+		workerName: cfg.Node.Name + "/" + cfg.Service + "/worker",
+	}
 	inbox := cfg.Node.Service(cfg.Service)
-	workerName := cfg.Node.Name + "/" + cfg.Service + "/worker"
-	cfg.Fabric.K.Go(cfg.Node.Name+"/"+cfg.Service+"/dispatch", func(p *sim.Proc) {
+	k := cfg.Fabric.K
+	k.Go(cfg.Node.Name+"/"+cfg.Service+"/dispatch", func(p *sim.Proc) {
 		p.MarkDaemon()
 		for {
-			m := inbox.Recv(p).(simnet.Message)
-			c := m.Payload.(call)
-			threads.Acquire(p, 1)
-			cfg.Fabric.K.Go(workerName, func(w *sim.Proc) {
-				defer threads.Release(1)
-				hctx := &Ctx{P: w}
-				resp, status := cfg.Handler(hctx, c.proc, c.req)
-				size := int64(HeaderBytes)
-				if resp != nil {
-					size += WireSizeOf(resp)
-				}
-				cfg.Fabric.SendTo(w, cfg.Node, c.from, c.replyTo, reply{status: status, resp: resp}, size)
-				hctx.runDeferred()
-			})
+			f := inbox.Recv(p).(*frame)
+			s.threads.Acquire(p, 1)
+			sl := s.idleSlot()
+			sl.f = f
+			k.Go(s.workerName, sl.run)
 		}
 	})
+}
+
+// simServer is one simulated service: its configuration, its thread bound
+// and the slots of finished handler processes, kept for reuse.
+type simServer struct {
+	cfg        ServerConfig
+	threads    *sim.Semaphore
+	workerName string
+	idle       []*slot
+}
+
+// slot is what one handler process runs with: the request's frame, a Ctx
+// whose deferred slice keeps its capacity from request to request, and the
+// process body bound once as a method value.  A slot goes back on the idle
+// list only after its deferred hooks have run, with its Ctx cleared.
+type slot struct {
+	Ctx
+	srv *simServer
+	f   *frame
+	run func(*sim.Proc)
+}
+
+// idleSlot returns an idle slot, or a new one.
+func (s *simServer) idleSlot() *slot {
+	if n := len(s.idle); n > 0 {
+		sl := s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+		return sl
+	}
+	sl := &slot{srv: s}
+	sl.run = sl.serve
+	return sl
+}
+
+// serve handles the slot's request as process w and sends the reply.
+func (sl *slot) serve(w *sim.Proc) {
+	s := sl.srv
+	defer s.threads.Release(1)
+	f := sl.f
+	sl.f = nil
+	sl.P = w
+	resp, status := s.cfg.Handler(&sl.Ctx, f.proc, f.req)
+	size := int64(HeaderBytes)
+	if resp != nil {
+		size += WireSizeOf(resp)
+	}
+	f.status, f.resp = status, resp
+	// The caller owns f again once the reply lands, and may reuse it for
+	// its next call while the hooks below still run.
+	s.cfg.Fabric.Send(w, s.cfg.Node, f.from, f.done, f, size)
+	sl.runDeferred()
+	sl.Ctx = Ctx{deferred: sl.deferred}
+	s.idle = append(s.idle, sl)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dpnfs/internal/metrics"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
@@ -144,6 +145,103 @@ func TestSimTransportErrorStatus(t *testing.T) {
 	}
 	if err != StatusProcUnavail {
 		t.Fatalf("bad proc returned %v, want StatusProcUnavail", err)
+	}
+}
+
+// TestSimCallAllocations pins the cost of a warm simulated call: the
+// handler's Proc and nothing else.  Frames, handler slots and their Ctx are
+// reused, and neither the request nor the reply is boxed on its way across
+// the fabric.  It holds with and without metric instruments on the conn and
+// the handler.
+func TestSimCallAllocations(t *testing.T) {
+	for _, reg := range []*metrics.Registry{nil, metrics.NewRegistry()} {
+		k := sim.NewKernel(1)
+		f := simnet.NewFabric(k)
+		f.AddNode(simnet.NodeConfig{Name: "client"})
+		f.AddNode(simnet.NodeConfig{Name: "server"})
+		tr := &FabricTransport{Fabric: f, Metrics: reg}
+		var out echoArgs // one call in flight at a time: one reply value serves
+		echo := func(ctx *Ctx, proc uint32, req any) (xdr.Marshaler, Status) {
+			out.N = req.(*echoArgs).N + 1
+			return &out, StatusOK
+		}
+		if _, err := tr.Serve("server", "echo", nil, echo, 4); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := tr.Dial("client", "server", "echo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := -1.0
+		k.Go("caller", func(p *sim.Proc) {
+			ctx := &Ctx{P: p}
+			args, got := echoArgs{Blob: []byte("payload")}, echoArgs{}
+			call := func() {
+				args.N++
+				if err := conn.Call(ctx, procEcho, &args, &got); err != nil || got.N != args.N+1 {
+					t.Errorf("call %d: reply %d, err %v", args.N, got.N, err)
+				}
+			}
+			call() // warm-up: the first frame and slot
+			allocs = testing.AllocsPerRun(100, call)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		k.Shutdown()
+		if allocs > 1 {
+			t.Errorf("metrics %v: %v allocations per simulated call, want at most 1 (the handler's Proc)", reg != nil, allocs)
+		}
+	}
+}
+
+// TestSimCallReuseUnderBlockedHook: a handler's deferred hook may block long
+// after its reply has landed, while the caller reuses the call's frame for
+// its next call.  The hook must still run on its own slot — the Ctx it was
+// registered on, holding the process that handles its call — and the next
+// call, whose 1 MB reply is still in flight when the hook wakes, must get
+// its own reply.
+func TestSimCallReuseUnderBlockedHook(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := simnet.NewFabric(k)
+	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
+	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
+	var hooks []uint64
+	handler := func(ctx *Ctx, proc uint32, req any) (xdr.Marshaler, Status) {
+		a := req.(*echoArgs)
+		n, p := a.N, ctx.P
+		ctx.Defer(func() {
+			ctx.Sleep(10 * time.Millisecond)
+			if ctx.P != p {
+				t.Errorf("call %d: the hook's Ctx was handed to another request", n)
+			}
+			hooks = append(hooks, n)
+		})
+		return &echoArgs{N: n + 1, Blob: a.Blob}, StatusOK
+	}
+	ServeSim(ServerConfig{Fabric: f, Node: srv, Service: "echo", Threads: 4, Handler: handler})
+	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
+	big := make([]byte, 1<<20)
+	k.Go("caller", func(p *sim.Proc) {
+		ctx := &Ctx{P: p}
+		for n, blob := range [][]byte{[]byte("first"), big} {
+			var got echoArgs
+			err := conn.Call(ctx, procEcho, &echoArgs{N: uint64(10 * n), Blob: blob}, &got)
+			if err != nil || got.N != uint64(10*n+1) || len(got.Blob) != len(blob) {
+				t.Errorf("call %d: reply N %d with %d bytes, err %v; want N %d with %d bytes",
+					n, got.N, len(got.Blob), err, 10*n+1, len(blob))
+			}
+		}
+		if len(conn.frames) != 1 {
+			t.Errorf("%d idle frames after two sequential calls, want 1", len(conn.frames))
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	if len(hooks) != 2 || hooks[0] != 0 || hooks[1] != 10 {
+		t.Errorf("deferred hooks ran for calls %v, want [0 10]", hooks)
 	}
 }
 

@@ -63,19 +63,24 @@ func newConnStats(reg *metrics.Registry, transport, service string) *connStats {
 	}
 }
 
-// callStart opens one call's accounting window and returns its closer.
-func (s *connStats) callStart() func(elapsed time.Duration, err error) {
-	if s == nil {
-		return func(time.Duration, error) {}
+// callStart opens one call's accounting window; callEnd closes it.
+func (s *connStats) callStart() {
+	if s != nil {
+		s.calls.Inc()
+		s.inflight.Inc()
 	}
-	s.calls.Inc()
-	s.inflight.Inc()
-	return func(elapsed time.Duration, err error) {
-		s.inflight.Dec()
-		s.latency.ObserveDuration(elapsed)
-		if err != nil {
-			s.errors.Inc()
-		}
+}
+
+// callEnd records a finished call's latency and, when err is set, its
+// failure.
+func (s *connStats) callEnd(elapsed time.Duration, err error) {
+	if s == nil {
+		return
+	}
+	s.inflight.Dec()
+	s.latency.ObserveDuration(elapsed)
+	if err != nil {
+		s.errors.Inc()
 	}
 }
 

@@ -353,10 +353,10 @@ func (p *TCPPool) pick() (*TCPClient, error) {
 // and not every operation tolerates re-execution (NFS sessions have a
 // replay cache; the PVFS2 protocol does not).
 func (p *TCPPool) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
-	done := p.stats.callStart()
+	p.stats.callStart()
 	start := time.Now()
 	err := p.call(ctx, proc, args, rep)
-	done(time.Since(start), err)
+	p.stats.callEnd(time.Since(start), err)
 	return err
 }
 

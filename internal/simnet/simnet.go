@@ -168,14 +168,6 @@ func (f *Fabric) Node(name string) *Node {
 	return n
 }
 
-// Message is what arrives in a service inbox.
-type Message struct {
-	From    *Node
-	Payload any
-	Size    int64
-	Arrived sim.Time
-}
-
 // Transfer blocks p for the duration of moving size bytes from src to dst
 // and returns the delivery time.  Loopback (src == dst) costs no network
 // resources and a negligible fixed time.
@@ -206,16 +198,10 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst *Node, size int64) sim.Time {
 	return rxDone
 }
 
-// Send transfers size bytes of payload from src to the named service on dst,
-// blocking p until delivery, then enqueues the message.
-func (f *Fabric) Send(p *sim.Proc, src, dst *Node, service string, payload any, size int64) {
-	at := f.Transfer(p, src, dst, size)
-	dst.Service(service).Send(Message{From: src, Payload: payload, Size: size, Arrived: at})
-}
-
-// SendTo is like Send but delivers into an explicit channel — used for RPC
-// replies, which go to a per-call channel rather than a service inbox.
-func (f *Fabric) SendTo(p *sim.Proc, src, dst *Node, ch *sim.Chan, payload any, size int64) {
-	at := f.Transfer(p, src, dst, size)
-	ch.Send(Message{From: src, Payload: payload, Size: size, Arrived: at})
+// Send moves size bytes from src to dst, blocking p until delivery, then
+// enqueues v on ch: a service inbox (Node.Service) for a request, a
+// per-call channel for a reply.
+func (f *Fabric) Send(p *sim.Proc, src, dst *Node, ch *sim.Chan, v any, size int64) {
+	f.Transfer(p, src, dst, size)
+	ch.Send(v)
 }

@@ -90,18 +90,29 @@ func TestLoopbackBypassesNIC(t *testing.T) {
 
 func TestSendDeliversMessage(t *testing.T) {
 	k, f, a, b := twoNodes(Gigabit)
-	var got Message
+	inbox := b.Service("nfs")
+	var got any
+	var at, sent sim.Time
 	k.Go("recv", func(p *sim.Proc) {
-		got = b.Service("nfs").Recv(p).(Message)
+		got = inbox.Recv(p)
+		at = p.Now()
 	})
 	k.Go("send", func(p *sim.Proc) {
-		f.Send(p, a, b, "nfs", "hello", 1000)
+		f.Send(p, a, b, inbox, "hello", 1000)
+		sent = p.Now()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Payload != "hello" || got.From != a || got.Size != 1000 {
-		t.Fatalf("bad message: %+v", got)
+	if got != "hello" {
+		t.Fatalf("delivered %v, want hello", got)
+	}
+	// 1000 bytes at 1 Gb/s is 8 µs, plus the one-way latency; the sender
+	// stays blocked until the message is in the inbox.
+	want := sim.Time(8*time.Microsecond + DefaultRTT/2)
+	if at != want || sent != want {
+		t.Fatalf("delivered at %v, sender resumed at %v, want both %v",
+			time.Duration(at), time.Duration(sent), time.Duration(want))
 	}
 }
 
