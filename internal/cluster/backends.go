@@ -41,9 +41,12 @@ func (b *directDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal b
 	return rep.Data, rep.Eof, sums, rep.Errno.Err()
 }
 
-func (b *directDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
+// Write hands the client's block sums to the daemon, whose store checks
+// them in the copy that stores the bytes: the client's offsets address the
+// stripe object here too.
+func (b *directDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, sums store.BlockSums, stable bool) (int64, error) {
 	b.conduit(ctx, data.Len())
-	rep := b.storage.Write(ctx, &pvfs.IOWriteArgs{Handle: pvfs.Handle(fh), Off: off, Data: data, Sync: stable})
+	rep := b.storage.Write(ctx, &pvfs.IOWriteArgs{Handle: pvfs.Handle(fh), Off: off, Data: data, Sync: stable}, sums)
 	return rep.ObjSize, rep.Errno.Err()
 }
 
@@ -145,7 +148,12 @@ func (b *directMDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal 
 	return data, got < n, store.BlockSums{}, err
 }
 
-func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
+// Write checks the client's block sums before the bytes go on to the
+// daemons: the PVFS2 wire has no room for them.
+func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, sums store.BlockSums, stable bool) (int64, error) {
+	if err := store.CheckSums(off, data.Bytes, sums); err != nil {
+		return 0, err
+	}
 	f := b.openCurrent(fh)
 	size, err := b.proxy.Write(ctx, f, off, data, false)
 	if err != nil {
@@ -412,7 +420,12 @@ func (b *exportBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal boo
 	return data, got < n, store.BlockSums{}, err
 }
 
-func (b *exportBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
+// Write checks the client's block sums before the bytes go on to the
+// daemons, as directMDSBackend.Write does.
+func (b *exportBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, sums store.BlockSums, stable bool) (int64, error) {
+	if err := store.CheckSums(off, data.Bytes, sums); err != nil {
+		return 0, err
+	}
 	b.conduit(ctx, exportWritePerMB, data.Len())
 	f, err := b.openCurrent(ctx, fh)
 	if err != nil {

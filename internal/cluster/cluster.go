@@ -630,10 +630,14 @@ func (cl *Cluster) blindMDSOn(n *simnet.Node, dsNodes []*simnet.Node) {
 func nfsServeOn(cl *Cluster, n *simnet.Node, service string, b nfs.Backend) {
 	nfs.NewServer(nfs.ServerConfig{
 		Backend: b, Node: n,
-		Transport: cl.tr, Service: service, Metrics: cl.Cfg.Metrics,
+		Transport: nfsTransport(cl), Service: service, Metrics: cl.Cfg.Metrics,
 		WireChecksums: cl.Cfg.WireChecksums,
 	})
 }
+
+// nfsTransport is the transport NFS servers register on: the cluster's own.
+// Tests wrap it to reach the requests a server decodes.
+var nfsTransport = func(cl *Cluster) rpc.Transport { return cl.tr }
 
 // Mounts returns the per-client application mounts.
 func (cl *Cluster) Mounts() []*Mount { return cl.mounts }

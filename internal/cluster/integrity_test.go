@@ -3,13 +3,16 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dpnfs/internal/faults"
+	"dpnfs/internal/nfs"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pnfs"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/xdr"
 )
 
 // integrityCluster builds a replicated cluster for the integrity suites:
@@ -320,5 +323,92 @@ func TestScrubDeterministicUnderSeedReplay(t *testing.T) {
 	}
 	if a.found < 1 {
 		t.Fatal("replayed scrub found nothing (vacuous)")
+	}
+}
+
+// damageTransport wraps a transport so that every handler it serves hands
+// each decoded request to damage first.
+type damageTransport struct {
+	rpc.Transport
+	damage func(req any)
+}
+
+func (d damageTransport) Serve(node, service string, reg *rpc.Registry, h rpc.Handler, threads int) (string, error) {
+	return d.Transport.Serve(node, service, reg, func(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
+		d.damage(req)
+		return h(ctx, proc, req)
+	}, threads)
+}
+
+// TestWriteDamageHealedOverTCP is the WRITE twin of the READ path's
+// in-flight damage test, on every architecture with NFS servers: one byte of
+// the first WRITE payload a server decodes is flipped after the client
+// sealed it.  The sums the WRITE carries catch it — in the data server's
+// store on Direct-pNFS, before the forward to the PVFS2 daemons on the
+// others — the client sends the bytes again once, and the file reads back
+// right from cold caches.  Before WRITEs carried sums the damage was stored.
+func TestWriteDamageHealedOverTCP(t *testing.T) {
+	const block = 64 << 10
+	defer func(prev func(*Cluster) rpc.Transport) { nfsTransport = prev }(nfsTransport)
+	for _, arch := range Archs {
+		if arch == ArchPVFS2 {
+			continue // no NFS server to send a WRITE to
+		}
+		t.Run(string(arch), func(t *testing.T) {
+			var writes, flipped atomic.Int32
+			nfsTransport = func(cl *Cluster) rpc.Transport {
+				return damageTransport{cl.tr, func(req any) {
+					args, ok := req.(*nfs.CompoundArgs)
+					if !ok {
+						return
+					}
+					for _, op := range args.Ops {
+						if w, ok := op.(*nfs.OpWrite); ok && len(w.Data.Bytes) >= block {
+							writes.Add(1)
+							if flipped.CompareAndSwap(0, 1) {
+								w.Data.Bytes[block/2] ^= 0x08
+							}
+						}
+					}
+				}}
+			}
+			cl := New(Config{
+				Arch: arch, Clients: 1, Backends: 4, Real: true, Transport: TransportTCP,
+				StripeSize: block, WSize: block, RSize: block,
+			})
+			defer cl.Close()
+			want := failoverPattern(3, 4*block)
+			if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+				f, err := m.Create(ctx, "/damaged")
+				if err != nil {
+					return err
+				}
+				if err := m.Write(ctx, f, 0, payload.Real(want)); err != nil {
+					return err
+				}
+				if err := m.Close(ctx, f); err != nil {
+					return err
+				}
+				m.DropCaches()
+				if f, err = m.Open(ctx, "/damaged"); err != nil {
+					return err
+				}
+				got, n, err := m.Read(ctx, f, 0, int64(len(want)))
+				if err != nil {
+					return err
+				}
+				defer got.Release()
+				if n != int64(len(want)) || !bytes.Equal(got.Bytes, want) {
+					return fmt.Errorf("read back %d bytes; the bytes damaged in flight were stored", n)
+				}
+				return m.Close(ctx, f)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if flipped.Load() != 1 || writes.Load() != 5 {
+				t.Fatalf("%d damaged of %d block WRITEs; want one damaged, and four blocks plus one re-send",
+					flipped.Load(), writes.Load())
+			}
+		})
 	}
 }

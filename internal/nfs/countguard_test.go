@@ -52,6 +52,8 @@ func TestHostileCountsRejectedBeforeAllocating(t *testing.T) {
 			words(0, 0, 0, hostile, 0)},
 		{"READ block sums", func() xdr.Codec { return &ResRead{} },
 			words(0, 0, 0, 0, sumBlocks, 0, 0, maxBlockSums, 0)},
+		{"WRITE block sums", func() xdr.Codec { return &OpWrite{} },
+			words(0, 0, 0, 0, 0, writeBlocks, 0, 0, maxBlockSums, 0)},
 		{"COMPOUND operations", func() xdr.Codec { return &CompoundArgs{} },
 			words(0, 0, 0, 0, 0, maxCompoundOps, OpNumGetAttr)},
 		{"COMPOUND results", func() xdr.Codec { return &CompoundRep{} },

@@ -442,3 +442,50 @@ func TestServerAnswersACrashedStoreAsDown(t *testing.T) {
 		t.Fatalf("retried OPEN after recovery answered %v %+v", status, rep)
 	}
 }
+
+// shrinkingStore truncates file id to size right after the next GetAttr of
+// it: a file that shrinks between a server's size check and its read.
+type shrinkingStore struct {
+	store.Store
+	id    store.FileID
+	size  int64
+	armed bool
+}
+
+func (s *shrinkingStore) GetAttr(id store.FileID) (store.Attr, error) {
+	at, err := s.Store.GetAttr(id)
+	if s.armed && id == s.id {
+		s.armed = false
+		if err := s.Store.Truncate(id, s.size); err != nil {
+			return store.Attr{}, err
+		}
+	}
+	return at, err
+}
+
+// TestReadOfShrinkingFileEndsAtTheStoreCount: a file that shrinks between
+// the backend's GetAttr and its store read reads short, and the reply ends
+// where the read did, at EOF.  Before, the rest of the pooled reply buffer
+// went out as file data — under poison-on-put, bytes another request had
+// returned to the pool.
+func TestReadOfShrinkingFileEndsAtTheStoreCount(t *testing.T) {
+	defer rpc.SetPoisonOnPut(rpc.SetPoisonOnPut(true))
+	const size, shrunk = 10000, 4000
+	st := mem.New()
+	at, _ := st.Create(st.Root(), "f")
+	content := bytes.Repeat([]byte{0x11}, size)
+	if _, err := st.WriteAt(at.ID, 0, content); err != nil {
+		t.Fatal(err)
+	}
+	b := NewStoreBackend(&shrinkingStore{Store: st, id: at.ID, size: shrunk, armed: true}, nil)
+	rpc.PutBuf(rpc.GetBuf(size)) // a recycled, poisoned buffer for the reply
+	data, eof, _, err := b.Read(&rpc.Ctx{}, uint64(at.ID), 0, size, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Release()
+	if data.Len() != shrunk || !eof || !bytes.Equal(data.Bytes, content[:shrunk]) {
+		t.Fatalf("read of a file shrunk to %d: %d bytes, eof %v, content match %v",
+			shrunk, data.Len(), eof, bytes.Equal(data.Bytes[:min(len(data.Bytes), shrunk)], content[:shrunk]))
+	}
+}

@@ -187,6 +187,26 @@ func (s *segment) verify(lo, hi int64) bool {
 	return true
 }
 
+// handOver returns the sums of the blocks that lie whole inside [lo, hi), a
+// range of s, for a WRITE to carry to the server's store — which checks
+// them as it copies the bytes in — instead of verifying them here, and
+// verifies the rest of the range: the partial blocks at its edges.  A run
+// holding an unchecked server sum is not handed over but verified whole.
+// ok is false as for verify.
+func (s *segment) handOver(lo, hi int64) (sums store.BlockSums, ok bool) {
+	first := s.off / sumBlock
+	i0, i1 := int((lo+sumBlock-1)/sumBlock-first), int(hi/sumBlock-first)
+	if i0 >= i1 || s.wire.Load()&((uint64(1)<<(i1-i0)-1)<<i0) != 0 {
+		return store.BlockSums{}, s.verify(lo, hi)
+	}
+	wlo := (first + int64(i0)) * sumBlock
+	whi := (first + int64(i1)) * sumBlock
+	if lo < wlo && !s.verify(lo, wlo) || whi < hi && !s.verify(whi, hi) {
+		return store.BlockSums{}, false
+	}
+	return store.BlockSums{Salt0: s.salt + uint64(i0), Sums: s.sums[i0:i1:i1]}, true
+}
+
 // trust records that block i's sum is no longer an unchecked server sum.
 func (s *segment) trust(i int) {
 	bit := uint64(1) << i
@@ -392,20 +412,35 @@ func (pc *pageCache) loneDirty() (extent, bool) {
 }
 
 // slice returns the cached content of [off, off+n) — the caller must have
-// established residency.  Synthetic mode returns a synthetic payload.
+// established residency — every block it touches verified (sliceWith).
+func (pc *pageCache) slice(off, n int64) (payload.Payload, bool) {
+	data, _, ok := pc.sliceWith(off, n, false)
+	return data, ok
+}
+
+// sliceWith returns the cached content of [off, off+n) — the caller must
+// have established residency.  Synthetic mode returns a synthetic payload.
 //
-// A range inside one segment (an aligned RSize read, every WSize flush)
-// comes back as a view of that segment: no copy, and the segment's buffer
-// stays pinned until the consumer — a flush's RPC path, or the application
-// reading through Mount.Read — releases the payload (unreleased payloads
-// just fall to the GC).  The view is read-only.  Any other range is gathered
-// into a pooled buffer, holes zero-filled.  Either way every block touched
-// is verified first; ok is false when a block failed its first check
-// against a server's sum, in which case slice has dropped the segment
-// holding it and the caller fetches the range again (Client.Read).
-func (pc *pageCache) slice(off, n int64) (data payload.Payload, ok bool) {
+// A range inside one segment (an aligned RSize read, a flush of what one
+// write put in the cache) comes back as a view of that segment: no copy, and
+// the segment's buffer stays pinned until the consumer — a flush's RPC path,
+// or the application reading through Mount.Read — releases the payload
+// (unreleased payloads just fall to the GC).  The view is read-only.  Any
+// other range is gathered into a pooled buffer, holes zero-filled.  Either
+// way every block touched is verified first; ok is false when a block failed
+// its first check against a server's sum, in which case sliceWith has
+// dropped the segment holding it and the caller fetches the range again
+// (Client.Read).
+//
+// With handOver set — a flush taking its dirty run — the whole blocks of the
+// range are not verified but handed over (segment.handOver): sums is the run
+// of their sums from the range's first block boundary, which the WRITE
+// carries to the server's store.  Only the blocks outside that run are
+// verified here: the partial blocks at the range's edges and, when gathering,
+// the blocks after one that no single segment holds whole.
+func (pc *pageCache) sliceWith(off, n int64, handOver bool) (data payload.Payload, sums store.BlockSums, ok bool) {
 	if !pc.real {
-		return payload.Synthetic(n), true
+		return payload.Synthetic(n), store.BlockSums{}, true
 	}
 	end := off + n
 	pc.mu.Lock()
@@ -414,33 +449,57 @@ func (pc *pageCache) slice(off, n int64) (data payload.Payload, ok bool) {
 		if s := pc.segs[i]; s.off <= off && end <= s.end() {
 			s.buf.Retain()
 			pc.mu.Unlock()
-			if !s.verify(off, end) {
+			if handOver {
+				sums, ok = s.handOver(off, end)
+			} else {
+				ok = s.verify(off, end)
+			}
+			if !ok {
 				s.buf.Release()
 				pc.mu.Lock()
 				pc.drop(s)
 				pc.mu.Unlock()
-				return payload.Payload{}, false
+				return payload.Payload{}, store.BlockSums{}, false
 			}
-			return payload.RealOwned(s.data[off-s.off:end-s.off:end-s.off], s.buf), true
+			return payload.RealOwned(s.data[off-s.off:end-s.off:end-s.off], s.buf), sums, true
 		}
 	}
 	defer pc.mu.Unlock()
 	buf := rpc.GetBuf(int(n))
 	cur := off
+	next := (off + sumBlock - 1) / sumBlock // the file block the run of sums goes on at
 	for ; i < len(pc.segs) && pc.segs[i].off < end; i++ {
 		s := pc.segs[i]
 		lo, hi := max(s.off, off), min(s.end(), end)
-		if !s.verify(lo, hi) {
+		var got store.BlockSums
+		if handOver {
+			got, ok = s.handOver(lo, hi)
+			if ok && got.Sums != nil && ((lo+sumBlock-1)/sumBlock != next ||
+				sums.Sums != nil && got.Salt0 != sums.Salt0+uint64(len(sums.Sums))) {
+				// These blocks cannot continue the run: check them here.
+				got, ok = store.BlockSums{}, s.verify(lo, hi)
+			}
+		} else {
+			ok = s.verify(lo, hi)
+		}
+		if !ok {
 			pc.drop(s)
 			rpc.PutBuf(buf)
-			return payload.Payload{}, false
+			return payload.Payload{}, store.BlockSums{}, false
+		}
+		if got.Sums != nil {
+			if sums.Sums == nil {
+				sums = store.BlockSums{Salt0: got.Salt0, Sums: make([]uint32, 0, n/sumBlock)}
+			}
+			sums.Sums = append(sums.Sums, got.Sums...)
+			next += int64(len(got.Sums))
 		}
 		clear(buf[cur-off : lo-off])
 		pc.copied.Add(uint64(copy(buf[lo-off:hi-off], s.data[lo-s.off:])))
 		cur = hi
 	}
 	clear(buf[cur-off:])
-	return payload.RealPooled(buf, func() { rpc.PutBuf(buf) }), true
+	return payload.RealPooled(buf, func() { rpc.PutBuf(buf) }), sums, true
 }
 
 // clean marks [off, end) as flushed.

@@ -695,3 +695,190 @@ func TestInFlightDamageHealedOverTCP(t *testing.T) {
 			flipped.Load(), c.corruptReads.Value())
 	}
 }
+
+// TestFlushHandsOverAlignedBlocks pins what a flush verifies itself.  An
+// aligned WSize run hands every one of its blocks' sums to the WRITE and
+// verifies none of them here: damage under a whole block does not trip the
+// cache, and the sums it hands over are the ones sealed before the damage,
+// so the server's store refuses the bytes.  A run that starts and ends
+// mid-block hands over its whole blocks and still verifies the partial
+// edges, which no sum on the wire covers.
+func TestFlushHandsOverAlignedBlocks(t *testing.T) {
+	const wsize = 2 << 20
+	pc, _ := newTestCache()
+	content := randBytes(rand.New(rand.NewSource(37)), wsize)
+	pc.write(wsize, payload.Real(content))
+	pc.segs[0].data[5*sumBlock+3] ^= 0x40
+	data, sums, ok := pc.sliceWith(wsize, wsize, true)
+	if !ok {
+		t.Fatal("flush of a dirty run failed softly")
+	}
+	if len(sums.Sums) != wsize/sumBlock || sums.Salt0 != wsize/sumBlock {
+		t.Fatalf("aligned flush handed over %d sums from salt %d, want %d from %d",
+			len(sums.Sums), sums.Salt0, wsize/sumBlock, wsize/sumBlock)
+	}
+	if err := store.CheckSums(wsize, data.Bytes, sums); err != store.ErrCorrupt {
+		t.Fatalf("the handed-over sums check the damaged bytes with %v, want ErrCorrupt", err)
+	}
+	data.Release()
+
+	pc, _ = newTestCache()
+	pc.write(100, payload.Real(content[:3*sumBlock]))
+	data, sums, ok = pc.sliceWith(100, 3*sumBlock, true)
+	if !ok || len(sums.Sums) != 2 || sums.Salt0 != 1 || store.CheckSums(100, data.Bytes, sums) != nil {
+		t.Fatalf("mid-block run: ok %v, %d sums from salt %d; want 2 from 1 that check", ok, len(sums.Sums), sums.Salt0)
+	}
+	for _, at := range []int{50, 3*sumBlock - 10} { // in the head and tail partial blocks
+		pc.segs[0].data[at] ^= 0x01
+		mustPanic(t, fmt.Sprintf("flush over a damaged edge byte %d", at), func() { pc.sliceWith(100, 3*sumBlock, true) })
+		pc.segs[0].data[at] ^= 0x01
+	}
+
+	// Gathering across write segments: the run goes on while the segments'
+	// blocks follow each other, and the rest is verified here.
+	pc, _ = newTestCache()
+	pc.write(0, payload.Real(content[:2*sumBlock]))
+	pc.write(2*sumBlock, payload.Real(content[2*sumBlock:3*sumBlock+7]))
+	pc.write(3*sumBlock+7, payload.Real(content[3*sumBlock+7:5*sumBlock]))
+	data, sums, ok = pc.sliceWith(0, 5*sumBlock, true)
+	if !ok || len(sums.Sums) != 3 || sums.Salt0 != 0 || store.CheckSums(0, data.Bytes, sums) != nil ||
+		!bytes.Equal(data.Bytes, content[:5*sumBlock]) {
+		t.Fatalf("gathered run: ok %v, %d sums from salt %d; want the 3 before the straddled block", ok, len(sums.Sums), sums.Salt0)
+	}
+	pc.segs[2].data[sumBlock] ^= 0x01 // block 4, after the run broke
+	mustPanic(t, "gather past the end of the run", func() { pc.sliceWith(0, 5*sumBlock, true) })
+}
+
+// recordWrites wraps a server handler so that every decoded WRITE goes
+// through fn before the server runs it.
+func recordWrites(fn func(*OpWrite)) func(rpc.Handler) rpc.Handler {
+	return func(h rpc.Handler) rpc.Handler {
+		return func(ctx *rpc.Ctx, proc uint32, req any) (xdr.Marshaler, rpc.Status) {
+			if args, ok := req.(*CompoundArgs); ok {
+				for _, op := range args.Ops {
+					if w, ok := op.(*OpWrite); ok {
+						fn(w)
+					}
+				}
+			}
+			return h(ctx, proc, req)
+		}
+	}
+}
+
+// TestWriteCarriesBlockSumsOverTCP: every WSize flush of an aligned write
+// reaches the server with one sum per block, salted by file block, and
+// nothing the store refused.
+func TestWriteCarriesBlockSumsOverTCP(t *testing.T) {
+	var mu sync.Mutex
+	var got []store.BlockSums
+	c, back := tcpMount(t, recordWrites(func(w *OpWrite) {
+		mu.Lock()
+		got = append(got, w.Blocks)
+		mu.Unlock()
+	}))
+	ctx := &rpc.Ctx{}
+	f, err := c.Create(ctx, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsize := c.cfg.WSize
+	content := randBytes(rand.New(rand.NewSource(5)), 3*wsize)
+	if err := c.Write(ctx, f, 0, payload.Real(content)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(ctx, f); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d WRITEs, want 3", len(got))
+	}
+	salts := map[uint64]bool{}
+	for _, sums := range got {
+		if len(sums.Sums) != int(wsize/sumBlock) {
+			t.Fatalf("a WSize WRITE carried %d sums, want %d", len(sums.Sums), wsize/sumBlock)
+		}
+		salts[sums.Salt0] = true
+	}
+	for k := range int64(3) {
+		if !salts[uint64(k*wsize/sumBlock)] {
+			t.Fatalf("no WRITE carried the sums from file block %d (got %v)", k*wsize/sumBlock, salts)
+		}
+	}
+	at, _ := back.Store.LookupPath("/f")
+	stored := make([]byte, len(content))
+	if n, err := back.Store.ReadAt(at.ID, 0, stored); err != nil || n != len(content) || !bytes.Equal(stored, content) {
+		t.Fatalf("stored %d bytes (%v), content match %v", n, err, bytes.Equal(stored, content))
+	}
+}
+
+// TestWriteDamageInFlightHealedOverTCP: a WRITE payload byte damaged after
+// the client sealed it — here in the request the server decoded — fails the
+// sums the WRITE carries, so the store refuses it; the client finds the
+// bytes it sent still match its sums and sends them again.  Before sums
+// travelled with WRITE data the store sealed the damaged bytes as good.
+func TestWriteDamageInFlightHealedOverTCP(t *testing.T) {
+	var writes atomic.Int32
+	c, back := tcpMount(t, recordWrites(func(w *OpWrite) {
+		if writes.Add(1) == 1 && len(w.Data.Bytes) > sumBlock {
+			w.Data.Bytes[sumBlock+9] ^= 0x04 // once: the re-send goes through clean
+		}
+	}))
+	ctx := &rpc.Ctx{}
+	f, err := c.Create(ctx, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := randBytes(rand.New(rand.NewSource(6)), 3*sumBlock+123)
+	if err := c.Write(ctx, f, 0, payload.Real(content)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(ctx, f); err != nil {
+		t.Fatal(err)
+	}
+	at, _ := back.Store.LookupPath("/f")
+	stored := make([]byte, len(content))
+	if n, err := back.Store.ReadAt(at.ID, 0, stored); err != nil || n != len(content) || !bytes.Equal(stored, content) {
+		t.Fatalf("stored %d bytes (%v); the bytes damaged in flight were stored: %v", n, err, !bytes.Equal(stored, content))
+	}
+	if writes.Load() != 2 {
+		t.Fatalf("%d WRITEs, want the damaged one and one re-send", writes.Load())
+	}
+}
+
+// TestDirtyDamageBeforeFlushPanicsOverTCP: a whole block the cache sealed
+// and then saw change is no longer verified by the flush — its sum goes to
+// the server instead, whose store refuses the bytes.  The client then finds
+// the bytes it sent do not match the sums it sent: client memory changed, as
+// fatal as before, and the store keeps the old bytes.
+func TestDirtyDamageBeforeFlushPanicsOverTCP(t *testing.T) {
+	var writes atomic.Int32
+	c, back := tcpMount(t, recordWrites(func(*OpWrite) { writes.Add(1) }))
+	ctx := &rpc.Ctx{}
+	old := bytes.Repeat([]byte("old!"), sumBlock/2) // two blocks
+	at, err := back.Store.Create(back.Store.Root(), "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := back.Store.WriteAt(at.ID, 0, old); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open(ctx, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(ctx, f, 0, payload.Real(bytes.Repeat([]byte("new!"), sumBlock/2))); err != nil {
+		t.Fatal(err)
+	}
+	f.cache.segs[0].data[sumBlock+77] ^= 0x20
+	// A lone dirty run of at most WSize goes out FILE_SYNC on the caller's
+	// flow, so the panic surfaces here.
+	mustPanic(t, "flush of a damaged dirty block", func() { c.Fsync(ctx, f) })
+	stored := make([]byte, len(old))
+	if _, err := back.Store.ReadAt(at.ID, 0, stored); err != nil || !bytes.Equal(stored, old) {
+		t.Fatalf("the store took bytes that failed their sums (%v)", err)
+	}
+	if writes.Load() != 1 {
+		t.Fatalf("%d WRITEs, want the refused one only", writes.Load())
+	}
+}

@@ -240,7 +240,7 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 				return data, err
 			},
 			Rewrite: func(ctx *rpc.Ctx, bad stripe.Extent, good payload.Payload) error {
-				return c.writeExtent(ctx, f, layout, bad, good, false)
+				return c.writeExtent(ctx, f, layout, bad, good, store.BlockSums{}, false)
 			},
 			Ledger:   &c.repaired,
 			Key:      func(bad stripe.Extent) repairKey { return repairKey{f.fh, bad.Dev, bad.DevOff} },

@@ -24,7 +24,7 @@ func (b *dataOnly) Read(*rpc.Ctx, uint64, int64, int64, bool) (payload.Payload, 
 	b.reads++
 	return payload.Synthetic(0), true, store.BlockSums{}, nil
 }
-func (b *dataOnly) Write(_ *rpc.Ctx, _ uint64, _ int64, data payload.Payload, _ bool) (int64, error) {
+func (b *dataOnly) Write(_ *rpc.Ctx, _ uint64, _ int64, data payload.Payload, _ store.BlockSums, _ bool) (int64, error) {
 	b.writes++
 	return data.Len(), nil
 }

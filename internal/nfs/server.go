@@ -33,10 +33,13 @@ import (
 // Read returns the payload, whether it reaches EOF, and — from a backend
 // whose store verified the bytes block by block (store.SummedReader) — the
 // block sums of the payload's whole blocks, which the server hands to the
-// client (ResRead.Blocks).
+// client (ResRead.Blocks).  Write takes the sums the client sent with the
+// payload's whole blocks (OpWrite.Blocks), salted where the client keeps
+// them: a backend stores nothing and fails with store.ErrCorrupt unless the
+// bytes match them (store.WriteSummed, store.CheckSums).
 type Backend interface {
 	Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, store.BlockSums, error)
-	Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error)
+	Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, sums store.BlockSums, stable bool) (int64, error)
 	Commit(ctx *rpc.Ctx, fh uint64) error
 }
 
@@ -377,7 +380,7 @@ func (s *Server) exec(ctx *rpc.Ctx, cpu *sim.KServer, cur *uint64, op Op) (Resul
 
 	case *OpWrite:
 		ctx.UseCPU(cpu, rpc.PerMB(serverPerMB, o.Data.Len()))
-		newSize, err := b.Write(ctx, *cur, o.Off, o.Data, o.Stable)
+		newSize, err := b.Write(ctx, *cur, o.Off, o.Data, o.Blocks, o.Stable)
 		if err != nil {
 			return nil, err
 		}
@@ -521,21 +524,22 @@ func (b *StoreBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool
 		return payload.Synthetic(n), eof, store.BlockSums{}, nil
 	}
 	var sums store.BlockSums
-	data, err := ctx.ReplyBuf(n, func(buf []byte) (err error) {
-		_, sums, err = store.ReadSummed(b.Store, store.FileID(fh), off, buf)
-		return err
+	data, err := ctx.ReplyBuf(n, func(buf []byte) (got int, err error) {
+		got, sums, err = store.ReadSummed(b.Store, store.FileID(fh), off, buf)
+		return got, err
 	})
-	return data, eof, sums, err
+	// A file that shrank since GetAttr reads short: the reply ends there.
+	return data, eof || data.Len() < n, sums, err
 }
 
 // Write implements Backend.
-func (b *StoreBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, stable bool) (int64, error) {
+func (b *StoreBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, sums store.BlockSums, stable bool) (int64, error) {
 	var newSize int64
 	var err error
 	if data.IsSynthetic() {
 		newSize, err = b.Store.WriteSyntheticAt(store.FileID(fh), off, data.Len())
 	} else {
-		newSize, err = b.Store.WriteAt(store.FileID(fh), off, data.Bytes)
+		newSize, err = store.WriteSummed(b.Store, store.FileID(fh), off, data.Bytes, sums)
 	}
 	if err != nil {
 		return 0, err

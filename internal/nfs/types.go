@@ -126,12 +126,36 @@ type OpRead struct {
 }
 
 // OpWrite writes to the current filehandle.  Stable requests synchronous
-// commitment to stable storage (FILE_SYNC4); otherwise UNSTABLE4.
+// commitment to stable storage (FILE_SYNC4); otherwise UNSTABLE4.  Blocks
+// are the client page cache's sums of the payload's whole blocks, which the
+// server's store checks the bytes against (docs/BACKENDS.md "Block
+// checksums").  Both ride in one form word after the payload: bit 0 is
+// Stable, bit 1 says Blocks follow.  Forms 0 and 1 are the historical Stable
+// boolean, byte for byte.
 type OpWrite struct {
 	StateID uint64
 	Off     int64
 	Data    payload.Payload
 	Stable  bool
+	// Blocks is sent when Blocks.Sums is non-nil.
+	Blocks store.BlockSums
+}
+
+// The OpWrite form bits.
+const (
+	writeStable uint32 = 1 << iota
+	writeBlocks
+)
+
+func (o *OpWrite) form() uint32 {
+	var form uint32
+	if o.Stable {
+		form |= writeStable
+	}
+	if o.Blocks.Sums != nil {
+		form |= writeBlocks
+	}
+	return form
 }
 
 // OpCommit forces previously unstable writes to stable storage.
@@ -217,7 +241,18 @@ func (o *OpWrite) XDR(f xdr.Filter) {
 	f.U64(&o.StateID)
 	f.I64(&o.Off)
 	f.Payload(&o.Data)
-	f.Flag(&o.Stable)
+	form := f.Union(o.form())
+	if form&^(writeStable|writeBlocks) != 0 {
+		f.Fail(fmt.Errorf("nfs: WRITE has form %d", form))
+		return
+	}
+	if f.Decoding() {
+		o.Stable = form&writeStable != 0
+	}
+	if form&writeBlocks != 0 {
+		f.U64(&o.Blocks.Salt0)
+		xdr.Slice(f, &o.Blocks.Sums, maxBlockSums, xdr.SizeUint32, xdr.Filter.U32)
+	}
 }
 
 func (o *OpCommit) XDR(f xdr.Filter) {

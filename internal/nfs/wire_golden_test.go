@@ -39,6 +39,14 @@ var goldenCompound = []struct {
 		"0000000000000004000000000000007b0000000568656c6c6f00000000000001"},
 	{"OpWrite/synthetic", &OpWrite{StateID: 5, Off: 1 << 20, Data: payload.Synthetic(6)},
 		"0000000000000005000000000010000000000006000000000000000000000000"},
+	{"OpWrite/block sums", &OpWrite{StateID: 6, Off: 1 << 16, Data: payload.Real([]byte("wxyz")),
+		Blocks: store.BlockSums{Salt0: 1, Sums: []uint32{0x11223344}}},
+		"00000000000000060000000000010000000000047778797a0000000200000000" +
+			"000000010000000111223344"},
+	{"OpWrite/stable block sums", &OpWrite{StateID: 7, Off: 2 << 16, Data: payload.Real([]byte("ab")), Stable: true,
+		Blocks: store.BlockSums{Salt0: 3<<32 | 2, Sums: []uint32{0xDEADBEEF, 0x0BADF00D}}},
+		"0000000000000007000000000002000000000002616200000000000300000003" +
+			"0000000200000002deadbeef0badf00d"},
 	{"OpCommit", &OpCommit{Off: 1 << 32, Len: 7}, "00000001000000000000000000000007"},
 	{"OpCreate", &OpCreate{Name: "dir"}, "0000000364697200"},
 	{"OpRemove", &OpRemove{Name: "gone"}, "00000004676f6e65"},

@@ -1,13 +1,16 @@
 package nfs
 
 import (
+	"fmt"
 	"sort"
 
 	"dpnfs/internal/ioengine"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pnfs"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/store"
 	"dpnfs/internal/stripe"
+	"dpnfs/internal/xdr"
 )
 
 // Write buffers data at off in the page cache and asynchronously flushes
@@ -31,25 +34,28 @@ func (c *Client) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload) e
 
 // takeDirty marks run flushed and returns a snapshot of its content (a view
 // of the cached segment when the run lies inside one, so later overwrites
-// cannot change what is sent).
-func (f *File) takeDirty(run extent) payload.Payload {
+// cannot change what is sent) and the sums the cache sealed its whole blocks
+// with, which the WRITEs carry to the servers' stores instead of the cache
+// verifying those blocks here (pageCache.sliceWith).
+func (f *File) takeDirty(run extent) (payload.Payload, store.BlockSums) {
 	f.cache.clean(run.Off, run.End)
-	data, ok := f.cache.slice(run.Off, run.len())
+	data, sums, ok := f.cache.sliceWith(run.Off, run.len(), true)
 	if !ok {
 		// Dirty bytes are the cache's own, sealed as they were written: only
 		// fetched bytes can fail softly.
 		panic("nfs: a dirty run failed its first checksum as if fetched")
 	}
-	return data
+	return data, sums
 }
 
 // wbChunk is one gathered dirty run awaiting write-back: the owning file,
-// its logical offset, and its content (takeDirty).  Its owner's Fsync waits
-// on f.pending until it is drained.
+// its logical offset, and its content and block sums (takeDirty).  Its
+// owner's Fsync waits on f.pending until it is drained.
 type wbChunk struct {
 	f    *File
 	off  int64
 	data payload.Payload
+	sums store.BlockSums
 }
 
 // flushAsync queues one dirty chunk for write-back and spawns a drain flow
@@ -58,7 +64,8 @@ type wbChunk struct {
 // that finds the queue already drained by a sibling exits immediately.
 // Failures surface through the owning file's setAsyncErr for its next Fsync.
 func (c *Client) flushAsync(ctx *rpc.Ctx, f *File, chunk extent) {
-	wb := wbChunk{f: f, off: chunk.Off, data: f.takeDirty(chunk)}
+	wb := wbChunk{f: f, off: chunk.Off}
+	wb.data, wb.sums = f.takeDirty(chunk)
 	f.pending.Add(ctx, 1)
 	f.queued.Add(1)
 	c.wbMu.Lock()
@@ -96,7 +103,7 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 			f.setAsyncErr(err)
 			continue
 		}
-		fn := c.chunkLadder(f, wb.off, data, false)
+		fn := c.chunkLadder(f, wb.off, data, wb.sums, false)
 		for _, e := range exts {
 			reqs = append(reqs, e)
 			fns = append(fns, fn)
@@ -146,10 +153,10 @@ func (c *Client) chunkExtents(ctx *rpc.Ctx, f *File, off, n int64) ([]stripe.Ext
 // the client's behalf.  Every rung writes stable when stable is set, and
 // then leaves no server a COMMIT to do; otherwise each marks the server its
 // unstable write landed on touched.
-func (c *Client) chunkLadder(f *File, off int64, data payload.Payload, stable bool) ioengine.DoFunc {
+func (c *Client) chunkLadder(f *File, off int64, data payload.Payload, sums store.BlockSums, stable bool) ioengine.DoFunc {
 	layout := f.layout
 	write := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
-		return c.writeExtent(ctx, f, l, e, data.Slice(e.Off-off, e.Len), stable)
+		return c.writeExtent(ctx, f, l, e, data.Slice(e.Off-off, e.Len), extentSums(off, data, sums, e), stable)
 	}
 	touched := f.markTouched
 	if stable {
@@ -181,12 +188,70 @@ func (c *Client) chunkLadder(f *File, off int64, data payload.Payload, stable bo
 	return mdsProxy(recovery(primary))
 }
 
+// extentSums returns the share of a flush's block sums that extent e of it
+// carries: the sums of the blocks that lie whole inside e, from e's first
+// block boundary.  The flush is data at off, its sums covering its whole
+// blocks from its own first boundary (takeDirty).  A block with a sum that
+// e cuts — a stripe unit that is no multiple of the block — goes in no
+// share, so it is verified here, once per extent that holds part of it.
+func extentSums(off int64, data payload.Payload, sums store.BlockSums, e stripe.Extent) store.BlockSums {
+	if len(sums.Sums) == 0 {
+		return store.BlockSums{}
+	}
+	b0 := (off + store.SumsHead(off)) / sumBlock // the file block of sums.Sums[0]
+	b1 := b0 + int64(len(sums.Sums))
+	end := e.Off + e.Len
+	for _, bi := range [2]int64{e.Off / sumBlock, (end - 1) / sumBlock} {
+		if cut := bi*sumBlock < e.Off || (bi+1)*sumBlock > end; cut && bi >= b0 && bi < b1 {
+			blk := data.Bytes[bi*sumBlock-off : (bi+1)*sumBlock-off]
+			if xdr.ChecksumSalted(sums.Salt0+uint64(bi-b0), blk) != sums.Sums[bi-b0] {
+				panic(fmt.Sprintf("nfs: page cache: checksum mismatch in cached block %d", bi))
+			}
+		}
+	}
+	lo, hi := (e.Off+sumBlock-1)/sumBlock, min(end/sumBlock, b1)
+	if lo >= hi {
+		return store.BlockSums{}
+	}
+	return store.BlockSums{Salt0: sums.Salt0 + uint64(lo-b0), Sums: sums.Sums[lo-b0 : hi-b0 : hi-b0]}
+}
+
 // writeExtent writes one extent to the server that holds it under layout l.
-func (c *Client) writeExtent(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, chunk payload.Payload, stable bool) error {
-	_, err := c.extentCall(ctx, f, l, e, func(off int64) Op {
-		return &OpWrite{StateID: f.stateID, Off: off, Data: chunk, Stable: stable}
-	})
+// The WRITE carries sums, the extent's block sums (extentSums), when the
+// offset it is sent at lines its blocks up with the file's — the same rule
+// readExtent applies to a server's sums; otherwise they are verified here.
+// The server's store refuses bytes that fail them with Corrupt.  Then the
+// bytes sent are checked against the sums sent: a mismatch means client
+// memory changed under the cache, as fatal as the cache's own verify, and a
+// match that the bytes were damaged on the way, so they are sent again at
+// most rpc.IntegrityRetries times.
+func (c *Client) writeExtent(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.Extent, chunk payload.Payload, sums store.BlockSums, stable bool) error {
+	var sent store.BlockSums
+	send := func() error {
+		_, err := c.extentCall(ctx, f, l, e, func(off int64) Op {
+			sent = sums
+			if (off-e.Off)%sumBlock != 0 {
+				sent = store.BlockSums{}
+				checkSent(e.Off, chunk, sums)
+			}
+			return &OpWrite{StateID: f.stateID, Off: off, Data: chunk, Stable: stable, Blocks: sent}
+		})
+		return err
+	}
+	err := send()
+	for attempt := 0; rpc.RetryableIntegrity(err) && sent.Sums != nil && attempt < rpc.IntegrityRetries; attempt++ {
+		checkSent(e.Off, chunk, sent)
+		err = send()
+	}
 	return err
+}
+
+// checkSent verifies sums against the bytes of a WRITE at off; a mismatch
+// means client memory changed after the page cache sealed the blocks.
+func checkSent(off int64, data payload.Payload, sums store.BlockSums) {
+	if store.CheckSums(off, data.Bytes, sums) != nil {
+		panic("nfs: page cache: checksum mismatch in a dirty block being written")
+	}
 }
 
 // Fsync flushes all dirty data, commits unstable writes on every touched
@@ -281,12 +346,12 @@ func (c *Client) flush(ctx *rpc.Ctx, f *File) (layoutCommit bool, err error) {
 // through the same ladder and window class as write-back.  A failure of an
 // earlier write-back flush is reported first, as Fsync always has.
 func (c *Client) flushStable(ctx *rpc.Ctx, f *File, run extent) error {
-	data := f.takeDirty(run)
+	data, sums := f.takeDirty(run)
 	defer data.Release()
 	exts, err := c.chunkExtents(ctx, f, run.Off, run.len())
 	if err == nil {
 		err = c.engine.RunWith(ctx, ioengine.RunOpts{Class: ioengine.Background}, exts,
-			c.chunkLadder(f, run.Off, data, true))
+			c.chunkLadder(f, run.Off, data, sums, true))
 	}
 	if aerr := f.takeAsyncErr(); aerr != nil {
 		return aerr

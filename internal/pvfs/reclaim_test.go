@@ -42,7 +42,7 @@ func TestRemoveReclaimsObjects(t *testing.T) {
 		if e := daemonCreate(s, h); e != fserr.OK {
 			t.Fatalf("cycle %d: IO-CREATE: %v", i, e)
 		}
-		if rep := s.Write(&rpc.Ctx{}, &IOWriteArgs{Handle: h, Data: data}); rep.Errno != fserr.OK {
+		if rep := s.Write(&rpc.Ctx{}, &IOWriteArgs{Handle: h, Data: data}, store.BlockSums{}); rep.Errno != fserr.OK {
 			t.Fatalf("cycle %d: IO-WRITE: %v", i, rep.Errno)
 		}
 		if n := st.Chunks(); n > perFile {
@@ -72,7 +72,7 @@ func TestReadRacingRemove(t *testing.T) {
 		if e := daemonCreate(s, Handle(i+1)); e != fserr.OK {
 			t.Errorf("IO-CREATE %d: %v", i, e)
 		}
-		if rep := s.Write(&rpc.Ctx{}, &IOWriteArgs{Handle: Handle(i + 1), Data: payload.Real(pattern(i))}); rep.Errno != fserr.OK {
+		if rep := s.Write(&rpc.Ctx{}, &IOWriteArgs{Handle: Handle(i + 1), Data: payload.Real(pattern(i))}, store.BlockSums{}); rep.Errno != fserr.OK {
 			t.Errorf("IO-WRITE %d: %v", i, rep.Errno)
 		}
 	}

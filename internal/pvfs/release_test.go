@@ -6,8 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"dpnfs/internal/fserr"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/store"
+	"dpnfs/internal/store/mem"
 	"dpnfs/internal/xdr"
 )
 
@@ -141,5 +144,57 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 			}
 			inspect(t, log, refuse)
 		})
+	}
+}
+
+// shrinkingStore truncates file id to size right after the next GetAttr of
+// it: an object that shrinks between the daemon's size check and its read.
+type shrinkingStore struct {
+	store.Store
+	id    store.FileID
+	size  int64
+	armed bool
+}
+
+func (s *shrinkingStore) GetAttr(id store.FileID) (store.Attr, error) {
+	at, err := s.Store.GetAttr(id)
+	if s.armed && id == s.id {
+		s.armed = false
+		if err := s.Store.Truncate(id, s.size); err != nil {
+			return store.Attr{}, err
+		}
+	}
+	return at, err
+}
+
+// TestReadOfShrinkingObjectEndsAtTheStoreCount: an object that shrinks
+// between IO-READ's GetAttr and its store read reads short, and the reply
+// ends where the read did, at EOF.  Before, the rest of the pooled transfer
+// buffer went out as object data — under poison-on-put, bytes another
+// request had returned to the pool.
+func TestReadOfShrinkingObjectEndsAtTheStoreCount(t *testing.T) {
+	defer rpc.SetPoisonOnPut(rpc.SetPoisonOnPut(true))
+	const size, shrunk = 10000, 4000
+	shrinking := &shrinkingStore{Store: mem.New()}
+	s := NewStorageServer(StorageConfig{Store: shrinking})
+	const h = Handle(7)
+	if e := daemonCreate(s, h); e != fserr.OK {
+		t.Fatal(e)
+	}
+	content := bytes.Repeat([]byte{0x11}, size)
+	if rep := s.Write(&rpc.Ctx{}, &IOWriteArgs{Handle: h, Data: payload.Real(content)}, store.BlockSums{}); rep.Errno != fserr.OK {
+		t.Fatal(rep.Errno)
+	}
+	shrinking.id, _ = s.object(h)
+	shrinking.size, shrinking.armed = shrunk, true
+	rpc.PutBuf(rpc.GetBuf(size)) // a recycled, poisoned buffer for the reply
+	rep, _ := s.Read(&rpc.Ctx{}, &IOReadArgs{Handle: h, Len: size, WantReal: true})
+	if rep.Errno != fserr.OK {
+		t.Fatal(rep.Errno)
+	}
+	defer rep.Data.Release()
+	if rep.Data.Len() != shrunk || !rep.Eof || !bytes.Equal(rep.Data.Bytes, content[:shrunk]) {
+		t.Fatalf("read of an object shrunk to %d: %d bytes, eof %v, content match %v",
+			shrunk, rep.Data.Len(), rep.Eof, bytes.Equal(rep.Data.Bytes[:min(len(rep.Data.Bytes), shrunk)], content[:shrunk]))
 	}
 }

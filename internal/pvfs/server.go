@@ -250,7 +250,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Mars
 	// The data procedures are typed methods, which count themselves.
 	switch proc {
 	case ProcIOWrite:
-		return s.Write(ctx, req.(*IOWriteArgs)), rpc.StatusOK
+		return s.Write(ctx, req.(*IOWriteArgs), store.BlockSums{}), rpc.StatusOK // the PVFS2 request has no field for block sums
 	case ProcIORead:
 		rep, _ := s.Read(ctx, req.(*IOReadArgs)) // the PVFS2 reply has no field for block sums
 		return rep, rpc.StatusOK
@@ -349,8 +349,11 @@ func (s *StorageServer) syncShadow(ctx *rpc.Ctx, h Handle) fserr.Errno {
 // function call.  Either way a call counts as one request of its procedure
 // and pays the daemon's CPU, transfer-buffer and disk charges.
 
-// Write serves ProcIOWrite.
-func (s *StorageServer) Write(ctx *rpc.Ctx, a *IOWriteArgs) *IOWriteRep {
+// Write serves ProcIOWrite.  It also takes the block sums of the payload's
+// whole chunks, which the store checks the bytes against as it copies them
+// in (store.WriteSummed) — the co-located Direct-pNFS data server hands on
+// its client's; the wire request has no room for them.
+func (s *StorageServer) Write(ctx *rpc.Ctx, a *IOWriteArgs, sums store.BlockSums) *IOWriteRep {
 	s.stats.requests.inc(ProcIOWrite)
 	id, ok := s.object(a.Handle)
 	if !ok {
@@ -383,7 +386,7 @@ func (s *StorageServer) Write(ctx *rpc.Ctx, a *IOWriteArgs) *IOWriteRep {
 	if a.Data.IsSynthetic() {
 		objSize, err = s.store.WriteSyntheticAt(id, a.Off, n)
 	} else {
-		objSize, err = s.store.WriteAt(id, a.Off, a.Data.Bytes)
+		objSize, err = store.WriteSummed(s.store, id, a.Off, a.Data.Bytes, sums)
 	}
 	if err != nil {
 		return &IOWriteRep{Errno: fserr.ToErrno(err)}
@@ -433,13 +436,16 @@ func (s *StorageServer) Read(ctx *rpc.Ctx, a *IOReadArgs) (*IOReadRep, store.Blo
 	rep := &IOReadRep{Eof: n < a.Len, Data: payload.Synthetic(n)}
 	var sums store.BlockSums
 	if a.WantReal {
-		rep.Data, err = ctx.ReplyBuf(n, func(buf []byte) (err error) {
-			_, sums, err = store.ReadSummed(s.store, id, a.Off, buf)
-			return err
+		rep.Data, err = ctx.ReplyBuf(n, func(buf []byte) (got int, err error) {
+			got, sums, err = store.ReadSummed(s.store, id, a.Off, buf)
+			return got, err
 		})
 		if err != nil {
 			return &IOReadRep{Errno: fserr.ToErrno(err)}, store.BlockSums{}
 		}
+		// An object that shrank since GetAttr reads short: the reply ends
+		// there.
+		rep.Eof = rep.Eof || rep.Data.Len() < n
 		if s.cfg.WireChecksums {
 			rep.Sum, rep.HasSum = xdr.Checksum(rep.Data.Bytes), true
 		}

@@ -12,11 +12,11 @@ import (
 func TestReplyBufOwnership(t *testing.T) {
 	defer SetPoisonOnPut(SetPoisonOnPut(true))
 	const n = 4096
-	fill := func(buf []byte) error {
+	fill := func(buf []byte) (int, error) {
 		for i := range buf {
 			buf[i] = 7
 		}
-		return nil
+		return len(buf), nil
 	}
 	avoided := func() uint64 { _, a := BufCounters(); return a }
 
@@ -75,7 +75,23 @@ func TestReplyBufOwnership(t *testing.T) {
 	// A failed fill leaves nothing behind to release.
 	boom := errors.New("boom")
 	ctx = &Ctx{serialized: true}
-	if p, err := ctx.ReplyBuf(n, func([]byte) error { return boom }); err != boom || p.Bytes != nil || len(ctx.deferred) != 0 {
+	if p, err := ctx.ReplyBuf(n, func([]byte) (int, error) { return 0, boom }); err != boom || p.Bytes != nil || len(ctx.deferred) != 0 {
 		t.Errorf("failed fill: payload %v err %v with %d deferred hooks", p.Bytes != nil, err, len(ctx.deferred))
+	}
+
+	// A short fill is trimmed to what it filled, whoever owns the buffer:
+	// the poisoned tail of a recycled buffer never reaches the payload.
+	short := func(buf []byte) (int, error) {
+		clear(buf[:n/2])
+		return n / 2, nil
+	}
+	for _, ctx := range []*Ctx{{}, {serialized: true}, {retained: true}} {
+		p, err := ctx.ReplyBuf(n, short)
+		if err != nil || p.Len() != n/2 || len(p.Bytes) != n/2 {
+			t.Errorf("short fill (serialized=%v retained=%v): payload of %d (%d bytes), %v; want %d",
+				ctx.serialized, ctx.retained, p.Len(), len(p.Bytes), err, n/2)
+		}
+		p.Release()
+		ctx.runDeferred()
 	}
 }

@@ -85,8 +85,10 @@ type Ctx struct {
 func (c *Ctx) Retain() { c.retained = true }
 
 // ReplyBuf is the one rule for who owns a bulk reply buffer.  It hands fill
-// a buffer of n bytes (contents unspecified; fill overwrites all of it) and
-// returns the filled buffer as a payload owned as the call requires:
+// a buffer of n bytes (contents unspecified) and returns the part fill
+// reports it filled — a store read short because the file shrank — as a
+// payload owned as the call requires; the unfilled tail, whatever an earlier
+// user of the pooled buffer left there, never reaches the reply:
 //
 //   - a retained reply (Retain) may be re-marshalled long after this call,
 //     so it gets a fresh allocation that is never recycled;
@@ -97,25 +99,27 @@ func (c *Ctx) Retain() { c.retained = true }
 //     (counted in rpc_buf_copies_avoided_total).
 //
 // A fill error is returned with no payload and nothing left to release.
-func (c *Ctx) ReplyBuf(n int64, fill func(buf []byte) error) (payload.Payload, error) {
+func (c *Ctx) ReplyBuf(n int64, fill func(buf []byte) (int, error)) (payload.Payload, error) {
 	if c.retained {
 		buf := make([]byte, n)
-		if err := fill(buf); err != nil {
+		got, err := fill(buf)
+		if err != nil {
 			return payload.Payload{}, err
 		}
-		return payload.Real(buf), nil
+		return payload.Real(buf[:got]), nil
 	}
 	buf := GetBuf(int(n))
-	if err := fill(buf); err != nil {
+	got, err := fill(buf)
+	if err != nil {
 		PutBuf(buf)
 		return payload.Payload{}, err
 	}
 	if c.serialized {
 		c.Defer(func() { PutBuf(buf) })
-		return payload.Real(buf), nil
+		return payload.Real(buf[:got]), nil
 	}
 	bufCopiesAvoided.Add(1)
-	return payload.RealPooled(buf, func() { PutBuf(buf) }), nil
+	return payload.RealPooled(buf[:got], func() { PutBuf(buf) }), nil
 }
 
 // Defer registers fn to run after the server has finished transmitting the

@@ -237,7 +237,7 @@ func TestTCPTransportPoolKeying(t *testing.T) {
 // server marks a call's reply as retained, ReplyBuf hands out a fresh
 // buffer with nothing to release, even on a serializing transport.
 func TestCtxRetainDisablesPooling(t *testing.T) {
-	fill := func(buf []byte) error { return nil }
+	fill := func(buf []byte) (int, error) { return len(buf), nil }
 	ctx := &Ctx{serialized: true}
 	if _, err := ctx.ReplyBuf(4096, fill); err != nil || len(ctx.deferred) != 1 {
 		t.Fatalf("serializing ctx: err %v, %d deferred releases, want 1", err, len(ctx.deferred))

@@ -24,6 +24,10 @@ func TestSummedRead(t *testing.T) {
 	storetest.RunSummedRead(t, func(t *testing.T) store.Store { return New(wal.Config{Name: "test"}) })
 }
 
+func TestSummedWrite(t *testing.T) {
+	storetest.RunSummedWrite(t, func(t *testing.T) store.Store { return New(wal.Config{Name: "test"}) })
+}
+
 func TestReclaimer(t *testing.T) {
 	storetest.RunReclaimer(t, func(t *testing.T) store.Store { return New(wal.Config{Name: "test"}) })
 }

@@ -20,6 +20,10 @@ func TestSummedRead(t *testing.T) {
 	storetest.RunSummedRead(t, func(t *testing.T) store.Store { return mem.New() })
 }
 
+func TestSummedWrite(t *testing.T) {
+	storetest.RunSummedWrite(t, func(t *testing.T) store.Store { return mem.New() })
+}
+
 func TestReclaimer(t *testing.T) {
 	storetest.RunReclaimer(t, func(t *testing.T) store.Store { return mem.New() })
 }

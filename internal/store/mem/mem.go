@@ -65,6 +65,7 @@ var (
 	_ store.Store        = (*Store)(nil)
 	_ store.Corruptible  = (*Store)(nil)
 	_ store.SummedReader = (*Store)(nil)
+	_ store.SummedWriter = (*Store)(nil)
 	_ store.Reclaimer    = (*Store)(nil)
 )
 
@@ -396,6 +397,79 @@ func (s *Store) WriteAt(id store.FileID, off int64, b []byte) (int64, error) {
 	return n.size, nil
 }
 
+// resalter converts a writer's chunk sums to the store's salts
+// (WriteSummedAt); built on first use.
+var resalter = sync.OnceValue(func() *xdr.Resalter { return xdr.NewResalter(chunkSize) })
+
+// WriteSummedAt implements store.SummedWriter.  Each summed chunk is copied
+// into a fresh slab and summed under the store's salt in that one pass
+// (xdr.CopyChecksum); the writer's sum, converted to the same salt
+// (xdr.Resalter), must equal it.  The slabs replace the file's chunks only
+// when every sum matched, so a failed write leaves the file as it was.  The
+// bytes outside the summed run are written as WriteAt writes them.
+func (s *Store) WriteSummedAt(id store.FileID, off int64, b []byte, sums store.BlockSums) (int64, error) {
+	if off < 0 {
+		return 0, store.ErrInval
+	}
+	head, k := store.SumsHead(off), int64(len(sums.Sums))
+	if k == 0 {
+		return s.WriteAt(id, off, b)
+	}
+	if head+k*chunkSize > int64(len(b)) {
+		return 0, store.ErrInval
+	}
+	first := (off + head) / chunkSize
+	var stack [32]sealedChunk
+	sealed := stack[:0]
+	release := func() {
+		for _, c := range sealed {
+			putChunk(c.slab)
+		}
+	}
+	rs := resalter()
+	for i := range k {
+		salt := chunkSalt(id, first+i)
+		slab := getChunk(false)
+		lo := head + i*chunkSize
+		sum := xdr.CopyChecksum(xdr.ChecksumSalted(salt, nil), slab, b[lo:lo+chunkSize])
+		sealed = append(sealed, sealedChunk{slab, sum})
+		if rs.Resalt(sums.Sums[i], sums.Salt0+uint64(i), salt) != sum {
+			release()
+			return 0, store.ErrCorrupt
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, err := s.file(id)
+	if err != nil {
+		release()
+		return 0, err
+	}
+	sp := n.data
+	sp.writeAt(off, b[:head])
+	for i, c := range sealed {
+		ci := first + int64(i)
+		if old, ok := sp.chunks[ci]; ok {
+			putChunk(old)
+		}
+		sp.chunks[ci], sp.sums[ci] = c.slab, c.sum
+	}
+	tail := head + k*chunkSize
+	sp.writeAt(off+tail, b[tail:])
+	if end := off + int64(len(b)); end > n.size {
+		n.size = end
+	}
+	n.change++
+	return n.size, nil
+}
+
+// sealedChunk is a chunk slab filled and summed by WriteSummedAt, waiting
+// for every sum of its write to match before it is installed.
+type sealedChunk struct {
+	slab []byte
+	sum  uint32
+}
+
 // WriteSyntheticAt records a write of n zero bytes at off without storing
 // chunks: only the size and change counter advance.  Benchmarks move
 // simulated terabytes through this path.
@@ -716,8 +790,10 @@ const chunkSize = store.ChunkSize
 // chunkSalt binds a chunk's checksum to its location.  File ids and chunk
 // indexes both stay far below 2^32 in this repository, so packing them into
 // one word keeps every (file, chunk) salt distinct.
-func (sp *sparse) chunkSalt(ci int64) uint64 {
-	return uint64(sp.id)<<32 | uint64(uint32(ci))
+func (sp *sparse) chunkSalt(ci int64) uint64 { return chunkSalt(sp.id, ci) }
+
+func chunkSalt(id store.FileID, ci int64) uint64 {
+	return uint64(id)<<32 | uint64(uint32(ci))
 }
 
 // reseal recomputes the checksum of a materialized chunk after a legitimate

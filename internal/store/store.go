@@ -24,6 +24,7 @@ import (
 	"errors"
 
 	"dpnfs/internal/sim"
+	"dpnfs/internal/xdr"
 )
 
 // FileID identifies an inode within one store.  IDs are stable across crash
@@ -180,6 +181,61 @@ func ReadSummed(s Content, id FileID, off int64, b []byte) (int, BlockSums, erro
 	n, err := s.ReadAt(id, off, b)
 	return n, BlockSums{}, err
 }
+
+// SummedWriter is implemented by backends that can check a writer's chunk
+// sums in the same pass that copies the bytes in.  It is optional, found by
+// type assertion like SummedReader; WriteSummed falls back to a separate
+// CheckSums pass for stores without it.  store/mem implements it.
+type SummedWriter interface {
+	// WriteSummedAt is WriteAt for bytes that come with the sums of their
+	// whole chunks: a run from the first chunk boundary at or after off,
+	// salted wherever the writer keeps the chunks (BlockSums).  Unless every
+	// sum matches its chunk it stores nothing and returns ErrCorrupt; more
+	// sums than whole chunks is ErrInval.
+	WriteSummedAt(id FileID, off int64, b []byte, sums BlockSums) (int64, error)
+}
+
+// WriteSummed writes through s's SummedWriter when it has one, and through
+// CheckSums and then WriteAt otherwise.  Without sums it is WriteAt.
+func WriteSummed(s Content, id FileID, off int64, b []byte, sums BlockSums) (int64, error) {
+	if sums.Sums == nil {
+		return s.WriteAt(id, off, b)
+	}
+	if sw, ok := s.(SummedWriter); ok {
+		return sw.WriteSummedAt(id, off, b, sums)
+	}
+	if err := CheckSums(off, b, sums); err != nil {
+		return 0, err
+	}
+	return s.WriteAt(id, off, b)
+}
+
+// CheckSums verifies sums against b, the bytes at off: sum i must be
+// xdr.ChecksumSalted(sums.Salt0+i, chunk i), chunk 0 starting at the first
+// chunk boundary at or after off.  More sums than b has whole chunks is
+// ErrInval, a mismatch ErrCorrupt.  Servers that forward a write without
+// storing it check here, before the bytes leave them.
+func CheckSums(off int64, b []byte, sums BlockSums) error {
+	if len(sums.Sums) == 0 {
+		return nil
+	}
+	head := SumsHead(off)
+	if head+int64(len(sums.Sums))*ChunkSize > int64(len(b)) {
+		return ErrInval
+	}
+	for i, sum := range sums.Sums {
+		lo := head + int64(i)*ChunkSize
+		if xdr.ChecksumSalted(sums.Salt0+uint64(i), b[lo:lo+ChunkSize]) != sum {
+			return ErrCorrupt
+		}
+	}
+	return nil
+}
+
+// SumsHead returns how many bytes of data at off come before the first
+// chunk boundary at or after off: where the chunks that BlockSums cover
+// begin.
+func SumsHead(off int64) int64 { return (ChunkSize - off%ChunkSize) % ChunkSize }
 
 // Reclaimer is implemented by backends that can release an unlinked node at
 // once.  It is optional, found by type assertion like SummedReader.

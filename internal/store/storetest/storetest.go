@@ -461,6 +461,142 @@ func RunSummedRead(t *testing.T, mk Factory) {
 	})
 }
 
+// RunSummedWrite drives store.WriteSummed, through the store's
+// store.SummedWriter when it has one and the CheckSums fallback otherwise.
+// The sums are salted as a client keeps its blocks — by file block index
+// plus a base no store uses — so a store that compares them under its own
+// salts must convert them.  Correct sums store exactly what WriteAt stores;
+// one wrong sum, or one damaged byte under a summed chunk, leaves the file
+// as it was and returns ErrCorrupt.
+func RunSummedWrite(t *testing.T, mk Factory) {
+	const chunk = store.ChunkSize
+	const saltBase = 1 << 40
+	// sumsOf returns the writer's sums for b at off: every whole chunk from
+	// the first boundary at or after off.
+	sumsOf := func(off int64, b []byte) store.BlockSums {
+		head := store.SumsHead(off)
+		// Never nil: a write with no whole chunk carries an empty run.
+		sums := store.BlockSums{Salt0: saltBase + uint64((off+head)/chunk), Sums: []uint32{}}
+		for lo := head; lo+chunk <= int64(len(b)); lo += chunk {
+			sums.Sums = append(sums.Sums, xdr.ChecksumSalted(sums.Salt0+uint64(len(sums.Sums)), b[lo:lo+chunk]))
+		}
+		return sums
+	}
+	pattern := func(n int, seed byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i/997) ^ seed
+		}
+		return b
+	}
+	// The file starts with three chunks and a bit, so writes overwrite,
+	// straddle and extend it.
+	base := pattern(3*chunk+300, 0x5A)
+	writes := []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"aligned whole chunks", 0, 2 * chunk},
+		{"mid-chunk head and tail", chunk / 3, 2*chunk + 1000},
+		{"extends past EOF", 2 * chunk, 3 * chunk},
+		{"partial chunk only", 100, 5000},
+		{"into a hole past EOF", 6 * chunk, chunk + 7},
+	}
+	contents := func(t *testing.T, s store.Store, id store.FileID) (store.Attr, []byte) {
+		t.Helper()
+		at, err := s.GetAttr(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]byte, at.Size)
+		if n, err := s.ReadAt(id, 0, b); err != nil || int64(n) != at.Size {
+			t.Fatalf("read back: %d of %d bytes, %v", n, at.Size, err)
+		}
+		return at, b
+	}
+	setup := func(t *testing.T) (store.Store, store.FileID, store.FileID) {
+		t.Helper()
+		s := mk(t)
+		a, _ := s.Create(s.Root(), "plain")
+		b, _ := s.Create(s.Root(), "summed")
+		for _, id := range []store.FileID{a.ID, b.ID} {
+			if _, err := s.WriteAt(id, 0, base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, a.ID, b.ID
+	}
+
+	t.Run("MatchesWriteAt", func(t *testing.T) {
+		for i, w := range writes {
+			s, plain, summed := setup(t)
+			data := pattern(w.n, byte(i+1))
+			sums := sumsOf(w.off, data)
+			wantSize, err := s.WriteAt(plain, w.off, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size, err := store.WriteSummed(s, summed, w.off, data, sums)
+			if err != nil || size != wantSize {
+				t.Fatalf("%s: WriteSummed with %d correct sums: size %d, %v; WriteAt gave size %d",
+					w.name, len(sums.Sums), size, err, wantSize)
+			}
+			_, want := contents(t, s, plain)
+			if _, got := contents(t, s, summed); !bytes.Equal(got, want) {
+				t.Fatalf("%s: WriteSummed stored other bytes than WriteAt", w.name)
+			}
+			// The stored chunks are sealed under the store's own salts: a
+			// summed read verifies every one of them.
+			if sr, ok := s.(store.SummedReader); ok {
+				buf := make([]byte, len(want))
+				if _, _, err := sr.ReadSummedAt(summed, 0, buf); err != nil {
+					t.Fatalf("%s: summed read after WriteSummed: %v", w.name, err)
+				}
+			}
+		}
+	})
+
+	t.Run("MismatchStoresNothing", func(t *testing.T) {
+		for i, w := range writes {
+			data := pattern(w.n, byte(i+1))
+			sums := sumsOf(w.off, data)
+			for k := range sums.Sums {
+				for _, damage := range []string{"wrong sum", "damaged byte"} {
+					s, _, summed := setup(t)
+					before, beforeBytes := contents(t, s, summed)
+					bad, badSums := data, sums
+					if damage == "wrong sum" {
+						badSums.Sums = append([]uint32(nil), sums.Sums...)
+						badSums.Sums[k] ^= 1 << (k % 32)
+					} else {
+						bad = append([]byte(nil), data...)
+						bad[store.SumsHead(w.off)+int64(k)*chunk+int64(k)*31] ^= 0x10
+					}
+					if _, err := store.WriteSummed(s, summed, w.off, bad, badSums); !errors.Is(err, store.ErrCorrupt) {
+						t.Fatalf("%s, %s under sum %d: %v, want ErrCorrupt", w.name, damage, k, err)
+					}
+					after, afterBytes := contents(t, s, summed)
+					if after != before || !bytes.Equal(afterBytes, beforeBytes) {
+						t.Fatalf("%s, %s under sum %d: the refused write changed the file (%+v → %+v)",
+							w.name, damage, k, before, after)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("MoreSumsThanChunks", func(t *testing.T) {
+		s, _, summed := setup(t)
+		data := pattern(chunk+10, 1)
+		sums := sumsOf(5, data) // starting mid-chunk leaves no whole chunk
+		sums.Sums = append(sums.Sums, 0)
+		if _, err := store.WriteSummed(s, summed, 5, data, sums); !errors.Is(err, store.ErrInval) {
+			t.Fatalf("a sum past the last whole chunk: %v, want ErrInval", err)
+		}
+	})
+}
+
 // RunReclaimer drives the store.Reclaimer contract: a reclaimed unlinked file
 // is gone for every operation, a linked file or the root is refused and left
 // as it was, and a file created afterwards — which may be handed the

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/bits"
 )
 
 // ErrChecksum is returned when a checksummed frame fails verification.
@@ -40,11 +41,55 @@ func ChecksumSalted(salt uint64, b []byte) uint32 {
 	// preceded b) rather than materializing a header slice: this runs per
 	// chunk on the store read/write hot paths, where a heap-escaping 8-byte
 	// buffer per call would show up in the alloc ceilings.
-	sum := ^uint32(0)
+	return crc32.Update(^saltState(^uint32(0), salt), castagnoli, b)
+}
+
+// saltState returns the CRC32C register after the salt's 8 bytes have been
+// fed into it from start — ChecksumSalted's prologue, before the body.
+func saltState(start uint32, salt uint64) uint32 {
+	sum := start
 	for shift := 56; shift >= 0; shift -= 8 {
 		sum = castagnoli[byte(sum)^byte(salt>>uint(shift))] ^ (sum >> 8)
 	}
-	return crc32.Update(^sum, castagnoli, b)
+	return sum
+}
+
+// Resalter converts the salted sum of an n-byte block from one salt to
+// another without reading the block.  CRC32C is affine over GF(2): feeding
+// the same n bytes from two register states leaves the states differing by
+// a fixed linear map of how they differed before, whatever the bytes.  So
+//
+//	ChecksumSalted(s1, blk) ^ ChecksumSalted(s2, blk) = M(r(s1) ^ r(s2))
+//
+// where r is the register after the salt and M is the 32×32 matrix of n
+// zero bytes.  A store checks a client's sum, salted where the client keeps
+// the block, against the one it computes under its own salt while copying
+// the block in: one pass over the bytes, and at most 32 XORs per sum.
+type Resalter struct {
+	cols [32]uint32 // cols[j] is M applied to register bit j
+}
+
+// NewResalter precomputes the map for blocks of n bytes.
+func NewResalter(n int) *Resalter {
+	r := &Resalter{}
+	zeros := make([]byte, n)
+	for j := range r.cols {
+		// crc32.Update inverts on the way in and out: ^Update(^x, zeros) is
+		// the register reached from x.
+		r.cols[j] = ^crc32.Update(^(uint32(1) << j), castagnoli, zeros)
+	}
+	return r
+}
+
+// Resalt returns ChecksumSalted(to, blk) given sum = ChecksumSalted(from,
+// blk), for any block blk of the Resalter's length.
+func (r *Resalter) Resalt(sum uint32, from, to uint64) uint32 {
+	// Both registers start from the same state, so their difference is the
+	// salt difference fed from zero.
+	for d := saltState(0, from^to); d != 0; d &= d - 1 {
+		sum ^= r.cols[bits.TrailingZeros32(d)]
+	}
+	return sum
 }
 
 // copyGranule is how much CopyChecksum copies before summing it: small

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 )
 
@@ -78,6 +79,40 @@ func TestCopyChecksum(t *testing.T) {
 		short := make([]byte, n/2)
 		if sum := CopyChecksum(0, short, src[:n]); sum != ChecksumUpdate(0, src[:n/2]) || !bytes.Equal(short, src[:n/2]) {
 			t.Fatalf("n=%d: short destination", n)
+		}
+	}
+}
+
+// TestResalt converts sums of random blocks between random salts and between
+// the two salt families that meet at a store's write path — a page cache's
+// file block index and a store's id<<32|chunk — and holds each conversion to
+// a direct ChecksumSalted under the target salt.
+func TestResalt(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{1, 8, 4096, 64 << 10} {
+		r := NewResalter(n)
+		blk := make([]byte, n)
+		for range 20 {
+			rng.Read(blk)
+			from, to := rng.Uint64(), rng.Uint64()
+			if rng.Intn(2) == 0 {
+				// A file block index against a store chunk salt.
+				id, ci := uint64(rng.Intn(1<<20)), uint64(rng.Intn(1<<12))
+				from, to = uint64(rng.Intn(1<<16)), id<<32|ci
+			}
+			sum := ChecksumSalted(from, blk)
+			want := ChecksumSalted(to, blk)
+			if got := r.Resalt(sum, from, to); got != want {
+				t.Fatalf("n=%d: Resalt(%#x, %#x → %#x) = %#x, want %#x", n, sum, from, to, got, want)
+			}
+			if got := r.Resalt(sum, from, from); got != sum {
+				t.Fatalf("n=%d: resalting to the same salt changed the sum", n)
+			}
+			// One flipped bit in the block must not survive the conversion.
+			blk[rng.Intn(n)] ^= 1 << rng.Intn(8)
+			if r.Resalt(ChecksumSalted(from, blk), from, to) == want {
+				t.Fatalf("n=%d: a damaged block converts to the intact block's sum", n)
+			}
 		}
 	}
 }
