@@ -43,7 +43,7 @@ func main() {
 		"architecture: direct-pnfs, pvfs2, pnfs-2tier, pnfs-3tier, nfsv4")
 	backends := flag.Int("backends", 3, "back-end storage nodes (incl. metadata manager)")
 	backend := flag.String("backend", cluster.BackendMem,
-		"store backend: mem (volatile), wal (write-ahead logged), cached (WAL behind a memory front)")
+		"store backend: mem (volatile) or wal (write-ahead logged)")
 	clients := flag.Int("clients", 2, "selftest client mounts")
 	selftest := flag.Bool("selftest", false, "run a built-in workload against the export, then exit")
 	metricsAddr := flag.String("metrics", "127.0.0.1:0", `Prometheus /metrics listen address ("" disables)`)

@@ -96,9 +96,8 @@ type Config struct {
 
 	// Backend selects the store implementation behind every server
 	// (docs/BACKENDS.md): "mem" (default; volatile, the behaviour all
-	// figures are calibrated against), "wal" (write-ahead logged — crash
-	// events lose nothing synced), or "cached" (memory front, WAL behind,
-	// durable at sync/COMMIT points).
+	// figures are calibrated against) or "wal" (write-ahead logged — crash
+	// events lose nothing synced).
 	Backend string
 	// MetadataBackend and ContentBackend override the store factory per
 	// role: MetadataBackend builds the PVFS2 metadata manager's namespace

@@ -33,7 +33,7 @@ type ScrubOutcome struct {
 
 // Scrubbers returns the per-node scanners, building them on first use.
 // Nodes whose store backend cannot be scanned (no Walk/Extents surface) are
-// skipped; all three shipped backends qualify.
+// skipped; both shipped backends qualify.
 func (cl *Cluster) Scrubbers() []*scrub.Scrubber {
 	cl.scrubOnce.Do(cl.buildScrubbers)
 	return cl.scrubbers

@@ -6,7 +6,6 @@ import (
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/simdisk"
 	"dpnfs/internal/store"
-	"dpnfs/internal/store/cached"
 	"dpnfs/internal/store/mem"
 	"dpnfs/internal/store/wal"
 )
@@ -20,9 +19,6 @@ const (
 	// BackendWAL journals every mutation to the node's simulated disk
 	// before acknowledging; crash events lose nothing that was synced.
 	BackendWAL = "wal"
-	// BackendCached stages data writes in memory and journals them at
-	// sync/COMMIT points — the NFS unstable-write model as a backend.
-	BackendCached = "cached"
 )
 
 // StoreFactory builds one server's store.  node names the server for
@@ -42,13 +38,8 @@ func BackendFactory(kind string) (StoreFactory, error) {
 		return func(node string, disk *simdisk.Disk, reg *metrics.Registry) store.Store {
 			return wal.New(wal.Config{Name: node, Disk: disk, Metrics: reg})
 		}, nil
-	case BackendCached:
-		return func(node string, disk *simdisk.Disk, reg *metrics.Registry) store.Store {
-			return cached.New(wal.Config{Name: node, Disk: disk, Metrics: reg})
-		}, nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown backend %q (want %s, %s, or %s)",
-			kind, BackendMem, BackendWAL, BackendCached)
+		return nil, fmt.Errorf("cluster: unknown backend %q (want %s or %s)", kind, BackendMem, BackendWAL)
 	}
 }
 
@@ -56,7 +47,7 @@ func BackendFactory(kind string) (StoreFactory, error) {
 // daemon loses its volatile state (store image, handle table).  Under the
 // default mem backend the store is not store.Recoverable and the daemon
 // keeps its image — the original reboot-with-state-intact model; under
-// wal/cached everything unsynced is gone until RestartVolatile.
+// wal everything unsynced is gone until RestartVolatile.
 func (cl *Cluster) CrashVolatile(node string) {
 	if ss, ok := cl.storageByNode[node]; ok {
 		ss.CrashVolatile()

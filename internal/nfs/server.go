@@ -440,7 +440,7 @@ func (s *Server) exec(ctx *rpc.Ctx, cpu *sim.KServer, cur *uint64, op Op) (Resul
 // in unit tests and the TCP demo: a Backend and a Namespace, not a
 // LayoutSource, so clients mounting it proxy all I/O through it.  Write with
 // stable=true and Commit drive the store's Sync, so a durable store
-// (store/wal, store/cached) journals exactly at the NFS commit points.
+// (store/wal) makes its journal durable exactly at the NFS commit points.
 type StoreBackend struct {
 	Store store.Store
 	Disk  *simdisk.Disk

@@ -51,8 +51,8 @@ type StorageConfig struct {
 	Node *simnet.Node
 	Disk *simdisk.Disk
 	// Store is the content repository backing this daemon's datafile
-	// objects (nil: a fresh in-memory store).  Durable stores (store/wal,
-	// store/cached) journal on sync requests and survive CrashVolatile.
+	// objects (nil: a fresh in-memory store).  A durable store (store/wal)
+	// flushes its journal on sync requests and survives CrashVolatile.
 	Store store.Store
 	// Transport, when set together with Node, registers ServiceIO under
 	// Node's name (simulated fabric or real TCP).

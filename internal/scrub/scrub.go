@@ -33,8 +33,8 @@ import (
 
 // Source is the slice of a store the scrubber needs: deterministic
 // namespace enumeration, materialized-extent maps, and verified reads.
-// All three shipped backends satisfy it (store/mem natively, store/wal and
-// store/cached by forwarding to their materialized image).
+// Both shipped backends satisfy it (store/mem natively, store/wal by
+// forwarding to its materialized image).
 type Source interface {
 	Walk(fn func(dir store.FileID, name string, at store.Attr) error) error
 	Extents(id store.FileID) ([]mem.Extent, error)

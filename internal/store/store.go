@@ -6,16 +6,13 @@
 // storage node only about object bytes, and either can be backed by a
 // different implementation.
 //
-// Three implementations ship with the repo:
+// Two implementations ship with the repo:
 //
 //   - store/mem: the historical in-memory store, volatile, timing-free.
 //     The default backend, so all figures are unchanged.
 //   - store/wal: a write-ahead-logged store — every mutation appends a
 //     record, Sync makes the log durable (charged to the node's simdisk),
 //     and Recover replays checkpoint+log after a crash.
-//   - store/cached: mem-speed front over a wal back; dirty data is staged
-//     volatile and journalled on Sync, matching NFS unstable-WRITE+COMMIT
-//     semantics.
 //
 // See docs/BACKENDS.md for the record format and recovery semantics.
 package store
@@ -132,9 +129,9 @@ type Store interface {
 }
 
 // Corruptible is implemented by backends that support deterministic
-// corruption injection (docs/FAULTS.md "Corruption").  All three shipped
-// backends implement it: wal and cached forward to their materialized
-// image, modelling rot on the data blocks rather than the journal.
+// corruption injection (docs/FAULTS.md "Corruption").  Both shipped
+// backends implement it: wal forwards to its materialized image, modelling
+// rot on the data blocks rather than the journal.
 type Corruptible interface {
 	// CorruptChunk flips one stored byte, chosen deterministically from
 	// seed, without updating the block's checksum.  It reports whether any
@@ -162,8 +159,8 @@ type BlockSums struct {
 // SummedReader is implemented by backends that can hand a reader the chunk
 // sums they verified while serving it.  It is optional, found by type
 // assertion like Corruptible, so wrappers of Store keep compiling; ReadSummed
-// falls back to ReadAt for stores without it.  store/mem implements it, wal
-// forwards it to its image, and cached inherits it from wal.
+// falls back to ReadAt for stores without it.  store/mem implements it, and
+// wal forwards it to its image.
 type SummedReader interface {
 	// ReadSummedAt is ReadAt that also returns the sums of the whole chunks
 	// the read returned, each verified against the bytes copied into b.  The
@@ -239,9 +236,8 @@ func SumsHead(off int64) int64 { return (ChunkSize - off%ChunkSize) % ChunkSize 
 
 // Reclaimer is implemented by backends that can release an unlinked node at
 // once.  It is optional, found by type assertion like SummedReader.
-// store/mem implements it, wal forwards it to its image (an unlinked node is
-// never replayed, so dropping it needs no record), and cached inherits it
-// from wal.
+// store/mem implements it, and wal forwards it to its image (an unlinked
+// node is never replayed, so dropping it needs no record).
 type Reclaimer interface {
 	// Reclaim drops the unlinked node id and returns its storage; every
 	// later operation on id fails with ErrNotExist.  A node still linked into
@@ -257,7 +253,7 @@ type TornWriter interface {
 	ArmTornWrite()
 }
 
-// Recoverable is implemented by durable backends (store/wal, store/cached).
+// Recoverable is implemented by the durable backend, store/wal.
 // The faults engine calls Crash when a storage node dies and Recover when
 // it restarts.
 type Recoverable interface {

@@ -2,8 +2,8 @@
 // implementation must pass Run, and every store.Recoverable must also pass
 // RunRecoverable.  The suite pins the semantic corners the protocols rely
 // on — rename-over-existing, sparse reads beyond EOF, truncate-then-read,
-// open-but-unlinked ids, concurrent writers under -race — so that mem, wal
-// and cached agree byte-for-byte and a backend swap never changes observable
+// open-but-unlinked ids, concurrent writers under -race — so that mem and
+// wal agree byte-for-byte and a backend swap never changes observable
 // behaviour.
 package storetest
 
@@ -802,6 +802,48 @@ func RunRecoverable(t *testing.T, mk RecoverableFactory) {
 		}
 		if _, err := s.Lookup(s.Root(), "unsynced"); err != store.ErrNotExist {
 			t.Fatalf("unsynced create survived: %v", err)
+		}
+	})
+
+	t.Run("TruncateAfterWriteSurvives", func(t *testing.T) {
+		s := mk(t)
+		r := rec(t, s)
+		f, _ := s.Create(s.Root(), "f")
+		s.WriteAt(f.ID, 0, []byte("committed bytes"))
+		if err := s.Truncate(f.ID, 9); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(nil); err != nil {
+			t.Fatal(err)
+		}
+		r.Crash()
+		if _, err := r.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 32)
+		n, _ := s.ReadAt(f.ID, 0, buf)
+		if string(buf[:n]) != "committed" {
+			t.Fatalf("bytes after recovery: %q, want the truncated %q", buf[:n], "committed")
+		}
+	})
+
+	t.Run("RemovedBeforeSyncStaysGone", func(t *testing.T) {
+		s := mk(t)
+		r := rec(t, s)
+		f, _ := s.Create(s.Root(), "f")
+		s.WriteAt(f.ID, 0, []byte("doomed"))
+		if err := s.Remove(s.Root(), "f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(nil); err != nil {
+			t.Fatal(err)
+		}
+		r.Crash()
+		if _, err := r.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Lookup(s.Root(), "f"); err != store.ErrNotExist {
+			t.Fatalf("removed file after recovery: %v", err)
 		}
 	})
 

@@ -75,9 +75,8 @@ type Store struct {
 	tornArmed bool
 	// logOff is the journal's append position on the disk.
 	logOff int64
-	// scratch is reused by journalling paths that read image bytes before
-	// encoding (JournalWriteAt, checkpoint extents): every record is
-	// XDR-encoded — which copies the data — before the call returns, so the
+	// scratch is reused by the checkpoint's extent reads: every record is
+	// XDR-encoded — which copies the data — before the next read, so the
 	// buffer never escapes.  Guarded by mu.
 	scratch []byte
 
@@ -131,15 +130,6 @@ func (s *Store) appendLocked(r *record) {
 
 // Root returns the root directory's id.
 func (s *Store) Root() store.FileID { return 1 }
-
-// scratchBuf returns the store's scratch buffer grown to n bytes.  Caller
-// holds s.mu and must not retain the slice past the next append.
-func (s *Store) scratchBuf(n int64) []byte {
-	if int64(cap(s.scratch)) < n {
-		s.scratch = make([]byte, n)
-	}
-	return s.scratch[:n]
-}
 
 func (s *Store) image() (*mem.Store, error) {
 	s.mu.Lock()
@@ -345,58 +335,6 @@ func (s *Store) WriteSyntheticAt(id store.FileID, off, n int64) (int64, error) {
 	return size, nil
 }
 
-// StageWriteAt applies a write to the materialized image only, without
-// journalling — the store/cached write-back path.  The caller promises to
-// JournalWriteAt the bytes before the Sync that should make them durable.
-func (s *Store) StageWriteAt(id store.FileID, off int64, b []byte) (int64, error) {
-	img, err := s.image()
-	if err != nil {
-		return 0, err
-	}
-	return img.WriteAt(id, off, b)
-}
-
-// StageWriteSyntheticAt is StageWriteAt for sizing-only writes.
-func (s *Store) StageWriteSyntheticAt(id store.FileID, off, n int64) (int64, error) {
-	img, err := s.image()
-	if err != nil {
-		return 0, err
-	}
-	return img.WriteSyntheticAt(id, off, n)
-}
-
-// JournalWriteAt appends a write record for bytes already staged into the
-// image, reading the current contents at [off, off+n).
-func (s *Store) JournalWriteAt(id store.FileID, off, n int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.img == nil {
-		return store.ErrUnavailable
-	}
-	buf := s.scratchBuf(n)
-	rn, err := s.img.ReadAt(id, off, buf)
-	if err != nil {
-		return err
-	}
-	if rn == 0 {
-		return nil
-	}
-	s.appendLocked(&record{op: opWrite, id: id, off: off, data: buf[:rn]})
-	return nil
-}
-
-// JournalWriteSyntheticAt appends a sizing-only write record for a staged
-// synthetic write.
-func (s *Store) JournalWriteSyntheticAt(id store.FileID, off, n int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.img == nil {
-		return store.ErrUnavailable
-	}
-	s.appendLocked(&record{op: opWriteSyn, id: id, off: off, size: n})
-	return nil
-}
-
 // Sync makes every journalled mutation durable: the volatile tail joins the
 // durable log, and the flush is charged to the disk as a sequential journal
 // write plus a barrier.  When the durable log has outgrown
@@ -464,7 +402,10 @@ func (s *Store) checkpointLocked() int64 {
 			return err
 		}
 		for _, e := range exts {
-			buf := s.scratchBuf(e.Len)
+			if int64(cap(s.scratch)) < e.Len {
+				s.scratch = make([]byte, e.Len)
+			}
+			buf := s.scratch[:e.Len]
 			if _, err := s.img.ReadAt(at.ID, e.Off, buf); err != nil {
 				return err
 			}
