@@ -180,51 +180,31 @@ func commitFile(ctx *rpc.Ctx, pv *pvfs.Client, f *pvfs.File) error {
 	return pv.Sync(ctx, f)
 }
 
-// LayoutGet translates the parallel FS's native layout into a pNFS
-// file-based layout (paper §4.2): exact distribution, direct offsets.
-// Under the default round-robin aggregation the layout comes from the
-// file's own placement — stable device IDs, the datafile handle, and the
-// current layout generation — so it stays exact across membership changes.
+// LayoutGet translates the file's placement in the parallel FS into a pNFS
+// file-based layout (paper §4.2): exact distribution, direct offsets.  The
+// placement names the stable server IDs — the IDs of the co-located data
+// servers — and the datafile handle, so the layout stays exact across
+// membership changes; it carries the current layout generation.  The
+// default aggregation is round-robin over the placement's stripe; a
+// configured driver keeps its own params (membership changes refuse to run
+// alongside one).
 func (b *directMDSBackend) LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
-	devices, gen := b.snapshot()
-	if b.agg != "" {
-		// Custom aggregation drivers keep the whole-cluster translation;
-		// membership changes refuse to run alongside them.
-		nodes := make([]string, len(devices))
-		for i, d := range devices {
-			nodes[i] = d.Addr
-		}
-		native := pnfs.NativeLayout{
-			Aggregation:  b.agg,
-			Params:       b.aggP,
-			StorageNodes: nodes,
-			ObjectHandle: fh,
-		}
-		l, err := pnfs.Translate(native, func(node string) (pnfs.DeviceID, bool) {
-			for _, d := range devices {
-				if d.Addr == node {
-					return d.ID, true
-				}
-			}
-			return 0, false
-		})
-		if err != nil {
-			return nil, err
-		}
-		l.Gen = gen
-		return l, nil
-	}
+	_, gen := b.snapshot()
 	place := b.meta.PlacementOf(pvfs.Handle(fh))
-	l := &pnfs.FileLayout{
-		Aggregation: pnfs.AggRoundRobin,
-		Params:      []int64{place.Dist.StripeSize},
-		Direct:      true,
-		Gen:         gen,
+	native := pnfs.NativeLayout{Aggregation: b.agg, Params: b.aggP, ObjectHandle: uint64(place.Data)}
+	if b.agg == "" {
+		native.Aggregation, native.Params = pnfs.AggRoundRobin, []int64{place.Dist.StripeSize}
 	}
-	for _, id := range place.Dist.ServerIDs() {
-		l.Devices = append(l.Devices, pnfs.DeviceID(id))
-		l.FHs = append(l.FHs, uint64(place.Data))
+	ids := place.Dist.ServerIDs()
+	native.Devices = make([]pnfs.DeviceID, len(ids))
+	for i, id := range ids {
+		native.Devices[i] = pnfs.DeviceID(id)
 	}
+	l, err := pnfs.Translate(native)
+	if err != nil {
+		return nil, err
+	}
+	l.Gen = gen
 	return l, nil
 }
 

@@ -27,7 +27,6 @@ import (
 	"dpnfs/internal/pnfs"
 	"dpnfs/internal/pvfs"
 	"dpnfs/internal/rpc"
-	"dpnfs/internal/scrub"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simdisk"
 	"dpnfs/internal/simnet"
@@ -198,32 +197,26 @@ type Cluster struct {
 	tr         rpc.Transport
 	runSeconds *metrics.Histogram
 
-	Storage  []*pvfs.StorageServer
-	Disks    []*simdisk.Disk
 	PVFSMeta *pvfs.MetaServer
 	mounts   []*Mount
-
-	storageNodes []*simnet.Node
-	mdsNode      *simnet.Node
+	mdsNode  *simnet.Node
 
 	// Fault-injection state (docs/FAULTS.md).  injected counts applied
 	// fault events (faults_injected_total); it is registered by the first
 	// Schedule that queues one.
-	diskByNode    map[string]*simdisk.Disk
-	storageByNode map[string]*pvfs.StorageServer
 	skippedFaults *metrics.CounterVec
 	injected      *metrics.CounterVec
 
-	// Membership state (elastic join/drain, membership.go).  devIDs maps a
-	// node name to its stable pNFS device ID: allocated on first sight,
-	// never reused after the node departs (see the device-ID stability note
-	// in package pnfs).  memberMu also guards schedule, the events queued
-	// for the next run, so a join or drain is checked against the queue it
-	// joins.
+	// Membership state (elastic join/drain, membership.go).  members holds
+	// one record per storage node in build order, drained ones included.
+	// nextDevID hands out stable pNFS device IDs in build order — storage
+	// nodes, then 3-tier data servers, then joiners — and never reuses one
+	// (see the device-ID stability note in package pnfs).  memberMu guards
+	// both, and schedule, the events queued for the next run, so a join or
+	// drain is checked against the queue it joins.
 	memberMu     sync.Mutex
-	devIDs       map[string]pnfs.DeviceID
+	members      []*member
 	nextDevID    uint32
-	members      map[string]*member
 	layoutGen    uint64
 	schedule     faults.Plan
 	reconcileErr error
@@ -241,12 +234,8 @@ type Cluster struct {
 	exports    []*exportBackend
 	directMDS  *directMDSBackend
 	blind      *blindLayouts
-	nodeByName map[string]*simnet.Node
 
-	// Background-scrubber state (scrub.go): one scanner per storage node,
-	// built on first use, and every pass outcome recorded so far.
-	scrubOnce    sync.Once
-	scrubbers    []*scrub.Scrubber
+	// Every scrub pass outcome recorded so far (scrub.go).
 	scrubMu      sync.Mutex
 	scrubResults []ScrubOutcome
 }
@@ -267,14 +256,7 @@ func New(cfg Config) *Cluster {
 	cfg.Metrics = cfg.Metrics.WithLabel("arch", string(cfg.Arch))
 	k := sim.NewKernel(cfg.Seed)
 	f := simnet.NewFabric(k)
-	cl := &Cluster{
-		Cfg: cfg, K: k, Fabric: f,
-		diskByNode:    make(map[string]*simdisk.Disk),
-		storageByNode: make(map[string]*pvfs.StorageServer),
-		devIDs:        make(map[string]pnfs.DeviceID),
-		members:       make(map[string]*member),
-		nodeByName:    make(map[string]*simnet.Node),
-	}
+	cl := &Cluster{Cfg: cfg, K: k, Fabric: f}
 	cl.skippedFaults = cfg.Metrics.CounterVec("faults_skipped_total",
 		"Fault events skipped because the target node is drained or unknown, by event kind and target node.",
 		"kind", "node")
@@ -353,42 +335,33 @@ func (cl *Cluster) dial(from, to, service string) rpc.Conn {
 	return conn
 }
 
-// addNode creates a fabric node and records it in the cluster's node
-// registry (the registry is what lets fault injection distinguish "known
-// node" from "typo or departed member").
-func (cl *Cluster) addNode(cfg simnet.NodeConfig) *simnet.Node {
-	n := cl.Fabric.AddNode(cfg)
-	cl.nodeByName[n.Name] = n
-	return n
-}
-
 // buildBackend creates the PVFS2 storage nodes and metadata manager.  The
 // metadata manager runs on storage node 0 ("one storage node doubling as a
 // metadata manager", §6.1).
 func (cl *Cluster) buildBackend(nodes int, diskScale float64) {
 	cfg := cl.Cfg
-	var ioConnsFromMDS []rpc.Conn
 	for i := 0; i < nodes; i++ {
-		n := cl.addNode(simnet.NodeConfig{
+		cl.addStorageSubstrate(cl.Fabric.AddNode(simnet.NodeConfig{
 			Name:        fmt.Sprintf("io%d", i),
 			BytesPerSec: cfg.NetBPS,
-		})
-		cl.addStorageSubstrate(n, diskScale)
+		}), diskScale)
 	}
-	cl.mdsNode = cl.storageNodes[0]
-	for _, n := range cl.storageNodes {
-		ioConnsFromMDS = append(ioConnsFromMDS, cl.dial(cl.mdsNode.Name, n.Name, pvfs.ServiceIO))
+	meta := cl.members[0]
+	cl.mdsNode = meta.node
+	ioConnsFromMDS := make([]rpc.Conn, nodes)
+	for i, m := range cl.members {
+		ioConnsFromMDS[i] = cl.dial(cl.mdsNode.Name, m.node.Name, pvfs.ServiceIO)
 	}
 	cl.PVFSMeta = pvfs.NewMetaServer(pvfs.MetaConfig{
 		Transport: cl.tr, Node: cl.mdsNode,
 		Dist: pvfs.DistParams{
 			StripeSize: cfg.StripeSize,
-			NumServers: uint32(len(cl.storageNodes)),
-			Copies:     cl.distCopies(len(cl.storageNodes)),
+			NumServers: uint32(nodes),
+			Copies:     cl.distCopies(),
 		},
 		IOConns: ioConnsFromMDS,
 		Metrics: cfg.Metrics,
-		Store:   cfg.MetadataBackend("mds", cl.diskByNode[cl.mdsNode.Name], cfg.Metrics),
+		Store:   cfg.MetadataBackend("mds", meta.disk, cfg.Metrics),
 	})
 	cl.updateMemberGauges()
 }
@@ -399,23 +372,23 @@ func (cl *Cluster) buildBackend(nodes int, diskScale float64) {
 // layout) is what gives every client stack a live copy to read-repair
 // corrupt blocks from.  Geometry the copy count cannot divide leaves the
 // substrate unreplicated — the layout driver rejects it loudly on first
-// use (pnfs.AggReplicated registration).
-func (cl *Cluster) distCopies(nodes int) uint32 {
+// use (pnfs.AggReplicated registration).  Membership never changes under a
+// replicated aggregation, so the storage nodes are those built first.
+func (cl *Cluster) distCopies() uint32 {
 	if cl.Cfg.Aggregation != pnfs.AggReplicated || len(cl.Cfg.AggParams) < 1 {
 		return 0
 	}
-	if c := cl.Cfg.AggParams[0]; c > 1 && nodes%int(c) == 0 {
+	if c := cl.Cfg.AggParams[0]; c > 1 && len(cl.members)%int(c) == 0 {
 		return uint32(c)
 	}
 	return 0
 }
 
 // addStorageSubstrate attaches a disk, an object store (via the configured
-// backend factory), and a PVFS2 storage daemon to node n, and registers the
-// node as an active member with a freshly allocated stable device ID.
-func (cl *Cluster) addStorageSubstrate(n *simnet.Node, diskScale float64) *pvfs.StorageServer {
+// backend factory), and a PVFS2 storage daemon to node n, and records the
+// node as an active member under the next stable device ID.
+func (cl *Cluster) addStorageSubstrate(n *simnet.Node, diskScale float64) *member {
 	cfg := cl.Cfg
-	cl.storageNodes = append(cl.storageNodes, n)
 	dcfg := cfg.Disk
 	dcfg.Name = n.Name + "/disk"
 	if dcfg.ReadBPS == 0 {
@@ -424,31 +397,25 @@ func (cl *Cluster) addStorageSubstrate(n *simnet.Node, diskScale float64) *pvfs.
 	dcfg.ReadBPS *= diskScale
 	dcfg.WriteBPS *= diskScale
 	disk := simdisk.New(dcfg)
-	cl.Disks = append(cl.Disks, disk)
-	cl.diskByNode[n.Name] = disk
-	ss := pvfs.NewStorageServer(pvfs.StorageConfig{
+	m := &member{node: n, disk: disk, state: memberActive}
+	m.storage = pvfs.NewStorageServer(pvfs.StorageConfig{
 		Transport: cl.tr, Node: n, Disk: disk,
 		Metrics:       cfg.Metrics,
 		Store:         cfg.ContentBackend(n.Name, disk, cfg.Metrics),
 		WireChecksums: cfg.WireChecksums,
 	})
-	cl.Storage = append(cl.Storage, ss)
-	cl.storageByNode[n.Name] = ss
-	cl.members[n.Name] = &member{node: n, id: cl.devIDFor(n.Name), state: memberActive}
-	return ss
+	cl.memberMu.Lock()
+	m.id = cl.newDevID()
+	cl.members = append(cl.members, m)
+	cl.memberMu.Unlock()
+	return m
 }
 
-// devIDFor returns the node's stable pNFS device ID, allocating the next
-// free ID on first sight.  IDs are handed out in first-sight order — so the
-// initial build matches the historical positional numbering — and are never
-// reused, even after the node drains.
-func (cl *Cluster) devIDFor(name string) pnfs.DeviceID {
-	if id, ok := cl.devIDs[name]; ok {
-		return id
-	}
+// newDevID allocates the next stable pNFS device ID (memberMu held, or the
+// cluster still under construction).
+func (cl *Cluster) newDevID() pnfs.DeviceID {
 	id := pnfs.DeviceID(cl.nextDevID)
 	cl.nextDevID++
-	cl.devIDs[name] = id
 	return id
 }
 
@@ -468,12 +435,9 @@ func (cl *Cluster) pvfsClientAt(n *simnet.Node) *pvfs.Client {
 func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer string) *pvfs.Client {
 	var io []rpc.Conn
 	var ids []uint32
-	for _, s := range cl.storageNodes {
-		if m := cl.members[s.Name]; m != nil && m.state == memberRemoved {
-			continue
-		}
-		io = append(io, cl.dial(n.Name, s.Name, pvfs.ServiceIO))
-		ids = append(ids, uint32(cl.devIDFor(s.Name)))
+	for _, m := range cl.liveMembers() {
+		io = append(io, cl.dial(n.Name, m.node.Name, pvfs.ServiceIO))
+		ids = append(ids, uint32(m.id))
 	}
 	return pvfs.NewClient(pvfs.ClientConfig{
 		Node:    n,
@@ -501,7 +465,7 @@ func (cl *Cluster) engineConfig() ioengine.Config {
 
 // clientNode creates the i-th application client node.
 func (cl *Cluster) clientNode(i int) *simnet.Node {
-	return cl.addNode(simnet.NodeConfig{
+	return cl.Fabric.AddNode(simnet.NodeConfig{
 		Name:        fmt.Sprintf("c%d", i),
 		BytesPerSec: cl.Cfg.NetBPS,
 	})
@@ -532,11 +496,8 @@ func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client 
 // (loopback conduit to the local daemon) and the metadata server co-located
 // with the PVFS2 MDS, serving translated layouts.  Clients mount the MDS.
 func (cl *Cluster) buildDirect() *simnet.Node {
-	for i, n := range cl.storageNodes {
-		nfsServeOn(cl, n, ServiceDS, &directDSBackend{
-			storage: cl.Storage[i],
-			node:    n,
-		})
+	for _, m := range cl.members {
+		cl.directDSOn(m)
 	}
 	mdsBackend := &directMDSBackend{
 		// No node and no registry: the in-process client charges no library
@@ -544,7 +505,7 @@ func (cl *Cluster) buildDirect() *simnet.Node {
 		// MetaServer.Handle charges for it, and nothing more.
 		pvfsNamespace: pvfsNamespace{pvfs.NewClient(pvfs.ClientConfig{Meta: rpc.LocalConn(cl.PVFSMeta.Handle)})},
 		meta:          cl.PVFSMeta,
-		deviceTable:   deviceTable{devices: cl.deviceList(cl.storageNodes)},
+		deviceTable:   deviceTable{devices: cl.activeDevices()},
 		agg:           cl.Cfg.Aggregation,
 		aggP:          cl.Cfg.AggParams,
 		proxy:         cl.pvfsClientAt(cl.mdsNode),
@@ -554,14 +515,20 @@ func (cl *Cluster) buildDirect() *simnet.Node {
 	return cl.mdsNode
 }
 
+// directDSOn serves a Direct-pNFS data server on the member's node, in
+// front of its co-located storage daemon.
+func (cl *Cluster) directDSOn(m *member) {
+	nfsServeOn(cl, m.node, ServiceDS, &directDSBackend{storage: m.storage, node: m.node})
+}
+
 // build2Tier wires file-based pNFS with data servers co-located with the
 // storage nodes but striping blindly over logical offsets.  Clients mount
 // the metadata server on the PVFS2 MDS node.
 func (cl *Cluster) build2Tier() *simnet.Node {
-	for _, n := range cl.storageNodes {
-		cl.exportDSOn(n)
+	for _, m := range cl.members {
+		cl.exportDSOn(m.node)
 	}
-	cl.blindMDSOn(cl.mdsNode, cl.storageNodes)
+	cl.blindMDSOn(cl.mdsNode, cl.activeDevices())
 	return cl.mdsNode
 }
 
@@ -569,37 +536,26 @@ func (cl *Cluster) build2Tier() *simnet.Node {
 // front of the storage nodes.  Clients mount the first data server, which
 // doubles as the metadata server.
 func (cl *Cluster) build3Tier() *simnet.Node {
-	nDS := cl.Cfg.Backends - len(cl.storageNodes)
-	var dsNodes []*simnet.Node
+	nDS := cl.Cfg.Backends - len(cl.members)
+	var devs []pnfs.DeviceInfo
 	for i := 0; i < nDS; i++ {
-		n := cl.addNode(simnet.NodeConfig{
+		n := cl.Fabric.AddNode(simnet.NodeConfig{
 			Name:        fmt.Sprintf("ds%d", i),
 			BytesPerSec: cl.Cfg.NetBPS,
 		})
-		dsNodes = append(dsNodes, n)
+		devs = append(devs, pnfs.DeviceInfo{ID: cl.newDevID(), Addr: n.Name})
 		cl.exportDSOn(n)
 	}
-	cl.blindMDSOn(dsNodes[0], dsNodes)
-	return dsNodes[0]
+	mds := cl.Fabric.Node(devs[0].Addr)
+	cl.blindMDSOn(mds, devs)
+	return mds
 }
 
 // buildNFSv4 wires the single-server export, the node clients mount.
 func (cl *Cluster) buildNFSv4() *simnet.Node {
-	srv := cl.addNode(simnet.NodeConfig{Name: "nfssrv", BytesPerSec: cl.Cfg.NetBPS})
+	srv := cl.Fabric.AddNode(simnet.NodeConfig{Name: "nfssrv", BytesPerSec: cl.Cfg.NetBPS})
 	nfsServeOn(cl, srv, ServiceMDS, cl.exportOn(srv))
 	return srv
-}
-
-// deviceList builds pNFS device infos for a node set.  IDs come from the
-// stable per-node registry, not the slice position: a device list rebuilt
-// after a drain keeps every survivor under its original ID, and a list
-// extended by a join gives the newcomer a never-before-seen ID.
-func (cl *Cluster) deviceList(nodes []*simnet.Node) []pnfs.DeviceInfo {
-	out := make([]pnfs.DeviceInfo, len(nodes))
-	for i, n := range nodes {
-		out[i] = pnfs.DeviceInfo{ID: cl.devIDFor(n.Name), Addr: n.Name}
-	}
-	return out
 }
 
 // exportOn builds the backend of an NFS server on node n that re-exports the
@@ -618,9 +574,9 @@ func (cl *Cluster) exportDSOn(n *simnet.Node) {
 }
 
 // blindMDSOn registers the two/three-tier pNFS metadata server on node n,
-// handing out blind layouts over dsNodes.
-func (cl *Cluster) blindMDSOn(n *simnet.Node, dsNodes []*simnet.Node) {
-	cl.blind = &blindLayouts{deviceTable: deviceTable{devices: cl.deviceList(dsNodes)}, stripe: cl.Cfg.WSize, shift: 1}
+// handing out blind layouts over the data servers devs.
+func (cl *Cluster) blindMDSOn(n *simnet.Node, devs []pnfs.DeviceInfo) {
+	cl.blind = &blindLayouts{deviceTable: deviceTable{devices: devs}, stripe: cl.Cfg.WSize, shift: 1}
 	nfsServeOn(cl, n, ServiceMDS, blindMDSBackend{cl.exportOn(n), cl.blind})
 }
 
@@ -646,17 +602,11 @@ func (cl *Cluster) Mounts() []*Mount { return cl.mounts }
 // metadata manager.  The list is identical in spirit across architectures
 // ("io1", "io2", ...), so one plan drives all five.
 func (cl *Cluster) FaultCandidates() []string {
-	cl.memberMu.Lock()
-	defer cl.memberMu.Unlock()
 	var out []string
-	for _, n := range cl.storageNodes {
-		if n == cl.mdsNode {
-			continue
+	for _, m := range cl.liveMembers() {
+		if m.node != cl.mdsNode {
+			out = append(out, m.node.Name)
 		}
-		if m := cl.members[n.Name]; m != nil && m.state == memberRemoved {
-			continue
-		}
-		out = append(out, n.Name)
 	}
 	return out
 }
@@ -743,10 +693,10 @@ func (t planTarget) Scrub(ctx *rpc.Ctx, at time.Duration) { t.scrubPassCtx(ctx, 
 // outlives the topology it was written against.
 func (cl *Cluster) faultTargetable(kind, node string) bool {
 	cl.memberMu.Lock()
-	_, known := cl.nodeByName[node]
-	m := cl.members[node]
+	m := cl.memberNamed(node)
+	ok := cl.Fabric.Lookup(node) != nil && (m == nil || m.state != memberRemoved)
 	cl.memberMu.Unlock()
-	if known && (m == nil || m.state != memberRemoved) {
+	if ok {
 		return true
 	}
 	cl.skippedFaults.With(kind, node).Inc()
@@ -791,8 +741,8 @@ func (cl *Cluster) SetDiskSlow(node string, factor float64) {
 	if _, ok := cl.tr.(*rpc.TCPTransport); ok {
 		return
 	}
-	if d, ok := cl.diskByNode[node]; ok {
-		d.SetSlowFactor(factor)
+	if m := cl.live(node); m != nil {
+		m.disk.SetSlowFactor(factor)
 	} else {
 		cl.skippedFaults.With("disk-slow", node).Inc()
 	}
@@ -917,23 +867,21 @@ type NodeStats struct {
 	DiskCacheMisses uint64
 }
 
-// Stats reports per-storage-node utilization accumulated so far — the raw
-// material for bottleneck analysis (cmd/dpnfs-trace).
+// Stats reports per-storage-node utilization accumulated so far, drained
+// nodes included — the raw material for bottleneck analysis
+// (cmd/dpnfs-trace).
 func (cl *Cluster) Stats() []NodeStats {
-	out := make([]NodeStats, len(cl.storageNodes))
-	for i, n := range cl.storageNodes {
+	var out []NodeStats
+	for _, m := range cl.members {
 		s := NodeStats{
-			Name:    n.Name,
-			NICTx:   n.NIC.TxBusy(),
-			NICRx:   n.NIC.RxBusy(),
-			CPUBusy: n.CPU.BusyTime(),
+			Name:     m.node.Name,
+			NICTx:    m.node.NIC.TxBusy(),
+			NICRx:    m.node.NIC.RxBusy(),
+			CPUBusy:  m.node.CPU.BusyTime(),
+			DiskBusy: m.disk.BusyTime(),
 		}
-		if i < len(cl.Disks) {
-			d := cl.Disks[i]
-			s.DiskBusy = d.BusyTime()
-			s.DiskReads, s.DiskWrites, s.DiskCacheHits, s.DiskCacheMisses, _, _ = d.Stats()
-		}
-		out[i] = s
+		s.DiskReads, s.DiskWrites, s.DiskCacheHits, s.DiskCacheMisses, _, _ = m.disk.Stats()
+		out = append(out, s)
 	}
 	return out
 }
@@ -949,9 +897,8 @@ func (cl *Cluster) WarmCaches(path string) error {
 		return err
 	}
 	h := uint64(at.ID)
-	for i, s := range cl.Storage {
-		size := s.ObjectSize(pvfs.Handle(h))
-		cl.Disks[i].Warm(h, 0, size)
+	for _, m := range cl.members {
+		m.disk.Warm(h, 0, m.storage.ObjectSize(pvfs.Handle(h)))
 	}
 	return nil
 }

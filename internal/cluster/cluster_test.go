@@ -103,8 +103,8 @@ func TestDirectWritesLandStriped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range cl.Storage {
-		if got := s.ObjectSize(pvfsHandle(at.ID)); got != 64<<10 {
+	for i, m := range cl.members {
+		if got := m.storage.ObjectSize(pvfsHandle(at.ID)); got != 64<<10 {
 			t.Errorf("storage node %d holds %d bytes, want %d", i, got, 64<<10)
 		}
 	}
@@ -132,8 +132,8 @@ func TestTwoTierForwardsBetweenDataServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var interDS time.Duration
-	for _, n := range cl.storageNodes {
-		interDS += n.NIC.TxBusy()
+	for _, m := range cl.members {
+		interDS += m.node.NIC.TxBusy()
 	}
 	// Data servers transmitted data (forwarding writes to the true owner
 	// nodes); with direct access they would transmit ~nothing on a write.
@@ -155,8 +155,8 @@ func TestTwoTierForwardsBetweenDataServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var directTx time.Duration
-	for _, n := range clD.storageNodes {
-		directTx += n.NIC.TxBusy()
+	for _, m := range clD.members {
+		directTx += m.node.NIC.TxBusy()
 	}
 	if directTx*10 > interDS {
 		t.Fatalf("direct DS tx %v vs 2-tier %v: direct access should eliminate forwarding", directTx, interDS)
@@ -203,9 +203,8 @@ func TestWarmCachesMakeReadsFast(t *testing.T) {
 		t.Fatalf("warm read of 64 MB took %v; hitting disk despite warm cache", elapsed)
 	}
 	var diskReads uint64
-	for _, d := range cl.Disks {
-		_, _, _, misses, _, _ := d.Stats()
-		diskReads += misses
+	for _, s := range cl.Stats() {
+		diskReads += s.DiskCacheMisses
 	}
 	if diskReads != 0 {
 		t.Fatalf("%d disk cache misses on a warm read", diskReads)
@@ -295,8 +294,8 @@ func TestSingleFileDisjointRegions(t *testing.T) {
 				t.Fatal(err)
 			}
 			var total int64
-			for _, s := range cl.Storage {
-				total += s.ObjectSize(pvfsHandle(at.ID))
+			for _, m := range cl.members {
+				total += m.storage.ObjectSize(pvfsHandle(at.ID))
 			}
 			if total != 4*region {
 				t.Fatalf("storage holds %d bytes, want %d", total, 4*region)

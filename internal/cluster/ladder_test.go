@@ -104,7 +104,7 @@ func TestReplicaLadderBounds(t *testing.T) {
 	rot := func(cl *Cluster, nodes []int) {
 		for _, n := range nodes {
 			// Each node holds one chunk of one file, so any seed rots it.
-			cl.CorruptData(cl.storageNodes[n].Name, 1)
+			cl.CorruptData(cl.members[n].node.Name, 1)
 		}
 	}
 	for _, row := range rows {
@@ -113,7 +113,7 @@ func TestReplicaLadderBounds(t *testing.T) {
 			defer cl.Close()
 			rot(cl, row.rot)
 			for _, n := range row.down {
-				cl.SetNodeDown(cl.storageNodes[n].Name, true)
+				cl.SetNodeDown(cl.members[n].node.Name, true)
 			}
 			// read cold-reads the extent once (a fresh open: an open file
 			// keeps its page cache) and returns what the read itself cost.

@@ -10,13 +10,16 @@ import (
 	"dpnfs/internal/pnfs"
 	"dpnfs/internal/pvfs"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/scrub"
+	"dpnfs/internal/simdisk"
 	"dpnfs/internal/simnet"
 )
 
 // memberState tracks a storage node through the elastic-membership
 // lifecycle.  A removed member's fabric node and daemon keep existing (the
-// simulation has no tear-down), but fault targeting, device lists, and
-// newly built clients all skip it, and its device ID is never reused.
+// simulation has no tear-down), but fault targeting, device lists, scrub
+// passes and newly built clients all skip it, and its device ID is never
+// reused.
 type memberState int
 
 const (
@@ -25,11 +28,77 @@ const (
 	memberRemoved
 )
 
-// member is one storage node's membership record.
+// member is one storage node's record: its fabric node, disk and PVFS2
+// daemon, its stable pNFS device ID, its membership state, and its
+// scrubber, built by the first scrub pass that reaches it (scrub.go).
 type member struct {
-	node  *simnet.Node
-	id    pnfs.DeviceID
-	state memberState
+	node    *simnet.Node
+	disk    *simdisk.Disk
+	storage *pvfs.StorageServer
+	id      pnfs.DeviceID
+	state   memberState
+	scrub   *scrub.Scrubber
+}
+
+// memberNamed returns the named storage node's record, or nil (memberMu
+// held).
+func (cl *Cluster) memberNamed(name string) *member {
+	for _, m := range cl.members {
+		if m.node.Name == name {
+			return m
+		}
+	}
+	return nil
+}
+
+// live returns the named storage node's record unless the node has been
+// drained away; nil for a removed member and for any other name.
+func (cl *Cluster) live(name string) *member {
+	cl.memberMu.Lock()
+	defer cl.memberMu.Unlock()
+	if m := cl.memberNamed(name); m != nil && m.state != memberRemoved {
+		return m
+	}
+	return nil
+}
+
+// liveMembers returns the members not removed, in build order.
+func (cl *Cluster) liveMembers() []*member {
+	cl.memberMu.Lock()
+	defer cl.memberMu.Unlock()
+	var out []*member
+	for _, m := range cl.members {
+		if m.state != memberRemoved {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// activeDevices lists the data servers of the members that may receive new
+// placements, in build order, under their stable device IDs: a list rebuilt
+// after a drain keeps every survivor's ID, and a joiner's is new.
+func (cl *Cluster) activeDevices() []pnfs.DeviceInfo {
+	cl.memberMu.Lock()
+	defer cl.memberMu.Unlock()
+	var out []pnfs.DeviceInfo
+	for _, m := range cl.members {
+		if m.state == memberActive {
+			out = append(out, pnfs.DeviceInfo{ID: m.id, Addr: m.node.Name})
+		}
+	}
+	return out
+}
+
+// activeDist is the distribution that places new files across the active
+// members, naming their stable server IDs explicitly.
+func (cl *Cluster) activeDist() pvfs.DistParams {
+	devs := cl.activeDevices()
+	ids := make([]uint32, len(devs))
+	for i, d := range devs {
+		ids[i] = uint32(d.ID)
+	}
+	return pvfs.DistParams{StripeSize: cl.Cfg.StripeSize, NumServers: uint32(len(ids)), Servers: ids}
 }
 
 // membershipSupported gates the elastic operations: they drive the
@@ -48,10 +117,10 @@ func (cl *Cluster) membershipSupported() error {
 
 // admit checks one event against the membership and the queue it joins
 // (memberMu held).  Faults and scrub passes are always admitted.  A join or
-// a drain needs membershipSupported, a join a node name never used before
-// (device IDs are never reused), a drain an active member other than the
-// metadata manager, and neither may target a node that already has a
-// membership event queued.
+// a drain needs membershipSupported, a join a node name the fabric has
+// never had (a drained node stays on it, so its device ID is never
+// reused), a drain an active member other than the metadata manager, and
+// neither may target a node that already has a membership event queued.
 func (cl *Cluster) admit(ev faults.Event) error {
 	if laneOf(ev) != memberLane {
 		return nil
@@ -61,14 +130,11 @@ func (cl *Cluster) admit(ev faults.Event) error {
 	}
 	name := ev.Target()
 	if _, join := ev.(faults.Join); join {
-		if _, ok := cl.nodeByName[name]; ok {
+		if cl.Fabric.Lookup(name) != nil {
 			return fmt.Errorf("cluster: node %q already exists", name)
 		}
-		if _, ok := cl.devIDs[name]; ok {
-			return fmt.Errorf("cluster: node name %q was a member before; device IDs are never reused", name)
-		}
 	} else {
-		m := cl.members[name]
+		m := cl.memberNamed(name)
 		if m == nil {
 			return fmt.Errorf("cluster: %q is not a storage member", name)
 		}
@@ -144,33 +210,6 @@ func (cl *Cluster) updateMemberGauges() {
 	cl.memberGauge.With("removed").Set(removed)
 }
 
-// activeNodes returns the storage nodes that may receive new placements, in
-// build order.
-func (cl *Cluster) activeNodes() []*simnet.Node {
-	cl.memberMu.Lock()
-	defer cl.memberMu.Unlock()
-	var out []*simnet.Node
-	for _, n := range cl.storageNodes {
-		if m := cl.members[n.Name]; m != nil && m.state == memberActive {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// distFor builds the distribution that places files across the given nodes,
-// carrying their stable server IDs explicitly.
-func (cl *Cluster) distFor(nodes []*simnet.Node) pvfs.DistParams {
-	ids := make([]uint32, len(nodes))
-	cl.memberMu.Lock()
-	for i, n := range nodes {
-		ids[i] = uint32(cl.devIDFor(n.Name))
-	}
-	cl.memberMu.Unlock()
-	stripe := cl.Cfg.StripeSize
-	return pvfs.DistParams{StripeSize: stripe, NumServers: uint32(len(ids)), Servers: ids}
-}
-
 // applyJoin brings a brand-new storage node into the cluster: substrate
 // (disk, object store, daemon), conns on the metadata manager and every
 // client library, the architecture's pNFS surface, a new default
@@ -181,9 +220,8 @@ func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 	if cl.Cfg.Arch == ArchPNFS3Tier {
 		diskScale = 1.7 // match the storage tier built at construction
 	}
-	n := cl.addNode(simnet.NodeConfig{Name: name, BytesPerSec: cl.Cfg.NetBPS})
-	cl.addStorageSubstrate(n, diskScale)
-	id := uint32(cl.devIDFor(name))
+	m := cl.addStorageSubstrate(cl.Fabric.AddNode(simnet.NodeConfig{Name: name, BytesPerSec: cl.Cfg.NetBPS}), diskScale)
+	id := uint32(m.id)
 	cl.updateMemberGauges()
 	// Wire the new daemon into the metadata manager and every existing
 	// client library, keyed by its stable server ID.
@@ -197,14 +235,11 @@ func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 	// front ends are untouched — only the parallel FS underneath widened.
 	switch cl.Cfg.Arch {
 	case ArchDirectPNFS:
-		nfsServeOn(cl, n, ServiceDS, &directDSBackend{
-			storage: cl.Storage[len(cl.Storage)-1],
-			node:    n,
-		})
+		cl.directDSOn(m)
 	case ArchPNFS2Tier:
-		cl.exportDSOn(n)
+		cl.exportDSOn(m.node)
 	}
-	target := cl.distFor(cl.activeNodes())
+	target := cl.activeDist()
 	cl.PVFSMeta.SetDefaultDist(target)
 	if err := cl.rebalance(ctx, target); err != nil {
 		return fmt.Errorf("cluster: rebalance after join of %s: %w", name, err)
@@ -217,7 +252,7 @@ func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 // the remaining members, and removes it from membership.
 func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	cl.memberMu.Lock()
-	m := cl.members[name]
+	m := cl.memberNamed(name)
 	if m == nil || m.state != memberActive || m.node == cl.mdsNode {
 		cl.memberMu.Unlock()
 		return fmt.Errorf("cluster: cannot drain %q", name)
@@ -225,11 +260,8 @@ func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	m.state = memberDraining
 	cl.memberMu.Unlock()
 	cl.updateMemberGauges()
-	survivors := cl.activeNodes()
-	if len(survivors) == 0 {
-		return fmt.Errorf("cluster: cannot drain %q: no storage members would remain", name)
-	}
-	target := cl.distFor(survivors)
+	// The metadata manager is never drained: a member stays active.
+	target := cl.activeDist()
 	cl.PVFSMeta.SetDefaultDist(target)
 	if err := cl.rebalance(ctx, target); err != nil {
 		return fmt.Errorf("cluster: rebalance draining %s: %w", name, err)
@@ -239,8 +271,6 @@ func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	cl.memberMu.Lock()
 	m.state = memberRemoved
 	cl.memberMu.Unlock()
-	delete(cl.diskByNode, name)
-	delete(cl.storageByNode, name)
 	cl.updateMemberGauges()
 	cl.publishTopology()
 	return nil
@@ -255,15 +285,15 @@ func (cl *Cluster) publishTopology() {
 	cl.layoutGen++
 	gen := cl.layoutGen
 	cl.memberMu.Unlock()
-	active := cl.activeNodes()
+	devs := cl.activeDevices()
 	if cl.directMDS != nil {
-		cl.directMDS.set(cl.deviceList(active), gen)
+		cl.directMDS.set(devs, gen)
 	}
 	if cl.blind != nil {
 		if cl.Cfg.Arch == ArchPNFS2Tier {
 			// 2-tier data servers ride the storage nodes, so the blind
 			// device list follows membership.
-			cl.blind.set(cl.deviceList(active), gen)
+			cl.blind.set(devs, gen)
 		} else {
 			// 3-tier: the dedicated data-server tier is unchanged, but the
 			// layouts still move to the new generation so clients refetch.

@@ -87,12 +87,12 @@ func TestJoinWidensClusterAndPreservesData(t *testing.T) {
 			if err := writeMemberCorpus(cl, size); err != nil {
 				t.Fatal(err)
 			}
-			before := len(cl.activeNodes())
+			before := len(cl.activeDevices())
 			schedule(t, cl, faults.Join{Node: "io9"})
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(cl.activeNodes()); got != before+1 {
+			if got := len(cl.activeDevices()); got != before+1 {
 				t.Fatalf("active members %d, want %d", got, before+1)
 			}
 			if cl.rebalanceBytes.Value() == 0 {
@@ -120,15 +120,15 @@ func TestJoinWidensClusterAndPreservesData(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			joined := cl.storageByNode["io9"]
+			joined := cl.live("io9")
 			if joined == nil {
-				t.Fatal("joined node has no storage daemon")
+				t.Fatal("joined node is no live member")
 			}
 			at, err := cl.PVFSMeta.Namespace().LookupPath("/post.0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if joined.ObjectSize(pvfsHandle(at.ID)) == 0 {
+			if joined.storage.ObjectSize(pvfsHandle(at.ID)) == 0 {
 				t.Fatal("post-join writes put no bytes on the joined node")
 			}
 		})
@@ -145,27 +145,24 @@ func TestDrainRetiresDeviceIDAndPreservesData(t *testing.T) {
 			if err := writeMemberCorpus(cl, size); err != nil {
 				t.Fatal(err)
 			}
-			drainedID, ok := cl.devIDs["io1"]
-			if !ok {
-				t.Fatal("io1 has no device ID")
-			}
-			survivorIDs := map[string]uint32{}
-			for name, id := range cl.devIDs {
-				if name != "io1" {
-					survivorIDs[name] = uint32(id)
+			drainedID := cl.memberNamed("io1").id
+			survivorIDs := map[string]pnfs.DeviceID{}
+			for _, m := range cl.members {
+				if m.node.Name != "io1" {
+					survivorIDs[m.node.Name] = m.id
 				}
 			}
 			schedule(t, cl, faults.Drain{Node: "io1"})
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
-			if st := cl.members["io1"].state; st != memberRemoved {
+			if st := cl.memberNamed("io1").state; st != memberRemoved {
 				t.Fatalf("io1 state %v after drain, want removed", st)
 			}
 			// Survivors keep their stable IDs: a drain must never re-index
 			// the remaining devices (the positional-aliasing bug).
 			for name, want := range survivorIDs {
-				if got := uint32(cl.devIDs[name]); got != want {
+				if got := cl.memberNamed(name).id; got != want {
 					t.Fatalf("%s device ID changed %d -> %d across drain", name, want, got)
 				}
 			}
@@ -178,7 +175,7 @@ func TestDrainRetiresDeviceIDAndPreservesData(t *testing.T) {
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
-			if cl.devIDs["io9"] == drainedID {
+			if cl.memberNamed("io9").id == drainedID {
 				t.Fatalf("retired device ID %d was reused by io9", drainedID)
 			}
 			if err := verifyMemberCorpus(cl, size); err != nil {
@@ -341,7 +338,7 @@ func TestScheduleComposesCrashWithDrain(t *testing.T) {
 					if got := counterSum(cl, "rebalance_files_total"); got < 1 {
 						t.Fatalf("rebalance_files_total = %v, want >= 1", got)
 					}
-					if st := cl.members["io1"].state; st != memberRemoved {
+					if st := cl.memberNamed("io1").state; st != memberRemoved {
 						t.Fatalf("io1 state %v after the drain, want removed", st)
 					}
 					if err := verifyMemberCorpus(cl, size); err != nil {
@@ -395,16 +392,92 @@ func TestMigrationTruncateSurvivesCrash(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		for name, ss := range cl.storageByNode {
-			if got, w := ss.ObjectSize(place.Data), want[uint32(cl.devIDs[name])]; got != w {
-				t.Errorf("%s: shadow object on %s is %d bytes, want %d", when, name, got, w)
+		for _, m := range cl.liveMembers() {
+			if got, w := m.storage.ObjectSize(place.Data), want[uint32(m.id)]; got != w {
+				t.Errorf("%s: shadow object on %s is %d bytes, want %d", when, m.node.Name, got, w)
 			}
 		}
 	}
 	check("after the drain")
-	for name := range cl.storageByNode {
-		cl.CrashVolatile(name)
-		cl.RestartVolatile(name)
+	for _, m := range cl.liveMembers() {
+		cl.CrashVolatile(m.node.Name)
+		cl.RestartVolatile(m.node.Name)
 	}
 	check("after a crash right after it")
+}
+
+// scrubbedNodes lists the nodes of the outcomes, in order, and fails the
+// test on a scan error.
+func scrubbedNodes(t *testing.T, outs []ScrubOutcome) []string {
+	t.Helper()
+	var nodes []string
+	for _, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("scrub of %s: %v", o.Node, o.Err)
+		}
+		nodes = append(nodes, o.Node)
+	}
+	return nodes
+}
+
+// TestScrubAfterDrain: a scrub pass after a drain, scheduled or
+// synchronous, scans every member but the drained one.
+func TestScrubAfterDrain(t *testing.T) {
+	for _, arch := range Archs {
+		t.Run(string(arch), func(t *testing.T) {
+			cl := New(Config{Arch: arch, Clients: 1, Real: true, StripeSize: 64 << 10})
+			defer cl.Close()
+			if err := writeMemberCorpus(cl, 300_000); err != nil {
+				t.Fatal(err)
+			}
+			schedule(t, cl, faults.Drain{Node: "io1"})
+			if err := cl.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			schedule(t, cl, faults.Scrub{At: time.Millisecond})
+			if _, err := cl.Run(func(*rpc.Ctx, *Mount, int) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			scheduled := scrubbedNodes(t, cl.ScrubResults())
+			outs, err := cl.ScrubPass()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cl.FaultCandidates()
+			want = append([]string{"io0"}, want...)
+			for _, got := range [][]string{scheduled, scrubbedNodes(t, outs)} {
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("a pass after the drain scanned %v, want %v", got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestScrubReachesJoinedNode: a node that joins after the first scrub pass
+// is scanned by the next one, and the rebalance gave it data to scan (each
+// file spans more than one round of the widened stripe).
+func TestScrubReachesJoinedNode(t *testing.T) {
+	cl := New(Config{Arch: ArchDirectPNFS, Clients: 2, Real: true, StripeSize: 64 << 10})
+	defer cl.Close()
+	if err := writeMemberCorpus(cl, 600_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ScrubPass(); err != nil {
+		t.Fatal(err)
+	}
+	schedule(t, cl, faults.Join{Node: "io9"})
+	if err := cl.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := cl.ScrubPass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(scrubbedNodes(t, outs)), "[io0 io1 io2 io3 io4 io5 io9]"; got != want {
+		t.Fatalf("the pass after the join scanned %s, want %s", got, want)
+	}
+	if last := outs[len(outs)-1]; last.Result.Extents == 0 {
+		t.Fatal("the pass scanned no extent on io9, which the rebalance gave data")
+	}
 }

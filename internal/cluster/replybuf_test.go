@@ -50,15 +50,15 @@ func TestRetainedReadReplyNeverAliasesPool(t *testing.T) {
 				// The file's first stripe unit lives under the file's own
 				// handle on exactly one daemon.
 				holder := -1
-				for i, s := range cl.Storage {
-					if s.ObjectSize(pvfs.Handle(at.ID)) > 0 {
+				for i, m := range cl.members {
+					if m.storage.ObjectSize(pvfs.Handle(at.ID)) > 0 {
 						holder = i
 					}
 				}
 				if holder < 0 {
 					return fmt.Errorf("no daemon holds the file's bytes")
 				}
-				conn := cl.dial(m.node.Name, cl.storageNodes[holder].Name, ServiceDS)
+				conn := cl.dial(m.node.Name, cl.members[holder].node.Name, ServiceDS)
 				call := func(args *nfs.CompoundArgs) (*nfs.CompoundRep, error) {
 					var rep nfs.CompoundRep
 					if err := conn.Call(ctx, nfs.ProcCompound, args, &rep); err != nil {

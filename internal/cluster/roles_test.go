@@ -73,8 +73,8 @@ func TestRenameOverFileRemovesItsObjects(t *testing.T) {
 			}
 			// stored sums the object sizes the daemons hold for h.
 			stored := func(h pvfs.Handle) (total int64) {
-				for _, s := range cl.Storage {
-					total += s.ObjectSize(h)
+				for _, m := range cl.members {
+					total += m.storage.ObjectSize(h)
 				}
 				return total
 			}
@@ -114,8 +114,8 @@ func TestRenameOverFileRemovesItsObjects(t *testing.T) {
 				if err := m.Rename(ctx, "/", "a", "b"); err != nil {
 					return fmt.Errorf("rename a -> b: %w", err)
 				}
-				for i, s := range cl.Storage {
-					if got := s.ObjectSize(oldB); got != 0 {
+				for i, m := range cl.members {
+					if got := m.storage.ObjectSize(oldB); got != 0 {
 						t.Errorf("storage node %d still holds %d bytes of the replaced file", i, got)
 					}
 				}

@@ -1,4 +1,4 @@
-// Background scrub wiring: one scrub.Scrubber per storage node, repairing
+// Background scrub wiring: one scrub.Scrubber per storage member, repairing
 // from the node's replica partners when the substrate is replicated
 // (DistParams.Copies via distCopies).  Passes run either synchronously
 // (ScrubPass, for tests and operator tooling) or as faults.Scrub events of
@@ -31,39 +31,52 @@ type ScrubOutcome struct {
 	Err    error
 }
 
-// Scrubbers returns the per-node scanners, building them on first use.
-// Nodes whose store backend cannot be scanned (no Walk/Extents surface) are
-// skipped; both shipped backends qualify.
-func (cl *Cluster) Scrubbers() []*scrub.Scrubber {
-	cl.scrubOnce.Do(cl.buildScrubbers)
-	return cl.scrubbers
-}
-
-func (cl *Cluster) buildScrubbers() {
-	copies := int(cl.distCopies(len(cl.storageNodes)))
-	for i, n := range cl.storageNodes {
-		ss := cl.storageByNode[n.Name]
-		src, ok := ss.Store().(scrub.Source)
-		if !ok {
+// scrubbers returns the scanners of every member not removed, in build
+// order, first building those no pass has reached yet: the members of a
+// first pass, and joiners.  Members whose store backend cannot be scanned
+// (no Walk/Extents surface) are skipped; both shipped backends qualify.
+func (cl *Cluster) scrubbers() []*scrub.Scrubber {
+	cl.memberMu.Lock()
+	defer cl.memberMu.Unlock()
+	var out []*scrub.Scrubber
+	for dev, m := range cl.members {
+		if m.state == memberRemoved {
 			continue
 		}
-		var fetch scrub.Fetch
-		if copies > 1 {
-			// Only a replicated substrate has anywhere to repair from; an
-			// unreplicated scrubber still detects and counts.
-			fetch = cl.replicaFetch(i, copies, ss)
+		if m.scrub == nil {
+			m.scrub = cl.newScrubber(dev, m)
 		}
-		cl.scrubbers = append(cl.scrubbers, scrub.New(scrub.Config{
-			Node:    n.Name,
-			Store:   src,
-			Fetch:   fetch,
-			RateBPS: cl.Cfg.ScrubRateBPS,
-			Metrics: cl.Cfg.Metrics,
-		}))
+		if m.scrub != nil {
+			out = append(out, m.scrub)
+		}
 	}
+	return out
 }
 
-// replicaFetch builds the repair source for storage node dev: good bytes
+// newScrubber builds the scanner of member m, the dev-th built; nil if its
+// store cannot be scanned.
+func (cl *Cluster) newScrubber(dev int, m *member) *scrub.Scrubber {
+	src, ok := m.storage.Store().(scrub.Source)
+	if !ok {
+		return nil
+	}
+	var fetch scrub.Fetch
+	if copies := int(cl.distCopies()); copies > 1 {
+		// Only a replicated substrate has anywhere to repair from; an
+		// unreplicated scrubber still detects and counts.
+		fetch = cl.replicaFetch(dev, copies, m)
+	}
+	return scrub.New(scrub.Config{
+		Node:    m.node.Name,
+		Store:   src,
+		Fetch:   fetch,
+		RateBPS: cl.Cfg.ScrubRateBPS,
+		Metrics: cl.Cfg.Metrics,
+	})
+}
+
+// replicaFetch builds the repair source for member m, the dev-th storage
+// node built (a replicated substrate has no joins or drains): good bytes
 // come from the node's replica partners through the shared replica rung
 // (ioengine.Replicas over the substrate's stripe.Replicated geometry — every
 // partner holds a byte-identical object at the same offset) and the PVFS2
@@ -71,12 +84,12 @@ func (cl *Cluster) buildScrubbers() {
 // scrubber rewrites its own store and verifies it afterwards.  The store
 // file is reverse-mapped to its datafile handle, which the metadata server
 // allocated identically on every daemon.
-func (cl *Cluster) replicaFetch(dev, copies int, ss *pvfs.StorageServer) scrub.Fetch {
-	node := cl.storageNodes[dev].Name
-	geometry := stripe.NewReplicated(stripe.NewRoundRobin(1, len(cl.storageNodes)/copies), copies)
+func (cl *Cluster) replicaFetch(dev, copies int, m *member) scrub.Fetch {
+	node := m.node.Name
+	geometry := stripe.NewReplicated(stripe.NewRoundRobin(1, len(cl.members)/copies), copies)
 	conns := make(map[int]rpc.Conn)
 	return func(ctx *rpc.Ctx, id store.FileID, off int64, b []byte) (int, error) {
-		h, ok := ss.HandleFor(id)
+		h, ok := m.storage.HandleFor(id)
 		if !ok {
 			return 0, fmt.Errorf("scrub %s: store file %d has no datafile handle", node, id)
 		}
@@ -85,7 +98,7 @@ func (cl *Cluster) replicaFetch(dev, copies int, ss *pvfs.StorageServer) scrub.F
 			Read: func(ctx *rpc.Ctx, alt stripe.Extent, _ bool) (payload.Payload, error) {
 				conn := conns[alt.Dev]
 				if conn == nil {
-					conn = cl.dial(node, cl.storageNodes[alt.Dev].Name, pvfs.ServiceIO)
+					conn = cl.dial(node, cl.members[alt.Dev].node.Name, pvfs.ServiceIO)
 					conns[alt.Dev] = conn
 				}
 				data, err := pvfs.ReadCopy(ctx, conn, h, alt.DevOff, alt.Len, true)
@@ -106,11 +119,12 @@ func (cl *Cluster) replicaFetch(dev, copies int, ss *pvfs.StorageServer) scrub.F
 	}
 }
 
-// ScrubPass runs one synchronous full-cluster pass (every node, in node
-// order) as its own flow — on the fabric a kernel process, so pacing and
-// background scheduling charge virtual time — and returns the per-node
-// outcomes.  The returned error is the first scan failure, if any —
-// corruption found and repaired is a result, not an error.
+// ScrubPass runs one synchronous full-cluster pass (every member not
+// removed, in build order) as its own flow — on the fabric a kernel
+// process, so pacing and background scheduling charge virtual time — and
+// returns the per-node outcomes.  The returned error is the first scan
+// failure, if any — corruption found and repaired is a result, not an
+// error.
 func (cl *Cluster) ScrubPass() ([]ScrubOutcome, error) {
 	var outs []ScrubOutcome
 	flows := cl.flows()
@@ -126,11 +140,12 @@ func (cl *Cluster) ScrubPass() ([]ScrubOutcome, error) {
 	return outs, nil
 }
 
-// scrubPassCtx scans every node sequentially (the deterministic order seed
-// replay depends on) and records the outcomes.
+// scrubPassCtx scans every member not removed sequentially, in build order
+// (the deterministic order seed replay depends on), and records the
+// outcomes.
 func (cl *Cluster) scrubPassCtx(ctx *rpc.Ctx, at time.Duration) []ScrubOutcome {
 	var outs []ScrubOutcome
-	for _, s := range cl.Scrubbers() {
+	for _, s := range cl.scrubbers() {
 		res, err := s.Pass(ctx)
 		outs = append(outs, ScrubOutcome{Node: s.Node(), At: at, Result: res, Err: err})
 	}

@@ -242,11 +242,11 @@ func TestFileSyncDurability(t *testing.T) {
 				for _, n := range c.down {
 					cl.SetNodeDown(n, false)
 				}
-				for _, n := range cl.storageNodes {
-					cl.CrashVolatile(n.Name)
+				for _, m := range cl.members {
+					cl.CrashVolatile(m.node.Name)
 				}
-				for _, n := range cl.storageNodes {
-					cl.RestartVolatile(n.Name)
+				for _, m := range cl.members {
+					cl.RestartVolatile(m.node.Name)
 				}
 				if counterSum(cl, "store_wal_replays_total") == 0 {
 					t.Fatal("no journal record replayed: the crash tested nothing")

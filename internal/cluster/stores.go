@@ -49,8 +49,8 @@ func BackendFactory(kind string) (StoreFactory, error) {
 // keeps its image — the original reboot-with-state-intact model; under
 // wal everything unsynced is gone until RestartVolatile.
 func (cl *Cluster) CrashVolatile(node string) {
-	if ss, ok := cl.storageByNode[node]; ok {
-		ss.CrashVolatile()
+	if m := cl.live(node); m != nil {
+		m.storage.CrashVolatile()
 	}
 }
 
@@ -92,8 +92,7 @@ func (cl *Cluster) corrupt(kind, node string, hook func(store.Store) bool) {
 	if !cl.faultTargetable(kind, node) {
 		return
 	}
-	ss, ok := cl.storageByNode[node]
-	if !ok || !hook(ss.Store()) {
+	if m := cl.live(node); m == nil || !hook(m.storage.Store()) {
 		cl.skippedFaults.With(kind, node).Inc()
 	}
 }
@@ -104,8 +103,8 @@ func (cl *Cluster) corrupt(kind, node string, hook func(store.Store) bool) {
 // the fault plan already models.  A replay failure is a corrupt log, which
 // is a bug, so it fails loudly.
 func (cl *Cluster) RestartVolatile(node string) {
-	if ss, ok := cl.storageByNode[node]; ok {
-		if _, err := ss.RecoverVolatile(); err != nil {
+	if m := cl.live(node); m != nil {
+		if _, err := m.storage.RecoverVolatile(); err != nil {
 			panic(fmt.Sprintf("cluster: recover %s: %v", node, err))
 		}
 	}

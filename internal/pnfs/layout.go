@@ -1,9 +1,11 @@
 // Package pnfs implements the pNFS layout machinery of NFSv4.1 plus the two
 // Direct-pNFS additions the paper contributes (§4):
 //
-//   - the layout translator, which converts a parallel file system's native
-//     layout into a pNFS file-based layout without interpreting file-system
-//     specific information, and
+//   - the layout translator, which converts a file's placement in a
+//     parallel file system — the storage servers holding its stripe objects,
+//     in stripe order, and the handle addressing them — into a pNFS
+//     file-based layout without interpreting file-system specific
+//     information, and
 //   - pluggable aggregation drivers, which let an unmodified client
 //     understand unconventional striping schemes (variable stripe size,
 //     replicated, hierarchical) beyond the two standard NFSv4.1 schemes
@@ -20,7 +22,9 @@
 // A DeviceID names one data server for the lifetime of the file system, not
 // a position in the current device list.  Under elastic membership
 // (cluster join/drain) entries come and go from GETDEVICELIST, so an ID is
-// allocated once per node and never reused after the node departs: a layout
+// allocated once per node and never reused after the node departs.  A data
+// server co-located with a storage server carries that server's ID, so a
+// file's placement names its layout's devices as they are.  A layout
 // held across a membership change either still names live devices (and
 // stays usable) or names departed ones (and fails with a device error that
 // sends the client back through GETDEVICELIST + LAYOUTGET).  Layouts carry
@@ -194,35 +198,35 @@ func (l *FileLayout) Validate() error {
 	return err
 }
 
-// NativeLayout is what the layout translator consumes: the parallel file
-// system's own description of a file's data placement, expressed only in
-// protocol-neutral terms (the translator never interprets file-system
-// internals, paper §4.2).
+// NativeLayout is what the layout translator consumes: a file's placement
+// in the parallel file system, expressed only in protocol-neutral terms
+// (the translator never interprets file-system internals, paper §4.2).
 type NativeLayout struct {
 	Aggregation string
 	Params      []int64
-	// StorageNodes lists the parallel FS storage nodes in device order.
-	StorageNodes []string
-	// ObjectHandle addresses the file's stripe objects on every node.
+	// Devices lists the storage servers holding the file's stripe objects,
+	// in stripe order, by their stable IDs: each is also the device ID of
+	// the pNFS data server co-located with it.
+	Devices []DeviceID
+	// ObjectHandle addresses the file's stripe objects on every server.
 	ObjectHandle uint64
 }
 
-// Translate converts a parallel file system's native layout into a pNFS
-// file-based layout whose devices are the NFSv4 servers co-located with the
-// storage nodes.  devFor maps a storage node name to its pNFS device ID.
-func Translate(n NativeLayout, devFor func(node string) (DeviceID, bool)) (*FileLayout, error) {
+// Translate converts a file's placement into a pNFS file-based layout
+// whose devices are the NFSv4 servers co-located with the storage servers:
+// the same devices in the same order, each addressed by the object handle,
+// under the placement's aggregation and params, with direct offsets.  The
+// layout shares no memory with n; the generation is the caller's.
+func Translate(n NativeLayout) (*FileLayout, error) {
 	out := &FileLayout{
 		Aggregation: n.Aggregation,
 		Params:      append([]int64(nil), n.Params...),
+		Devices:     append([]DeviceID(nil), n.Devices...),
+		FHs:         make([]uint64, len(n.Devices)),
 		Direct:      true,
 	}
-	for _, node := range n.StorageNodes {
-		id, ok := devFor(node)
-		if !ok {
-			return nil, fmt.Errorf("pnfs: storage node %q has no pNFS data server", node)
-		}
-		out.Devices = append(out.Devices, id)
-		out.FHs = append(out.FHs, n.ObjectHandle)
+	for i := range out.FHs {
+		out.FHs[i] = n.ObjectHandle
 	}
 	if err := out.Validate(); err != nil {
 		return nil, err

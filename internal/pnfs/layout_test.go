@@ -163,21 +163,17 @@ func TestTranslate(t *testing.T) {
 	native := NativeLayout{
 		Aggregation:  AggRoundRobin,
 		Params:       []int64{2 << 20},
-		StorageNodes: []string{"io0", "io1", "io2"},
+		Devices:      []DeviceID{4, 0, 7},
 		ObjectHandle: 42,
 	}
-	devs := map[string]DeviceID{"io0": 0, "io1": 1, "io2": 2}
-	l, err := Translate(native, func(n string) (DeviceID, bool) {
-		d, ok := devs[n]
-		return d, ok
-	})
+	l, err := Translate(native)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !l.Direct {
 		t.Fatal("translated layout must be direct")
 	}
-	for i, want := range []DeviceID{0, 1, 2} {
+	for i, want := range []DeviceID{4, 0, 7} {
 		if l.Devices[i] != want || l.FHs[i] != 42 {
 			t.Fatalf("device %d: %v/%v", i, l.Devices[i], l.FHs[i])
 		}
@@ -187,16 +183,25 @@ func TestTranslate(t *testing.T) {
 	if l.Aggregation != native.Aggregation || l.Params[0] != native.Params[0] {
 		t.Fatal("translator altered aggregation parameters")
 	}
+	// The layout owns its slices: the placement it came from may change.
+	native.Devices[0], native.Params[0] = 9, 1
+	if l.Devices[0] != 4 || l.Params[0] != 2<<20 {
+		t.Fatal("translated layout shares memory with the placement")
+	}
 }
 
-func TestTranslateUnknownNode(t *testing.T) {
-	native := NativeLayout{
-		Aggregation:  AggRoundRobin,
-		Params:       []int64{1 << 20},
-		StorageNodes: []string{"ghost"},
-	}
-	if _, err := Translate(native, func(string) (DeviceID, bool) { return 0, false }); err == nil {
-		t.Fatal("unknown storage node not rejected")
+// TestTranslateRejectsInvalidLayout: a placement no aggregation driver can
+// follow — no devices, or a driver's params that do not fit its devices —
+// is refused by the translator rather than handed to a client.
+func TestTranslateRejectsInvalidLayout(t *testing.T) {
+	for _, native := range []NativeLayout{
+		{Aggregation: AggRoundRobin, Params: []int64{1 << 20}},
+		{Aggregation: AggVariableStripe, Params: []int64{1 << 20, 2 << 20}, Devices: []DeviceID{0, 1, 2}},
+		{Aggregation: "no-such-driver", Devices: []DeviceID{0}},
+	} {
+		if _, err := Translate(native); err == nil {
+			t.Errorf("%s over %d devices with params %v was not rejected", native.Aggregation, len(native.Devices), native.Params)
+		}
 	}
 }
 
@@ -208,12 +213,10 @@ func TestPropertyTranslatedLayoutMatchesNative(t *testing.T) {
 		native := NativeLayout{
 			Aggregation:  AggRoundRobin,
 			Params:       []int64{64 << 10},
-			StorageNodes: []string{"a", "b", "c", "d"},
+			Devices:      []DeviceID{0, 1, 2, 3},
 			ObjectHandle: 7,
 		}
-		l, err := Translate(native, func(n string) (DeviceID, bool) {
-			return DeviceID(n[0] - 'a'), true
-		})
+		l, err := Translate(native)
 		if err != nil {
 			return false
 		}

@@ -32,22 +32,27 @@ import (
 )
 
 // Source is the slice of a store the scrubber needs: deterministic
-// namespace enumeration, materialized-extent maps, and verified reads.
-// Both shipped backends satisfy it (store/mem natively, store/wal by
-// forwarding to its materialized image).
+// namespace enumeration, materialized-extent maps, verified reads, the
+// writes that repair, and the sync that makes repairs durable.  Both
+// shipped backends satisfy it (store/mem natively, store/wal by forwarding
+// to its materialized image).
 type Source interface {
 	Walk(fn func(dir store.FileID, name string, at store.Attr) error) error
 	Extents(id store.FileID) ([]mem.Extent, error)
 	ReadAt(id store.FileID, off int64, b []byte) (int, error)
 	WriteAt(id store.FileID, off int64, b []byte) (int64, error)
+	store.Syncer
 }
 
 // Fetch reads good bytes for (id, off) from a replica of this node's
 // store, filling b and returning the byte count.  Replicas hold
 // byte-identical stripe objects at identical offsets (stripe.Replicated),
-// so the same id/off addresses the same logical bytes everywhere.  A Fetch
-// error means no live replica could supply the range; the chunk stays
-// corrupt and is retried on the next pass.
+// so off is the same everywhere; id is not: it is this store's FileID,
+// which each store allocates itself, so a Fetch maps it to a name every
+// replica shares (the cluster maps it to the datafile handle through
+// pvfs.StorageServer.HandleFor).  A Fetch error means no live replica could
+// supply the range; the chunk stays corrupt and is retried on the next
+// pass.
 type Fetch func(ctx *rpc.Ctx, id store.FileID, off int64, b []byte) (int, error)
 
 // chunkSize is the scan granularity: one store chunk, so each verification
@@ -170,10 +175,8 @@ func (s *Scrubber) Pass(ctx *rpc.Ctx) (Result, error) {
 	if res.Repaired > 0 {
 		// Repairs went through WriteAt; journaling backends stage them like
 		// any other write, so make them durable before reporting success.
-		if sy, ok := s.cfg.Store.(store.Syncer); ok {
-			if err := sy.Sync(ctx.P); err != nil {
-				return res, fmt.Errorf("scrub %s: sync repairs: %w", s.cfg.Node, err)
-			}
+		if err := s.cfg.Store.Sync(ctx.P); err != nil {
+			return res, fmt.Errorf("scrub %s: sync repairs: %w", s.cfg.Node, err)
 		}
 	}
 	return res, nil

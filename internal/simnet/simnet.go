@@ -161,12 +161,15 @@ func (f *Fabric) AddNode(cfg NodeConfig) *Node {
 // Node looks up a node by name; it panics if absent (topology bugs should
 // fail loudly at wiring time).
 func (f *Fabric) Node(name string) *Node {
-	n, ok := f.nodes[name]
-	if !ok {
+	n := f.Lookup(name)
+	if n == nil {
 		panic(fmt.Sprintf("simnet: unknown node %q", name))
 	}
 	return n
 }
+
+// Lookup returns the named node, or nil if the fabric has none by that name.
+func (f *Fabric) Lookup(name string) *Node { return f.nodes[name] }
 
 // Transfer blocks p for the duration of moving size bytes from src to dst
 // and returns the delivery time.  Loopback (src == dst) costs no network

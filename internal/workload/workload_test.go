@@ -59,9 +59,8 @@ func TestIORReadUsesWarmCache(t *testing.T) {
 		t.Fatalf("warm read throughput %.1f MB/s; cache not effective", tp)
 	}
 	var misses uint64
-	for _, d := range cl.Disks {
-		_, _, _, m, _, _ := d.Stats()
-		misses += m
+	for _, s := range cl.Stats() {
+		misses += s.DiskCacheMisses
 	}
 	if misses != 0 {
 		t.Fatalf("%d disk misses during warm read phase", misses)
