@@ -433,17 +433,14 @@ func (cl *Cluster) pvfsClientAt(n *simnet.Node) *pvfs.Client {
 // client's IO conns are keyed by stable server ID, so its files keep
 // addressing the right daemons across membership changes.
 func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer string) *pvfs.Client {
-	var io []rpc.Conn
-	var ids []uint32
+	io := make(map[uint32]rpc.Conn)
 	for _, m := range cl.liveMembers() {
-		io = append(io, cl.dial(n.Name, m.node.Name, pvfs.ServiceIO))
-		ids = append(ids, uint32(m.id))
+		io[uint32(m.id)] = cl.dial(n.Name, m.node.Name, pvfs.ServiceIO)
 	}
 	return pvfs.NewClient(pvfs.ClientConfig{
 		Node:    n,
 		Meta:    cl.dial(n.Name, cl.mdsNode.Name, pvfs.ServiceMeta),
 		IO:      io,
-		IOIDs:   ids,
 		Class:   class,
 		Issuer:  issuer,
 		Engine:  cl.engineConfig(),
@@ -483,10 +480,9 @@ func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client 
 			return cl.dial(n.Name, addr, ServiceDS)
 		},
 		WSize: cl.Cfg.WSize, RSize: cl.Cfg.RSize,
-		MaxReadAhead: 8 * cl.Cfg.RSize,
-		Engine:       cl.engineConfig(),
-		Real:         cl.Cfg.Real,
-		Metrics:      cl.Cfg.Metrics,
+		Engine:  cl.engineConfig(),
+		Real:    cl.Cfg.Real,
+		Metrics: cl.Cfg.Metrics,
 	})
 	cl.nfsClients = append(cl.nfsClients, c)
 	return c

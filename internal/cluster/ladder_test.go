@@ -219,7 +219,7 @@ func TestReplicaLadderBounds(t *testing.T) {
 	// io0 and io1: one COMMIT per touched data server, io1's falls back to
 	// one COMMIT through the MDS, which flushes the file's daemons in order —
 	// io0, then io1 for the whole budget.
-	budget := float64(rpc.DefaultRetryPolicy().Max)
+	budget := float64(rpc.RetryAttempts)
 	for _, row := range []struct {
 		name      string
 		unstable  bool // write io0 and io1 while up, then COMMIT with io1 down

@@ -82,15 +82,15 @@ type DoFunc func(ctx *rpc.Ctx, r stripe.Extent) error
 // p1(p2(fn)).
 type Policy func(next DoFunc) DoFunc
 
-// WithRetry retries rpc.Retryable failures under pol (zero-valued fields
-// take rpc defaults), sleeping virtual time under the simulation kernel and
-// wall clock otherwise.  onRetry, when non-nil, runs before each retry —
-// issuers hook their retry counters here.  The loop itself is
-// rpc.RetryPolicy.Do, shared with retry-wrapped conns.
-func WithRetry(pol rpc.RetryPolicy, onRetry func()) Policy {
+// WithRetry retries rpc.Retryable failures under rpc's retry budget,
+// sleeping virtual time under the simulation kernel and wall clock
+// otherwise.  onRetry, when non-nil, runs before each retry — issuers hook
+// their retry counters here.  The loop itself is rpc.Retry, shared with
+// retry-wrapped conns.
+func WithRetry(onRetry func()) Policy {
 	return func(next DoFunc) DoFunc {
 		return func(ctx *rpc.Ctx, r stripe.Extent) error {
-			return pol.Do(ctx, onRetry, func() error { return next(ctx, r) })
+			return rpc.Retry(ctx, onRetry, func() error { return next(ctx, r) })
 		}
 	}
 }

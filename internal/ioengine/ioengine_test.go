@@ -243,7 +243,7 @@ func TestRunSharedWindowAcrossConcurrentRuns(t *testing.T) {
 
 func TestWithRetryRidesOutRetryableFailures(t *testing.T) {
 	calls, retries := 0, 0
-	pol := WithRetry(rpc.RetryPolicy{Max: 5, Base: time.Millisecond, Cap: time.Millisecond}, func() { retries++ })
+	pol := WithRetry(func() { retries++ })
 	fn := pol(func(ctx *rpc.Ctx, r stripe.Extent) error {
 		calls++
 		if calls < 3 {

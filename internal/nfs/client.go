@@ -28,8 +28,6 @@ type ClientConfig struct {
 	Name   string // client identity for EXCHANGE_ID
 
 	WSize, RSize int64 // write/read transfer sizes (paper: 2 MB)
-	// MaxReadAhead bounds the readahead window (0 disables readahead).
-	MaxReadAhead int64
 	// Engine holds the striped-I/O engine's options (internal/ioengine).
 	// MaxFlight bounds requests in flight to data servers across all of the
 	// mount's concurrent I/O (default 32 — wide enough that the session slot
@@ -43,7 +41,7 @@ type ClientConfig struct {
 	// Real makes reads and writes carry actual bytes end to end.
 	Real bool
 	// Metrics is the shared observability registry (docs/METRICS.md).  Nil
-	// gives the mount a private registry, so Metrics() always works.
+	// gives the mount a private registry.
 	Metrics *metrics.Registry
 }
 
@@ -51,9 +49,8 @@ type ClientConfig struct {
 // page-cache machinery that gives NFS its small-I/O performance (write
 // gathering to WSize, readahead to RSize).
 type Client struct {
-	cfg      ClientConfig
-	clientID uint64
-	session  uint64
+	cfg     ClientConfig
+	session uint64
 
 	// Slot table: slots bounds concurrent sessioned compounds; slotMu guards
 	// the free slot IDs and per-slot sequence numbers.
@@ -100,9 +97,7 @@ type Client struct {
 	// server's change attribute still matches (Linux NFS inode cache).
 	inodeCache map[uint64]*inodeState
 
-	// Stats
-	RPCs    uint64
-	metrics *Metrics
+	ops *opStats
 
 	// Client-cache observability: page-cache and layout-cache hit rates are
 	// what separate the NFS architectures from cacheless PVFS2 on re-read
@@ -148,9 +143,6 @@ type repairKey struct {
 	devOff int64
 }
 
-// Metrics returns the mount's per-operation latency/volume table.
-func (c *Client) Metrics() *Metrics { return c.metrics }
-
 type inodeState struct {
 	change uint64
 	pc     *pageCache
@@ -184,7 +176,7 @@ func NewClient(cfg ClientConfig) *Client {
 		active:     make(map[pnfs.DeviceID]bool),
 		layouts:    make(map[uint64]*pnfs.FileLayout),
 		inodeCache: make(map[uint64]*inodeState),
-		metrics:    newMetrics(reg),
+		ops:        newOpStats(reg),
 		pcHits: reg.Counter("nfs_client_pagecache_hits_total",
 			"Reads served entirely from the client page cache (no RPC)."),
 		pcMisses: reg.Counter("nfs_client_pagecache_misses_total",
@@ -265,7 +257,6 @@ func (c *Client) call(ctx *rpc.Ctx, conn rpc.Conn, sessioned bool, ops ...Op) (*
 			c.slotMu.Unlock()
 		}()
 	}
-	atomic.AddUint64(&c.RPCs, 1)
 	start := ctx.Stamp()
 	var rep CompoundRep
 	err := conn.Call(ctx, ProcCompound, args, &rep)
@@ -278,7 +269,7 @@ func (c *Client) call(ctx *rpc.Ctx, conn rpc.Conn, sessioned bool, ops ...Op) (*
 		case *OpRead:
 			bytes = o.Len
 		}
-		c.metrics.record(op.Num(), elapsed, bytes, err)
+		c.ops.record(op.Num(), elapsed, bytes, err)
 	}
 	if err != nil {
 		return nil, err
@@ -312,9 +303,7 @@ func (c *Client) Mount(ctx *rpc.Ctx) error {
 	if err != nil {
 		return fmt.Errorf("nfs: mount handshake: %w", err)
 	}
-	c.clientID = rep.Results[0].(*ResExchangeID).ClientID
-	cs := rep.Results[1].(*ResCreateSession)
-	c.session = cs.Session
+	c.session = rep.Results[1].(*ResCreateSession).Session
 	// A fresh session starts every slot's sequence at zero.
 	c.slotMu.Lock()
 	c.slotSeq = make([]uint32, sessionSlots)
@@ -368,7 +357,6 @@ type File struct {
 	fh      uint64
 	stateID uint64
 	size    int64
-	change  uint64
 
 	// layoutMu serializes layout refetches after an epoch bump (membership
 	// change); layout/mapper/epoch are re-read by parallel extent flows.
@@ -498,7 +486,6 @@ func (c *Client) open(ctx *rpc.Ctx, path string, create bool) (*File, error) {
 		fh:        or.FH,
 		stateID:   or.StateID,
 		size:      ga.Attr.Size,
-		change:    ga.Attr.Change,
 		cache:     pc,
 		touched:   make(map[int]bool),
 		committed: ga.Attr.Size,
@@ -510,6 +497,7 @@ func (c *Client) open(ctx *rpc.Ctx, path string, create bool) (*File, error) {
 		err = f.fetchLayout(ctx)
 	}
 	if err != nil {
+		f.cache.release() // no File is returned, so no Close releases it
 		return nil, err
 	}
 	return f, nil

@@ -19,6 +19,7 @@ import (
 // the same place (the Direct-pNFS arrangement, minus the daemon plumbing).
 type pnfsTestBackend struct {
 	*StoreBackend
+	refuseLayouts bool // LAYOUTGET fails
 }
 
 func (b *pnfsTestBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
@@ -26,6 +27,9 @@ func (b *pnfsTestBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
 }
 
 func (b *pnfsTestBackend) LayoutGet(_ *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
+	if b.refuseLayouts {
+		return nil, errors.New("nfs test: no layout")
+	}
 	return &pnfs.FileLayout{
 		Aggregation: pnfs.AggRoundRobin,
 		Params:      []int64{64 << 10},
@@ -36,6 +40,33 @@ func (b *pnfsTestBackend) LayoutGet(_ *rpc.Ctx, fh uint64) (*pnfs.FileLayout, er
 }
 
 func (b *pnfsTestBackend) LayoutCommit(*rpc.Ctx, uint64, int64) error { return nil }
+
+// newPNFSTestMount serves backend as the MDS and as the data server
+// "good" on a fresh fabric and returns a real-bytes mount of it with 64 KiB
+// transfers, which reaches the device at "bad" through bad (nil: through
+// "good").
+func newPNFSTestMount(backend Backend, bad rpc.Conn) (*sim.Kernel, *Client) {
+	k := sim.NewKernel(1)
+	f := simnet.NewFabric(k)
+	tr := &rpc.FabricTransport{Fabric: f}
+	mdsNode := f.AddNode(simnet.NodeConfig{Name: "mds"})
+	goodNode := f.AddNode(simnet.NodeConfig{Name: "good"})
+	clNode := f.AddNode(simnet.NodeConfig{Name: "client"})
+	NewServer(ServerConfig{Backend: backend, Node: mdsNode, Transport: tr, Service: "mds"})
+	NewServer(ServerConfig{Backend: backend, Node: goodNode, Transport: tr, Service: "ds"})
+	client := NewClient(ClientConfig{
+		Node: clNode, Real: true,
+		MDS: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: "mds"},
+		DialDS: func(addr string) rpc.Conn {
+			if addr == "bad" && bad != nil {
+				return bad
+			}
+			return &rpc.SimTransport{Fabric: f, Src: clNode, Dst: goodNode, Service: "ds"}
+		},
+		WSize: 64 << 10, RSize: 64 << 10,
+	})
+	return k, client
+}
 
 // failConn always errors, simulating a dead data server.
 type failConn struct{}
@@ -53,30 +84,8 @@ func (failConn) Call(*rpc.Ctx, uint32, xdr.Marshaler, xdr.Unmarshaler) error {
 // cluster-level, table-driven suite that runs crash/recover against all
 // five architectures is TestFailoverAllArchitectures in internal/cluster.
 func TestFailoverPNFSFallsBackThroughMDS(t *testing.T) {
-	k := sim.NewKernel(1)
-	f := simnet.NewFabric(k)
-	mdsNode := f.AddNode(simnet.NodeConfig{Name: "mds"})
-	goodNode := f.AddNode(simnet.NodeConfig{Name: "good"})
-	clNode := f.AddNode(simnet.NodeConfig{Name: "client"})
-
-	backend := &pnfsTestBackend{NewStoreBackend(mem.New(), nil)}
-	mds := NewServer(ServerConfig{Backend: backend, Node: mdsNode})
-	rpc.ServeSim(rpc.ServerConfig{Fabric: f, Node: mdsNode, Service: "mds", Handler: mds.Handle})
-	ds := NewServer(ServerConfig{Backend: backend, Node: goodNode})
-	rpc.ServeSim(rpc.ServerConfig{Fabric: f, Node: goodNode, Service: "ds", Handler: ds.Handle})
-
-	client := NewClient(ClientConfig{
-		Node: clNode, Real: true,
-		MDS: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: "mds"},
-		DialDS: func(addr string) rpc.Conn {
-			if addr == "bad" {
-				return failConn{}
-			}
-			return &rpc.SimTransport{Fabric: f, Src: clNode, Dst: goodNode, Service: "ds"}
-		},
-		WSize: 64 << 10, RSize: 64 << 10,
-	})
-
+	backend := &pnfsTestBackend{StoreBackend: NewStoreBackend(mem.New(), nil)}
+	k, client := newPNFSTestMount(backend, failConn{})
 	data := bytes.Repeat([]byte("failover"), 40<<10) // 320 KiB over 5 stripe units
 	k.Go("app", func(p *sim.Proc) {
 		ctx := &rpc.Ctx{P: p}
@@ -129,5 +138,51 @@ func TestFailoverPNFSFallsBackThroughMDS(t *testing.T) {
 	}
 	if at.Size != int64(len(data)) {
 		t.Fatalf("server holds %d bytes, want %d", at.Size, len(data))
+	}
+}
+
+// TestOpenWithoutLayoutReleasesPageCache: an open that gets no layout
+// returns no File, so nothing will ever Close one; it must hand back the
+// reference it took on the inode's page cache, or DropCaches can never free
+// the cached segments.
+func TestOpenWithoutLayoutReleasesPageCache(t *testing.T) {
+	backend := &pnfsTestBackend{StoreBackend: NewStoreBackend(mem.New(), nil)}
+	k, client := newPNFSTestMount(backend, nil)
+	var pc *pageCache
+	k.Go("app", func(p *sim.Proc) {
+		ctx := &rpc.Ctx{P: p}
+		if err := client.Mount(ctx); err != nil {
+			t.Error(err)
+			return
+		}
+		fl, err := client.Create(ctx, "/x")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := client.Write(ctx, fl, 0, payload.Real(bytes.Repeat([]byte("leak"), 32<<10))); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := client.Close(ctx, fl); err != nil {
+			t.Error(err)
+			return
+		}
+		pc = client.inodeCache[fl.fh].pc
+		if len(pc.segs) == 0 {
+			t.Error("closed file left nothing cached")
+		}
+		client.InvalidateLayouts()
+		backend.refuseLayouts = true
+		if _, err := client.Open(ctx, "/x"); err == nil {
+			t.Error("open without a layout succeeded")
+		}
+		client.DropCaches()
+	})
+	if err := k.Run(); err != nil || pc == nil {
+		t.Fatal(err)
+	}
+	if n := pc.refs.Load(); n != 0 || len(pc.segs) != 0 {
+		t.Fatalf("after DropCaches the page cache holds %d references and %d segments, want none", n, len(pc.segs))
 	}
 }

@@ -12,40 +12,37 @@ import (
 )
 
 func TestMetricsRecordAndPercentiles(t *testing.T) {
-	m := newMetrics(nil)
+	m := newOpStats(metrics.NewRegistry())
 	for i := 0; i < 90; i++ {
 		m.record(OpNumRead, 50*time.Microsecond, 0, nil)
 	}
 	for i := 0; i < 10; i++ {
 		m.record(OpNumRead, 50*time.Millisecond, 0, nil)
 	}
-	om := m.Op(OpNumRead)
-	if om == nil || om.Count() != 100 {
-		t.Fatalf("op metrics %+v", om)
+	om := m.perOp[OpNumRead]
+	if om == nil || om.ops.Value() != 100 || om.lat.Count() != 100 {
+		t.Fatalf("op series %+v", om)
 	}
-	if om.Max() != 50*time.Millisecond {
-		t.Fatalf("max %v", om.Max())
+	if om.lat.Max() != 0.05 {
+		t.Fatalf("max %v s", om.lat.Max())
 	}
-	if p50 := om.Percentile(50); p50 > time.Millisecond {
-		t.Fatalf("p50 %v, want ≤ 100µs bucket", p50)
+	if p50 := om.lat.Quantile(0.5); p50 > 1e-3 {
+		t.Fatalf("p50 %v s, want ≤ 100µs bucket", p50)
 	}
-	if p99 := om.Percentile(99); p99 < 30*time.Millisecond {
-		t.Fatalf("p99 %v, want the slow bucket", p99)
-	}
-	if om.Mean() <= 50*time.Microsecond || om.Mean() >= 50*time.Millisecond {
-		t.Fatalf("mean %v outside (50µs, 50ms)", om.Mean())
+	if p99 := om.lat.Quantile(0.99); p99 < 0.03 {
+		t.Fatalf("p99 %v s, want the slow bucket", p99)
 	}
 }
 
 func TestMetricsErrorsCounted(t *testing.T) {
-	m := newMetrics(nil)
+	m := newOpStats(metrics.NewRegistry())
 	m.record(OpNumWrite, time.Millisecond, 0, nil)
 	m.record(OpNumWrite, time.Millisecond, 0, fserr.ErrIO)
-	if got := m.Op(OpNumWrite).Errors(); got != 1 {
+	if got := m.perOp[OpNumWrite].errs.Value(); got != 1 {
 		t.Fatalf("errors %d", got)
 	}
-	if m.Op(OpNumCommit) != nil {
-		t.Fatal("never-issued op should report nil")
+	if m.perOp[OpNumCommit] != nil {
+		t.Fatal("a never-issued op resolved its series")
 	}
 }
 
@@ -61,30 +58,24 @@ func TestClientMetricsThroughMount(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	mt := m.client.Metrics()
-	if mt.Op(OpNumWrite) == nil || mt.Op(OpNumWrite).Count() == 0 {
+	ops := m.client.ops.perOp
+	w := ops[OpNumWrite]
+	if w == nil || w.ops.Value() == 0 {
 		t.Fatal("WRITE ops not recorded")
 	}
-	if got := mt.Op(OpNumWrite).Bytes(); got != 4<<20 {
+	if got := w.bytes.Value(); got != 4<<20 {
 		t.Fatalf("WRITE bytes %d, want %d", got, 4<<20)
 	}
-	if mt.Op(OpNumCommit) == nil {
-		t.Fatal("COMMIT not recorded")
+	if ops[OpNumCommit] == nil || ops[OpNumOpen] == nil {
+		t.Fatal("COMMIT or OPEN not recorded")
 	}
-	if mt.Op(OpNumWrite).Mean() <= 0 {
+	if w.lat.Mean() <= 0 {
 		t.Fatal("no latency recorded under simulation")
-	}
-	table := mt.String()
-	for _, want := range []string{"WRITE", "COMMIT", "OPEN", "mean", "p95"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("metrics table missing %q:\n%s", want, table)
-		}
 	}
 }
 
-// TestMountSharedRegistry proves the mount's table and the shared registry
-// are two views of the same instruments: what the table reports is exactly
-// what a /metrics endpoint would export.
+// TestMountSharedRegistry proves the mount records into the shared
+// registry: its operations are what a /metrics endpoint exports.
 func TestMountSharedRegistry(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := newTestMountWithRegistry(t, reg)

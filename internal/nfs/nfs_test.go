@@ -26,6 +26,18 @@ type testMount struct {
 	client *Client
 	server *Server
 	back   *StoreBackend
+	mds    *countingConn
+}
+
+// countingConn counts the compounds a mount sends its server.
+type countingConn struct {
+	rpc.Conn
+	calls int
+}
+
+func (c *countingConn) Call(ctx *rpc.Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
+	c.calls++
+	return c.Conn.Call(ctx, proc, args, rep)
 }
 
 func newTestMount(t *testing.T, real bool) *testMount {
@@ -51,14 +63,14 @@ func newTestMountFull(t *testing.T, real bool, reg *metrics.Registry) *testMount
 		Transport: &rpc.FabricTransport{Fabric: f}, Node: srvNode,
 		Backend: back,
 	})
+	mds := &countingConn{Conn: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: srvNode, Service: Service}}
 	client := NewClient(ClientConfig{
-		Node:         clNode,
-		MDS:          &rpc.SimTransport{Fabric: f, Src: clNode, Dst: srvNode, Service: Service},
-		Real:         real,
-		MaxReadAhead: 4 << 20,
-		Metrics:      reg,
+		Node:    clNode,
+		MDS:     mds,
+		Real:    real,
+		Metrics: reg,
 	})
-	return &testMount{k: k, client: client, server: server, back: back}
+	return &testMount{k: k, client: client, server: server, back: back, mds: mds}
 }
 
 func (m *testMount) run(t *testing.T, fn func(ctx *rpc.Ctx)) {
@@ -78,7 +90,7 @@ func (m *testMount) run(t *testing.T, fn func(ctx *rpc.Ctx)) {
 func TestMountEstablishesSession(t *testing.T) {
 	m := newTestMount(t, false)
 	m.run(t, func(ctx *rpc.Ctx) {
-		if m.client.session == 0 || m.client.clientID == 0 {
+		if m.client.session == 0 {
 			t.Error("mount did not establish a session")
 		}
 		if m.client.PNFS() {
@@ -151,7 +163,7 @@ func TestWriteGatheringReducesRPCs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := m.client.RPCs
+		before := m.mds.calls
 		// 512 sequential 8 KiB writes = 4 MiB = exactly 2 gathered WRITEs.
 		for i := 0; i < 512; i++ {
 			if err := m.client.Write(ctx, f, int64(i)*8<<10, payload.Synthetic(8<<10)); err != nil {
@@ -161,7 +173,7 @@ func TestWriteGatheringReducesRPCs(t *testing.T) {
 		if err := m.client.Fsync(ctx, f); err != nil {
 			t.Fatal(err)
 		}
-		rpcs := m.client.RPCs - before
+		rpcs := m.mds.calls - before
 		// 2 WRITEs + 1 COMMIT; allow a little slack but far below 512.
 		if rpcs > 8 {
 			t.Fatalf("512 small writes produced %d RPCs; write gathering broken", rpcs)
@@ -187,8 +199,8 @@ func TestSequentialReadahead(t *testing.T) {
 		}
 		// 16 MB at 2 MB rsize = 8 fetches; readahead may add a few more for
 		// the window beyond 16 MB.  Mount(2) + open(1) + ~12 reads max.
-		if m.client.RPCs > 30 {
-			t.Fatalf("sequential small reads made %d RPCs; readahead/rsize rounding broken", m.client.RPCs)
+		if m.mds.calls > 30 {
+			t.Fatalf("sequential small reads made %d RPCs; readahead/rsize rounding broken", m.mds.calls)
 		}
 	})
 }

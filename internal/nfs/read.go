@@ -9,6 +9,9 @@ import (
 	"dpnfs/internal/stripe"
 )
 
+// readAheadChunks bounds the sequential readahead window, in RSize chunks.
+const readAheadChunks = 8
+
 type raFlight struct {
 	ext  extent
 	done bool
@@ -40,14 +43,14 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64) (payload.Payload, int
 	// Sequential readahead: extend the window while the pattern holds.
 	// Simulated-only on purpose: f.inflight and raFlight.done are unlocked,
 	// and prefetching over TCP changes measured behaviour (ROADMAP lead (c)).
-	if c.cfg.MaxReadAhead > 0 && ctx.P != nil {
+	if ctx.P != nil {
 		if off == f.seqEnd {
 			f.raWindow *= 2
 			if f.raWindow < c.cfg.RSize {
 				f.raWindow = c.cfg.RSize
 			}
-			if f.raWindow > c.cfg.MaxReadAhead {
-				f.raWindow = c.cfg.MaxReadAhead
+			if f.raWindow > readAheadChunks*c.cfg.RSize {
+				f.raWindow = readAheadChunks * c.cfg.RSize
 			}
 			c.prefetch(ctx, f, off+n, f.raWindow)
 		} else {

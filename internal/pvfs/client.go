@@ -19,13 +19,11 @@ import (
 type ClientConfig struct {
 	Node *simnet.Node
 	Meta rpc.Conn
-	IO   []rpc.Conn // one per storage daemon, in device order
-	// IOIDs gives the stable server ID of each IO conn.  When empty the
-	// conns are assumed positional (IDs 0..len(IO)-1), which matches the
-	// legacy static-membership layout.  Files resolve their daemon conns
-	// through these IDs via the placement's DistParams.Servers, so a
-	// client keeps addressing the right daemons after membership changes.
-	IOIDs []uint32
+	// IO holds one conn per storage daemon, keyed by stable server ID.
+	// Files resolve their daemon conns through these IDs via the
+	// placement's DistParams.Servers, so a client keeps addressing the
+	// right daemons after membership changes.
+	IO map[uint32]rpc.Conn
 	// Engine holds the striped-I/O engine's options (internal/ioengine).
 	// MaxFlight bounds concurrent outstanding I/O requests ("limited request
 	// parallelization", paper §5; default 8) and MaxTransfer caps a single
@@ -72,9 +70,9 @@ type repairKey struct {
 }
 
 // NewClient returns a client with defaults applied.  Striped reads and
-// writes flow through the I/O engine under rpc.DefaultRetryPolicy, so they
-// survive a daemon outage shorter than its budget; the serial flush path
-// runs each call under the same policy.
+// writes flow through the I/O engine under rpc.Retry, so they survive a
+// daemon outage shorter than its budget; the serial flush path runs each
+// call under the same loop.
 func NewClient(cfg ClientConfig) *Client {
 	if cfg.Engine.MaxFlight <= 0 {
 		cfg.Engine.MaxFlight = 8
@@ -94,13 +92,9 @@ func NewClient(cfg ClientConfig) *Client {
 	eng := cfg.Engine
 	eng.Name, eng.Issuer, eng.Metrics = name, issuer, cfg.Metrics
 	c := &Client{cfg: cfg, stats: stats, engine: ioengine.New(eng)}
-	c.retry = ioengine.WithRetry(rpc.DefaultRetryPolicy(), stats.ioRetries.Inc)
+	c.retry = ioengine.WithRetry(stats.ioRetries.Inc)
 	c.io = make(map[uint32]rpc.Conn, len(cfg.IO))
-	for i, conn := range cfg.IO {
-		id := uint32(i)
-		if i < len(cfg.IOIDs) {
-			id = cfg.IOIDs[i]
-		}
+	for id, conn := range cfg.IO {
 		c.io[id] = conn
 	}
 	return c
@@ -368,7 +362,7 @@ func (c *Client) Sync(ctx *rpc.Ctx, f *File) error {
 			return err
 		}
 		var rep IOFlushRep
-		if err := rpc.DefaultRetryPolicy().Do(ctx, c.stats.ioRetries.Inc, func() error {
+		if err := rpc.Retry(ctx, c.stats.ioRetries.Inc, func() error {
 			return conn.Call(ctx, ProcIOFlush, &IOFlushArgs{Handle: f.Data}, &rep)
 		}); err != nil {
 			return err

@@ -37,7 +37,7 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 		n := f.AddNode(simnet.NodeConfig{Name: "io" + string(rune('0'+i))})
 		s := NewStorageServer(StorageConfig{
 			Transport: tr, Node: n,
-			Disk: simdisk.New(simdisk.Config{Name: n.Name}),
+			Disk: simdisk.New(simdisk.DefaultConfig(n.Name)),
 		})
 		storage = append(storage, s)
 		mdsConns = append(mdsConns, &rpc.SimTransport{Fabric: f, Src: mdsNode, Dst: n, Service: ServiceIO})
@@ -51,9 +51,19 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 	client := NewClient(ClientConfig{
 		Node: clNode,
 		Meta: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: ServiceMeta},
-		IO:   clConns,
+		IO:   ioByID(clConns),
 	})
 	return &testFS{k: k, fabric: f, client: client, meta: meta, storage: storage}
+}
+
+// ioByID keys conns by position: the stable server IDs a metadata server
+// gives the daemons of its IOConns.
+func ioByID(conns []rpc.Conn) map[uint32]rpc.Conn {
+	io := make(map[uint32]rpc.Conn, len(conns))
+	for i, c := range conns {
+		io[uint32(i)] = c
+	}
+	return io
 }
 
 // run executes fn as the lone application process and drives the kernel.
@@ -289,7 +299,7 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 		ioNode := f.AddNode(simnet.NodeConfig{Name: "io"})
 		srv := NewStorageServer(StorageConfig{
 			Transport: &rpc.FabricTransport{Fabric: f}, Node: ioNode,
-			Disk:    simdisk.New(simdisk.Config{Name: "d"}),
+			Disk:    simdisk.New(simdisk.DefaultConfig("d")),
 			buffers: buffers,
 		})
 		// Seed the object and warm the cache so only buffers matter.

@@ -529,7 +529,7 @@ func NewMetaServer(cfg MetaConfig) *MetaServer {
 	// outage shorter than its budget.
 	conns := make([]rpc.Conn, len(cfg.IOConns))
 	for i, conn := range cfg.IOConns {
-		conns[i] = rpc.WithRetry(conn, rpc.DefaultRetryPolicy(), stats.ioRetries.Inc)
+		conns[i] = rpc.WithRetry(conn, stats.ioRetries.Inc)
 	}
 	cfg.IOConns = conns
 	if cfg.Store == nil {
@@ -592,7 +592,7 @@ func (m *MetaServer) SetDefaultDist(d DistParams) {
 // given stable server ID, wrapped in the default retry policy.  Joining
 // nodes get IDs beyond the construction-time range.
 func (m *MetaServer) AddIOConn(id uint32, conn rpc.Conn) {
-	wrapped := rpc.WithRetry(conn, rpc.DefaultRetryPolicy(), m.stats.ioRetries.Inc)
+	wrapped := rpc.WithRetry(conn, m.stats.ioRetries.Inc)
 	m.mu.Lock()
 	m.ioByID[id] = wrapped
 	m.mu.Unlock()

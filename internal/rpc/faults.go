@@ -53,62 +53,40 @@ func RetryableIntegrity(err error) bool {
 	return errors.Is(err, store.ErrCorrupt)
 }
 
-// RetryPolicy bounds a retry loop: Max attempts total, exponential backoff
-// from Base capped at Cap.  Backoff sleeps are virtual time under the
-// simulation kernel and wall clock otherwise, so retries stay deterministic
-// in simulated runs.
-type RetryPolicy struct {
-	Max  int
-	Base time.Duration
-	Cap  time.Duration
-}
+// The retry budget rides out outages of roughly half a virtual minute:
+// RetryAttempts attempts in all, with a backoff from RetryBase doubling to
+// RetryCap between them.  Against a node that never comes back that is 19
+// backoffs (31.1 s) plus 20 DownCallTimeouts (4 s) of virtual time.
+const (
+	RetryAttempts = 20
+	RetryBase     = 100 * time.Millisecond
+	RetryCap      = 2 * time.Second
+)
 
-// DefaultRetryPolicy rides out outages of roughly half a virtual minute:
-// 20 attempts, 100 ms initial backoff doubling to a 2 s cap.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Max: 20, Base: 100 * time.Millisecond, Cap: 2 * time.Second}
-}
-
-// WithDefaults fills zero-valued fields from DefaultRetryPolicy.
-func (p RetryPolicy) WithDefaults() RetryPolicy {
-	def := DefaultRetryPolicy()
-	if p.Max <= 0 {
-		p.Max = def.Max
-	}
-	if p.Base <= 0 {
-		p.Base = def.Base
-	}
-	if p.Cap <= 0 {
-		p.Cap = def.Cap
-	}
-	return p
-}
-
-// Do runs op under the policy, retrying Retryable failures with bounded
-// exponential backoff (zero-valued fields take defaults).  Backoff sleeps
-// are virtual time under the simulation kernel and wall clock otherwise.
+// Retry runs op, retrying Retryable failures with bounded exponential
+// backoff.  Backoff sleeps are virtual time under the simulation kernel and
+// wall clock otherwise, so retries stay deterministic in simulated runs.
 // onRetry, when non-nil, is invoked before each retry — callers hook their
 // retry counters here.  This is the single retry loop behind both WithRetry
 // conns and the I/O engine's retry policy.
 //
 // Integrity failures (RetryableIntegrity) are retried too, but under their
-// own tighter bound of IntegrityRetries regardless of Max: one retry heals
-// a misdirected read, while persistent rot escalates quickly to whatever
-// fallback ladder wraps this loop.
-func (p RetryPolicy) Do(ctx *Ctx, onRetry func(), op func() error) error {
-	p = p.WithDefaults()
-	backoff := p.Base
+// own tighter bound of IntegrityRetries regardless of RetryAttempts: one
+// retry heals a misdirected read, while persistent rot escalates quickly to
+// whatever fallback ladder wraps this loop.
+func Retry(ctx *Ctx, onRetry func(), op func() error) error {
+	backoff := RetryBase
 	integrity := 0
 	var err error
-	for attempt := 0; attempt < p.Max; attempt++ {
+	for attempt := 0; attempt < RetryAttempts; attempt++ {
 		if attempt > 0 {
 			if onRetry != nil {
 				onRetry()
 			}
 			ctx.Pause(backoff)
 			backoff *= 2
-			if backoff > p.Cap {
-				backoff = p.Cap
+			if backoff > RetryCap {
+				backoff = RetryCap
 			}
 		}
 		err = op()
@@ -128,22 +106,21 @@ func (p RetryPolicy) Do(ctx *Ctx, onRetry func(), op func() error) error {
 	return err
 }
 
-// WithRetry wraps conn so Retryable failures are retried under pol
-// (zero-valued fields take defaults).  onRetry, when non-nil, is invoked
-// before each retry — protocol layers hook their retry counters here.
-func WithRetry(conn Conn, pol RetryPolicy, onRetry func()) Conn {
-	return &retryConn{inner: conn, pol: pol.WithDefaults(), onRetry: onRetry}
+// WithRetry wraps conn so every call runs under Retry.  onRetry, when
+// non-nil, is invoked before each retry — protocol layers hook their retry
+// counters here.
+func WithRetry(conn Conn, onRetry func()) Conn {
+	return &retryConn{inner: conn, onRetry: onRetry}
 }
 
 type retryConn struct {
 	inner   Conn
-	pol     RetryPolicy
 	onRetry func()
 }
 
 // Call implements Conn with bounded exponential-backoff retries.
 func (r *retryConn) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
-	return r.pol.Do(ctx, r.onRetry, func() error {
+	return Retry(ctx, r.onRetry, func() error {
 		return r.inner.Call(ctx, proc, args, rep)
 	})
 }

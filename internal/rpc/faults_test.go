@@ -48,31 +48,78 @@ func (c *flakyConn) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unma
 	return nil
 }
 
+// retrySim runs fn as the lone process of a fresh kernel and returns the
+// virtual time it took: the retry loop's backoffs are kernel sleeps.
+func retrySim(t *testing.T, fn func(ctx *Ctx)) time.Duration {
+	t.Helper()
+	k := sim.NewKernel(1)
+	var took sim.Time
+	k.Go("caller", func(p *sim.Proc) {
+		fn(&Ctx{P: p})
+		took = p.Now()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(took)
+}
+
 func TestWithRetryRidesOutOutage(t *testing.T) {
 	inner := &flakyConn{failN: 3}
 	var retries int
-	conn := WithRetry(inner, RetryPolicy{Max: 10, Base: time.Microsecond, Cap: time.Microsecond}, func() { retries++ })
-	if err := conn.Call(&Ctx{}, 1, nil, nil); err != nil {
-		t.Fatalf("call through transient outage: %v", err)
-	}
+	conn := WithRetry(inner, func() { retries++ })
+	took := retrySim(t, func(ctx *Ctx) {
+		if err := conn.Call(ctx, 1, nil, nil); err != nil {
+			t.Errorf("call through transient outage: %v", err)
+		}
+	})
 	if inner.calls != 4 {
 		t.Fatalf("inner called %d times, want 4", inner.calls)
 	}
 	if retries != 3 {
 		t.Fatalf("onRetry fired %d times, want 3", retries)
 	}
+	// Three backoffs: RetryBase, then doubled twice.
+	if want := 7 * RetryBase; took != want {
+		t.Fatalf("outage ridden out in %v of virtual time, want %v", took, want)
+	}
 }
 
-func TestWithRetryGivesUpAfterBudget(t *testing.T) {
-	inner := &flakyConn{failN: 100}
-	conn := WithRetry(inner, RetryPolicy{Max: 5, Base: time.Microsecond, Cap: time.Microsecond}, nil)
-	err := conn.Call(&Ctx{}, 1, nil, nil)
-	var de *DownError
-	if !errors.As(err, &de) {
-		t.Fatalf("exhausted retry budget returned %v, want DownError", err)
+// TestRetryBudgetInVirtualTime pins the retry budget docs/FAULTS.md
+// documents: a call to a node that never comes back fails after exactly
+// RetryAttempts attempts, each burning DownCallTimeout, with the backoffs
+// between them (100, 200, 400, 800, 1600 ms, then 14 × 2 s) — 35.1 s of
+// virtual time in all.
+func TestRetryBudgetInVirtualTime(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := simnet.NewFabric(k)
+	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
+	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
+	serveSim(f, srv, "echo", echoHandler, 4)
+	sc := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
+	srv.SetDown(true)
+	attempts, retries := 0, 0
+	conn := WithRetry(connFunc(func(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
+		attempts++
+		return sc.Call(ctx, proc, args, rep)
+	}), func() { retries++ })
+	var took time.Duration
+	k.Go("caller", func(p *sim.Proc) {
+		err := conn.Call(&Ctx{P: p}, procEcho, &echoArgs{N: 1}, nil)
+		var de *DownError
+		if !errors.As(err, &de) || de.Node != "server" {
+			t.Errorf("exhausted retry budget returned %v, want DownError{server}", err)
+		}
+		took = time.Duration(p.Now())
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if inner.calls != 5 {
-		t.Fatalf("inner called %d times, want Max=5", inner.calls)
+	if attempts != 20 || retries != 19 {
+		t.Fatalf("%d attempts and %d retries, want 20 and 19", attempts, retries)
+	}
+	if want := 35100 * time.Millisecond; took != want {
+		t.Fatalf("gave up after %v of virtual time, want %v", took, want)
 	}
 }
 
@@ -82,12 +129,14 @@ func TestWithRetryDoesNotRetryProtocolErrors(t *testing.T) {
 		calls++
 		return StatusSystemErr
 	})
-	conn := WithRetry(failing, RetryPolicy{Max: 5, Base: time.Microsecond}, nil)
-	if err := conn.Call(&Ctx{}, 1, nil, nil); !errors.Is(err, StatusSystemErr) {
-		t.Fatalf("got %v, want StatusSystemErr through unchanged", err)
-	}
-	if calls != 1 {
-		t.Fatalf("non-retryable error retried %d times", calls)
+	conn := WithRetry(failing, nil)
+	took := retrySim(t, func(ctx *Ctx) {
+		if err := conn.Call(ctx, 1, nil, nil); !errors.Is(err, StatusSystemErr) {
+			t.Errorf("got %v, want StatusSystemErr through unchanged", err)
+		}
+	})
+	if calls != 1 || took != 0 {
+		t.Fatalf("non-retryable error: %d calls over %v, want 1 call and no backoff", calls, took)
 	}
 }
 
@@ -105,7 +154,7 @@ func TestSimTransportDownNode(t *testing.T) {
 	f := simnet.NewFabric(k)
 	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
 	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
-	ServeSim(ServerConfig{Fabric: f, Node: srv, Service: "echo", Threads: 4, Handler: echoHandler})
+	serveSim(f, srv, "echo", echoHandler, 4)
 	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
 
 	k.Go("caller", func(p *sim.Proc) {

@@ -415,46 +415,12 @@ func Parallel(ctx *Ctx, n int, fn func(ctx *Ctx, i int)) {
 	g.Wait(ctx)
 }
 
-// ServerConfig describes a simulated RPC service endpoint.
-type ServerConfig struct {
-	Fabric  *simnet.Fabric
-	Node    *simnet.Node
-	Service string
-	Threads int // max concurrent handler processes (NFS "server threads")
-	Handler Handler
-}
-
-// ServeSim starts the dispatcher process for a simulated RPC service.  Each
-// request is handled by its own process, bounded by Threads concurrent
-// handlers served FIFO.  The process runs on an idle slot of the service,
-// so a request costs the kernel one Proc and nothing else.
-func ServeSim(cfg ServerConfig) {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 8
-	}
-	s := &simServer{
-		cfg:        cfg,
-		threads:    sim.NewSemaphore(cfg.Node.Name+"/"+cfg.Service+"/threads", cfg.Threads),
-		workerName: cfg.Node.Name + "/" + cfg.Service + "/worker",
-	}
-	inbox := cfg.Node.Service(cfg.Service)
-	k := cfg.Fabric.K
-	k.Go(cfg.Node.Name+"/"+cfg.Service+"/dispatch", func(p *sim.Proc) {
-		p.MarkDaemon()
-		for {
-			f := inbox.Recv(p).(*frame)
-			s.threads.Acquire(p, 1)
-			sl := s.idleSlot()
-			sl.f = f
-			k.Go(s.workerName, sl.run)
-		}
-	})
-}
-
-// simServer is one simulated service: its configuration, its thread bound
-// and the slots of finished handler processes, kept for reuse.
+// simServer is one simulated service: where it runs, its handler, its
+// thread bound and the slots of finished handler processes, kept for reuse.
 type simServer struct {
-	cfg        ServerConfig
+	fabric     *simnet.Fabric
+	node       *simnet.Node
+	handler    Handler
 	threads    *sim.Semaphore
 	workerName string
 	idle       []*slot
@@ -491,7 +457,7 @@ func (sl *slot) serve(w *sim.Proc) {
 	f := sl.f
 	sl.f = nil
 	sl.P = w
-	resp, status := s.cfg.Handler(&sl.Ctx, f.proc, f.req)
+	resp, status := s.handler(&sl.Ctx, f.proc, f.req)
 	size := int64(HeaderBytes)
 	if resp != nil {
 		size += WireSizeOf(resp)
@@ -499,7 +465,7 @@ func (sl *slot) serve(w *sim.Proc) {
 	f.status, f.resp = status, resp
 	// The caller owns f again once the reply lands, and may reuse it for
 	// its next call while the hooks below still run.
-	s.cfg.Fabric.Send(w, s.cfg.Node, f.from, f.done, f, size)
+	s.fabric.Send(w, s.node, f.from, f.done, f, size)
 	sl.runDeferred()
 	sl.Ctx = Ctx{deferred: sl.deferred}
 	s.idle = append(s.idle, sl)

@@ -47,12 +47,19 @@ func echoRegistry() *Registry {
 	return reg
 }
 
+// serveSim serves h as service on node, through the fabric's transport.
+func serveSim(f *simnet.Fabric, node *simnet.Node, service string, h Handler, threads int) {
+	if _, err := (&FabricTransport{Fabric: f}).Serve(node.Name, service, nil, h, threads); err != nil {
+		panic(err) // a fabric serves any node it has
+	}
+}
+
 func TestSimTransportRoundTrip(t *testing.T) {
 	k := sim.NewKernel(1)
 	f := simnet.NewFabric(k)
 	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
 	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
-	ServeSim(ServerConfig{Fabric: f, Node: srv, Service: "echo", Threads: 4, Handler: echoHandler})
+	serveSim(f, srv, "echo", echoHandler, 4)
 	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
 
 	var got echoArgs
@@ -78,7 +85,7 @@ func TestSimTransportChargesBandwidth(t *testing.T) {
 	f := simnet.NewFabric(k)
 	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
 	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
-	ServeSim(ServerConfig{Fabric: f, Node: srv, Service: "echo", Threads: 4, Handler: echoHandler})
+	serveSim(f, srv, "echo", echoHandler, 4)
 	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
 	var done sim.Time
 	k.Go("caller", func(p *sim.Proc) {
@@ -108,7 +115,7 @@ func TestSimTransportThreadLimit(t *testing.T) {
 		ctx.Sleep(10 * time.Millisecond)
 		return nil, StatusOK
 	}
-	ServeSim(ServerConfig{Fabric: f, Node: srv, Service: "slow", Threads: 1, Handler: slow})
+	serveSim(f, srv, "slow", slow, 1)
 	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "slow"}
 	var last sim.Time
 	for i := 0; i < 4; i++ {
@@ -134,7 +141,7 @@ func TestSimTransportErrorStatus(t *testing.T) {
 	f := simnet.NewFabric(k)
 	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
 	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
-	ServeSim(ServerConfig{Fabric: f, Node: srv, Service: "echo", Handler: echoHandler})
+	serveSim(f, srv, "echo", echoHandler, 0)
 	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
 	var err error
 	k.Go("caller", func(p *sim.Proc) {
@@ -219,7 +226,7 @@ func TestSimCallReuseUnderBlockedHook(t *testing.T) {
 		})
 		return &echoArgs{N: n + 1, Blob: a.Blob}, StatusOK
 	}
-	ServeSim(ServerConfig{Fabric: f, Node: srv, Service: "echo", Threads: 4, Handler: handler})
+	serveSim(f, srv, "echo", handler, 4)
 	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
 	big := make([]byte, 1<<20)
 	k.Go("caller", func(p *sim.Proc) {

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"dpnfs/internal/metrics"
+	"dpnfs/internal/sim"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/xdr"
 )
@@ -48,14 +49,35 @@ type FabricTransport struct {
 	conns  map[string]*SimTransport
 }
 
-// Serve implements Transport via ServeSim.
+// Serve implements Transport by starting the service's dispatcher process.
+// Each request is handled by its own process, bounded by threads concurrent
+// handlers served FIFO (8 when threads is not positive).  The process runs
+// on an idle slot of the service, so a request costs the kernel one Proc
+// and nothing else.
 func (t *FabricTransport) Serve(node, service string, _ *Registry, h Handler, threads int) (string, error) {
-	ServeSim(ServerConfig{
-		Fabric:  t.Fabric,
-		Node:    t.Fabric.Node(node),
-		Service: service,
-		Threads: threads,
-		Handler: instrumentHandler(t.Metrics, "sim", service, h),
+	if threads <= 0 {
+		threads = 8
+	}
+	n := t.Fabric.Node(node)
+	prefix := node + "/" + service
+	s := &simServer{
+		fabric:     t.Fabric,
+		node:       n,
+		handler:    instrumentHandler(t.Metrics, "sim", service, h),
+		threads:    sim.NewSemaphore(prefix+"/threads", threads),
+		workerName: prefix + "/worker",
+	}
+	inbox := n.Service(service)
+	k := t.Fabric.K
+	k.Go(prefix+"/dispatch", func(p *sim.Proc) {
+		p.MarkDaemon()
+		for {
+			f := inbox.Recv(p).(*frame)
+			s.threads.Acquire(p, 1)
+			sl := s.idleSlot()
+			sl.f = f
+			k.Go(s.workerName, sl.run)
+		}
 	})
 	return node, nil
 }

@@ -12,6 +12,21 @@
 // Reads consult a block-granular LRU page cache; only misses pay for disk
 // service.  The paper's read experiments run against a warm server cache
 // (§6.2), which the Warm method provides.
+//
+// Paper mapping: every storage node of the §6.1 testbed has one 7200 RPM
+// ATA/100 disk with ~2 MB of on-disk cache behind a local file system, and
+// 2 GB of RAM.  DefaultConfig gives its bandwidths and cache size; the
+// rest of the model is fixed:
+//
+//	readPos     7 ms     seek + rotation before a non-contiguous read
+//	writePos    400 µs   the same for a write: the write-behind path
+//	                     reorders and journal-commits random writes
+//	                     (elevator scheduling), so they pay no full seek
+//	dirtyLimit  2 s      write backlog, as drain time, before writers block
+//	cacheBlock  64 KiB   page-cache block
+//	warmPenalty 15 µs    memory copy of a cache hit or a buffered write
+//	syncCost    1.5 ms   the write barrier of a synchronous flush (fsync,
+//	                     NFS COMMIT): the head completes it, not just drains
 package simdisk
 
 import (
@@ -21,42 +36,33 @@ import (
 	"dpnfs/internal/sim"
 )
 
+// The fixed part of the disk model (see the package doc).
+const (
+	readPos     = 7 * time.Millisecond
+	writePos    = 400 * time.Microsecond
+	dirtyLimit  = 2 * time.Second
+	cacheBlock  = 64 << 10
+	warmPenalty = 15 * time.Microsecond
+	syncCost    = 1500 * time.Microsecond
+)
+
 // Config describes one disk.
 type Config struct {
-	Name     string
-	ReadBPS  float64       // sequential read bandwidth, bytes/sec
-	WriteBPS float64       // sequential write bandwidth, bytes/sec
-	Position time.Duration // seek + rotational cost for non-contiguous reads
-	// WritePos is the positioning cost for non-contiguous writes.  It is
-	// much smaller than Position: the write-behind path reorders and
-	// journal-commits random writes (elevator scheduling), so they do not
-	// pay a full mechanical seek each.
-	WritePos    time.Duration
-	DirtyLimit  time.Duration // max write backlog (as drain time) before writers block
-	CacheBytes  int64         // page cache capacity
-	CacheBlock  int64         // cache block size
-	WarmPenalty time.Duration // per-request memory-copy cost on a cache hit
-	// SyncCost is the journal/barrier cost of a synchronous flush (fsync,
-	// NFS COMMIT): the head must complete a write barrier, not just drain.
-	SyncCost time.Duration
+	Name       string
+	ReadBPS    float64 // sequential read bandwidth, bytes/sec
+	WriteBPS   float64 // sequential write bandwidth, bytes/sec
+	CacheBytes int64   // page cache capacity
 }
 
-// DefaultConfig models the paper's 7200 RPM ATA/100 disk with ~2 MB on-disk
-// cache behind a local file system: ~45 MB/s raw sequential, with journal
-// and allocation overhead bringing effective streaming write bandwidth to
-// the ~20 MB/s per node the paper measures in aggregate.
+// DefaultConfig models the paper's disk: ~45 MB/s raw sequential, with
+// journal and allocation overhead bringing effective streaming write
+// bandwidth to the ~20 MB/s per node the paper measures in aggregate.
 func DefaultConfig(name string) Config {
 	return Config{
-		Name:        name,
-		ReadBPS:     45e6,
-		WriteBPS:    21e6,
-		Position:    7 * time.Millisecond,
-		WritePos:    400 * time.Microsecond,
-		DirtyLimit:  2 * time.Second,
-		CacheBytes:  1 << 31, // 2 GB RAM
-		CacheBlock:  64 << 10,
-		WarmPenalty: 15 * time.Microsecond,
-		SyncCost:    1500 * time.Microsecond,
+		Name:       name,
+		ReadBPS:    45e6,
+		WriteBPS:   21e6,
+		CacheBytes: 1 << 31, // 2 GB RAM
 	}
 }
 
@@ -97,41 +103,13 @@ func (d *Disk) SlowFactor() float64 {
 	return d.slow
 }
 
-// New creates a disk from cfg, applying DefaultConfig values for zero fields.
+// New creates a disk from cfg.
 func New(cfg Config) *Disk {
-	def := DefaultConfig(cfg.Name)
-	if cfg.ReadBPS == 0 {
-		cfg.ReadBPS = def.ReadBPS
-	}
-	if cfg.WriteBPS == 0 {
-		cfg.WriteBPS = def.WriteBPS
-	}
-	if cfg.Position == 0 {
-		cfg.Position = def.Position
-	}
-	if cfg.WritePos == 0 {
-		cfg.WritePos = def.WritePos
-	}
-	if cfg.DirtyLimit == 0 {
-		cfg.DirtyLimit = def.DirtyLimit
-	}
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = def.CacheBytes
-	}
-	if cfg.CacheBlock == 0 {
-		cfg.CacheBlock = def.CacheBlock
-	}
-	if cfg.WarmPenalty == 0 {
-		cfg.WarmPenalty = def.WarmPenalty
-	}
-	if cfg.SyncCost == 0 {
-		cfg.SyncCost = def.SyncCost
-	}
 	return &Disk{
 		cfg:   cfg,
 		head:  sim.NewFIFOServer(cfg.Name + "/head"),
 		end:   make(map[uint64]int64),
-		cache: newLRU(cfg.CacheBytes, cfg.CacheBlock),
+		cache: newLRU(cfg.CacheBytes, cacheBlock),
 	}
 }
 
@@ -160,12 +138,12 @@ func (d *Disk) Write(p *sim.Proc, fileID uint64, off, n int64) {
 	d.writes++
 	d.bytesWritten += n
 	d.cache.insert(fileID, off, n, p.Now())
-	svc := d.service(fileID, off, n, d.cfg.WriteBPS, d.cfg.WritePos)
+	svc := d.service(fileID, off, n, d.cfg.WriteBPS, writePos)
 	done := d.head.Reserve(p.Now(), svc)
-	if backlog := done - p.Now(); backlog > sim.Time(d.cfg.DirtyLimit) {
-		p.SleepUntilTime(done - sim.Time(d.cfg.DirtyLimit))
+	if backlog := done - p.Now(); backlog > sim.Time(dirtyLimit) {
+		p.SleepUntilTime(done - sim.Time(dirtyLimit))
 	} else {
-		p.Sleep(d.cfg.WarmPenalty) // memory copy into the buffer
+		p.Sleep(warmPenalty) // memory copy into the buffer
 	}
 }
 
@@ -176,7 +154,7 @@ func (d *Disk) Sync(p *sim.Proc) {
 		return
 	}
 	p.SleepUntilTime(d.head.FreeAt())
-	cost := d.cfg.SyncCost
+	cost := syncCost
 	if d.slow > 1 {
 		cost = time.Duration(float64(cost) * d.slow)
 	}
@@ -197,11 +175,11 @@ func (d *Disk) Read(p *sim.Proc, fileID uint64, off, n int64) {
 	missBytes := d.cache.touch(fileID, off, n, p.Now())
 	if missBytes == 0 {
 		d.hits++
-		p.Sleep(d.cfg.WarmPenalty)
+		p.Sleep(warmPenalty)
 		return
 	}
 	d.misses++
-	svc := d.service(fileID, off, missBytes, d.cfg.ReadBPS, d.cfg.Position)
+	svc := d.service(fileID, off, missBytes, d.cfg.ReadBPS, readPos)
 	d.head.Use(p, svc)
 	d.cache.insert(fileID, off, n, p.Now())
 }
@@ -240,9 +218,6 @@ type blockEntry struct {
 }
 
 func newLRU(capBytes, blockSize int64) *lru {
-	if blockSize <= 0 {
-		panic("simdisk: cache block size must be positive")
-	}
 	return &lru{
 		capBlocks: capBytes / blockSize,
 		blockSize: blockSize,

@@ -24,10 +24,15 @@ import (
 
 // Bandwidth constants in bytes per second.
 const (
-	Gigabit     = 125_000_000 // 1 Gb/s Ethernet payload rate
-	FastEther   = 12_500_000  // 100 Mb/s Ethernet
-	DefaultRTT  = 200 * time.Microsecond
-	DefaultCore = 2
+	Gigabit   = 125_000_000 // 1 Gb/s Ethernet payload rate
+	FastEther = 12_500_000  // 100 Mb/s Ethernet
+)
+
+// Every node of the testbed has the same NIC latency and core count: a
+// message's one-way propagation plus per-message fixed cost is RTT/2.
+const (
+	RTT   = 200 * time.Microsecond
+	Cores = 2
 )
 
 // RetransmitTimeout is the delay a message pays when a lossy link drops it:
@@ -39,7 +44,6 @@ const RetransmitTimeout = 200 * time.Millisecond
 // NIC is one full-duplex network interface.
 type NIC struct {
 	BytesPerSec float64
-	Latency     time.Duration // one-way propagation + per-message fixed cost
 	tx          *sim.FIFOServer
 	rx          *sim.FIFOServer
 }
@@ -123,9 +127,7 @@ func NewFabric(k *sim.Kernel) *Fabric {
 // NodeConfig describes one machine.
 type NodeConfig struct {
 	Name        string
-	BytesPerSec float64       // NIC bandwidth; 0 means Gigabit
-	Latency     time.Duration // 0 means DefaultRTT/2
-	Cores       int           // 0 means DefaultCore
+	BytesPerSec float64 // NIC bandwidth; 0 means Gigabit
 }
 
 // AddNode creates a node.  It panics if the name is already taken.
@@ -136,21 +138,14 @@ func (f *Fabric) AddNode(cfg NodeConfig) *Node {
 	if cfg.BytesPerSec == 0 {
 		cfg.BytesPerSec = Gigabit
 	}
-	if cfg.Latency == 0 {
-		cfg.Latency = DefaultRTT / 2
-	}
-	if cfg.Cores == 0 {
-		cfg.Cores = DefaultCore
-	}
 	n := &Node{
 		Name: cfg.Name,
 		NIC: &NIC{
 			BytesPerSec: cfg.BytesPerSec,
-			Latency:     cfg.Latency,
 			tx:          sim.NewFIFOServer(cfg.Name + "/tx"),
 			rx:          sim.NewFIFOServer(cfg.Name + "/rx"),
 		},
-		CPU:      sim.NewKServer(cfg.Name+"/cpu", cfg.Cores),
+		CPU:      sim.NewKServer(cfg.Name+"/cpu", Cores),
 		fabric:   f,
 		services: make(map[string]*sim.Chan),
 	}
@@ -182,7 +177,7 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst *Node, size int64) sim.Time {
 	svcTx := src.NIC.xmitTime(size)
 	txDone := src.NIC.tx.Reserve(p.Now(), svcTx)
 	txStart := txDone - sim.Time(svcTx)
-	latency := src.NIC.Latency + src.extraLat + dst.extraLat
+	latency := RTT/2 + src.extraLat + dst.extraLat
 	firstByte := txStart + sim.Time(latency)
 	svcRx := dst.NIC.xmitTime(size)
 	rxDone := dst.NIC.rx.Reserve(firstByte, svcRx)

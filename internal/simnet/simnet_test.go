@@ -10,8 +10,8 @@ import (
 func twoNodes(bps float64) (*sim.Kernel, *Fabric, *Node, *Node) {
 	k := sim.NewKernel(1)
 	f := NewFabric(k)
-	a := f.AddNode(NodeConfig{Name: "a", BytesPerSec: bps, Latency: 100 * time.Microsecond})
-	b := f.AddNode(NodeConfig{Name: "b", BytesPerSec: bps, Latency: 100 * time.Microsecond})
+	a := f.AddNode(NodeConfig{Name: "a", BytesPerSec: bps})
+	b := f.AddNode(NodeConfig{Name: "b", BytesPerSec: bps})
 	return k, f, a, b
 }
 
@@ -35,9 +35,9 @@ func TestTransferSharesSenderNIC(t *testing.T) {
 	// its transmit queue: second completes ~20 ms, not ~10 ms.
 	k := sim.NewKernel(1)
 	f := NewFabric(k)
-	a := f.AddNode(NodeConfig{Name: "a", Latency: time.Microsecond})
-	b := f.AddNode(NodeConfig{Name: "b", Latency: time.Microsecond})
-	c := f.AddNode(NodeConfig{Name: "c", Latency: time.Microsecond})
+	a := f.AddNode(NodeConfig{Name: "a"})
+	b := f.AddNode(NodeConfig{Name: "b"})
+	c := f.AddNode(NodeConfig{Name: "c"})
 	var t1, t2 sim.Time
 	k.Go("x1", func(p *sim.Proc) { t1 = f.Transfer(p, a, b, 1_250_000) })
 	k.Go("x2", func(p *sim.Proc) { t2 = f.Transfer(p, a, c, 1_250_000) })
@@ -56,9 +56,9 @@ func TestTransferSharesReceiverNIC(t *testing.T) {
 	// Two senders into one receiver: receiver rx queue is the bottleneck.
 	k := sim.NewKernel(1)
 	f := NewFabric(k)
-	a := f.AddNode(NodeConfig{Name: "a", Latency: time.Microsecond})
-	b := f.AddNode(NodeConfig{Name: "b", Latency: time.Microsecond})
-	dst := f.AddNode(NodeConfig{Name: "dst", Latency: time.Microsecond})
+	a := f.AddNode(NodeConfig{Name: "a"})
+	b := f.AddNode(NodeConfig{Name: "b"})
+	dst := f.AddNode(NodeConfig{Name: "dst"})
 	var done [2]sim.Time
 	k.Go("x1", func(p *sim.Proc) { done[0] = f.Transfer(p, a, dst, 1_250_000) })
 	k.Go("x2", func(p *sim.Proc) { done[1] = f.Transfer(p, b, dst, 1_250_000) })
@@ -109,7 +109,7 @@ func TestSendDeliversMessage(t *testing.T) {
 	}
 	// 1000 bytes at 1 Gb/s is 8 µs, plus the one-way latency; the sender
 	// stays blocked until the message is in the inbox.
-	want := sim.Time(8*time.Microsecond + DefaultRTT/2)
+	want := sim.Time(8*time.Microsecond + RTT/2)
 	if at != want || sent != want {
 		t.Fatalf("delivered at %v, sender resumed at %v, want both %v",
 			time.Duration(at), time.Duration(sent), time.Duration(want))

@@ -12,6 +12,12 @@ import (
 	"dpnfs/internal/sim"
 )
 
+// openLoopInFlight bounds concurrent requests per mount.  An arrival that
+// finds the window full queues — and that queueing time counts toward its
+// latency, since open-loop latency is measured from the scheduled arrival,
+// not from dispatch.
+const openLoopInFlight = 64
+
 // OpenLoopConfig parameterizes the open-loop scaling experiment: a large
 // population of logical clients issues block reads on a Poisson schedule,
 // multiplexed over the cluster's real mounts.  Unlike the closed-loop
@@ -31,11 +37,6 @@ type OpenLoopConfig struct {
 	Block         int64         // per-read block size (default 64 KB)
 	FileSize      int64         // per-mount file size (default 8 MB)
 	Window        time.Duration // arrival window in virtual time (default 2s)
-	// MaxInFlight bounds concurrent requests per mount (default 64).  An
-	// arrival that finds the window full queues — and that queueing time
-	// counts toward its latency, since open-loop latency is measured from
-	// the scheduled arrival, not from dispatch.
-	MaxInFlight int
 	// Seed drives the arrival schedule and read offsets (the simulation's
 	// own randomness threads from cluster.Config.Seed, per the bench
 	// determinism rule).
@@ -111,9 +112,6 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 2 * time.Second
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 64
-	}
 	blocks := int(cfg.FileSize / cfg.Block)
 	mounts := len(cl.Mounts())
 
@@ -161,7 +159,7 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 
 		k := ctx.P.Kernel()
 		flowName := fmt.Sprintf("%s/openloop", m.Node().Name)
-		slots := sim.NewSemaphore(flowName, cfg.MaxInFlight)
+		slots := sim.NewSemaphore(flowName, openLoopInFlight)
 		var wg sim.WaitGroup
 		var flowErr error
 
