@@ -32,6 +32,9 @@ func TestMetricsRecordAndPercentiles(t *testing.T) {
 	if p99 := om.lat.Quantile(0.99); p99 < 0.03 {
 		t.Fatalf("p99 %v s, want the slow bucket", p99)
 	}
+	if m := om.lat.Mean(); m <= 50e-6 || m >= 0.05 {
+		t.Fatalf("mean %v s outside (50µs, 50ms)", m)
+	}
 }
 
 func TestMetricsErrorsCounted(t *testing.T) {

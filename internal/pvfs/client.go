@@ -2,6 +2,7 @@ package pvfs
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"dpnfs/internal/fserr"
@@ -93,9 +94,9 @@ func NewClient(cfg ClientConfig) *Client {
 	eng.Name, eng.Issuer, eng.Metrics = name, issuer, cfg.Metrics
 	c := &Client{cfg: cfg, stats: stats, engine: ioengine.New(eng)}
 	c.retry = ioengine.WithRetry(stats.ioRetries.Inc)
-	c.io = make(map[uint32]rpc.Conn, len(cfg.IO))
-	for id, conn := range cfg.IO {
-		c.io[id] = conn
+	c.io = maps.Clone(cfg.IO)
+	if c.io == nil {
+		c.io = make(map[uint32]rpc.Conn)
 	}
 	return c
 }

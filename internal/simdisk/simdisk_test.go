@@ -139,7 +139,7 @@ func TestRandomAccessPaysPositioning(t *testing.T) {
 		var done sim.Time
 		k.Go("r", func(p *sim.Proc) {
 			for _, o := range offs {
-				d.Read(p, 1, o, 4<<10)
+				d.Read(p, 1, o, cacheBlock)
 			}
 			done = p.Now()
 		})
@@ -148,8 +148,11 @@ func TestRandomAccessPaysPositioning(t *testing.T) {
 		}
 		return time.Duration(done)
 	}
-	seq := elapsed([]int64{0, 4 << 10, 8 << 10, 12 << 10})
-	rnd := elapsed([]int64{0, 512 << 10, 64 << 10, 900 << 10})
+	// Whole cache blocks, so every read misses and reaches the head:
+	// contiguous misses pay readPos once (~12 ms), scattered ones four
+	// times (~33 ms).
+	seq := elapsed([]int64{0, cacheBlock, 2 * cacheBlock, 3 * cacheBlock})
+	rnd := elapsed([]int64{0, 8 * cacheBlock, 2 * cacheBlock, 13 * cacheBlock})
 	if rnd < seq+10*time.Millisecond {
 		t.Fatalf("random %v vs sequential %v: positioning penalty missing", rnd, seq)
 	}
