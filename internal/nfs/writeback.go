@@ -71,11 +71,7 @@ func (c *Client) flushAsync(ctx *rpc.Ctx, f *File, chunk extent) {
 	c.wbMu.Lock()
 	c.wbQueue = append(c.wbQueue, wb)
 	c.wbMu.Unlock()
-	ctx.Go(c.flushProc, func(ctx *rpc.Ctx) {
-		c.flushSlots.Acquire(ctx)
-		defer c.flushSlots.Release(ctx)
-		c.drainWriteBack(ctx)
-	})
+	c.flushSlots.Go(ctx, c.flushProc, c.drainWriteBack)
 }
 
 // drainWriteBack empties the write-back queue and sends everything in one

@@ -199,9 +199,6 @@ func (s *StorageServer) RecoverVolatile() (int, error) {
 // Node returns the simnet node this daemon runs on (nil in real-time mode).
 func (s *StorageServer) Node() *simnet.Node { return s.cfg.Node }
 
-// Disk returns the daemon's disk model (nil in real-time mode).
-func (s *StorageServer) Disk() *simdisk.Disk { return s.cfg.Disk }
-
 // bufSlots computes how many pool buffers an n-byte transfer occupies,
 // clamped to the pool size so a single huge request cannot deadlock.
 func (s *StorageServer) bufSlots(n int64) int {

@@ -147,6 +147,27 @@ func (s *Sem) Release(ctx *Ctx) {
 	<-s.rt
 }
 
+// Go starts fn as a concurrent flow of ctx's mode, called name, that holds
+// one unit of s while fn runs: it acquires the unit first and releases it
+// when fn returns.  Under the kernel the flow is started through the
+// semaphore (Kernel.GoAcquire), so while it waits for the unit it holds no
+// coroutine; the events are those of a flow that begins with Acquire.
+func (s *Sem) Go(ctx *Ctx, name string, fn func(*Ctx)) {
+	if ctx.P == nil {
+		go func() {
+			ctx := &Ctx{}
+			s.Acquire(ctx)
+			defer s.Release(ctx)
+			fn(ctx)
+		}()
+		return
+	}
+	ctx.P.Kernel().GoAcquire(s.sim, 1, name, func(p *sim.Proc) {
+		defer s.sim.Release(1)
+		fn(&Ctx{P: p})
+	})
+}
+
 // Wakeup is a one-shot hand-over for queues that assign the contended
 // resource themselves (the I/O engine's class-aware window): the waiter
 // parks in Wait, the owner charges the resource to it and calls Wake once.

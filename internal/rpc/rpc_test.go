@@ -155,8 +155,8 @@ func TestSimTransportErrorStatus(t *testing.T) {
 	}
 }
 
-// TestSimCallAllocations pins the cost of a warm simulated call: the
-// handler's Proc and nothing else.  Frames, handler slots and their Ctx are
+// TestSimCallAllocations pins the cost of a warm simulated call: nothing.
+// The handler's Proc and coroutine, frames, handler slots and their Ctx are
 // reused, and neither the request nor the reply is boxed on its way across
 // the fabric.  It holds with and without metric instruments on the conn and
 // the handler.
@@ -196,8 +196,8 @@ func TestSimCallAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Shutdown()
-		if allocs > 1 {
-			t.Errorf("metrics %v: %v allocations per simulated call, want at most 1 (the handler's Proc)", reg != nil, allocs)
+		if allocs != 0 {
+			t.Errorf("metrics %v: %v allocations per simulated call, want 0", reg != nil, allocs)
 		}
 	}
 }

@@ -133,15 +133,28 @@ func NewSemaphore(name string, capacity int) *Semaphore {
 // blocks smaller requests behind it (no barging), matching a fair buffer
 // pool.
 func (s *Semaphore) Acquire(p *Proc, n int) {
+	s.check(n)
+	if !s.take(p, n) {
+		p.park(s.reason)
+	}
+}
+
+// check panics unless n units can ever be acquired at once.
+func (s *Semaphore) check(n int) {
 	if n <= 0 || n > s.cap {
 		panic(fmt.Sprintf("sim: semaphore %s: invalid acquire %d (cap %d)", s.name, n, s.cap))
 	}
+}
+
+// take takes n units for p when they are free and nobody queues ahead of
+// it, and otherwise queues p as a waiter and reports false.
+func (s *Semaphore) take(p *Proc, n int) bool {
 	if s.whead == len(s.waiters) && s.avail >= n {
 		s.avail -= n
-		return
+		return true
 	}
 	s.waiters = append(s.waiters, semWaiter{p: p, n: n})
-	p.park(s.reason)
+	return false
 }
 
 // Release returns n units and wakes waiters whose requests now fit.

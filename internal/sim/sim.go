@@ -19,7 +19,13 @@
 // start event; the coroutine is bound when that event fires, taken from the
 // kernel's list of idle workers (most recently idled first, so its stack is
 // already grown) or created if the list is empty, and goes back on the list
-// when the process returns.  A process that ends through runtime.Goexit (what
+// when the process returns.  A process started by GoAcquire passes through a
+// Semaphore first: when its start event fires the kernel takes the units for
+// it or queues it as the semaphore's waiter, with no coroutine bound, and
+// Release readies it exactly as it readies a parked Acquire.  Procs are
+// recycled too: a process that returns leaves its Proc for the next Go, and
+// a Proc that blocks while it is not the running process (a stale one kept
+// past its end) panics.  A process that ends through runtime.Goexit (what
 // t.Fatal does) takes its coroutine with it, and iter.Pull passes the Goexit
 // on to the loop's goroutine; that is why the loop does not run on Run's
 // caller, and why a deferred function starts a new loop goroutine to carry
@@ -30,6 +36,9 @@
 // kernel that is no longer needed must be Shutdown (cluster.Cluster.Close
 // does it).  Shutdown stops each coroutine, so its process ends through
 // runtime.Goexit at the call it is blocked in and its deferred functions run.
+// A process still waiting for admission at its semaphore holds no coroutine:
+// Shutdown drops it like a process that never started, so its deferred
+// functions do not run.
 //
 // The sim package needs Go 1.23 or later (iter.Pull), which the build
 // constraint above states.
@@ -90,11 +99,13 @@ type Kernel struct {
 	rng    *rand.Rand
 
 	next    *Proc         // the process the loop resumes next; nil once the queue has drained
+	cur     *Proc         // the process that runs now: the one pop last returned
 	passes  chan struct{} // Run starts a pass of the loop and waits on it for the end; nil before the first Run
 	idle    []*worker     // coroutines waiting for a process to run, LIFO
 	stopped bool          // Shutdown has begun
 
-	procs  []*Proc // started, unfinished processes: the ones that hold a coroutine
+	procs  []*Proc // started, unfinished processes: the ones that hold a coroutine or wait for admission
+	free   []*Proc // Procs of processes that returned, for Go to reuse
 	nextID int
 
 	// Stats
@@ -125,10 +136,15 @@ type Proc struct {
 	id     int
 	name   string
 	fn     func(p *Proc)
-	w      *worker // the coroutine running fn; nil until the start event fires
-	slot   int     // index in k.procs while started and unfinished
+	w      *worker // the coroutine running fn; nil until the process is admitted and runs
+	slot   int     // index in k.procs while started and unfinished; -1 before the start event
 	parked string  // why the process is blocked on a primitive; "" when it is not
 	daemon bool
+
+	// admit is the semaphore a GoAcquire process takes admitN units of at
+	// its start event, before it runs; nil for Go.
+	admit  *Semaphore
+	admitN int
 }
 
 // worker is a coroutine that runs processes, one after another.  The loop
@@ -158,12 +174,39 @@ func (p *Proc) Now() Time { return p.k.now }
 // Go starts a new simulated process running fn.  It may be called before
 // Run, or from inside another process.  The new process begins executing at
 // the current virtual time, after already-scheduled events at that time.
+// The returned *Proc is valid only until the process ends: the kernel then
+// reuses it for a later Go.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
+	return k.spawn(name, fn, nil, 0)
+}
+
+// GoAcquire starts a new simulated process that takes n units of s before
+// fn runs, as if fn began with s.Acquire(p, n); fn releases them.  Until the
+// units are free the process waits in s's FIFO queue without a coroutine, so
+// a large backlog costs one queue entry each instead of a parked goroutine.
+// Events, their order and the admission order are those of the Acquire
+// form.  The returned *Proc is valid only until the process ends.
+func (k *Kernel) GoAcquire(s *Semaphore, n int, name string, fn func(p *Proc)) *Proc {
+	s.check(n)
+	return k.spawn(name, fn, s, n)
+}
+
+// spawn records a process, on a recycled Proc when one is free, and
+// schedules its start event.
+func (k *Kernel) spawn(name string, fn func(p *Proc), s *Semaphore, n int) *Proc {
 	if k.stopped {
 		panic("sim: Go on a kernel that was shut down")
 	}
+	var p *Proc
+	if i := len(k.free) - 1; i >= 0 {
+		p = k.free[i]
+		k.free[i] = nil
+		k.free = k.free[:i]
+	} else {
+		p = new(Proc)
+	}
 	k.nextID++
-	p := &Proc{k: k, id: k.nextID, name: name, fn: fn}
+	*p = Proc{k: k, id: k.nextID, name: name, fn: fn, slot: -1, admit: s, admitN: n}
 	k.schedule(p, k.now)
 	return p
 }
@@ -191,9 +234,38 @@ func (k *Kernel) schedule(p *Proc, at Time) {
 }
 
 // pop removes the earliest event, advances the clock to it and returns its
-// process; nil when no event is left.  After Shutdown has begun nothing is
-// ever due, whatever deferred functions schedule.
+// process, which becomes the running one; nil when no event is left.  A
+// start event registers its process, and one that must wait for admission
+// is queued on its semaphore and pop goes on to the next event.  After
+// Shutdown has begun nothing is ever due, whatever deferred functions
+// schedule.
 func (k *Kernel) pop() *Proc {
+	for {
+		p := k.popEvent()
+		if p != nil && p.slot < 0 && !k.start(p) {
+			continue
+		}
+		k.cur = p
+		return p
+	}
+}
+
+// start registers p at its start event and takes its admission units.  It
+// reports false when p must wait for them: it is then its semaphore's
+// waiter, and Release readies it.
+func (k *Kernel) start(p *Proc) bool {
+	p.slot = len(k.procs)
+	k.procs = append(k.procs, p)
+	if s := p.admit; s != nil && !s.take(p, p.admitN) {
+		p.parked = s.reason
+		return false
+	}
+	return true
+}
+
+// popEvent removes the earliest event, advances the clock to it and returns
+// its process; nil when no event is left or Shutdown has begun.
+func (k *Kernel) popEvent() *Proc {
 	q := k.events
 	if len(q) == 0 || k.stopped {
 		return nil
@@ -260,13 +332,13 @@ func (k *Kernel) work(w *worker) {
 	}
 }
 
-// run executes p to its end on the calling worker coroutine.  If p ends
-// through runtime.Goexit (t.Fatal inside a simulated process, or Shutdown)
-// or a panic, the coroutine is about to die and cannot be recycled, so the
-// deferred function pops the next event for the loop in its place.
+// run executes p to its end on the calling worker coroutine.  A p that
+// returns leaves its Proc on the free list, keeping only its name for the
+// stale-Proc guard.  If p ends through runtime.Goexit (t.Fatal inside a
+// simulated process, or Shutdown) or a panic, the coroutine is about to die
+// and cannot be recycled, so the deferred function pops the next event for
+// the loop in its place.
 func (k *Kernel) run(p *Proc) {
-	p.slot = len(k.procs)
-	k.procs = append(k.procs, p)
 	returned := false
 	defer func() {
 		n := len(k.procs) - 1
@@ -275,6 +347,8 @@ func (k *Kernel) run(p *Proc) {
 		k.procs[n] = nil
 		k.procs = k.procs[:n]
 		if returned {
+			p.fn, p.w, p.admit = nil, nil, nil
+			k.free = append(k.free, p)
 			return
 		}
 		k.next = k.pop()
@@ -293,13 +367,13 @@ func (k *Kernel) run(p *Proc) {
 // of p fires.
 func (p *Proc) block() {
 	k := p.k
-	next := k.pop()
-	if next == p {
-		return
-	}
 	if k.stopped {
 		// A deferred function run by Shutdown tried to block.
 		runtime.Goexit()
+	}
+	next := k.pop()
+	if next == p {
+		return
 	}
 	k.next = next
 	if !p.w.yield(struct{}{}) {
@@ -317,14 +391,25 @@ func (k *Kernel) ready(p *Proc) {
 // park blocks the calling process until another process resumes it.  reason
 // is reported by deadlock diagnostics.
 func (p *Proc) park(reason string) {
+	p.mustRun()
 	p.parked = reason
 	p.block()
 }
 
 // sleepUntil blocks the calling process until virtual time at.
 func (p *Proc) sleepUntil(at Time) {
+	p.mustRun()
 	p.k.schedule(p, at)
 	p.block()
+}
+
+// mustRun panics unless p is the running process: only it may block.  A
+// *Proc kept past its process's end is the usual culprit; since Procs are
+// recycled it may even name another process by then.
+func (p *Proc) mustRun() {
+	if k := p.k; p != k.cur && !k.stopped {
+		panic(fmt.Sprintf("sim: process %s#%d blocked but is not the running process (a *Proc used after its process ended?)", p.name, p.id))
+	}
 }
 
 // Sleep blocks the calling process for virtual duration d.  Negative
@@ -433,8 +518,9 @@ func (k *Kernel) loop() {
 // goroutine.  Those processes end one at a time, in creation order, by
 // runtime.Goexit at the call they are blocked in, so their deferred functions
 // run; sim primitives called from there wake nobody, and one that would block
-// ends the process instead.  Processes that never started have no coroutine
-// and are dropped.  Shutdown must not be called from inside a process or
+// ends the process instead.  Processes that never started, and those still
+// waiting for admission at a GoAcquire semaphore, have no coroutine and are
+// dropped: their deferred functions do not run.  Shutdown must not be called from inside a process or
 // while Run is in progress.  Calling it again is a no-op; Go and Run panic
 // once it has begun.
 func (k *Kernel) Shutdown() {
@@ -445,6 +531,9 @@ func (k *Kernel) Shutdown() {
 	live := append([]*Proc(nil), k.procs...)
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 	for _, p := range live {
+		if p.w == nil {
+			continue // waiting for admission
+		}
 		// stop passes the process's Goexit on to its caller, so it needs a
 		// goroutine of its own.
 		done := make(chan struct{})
@@ -460,5 +549,5 @@ func (k *Kernel) Shutdown() {
 	if k.passes != nil {
 		close(k.passes)
 	}
-	k.events, k.idle = nil, nil
+	k.events, k.idle, k.free = nil, nil, nil
 }

@@ -201,6 +201,116 @@ func TestSemaphoreFIFONoBarging(t *testing.T) {
 	}
 }
 
+// Processes started through a semaphore wait for it without a coroutine:
+// n of them behind a semaphore of capacity c hold at most c coroutines (and
+// the loop's goroutine), start in arrival order, and fire the events of the
+// form that acquires inside the process.
+func TestGoAcquireQueuesWithoutCoroutines(t *testing.T) {
+	const n, c = 64, 3
+	run := func(admit bool) (order []int, peak int, fired uint64) {
+		k := NewKernel(1)
+		sem := NewSemaphore("slots", c)
+		base := runtime.NumGoroutine()
+		for i := 0; i < n; i++ {
+			body := func(p *Proc) {
+				order = append(order, i)
+				peak = max(peak, runtime.NumGoroutine()-base)
+				p.Sleep(time.Duration(1+i%5) * time.Millisecond)
+				sem.Release(1)
+			}
+			if admit {
+				k.GoAcquire(sem, 1, "flow", body)
+			} else {
+				k.Go("flow", func(p *Proc) {
+					sem.Acquire(p, 1)
+					body(p)
+				})
+			}
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		fired = k.EventsFired()
+		k.Shutdown()
+		waitGoroutines(t, base)
+		return order, peak, fired
+	}
+	order, peak, fired := run(true)
+	acqOrder, acqPeak, acqFired := run(false)
+	if peak > c+1 {
+		t.Errorf("%d goroutines while %d processes wait for %d units, want at most %d", peak, n-c, c, c+1)
+	}
+	if acqPeak <= c+1 {
+		t.Errorf("the Acquire form peaked at %d goroutines: the count does not see parked processes", acqPeak)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("start order %v, want arrival order", order)
+		}
+	}
+	if fmt.Sprint(order) != fmt.Sprint(acqOrder) || fired != acqFired {
+		t.Errorf("GoAcquire fired %d events in order %v, the Acquire form %d in order %v", fired, order, acqFired, acqOrder)
+	}
+}
+
+// A process still waiting for admission when the queue drains is deadlocked
+// on its semaphore, and Run names it.
+func TestGoAcquireDeadlockNamesSemaphore(t *testing.T) {
+	k := NewKernel(1)
+	sem := NewSemaphore("pool", 1)
+	k.Go("holder", func(p *Proc) { sem.Acquire(p, 1) }) // never releases
+	k.GoAcquire(sem, 1, "late", func(p *Proc) { t.Error("admitted without a free unit") })
+	de, ok := k.Run().(*DeadlockError)
+	if !ok {
+		t.Fatalf("want *DeadlockError, got %v", de)
+	}
+	if len(de.Parked) != 1 || de.Parked["late#2"] != "semaphore pool" {
+		t.Fatalf("parked %v, want map[late#2:semaphore pool]", de.Parked)
+	}
+	k.Shutdown()
+}
+
+// A returned process leaves its Proc to the next Go, and a *Proc kept past
+// its process's end panics when it blocks, naming the process it stands for
+// now: the one that ended, or the one that reuses it.
+func TestStaleProcBlockPanics(t *testing.T) {
+	k := NewKernel(1)
+	var stale *Proc
+	var msgs []string
+	block := func() {
+		defer func() {
+			msg, _ := recover().(string)
+			msgs = append(msgs, msg)
+		}()
+		stale.Sleep(time.Millisecond)
+	}
+	k.Go("gone", func(p *Proc) { stale = p })
+	k.Go("user", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		block()
+		if again := k.Go("reuser", func(p *Proc) { p.Sleep(time.Millisecond) }); again != stale {
+			t.Error("Go did not reuse the Proc of a returned process")
+		}
+		block()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"process gone#1 blocked but is not the running process", "process reuser#3 blocked but is not the running process"}
+	if len(msgs) != len(want) {
+		t.Fatalf("recovered %q, want panics saying %q", msgs, want)
+	}
+	for i := range want {
+		if !strings.Contains(msgs[i], want[i]) {
+			t.Errorf("panic %d: %q, want it to say %q", i, msgs[i], want[i])
+		}
+	}
+	if k.Now() != Time(2*time.Millisecond) {
+		t.Errorf("ended at t=%d: a stale Sleep scheduled an event", k.Now())
+	}
+	k.Shutdown()
+}
+
 func TestChanSendRecv(t *testing.T) {
 	k := NewKernel(1)
 	ch := NewChan("msgs")
@@ -705,6 +815,25 @@ func TestShutdown(t *testing.T) {
 				t.Fatalf("Go took a goroutine before the start event fired")
 			}
 			return "" // Run never called: nothing ran, nothing to unwind
+		}},
+		{"processes waiting for admission", func(t *testing.T, k *Kernel, log func(string)) string {
+			sem := NewSemaphore("slots", 1)
+			k.Go("holder", func(p *Proc) {
+				defer log("holder")
+				p.MarkDaemon()
+				sem.Acquire(p, 1)
+				NewChan("idle").Recv(p)
+			})
+			for i := 0; i < 4; i++ {
+				k.GoAcquire(sem, 1, "queued", func(p *Proc) {
+					defer log("queued")
+					p.MarkDaemon()
+				})
+			}
+			if _, ok := k.Run().(*DeadlockError); !ok {
+				t.Fatal("want the queued processes reported")
+			}
+			return "holder" // the queued ones hold no coroutine: dropped unrun
 		}},
 		{"a started process whose wake-up is still queued", func(t *testing.T, k *Kernel, log func(string)) string {
 			ch := NewChan("inbox")

@@ -483,9 +483,10 @@ func (s *Store) Recover() (int, error) {
 			body, cerr := xdr.VerifyChecksum(enc)
 			if cerr != nil {
 				// A bad final record of the durable log is a torn write: the
-				// crash cut the last journal flush short.  Drop it — the
-				// write was never claimed durable by a completed Sync — and
-				// count the detection.  Anywhere else, a checksum failure
+				// crash cut the last journal flush short.  Drop it and count
+				// the detection; its write is lost, although the flush was
+				// acknowledged (faults.TornWrite tears the last durable
+				// record).  Anywhere else, a checksum failure
 				// means the log itself rotted, which nothing can repair.
 				if part == 1 && i == len(log)-1 {
 					s.tornDrops.Inc()

@@ -185,11 +185,11 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 			arrival := at
 			ctx.P.SleepUntilTime(arrival)
 			wg.Add(1)
-			k.Go(flowName, func(p *sim.Proc) {
+			// Queueing for a slot is part of the open-loop latency, as is
+			// the open/close each logical client pays around its read.  A
+			// flow waits for its slot without a coroutine (GoAcquire).
+			k.GoAcquire(slots, 1, flowName, func(p *sim.Proc) {
 				defer wg.Done()
-				// Queueing for a slot is part of the open-loop latency, as
-				// is the open/close each logical client pays around its read.
-				slots.Acquire(p, 1)
 				defer slots.Release(1)
 				fctx := &rpc.Ctx{P: p}
 				f, err := m.Open(fctx, path)
