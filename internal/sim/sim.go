@@ -333,8 +333,8 @@ func (k *Kernel) work(w *worker) {
 }
 
 // run executes p to its end on the calling worker coroutine.  A p that
-// returns leaves its Proc on the free list, keeping only its name for the
-// stale-Proc guard.  If p ends through runtime.Goexit (t.Fatal inside a
+// returns leaves its Proc on the free list, keeping its name and id for
+// the stale-Proc guard.  If p ends through runtime.Goexit (t.Fatal inside a
 // simulated process, or Shutdown) or a panic, the coroutine is about to die
 // and cannot be recycled, so the deferred function pops the next event for
 // the loop in its place.
@@ -367,13 +367,13 @@ func (k *Kernel) run(p *Proc) {
 // of p fires.
 func (p *Proc) block() {
 	k := p.k
-	if k.stopped {
-		// A deferred function run by Shutdown tried to block.
-		runtime.Goexit()
-	}
 	next := k.pop()
 	if next == p {
 		return
+	}
+	if k.stopped {
+		// A deferred function run by Shutdown tried to block.
+		runtime.Goexit()
 	}
 	k.next = next
 	if !p.w.yield(struct{}{}) {
@@ -520,8 +520,8 @@ func (k *Kernel) loop() {
 // run; sim primitives called from there wake nobody, and one that would block
 // ends the process instead.  Processes that never started, and those still
 // waiting for admission at a GoAcquire semaphore, have no coroutine and are
-// dropped: their deferred functions do not run.  Shutdown must not be called from inside a process or
-// while Run is in progress.  Calling it again is a no-op; Go and Run panic
+// dropped: their deferred functions do not run.  Shutdown must not be called
+// from inside a process or while Run is in progress.  Calling it again is a no-op; Go and Run panic
 // once it has begun.
 func (k *Kernel) Shutdown() {
 	if k.stopped {

@@ -186,8 +186,7 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 			ctx.P.SleepUntilTime(arrival)
 			wg.Add(1)
 			// Queueing for a slot is part of the open-loop latency, as is
-			// the open/close each logical client pays around its read.  A
-			// flow waits for its slot without a coroutine (GoAcquire).
+			// the open/close each logical client pays around its read.
 			k.GoAcquire(slots, 1, flowName, func(p *sim.Proc) {
 				defer wg.Done()
 				defer slots.Release(1)
