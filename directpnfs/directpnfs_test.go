@@ -79,13 +79,13 @@ func TestAllWorkloadsThroughPublicAPI(t *testing.T) {
 	if _, err := directpnfs.ATLAS(mk(), directpnfs.ATLASConfig{TotalBytes: 4 << 20}); err != nil {
 		t.Errorf("ATLAS: %v", err)
 	}
-	if _, err := directpnfs.BTIO(mk(), directpnfs.BTIOConfig{CheckpointBytes: 4 << 20, Checkpoints: 2}); err != nil {
+	if _, err := directpnfs.BTIO(mk(), directpnfs.BTIOConfig{CheckpointBytes: 4 << 20}); err != nil {
 		t.Errorf("BTIO: %v", err)
 	}
 	if _, err := directpnfs.OLTP(mk(), directpnfs.OLTPConfig{FileBytes: 4 << 20, Transactions: 20}); err != nil {
 		t.Errorf("OLTP: %v", err)
 	}
-	if _, err := directpnfs.Postmark(mk(), directpnfs.PostmarkConfig{Transactions: 20, Files: 10, Dirs: 2}); err != nil {
+	if _, err := directpnfs.Postmark(mk(), directpnfs.PostmarkConfig{Transactions: 20}); err != nil {
 		t.Errorf("Postmark: %v", err)
 	}
 }

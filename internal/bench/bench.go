@@ -444,7 +444,7 @@ func SSHBuild(opt Options) (Figure, error) {
 	fig := Figure{ID: "SSH", Title: "OpenSSH build phases", XLabel: "phase", YLabel: "time (s)"}
 	for _, arch := range opt.Archs {
 		cl := newCluster(opt, cluster.Config{Arch: arch, Clients: 1})
-		res, err := workload.SSHBuild(cl, 0)
+		res, err := workload.SSHBuild(cl)
 		cl.Close()
 		if err != nil {
 			return fig, err

@@ -18,10 +18,9 @@ import (
 // load spans ~64 MB/s (64 clients, loafing) to ~10 GB/s (10k clients, an
 // order of magnitude past the backend), so the sweep crosses the knee.
 const (
-	sweepMounts        = 8
-	sweepRatePerClient = 4.0       // reads/sec per logical client
-	sweepBlock         = 256 << 10 // per-read block size == RSize
-	sweepSeed          = 1807      // arrival-schedule seed (per-point offset added)
+	sweepMounts = 8
+	sweepBlock  = 256 << 10 // per-read block size == RSize
+	sweepSeed   = 1807      // arrival-schedule seed (per-point offset added)
 )
 
 // sweepClients is the default logical-client axis: the 64 → 10k open-loop
@@ -73,7 +72,6 @@ func Sweep(opt Options) (Figure, error) {
 			cl := newCluster(opt, cluster.Config{Arch: arch, Clients: sweepMounts, RSize: sweepBlock})
 			res, err := workload.OpenLoop(cl, workload.OpenLoopConfig{
 				LogicalClients: n,
-				RatePerClient:  sweepRatePerClient,
 				Block:          sweepBlock,
 				FileSize:       scaleBytes(8<<20, opt.Scale),
 				Window:         window,

@@ -79,11 +79,12 @@ type Config struct {
 
 	// Striped-I/O engine options (internal/ioengine), applied to both the
 	// NFS and PVFS2 clients through engineConfig.  Zero values keep each
-	// client's defaults (PVFS2: window 8, 256 KB transfers; NFS: window 32,
-	// no extra split) and leave the tail-latency scheduling off
-	// (docs/ARCHITECTURE.md "Tail-latency scheduling").
-	MaxFlight   int   // sliding-window size: concurrent outstanding requests
-	MaxTransfer int64 // per-request payload cap; larger extents are split
+	// client's default window (PVFS2: 8; NFS: 32) and leave the
+	// tail-latency scheduling off (docs/ARCHITECTURE.md "Tail-latency
+	// scheduling").  Request splitting is not an option: the PVFS2 client
+	// splits at its fixed 256 KB flow buffer, and the NFS client sends the
+	// WSize/RSize chunks it gathers whole.
+	MaxFlight int // sliding-window size: concurrent outstanding requests
 	// IOBackgroundShare caps the window fraction background work (NFS
 	// write-back and readahead, rebalance copies) may hold; foreground
 	// always dispatches first.
@@ -454,7 +455,6 @@ func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer s
 func (cl *Cluster) engineConfig() ioengine.Config {
 	return ioengine.Config{
 		MaxFlight:       cl.Cfg.MaxFlight,
-		MaxTransfer:     cl.Cfg.MaxTransfer,
 		BackgroundShare: cl.Cfg.IOBackgroundShare,
 		Hedge:           cl.Cfg.IOHedge,
 	}

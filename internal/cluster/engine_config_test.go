@@ -9,15 +9,16 @@ import (
 )
 
 // TestEngineConfigRelay pins the one place cluster options become engine
-// options: engineConfig carries exactly the four Config fields, and leaves
-// name, issuer and registry for each client to fill.
+// options: engineConfig carries exactly the three Config fields, and leaves
+// name, issuer, registry and (PVFS2) the transfer cap for each client to
+// fill.
 func TestEngineConfigRelay(t *testing.T) {
 	cl := New(Config{
 		Arch: ArchDirectPNFS, Clients: 1,
-		MaxFlight: 3, MaxTransfer: 20_000, IOHedge: true, IOBackgroundShare: 0.5,
+		MaxFlight: 3, IOHedge: true, IOBackgroundShare: 0.5,
 	})
 	defer cl.Close()
-	want := ioengine.Config{MaxFlight: 3, MaxTransfer: 20_000, Hedge: true, BackgroundShare: 0.5}
+	want := ioengine.Config{MaxFlight: 3, Hedge: true, BackgroundShare: 0.5}
 	if got := cl.engineConfig(); got != want {
 		t.Errorf("engineConfig() = %+v, want %+v", got, want)
 	}

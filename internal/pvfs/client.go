@@ -27,8 +27,9 @@ type ClientConfig struct {
 	IO map[uint32]rpc.Conn
 	// Engine holds the striped-I/O engine's options (internal/ioengine).
 	// MaxFlight bounds concurrent outstanding I/O requests ("limited request
-	// parallelization", paper §5; default 8) and MaxTransfer caps a single
-	// request's payload ("large transfer buffers"; default 256 KB).  Hedge
+	// parallelization", paper §5; default 8).  NewClient fixes MaxTransfer
+	// at the PVFS2 flow buffer, one daemon transfer buffer of 256 KB ("large
+	// transfer buffers"), so every larger extent is split.  Hedge
 	// enables hedged duplicate reads for stragglers (writes never hedge).
 	// The library has no write-back or readahead — all its I/O is
 	// synchronous — so BackgroundShare only matters to a client whose Class
@@ -78,9 +79,7 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.Engine.MaxFlight <= 0 {
 		cfg.Engine.MaxFlight = 8
 	}
-	if cfg.Engine.MaxTransfer <= 0 {
-		cfg.Engine.MaxTransfer = 256 << 10 // PVFS2 flow buffer size
-	}
+	cfg.Engine.MaxTransfer = storageBufSize
 	stats := newClientStats(cfg.Metrics)
 	name := "pvfs-client"
 	if cfg.Node != nil {
@@ -126,9 +125,6 @@ func (c *Client) chargeOp(ctx *rpc.Ctx, bytes int64) {
 }
 
 func (c *Client) newFile(h, data Handle, dist DistParams) *File {
-	if data == 0 {
-		data = h
-	}
 	ids := dist.ServerIDs()
 	f := &File{
 		Handle: h,

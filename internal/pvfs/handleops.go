@@ -3,7 +3,6 @@ package pvfs
 import (
 	"dpnfs/internal/fserr"
 	"dpnfs/internal/rpc"
-	"dpnfs/internal/stripe"
 	"dpnfs/internal/xdr"
 )
 
@@ -138,7 +137,3 @@ func (c *Client) GetAttrH(ctx *rpc.Ctx, h Handle) (bool, int64, uint64, error) {
 	}
 	return rep.IsDir, rep.Size, rep.Change, nil
 }
-
-// Mapper exposes the file's stripe mapper (used by layout translation
-// tests).
-func (f *File) Mapper() stripe.Mapper { return f.mapper }

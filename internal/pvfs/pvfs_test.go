@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dpnfs/internal/metrics"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/sim"
@@ -291,16 +292,20 @@ func TestSmallRequestsPayPerOpOverhead(t *testing.T) {
 }
 
 func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
-	// A daemon with 2×256 KiB buffers can hold only 512 KiB in flight; many
-	// concurrent 512 KiB reads must serialize beyond what CPU/NIC require.
-	run := func(buffers int) time.Duration {
+	// The daemon's fixed pool holds storageBuffers × storageBufSize (4 MiB)
+	// in flight, and a read holds its buffers until its reply has left.
+	// Behind a 100 Mbit/s NIC replies leave slower than the daemon's CPU
+	// serves them, so concurrent reads above the pool must wait for
+	// buffers; reads that fit in it must not.
+	wait := func(readers int, size int64) float64 {
 		k := sim.NewKernel(1)
 		f := simnet.NewFabric(k)
-		ioNode := f.AddNode(simnet.NodeConfig{Name: "io"})
+		ioNode := f.AddNode(simnet.NodeConfig{Name: "io", BytesPerSec: 12.5e6})
+		reg := metrics.NewRegistry()
 		srv := NewStorageServer(StorageConfig{
 			Transport: &rpc.FabricTransport{Fabric: f}, Node: ioNode,
 			Disk:    simdisk.New(simdisk.DefaultConfig("d")),
-			buffers: buffers,
+			Metrics: reg,
 		})
 		// Seed the object and warm the cache so only buffers matter.
 		ctxSeed := &rpc.Ctx{}
@@ -309,31 +314,33 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 		}
 		srv.store.WriteSyntheticAt(srv.objects[1], 0, 32<<20)
 		srv.cfg.Disk.Warm(1, 0, 32<<20)
-		var last sim.Time
-		for i := 0; i < 16; i++ {
+		for i := 0; i < readers; i++ {
 			cl := f.AddNode(simnet.NodeConfig{Name: "c" + string(rune('a'+i))})
 			conn := &rpc.SimTransport{Fabric: f, Src: cl, Dst: ioNode, Service: ServiceIO}
-			off := int64(i) * (512 << 10)
+			off := int64(i) * size
 			k.Go("reader", func(p *sim.Proc) {
 				var rep IOReadRep
 				if err := conn.Call(&rpc.Ctx{P: p}, ProcIORead,
-					&IOReadArgs{Handle: 1, Off: off, Len: 512 << 10}, &rep); err != nil {
+					&IOReadArgs{Handle: 1, Off: off, Len: size}, &rep); err != nil {
 					t.Error(err)
-				}
-				if p.Now() > last {
-					last = p.Now()
 				}
 			})
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return time.Duration(last)
+		sum, n := reg.Snapshot().HistTotal("pvfs_storage_buffer_wait_seconds")
+		if n != uint64(readers) {
+			t.Fatalf("%d buffer acquisitions, want %d", n, readers)
+		}
+		return sum
 	}
-	tight := run(2)
-	roomy := run(64)
-	if tight <= roomy {
-		t.Fatalf("buffer pool had no effect: tight=%v roomy=%v", tight, roomy)
+	const pool = storageBuffers * storageBufSize
+	if w := wait(16, 1<<20); w <= 0 {
+		t.Errorf("16 MiB in flight on a %d KiB pool waited %gs for buffers, want > 0", pool>>10, w)
+	}
+	if w := wait(8, pool/8); w != 0 {
+		t.Errorf("%d KiB in flight on a %d KiB pool waited %gs for buffers, want 0", pool>>10, pool>>10, w)
 	}
 }
 

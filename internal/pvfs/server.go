@@ -63,8 +63,6 @@ type StorageConfig struct {
 	// Metrics is the shared observability registry (docs/METRICS.md); nil
 	// discards.
 	Metrics *metrics.Registry
-
-	buffers int // transfer-buffer pool size (0: storageBuffers)
 }
 
 // StorageServer is one PVFS2 storage daemon (Trove+BMI equivalent): it owns
@@ -82,9 +80,6 @@ type StorageServer struct {
 // NewStorageServer creates the daemon state and registers its RPC service
 // on the node when a transport is configured.
 func NewStorageServer(cfg StorageConfig) *StorageServer {
-	if cfg.buffers <= 0 {
-		cfg.buffers = storageBuffers
-	}
 	if cfg.Store == nil {
 		cfg.Store = mem.New()
 	}
@@ -98,7 +93,7 @@ func NewStorageServer(cfg StorageConfig) *StorageServer {
 	if cfg.Node != nil {
 		name = cfg.Node.Name + "/bufpool"
 	}
-	s.bufPool = sim.NewSemaphore(name, cfg.buffers)
+	s.bufPool = sim.NewSemaphore(name, storageBuffers)
 	if cfg.Transport != nil && cfg.Node != nil {
 		if _, err := cfg.Transport.Serve(cfg.Node.Name, ServiceIO, IORegistry(), s.Handle, daemonThreads); err != nil {
 			panic("pvfs: register storage service: " + err.Error())
@@ -206,8 +201,8 @@ func (s *StorageServer) bufSlots(n int64) int {
 	if slots < 1 {
 		slots = 1
 	}
-	if slots > s.cfg.buffers {
-		slots = s.cfg.buffers
+	if slots > storageBuffers {
+		slots = storageBuffers
 	}
 	return slots
 }

@@ -128,7 +128,7 @@ type LookupRep struct {
 	// Data is the handle addressing the file's stripe objects on the
 	// storage daemons.  It equals Handle for files that have never been
 	// migrated; after a rebalance it names the shadow objects the data was
-	// copied into.  Zero means "same as Handle" (legacy peers).
+	// copied into.
 	Data Handle
 }
 

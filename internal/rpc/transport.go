@@ -114,8 +114,6 @@ func (t *FabricTransport) Close() error { return nil }
 // resolve through the transport's own registry, so the same cluster wiring
 // code works unmodified.
 type TCPTransport struct {
-	// Host is the listen/dial host; empty means loopback.
-	Host string
 	// PoolConns is the per-server connection pool size (0 = default).
 	PoolConns int
 	// Metrics, when set, instruments every pool and served handler
@@ -184,13 +182,6 @@ func NewTCPTransport(poolConns int) *TCPTransport {
 	}
 }
 
-func (t *TCPTransport) host() string {
-	if t.Host != "" {
-		return t.Host
-	}
-	return "127.0.0.1"
-}
-
 // Serve implements Transport: it listens on an ephemeral port and bounds
 // handler concurrency to threads (the "NFS server threads" knob) across all
 // of the service's connections.
@@ -214,7 +205,7 @@ func (t *TCPTransport) Serve(node, service string, reg *Registry, h Handler, thr
 	if _, dup := t.servers[key]; dup {
 		return "", fmt.Errorf("rpc: service %s already registered", key)
 	}
-	srv, err := ListenTCP(t.host()+":0", reg, h)
+	srv, err := ListenTCP("127.0.0.1:0", reg, h)
 	if err != nil {
 		return "", err
 	}
@@ -246,13 +237,6 @@ func (t *TCPTransport) Dial(from, node, service string) (Conn, error) {
 	p.stats = newConnStats(t.Metrics, "tcp", service)
 	t.pools[poolKey] = p
 	return &downGate{tr: t, node: node, pool: p}, nil
-}
-
-// Addr reports the bound address for (node, service), or "" if absent.
-func (t *TCPTransport) Addr(node, service string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.addrs[node+"/"+service]
 }
 
 // Addrs returns a snapshot of every registered "node/service" -> address

@@ -18,6 +18,10 @@ import (
 // not from dispatch.
 const openLoopInFlight = 64
 
+// openLoopRate is each logical client's arrival rate in reads/sec.  Offered
+// load = LogicalClients × openLoopRate × Block.
+const openLoopRate = 4.0
+
 // OpenLoopConfig parameterizes the open-loop scaling experiment: a large
 // population of logical clients issues block reads on a Poisson schedule,
 // multiplexed over the cluster's real mounts.  Unlike the closed-loop
@@ -31,12 +35,9 @@ type OpenLoopConfig struct {
 	// thousand clients cost ten thousand reads per second of window, not
 	// ten thousand processes.
 	LogicalClients int
-	// RatePerClient is each logical client's arrival rate in reads/sec
-	// (default 4).  Offered load = LogicalClients × RatePerClient × Block.
-	RatePerClient float64
-	Block         int64         // per-read block size (default 64 KB)
-	FileSize      int64         // per-mount file size (default 8 MB)
-	Window        time.Duration // arrival window in virtual time (default 2s)
+	Block          int64         // per-read block size (default 64 KB)
+	FileSize       int64         // per-mount file size (default 8 MB)
+	Window         time.Duration // arrival window in virtual time (default 2s)
 	// Seed drives the arrival schedule and read offsets (the simulation's
 	// own randomness threads from cluster.Config.Seed, per the bench
 	// determinism rule).
@@ -100,9 +101,6 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 	if cfg.LogicalClients <= 0 {
 		cfg.LogicalClients = 64
 	}
-	if cfg.RatePerClient <= 0 {
-		cfg.RatePerClient = 4
-	}
 	if cfg.Block <= 0 {
 		cfg.Block = 64 << 10
 	}
@@ -145,7 +143,7 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 	elapsed, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
 		// Mount i carries share logical clients (the remainder spread over
 		// the first LogicalClients % mounts); their superposed arrivals
-		// form one Poisson stream of rate share × RatePerClient.
+		// form one Poisson stream of rate share × openLoopRate.
 		share := cfg.LogicalClients / mounts
 		if i < cfg.LogicalClients%mounts {
 			share++
@@ -153,7 +151,7 @@ func OpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopResult, error) {
 		if share == 0 {
 			return nil
 		}
-		rate := float64(share) * cfg.RatePerClient
+		rate := float64(share) * openLoopRate
 		path := fmt.Sprintf("/openloop.%d", i)
 		m.DropCaches()
 

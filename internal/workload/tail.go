@@ -24,11 +24,6 @@ type TailConfig struct {
 // TailBlock is the tail experiment's read size.
 const TailBlock = 64 << 10
 
-// tailSeed drives the per-client shuffled read order.  The simulation's own
-// randomness threads from cluster.Config.Seed; this seed only permutes block
-// order, so the experiment follows the bench determinism rule.
-const tailSeed = 7
-
 // TailPhase is one phase's read-latency distribution.
 type TailPhase struct {
 	P50, P99, P999 float64 // seconds (histogram-bucket upper bounds)

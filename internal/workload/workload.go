@@ -19,6 +19,17 @@ import (
 	"dpnfs/internal/rpc"
 )
 
+// The workloads' seeds drive only their own request streams (offsets, sizes
+// and orders).  The simulation's own randomness threads from
+// cluster.Config.Seed, so every workload follows the bench determinism rule.
+const (
+	atlasSeed    = 42
+	oltpSeed     = 7
+	postmarkSeed = 13
+	sshSeed      = 3
+	tailSeed     = 7 // permutes the tail experiment's per-client block order
+)
+
 // Result is one workload execution's outcome.
 type Result struct {
 	Clients      int
@@ -188,7 +199,6 @@ func IOR(cl *cluster.Cluster, cfg IORConfig) (Result, error) {
 // are small but 95% of the bytes ride in requests ≥ 275 KB.
 type ATLASConfig struct {
 	TotalBytes int64 // per client (paper: ~650 MB for 500 events)
-	Seed       int64
 }
 
 // ATLAS replays the Digitization write trace and reports aggregate write
@@ -196,9 +206,6 @@ type ATLASConfig struct {
 func ATLAS(cl *cluster.Cluster, cfg ATLASConfig) (Result, error) {
 	if cfg.TotalBytes <= 0 {
 		cfg.TotalBytes = 650 << 20
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
 	}
 	clients := len(cl.Mounts())
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
@@ -211,7 +218,7 @@ func ATLAS(cl *cluster.Cluster, cfg ATLASConfig) (Result, error) {
 		return Result{}, err
 	}
 	elapsed, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
+		rng := rand.New(rand.NewSource(atlasSeed + int64(i)))
 		f, err := m.Open(ctx, fmt.Sprintf("/atlas.%d", i))
 		if err != nil {
 			return err
@@ -250,12 +257,15 @@ func ATLAS(cl *cluster.Cluster, cfg ATLASConfig) (Result, error) {
 	return Result{Clients: clients, Bytes: cfg.TotalBytes * int64(clients), Elapsed: elapsed}, nil
 }
 
+// btioCheckpoints is BT-IO's checkpoint count: 200 time steps, one
+// checkpoint every five.
+const btioCheckpoints = 40
+
 // BTIOConfig parameterizes the NAS BT-IO class-A-like run (§6.3.2): a
 // shared checkpoint file written collectively every five time steps, then
 // ingested and verified.
 type BTIOConfig struct {
 	CheckpointBytes int64 // total file size (paper class A: 400 MB)
-	Checkpoints     int   // 200 steps / 5 = 40
 }
 
 // BTIO runs the checkpoint benchmark and reports total running time (the
@@ -263,9 +273,6 @@ type BTIOConfig struct {
 func BTIO(cl *cluster.Cluster, cfg BTIOConfig) (Result, error) {
 	if cfg.CheckpointBytes <= 0 {
 		cfg.CheckpointBytes = 400 << 20
-	}
-	if cfg.Checkpoints <= 0 {
-		cfg.Checkpoints = 40
 	}
 	clients := len(cl.Mounts())
 	if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, m *cluster.Mount, _ int) error {
@@ -277,7 +284,7 @@ func BTIO(cl *cluster.Cluster, cfg BTIOConfig) (Result, error) {
 	}); err != nil {
 		return Result{}, err
 	}
-	perCkpt := cfg.CheckpointBytes / int64(cfg.Checkpoints)
+	perCkpt := cfg.CheckpointBytes / btioCheckpoints
 	slice := perCkpt / int64(clients)
 	elapsed, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
 		f, err := m.Open(ctx, "/btio")
@@ -285,7 +292,7 @@ func BTIO(cl *cluster.Cluster, cfg BTIOConfig) (Result, error) {
 			return err
 		}
 		// Write phase: collective-buffered appends (≥ 1 MB requests).
-		for c := 0; c < cfg.Checkpoints; c++ {
+		for c := 0; c < btioCheckpoints; c++ {
 			base := int64(c)*perCkpt + int64(i)*slice
 			if err := m.Write(ctx, f, base, payload.Synthetic(slice)); err != nil {
 				return err
@@ -302,7 +309,7 @@ func BTIO(cl *cluster.Cluster, cfg BTIOConfig) (Result, error) {
 		if err != nil {
 			return err
 		}
-		total := perCkpt * int64(cfg.Checkpoints)
+		total := perCkpt * btioCheckpoints
 		chunk := int64(2 << 20)
 		for off := int64(i) * chunk; off < total; off += chunk * int64(clients) {
 			n := chunk
@@ -327,7 +334,6 @@ func BTIO(cl *cluster.Cluster, cfg BTIOConfig) (Result, error) {
 type OLTPConfig struct {
 	FileBytes    int64 // shared table size (default 512 MB)
 	Transactions int   // per client (paper: 20 000)
-	Seed         int64
 }
 
 // OLTP runs the transaction benchmark and reports aggregate I/O throughput
@@ -338,9 +344,6 @@ func OLTP(cl *cluster.Cluster, cfg OLTPConfig) (Result, error) {
 	}
 	if cfg.Transactions <= 0 {
 		cfg.Transactions = 20000
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 7
 	}
 	clients := len(cl.Mounts())
 	// Setup: client 0 creates and prefills the table.
@@ -363,7 +366,7 @@ func OLTP(cl *cluster.Cluster, cfg OLTPConfig) (Result, error) {
 	}
 	const rec = 8 << 10
 	elapsed, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
+		rng := rand.New(rand.NewSource(oltpSeed + int64(i)))
 		f, err := m.Open(ctx, "/oltp")
 		if err != nil {
 			return err
@@ -393,59 +396,48 @@ func OLTP(cl *cluster.Cluster, cfg OLTPConfig) (Result, error) {
 	}, nil
 }
 
-// PostmarkConfig parameterizes the small-file benchmark (§6.4.2): 2 000
-// transactions over 100 files (1-500 KB) in 10 directories, 512-byte reads
-// and appends, data stable before close.
+// Postmark's initial file set (§6.4.2): per client, 100 files of 1-500 KB
+// in 10 directories.
+const (
+	postmarkFiles   = 100
+	postmarkDirs    = 10
+	postmarkMinSize = 1 << 10
+	postmarkMaxSize = 500 << 10
+)
+
+// PostmarkConfig parameterizes the small-file benchmark (§6.4.2):
+// transactions over the initial file set, 512-byte reads and appends, data
+// stable before close.
 type PostmarkConfig struct {
-	Files        int
-	Dirs         int
-	Transactions int // per client
-	MinSize      int64
-	MaxSize      int64
-	Seed         int64
+	Transactions int // per client (default 2 000)
 }
 
 // Postmark runs the benchmark and reports transactions per second.
 func Postmark(cl *cluster.Cluster, cfg PostmarkConfig) (Result, error) {
-	if cfg.Files <= 0 {
-		cfg.Files = 100
-	}
-	if cfg.Dirs <= 0 {
-		cfg.Dirs = 10
-	}
 	if cfg.Transactions <= 0 {
 		cfg.Transactions = 2000
-	}
-	if cfg.MinSize <= 0 {
-		cfg.MinSize = 1 << 10
-	}
-	if cfg.MaxSize <= 0 {
-		cfg.MaxSize = 500 << 10
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 13
 	}
 	clients := len(cl.Mounts())
 
 	// Setup: per-client directory trees and initial file sets.
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
+		rng := rand.New(rand.NewSource(postmarkSeed + int64(i)))
 		root := fmt.Sprintf("/pm%d", i)
 		if err := m.Mkdir(ctx, root); err != nil {
 			return err
 		}
-		for d := 0; d < cfg.Dirs; d++ {
+		for d := 0; d < postmarkDirs; d++ {
 			if err := m.Mkdir(ctx, fmt.Sprintf("%s/d%d", root, d)); err != nil {
 				return err
 			}
 		}
-		for n := 0; n < cfg.Files; n++ {
-			path := fmt.Sprintf("%s/d%d/f%d", root, n%cfg.Dirs, n)
+		for n := 0; n < postmarkFiles; n++ {
+			path := fmt.Sprintf("%s/d%d/f%d", root, n%postmarkDirs, n)
 			f, err := m.Create(ctx, path)
 			if err != nil {
 				return err
 			}
-			size := cfg.MinSize + rng.Int63n(cfg.MaxSize-cfg.MinSize)
+			size := postmarkMinSize + rng.Int63n(postmarkMaxSize-postmarkMinSize)
 			if err := m.Write(ctx, f, 0, payload.Synthetic(size)); err != nil {
 				return err
 			}
@@ -459,17 +451,17 @@ func Postmark(cl *cluster.Cluster, cfg PostmarkConfig) (Result, error) {
 	}
 
 	elapsed, err := cl.Run(func(ctx *rpc.Ctx, m *cluster.Mount, i int) error {
-		rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i)))
+		rng := rand.New(rand.NewSource(postmarkSeed + 1000 + int64(i)))
 		root := fmt.Sprintf("/pm%d", i)
-		live := make([]int, cfg.Files)
-		sizes := make(map[int]int64, cfg.Files)
+		live := make([]int, postmarkFiles)
+		sizes := make(map[int]int64, postmarkFiles)
 		for n := range live {
 			live[n] = n
-			sizes[n] = cfg.MinSize // conservative; reads clamp server-side
+			sizes[n] = postmarkMinSize // conservative; reads clamp server-side
 		}
-		next := cfg.Files
+		next := postmarkFiles
 		pathOf := func(n int) string {
-			return fmt.Sprintf("%s/d%d/f%d", root, n%cfg.Dirs, n)
+			return fmt.Sprintf("%s/d%d/f%d", root, n%postmarkDirs, n)
 		}
 		for t := 0; t < cfg.Transactions; t++ {
 			// Half A: create or delete.
@@ -480,7 +472,7 @@ func Postmark(cl *cluster.Cluster, cfg PostmarkConfig) (Result, error) {
 				if err != nil {
 					return err
 				}
-				size := cfg.MinSize + rng.Int63n(cfg.MaxSize-cfg.MinSize)
+				size := postmarkMinSize + rng.Int63n(postmarkMaxSize-postmarkMinSize)
 				if err := m.Write(ctx, f, 0, payload.Synthetic(size)); err != nil {
 					return err
 				}
@@ -552,16 +544,13 @@ type SSHBuildResult struct {
 // unpack phase creating ~400 source files, a configure phase of small
 // probe files and attribute checks, and a compile phase reading sources and
 // writing objects.
-func SSHBuild(cl *cluster.Cluster, seed int64) (SSHBuildResult, error) {
-	if seed == 0 {
-		seed = 3
-	}
+func SSHBuild(cl *cluster.Cluster) (SSHBuildResult, error) {
 	const nSrc = 400
 	var out SSHBuildResult
 
 	// Uncompress: create the tree.
 	d, err := cl.RunClient(0, func(ctx *rpc.Ctx, m *cluster.Mount, _ int) error {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(rand.NewSource(sshSeed))
 		if err := m.Mkdir(ctx, "/ssh"); err != nil {
 			return err
 		}
@@ -620,7 +609,7 @@ func SSHBuild(cl *cluster.Cluster, seed int64) (SSHBuildResult, error) {
 
 	// Build: read each source (small sequential reads), write an object.
 	d, err = cl.RunClient(0, func(ctx *rpc.Ctx, m *cluster.Mount, _ int) error {
-		rng := rand.New(rand.NewSource(seed + 1))
+		rng := rand.New(rand.NewSource(sshSeed + 1))
 		for i := 0; i < nSrc; i++ {
 			src, err := m.Open(ctx, fmt.Sprintf("/ssh/dir%d/src%d.c", i%8, i))
 			if err != nil {

@@ -107,7 +107,7 @@ func TestATLASSlowerOnPVFS2(t *testing.T) {
 func TestBTIO(t *testing.T) {
 	for _, arch := range []cluster.Arch{cluster.ArchDirectPNFS, cluster.ArchPVFS2} {
 		cl := cluster.New(cluster.Config{Arch: arch, Clients: 3})
-		res, err := BTIO(cl, BTIOConfig{CheckpointBytes: 12 << 20, Checkpoints: 4})
+		res, err := BTIO(cl, BTIOConfig{CheckpointBytes: 12 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
 		}
@@ -115,17 +115,18 @@ func TestBTIO(t *testing.T) {
 			t.Fatalf("%s: no elapsed time", arch)
 		}
 	}
-	// The checkpoint file must be complete.
+	// The checkpoint file must be complete: 40 checkpoints of 4 × 64 KiB.
+	const size = btioCheckpoints * 4 * 64 << 10
 	cl := cluster.New(cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 4})
-	if _, err := BTIO(cl, BTIOConfig{CheckpointBytes: 8 << 20, Checkpoints: 2}); err != nil {
+	if _, err := BTIO(cl, BTIOConfig{CheckpointBytes: size}); err != nil {
 		t.Fatal(err)
 	}
 	at, err := cl.PVFSMeta.Namespace().LookupPath("/btio")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if at.Size != 8<<20 {
-		t.Fatalf("checkpoint file %d bytes, want %d", at.Size, 8<<20)
+	if at.Size != size {
+		t.Fatalf("checkpoint file %d bytes, want %d", at.Size, size)
 	}
 }
 
@@ -165,7 +166,7 @@ func TestPostmark(t *testing.T) {
 			Arch: arch, Clients: 2,
 			StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
 		})
-		res, err := Postmark(cl, PostmarkConfig{Transactions: 40, Files: 20, Dirs: 4})
+		res, err := Postmark(cl, PostmarkConfig{Transactions: 40})
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
 		}
@@ -177,12 +178,12 @@ func TestPostmark(t *testing.T) {
 
 func TestSSHBuildPhases(t *testing.T) {
 	direct := cluster.New(cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 1})
-	d, err := SSHBuild(direct, 0)
+	d, err := SSHBuild(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pv := cluster.New(cluster.Config{Arch: cluster.ArchPVFS2, Clients: 1})
-	p, err := SSHBuild(pv, 0)
+	p, err := SSHBuild(pv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,9 +146,6 @@ func (e *Encoder) Uint32(v uint32) {
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
-// Int32 encodes a 32-bit signed integer.
-func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
-
 // Uint64 encodes a 64-bit unsigned (hyper) integer.
 func (e *Encoder) Uint64(v uint64) {
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
@@ -281,12 +278,6 @@ func (d *Decoder) Uint32() (uint32, error) {
 	v := binary.BigEndian.Uint32(d.buf[d.off:])
 	d.off += 4
 	return v, nil
-}
-
-// Int32 decodes a 32-bit signed integer.
-func (d *Decoder) Int32() (int32, error) {
-	v, err := d.Uint32()
-	return int32(v), err
 }
 
 // Uint64 decodes a 64-bit unsigned integer.
