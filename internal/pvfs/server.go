@@ -267,7 +267,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Mars
 		}
 		s.objects[a.Handle] = at.ID
 		s.mu.Unlock()
-		return &IOCreateRep{Errno: s.syncShadow(ctx, a.Handle)}, rpc.StatusOK
+		return &IOCreateRep{Errno: s.syncStore(ctx)}, rpc.StatusOK
 
 	case ProcIORemove:
 		a := req.(*IORemoveArgs)
@@ -316,22 +316,19 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Mars
 		if err := s.store.Truncate(id, a.ObjSize); err != nil {
 			return &IOTruncateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		return &IOTruncateRep{Errno: s.syncShadow(ctx, a.Handle)}, rpc.StatusOK
+		return &IOTruncateRep{Errno: s.syncStore(ctx)}, rpc.StatusOK
 	}
 	return nil, rpc.StatusProcUnavail
 }
 
-// syncShadow makes the create or truncate of a migration's shadow object h
-// durable before it is acknowledged: the copy syncs only the daemons it
-// writes, so a crash could otherwise lose an object the MDS is about to flip
-// a placement onto, or the object size the migration publishes after the
-// flip.  An ordinary datafile becomes durable at the file's first COMMIT,
-// which flushes every daemon of the file.  (mem's Sync is free, so the
-// default timing is unchanged.)
-func (s *StorageServer) syncShadow(ctx *rpc.Ctx, h Handle) fserr.Errno {
-	if h < shadowBase {
-		return fserr.OK
-	}
+// syncStore makes a create or truncate durable before it is acknowledged,
+// because no later request is sure to: a file created and fsynced empty
+// sends its daemons no WRITE or COMMIT, and a migration's copy syncs only
+// the daemons it writes, so a crash could otherwise lose a datafile, a
+// shadow object the MDS is about to flip a placement onto, or the object
+// size the migration publishes after the flip.  (mem's Sync is free, so
+// the default timing is unchanged.)
+func (s *StorageServer) syncStore(ctx *rpc.Ctx) fserr.Errno {
 	return fserr.ToErrno(s.store.Sync(ctx.P))
 }
 
