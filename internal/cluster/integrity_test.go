@@ -15,11 +15,12 @@ import (
 	"dpnfs/internal/xdr"
 )
 
-// integrityCluster builds a replicated cluster for the integrity suites:
-// every stripe stored twice, real payloads (there have to be bytes to rot),
-// and wire checksums on.  3-tier halves its backends into storage nodes, so
-// it gets eight to keep the copy count dividing the storage-node count.
-func integrityCluster(arch Arch) *Cluster {
+// integrityCluster builds a replicated cluster for the integrity suites on
+// the given store backend: every stripe stored twice, real payloads (there
+// have to be bytes to rot), and wire checksums on.  3-tier halves its
+// backends into storage nodes, so it gets eight to keep the copy count
+// dividing the storage-node count.
+func integrityCluster(arch Arch, backend string) *Cluster {
 	backends := 6
 	if arch == ArchPNFS3Tier {
 		backends = 8
@@ -30,6 +31,7 @@ func integrityCluster(arch Arch) *Cluster {
 		Aggregation:   pnfs.AggReplicated,
 		AggParams:     []int64{2, 64 << 10},
 		WireChecksums: true,
+		Backend:       backend,
 	})
 }
 
@@ -128,7 +130,7 @@ func TestBitRotRepairAllArchitectures(t *testing.T) {
 					Seed: int64(100 + d),
 				})
 			}
-			cl := integrityCluster(arch)
+			cl := integrityCluster(arch, BackendMem)
 			defer cl.Close()
 
 			populateIntegrity(t, cl, fileSize, events...)
@@ -148,11 +150,19 @@ func TestBitRotRepairAllArchitectures(t *testing.T) {
 	}
 }
 
-// TestScrubRepairsLatentRot exercises the background path: rot lands while
-// nobody is reading (a latent fault), a scrub pass finds and repairs every
-// instance from the replicas, a second pass confirms the stores are clean,
-// and the subsequent cold read needs zero foreground repairs.
+// TestScrubRepairsLatentRot exercises the background path on both store
+// backends: rot lands while nobody is reading (a latent fault), a scrub
+// pass finds and repairs every instance from the replicas, a second pass
+// confirms the stores are clean, and the subsequent cold read needs zero
+// foreground repairs.  The scrubber walks each store and its extents, which
+// mem and wal implement apart.
 func TestScrubRepairsLatentRot(t *testing.T) {
+	for _, backend := range []string{BackendMem, BackendWAL} {
+		t.Run(backend, func(t *testing.T) { scrubRepairsLatentRot(t, backend) })
+	}
+}
+
+func scrubRepairsLatentRot(t *testing.T, backend string) {
 	const fileSize = 512 << 10
 	var events []faults.Event
 	for d := 0; d < 3; d++ { // primary replica group only
@@ -162,7 +172,7 @@ func TestScrubRepairsLatentRot(t *testing.T) {
 			Seed: int64(200 + d),
 		})
 	}
-	cl := integrityCluster(ArchPVFS2)
+	cl := integrityCluster(ArchPVFS2, backend)
 	defer cl.Close()
 	populateIntegrity(t, cl, fileSize, events...)
 
@@ -247,7 +257,7 @@ func TestScheduledScrubRunsInBackground(t *testing.T) {
 			Seed: int64(300 + d),
 		})
 	}
-	cl := integrityCluster(ArchPVFS2)
+	cl := integrityCluster(ArchPVFS2, BackendMem)
 	defer cl.Close()
 	populateIntegrity(t, cl, fileSize, append(events, faults.Scrub{At: 20 * time.Millisecond})...)
 
@@ -297,7 +307,7 @@ func TestScrubDeterministicUnderSeedReplay(t *testing.T) {
 				Seed: int64(400 + d),
 			})
 		}
-		cl := integrityCluster(ArchDirectPNFS)
+		cl := integrityCluster(ArchDirectPNFS, BackendMem)
 		defer cl.Close()
 		populateIntegrity(t, cl, fileSize, events...)
 		if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error { return nil }); err != nil {

@@ -105,10 +105,10 @@ func driveEngineWorkload(t *testing.T, arch Arch) (out [][]byte, pvfsSplits floa
 
 // TestIOEngineParityAllArchitectures is the engine's correctness pin: on
 // all five architectures, data routed through the I/O engine's sliding
-// window — with coalescing and MaxTransfer splitting engaged — reads back
-// byte-identical to the written pattern.  Every architecture but
-// Direct-pNFS, whose data servers call their co-located daemons directly,
-// has a PVFS2 client on the data path, and that client must have split.
+// window, with coalescing engaged, reads back byte-identical to the
+// written pattern.  Every architecture but Direct-pNFS, whose data servers
+// call their co-located daemons directly, has a PVFS2 client on the data
+// path, and that client must have split requests at its flow buffer.
 func TestIOEngineParityAllArchitectures(t *testing.T) {
 	for _, arch := range Archs {
 		arch := arch
