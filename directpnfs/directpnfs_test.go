@@ -14,6 +14,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Clients: 2,
 		Real:    true,
 	})
+	defer cl.Close()
 	data := bytes.Repeat([]byte("public api"), 100_000) // ~1 MB
 	elapsed, err := cl.Run(func(ctx *directpnfs.Ctx, m *directpnfs.Mount, i int) error {
 		path := fmt.Sprintf("/api-%d", i)
@@ -57,6 +58,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() string {
 		cl := directpnfs.New(directpnfs.Config{Arch: directpnfs.ArchDirectPNFS, Clients: 3, Seed: 7})
+		defer cl.Close()
 		res, err := directpnfs.ATLAS(cl, directpnfs.ATLASConfig{TotalBytes: 4 << 20})
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +73,9 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestAllWorkloadsThroughPublicAPI(t *testing.T) {
 	mk := func() *directpnfs.Cluster {
-		return directpnfs.New(directpnfs.Config{Arch: directpnfs.ArchDirectPNFS, Clients: 2})
+		cl := directpnfs.New(directpnfs.Config{Arch: directpnfs.ArchDirectPNFS, Clients: 2})
+		t.Cleanup(func() { cl.Close() })
+		return cl
 	}
 	if _, err := directpnfs.IOR(mk(), directpnfs.IORConfig{FileSize: 4 << 20, Block: 1 << 20, Separate: true}); err != nil {
 		t.Errorf("IOR: %v", err)

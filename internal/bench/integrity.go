@@ -10,11 +10,6 @@ import (
 	"dpnfs/internal/workload"
 )
 
-// integrityScrubRate bounds the Background-class scrubber's verified bytes
-// per virtual second, so the phase-3 foreground impact is a configured
-// trade-off rather than an unthrottled scan.
-const integrityScrubRate = 64 << 20
-
 // Integrity is the repository's end-to-end data-integrity figure (not from
 // the paper): aggregate verified read throughput before bit rot lands,
 // while foreground reads detect and repair it from replicas, and with the
@@ -46,7 +41,6 @@ func Integrity(opt Options) (Figure, error) {
 			Aggregation:   pnfs.AggReplicated,
 			AggParams:     []int64{2, 64 << 10},
 			WireChecksums: true,
-			ScrubRateBPS:  integrityScrubRate,
 		}
 	}, func(cl *cluster.Cluster) (workload.Phases, error) {
 		inner := 3

@@ -5,7 +5,6 @@ import (
 
 	"dpnfs/internal/cluster"
 	"dpnfs/internal/faults"
-	"dpnfs/internal/simdisk"
 	"dpnfs/internal/workload"
 )
 
@@ -65,8 +64,6 @@ func Tail(opt Options) (Figure, error) {
 		faults.SlowDisk{At: 0, Node: tailVictim, Factor: tailSlowFactor},
 		faults.LinkDegrade{At: 0, Node: tailVictim, Loss: tailLoss},
 	)
-	disk := simdisk.DefaultConfig("")
-	disk.CacheBytes = tailDiskCache
 	n := opt.Clients[0]
 	fileSize := scaleBytes(64<<20, opt.Scale)
 	for _, arch := range opt.Archs {
@@ -77,8 +74,8 @@ func Tail(opt Options) (Figure, error) {
 			cl := newCluster(opt, cluster.Config{
 				Arch: arch, Clients: n,
 				StripeSize: workload.TailBlock, WSize: workload.TailBlock, RSize: workload.TailBlock,
-				Disk:    disk,
-				IOHedge: mode.hedge,
+				DiskCacheBytes: tailDiskCache,
+				IOHedge:        mode.hedge,
 			})
 			res, err := workload.Tail(cl, workload.TailConfig{FileSize: fileSize}, plan)
 			cl.Close()

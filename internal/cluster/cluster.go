@@ -30,6 +30,7 @@ import (
 	"dpnfs/internal/sim"
 	"dpnfs/internal/simdisk"
 	"dpnfs/internal/simnet"
+	"dpnfs/internal/stripe"
 )
 
 // Arch selects one of the five evaluated architectures.
@@ -92,7 +93,9 @@ type Config struct {
 	// IOHedge enables hedged duplicate reads for stragglers.
 	IOHedge bool
 
-	Disk simdisk.Config // template; Name is overridden per node
+	// DiskCacheBytes sets each storage node's page-cache capacity; 0 keeps
+	// simdisk's default (2 GB, the testbed's RAM).
+	DiskCacheBytes int64
 
 	// Backend selects the store implementation behind every server
 	// (docs/BACKENDS.md): "mem" (default; volatile, the behaviour all
@@ -116,6 +119,8 @@ type Config struct {
 
 	// Aggregation optionally overrides the layout's aggregation scheme for
 	// Direct-pNFS (paper §4.3 pluggable drivers).  Empty means round-robin.
+	// New builds its mapper over the storage nodes and panics if the driver
+	// refuses AggParams for that count.
 	Aggregation string
 	AggParams   []int64
 
@@ -126,11 +131,6 @@ type Config struct {
 	// verified instead, which the client's page cache checks
 	// (docs/BACKENDS.md "Block checksums").
 	WireChecksums bool
-
-	// ScrubRateBPS bounds each node's background scrubber to this many
-	// verified bytes per virtual second (0 = unpaced).  Scrub passes only
-	// run when scheduled (faults.Scrub) or driven explicitly (ScrubPass).
-	ScrubRateBPS int64
 
 	// Metrics is the cluster's observability registry, threaded through
 	// every layer (rpc, nfs, pvfs — see docs/METRICS.md).  Nil gets a fresh
@@ -186,6 +186,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// storageNodes is how many back ends become PVFS2 storage nodes: all of
+// them, except on 3-tier, which halves them into storage nodes and
+// dedicated data servers.
+func (c Config) storageNodes() int {
+	if c.Arch == ArchPNFS3Tier {
+		return c.Backends / 2
+	}
+	return c.Backends
+}
+
+// threeTierDiskScale is a 3-tier storage node's disk bandwidth relative to
+// one disk: two disks each, but shared CPU and bus keep it below 2x (paper
+// §6.2).
+const threeTierDiskScale = 1.7
+
 // Cluster is a fully wired deployment: on the simulated fabric or over real
 // loopback TCP, per Config.Transport.  In TCP mode the simnet nodes still
 // exist as topology carriers (names, per-node CPU/NIC models), but no
@@ -197,6 +212,9 @@ type Cluster struct {
 
 	tr         rpc.Transport
 	runSeconds *metrics.Histogram
+	// agg is Config.Aggregation's mapper over the storage nodes built at
+	// construction; nil for the default round-robin.
+	agg stripe.Mapper
 
 	PVFSMeta *pvfs.MetaServer
 	mounts   []*Mount
@@ -251,13 +269,22 @@ type pvClientRef struct {
 // New builds a cluster for the configuration.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
+	// Membership refuses non-default aggregations, so the storage-node count
+	// checked here is the one every layout and the substrate keep.
+	var agg stripe.Mapper
+	if cfg.Aggregation != "" {
+		var err error
+		if agg, err = pnfs.NewMapper(cfg.Aggregation, cfg.AggParams, cfg.storageNodes()); err != nil {
+			panic(fmt.Sprintf("cluster: %v", err)) // construction-time configuration bug, like unknown Arch
+		}
+	}
 	// Every instrument this cluster resolves — through any layer — carries
 	// the architecture label, so a registry shared across a figure sweep
 	// (bench.Options.Metrics) stays attributable per architecture.
 	cfg.Metrics = cfg.Metrics.WithLabel("arch", string(cfg.Arch))
 	k := sim.NewKernel(cfg.Seed)
 	f := simnet.NewFabric(k)
-	cl := &Cluster{Cfg: cfg, K: k, Fabric: f}
+	cl := &Cluster{Cfg: cfg, K: k, Fabric: f, agg: agg}
 	cl.skippedFaults = cfg.Metrics.CounterVec("faults_skipped_total",
 		"Fault events skipped because the target node is drained or unknown, by event kind and target node.",
 		"kind", "node")
@@ -289,25 +316,18 @@ func New(cfg Config) *Cluster {
 		"Workload run durations (virtual time on sim, wall clock on tcp).",
 		[]float64{0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000, 3000})
 
+	cl.buildBackend()
 	// mds is the node the NFS clients mount; native PVFS2 has none.
 	var mds *simnet.Node
 	switch cfg.Arch {
 	case ArchDirectPNFS:
-		cl.buildBackend(cfg.Backends, 1.0)
 		mds = cl.buildDirect()
 	case ArchPVFS2:
-		cl.buildBackend(cfg.Backends, 1.0)
 	case ArchPNFS2Tier:
-		cl.buildBackend(cfg.Backends, 1.0)
 		mds = cl.build2Tier()
 	case ArchPNFS3Tier:
-		// Half the nodes become storage (two disks each: more bandwidth,
-		// but shared CPU/bus keeps it below 2x — paper §6.2), the other
-		// half become dedicated data servers.
-		cl.buildBackend(cfg.Backends/2, 1.7)
 		mds = cl.build3Tier()
 	case ArchNFSv4:
-		cl.buildBackend(cfg.Backends, 1.0)
 		mds = cl.buildNFSv4()
 	default:
 		panic(fmt.Sprintf("cluster: unknown architecture %q", cfg.Arch))
@@ -339,13 +359,14 @@ func (cl *Cluster) dial(from, to, service string) rpc.Conn {
 // buildBackend creates the PVFS2 storage nodes and metadata manager.  The
 // metadata manager runs on storage node 0 ("one storage node doubling as a
 // metadata manager", §6.1).
-func (cl *Cluster) buildBackend(nodes int, diskScale float64) {
+func (cl *Cluster) buildBackend() {
 	cfg := cl.Cfg
+	nodes := cfg.storageNodes()
 	for i := 0; i < nodes; i++ {
 		cl.addStorageSubstrate(cl.Fabric.AddNode(simnet.NodeConfig{
 			Name:        fmt.Sprintf("io%d", i),
 			BytesPerSec: cfg.NetBPS,
-		}), diskScale)
+		}))
 	}
 	meta := cl.members[0]
 	cl.mdsNode = meta.node
@@ -371,16 +392,11 @@ func (cl *Cluster) buildBackend(nodes int, diskScale float64) {
 // stores under: the replicated aggregation's copy count, on every
 // architecture.  Replicating the substrate itself (not just the Direct-pNFS
 // layout) is what gives every client stack a live copy to read-repair
-// corrupt blocks from.  Geometry the copy count cannot divide leaves the
-// substrate unreplicated — the layout driver rejects it loudly on first
-// use (pnfs.AggReplicated registration).  Membership never changes under a
-// replicated aggregation, so the storage nodes are those built first.
+// corrupt blocks from.  New has checked that the copy count divides the
+// storage nodes.
 func (cl *Cluster) distCopies() uint32 {
-	if cl.Cfg.Aggregation != pnfs.AggReplicated || len(cl.Cfg.AggParams) < 1 {
-		return 0
-	}
-	if c := cl.Cfg.AggParams[0]; c > 1 && len(cl.members)%int(c) == 0 {
-		return uint32(c)
+	if r, ok := cl.agg.(*stripe.Replicated); ok && r.Copies > 1 {
+		return uint32(r.Copies)
 	}
 	return 0
 }
@@ -388,15 +404,16 @@ func (cl *Cluster) distCopies() uint32 {
 // addStorageSubstrate attaches a disk, an object store (via the configured
 // backend factory), and a PVFS2 storage daemon to node n, and records the
 // node as an active member under the next stable device ID.
-func (cl *Cluster) addStorageSubstrate(n *simnet.Node, diskScale float64) *member {
+func (cl *Cluster) addStorageSubstrate(n *simnet.Node) *member {
 	cfg := cl.Cfg
-	dcfg := cfg.Disk
-	dcfg.Name = n.Name + "/disk"
-	if dcfg.ReadBPS == 0 {
-		dcfg = simdisk.DefaultConfig(dcfg.Name)
+	dcfg := simdisk.DefaultConfig(n.Name + "/disk")
+	if cfg.DiskCacheBytes != 0 {
+		dcfg.CacheBytes = cfg.DiskCacheBytes
 	}
-	dcfg.ReadBPS *= diskScale
-	dcfg.WriteBPS *= diskScale
+	if cfg.Arch == ArchPNFS3Tier {
+		dcfg.ReadBPS *= threeTierDiskScale
+		dcfg.WriteBPS *= threeTierDiskScale
+	}
 	disk := simdisk.New(dcfg)
 	m := &member{node: n, disk: disk, state: memberActive}
 	m.storage = pvfs.NewStorageServer(pvfs.StorageConfig{

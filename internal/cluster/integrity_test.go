@@ -35,6 +35,27 @@ func integrityCluster(arch Arch, backend string) *Cluster {
 	})
 }
 
+// scrubPass runs one full-cluster scrub pass outside a workload — a plan of
+// one Scrub, replayed by Reconcile — and returns its per-node outcomes,
+// failing the test if a scan failed.
+func scrubPass(t *testing.T, cl *Cluster) []ScrubOutcome {
+	t.Helper()
+	before := len(cl.ScrubResults())
+	if err := cl.Schedule(faults.NewPlan(0, faults.Scrub{})); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	outs := cl.ScrubResults()[before:]
+	for _, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("scrub of %s: %v", o.Node, o.Err)
+		}
+	}
+	return outs
+}
+
 // populateIntegrity writes each client's distinct pattern, so both replicas
 // hold clean, complete copies, and then schedules events for the next run.
 func populateIntegrity(t *testing.T, cl *Cluster, fileSize int, events ...faults.Event) {
@@ -183,10 +204,7 @@ func scrubRepairsLatentRot(t *testing.T, backend string) {
 		t.Fatalf("rot run: %v", err)
 	}
 
-	outs, err := cl.ScrubPass()
-	if err != nil {
-		t.Fatalf("scrub pass: %v", err)
-	}
+	outs := scrubPass(t, cl)
 	var found, repaired int
 	for _, o := range outs {
 		found += o.Result.Found
@@ -203,11 +221,7 @@ func scrubRepairsLatentRot(t *testing.T, backend string) {
 	}
 
 	// A second pass over the repaired stores finds nothing.
-	outs, err = cl.ScrubPass()
-	if err != nil {
-		t.Fatalf("second scrub pass: %v", err)
-	}
-	for _, o := range outs {
+	for _, o := range scrubPass(t, cl) {
 		if o.Result.Found != 0 {
 			t.Fatalf("node %s still corrupt after repair: %+v", o.Node, o.Result)
 		}
@@ -313,12 +327,8 @@ func TestScrubDeterministicUnderSeedReplay(t *testing.T) {
 		if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error { return nil }); err != nil {
 			t.Fatalf("rot run: %v", err)
 		}
-		outs, err := cl.ScrubPass()
-		if err != nil {
-			t.Fatalf("scrub: %v", err)
-		}
 		return trace{
-			outs:     outs,
+			outs:     scrubPass(t, cl),
 			repaired: counterSum(cl, "scrub_repaired_total"),
 			found:    counterSum(cl, "scrub_errors_found_total"),
 		}

@@ -193,12 +193,8 @@ func TestReplicaLadderBounds(t *testing.T) {
 			defer cl.Close()
 			rot(cl, row.rot)
 			before := callsTo(cl, pvfs.ServiceIO)
-			outs, err := cl.ScrubPass()
-			if err != nil {
-				t.Fatal(err)
-			}
 			found, repaired := 0, 0
-			for _, o := range outs {
+			for _, o := range scrubPass(t, cl) {
 				found += o.Result.Found
 				repaired += o.Result.Repaired
 			}

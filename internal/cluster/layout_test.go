@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpnfs/internal/faults"
@@ -79,6 +80,48 @@ func checkLayout(t *testing.T, cl *Cluster, fh uint64, want pnfs.FileLayout) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("LAYOUTGET replied\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestReplicatedGeometryRefusedAtBuild: a replicated aggregation whose copy
+// count does not divide the storage nodes fails the build on every
+// architecture, rather than running unreplicated without a word; one more
+// back end (two on 3-tier, which halves them into storage nodes) makes the
+// geometry valid, and the substrate then stores both copies.
+func TestReplicatedGeometryRefusedAtBuild(t *testing.T) {
+	for _, c := range []struct {
+		arch         Arch
+		backends, ok int
+	}{
+		{ArchDirectPNFS, 5, 6},
+		{ArchPVFS2, 5, 6},
+		{ArchPNFS2Tier, 5, 6},
+		{ArchPNFS3Tier, 6, 8},
+		{ArchNFSv4, 5, 6},
+	} {
+		t.Run(string(c.arch), func(t *testing.T) {
+			build := func(backends int) (cl *Cluster, refusal any) {
+				defer func() { refusal = recover() }()
+				return New(Config{Arch: c.arch, Backends: backends,
+					Aggregation: pnfs.AggReplicated, AggParams: []int64{2, 64 << 10}}), nil
+			}
+			cl, refusal := build(c.backends)
+			if cl != nil {
+				defer cl.Close()
+				t.Fatalf("%d back ends built, with %d substrate copies", c.backends, cl.PVFSMeta.Dist().Copies)
+			}
+			if msg := fmt.Sprint(refusal); !strings.Contains(msg, "not divisible into 2 replicas") {
+				t.Fatalf("%d back ends refused with %q, want the replica geometry named", c.backends, msg)
+			}
+			cl, refusal = build(c.ok)
+			if refusal != nil {
+				t.Fatalf("%d back ends refused: %v", c.ok, refusal)
+			}
+			defer cl.Close()
+			if got := cl.PVFSMeta.Dist().Copies; got != 2 {
+				t.Fatalf("%d back ends store %d substrate copies, want 2", c.ok, got)
+			}
+		})
 	}
 }
 

@@ -216,11 +216,7 @@ func (cl *Cluster) updateMemberGauges() {
 // distribution, and a background rebalance that spreads existing files over
 // the widened stripe.
 func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
-	diskScale := 1.0
-	if cl.Cfg.Arch == ArchPNFS3Tier {
-		diskScale = 1.7 // match the storage tier built at construction
-	}
-	m := cl.addStorageSubstrate(cl.Fabric.AddNode(simnet.NodeConfig{Name: name, BytesPerSec: cl.Cfg.NetBPS}), diskScale)
+	m := cl.addStorageSubstrate(cl.Fabric.AddNode(simnet.NodeConfig{Name: name, BytesPerSec: cl.Cfg.NetBPS}))
 	id := uint32(m.id)
 	cl.updateMemberGauges()
 	// Wire the new daemon into the metadata manager and every existing

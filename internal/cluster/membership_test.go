@@ -239,7 +239,7 @@ func TestFaultsOnDrainedNodeAreCountedNoOps(t *testing.T) {
 func TestMembershipValidation(t *testing.T) {
 	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1})
 	defer cl.Close()
-	cl2 := New(Config{Arch: ArchDirectPNFS, Clients: 1, Aggregation: pnfs.AggReplicated})
+	cl2 := New(Config{Arch: ArchDirectPNFS, Clients: 1, Aggregation: pnfs.AggReplicated, AggParams: []int64{2, 64 << 10}})
 	defer cl2.Close()
 	fault := faults.SlowDisk{At: time.Millisecond, Node: "io2", Factor: 1}
 	scrub := faults.Scrub{At: time.Millisecond}
@@ -420,8 +420,8 @@ func scrubbedNodes(t *testing.T, outs []ScrubOutcome) []string {
 	return nodes
 }
 
-// TestScrubAfterDrain: a scrub pass after a drain, scheduled or
-// synchronous, scans every member but the drained one.
+// TestScrubAfterDrain: a scrub pass after a drain, in a run or outside one,
+// scans every member but the drained one.
 func TestScrubAfterDrain(t *testing.T) {
 	for _, arch := range Archs {
 		t.Run(string(arch), func(t *testing.T) {
@@ -438,16 +438,13 @@ func TestScrubAfterDrain(t *testing.T) {
 			if _, err := cl.Run(func(*rpc.Ctx, *Mount, int) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
-			scheduled := scrubbedNodes(t, cl.ScrubResults())
-			outs, err := cl.ScrubPass()
-			if err != nil {
-				t.Fatal(err)
-			}
+			inRun := scrubbedNodes(t, cl.ScrubResults())
+			outside := scrubbedNodes(t, scrubPass(t, cl))
 			want := "[io0 io2 io3 io4 io5]"
 			if arch == ArchPNFS3Tier { // three storage nodes, two disks each
 				want = "[io0 io2]"
 			}
-			for _, got := range [][]string{scheduled, scrubbedNodes(t, outs)} {
+			for _, got := range [][]string{inRun, outside} {
 				if fmt.Sprint(got) != want {
 					t.Fatalf("a pass after the drain scanned %v, want %s", got, want)
 				}
@@ -465,17 +462,12 @@ func TestScrubReachesJoinedNode(t *testing.T) {
 	if err := writeMemberCorpus(cl, 600_000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.ScrubPass(); err != nil {
-		t.Fatal(err)
-	}
+	scrubPass(t, cl)
 	schedule(t, cl, faults.Join{Node: "io9"})
 	if err := cl.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
-	outs, err := cl.ScrubPass()
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := scrubPass(t, cl)
 	if got, want := fmt.Sprint(scrubbedNodes(t, outs)), "[io0 io1 io2 io3 io4 io5 io9]"; got != want {
 		t.Fatalf("the pass after the join scanned %s, want %s", got, want)
 	}

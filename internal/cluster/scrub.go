@@ -1,10 +1,10 @@
 // Background scrub wiring: one scrub.Scrubber per storage member, repairing
 // from the node's replica partners when the substrate is replicated
-// (DistParams.Copies via distCopies).  Passes run either synchronously
-// (ScrubPass, for tests and operator tooling) or as faults.Scrub events of
-// a scheduled plan, replayed on the run's scrub lane (Schedule,
-// runSubsetInner) so they are deterministic under seed replay.  Both run on
-// either transport.
+// (DistParams.Copies via distCopies).  Passes run only as faults.Scrub
+// events of a scheduled plan, replayed on the run's scrub lane (Schedule,
+// runSubsetInner) so they are deterministic under seed replay, on either
+// transport.  A pass outside a workload is a plan of one Scrub followed by
+// Reconcile.
 
 package cluster
 
@@ -21,9 +21,9 @@ import (
 	"dpnfs/internal/stripe"
 )
 
-// ScrubOutcome records one node's pass within one scheduled or synchronous
-// scrub: when it ran (offset into the run for scheduled passes, zero for
-// synchronous ones), what it found, and whether the scan itself failed.
+// ScrubOutcome records one node's pass within one scheduled scrub: when it
+// ran (the event's offset into its run), what it found, and whether the
+// scan itself failed.
 type ScrubOutcome struct {
 	Node   string
 	At     time.Duration
@@ -70,7 +70,6 @@ func (cl *Cluster) newScrubber(dev int, m *member) *scrub.Scrubber {
 		Node:    m.node.Name,
 		Store:   src,
 		Fetch:   fetch,
-		RateBPS: cl.Cfg.ScrubRateBPS,
 		Metrics: cl.Cfg.Metrics,
 	})
 }
@@ -119,31 +118,10 @@ func (cl *Cluster) replicaFetch(dev, copies int, m *member) scrub.Fetch {
 	}
 }
 
-// ScrubPass runs one synchronous full-cluster pass (every member not
-// removed, in build order) as its own flow — on the fabric a kernel
-// process, so pacing and background scheduling charge virtual time — and
-// returns the per-node outcomes.  The returned error is the first scan
-// failure, if any — corruption found and repaired is a result, not an
-// error.
-func (cl *Cluster) ScrubPass() ([]ScrubOutcome, error) {
-	var outs []ScrubOutcome
-	flows := cl.flows()
-	flows.Go("scrub-pass", func(ctx *rpc.Ctx) { outs = cl.scrubPassCtx(ctx, 0) })
-	if err := flows.Wait(); err != nil {
-		return nil, err
-	}
-	for _, o := range outs {
-		if o.Err != nil {
-			return outs, o.Err
-		}
-	}
-	return outs, nil
-}
-
 // scrubPassCtx scans every member not removed sequentially, in build order
 // (the deterministic order seed replay depends on), and records the
 // outcomes.
-func (cl *Cluster) scrubPassCtx(ctx *rpc.Ctx, at time.Duration) []ScrubOutcome {
+func (cl *Cluster) scrubPassCtx(ctx *rpc.Ctx, at time.Duration) {
 	var outs []ScrubOutcome
 	for _, s := range cl.scrubbers() {
 		res, err := s.Pass(ctx)
@@ -152,7 +130,6 @@ func (cl *Cluster) scrubPassCtx(ctx *rpc.Ctx, at time.Duration) []ScrubOutcome {
 	cl.scrubMu.Lock()
 	cl.scrubResults = append(cl.scrubResults, outs...)
 	cl.scrubMu.Unlock()
-	return outs
 }
 
 // ScrubResults returns every recorded pass outcome, oldest first.

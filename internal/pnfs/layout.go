@@ -86,60 +86,52 @@ type FileLayout struct {
 	Gen uint64
 }
 
-// Mapper instantiates the aggregation driver described by the layout.  The
-// standard schemes need no driver registration; the unconventional ones are
-// looked up in the driver registry.
+// Mapper instantiates the aggregation driver the layout names over its
+// devices.
 func (l *FileLayout) Mapper() (stripe.Mapper, error) {
-	n := len(l.Devices)
-	if n == 0 {
+	return NewMapper(l.Aggregation, l.Params, len(l.Devices))
+}
+
+// NewMapper instantiates the named aggregation's driver from its params
+// over devices data servers.
+func NewMapper(agg string, params []int64, devices int) (stripe.Mapper, error) {
+	if devices == 0 {
 		return nil, fmt.Errorf("pnfs: layout has no devices")
 	}
-	switch l.Aggregation {
-	case AggRoundRobin:
-		if len(l.Params) != 1 {
-			return nil, fmt.Errorf("pnfs: round-robin wants 1 param, got %d", len(l.Params))
+	drv, ok := drivers[agg]
+	if !ok {
+		return nil, fmt.Errorf("pnfs: no aggregation driver for %q", agg)
+	}
+	return drv(params, devices)
+}
+
+// drivers builds each aggregation scheme's mapper from layout params and a
+// device count: the two NFSv4.1-standard schemes, and the three that need a
+// pluggable driver on the client.
+var drivers = map[string]func(params []int64, devices int) (stripe.Mapper, error){
+	AggRoundRobin: func(params []int64, devices int) (stripe.Mapper, error) {
+		if len(params) != 1 {
+			return nil, fmt.Errorf("pnfs: round-robin wants 1 param, got %d", len(params))
 		}
-		return stripe.NewRoundRobin(l.Params[0], n), nil
-	case AggCyclic:
-		if len(l.Params) < 2 {
+		return stripe.NewRoundRobin(params[0], devices), nil
+	},
+	AggCyclic: func(params []int64, _ int) (stripe.Mapper, error) {
+		if len(params) < 2 {
 			return nil, fmt.Errorf("pnfs: cyclic wants unit + order params")
 		}
-		order := make([]int, len(l.Params)-1)
-		for i, v := range l.Params[1:] {
+		order := make([]int, len(params)-1)
+		for i, v := range params[1:] {
 			order[i] = int(v)
 		}
-		return stripe.NewCyclic(l.Params[0], order), nil
-	default:
-		drv, ok := drivers[l.Aggregation]
-		if !ok {
-			return nil, fmt.Errorf("pnfs: no aggregation driver for %q", l.Aggregation)
-		}
-		return drv(l.Params, n)
-	}
-}
-
-// Driver builds an aggregation mapper from layout params and device count.
-type Driver func(params []int64, devices int) (stripe.Mapper, error)
-
-var drivers = make(map[string]Driver)
-
-// RegisterDriver installs a pluggable aggregation driver.  Drivers are
-// registered at init time; duplicate names panic.
-func RegisterDriver(name string, d Driver) {
-	if _, dup := drivers[name]; dup {
-		panic(fmt.Sprintf("pnfs: duplicate aggregation driver %q", name))
-	}
-	drivers[name] = d
-}
-
-func init() {
-	RegisterDriver(AggVariableStripe, func(params []int64, devices int) (stripe.Mapper, error) {
+		return stripe.NewCyclic(params[0], order), nil
+	},
+	AggVariableStripe: func(params []int64, devices int) (stripe.Mapper, error) {
 		if len(params) != devices {
 			return nil, fmt.Errorf("pnfs: variable-stripe wants %d sizes, got %d", devices, len(params))
 		}
 		return stripe.NewVariableStripe(params), nil
-	})
-	RegisterDriver(AggReplicated, func(params []int64, devices int) (stripe.Mapper, error) {
+	},
+	AggReplicated: func(params []int64, devices int) (stripe.Mapper, error) {
 		if len(params) != 2 {
 			return nil, fmt.Errorf("pnfs: replicated wants [copies, unit], got %d params", len(params))
 		}
@@ -148,8 +140,8 @@ func init() {
 			return nil, fmt.Errorf("pnfs: %d devices not divisible into %d replicas", devices, copies)
 		}
 		return stripe.NewReplicated(stripe.NewRoundRobin(params[1], devices/copies), copies), nil
-	})
-	RegisterDriver(AggHierarchical, func(params []int64, devices int) (stripe.Mapper, error) {
+	},
+	AggHierarchical: func(params []int64, devices int) (stripe.Mapper, error) {
 		if len(params) != 3 {
 			return nil, fmt.Errorf("pnfs: hierarchical wants [outer, inner, groups], got %d params", len(params))
 		}
@@ -158,7 +150,7 @@ func init() {
 			return nil, fmt.Errorf("pnfs: %d devices not divisible into %d groups", devices, groups)
 		}
 		return stripe.NewHierarchical(params[0], params[1], groups, devices/groups), nil
-	})
+	},
 }
 
 // MaxDevices bounds the device lists a decoder accepts: GETDEVICELIST's

@@ -150,15 +150,6 @@ func TestValidateChecksParity(t *testing.T) {
 	}
 }
 
-func TestDuplicateDriverPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate driver registration did not panic")
-		}
-	}()
-	RegisterDriver(AggVariableStripe, nil)
-}
-
 func TestTranslate(t *testing.T) {
 	native := NativeLayout{
 		Aggregation:  AggRoundRobin,

@@ -11,24 +11,22 @@
 // every chunk, so rot is found and repaired at scrub cadence rather than at
 // application-read cadence.
 //
-// Scan I/O is deliberately second-class: each chunk verification runs
-// through a private I/O engine under ioengine.Background, and the pass is
-// paced to Config.RateBPS of verified bytes per (virtual) second, so a
-// scrub never competes with foreground traffic for more than the background
-// share of anything.
+// A pass is a sequential loop on the caller's flow — on the cluster, the
+// run's scrub lane — that verifies one chunk at a time and sleeps off each
+// chunk at rateBPS.  The sleep is a model charge (rpc.Ctx.Sleep): it costs
+// virtual time on the simulated fabric and nothing over TCP, where a pass
+// runs unthrottled.
 package scrub
 
 import (
 	"errors"
 	"fmt"
 
-	"dpnfs/internal/ioengine"
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/sim"
 	"dpnfs/internal/store"
 	"dpnfs/internal/store/mem"
-	"dpnfs/internal/stripe"
 )
 
 // Source is the slice of a store the scrubber needs: deterministic
@@ -59,19 +57,20 @@ type Fetch func(ctx *rpc.Ctx, id store.FileID, off int64, b []byte) (int, error)
 // read maps onto exactly one block checksum.
 const chunkSize = store.ChunkSize
 
+// rateBPS bounds a simulated pass's verified bytes per virtual second, so
+// the integrity figure's phase-3 foreground impact is a fixed trade-off
+// rather than an unthrottled scan.
+const rateBPS = 64 << 20
+
 // Config wires a Scrubber to one node's store.
 type Config struct {
-	// Node names the scanned node (metric label, engine name prefix).
+	// Node names the scanned node (metric label).
 	Node string
 	// Store is the node's content store.
 	Store Source
 	// Fetch supplies replica bytes for repair; nil makes the scrubber
 	// detect-only (unreplicated aggregations have nowhere to repair from).
 	Fetch Fetch
-	// RateBPS bounds verified bytes per virtual second (0 = unpaced).
-	// Pacing needs a simulation clock; over real transports the engine's
-	// background share is the only throttle.
-	RateBPS int64
 	// Metrics is the shared observability registry; nil discards.
 	Metrics *metrics.Registry
 }
@@ -87,8 +86,7 @@ type Result struct {
 // on the same Scrubber (the scratch buffers are shared); run passes
 // sequentially, as the cluster driver does.
 type Scrubber struct {
-	cfg    Config
-	engine *ioengine.Engine
+	cfg Config
 
 	scanned  *metrics.Counter
 	found    *metrics.Counter
@@ -106,12 +104,6 @@ func New(cfg Config) *Scrubber {
 	}
 	return &Scrubber{
 		cfg: cfg,
-		// MaxFlight 1: the scan is sequential by design — pacing a sliding
-		// window would let a burst of chunk reads land ahead of the sleep.
-		engine: ioengine.New(ioengine.Config{
-			Name: name + "/scrub", Issuer: "scrub", MaxFlight: 1,
-			Metrics: cfg.Metrics,
-		}),
 		scanned: cfg.Metrics.CounterVec("scrub_extents_total",
 			"Extent chunks whose block checksums the scrubber verified, by node.",
 			"node").With(name),
@@ -159,17 +151,15 @@ func (s *Scrubber) Pass(ctx *rpc.Ctx) (Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("scrub %s: extents of file %d: %w", s.cfg.Node, id, err)
 		}
-		reqs := s.chunked(exts)
-		if len(reqs) == 0 {
-			continue
-		}
-		id := id
-		err = s.engine.RunWith(ctx, ioengine.RunOpts{Class: ioengine.Background}, reqs,
-			func(ctx *rpc.Ctx, r stripe.Extent) error {
-				return s.scanChunk(ctx, id, r, &res)
-			})
-		if err != nil {
-			return res, fmt.Errorf("scrub %s: file %d: %w", s.cfg.Node, id, err)
+		for _, e := range exts {
+			for off, end := e.Off, e.Off+e.Len; off < end; {
+				// One chunk per read, so each maps onto one block checksum.
+				n := min(chunkSize-off%chunkSize, end-off)
+				if err := s.scanChunk(ctx, id, off, n, &res); err != nil {
+					return res, fmt.Errorf("scrub %s: file %d: %w", s.cfg.Node, id, err)
+				}
+				off += n
+			}
 		}
 	}
 	if res.Repaired > 0 {
@@ -182,33 +172,19 @@ func (s *Scrubber) Pass(ctx *rpc.Ctx) (Result, error) {
 	return res, nil
 }
 
-// chunked splits a file's materialized extents into chunkSize-aligned scan
-// requests (Dev is unused; the scrubber owns exactly one store).
-func (s *Scrubber) chunked(exts []mem.Extent) []stripe.Extent {
-	var reqs []stripe.Extent
-	for _, e := range exts {
-		for off, end := e.Off, e.Off+e.Len; off < end; {
-			n := chunkSize - off%chunkSize
-			if off+n > end {
-				n = end - off
-			}
-			reqs = append(reqs, stripe.Extent{Off: off, Len: n})
-			off += n
-		}
+// scanChunk verifies the n bytes at off, one chunk, and repairs them if
+// corrupt and repairable.
+func (s *Scrubber) scanChunk(ctx *rpc.Ctx, id store.FileID, off, n int64, res *Result) error {
+	if int64(cap(s.scratch)) < n {
+		s.scratch = make([]byte, n)
 	}
-	return reqs
-}
-
-// scanChunk verifies one chunk and repairs it if corrupt and repairable.
-func (s *Scrubber) scanChunk(ctx *rpc.Ctx, id store.FileID, r stripe.Extent, res *Result) error {
-	if int64(cap(s.scratch)) < r.Len {
-		s.scratch = make([]byte, r.Len)
-	}
-	buf := s.scratch[:r.Len]
+	buf := s.scratch[:n]
 	res.Extents++
 	s.scanned.Inc()
-	_, err := s.cfg.Store.ReadAt(id, r.Off, buf)
-	s.pace(ctx, r.Len)
+	_, err := s.cfg.Store.ReadAt(id, off, buf)
+	// The sleep is the entire cost model: checksum verification itself is
+	// free in virtual time.
+	ctx.Sleep(sim.Duration(float64(n) / rateBPS * 1e9))
 	if err == nil || errors.Is(err, store.ErrNotExist) {
 		return nil
 	}
@@ -217,43 +193,32 @@ func (s *Scrubber) scanChunk(ctx *rpc.Ctx, id store.FileID, r stripe.Extent, res
 	}
 	res.Found++
 	s.found.Inc()
-	s.repair(ctx, id, r, res)
+	s.repair(ctx, id, off, n, res)
 	return nil
 }
 
 // repair rewrites one corrupt chunk from a replica, best-effort: any
 // failure leaves the chunk for the next pass (or for a foreground
 // read-repair) rather than failing the scan.
-func (s *Scrubber) repair(ctx *rpc.Ctx, id store.FileID, r stripe.Extent, res *Result) {
+func (s *Scrubber) repair(ctx *rpc.Ctx, id store.FileID, off, n int64, res *Result) {
 	if s.cfg.Fetch == nil {
 		return
 	}
-	if int64(cap(s.good)) < r.Len {
-		s.good = make([]byte, r.Len)
+	if int64(cap(s.good)) < n {
+		s.good = make([]byte, n)
 	}
-	buf := s.good[:r.Len]
-	n, err := s.cfg.Fetch(ctx, id, r.Off, buf)
-	if err != nil || int64(n) < r.Len {
+	buf := s.good[:n]
+	if got, err := s.cfg.Fetch(ctx, id, off, buf); err != nil || int64(got) < n {
 		return
 	}
-	if _, err := s.cfg.Store.WriteAt(id, r.Off, buf[:n]); err != nil {
+	if _, err := s.cfg.Store.WriteAt(id, off, buf); err != nil {
 		return
 	}
 	// The write resealed the block checksum over the replica's bytes;
 	// re-read so "repaired" means verified clean, not merely rewritten.
-	if _, err := s.cfg.Store.ReadAt(id, r.Off, s.scratch[:r.Len]); err != nil {
+	if _, err := s.cfg.Store.ReadAt(id, off, s.scratch[:n]); err != nil {
 		return
 	}
 	res.Repaired++
 	s.repaired.Inc()
-}
-
-// pace sleeps off the virtual time the just-verified bytes are worth under
-// RateBPS.  Only simulated passes are paced (Ctx.Sleep is a model charge);
-// xdr.Checksum verification itself is free in virtual time, so the sleep is
-// the entire cost model.
-func (s *Scrubber) pace(ctx *rpc.Ctx, n int64) {
-	if s.cfg.RateBPS > 0 {
-		ctx.Sleep(sim.Duration(float64(n) / float64(s.cfg.RateBPS) * 1e9))
-	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"dpnfs/internal/cluster"
@@ -9,11 +10,19 @@ import (
 // Small scales keep these correctness tests fast; shape assertions live in
 // the root bench/figure tests.
 
+// newCluster builds a cluster that is closed when the test ends.
+func newCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
+	t.Helper()
+	cl := cluster.New(cfg)
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
 func TestIORWriteRunsOnAllArchitectures(t *testing.T) {
 	for _, arch := range cluster.Archs {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
-			cl := cluster.New(cluster.Config{Arch: arch, Clients: 2})
+			cl := newCluster(t, cluster.Config{Arch: arch, Clients: 2})
 			res, err := IOR(cl, IORConfig{FileSize: 8 << 20, Block: 2 << 20, Separate: true})
 			if err != nil {
 				t.Fatal(err)
@@ -29,7 +38,7 @@ func TestIORWriteRunsOnAllArchitectures(t *testing.T) {
 }
 
 func TestIORSingleFileMode(t *testing.T) {
-	cl := cluster.New(cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 3})
+	cl := newCluster(t, cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 3})
 	res, err := IOR(cl, IORConfig{FileSize: 4 << 20, Block: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +57,7 @@ func TestIORSingleFileMode(t *testing.T) {
 }
 
 func TestIORReadUsesWarmCache(t *testing.T) {
-	cl := cluster.New(cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 2})
+	cl := newCluster(t, cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 2})
 	res, err := IOR(cl, IORConfig{FileSize: 16 << 20, Block: 2 << 20, Separate: true, Read: true})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +77,7 @@ func TestIORReadUsesWarmCache(t *testing.T) {
 }
 
 func TestATLASCoversFileExactly(t *testing.T) {
-	cl := cluster.New(cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 2})
+	cl := newCluster(t, cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 2})
 	const total = 8 << 20
 	res, err := ATLAS(cl, ATLASConfig{TotalBytes: total})
 	if err != nil {
@@ -78,7 +87,7 @@ func TestATLASCoversFileExactly(t *testing.T) {
 		t.Fatalf("bytes %d", res.Bytes)
 	}
 	for i := 0; i < 2; i++ {
-		at, err := cl.PVFSMeta.Namespace().LookupPath("/atlas.0")
+		at, err := cl.PVFSMeta.Namespace().LookupPath(fmt.Sprintf("/atlas.%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +99,7 @@ func TestATLASCoversFileExactly(t *testing.T) {
 
 func TestATLASSlowerOnPVFS2(t *testing.T) {
 	tp := func(arch cluster.Arch) float64 {
-		cl := cluster.New(cluster.Config{Arch: arch, Clients: 2})
+		cl := newCluster(t, cluster.Config{Arch: arch, Clients: 2})
 		res, err := ATLAS(cl, ATLASConfig{TotalBytes: 16 << 20})
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +115,7 @@ func TestATLASSlowerOnPVFS2(t *testing.T) {
 
 func TestBTIO(t *testing.T) {
 	for _, arch := range []cluster.Arch{cluster.ArchDirectPNFS, cluster.ArchPVFS2} {
-		cl := cluster.New(cluster.Config{Arch: arch, Clients: 3})
+		cl := newCluster(t, cluster.Config{Arch: arch, Clients: 3})
 		res, err := BTIO(cl, BTIOConfig{CheckpointBytes: 12 << 20})
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
@@ -117,7 +126,7 @@ func TestBTIO(t *testing.T) {
 	}
 	// The checkpoint file must be complete: 40 checkpoints of 4 × 64 KiB.
 	const size = btioCheckpoints * 4 * 64 << 10
-	cl := cluster.New(cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 4})
+	cl := newCluster(t, cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 4})
 	if _, err := BTIO(cl, BTIOConfig{CheckpointBytes: size}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestBTIO(t *testing.T) {
 }
 
 func TestOLTPTransactionAccounting(t *testing.T) {
-	cl := cluster.New(cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 2})
+	cl := newCluster(t, cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 2})
 	res, err := OLTP(cl, OLTPConfig{FileBytes: 16 << 20, Transactions: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +155,7 @@ func TestOLTPTransactionAccounting(t *testing.T) {
 
 func TestOLTPFavorsDirect(t *testing.T) {
 	tp := func(arch cluster.Arch) float64 {
-		cl := cluster.New(cluster.Config{Arch: arch, Clients: 2})
+		cl := newCluster(t, cluster.Config{Arch: arch, Clients: 2})
 		res, err := OLTP(cl, OLTPConfig{FileBytes: 16 << 20, Transactions: 100})
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +171,7 @@ func TestOLTPFavorsDirect(t *testing.T) {
 
 func TestPostmark(t *testing.T) {
 	for _, arch := range []cluster.Arch{cluster.ArchDirectPNFS, cluster.ArchPVFS2} {
-		cl := cluster.New(cluster.Config{
+		cl := newCluster(t, cluster.Config{
 			Arch: arch, Clients: 2,
 			StripeSize: 64 << 10, WSize: 64 << 10, RSize: 64 << 10,
 		})
@@ -177,12 +186,12 @@ func TestPostmark(t *testing.T) {
 }
 
 func TestSSHBuildPhases(t *testing.T) {
-	direct := cluster.New(cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 1})
+	direct := newCluster(t, cluster.Config{Arch: cluster.ArchDirectPNFS, Clients: 1})
 	d, err := SSHBuild(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv := cluster.New(cluster.Config{Arch: cluster.ArchPVFS2, Clients: 1})
+	pv := newCluster(t, cluster.Config{Arch: cluster.ArchPVFS2, Clients: 1})
 	p, err := SSHBuild(pv)
 	if err != nil {
 		t.Fatal(err)
