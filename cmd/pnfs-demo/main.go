@@ -31,7 +31,7 @@ func main() {
 	flag.Parse()
 
 	if *listen != "" {
-		srv := nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New(), nil)})
+		srv := nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New())})
 		tcp, err := rpc.ListenTCP(*listen, nfs.Registry(), srv.Handle)
 		if err != nil {
 			log.Fatal(err)
@@ -43,7 +43,7 @@ func main() {
 	addr := *connect
 	var tcp *rpc.TCPServer
 	if addr == "" {
-		srv := nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New(), nil)})
+		srv := nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New())})
 		var err error
 		tcp, err = rpc.ListenTCP("127.0.0.1:0", nfs.Registry(), srv.Handle)
 		if err != nil {

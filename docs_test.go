@@ -129,7 +129,7 @@ func TestMetricsDocListsEveryLabelValue(t *testing.T) {
 	}
 
 	reg := metrics.NewRegistry()
-	nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New(), nil), Metrics: reg})
+	nfs.NewServer(nfs.ServerConfig{Backend: nfs.NewStoreBackend(mem.New()), Metrics: reg})
 	var ops []string
 	for _, fam := range reg.Snapshot().Metrics {
 		if fam.Name == "nfs_server_ops_total" {

@@ -16,6 +16,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -233,13 +234,12 @@ type Cluster struct {
 	// (see the device-ID stability note in package pnfs).  memberMu guards
 	// both, and schedule, the events queued for the next run, so a join or
 	// drain is checked against the queue it joins.
-	memberMu     sync.Mutex
-	members      []*member
-	nextDevID    uint32
-	layoutGen    uint64
-	schedule     faults.Plan
-	reconcileErr error
-	memberGauge  *metrics.GaugeVec
+	memberMu    sync.Mutex
+	members     []*member
+	nextDevID   uint32
+	layoutGen   uint64
+	schedule    faults.Plan
+	memberGauge *metrics.GaugeVec
 
 	// Rebalance bookkeeping: virtual-time window of the last migration
 	// (membership.go).
@@ -253,10 +253,6 @@ type Cluster struct {
 	exports    []*exportBackend
 	directMDS  *directMDSBackend
 	blind      *blindLayouts
-
-	// Every scrub pass outcome recorded so far (scrub.go).
-	scrubMu      sync.Mutex
-	scrubResults []ScrubOutcome
 }
 
 // pvClientRef remembers which node a PVFS2 client library lives on, so a
@@ -689,15 +685,22 @@ func (cl *Cluster) takeSchedule() (lanes [len(laneNames)][]faults.Event) {
 	return lanes
 }
 
-// planTarget is the cluster as the faults.Target its lanes replay events
+// planTarget is the cluster as the faults.Target one lane replays events
 // through.  Joins, drains and scrub passes need the lane's flow, and they
 // are reached only this way, after Schedule has checked them.  Their
-// failures are recorded for ReconcileErr and ScrubResults; the run goes on.
-type planTarget struct{ *Cluster }
+// failures collect in err, which the run returns; the run goes on.
+type planTarget struct {
+	*Cluster
+	err error
+}
 
-func (t planTarget) Join(ctx *rpc.Ctx, node string)       { t.recordReconcile(t.applyJoin(ctx, node)) }
-func (t planTarget) Drain(ctx *rpc.Ctx, node string)      { t.recordReconcile(t.applyDrain(ctx, node)) }
-func (t planTarget) Scrub(ctx *rpc.Ctx, at time.Duration) { t.scrubPassCtx(ctx, at) }
+func (t *planTarget) Join(ctx *rpc.Ctx, node string) {
+	t.err = errors.Join(t.err, t.applyJoin(ctx, node))
+}
+func (t *planTarget) Drain(ctx *rpc.Ctx, node string) {
+	t.err = errors.Join(t.err, t.applyDrain(ctx, node))
+}
+func (t *planTarget) Scrub(ctx *rpc.Ctx) { t.err = errors.Join(t.err, t.scrubPass(ctx)) }
 
 // faultTargetable reports whether a fault event may touch the named node:
 // it must be one the cluster built and must not have been drained away by
@@ -764,34 +767,33 @@ func (cl *Cluster) SetDiskSlow(node string, factor float64) {
 // Run starts fn as client i's application flow, next to the drivers of the
 // scheduled events (Schedule), waits for all of them, and returns the time
 // from the start until the last application finished: virtual on the
-// fabric, wall clock over TCP.
+// fabric, wall clock over TCP.  Its error is the first application error
+// joined with every failure of a join, drain or scrub pass of the plan; the
+// applications run on through those.
 func (cl *Cluster) Run(fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
-	return cl.runSubset(cl.mounts, fn)
+	return cl.run(cl.mounts, fn)
 }
 
 // RunClient runs fn only on client i's mount (setup phases).
 func (cl *Cluster) RunClient(i int, fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
-	return cl.runSubset(cl.mounts[i:i+1], fn)
+	return cl.run(cl.mounts[i:i+1], fn)
 }
 
-func (cl *Cluster) runSubset(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
-	d, err := cl.runSubsetInner(mounts, fn)
-	if err == nil {
-		cl.runSeconds.ObserveDuration(d)
-	}
-	return d, err
-}
-
-func (cl *Cluster) runSubsetInner(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
+// run runs fn on each of mounts next to the drivers of the schedule.  Only
+// a run with applications observes cluster_run_seconds.
+func (cl *Cluster) run(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Mount, i int) error) (time.Duration, error) {
 	flows := cl.flows()
 	apps := make([]struct {
 		err  error
 		took time.Duration
 	}, len(mounts))
+	var targets [len(laneNames)]planTarget
 	for lane, events := range cl.takeSchedule() {
 		if len(events) == 0 {
 			continue
 		}
+		tg := &targets[lane]
+		tg.Cluster = cl
 		// Each driver replays its lane relative to this run's start.  The
 		// run waits for its drivers, so every event fires even if the
 		// applications finish first — a paired crash/restart plan always
@@ -800,7 +802,7 @@ func (cl *Cluster) runSubsetInner(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Moun
 			start := ctx.Stamp()
 			for _, ev := range events {
 				pauseUntil(ctx, start, ev.When())
-				ev.Apply(ctx, planTarget{cl})
+				ev.Apply(ctx, tg)
 				if lane == faultLane {
 					cl.injected.With(ev.Kind(), ev.Target()).Inc()
 				}
@@ -821,12 +823,24 @@ func (cl *Cluster) runSubsetInner(mounts []*Mount, fn func(ctx *rpc.Ctx, m *Moun
 	if err := flows.Wait(); err != nil {
 		return 0, err
 	}
+	var err error
 	var d time.Duration
 	for _, app := range apps {
-		if app.err != nil {
-			return 0, app.err
+		if err == nil {
+			err = app.err
 		}
 		d = max(d, app.took)
+	}
+	for _, tg := range targets {
+		if tg.err != nil {
+			err = errors.Join(err, tg.err)
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	if len(mounts) > 0 {
+		cl.runSeconds.ObserveDuration(d)
 	}
 	return d, nil
 }

@@ -3,15 +3,19 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dpnfs/internal/faults"
+	"dpnfs/internal/metrics"
 	"dpnfs/internal/nfs"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pnfs"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/simdisk"
+	"dpnfs/internal/store"
 	"dpnfs/internal/xdr"
 )
 
@@ -35,25 +39,59 @@ func integrityCluster(arch Arch, backend string) *Cluster {
 	})
 }
 
+// scrubTally is one node's scrub counters: chunks verified, chunks found
+// corrupt, and chunks repaired.
+type scrubTally struct{ extents, found, repaired float64 }
+
+// scrubTallies reads every node's scrub_{extents,errors_found,repaired}_total.
+func scrubTallies(cl *Cluster) map[string]scrubTally {
+	out := map[string]scrubTally{}
+	for _, fam := range cl.Metrics().Snapshot().Metrics {
+		for _, s := range fam.Series {
+			node := s.Labels["node"]
+			t := out[node]
+			switch fam.Name {
+			case "scrub_extents_total":
+				t.extents = s.Value
+			case "scrub_errors_found_total":
+				t.found = s.Value
+			case "scrub_repaired_total":
+				t.repaired = s.Value
+			default:
+				continue
+			}
+			out[node] = t
+		}
+	}
+	return out
+}
+
+// scrubbed returns what each node's scrub counters gained from before to
+// after, for every node whose scan verified at least one chunk.
+func scrubbed(before, after map[string]scrubTally) map[string]scrubTally {
+	moved := map[string]scrubTally{}
+	for node, a := range after {
+		b := before[node]
+		if d := (scrubTally{a.extents - b.extents, a.found - b.found, a.repaired - b.repaired}); d.extents > 0 {
+			moved[node] = d
+		}
+	}
+	return moved
+}
+
 // scrubPass runs one full-cluster scrub pass outside a workload — a plan of
-// one Scrub, replayed by Reconcile — and returns its per-node outcomes,
-// failing the test if a scan failed.
-func scrubPass(t *testing.T, cl *Cluster) []ScrubOutcome {
+// one Scrub, replayed by Reconcile — fails the test if a scan failed, and
+// returns what the pass counted on each node it scanned.
+func scrubPass(t *testing.T, cl *Cluster) map[string]scrubTally {
 	t.Helper()
-	before := len(cl.ScrubResults())
+	before := scrubTallies(cl)
 	if err := cl.Schedule(faults.NewPlan(0, faults.Scrub{})); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
-	outs := cl.ScrubResults()[before:]
-	for _, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("scrub of %s: %v", o.Node, o.Err)
-		}
-	}
-	return outs
+	return scrubbed(before, scrubTallies(cl))
 }
 
 // populateIntegrity writes each client's distinct pattern, so both replicas
@@ -204,26 +242,25 @@ func scrubRepairsLatentRot(t *testing.T, backend string) {
 		t.Fatalf("rot run: %v", err)
 	}
 
-	outs := scrubPass(t, cl)
-	var found, repaired int
-	for _, o := range outs {
-		found += o.Result.Found
-		repaired += o.Result.Repaired
+	var found, repaired float64
+	for _, c := range scrubPass(t, cl) {
+		found += c.found
+		repaired += c.repaired
 	}
 	if found < 1 {
-		t.Fatalf("scrub found %d corrupt chunks, want >= 1 (rot never landed?)", found)
+		t.Fatalf("scrub found %v corrupt chunks, want >= 1 (rot never landed?)", found)
 	}
 	if repaired != found {
-		t.Fatalf("scrub repaired %d of %d corrupt chunks", repaired, found)
+		t.Fatalf("scrub repaired %v of %v corrupt chunks", repaired, found)
 	}
-	if got := counterSum(cl, "scrub_repaired_total"); got != float64(repaired) {
-		t.Fatalf("scrub_repaired_total = %v, want %d", got, repaired)
+	if got := counterSum(cl, "scrub_repaired_total"); got != repaired {
+		t.Fatalf("scrub_repaired_total = %v, want %v", got, repaired)
 	}
 
 	// A second pass over the repaired stores finds nothing.
-	for _, o := range scrubPass(t, cl) {
-		if o.Result.Found != 0 {
-			t.Fatalf("node %s still corrupt after repair: %+v", o.Node, o.Result)
+	for node, c := range scrubPass(t, cl) {
+		if c.found != 0 {
+			t.Fatalf("node %s still corrupt after repair: %+v", node, c)
 		}
 	}
 
@@ -242,17 +279,21 @@ func scrubRepairsLatentRot(t *testing.T, backend string) {
 func TestScheduledScrubRunsOnBothTransports(t *testing.T) {
 	for _, tr := range []TransportKind{TransportSim, TransportTCP} {
 		t.Run(string(tr), func(t *testing.T) {
-			cl := New(Config{Arch: ArchPVFS2, Clients: 1, Transport: tr})
+			cl := New(Config{Arch: ArchPVFS2, Clients: 1, Transport: tr, Real: true})
 			defer cl.Close()
+			if err := writeMemberCorpus(cl, 100_000); err != nil {
+				t.Fatal(err)
+			}
 			schedule(t, cl, faults.Scrub{At: time.Millisecond}, faults.Scrub{At: 2 * time.Millisecond})
 			if n := queued(cl); n != 2 {
 				t.Fatalf("%d passes queued, want 2", n)
 			}
+			before := scrubTallies(cl)
 			if _, err := cl.Run(func(*rpc.Ctx, *Mount, int) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
-			if n, ran := queued(cl), len(cl.ScrubResults()); n != 0 || ran == 0 {
-				t.Fatalf("after the run: %d passes still queued, %d pass outcomes; want 0 and some", n, ran)
+			if n, ran := queued(cl), len(scrubbed(before, scrubTallies(cl))); n != 0 || ran == 0 {
+				t.Fatalf("after the run: %d passes still queued, %d nodes scanned; want 0 and some", n, ran)
 			}
 		})
 	}
@@ -260,7 +301,8 @@ func TestScheduledScrubRunsOnBothTransports(t *testing.T) {
 
 // TestScheduledScrubRunsInBackground drives the scrub-driver path: a pass
 // scheduled mid-run repairs rot injected earlier in the same run, while the
-// applications keep reading — and the recorded outcome carries the repairs.
+// applications keep running — no repair is counted before the pass's
+// scheduled 20 ms, and at least one after.
 func TestScheduledScrubRunsInBackground(t *testing.T) {
 	const fileSize = 256 << 10
 	var events []faults.Event
@@ -275,40 +317,35 @@ func TestScheduledScrubRunsInBackground(t *testing.T) {
 	defer cl.Close()
 	populateIntegrity(t, cl, fileSize, append(events, faults.Scrub{At: 20 * time.Millisecond})...)
 
+	start := cl.Now()
+	var early atomic.Value
 	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, i int) error {
-		ctx.P.Sleep(200 * time.Millisecond) // outlive the scheduled pass
+		// A repair takes a verified chunk read and a replica fetch, so
+		// none can be counted at the very instant the pass starts.
+		ctx.P.Sleep(start + 20*time.Millisecond - cl.Now())
+		early.Store(counterSum(cl, "scrub_repaired_total"))
+		ctx.P.Sleep(180 * time.Millisecond) // outlive the scheduled pass
 		return nil
 	}); err != nil {
 		t.Fatalf("run with scheduled scrub: %v", err)
 	}
 
-	outs := cl.ScrubResults()
-	if len(outs) == 0 {
-		t.Fatal("scheduled scrub never ran")
+	if got := early.Load(); got != 0.0 {
+		t.Fatalf("%v chunks repaired before the pass's scheduled 20ms, want 0", got)
 	}
-	var repaired int
-	for _, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("scrub outcome on %s: %v", o.Node, o.Err)
-		}
-		if o.At != 20*time.Millisecond {
-			t.Fatalf("outcome recorded at %v, want the scheduled 20ms", o.At)
-		}
-		repaired += o.Result.Repaired
-	}
-	if repaired < 1 {
-		t.Fatalf("scheduled scrub repaired %d chunks, want >= 1", repaired)
+	if repaired := counterSum(cl, "scrub_repaired_total"); repaired < 1 {
+		t.Fatalf("scheduled scrub repaired %v chunks, want >= 1", repaired)
 	}
 	readBackIntegrity(t, cl, fileSize, 64<<10, 0)
 }
 
 // TestScrubDeterministicUnderSeedReplay pins the acceptance requirement:
 // identically seeded clusters running the identical rot-then-scrub sequence
-// produce identical pass reports and identical repair counters.
+// produce identical per-node pass counts and identical repair counters.
 func TestScrubDeterministicUnderSeedReplay(t *testing.T) {
 	const fileSize = 384 << 10
 	type trace struct {
-		outs     []ScrubOutcome
+		outs     map[string]scrubTally
 		repaired float64
 		found    float64
 	}
@@ -343,6 +380,50 @@ func TestScrubDeterministicUnderSeedReplay(t *testing.T) {
 	}
 	if a.found < 1 {
 		t.Fatal("replayed scrub found nothing (vacuous)")
+	}
+}
+
+// TestScrubScanFailureReachesTheRun: on the wal backend a crashed node's
+// store cannot be walked, so its scan fails and Reconcile says so, naming
+// the node, while the pass still scans every other node.
+func TestScrubScanFailureReachesTheRun(t *testing.T) {
+	cl := New(Config{Arch: ArchPVFS2, Clients: 1, Real: true, StripeSize: 64 << 10, Backend: BackendWAL})
+	defer cl.Close()
+	if err := writeMemberCorpus(cl, 600_000); err != nil {
+		t.Fatal(err)
+	}
+	cl.CrashVolatile("io1")
+	schedule(t, cl, faults.Scrub{})
+	before := scrubTallies(cl)
+	err := cl.Reconcile()
+	if err == nil || !strings.Contains(err.Error(), "io1") {
+		t.Fatalf("Reconcile after a scan of crashed io1 returned %v, want an error naming io1", err)
+	}
+	moved := scrubbed(before, scrubTallies(cl))
+	for _, m := range cl.liveMembers() {
+		if _, ok := moved[m.node.Name]; ok == (m.node.Name == "io1") {
+			t.Errorf("%s: scrub_extents_total moved = %v", m.node.Name, ok)
+		}
+	}
+}
+
+// walkless is a content store without the scrubber's Walk and Extents.
+type walkless struct{ store.Store }
+
+// TestUnscannableStoreFailsTheScrub: a member whose store the scrubber
+// cannot walk is a scan failure the run returns, not a member skipped.
+func TestUnscannableStoreFailsTheScrub(t *testing.T) {
+	memFactory, _ := BackendFactory(BackendMem)
+	cl := New(Config{Arch: ArchPVFS2, Clients: 1,
+		ContentBackend: func(node string, disk *simdisk.Disk, reg *metrics.Registry) store.Store {
+			return walkless{memFactory(node, disk, reg)}
+		},
+	})
+	defer cl.Close()
+	schedule(t, cl, faults.Scrub{})
+	err := cl.Reconcile()
+	if err == nil || !strings.Contains(err.Error(), "scrub io0: store") {
+		t.Fatalf("Reconcile scrubbing walkless stores returned %v, want an error naming io0", err)
 	}
 }
 

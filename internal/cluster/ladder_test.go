@@ -183,7 +183,7 @@ func TestReplicaLadderBounds(t *testing.T) {
 		name            string
 		rot             []int
 		fetches         float64
-		found, repaired int
+		found, repaired float64
 	}{
 		{"scrub/one-copy-rotten", []int{first}, copies - 1, 1, 1},
 		{"scrub/every-copy-rotten", []int{first, mirror}, copies * (copies - 1), 2, 0},
@@ -193,13 +193,13 @@ func TestReplicaLadderBounds(t *testing.T) {
 			defer cl.Close()
 			rot(cl, row.rot)
 			before := callsTo(cl, pvfs.ServiceIO)
-			found, repaired := 0, 0
-			for _, o := range scrubPass(t, cl) {
-				found += o.Result.Found
-				repaired += o.Result.Repaired
+			var found, repaired float64
+			for _, c := range scrubPass(t, cl) {
+				found += c.found
+				repaired += c.repaired
 			}
 			if got := callsTo(cl, pvfs.ServiceIO) - before; got != row.fetches || found != row.found || repaired != row.repaired {
-				t.Fatalf("pass made %v partner reads, found %d, repaired %d; want %v, %d, %d",
+				t.Fatalf("pass made %v partner reads, found %v, repaired %v; want %v, %v, %v",
 					got, found, repaired, row.fetches, row.found, row.repaired)
 			}
 		})

@@ -154,23 +154,11 @@ func (cl *Cluster) admit(ev faults.Event) error {
 }
 
 // Reconcile replays the scheduled events (Schedule) immediately, in a run
-// of its own with no application workload, and returns the membership
-// failure it met, if any.
+// of its own with no application workload, and returns every failure of a
+// join, drain or scrub pass that they met.
 func (cl *Cluster) Reconcile() error {
-	if _, err := cl.runSubset(nil, nil); err != nil {
-		return err
-	}
-	return cl.ReconcileErr()
-}
-
-// ReconcileErr returns the most recent reconciliation failure, if any.
-// Applications keep running through a failed join or drain (exactly as they
-// would through a failed operator action), so callers that schedule one
-// must check this after the run.
-func (cl *Cluster) ReconcileErr() error {
-	cl.memberMu.Lock()
-	defer cl.memberMu.Unlock()
-	return cl.reconcileErr
+	_, err := cl.run(nil, nil)
+	return err
 }
 
 // MigrationWindow returns the virtual-time window of the most recent
@@ -179,15 +167,6 @@ func (cl *Cluster) MigrationWindow() (start, end time.Duration) {
 	cl.memberMu.Lock()
 	defer cl.memberMu.Unlock()
 	return cl.migStart, cl.migEnd
-}
-
-// recordReconcile keeps a failed join or drain for ReconcileErr.
-func (cl *Cluster) recordReconcile(err error) {
-	if err != nil {
-		cl.memberMu.Lock()
-		cl.reconcileErr = err
-		cl.memberMu.Unlock()
-	}
 }
 
 // updateMemberGauges publishes cluster_members{state}.

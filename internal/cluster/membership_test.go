@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -406,17 +407,13 @@ func TestMigrationTruncateSurvivesCrash(t *testing.T) {
 	check("after a crash right after it")
 }
 
-// scrubbedNodes lists the nodes of the outcomes, in order, and fails the
-// test on a scan error.
-func scrubbedNodes(t *testing.T, outs []ScrubOutcome) []string {
-	t.Helper()
+// scrubbedNodes lists the nodes a pass scanned, in name order.
+func scrubbedNodes(counts map[string]scrubTally) []string {
 	var nodes []string
-	for _, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("scrub of %s: %v", o.Node, o.Err)
-		}
-		nodes = append(nodes, o.Node)
+	for node := range counts {
+		nodes = append(nodes, node)
 	}
+	sort.Strings(nodes)
 	return nodes
 }
 
@@ -435,11 +432,12 @@ func TestScrubAfterDrain(t *testing.T) {
 				t.Fatal(err)
 			}
 			schedule(t, cl, faults.Scrub{At: time.Millisecond})
+			before := scrubTallies(cl)
 			if _, err := cl.Run(func(*rpc.Ctx, *Mount, int) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
-			inRun := scrubbedNodes(t, cl.ScrubResults())
-			outside := scrubbedNodes(t, scrubPass(t, cl))
+			inRun := scrubbedNodes(scrubbed(before, scrubTallies(cl)))
+			outside := scrubbedNodes(scrubPass(t, cl))
 			want := "[io0 io2 io3 io4 io5]"
 			if arch == ArchPNFS3Tier { // three storage nodes, two disks each
 				want = "[io0 io2]"
@@ -468,10 +466,60 @@ func TestScrubReachesJoinedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	outs := scrubPass(t, cl)
-	if got, want := fmt.Sprint(scrubbedNodes(t, outs)), "[io0 io1 io2 io3 io4 io5 io9]"; got != want {
+	if got, want := fmt.Sprint(scrubbedNodes(outs)), "[io0 io1 io2 io3 io4 io5 io9]"; got != want {
 		t.Fatalf("the pass after the join scanned %s, want %s", got, want)
 	}
-	if last := outs[len(outs)-1]; last.Result.Extents == 0 {
+	if outs["io9"].extents == 0 {
 		t.Fatal("the pass scanned no extent on io9, which the rebalance gave data")
+	}
+}
+
+// TestReconcileReportsOnlyItsOwnPlan: a drain that fails because io2 is
+// crashed fails its own Reconcile, and no later one: a Reconcile that
+// restarts io2 and scrubs every member succeeds.
+func TestReconcileReportsOnlyItsOwnPlan(t *testing.T) {
+	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1, Real: true, StripeSize: 64 << 10})
+	defer cl.Close()
+	if err := writeMemberCorpus(cl, 300_000); err != nil {
+		t.Fatal(err)
+	}
+	schedule(t, cl, faults.StorageNodeCrash{Node: "io2"}, faults.Drain{At: time.Millisecond, Node: "io1"})
+	if err := cl.Reconcile(); err == nil {
+		t.Fatal("a drain with io2 crashed succeeded")
+	}
+	schedule(t, cl, faults.StorageNodeRestart{Node: "io2"}, faults.Scrub{At: time.Millisecond})
+	before := scrubTallies(cl)
+	if err := cl.Reconcile(); err != nil {
+		t.Fatalf("a restart and a scrub pass after the failed drain: %v", err)
+	}
+	if len(scrubbed(before, scrubTallies(cl))) == 0 {
+		t.Fatal("the scrub pass scanned no node")
+	}
+}
+
+// TestOnlyWorkloadRunsObserveRunSeconds: cluster_run_seconds counts the
+// runs that had applications, not a Reconcile's run of a plan alone.
+func TestOnlyWorkloadRunsObserveRunSeconds(t *testing.T) {
+	cl := New(Config{Arch: ArchPVFS2, Clients: 1})
+	defer cl.Close()
+	runs := func() uint64 {
+		_, n := cl.Metrics().Snapshot().HistTotal("cluster_run_seconds")
+		return n
+	}
+	before := runs()
+	for range 3 {
+		schedule(t, cl, faults.Scrub{})
+		if err := cl.Reconcile(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runs() - before; got != 0 {
+		t.Fatalf("three scrub-only Reconciles observed %d runs, want 0", got)
+	}
+	if _, err := cl.Run(func(*rpc.Ctx, *Mount, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs() - before; got != 1 {
+		t.Fatalf("one Run observed %d runs, want 1", got)
 	}
 }

@@ -2,15 +2,16 @@
 // from the node's replica partners when the substrate is replicated
 // (DistParams.Copies via distCopies).  Passes run only as faults.Scrub
 // events of a scheduled plan, replayed on the run's scrub lane (Schedule,
-// runSubsetInner) so they are deterministic under seed replay, on either
+// Cluster.run) so they are deterministic under seed replay, on either
 // transport.  A pass outside a workload is a plan of one Scrub followed by
-// Reconcile.
+// Reconcile.  A pass reports through that run: its scan failures join the
+// run's error, and its counts are the scrub_*_total counters.
 
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
 	"dpnfs/internal/ioengine"
 	"dpnfs/internal/payload"
@@ -21,45 +22,36 @@ import (
 	"dpnfs/internal/stripe"
 )
 
-// ScrubOutcome records one node's pass within one scheduled scrub: when it
-// ran (the event's offset into its run), what it found, and whether the
-// scan itself failed.
-type ScrubOutcome struct {
-	Node   string
-	At     time.Duration
-	Result scrub.Result
-	Err    error
-}
-
 // scrubbers returns the scanners of every member not removed, in build
 // order, first building those no pass has reached yet: the members of a
-// first pass, and joiners.  Members whose store backend cannot be scanned
-// (no Walk/Extents surface) are skipped; both shipped backends qualify.
-func (cl *Cluster) scrubbers() []*scrub.Scrubber {
+// first pass, and joiners.  A member whose store backend cannot be scanned
+// (no Walk/Extents surface; both shipped backends have one) is left out,
+// and named in the error.
+func (cl *Cluster) scrubbers() ([]*scrub.Scrubber, error) {
 	cl.memberMu.Lock()
 	defer cl.memberMu.Unlock()
 	var out []*scrub.Scrubber
+	var errs []error
 	for dev, m := range cl.members {
 		if m.state == memberRemoved {
 			continue
 		}
 		if m.scrub == nil {
-			m.scrub = cl.newScrubber(dev, m)
+			src, ok := m.storage.Store().(scrub.Source)
+			if !ok {
+				errs = append(errs, fmt.Errorf("scrub %s: store %T cannot be scanned", m.node.Name, m.storage.Store()))
+				continue
+			}
+			m.scrub = cl.newScrubber(dev, m, src)
 		}
-		if m.scrub != nil {
-			out = append(out, m.scrub)
-		}
+		out = append(out, m.scrub)
 	}
-	return out
+	return out, errors.Join(errs...)
 }
 
-// newScrubber builds the scanner of member m, the dev-th built; nil if its
-// store cannot be scanned.
-func (cl *Cluster) newScrubber(dev int, m *member) *scrub.Scrubber {
-	src, ok := m.storage.Store().(scrub.Source)
-	if !ok {
-		return nil
-	}
+// newScrubber builds the scanner of member m, the dev-th built, over its
+// store src.
+func (cl *Cluster) newScrubber(dev int, m *member, src scrub.Source) *scrub.Scrubber {
 	var fetch scrub.Fetch
 	if copies := int(cl.distCopies()); copies > 1 {
 		// Only a replicated substrate has anywhere to repair from; an
@@ -118,23 +110,14 @@ func (cl *Cluster) replicaFetch(dev, copies int, m *member) scrub.Fetch {
 	}
 }
 
-// scrubPassCtx scans every member not removed sequentially, in build order
-// (the deterministic order seed replay depends on), and records the
-// outcomes.
-func (cl *Cluster) scrubPassCtx(ctx *rpc.Ctx, at time.Duration) {
-	var outs []ScrubOutcome
-	for _, s := range cl.scrubbers() {
-		res, err := s.Pass(ctx)
-		outs = append(outs, ScrubOutcome{Node: s.Node(), At: at, Result: res, Err: err})
+// scrubPass scans every member not removed sequentially, in build order
+// (the deterministic order seed replay depends on).  A failed scan does not
+// stop the pass over the other members; every failure is in the error.
+func (cl *Cluster) scrubPass(ctx *rpc.Ctx) error {
+	scrubbers, err := cl.scrubbers()
+	errs := []error{err}
+	for _, s := range scrubbers {
+		errs = append(errs, s.Pass(ctx))
 	}
-	cl.scrubMu.Lock()
-	cl.scrubResults = append(cl.scrubResults, outs...)
-	cl.scrubMu.Unlock()
-}
-
-// ScrubResults returns every recorded pass outcome, oldest first.
-func (cl *Cluster) ScrubResults() []ScrubOutcome {
-	cl.scrubMu.Lock()
-	defer cl.scrubMu.Unlock()
-	return append([]ScrubOutcome(nil), cl.scrubResults...)
+	return errors.Join(errs...)
 }

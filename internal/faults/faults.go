@@ -32,7 +32,8 @@ import (
 // for both transports: node faults apply on either, while links and disks
 // are properties of the simulated models (no-ops over TCP).  Join, Drain
 // and Scrub block the flow that replays them for as long as the rebalance
-// or the pass takes; a Target records their failures itself.
+// or the pass takes; a Target keeps their failures itself (the cluster
+// returns them from the run that replayed them).
 type Target interface {
 	// SetNodeDown marks every RPC service on node unreachable (down=true)
 	// or reachable again (down=false).  Calls to a down node surface as
@@ -70,8 +71,8 @@ type Target interface {
 	Join(ctx *rpc.Ctx, node string)
 	// Drain migrates every byte off an active storage node and retires it.
 	Drain(ctx *rpc.Ctx, node string)
-	// Scrub runs one full-cluster scrub pass, recorded as scheduled at at.
-	Scrub(ctx *rpc.Ctx, at time.Duration)
+	// Scrub runs one full-cluster scrub pass.
+	Scrub(ctx *rpc.Ctx)
 }
 
 // Event is one scheduled action.  Concrete events are the exported structs
@@ -242,7 +243,7 @@ type Scrub struct {
 func (e Scrub) When() time.Duration           { return e.At }
 func (e Scrub) Kind() string                  { return "scrub" }
 func (e Scrub) Target() string                { return "" }
-func (e Scrub) Apply(ctx *rpc.Ctx, tg Target) { tg.Scrub(ctx, e.At) }
+func (e Scrub) Apply(ctx *rpc.Ctx, tg Target) { tg.Scrub(ctx) }
 
 // Plan is a schedule of events.  A plan handed to cluster.Cluster.Schedule
 // replays once, relative to the start of the next workload run; pair every

@@ -46,9 +46,7 @@ func (r *recordingTarget) MisdirectRead(node string, seed int64) {
 func (r *recordingTarget) ArmTornWrite(node string)      { r.log = append(r.log, "torn:"+node) }
 func (r *recordingTarget) Join(_ *rpc.Ctx, node string)  { r.log = append(r.log, "join:"+node) }
 func (r *recordingTarget) Drain(_ *rpc.Ctx, node string) { r.log = append(r.log, "drain:"+node) }
-func (r *recordingTarget) Scrub(_ *rpc.Ctx, at time.Duration) {
-	r.log = append(r.log, "scrub@"+at.String())
-}
+func (r *recordingTarget) Scrub(_ *rpc.Ctx)              { r.log = append(r.log, "scrub") }
 
 func TestPlanSortedAndHorizon(t *testing.T) {
 	p := NewPlan(1,
@@ -67,8 +65,8 @@ func TestPlanSortedAndHorizon(t *testing.T) {
 
 // TestEventsApplyThroughTarget: every event kind, replayed in firing order,
 // applies itself through the one Target — a crash also drops volatile
-// state before a restart replays it, and the membership and scrub events
-// reach their hooks with the node and time they carry.
+// state before a restart replays it, the membership events reach their
+// hooks with the node they carry, and the scrub event reaches its own.
 func TestEventsApplyThroughTarget(t *testing.T) {
 	tg := &recordingTarget{}
 	p := NewPlan(1,
@@ -90,7 +88,7 @@ func TestEventsApplyThroughTarget(t *testing.T) {
 	}
 	want := []string{"down:io1", "crash:io1", "link-bad:io2", "disk-slow:io3", "replay:io1", "up:io1",
 		"link-ok:io2", "disk-ok:io3", "torn:io2", "rot:io2/5", "misdirect:io3/6",
-		"join:io9", "drain:io4", "scrub@9ms"}
+		"join:io9", "drain:io4", "scrub"}
 	if !reflect.DeepEqual(tg.log, want) {
 		t.Fatalf("applied %v, want %v", tg.log, want)
 	}

@@ -84,7 +84,7 @@ func (failConn) Call(*rpc.Ctx, uint32, xdr.Marshaler, xdr.Unmarshaler) error {
 // cluster-level, table-driven suite that runs crash/recover against all
 // five architectures is TestFailoverAllArchitectures in internal/cluster.
 func TestFailoverPNFSFallsBackThroughMDS(t *testing.T) {
-	backend := &pnfsTestBackend{StoreBackend: NewStoreBackend(mem.New(), nil)}
+	backend := &pnfsTestBackend{StoreBackend: NewStoreBackend(mem.New())}
 	k, client := newPNFSTestMount(backend, failConn{})
 	data := bytes.Repeat([]byte("failover"), 40<<10) // 320 KiB over 5 stripe units
 	k.Go("app", func(p *sim.Proc) {
@@ -146,7 +146,7 @@ func TestFailoverPNFSFallsBackThroughMDS(t *testing.T) {
 // reference it took on the inode's page cache, or DropCaches can never free
 // the cached segments.
 func TestOpenWithoutLayoutReleasesPageCache(t *testing.T) {
-	backend := &pnfsTestBackend{StoreBackend: NewStoreBackend(mem.New(), nil)}
+	backend := &pnfsTestBackend{StoreBackend: NewStoreBackend(mem.New())}
 	k, client := newPNFSTestMount(backend, nil)
 	var pc *pageCache
 	k.Go("app", func(p *sim.Proc) {

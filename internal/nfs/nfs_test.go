@@ -58,7 +58,7 @@ func newTestMountFull(t *testing.T, real bool, reg *metrics.Registry) *testMount
 	f := simnet.NewFabric(k)
 	srvNode := f.AddNode(simnet.NodeConfig{Name: "server"})
 	clNode := f.AddNode(simnet.NodeConfig{Name: "client"})
-	back := NewStoreBackend(mem.New(), nil)
+	back := NewStoreBackend(mem.New())
 	server := NewServer(ServerConfig{
 		Transport: &rpc.FabricTransport{Fabric: f}, Node: srvNode,
 		Backend: back,
@@ -261,7 +261,7 @@ func TestOpenMissingFails(t *testing.T) {
 func TestSessionReplayCache(t *testing.T) {
 	// A retransmitted (same slot+seq) compound must return the cached reply
 	// without re-executing.
-	back := NewStoreBackend(mem.New(), nil)
+	back := NewStoreBackend(mem.New())
 	srv := NewServer(ServerConfig{Backend: back})
 	ctx := &rpc.Ctx{}
 
@@ -305,7 +305,7 @@ func TestSessionReplayCache(t *testing.T) {
 }
 
 func TestCompoundStopsAtFirstFailure(t *testing.T) {
-	back := NewStoreBackend(mem.New(), nil)
+	back := NewStoreBackend(mem.New())
 	srv := NewServer(ServerConfig{Backend: back})
 	ctx := &rpc.Ctx{}
 	rep, _ := srv.Handle(ctx, ProcCompound, &CompoundArgs{Ops: []Op{
@@ -437,7 +437,7 @@ func TestSmallWritesMatchLargeWriteThroughput(t *testing.T) {
 // slot and sequence runs again once the store has recovered.
 func TestServerAnswersACrashedStoreAsDown(t *testing.T) {
 	st := wal.New(wal.Config{Name: "nfs"})
-	srv := NewServer(ServerConfig{Backend: NewStoreBackend(st, nil)})
+	srv := NewServer(ServerConfig{Backend: NewStoreBackend(st)})
 	ctx := &rpc.Ctx{}
 	rep, _ := srv.Handle(ctx, ProcCompound, &CompoundArgs{Ops: []Op{&OpExchangeID{ClientName: "c"}, &OpCreateSession{Slots: 1}}})
 	session := rep.(*CompoundRep).Results[1].(*ResCreateSession).Session
@@ -489,7 +489,7 @@ func TestReadOfShrinkingFileEndsAtTheStoreCount(t *testing.T) {
 	if _, err := st.WriteAt(at.ID, 0, content); err != nil {
 		t.Fatal(err)
 	}
-	b := NewStoreBackend(&shrinkingStore{Store: st, id: at.ID, size: shrunk, armed: true}, nil)
+	b := NewStoreBackend(&shrinkingStore{Store: st, id: at.ID, size: shrunk, armed: true})
 	rpc.PutBuf(rpc.GetBuf(size)) // a recycled, poisoned buffer for the reply
 	data, eof, _, err := b.Read(&rpc.Ctx{}, uint64(at.ID), 0, size, true)
 	if err != nil {

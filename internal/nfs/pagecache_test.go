@@ -555,7 +555,7 @@ func TestPageCacheConcurrent(t *testing.T) {
 // non-nil, stands between the socket and the server's handler.
 func tcpMount(t *testing.T, wrap func(rpc.Handler) rpc.Handler) (*Client, *StoreBackend) {
 	t.Helper()
-	back := NewStoreBackend(mem.New(), nil)
+	back := NewStoreBackend(mem.New())
 	srv := NewServer(ServerConfig{Backend: back})
 	handle := rpc.Handler(srv.Handle)
 	if wrap != nil {

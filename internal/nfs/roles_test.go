@@ -78,7 +78,7 @@ func TestServerAnswersForAbsentRoles(t *testing.T) {
 		t.Errorf("data-only backend saw %d reads, %d writes, %d commits; want one each", back.reads, back.writes, back.commits)
 	}
 
-	var plain Backend = NewStoreBackend(mem.New(), nil)
+	var plain Backend = NewStoreBackend(mem.New())
 	if _, ok := plain.(LayoutSource); ok {
 		t.Fatal("StoreBackend must not have the layout role")
 	}

@@ -10,7 +10,6 @@ import (
 	"dpnfs/internal/pnfs"
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/sim"
-	"dpnfs/internal/simdisk"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
 	"dpnfs/internal/xdr"
@@ -435,20 +434,18 @@ func (s *Server) exec(ctx *rpc.Ctx, cpu *sim.KServer, cur *uint64, op Op) (Resul
 	return nil, store.ErrInval
 }
 
-// StoreBackend serves a local store.Store, optionally charging a simulated
-// disk (a nil Disk charges nothing).  It is the backend for plain NFS servers
-// in unit tests and the TCP demo: a Backend and a Namespace, not a
+// StoreBackend serves a local store.Store.  It is the backend for plain NFS
+// servers in unit tests and the TCP demo: a Backend and a Namespace, not a
 // LayoutSource, so clients mounting it proxy all I/O through it.  Write with
 // stable=true and Commit drive the store's Sync, so a durable store
 // (store/wal) makes its journal durable exactly at the NFS commit points.
 type StoreBackend struct {
 	Store store.Store
-	Disk  *simdisk.Disk
 }
 
 // NewStoreBackend wraps an existing store.
-func NewStoreBackend(st store.Store, disk *simdisk.Disk) *StoreBackend {
-	return &StoreBackend{Store: st, Disk: disk}
+func NewStoreBackend(st store.Store) *StoreBackend {
+	return &StoreBackend{Store: st}
 }
 
 // Root implements Namespace.
@@ -516,9 +513,6 @@ func (b *StoreBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool
 	} else if off+n > at.Size {
 		n = at.Size - off
 	}
-	if n > 0 {
-		b.Disk.Read(ctx.P, fh, off, n)
-	}
 	eof := off+n >= at.Size
 	if !wantReal {
 		return payload.Synthetic(n), eof, store.BlockSums{}, nil
@@ -544,23 +538,17 @@ func (b *StoreBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Pa
 	if err != nil {
 		return 0, err
 	}
-	b.Disk.Write(ctx.P, fh, off, data.Len())
 	if stable {
 		if err := b.Store.Sync(ctx.P); err != nil {
 			return 0, err
 		}
-		b.Disk.Sync(ctx.P)
 	}
 	return newSize, nil
 }
 
 // Commit implements Backend.
 func (b *StoreBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
-	if err := b.Store.Sync(ctx.P); err != nil {
-		return err
-	}
-	b.Disk.Sync(ctx.P)
-	return nil
+	return b.Store.Sync(ctx.P)
 }
 
 func attrOf(at store.Attr) Attr {

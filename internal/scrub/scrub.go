@@ -15,7 +15,8 @@
 // run's scrub lane — that verifies one chunk at a time and sleeps off each
 // chunk at rateBPS.  The sleep is a model charge (rpc.Ctx.Sleep): it costs
 // virtual time on the simulated fabric and nothing over TCP, where a pass
-// runs unthrottled.
+// runs unthrottled.  A pass reports through its error and the per-node
+// scrub_{extents,errors_found,repaired}_total counters; it keeps no log.
 package scrub
 
 import (
@@ -75,13 +76,6 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Result summarizes one pass.
-type Result struct {
-	Extents  int // chunks whose checksums were verified
-	Found    int // chunks that failed verification
-	Repaired int // chunks rewritten from a replica and re-verified clean
-}
-
 // Scrubber scans one node's store.  Pass is not safe for concurrent calls
 // on the same Scrubber (the scratch buffers are shared); run passes
 // sequentially, as the cluster driver does.
@@ -116,9 +110,6 @@ func New(cfg Config) *Scrubber {
 	}
 }
 
-// Node reports which node's store this scrubber scans.
-func (s *Scrubber) Node() string { return s.cfg.Node }
-
 // files enumerates every regular file in deterministic Walk order.
 func (s *Scrubber) files() ([]store.FileID, error) {
 	var ids []store.FileID
@@ -132,93 +123,94 @@ func (s *Scrubber) files() ([]store.FileID, error) {
 }
 
 // Pass scans every materialized chunk of every file once, repairing what it
-// can.  The walk order, chunking, and pacing are all deterministic, so a
-// pass is reproducible under seed replay.  Errors other than checksum
+// can, and counts what it scanned, found and repaired in the scrub_*_total
+// counters.  The walk order, chunking, and pacing are all deterministic, so
+// a pass is reproducible under seed replay.  Errors other than checksum
 // failures (a crashed store, a failed walk) abort the pass; checksum
 // failures never do — finding them is the job.  A file removed and
 // reclaimed since the walk (store.Reclaimer) has nothing left to scan.
-func (s *Scrubber) Pass(ctx *rpc.Ctx) (Result, error) {
+func (s *Scrubber) Pass(ctx *rpc.Ctx) error {
 	ids, err := s.files()
 	if err != nil {
-		return Result{}, fmt.Errorf("scrub %s: walk: %w", s.cfg.Node, err)
+		return fmt.Errorf("scrub %s: walk: %w", s.cfg.Node, err)
 	}
-	var res Result
+	repaired := false
 	for _, id := range ids {
 		exts, err := s.cfg.Store.Extents(id)
 		if errors.Is(err, store.ErrNotExist) {
 			continue
 		}
 		if err != nil {
-			return res, fmt.Errorf("scrub %s: extents of file %d: %w", s.cfg.Node, id, err)
+			return fmt.Errorf("scrub %s: extents of file %d: %w", s.cfg.Node, id, err)
 		}
 		for _, e := range exts {
 			for off, end := e.Off, e.Off+e.Len; off < end; {
 				// One chunk per read, so each maps onto one block checksum.
 				n := min(chunkSize-off%chunkSize, end-off)
-				if err := s.scanChunk(ctx, id, off, n, &res); err != nil {
-					return res, fmt.Errorf("scrub %s: file %d: %w", s.cfg.Node, id, err)
+				fixed, err := s.scanChunk(ctx, id, off, n)
+				if err != nil {
+					return fmt.Errorf("scrub %s: file %d: %w", s.cfg.Node, id, err)
 				}
+				repaired = repaired || fixed
 				off += n
 			}
 		}
 	}
-	if res.Repaired > 0 {
+	if repaired {
 		// Repairs went through WriteAt; journaling backends stage them like
 		// any other write, so make them durable before reporting success.
 		if err := s.cfg.Store.Sync(ctx.P); err != nil {
-			return res, fmt.Errorf("scrub %s: sync repairs: %w", s.cfg.Node, err)
+			return fmt.Errorf("scrub %s: sync repairs: %w", s.cfg.Node, err)
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // scanChunk verifies the n bytes at off, one chunk, and repairs them if
-// corrupt and repairable.
-func (s *Scrubber) scanChunk(ctx *rpc.Ctx, id store.FileID, off, n int64, res *Result) error {
+// corrupt and repairable; it reports whether it repaired them.
+func (s *Scrubber) scanChunk(ctx *rpc.Ctx, id store.FileID, off, n int64) (bool, error) {
 	if int64(cap(s.scratch)) < n {
 		s.scratch = make([]byte, n)
 	}
 	buf := s.scratch[:n]
-	res.Extents++
 	s.scanned.Inc()
 	_, err := s.cfg.Store.ReadAt(id, off, buf)
 	// The sleep is the entire cost model: checksum verification itself is
 	// free in virtual time.
 	ctx.Sleep(sim.Duration(float64(n) / rateBPS * 1e9))
 	if err == nil || errors.Is(err, store.ErrNotExist) {
-		return nil
+		return false, nil
 	}
 	if !errors.Is(err, store.ErrCorrupt) {
-		return err
+		return false, err
 	}
-	res.Found++
 	s.found.Inc()
-	s.repair(ctx, id, off, n, res)
-	return nil
+	return s.repair(ctx, id, off, n), nil
 }
 
 // repair rewrites one corrupt chunk from a replica, best-effort: any
 // failure leaves the chunk for the next pass (or for a foreground
-// read-repair) rather than failing the scan.
-func (s *Scrubber) repair(ctx *rpc.Ctx, id store.FileID, off, n int64, res *Result) {
+// read-repair) rather than failing the scan.  It reports whether the chunk
+// now reads clean.
+func (s *Scrubber) repair(ctx *rpc.Ctx, id store.FileID, off, n int64) bool {
 	if s.cfg.Fetch == nil {
-		return
+		return false
 	}
 	if int64(cap(s.good)) < n {
 		s.good = make([]byte, n)
 	}
 	buf := s.good[:n]
 	if got, err := s.cfg.Fetch(ctx, id, off, buf); err != nil || int64(got) < n {
-		return
+		return false
 	}
 	if _, err := s.cfg.Store.WriteAt(id, off, buf); err != nil {
-		return
+		return false
 	}
 	// The write resealed the block checksum over the replica's bytes;
 	// re-read so "repaired" means verified clean, not merely rewritten.
 	if _, err := s.cfg.Store.ReadAt(id, off, s.scratch[:n]); err != nil {
-		return
+		return false
 	}
-	res.Repaired++
 	s.repaired.Inc()
+	return true
 }

@@ -45,23 +45,40 @@ func fetchFrom(replica *mem.Store) Fetch {
 	}
 }
 
+// tally is a scrubber's scrub_{extents,errors_found,repaired}_total.
+type tally struct{ extents, found, repaired float64 }
+
+func counted(reg *metrics.Registry) tally {
+	snap := reg.Snapshot()
+	return tally{snap.Total("scrub_extents_total"), snap.Total("scrub_errors_found_total"), snap.Total("scrub_repaired_total")}
+}
+
+// pass runs one pass of s and returns what it added to the counters in reg.
+func pass(s *Scrubber, reg *metrics.Registry) (tally, error) {
+	before := counted(reg)
+	err := s.Pass(&rpc.Ctx{})
+	after := counted(reg)
+	return tally{after.extents - before.extents, after.found - before.found, after.repaired - before.repaired}, err
+}
+
 func TestPassDetectsAndRepairs(t *testing.T) {
 	a, b, contents := twin(t, 3, 160<<10)
 	if !a.CorruptChunk(5) {
 		t.Fatal("nothing to corrupt")
 	}
-	s := New(Config{Node: "io0", Store: a, Fetch: fetchFrom(b), Metrics: metrics.NewRegistry()})
-	res, err := s.Pass(&rpc.Ctx{})
+	reg := metrics.NewRegistry()
+	s := New(Config{Node: "io0", Store: a, Fetch: fetchFrom(b), Metrics: reg})
+	res, err := pass(s, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Extents == 0 || res.Found != 1 || res.Repaired != 1 {
-		t.Fatalf("pass result %+v, want 1 found and 1 repaired", res)
+	if res.extents == 0 || res.found != 1 || res.repaired != 1 {
+		t.Fatalf("pass counted %+v, want 1 found and 1 repaired", res)
 	}
 	// The store is clean again: a second pass finds nothing, and every
 	// byte reads back identical to the original content.
-	res, err = s.Pass(&rpc.Ctx{})
-	if err != nil || res.Found != 0 {
+	res, err = pass(s, reg)
+	if err != nil || res.found != 0 {
 		t.Fatalf("second pass %+v, %v — repair did not stick", res, err)
 	}
 	for i, want := range contents {
@@ -81,15 +98,16 @@ func TestDetectOnlyWithoutFetch(t *testing.T) {
 	if !a.CorruptChunk(9) {
 		t.Fatal("nothing to corrupt")
 	}
-	s := New(Config{Node: "io0", Store: a, Metrics: metrics.NewRegistry()})
-	res, err := s.Pass(&rpc.Ctx{})
-	if err != nil || res.Found != 1 || res.Repaired != 0 {
+	reg := metrics.NewRegistry()
+	s := New(Config{Node: "io0", Store: a, Metrics: reg})
+	res, err := pass(s, reg)
+	if err != nil || res.found != 1 || res.repaired != 0 {
 		t.Fatalf("detect-only pass %+v, %v — want found=1 repaired=0", res, err)
 	}
 	// Without a repair source the rot persists: the next pass finds the
 	// same chunk again rather than losing track of it.
-	res, err = s.Pass(&rpc.Ctx{})
-	if err != nil || res.Found != 1 {
+	res, err = pass(s, reg)
+	if err != nil || res.found != 1 {
 		t.Fatalf("second detect-only pass %+v, %v", res, err)
 	}
 }
@@ -102,29 +120,30 @@ func TestFailedFetchLeavesChunkForNextPass(t *testing.T) {
 	fail := func(_ *rpc.Ctx, _ store.FileID, _ int64, _ []byte) (int, error) {
 		return 0, fmt.Errorf("no live replica")
 	}
-	s := New(Config{Node: "io0", Store: a, Fetch: fail, Metrics: metrics.NewRegistry()})
-	res, err := s.Pass(&rpc.Ctx{})
-	if err != nil || res.Found != 1 || res.Repaired != 0 {
+	reg := metrics.NewRegistry()
+	s := New(Config{Node: "io0", Store: a, Fetch: fail, Metrics: reg})
+	res, err := pass(s, reg)
+	if err != nil || res.found != 1 || res.repaired != 0 {
 		t.Fatalf("pass with failing fetch %+v, %v", res, err)
 	}
 }
 
-// Identically seeded setups produce identical pass reports: the walk order,
-// chunking and victim selection are all deterministic, which is what lets
-// the integrity figure replay byte-identically.
+// Identically seeded setups produce identical metric snapshots: the walk
+// order, chunking and victim selection are all deterministic, which is what
+// lets the integrity figure replay byte-identically.
 func TestPassDeterministic(t *testing.T) {
-	results := make([]Result, 2)
+	results := make([]string, 2)
 	for i := range results {
 		a, b, _ := twin(t, 4, 200<<10)
 		if !a.CorruptChunk(11) {
 			t.Fatal("nothing to corrupt")
 		}
-		s := New(Config{Node: "io0", Store: a, Fetch: fetchFrom(b), Metrics: metrics.NewRegistry()})
-		res, err := s.Pass(&rpc.Ctx{})
-		if err != nil {
+		reg := metrics.NewRegistry()
+		s := New(Config{Node: "io0", Store: a, Fetch: fetchFrom(b), Metrics: reg})
+		if err := s.Pass(&rpc.Ctx{}); err != nil {
 			t.Fatal(err)
 		}
-		results[i] = res
+		results[i] = fmt.Sprintf("%+v", reg.Snapshot())
 	}
 	if results[0] != results[1] {
 		t.Fatalf("replayed pass diverged: %+v vs %+v", results[0], results[1])
@@ -171,18 +190,19 @@ func (s reclaimMidPass) Extents(id store.FileID) ([]mem.Extent, error) {
 func TestPassSkipsFilesReclaimedMidPass(t *testing.T) {
 	for _, afterExtents := range []bool{false, true} {
 		a, _, _ := twin(t, 2, 128<<10)
-		s := New(Config{Node: "io0", Store: reclaimMidPass{a, afterExtents}})
-		res, err := s.Pass(&rpc.Ctx{})
+		reg := metrics.NewRegistry()
+		s := New(Config{Node: "io0", Store: reclaimMidPass{a, afterExtents}, Metrics: reg})
+		res, err := pass(s, reg)
 		if err != nil {
 			t.Fatalf("afterExtents=%v: pass failed on a file reclaimed mid-pass: %v", afterExtents, err)
 		}
 		// Mapped before the reclaim, f0's chunks still count as scanned.
-		want := 2
+		want := 2.0
 		if afterExtents {
 			want = 4
 		}
-		if res.Extents != want {
-			t.Fatalf("afterExtents=%v: pass scanned %d chunks, want %d", afterExtents, res.Extents, want)
+		if res.extents != want {
+			t.Fatalf("afterExtents=%v: pass scanned %v chunks, want %v", afterExtents, res.extents, want)
 		}
 	}
 }

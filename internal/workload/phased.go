@@ -191,7 +191,7 @@ func Degraded(cl *cluster.Cluster) (Phases, error) {
 // has been over for joinTail.  The windows are the migration window the
 // cluster reports, not the scheduled join time, so During measures
 // foreground service while the background copier is genuinely running.  A
-// failed join or migration (Cluster.ReconcileErr) fails the experiment.
+// failed join or migration fails the measured run, and so the experiment.
 func Rebalance(cl *cluster.Cluster, dataSize int64) (Phases, error) {
 	return phased{
 		name: "rebalance",
@@ -226,7 +226,7 @@ func Rebalance(cl *cluster.Cluster, dataSize int64) (Phases, error) {
 			if migEnd <= start {
 				return 0, 0, fmt.Errorf("rebalance: the migration never ran (deadline %v hit)", joinDeadline)
 			}
-			return migStart - start, migEnd - start, cl.ReconcileErr()
+			return migStart - start, migEnd - start, nil
 		},
 	}.run(cl)
 }
@@ -246,8 +246,9 @@ func integrityPattern(i int, n int64) []byte {
 // pass at scrubAt.  In the run every client loops sequential block reads
 // over its file — dropping caches at the top of each pass so every pass
 // exercises the stores — and compares every byte against the regenerated
-// pattern.  A single mismatched byte fails the run: silent corruption cannot
-// hide in the throughput numbers.  The windows are bounded by RotAt, which
+// pattern.  A single mismatched byte fails the run, and so does a failed
+// scan in the scheduled pass: silent corruption cannot hide in the
+// throughput numbers.  The windows are bounded by RotAt, which
 // must match the rot plan's times, and scrubAt.
 func Integrity(cl *cluster.Cluster, fileSize int64, rot *faults.Plan) (Phases, error) {
 	return phased{
