@@ -349,7 +349,7 @@ func TestFailoverWriteRecovery(t *testing.T) {
 // TestFailoverWALBackend reruns the mid-read crash/restart scenario on the
 // write-ahead-logged backend (docs/BACKENDS.md).  Unlike the volatile
 // default — where a crashed node reboots with its store image intact — the
-// crash here discards the victim's in-memory image and handle table, so
+// crash here discards the victim's in-memory store image, so
 // every byte read after the restart exists only because recovery replayed
 // the journal.  Acknowledged (fsynced) pre-crash writes must read back
 // byte-identically on every architecture, and the replay must be

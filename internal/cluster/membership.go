@@ -119,8 +119,9 @@ func (cl *Cluster) membershipSupported() error {
 // (memberMu held).  Faults and scrub passes are always admitted.  A join or
 // a drain needs membershipSupported, a join a node name the fabric has
 // never had (a drained node stays on it, so its device ID is never
-// reused), a drain an active member other than the metadata manager, and
-// neither may target a node that already has a membership event queued.
+// reused), a drain a member not yet removed other than the metadata
+// manager (draining one whose rebalance failed resumes it), and neither may
+// target a node that already has a membership event queued.
 func (cl *Cluster) admit(ev faults.Event) error {
 	if laneOf(ev) != memberLane {
 		return nil
@@ -138,8 +139,8 @@ func (cl *Cluster) admit(ev faults.Event) error {
 		if m == nil {
 			return fmt.Errorf("cluster: %q is not a storage member", name)
 		}
-		if m.state != memberActive {
-			return fmt.Errorf("cluster: %q is not active (already draining or removed)", name)
+		if m.state == memberRemoved {
+			return fmt.Errorf("cluster: %q was already drained", name)
 		}
 		if m.node == cl.mdsNode {
 			return fmt.Errorf("cluster: cannot drain %q: it doubles as the metadata manager", name)
@@ -224,11 +225,13 @@ func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 }
 
 // applyDrain marks the node read-only for placement, migrates its data to
-// the remaining members, and removes it from membership.
+// the remaining members, and removes it from membership.  A drain whose
+// rebalance failed leaves the node draining, and draining it again resumes
+// the rebalance.
 func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	cl.memberMu.Lock()
 	m := cl.memberNamed(name)
-	if m == nil || m.state != memberActive || m.node == cl.mdsNode {
+	if m == nil || m.state == memberRemoved || m.node == cl.mdsNode {
 		cl.memberMu.Unlock()
 		return fmt.Errorf("cluster: cannot drain %q", name)
 	}

@@ -497,6 +497,36 @@ func TestReconcileReportsOnlyItsOwnPlan(t *testing.T) {
 	}
 }
 
+// TestFailedDrainCanBeRetried: a drain whose rebalance fails because io2 is
+// crashed leaves io1 draining, and draining it again once io2 is back
+// resumes the rebalance: io1 leaves membership, no member stays draining,
+// and the corpus reads back intact.
+func TestFailedDrainCanBeRetried(t *testing.T) {
+	const size = 300_000
+	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1, Real: true, StripeSize: 64 << 10})
+	defer cl.Close()
+	if err := writeMemberCorpus(cl, size); err != nil {
+		t.Fatal(err)
+	}
+	schedule(t, cl, faults.StorageNodeCrash{Node: "io2"}, faults.Drain{At: time.Millisecond, Node: "io1"})
+	if err := cl.Reconcile(); err == nil {
+		t.Fatal("a drain with io2 crashed succeeded")
+	}
+	schedule(t, cl, faults.StorageNodeRestart{Node: "io2"}, faults.Drain{At: time.Millisecond, Node: "io1"})
+	if err := cl.Reconcile(); err != nil {
+		t.Fatalf("the retried drain: %v", err)
+	}
+	if st := cl.memberNamed("io1").state; st != memberRemoved {
+		t.Fatalf("io1 state %v after the retried drain, want removed", st)
+	}
+	if n := cl.memberGauge.With("draining").Value(); n != 0 {
+		t.Fatalf(`cluster_members{state="draining"} = %d after the retried drain, want 0`, n)
+	}
+	if err := verifyMemberCorpus(cl, size); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOnlyWorkloadRunsObserveRunSeconds: cluster_run_seconds counts the
 // runs that had applications, not a Reconcile's run of a plan alone.
 func TestOnlyWorkloadRunsObserveRunSeconds(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"dpnfs/internal/pvfs"
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/scrub"
-	"dpnfs/internal/store"
 	"dpnfs/internal/stripe"
 )
 
@@ -72,17 +71,17 @@ func (cl *Cluster) newScrubber(dev int, m *member, src scrub.Source) *scrub.Scru
 // (ioengine.Replicas over the substrate's stripe.Replicated geometry — every
 // partner holds a byte-identical object at the same offset) and the PVFS2
 // client's verified single-copy read.  The rung only fetches here: the
-// scrubber rewrites its own store and verifies it afterwards.  The store
-// file is reverse-mapped to its datafile handle, which the metadata server
-// allocated identically on every daemon.
+// scrubber rewrites its own store and verifies it afterwards.  The object's
+// name carries its datafile handle, which the metadata server allocated
+// identically on every daemon.
 func (cl *Cluster) replicaFetch(dev, copies int, m *member) scrub.Fetch {
 	node := m.node.Name
 	geometry := stripe.NewReplicated(stripe.NewRoundRobin(1, len(cl.members)/copies), copies)
 	conns := make(map[int]rpc.Conn)
-	return func(ctx *rpc.Ctx, id store.FileID, off int64, b []byte) (int, error) {
-		h, ok := m.storage.HandleFor(id)
+	return func(ctx *rpc.Ctx, name string, off int64, b []byte) (int, error) {
+		h, ok := pvfs.ObjectHandle(name)
 		if !ok {
-			return 0, fmt.Errorf("scrub %s: store file %d has no datafile handle", node, id)
+			return 0, fmt.Errorf("scrub %s: store file %q names no datafile handle", node, name)
 		}
 		partners := ioengine.Replicas[struct{}]{
 			Map: geometry,
@@ -100,7 +99,7 @@ func (cl *Cluster) replicaFetch(dev, copies int, m *member) scrub.Fetch {
 			},
 		}
 		good, err := partners.Recover(ctx, stripe.Extent{Dev: dev, DevOff: off, Len: int64(len(b))},
-			fmt.Errorf("scrub %s: no live replica for file %d @%d", node, id, off))
+			fmt.Errorf("scrub %s: no live replica for %s @%d", node, name, off))
 		if err != nil {
 			return 0, err
 		}

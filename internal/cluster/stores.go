@@ -44,13 +44,13 @@ func BackendFactory(kind string) (StoreFactory, error) {
 }
 
 // CrashVolatile implements faults.Target: the crashing node's storage
-// daemon loses its volatile state (store image, handle table).  Under the
-// default mem backend the store is not store.Recoverable and the daemon
-// keeps its image — the original reboot-with-state-intact model; under
-// wal everything unsynced is gone until RestartVolatile.
+// daemon loses its volatile state, which is all in its store's image.
+// Under the default mem backend the store is not store.Recoverable and the
+// daemon keeps its image — the original reboot-with-state-intact model;
+// under wal everything unsynced is gone until RestartVolatile.
 func (cl *Cluster) CrashVolatile(node string) {
-	if m := cl.live(node); m != nil {
-		m.storage.CrashVolatile()
+	if rec := cl.recoverable(node); rec != nil {
+		rec.Crash()
 	}
 }
 
@@ -103,9 +103,19 @@ func (cl *Cluster) corrupt(kind, node string, hook func(store.Store) bool) {
 // the fault plan already models.  A replay failure is a corrupt log, which
 // is a bug, so it fails loudly.
 func (cl *Cluster) RestartVolatile(node string) {
-	if m := cl.live(node); m != nil {
-		if _, err := m.storage.RecoverVolatile(); err != nil {
+	if rec := cl.recoverable(node); rec != nil {
+		if _, err := rec.Recover(); err != nil {
 			panic(fmt.Sprintf("cluster: recover %s: %v", node, err))
 		}
 	}
+}
+
+// recoverable returns the store of the live node's storage daemon when it
+// can crash and recover (store.Recoverable), else nil.
+func (cl *Cluster) recoverable(node string) store.Recoverable {
+	if m := cl.live(node); m != nil {
+		rec, _ := m.storage.Store().(store.Recoverable)
+		return rec
+	}
+	return nil
 }

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"dpnfs/internal/faults"
+	"dpnfs/internal/fserr"
 	"dpnfs/internal/payload"
+	"dpnfs/internal/pvfs"
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/sim"
 )
@@ -212,5 +214,51 @@ func TestTornWriteLosesOnlyTheTornRecord(t *testing.T) {
 	}
 	if got := counterSum(cl, "store_wal_torn_writes_total"); got != 1 {
 		t.Fatalf("store_wal_torn_writes_total = %v, want 1: the tear was not detected", got)
+	}
+}
+
+// TestCrashedDaemonAnswersDown: a storage daemon whose wal store crashed
+// (Cluster.CrashVolatile) answers every IO procedure on a file's objects
+// with rpc.StatusDown, the retryable answer of a down node, never with a
+// stale handle or a missing object, which a caller would take as final.
+// After RestartVolatile the object has the size the file's fsync made
+// durable.
+func TestCrashedDaemonAnswersDown(t *testing.T) {
+	const size = 256 << 10
+	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1, Real: true, StripeSize: 64 << 10, Backend: BackendWAL})
+	defer cl.Close()
+	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+		return writeDistinct(ctx, m, "/f", 1, size)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	at, err := cl.PVFSMeta.Namespace().LookupPath("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cl.PVFSMeta.PlacementOf(pvfsHandle(at.ID)).Data
+	daemon := cl.memberNamed("io1").storage
+	synced := daemon.ObjectSize(h)
+	if synced == 0 {
+		t.Fatal("io1 holds none of /f's bytes: the crash would test nothing")
+	}
+	cl.CrashVolatile("io1")
+	for proc, req := range map[uint32]any{
+		pvfs.ProcIOCreate:   &pvfs.IOCreateArgs{Handle: h},
+		pvfs.ProcIORemove:   &pvfs.IORemoveArgs{Handle: h},
+		pvfs.ProcIOGetSize:  &pvfs.IOGetSizeArgs{Handle: h},
+		pvfs.ProcIOTruncate: &pvfs.IOTruncateArgs{Handle: h},
+		pvfs.ProcIORead:     &pvfs.IOReadArgs{Handle: h, Len: 4096, WantReal: true},
+		pvfs.ProcIOWrite:    &pvfs.IOWriteArgs{Handle: h, Data: payload.Real(make([]byte, 4096)), Sync: true},
+		pvfs.ProcIOFlush:    &pvfs.IOFlushArgs{Handle: h},
+	} {
+		if rep, status := daemon.Handle(&rpc.Ctx{}, proc, req); status != rpc.StatusDown {
+			t.Errorf("%s on crashed io1 answered %v %+v, want rpc.StatusDown", pvfs.ProcName(proc), status, rep)
+		}
+	}
+	cl.RestartVolatile("io1")
+	rep, status := daemon.Handle(&rpc.Ctx{}, pvfs.ProcIOGetSize, &pvfs.IOGetSizeArgs{Handle: h})
+	if got, ok := rep.(*pvfs.IOGetSizeRep); status != rpc.StatusOK || !ok || got.Errno != fserr.OK || got.Size != synced {
+		t.Fatalf("IO-GETSIZE after the restart answered %v %+v, want size %d", status, rep, synced)
 	}
 }

@@ -47,8 +47,8 @@ type Target interface {
 	// SetDiskSlow scales the node's disk service time by factor (>= 1).
 	// Factor 1 restores full speed.
 	SetDiskSlow(node string, factor float64)
-	// CrashVolatile discards the node's volatile state — in-memory store
-	// images and handle tables — at crash time, and RestartVolatile replays
+	// CrashVolatile discards the node's volatile state — its in-memory
+	// store image — at crash time, and RestartVolatile replays
 	// its durable state before the node rejoins: with a durable backend
 	// (internal/store/wal, docs/BACKENDS.md) a crash is a real reboot that
 	// loses everything not yet synced.  Purely volatile stores keep their

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dpnfs/internal/fserr"
 	"dpnfs/internal/metrics"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
@@ -113,9 +114,9 @@ func TestStripePlacement(t *testing.T) {
 		// Units: dev0 gets [0,1000)+[3000,3500)=1500; dev1 1000; dev2 1000.
 		wants := []int64{1500, 1000, 1000}
 		for dev, want := range wants {
-			id, ok := fs.storage[dev].object(f.Handle)
-			if !ok {
-				t.Fatalf("dev %d has no object", dev)
+			id, e := fs.storage[dev].object(f.Handle)
+			if e != fserr.OK {
+				t.Fatalf("dev %d has no object: %v", dev, e)
 			}
 			at, _ := fs.storage[dev].store.GetAttr(id)
 			if at.Size != want {
@@ -217,21 +218,36 @@ func TestNamespaceOps(t *testing.T) {
 	})
 }
 
+// TestObjectNameRoundTrips: ObjectHandle parses back every name objectName
+// writes, and refuses store names that no handle was written as.
+func TestObjectNameRoundTrips(t *testing.T) {
+	for _, h := range []Handle{0, 1, 0x1a, shadowBase, ^Handle(0)} {
+		if got, ok := ObjectHandle(objectName(h)); !ok || got != h {
+			t.Errorf("ObjectHandle(%q) = %#x, %v; want %#x", objectName(h), got, ok, h)
+		}
+	}
+	for _, name := range []string{"", "h", "1a", "x1a", "hz", "h-1", "h10000000000000000"} {
+		if h, ok := ObjectHandle(name); ok {
+			t.Errorf("ObjectHandle(%q) = %#x, want it refused", name, h)
+		}
+	}
+}
+
 func TestRemoveCleansDatafiles(t *testing.T) {
 	fs := newTestFS(t, 3, 1000)
 	fs.run(t, func(ctx *rpc.Ctx) {
 		f, _ := fs.client.Create(ctx, "/f")
 		for _, s := range fs.storage {
-			if _, ok := s.object(f.Handle); !ok {
-				t.Fatal("create did not make datafiles everywhere")
+			if _, e := s.object(f.Handle); e != fserr.OK {
+				t.Fatalf("create did not make datafiles everywhere: %v", e)
 			}
 		}
 		if err := fs.client.Remove(ctx, "/f"); err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range fs.storage {
-			if _, ok := s.object(f.Handle); ok {
-				t.Fatal("remove left datafiles behind")
+			if _, e := s.object(f.Handle); e != fserr.Stale {
+				t.Fatalf("remove left datafiles behind: object lookup answered %v, want stale", e)
 			}
 		}
 	})
@@ -312,7 +328,11 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 		if _, st := srv.Handle(ctxSeed, ProcIOCreate, &IOCreateArgs{Handle: 1}); st != rpc.StatusOK {
 			t.Fatal("seed create failed")
 		}
-		srv.store.WriteSyntheticAt(srv.objects[1], 0, 32<<20)
+		id, e := srv.object(1)
+		if e != fserr.OK {
+			t.Fatalf("seeded object: %v", e)
+		}
+		srv.store.WriteSyntheticAt(id, 0, 32<<20)
 		srv.cfg.Disk.Warm(1, 0, 32<<20)
 		for i := 0; i < readers; i++ {
 			cl := f.AddNode(simnet.NodeConfig{Name: "c" + string(rune('a'+i))})

@@ -185,7 +185,11 @@ func TestReadOfShrinkingObjectEndsAtTheStoreCount(t *testing.T) {
 	if rep := s.Write(&rpc.Ctx{}, &IOWriteArgs{Handle: h, Data: payload.Real(content)}, store.BlockSums{}); rep.Errno != fserr.OK {
 		t.Fatal(rep.Errno)
 	}
-	shrinking.id, _ = s.object(h)
+	id, e := s.object(h)
+	if e != fserr.OK {
+		t.Fatal(e)
+	}
+	shrinking.id = id
 	shrinking.size, shrinking.armed = shrunk, true
 	rpc.PutBuf(rpc.GetBuf(size)) // a recycled, poisoned buffer for the reply
 	rep, _ := s.Read(&rpc.Ctx{}, &IOReadArgs{Handle: h, Len: size, WantReal: true})

@@ -1,8 +1,8 @@
 package pvfs
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -52,7 +52,7 @@ type StorageConfig struct {
 	Disk *simdisk.Disk
 	// Store is the content repository backing this daemon's datafile
 	// objects (nil: a fresh in-memory store).  A durable store (store/wal)
-	// flushes its journal on sync requests and survives CrashVolatile.
+	// flushes its journal on sync requests and survives a crash.
 	Store store.Store
 	// Transport, when set together with Node, registers ServiceIO under
 	// Node's name (simulated fabric or real TCP).
@@ -72,9 +72,6 @@ type StorageServer struct {
 	store   store.Store
 	bufPool *sim.Semaphore
 	stats   *storageStats
-
-	mu      sync.Mutex // guards objects
-	objects map[Handle]store.FileID
 }
 
 // NewStorageServer creates the daemon state and registers its RPC service
@@ -84,10 +81,9 @@ func NewStorageServer(cfg StorageConfig) *StorageServer {
 		cfg.Store = mem.New()
 	}
 	s := &StorageServer{
-		cfg:     cfg,
-		store:   cfg.Store,
-		objects: make(map[Handle]store.FileID),
-		stats:   newStorageStats(cfg.Metrics),
+		cfg:   cfg,
+		store: cfg.Store,
+		stats: newStorageStats(cfg.Metrics),
 	}
 	name := "pvfs-storage"
 	if cfg.Node != nil {
@@ -102,26 +98,34 @@ func NewStorageServer(cfg StorageConfig) *StorageServer {
 	return s
 }
 
-// object returns the store file backing handle, or 0 if absent.
-func (s *StorageServer) object(h Handle) (store.FileID, bool) {
-	s.mu.Lock()
-	id, ok := s.objects[h]
-	s.mu.Unlock()
-	return id, ok
+// objectName is the store-root name of handle h's datafile object.  The
+// store's root directory is the daemon's only handle index: every request
+// resolves its handle there, so a crashed store answers each one as down,
+// and a recovered store needs nothing rebuilt.
+func objectName(h Handle) string {
+	var buf [17]byte
+	return string(strconv.AppendUint(append(buf[:0], 'h'), uint64(h), 16))
 }
 
-// HandleFor reverse-maps a store file back to its datafile handle — the
-// scrubber walks the store by FileID but replicas are addressed over the
-// wire by Handle.
-func (s *StorageServer) HandleFor(id store.FileID) (Handle, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for h, fid := range s.objects {
-		if fid == id {
-			return h, true
-		}
+// ObjectHandle parses an objectName back to its handle — the scrubber
+// walks the store by name, but replicas are addressed over the wire by
+// handle.
+func ObjectHandle(name string) (Handle, bool) {
+	if len(name) < 2 || name[0] != 'h' {
+		return 0, false
 	}
-	return 0, false
+	h, err := strconv.ParseUint(name[1:], 16, 64)
+	return Handle(h), err == nil
+}
+
+// object resolves handle h to its store file.  An absent object is a
+// stale handle; any other store error (a crashed store) maps as usual.
+func (s *StorageServer) object(h Handle) (store.FileID, fserr.Errno) {
+	at, err := s.store.Lookup(s.store.Root(), objectName(h))
+	if err == store.ErrNotExist {
+		return 0, fserr.Stale
+	}
+	return at.ID, fserr.ToErrno(err)
 }
 
 // Store exposes the daemon's content store (scrub wiring, tests).
@@ -130,8 +134,8 @@ func (s *StorageServer) Store() store.Store { return s.store }
 // ObjectSize reports the datafile object size for handle (0 if absent) —
 // used by cache warming and tests.
 func (s *StorageServer) ObjectSize(h Handle) int64 {
-	id, ok := s.object(h)
-	if !ok {
+	id, e := s.object(h)
+	if e != fserr.OK {
 		return 0
 	}
 	at, err := s.store.GetAttr(id)
@@ -139,56 +143,6 @@ func (s *StorageServer) ObjectSize(h Handle) int64 {
 		return 0
 	}
 	return at.Size
-}
-
-// CrashVolatile models the node's power loss for the daemon's store: a
-// durable backend drops to its log and the in-memory handle table is
-// cleared.  It is a no-op for non-recoverable (mem) stores — there a plain
-// node-down models an unreachable-but-alive node, which is what the PR 3
-// failover tests exercise.
-func (s *StorageServer) CrashVolatile() {
-	rec, ok := s.store.(store.Recoverable)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	s.objects = make(map[Handle]store.FileID)
-	s.mu.Unlock()
-	rec.Crash()
-}
-
-// RecoverVolatile replays the durable log after a restart and rebuilds the
-// handle table from the recovered object names ("h%x" in the store root).
-// It reports the number of log records replayed (0 for mem stores).
-func (s *StorageServer) RecoverVolatile() (int, error) {
-	rec, ok := s.store.(store.Recoverable)
-	if !ok {
-		return 0, nil
-	}
-	n, err := rec.Recover()
-	if err != nil {
-		return n, err
-	}
-	names, err := s.store.ReadDir(s.store.Root())
-	if err != nil {
-		return n, err
-	}
-	objects := make(map[Handle]store.FileID, len(names))
-	for _, name := range names {
-		var h uint64
-		if _, err := fmt.Sscanf(name, "h%x", &h); err != nil {
-			continue
-		}
-		at, err := s.store.Lookup(s.store.Root(), name)
-		if err != nil {
-			continue
-		}
-		objects[Handle(h)] = at.ID
-	}
-	s.mu.Lock()
-	s.objects = objects
-	s.mu.Unlock()
-	return n, nil
 }
 
 // Node returns the simnet node this daemon runs on (nil in real-time mode).
@@ -255,50 +209,37 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Mars
 	case ProcIOCreate:
 		a := req.(*IOCreateArgs)
 		ctx.UseCPU(cpu, metaPerOp)
-		s.mu.Lock()
-		if _, dup := s.objects[a.Handle]; dup {
-			s.mu.Unlock()
-			return &IOCreateRep{Errno: fserr.Exist}, rpc.StatusOK
-		}
-		at, err := s.store.Create(s.store.Root(), fmt.Sprintf("h%x", uint64(a.Handle)))
-		if err != nil {
-			s.mu.Unlock()
+		if _, err := s.store.Create(s.store.Root(), objectName(a.Handle)); err != nil {
 			return &IOCreateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		s.objects[a.Handle] = at.ID
-		s.mu.Unlock()
 		return &IOCreateRep{Errno: s.syncStore(ctx)}, rpc.StatusOK
 
 	case ProcIORemove:
 		a := req.(*IORemoveArgs)
 		ctx.UseCPU(cpu, metaPerOp)
-		s.mu.Lock()
-		id, ok := s.objects[a.Handle]
-		if !ok {
-			s.mu.Unlock()
-			return &IORemoveRep{Errno: fserr.NoEnt}, rpc.StatusOK
+		name := objectName(a.Handle)
+		at, err := s.store.Lookup(s.store.Root(), name)
+		if err == nil {
+			err = s.store.Remove(s.store.Root(), name)
 		}
-		if err := s.store.Remove(s.store.Root(), fmt.Sprintf("h%x", uint64(a.Handle))); err != nil {
-			s.mu.Unlock()
+		if err != nil {
 			return &IORemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		delete(s.objects, a.Handle)
-		s.mu.Unlock()
-		// The daemon addresses its objects only through their handles, so
-		// with the handle gone nothing reaches id again: its bytes go back
-		// to the store now, not at the next checkpoint or recovery.  A
-		// request that resolved the handle before it went finds no id.
+		// The daemon addresses its objects only through their names, so
+		// with the name gone nothing reaches the file again: its bytes go
+		// back to the store now, not at the next checkpoint or recovery.
+		// A request that resolved the name before it went finds no file.
 		if r, ok := s.store.(store.Reclaimer); ok {
-			_ = r.Reclaim(id)
+			_ = r.Reclaim(at.ID)
 		}
 		return &IORemoveRep{}, rpc.StatusOK
 
 	case ProcIOGetSize:
 		a := req.(*IOGetSizeArgs)
 		ctx.UseCPU(cpu, metaPerOp)
-		id, ok := s.object(a.Handle)
-		if !ok {
-			return &IOGetSizeRep{Errno: fserr.Stale}, rpc.StatusOK
+		id, e := s.object(a.Handle)
+		if e != fserr.OK {
+			return &IOGetSizeRep{Errno: e}, rpc.StatusOK
 		}
 		at, err := s.store.GetAttr(id)
 		if err != nil {
@@ -309,9 +250,9 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Mars
 	case ProcIOTruncate:
 		a := req.(*IOTruncateArgs)
 		ctx.UseCPU(cpu, metaPerOp)
-		id, ok := s.object(a.Handle)
-		if !ok {
-			return &IOTruncateRep{Errno: fserr.Stale}, rpc.StatusOK
+		id, e := s.object(a.Handle)
+		if e != fserr.OK {
+			return &IOTruncateRep{Errno: e}, rpc.StatusOK
 		}
 		if err := s.store.Truncate(id, a.ObjSize); err != nil {
 			return &IOTruncateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
@@ -344,9 +285,9 @@ func (s *StorageServer) syncStore(ctx *rpc.Ctx) fserr.Errno {
 // its client's; the wire request has no room for them.
 func (s *StorageServer) Write(ctx *rpc.Ctx, a *IOWriteArgs, sums store.BlockSums) *IOWriteRep {
 	s.stats.requests.inc(ProcIOWrite)
-	id, ok := s.object(a.Handle)
-	if !ok {
-		return &IOWriteRep{Errno: fserr.Stale}
+	id, e := s.object(a.Handle)
+	if e != fserr.OK {
+		return &IOWriteRep{Errno: e}
 	}
 	n := a.Data.Len()
 	ctx.UseCPU(s.cfg.Node.Processor(), serverPerOp+rpc.PerMB(serverPerMB, n))
@@ -401,9 +342,9 @@ func (s *StorageServer) Write(ctx *rpc.Ctx, a *IOWriteArgs, sums store.BlockSums
 // no room for them.
 func (s *StorageServer) Read(ctx *rpc.Ctx, a *IOReadArgs) (*IOReadRep, store.BlockSums) {
 	s.stats.requests.inc(ProcIORead)
-	id, ok := s.object(a.Handle)
-	if !ok {
-		return &IOReadRep{Errno: fserr.Stale}, store.BlockSums{}
+	id, e := s.object(a.Handle)
+	if e != fserr.OK {
+		return &IOReadRep{Errno: e}, store.BlockSums{}
 	}
 	at, err := s.store.GetAttr(id)
 	if err != nil {
@@ -446,8 +387,8 @@ func (s *StorageServer) Read(ctx *rpc.Ctx, a *IOReadArgs) (*IOReadRep, store.Blo
 func (s *StorageServer) Flush(ctx *rpc.Ctx, a *IOFlushArgs) *IOFlushRep {
 	s.stats.requests.inc(ProcIOFlush)
 	ctx.UseCPU(s.cfg.Node.Processor(), serverPerOp)
-	if _, ok := s.object(a.Handle); !ok {
-		return &IOFlushRep{Errno: fserr.Stale}
+	if _, e := s.object(a.Handle); e != fserr.OK {
+		return &IOFlushRep{Errno: e}
 	}
 	if err := s.store.Sync(ctx.P); err != nil {
 		return &IOFlushRep{Errno: fserr.ToErrno(err)}

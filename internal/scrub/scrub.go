@@ -43,16 +43,15 @@ type Source interface {
 	store.Syncer
 }
 
-// Fetch reads good bytes for (id, off) from a replica of this node's
-// store, filling b and returning the byte count.  Replicas hold
-// byte-identical stripe objects at identical offsets (stripe.Replicated),
-// so off is the same everywhere; id is not: it is this store's FileID,
-// which each store allocates itself, so a Fetch maps it to a name every
-// replica shares (the cluster maps it to the datafile handle through
-// pvfs.StorageServer.HandleFor).  A Fetch error means no live replica could
-// supply the range; the chunk stays corrupt and is retried on the next
-// pass.
-type Fetch func(ctx *rpc.Ctx, id store.FileID, off int64, b []byte) (int, error)
+// Fetch reads good bytes for the object name at off from a replica of this
+// node's store, filling b and returning the byte count.  Replicas hold
+// byte-identical stripe objects at identical offsets (stripe.Replicated)
+// under the same name (the cluster's storage daemons name each object after
+// its datafile handle), so both are the same everywhere; a store's FileIDs
+// are not, each store allocating its own.  A Fetch error means no live
+// replica could supply the range; the chunk stays corrupt and is retried on
+// the next pass.
+type Fetch func(ctx *rpc.Ctx, name string, off int64, b []byte) (int, error)
 
 // chunkSize is the scan granularity: one store chunk, so each verification
 // read maps onto exactly one block checksum.
@@ -110,16 +109,23 @@ func New(cfg Config) *Scrubber {
 	}
 }
 
+// file is one regular file of the scanned store: its FileID, and the name
+// the walk found it under, which Fetch takes.
+type file struct {
+	id   store.FileID
+	name string
+}
+
 // files enumerates every regular file in deterministic Walk order.
-func (s *Scrubber) files() ([]store.FileID, error) {
-	var ids []store.FileID
-	err := s.cfg.Store.Walk(func(_ store.FileID, _ string, at store.Attr) error {
+func (s *Scrubber) files() ([]file, error) {
+	var files []file
+	err := s.cfg.Store.Walk(func(_ store.FileID, name string, at store.Attr) error {
 		if !at.IsDir {
-			ids = append(ids, at.ID)
+			files = append(files, file{at.ID, name})
 		}
 		return nil
 	})
-	return ids, err
+	return files, err
 }
 
 // Pass scans every materialized chunk of every file once, repairing what it
@@ -130,26 +136,26 @@ func (s *Scrubber) files() ([]store.FileID, error) {
 // failures never do — finding them is the job.  A file removed and
 // reclaimed since the walk (store.Reclaimer) has nothing left to scan.
 func (s *Scrubber) Pass(ctx *rpc.Ctx) error {
-	ids, err := s.files()
+	files, err := s.files()
 	if err != nil {
 		return fmt.Errorf("scrub %s: walk: %w", s.cfg.Node, err)
 	}
 	repaired := false
-	for _, id := range ids {
-		exts, err := s.cfg.Store.Extents(id)
+	for _, f := range files {
+		exts, err := s.cfg.Store.Extents(f.id)
 		if errors.Is(err, store.ErrNotExist) {
 			continue
 		}
 		if err != nil {
-			return fmt.Errorf("scrub %s: extents of file %d: %w", s.cfg.Node, id, err)
+			return fmt.Errorf("scrub %s: extents of %s: %w", s.cfg.Node, f.name, err)
 		}
 		for _, e := range exts {
 			for off, end := e.Off, e.Off+e.Len; off < end; {
 				// One chunk per read, so each maps onto one block checksum.
 				n := min(chunkSize-off%chunkSize, end-off)
-				fixed, err := s.scanChunk(ctx, id, off, n)
+				fixed, err := s.scanChunk(ctx, f, off, n)
 				if err != nil {
-					return fmt.Errorf("scrub %s: file %d: %w", s.cfg.Node, id, err)
+					return fmt.Errorf("scrub %s: %s: %w", s.cfg.Node, f.name, err)
 				}
 				repaired = repaired || fixed
 				off += n
@@ -168,13 +174,13 @@ func (s *Scrubber) Pass(ctx *rpc.Ctx) error {
 
 // scanChunk verifies the n bytes at off, one chunk, and repairs them if
 // corrupt and repairable; it reports whether it repaired them.
-func (s *Scrubber) scanChunk(ctx *rpc.Ctx, id store.FileID, off, n int64) (bool, error) {
+func (s *Scrubber) scanChunk(ctx *rpc.Ctx, f file, off, n int64) (bool, error) {
 	if int64(cap(s.scratch)) < n {
 		s.scratch = make([]byte, n)
 	}
 	buf := s.scratch[:n]
 	s.scanned.Inc()
-	_, err := s.cfg.Store.ReadAt(id, off, buf)
+	_, err := s.cfg.Store.ReadAt(f.id, off, buf)
 	// The sleep is the entire cost model: checksum verification itself is
 	// free in virtual time.
 	ctx.Sleep(sim.Duration(float64(n) / rateBPS * 1e9))
@@ -185,14 +191,14 @@ func (s *Scrubber) scanChunk(ctx *rpc.Ctx, id store.FileID, off, n int64) (bool,
 		return false, err
 	}
 	s.found.Inc()
-	return s.repair(ctx, id, off, n), nil
+	return s.repair(ctx, f, off, n), nil
 }
 
 // repair rewrites one corrupt chunk from a replica, best-effort: any
 // failure leaves the chunk for the next pass (or for a foreground
 // read-repair) rather than failing the scan.  It reports whether the chunk
 // now reads clean.
-func (s *Scrubber) repair(ctx *rpc.Ctx, id store.FileID, off, n int64) bool {
+func (s *Scrubber) repair(ctx *rpc.Ctx, f file, off, n int64) bool {
 	if s.cfg.Fetch == nil {
 		return false
 	}
@@ -200,15 +206,15 @@ func (s *Scrubber) repair(ctx *rpc.Ctx, id store.FileID, off, n int64) bool {
 		s.good = make([]byte, n)
 	}
 	buf := s.good[:n]
-	if got, err := s.cfg.Fetch(ctx, id, off, buf); err != nil || int64(got) < n {
+	if got, err := s.cfg.Fetch(ctx, f.name, off, buf); err != nil || int64(got) < n {
 		return false
 	}
-	if _, err := s.cfg.Store.WriteAt(id, off, buf); err != nil {
+	if _, err := s.cfg.Store.WriteAt(f.id, off, buf); err != nil {
 		return false
 	}
 	// The write resealed the block checksum over the replica's bytes;
 	// re-read so "repaired" means verified clean, not merely rewritten.
-	if _, err := s.cfg.Store.ReadAt(id, off, s.scratch[:n]); err != nil {
+	if _, err := s.cfg.Store.ReadAt(f.id, off, s.scratch[:n]); err != nil {
 		return false
 	}
 	s.repaired.Inc()

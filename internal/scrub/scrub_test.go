@@ -36,12 +36,16 @@ func twin(t *testing.T, files int, size int64) (*mem.Store, *mem.Store, [][]byte
 	return a, b, contents
 }
 
-// fetchFrom repairs out of the replica store.  Stores built by twin assign
-// identical FileIDs in creation order, mirroring how the metadata server
-// allocates identical datafile handles on every daemon.
+// fetchFrom repairs out of the replica store.  Stores built by twin hold
+// each file under the same name, mirroring how the storage daemons name
+// each datafile object after the handle the metadata server allocated.
 func fetchFrom(replica *mem.Store) Fetch {
-	return func(_ *rpc.Ctx, id store.FileID, off int64, b []byte) (int, error) {
-		return replica.ReadAt(id, off, b)
+	return func(_ *rpc.Ctx, name string, off int64, b []byte) (int, error) {
+		at, err := replica.Lookup(replica.Root(), name)
+		if err != nil {
+			return 0, err
+		}
+		return replica.ReadAt(at.ID, off, b)
 	}
 }
 
@@ -117,7 +121,7 @@ func TestFailedFetchLeavesChunkForNextPass(t *testing.T) {
 	if !a.CorruptChunk(3) {
 		t.Fatal("nothing to corrupt")
 	}
-	fail := func(_ *rpc.Ctx, _ store.FileID, _ int64, _ []byte) (int, error) {
+	fail := func(_ *rpc.Ctx, _ string, _ int64, _ []byte) (int, error) {
 		return 0, fmt.Errorf("no live replica")
 	}
 	reg := metrics.NewRegistry()

@@ -790,29 +790,40 @@ func TestShutdown(t *testing.T) {
 			if len(k.idle) != 8 {
 				t.Fatalf("%d idle workers, want 8", len(k.idle))
 			}
-			// A second batch runs on the same goroutines.
-			before := runtime.NumGoroutine()
+			// A second batch runs on the same workers: it ends with the
+			// same eight idle, and no other.
+			before := map[*worker]bool{}
+			for _, w := range k.idle {
+				before[w] = true
+			}
 			for i := 0; i < 8; i++ {
 				k.Go("short", func(p *Proc) { p.Sleep(time.Millisecond) })
 			}
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if runtime.NumGoroutine() != before || len(k.idle) != 8 {
-				t.Fatalf("second batch: %d goroutines (were %d), %d idle", runtime.NumGoroutine(), before, len(k.idle))
+			if len(k.idle) != 8 {
+				t.Fatalf("second batch: %d idle workers, want 8", len(k.idle))
+			}
+			for _, w := range k.idle {
+				if !before[w] {
+					t.Fatal("second batch: a new worker ran it instead of a recycled one")
+				}
 			}
 			return ""
 		}},
 		{"processes that never started", func(t *testing.T, k *Kernel, log func(string)) string {
-			before := runtime.NumGoroutine()
 			for i := 0; i < 4; i++ {
-				k.Go("unborn", func(p *Proc) {
+				p := k.Go("unborn", func(p *Proc) {
 					defer log("unborn")
 					p.Sleep(time.Millisecond)
 				})
+				if p.w != nil {
+					t.Fatalf("Go bound a worker before the start event fired")
+				}
 			}
-			if runtime.NumGoroutine() != before {
-				t.Fatalf("Go took a goroutine before the start event fired")
+			if len(k.idle) != 0 || len(k.procs) != 0 {
+				t.Fatalf("Go left %d idle workers and %d started processes, want none before the start events fired", len(k.idle), len(k.procs))
 			}
 			return "" // Run never called: nothing ran, nothing to unwind
 		}},

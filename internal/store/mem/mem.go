@@ -22,7 +22,6 @@
 package mem
 
 import (
-	"fmt"
 	"math/rand"
 	"path"
 	"sort"
@@ -954,30 +953,4 @@ func (sp *sparse) truncate(size int64) {
 			sp.reseal(ci)
 		}
 	}
-}
-
-// String renders a debug listing of the namespace.
-func (s *Store) String() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var sb strings.Builder
-	var walk func(n *node, prefix string)
-	walk = func(n *node, prefix string) {
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c := n.children[name]
-			if c.isDir {
-				fmt.Fprintf(&sb, "%s%s/\n", prefix, name)
-				walk(c, prefix+"  ")
-			} else {
-				fmt.Fprintf(&sb, "%s%s (%d bytes)\n", prefix, name, c.size)
-			}
-		}
-	}
-	walk(s.root, "")
-	return sb.String()
 }
