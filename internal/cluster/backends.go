@@ -137,13 +137,19 @@ func (b *directMDSBackend) GetAttr(ctx *rpc.Ctx, fh uint64) (nfs.Attr, error) {
 // fallback only — Direct-pNFS clients hold layouts and go to the data
 // servers directly.  The proxy resolves each file's current placement
 // in-process, so it follows migrations.
-func (b *directMDSBackend) openCurrent(fh uint64) *pvfs.File {
-	place := b.meta.PlacementOf(pvfs.Handle(fh))
-	return b.proxy.OpenPlaced(pvfs.Handle(fh), place.Data, place.Dist)
+func (b *directMDSBackend) openCurrent(fh uint64) (*pvfs.File, error) {
+	place, err := b.meta.PlacementOf(pvfs.Handle(fh))
+	if err != nil {
+		return nil, err
+	}
+	return b.proxy.OpenPlaced(pvfs.Handle(fh), place.Data, place.Dist), nil
 }
 
 func (b *directMDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, store.BlockSums, error) {
-	f := b.openCurrent(fh)
+	f, err := b.openCurrent(fh)
+	if err != nil {
+		return payload.Payload{}, false, store.BlockSums{}, err
+	}
 	data, got, err := b.proxy.Read(ctx, f, off, n, wantReal)
 	return data, got < n, store.BlockSums{}, err
 }
@@ -154,7 +160,10 @@ func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payloa
 	if err := store.CheckSums(off, data.Bytes, sums); err != nil {
 		return 0, err
 	}
-	f := b.openCurrent(fh)
+	f, err := b.openCurrent(fh)
+	if err != nil {
+		return 0, err
+	}
 	size, err := b.proxy.Write(ctx, f, off, data, false)
 	if err != nil {
 		return size, err
@@ -167,7 +176,11 @@ func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payloa
 }
 
 func (b *directMDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
-	return commitFile(ctx, b.proxy, b.openCurrent(fh))
+	f, err := b.openCurrent(fh)
+	if err != nil {
+		return err
+	}
+	return commitFile(ctx, b.proxy, f)
 }
 
 // commitFile is COMMIT for the servers that reach data through a PVFS2
@@ -190,7 +203,10 @@ func commitFile(ctx *rpc.Ctx, pv *pvfs.Client, f *pvfs.File) error {
 // alongside one).
 func (b *directMDSBackend) LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
 	_, gen := b.snapshot()
-	place := b.meta.PlacementOf(pvfs.Handle(fh))
+	place, err := b.meta.PlacementOf(pvfs.Handle(fh))
+	if err != nil {
+		return nil, err
+	}
 	native := pnfs.NativeLayout{Aggregation: b.agg, Params: b.aggP, ObjectHandle: uint64(place.Data)}
 	if b.agg == "" {
 		native.Aggregation, native.Params = pnfs.AggRoundRobin, []int64{place.Dist.StripeSize}

@@ -200,7 +200,11 @@ func TestDirectLayoutGetAfterDrain(t *testing.T) {
 	if err := cl.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
-	shadow := uint64(cl.PVFSMeta.PlacementOf(pvfs.Handle(fh)).Data)
+	place, err := cl.PVFSMeta.PlacementOf(pvfs.Handle(fh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := uint64(place.Data)
 	if shadow != 1<<48 {
 		t.Fatalf("the drained file's objects live under %#x, want the first shadow handle %#x", shadow, uint64(1<<48))
 	}

@@ -373,7 +373,10 @@ func sameDist(a, b pvfs.DistParams) bool {
 // placement flip.  A crash mid-copy therefore leaves the old placement
 // fully intact.
 func (cl *Cluster) migrateFile(ctx *rpc.Ctx, mig *pvfs.Client, h pvfs.Handle, target pvfs.DistParams) error {
-	place := cl.PVFSMeta.PlacementOf(h)
+	place, err := cl.PVFSMeta.PlacementOf(h)
+	if err != nil {
+		return fmt.Errorf("cluster: placement of %x: %w", uint64(h), err)
+	}
 	if sameDist(place.Dist, target) {
 		return nil
 	}

@@ -385,7 +385,10 @@ func TestMigrationTruncateSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	place := cl.PVFSMeta.PlacementOf(pvfsHandle(at.ID))
+	place, err := cl.PVFSMeta.PlacementOf(pvfsHandle(at.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[uint32]int64{}
 	for _, e := range place.Dist.Mapper().Map(0, off+n) {
 		id := place.Dist.ServerIDs()[e.Dev]

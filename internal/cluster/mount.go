@@ -146,7 +146,7 @@ func (m nfsMount) Stat(ctx *rpc.Ctx, f *File) (int64, error) {
 }
 
 // pvfsMount is the Mount of native PVFS2: the client library, whose
-// path-addressed namespace verbs it promotes.  It has no mount handshake and
+// path-taking namespace verbs it promotes.  It has no mount handshake and
 // no caches, and asks the daemons for materialized bytes when real is set
 // (Config.Real).
 type pvfsMount struct {
@@ -190,15 +190,12 @@ func (m pvfsMount) Size(ctx *rpc.Ctx, f *File) (int64, error) {
 
 func (m pvfsMount) Stat(ctx *rpc.Ctx, f *File) (int64, error) { return m.Size(ctx, f) }
 
-// Rename walks dirPath by handle, one LOOKUP-H per component, then renames
-// within the directory it reached.
+// Rename resolves dirPath with one LOOKUP-H from the root (none for the
+// root itself), then renames within the directory it reached.
 func (m pvfsMount) Rename(ctx *rpc.Ctx, dirPath, src, dst string) error {
 	dir := m.RootHandle()
-	for _, name := range strings.Split(strings.Trim(dirPath, "/"), "/") {
-		if name == "" {
-			continue
-		}
-		h, _, err := m.LookupH(ctx, dir, name)
+	if rel := strings.Trim(dirPath, "/"); rel != "" {
+		h, _, err := m.LookupH(ctx, dir, rel)
 		if err != nil {
 			return err
 		}

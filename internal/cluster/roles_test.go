@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"dpnfs/internal/fserr"
 	"dpnfs/internal/nfs"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pvfs"
@@ -269,4 +271,153 @@ func TestDirectMDSNamespaceAnswersACrashedStore(t *testing.T) {
 			t.Errorf("recovered store: %s: %v", name, err)
 		}
 	})
+}
+
+// TestDirectMDSAnswersIOWithoutAPlacement: the Direct-pNFS MDS takes a
+// file's placement from its record alone, so for a handle without one — a
+// directory — LAYOUTGET and the proxied READ, WRITE and COMMIT answer IO
+// rather than a layout or I/O made up from the handle.
+func TestDirectMDSAnswersIOWithoutAPlacement(t *testing.T) {
+	cl := New(Config{Arch: ArchDirectPNFS, Clients: 1})
+	defer cl.Close()
+	b := cl.directMDS
+	if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, _ *Mount, _ int) error {
+		dir, _, err := b.Mkdir(ctx, b.Root(), "d")
+		if err != nil {
+			return err
+		}
+		_, layoutErr := b.LayoutGet(ctx, dir)
+		_, _, _, readErr := b.Read(ctx, dir, 0, 1, false)
+		_, writeErr := b.Write(ctx, dir, 0, payload.Synthetic(1), store.BlockSums{}, false)
+		for name, err := range map[string]error{
+			"LayoutGet": layoutErr, "Read": readErr, "Write": writeErr, "Commit": b.Commit(ctx, dir),
+		} {
+			if err != fserr.ErrIO {
+				t.Errorf("%s of a directory: %v, want fserr.ErrIO", name, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPVFS2NestedVerbIsOneRequest: the native client names a nested path
+// from the root handle, and the metadata manager walks it, so Create, Open,
+// Mkdir and Remove on a three-level path each cost exactly one metadata
+// request, counted under its namespace procedure.
+func TestPVFS2NestedVerbIsOneRequest(t *testing.T) {
+	cl := New(Config{Arch: ArchPVFS2, Clients: 1})
+	defer cl.Close()
+	if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, m *Mount, _ int) error {
+		if err := errors.Join(m.Mkdir(ctx, "/a"), m.Mkdir(ctx, "/a/b")); err != nil {
+			return err
+		}
+		for _, v := range []struct {
+			name, proc string
+			call       func() error
+		}{
+			{"Create", "create-h", func() error { _, err := m.Create(ctx, "/a/b/f"); return err }},
+			{"Open", "lookup-h", func() error { _, err := m.Open(ctx, "/a/b/f"); return err }},
+			{"Mkdir", "mkdir-h", func() error { return m.Mkdir(ctx, "/a/b/d") }},
+			{"Remove", "remove-h", func() error { return m.Remove(ctx, "/a/b/f") }},
+		} {
+			before := metaRequests(cl)
+			if err := v.call(); err != nil {
+				return fmt.Errorf("%s: %w", v.name, err)
+			}
+			after := metaRequests(cl)
+			if after[v.proc] != before[v.proc]+1 {
+				t.Errorf("%s: pvfs_meta_requests_total{proc=%q} grew by %v, want 1", v.name, v.proc, after[v.proc]-before[v.proc])
+			}
+			for proc, n := range after {
+				if proc != v.proc && n != before[proc] {
+					t.Errorf("%s: pvfs_meta_requests_total{proc=%q} grew by %v, want 0", v.name, proc, n-before[proc])
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mdsRecorder is the cluster's transport, noting the node that serves the
+// NFS metadata service: the server a mount sends its namespace compounds to.
+type mdsRecorder struct {
+	rpc.Transport
+	node *string
+}
+
+func (r mdsRecorder) Serve(node, service string, reg *rpc.Registry, h rpc.Handler, threads int) (string, error) {
+	if service == ServiceMDS {
+		*r.node = node
+	}
+	return r.Transport.Serve(node, service, reg, h, threads)
+}
+
+// TestNFSServersRefuseMultiComponentNames: the PVFS2 metadata manager walks
+// a '/' in a name as a path, so the NFS server in front of it answers Inval
+// for every name that is not one entry of one directory — "d/f", "", "."
+// and ".." — in each operation that carries a name, and leaves the
+// namespace as it was.  Without the check a hostile client's LOOKUP of
+// "d/f" from the root reached /d/f.
+func TestNFSServersRefuseMultiComponentNames(t *testing.T) {
+	defer func(prev func(*Cluster) rpc.Transport) { nfsTransport = prev }(nfsTransport)
+	for _, arch := range Archs {
+		if arch == ArchPVFS2 {
+			continue // no NFS server
+		}
+		t.Run(string(arch), func(t *testing.T) {
+			var mds string
+			nfsTransport = func(cl *Cluster) rpc.Transport { return mdsRecorder{cl.tr, &mds} }
+			cl := New(Config{Arch: arch, Clients: 1})
+			defer cl.Close()
+			if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, m *Mount, _ int) error {
+				if err := m.Mkdir(ctx, "/d"); err != nil {
+					return err
+				}
+				f, err := m.Create(ctx, "/d/f")
+				if err != nil {
+					return err
+				}
+				if err := m.Close(ctx, f); err != nil {
+					return err
+				}
+				conn := cl.dial(m.node.Name, mds, ServiceMDS)
+				for _, name := range []string{"d/f", "d/g", "/d", "", ".", ".."} {
+					for _, op := range []nfs.Op{
+						&nfs.OpLookup{Name: name},
+						&nfs.OpOpen{Name: name, Create: true},
+						&nfs.OpCreate{Name: name},
+						&nfs.OpRemove{Name: name},
+						&nfs.OpRename{Src: name, Dst: "x"},
+						&nfs.OpRename{Src: "d", Dst: name},
+					} {
+						var rep nfs.CompoundRep
+						args := &nfs.CompoundArgs{Ops: []nfs.Op{&nfs.OpPutRootFH{}, op}}
+						if err := conn.Call(ctx, nfs.ProcCompound, args, &rep); err != nil {
+							return err
+						}
+						if rep.Status != fserr.Inval || len(rep.Results) != 2 {
+							t.Errorf("%T %+v: status %v after %d results, want Inval at the second", op, op, rep.Status, len(rep.Results))
+						}
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ns := cl.PVFSMeta.Namespace()
+			for dir, want := range map[string][]string{"/": {"d"}, "/d": {"f"}} {
+				at, err := ns.LookupPath(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if names, err := ns.ReadDir(at.ID); err != nil || !reflect.DeepEqual(names, want) {
+					t.Errorf("%s holds %v (%v), want %v", dir, names, err, want)
+				}
+			}
+		})
+	}
 }

@@ -236,7 +236,11 @@ func TestCrashedDaemonAnswersDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := cl.PVFSMeta.PlacementOf(pvfsHandle(at.ID)).Data
+	place, err := cl.PVFSMeta.PlacementOf(pvfsHandle(at.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := place.Data
 	daemon := cl.memberNamed("io1").storage
 	synced := daemon.ObjectSize(h)
 	if synced == 0 {

@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"strings"
 	"sync"
 	"time"
 
@@ -262,7 +263,8 @@ func (s *Server) lacks(r role) bool {
 
 // run executes the op list with a current-filehandle cursor.  Execution
 // stops at the first operation that fails — because the backend lacks the
-// role it needs, or in exec — and that operation's own result type carries
+// role it needs, because it names an entry no directory can hold
+// (namesValid), or in exec — and that operation's own result type carries
 // the status.
 func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *CompoundRep {
 	rep := &CompoundRep{}
@@ -282,6 +284,9 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 		if s.lacks(row.needs) {
 			return fail(row.res(row.absent))
 		}
+		if !namesValid(op) {
+			return fail(row.res(fserr.Inval))
+		}
 		res, err := s.exec(ctx, cpu, &cur, op)
 		if err != nil {
 			return fail(row.res(fserr.ToErrno(err)))
@@ -289,6 +294,29 @@ func (s *Server) run(ctx *rpc.Ctx, cpu *sim.KServer, args *CompoundArgs) *Compou
 		rep.Results = append(rep.Results, res)
 	}
 	return rep
+}
+
+// namesValid reports whether every entry name op carries is one name within
+// one directory.  The PVFS2 metadata manager behind the exports resolves a
+// '/' in a name as a path, and "", "." and ".." name no entry of their own,
+// so the server refuses them all before a backend sees them.
+func namesValid(op Op) bool {
+	valid := func(name string) bool {
+		return name != "" && name != "." && name != ".." && !strings.Contains(name, "/")
+	}
+	switch o := op.(type) {
+	case *OpLookup:
+		return valid(o.Name)
+	case *OpOpen:
+		return valid(o.Name)
+	case *OpCreate:
+		return valid(o.Name)
+	case *OpRemove:
+		return valid(o.Name)
+	case *OpRename:
+		return valid(o.Src) && valid(o.Dst)
+	}
+	return true
 }
 
 // exec runs one operation whose role the backend has, moving the current

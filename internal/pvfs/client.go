@@ -3,6 +3,7 @@ package pvfs
 import (
 	"fmt"
 	"maps"
+	"strings"
 	"sync"
 
 	"dpnfs/internal/fserr"
@@ -55,7 +56,7 @@ type Client struct {
 	engine *ioengine.Engine
 	retry  ioengine.Policy
 	// mu guards io, the daemon conns keyed by stable server ID: AddServer
-	// may race with newFile when the cluster reconfigures while clients are
+	// may race with OpenPlaced when the cluster reconfigures while clients are
 	// running.
 	mu sync.Mutex
 	io map[uint32]rpc.Conn
@@ -124,7 +125,11 @@ func (c *Client) chargeOp(ctx *rpc.Ctx, bytes int64) {
 	ctx.UseCPU(c.cfg.Node.Processor(), clientPerOp+rpc.PerMB(clientPerMB, bytes))
 }
 
-func (c *Client) newFile(h, data Handle, dist DistParams) *File {
+// OpenPlaced builds an open file reference from an explicit placement
+// (data handle + distribution), as returned by Lookup/Create/PlacementH,
+// without a metadata round trip.  Before any migration a file's data lives
+// under its own handle with the file-system-wide distribution.
+func (c *Client) OpenPlaced(h, data Handle, dist DistParams) *File {
 	ids := dist.ServerIDs()
 	f := &File{
 		Handle: h,
@@ -161,25 +166,31 @@ func (c *Client) metaCall(ctx *rpc.Ctx, proc uint32, args xdr.Marshaler, rep xdr
 	return errno.Err()
 }
 
+// fromRoot is path as the namespace procedures name it: relative to the
+// root handle, so that a verb on any path is one request.
+func fromRoot(path string) string { return strings.TrimPrefix(path, "/") }
+
 // Create makes a new file and returns an open reference.
 func (c *Client) Create(ctx *rpc.Ctx, path string) (*File, error) {
 	var rep CreateRep
-	if err := c.metaCall(ctx, ProcCreate, &CreateArgs{Path: path}, &rep, &rep.Errno); err != nil {
+	args := &DirOpArgs{Dir: c.RootHandle(), Name: fromRoot(path)}
+	if err := c.metaCall(ctx, ProcCreateH, args, &rep, &rep.Errno); err != nil {
 		return nil, err
 	}
-	return c.newFile(rep.Handle, rep.Data, rep.Dist), nil
+	return c.OpenPlaced(rep.Handle, rep.Data, rep.Dist), nil
 }
 
 // Open resolves an existing file.
 func (c *Client) Open(ctx *rpc.Ctx, path string) (*File, error) {
 	var rep LookupRep
-	if err := c.metaCall(ctx, ProcLookup, &LookupArgs{Path: path}, &rep, &rep.Errno); err != nil {
+	args := &DirOpArgs{Dir: c.RootHandle(), Name: fromRoot(path)}
+	if err := c.metaCall(ctx, ProcLookupH, args, &rep, &rep.Errno); err != nil {
 		return nil, err
 	}
 	if rep.IsDir {
 		return nil, fmt.Errorf("pvfs: %s is a directory", path)
 	}
-	return c.newFile(rep.Handle, rep.Data, rep.Dist), nil
+	return c.OpenPlaced(rep.Handle, rep.Data, rep.Dist), nil
 }
 
 // Write stores data at off.  Sync forces the touched daemons to flush to
@@ -386,21 +397,20 @@ func (c *Client) Truncate(ctx *rpc.Ctx, f *File, size int64) error {
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(ctx *rpc.Ctx, path string) error {
-	var rep MkdirRep
-	return c.metaCall(ctx, ProcMkdir, &MkdirArgs{Path: path}, &rep, &rep.Errno)
+	_, err := c.MkdirH(ctx, c.RootHandle(), fromRoot(path))
+	return err
 }
 
 // Remove unlinks a file (removing its datafiles) or an empty directory.
 func (c *Client) Remove(ctx *rpc.Ctx, path string) error {
-	var rep RemoveRep
-	return c.metaCall(ctx, ProcRemove, &RemoveArgs{Path: path}, &rep, &rep.Errno)
+	return c.RemoveH(ctx, c.RootHandle(), fromRoot(path))
 }
 
-// ReadDir lists a directory.
+// ReadDir lists a directory: a lookup of its handle, then a listing of it.
 func (c *Client) ReadDir(ctx *rpc.Ctx, path string) ([]string, error) {
-	var rep ReadDirRep
-	if err := c.metaCall(ctx, ProcReadDir, &ReadDirArgs{Path: path}, &rep, &rep.Errno); err != nil {
+	dir, _, err := c.LookupH(ctx, c.RootHandle(), fromRoot(path))
+	if err != nil {
 		return nil, err
 	}
-	return rep.Names, nil
+	return c.ReadDirH(ctx, dir)
 }

@@ -6,13 +6,13 @@ import (
 	"dpnfs/internal/xdr"
 )
 
-// Handle-based namespace procedures.  The NFS servers that export PVFS2
-// (the plain NFSv4 server and the two/three-tier pNFS data and metadata
-// servers) resolve names against a directory filehandle, so each namespace
-// verb has two procedure numbers — one addressed by path, one by directory
-// handle — over a single body in MetaServer (server.go): the path procedure
-// walks from the root to the same (directory, name) the handle procedure is
-// given, then both run the verb's one implementation.
+// The metadata service's namespace procedures.  Each names its entry as
+// PVFS2 does, from a directory handle: LOOKUP-H, CREATE-H, MKDIR-H and
+// REMOVE-H take a path relative to that directory (DirOpArgs), which
+// MetaServer.walk resolves, and each runs its verb's one body in MetaServer
+// (server.go).  The NFS servers that export PVFS2 send one name from the
+// directory filehandle they hold; the native client sends its whole path
+// from the root handle.
 const (
 	ProcLookupH uint32 = iota + 50
 	ProcCreateH
@@ -38,7 +38,8 @@ func (r *PlacementRep) XDR(f xdr.Filter) {
 	r.Dist.XDR(f)
 }
 
-// DirOpArgs addresses a name within a directory by handle.
+// DirOpArgs addresses an entry by a directory handle and a path relative to
+// it: one name, or several separated by '/'.
 type DirOpArgs struct {
 	Dir  Handle
 	Name string
@@ -66,14 +67,6 @@ func (a *RenameHArgs) XDR(f xdr.Filter) {
 // RootHandle returns the file system root handle (well-known: the MDS
 // namespace root is always inode 1).
 func (c *Client) RootHandle() Handle { return 1 }
-
-// OpenPlaced builds an open file reference from an explicit placement
-// (data handle + distribution), as returned by Lookup/Create/PlacementH,
-// without a metadata round trip.  Before any migration a file's data lives
-// under its own handle with the file-system-wide distribution.
-func (c *Client) OpenPlaced(h, data Handle, dist DistParams) *File {
-	return c.newFile(h, data, dist)
-}
 
 // PlacementH fetches the file's current data placement from the MDS.
 func (c *Client) PlacementH(ctx *rpc.Ctx, h Handle) (Handle, DistParams, error) {

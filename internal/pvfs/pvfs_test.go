@@ -364,23 +364,47 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 	}
 }
 
-func TestSplitParent(t *testing.T) {
-	cases := []struct{ in, dir, name string }{
-		{"/a", "/", "a"},
-		{"/a/b/c", "/a/b/", "c"},
-		{"/a/b/", "/a/", "b"},
-		{"a", "", "a"},
-	}
-	for _, c := range cases {
-		dir, name := splitParent(c.in)
-		if dir != c.dir || name != c.name {
-			t.Errorf("splitParent(%q) = (%q, %q), want (%q, %q)", c.in, dir, name, c.dir, c.name)
+// TestFileWithoutPlacementAnswersIO: a file's placement has one source, its
+// record, which create writes.  With the record gone, every request that
+// needs it — LOOKUP (so Open), GETATTR, TRUNCATE and PLACEMENT-H — answers
+// IO: no geometry is guessed for bytes that may have moved.  A directory
+// has no placement to lose.
+func TestFileWithoutPlacementAnswersIO(t *testing.T) {
+	fs := newTestFS(t, 3, 1000)
+	fs.run(t, func(ctx *rpc.Ctx) {
+		f, err := fs.client.Create(ctx, "/f")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if _, err := fs.client.Write(ctx, f, 0, payload.Real(make([]byte, 5000)), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.client.Mkdir(ctx, "/d"); err != nil {
+			t.Fatal(err)
+		}
+		fs.meta.mu.Lock()
+		delete(fs.meta.placements, f.Handle)
+		fs.meta.mu.Unlock()
+		if _, err := fs.client.Open(ctx, "/f"); err != fserr.ErrIO {
+			t.Errorf("open: %v, want fserr.ErrIO", err)
+		}
+		if _, err := fs.client.GetAttr(ctx, f); err != fserr.ErrIO {
+			t.Errorf("getattr: %v, want fserr.ErrIO", err)
+		}
+		if err := fs.client.Truncate(ctx, f, 0); err != fserr.ErrIO {
+			t.Errorf("truncate: %v, want fserr.ErrIO", err)
+		}
+		if _, _, err := fs.client.PlacementH(ctx, f.Handle); err != fserr.ErrIO {
+			t.Errorf("placement: %v, want fserr.ErrIO", err)
+		}
+		if names, err := fs.client.ReadDir(ctx, "/d"); err != nil || len(names) != 0 {
+			t.Errorf("readdir of a directory: %v, %v; want it empty", names, err)
+		}
+	})
 }
 
 func TestObjSizes(t *testing.T) {
-	m := NewMetaServer(MetaConfig{Dist: DistParams{StripeSize: 1000, NumServers: 3}}).Mapper()
+	m := DistParams{StripeSize: 1000, NumServers: 3}.Mapper()
 	sizes := objSizes(m, 3, 3500)
 	wants := []int64{1500, 1000, 1000}
 	for i, w := range wants {

@@ -3,6 +3,7 @@ package pvfs
 import (
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -436,12 +437,11 @@ type MetaServer struct {
 	// mu guards the mutable distribution state: the default geometry for
 	// new files, the per-file placements recorded at create and rewritten
 	// by migration, and the IO conn table keyed by stable server ID.
-	mu          sync.Mutex
-	dist        DistParams // current default distribution
-	initialDist DistParams // geometry at construction (fallback for untracked files)
-	ioByID      map[uint32]rpc.Conn
-	placements  map[Handle]Placement
-	nextShadow  Handle
+	mu         sync.Mutex
+	dist       DistParams // current default distribution
+	ioByID     map[uint32]rpc.Conn
+	placements map[Handle]Placement
+	nextShadow Handle
 }
 
 // NewMetaServer creates the MDS and registers its RPC service on the node
@@ -467,11 +467,10 @@ func NewMetaServer(cfg MetaConfig) *MetaServer {
 	}
 	m := &MetaServer{
 		cfg: cfg, store: cfg.Store, stats: stats,
-		dist:        cfg.Dist,
-		initialDist: cfg.Dist,
-		ioByID:      make(map[uint32]rpc.Conn, len(conns)),
-		placements:  make(map[Handle]Placement),
-		nextShadow:  shadowBase,
+		dist:       cfg.Dist,
+		ioByID:     make(map[uint32]rpc.Conn, len(conns)),
+		placements: make(map[Handle]Placement),
+		nextShadow: shadowBase,
 	}
 	for i, conn := range conns {
 		m.ioByID[uint32(i)] = conn
@@ -482,13 +481,6 @@ func NewMetaServer(cfg MetaConfig) *MetaServer {
 		}
 	}
 	return m
-}
-
-// Mapper returns the round-robin mapper for the current default
-// distribution.
-func (m *MetaServer) Mapper() *stripe.RoundRobin {
-	d := m.Dist()
-	return stripe.NewRoundRobin(d.StripeSize, len(d.ServerIDs()))
 }
 
 // Namespace exposes the backing metadata repository (layout translator and
@@ -528,22 +520,30 @@ func (m *MetaServer) AddIOConn(id uint32, conn rpc.Conn) {
 	m.mu.Unlock()
 }
 
-// PlacementOf returns the file's recorded placement.  Files with no record
-// (created before placement tracking, or whose record was lost with MDS
-// volatile state) fall back to their own handle under the construction-time
-// geometry — exactly where their bytes are, since migration always records
-// what it moves.
-func (m *MetaServer) PlacementOf(h Handle) Placement {
+// PlacementOf returns the file's placement: its record, which create
+// writes and a migration's commit rewrites.  A file without one — a record
+// lost with MDS volatile state — answers an I/O error rather than a guess
+// at where its bytes are; a directory has none either.
+func (m *MetaServer) PlacementOf(h Handle) (Placement, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if p, ok := m.placements[h]; ok {
-		return p
+	p, ok := m.placements[h]
+	if !ok {
+		return Placement{}, fserr.ErrIO
 	}
-	return Placement{Data: h, Dist: m.initialDist}
+	return p, nil
 }
 
-// SetPlacement records the file's placement (migration commit).
-func (m *MetaServer) SetPlacement(h Handle, p Placement) {
+// placed returns the placement of file h, which the namespace must hold.
+func (m *MetaServer) placed(h Handle) (Placement, error) {
+	if _, err := m.store.GetAttr(store.FileID(h)); err != nil {
+		return Placement{}, err
+	}
+	return m.PlacementOf(h)
+}
+
+// setPlacement records the file's placement.
+func (m *MetaServer) setPlacement(h Handle, p Placement) {
 	m.mu.Lock()
 	m.placements[h] = p
 	m.mu.Unlock()
@@ -609,65 +609,25 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshal
 	m.stats.requests.inc(proc)
 	ctx.UseCPU(m.cfg.Node.Processor(), metaPerOp)
 	switch proc {
-	// Each namespace verb has a path procedure and a handle procedure over
-	// one body: the path form walks from the root to the (directory, name)
-	// the handle form is given.
-	case ProcLookup:
-		return m.lookup(m.store.LookupPath(req.(*LookupArgs).Path)), rpc.StatusOK
 	case ProcLookupH:
-		a := req.(*DirOpArgs)
-		return m.lookup(m.store.Lookup(store.FileID(a.Dir), a.Name)), rpc.StatusOK
-
-	case ProcCreate:
-		dir, name, err := m.splitPath(req.(*CreateArgs).Path)
-		if err != nil {
-			return &CreateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		return m.create(ctx, dir, name), rpc.StatusOK
+		return m.lookup(req.(*DirOpArgs)), rpc.StatusOK
 	case ProcCreateH:
-		a := req.(*DirOpArgs)
-		return m.create(ctx, store.FileID(a.Dir), a.Name), rpc.StatusOK
-
-	case ProcMkdir:
-		dir, name, err := m.splitPath(req.(*MkdirArgs).Path)
-		if err != nil {
-			return &MkdirRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		return m.mkdir(ctx, dir, name), rpc.StatusOK
+		return m.create(ctx, req.(*DirOpArgs)), rpc.StatusOK
 	case ProcMkdirH:
-		a := req.(*DirOpArgs)
-		return m.mkdir(ctx, store.FileID(a.Dir), a.Name), rpc.StatusOK
-
-	case ProcRemove:
-		dir, name, err := m.splitPath(req.(*RemoveArgs).Path)
-		if err != nil {
-			return &RemoveRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		return m.remove(ctx, dir, name), rpc.StatusOK
+		return m.mkdir(ctx, req.(*DirOpArgs)), rpc.StatusOK
 	case ProcRemoveH:
-		a := req.(*DirOpArgs)
-		return m.remove(ctx, store.FileID(a.Dir), a.Name), rpc.StatusOK
+		return m.remove(ctx, req.(*DirOpArgs)), rpc.StatusOK
 
-	case ProcRenameH: // no path form: only the NFS exports rename
+	case ProcRenameH:
 		a := req.(*RenameHArgs)
 		return m.rename(ctx, store.FileID(a.Dir), a.Src, a.Dst), rpc.StatusOK
 
-	case ProcReadDir:
-		at, err := m.store.LookupPath(req.(*ReadDirArgs).Path)
-		if err != nil {
-			return &ReadDirRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		return m.readDir(at.ID), rpc.StatusOK
 	case ProcReadDirH:
 		return m.readDir(store.FileID(req.(*ReadDirHArgs).Handle)), rpc.StatusOK
 
 	case ProcPlacementH:
-		a := req.(*PlacementHArgs)
-		if _, err := m.store.GetAttr(store.FileID(a.Handle)); err != nil {
-			return &PlacementRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		place := m.PlacementOf(a.Handle)
-		return &PlacementRep{Data: place.Data, Dist: place.Dist}, rpc.StatusOK
+		place, err := m.placed(req.(*PlacementHArgs).Handle)
+		return &PlacementRep{Errno: fserr.ToErrno(err), Data: place.Data, Dist: place.Dist}, rpc.StatusOK
 
 	case ProcGetAttr:
 		a := req.(*GetAttrArgs)
@@ -680,7 +640,10 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshal
 		}
 		// Reconstruct logical size from the datafile sizes on the file's
 		// placement servers (decentralized metadata, paper §6.4.3).
-		place := m.PlacementOf(a.Handle)
+		place, err := m.PlacementOf(a.Handle)
+		if err != nil {
+			return &GetAttrRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
+		}
 		ids := place.Dist.ServerIDs()
 		mapper := place.Dist.Mapper()
 		sizes := make([]int64, len(ids))
@@ -713,10 +676,10 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshal
 
 	case ProcTruncate:
 		a := req.(*TruncateArgs)
-		if _, err := m.store.GetAttr(store.FileID(a.Handle)); err != nil {
+		place, err := m.placed(a.Handle)
+		if err != nil {
 			return &TruncateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		place := m.PlacementOf(a.Handle)
 		ids := place.Dist.ServerIDs()
 		sizes := objSizes(place.Dist.Mapper(), len(ids), a.Size)
 		ferr := m.fanoutConns(ctx, m.connsFor(ids), func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
@@ -732,42 +695,76 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshal
 	return nil, rpc.StatusProcUnavail
 }
 
-// lookup answers a resolved (or failed) name lookup.
-func (m *MetaServer) lookup(at store.Attr, err error) *LookupRep {
-	if err != nil {
-		return &LookupRep{Errno: fserr.ToErrno(err)}
-	}
-	place := m.PlacementOf(Handle(at.ID))
-	return &LookupRep{
-		Handle: Handle(at.ID),
-		IsDir:  at.IsDir,
-		Size:   -1, // size is reconstructed by GetAttr, not lookup
-		Dist:   place.Dist,
-		Data:   place.Data,
+// walk resolves a.Name, a path relative to directory a.Dir, and applies op
+// to the directory holding its last component and that component.  Every
+// other component is looked up in turn: an empty one is skipped, ".." never
+// resolves (no directory holds that name), and one that is not a directory
+// answers NotDir.  A one-component name goes to op as it is, so the NFS
+// servers' requests resolve exactly as op on that name in a.Dir would; a
+// name with no component at all reaches op empty.
+func (m *MetaServer) walk(a *DirOpArgs, op func(dir store.FileID, name string) (store.Attr, error)) (store.Attr, error) {
+	dir, rest := store.FileID(a.Dir), strings.TrimRight(a.Name, "/")
+	for {
+		part, tail, more := strings.Cut(rest, "/")
+		if !more {
+			return op(dir, rest)
+		}
+		rest = tail
+		if part == "" {
+			continue
+		}
+		at, err := m.store.Lookup(dir, part)
+		if err != nil {
+			return store.Attr{}, err
+		}
+		if !at.IsDir {
+			return store.Attr{}, store.ErrNotDir
+		}
+		dir = at.ID
 	}
 }
 
-// create makes the file name in dir.  The datafile object on each storage
-// daemon of the current default distribution is created before the file
-// becomes visible — the expensive part of PVFS2 creates.
-func (m *MetaServer) create(ctx *rpc.Ctx, dir store.FileID, name string) *CreateRep {
-	at, err := m.store.Create(dir, name)
+// lookup resolves a's entry; an empty name is the directory a.Dir itself.
+// A file's reply carries its placement; a directory has none.  The size is
+// reconstructed by GetAttr, not lookup.
+func (m *MetaServer) lookup(a *DirOpArgs) *LookupRep {
+	at, err := m.walk(a, func(dir store.FileID, name string) (store.Attr, error) {
+		if name == "" {
+			return m.store.GetAttr(dir)
+		}
+		return m.store.Lookup(dir, name)
+	})
+	var place Placement
+	if err == nil && !at.IsDir {
+		place, err = m.PlacementOf(Handle(at.ID))
+	}
+	if err != nil {
+		return &LookupRep{Errno: fserr.ToErrno(err)}
+	}
+	return &LookupRep{Handle: Handle(at.ID), IsDir: at.IsDir, Size: -1, Dist: place.Dist, Data: place.Data}
+}
+
+// create makes a's file and records its placement.  The datafile object on
+// each storage daemon of the current default distribution is created before
+// the create is acknowledged — the expensive part of PVFS2 creates.
+func (m *MetaServer) create(ctx *rpc.Ctx, a *DirOpArgs) *CreateRep {
+	at, err := m.walk(a, m.store.Create)
 	if err != nil {
 		return &CreateRep{Errno: fserr.ToErrno(err)}
 	}
 	h := Handle(at.ID)
 	dist := m.Dist()
+	m.setPlacement(h, Placement{Data: h, Dist: dist})
 	if err := m.createObjects(ctx, h, dist); err != nil {
 		return &CreateRep{Errno: fserr.IO}
 	}
-	m.SetPlacement(h, Placement{Data: h, Dist: dist})
 	m.syncMeta(ctx)
 	return &CreateRep{Handle: h, Dist: dist, Data: h}
 }
 
-// mkdir makes the directory name in dir (metadata only).
-func (m *MetaServer) mkdir(ctx *rpc.Ctx, dir store.FileID, name string) *MkdirRep {
-	at, err := m.store.Mkdir(dir, name)
+// mkdir makes a's directory (metadata only).
+func (m *MetaServer) mkdir(ctx *rpc.Ctx, a *DirOpArgs) *MkdirRep {
+	at, err := m.walk(a, m.store.Mkdir)
 	if err != nil {
 		return &MkdirRep{Errno: fserr.ToErrno(err)}
 	}
@@ -775,16 +772,19 @@ func (m *MetaServer) mkdir(ctx *rpc.Ctx, dir store.FileID, name string) *MkdirRe
 	return &MkdirRep{Handle: Handle(at.ID)}
 }
 
-// remove unlinks name from dir; a file's datafile objects go first.
-func (m *MetaServer) remove(ctx *rpc.Ctx, dir store.FileID, name string) *RemoveRep {
-	at, err := m.store.Lookup(dir, name)
+// remove unlinks a's entry; a file's datafile objects go first.
+func (m *MetaServer) remove(ctx *rpc.Ctx, a *DirOpArgs) *RemoveRep {
+	_, err := m.walk(a, func(dir store.FileID, name string) (store.Attr, error) {
+		at, err := m.store.Lookup(dir, name)
+		if err != nil {
+			return at, err
+		}
+		if !at.IsDir {
+			m.removeObjects(ctx, Handle(at.ID))
+		}
+		return at, m.store.Remove(dir, name)
+	})
 	if err != nil {
-		return &RemoveRep{Errno: fserr.ToErrno(err)}
-	}
-	if !at.IsDir {
-		m.removeObjects(ctx, Handle(at.ID))
-	}
-	if err := m.store.Remove(dir, name); err != nil {
 		return &RemoveRep{Errno: fserr.ToErrno(err)}
 	}
 	m.syncMeta(ctx)
@@ -837,7 +837,7 @@ func (m *MetaServer) createObjects(ctx *rpc.Ctx, h Handle, dist DistParams) erro
 // Absent objects answer NoEnt, which is ignored like the conn errors here.
 func (m *MetaServer) removeObjects(ctx *rpc.Ctx, h Handle) {
 	handles := []Handle{h}
-	if place := m.PlacementOf(h); place.Data != h {
+	if place, err := m.PlacementOf(h); err == nil && place.Data != h {
 		handles = append(handles, place.Data)
 	}
 	m.fanout(ctx, func(ctx *rpc.Ctx, _ int, conn rpc.Conn) error {
@@ -871,20 +871,7 @@ func (m *MetaServer) PrepareMigrate(ctx *rpc.Ctx, h Handle) (Placement, error) {
 }
 
 // CommitMigrate atomically flips h's placement to the migrated copy.
-func (m *MetaServer) CommitMigrate(h Handle, p Placement) { m.SetPlacement(h, p) }
-
-// splitPath resolves the parent directory of path and returns (dirID, name).
-func (m *MetaServer) splitPath(p string) (store.FileID, string, error) {
-	dir, name := splitParent(p)
-	at, err := m.store.LookupPath(dir)
-	if err != nil {
-		return 0, "", err
-	}
-	if !at.IsDir {
-		return 0, "", store.ErrNotDir
-	}
-	return at.ID, name, nil
-}
+func (m *MetaServer) CommitMigrate(h Handle, p Placement) { m.setPlacement(h, p) }
 
 // objSizes computes, for a logical size, the implied object size on each
 // device under mapper.
@@ -899,17 +886,4 @@ func objSizes(mapper stripe.Mapper, devs int, logical int64) []int64 {
 		}
 	}
 	return out
-}
-
-// splitParent splits "/a/b/c" into ("/a/b", "c").
-func splitParent(p string) (dir, name string) {
-	i := len(p) - 1
-	for i >= 0 && p[i] == '/' {
-		i--
-	}
-	j := i
-	for j >= 0 && p[j] != '/' {
-		j--
-	}
-	return p[:j+1], p[j+1 : i+1]
 }

@@ -32,6 +32,16 @@
 // procedure is those edits plus its name in docs/METRICS.md;
 // TestProcTableComplete and the docs test fail until the table and the docs
 // agree with the constants.
+//
+// # How a metadata request names its entry
+//
+// As in PVFS2's own protocol, a namespace request starts from a directory
+// handle: LOOKUP-H, CREATE-H, MKDIR-H and REMOVE-H carry DirOpArgs{Dir,
+// Name}, where Name is a path relative to Dir, and MetaServer.walk resolves
+// every component but the last.  The NFS servers send one component from
+// the directory filehandle they hold; the native client sends the whole
+// path from the root handle, so each of its namespace verbs is still one
+// request.
 package pvfs
 
 import (
@@ -42,14 +52,11 @@ import (
 	"dpnfs/internal/xdr"
 )
 
-// Procedure numbers for the metadata service ("pvfs-meta").
+// Procedure numbers for the metadata service ("pvfs-meta") addressed by a
+// file's own handle; the namespace procedures are in handleops.go.  1–5 stay
+// unassigned, so no number a peer knows changes meaning.
 const (
-	ProcLookup uint32 = iota + 1
-	ProcCreate
-	ProcRemove
-	ProcMkdir
-	ProcReadDir
-	ProcGetAttr
+	ProcGetAttr uint32 = iota + 6
 	ProcTruncate
 )
 
@@ -73,27 +80,15 @@ const (
 // Handle identifies a PVFS2 object (meta file or datafile) cluster-wide.
 type Handle uint64
 
-// Three wire shapes cover every single-field message of both services; the
+// Two wire shapes cover every single-field message of both services; the
 // per-procedure names below are aliases, so each shape is encoded in one
 // place and a call site still says which request it is building.
-
-// PathArgs addresses a namespace entry by absolute path.
-type PathArgs struct{ Path string }
 
 // HandleArgs addresses one object (meta file, directory or datafile).
 type HandleArgs struct{ Handle Handle }
 
 // ErrnoRep is the reply of every procedure that returns only a status.
 type ErrnoRep struct{ Errno fserr.Errno }
-
-// Requests of the metadata service's path procedures.
-type (
-	LookupArgs  = PathArgs // resolves a path to a handle and distribution parameters
-	CreateArgs  = PathArgs // creates a regular file; the MDS creates its datafile objects before replying
-	RemoveArgs  = PathArgs // unlinks a file (removing its datafiles everywhere) or an empty directory
-	MkdirArgs   = PathArgs // creates a directory (metadata only)
-	ReadDirArgs = PathArgs // lists a directory
-)
 
 // Requests addressed by handle: GetAttr makes the MDS gather datafile sizes
 // from every storage node to reconstruct the logical size; the IO* requests
@@ -110,7 +105,7 @@ type (
 
 // Status-only replies.
 type (
-	RemoveRep     = ErrnoRep // also the reply to ProcRemoveH and ProcRenameH
+	RemoveRep     = ErrnoRep // the reply to ProcRemoveH and ProcRenameH
 	TruncateRep   = ErrnoRep
 	IOCreateRep   = ErrnoRep
 	IORemoveRep   = ErrnoRep
@@ -118,7 +113,8 @@ type (
 	IOTruncateRep = ErrnoRep
 )
 
-// LookupRep is the reply to ProcLookup.
+// LookupRep is the reply to ProcLookupH.  A directory has no placement:
+// its Dist and Data are zero.
 type LookupRep struct {
 	Errno  fserr.Errno
 	Handle Handle
@@ -191,7 +187,7 @@ func (p DistParams) ServerIDs() []uint32 {
 	return ids
 }
 
-// CreateRep is the reply to ProcCreate.
+// CreateRep is the reply to ProcCreateH.
 type CreateRep struct {
 	Errno  fserr.Errno
 	Handle Handle
@@ -200,13 +196,13 @@ type CreateRep struct {
 	Data Handle
 }
 
-// MkdirRep is the reply to ProcMkdir.
+// MkdirRep is the reply to ProcMkdirH.
 type MkdirRep struct {
 	Errno  fserr.Errno
 	Handle Handle
 }
 
-// ReadDirRep is the reply to ProcReadDir.
+// ReadDirRep is the reply to ProcReadDirH.
 type ReadDirRep struct {
 	Errno fserr.Errno
 	Names []string
@@ -283,7 +279,6 @@ type IOTruncateArgs struct {
 
 func (h *Handle) XDR(f xdr.Filter) { f.U64((*uint64)(h)) }
 
-func (a *PathArgs) XDR(f xdr.Filter)   { f.Text(&a.Path) }
 func (a *HandleArgs) XDR(f xdr.Filter) { a.Handle.XDR(f) }
 func (r *ErrnoRep) XDR(f xdr.Filter)   { r.Errno.XDR(f) }
 
@@ -387,8 +382,6 @@ func (a *IOTruncateArgs) XDR(f xdr.Filter) {
 }
 
 // Every request and reply crosses rpc.Conn on its own.
-func (a *PathArgs) MarshalXDR(e *xdr.Encoder)               { a.XDR(e) }
-func (a *PathArgs) UnmarshalXDR(d *xdr.Decoder) error       { return d.Decode(a) }
 func (a *HandleArgs) MarshalXDR(e *xdr.Encoder)             { a.XDR(e) }
 func (a *HandleArgs) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(a) }
 func (r *ErrnoRep) MarshalXDR(e *xdr.Encoder)               { r.XDR(e) }
@@ -433,11 +426,6 @@ var procTable = [...]struct {
 	name    string
 	req     func() xdr.Unmarshaler
 }{
-	ProcLookup:     {ServiceMeta, "lookup", func() xdr.Unmarshaler { return &LookupArgs{} }},
-	ProcCreate:     {ServiceMeta, "create", func() xdr.Unmarshaler { return &CreateArgs{} }},
-	ProcRemove:     {ServiceMeta, "remove", func() xdr.Unmarshaler { return &RemoveArgs{} }},
-	ProcMkdir:      {ServiceMeta, "mkdir", func() xdr.Unmarshaler { return &MkdirArgs{} }},
-	ProcReadDir:    {ServiceMeta, "readdir", func() xdr.Unmarshaler { return &ReadDirArgs{} }},
 	ProcGetAttr:    {ServiceMeta, "getattr", func() xdr.Unmarshaler { return &GetAttrArgs{} }},
 	ProcTruncate:   {ServiceMeta, "truncate", func() xdr.Unmarshaler { return &TruncateArgs{} }},
 	ProcLookupH:    {ServiceMeta, "lookup-h", func() xdr.Unmarshaler { return &DirOpArgs{} }},

@@ -78,75 +78,88 @@ func (fs *verbFS) walk(t *testing.T) []string {
 	return out
 }
 
-// TestPathAndHandleProceduresAgree drives every namespace verb that has
-// both forms once through its path procedure and once through its handle
-// procedure, against two fresh metadata servers, step by step: the replies,
-// the datafile-object fan-out and the resulting namespace must be identical,
-// on the error rows as much as on the successful ones.  (Rename has only the
-// handle form.)  Inode numbers are allocated in order, so the handles the
-// handle column names are the ones the earlier steps returned: / is 1, /d 2,
-// /d/f 3, /d/sub 4, /d/sub/g 5.
-func TestPathAndHandleProceduresAgree(t *testing.T) {
+// TestRootAndParentNamesAgree drives every namespace verb of the walk
+// through two fresh metadata servers, step by step: once naming the entry
+// by its whole path from the root handle, as the native client does
+// (DirOpArgs{1, "d/sub/g"}), and once by its last name under its parent's
+// handle, as the NFS servers do (DirOpArgs{4, "g"}).  The replies, the
+// datafile-object fan-out and the resulting namespace must be identical,
+// on the error rows as much as on the successful ones.  A readdir row
+// compares the client's ReadDir of the path with READDIR-H of the handle.
+// Inode numbers are allocated in order, so the handles the parent column
+// names are the ones the earlier steps returned: / is 1, /d 2, /d/f 3,
+// /d/sub 4, /d/sub/g 5.
+func TestRootAndParentNamesAgree(t *testing.T) {
 	dirOp := func(dir Handle, name string) *DirOpArgs { return &DirOpArgs{Dir: dir, Name: name} }
 	steps := []struct {
-		name            string
-		pathProc, hProc uint32
-		path            string
-		hArgs           xdr.Marshaler
-		errno           fserr.Errno
-		objects         int // datafile objects created or removed, per daemon
+		name    string
+		proc    uint32
+		path    string // from the root
+		parent  xdr.Marshaler
+		errno   fserr.Errno
+		objects int // datafile objects created or removed, per daemon
 	}{
-		{"mkdir", ProcMkdir, ProcMkdirH, "/d", dirOp(1, "d"), fserr.OK, 0},
-		{"mkdir: name exists", ProcMkdir, ProcMkdirH, "/d", dirOp(1, "d"), fserr.Exist, 0},
-		{"create", ProcCreate, ProcCreateH, "/d/f", dirOp(2, "f"), fserr.OK, 1},
-		{"create: name exists", ProcCreate, ProcCreateH, "/d/f", dirOp(2, "f"), fserr.Exist, 0},
-		{"create: missing parent", ProcCreate, ProcCreateH, "/missing/f", dirOp(99, "f"), fserr.NoEnt, 0},
-		{"create: parent is a file", ProcCreate, ProcCreateH, "/d/f/x", dirOp(3, "x"), fserr.NotDir, 0},
-		{"mkdir nested", ProcMkdir, ProcMkdirH, "/d/sub", dirOp(2, "sub"), fserr.OK, 0},
-		{"create nested", ProcCreate, ProcCreateH, "/d/sub/g", dirOp(4, "g"), fserr.OK, 1},
-		{"mkdir: missing parent", ProcMkdir, ProcMkdirH, "/missing/x", dirOp(99, "x"), fserr.NoEnt, 0},
-		{"lookup file", ProcLookup, ProcLookupH, "/d/f", dirOp(2, "f"), fserr.OK, 0},
-		{"lookup directory", ProcLookup, ProcLookupH, "/d/sub", dirOp(2, "sub"), fserr.OK, 0},
-		{"lookup: no such name", ProcLookup, ProcLookupH, "/d/nope", dirOp(2, "nope"), fserr.NoEnt, 0},
-		{"lookup: file as a directory", ProcLookup, ProcLookupH, "/d/f/x", dirOp(3, "x"), fserr.NotDir, 0},
-		{"readdir", ProcReadDir, ProcReadDirH, "/d", &ReadDirHArgs{Handle: 2}, fserr.OK, 0},
-		{"readdir: a file", ProcReadDir, ProcReadDirH, "/d/f", &ReadDirHArgs{Handle: 3}, fserr.NotDir, 0},
-		{"readdir: no such directory", ProcReadDir, ProcReadDirH, "/missing", &ReadDirHArgs{Handle: 99}, fserr.NoEnt, 0},
-		{"remove: non-empty directory", ProcRemove, ProcRemoveH, "/d", dirOp(1, "d"), fserr.NotEmpty, 0},
-		{"remove file", ProcRemove, ProcRemoveH, "/d/f", dirOp(2, "f"), fserr.OK, 1},
-		{"remove: already gone", ProcRemove, ProcRemoveH, "/d/f", dirOp(2, "f"), fserr.NoEnt, 0},
-		{"remove: missing parent", ProcRemove, ProcRemoveH, "/missing/x", dirOp(99, "x"), fserr.NoEnt, 0},
-		{"remove nested file", ProcRemove, ProcRemoveH, "/d/sub/g", dirOp(4, "g"), fserr.OK, 1},
-		{"remove empty directory", ProcRemove, ProcRemoveH, "/d/sub", dirOp(2, "sub"), fserr.OK, 0},
+		{"mkdir", ProcMkdirH, "d", dirOp(1, "d"), fserr.OK, 0},
+		{"mkdir: name exists", ProcMkdirH, "d", dirOp(1, "d"), fserr.Exist, 0},
+		{"create", ProcCreateH, "d/f", dirOp(2, "f"), fserr.OK, 1},
+		{"create: name exists", ProcCreateH, "d/f", dirOp(2, "f"), fserr.Exist, 0},
+		{"create: missing parent", ProcCreateH, "missing/f", dirOp(99, "f"), fserr.NoEnt, 0},
+		{"create: parent is a file", ProcCreateH, "d/f/x", dirOp(3, "x"), fserr.NotDir, 0},
+		{"mkdir nested", ProcMkdirH, "d/sub", dirOp(2, "sub"), fserr.OK, 0},
+		{"create nested", ProcCreateH, "d/sub/g", dirOp(4, "g"), fserr.OK, 1},
+		{"mkdir: missing parent", ProcMkdirH, "missing/x", dirOp(99, "x"), fserr.NoEnt, 0},
+		{"lookup file", ProcLookupH, "d/f", dirOp(2, "f"), fserr.OK, 0},
+		{"lookup directory", ProcLookupH, "d/sub", dirOp(2, "sub"), fserr.OK, 0},
+		{"lookup: no such name", ProcLookupH, "d/nope", dirOp(2, "nope"), fserr.NoEnt, 0},
+		{"lookup: file as a directory", ProcLookupH, "d/f/x", dirOp(3, "x"), fserr.NotDir, 0},
+		{"lookup: empty components skipped", ProcLookupH, "/d//f/", dirOp(2, "f"), fserr.OK, 0},
+		{"lookup: .. never resolves", ProcLookupH, "d/../d/f", dirOp(2, ".."), fserr.NoEnt, 0},
+		{"readdir", ProcReadDirH, "d", &ReadDirHArgs{Handle: 2}, fserr.OK, 0},
+		{"readdir: a file", ProcReadDirH, "d/f", &ReadDirHArgs{Handle: 3}, fserr.NotDir, 0},
+		{"readdir: no such directory", ProcReadDirH, "missing", &ReadDirHArgs{Handle: 99}, fserr.NoEnt, 0},
+		{"remove: non-empty directory", ProcRemoveH, "d", dirOp(1, "d"), fserr.NotEmpty, 0},
+		{"remove file", ProcRemoveH, "d/f", dirOp(2, "f"), fserr.OK, 1},
+		{"remove: already gone", ProcRemoveH, "d/f", dirOp(2, "f"), fserr.NoEnt, 0},
+		{"remove: missing parent", ProcRemoveH, "missing/x", dirOp(99, "x"), fserr.NoEnt, 0},
+		{"remove nested file", ProcRemoveH, "d/sub/g", dirOp(4, "g"), fserr.OK, 1},
+		{"remove empty directory", ProcRemoveH, "d/sub", dirOp(2, "sub"), fserr.OK, 0},
 	}
 	const nDev = 3
-	byPath, byHandle := newVerbFS(nDev), newVerbFS(nDev)
+	byRoot, byParent := newVerbFS(nDev), newVerbFS(nDev)
+	client := NewClient(ClientConfig{Meta: rpc.LocalConn(byRoot.meta.Handle)})
 	ctx := &rpc.Ctx{}
 	for _, st := range steps {
-		pRep, pStatus := byPath.meta.Handle(ctx, st.pathProc, &PathArgs{Path: st.path})
-		hRep, hStatus := byHandle.meta.Handle(ctx, st.hProc, st.hArgs)
-		if pStatus != rpc.StatusOK || hStatus != rpc.StatusOK {
-			t.Fatalf("%s: rpc status %v / %v", st.name, pStatus, hStatus)
-		}
-		if !reflect.DeepEqual(pRep, hRep) {
-			t.Errorf("%s: path procedure replied %+v, handle procedure %+v", st.name, pRep, hRep)
+		pRep, pStatus := byParent.meta.Handle(ctx, st.proc, st.parent)
+		if pStatus != rpc.StatusOK {
+			t.Fatalf("%s: rpc status %v", st.name, pStatus)
 		}
 		var got ErrnoRep // every reply leads with its status
 		if err := xdr.NewDecoder(xdr.Marshal(pRep)).Unmarshal(&got); err != nil || got.Errno != st.errno {
 			t.Errorf("%s: status %v (decode: %v), want %v", st.name, got.Errno, err, st.errno)
 		}
-		pFan, hFan := byPath.fanout(), byHandle.fanout()
-		if !reflect.DeepEqual(pFan, hFan) {
-			t.Errorf("%s: object fan-out differs:\n path   %v\n handle %v", st.name, pFan, hFan)
+		if st.proc == ProcReadDirH {
+			names, err := client.ReadDir(ctx, "/"+st.path)
+			if want := pRep.(*ReadDirRep); err != want.Errno.Err() || !reflect.DeepEqual(names, want.Names) {
+				t.Errorf("%s: ReadDir(%q) = %v, %v; READDIR-H replied %+v", st.name, "/"+st.path, names, err, want)
+			}
+		} else {
+			rRep, rStatus := byRoot.meta.Handle(ctx, st.proc, dirOp(1, st.path))
+			if rStatus != rpc.StatusOK || !reflect.DeepEqual(rRep, pRep) {
+				t.Errorf("%s: named from the root replied %+v (%v), from the parent %+v", st.name, rRep, rStatus, pRep)
+			}
+		}
+		rFan, pFan := byRoot.fanout(), byParent.fanout()
+		if !reflect.DeepEqual(rFan, pFan) {
+			t.Errorf("%s: object fan-out differs:\n root   %v\n parent %v", st.name, rFan, pFan)
 		}
 		if want := nDev * st.objects; len(pFan) != want {
 			t.Errorf("%s: %d object creates/removes, want %d: %v", st.name, len(pFan), want, pFan)
 		}
-		if pw, hw := byPath.walk(t), byHandle.walk(t); !reflect.DeepEqual(pw, hw) {
-			t.Errorf("%s: namespaces diverged:\n path   %v\n handle %v", st.name, pw, hw)
+		if rw, pw := byRoot.walk(t), byParent.walk(t); !reflect.DeepEqual(rw, pw) {
+			t.Errorf("%s: namespaces diverged:\n root   %v\n parent %v", st.name, rw, pw)
 		}
 	}
-	if left := byPath.walk(t); !reflect.DeepEqual(left, []string{"1/d id=2 dir=true"}) {
+	if left := byRoot.walk(t); !reflect.DeepEqual(left, []string{"1/d id=2 dir=true"}) {
 		t.Errorf("final namespace %v, want only /d", left)
 	}
 }

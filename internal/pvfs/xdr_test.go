@@ -110,11 +110,6 @@ func TestBulkWireSizesMatchEncoding(t *testing.T) {
 func TestPropertyRegistryDecodesOwnEncoding(t *testing.T) {
 	f := func(h uint64, off int64, path string) bool {
 		msgs := []xdr.Marshaler{
-			&LookupArgs{Path: path},
-			&CreateArgs{Path: path},
-			&RemoveArgs{Path: path},
-			&MkdirArgs{Path: path},
-			&ReadDirArgs{Path: path},
 			&GetAttrArgs{Handle: Handle(h)},
 			&TruncateArgs{Handle: Handle(h), Size: off},
 			&IOReadArgs{Handle: Handle(h), Off: off, Len: off / 2},
@@ -146,8 +141,7 @@ func TestPropertyRegistryDecodesOwnEncoding(t *testing.T) {
 
 func TestRegistriesCoverAllProcs(t *testing.T) {
 	meta := MetaRegistry()
-	for _, proc := range []uint32{ProcLookup, ProcCreate, ProcRemove, ProcMkdir,
-		ProcReadDir, ProcGetAttr, ProcTruncate,
+	for _, proc := range []uint32{ProcGetAttr, ProcTruncate,
 		ProcLookupH, ProcCreateH, ProcMkdirH, ProcRemoveH, ProcRenameH, ProcReadDirH} {
 		if meta.New(proc) == nil {
 			t.Errorf("meta registry missing proc %d", proc)
@@ -181,11 +175,11 @@ func TestMetaOverTCP(t *testing.T) {
 	defer conn.Close()
 	ctx := &rpc.Ctx{}
 	var mk MkdirRep
-	if err := conn.Call(ctx, ProcMkdir, &MkdirArgs{Path: "/d"}, &mk); err != nil || mk.Errno != 0 {
+	if err := conn.Call(ctx, ProcMkdirH, &DirOpArgs{Dir: 1, Name: "d"}, &mk); err != nil || mk.Errno != 0 {
 		t.Fatalf("mkdir over TCP: %v %v", err, mk.Errno)
 	}
 	var look LookupRep
-	if err := conn.Call(ctx, ProcLookup, &LookupArgs{Path: "/d"}, &look); err != nil {
+	if err := conn.Call(ctx, ProcLookupH, &DirOpArgs{Dir: 1, Name: "d"}, &look); err != nil {
 		t.Fatal(err)
 	}
 	if look.Errno != 0 || !look.IsDir {
