@@ -68,46 +68,13 @@ type directMDSBackend struct {
 	agg   string
 	aggP  []int64
 	proxy *pvfs.Client // fallback I/O path through the MDS
-
-	deviceTable
+	cl    *Cluster     // the published topology
 }
 
-// deviceTable is the half of a LayoutSource both metadata servers share: the
-// advertised data-server list and the layout generation, which the
-// membership reconciler replaces while server processes serve
-// GETDEVICELIST/LAYOUTGET.
-type deviceTable struct {
-	mu      sync.Mutex
-	devices []pnfs.DeviceInfo
-	gen     uint64
-}
-
-func (t *deviceTable) snapshot() ([]pnfs.DeviceInfo, uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.devices, t.gen
-}
-
-// set replaces the advertised device list and layout generation after a
-// membership change.
-func (t *deviceTable) set(devs []pnfs.DeviceInfo, gen uint64) {
-	t.mu.Lock()
-	t.devices = devs
-	t.gen = gen
-	t.mu.Unlock()
-}
-
-// setGen bumps only the generation (3-tier membership: the data-server tier
-// is unchanged but clients must refetch layouts).
-func (t *deviceTable) setGen(gen uint64) {
-	t.mu.Lock()
-	t.gen = gen
-	t.mu.Unlock()
-}
-
-// DevList implements nfs.LayoutSource.
-func (t *deviceTable) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
-	devs, _ := t.snapshot()
+// DevList implements nfs.LayoutSource: the published data servers, one per
+// active storage node.
+func (b *directMDSBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
+	devs, _ := b.cl.published()
 	return devs, nil
 }
 
@@ -202,7 +169,7 @@ func commitFile(ctx *rpc.Ctx, pv *pvfs.Client, f *pvfs.File) error {
 // configured driver keeps its own params (membership changes refuse to run
 // alongside one).
 func (b *directMDSBackend) LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
-	_, gen := b.snapshot()
+	_, gen := b.cl.published()
 	place, err := b.meta.PlacementOf(pvfs.Handle(fh))
 	if err != nil {
 		return nil, err
@@ -240,16 +207,38 @@ func (b *directMDSBackend) LayoutCommit(ctx *rpc.Ctx, fh uint64, newSize int64) 
 // generated layouts rotate the device list by shift, which makes stripe
 // unit u land on the data server one past the storage node that actually
 // holds it (the general, misaligned case the paper measures).
+//
+// The 3-tier data servers are a fixed tier of their own; the 2-tier ones
+// ride the storage nodes, so their list is the published one.  Either way
+// the layouts carry the published generation, so clients refetch after a
+// membership change.
 type blindLayouts struct {
-	deviceTable
+	cl     *Cluster
+	tier   []pnfs.DeviceInfo // 3-tier's data servers; nil on 2-tier
 	stripe int64
 	shift  int
+}
+
+// devices returns the data servers the layouts stripe over and the layout
+// generation.
+func (bl *blindLayouts) devices() ([]pnfs.DeviceInfo, uint64) {
+	devs, gen := bl.cl.published()
+	if bl.tier != nil {
+		devs = bl.tier
+	}
+	return devs, gen
+}
+
+// DevList implements nfs.LayoutSource.
+func (bl *blindLayouts) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
+	devs, _ := bl.devices()
+	return devs, nil
 }
 
 // LayoutGet implements nfs.LayoutSource: every file gets the same rotated
 // stripe over the data servers, addressed by its own filehandle.
 func (bl *blindLayouts) LayoutGet(_ *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
-	devs, gen := bl.snapshot()
+	devs, gen := bl.devices()
 	l := &pnfs.FileLayout{
 		Aggregation: pnfs.AggRoundRobin,
 		Params:      []int64{bl.stripe},
@@ -290,15 +279,15 @@ type exportBackend struct {
 	pvfsNamespace
 	node *simnet.Node
 	dist pvfs.DistParams
+	cl   *Cluster // the published layout generation
 
-	// Placement-aware (dynamic) mode: off while placeGen is 0, that is until
-	// the first membership change — the legacy static-distribution fast path
-	// keeps pre-membership runs byte-identical.  Once on, every data op
-	// resolves the file's current placement through PLACEMENT_H, cached per
-	// handle until the next generation bump.
-	mu       sync.Mutex
-	placeGen uint64
-	places   map[pvfs.Handle]cachedPlace
+	// Placement-aware (dynamic) mode: off while the published generation is
+	// 0, that is until the first membership change — the static-distribution
+	// fast path keeps pre-membership runs byte-identical.  Once on, every
+	// data op resolves the file's current placement through PLACEMENT_H,
+	// cached per handle until the next generation.
+	mu     sync.Mutex
+	places map[pvfs.Handle]cachedPlace
 }
 
 type cachedPlace struct {
@@ -307,25 +296,17 @@ type cachedPlace struct {
 	gen  uint64
 }
 
-// setDynamic moves the export to layout generation gen (never 0), which
-// makes it placement-aware and invalidates the per-handle placement cache.
-func (b *exportBackend) setDynamic(gen uint64) {
-	b.mu.Lock()
-	b.placeGen = gen
-	b.mu.Unlock()
-}
-
 // openCurrent opens fh for data access: the static distribution before any
 // membership change, the file's live placement after.
 func (b *exportBackend) openCurrent(ctx *rpc.Ctx, fh uint64) (*pvfs.File, error) {
 	h := pvfs.Handle(fh)
-	b.mu.Lock()
-	gen := b.placeGen
-	cp, ok := b.places[h]
-	b.mu.Unlock()
+	_, gen := b.cl.published()
 	if gen == 0 {
 		return b.pv.OpenPlaced(h, h, b.dist), nil
 	}
+	b.mu.Lock()
+	cp, ok := b.places[h]
+	b.mu.Unlock()
 	if ok && cp.gen == gen {
 		return b.pv.OpenPlaced(h, cp.data, cp.dist), nil
 	}

@@ -231,12 +231,16 @@ type Cluster struct {
 	// one record per storage node in build order, drained ones included.
 	// nextDevID hands out stable pNFS device IDs in build order — storage
 	// nodes, then 3-tier data servers, then joiners — and never reuses one
-	// (see the device-ID stability note in package pnfs).  memberMu guards
-	// both, and schedule, the events queued for the next run, so a join or
-	// drain is checked against the queue it joins.
+	// (see the device-ID stability note in package pnfs).  devices and
+	// layoutGen are the published topology (see published): the active
+	// storage nodes' data servers and the layout generation, replaced
+	// together after each membership change.  memberMu guards all of them,
+	// and schedule, the events queued for the next run, so a join or drain
+	// is checked against the queue it joins.
 	memberMu    sync.Mutex
 	members     []*member
 	nextDevID   uint32
+	devices     []pnfs.DeviceInfo
 	layoutGen   uint64
 	schedule    faults.Plan
 	memberGauge *metrics.GaugeVec
@@ -247,19 +251,11 @@ type Cluster struct {
 	rebalanceBytes   *metrics.Counter
 	rebalanceFiles   *metrics.Counter
 
-	// Client/backend registries the reconciler pushes topology changes to.
-	pvClients  []pvClientRef
+	// nfsClients are the NFS clients whose layouts a membership change
+	// recalls; directMDS is the Direct-pNFS metadata server's backend, which
+	// tests reach here.
 	nfsClients []*nfs.Client
-	exports    []*exportBackend
 	directMDS  *directMDSBackend
-	blind      *blindLayouts
-}
-
-// pvClientRef remembers which node a PVFS2 client library lives on, so a
-// join can dial it a conn to the new storage server.
-type pvClientRef struct {
-	c    *pvfs.Client
-	node *simnet.Node
 }
 
 // New builds a cluster for the configuration.
@@ -364,6 +360,9 @@ func (cl *Cluster) buildBackend() {
 			BytesPerSec: cfg.NetBPS,
 		}))
 	}
+	// Before any membership change the published topology is every storage
+	// node, at generation 0.
+	cl.devices = cl.activeDevices()
 	meta := cl.members[0]
 	cl.mdsNode = meta.node
 	ioConnsFromMDS := make([]rpc.Conn, nodes)
@@ -433,28 +432,22 @@ func (cl *Cluster) newDevID() pnfs.DeviceID {
 	return id
 }
 
-// pvfsClientAt builds a PVFS2 client library instance on the given node.
-// Every client is recorded in pvClients so a later join can hand it a conn
-// to the new storage server.
+// pvfsClientAt builds a foreground PVFS2 client library instance on the
+// given node.
 func (cl *Cluster) pvfsClientAt(n *simnet.Node) *pvfs.Client {
-	c := cl.pvfsClientWith(n, 0, "")
-	cl.pvClients = append(cl.pvClients, pvClientRef{c: c, node: n})
-	return c
+	return cl.pvfsClientWith(n, 0, "")
 }
 
 // pvfsClientWith builds a PVFS2 client on n with an explicit QoS class and
 // issuer label (zero values keep the foreground/"pvfs" behaviour).  The
-// client's IO conns are keyed by stable server ID, so its files keep
-// addressing the right daemons across membership changes.
+// client dials each storage daemon by stable server ID through the member
+// table (dialDaemon), so its files keep addressing the right daemons across
+// membership changes.
 func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer string) *pvfs.Client {
-	io := make(map[uint32]rpc.Conn)
-	for _, m := range cl.liveMembers() {
-		io[uint32(m.id)] = cl.dial(n.Name, m.node.Name, pvfs.ServiceIO)
-	}
 	return pvfs.NewClient(pvfs.ClientConfig{
 		Node:    n,
 		Meta:    cl.dial(n.Name, cl.mdsNode.Name, pvfs.ServiceMeta),
-		IO:      io,
+		Dial:    func(id uint32) rpc.Conn { return cl.dialDaemon(n.Name, id) },
 		Class:   class,
 		Issuer:  issuer,
 		Engine:  cl.engineConfig(),
@@ -514,10 +507,10 @@ func (cl *Cluster) buildDirect() *simnet.Node {
 		// MetaServer.Handle charges for it, and nothing more.
 		pvfsNamespace: pvfsNamespace{pvfs.NewClient(pvfs.ClientConfig{Meta: rpc.LocalConn(cl.PVFSMeta.Handle)})},
 		meta:          cl.PVFSMeta,
-		deviceTable:   deviceTable{devices: cl.activeDevices()},
 		agg:           cl.Cfg.Aggregation,
 		aggP:          cl.Cfg.AggParams,
 		proxy:         cl.pvfsClientAt(cl.mdsNode),
+		cl:            cl,
 	}
 	cl.directMDS = mdsBackend
 	nfsServeOn(cl, cl.mdsNode, ServiceMDS, mdsBackend)
@@ -537,7 +530,7 @@ func (cl *Cluster) build2Tier() *simnet.Node {
 	for _, m := range cl.members {
 		cl.exportDSOn(m.node)
 	}
-	cl.blindMDSOn(cl.mdsNode, cl.activeDevices())
+	cl.blindMDSOn(cl.mdsNode, nil)
 	return cl.mdsNode
 }
 
@@ -569,12 +562,9 @@ func (cl *Cluster) buildNFSv4() *simnet.Node {
 
 // exportOn builds the backend of an NFS server on node n that re-exports the
 // PVFS2 file system through its own client library instance (logical offsets,
-// no layout knowledge), recorded so the membership reconciler can switch it
-// to placement-aware mode.
+// no layout knowledge).
 func (cl *Cluster) exportOn(n *simnet.Node) *exportBackend {
-	b := &exportBackend{pvfsNamespace: pvfsNamespace{cl.pvfsClientAt(n)}, node: n, dist: cl.PVFSMeta.Dist()}
-	cl.exports = append(cl.exports, b)
-	return b
+	return &exportBackend{pvfsNamespace: pvfsNamespace{cl.pvfsClientAt(n)}, node: n, dist: cl.PVFSMeta.Dist(), cl: cl}
 }
 
 // exportDSOn registers a file-based pNFS data server on node n.
@@ -583,10 +573,11 @@ func (cl *Cluster) exportDSOn(n *simnet.Node) {
 }
 
 // blindMDSOn registers the two/three-tier pNFS metadata server on node n,
-// handing out blind layouts over the data servers devs.
-func (cl *Cluster) blindMDSOn(n *simnet.Node, devs []pnfs.DeviceInfo) {
-	cl.blind = &blindLayouts{deviceTable: deviceTable{devices: devs}, stripe: cl.Cfg.WSize, shift: 1}
-	nfsServeOn(cl, n, ServiceMDS, blindMDSBackend{cl.exportOn(n), cl.blind})
+// handing out blind layouts over the data-server tier (nil: the published
+// storage nodes).
+func (cl *Cluster) blindMDSOn(n *simnet.Node, tier []pnfs.DeviceInfo) {
+	bl := &blindLayouts{cl: cl, tier: tier, stripe: cl.Cfg.WSize, shift: 1}
+	nfsServeOn(cl, n, ServiceMDS, blindMDSBackend{cl.exportOn(n), bl})
 }
 
 // nfsServeOn registers an NFS server for a backend under an explicit

@@ -243,3 +243,52 @@ func TestDirectLayoutGetAfterDrain(t *testing.T) {
 		t.Fatalf("LAYOUTGET after the drain replied\n%+v\nwant\n%+v", got, want)
 	}
 }
+
+// TestBlindLayoutsAfterJoin pins what the 2-tier and 3-tier metadata
+// servers answer once io9 has joined: the 2-tier GETDEVICELIST is the
+// published one, so it gains io9's data server (device 6); the 3-tier one
+// still names only its ds* tier; and both LAYOUTGETs stripe over the list
+// rotated by one and carry generation 1, so clients refetch.
+func TestBlindLayoutsAfterJoin(t *testing.T) {
+	for _, c := range []struct {
+		arch    Arch
+		mds     string // the node clients mount
+		devices []pnfs.DeviceInfo
+	}{
+		{ArchPNFS2Tier, "io0", []pnfs.DeviceInfo{{ID: 0, Addr: "io0"}, {ID: 1, Addr: "io1"}, {ID: 2, Addr: "io2"},
+			{ID: 3, Addr: "io3"}, {ID: 4, Addr: "io4"}, {ID: 5, Addr: "io5"}, {ID: 6, Addr: "io9"}}},
+		{ArchPNFS3Tier, "ds0", []pnfs.DeviceInfo{{ID: 3, Addr: "ds0"}, {ID: 4, Addr: "ds1"}, {ID: 5, Addr: "ds2"}}},
+	} {
+		t.Run(string(c.arch), func(t *testing.T) {
+			cl := New(Config{Arch: c.arch, Clients: 1, Real: true})
+			defer cl.Close()
+			fh := writeLayoutFile(t, cl, 1<<20)
+			schedule(t, cl, faults.Join{Node: "io9"})
+			if err := cl.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			var rep nfs.CompoundRep
+			if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, m *Mount, _ int) error {
+				conn := cl.dial(m.node.Name, c.mds, ServiceMDS)
+				args := &nfs.CompoundArgs{Ops: []nfs.Op{&nfs.OpPutRootFH{}, &nfs.OpGetDevList{}, &nfs.OpPutFH{FH: fh}, &nfs.OpLayoutGet{}}}
+				if err := conn.Call(ctx, nfs.ProcCompound, args, &rep); err != nil {
+					return err
+				}
+				return rep.Status.Err()
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Results[1].(*nfs.ResGetDevList).Devices; !reflect.DeepEqual(got, c.devices) {
+				t.Errorf("GETDEVICELIST after the join replied %+v, want %+v", got, c.devices)
+			}
+			want := pnfs.FileLayout{Aggregation: pnfs.AggRoundRobin, Params: []int64{cl.Cfg.WSize}, Gen: 1}
+			for i := range c.devices {
+				want.Devices = append(want.Devices, c.devices[(i+1)%len(c.devices)].ID)
+				want.FHs = append(want.FHs, fh)
+			}
+			if got := rep.Results[3].(*nfs.ResLayoutGet).Layout; !reflect.DeepEqual(got, want) {
+				t.Errorf("LAYOUTGET after the join replied\n%+v\nwant\n%+v", got, want)
+			}
+		})
+	}
+}

@@ -75,6 +75,38 @@ func (cl *Cluster) liveMembers() []*member {
 	return out
 }
 
+// dialDaemon returns a conn from node from to the storage daemon with stable
+// server ID id, or nil when no member has that ID or the member was drained
+// away: the member table is where every PVFS2 client finds its daemons.
+func (cl *Cluster) dialDaemon(from string, id uint32) rpc.Conn {
+	cl.memberMu.Lock()
+	var to string
+	for _, m := range cl.members {
+		if uint32(m.id) == id && m.state != memberRemoved {
+			to = m.node.Name
+		}
+	}
+	cl.memberMu.Unlock()
+	if to == "" {
+		return nil
+	}
+	conn, err := cl.tr.Dial(from, to, pvfs.ServiceIO)
+	if err != nil {
+		return nil // a closed transport: the client reports the conn missing
+	}
+	return conn
+}
+
+// published returns the published topology: the data servers of the active
+// storage nodes and the layout generation, which publishTopology replaces
+// together.  The Direct-pNFS and 2-tier device lists, every layout's
+// generation and the exports' placement mode read it.
+func (cl *Cluster) published() ([]pnfs.DeviceInfo, uint64) {
+	cl.memberMu.Lock()
+	defer cl.memberMu.Unlock()
+	return cl.devices, cl.layoutGen
+}
+
 // activeDevices lists the data servers of the members that may receive new
 // placements, in build order, under their stable device IDs: a list rebuilt
 // after a drain keeps every survivor's ID, and a joiner's is new.
@@ -191,20 +223,15 @@ func (cl *Cluster) updateMemberGauges() {
 }
 
 // applyJoin brings a brand-new storage node into the cluster: substrate
-// (disk, object store, daemon), conns on the metadata manager and every
-// client library, the architecture's pNFS surface, a new default
-// distribution, and a background rebalance that spreads existing files over
-// the widened stripe.
+// (disk, object store, daemon), a conn on the metadata manager, the
+// architecture's pNFS surface, a new default distribution, and a background
+// rebalance that spreads existing files over the widened stripe.  Client
+// libraries find the new daemon in the member table when a placement first
+// names it.
 func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 	m := cl.addStorageSubstrate(cl.Fabric.AddNode(simnet.NodeConfig{Name: name, BytesPerSec: cl.Cfg.NetBPS}))
-	id := uint32(m.id)
 	cl.updateMemberGauges()
-	// Wire the new daemon into the metadata manager and every existing
-	// client library, keyed by its stable server ID.
-	cl.PVFSMeta.AddIOConn(id, cl.dial(cl.mdsNode.Name, name, pvfs.ServiceIO))
-	for _, ref := range cl.pvClients {
-		ref.c.AddServer(id, cl.dial(ref.node.Name, name, pvfs.ServiceIO))
-	}
+	cl.PVFSMeta.AddIOConn(uint32(m.id), cl.dial(cl.mdsNode.Name, name, pvfs.ServiceIO))
 	// Architecture surface: Direct-pNFS gets an NFS data server co-located
 	// with the new daemon; the 2-tier export gets a blind data server
 	// re-exporting through a fresh client library.  The 3-tier and NFSv4
@@ -254,33 +281,16 @@ func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	return nil
 }
 
-// publishTopology pushes the post-change geometry to every pNFS surface:
-// device lists and the new layout generation on the metadata backends,
-// placement-aware (dynamic) mode on the exports, and layout invalidation on
-// every NFS client — the in-process stand-in for CB_LAYOUTRECALL.
+// publishTopology publishes the post-change geometry (see published): the
+// active storage nodes' data servers and the next layout generation,
+// together.  Then it recalls every NFS client's layouts — the in-process
+// stand-in for CB_LAYOUTRECALL.
 func (cl *Cluster) publishTopology() {
-	cl.memberMu.Lock()
-	cl.layoutGen++
-	gen := cl.layoutGen
-	cl.memberMu.Unlock()
 	devs := cl.activeDevices()
-	if cl.directMDS != nil {
-		cl.directMDS.set(devs, gen)
-	}
-	if cl.blind != nil {
-		if cl.Cfg.Arch == ArchPNFS2Tier {
-			// 2-tier data servers ride the storage nodes, so the blind
-			// device list follows membership.
-			cl.blind.set(devs, gen)
-		} else {
-			// 3-tier: the dedicated data-server tier is unchanged, but the
-			// layouts still move to the new generation so clients refetch.
-			cl.blind.setGen(gen)
-		}
-	}
-	for _, b := range cl.exports {
-		b.setDynamic(gen)
-	}
+	cl.memberMu.Lock()
+	cl.devices = devs
+	cl.layoutGen++
+	cl.memberMu.Unlock()
 	for _, c := range cl.nfsClients {
 		c.InvalidateLayouts()
 	}

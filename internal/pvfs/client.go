@@ -2,7 +2,6 @@ package pvfs
 
 import (
 	"fmt"
-	"maps"
 	"strings"
 	"sync"
 
@@ -21,11 +20,12 @@ import (
 type ClientConfig struct {
 	Node *simnet.Node
 	Meta rpc.Conn
-	// IO holds one conn per storage daemon, keyed by stable server ID.
-	// Files resolve their daemon conns through these IDs via the
-	// placement's DistParams.Servers, so a client keeps addressing the
-	// right daemons after membership changes.
-	IO map[uint32]rpc.Conn
+	// Dial returns the conn to the storage daemon with a stable server ID,
+	// or nil for an ID the client may not reach.  Files name their daemons
+	// through these IDs (the placement's DistParams.Servers); the client
+	// dials each the first time a placement names it, so it follows
+	// membership changes without being told of them.
+	Dial func(id uint32) rpc.Conn
 	// Engine holds the striped-I/O engine's options (internal/ioengine).
 	// MaxFlight bounds concurrent outstanding I/O requests ("limited request
 	// parallelization", paper §5; default 8).  NewClient fixes MaxTransfer
@@ -55,9 +55,8 @@ type Client struct {
 	stats  *clientStats
 	engine *ioengine.Engine
 	retry  ioengine.Policy
-	// mu guards io, the daemon conns keyed by stable server ID: AddServer
-	// may race with OpenPlaced when the cluster reconfigures while clients are
-	// running.
+	// mu guards io, the daemon conns dialed so far, keyed by stable server
+	// ID: concurrent opens may dial the same daemon.
 	mu sync.Mutex
 	io map[uint32]rpc.Conn
 	// repaired records extents the replica rung already rewrote, keyed by
@@ -94,20 +93,8 @@ func NewClient(cfg ClientConfig) *Client {
 	eng.Name, eng.Issuer, eng.Metrics = name, issuer, cfg.Metrics
 	c := &Client{cfg: cfg, stats: stats, engine: ioengine.New(eng)}
 	c.retry = ioengine.WithRetry(stats.ioRetries.Inc)
-	c.io = maps.Clone(cfg.IO)
-	if c.io == nil {
-		c.io = make(map[uint32]rpc.Conn)
-	}
+	c.io = make(map[uint32]rpc.Conn)
 	return c
-}
-
-// AddServer registers (or replaces) the conn for a storage daemon by its
-// stable server ID, so files placed on a newly joined node resolve their
-// conns without rebuilding the client.
-func (c *Client) AddServer(id uint32, conn rpc.Conn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.io[id] = conn
 }
 
 // File is an open PVFS2 file reference.  Data is the handle the datafiles
@@ -140,10 +127,22 @@ func (c *Client) OpenPlaced(h, data Handle, dist DistParams) *File {
 	}
 	c.mu.Lock()
 	for i, id := range ids {
-		f.io[i] = c.io[id]
+		f.io[i] = c.daemon(id)
 	}
 	c.mu.Unlock()
 	return f
+}
+
+// daemon returns the conn to server id, dialing it the first time; a nil
+// conn is never kept, so a later placement may dial again (c.mu held).
+func (c *Client) daemon(id uint32) rpc.Conn {
+	conn, ok := c.io[id]
+	if !ok && c.cfg.Dial != nil {
+		if conn = c.cfg.Dial(id); conn != nil {
+			c.io[id] = conn
+		}
+	}
+	return conn
 }
 
 // conn returns the file's daemon conn for stripe device dev, or an error if

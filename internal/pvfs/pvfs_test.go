@@ -53,19 +53,20 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 	client := NewClient(ClientConfig{
 		Node: clNode,
 		Meta: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: ServiceMeta},
-		IO:   ioByID(clConns),
+		Dial: ioByID(clConns),
 	})
 	return &testFS{k: k, fabric: f, client: client, meta: meta, storage: storage}
 }
 
-// ioByID keys conns by position: the stable server IDs a metadata server
-// gives the daemons of its IOConns.
-func ioByID(conns []rpc.Conn) map[uint32]rpc.Conn {
-	io := make(map[uint32]rpc.Conn, len(conns))
-	for i, c := range conns {
-		io[uint32(i)] = c
+// ioByID dials conns by position: the stable server IDs a metadata server
+// gives the daemons of its IOConns.  An ID past the end has no conn.
+func ioByID(conns []rpc.Conn) func(id uint32) rpc.Conn {
+	return func(id uint32) rpc.Conn {
+		if int(id) >= len(conns) {
+			return nil
+		}
+		return conns[id]
 	}
-	return io
 }
 
 // run executes fn as the lone application process and drives the kernel.

@@ -68,7 +68,7 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 	// returns what the spies saw.
 	readBack := func(t *testing.T, ctx *rpc.Ctx, meta rpc.Conn, io []rpc.Conn, refuse bool) *spyLog {
 		t.Helper()
-		plain := NewClient(ClientConfig{Meta: meta, IO: ioByID(io)})
+		plain := NewClient(ClientConfig{Meta: meta, Dial: ioByID(io)})
 		f, err := plain.Create(ctx, "/f")
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 		for i, conn := range io {
 			spied[i] = replySpy{inner: conn, refuse: refuse && i == 0, log: log}
 		}
-		c := NewClient(ClientConfig{Meta: meta, IO: ioByID(spied)})
+		c := NewClient(ClientConfig{Meta: meta, Dial: ioByID(spied)})
 		borrowed0, avoided0 := rpc.BufCounters()
 		got, n, err := c.Read(ctx, c.OpenPlaced(f.Handle, f.Data, f.Dist), 0, int64(len(want)), true)
 		if err != nil || n != int64(len(want)) || !bytes.Equal(got.Bytes, want) {

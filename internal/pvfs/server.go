@@ -746,9 +746,16 @@ func (m *MetaServer) lookup(a *DirOpArgs) *LookupRep {
 
 // create makes a's file and records its placement.  The datafile object on
 // each storage daemon of the current default distribution is created before
-// the create is acknowledged — the expensive part of PVFS2 creates.
+// the create is acknowledged — the expensive part of PVFS2 creates.  A
+// create whose fan-out fails is undone: the objects made so far, the
+// placement and the name go, so a retry creates the file afresh.
 func (m *MetaServer) create(ctx *rpc.Ctx, a *DirOpArgs) *CreateRep {
-	at, err := m.walk(a, m.store.Create)
+	var dir store.FileID
+	var name string
+	at, err := m.walk(a, func(d store.FileID, n string) (store.Attr, error) {
+		dir, name = d, n
+		return m.store.Create(d, n)
+	})
 	if err != nil {
 		return &CreateRep{Errno: fserr.ToErrno(err)}
 	}
@@ -756,6 +763,11 @@ func (m *MetaServer) create(ctx *rpc.Ctx, a *DirOpArgs) *CreateRep {
 	dist := m.Dist()
 	m.setPlacement(h, Placement{Data: h, Dist: dist})
 	if err := m.createObjects(ctx, h, dist); err != nil {
+		m.removeObjects(ctx, h)
+		// The reply is IO either way: the fan-out's failure is what the
+		// caller must hear, not a remove of a name just created.
+		_ = m.store.Remove(dir, name)
+		m.syncMeta(ctx)
 		return &CreateRep{Errno: fserr.IO}
 	}
 	m.syncMeta(ctx)

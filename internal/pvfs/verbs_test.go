@@ -163,3 +163,81 @@ func TestRootAndParentNamesAgree(t *testing.T) {
 		t.Errorf("final namespace %v, want only /d", left)
 	}
 }
+
+// refuseCreate is the MDS's conn to a storage daemon that answers
+// IO-CREATE with IO while *refuse is set.
+type refuseCreate struct {
+	rpc.Conn
+	refuse *bool
+}
+
+func (c refuseCreate) Call(ctx *rpc.Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
+	if proc == ProcIOCreate && *c.refuse {
+		rep.(*IOCreateRep).Errno = fserr.IO
+		return nil
+	}
+	return c.Conn.Call(ctx, proc, args, rep)
+}
+
+// TestFailedCreateIsUndone: a CREATE-H whose datafile-object fan-out fails
+// on one daemon answers IO and leaves nothing behind — no name, no
+// placement, no object on the daemons that did create theirs — so once the
+// daemon heals, the same CREATE-H makes the file and GETATTR answers for it.
+func TestFailedCreateIsUndone(t *testing.T) {
+	fs := &verbFS{}
+	refuse := true
+	var daemons []*StorageServer
+	var conns []rpc.Conn
+	for i := 0; i < 3; i++ {
+		s := NewStorageServer(StorageConfig{})
+		daemons = append(daemons, s)
+		var conn rpc.Conn = loggedDaemon{fs: fs, dev: i, s: s}
+		if i == 1 {
+			conn = refuseCreate{conn, &refuse}
+		}
+		conns = append(conns, conn)
+	}
+	fs.meta = NewMetaServer(MetaConfig{Dist: DistParams{StripeSize: 64 << 10}, IOConns: conns})
+	client := NewClient(ClientConfig{Meta: rpc.LocalConn(fs.meta.Handle)})
+	ctx := &rpc.Ctx{}
+	root := client.RootHandle()
+
+	if _, err := client.CreateH(ctx, root, "f"); err != fserr.ErrIO {
+		t.Fatalf("create with io1 refusing: %v, want fserr.ErrIO", err)
+	}
+	if _, _, err := client.LookupH(ctx, root, "f"); err != store.ErrNotExist {
+		t.Fatalf("lookup after the failed create: %v, want store.ErrNotExist", err)
+	}
+	if left := fs.walk(t); len(left) != 0 {
+		t.Fatalf("the failed create left %v in the namespace", left)
+	}
+	if len(fs.meta.placements) != 0 {
+		t.Fatalf("the failed create left placements %v", fs.meta.placements)
+	}
+	// io0 and io2 made their objects; the undo removed them on every daemon.
+	const failed = Handle(2) // the first inode after the root
+	var want []string
+	for dev, procs := range [][]uint32{{ProcIOCreate, ProcIORemove}, {ProcIORemove}, {ProcIOCreate, ProcIORemove}} {
+		for _, proc := range procs {
+			want = append(want, fmt.Sprintf("dev%d proc%d handle%d", dev, proc, failed))
+		}
+	}
+	sort.Strings(want)
+	if got := fs.fanout(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("object fan-out of the failed create:\n got  %v\n want %v", got, want)
+	}
+	for i, s := range daemons {
+		if _, e := s.object(failed); e != fserr.Stale {
+			t.Errorf("io%d: the failed create's object answers %v, want Stale (gone)", i, e)
+		}
+	}
+
+	refuse = false
+	h, err := client.CreateH(ctx, root, "f")
+	if err != nil {
+		t.Fatalf("create after io1 healed: %v", err)
+	}
+	if isDir, size, _, err := client.GetAttrH(ctx, h); err != nil || isDir || size != 0 {
+		t.Fatalf("getattr of the new file: dir=%v size=%d err=%v, want an empty file", isDir, size, err)
+	}
+}

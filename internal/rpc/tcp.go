@@ -259,9 +259,9 @@ func (c *TCPClient) Call(_ *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmars
 
 	n, err := writeFrame(c.conn, &c.writeMu, xid, msgCall, proc, args)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
+		// The socket may hold part of the frame: nothing more can go on it,
+		// so the connection dies and the pool redials.
+		c.fail(err)
 		return &SendError{Err: err}
 	}
 	c.stats.addSent(int64(n))

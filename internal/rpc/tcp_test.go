@@ -188,6 +188,47 @@ func TestTCPPoolReconnect(t *testing.T) {
 	}
 }
 
+// failingWrite is a socket whose every write fails.
+type failingWrite struct{ net.Conn }
+
+func (failingWrite) Write([]byte) (int, error) { return 0, fmt.Errorf("test: write refused") }
+
+// TestSendFailureRedials: a write that fails may leave part of a frame on
+// the socket, so the client dies and the pool's one retry goes out on a
+// fresh connection — even in a pool of one, where the retry would
+// otherwise pick the broken client again.
+func TestSendFailureRedials(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0", echoRegistry(), echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := metrics.NewRegistry()
+	pool := NewTCPPool(srv.Addr(), 1)
+	pool.stats = newConnStats(reg, "tcp", "echo")
+	defer pool.Close()
+	sock, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := &TCPClient{conn: failingWrite{sock}, stats: pool.stats, pending: make(map[uint32]chan tcpReply)}
+	go broken.readLoop()
+	pool.conns[0] = broken
+
+	var rep echoArgs
+	if err := pool.Call(&Ctx{}, procEcho, &echoArgs{N: 7}, &rep); err != nil || rep.N != 8 {
+		t.Fatalf("call over a pool whose one client cannot write: echo %d, %v; want 8 on the retry", rep.N, err)
+	}
+	if broken.Dead() == nil {
+		t.Error("the client whose write failed is still usable")
+	}
+	for name, want := range map[string]uint64{"rpc_client_retries_total": 1, "rpc_client_connects_total": 1} {
+		if got := reg.CounterVec(name, "", "transport", "service").With("tcp", "echo").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestTCPTransportPoolKeying checks that repeat dials from one client node
 // share a pool, distinct client nodes get their own (so bulk frames from
 // different clients never serialize on one socket), and names resolve
