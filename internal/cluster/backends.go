@@ -178,9 +178,8 @@ func (b *directMDSBackend) LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout,
 	if b.agg == "" {
 		native.Aggregation, native.Params = pnfs.AggRoundRobin, []int64{place.Dist.StripeSize}
 	}
-	ids := place.Dist.ServerIDs()
-	native.Devices = make([]pnfs.DeviceID, len(ids))
-	for i, id := range ids {
+	native.Devices = make([]pnfs.DeviceID, len(place.Dist.Servers))
+	for i, id := range place.Dist.Servers {
 		native.Devices[i] = pnfs.DeviceID(id)
 	}
 	l, err := pnfs.Translate(native)

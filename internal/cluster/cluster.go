@@ -365,18 +365,14 @@ func (cl *Cluster) buildBackend() {
 	cl.devices = cl.activeDevices()
 	meta := cl.members[0]
 	cl.mdsNode = meta.node
-	ioConnsFromMDS := make([]rpc.Conn, nodes)
-	for i, m := range cl.members {
-		ioConnsFromMDS[i] = cl.dial(cl.mdsNode.Name, m.node.Name, pvfs.ServiceIO)
-	}
+	// The first distribution is built like every later one, plus the
+	// substrate's replication factor.
+	dist := cl.activeDist()
+	dist.Copies = cl.distCopies()
 	cl.PVFSMeta = pvfs.NewMetaServer(pvfs.MetaConfig{
 		Transport: cl.tr, Node: cl.mdsNode,
-		Dist: pvfs.DistParams{
-			StripeSize: cfg.StripeSize,
-			NumServers: uint32(nodes),
-			Copies:     cl.distCopies(),
-		},
-		IOConns: ioConnsFromMDS,
+		Dist:    dist,
+		Dial:    func(id uint32) rpc.Conn { return cl.dialDaemon(cl.mdsNode.Name, id, true) },
 		Metrics: cfg.Metrics,
 		Store:   cfg.MetadataBackend("mds", meta.disk, cfg.Metrics),
 	})
@@ -447,7 +443,7 @@ func (cl *Cluster) pvfsClientWith(n *simnet.Node, class ioengine.Class, issuer s
 	return pvfs.NewClient(pvfs.ClientConfig{
 		Node:    n,
 		Meta:    cl.dial(n.Name, cl.mdsNode.Name, pvfs.ServiceMeta),
-		Dial:    func(id uint32) rpc.Conn { return cl.dialDaemon(n.Name, id) },
+		Dial:    func(id uint32) rpc.Conn { return cl.dialDaemon(n.Name, id, false) },
 		Class:   class,
 		Issuer:  issuer,
 		Engine:  cl.engineConfig(),

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,13 +77,15 @@ func (cl *Cluster) liveMembers() []*member {
 }
 
 // dialDaemon returns a conn from node from to the storage daemon with stable
-// server ID id, or nil when no member has that ID or the member was drained
-// away: the member table is where every PVFS2 client finds its daemons.
-func (cl *Cluster) dialDaemon(from string, id uint32) rpc.Conn {
+// server ID id, or nil when no member has that ID: the member table is where
+// every PVFS2 component finds its daemons.  A member drained away answers
+// nil too unless removed is set — clients refuse it, while the metadata
+// manager still reaches it to remove what its records place there.
+func (cl *Cluster) dialDaemon(from string, id uint32, removed bool) rpc.Conn {
 	cl.memberMu.Lock()
 	var to string
 	for _, m := range cl.members {
-		if uint32(m.id) == id && m.state != memberRemoved {
+		if uint32(m.id) == id && (removed || m.state != memberRemoved) {
 			to = m.node.Name
 		}
 	}
@@ -130,7 +133,7 @@ func (cl *Cluster) activeDist() pvfs.DistParams {
 	for i, d := range devs {
 		ids[i] = uint32(d.ID)
 	}
-	return pvfs.DistParams{StripeSize: cl.Cfg.StripeSize, NumServers: uint32(len(ids)), Servers: ids}
+	return pvfs.DistParams{StripeSize: cl.Cfg.StripeSize, Servers: ids}
 }
 
 // membershipSupported gates the elastic operations: they drive the
@@ -223,15 +226,14 @@ func (cl *Cluster) updateMemberGauges() {
 }
 
 // applyJoin brings a brand-new storage node into the cluster: substrate
-// (disk, object store, daemon), a conn on the metadata manager, the
-// architecture's pNFS surface, a new default distribution, and a background
-// rebalance that spreads existing files over the widened stripe.  Client
+// (disk, object store, daemon), the architecture's pNFS surface, a new
+// default distribution, and a background rebalance that spreads existing
+// files over the widened stripe.  The metadata manager and the client
 // libraries find the new daemon in the member table when a placement first
 // names it.
 func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 	m := cl.addStorageSubstrate(cl.Fabric.AddNode(simnet.NodeConfig{Name: name, BytesPerSec: cl.Cfg.NetBPS}))
 	cl.updateMemberGauges()
-	cl.PVFSMeta.AddIOConn(uint32(m.id), cl.dial(cl.mdsNode.Name, name, pvfs.ServiceIO))
 	// Architecture surface: Direct-pNFS gets an NFS data server co-located
 	// with the new daemon; the 2-tier export gets a blind data server
 	// re-exporting through a fresh client library.  The 3-tier and NFSv4
@@ -362,19 +364,7 @@ func (cl *Cluster) listFiles(ctx *rpc.Ctx, c *pvfs.Client) ([]pvfs.Handle, error
 
 // sameDist reports whether two distributions place bytes identically.
 func sameDist(a, b pvfs.DistParams) bool {
-	if a.StripeSize != b.StripeSize {
-		return false
-	}
-	ai, bi := a.ServerIDs(), b.ServerIDs()
-	if len(ai) != len(bi) {
-		return false
-	}
-	for i := range ai {
-		if ai[i] != bi[i] {
-			return false
-		}
-	}
-	return true
+	return a.StripeSize == b.StripeSize && slices.Equal(a.Servers, b.Servers)
 }
 
 // migrateFile moves one file onto target: shadow objects are created on the
@@ -400,7 +390,7 @@ func (cl *Cluster) migrateFile(ctx *rpc.Ctx, mig *pvfs.Client, h pvfs.Handle, ta
 	if err != nil {
 		return err
 	}
-	chunk := max(target.StripeSize*int64(len(target.ServerIDs())), target.StripeSize)
+	chunk := max(target.StripeSize*int64(len(target.Servers)), target.StripeSize)
 	for off := int64(0); off < size; off += chunk {
 		n := min(size-off, chunk)
 		data, got, err := mig.Read(ctx, src, off, n, cl.Cfg.Real)

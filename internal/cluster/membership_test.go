@@ -391,7 +391,7 @@ func TestMigrationTruncateSurvivesCrash(t *testing.T) {
 	}
 	want := map[uint32]int64{}
 	for _, e := range place.Dist.Mapper().Map(0, off+n) {
-		id := place.Dist.ServerIDs()[e.Dev]
+		id := place.Dist.Servers[e.Dev]
 		want[id] = max(want[id], e.DevOff+e.Len)
 	}
 	check := func(when string) {
@@ -554,5 +554,92 @@ func TestOnlyWorkloadRunsObserveRunSeconds(t *testing.T) {
 	}
 	if got := runs() - before; got != 1 {
 		t.Fatalf("one Run observed %d runs, want 1", got)
+	}
+}
+
+// objectsLeft counts the datafile objects in each member's store root,
+// drained members included; members holding none are left out.
+func objectsLeft(t *testing.T, cl *Cluster) map[string]int {
+	t.Helper()
+	left := map[string]int{}
+	for _, m := range cl.members {
+		st := m.storage.Store()
+		names, err := st.ReadDir(st.Root())
+		if err != nil {
+			t.Fatalf("%s: %v", m.node.Name, err)
+		}
+		if len(names) > 0 {
+			left[m.node.Name] = len(names)
+		}
+	}
+	return left
+}
+
+// removeMember0 removes the file writeMemberCorpus wrote for client 0.
+func removeMember0(t *testing.T, cl *Cluster) {
+	t.Helper()
+	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+		return m.Remove(ctx, "/member.0")
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoveAfterTwoMigrationsLeavesNoObjects: a file migrated by two joins
+// has objects under three data handles — its own and two shadows — and
+// removing it removes all of them, the first shadow included, on every
+// daemon its record names.
+func TestRemoveAfterTwoMigrationsLeavesNoObjects(t *testing.T) {
+	for _, arch := range Archs {
+		t.Run(string(arch), func(t *testing.T) {
+			cl := New(Config{Arch: arch, Clients: 1, Real: true, StripeSize: 64 << 10})
+			defer cl.Close()
+			if err := writeMemberCorpus(cl, 300_000); err != nil {
+				t.Fatal(err)
+			}
+			for _, node := range []string{"io8", "io9"} {
+				schedule(t, cl, faults.Join{Node: node})
+				if err := cl.Reconcile(); err != nil {
+					t.Fatalf("join of %s: %v", node, err)
+				}
+			}
+			if got := cl.rebalanceFiles.Value(); got != 2 {
+				t.Fatalf("two joins migrated %d files, want the one file twice", got)
+			}
+			removeMember0(t, cl)
+			if left := objectsLeft(t, cl); len(left) != 0 {
+				t.Fatalf("objects left after the remove: %v", left)
+			}
+		})
+	}
+}
+
+// TestRemoveAfterDrainEmptiesTheDrainedNode: a drain leaves the file's
+// source object on the drained node, and removing the file removes it
+// there too — the metadata manager still reaches a member its clients
+// refuse.
+func TestRemoveAfterDrainEmptiesTheDrainedNode(t *testing.T) {
+	for _, arch := range Archs {
+		t.Run(string(arch), func(t *testing.T) {
+			cl := New(Config{Arch: arch, Clients: 1, Real: true, StripeSize: 64 << 10})
+			defer cl.Close()
+			if err := writeMemberCorpus(cl, 300_000); err != nil {
+				t.Fatal(err)
+			}
+			schedule(t, cl, faults.Drain{Node: "io1"})
+			if err := cl.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			if n := objectsLeft(t, cl)["io1"]; n != 1 {
+				t.Fatalf("the drained io1 holds %d objects before the remove, want the file's source object", n)
+			}
+			if cl.dialDaemon("c0", uint32(cl.memberNamed("io1").id), false) != nil {
+				t.Fatal("a client may dial the drained io1")
+			}
+			removeMember0(t, cl)
+			if left := objectsLeft(t, cl); len(left) != 0 {
+				t.Fatalf("objects left after the remove: %v", left)
+			}
+		})
 	}
 }

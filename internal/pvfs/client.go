@@ -55,10 +55,7 @@ type Client struct {
 	stats  *clientStats
 	engine *ioengine.Engine
 	retry  ioengine.Policy
-	// mu guards io, the daemon conns dialed so far, keyed by stable server
-	// ID: concurrent opens may dial the same daemon.
-	mu sync.Mutex
-	io map[uint32]rpc.Conn
+	io     daemonConns
 	// repaired records extents the replica rung already rewrote, keyed by
 	// (data handle, device, device offset).
 	repaired ioengine.RepairLedger[repairKey]
@@ -91,9 +88,8 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	eng := cfg.Engine
 	eng.Name, eng.Issuer, eng.Metrics = name, issuer, cfg.Metrics
-	c := &Client{cfg: cfg, stats: stats, engine: ioengine.New(eng)}
+	c := &Client{cfg: cfg, stats: stats, engine: ioengine.New(eng), io: daemonConns{dial: cfg.Dial}}
 	c.retry = ioengine.WithRetry(stats.ioRetries.Inc)
-	c.io = make(map[uint32]rpc.Conn)
 	return c
 }
 
@@ -104,7 +100,7 @@ type File struct {
 	Handle Handle
 	Data   Handle
 	Dist   DistParams
-	mapper stripe.Mapper
+	mapper sizedMapper
 	io     []rpc.Conn
 }
 
@@ -117,32 +113,44 @@ func (c *Client) chargeOp(ctx *rpc.Ctx, bytes int64) {
 // without a metadata round trip.  Before any migration a file's data lives
 // under its own handle with the file-system-wide distribution.
 func (c *Client) OpenPlaced(h, data Handle, dist DistParams) *File {
-	ids := dist.ServerIDs()
-	f := &File{
-		Handle: h,
-		Data:   data,
-		Dist:   dist,
-		mapper: dist.Mapper(),
-		io:     make([]rpc.Conn, len(ids)),
-	}
-	c.mu.Lock()
-	for i, id := range ids {
-		f.io[i] = c.daemon(id)
-	}
-	c.mu.Unlock()
-	return f
+	return &File{Handle: h, Data: data, Dist: dist, mapper: dist.Mapper(), io: c.io.get(dist.Servers)}
 }
 
-// daemon returns the conn to server id, dialing it the first time; a nil
-// conn is never kept, so a later placement may dial again (c.mu held).
-func (c *Client) daemon(id uint32) rpc.Conn {
-	conn, ok := c.io[id]
-	if !ok && c.cfg.Dial != nil {
-		if conn = c.cfg.Dial(id); conn != nil {
-			c.io[id] = conn
+// daemonConns holds the conns to storage daemons dialed so far, keyed by
+// stable server ID; the client library and the metadata server each keep
+// one.  A daemon is dialed the first time a placement names it.  A nil conn
+// (an ID dial refuses) is never kept, so a later placement may dial again.
+type daemonConns struct {
+	dial func(id uint32) rpc.Conn
+	// mu guards conns: concurrent requests may dial the same daemon.
+	mu    sync.Mutex
+	conns map[uint32]rpc.Conn
+}
+
+// get returns the conns to servers ids, in order; an ID without one has a
+// nil conn.  It dials outside mu: two racing dials of one daemon both get a
+// working conn, and the later one is kept.
+func (d *daemonConns) get(ids []uint32) []rpc.Conn {
+	out := make([]rpc.Conn, len(ids))
+	d.mu.Lock()
+	for i, id := range ids {
+		out[i] = d.conns[id]
+	}
+	d.mu.Unlock()
+	for i, id := range ids {
+		if out[i] != nil || d.dial == nil {
+			continue
+		}
+		if out[i] = d.dial(id); out[i] != nil {
+			d.mu.Lock()
+			if d.conns == nil {
+				d.conns = make(map[uint32]rpc.Conn)
+			}
+			d.conns[id] = out[i]
+			d.mu.Unlock()
 		}
 	}
-	return conn
+	return out
 }
 
 // conn returns the file's daemon conn for stripe device dev, or an error if
@@ -214,7 +222,7 @@ func (c *Client) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload, s
 			return err
 		}
 		mu.Lock()
-		if end := logicalEnd(f.mapper, r.Dev, objSize); end > logical {
+		if end := f.mapper.LogicalEnd(r.Dev, objSize); end > logical {
 			logical = end
 		}
 		mu.Unlock()

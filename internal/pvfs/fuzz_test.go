@@ -108,8 +108,8 @@ func FuzzDecodeWireTypes(f *testing.F) {
 	targets := fuzzTargets()
 	seed := func(m xdr.Codec) { f.Add(fuzzSelector(f, targets, m), xdr.Encode(m)) }
 	seed(&LookupRep{Errno: 2, Handle: 7, IsDir: true, Size: -1,
-		Dist: DistParams{StripeSize: 1 << 20, NumServers: 6}})
-	seed(&CreateRep{Handle: 9, Dist: DistParams{StripeSize: 2 << 20, NumServers: 3}})
+		Dist: DistParams{StripeSize: 1 << 20, Servers: serverIDs(6)}})
+	seed(&CreateRep{Handle: 9, Dist: DistParams{StripeSize: 2 << 20, Servers: serverIDs(3)}})
 	seed(&ReadDirRep{Names: []string{"a", "bb", "ccc"}})
 	seed(&GetAttrRep{Size: 1 << 40, Change: 99})
 	seed(&PlacementRep{Data: 12, Dist: DistParams{StripeSize: 1 << 20, Servers: []uint32{4, 2}, Copies: 2}})

@@ -22,7 +22,9 @@ type wireMsg interface {
 // reply.  The simulated fabric charges WireSizeOf(args) per call, so a
 // changed encoding moves virtual time in every figure; the hex column was
 // captured before the single-field messages were folded onto shared shapes
-// and must never be edited by a refactor.
+// and must never be edited by a refactor.  The three rows whose replies
+// carry a DistParams were re-captured when it dropped its positional server
+// count: every distribution lists its server IDs.
 var goldenWire = []struct {
 	name string
 	proc uint32 // registry proc the request decodes under; 0 for replies
@@ -31,14 +33,14 @@ var goldenWire = []struct {
 }{
 	// ---- metadata service: replies, and the procedures by file handle ----
 	{"LookupRep", 0, &LookupRep{Errno: fserr.NoEnt, Handle: 0x0102030405060708, IsDir: true, Size: -1,
-		Dist: DistParams{StripeSize: 2 << 20, NumServers: 3, Servers: []uint32{4, 5, 6}, Copies: 1},
+		Dist: DistParams{StripeSize: 2 << 20, Servers: []uint32{4, 5, 6}, Copies: 1},
 		Data: 1<<48 + 9},
 		"00000001010203040506070800000001ffffffffffffffff0000000000200000" +
-			"0000000300000003000000040000000500000006000000010001000000000009"},
+			"00000003000000040000000500000006000000010001000000000009"},
 	{"CreateRep", 0, &CreateRep{Errno: fserr.Exist, Handle: 11,
-		Dist: DistParams{StripeSize: 64 << 10, NumServers: 6, Copies: 2}, Data: 11},
-		"00000002000000000000000b000000000001000000000006000000000000000200" +
-			"0000000000000b"},
+		Dist: DistParams{StripeSize: 64 << 10, Servers: []uint32{0, 1, 2, 3, 4, 5}, Copies: 2}, Data: 11},
+		"00000002000000000000000b0000000000010000000000060000000000000001" +
+			"0000000200000003000000040000000500000002000000000000000b"},
 	{"RemoveRep", 0, &RemoveRep{Errno: fserr.NotEmpty},
 		"00000005"},
 	{"MkdirRep", 0, &MkdirRep{Errno: fserr.NotDir, Handle: 12},
@@ -71,8 +73,8 @@ var goldenWire = []struct {
 	{"PlacementHArgs", ProcPlacementH, &PlacementHArgs{Handle: 16},
 		"0000000000000010"},
 	{"PlacementRep", 0, &PlacementRep{Errno: fserr.Corrupt, Data: 1<<48 + 1,
-		Dist: DistParams{StripeSize: 1 << 20, NumServers: 2, Servers: []uint32{7, 9}}},
-		"00000009000100000000000100000000001000000000000200000002000000070" +
+		Dist: DistParams{StripeSize: 1 << 20, Servers: []uint32{7, 9}}},
+		"000000090001000000000001000000000010000000000002000000070" +
 			"000000900000000"},
 
 	// ---- storage I/O service ----

@@ -47,20 +47,30 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 	}
 	meta := NewMetaServer(MetaConfig{
 		Transport: tr, Node: mdsNode,
-		Dist:    DistParams{StripeSize: stripeSize, NumServers: uint32(nDev)},
-		IOConns: mdsConns,
+		Dist: DistParams{StripeSize: stripeSize, Servers: serverIDs(nDev)},
+		Dial: dialByID(mdsConns),
 	})
 	client := NewClient(ClientConfig{
 		Node: clNode,
 		Meta: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: ServiceMeta},
-		Dial: ioByID(clConns),
+		Dial: dialByID(clConns),
 	})
 	return &testFS{k: k, fabric: f, client: client, meta: meta, storage: storage}
 }
 
-// ioByID dials conns by position: the stable server IDs a metadata server
-// gives the daemons of its IOConns.  An ID past the end has no conn.
-func ioByID(conns []rpc.Conn) func(id uint32) rpc.Conn {
+// serverIDs lists the stable server IDs [0..n), the daemons of a test
+// file system in stripe order.
+func serverIDs(n int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
+}
+
+// dialByID dials conns by position: daemon i has stable server ID i.  An
+// ID past the end has no conn.
+func dialByID(conns []rpc.Conn) func(id uint32) rpc.Conn {
 	return func(id uint32) rpc.Conn {
 		if int(id) >= len(conns) {
 			return nil
@@ -384,7 +394,7 @@ func TestFileWithoutPlacementAnswersIO(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs.meta.mu.Lock()
-		delete(fs.meta.placements, f.Handle)
+		delete(fs.meta.records, f.Handle)
 		fs.meta.mu.Unlock()
 		if _, err := fs.client.Open(ctx, "/f"); err != fserr.ErrIO {
 			t.Errorf("open: %v, want fserr.ErrIO", err)
@@ -405,7 +415,7 @@ func TestFileWithoutPlacementAnswersIO(t *testing.T) {
 }
 
 func TestObjSizes(t *testing.T) {
-	m := DistParams{StripeSize: 1000, NumServers: 3}.Mapper()
+	m := DistParams{StripeSize: 1000, Servers: serverIDs(3)}.Mapper()
 	sizes := objSizes(m, 3, 3500)
 	wants := []int64{1500, 1000, 1000}
 	for i, w := range wants {

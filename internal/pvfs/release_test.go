@@ -62,13 +62,13 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i%249 + 1) // never a run of the poison byte
 	}
-	dist := DistParams{StripeSize: stripe, NumServers: 4, Copies: 2}
+	dist := DistParams{StripeSize: stripe, Servers: serverIDs(4), Copies: 2}
 
 	// readBack writes the file, reads it back through spied-on conns and
 	// returns what the spies saw.
 	readBack := func(t *testing.T, ctx *rpc.Ctx, meta rpc.Conn, io []rpc.Conn, refuse bool) *spyLog {
 		t.Helper()
-		plain := NewClient(ClientConfig{Meta: meta, Dial: ioByID(io)})
+		plain := NewClient(ClientConfig{Meta: meta, Dial: dialByID(io)})
 		f, err := plain.Create(ctx, "/f")
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 		for i, conn := range io {
 			spied[i] = replySpy{inner: conn, refuse: refuse && i == 0, log: log}
 		}
-		c := NewClient(ClientConfig{Meta: meta, Dial: ioByID(spied)})
+		c := NewClient(ClientConfig{Meta: meta, Dial: dialByID(spied)})
 		borrowed0, avoided0 := rpc.BufCounters()
 		got, n, err := c.Read(ctx, c.OpenPlaced(f.Handle, f.Data, f.Dist), 0, int64(len(want)), true)
 		if err != nil || n != int64(len(want)) || !bytes.Equal(got.Bytes, want) {
@@ -135,7 +135,7 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				io = append(io, serve(IORegistry(), NewStorageServer(StorageConfig{}).Handle))
 			}
-			meta := serve(MetaRegistry(), NewMetaServer(MetaConfig{Dist: dist, IOConns: io}).Handle)
+			meta := serve(MetaRegistry(), NewMetaServer(MetaConfig{Dist: dist, Dial: dialByID(io)}).Handle)
 			log := readBack(t, &rpc.Ctx{}, meta, io, refuse)
 			// Closing waits for the handlers, whose deferred hooks return
 			// the daemons' own buffers to the shared pool.

@@ -1,7 +1,7 @@
 package pvfs
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -400,9 +400,13 @@ func (s *StorageServer) Flush(ctx *rpc.Ctx, a *IOFlushArgs) *IOFlushRep {
 
 // MetaConfig describes the metadata server.
 type MetaConfig struct {
-	Node    *simnet.Node
-	Dist    DistParams
-	IOConns []rpc.Conn // one per storage daemon, in device order
+	Node *simnet.Node
+	Dist DistParams
+	// Dial returns the conn to the storage daemon with a stable server ID,
+	// or nil for an ID the MDS may not reach: the MDS names its daemons as
+	// its clients do (ClientConfig.Dial), dialing each the first time one
+	// of its records names it.
+	Dial func(id uint32) rpc.Conn
 	// Store is the metadata repository backing the namespace (nil: a fresh
 	// in-memory store).  Durable stores are journalled synchronously after
 	// every namespace mutation.
@@ -423,6 +427,14 @@ type Placement struct {
 	Dist DistParams
 }
 
+// record is a file's placement record: the placement its bytes are read
+// under, and every placement its objects were created under — at create
+// and at each PrepareMigrate — which is what removing the file removes.
+type record struct {
+	place   Placement
+	objects []Placement
+}
+
 // shadowBase is the first handle in the range reserved for migration shadow
 // objects — far above anything the namespace store allocates.
 const shadowBase Handle = 1 << 48
@@ -433,14 +445,14 @@ type MetaServer struct {
 	cfg   MetaConfig
 	store store.Store
 	stats *metaStats
+	io    daemonConns // retry-wrapped, dialed through cfg.Dial
 
 	// mu guards the mutable distribution state: the default geometry for
-	// new files, the per-file placements recorded at create and rewritten
-	// by migration, and the IO conn table keyed by stable server ID.
+	// new files and the per-file records written at create and by
+	// migration.
 	mu         sync.Mutex
 	dist       DistParams // current default distribution
-	ioByID     map[uint32]rpc.Conn
-	placements map[Handle]Placement
+	records    map[Handle]*record
 	nextShadow Handle
 }
 
@@ -450,30 +462,26 @@ func NewMetaServer(cfg MetaConfig) *MetaServer {
 	if cfg.Dist.StripeSize <= 0 {
 		cfg.Dist.StripeSize = 2 << 20
 	}
-	if cfg.Dist.NumServers == 0 {
-		cfg.Dist.NumServers = uint32(len(cfg.IOConns))
-	}
 	stats := newMetaStats(cfg.Metrics)
-	// Calls to the storage daemons retry under the default policy, so
-	// metadata operations (create, getattr, truncate) survive a daemon
-	// outage shorter than its budget.
-	conns := make([]rpc.Conn, len(cfg.IOConns))
-	for i, conn := range cfg.IOConns {
-		conns[i] = rpc.WithRetry(conn, stats.ioRetries.Inc)
-	}
-	cfg.IOConns = conns
 	if cfg.Store == nil {
 		cfg.Store = mem.New()
 	}
 	m := &MetaServer{
 		cfg: cfg, store: cfg.Store, stats: stats,
 		dist:       cfg.Dist,
-		ioByID:     make(map[uint32]rpc.Conn, len(conns)),
-		placements: make(map[Handle]Placement),
+		records:    make(map[Handle]*record),
 		nextShadow: shadowBase,
 	}
-	for i, conn := range conns {
-		m.ioByID[uint32(i)] = conn
+	if cfg.Dial != nil {
+		// Calls to the storage daemons retry under the default policy, so
+		// metadata operations (create, getattr, truncate) survive a daemon
+		// outage shorter than its budget.
+		m.io.dial = func(id uint32) rpc.Conn {
+			if conn := cfg.Dial(id); conn != nil {
+				return rpc.WithRetry(conn, stats.ioRetries.Inc)
+			}
+			return nil
+		}
 	}
 	if cfg.Transport != nil && cfg.Node != nil {
 		if _, err := cfg.Transport.Serve(cfg.Node.Name, ServiceMeta, MetaRegistry(), m.Handle, daemonThreads); err != nil {
@@ -510,16 +518,6 @@ func (m *MetaServer) SetDefaultDist(d DistParams) {
 	m.mu.Unlock()
 }
 
-// AddIOConn registers (or replaces) the conn to the storage daemon with the
-// given stable server ID, wrapped in the default retry policy.  Joining
-// nodes get IDs beyond the construction-time range.
-func (m *MetaServer) AddIOConn(id uint32, conn rpc.Conn) {
-	wrapped := rpc.WithRetry(conn, m.stats.ioRetries.Inc)
-	m.mu.Lock()
-	m.ioByID[id] = wrapped
-	m.mu.Unlock()
-}
-
 // PlacementOf returns the file's placement: its record, which create
 // writes and a migration's commit rewrites.  A file without one — a record
 // lost with MDS volatile state — answers an I/O error rather than a guess
@@ -527,11 +525,11 @@ func (m *MetaServer) AddIOConn(id uint32, conn rpc.Conn) {
 func (m *MetaServer) PlacementOf(h Handle) (Placement, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p, ok := m.placements[h]
+	r, ok := m.records[h]
 	if !ok {
 		return Placement{}, fserr.ErrIO
 	}
-	return p, nil
+	return r.place, nil
 }
 
 // placed returns the placement of file h, which the namespace must hold.
@@ -542,51 +540,11 @@ func (m *MetaServer) placed(h Handle) (Placement, error) {
 	return m.PlacementOf(h)
 }
 
-// setPlacement records the file's placement.
-func (m *MetaServer) setPlacement(h Handle, p Placement) {
-	m.mu.Lock()
-	m.placements[h] = p
-	m.mu.Unlock()
-}
-
-// connsFor resolves stripe-order server IDs to conns.  Unknown IDs yield a
-// nil conn; callers treat that as an I/O error rather than panicking.
-func (m *MetaServer) connsFor(ids []uint32) []rpc.Conn {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]rpc.Conn, len(ids))
-	for i, id := range ids {
-		out[i] = m.ioByID[id]
-	}
-	return out
-}
-
-// allConns snapshots every registered storage conn (cluster-wide fan-outs:
-// remove, flush).
-func (m *MetaServer) allConns() []rpc.Conn {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]uint32, 0, len(m.ioByID))
-	for id := range m.ioByID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]rpc.Conn, len(ids))
-	for i, id := range ids {
-		out[i] = m.ioByID[id]
-	}
-	return out
-}
-
-// fanout runs fn against every registered storage daemon in parallel.
-func (m *MetaServer) fanout(ctx *rpc.Ctx, fn func(ctx *rpc.Ctx, i int, conn rpc.Conn) error) error {
-	return m.fanoutConns(ctx, m.allConns(), fn)
-}
-
-// fanoutConns runs fn against each conn in parallel (i is the stripe-order
-// index), collecting the first error.  A nil conn (unknown server ID) is an
-// immediate I/O error.
-func (m *MetaServer) fanoutConns(ctx *rpc.Ctx, conns []rpc.Conn, fn func(ctx *rpc.Ctx, i int, conn rpc.Conn) error) error {
+// onDaemons runs fn against the storage daemon of each server ID in ids in
+// parallel (i is the ID's index), collecting the first error.  An ID the
+// MDS cannot dial is an immediate I/O error.
+func (m *MetaServer) onDaemons(ctx *rpc.Ctx, ids []uint32, fn func(ctx *rpc.Ctx, i int, conn rpc.Conn) error) error {
+	conns := m.io.get(ids)
 	errs := make([]error, len(conns))
 	rpc.Parallel(ctx, len(conns), func(ctx *rpc.Ctx, i int) {
 		if conns[i] == nil {
@@ -644,11 +602,11 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshal
 		if err != nil {
 			return &GetAttrRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		ids := place.Dist.ServerIDs()
+		ids := place.Dist.Servers
 		mapper := place.Dist.Mapper()
 		sizes := make([]int64, len(ids))
 		changes := make([]uint64, len(ids))
-		ferr := m.fanoutConns(ctx, m.connsFor(ids), func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
+		ferr := m.onDaemons(ctx, ids, func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
 			var rep IOGetSizeRep
 			if err := conn.Call(ctx, ProcIOGetSize, &IOGetSizeArgs{Handle: place.Data}, &rep); err != nil {
 				return err
@@ -666,7 +624,7 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshal
 		var size int64
 		var change uint64
 		for dev, s := range sizes {
-			if end := logicalEnd(mapper, dev, s); end > size {
+			if end := mapper.LogicalEnd(dev, s); end > size {
 				size = end
 			}
 			change += changes[dev]
@@ -680,9 +638,9 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshal
 		if err != nil {
 			return &TruncateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		ids := place.Dist.ServerIDs()
+		ids := place.Dist.Servers
 		sizes := objSizes(place.Dist.Mapper(), len(ids), a.Size)
-		ferr := m.fanoutConns(ctx, m.connsFor(ids), func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
+		ferr := m.onDaemons(ctx, ids, func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
 			var rep IOTruncateRep
 			return conn.Call(ctx, ProcIOTruncate,
 				&IOTruncateArgs{Handle: place.Data, ObjSize: sizes[dev]}, &rep)
@@ -760,9 +718,11 @@ func (m *MetaServer) create(ctx *rpc.Ctx, a *DirOpArgs) *CreateRep {
 		return &CreateRep{Errno: fserr.ToErrno(err)}
 	}
 	h := Handle(at.ID)
-	dist := m.Dist()
-	m.setPlacement(h, Placement{Data: h, Dist: dist})
-	if err := m.createObjects(ctx, h, dist); err != nil {
+	place := Placement{Data: h, Dist: m.Dist()}
+	m.mu.Lock()
+	m.records[h] = &record{place: place, objects: []Placement{place}}
+	m.mu.Unlock()
+	if err := m.createObjects(ctx, place); err != nil {
 		m.removeObjects(ctx, h)
 		// The reply is IO either way: the fan-out's failure is what the
 		// caller must hear, not a remove of a name just created.
@@ -771,7 +731,7 @@ func (m *MetaServer) create(ctx *rpc.Ctx, a *DirOpArgs) *CreateRep {
 		return &CreateRep{Errno: fserr.IO}
 	}
 	m.syncMeta(ctx)
-	return &CreateRep{Handle: h, Dist: dist, Data: h}
+	return &CreateRep{Handle: h, Dist: place.Dist, Data: h}
 }
 
 // mkdir makes a's directory (metadata only).
@@ -830,30 +790,45 @@ func (m *MetaServer) readDir(dir store.FileID) *ReadDirRep {
 	return &ReadDirRep{Names: names}
 }
 
-// createObjects creates the datafile objects for handle h on each server of
-// dist, in parallel.
-func (m *MetaServer) createObjects(ctx *rpc.Ctx, h Handle, dist DistParams) error {
-	return m.fanoutConns(ctx, m.connsFor(dist.ServerIDs()), func(ctx *rpc.Ctx, _ int, conn rpc.Conn) error {
+// createObjects creates the datafile objects of placement p on each of its
+// servers, in parallel.
+func (m *MetaServer) createObjects(ctx *rpc.Ctx, p Placement) error {
+	return m.onDaemons(ctx, p.Dist.Servers, func(ctx *rpc.Ctx, _ int, conn rpc.Conn) error {
 		var rep IOCreateRep
-		if err := conn.Call(ctx, ProcIOCreate, &IOCreateArgs{Handle: h}, &rep); err != nil {
+		if err := conn.Call(ctx, ProcIOCreate, &IOCreateArgs{Handle: p.Data}, &rep); err != nil {
 			return err
 		}
 		return rep.Errno.Err()
 	})
 }
 
-// removeObjects deletes a file's datafile objects.  Both the original and
-// (if migrated) shadow handles are removed, on every registered daemon:
-// source objects deliberately stay behind after a join migration so stale
-// layouts keep reading correct bytes, and remove is where they finally go.
-// Absent objects answer NoEnt, which is ignored like the conn errors here.
+// removeObjects deletes every datafile object file h's record names: the
+// objects of its create and of each migration, flipped to or not.  Source
+// objects deliberately stay behind after a migration so stale layouts keep
+// reading correct bytes, and remove is where they finally go — on a drained
+// daemon too, which the MDS still reaches.  It sends one branch per daemon,
+// in server-ID order, each removing that daemon's objects in the order they
+// were created.  Absent objects answer NoEnt, which is ignored like the
+// conn errors here.
 func (m *MetaServer) removeObjects(ctx *rpc.Ctx, h Handle) {
-	handles := []Handle{h}
-	if place, err := m.PlacementOf(h); err == nil && place.Data != h {
-		handles = append(handles, place.Data)
+	held := make(map[uint32][]Handle)
+	m.mu.Lock()
+	if r := m.records[h]; r != nil {
+		for _, p := range r.objects {
+			for _, id := range p.Dist.Servers {
+				held[id] = append(held[id], p.Data)
+			}
+		}
 	}
-	m.fanout(ctx, func(ctx *rpc.Ctx, _ int, conn rpc.Conn) error {
-		for _, obj := range handles {
+	delete(m.records, h)
+	m.mu.Unlock()
+	ids := make([]uint32, 0, len(held))
+	for id := range held {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	m.onDaemons(ctx, ids, func(ctx *rpc.Ctx, i int, conn rpc.Conn) error {
+		for _, obj := range held[ids[i]] {
 			var rep IORemoveRep
 			if err := conn.Call(ctx, ProcIORemove, &IORemoveArgs{Handle: obj}, &rep); err != nil {
 				return err
@@ -861,29 +836,39 @@ func (m *MetaServer) removeObjects(ctx *rpc.Ctx, h Handle) {
 		}
 		return nil
 	})
-	m.mu.Lock()
-	delete(m.placements, h)
-	m.mu.Unlock()
 }
 
-// PrepareMigrate allocates a shadow data handle for h and creates its
-// objects on the current default distribution's servers.  The returned
-// placement is where a migration should copy the file's bytes; nothing is
-// visible to clients until CommitMigrate records it.
+// PrepareMigrate allocates a shadow data handle for file h, adds it to h's
+// record and creates its objects on the current default distribution's
+// servers.  The returned placement is where a migration should copy the
+// file's bytes; nothing is visible to clients until CommitMigrate flips to
+// it.
 func (m *MetaServer) PrepareMigrate(ctx *rpc.Ctx, h Handle) (Placement, error) {
 	m.mu.Lock()
-	shadow := m.nextShadow
+	r := m.records[h]
+	if r == nil {
+		m.mu.Unlock()
+		return Placement{}, fserr.ErrIO
+	}
+	shadow := Placement{Data: m.nextShadow, Dist: m.dist}
 	m.nextShadow++
-	dist := m.dist
+	r.objects = append(r.objects, shadow)
 	m.mu.Unlock()
-	if err := m.createObjects(ctx, shadow, dist); err != nil {
+	if err := m.createObjects(ctx, shadow); err != nil {
 		return Placement{}, err
 	}
-	return Placement{Data: shadow, Dist: dist}, nil
+	return shadow, nil
 }
 
-// CommitMigrate atomically flips h's placement to the migrated copy.
-func (m *MetaServer) CommitMigrate(h Handle, p Placement) { m.setPlacement(h, p) }
+// CommitMigrate atomically flips h's placement to the migrated copy; a file
+// removed meanwhile stays removed.
+func (m *MetaServer) CommitMigrate(h Handle, p Placement) {
+	m.mu.Lock()
+	if r := m.records[h]; r != nil {
+		r.place = p
+	}
+	m.mu.Unlock()
+}
 
 // objSizes computes, for a logical size, the implied object size on each
 // device under mapper.

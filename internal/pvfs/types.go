@@ -131,11 +131,8 @@ type LookupRep struct {
 // DistParams carries the file's distribution (aggregation) geometry.
 type DistParams struct {
 	StripeSize int64
-	NumServers uint32
-	// Servers optionally lists the stable storage-server IDs in stripe
-	// order.  Empty means the legacy positional geometry [0..NumServers):
-	// the encoding every pre-membership peer produced.  When set,
-	// len(Servers) == NumServers.
+	// Servers lists the stable storage-server IDs in stripe order: device
+	// i of the stripe is server Servers[i].
 	Servers []uint32
 	// Copies stores this many full replicas of the stripe, the server list
 	// partitioned per replica exactly like stripe.Replicated: replica r
@@ -146,45 +143,25 @@ type DistParams struct {
 	Copies uint32
 }
 
+// sizedMapper is an aggregation driver that reconstructs the logical file
+// end implied by one stripe object's size, as round-robin and replicated
+// round-robin — every driver a DistParams produces — both do.
+type sizedMapper interface {
+	stripe.Mapper
+	LogicalEnd(dev int, objSize int64) int64
+}
+
 // Mapper instantiates the distribution's aggregation driver.  Geometry the
 // replication factor cannot divide falls back to plain round-robin — a
 // misconfiguration surfaced loudly by the cluster layer, never here on the
 // I/O path.
-func (p DistParams) Mapper() stripe.Mapper {
-	n := max(len(p.ServerIDs()), 1)
+func (p DistParams) Mapper() sizedMapper {
+	n := max(len(p.Servers), 1)
 	if p.Copies > 1 && n%int(p.Copies) == 0 {
 		return stripe.NewReplicated(
 			stripe.NewRoundRobin(p.StripeSize, n/int(p.Copies)), int(p.Copies))
 	}
 	return stripe.NewRoundRobin(p.StripeSize, n)
-}
-
-// logicalEnd reconstructs the logical file end implied by a stripe object
-// of objSize bytes on dev, for mappers that support size reconstruction
-// (round-robin and replicated round-robin — every mapper a DistParams can
-// produce).
-func logicalEnd(m stripe.Mapper, dev int, objSize int64) int64 {
-	type ender interface {
-		LogicalEnd(dev int, objSize int64) int64
-	}
-	e, ok := m.(ender)
-	if !ok {
-		return 0
-	}
-	return e.LogicalEnd(dev, objSize)
-}
-
-// ServerIDs returns the stripe-order server IDs, materializing the legacy
-// positional list when Servers is empty.
-func (p DistParams) ServerIDs() []uint32 {
-	if len(p.Servers) > 0 {
-		return p.Servers
-	}
-	ids := make([]uint32, p.NumServers)
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	return ids
 }
 
 // CreateRep is the reply to ProcCreateH.
@@ -309,7 +286,6 @@ const maxServers = 4096
 
 func (p *DistParams) XDR(f xdr.Filter) {
 	f.I64(&p.StripeSize)
-	f.U32(&p.NumServers)
 	xdr.Slice(f, &p.Servers, maxServers, xdr.SizeUint32, xdr.Filter.U32)
 	f.U32(&p.Copies)
 }

@@ -47,7 +47,7 @@ func newVerbFS(nDev int) *verbFS {
 	for i := 0; i < nDev; i++ {
 		conns = append(conns, loggedDaemon{fs: fs, dev: i, s: NewStorageServer(StorageConfig{})})
 	}
-	fs.meta = NewMetaServer(MetaConfig{Dist: DistParams{StripeSize: 64 << 10}, IOConns: conns})
+	fs.meta = NewMetaServer(MetaConfig{Dist: DistParams{StripeSize: 64 << 10, Servers: serverIDs(len(conns))}, Dial: dialByID(conns)})
 	return fs
 }
 
@@ -197,7 +197,7 @@ func TestFailedCreateIsUndone(t *testing.T) {
 		}
 		conns = append(conns, conn)
 	}
-	fs.meta = NewMetaServer(MetaConfig{Dist: DistParams{StripeSize: 64 << 10}, IOConns: conns})
+	fs.meta = NewMetaServer(MetaConfig{Dist: DistParams{StripeSize: 64 << 10, Servers: serverIDs(len(conns))}, Dial: dialByID(conns)})
 	client := NewClient(ClientConfig{Meta: rpc.LocalConn(fs.meta.Handle)})
 	ctx := &rpc.Ctx{}
 	root := client.RootHandle()
@@ -211,8 +211,8 @@ func TestFailedCreateIsUndone(t *testing.T) {
 	if left := fs.walk(t); len(left) != 0 {
 		t.Fatalf("the failed create left %v in the namespace", left)
 	}
-	if len(fs.meta.placements) != 0 {
-		t.Fatalf("the failed create left placements %v", fs.meta.placements)
+	if len(fs.meta.records) != 0 {
+		t.Fatalf("the failed create left placement records %v", fs.meta.records)
 	}
 	// io0 and io2 made their objects; the undo removed them on every daemon.
 	const failed = Handle(2) // the first inode after the root

@@ -1,6 +1,7 @@
 package pvfs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,15 +24,15 @@ func TestAllMessageTypesRoundTrip(t *testing.T) {
 	{
 		var out LookupRep
 		roundTrip(t, &LookupRep{Errno: fserr.NoEnt, Handle: 7, IsDir: true, Size: -1,
-			Dist: DistParams{StripeSize: 1 << 20, NumServers: 6}}, &out)
+			Dist: DistParams{StripeSize: 1 << 20, Servers: serverIDs(6)}}, &out)
 		if out.Errno != fserr.NoEnt || out.Handle != 7 || !out.IsDir || out.Size != -1 ||
-			out.Dist.NumServers != 6 {
+			!slices.Equal(out.Dist.Servers, serverIDs(6)) {
 			t.Fatalf("LookupRep: %+v", out)
 		}
 	}
 	{
 		var out CreateRep
-		roundTrip(t, &CreateRep{Handle: 9, Dist: DistParams{StripeSize: 2 << 20, NumServers: 3}}, &out)
+		roundTrip(t, &CreateRep{Handle: 9, Dist: DistParams{StripeSize: 2 << 20, Servers: serverIDs(3)}}, &out)
 		if out.Handle != 9 || out.Dist.StripeSize != 2<<20 {
 			t.Fatalf("CreateRep: %+v", out)
 		}
@@ -41,8 +42,8 @@ func TestAllMessageTypesRoundTrip(t *testing.T) {
 		// reordered field would silently flatten every replicated layout.
 		var out CreateRep
 		roundTrip(t, &CreateRep{Handle: 11, Dist: DistParams{
-			StripeSize: 64 << 10, NumServers: 6, Copies: 2}}, &out)
-		if out.Dist.Copies != 2 || out.Dist.NumServers != 6 {
+			StripeSize: 64 << 10, Servers: serverIDs(6), Copies: 2}}, &out)
+		if out.Dist.Copies != 2 || !slices.Equal(out.Dist.Servers, serverIDs(6)) {
 			t.Fatalf("CreateRep with Copies: %+v", out)
 		}
 	}
@@ -162,7 +163,7 @@ func TestRegistriesCoverAllProcs(t *testing.T) {
 // TestMetaOverTCP drives the PVFS2 metadata server over a real socket,
 // proving the registry plumbing works outside the simulation.
 func TestMetaOverTCP(t *testing.T) {
-	meta := NewMetaServer(MetaConfig{Dist: DistParams{StripeSize: 1 << 20, NumServers: 1}})
+	meta := NewMetaServer(MetaConfig{Dist: DistParams{StripeSize: 1 << 20, Servers: serverIDs(1)}})
 	srv, err := rpc.ListenTCP("127.0.0.1:0", MetaRegistry(), meta.Handle)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -263,4 +264,37 @@ func TestStatusDownIsADownNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("tcp", tcpReg, conn.Call(&Ctx{}, procEcho, &echoArgs{N: 1}, nil), "io0")
+}
+
+// TestDialRefusesAnUnservedService: on both transports a dial to a (node,
+// service) pair that nothing serves fails at once, naming the pair, rather
+// than handing out a conn whose calls never return; on the fabric the
+// refused dial leaves no inbox behind.
+func TestDialRefusesAnUnservedService(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := simnet.NewFabric(k)
+	f.AddNode(simnet.NodeConfig{Name: "c0"})
+	io0 := f.AddNode(simnet.NodeConfig{Name: "io0"})
+	tcp := NewTCPTransport(1)
+	defer tcp.Close()
+	for name, tr := range map[string]Transport{"sim": &FabricTransport{Fabric: f}, "tcp": tcp} {
+		if _, err := tr.Serve("io0", "echo", echoRegistry(), echoHandler, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]string{{"io0", "nfs-mds"}, {"io9", "echo"}} {
+			conn, err := tr.Dial("c0", pair[0], pair[1])
+			if want := "no service registered at " + pair[0] + "/" + pair[1]; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: dial of %s/%s: conn %v, error %v; want an error naming the pair", name, pair[0], pair[1], conn, err)
+			}
+		}
+		if _, err := tr.Dial("c0", "io0", "echo"); err != nil {
+			t.Errorf("%s: dial of the served io0/echo: %v", name, err)
+		}
+	}
+	if io0.Serves("nfs-mds") {
+		t.Error("the refused fabric dial made io0 an nfs-mds inbox")
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

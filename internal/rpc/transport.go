@@ -83,7 +83,8 @@ func (t *FabricTransport) Serve(node, service string, _ *Registry, h Handler, th
 }
 
 // Dial implements Transport with a fabric conn between the two nodes,
-// shared across repeat dials of the same (from, node, service) edge.
+// shared across repeat dials of the same (from, node, service) edge.  Like
+// TCPTransport's, it refuses a (node, service) pair that nothing serves.
 func (t *FabricTransport) Dial(from, node, service string) (Conn, error) {
 	key := from + "\x00" + node + "\x00" + service
 	t.connMu.Lock()
@@ -91,10 +92,14 @@ func (t *FabricTransport) Dial(from, node, service string) (Conn, error) {
 	if c, ok := t.conns[key]; ok {
 		return c, nil
 	}
+	dst := t.Fabric.Lookup(node)
+	if dst == nil || !dst.Serves(service) {
+		return nil, fmt.Errorf("rpc: no service registered at %s/%s", node, service)
+	}
 	c := &SimTransport{
 		Fabric:  t.Fabric,
 		Src:     t.Fabric.Node(from),
-		Dst:     t.Fabric.Node(node),
+		Dst:     dst,
 		Service: service,
 		stats:   newConnStats(t.Metrics, "sim", service),
 	}

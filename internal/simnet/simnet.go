@@ -113,6 +113,12 @@ func (n *Node) Service(name string) *sim.Chan {
 	return ch
 }
 
+// Serves reports whether the node has an inbox for the named service.
+func (n *Node) Serves(name string) bool {
+	_, ok := n.services[name]
+	return ok
+}
+
 // Fabric is the collection of nodes in one simulated cluster.
 type Fabric struct {
 	K     *sim.Kernel
