@@ -84,15 +84,15 @@ func ExampleNew() {
 	fmt.Printf("wrote it in %v of virtual time\n", elapsed)
 	// Output:
 	// pNFS mount holds layouts: true
-	// wrote+read 8 MB through the Direct-pNFS stack in 302.996115ms of virtual time
-	//   io0  nic tx  8.703µs  rx 16.785344ms  disk 101.76438ms
+	// wrote+read 8 MB through the Direct-pNFS stack in 302.996052ms of virtual time
+	//   io0  nic tx   8.64µs  rx 16.785344ms  disk 101.76438ms
 	//   io1  nic tx  1.504µs  rx 16.78032ms  disk 101.76438ms
 	//   io2  nic tx  1.504µs  rx 16.78032ms  disk 101.76438ms
 	//   io3  nic tx  1.504µs  rx 16.78032ms  disk 101.76438ms
 	//   io4  nic tx    352ns  rx    384ns  disk       0s
 	//   io5  nic tx    352ns  rx    384ns  disk       0s
 	// synthetic file holds 64 MB
-	// wrote it in 1.011592083s of virtual time
+	// wrote it in 1.01159202s of virtual time
 }
 
 // ExampleConfig_aggregation runs Direct-pNFS with a pluggable aggregation

@@ -68,14 +68,13 @@ type directMDSBackend struct {
 	agg   string
 	aggP  []int64
 	proxy *pvfs.Client // fallback I/O path through the MDS
-	cl    *Cluster     // the published topology
+	cl    *Cluster     // the member table
 }
 
-// DevList implements nfs.LayoutSource: the published data servers, one per
-// active storage node.
+// DevList implements nfs.LayoutSource: the data servers, one per storage
+// node not drained away, read live from the member table.
 func (b *directMDSBackend) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
-	devs, _ := b.cl.published()
-	return devs, nil
+	return b.cl.devices(memberDraining), nil
 }
 
 // Lookup adds the size and change the MDS keeps locally from LAYOUTCOMMITs,
@@ -109,7 +108,7 @@ func (b *directMDSBackend) openCurrent(fh uint64) (*pvfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.proxy.OpenPlaced(pvfs.Handle(fh), place.Data, place.Dist), nil
+	return b.proxy.OpenPlaced(pvfs.Handle(fh), place), nil
 }
 
 func (b *directMDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, store.BlockSums, error) {
@@ -137,39 +136,33 @@ func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payloa
 	}
 	b.meta.Namespace().SetSize(store.FileID(fh), size)
 	if stable {
-		err = commitFile(ctx, b.proxy, f)
+		err = b.proxy.Sync(ctx, f)
 	}
 	return size, err
 }
 
+// Commit is COMMIT for the servers that reach data through a PVFS2 client
+// (the exports' too), and the end of their stable WRITEs: a FILE_SYNC write
+// costs what a write plus COMMIT costs.  The client's Sync flushes every
+// daemon of the file, not only those a write reached, so the datafile
+// objects the file's create left unsynced survive a crash as well — GETATTR
+// reconstructs the size from all of them.
 func (b *directMDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 	f, err := b.openCurrent(fh)
 	if err != nil {
 		return err
 	}
-	return commitFile(ctx, b.proxy, f)
-}
-
-// commitFile is COMMIT for the servers that reach data through a PVFS2
-// client, and the end of their stable WRITEs: a FILE_SYNC write costs what
-// a write plus COMMIT costs.  The client flushes every daemon of the file,
-// not only those a write reached, so the datafile objects the file's create
-// left unsynced survive a crash as well — GETATTR reconstructs the size
-// from all of them.
-func commitFile(ctx *rpc.Ctx, pv *pvfs.Client, f *pvfs.File) error {
-	return pv.Sync(ctx, f)
+	return b.proxy.Sync(ctx, f)
 }
 
 // LayoutGet translates the file's placement in the parallel FS into a pNFS
 // file-based layout (paper §4.2): exact distribution, direct offsets.  The
 // placement names the stable server IDs — the IDs of the co-located data
 // servers — and the datafile handle, so the layout stays exact across
-// membership changes; it carries the current layout generation.  The
-// default aggregation is round-robin over the placement's stripe; a
-// configured driver keeps its own params (membership changes refuse to run
-// alongside one).
+// membership changes.  The default aggregation is round-robin over the
+// placement's stripe; a configured driver keeps its own params (membership
+// changes refuse to run alongside one).
 func (b *directMDSBackend) LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
-	_, gen := b.cl.published()
 	place, err := b.meta.PlacementOf(pvfs.Handle(fh))
 	if err != nil {
 		return nil, err
@@ -182,12 +175,7 @@ func (b *directMDSBackend) LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout,
 	for i, id := range place.Dist.Servers {
 		native.Devices[i] = pnfs.DeviceID(id)
 	}
-	l, err := pnfs.Translate(native)
-	if err != nil {
-		return nil, err
-	}
-	l.Gen = gen
-	return l, nil
+	return pnfs.Translate(native)
 }
 
 // LayoutCommit records the client-reported size in the MDS namespace
@@ -208,9 +196,7 @@ func (b *directMDSBackend) LayoutCommit(ctx *rpc.Ctx, fh uint64, newSize int64) 
 // holds it (the general, misaligned case the paper measures).
 //
 // The 3-tier data servers are a fixed tier of their own; the 2-tier ones
-// ride the storage nodes, so their list is the published one.  Either way
-// the layouts carry the published generation, so clients refetch after a
-// membership change.
+// ride the storage nodes, so their list follows the member table.
 type blindLayouts struct {
 	cl     *Cluster
 	tier   []pnfs.DeviceInfo // 3-tier's data servers; nil on 2-tier
@@ -218,31 +204,23 @@ type blindLayouts struct {
 	shift  int
 }
 
-// devices returns the data servers the layouts stripe over and the layout
-// generation.
-func (bl *blindLayouts) devices() ([]pnfs.DeviceInfo, uint64) {
-	devs, gen := bl.cl.published()
-	if bl.tier != nil {
-		devs = bl.tier
-	}
-	return devs, gen
-}
-
-// DevList implements nfs.LayoutSource.
+// DevList implements nfs.LayoutSource: the data servers the layouts stripe
+// over.
 func (bl *blindLayouts) DevList(*rpc.Ctx) ([]pnfs.DeviceInfo, error) {
-	devs, _ := bl.devices()
-	return devs, nil
+	if bl.tier != nil {
+		return bl.tier, nil
+	}
+	return bl.cl.devices(memberDraining), nil
 }
 
 // LayoutGet implements nfs.LayoutSource: every file gets the same rotated
 // stripe over the data servers, addressed by its own filehandle.
-func (bl *blindLayouts) LayoutGet(_ *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
-	devs, gen := bl.devices()
+func (bl *blindLayouts) LayoutGet(ctx *rpc.Ctx, fh uint64) (*pnfs.FileLayout, error) {
+	devs, _ := bl.DevList(ctx)
 	l := &pnfs.FileLayout{
 		Aggregation: pnfs.AggRoundRobin,
 		Params:      []int64{bl.stripe},
 		Direct:      false,
-		Gen:         gen,
 	}
 	n := len(devs)
 	for i := range devs {
@@ -277,49 +255,32 @@ type blindMDSBackend struct {
 type exportBackend struct {
 	pvfsNamespace
 	node *simnet.Node
-	dist pvfs.DistParams
-	cl   *Cluster // the published layout generation
 
-	// Placement-aware (dynamic) mode: off while the published generation is
-	// 0, that is until the first membership change — the static-distribution
-	// fast path keeps pre-membership runs byte-identical.  Once on, every
-	// data op resolves the file's current placement through PLACEMENT_H,
-	// cached per handle until the next generation.
-	mu     sync.Mutex
-	places map[pvfs.Handle]cachedPlace
+	// files maps each file this server reached to its open reference
+	// (*pvfs.File), filled from the placement its own LOOKUP-H or CREATE-H
+	// reply carried, or else by one PLACEMENT-H; the client library keeps
+	// each on the file's current placement.
+	files sync.Map
 }
 
-type cachedPlace struct {
-	data pvfs.Handle
-	dist pvfs.DistParams
-	gen  uint64
-}
-
-// openCurrent opens fh for data access: the static distribution before any
-// membership change, the file's live placement after.
-func (b *exportBackend) openCurrent(ctx *rpc.Ctx, fh uint64) (*pvfs.File, error) {
+// file returns the open reference to fh for data access.
+func (b *exportBackend) file(ctx *rpc.Ctx, fh uint64) (*pvfs.File, error) {
 	h := pvfs.Handle(fh)
-	_, gen := b.cl.published()
-	if gen == 0 {
-		return b.pv.OpenPlaced(h, h, b.dist), nil
+	if f, ok := b.files.Load(h); ok {
+		return f.(*pvfs.File), nil
 	}
-	b.mu.Lock()
-	cp, ok := b.places[h]
-	b.mu.Unlock()
-	if ok && cp.gen == gen {
-		return b.pv.OpenPlaced(h, cp.data, cp.dist), nil
-	}
-	data, dist, err := b.pv.PlacementH(ctx, h)
+	place, err := b.pv.PlacementH(ctx, h)
 	if err != nil {
 		return nil, err
 	}
-	b.mu.Lock()
-	if b.places == nil {
-		b.places = make(map[pvfs.Handle]cachedPlace)
-	}
-	b.places[h] = cachedPlace{data: data, dist: dist, gen: gen}
-	b.mu.Unlock()
-	return b.pv.OpenPlaced(h, data, dist), nil
+	return b.keep(h, place), nil
+}
+
+// keep makes placement place the server's open reference to file h.
+func (b *exportBackend) keep(h pvfs.Handle, place pvfs.Placement) *pvfs.File {
+	f := b.pv.OpenPlaced(h, place)
+	b.files.Store(h, f)
+	return f
 }
 
 const (
@@ -339,20 +300,31 @@ func (b *exportBackend) conduit(ctx *rpc.Ctx, perMBCost time.Duration, bytes int
 // the wire; the Direct-pNFS MDS's calls it in-process (rpc.LocalConn).
 // Either way each verb is one handle procedure through MetaServer.Handle,
 // which counts it, charges its CPU and answers a crashed store as one.
-type pvfsNamespace struct{ pv *pvfs.Client }
+type pvfsNamespace struct {
+	pv *pvfs.Client
+	// keep, when set, learns the placement of every file a LOOKUP-H or
+	// CREATE-H reply names (an export's files).
+	keep func(pvfs.Handle, pvfs.Placement)
+}
 
 func (n pvfsNamespace) Root() uint64 { return uint64(n.pv.RootHandle()) }
 
 func (n pvfsNamespace) Lookup(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	h, isDir, err := n.pv.LookupH(ctx, pvfs.Handle(dir), name)
+	h, place, isDir, err := n.pv.LookupH(ctx, pvfs.Handle(dir), name)
 	if err != nil {
 		return 0, nfs.Attr{}, err
+	}
+	if !isDir && n.keep != nil {
+		n.keep(h, place)
 	}
 	return uint64(h), nfs.Attr{IsDir: isDir}, nil
 }
 
 func (n pvfsNamespace) Create(ctx *rpc.Ctx, dir uint64, name string) (uint64, nfs.Attr, error) {
-	h, err := n.pv.CreateH(ctx, pvfs.Handle(dir), name)
+	h, place, err := n.pv.CreateH(ctx, pvfs.Handle(dir), name)
+	if err == nil && n.keep != nil {
+		n.keep(h, place)
+	}
 	return uint64(h), nfs.Attr{}, err
 }
 
@@ -388,7 +360,7 @@ func (b *exportBackend) GetAttr(ctx *rpc.Ctx, fh uint64) (nfs.Attr, error) {
 // access.
 func (b *exportBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, store.BlockSums, error) {
 	b.conduit(ctx, exportReadPerMB, n)
-	f, err := b.openCurrent(ctx, fh)
+	f, err := b.file(ctx, fh)
 	if err != nil {
 		return payload.Payload{}, false, store.BlockSums{}, err
 	}
@@ -403,21 +375,21 @@ func (b *exportBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.P
 		return 0, err
 	}
 	b.conduit(ctx, exportWritePerMB, data.Len())
-	f, err := b.openCurrent(ctx, fh)
+	f, err := b.file(ctx, fh)
 	if err != nil {
 		return 0, err
 	}
 	size, err := b.pv.Write(ctx, f, off, data, false)
 	if err == nil && stable {
-		err = commitFile(ctx, b.pv, f)
+		err = b.pv.Sync(ctx, f)
 	}
 	return size, err
 }
 
 func (b *exportBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
-	f, err := b.openCurrent(ctx, fh)
+	f, err := b.file(ctx, fh)
 	if err != nil {
 		return err
 	}
-	return commitFile(ctx, b.pv, f)
+	return b.pv.Sync(ctx, f)
 }

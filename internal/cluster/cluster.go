@@ -231,17 +231,12 @@ type Cluster struct {
 	// one record per storage node in build order, drained ones included.
 	// nextDevID hands out stable pNFS device IDs in build order — storage
 	// nodes, then 3-tier data servers, then joiners — and never reuses one
-	// (see the device-ID stability note in package pnfs).  devices and
-	// layoutGen are the published topology (see published): the active
-	// storage nodes' data servers and the layout generation, replaced
-	// together after each membership change.  memberMu guards all of them,
-	// and schedule, the events queued for the next run, so a join or drain
-	// is checked against the queue it joins.
+	// (see the device-ID stability note in package pnfs).  memberMu guards
+	// both, and schedule, the events queued for the next run, so a join or
+	// drain is checked against the queue it joins.
 	memberMu    sync.Mutex
 	members     []*member
 	nextDevID   uint32
-	devices     []pnfs.DeviceInfo
-	layoutGen   uint64
 	schedule    faults.Plan
 	memberGauge *metrics.GaugeVec
 
@@ -360,9 +355,6 @@ func (cl *Cluster) buildBackend() {
 			BytesPerSec: cfg.NetBPS,
 		}))
 	}
-	// Before any membership change the published topology is every storage
-	// node, at generation 0.
-	cl.devices = cl.activeDevices()
 	meta := cl.members[0]
 	cl.mdsNode = meta.node
 	// The first distribution is built like every later one, plus the
@@ -501,7 +493,7 @@ func (cl *Cluster) buildDirect() *simnet.Node {
 		// No node and no registry: the in-process client charges no library
 		// CPU and registers no series, so a namespace verb costs the MDS what
 		// MetaServer.Handle charges for it, and nothing more.
-		pvfsNamespace: pvfsNamespace{pvfs.NewClient(pvfs.ClientConfig{Meta: rpc.LocalConn(cl.PVFSMeta.Handle)})},
+		pvfsNamespace: pvfsNamespace{pv: pvfs.NewClient(pvfs.ClientConfig{Meta: rpc.LocalConn(cl.PVFSMeta.Handle)})},
 		meta:          cl.PVFSMeta,
 		agg:           cl.Cfg.Aggregation,
 		aggP:          cl.Cfg.AggParams,
@@ -560,7 +552,9 @@ func (cl *Cluster) buildNFSv4() *simnet.Node {
 // PVFS2 file system through its own client library instance (logical offsets,
 // no layout knowledge).
 func (cl *Cluster) exportOn(n *simnet.Node) *exportBackend {
-	return &exportBackend{pvfsNamespace: pvfsNamespace{cl.pvfsClientAt(n)}, node: n, dist: cl.PVFSMeta.Dist(), cl: cl}
+	b := &exportBackend{node: n}
+	b.pvfsNamespace = pvfsNamespace{cl.pvfsClientAt(n), func(h pvfs.Handle, p pvfs.Placement) { b.keep(h, p) }}
+	return b
 }
 
 // exportDSOn registers a file-based pNFS data server on node n.
@@ -569,8 +563,8 @@ func (cl *Cluster) exportDSOn(n *simnet.Node) {
 }
 
 // blindMDSOn registers the two/three-tier pNFS metadata server on node n,
-// handing out blind layouts over the data-server tier (nil: the published
-// storage nodes).
+// handing out blind layouts over the data-server tier (nil: the storage
+// nodes' data servers).
 func (cl *Cluster) blindMDSOn(n *simnet.Node, tier []pnfs.DeviceInfo) {
 	bl := &blindLayouts{cl: cl, tier: tier, stripe: cl.Cfg.WSize, shift: 1}
 	nfsServeOn(cl, n, ServiceMDS, blindMDSBackend{cl.exportOn(n), bl})
@@ -903,16 +897,20 @@ func (cl *Cluster) Stats() []NodeStats {
 // Now returns the cluster's current virtual time.
 func (cl *Cluster) Now() time.Duration { return time.Duration(cl.K.Now()) }
 
-// WarmCaches marks every storage node's disk cache resident for the named
-// file, reproducing the paper's warm-server-cache read setup (§6.2).
+// WarmCaches marks the named file's objects resident in the disk caches of
+// the storage nodes that hold them — its placement's, under its data
+// handle — reproducing the paper's warm-server-cache read setup (§6.2).
 func (cl *Cluster) WarmCaches(path string) error {
 	at, err := cl.PVFSMeta.Namespace().LookupPath(path)
 	if err != nil {
 		return err
 	}
-	h := uint64(at.ID)
+	place, err := cl.PVFSMeta.PlacementOf(pvfs.Handle(at.ID))
+	if err != nil {
+		return err
+	}
 	for _, m := range cl.members {
-		m.disk.Warm(h, 0, m.storage.ObjectSize(pvfs.Handle(h)))
+		m.disk.Warm(uint64(place.Data), 0, m.storage.ObjectSize(place.Data))
 	}
 	return nil
 }

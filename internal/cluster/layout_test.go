@@ -188,14 +188,22 @@ func TestDirectLayoutGetPinned(t *testing.T) {
 }
 
 // TestDirectLayoutGetAfterDrain pins the round-robin layout after io1 is
-// drained: the survivors keep their device IDs, every device addresses the
-// shadow objects the migration copied the file into, and the generation
-// moved to 1.  The migrated bytes read back through the new layout.
+// drained: the survivors keep their device IDs, and every device addresses
+// the shadow objects the migration copied the file into — a geometry other
+// than the pre-drain layout's, which is what sends a client holding that
+// one to remap.  The migrated bytes read back through the new layout.
 func TestDirectLayoutGetAfterDrain(t *testing.T) {
 	const size = 5<<20 + 777
 	cl := New(Config{Arch: ArchDirectPNFS, Clients: 2, Real: true})
 	defer cl.Close()
 	fh := writeLayoutFile(t, cl, size)
+	var before pnfs.FileLayout
+	if _, err := cl.RunClient(1, func(ctx *rpc.Ctx, m *Mount, _ int) (err error) {
+		before, err = layoutOverWire(ctx, cl, m, fh)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	schedule(t, cl, faults.Drain{Node: "io1"})
 	if err := cl.Reconcile(); err != nil {
 		t.Fatal(err)
@@ -210,7 +218,7 @@ func TestDirectLayoutGetAfterDrain(t *testing.T) {
 	}
 	want := pnfs.FileLayout{
 		Aggregation: pnfs.AggRoundRobin, Params: []int64{2 << 20},
-		Devices: []pnfs.DeviceID{0, 2, 3, 4, 5}, Direct: true, Gen: 1,
+		Devices: []pnfs.DeviceID{0, 2, 3, 4, 5}, Direct: true,
 	}
 	var got pnfs.FileLayout
 	if _, err := cl.RunClient(1, func(ctx *rpc.Ctx, m *Mount, _ int) error {
@@ -242,13 +250,18 @@ func TestDirectLayoutGetAfterDrain(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("LAYOUTGET after the drain replied\n%+v\nwant\n%+v", got, want)
 	}
+	if got.SameGeometry(&before) {
+		t.Fatalf("the layout after the drain has the pre-drain geometry %+v", before)
+	}
 }
 
 // TestBlindLayoutsAfterJoin pins what the 2-tier and 3-tier metadata
-// servers answer once io9 has joined: the 2-tier GETDEVICELIST is the
-// published one, so it gains io9's data server (device 6); the 3-tier one
+// servers answer once io9 has joined: the 2-tier GETDEVICELIST follows the
+// member table, so it gains io9's data server (device 6); the 3-tier one
 // still names only its ds* tier; and both LAYOUTGETs stripe over the list
-// rotated by one and carry generation 1, so clients refetch.
+// rotated by one.  So the 2-tier layout's geometry moved from the pre-join
+// one's and the 3-tier one's did not: its data servers find the file's
+// placement themselves.
 func TestBlindLayoutsAfterJoin(t *testing.T) {
 	for _, c := range []struct {
 		arch    Arch
@@ -263,31 +276,41 @@ func TestBlindLayoutsAfterJoin(t *testing.T) {
 			cl := New(Config{Arch: c.arch, Clients: 1, Real: true})
 			defer cl.Close()
 			fh := writeLayoutFile(t, cl, 1<<20)
+			var rep nfs.CompoundRep
+			ask := func() {
+				t.Helper()
+				if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, m *Mount, _ int) error {
+					conn := cl.dial(m.node.Name, c.mds, ServiceMDS)
+					args := &nfs.CompoundArgs{Ops: []nfs.Op{&nfs.OpPutRootFH{}, &nfs.OpGetDevList{}, &nfs.OpPutFH{FH: fh}, &nfs.OpLayoutGet{}}}
+					if err := conn.Call(ctx, nfs.ProcCompound, args, &rep); err != nil {
+						return err
+					}
+					return rep.Status.Err()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ask()
+			before := rep.Results[3].(*nfs.ResLayoutGet).Layout
 			schedule(t, cl, faults.Join{Node: "io9"})
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
-			var rep nfs.CompoundRep
-			if _, err := cl.RunClient(0, func(ctx *rpc.Ctx, m *Mount, _ int) error {
-				conn := cl.dial(m.node.Name, c.mds, ServiceMDS)
-				args := &nfs.CompoundArgs{Ops: []nfs.Op{&nfs.OpPutRootFH{}, &nfs.OpGetDevList{}, &nfs.OpPutFH{FH: fh}, &nfs.OpLayoutGet{}}}
-				if err := conn.Call(ctx, nfs.ProcCompound, args, &rep); err != nil {
-					return err
-				}
-				return rep.Status.Err()
-			}); err != nil {
-				t.Fatal(err)
-			}
+			ask()
 			if got := rep.Results[1].(*nfs.ResGetDevList).Devices; !reflect.DeepEqual(got, c.devices) {
 				t.Errorf("GETDEVICELIST after the join replied %+v, want %+v", got, c.devices)
 			}
-			want := pnfs.FileLayout{Aggregation: pnfs.AggRoundRobin, Params: []int64{cl.Cfg.WSize}, Gen: 1}
+			want := pnfs.FileLayout{Aggregation: pnfs.AggRoundRobin, Params: []int64{cl.Cfg.WSize}}
 			for i := range c.devices {
 				want.Devices = append(want.Devices, c.devices[(i+1)%len(c.devices)].ID)
 				want.FHs = append(want.FHs, fh)
 			}
-			if got := rep.Results[3].(*nfs.ResLayoutGet).Layout; !reflect.DeepEqual(got, want) {
+			got := rep.Results[3].(*nfs.ResLayoutGet).Layout
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("LAYOUTGET after the join replied\n%+v\nwant\n%+v", got, want)
+			}
+			if moved := !got.SameGeometry(&before); moved != (c.arch == ArchPNFS2Tier) {
+				t.Errorf("the layout's geometry moved over the join: %v, want %v", moved, c.arch == ArchPNFS2Tier)
 			}
 		})
 	}

@@ -100,25 +100,18 @@ func (cl *Cluster) dialDaemon(from string, id uint32, removed bool) rpc.Conn {
 	return conn
 }
 
-// published returns the published topology: the data servers of the active
-// storage nodes and the layout generation, which publishTopology replaces
-// together.  The Direct-pNFS and 2-tier device lists, every layout's
-// generation and the exports' placement mode read it.
-func (cl *Cluster) published() ([]pnfs.DeviceInfo, uint64) {
-	cl.memberMu.Lock()
-	defer cl.memberMu.Unlock()
-	return cl.devices, cl.layoutGen
-}
-
-// activeDevices lists the data servers of the members that may receive new
-// placements, in build order, under their stable device IDs: a list rebuilt
+// devices lists, read live from the member table in build order under
+// their stable device IDs, the data servers of the members in a state up
+// to last: memberActive gives the members that may receive new placements,
+// and memberDraining adds the ones being drained, which layouts of files
+// not yet moved off them still name — GETDEVICELIST's list.  A list rebuilt
 // after a drain keeps every survivor's ID, and a joiner's is new.
-func (cl *Cluster) activeDevices() []pnfs.DeviceInfo {
+func (cl *Cluster) devices(last memberState) []pnfs.DeviceInfo {
 	cl.memberMu.Lock()
 	defer cl.memberMu.Unlock()
-	var out []pnfs.DeviceInfo
+	out := make([]pnfs.DeviceInfo, 0, len(cl.members))
 	for _, m := range cl.members {
-		if m.state == memberActive {
+		if m.state <= last {
 			out = append(out, pnfs.DeviceInfo{ID: m.id, Addr: m.node.Name})
 		}
 	}
@@ -128,7 +121,7 @@ func (cl *Cluster) activeDevices() []pnfs.DeviceInfo {
 // activeDist is the distribution that places new files across the active
 // members, naming their stable server IDs explicitly.
 func (cl *Cluster) activeDist() pvfs.DistParams {
-	devs := cl.activeDevices()
+	devs := cl.devices(memberActive)
 	ids := make([]uint32, len(devs))
 	for i, d := range devs {
 		ids[i] = uint32(d.ID)
@@ -249,7 +242,7 @@ func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 	if err := cl.rebalance(ctx, target); err != nil {
 		return fmt.Errorf("cluster: rebalance after join of %s: %w", name, err)
 	}
-	cl.publishTopology()
+	cl.recallLayouts()
 	return nil
 }
 
@@ -279,20 +272,16 @@ func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	m.state = memberRemoved
 	cl.memberMu.Unlock()
 	cl.updateMemberGauges()
-	cl.publishTopology()
+	cl.recallLayouts()
 	return nil
 }
 
-// publishTopology publishes the post-change geometry (see published): the
-// active storage nodes' data servers and the next layout generation,
-// together.  Then it recalls every NFS client's layouts — the in-process
-// stand-in for CB_LAYOUTRECALL.
-func (cl *Cluster) publishTopology() {
-	devs := cl.activeDevices()
-	cl.memberMu.Lock()
-	cl.devices = devs
-	cl.layoutGen++
-	cl.memberMu.Unlock()
+// recallLayouts recalls every NFS client's layouts once a membership change
+// is done — the in-process stand-in for CB_LAYOUTRECALL.  Nothing depends
+// on it for correctness (a data server refuses I/O under a moved
+// placement, and the client refetches), but it moves the 2-tier clients'
+// blind layouts onto a joiner's data server.
+func (cl *Cluster) recallLayouts() {
 	for _, c := range cl.nfsClients {
 		c.InvalidateLayouts()
 	}
@@ -301,9 +290,9 @@ func (cl *Cluster) publishTopology() {
 // rebalance copies every file whose placement differs from target onto
 // target, through one Background-class PVFS2 client library on the metadata
 // node, in one pass.  Chunks are written with Sync so every acknowledged
-// byte is on stable storage before the placement flips, and source objects
-// are left in place so reads under the previous layout generation stay
-// correct until every client has been invalidated.  A node that crashes
+// byte is on stable storage before the placement flips, and the flip
+// removes the source objects, so a reader or writer still on them gets
+// Stale and follows the file to its new placement.  A node that crashes
 // mid-copy fails its calls retryably, however far they got, so the client's
 // retry loop waits out the outage.  The Background class keeps migration
 // inside the engines' BackgroundShare window slots, protecting foreground
@@ -342,7 +331,7 @@ func (cl *Cluster) listFiles(ctx *rpc.Ctx, c *pvfs.Client) ([]pvfs.Handle, error
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			h, isDir, err := c.LookupH(ctx, dir, name)
+			h, _, isDir, err := c.LookupH(ctx, dir, name)
 			if err != nil {
 				return err
 			}
@@ -362,30 +351,25 @@ func (cl *Cluster) listFiles(ctx *rpc.Ctx, c *pvfs.Client) ([]pvfs.Handle, error
 	return files, nil
 }
 
-// sameDist reports whether two distributions place bytes identically.
-func sameDist(a, b pvfs.DistParams) bool {
-	return a.StripeSize == b.StripeSize && slices.Equal(a.Servers, b.Servers)
-}
-
 // migrateFile moves one file onto target: shadow objects are created on the
 // target servers, data is copied chunk by chunk (Sync'd, so acknowledged
 // bytes are durable under WAL-backed stores), and only then does the
-// placement flip.  A crash mid-copy therefore leaves the old placement
-// fully intact.
+// placement flip and the source objects go.  A crash mid-copy therefore
+// leaves the old placement fully intact.
 func (cl *Cluster) migrateFile(ctx *rpc.Ctx, mig *pvfs.Client, h pvfs.Handle, target pvfs.DistParams) error {
 	place, err := cl.PVFSMeta.PlacementOf(h)
 	if err != nil {
 		return fmt.Errorf("cluster: placement of %x: %w", uint64(h), err)
 	}
-	if sameDist(place.Dist, target) {
-		return nil
+	if place.Dist.StripeSize == target.StripeSize && slices.Equal(place.Dist.Servers, target.Servers) {
+		return nil // already placed as target places bytes
 	}
 	shadow, err := cl.PVFSMeta.PrepareMigrate(ctx, h)
 	if err != nil {
 		return fmt.Errorf("cluster: prepare migrate %x: %w", uint64(h), err)
 	}
-	src := mig.OpenPlaced(h, place.Data, place.Dist)
-	dst := mig.OpenPlaced(h, shadow.Data, shadow.Dist)
+	src := mig.OpenPlaced(h, place)
+	dst := mig.OpenPlaced(h, shadow)
 	size, err := mig.GetAttr(ctx, src)
 	if err != nil {
 		return err
@@ -402,7 +386,7 @@ func (cl *Cluster) migrateFile(ctx *rpc.Ctx, mig *pvfs.Client, h pvfs.Handle, ta
 		}
 		cl.rebalanceBytes.Add(uint64(n))
 	}
-	cl.PVFSMeta.CommitMigrate(h, shadow)
+	cl.PVFSMeta.CommitMigrate(ctx, h, shadow)
 	// The copy skips holes, so a sparse file's new objects can stop short
 	// of the sizes the new geometry gives them; publish the exact logical
 	// size onto the new placement (the daemons sync a truncate of shadow

@@ -88,12 +88,12 @@ func TestJoinWidensClusterAndPreservesData(t *testing.T) {
 			if err := writeMemberCorpus(cl, size); err != nil {
 				t.Fatal(err)
 			}
-			before := len(cl.activeDevices())
+			before := len(cl.devices(memberActive))
 			schedule(t, cl, faults.Join{Node: "io9"})
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(cl.activeDevices()); got != before+1 {
+			if got := len(cl.devices(memberActive)); got != before+1 {
 				t.Fatalf("active members %d, want %d", got, before+1)
 			}
 			if cl.rebalanceBytes.Value() == 0 {
@@ -614,10 +614,10 @@ func TestRemoveAfterTwoMigrationsLeavesNoObjects(t *testing.T) {
 	}
 }
 
-// TestRemoveAfterDrainEmptiesTheDrainedNode: a drain leaves the file's
-// source object on the drained node, and removing the file removes it
-// there too — the metadata manager still reaches a member its clients
-// refuse.
+// TestRemoveAfterDrainEmptiesTheDrainedNode: the drain's commit removes the
+// file's source object from the drained node, so the node holds no object
+// once the drain is done, and removing the file afterwards leaves every
+// member's store root empty.  Clients refuse the drained member.
 func TestRemoveAfterDrainEmptiesTheDrainedNode(t *testing.T) {
 	for _, arch := range Archs {
 		t.Run(string(arch), func(t *testing.T) {
@@ -630,8 +630,8 @@ func TestRemoveAfterDrainEmptiesTheDrainedNode(t *testing.T) {
 			if err := cl.Reconcile(); err != nil {
 				t.Fatal(err)
 			}
-			if n := objectsLeft(t, cl)["io1"]; n != 1 {
-				t.Fatalf("the drained io1 holds %d objects before the remove, want the file's source object", n)
+			if n := objectsLeft(t, cl)["io1"]; n != 0 {
+				t.Fatalf("the drained io1 holds %d objects before the remove, want none", n)
 			}
 			if cl.dialDaemon("c0", uint32(cl.memberNamed("io1").id), false) != nil {
 				t.Fatal("a client may dial the drained io1")

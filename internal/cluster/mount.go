@@ -195,7 +195,7 @@ func (m pvfsMount) Stat(ctx *rpc.Ctx, f *File) (int64, error) { return m.Size(ct
 func (m pvfsMount) Rename(ctx *rpc.Ctx, dirPath, src, dst string) error {
 	dir := m.RootHandle()
 	if rel := strings.Trim(dirPath, "/"); rel != "" {
-		h, _, err := m.LookupH(ctx, dir, rel)
+		h, _, _, err := m.LookupH(ctx, dir, rel)
 		if err != nil {
 			return err
 		}

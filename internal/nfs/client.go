@@ -14,7 +14,6 @@ import (
 	"dpnfs/internal/rpc"
 	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
-	"dpnfs/internal/stripe"
 	"dpnfs/internal/xdr"
 )
 
@@ -84,8 +83,8 @@ type Client struct {
 	devices map[pnfs.DeviceID]rpc.Conn
 	// active is the device set advertised by the most recent GETDEVICELIST.
 	// Conns for devices that have since left the list stay in devices (so
-	// layouts at older generations remain readable) but are excluded from
-	// replica failover.
+	// layouts fetched before a membership change remain usable) but are
+	// excluded from replica failover.
 	active map[pnfs.DeviceID]bool
 	// epoch counts layout invalidations (cluster membership changes); open
 	// files compare it to decide whether to refetch their layout.
@@ -358,12 +357,11 @@ type File struct {
 	stateID uint64
 	size    int64
 
-	// layoutMu serializes layout refetches after an epoch bump (membership
-	// change); layout/mapper/epoch are re-read by parallel extent flows.
+	// lay is the file's layout (nil without pNFS), swapped whole so that a
+	// flow maps and addresses all its extents under the one it loaded.
+	// layoutMu serializes refetches after an epoch bump (a layout recall).
 	layoutMu sync.Mutex
-	layout   *pnfs.FileLayout
-	mapper   stripe.Mapper
-	epoch    uint64
+	lay      atomic.Pointer[laidOut]
 
 	cache *pageCache
 

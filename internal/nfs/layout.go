@@ -49,7 +49,7 @@ func (c *Client) extentCall(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.
 
 // refreshDevices re-drives GETDEVICELIST, dials any newly advertised
 // device, and replaces the active set.  Conns for departed devices are
-// retained so data written under older layout generations stays reachable.
+// retained so layouts fetched before a membership change stay usable.
 func (c *Client) refreshDevices(ctx *rpc.Ctx) error {
 	if c.cfg.DialDS == nil {
 		return fmt.Errorf("nfs: no data-server dialer")
@@ -76,8 +76,8 @@ func (c *Client) refreshDevices(ctx *rpc.Ctx) error {
 
 // InvalidateLayouts discards every cached layout and bumps the layout
 // epoch, so each open file refetches its layout (and the device list)
-// before its next striped I/O.  The cluster calls this after a membership
-// change regenerates layouts at a new generation.
+// before its next striped I/O: the cluster's recall after a membership
+// change.
 func (c *Client) InvalidateLayouts() {
 	c.stateMu.Lock()
 	n := len(c.layouts)
@@ -123,17 +123,30 @@ func (f *File) adoptLayout(ctx *rpc.Ctx, lg *ResLayoutGet, epoch uint64) error {
 	return f.useLayout(ctx, &lg.Layout, epoch)
 }
 
+// laidOut is a layout as a file's I/O uses it: with its aggregation driver,
+// and the client's layout epoch it was fetched in.
+type laidOut struct {
+	layout *pnfs.FileLayout
+	mapper stripe.Mapper
+	epoch  uint64
+}
+
+// laid returns f's layout and its driver, both nil without one.
+func (f *File) laid() (*pnfs.FileLayout, stripe.Mapper) {
+	if lo := f.lay.Load(); lo != nil {
+		return lo.layout, lo.mapper
+	}
+	return nil, nil
+}
+
 // useLayout makes l f's layout as of epoch, dialing any device l references
 // that joined after mount.
 func (f *File) useLayout(ctx *rpc.Ctx, l *pnfs.FileLayout, epoch uint64) error {
-	f.layout = l
-	m, err := f.layout.Mapper()
+	m, err := l.Mapper()
 	if err != nil {
 		return fmt.Errorf("nfs: layout for %s: %w", f.Path, err)
 	}
-	f.mapper = m
-	f.epoch = epoch
-	for _, id := range f.layout.Devices {
+	for _, id := range l.Devices {
 		if f.c.device(id) == nil {
 			// A device this layout references may have joined after mount:
 			// refresh the device list once before giving up.
@@ -142,18 +155,19 @@ func (f *File) useLayout(ctx *rpc.Ctx, l *pnfs.FileLayout, epoch uint64) error {
 			}
 		}
 	}
+	f.lay.Store(&laidOut{l, m, epoch})
 	return nil
 }
 
 // ensureLayout refetches the file's layout when the client's layout epoch
-// moved since the layout was fetched (a membership change invalidated it).
+// moved since the layout was fetched (a membership change recalled it).
 func (f *File) ensureLayout(ctx *rpc.Ctx) error {
-	if f.mapper == nil || f.epoch == f.c.epochNow() {
+	if lo := f.lay.Load(); lo == nil || lo.epoch == f.c.epochNow() {
 		return nil
 	}
 	f.layoutMu.Lock()
 	defer f.layoutMu.Unlock()
-	if f.epoch == f.c.epochNow() {
+	if f.lay.Load().epoch == f.c.epochNow() {
 		return nil
 	}
 	return f.fetchLayout(ctx)
@@ -161,70 +175,55 @@ func (f *File) ensureLayout(ctx *rpc.Ctx) error {
 
 // recoverLayout handles a data-server failure: it evicts the file's cached
 // layout, re-drives GETDEVICELIST (re-dialing every advertised device) and
-// LAYOUTGET, and returns the fresh layout for a single retry.  A nil return
-// means recovery itself failed — the caller then proxies the extent through
-// the MDS, the protocol's guaranteed-correct fallback path (paper §4).
-func (c *Client) recoverLayout(ctx *rpc.Ctx, f *File) *pnfs.FileLayout {
+// LAYOUTGET, and makes the fresh layout the file's — later extents go out
+// under it — and returns it for a single retry.  A nil return means
+// recovery itself failed — the caller then proxies the extent through the
+// MDS, the protocol's guaranteed-correct fallback path (paper §4).
+func (c *Client) recoverLayout(ctx *rpc.Ctx, f *File) *laidOut {
 	c.stateMu.Lock()
 	delete(c.layouts, f.fh)
+	epoch := c.epoch
 	c.stateMu.Unlock()
 	c.layoutEvicts.Inc()
 	_ = c.refreshDevices(ctx) // best effort: LAYOUTGET below decides
 	rep, err := c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpLayoutGet{})
-	if err != nil {
+	if err != nil || f.adoptLayout(ctx, rep.Results[1].(*ResLayoutGet), epoch) != nil {
 		return nil
 	}
-	lg := rep.Results[1].(*ResLayoutGet)
-	l := lg.Layout
-	if _, err := l.Mapper(); err != nil {
-		return nil
-	}
-	c.stateMu.Lock()
-	for _, id := range l.Devices {
-		if _, ok := c.devices[id]; !ok {
-			c.stateMu.Unlock()
-			return nil
-		}
-	}
-	c.layouts[f.fh] = &l
-	c.stateMu.Unlock()
 	c.layoutRefch.Inc()
-	return &l
+	return f.lay.Load()
 }
 
 // recoveryRung builds the layout-recovery rung the write and read ladders
 // share.  A device error evicts the file's cached layout, re-drives
 // GETDEVICELIST + LAYOUTGET, and retries the extent once through op — the
-// ladder's data-server operation — under the fresh layout.  When that layout
-// was regenerated under a new membership (its Gen moved past layout's) the
-// extent's device index is meaningless under the new geometry, so remap maps
-// the logical range through the fresh mapper and op runs on each sub-extent.
-// settled, when non-nil, learns where the retried extent landed: its device
-// index, or -1 (the MDS) after a remap.  Failures of recovery itself return
-// the original error so the next rung (the MDS proxy) takes over.
+// ladder's data-server operation — under the fresh layout, unless another
+// flow of the file already replaced the failed layout with one of another
+// geometry, which is then used as is.  When the fresh layout's geometry
+// differs from layout's (the file moved under a membership change) the
+// extent's device index is meaningless under it, so remap maps the logical
+// range through the fresh mapper and op runs on each sub-extent.  settled,
+// when non-nil, learns where the retried extent landed: its device index,
+// or -1 (the MDS) after a remap.  Failures of recovery itself return the
+// original error so the next rung (the MDS proxy) takes over.
 func (c *Client) recoveryRung(f *File, layout *pnfs.FileLayout,
 	remap func(m stripe.Mapper, e stripe.Extent) []stripe.Extent,
 	op func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error,
 	settled func(dev int)) ioengine.Policy {
 	return ioengine.WithFallback(func(ctx *rpc.Ctx, e stripe.Extent, err error) error {
 		c.devErrors.Inc()
-		l2 := c.recoverLayout(ctx, f)
-		if l2 == nil {
-			return err
-		}
-		dev := e.Dev
-		exts := []stripe.Extent{e}
-		if l2.Gen != layout.Gen {
-			m2, merr := l2.Mapper()
-			if merr != nil {
+		lo := f.lay.Load()
+		if lo.layout.SameGeometry(layout) {
+			if lo = c.recoverLayout(ctx, f); lo == nil {
 				return err
 			}
-			dev, exts = -1, remap(m2, e)
-		} else if e.Dev >= len(l2.Devices) {
-			return err
+		}
+		dev, exts := e.Dev, []stripe.Extent{e}
+		if !lo.layout.SameGeometry(layout) {
+			dev, exts = -1, remap(lo.mapper, e)
 		}
 		for _, se := range exts {
-			if err2 := op(ctx, l2, se); err2 != nil {
+			if err2 := op(ctx, lo.layout, se); err2 != nil {
 				return err2
 			}
 		}

@@ -183,7 +183,7 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 		}
 		return nil
 	}
-	layout := f.layout
+	layout, mapper := f.laid()
 	if layout == nil {
 		// No layout: every chunk is one MDS pseudo-extent (Dev -1).
 		reqs := make([]stripe.Extent, len(chunks))
@@ -195,9 +195,9 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 	}
 	var extents []stripe.Extent
 	for _, ch := range chunks {
-		extents = append(extents, f.mapper.ReadMap(ch.Off, ch.len(), ch.Off/c.cfg.RSize)...)
+		extents = append(extents, mapper.ReadMap(ch.Off, ch.len(), ch.Off/c.cfg.RSize)...)
 	}
-	rm, replicated := f.mapper.(*stripe.Replicated)
+	rm, replicated := mapper.(*stripe.Replicated)
 	if replicated {
 		// Steer each extent to its least-loaded replica device before issue.
 		extents = c.engine.SteerReplicas(rm, extents)

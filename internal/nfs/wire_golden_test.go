@@ -89,11 +89,10 @@ var goldenCompound = []struct {
 			"2e302e323a32303439000000"},
 	{"ResLayoutGet/replicated", &ResLayoutGet{Layout: pnfs.FileLayout{
 		Aggregation: pnfs.AggReplicated, Params: []int64{2, 1 << 20},
-		Devices: []pnfs.DeviceID{0, 1, 2, 3}, FHs: []uint64{21, 22, 23, 24}, Direct: true, Gen: 3}},
+		Devices: []pnfs.DeviceID{0, 1, 2, 3}, FHs: []uint64{21, 22, 23, 24}, Direct: true}},
 		"000000000000000a7265706c6963617465640000000000020000000000000002" +
 			"0000000000100000000000040000000000000000000000150000000100000000" +
-			"0000001600000002000000000000001700000003000000000000001800000001" +
-			"0000000000000003"},
+			"0000001600000002000000000000001700000003000000000000001800000001"},
 	{"ResLayoutCommit", &ResLayoutCommit{errnoOnly{fserr.NotDir}}, "00000004"},
 	{"ResLayoutReturn", &ResLayoutReturn{errnoOnly{fserr.Stale}}, "00000007"},
 	{"ResExchangeID", &ResExchangeID{ClientID: 0xABCDEF}, "000000000000000000abcdef"},

@@ -94,12 +94,12 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 	var owners []*File
 	for _, wb := range chunks {
 		f, data := wb.f, wb.data
-		exts, err := c.chunkExtents(ctx, f, wb.off, data.Len())
+		exts, layout, err := c.chunkExtents(ctx, f, wb.off, data.Len())
 		if err != nil {
 			f.setAsyncErr(err)
 			continue
 		}
-		fn := c.chunkLadder(f, wb.off, data, wb.sums, false)
+		fn := c.chunkLadder(f, layout, wb.off, data, wb.sums, false)
 		for _, e := range exts {
 			reqs = append(reqs, e)
 			fns = append(fns, fn)
@@ -126,21 +126,23 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 	}
 }
 
-// chunkExtents maps a gathered chunk of f onto the requests that write it:
-// its data-server extents under f's layout or, without one, the whole chunk
-// as one pseudo-extent for the MDS (Dev -1, the engine's MDS marker).
-func (c *Client) chunkExtents(ctx *rpc.Ctx, f *File, off, n int64) ([]stripe.Extent, error) {
+// chunkExtents maps a gathered chunk of f onto the requests that write it,
+// and returns the layout it mapped them under: its data-server extents
+// under f's layout or, without one, the whole chunk as one pseudo-extent
+// for the MDS (Dev -1, the engine's MDS marker).
+func (c *Client) chunkExtents(ctx *rpc.Ctx, f *File, off, n int64) ([]stripe.Extent, *pnfs.FileLayout, error) {
 	if err := f.ensureLayout(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if f.mapper == nil {
-		return []stripe.Extent{{Dev: -1, Off: off, Len: n}}, nil
+	layout, mapper := f.laid()
+	if layout == nil {
+		return []stripe.Extent{{Dev: -1, Off: off, Len: n}}, nil, nil
 	}
-	return c.engine.Prepare(f.mapper.Map(off, n)), nil
+	return c.engine.Prepare(mapper.Map(off, n)), layout, nil
 }
 
-// chunkLadder builds the per-extent dispatch for one gathered chunk.  Without
-// a layout that is the write itself — the MDS is the only server.  Under a
+// chunkLadder builds the per-extent dispatch for one gathered chunk, mapped
+// under layout by chunkExtents.  Without a layout that is the write itself — the MDS is the only server.  Under a
 // pNFS layout the striped write sits behind a two-rung policy ladder: a
 // device error evicts the cached layout, re-drives GETDEVICELIST +
 // LAYOUTGET, and retries once against the fresh layout (the recalled-layout
@@ -149,8 +151,7 @@ func (c *Client) chunkExtents(ctx *rpc.Ctx, f *File, off, n int64) ([]stripe.Ext
 // the client's behalf.  Every rung writes stable when stable is set, and
 // then leaves no server a COMMIT to do; otherwise each marks the server its
 // unstable write landed on touched.
-func (c *Client) chunkLadder(f *File, off int64, data payload.Payload, sums store.BlockSums, stable bool) ioengine.DoFunc {
-	layout := f.layout
+func (c *Client) chunkLadder(f *File, layout *pnfs.FileLayout, off int64, data payload.Payload, sums store.BlockSums, stable bool) ioengine.DoFunc {
 	write := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
 		return c.writeExtent(ctx, f, l, e, data.Slice(e.Off-off, e.Len), extentSums(off, data, sums, e), stable)
 	}
@@ -279,7 +280,7 @@ func (c *Client) flush(ctx *rpc.Ctx, f *File) (layoutCommit bool, err error) {
 		if err := c.flushStable(ctx, f, run); err != nil {
 			return false, err
 		}
-		return f.layout != nil && f.size > f.committed, nil
+		return f.lay.Load() != nil && f.size > f.committed, nil
 	}
 	for {
 		run, ok := f.cache.firstDirty()
@@ -306,18 +307,19 @@ func (c *Client) flush(ctx *rpc.Ctx, f *File) (layoutCommit bool, err error) {
 	f.touched = make(map[int]bool)
 	f.pendMu.Unlock()
 	sort.Ints(devs)
+	layout, _ := f.laid()
 	commits := make([]stripe.Extent, len(devs))
 	for i, dev := range devs {
 		// Dev < 0 is the MDS marker.  An out-of-range or unknown device (the
 		// layout was regenerated under a new membership between the write
 		// and this commit) is the MDS's to commit the same way.
-		if dev >= 0 && (dev >= len(f.layout.Devices) || c.device(f.layout.Devices[dev]) == nil) {
+		if dev >= 0 && (dev >= len(layout.Devices) || c.device(layout.Devices[dev]) == nil) {
 			dev = -1
 		}
 		commits[i] = stripe.Extent{Dev: dev}
 	}
 	commit := func(ctx *rpc.Ctx, r stripe.Extent) error {
-		_, err := c.extentCall(ctx, f, f.layout, r, func(int64) Op { return &OpCommit{} })
+		_, err := c.extentCall(ctx, f, layout, r, func(int64) Op { return &OpCommit{} })
 		return err
 	}
 	// Crashed data server: commit through the MDS instead, which flushes the
@@ -335,7 +337,7 @@ func (c *Client) flush(ctx *rpc.Ctx, f *File) (layoutCommit bool, err error) {
 	if err := c.engine.Run(ctx, commits, commit, viaMDS); err != nil {
 		return false, err
 	}
-	return f.layout != nil && len(devs) > 0 && f.size > f.committed, nil
+	return layout != nil && len(devs) > 0 && f.size > f.committed, nil
 }
 
 // flushStable writes f's lone dirty run FILE_SYNC, on the caller's flow,
@@ -344,10 +346,10 @@ func (c *Client) flush(ctx *rpc.Ctx, f *File) (layoutCommit bool, err error) {
 func (c *Client) flushStable(ctx *rpc.Ctx, f *File, run extent) error {
 	data, sums := f.takeDirty(run)
 	defer data.Release()
-	exts, err := c.chunkExtents(ctx, f, run.Off, run.len())
+	exts, layout, err := c.chunkExtents(ctx, f, run.Off, run.len())
 	if err == nil {
 		err = c.engine.RunWith(ctx, ioengine.RunOpts{Class: ioengine.Background}, exts,
-			c.chunkLadder(f, run.Off, data, sums, true))
+			c.chunkLadder(f, layout, run.Off, data, sums, true))
 	}
 	if aerr := f.takeAsyncErr(); aerr != nil {
 		return aerr

@@ -24,17 +24,18 @@
 // (cluster join/drain) entries come and go from GETDEVICELIST, so an ID is
 // allocated once per node and never reused after the node departs.  A data
 // server co-located with a storage server carries that server's ID, so a
-// file's placement names its layout's devices as they are.  A layout
-// held across a membership change either still names live devices (and
-// stays usable) or names departed ones (and fails with a device error that
-// sends the client back through GETDEVICELIST + LAYOUTGET).  Layouts carry
-// a generation number (FileLayout.Gen) so clients can tell a re-fetched
-// layout with new geometry from a positional retry within the same
-// geometry.
+// file's placement names its layout's devices as they are.  A layout held
+// across a membership change that moved its file fails at the data
+// servers, which refuse I/O under a placement that is no longer the file's
+// (RFC 5661 §13.6), and the client goes back through GETDEVICELIST +
+// LAYOUTGET.  Whether the fresh layout's geometry (SameGeometry) matches
+// the failed one's tells a positional retry on the same devices from a
+// remap of the bytes through the new layout.
 package pnfs
 
 import (
 	"fmt"
+	"slices"
 
 	"dpnfs/internal/stripe"
 	"dpnfs/internal/xdr"
@@ -77,13 +78,14 @@ type FileLayout struct {
 	// storage objects themselves (Direct-pNFS).  When false, data servers
 	// interpret logical file offsets (two/three-tier file-based pNFS).
 	Direct bool
-	// Gen is the layout generation: it increments whenever cluster
-	// membership changes the file's geometry (devices added or drained).
-	// Two layouts for the same file with equal Gen describe the same
-	// geometry, so a device index from one is valid in the other; across
-	// generations indexes are meaningless and clients must remap offsets
-	// through the new layout's Mapper.
-	Gen uint64
+}
+
+// SameGeometry reports whether l and o place bytes identically: the same
+// aggregation and params over the same devices and file handles, so a
+// device index from one is valid in the other.
+func (l *FileLayout) SameGeometry(o *FileLayout) bool {
+	return l.Aggregation == o.Aggregation && slices.Equal(l.Params, o.Params) &&
+		slices.Equal(l.Devices, o.Devices) && slices.Equal(l.FHs, o.FHs)
 }
 
 // Mapper instantiates the aggregation driver the layout names over its
@@ -177,7 +179,6 @@ func (l *FileLayout) XDR(f xdr.Filter) {
 		f.U64(&l.FHs[i])
 	}
 	f.Flag(&l.Direct)
-	f.U64(&l.Gen)
 }
 
 // Validate checks internal consistency (device/FH parity, instantiable
@@ -208,7 +209,7 @@ type NativeLayout struct {
 // whose devices are the NFSv4 servers co-located with the storage servers:
 // the same devices in the same order, each addressed by the object handle,
 // under the placement's aggregation and params, with direct offsets.  The
-// layout shares no memory with n; the generation is the caller's.
+// layout shares no memory with n.
 func Translate(n NativeLayout) (*FileLayout, error) {
 	out := &FileLayout{
 		Aggregation: n.Aggregation,

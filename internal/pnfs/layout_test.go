@@ -35,6 +35,32 @@ func TestLayoutXDRRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSameGeometry: a layout has its own geometry and a decoded copy's,
+// and a change to its aggregation, params, devices or file handles makes
+// another one.
+func TestSameGeometry(t *testing.T) {
+	in := sampleLayout()
+	var out FileLayout
+	if err := xdr.Decode(xdr.Encode(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !in.SameGeometry(in) || !in.SameGeometry(&out) {
+		t.Fatal("a layout and its decoded copy differ in geometry")
+	}
+	for name, change := range map[string]func(l *FileLayout){
+		"aggregation": func(l *FileLayout) { l.Aggregation = AggCyclic },
+		"params":      func(l *FileLayout) { l.Params = append(l.Params, 1) },
+		"devices":     func(l *FileLayout) { l.Devices[0]++ },
+		"file handle": func(l *FileLayout) { l.FHs[len(l.FHs)-1]++ },
+	} {
+		moved := sampleLayout()
+		change(moved)
+		if in.SameGeometry(moved) || moved.SameGeometry(in) {
+			t.Errorf("a layout with another %s has the same geometry", name)
+		}
+	}
+}
+
 func TestPropertyLayoutXDRRoundTrip(t *testing.T) {
 	f := func(agg string, params []int64, ndev uint8, direct bool) bool {
 		n := int(ndev%16) + 1

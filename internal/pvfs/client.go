@@ -1,9 +1,11 @@
 package pvfs
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dpnfs/internal/fserr"
 	"dpnfs/internal/ioengine"
@@ -93,13 +95,18 @@ func NewClient(cfg ClientConfig) *Client {
 	return c
 }
 
-// File is an open PVFS2 file reference.  Data is the handle the datafiles
-// live under (it diverges from Handle after a migration); io holds the
-// daemon conns for the file's placement, in stripe-device order.
+// File is an open PVFS2 file reference: the file's handle and the
+// placement its I/O goes to, which the client swaps when the file moves
+// (Client.placed).
 type File struct {
 	Handle Handle
-	Data   Handle
-	Dist   DistParams
+	at     atomic.Pointer[openPlacement]
+}
+
+// openPlacement is a placement as an open file uses it: its aggregation
+// driver, and the daemon conns of its servers in stripe-device order.
+type openPlacement struct {
+	Placement
 	mapper sizedMapper
 	io     []rpc.Conn
 }
@@ -108,12 +115,40 @@ func (c *Client) chargeOp(ctx *rpc.Ctx, bytes int64) {
 	ctx.UseCPU(c.cfg.Node.Processor(), clientPerOp+rpc.PerMB(clientPerMB, bytes))
 }
 
-// OpenPlaced builds an open file reference from an explicit placement
-// (data handle + distribution), as returned by Lookup/Create/PlacementH,
-// without a metadata round trip.  Before any migration a file's data lives
-// under its own handle with the file-system-wide distribution.
-func (c *Client) OpenPlaced(h, data Handle, dist DistParams) *File {
-	return &File{Handle: h, Data: data, Dist: dist, mapper: dist.Mapper(), io: c.io.get(dist.Servers)}
+// OpenPlaced builds an open file reference from an explicit placement, as
+// returned by Lookup/Create/PlacementH, without a metadata round trip.  A
+// placement that is no longer the file's answers Stale at its daemons, and
+// the reference then follows the file to its current one.
+func (c *Client) OpenPlaced(h Handle, p Placement) *File {
+	f := &File{Handle: h}
+	f.at.Store(c.open(p))
+	return f
+}
+
+func (c *Client) open(p Placement) *openPlacement {
+	return &openPlacement{Placement: p, mapper: p.Dist.Mapper(), io: c.io.get(p.Dist.Servers)}
+}
+
+// placed runs op under f's placement.  A daemon answers Stale for objects a
+// migration's commit removed — the file moved, and RFC 5661 §13.6's rule
+// holds here too: no I/O under a placement that is no longer valid.  So on
+// Stale the client reads the placement again with one PLACEMENT-H, swaps it
+// into f unless a concurrent operation already did, and runs op once more.
+// A placement that did not move leaves op's error standing.
+func (c *Client) placed(ctx *rpc.Ctx, f *File, op func(p *openPlacement) error) error {
+	p := f.at.Load()
+	err := op(p)
+	if !errors.Is(err, fserr.ErrStale) {
+		return err
+	}
+	if f.at.Load() == p {
+		now, perr := c.PlacementH(ctx, f.Handle)
+		if perr != nil || now.Data == p.Data {
+			return err
+		}
+		f.at.CompareAndSwap(p, c.open(now))
+	}
+	return op(f.at.Load())
 }
 
 // daemonConns holds the conns to storage daemons dialed so far, keyed by
@@ -153,13 +188,13 @@ func (d *daemonConns) get(ids []uint32) []rpc.Conn {
 	return out
 }
 
-// conn returns the file's daemon conn for stripe device dev, or an error if
-// the placement names a server this client has no conn for.
-func (f *File) conn(dev int) (rpc.Conn, error) {
-	if dev < 0 || dev >= len(f.io) || f.io[dev] == nil {
-		return nil, fmt.Errorf("pvfs: no conn for device %d of handle %x", dev, uint64(f.Handle))
+// conn returns the daemon conn for stripe device dev, or an error if the
+// placement names a server this client has no conn for.
+func (p *openPlacement) conn(dev int) (rpc.Conn, error) {
+	if dev < 0 || dev >= len(p.io) || p.io[dev] == nil {
+		return nil, fmt.Errorf("pvfs: no conn for device %d of data handle %x", dev, uint64(p.Data))
 	}
-	return f.io[dev], nil
+	return p.io[dev], nil
 }
 
 // metaCall is the one way this client talks to the metadata server: charge
@@ -179,25 +214,23 @@ func fromRoot(path string) string { return strings.TrimPrefix(path, "/") }
 
 // Create makes a new file and returns an open reference.
 func (c *Client) Create(ctx *rpc.Ctx, path string) (*File, error) {
-	var rep CreateRep
-	args := &DirOpArgs{Dir: c.RootHandle(), Name: fromRoot(path)}
-	if err := c.metaCall(ctx, ProcCreateH, args, &rep, &rep.Errno); err != nil {
+	h, place, err := c.CreateH(ctx, c.RootHandle(), fromRoot(path))
+	if err != nil {
 		return nil, err
 	}
-	return c.OpenPlaced(rep.Handle, rep.Data, rep.Dist), nil
+	return c.OpenPlaced(h, place), nil
 }
 
 // Open resolves an existing file.
 func (c *Client) Open(ctx *rpc.Ctx, path string) (*File, error) {
-	var rep LookupRep
-	args := &DirOpArgs{Dir: c.RootHandle(), Name: fromRoot(path)}
-	if err := c.metaCall(ctx, ProcLookupH, args, &rep, &rep.Errno); err != nil {
+	h, place, isDir, err := c.LookupH(ctx, c.RootHandle(), fromRoot(path))
+	if err != nil {
 		return nil, err
 	}
-	if rep.IsDir {
+	if isDir {
 		return nil, fmt.Errorf("pvfs: %s is a directory", path)
 	}
-	return c.OpenPlaced(rep.Handle, rep.Data, rep.Dist), nil
+	return c.OpenPlaced(h, place), nil
 }
 
 // Write stores data at off.  Sync forces the touched daemons to flush to
@@ -205,42 +238,45 @@ func (c *Client) Open(ctx *rpc.Ctx, path string) (*File, error) {
 // as reconstructed from the daemons' object sizes.
 func (c *Client) Write(ctx *rpc.Ctx, f *File, off int64, data payload.Payload, syncData bool) (int64, error) {
 	c.chargeOp(ctx, data.Len())
-	reqs := c.engine.Prepare(f.mapper.Map(off, data.Len()))
-	c.stats.ioRequests.Add(uint64(len(reqs)))
 	if n := data.Len(); n > 0 {
 		c.stats.bytesWrite.Add(uint64(n))
 	}
-	var mu sync.Mutex // requests run on concurrent processes/goroutines
 	var logical int64
-	// The library has no write-back: the application is blocked on this
-	// write, so it rides the window at the client's configured class
-	// (Foreground by default; never hedged — writes are not idempotent
-	// against concurrent writers).
-	err := c.engine.RunWith(ctx, ioengine.RunOpts{Class: c.cfg.Class}, reqs, func(ctx *rpc.Ctx, r stripe.Extent) error {
-		objSize, err := f.writeCopy(ctx, r, data.Slice(r.Off-off, r.Len), syncData)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if end := f.mapper.LogicalEnd(r.Dev, objSize); end > logical {
-			logical = end
-		}
-		mu.Unlock()
-		return nil
-	}, c.retry)
+	err := c.placed(ctx, f, func(p *openPlacement) error {
+		reqs := c.engine.Prepare(p.mapper.Map(off, data.Len()))
+		c.stats.ioRequests.Add(uint64(len(reqs)))
+		var mu sync.Mutex // requests run on concurrent processes/goroutines
+		logical = 0
+		// The library has no write-back: the application is blocked on this
+		// write, so it rides the window at the client's configured class
+		// (Foreground by default; never hedged — writes are not idempotent
+		// against concurrent writers).
+		return c.engine.RunWith(ctx, ioengine.RunOpts{Class: c.cfg.Class}, reqs, func(ctx *rpc.Ctx, r stripe.Extent) error {
+			objSize, err := p.writeCopy(ctx, r, data.Slice(r.Off-off, r.Len), syncData)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			if end := p.mapper.LogicalEnd(r.Dev, objSize); end > logical {
+				logical = end
+			}
+			mu.Unlock()
+			return nil
+		}, c.retry)
+	})
 	return logical, err
 }
 
 // writeCopy writes data to extent r's copy on its daemon — an application
 // write or the replica rung's rewrite of a bad copy — and returns the
 // daemon's new object size.
-func (f *File) writeCopy(ctx *rpc.Ctx, r stripe.Extent, data payload.Payload, syncData bool) (int64, error) {
-	conn, err := f.conn(r.Dev)
+func (p *openPlacement) writeCopy(ctx *rpc.Ctx, r stripe.Extent, data payload.Payload, syncData bool) (int64, error) {
+	conn, err := p.conn(r.Dev)
 	if err != nil {
 		return 0, err
 	}
 	var rep IOWriteRep
-	args := &IOWriteArgs{Handle: f.Data, Off: r.DevOff, Data: data, Sync: syncData}
+	args := &IOWriteArgs{Handle: p.Data, Off: r.DevOff, Data: data, Sync: syncData}
 	if err := conn.Call(ctx, ProcIOWrite, args, &rep); err != nil {
 		return 0, err
 	}
@@ -255,8 +291,19 @@ func (f *File) writeCopy(ctx *rpc.Ctx, r stripe.Extent, data payload.Payload, sy
 // copy once, and a copy that failed its checksum is rewritten exactly once.
 func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (payload.Payload, int64, error) {
 	c.chargeOp(ctx, n)
-	seed := off / f.Dist.StripeSize
-	reqs := c.engine.Prepare(f.mapper.ReadMap(off, n, seed))
+	var data payload.Payload
+	var valid int64
+	err := c.placed(ctx, f, func(p *openPlacement) (err error) {
+		data, valid, err = c.read(ctx, p, off, n, wantReal)
+		return err
+	})
+	return data, valid, err
+}
+
+// read is Read under placement p.
+func (c *Client) read(ctx *rpc.Ctx, p *openPlacement, off, n int64, wantReal bool) (payload.Payload, int64, error) {
+	seed := off / p.Dist.StripeSize
+	reqs := c.engine.Prepare(p.mapper.ReadMap(off, n, seed))
 	c.stats.ioRequests.Add(uint64(len(reqs)))
 	var buf []byte
 	if wantReal {
@@ -286,18 +333,18 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 		data.Release()
 	}
 	policies := []ioengine.Policy{c.retry}
-	if rm, ok := f.mapper.(*stripe.Replicated); ok {
+	if rm, ok := p.mapper.(*stripe.Replicated); ok {
 		replicas := ioengine.Replicas[repairKey]{
 			Map: rm,
 			Read: func(ctx *rpc.Ctx, alt stripe.Extent, real bool) (payload.Payload, error) {
-				return c.readCopy(ctx, f, alt, wantReal || real)
+				return c.readCopy(ctx, p, alt, wantReal || real)
 			},
 			Rewrite: func(ctx *rpc.Ctx, bad stripe.Extent, good payload.Payload) error {
-				_, err := f.writeCopy(ctx, bad, good, false)
+				_, err := p.writeCopy(ctx, bad, good, false)
 				return err
 			},
 			Ledger:   &c.repaired,
-			Key:      func(bad stripe.Extent) repairKey { return repairKey{f.Data, bad.Dev, bad.DevOff} },
+			Key:      func(bad stripe.Extent) repairKey { return repairKey{p.Data, bad.Dev, bad.DevOff} },
 			Repaired: c.stats.readRepairs,
 		}
 		policies = append(policies, replicas.Policy(deliver))
@@ -306,7 +353,7 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 	// eligible for hedged duplicates when the engine has hedging enabled
 	// (reads are idempotent).
 	err := c.engine.RunWith(ctx, ioengine.RunOpts{Class: c.cfg.Class, Hedge: true}, reqs, func(ctx *rpc.Ctx, r stripe.Extent) error {
-		data, err := c.readCopy(ctx, f, r, wantReal)
+		data, err := c.readCopy(ctx, p, r, wantReal)
 		if err == nil {
 			deliver(r, data)
 		}
@@ -315,10 +362,7 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 	if err != nil {
 		return payload.Payload{}, 0, err
 	}
-	valid := maxEnd - off
-	if valid < 0 {
-		valid = 0
-	}
+	valid := max(maxEnd-off, 0)
 	if valid > 0 {
 		c.stats.bytesRead.Add(uint64(valid))
 	}
@@ -330,12 +374,12 @@ func (c *Client) Read(ctx *rpc.Ctx, f *File, off, n int64, wantReal bool) (paylo
 
 // readCopy reads extent r's copy from its daemon, verified (ReadCopy), and
 // counts a checksum failure.
-func (c *Client) readCopy(ctx *rpc.Ctx, f *File, r stripe.Extent, wantReal bool) (payload.Payload, error) {
-	conn, err := f.conn(r.Dev)
+func (c *Client) readCopy(ctx *rpc.Ctx, p *openPlacement, r stripe.Extent, wantReal bool) (payload.Payload, error) {
+	conn, err := p.conn(r.Dev)
 	if err != nil {
 		return payload.Payload{}, err
 	}
-	data, err := ReadCopy(ctx, conn, f.Data, r.DevOff, r.Len, wantReal)
+	data, err := ReadCopy(ctx, conn, p.Data, r.DevOff, r.Len, wantReal)
 	if rpc.RetryableIntegrity(err) {
 		c.stats.corruptReads.Inc()
 	}
@@ -371,22 +415,24 @@ func ReadCopy(ctx *rpc.Ctx, conn rpc.Conn, h Handle, off, n int64, wantReal bool
 // under the client's retry loop, the one the engine runs striped I/O under.
 func (c *Client) Sync(ctx *rpc.Ctx, f *File) error {
 	c.chargeOp(ctx, 0)
-	for i := range f.io {
-		conn, err := f.conn(i)
-		if err != nil {
-			return err
+	return c.placed(ctx, f, func(p *openPlacement) error {
+		for i := range p.io {
+			conn, err := p.conn(i)
+			if err != nil {
+				return err
+			}
+			var rep IOFlushRep
+			if err := rpc.Retry(ctx, c.stats.ioRetries.Inc, func() error {
+				return conn.Call(ctx, ProcIOFlush, &IOFlushArgs{Handle: p.Data}, &rep)
+			}); err != nil {
+				return err
+			}
+			if rep.Errno != 0 {
+				return rep.Errno.Err()
+			}
 		}
-		var rep IOFlushRep
-		if err := rpc.Retry(ctx, c.stats.ioRetries.Inc, func() error {
-			return conn.Call(ctx, ProcIOFlush, &IOFlushArgs{Handle: f.Data}, &rep)
-		}); err != nil {
-			return err
-		}
-		if rep.Errno != 0 {
-			return rep.Errno.Err()
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // GetAttr returns the file's logical size (reconstructed by the MDS from
@@ -415,7 +461,7 @@ func (c *Client) Remove(ctx *rpc.Ctx, path string) error {
 
 // ReadDir lists a directory: a lookup of its handle, then a listing of it.
 func (c *Client) ReadDir(ctx *rpc.Ctx, path string) ([]string, error) {
-	dir, _, err := c.LookupH(ctx, c.RootHandle(), fromRoot(path))
+	dir, _, _, err := c.LookupH(ctx, c.RootHandle(), fromRoot(path))
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,9 @@ const (
 )
 
 // PlacementRep is the reply to ProcPlacementH: where the file's bytes live
-// right now.  Data servers that export PVFS2 use it to re-resolve a file
-// after a migration generation bump.
+// right now.  A client asks for it when a daemon answers Stale for the
+// placement it holds (the file moved), and an export for a file no reply
+// of its own placed.
 type PlacementRep struct {
 	Errno fserr.Errno
 	Data  Handle
@@ -69,28 +70,26 @@ func (a *RenameHArgs) XDR(f xdr.Filter) {
 func (c *Client) RootHandle() Handle { return 1 }
 
 // PlacementH fetches the file's current data placement from the MDS.
-func (c *Client) PlacementH(ctx *rpc.Ctx, h Handle) (Handle, DistParams, error) {
+func (c *Client) PlacementH(ctx *rpc.Ctx, h Handle) (Placement, error) {
 	var rep PlacementRep
-	if err := c.metaCall(ctx, ProcPlacementH, &PlacementHArgs{Handle: h}, &rep, &rep.Errno); err != nil {
-		return 0, DistParams{}, err
-	}
-	return rep.Data, rep.Dist, nil
+	err := c.metaCall(ctx, ProcPlacementH, &PlacementHArgs{Handle: h}, &rep, &rep.Errno)
+	return Placement{rep.Data, rep.Dist}, err
 }
 
-// LookupH resolves name within the directory handle.
-func (c *Client) LookupH(ctx *rpc.Ctx, dir Handle, name string) (Handle, bool, error) {
+// LookupH resolves name within the directory handle: the entry's handle,
+// a file's placement (a directory has none) and whether it is a directory.
+func (c *Client) LookupH(ctx *rpc.Ctx, dir Handle, name string) (Handle, Placement, bool, error) {
 	var rep LookupRep
-	if err := c.metaCall(ctx, ProcLookupH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno); err != nil {
-		return 0, false, err
-	}
-	return rep.Handle, rep.IsDir, nil
+	err := c.metaCall(ctx, ProcLookupH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno)
+	return rep.Handle, Placement{rep.Data, rep.Dist}, rep.IsDir, err
 }
 
-// CreateH creates a file within the directory handle and returns its handle.
-func (c *Client) CreateH(ctx *rpc.Ctx, dir Handle, name string) (Handle, error) {
+// CreateH creates a file within the directory handle and returns its handle
+// and placement.
+func (c *Client) CreateH(ctx *rpc.Ctx, dir Handle, name string) (Handle, Placement, error) {
 	var rep CreateRep
 	err := c.metaCall(ctx, ProcCreateH, &DirOpArgs{Dir: dir, Name: name}, &rep, &rep.Errno)
-	return rep.Handle, err
+	return rep.Handle, Placement{rep.Data, rep.Dist}, err
 }
 
 // MkdirH creates a directory within the directory handle.

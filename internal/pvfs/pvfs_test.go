@@ -405,7 +405,7 @@ func TestFileWithoutPlacementAnswersIO(t *testing.T) {
 		if err := fs.client.Truncate(ctx, f, 0); err != fserr.ErrIO {
 			t.Errorf("truncate: %v, want fserr.ErrIO", err)
 		}
-		if _, _, err := fs.client.PlacementH(ctx, f.Handle); err != fserr.ErrIO {
+		if _, err := fs.client.PlacementH(ctx, f.Handle); err != fserr.ErrIO {
 			t.Errorf("placement: %v, want fserr.ErrIO", err)
 		}
 		if names, err := fs.client.ReadDir(ctx, "/d"); err != nil || len(names) != 0 {

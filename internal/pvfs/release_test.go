@@ -83,7 +83,11 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 		}
 		c := NewClient(ClientConfig{Meta: meta, Dial: dialByID(spied)})
 		borrowed0, avoided0 := rpc.BufCounters()
-		got, n, err := c.Read(ctx, c.OpenPlaced(f.Handle, f.Data, f.Dist), 0, int64(len(want)), true)
+		cf, err := c.Open(ctx, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n, err := c.Read(ctx, cf, 0, int64(len(want)), true)
 		if err != nil || n != int64(len(want)) || !bytes.Equal(got.Bytes, want) {
 			t.Fatalf("read: n=%d err=%v, bytes equal=%v", n, err, bytes.Equal(got.Bytes, want))
 		}

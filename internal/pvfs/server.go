@@ -427,9 +427,10 @@ type Placement struct {
 	Dist DistParams
 }
 
-// record is a file's placement record: the placement its bytes are read
-// under, and every placement its objects were created under — at create
-// and at each PrepareMigrate — which is what removing the file removes.
+// record is a file's placement record: the placement its bytes live under,
+// and every placement whose objects exist — the current one, a migration
+// target not yet committed, and a replaced one whose removal failed —
+// which is what removing the file removes.
 type record struct {
 	place   Placement
 	objects []Placement
@@ -723,7 +724,7 @@ func (m *MetaServer) create(ctx *rpc.Ctx, a *DirOpArgs) *CreateRep {
 	m.records[h] = &record{place: place, objects: []Placement{place}}
 	m.mu.Unlock()
 	if err := m.createObjects(ctx, place); err != nil {
-		m.removeObjects(ctx, h)
+		m.removeFile(ctx, h)
 		// The reply is IO either way: the fan-out's failure is what the
 		// caller must hear, not a remove of a name just created.
 		_ = m.store.Remove(dir, name)
@@ -752,7 +753,7 @@ func (m *MetaServer) remove(ctx *rpc.Ctx, a *DirOpArgs) *RemoveRep {
 			return at, err
 		}
 		if !at.IsDir {
-			m.removeObjects(ctx, Handle(at.ID))
+			m.removeFile(ctx, Handle(at.ID))
 		}
 		return at, m.store.Remove(dir, name)
 	})
@@ -775,7 +776,7 @@ func (m *MetaServer) rename(ctx *rpc.Ctx, dir store.FileID, src, dst string) *Re
 		return &RemoveRep{Errno: fserr.ToErrno(err)}
 	}
 	if hadTarget {
-		m.removeObjects(ctx, Handle(replaced.ID))
+		m.removeFile(ctx, Handle(replaced.ID))
 	}
 	m.syncMeta(ctx)
 	return &RemoveRep{}
@@ -802,40 +803,39 @@ func (m *MetaServer) createObjects(ctx *rpc.Ctx, p Placement) error {
 	})
 }
 
-// removeObjects deletes every datafile object file h's record names: the
-// objects of its create and of each migration, flipped to or not.  Source
-// objects deliberately stay behind after a migration so stale layouts keep
-// reading correct bytes, and remove is where they finally go — on a drained
-// daemon too, which the MDS still reaches.  It sends one branch per daemon,
-// in server-ID order, each removing that daemon's objects in the order they
-// were created.  Absent objects answer NoEnt, which is ignored like the
-// conn errors here.
-func (m *MetaServer) removeObjects(ctx *rpc.Ctx, h Handle) {
-	held := make(map[uint32][]Handle)
+// removeFile drops file h's record and removes every object it names.
+func (m *MetaServer) removeFile(ctx *rpc.Ctx, h Handle) {
 	m.mu.Lock()
-	if r := m.records[h]; r != nil {
-		for _, p := range r.objects {
-			for _, id := range p.Dist.Servers {
-				held[id] = append(held[id], p.Data)
-			}
-		}
-	}
+	r := m.records[h]
 	delete(m.records, h)
 	m.mu.Unlock()
-	ids := make([]uint32, 0, len(held))
-	for id := range held {
-		ids = append(ids, id)
+	if r != nil {
+		m.removeObjects(ctx, r.objects)
 	}
-	slices.Sort(ids)
-	m.onDaemons(ctx, ids, func(ctx *rpc.Ctx, i int, conn rpc.Conn) error {
-		for _, obj := range held[ids[i]] {
+}
+
+// removeObjects deletes the datafile objects of placements ps, one
+// placement after the other, each on its servers in parallel — on a
+// drained daemon too, which the MDS still reaches — and returns the
+// placements whose removal failed.  An absent object answers NoEnt, which
+// counts as removed.
+func (m *MetaServer) removeObjects(ctx *rpc.Ctx, ps []Placement) (failed []Placement) {
+	for _, p := range ps {
+		err := m.onDaemons(ctx, p.Dist.Servers, func(ctx *rpc.Ctx, _ int, conn rpc.Conn) error {
 			var rep IORemoveRep
-			if err := conn.Call(ctx, ProcIORemove, &IORemoveArgs{Handle: obj}, &rep); err != nil {
+			if err := conn.Call(ctx, ProcIORemove, &IORemoveArgs{Handle: p.Data}, &rep); err != nil {
 				return err
 			}
+			if rep.Errno == fserr.NoEnt {
+				return nil
+			}
+			return rep.Errno.Err()
+		})
+		if err != nil {
+			failed = append(failed, p)
 		}
-		return nil
-	})
+	}
+	return failed
 }
 
 // PrepareMigrate allocates a shadow data handle for file h, adds it to h's
@@ -860,12 +860,24 @@ func (m *MetaServer) PrepareMigrate(ctx *rpc.Ctx, h Handle) (Placement, error) {
 	return shadow, nil
 }
 
-// CommitMigrate atomically flips h's placement to the migrated copy; a file
-// removed meanwhile stays removed.
-func (m *MetaServer) CommitMigrate(h Handle, p Placement) {
+// CommitMigrate atomically flips h's placement to the migrated copy p, then
+// removes the objects of every placement p replaced: an I/O still addressed
+// to them answers Stale, and its client reads the placement again.  The
+// record keeps the objects whose removal failed, for the file's remove to
+// retry.  A file removed meanwhile stays removed.
+func (m *MetaServer) CommitMigrate(ctx *rpc.Ctx, h Handle, p Placement) {
+	var replaced []Placement
 	m.mu.Lock()
 	if r := m.records[h]; r != nil {
 		r.place = p
+		replaced = slices.DeleteFunc(r.objects, func(o Placement) bool { return o.Data == p.Data })
+		r.objects = []Placement{p}
+	}
+	m.mu.Unlock()
+	failed := m.removeObjects(ctx, replaced)
+	m.mu.Lock()
+	if r := m.records[h]; r != nil {
+		r.objects = append(r.objects, failed...)
 	}
 	m.mu.Unlock()
 }

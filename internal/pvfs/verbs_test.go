@@ -202,10 +202,10 @@ func TestFailedCreateIsUndone(t *testing.T) {
 	ctx := &rpc.Ctx{}
 	root := client.RootHandle()
 
-	if _, err := client.CreateH(ctx, root, "f"); err != fserr.ErrIO {
+	if _, _, err := client.CreateH(ctx, root, "f"); err != fserr.ErrIO {
 		t.Fatalf("create with io1 refusing: %v, want fserr.ErrIO", err)
 	}
-	if _, _, err := client.LookupH(ctx, root, "f"); err != store.ErrNotExist {
+	if _, _, _, err := client.LookupH(ctx, root, "f"); err != store.ErrNotExist {
 		t.Fatalf("lookup after the failed create: %v, want store.ErrNotExist", err)
 	}
 	if left := fs.walk(t); len(left) != 0 {
@@ -233,7 +233,7 @@ func TestFailedCreateIsUndone(t *testing.T) {
 	}
 
 	refuse = false
-	h, err := client.CreateH(ctx, root, "f")
+	h, _, err := client.CreateH(ctx, root, "f")
 	if err != nil {
 		t.Fatalf("create after io1 healed: %v", err)
 	}
