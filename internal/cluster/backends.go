@@ -64,11 +64,11 @@ func (b *directDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
 // parallel FS.
 type directMDSBackend struct {
 	pvfsNamespace
-	meta  *pvfs.MetaServer
-	agg   string
-	aggP  []int64
-	proxy *pvfs.Client // fallback I/O path through the MDS
-	cl    *Cluster     // the member table
+	pvfsData // the fallback I/O path through the MDS
+	meta     *pvfs.MetaServer
+	agg      string
+	aggP     []int64
+	cl       *Cluster // the member table
 }
 
 // DevList implements nfs.LayoutSource: the data servers, one per storage
@@ -99,60 +99,26 @@ func (b *directMDSBackend) GetAttr(ctx *rpc.Ctx, fh uint64) (nfs.Attr, error) {
 	return nfs.Attr{IsDir: at.IsDir, Size: at.Size, Change: at.Change}, nil
 }
 
-// Read and Write proxy through the co-located PVFS2 client; they are a
-// fallback only — Direct-pNFS clients hold layouts and go to the data
-// servers directly.  The proxy resolves each file's current placement
-// in-process, so it follows migrations.
-func (b *directMDSBackend) openCurrent(fh uint64) (*pvfs.File, error) {
+// openCurrent resolves the proxied I/O's file in-process, from its current
+// placement, so the proxy follows migrations.  The proxy is a fallback
+// only: Direct-pNFS clients hold layouts and go to the data servers
+// directly.
+func (b *directMDSBackend) openCurrent(_ *rpc.Ctx, fh uint64) (*pvfs.File, error) {
 	place, err := b.meta.PlacementOf(pvfs.Handle(fh))
 	if err != nil {
 		return nil, err
 	}
-	return b.proxy.OpenPlaced(pvfs.Handle(fh), place), nil
+	return b.lib.OpenPlaced(pvfs.Handle(fh), place), nil
 }
 
-func (b *directMDSBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, store.BlockSums, error) {
-	f, err := b.openCurrent(fh)
-	if err != nil {
-		return payload.Payload{}, false, store.BlockSums{}, err
-	}
-	data, got, err := b.proxy.Read(ctx, f, off, n, wantReal)
-	return data, got < n, store.BlockSums{}, err
-}
-
-// Write checks the client's block sums before the bytes go on to the
-// daemons: the PVFS2 wire has no room for them.
+// Write is the exports' write, then publishes the file's new size in the
+// MDS namespace, as a LAYOUTCOMMIT would.
 func (b *directMDSBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, sums store.BlockSums, stable bool) (int64, error) {
-	if err := store.CheckSums(off, data.Bytes, sums); err != nil {
-		return 0, err
-	}
-	f, err := b.openCurrent(fh)
-	if err != nil {
-		return 0, err
-	}
-	size, err := b.proxy.Write(ctx, f, off, data, false)
-	if err != nil {
-		return size, err
-	}
-	b.meta.Namespace().SetSize(store.FileID(fh), size)
-	if stable {
-		err = b.proxy.Sync(ctx, f)
+	size, err := b.pvfsData.Write(ctx, fh, off, data, sums, stable)
+	if err == nil {
+		b.meta.Namespace().SetSize(store.FileID(fh), size)
 	}
 	return size, err
-}
-
-// Commit is COMMIT for the servers that reach data through a PVFS2 client
-// (the exports' too), and the end of their stable WRITEs: a FILE_SYNC write
-// costs what a write plus COMMIT costs.  The client's Sync flushes every
-// daemon of the file, not only those a write reached, so the datafile
-// objects the file's create left unsynced survive a crash as well — GETATTR
-// reconstructs the size from all of them.
-func (b *directMDSBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
-	f, err := b.openCurrent(fh)
-	if err != nil {
-		return err
-	}
-	return b.proxy.Sync(ctx, f)
 }
 
 // LayoutGet translates the file's placement in the parallel FS into a pNFS
@@ -254,7 +220,7 @@ type blindMDSBackend struct {
 // against its NIC-bound read curve (Figures 6a vs 7a).
 type exportBackend struct {
 	pvfsNamespace
-	node *simnet.Node
+	pvfsData
 
 	// files maps each file this server reached to its open reference
 	// (*pvfs.File), filled from the placement its own LOOKUP-H or CREATE-H
@@ -288,10 +254,65 @@ const (
 	exportWritePerMB = 30 * time.Millisecond
 )
 
-func (b *exportBackend) conduit(ctx *rpc.Ctx, perMBCost time.Duration, bytes int64) {
-	if b.node != nil {
-		ctx.UseCPU(b.node.CPU, rpc.PerMB(perMBCost, bytes))
+// pvfsData is the data path of every NFS server that reaches file bytes
+// through a PVFS2 client library: the exports, and the Direct-pNFS
+// metadata server's proxied I/O.  Each server resolves a filehandle to its
+// open file its own way (open); node, when set, is charged the kernel
+// conduit costs.
+type pvfsData struct {
+	lib  *pvfs.Client
+	node *simnet.Node
+	open func(ctx *rpc.Ctx, fh uint64) (*pvfs.File, error)
+}
+
+func (d pvfsData) conduit(ctx *rpc.Ctx, perMBCost time.Duration, bytes int64) {
+	if d.node != nil {
+		ctx.UseCPU(d.node.CPU, rpc.PerMB(perMBCost, bytes))
 	}
+}
+
+// Read interprets logical file offsets through the PVFS2 client — the
+// indirection that costs the two/three-tier architectures their direct
+// access.
+func (d pvfsData) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, store.BlockSums, error) {
+	d.conduit(ctx, exportReadPerMB, n)
+	f, err := d.open(ctx, fh)
+	if err != nil {
+		return payload.Payload{}, false, store.BlockSums{}, err
+	}
+	data, got, err := d.lib.Read(ctx, f, off, n, wantReal)
+	return data, got < n, store.BlockSums{}, err
+}
+
+// Write checks the client's block sums before the bytes go on to the
+// daemons: the PVFS2 wire has no room for them.
+func (d pvfsData) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, sums store.BlockSums, stable bool) (int64, error) {
+	if err := store.CheckSums(off, data.Bytes, sums); err != nil {
+		return 0, err
+	}
+	d.conduit(ctx, exportWritePerMB, data.Len())
+	f, err := d.open(ctx, fh)
+	if err != nil {
+		return 0, err
+	}
+	size, err := d.lib.Write(ctx, f, off, data, false)
+	if err == nil && stable {
+		err = d.lib.Sync(ctx, f)
+	}
+	return size, err
+}
+
+// Commit is COMMIT, and the end of a stable WRITE: a FILE_SYNC write costs
+// what a write plus COMMIT costs.  The client's Sync flushes every daemon
+// of the file, not only those a write reached, so the datafile objects the
+// file's create left unsynced survive a crash as well — GETATTR
+// reconstructs the size from all of them.
+func (d pvfsData) Commit(ctx *rpc.Ctx, fh uint64) error {
+	f, err := d.open(ctx, fh)
+	if err != nil {
+		return err
+	}
+	return d.lib.Sync(ctx, f)
 }
 
 // pvfsNamespace is the nfs.Namespace of every NFS server that reaches the
@@ -353,43 +374,4 @@ func (b *exportBackend) GetAttr(ctx *rpc.Ctx, fh uint64) (nfs.Attr, error) {
 		return nfs.Attr{}, err
 	}
 	return nfs.Attr{IsDir: isDir, Size: size, Change: change}, nil
-}
-
-// Read interprets logical file offsets through the PVFS2 client — the
-// indirection that costs the two/three-tier architectures their direct
-// access.
-func (b *exportBackend) Read(ctx *rpc.Ctx, fh uint64, off, n int64, wantReal bool) (payload.Payload, bool, store.BlockSums, error) {
-	b.conduit(ctx, exportReadPerMB, n)
-	f, err := b.file(ctx, fh)
-	if err != nil {
-		return payload.Payload{}, false, store.BlockSums{}, err
-	}
-	data, got, err := b.pv.Read(ctx, f, off, n, wantReal)
-	return data, got < n, store.BlockSums{}, err
-}
-
-// Write checks the client's block sums before the bytes go on to the
-// daemons, as directMDSBackend.Write does.
-func (b *exportBackend) Write(ctx *rpc.Ctx, fh uint64, off int64, data payload.Payload, sums store.BlockSums, stable bool) (int64, error) {
-	if err := store.CheckSums(off, data.Bytes, sums); err != nil {
-		return 0, err
-	}
-	b.conduit(ctx, exportWritePerMB, data.Len())
-	f, err := b.file(ctx, fh)
-	if err != nil {
-		return 0, err
-	}
-	size, err := b.pv.Write(ctx, f, off, data, false)
-	if err == nil && stable {
-		err = b.pv.Sync(ctx, f)
-	}
-	return size, err
-}
-
-func (b *exportBackend) Commit(ctx *rpc.Ctx, fh uint64) error {
-	f, err := b.file(ctx, fh)
-	if err != nil {
-		return err
-	}
-	return b.pv.Sync(ctx, f)
 }

@@ -497,9 +497,9 @@ func (cl *Cluster) buildDirect() *simnet.Node {
 		meta:          cl.PVFSMeta,
 		agg:           cl.Cfg.Aggregation,
 		aggP:          cl.Cfg.AggParams,
-		proxy:         cl.pvfsClientAt(cl.mdsNode),
 		cl:            cl,
 	}
+	mdsBackend.pvfsData = pvfsData{lib: cl.pvfsClientAt(cl.mdsNode), open: mdsBackend.openCurrent}
 	cl.directMDS = mdsBackend
 	nfsServeOn(cl, cl.mdsNode, ServiceMDS, mdsBackend)
 	return cl.mdsNode
@@ -552,8 +552,10 @@ func (cl *Cluster) buildNFSv4() *simnet.Node {
 // PVFS2 file system through its own client library instance (logical offsets,
 // no layout knowledge).
 func (cl *Cluster) exportOn(n *simnet.Node) *exportBackend {
-	b := &exportBackend{node: n}
-	b.pvfsNamespace = pvfsNamespace{cl.pvfsClientAt(n), func(h pvfs.Handle, p pvfs.Placement) { b.keep(h, p) }}
+	pv := cl.pvfsClientAt(n)
+	b := &exportBackend{}
+	b.pvfsNamespace = pvfsNamespace{pv, func(h pvfs.Handle, p pvfs.Placement) { b.keep(h, p) }}
+	b.pvfsData = pvfsData{pv, n, b.file}
 	return b
 }
 

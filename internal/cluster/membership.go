@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"time"
 
 	"dpnfs/internal/faults"
@@ -237,9 +235,7 @@ func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 	case ArchPNFS2Tier:
 		cl.exportDSOn(m.node)
 	}
-	target := cl.activeDist()
-	cl.PVFSMeta.SetDefaultDist(target)
-	if err := cl.rebalance(ctx, target); err != nil {
+	if err := cl.rebalance(ctx, cl.activeDist()); err != nil {
 		return fmt.Errorf("cluster: rebalance after join of %s: %w", name, err)
 	}
 	cl.recallLayouts()
@@ -261,9 +257,7 @@ func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	cl.memberMu.Unlock()
 	cl.updateMemberGauges()
 	// The metadata manager is never drained: a member stays active.
-	target := cl.activeDist()
-	cl.PVFSMeta.SetDefaultDist(target)
-	if err := cl.rebalance(ctx, target); err != nil {
+	if err := cl.rebalance(ctx, cl.activeDist()); err != nil {
 		return fmt.Errorf("cluster: rebalance draining %s: %w", name, err)
 	}
 	// All data is off the node: remove it from membership.  Fault events
@@ -287,113 +281,23 @@ func (cl *Cluster) recallLayouts() {
 	}
 }
 
-// rebalance copies every file whose placement differs from target onto
-// target, through one Background-class PVFS2 client library on the metadata
-// node, in one pass.  Chunks are written with Sync so every acknowledged
-// byte is on stable storage before the placement flips, and the flip
-// removes the source objects, so a reader or writer still on them gets
-// Stale and follows the file to its new placement.  A node that crashes
-// mid-copy fails its calls retryably, however far they got, so the client's
-// retry loop waits out the outage.  The Background class keeps migration
-// inside the engines' BackgroundShare window slots, protecting foreground
-// latency.
+// rebalance moves every file onto target through the metadata manager's
+// migration (pvfs.MetaServer.Rebalance), which also makes target the
+// default distribution.  The cluster supplies the copier — one
+// Background-class PVFS2 client library on the metadata node, which keeps
+// migration inside the engines' BackgroundShare window slots, protecting
+// foreground latency — times the migration window, and counts what the
+// pass moved, a failed pass's partial totals too.
 func (cl *Cluster) rebalance(ctx *rpc.Ctx, target pvfs.DistParams) error {
 	cl.memberMu.Lock()
 	cl.migStart = time.Duration(cl.K.Now())
 	cl.memberMu.Unlock()
-	defer func() {
-		cl.memberMu.Lock()
-		cl.migEnd = time.Duration(cl.K.Now())
-		cl.memberMu.Unlock()
-	}()
 	mig := cl.pvfsClientWith(cl.mdsNode, ioengine.Background, "rebalance")
-	files, err := cl.listFiles(ctx, mig)
-	if err != nil {
-		return err
-	}
-	for _, h := range files {
-		if err := cl.migrateFile(ctx, mig, h, target); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// listFiles walks the namespace from the root and returns every regular
-// file's handle, in deterministic (sorted, depth-first) order.
-func (cl *Cluster) listFiles(ctx *rpc.Ctx, c *pvfs.Client) ([]pvfs.Handle, error) {
-	var files []pvfs.Handle
-	var walk func(dir pvfs.Handle) error
-	walk = func(dir pvfs.Handle) error {
-		names, err := c.ReadDirH(ctx, dir)
-		if err != nil {
-			return err
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			h, _, isDir, err := c.LookupH(ctx, dir, name)
-			if err != nil {
-				return err
-			}
-			if isDir {
-				if err := walk(h); err != nil {
-					return err
-				}
-				continue
-			}
-			files = append(files, h)
-		}
-		return nil
-	}
-	if err := walk(c.RootHandle()); err != nil {
-		return nil, err
-	}
-	return files, nil
-}
-
-// migrateFile moves one file onto target: shadow objects are created on the
-// target servers, data is copied chunk by chunk (Sync'd, so acknowledged
-// bytes are durable under WAL-backed stores), and only then does the
-// placement flip and the source objects go.  A crash mid-copy therefore
-// leaves the old placement fully intact.
-func (cl *Cluster) migrateFile(ctx *rpc.Ctx, mig *pvfs.Client, h pvfs.Handle, target pvfs.DistParams) error {
-	place, err := cl.PVFSMeta.PlacementOf(h)
-	if err != nil {
-		return fmt.Errorf("cluster: placement of %x: %w", uint64(h), err)
-	}
-	if place.Dist.StripeSize == target.StripeSize && slices.Equal(place.Dist.Servers, target.Servers) {
-		return nil // already placed as target places bytes
-	}
-	shadow, err := cl.PVFSMeta.PrepareMigrate(ctx, h)
-	if err != nil {
-		return fmt.Errorf("cluster: prepare migrate %x: %w", uint64(h), err)
-	}
-	src := mig.OpenPlaced(h, place)
-	dst := mig.OpenPlaced(h, shadow)
-	size, err := mig.GetAttr(ctx, src)
-	if err != nil {
-		return err
-	}
-	chunk := max(target.StripeSize*int64(len(target.Servers)), target.StripeSize)
-	for off := int64(0); off < size; off += chunk {
-		n := min(size-off, chunk)
-		data, got, err := mig.Read(ctx, src, off, n, cl.Cfg.Real)
-		if err == nil && got > 0 { // a hole has nothing to carry over
-			_, err = mig.Write(ctx, dst, off, data, true)
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: migration chunk %x@%d: %w", uint64(h), off, err)
-		}
-		cl.rebalanceBytes.Add(uint64(n))
-	}
-	cl.PVFSMeta.CommitMigrate(ctx, h, shadow)
-	// The copy skips holes, so a sparse file's new objects can stop short
-	// of the sizes the new geometry gives them; publish the exact logical
-	// size onto the new placement (the daemons sync a truncate of shadow
-	// objects, like their creation).
-	if err := mig.Truncate(ctx, dst, size); err != nil {
-		return err
-	}
-	cl.rebalanceFiles.Inc()
-	return nil
+	files, bytes, err := cl.PVFSMeta.Rebalance(ctx, mig, target, cl.Cfg.Real)
+	cl.rebalanceFiles.Add(uint64(files))
+	cl.rebalanceBytes.Add(uint64(bytes))
+	cl.memberMu.Lock()
+	cl.migEnd = time.Duration(cl.K.Now())
+	cl.memberMu.Unlock()
+	return err
 }

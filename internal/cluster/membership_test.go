@@ -287,8 +287,9 @@ func TestMembershipValidation(t *testing.T) {
 //     not durable would be lost, and the copy would meet a stale handle.
 //   - io2 crashed at 87 ms and at 90 ms, on Direct-pNFS while one of its
 //     handlers holds a request: the request must fail as a call to a down
-//     node does, not with an I/O error that aborts the drain (in
-//     PrepareMigrate at 87 ms, in a metadata call of the file at 90 ms).
+//     node does, not with an I/O error that aborts the drain (in the
+//     shadow objects' creation at 87 ms, in a metadata call of the file at
+//     90 ms).
 //   - io1, the drained node itself, crashed mid-copy.
 func TestScheduleComposesCrashWithDrain(t *testing.T) {
 	const (

@@ -203,3 +203,29 @@ func modelList(d string, files map[string][]byte) []string {
 	sort.Strings(out)
 	return out
 }
+
+// TestMountReportsPNFS: the mounts of the three pNFS architectures adopt a
+// device list; an NFSv4 server lists none, so its mount proxies I/O, and a
+// PVFS2 mount has no pNFS and no client cache to drop.  On every
+// architecture a file reads back after DropCaches.
+func TestMountReportsPNFS(t *testing.T) {
+	want := map[Arch]bool{ArchDirectPNFS: true, ArchPNFS2Tier: true, ArchPNFS3Tier: true}
+	data := memberPattern(0, 256<<10)
+	for _, arch := range Archs {
+		cl := New(Config{Arch: arch, Clients: 1, Real: true})
+		_, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+			if m.PNFS() != want[arch] {
+				return fmt.Errorf("PNFS() = %v, want %v", m.PNFS(), want[arch])
+			}
+			if err := writeWhole(ctx, m, "/f", data); err != nil {
+				return err
+			}
+			m.DropCaches()
+			return readWhole(ctx, m, "/f", data)
+		})
+		cl.Close()
+		if err != nil {
+			t.Errorf("%s: %v", arch, err)
+		}
+	}
+}

@@ -196,7 +196,7 @@ func TestStalePlacementReadsCurrentBytes(t *testing.T) {
 }
 
 // TestMigratedOpenFileRefetchesItsLayoutOnce: a Direct-pNFS file stays open
-// while a migration moves it (no recall follows: the test commits the
+// while a migration moves it (no recall follows: the test runs the
 // migration itself).  The first write under the old layout meets the
 // removed source objects and refetches the layout; the refetched layout
 // becomes the file's, so the remaining chunks go out under it and
@@ -224,13 +224,8 @@ func TestMigratedOpenFileRefetchesItsLayoutOnce(t *testing.T) {
 		if err := put(0); err != nil {
 			return err
 		}
-		at, err := cl.PVFSMeta.Namespace().LookupPath("/f")
-		if err != nil {
-			return err
-		}
-		cl.PVFSMeta.SetDefaultDist(target)
-		if err := cl.migrateFile(ctx, mig, pvfsHandle(at.ID), target); err != nil {
-			return err
+		if files, _, err := cl.PVFSMeta.Rebalance(ctx, mig, target, true); err != nil || files != 1 {
+			return fmt.Errorf("the migration moved %d files: %v", files, err)
 		}
 		before := counterSum(cl, "nfs_client_layout_refetches_total")
 		for k := 1; k < chunks; k++ {

@@ -67,7 +67,9 @@ func (cl *Cluster) newScrubber(dev int, m *member, src scrub.Source) *scrub.Scru
 
 // replicaFetch builds the repair source for member m, the dev-th storage
 // node built (a replicated substrate has no joins or drains): good bytes
-// come from the node's replica partners through the shared replica rung
+// come from the node's replica partners, dialed by stable ID through the
+// member table (dialDaemon) like every PVFS2 component's daemons, through
+// the shared replica rung
 // (ioengine.Replicas over the substrate's stripe.Replicated geometry — every
 // partner holds a byte-identical object at the same offset) and the PVFS2
 // client's verified single-copy read.  The rung only fetches here: the
@@ -77,7 +79,6 @@ func (cl *Cluster) newScrubber(dev int, m *member, src scrub.Source) *scrub.Scru
 func (cl *Cluster) replicaFetch(dev, copies int, m *member) scrub.Fetch {
 	node := m.node.Name
 	geometry := stripe.NewReplicated(stripe.NewRoundRobin(1, len(cl.members)/copies), copies)
-	conns := make(map[int]rpc.Conn)
 	return func(ctx *rpc.Ctx, name string, off int64, b []byte) (int, error) {
 		h, ok := pvfs.ObjectHandle(name)
 		if !ok {
@@ -86,10 +87,9 @@ func (cl *Cluster) replicaFetch(dev, copies int, m *member) scrub.Fetch {
 		partners := ioengine.Replicas[struct{}]{
 			Map: geometry,
 			Read: func(ctx *rpc.Ctx, alt stripe.Extent, _ bool) (payload.Payload, error) {
-				conn := conns[alt.Dev]
+				conn := cl.dialDaemon(node, uint32(cl.members[alt.Dev].id), false)
 				if conn == nil {
-					conn = cl.dial(node, cl.members[alt.Dev].node.Name, pvfs.ServiceIO)
-					conns[alt.Dev] = conn
+					return payload.Payload{}, fmt.Errorf("scrub %s: no conn to partner %d", node, alt.Dev)
 				}
 				data, err := pvfs.ReadCopy(ctx, conn, h, alt.DevOff, alt.Len, true)
 				if err == nil && data.Bytes == nil {

@@ -171,3 +171,28 @@ func TestChaosReportsFailingRound(t *testing.T) {
 		t.Fatalf("clean chaos run: fatals=%d logs=%d", tb2.fatals, tb2.logs)
 	}
 }
+
+// TestEventKindsAndTargets: every event's metrics label, and the node it
+// manipulates — none for a scrub pass, which covers the whole cluster.
+func TestEventKindsAndTargets(t *testing.T) {
+	for _, c := range []struct {
+		ev           Event
+		kind, target string
+	}{
+		{StorageNodeCrash{Node: "io1"}, "crash", "io1"},
+		{StorageNodeRestart{Node: "io1"}, "restart", "io1"},
+		{LinkDegrade{Node: "io2"}, "link-degrade", "io2"},
+		{LinkRestore{Node: "io2"}, "link-restore", "io2"},
+		{SlowDisk{Node: "io3"}, "slow-disk", "io3"},
+		{BitRot{Node: "io4"}, "bit-rot", "io4"},
+		{MisdirectedRead{Node: "io5"}, "misdirected-read", "io5"},
+		{TornWrite{Node: "io6"}, "torn-write", "io6"},
+		{Join{Node: "io9"}, "join", "io9"},
+		{Drain{Node: "io7"}, "drain", "io7"},
+		{Scrub{}, "scrub", ""},
+	} {
+		if kind, target := c.ev.Kind(), c.ev.Target(); kind != c.kind || target != c.target {
+			t.Errorf("%T: Kind %q, Target %q; want %q, %q", c.ev, kind, target, c.kind, c.target)
+		}
+	}
+}

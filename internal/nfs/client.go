@@ -308,28 +308,12 @@ func (c *Client) Mount(ctx *rpc.Ctx) error {
 	c.slotSeq = make([]uint32, sessionSlots)
 	c.slotMu.Unlock()
 
-	rep, err = c.call(ctx, c.cfg.MDS, true, &OpPutRootFH{}, &OpGetDevList{})
-	if err != nil {
-		// A server without pNFS support fails the GETDEVLIST op; the mount
-		// proceeds with proxied I/O through the server.
-		if rep == nil || len(rep.Results) < 2 {
-			return fmt.Errorf("nfs: mount root: %w", err)
-		}
-		if _, ok := rep.Results[1].(*ResGetDevList); !ok {
-			return fmt.Errorf("nfs: mount root: %w", err)
-		}
-		return nil
+	if err := c.refreshDevices(ctx); err != nil {
+		return fmt.Errorf("nfs: mount root: %w", err)
 	}
-	if dl, ok := rep.Results[1].(*ResGetDevList); ok && dl.Errno == 0 && c.cfg.DialDS != nil {
-		c.stateMu.Lock()
-		c.active = make(map[pnfs.DeviceID]bool, len(dl.Devices))
-		for _, dev := range dl.Devices {
-			c.devices[dev.ID] = c.cfg.DialDS(dev.Addr)
-			c.active[dev.ID] = true
-		}
-		c.pnfsOK = len(c.devices) > 0
-		c.stateMu.Unlock()
-	}
+	c.stateMu.Lock()
+	c.pnfsOK = len(c.devices) > 0
+	c.stateMu.Unlock()
 	return nil
 }
 

@@ -49,18 +49,22 @@ func (c *Client) extentCall(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.
 
 // refreshDevices re-drives GETDEVICELIST, dials any newly advertised
 // device, and replaces the active set.  Conns for departed devices are
-// retained so layouts fetched before a membership change stay usable.
+// retained so layouts fetched before a membership change stay usable.  A
+// server without pNFS support fails the GETDEVICELIST op itself: it lists
+// no devices, and neither does any server to a client without a
+// data-server dialer; only a compound that failed before the op is an
+// error.
 func (c *Client) refreshDevices(ctx *rpc.Ctx) error {
-	if c.cfg.DialDS == nil {
-		return fmt.Errorf("nfs: no data-server dialer")
-	}
 	rep, err := c.call(ctx, c.cfg.MDS, true, &OpPutRootFH{}, &OpGetDevList{})
-	if err != nil {
+	if rep == nil || len(rep.Results) < 2 {
 		return err
 	}
 	dl, ok := rep.Results[1].(*ResGetDevList)
-	if !ok || dl.Errno != 0 {
-		return fmt.Errorf("nfs: GETDEVICELIST refresh failed")
+	if !ok {
+		return err
+	}
+	if dl.Errno != 0 || c.cfg.DialDS == nil {
+		return nil
 	}
 	c.stateMu.Lock()
 	c.active = make(map[pnfs.DeviceID]bool, len(dl.Devices))

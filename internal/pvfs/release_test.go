@@ -113,7 +113,7 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 		name := map[bool]string{false: "primary", true: "replica-rung"}[refuse]
 		t.Run("fabric/"+name, func(t *testing.T) {
 			fs := newTestFS(t, 4, stripe)
-			fs.meta.SetDefaultDist(dist)
+			fs.meta.dist = dist
 			cl := fs.fabric.Node("client0")
 			var io []rpc.Conn
 			for _, s := range fs.storage {

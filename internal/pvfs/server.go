@@ -1,7 +1,6 @@
 package pvfs
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -510,15 +509,6 @@ func (m *MetaServer) Dist() DistParams {
 	return m.dist
 }
 
-// SetDefaultDist replaces the default distribution new files are created
-// under.  Existing files keep their recorded placement until migration
-// rewrites it.
-func (m *MetaServer) SetDefaultDist(d DistParams) {
-	m.mu.Lock()
-	m.dist = d
-	m.mu.Unlock()
-}
-
 // PlacementOf returns the file's placement: its record, which create
 // writes and a migration's commit rewrites.  A file without one — a record
 // lost with MDS volatile state — answers an I/O error rather than a guess
@@ -836,50 +826,6 @@ func (m *MetaServer) removeObjects(ctx *rpc.Ctx, ps []Placement) (failed []Place
 		}
 	}
 	return failed
-}
-
-// PrepareMigrate allocates a shadow data handle for file h, adds it to h's
-// record and creates its objects on the current default distribution's
-// servers.  The returned placement is where a migration should copy the
-// file's bytes; nothing is visible to clients until CommitMigrate flips to
-// it.
-func (m *MetaServer) PrepareMigrate(ctx *rpc.Ctx, h Handle) (Placement, error) {
-	m.mu.Lock()
-	r := m.records[h]
-	if r == nil {
-		m.mu.Unlock()
-		return Placement{}, fserr.ErrIO
-	}
-	shadow := Placement{Data: m.nextShadow, Dist: m.dist}
-	m.nextShadow++
-	r.objects = append(r.objects, shadow)
-	m.mu.Unlock()
-	if err := m.createObjects(ctx, shadow); err != nil {
-		return Placement{}, err
-	}
-	return shadow, nil
-}
-
-// CommitMigrate atomically flips h's placement to the migrated copy p, then
-// removes the objects of every placement p replaced: an I/O still addressed
-// to them answers Stale, and its client reads the placement again.  The
-// record keeps the objects whose removal failed, for the file's remove to
-// retry.  A file removed meanwhile stays removed.
-func (m *MetaServer) CommitMigrate(ctx *rpc.Ctx, h Handle, p Placement) {
-	var replaced []Placement
-	m.mu.Lock()
-	if r := m.records[h]; r != nil {
-		r.place = p
-		replaced = slices.DeleteFunc(r.objects, func(o Placement) bool { return o.Data == p.Data })
-		r.objects = []Placement{p}
-	}
-	m.mu.Unlock()
-	failed := m.removeObjects(ctx, replaced)
-	m.mu.Lock()
-	if r := m.records[h]; r != nil {
-		r.objects = append(r.objects, failed...)
-	}
-	m.mu.Unlock()
 }
 
 // objSizes computes, for a logical size, the implied object size on each

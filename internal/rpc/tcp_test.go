@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -415,5 +416,14 @@ func TestGatheredFramesNeverInterleave(t *testing.T) {
 		if got := metricsReg.CounterVec(name, "", "transport", "service").With("tcp", "bulk").Value(); got != want {
 			t.Errorf("%s = %d, want %d (header + payload per frame)", name, got, want)
 		}
+	}
+}
+
+// TestSendErrorWrapsItsCause: a send failure names itself and keeps the
+// transport error it wraps reachable through errors.Is.
+func TestSendErrorWrapsItsCause(t *testing.T) {
+	var err error = &SendError{Err: net.ErrClosed}
+	if !errors.Is(err, net.ErrClosed) || err.Error() != "rpc: send failed: "+net.ErrClosed.Error() {
+		t.Fatalf("SendError reads %q and unwraps to %v", err, errors.Unwrap(err))
 	}
 }

@@ -294,3 +294,29 @@ func TestDifferentialCorruptionRepairConverges(t *testing.T) {
 		t.Fatalf("repaired wal diverged across recovery:\nmem:\n%s\nwal:\n%s", want, got)
 	}
 }
+
+// TestStatsReadsZeroWhileCrashed: Stats counts the live inodes, reads 0
+// while the store is crashed, and counts the replayed ones after Recover.
+func TestStatsReadsZeroWhileCrashed(t *testing.T) {
+	s := New(Config{Name: "test"})
+	base := s.Stats()
+	if _, err := s.Create(s.Root(), "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(); got != base+1 {
+		t.Fatalf("Stats after a create = %d, want %d", got, base+1)
+	}
+	s.Crash()
+	if got := s.Stats(); got != 0 {
+		t.Fatalf("Stats of a crashed store = %d, want 0", got)
+	}
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(); got != base+1 {
+		t.Fatalf("Stats after Recover = %d, want %d", got, base+1)
+	}
+}

@@ -103,3 +103,22 @@ func TestUnion(t *testing.T) {
 		t.Fatalf("unknown arm: %v", err)
 	}
 }
+
+// TestFailPanicsWhenEncodingOrSizing: a value the stream cannot carry is
+// the caller's bug when encoding or sizing, so Fail panics with its error
+// there; only the Decoder keeps it as the decode's error (TestUnion).
+func TestFailPanicsWhenEncodingOrSizing(t *testing.T) {
+	for name, run := range map[string]func(Codec){
+		"Encode": func(c Codec) { Encode(c) },
+		"Size":   func(c Codec) { Size(c) },
+	} {
+		func() {
+			defer func() {
+				if err, _ := recover().(error); err == nil || err.Error() != "bad arm" {
+					t.Errorf("%s of an unknown arm panicked with %v, want the error Fail was given", name, err)
+				}
+			}()
+			run(&unionMsg{arm: 2})
+		}()
+	}
+}
