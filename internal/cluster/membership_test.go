@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"dpnfs/internal/faults"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/pnfs"
+	"dpnfs/internal/pvfs"
 	"dpnfs/internal/rpc"
 )
 
@@ -352,12 +354,12 @@ func TestScheduleComposesCrashWithDrain(t *testing.T) {
 	}
 }
 
-// TestMigrationTruncateSurvivesCrash: the object sizes a migration publishes
-// on the new placement after the flip (its post-commit truncate) are as
-// durable as the shadow objects' creation.  The file is sparse, so the copy
-// leaves some shadow objects short of the size the new geometry gives them
-// and the truncate extends them.  Every WAL storage node then crashes right
-// after the drain, before anything else syncs it, and restarts: each shadow
+// TestMigrationTruncateSurvivesCrash: the object sizes a migration gives
+// the shadow objects before the flip (its truncate) are as durable as the
+// shadow objects' creation.  The file is sparse, so the copy leaves some
+// shadow objects short of the size the new geometry gives them and the
+// truncate extends them.  Every WAL storage node then crashes right after
+// the drain, before anything else syncs it, and restarts: each shadow
 // object keeps its size.
 func TestMigrationTruncateSurvivesCrash(t *testing.T) {
 	const off, n = 1 << 20, 64 << 10
@@ -642,5 +644,137 @@ func TestRemoveAfterDrainEmptiesTheDrainedNode(t *testing.T) {
 				t.Fatalf("objects left after the remove: %v", left)
 			}
 		})
+	}
+}
+
+// TestRebalancePassesOverRemovedFiles: a file an application removes while
+// a drain's rebalance runs is passed over, on 5 architectures × {mem, wal}.
+// Six files move in handle order, and the fourth goes before its turn, as
+// its turn begins (once the third has moved), during its copy, or after it
+// moved.  The drain succeeds and moves every other file, the others read
+// back byte for byte from cold caches, the drained node holds no object,
+// and every object left on a daemon is one a surviving file's placement
+// names — none of the removed file's, its shadow objects included.
+func TestRebalancePassesOverRemovedFiles(t *testing.T) {
+	const files, size, victim = 6, 1 << 20, 3
+	rows := []struct {
+		name  string
+		moved int           // remove once this file has moved (-1: at once)
+		wait  time.Duration // and this much later
+	}{
+		{"before its turn", -1, 5 * time.Millisecond},
+		{"as its turn begins", victim - 1, 0},
+		{"during its copy", victim - 1, 10 * time.Millisecond},
+		{"late in its copy", victim - 1, 40 * time.Millisecond},
+		{"after it moved", victim, 0},
+	}
+	for _, arch := range Archs {
+		for _, backend := range []string{BackendMem, BackendWAL} {
+			for _, row := range rows {
+				t.Run(fmt.Sprintf("%s/%s/%s", arch, backend, row.name), func(t *testing.T) {
+					cl := New(Config{Arch: arch, Clients: 1, Real: true, StripeSize: 64 << 10, Backend: backend})
+					defer cl.Close()
+					path := func(i int) string { return fmt.Sprintf("/r.%d", i) }
+					if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+						for i := range files {
+							if err := writeWhole(ctx, m, path(i), memberPattern(i, size)); err != nil {
+								return err
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					handles := make([]pvfs.Handle, files)
+					for i := range handles {
+						at, err := cl.PVFSMeta.Namespace().LookupPath(path(i))
+						if err != nil {
+							t.Fatal(err)
+						}
+						handles[i] = pvfsHandle(at.ID)
+					}
+					io1 := uint32(cl.memberNamed("io1").id)
+					moved := func(i int) bool {
+						p, err := cl.PVFSMeta.PlacementOf(handles[i])
+						return err == nil && !slices.Contains(p.Dist.Servers, io1)
+					}
+					schedule(t, cl, faults.Drain{Node: "io1"})
+					start := cl.Now()
+					var removedAt time.Duration
+					if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+						for tries := 0; row.moved >= 0 && !moved(row.moved); tries++ {
+							if tries == 10_000 {
+								return fmt.Errorf("%s never moved", path(row.moved))
+							}
+							ctx.Pause(time.Millisecond)
+						}
+						if row.wait > 0 {
+							ctx.Pause(row.wait)
+						}
+						removedAt = cl.Now()
+						return m.Remove(ctx, path(victim))
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if _, migEnd := cl.MigrationWindow(); removedAt >= migEnd {
+						t.Fatalf("the remove at %v came after the migration window's end %v", removedAt-start, migEnd-start)
+					}
+					want := uint64(files - 1)
+					if row.moved == victim {
+						want = files
+					}
+					if got := cl.rebalanceFiles.Value(); got != want {
+						t.Fatalf("the drain moved %d files, want %d", got, want)
+					}
+					for _, m := range cl.Mounts() {
+						m.DropCaches()
+					}
+					if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+						for i := range files {
+							if i == victim {
+								continue
+							}
+							if err := readWhole(ctx, m, path(i), memberPattern(i, size)); err != nil {
+								return err
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if n := objectsLeft(t, cl)["io1"]; n != 0 {
+						t.Fatalf("the drained io1 holds %d objects", n)
+					}
+					placed := map[uint32]map[pvfs.Handle]bool{}
+					for i, h := range handles {
+						if i == victim {
+							continue
+						}
+						p, err := cl.PVFSMeta.PlacementOf(h)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, id := range p.Dist.Servers {
+							if placed[id] == nil {
+								placed[id] = map[pvfs.Handle]bool{}
+							}
+							placed[id][p.Data] = true
+						}
+					}
+					for _, m := range cl.members {
+						st := m.storage.Store()
+						names, err := st.ReadDir(st.Root())
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, name := range names {
+							if h, ok := pvfs.ObjectHandle(name); !ok || !placed[uint32(m.id)][h] {
+								t.Errorf("%s keeps object %s, which no surviving file's placement names", m.node.Name, name)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -442,12 +442,6 @@ func (c *Client) GetAttr(ctx *rpc.Ctx, f *File) (int64, error) {
 	return size, err
 }
 
-// Truncate sets the file's logical size.
-func (c *Client) Truncate(ctx *rpc.Ctx, f *File, size int64) error {
-	var rep TruncateRep
-	return c.metaCall(ctx, ProcTruncate, &TruncateArgs{Handle: f.Handle, Size: size}, &rep, &rep.Errno)
-}
-
 // Mkdir creates a directory.
 func (c *Client) Mkdir(ctx *rpc.Ctx, path string) error {
 	_, err := c.MkdirH(ctx, c.RootHandle(), fromRoot(path))

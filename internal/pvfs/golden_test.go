@@ -52,10 +52,6 @@ var goldenWire = []struct {
 		"000000000000000d"},
 	{"GetAttrRep", 0, &GetAttrRep{Errno: fserr.Stale, IsDir: true, Size: 1 << 40, Change: 99},
 		"000000070000000100000100000000000000000000000063"},
-	{"TruncateArgs", ProcTruncate, &TruncateArgs{Handle: 14, Size: 4097},
-		"000000000000000e0000000000001001"},
-	{"TruncateRep", 0, &TruncateRep{Errno: fserr.Inval},
-		"00000006"},
 
 	// ---- metadata service, namespace procedures ----
 	{"DirOpArgs/lookup", ProcLookupH, &DirOpArgs{Dir: 1, Name: "file"},
@@ -152,7 +148,7 @@ func TestGoldenWireEncoding(t *testing.T) {
 			t.Errorf("%s: golden bytes decode to %+v, which re-encodes to\n  %s", g.name, fresh, got)
 		}
 	}
-	for _, proc := range []uint32{ProcGetAttr, ProcTruncate, ProcLookupH, ProcCreateH, ProcMkdirH, ProcRemoveH, ProcRenameH,
+	for _, proc := range []uint32{ProcGetAttr, ProcLookupH, ProcCreateH, ProcMkdirH, ProcRemoveH, ProcRenameH,
 		ProcReadDirH, ProcPlacementH, ProcIORead, ProcIOWrite, ProcIOCreate, ProcIORemove,
 		ProcIOGetSize, ProcIOFlush, ProcIOTruncate} {
 		if !covered[proc] {

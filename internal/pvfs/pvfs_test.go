@@ -264,21 +264,6 @@ func TestRemoveCleansDatafiles(t *testing.T) {
 	})
 }
 
-func TestTruncate(t *testing.T) {
-	fs := newTestFS(t, 3, 1000)
-	fs.run(t, func(ctx *rpc.Ctx) {
-		f, _ := fs.client.Create(ctx, "/f")
-		fs.client.Write(ctx, f, 0, payload.Synthetic(10_000), false)
-		if err := fs.client.Truncate(ctx, f, 2500); err != nil {
-			t.Fatal(err)
-		}
-		size, err := fs.client.GetAttr(ctx, f)
-		if err != nil || size != 2500 {
-			t.Fatalf("size after truncate = %d, %v", size, err)
-		}
-	})
-}
-
 func TestSyncWaitsForDisk(t *testing.T) {
 	fs := newTestFS(t, 2, 1<<20)
 	fs.run(t, func(ctx *rpc.Ctx) {
@@ -377,7 +362,7 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 
 // TestFileWithoutPlacementAnswersIO: a file's placement has one source, its
 // record, which create writes.  With the record gone, every request that
-// needs it — LOOKUP (so Open), GETATTR, TRUNCATE and PLACEMENT-H — answers
+// needs it — LOOKUP (so Open), GETATTR and PLACEMENT-H — answers
 // IO: no geometry is guessed for bytes that may have moved.  A directory
 // has no placement to lose.
 func TestFileWithoutPlacementAnswersIO(t *testing.T) {
@@ -401,9 +386,6 @@ func TestFileWithoutPlacementAnswersIO(t *testing.T) {
 		}
 		if _, err := fs.client.GetAttr(ctx, f); err != fserr.ErrIO {
 			t.Errorf("getattr: %v, want fserr.ErrIO", err)
-		}
-		if err := fs.client.Truncate(ctx, f, 0); err != fserr.ErrIO {
-			t.Errorf("truncate: %v, want fserr.ErrIO", err)
 		}
 		if _, err := fs.client.PlacementH(ctx, f.Handle); err != fserr.ErrIO {
 			t.Errorf("placement: %v, want fserr.ErrIO", err)

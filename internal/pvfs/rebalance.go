@@ -3,104 +3,106 @@ package pvfs
 import (
 	"fmt"
 	"slices"
-	"sort"
 
-	"dpnfs/internal/fserr"
 	"dpnfs/internal/rpc"
 )
 
 // Rebalance makes target the distribution new files are created under, then
-// moves every file whose placement differs from it onto it, in one pass.
-// The pass walks the namespace and copies bytes through copier on the
-// caller's flow, so copier's QoS class is the migration's; real asks it to
-// carry real bytes.  It returns the files moved and the bytes copied — the
-// totals so far when an error stops the pass.
+// moves every file whose placement differs from it onto it, in one pass
+// over the metadata manager's own records in handle order; a file removed
+// before its turn or while it moves is passed over.  The bytes go through
+// copier on the caller's flow, so copier's QoS class is the migration's;
+// real asks it to carry real bytes.  It returns the files moved and the
+// bytes copied — the totals so far when an error stops the pass.
 func (m *MetaServer) Rebalance(ctx *rpc.Ctx, copier *Client, target DistParams, real bool) (files int, bytes int64, err error) {
 	m.mu.Lock()
 	m.dist = target
-	m.mu.Unlock()
-	hs, err := copier.regularFiles(ctx, copier.RootHandle(), nil)
-	if err != nil {
-		return 0, 0, err
+	hs := make([]Handle, 0, len(m.records))
+	for h := range m.records {
+		hs = append(hs, h)
 	}
+	m.mu.Unlock()
+	slices.Sort(hs)
 	for _, h := range hs {
-		place, err := m.PlacementOf(h)
-		if err != nil {
-			return files, bytes, fmt.Errorf("pvfs: placement of %x: %w", uint64(h), err)
-		}
-		if place.Dist.StripeSize == target.StripeSize && slices.Equal(place.Dist.Servers, target.Servers) {
-			continue // already placed as target places bytes
-		}
-		n, err := m.migrate(ctx, copier, h, place, target, real)
+		moved, n, err := m.migrate(ctx, copier, h, target, real)
 		bytes += n
 		if err != nil {
 			return files, bytes, err
 		}
-		files++
+		if moved {
+			files++
+		}
 	}
 	return files, bytes, nil
 }
 
-// regularFiles appends to files the handle of every regular file under dir,
-// in deterministic (sorted, depth-first) order.
-func (c *Client) regularFiles(ctx *rpc.Ctx, dir Handle, files []Handle) ([]Handle, error) {
-	names, err := c.ReadDirH(ctx, dir)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h, _, isDir, err := c.LookupH(ctx, dir, name)
-		if err != nil {
-			return nil, err
-		}
-		if !isDir {
-			files = append(files, h)
-		} else if files, err = c.regularFiles(ctx, h, files); err != nil {
-			return nil, err
-		}
-	}
-	return files, nil
-}
-
-// migrate moves file h from placement from onto target and returns the
-// bytes it copied.
+// migrate moves file h onto target, unless its record is gone or already
+// places bytes as target does, and reports whether it moved the file and
+// the bytes it copied.
 //
-// Shadow objects are created on target's servers under a fresh data
-// handle, recorded first so that removing the file meanwhile removes them
-// too.  The bytes go over chunk by chunk, written with Sync so every
-// acknowledged byte is on stable storage before the placement flips; a
-// crash mid-copy leaves the old placement whole, and a daemon down
-// mid-copy fails copier's calls retryably, so its retry loop waits out the
-// outage.  Then the record flips to the shadow placement and the objects
-// of every placement it replaced go: an I/O still addressed to them
-// answers Stale, and its client reads the placement again.  The record
-// keeps the objects whose removal failed, for the file's remove to retry;
-// a file removed meanwhile stays removed.  Last, the copy skips holes, so
-// the new objects can stop short of the sizes the new geometry gives
-// them: a truncate publishes the exact logical size onto the new
-// placement (the daemons sync a truncate of shadow objects, like their
-// creation).
-func (m *MetaServer) migrate(ctx *rpc.Ctx, copier *Client, h Handle, from Placement, target DistParams, real bool) (copied int64, err error) {
+// Shadow objects are filled under a fresh data handle (fill), recorded
+// first so that removing the file meanwhile removes them too.  Every step
+// that can fail comes before the flip, so a failure or a crash leaves the
+// file whole on its old placement.  Then the record flips to the shadow
+// placement and the objects of every placement it replaced go: an I/O
+// still addressed to them answers Stale, and its client reads the
+// placement again.  The record keeps the objects whose removal failed, for
+// the file's remove to retry.  A file removed meanwhile is passed over:
+// its remove took the shadow objects along.
+func (m *MetaServer) migrate(ctx *rpc.Ctx, copier *Client, h Handle, target DistParams, real bool) (moved bool, copied int64, err error) {
 	m.mu.Lock()
 	r := m.records[h]
-	if r == nil {
+	if r == nil || r.place.Dist.StripeSize == target.StripeSize && slices.Equal(r.place.Dist.Servers, target.Servers) {
 		m.mu.Unlock()
-		return 0, fmt.Errorf("pvfs: prepare migrate %x: %w", uint64(h), fserr.ErrIO)
+		return false, 0, nil
 	}
-	to := Placement{Data: m.nextShadow, Dist: target}
+	from, to := r.place, Placement{Data: m.nextShadow, Dist: target}
 	m.nextShadow++
 	r.objects = append(r.objects, to)
 	m.mu.Unlock()
-	if err := m.createObjects(ctx, to); err != nil {
-		return 0, fmt.Errorf("pvfs: prepare migrate %x: %w", uint64(h), err)
+	copied, err = m.fill(ctx, copier, h, from, to, real)
+	var replaced []Placement
+	m.mu.Lock()
+	live := m.records[h] == r
+	if live && err == nil {
+		r.place = to
+		replaced = slices.DeleteFunc(r.objects, func(o Placement) bool { return o.Data == to.Data })
+		r.objects = []Placement{to}
 	}
-	src, dst := copier.OpenPlaced(h, from), copier.OpenPlaced(h, to)
-	size, err := copier.GetAttr(ctx, src)
+	m.mu.Unlock()
+	if !live {
+		return false, copied, nil
+	}
+	if err != nil {
+		return false, copied, fmt.Errorf("pvfs: migrate %x: %w", uint64(h), err)
+	}
+	failed := m.removeObjects(ctx, replaced)
+	m.mu.Lock()
+	if m.records[h] == r {
+		r.objects = append(r.objects, failed...)
+	}
+	m.mu.Unlock()
+	return true, copied, nil
+}
+
+// fill creates the objects of shadow placement to and copies file h's
+// bytes into them from placement from, returning the bytes it copied.  The
+// bytes go over chunk by chunk, written with Sync so every acknowledged
+// byte is on stable storage before the placement flips; a daemon down
+// mid-copy fails copier's calls retryably, so its retry loop waits out the
+// outage.  The copy skips holes, so a truncate then gives each object the
+// exact size the new geometry gives it (the daemons sync a truncate, like
+// a create).
+func (m *MetaServer) fill(ctx *rpc.Ctx, copier *Client, h Handle, from, to Placement, real bool) (copied int64, err error) {
+	if err := m.createObjects(ctx, to); err != nil {
+		return 0, err
+	}
+	size, _, err := m.size(ctx, from)
 	if err != nil {
 		return 0, err
 	}
-	chunk := max(target.StripeSize*int64(len(target.Servers)), target.StripeSize)
+	src, dst := copier.OpenPlaced(h, from), copier.OpenPlaced(h, to)
+	chunk := max(to.Dist.StripeSize*int64(len(to.Dist.Servers)), to.Dist.StripeSize)
 	for off := int64(0); off < size; off += chunk {
 		n := min(size-off, chunk)
 		data, got, err := copier.Read(ctx, src, off, n, real)
@@ -108,23 +110,9 @@ func (m *MetaServer) migrate(ctx *rpc.Ctx, copier *Client, h Handle, from Placem
 			_, err = copier.Write(ctx, dst, off, data, true)
 		}
 		if err != nil {
-			return copied, fmt.Errorf("pvfs: migration chunk %x@%d: %w", uint64(h), off, err)
+			return copied, fmt.Errorf("chunk @%d: %w", off, err)
 		}
 		copied += n
 	}
-	var replaced []Placement
-	m.mu.Lock()
-	if r := m.records[h]; r != nil {
-		r.place = to
-		replaced = slices.DeleteFunc(r.objects, func(o Placement) bool { return o.Data == to.Data })
-		r.objects = []Placement{to}
-	}
-	m.mu.Unlock()
-	failed := m.removeObjects(ctx, replaced)
-	m.mu.Lock()
-	if r := m.records[h]; r != nil {
-		r.objects = append(r.objects, failed...)
-	}
-	m.mu.Unlock()
-	return copied, copier.Truncate(ctx, dst, size)
+	return copied, m.truncate(ctx, to, size)
 }

@@ -2,12 +2,14 @@ package pvfs
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
 	"dpnfs/internal/fserr"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/store"
 )
 
 // TestRebalanceMovesFilesOntoTarget drives the metadata manager's migration
@@ -87,6 +89,45 @@ func TestRebalanceMovesFilesOntoTarget(t *testing.T) {
 		}
 		if files, moved, err := fs.meta.Rebalance(ctx, c, target, true); err != nil || files != 0 || moved != 0 {
 			t.Errorf("a second pass moved %d files and %d bytes (%v), want none", files, moved, err)
+		}
+	})
+}
+
+// refusingStore refuses every Truncate.
+type refusingStore struct{ store.Store }
+
+func (refusingStore) Truncate(store.FileID, int64) error { return store.ErrInval }
+
+// TestMigrationRefusedTruncateKeepsOldPlacement: the truncate that sizes a
+// migrated file's new objects comes before the flip and heeds each
+// daemon's status.  A sparse file moving from four daemons onto {1, 3},
+// whose daemon 3 refuses the truncate, stays on its old placement with its
+// size, and Rebalance returns the refusal.
+func TestMigrationRefusedTruncateKeepsOldPlacement(t *testing.T) {
+	const stripe, size = 1000, 8_100
+	fs := newTestFS(t, 4, stripe)
+	fs.storage[3].store = refusingStore{fs.storage[3].store}
+	fs.run(t, func(ctx *rpc.Ctx) {
+		c := fs.client
+		f, err := c.Create(ctx, "/sparse")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []int64{0, size - 100} {
+			if _, err := c.Write(ctx, f, off, payload.Real(make([]byte, 100)), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		old := f.at.Load().Placement
+		target := DistParams{StripeSize: stripe, Servers: []uint32{1, 3}}
+		if _, _, err := fs.meta.Rebalance(ctx, c, target, true); !errors.Is(err, store.ErrInval) {
+			t.Fatalf("Rebalance with a refused truncate: %v, want the refusal", err)
+		}
+		if p, err := fs.meta.PlacementOf(f.Handle); err != nil || p.Data != old.Data || !slices.Equal(p.Dist.Servers, old.Dist.Servers) {
+			t.Fatalf("placement after the refused truncate: %+v (%v), want the old %+v", p, err, old)
+		}
+		if got, err := c.GetAttr(ctx, f); err != nil || got != size {
+			t.Fatalf("size after the refused truncate: %d (%v), want %d", got, err, size)
 		}
 	})
 }

@@ -265,10 +265,10 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Mars
 // syncStore makes a create or truncate durable before it is acknowledged,
 // because no later request is sure to: a file created and fsynced empty
 // sends its daemons no WRITE or COMMIT, and a migration's copy syncs only
-// the daemons it writes, so a crash could otherwise lose a datafile, a
-// shadow object the MDS is about to flip a placement onto, or the object
-// size the migration publishes after the flip.  (mem's Sync is free, so
-// the default timing is unchanged.)
+// the daemons it writes, so a crash could otherwise lose a datafile, or a
+// shadow object the MDS is about to flip a placement onto or the size the
+// migration gave it.  (mem's Sync is free, so the default timing is
+// unchanged.)
 func (s *StorageServer) syncStore(ctx *rpc.Ctx) fserr.Errno {
 	return fserr.ToErrno(s.store.Sync(ctx.P))
 }
@@ -474,8 +474,8 @@ func NewMetaServer(cfg MetaConfig) *MetaServer {
 	}
 	if cfg.Dial != nil {
 		// Calls to the storage daemons retry under the default policy, so
-		// metadata operations (create, getattr, truncate) survive a daemon
-		// outage shorter than its budget.
+		// metadata operations (create, getattr, a migration's truncate)
+		// survive a daemon outage shorter than its budget.
 		m.io.dial = func(id uint32) rpc.Conn {
 			if conn := cfg.Dial(id); conn != nil {
 				return rpc.WithRetry(conn, stats.ioRetries.Inc)
@@ -587,59 +587,15 @@ func (m *MetaServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Marshal
 		if at.IsDir {
 			return &GetAttrRep{IsDir: true}, rpc.StatusOK
 		}
-		// Reconstruct logical size from the datafile sizes on the file's
-		// placement servers (decentralized metadata, paper §6.4.3).
 		place, err := m.PlacementOf(a.Handle)
 		if err != nil {
 			return &GetAttrRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
 		}
-		ids := place.Dist.Servers
-		mapper := place.Dist.Mapper()
-		sizes := make([]int64, len(ids))
-		changes := make([]uint64, len(ids))
-		ferr := m.onDaemons(ctx, ids, func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
-			var rep IOGetSizeRep
-			if err := conn.Call(ctx, ProcIOGetSize, &IOGetSizeArgs{Handle: place.Data}, &rep); err != nil {
-				return err
-			}
-			if rep.Errno != fserr.OK {
-				return rep.Errno.Err()
-			}
-			sizes[dev] = rep.Size
-			changes[dev] = rep.Change
-			return nil
-		})
-		if ferr != nil {
+		size, change, err := m.size(ctx, place)
+		if err != nil {
 			return &GetAttrRep{Errno: fserr.IO}, rpc.StatusOK
 		}
-		var size int64
-		var change uint64
-		for dev, s := range sizes {
-			if end := mapper.LogicalEnd(dev, s); end > size {
-				size = end
-			}
-			change += changes[dev]
-		}
-		change += at.Change
-		return &GetAttrRep{Size: size, Change: change}, rpc.StatusOK
-
-	case ProcTruncate:
-		a := req.(*TruncateArgs)
-		place, err := m.placed(a.Handle)
-		if err != nil {
-			return &TruncateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
-		}
-		ids := place.Dist.Servers
-		sizes := objSizes(place.Dist.Mapper(), len(ids), a.Size)
-		ferr := m.onDaemons(ctx, ids, func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
-			var rep IOTruncateRep
-			return conn.Call(ctx, ProcIOTruncate,
-				&IOTruncateArgs{Handle: place.Data, ObjSize: sizes[dev]}, &rep)
-		})
-		if ferr != nil {
-			return &TruncateRep{Errno: fserr.IO}, rpc.StatusOK
-		}
-		return &TruncateRep{}, rpc.StatusOK
+		return &GetAttrRep{Size: size, Change: change + at.Change}, rpc.StatusOK
 	}
 	return nil, rpc.StatusProcUnavail
 }
@@ -709,8 +665,8 @@ func (m *MetaServer) create(ctx *rpc.Ctx, a *DirOpArgs) *CreateRep {
 		return &CreateRep{Errno: fserr.ToErrno(err)}
 	}
 	h := Handle(at.ID)
-	place := Placement{Data: h, Dist: m.Dist()}
 	m.mu.Lock()
+	place := Placement{Data: h, Dist: m.dist}
 	m.records[h] = &record{place: place, objects: []Placement{place}}
 	m.mu.Unlock()
 	if err := m.createObjects(ctx, place); err != nil {
@@ -787,6 +743,44 @@ func (m *MetaServer) createObjects(ctx *rpc.Ctx, p Placement) error {
 	return m.onDaemons(ctx, p.Dist.Servers, func(ctx *rpc.Ctx, _ int, conn rpc.Conn) error {
 		var rep IOCreateRep
 		if err := conn.Call(ctx, ProcIOCreate, &IOCreateArgs{Handle: p.Data}, &rep); err != nil {
+			return err
+		}
+		return rep.Errno.Err()
+	})
+}
+
+// size reconstructs the logical size of placement p from its datafile
+// sizes on its servers (decentralized metadata, paper §6.4.3), and sums
+// their change counters.
+func (m *MetaServer) size(ctx *rpc.Ctx, p Placement) (size int64, change uint64, err error) {
+	mapper := p.Dist.Mapper()
+	sizes := make([]int64, len(p.Dist.Servers))
+	changes := make([]uint64, len(sizes))
+	err = m.onDaemons(ctx, p.Dist.Servers, func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
+		var rep IOGetSizeRep
+		if err := conn.Call(ctx, ProcIOGetSize, &IOGetSizeArgs{Handle: p.Data}, &rep); err != nil {
+			return err
+		}
+		sizes[dev], changes[dev] = rep.Size, rep.Change
+		return rep.Errno.Err()
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for dev, s := range sizes {
+		size = max(size, mapper.LogicalEnd(dev, s))
+		change += changes[dev]
+	}
+	return size, change, nil
+}
+
+// truncate sets each datafile object of placement p to the size a file of
+// logical size n gives it under p's geometry.
+func (m *MetaServer) truncate(ctx *rpc.Ctx, p Placement, n int64) error {
+	sizes := objSizes(p.Dist.Mapper(), len(p.Dist.Servers), n)
+	return m.onDaemons(ctx, p.Dist.Servers, func(ctx *rpc.Ctx, dev int, conn rpc.Conn) error {
+		var rep IOTruncateRep
+		if err := conn.Call(ctx, ProcIOTruncate, &IOTruncateArgs{Handle: p.Data, ObjSize: sizes[dev]}, &rep); err != nil {
 			return err
 		}
 		return rep.Errno.Err()

@@ -52,13 +52,10 @@ import (
 	"dpnfs/internal/xdr"
 )
 
-// Procedure numbers for the metadata service ("pvfs-meta") addressed by a
-// file's own handle; the namespace procedures are in handleops.go.  1–5 stay
-// unassigned, so no number a peer knows changes meaning.
-const (
-	ProcGetAttr uint32 = iota + 6
-	ProcTruncate
-)
+// Procedure number for the metadata service ("pvfs-meta") addressed by a
+// file's own handle; the namespace procedures are in handleops.go.  1–5 and
+// 7 stay unassigned, so no number a peer knows changes meaning.
+const ProcGetAttr uint32 = 6
 
 // Procedure numbers for the storage I/O service ("pvfs-io").
 const (
@@ -106,7 +103,6 @@ type (
 // Status-only replies.
 type (
 	RemoveRep     = ErrnoRep // the reply to ProcRemoveH and ProcRenameH
-	TruncateRep   = ErrnoRep
 	IOCreateRep   = ErrnoRep
 	IORemoveRep   = ErrnoRep
 	IOFlushRep    = ErrnoRep
@@ -193,12 +189,6 @@ type GetAttrRep struct {
 	// Change is the file's change attribute, reconstructed as the sum of
 	// the datafile change counters plus the metadata object's own counter.
 	Change uint64
-}
-
-// TruncateArgs sets a file's size, truncating datafiles on every node.
-type TruncateArgs struct {
-	Handle Handle
-	Size   int64
 }
 
 // IOReadArgs reads from a datafile (device-space offset).
@@ -314,11 +304,6 @@ func (r *GetAttrRep) XDR(f xdr.Filter) {
 	f.U64(&r.Change)
 }
 
-func (a *TruncateArgs) XDR(f xdr.Filter) {
-	a.Handle.XDR(f)
-	f.I64(&a.Size)
-}
-
 func (a *IOReadArgs) XDR(f xdr.Filter) {
 	a.Handle.XDR(f)
 	f.I64(&a.Off)
@@ -372,8 +357,6 @@ func (r *ReadDirRep) MarshalXDR(e *xdr.Encoder)             { r.XDR(e) }
 func (r *ReadDirRep) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(r) }
 func (r *GetAttrRep) MarshalXDR(e *xdr.Encoder)             { r.XDR(e) }
 func (r *GetAttrRep) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(r) }
-func (a *TruncateArgs) MarshalXDR(e *xdr.Encoder)           { a.XDR(e) }
-func (a *TruncateArgs) UnmarshalXDR(d *xdr.Decoder) error   { return d.Decode(a) }
 func (a *IOReadArgs) MarshalXDR(e *xdr.Encoder)             { a.XDR(e) }
 func (a *IOReadArgs) UnmarshalXDR(d *xdr.Decoder) error     { return d.Decode(a) }
 func (r *IOReadRep) MarshalXDR(e *xdr.Encoder)              { r.XDR(e) }
@@ -403,7 +386,6 @@ var procTable = [...]struct {
 	req     func() xdr.Unmarshaler
 }{
 	ProcGetAttr:    {ServiceMeta, "getattr", func() xdr.Unmarshaler { return &GetAttrArgs{} }},
-	ProcTruncate:   {ServiceMeta, "truncate", func() xdr.Unmarshaler { return &TruncateArgs{} }},
 	ProcLookupH:    {ServiceMeta, "lookup-h", func() xdr.Unmarshaler { return &DirOpArgs{} }},
 	ProcCreateH:    {ServiceMeta, "create-h", func() xdr.Unmarshaler { return &DirOpArgs{} }},
 	ProcMkdirH:     {ServiceMeta, "mkdir-h", func() xdr.Unmarshaler { return &DirOpArgs{} }},

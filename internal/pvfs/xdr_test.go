@@ -112,7 +112,6 @@ func TestPropertyRegistryDecodesOwnEncoding(t *testing.T) {
 	f := func(h uint64, off int64, path string) bool {
 		msgs := []xdr.Marshaler{
 			&GetAttrArgs{Handle: Handle(h)},
-			&TruncateArgs{Handle: Handle(h), Size: off},
 			&IOReadArgs{Handle: Handle(h), Off: off, Len: off / 2},
 			&IOCreateArgs{Handle: Handle(h)},
 			&IORemoveArgs{Handle: Handle(h)},
@@ -142,7 +141,7 @@ func TestPropertyRegistryDecodesOwnEncoding(t *testing.T) {
 
 func TestRegistriesCoverAllProcs(t *testing.T) {
 	meta := MetaRegistry()
-	for _, proc := range []uint32{ProcGetAttr, ProcTruncate,
+	for _, proc := range []uint32{ProcGetAttr,
 		ProcLookupH, ProcCreateH, ProcMkdirH, ProcRemoveH, ProcRenameH, ProcReadDirH} {
 		if meta.New(proc) == nil {
 			t.Errorf("meta registry missing proc %d", proc)
