@@ -702,42 +702,29 @@ func (cl *Cluster) faultTargetable(kind, node string) bool {
 	return false
 }
 
-// SetNodeDown implements faults.Target.  On the simulated fabric the node
-// itself is marked down (the rpc layer turns calls to it into retryable
-// timeouts); in TCP mode the transport gates every conn dialed to the node.
+// SetNodeDown implements faults.Target: the transport's switch for the
+// node, which turns calls to it into retryable timeouts.
 func (cl *Cluster) SetNodeDown(node string, down bool) {
-	if !cl.faultTargetable("node-down", node) {
-		return
+	if cl.faultTargetable("node-down", node) {
+		cl.tr.SetNodeDown(node, down)
 	}
-	if tcp, ok := cl.tr.(*rpc.TCPTransport); ok {
-		tcp.SetNodeDown(node, down)
-		return
-	}
-	cl.Fabric.Node(node).SetDown(down)
 }
 
 // SetLink implements faults.Target: loss/extra-delay on the node's NIC.
-// Link faults are a property of the simulated network model; in TCP mode
-// (real sockets) they are a no-op.
+// Link faults are a property of the simulated network model, which only
+// the fabric's sends read; over TCP (real sockets) they change nothing.
 func (cl *Cluster) SetLink(node string, loss float64, extraRTT time.Duration) {
-	if !cl.faultTargetable("link", node) {
-		return
+	if cl.faultTargetable("link", node) {
+		cl.Fabric.Node(node).SetLink(loss, extraRTT)
 	}
-	if _, ok := cl.tr.(*rpc.TCPTransport); ok {
-		return
-	}
-	cl.Fabric.Node(node).SetLink(loss, extraRTT)
 }
 
 // SetDiskSlow implements faults.Target: scales the node's disk service
-// time.  Disks are simulated-only state, so this is a no-op in TCP mode;
-// targets without a disk (dedicated data servers, clients, drained nodes)
-// are counted no-ops like any other untargetable node.
+// time.  The disk model charges simulated processes only, so over TCP this
+// changes nothing; targets without a disk (dedicated data servers, clients,
+// drained nodes) are counted no-ops like any other untargetable node.
 func (cl *Cluster) SetDiskSlow(node string, factor float64) {
 	if !cl.faultTargetable("disk-slow", node) {
-		return
-	}
-	if _, ok := cl.tr.(*rpc.TCPTransport); ok {
 		return
 	}
 	if m := cl.live(node); m != nil {

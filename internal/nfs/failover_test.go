@@ -56,12 +56,12 @@ func newPNFSTestMount(backend Backend, bad rpc.Conn) (*sim.Kernel, *Client) {
 	NewServer(ServerConfig{Backend: backend, Node: goodNode, Transport: tr, Service: "ds"})
 	client := NewClient(ClientConfig{
 		Node: clNode, Real: true,
-		MDS: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: "mds"},
+		MDS: mustDial(tr, "client", "mds", "mds"),
 		DialDS: func(addr string) rpc.Conn {
 			if addr == "bad" && bad != nil {
 				return bad
 			}
-			return &rpc.SimTransport{Fabric: f, Src: clNode, Dst: goodNode, Service: "ds"}
+			return mustDial(tr, "client", "good", "ds")
 		},
 		WSize: 64 << 10, RSize: 64 << 10,
 	})

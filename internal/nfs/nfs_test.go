@@ -59,11 +59,9 @@ func newTestMountFull(t *testing.T, real bool, reg *metrics.Registry) *testMount
 	srvNode := f.AddNode(simnet.NodeConfig{Name: "server"})
 	clNode := f.AddNode(simnet.NodeConfig{Name: "client"})
 	back := NewStoreBackend(mem.New())
-	server := NewServer(ServerConfig{
-		Transport: &rpc.FabricTransport{Fabric: f}, Node: srvNode,
-		Backend: back,
-	})
-	mds := &countingConn{Conn: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: srvNode, Service: Service}}
+	tr := &rpc.FabricTransport{Fabric: f}
+	server := NewServer(ServerConfig{Transport: tr, Node: srvNode, Backend: back})
+	mds := &countingConn{Conn: mustDial(tr, clNode.Name, srvNode.Name, Service)}
 	client := NewClient(ClientConfig{
 		Node:    clNode,
 		MDS:     mds,
@@ -71,6 +69,15 @@ func newTestMountFull(t *testing.T, real bool, reg *metrics.Registry) *testMount
 		Metrics: reg,
 	})
 	return &testMount{k: k, client: client, server: server, back: back, mds: mds}
+}
+
+// mustDial dials through tr; the tests dial only pairs they serve.
+func mustDial(tr rpc.Transport, from, node, service string) rpc.Conn {
+	conn, err := tr.Dial(from, node, service)
+	if err != nil {
+		panic(err)
+	}
+	return conn
 }
 
 func (m *testMount) run(t *testing.T, fn func(ctx *rpc.Ctx)) {

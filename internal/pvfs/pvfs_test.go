@@ -19,7 +19,7 @@ import (
 // fabric.
 type testFS struct {
 	k       *sim.Kernel
-	fabric  *simnet.Fabric
+	tr      *rpc.FabricTransport
 	client  *Client
 	meta    *MetaServer
 	storage []*StorageServer
@@ -42,8 +42,8 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 			Disk: simdisk.New(simdisk.DefaultConfig(n.Name)),
 		})
 		storage = append(storage, s)
-		mdsConns = append(mdsConns, &rpc.SimTransport{Fabric: f, Src: mdsNode, Dst: n, Service: ServiceIO})
-		clConns = append(clConns, &rpc.SimTransport{Fabric: f, Src: clNode, Dst: n, Service: ServiceIO})
+		mdsConns = append(mdsConns, mustDial(tr, mdsNode.Name, n.Name, ServiceIO))
+		clConns = append(clConns, mustDial(tr, clNode.Name, n.Name, ServiceIO))
 	}
 	meta := NewMetaServer(MetaConfig{
 		Transport: tr, Node: mdsNode,
@@ -52,10 +52,19 @@ func newTestFS(t *testing.T, nDev int, stripeSize int64) *testFS {
 	})
 	client := NewClient(ClientConfig{
 		Node: clNode,
-		Meta: &rpc.SimTransport{Fabric: f, Src: clNode, Dst: mdsNode, Service: ServiceMeta},
+		Meta: mustDial(tr, clNode.Name, mdsNode.Name, ServiceMeta),
 		Dial: dialByID(clConns),
 	})
-	return &testFS{k: k, fabric: f, client: client, meta: meta, storage: storage}
+	return &testFS{k: k, tr: tr, client: client, meta: meta, storage: storage}
+}
+
+// mustDial dials through tr; the tests dial only pairs they serve.
+func mustDial(tr rpc.Transport, from, node, service string) rpc.Conn {
+	conn, err := tr.Dial(from, node, service)
+	if err != nil {
+		panic(err)
+	}
+	return conn
 }
 
 // serverIDs lists the stable server IDs [0..n), the daemons of a test
@@ -314,8 +323,9 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 		f := simnet.NewFabric(k)
 		ioNode := f.AddNode(simnet.NodeConfig{Name: "io", BytesPerSec: 12.5e6})
 		reg := metrics.NewRegistry()
+		tr := &rpc.FabricTransport{Fabric: f}
 		srv := NewStorageServer(StorageConfig{
-			Transport: &rpc.FabricTransport{Fabric: f}, Node: ioNode,
+			Transport: tr, Node: ioNode,
 			Disk:    simdisk.New(simdisk.DefaultConfig("d")),
 			Metrics: reg,
 		})
@@ -332,7 +342,7 @@ func TestBufferPoolThrottlesConcurrentIO(t *testing.T) {
 		srv.cfg.Disk.Warm(1, 0, 32<<20)
 		for i := 0; i < readers; i++ {
 			cl := f.AddNode(simnet.NodeConfig{Name: "c" + string(rune('a'+i))})
-			conn := &rpc.SimTransport{Fabric: f, Src: cl, Dst: ioNode, Service: ServiceIO}
+			conn := mustDial(tr, cl.Name, ioNode.Name, ServiceIO)
 			off := int64(i) * size
 			k.Go("reader", func(p *sim.Proc) {
 				var rep IOReadRep

@@ -114,12 +114,11 @@ func TestReadReleasesReplyBuffers(t *testing.T) {
 		t.Run("fabric/"+name, func(t *testing.T) {
 			fs := newTestFS(t, 4, stripe)
 			fs.meta.dist = dist
-			cl := fs.fabric.Node("client0")
 			var io []rpc.Conn
 			for _, s := range fs.storage {
-				io = append(io, &rpc.SimTransport{Fabric: fs.fabric, Src: cl, Dst: s.Node(), Service: ServiceIO})
+				io = append(io, mustDial(fs.tr, "client0", s.Node().Name, ServiceIO))
 			}
-			meta := &rpc.SimTransport{Fabric: fs.fabric, Src: cl, Dst: fs.fabric.Node("mds"), Service: ServiceMeta}
+			meta := mustDial(fs.tr, "client0", "mds", ServiceMeta)
 			var log *spyLog
 			fs.run(t, func(ctx *rpc.Ctx) { log = readBack(t, ctx, meta, io, refuse) })
 			inspect(t, log, refuse)

@@ -233,7 +233,10 @@ func TestParallelRunsEveryIndexOnce(t *testing.T) {
 // any comparison of a Ctx's P with nil, any bare go statement and any
 // Kernel() call (spawning around Ctx.Go), except at the listed sites — the
 // behaviours that are simulated-only on purpose (docs/ARCHITECTURE.md
-// "Execution modes"), each of which must carry a comment saying why.
+// "Execution modes"), each of which must carry a comment saying why.  In
+// those packages and in workload and bench it also fails on any type
+// assertion or type switch to *rpc.TCPTransport or *rpc.FabricTransport: a
+// fault target or a workload does not ask which transport it runs on.
 func TestModeForkStaysInRPC(t *testing.T) {
 	allowed := map[string]int{ // "pkg/file.go:func" -> mode tests allowed there
 		"ioengine/ioengine.go:watchStraggler": 1, // ioengine_wallclock_timers_total counts real-time timers only
@@ -242,7 +245,8 @@ func TestModeForkStaysInRPC(t *testing.T) {
 	}
 	seen := map[string]int{}
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"cluster", "ioengine", "nfs", "pvfs", "scrub"} {
+	for _, pkg := range []string{"cluster", "ioengine", "nfs", "pvfs", "scrub", "workload", "bench"} {
+		modeChecked := pkg != "workload" && pkg != "bench"
 		paths, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil || len(paths) == 0 {
 			t.Fatalf("no sources for package %s (err %v)", pkg, err)
@@ -267,6 +271,25 @@ func TestModeForkStaysInRPC(t *testing.T) {
 				site := pkg + "/" + filepath.Base(path) + ":" + fn.Name.Name
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
 					what := ""
+					switch n := n.(type) {
+					case *ast.TypeAssertExpr:
+						if isTransportType(n.Type) {
+							what = "type assertion to a transport (use rpc.Transport)"
+						}
+					case *ast.CaseClause:
+						for _, x := range n.List {
+							if isTransportType(x) {
+								what = "type switch on a transport (use rpc.Transport)"
+							}
+						}
+					}
+					if what != "" {
+						t.Errorf("%s: %s in %s", fset.Position(n.Pos()), what, fn.Name.Name)
+						return true
+					}
+					if !modeChecked {
+						return true
+					}
 					switch n := n.(type) {
 					case *ast.GoStmt:
 						what = "bare go statement (use Ctx.Go)"
@@ -300,6 +323,21 @@ func TestModeForkStaysInRPC(t *testing.T) {
 		t.Errorf("allow-listed mode tests found: %v, want exactly %v "+
 			"(drop a site from the list when its behaviour is lifted to both modes)", seen, allowed)
 	}
+}
+
+// isTransportType reports whether x is *rpc.TCPTransport or
+// *rpc.FabricTransport.
+func isTransportType(x ast.Expr) bool {
+	star, ok := x.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := star.X.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "rpc" && (sel.Sel.Name == "TCPTransport" || sel.Sel.Name == "FabricTransport")
 }
 
 // isPNil reports whether x selects a field named P and y is the nil literal.

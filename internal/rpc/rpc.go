@@ -2,7 +2,7 @@
 // and PVFS2 protocol implementations.  One set of handlers and message types
 // serves two transports:
 //
-//   - SimTransport moves XDR-encoded frames across the simnet fabric in
+//   - FabricTransport moves frames across the simnet fabric in
 //     virtual time, charging NIC bandwidth for every byte and letting server
 //     handlers charge CPU and disk resources.  Every figure (cmd/dpnfs-bench)
 //     and the perf/ sim_figures workload run on it.
@@ -270,16 +270,15 @@ type frame struct {
 	done   *sim.Chan // where the reply lands; empty while the frame is idle
 }
 
-// SimTransport is a Conn bound to (fabric, client node, server node,
-// service).  It is cheap; create one per client/server pair.
-type SimTransport struct {
-	Fabric  *simnet.Fabric
-	Src     *simnet.Node
-	Dst     *simnet.Node
-	Service string
+// simWire carries calls from one fabric node to a service on another.
+// FabricTransport.Dial makes one per (from, node, service) edge and puts it
+// behind the node's down switch.
+type simWire struct {
+	fabric   *simnet.Fabric
+	src, dst *simnet.Node
+	inbox    *sim.Chan // the service's inbox on dst
 
-	// stats, when set by FabricTransport.Dial, records per-call latency
-	// (virtual time) and wire bytes.
+	// stats, when set, records wire bytes.
 	stats *connStats
 
 	// frames holds the frames of finished calls for reuse.  Every call that
@@ -292,62 +291,40 @@ type SimTransport struct {
 // process for the full request/response round trip.  The typed request is
 // delivered to the server by reference; only its wire size crosses the NIC
 // model, so bulk payloads are never serialized.
-func (t *SimTransport) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
+func (w *simWire) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
 	if ctx.P == nil {
-		panic("rpc: SimTransport.Call without a simulated process")
-	}
-	t.stats.callStart()
-	start := ctx.Now()
-	if t.Dst.Down() {
-		return t.down(ctx, start)
+		panic("rpc: simulated call without a simulated process")
 	}
 	var f *frame
-	if n := len(t.frames); n > 0 {
-		f, t.frames = t.frames[n-1], t.frames[:n-1]
+	if n := len(w.frames); n > 0 {
+		f, w.frames = w.frames[n-1], w.frames[:n-1]
 	} else {
 		f = &frame{done: sim.NewChan("reply")}
 	}
-	f.proc, f.req, f.from = proc, args, t.Src
+	f.proc, f.req, f.from = proc, args, w.src
 	size := WireSizeOf(args) + HeaderBytes
-	t.stats.addSent(size)
-	t.Fabric.Send(ctx.P, t.Src, t.Dst, t.Dst.Service(t.Service), f, size)
+	w.stats.addSent(size)
+	w.fabric.Send(ctx.P, w.src, w.dst, w.inbox, f, size)
 	f.done.Recv(ctx.P)
 	status, resp := f.status, f.resp
 	f.req, f.resp = nil, nil
-	t.frames = append(t.frames, f)
-	if t.stats != nil {
+	w.frames = append(w.frames, f)
+	if w.stats != nil {
 		// Error replies still carry a frame header on the wire; count it so
 		// sim and TCP byte accounting agree for identical traffic.
 		recv := int64(HeaderBytes)
 		if resp != nil {
 			recv += WireSizeOf(resp)
 		}
-		t.stats.addRecv(recv)
+		w.stats.addRecv(recv)
 	}
-	if status == StatusDown {
-		return t.down(ctx, start)
-	}
-	var err error
 	if status != StatusOK {
-		err = status
-	} else if rep != nil {
-		err = copyReply(rep, resp)
+		return status
 	}
-	t.stats.callEnd(time.Duration(ctx.Now()-start), err)
-	return err
-}
-
-// down fails a call to a crashed node: it went unanswered, or its handler
-// met the crash (StatusDown), and surfaces as a retryable failure once the
-// RPC timer expires, DownCallTimeout after the call started.
-func (t *SimTransport) down(ctx *Ctx, start sim.Time) error {
-	if rest := DownCallTimeout - time.Duration(ctx.Now()-start); rest > 0 {
-		ctx.P.Sleep(rest)
+	if rep != nil {
+		return copyReply(rep, resp)
 	}
-	err := &DownError{Node: t.Dst.Name}
-	t.stats.fault()
-	t.stats.callEnd(time.Duration(ctx.Now()-start), err)
-	return err
+	return nil
 }
 
 // copyReply moves the server's typed response into the caller's reply
@@ -371,7 +348,7 @@ func copyReply(dst xdr.Unmarshaler, src xdr.Marshaler) error {
 
 // LocalConn is a Conn with no wire, for a client in the same process as the
 // server it calls: Call runs the handler on the caller's own flow and copies
-// the typed reply, as SimTransport delivers it, charging nothing in between.
+// the typed reply, as the fabric delivers it, charging nothing in between.
 // A handler that met a crash (StatusDown) comes back as store.ErrUnavailable,
 // so a server calling through the conn answers the crash as its own; any
 // other non-OK status is returned as that Status.

@@ -47,46 +47,28 @@ func echoRegistry() *Registry {
 	return reg
 }
 
-// serveSim serves h as service on node, through the fabric's transport.
-func serveSim(f *simnet.Fabric, node *simnet.Node, service string, h Handler, threads int) {
-	if _, err := (&FabricTransport{Fabric: f}).Serve(node.Name, service, nil, h, threads); err != nil {
-		panic(err) // a fabric serves any node it has
-	}
-}
-
-func TestSimTransportRoundTrip(t *testing.T) {
+// serveSim serves h as service on node "server" of a fresh fabric and
+// dials it from node "client".
+func serveSim(t *testing.T, service string, h Handler, threads int) (*sim.Kernel, *FabricTransport, Conn) {
+	t.Helper()
 	k := sim.NewKernel(1)
 	f := simnet.NewFabric(k)
-	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
-	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
-	serveSim(f, srv, "echo", echoHandler, 4)
-	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
-
-	var got echoArgs
-	var callErr error
-	k.Go("caller", func(p *sim.Proc) {
-		args := echoArgs{N: 41, Blob: []byte("payload")}
-		callErr = conn.Call(&Ctx{P: p}, procEcho, &args, &got)
-	})
-	if err := k.Run(); err != nil {
+	f.AddNode(simnet.NodeConfig{Name: "client"})
+	f.AddNode(simnet.NodeConfig{Name: "server"})
+	tr := &FabricTransport{Fabric: f}
+	if _, err := tr.Serve("server", service, nil, h, threads); err != nil {
 		t.Fatal(err)
 	}
-	if callErr != nil {
-		t.Fatal(callErr)
+	conn, err := tr.Dial("client", "server", service)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.N != 42 || string(got.Blob) != "payload" {
-		t.Fatalf("echo returned %+v", got)
-	}
+	return k, tr, conn
 }
 
 func TestSimTransportChargesBandwidth(t *testing.T) {
 	// A 1 MB call at 1 Gb/s should take ≥ 8 ms of virtual time per direction.
-	k := sim.NewKernel(1)
-	f := simnet.NewFabric(k)
-	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
-	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
-	serveSim(f, srv, "echo", echoHandler, 4)
-	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
+	k, _, conn := serveSim(t, "echo", echoHandler, 4)
 	var done sim.Time
 	k.Go("caller", func(p *sim.Proc) {
 		args := echoArgs{Blob: make([]byte, 1<<20)}
@@ -107,16 +89,11 @@ func TestSimTransportChargesBandwidth(t *testing.T) {
 func TestSimTransportThreadLimit(t *testing.T) {
 	// With 1 server thread and a 10 ms handler, 4 concurrent calls must
 	// serialize: total ≥ 40 ms.
-	k := sim.NewKernel(1)
-	f := simnet.NewFabric(k)
-	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
-	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
 	slow := func(ctx *Ctx, proc uint32, req any) (xdr.Marshaler, Status) {
 		ctx.Sleep(10 * time.Millisecond)
 		return nil, StatusOK
 	}
-	serveSim(f, srv, "slow", slow, 1)
-	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "slow"}
+	k, _, conn := serveSim(t, "slow", slow, 1)
 	var last sim.Time
 	for i := 0; i < 4; i++ {
 		k.Go("caller", func(p *sim.Proc) {
@@ -133,25 +110,6 @@ func TestSimTransportThreadLimit(t *testing.T) {
 	}
 	if time.Duration(last) < 40*time.Millisecond {
 		t.Fatalf("4 calls on 1 thread finished in %v, want ≥ 40 ms", time.Duration(last))
-	}
-}
-
-func TestSimTransportErrorStatus(t *testing.T) {
-	k := sim.NewKernel(1)
-	f := simnet.NewFabric(k)
-	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
-	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
-	serveSim(f, srv, "echo", echoHandler, 0)
-	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
-	var err error
-	k.Go("caller", func(p *sim.Proc) {
-		err = conn.Call(&Ctx{P: p}, 999, &echoArgs{}, nil)
-	})
-	if e := k.Run(); e != nil {
-		t.Fatal(e)
-	}
-	if err != StatusProcUnavail {
-		t.Fatalf("bad proc returned %v, want StatusProcUnavail", err)
 	}
 }
 
@@ -209,10 +167,6 @@ func TestSimCallAllocations(t *testing.T) {
 // call, whose 1 MB reply is still in flight when the hook wakes, must get
 // its own reply.
 func TestSimCallReuseUnderBlockedHook(t *testing.T) {
-	k := sim.NewKernel(1)
-	f := simnet.NewFabric(k)
-	cl := f.AddNode(simnet.NodeConfig{Name: "client"})
-	srv := f.AddNode(simnet.NodeConfig{Name: "server"})
 	var hooks []uint64
 	handler := func(ctx *Ctx, proc uint32, req any) (xdr.Marshaler, Status) {
 		a := req.(*echoArgs)
@@ -226,8 +180,7 @@ func TestSimCallReuseUnderBlockedHook(t *testing.T) {
 		})
 		return &echoArgs{N: n + 1, Blob: a.Blob}, StatusOK
 	}
-	serveSim(f, srv, "echo", handler, 4)
-	conn := &SimTransport{Fabric: f, Src: cl, Dst: srv, Service: "echo"}
+	k, _, conn := serveSim(t, "echo", handler, 4)
 	big := make([]byte, 1<<20)
 	k.Go("caller", func(p *sim.Proc) {
 		ctx := &Ctx{P: p}
@@ -239,8 +192,8 @@ func TestSimCallReuseUnderBlockedHook(t *testing.T) {
 					n, got.N, len(got.Blob), err, 10*n+1, len(blob))
 			}
 		}
-		if len(conn.frames) != 1 {
-			t.Errorf("%d idle frames after two sequential calls, want 1", len(conn.frames))
+		if frames := conn.(*gatedConn).wire.(*simWire).frames; len(frames) != 1 {
+			t.Errorf("%d idle frames after two sequential calls, want 1", len(frames))
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -306,76 +259,6 @@ func TestLocalConn(t *testing.T) {
 	}
 	if err := conn.Call(&Ctx{}, 999, &echoArgs{}, &got); err != StatusProcUnavail {
 		t.Fatalf("bad proc returned %v, want StatusProcUnavail", err)
-	}
-}
-
-func TestTCPRoundTrip(t *testing.T) {
-	s, err := ListenTCP("127.0.0.1:0", echoRegistry(), echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := DialTCP(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var got echoArgs
-	if err := c.Call(&Ctx{}, procEcho, &echoArgs{N: 1, Blob: []byte("x")}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.N != 2 || string(got.Blob) != "x" {
-		t.Fatalf("echo returned %+v", got)
-	}
-}
-
-func TestTCPConcurrentCalls(t *testing.T) {
-	s, err := ListenTCP("127.0.0.1:0", echoRegistry(), echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := DialTCP(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(n uint64) {
-			defer wg.Done()
-			var got echoArgs
-			if err := c.Call(&Ctx{}, procEcho, &echoArgs{N: n}, &got); err != nil {
-				errs <- err
-				return
-			}
-			if got.N != n+1 {
-				errs <- StatusSystemErr
-			}
-		}(uint64(i))
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-func TestTCPErrorStatus(t *testing.T) {
-	s, err := ListenTCP("127.0.0.1:0", echoRegistry(), echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := DialTCP(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Call(&Ctx{}, 999, &echoArgs{}, nil); err != StatusProcUnavail {
-		t.Fatalf("got %v, want StatusProcUnavail", err)
 	}
 }
 

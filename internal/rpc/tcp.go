@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"dpnfs/internal/xdr"
 )
@@ -351,16 +350,9 @@ func (p *TCPPool) pick() (*TCPClient, error) {
 // wire (*SendError) are retried, on a fresh connection — a lost reply is
 // surfaced to the caller, because the server may have executed the call
 // and not every operation tolerates re-execution (NFS sessions have a
-// replay cache; the PVFS2 protocol does not).
+// replay cache; the PVFS2 protocol does not).  Calls themselves are counted
+// by the conn TCPTransport.Dial puts the pool behind.
 func (p *TCPPool) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
-	p.stats.callStart()
-	start := time.Now()
-	err := p.call(ctx, proc, args, rep)
-	p.stats.callEnd(time.Since(start), err)
-	return err
-}
-
-func (p *TCPPool) call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {

@@ -252,15 +252,16 @@ func TestTCPTransportPoolKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dial wraps each conn in a fault gate; pool sharing is what matters.
-	if c1.(*downGate).pool != c1again.(*downGate).pool {
+	// Dial puts each pool behind the node's down switch; pool sharing is
+	// what matters.
+	if c1.(*gatedConn).wire != c1again.(*gatedConn).wire {
 		t.Fatal("repeat dial from one client got a distinct pool")
 	}
 	c2, err := tr.Dial("c1", "io0", "echo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.(*downGate).pool == c2.(*downGate).pool {
+	if c1.(*gatedConn).wire == c2.(*gatedConn).wire {
 		t.Fatal("distinct client nodes share one connection pool")
 	}
 	if _, err := tr.Dial("c0", "nowhere", "echo"); err == nil {

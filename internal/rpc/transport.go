@@ -27,12 +27,16 @@ type Transport interface {
 	// registered under (node, service).  Connections may be shared and must
 	// be safe for concurrent calls.
 	Dial(from, node, service string) (Conn, error)
+	// SetNodeDown marks (or clears) every service on the logical node as
+	// crashed (internal/faults): calls to it fail with a retryable
+	// *DownError after DownCallTimeout on the mode's clock.
+	SetNodeDown(node string, down bool)
 	// Close tears down every listener and connection the transport owns.
 	Close() error
 }
 
 // FabricTransport runs endpoints on a simulated fabric: Serve registers a
-// dispatcher process, Dial returns a SimTransport conn.  Node names must
+// dispatcher process, Dial returns a gated fabric conn.  Node names must
 // already exist on the fabric (topology is built by the cluster layer).
 type FabricTransport struct {
 	Fabric *simnet.Fabric
@@ -40,13 +44,15 @@ type FabricTransport struct {
 	// (docs/METRICS.md).  Latencies are virtual time.
 	Metrics *metrics.Registry
 
-	// connMu guards conns, the (src, dst, service) → SimTransport cache.
-	// Conns are stateless beyond their shared stats bundle, so every
-	// re-dial of the same edge (a client re-mounting per benchmark run
-	// re-dials each data server) reuses one conn instead of rebuilding
+	downSwitches
+
+	// connMu guards conns, the (src, dst, service) → conn cache.  Conns are
+	// stateless beyond their shared stats bundle and frame free list, so
+	// every re-dial of the same edge (a client re-mounting per benchmark
+	// run re-dials each data server) reuses one conn instead of rebuilding
 	// its metric instruments.
 	connMu sync.Mutex
-	conns  map[string]*SimTransport
+	conns  map[string]*gatedConn
 }
 
 // Serve implements Transport by starting the service's dispatcher process.
@@ -96,15 +102,11 @@ func (t *FabricTransport) Dial(from, node, service string) (Conn, error) {
 	if dst == nil || !dst.Serves(service) {
 		return nil, fmt.Errorf("rpc: no service registered at %s/%s", node, service)
 	}
-	c := &SimTransport{
-		Fabric:  t.Fabric,
-		Src:     t.Fabric.Node(from),
-		Dst:     dst,
-		Service: service,
-		stats:   newConnStats(t.Metrics, "sim", service),
-	}
+	stats := newConnStats(t.Metrics, "sim", service)
+	w := &simWire{fabric: t.Fabric, src: t.Fabric.Node(from), dst: dst, inbox: dst.Service(service), stats: stats}
+	c := t.gate(node, w, stats)
 	if t.conns == nil {
-		t.conns = make(map[string]*SimTransport)
+		t.conns = make(map[string]*gatedConn)
 	}
 	t.conns[key] = c
 	return c, nil
@@ -125,56 +127,13 @@ type TCPTransport struct {
 	// (docs/METRICS.md).  Latencies are wall clock.
 	Metrics *metrics.Registry
 
+	downSwitches
+
 	mu      sync.Mutex
 	servers map[string]*TCPServer // key: node + "/" + service
 	addrs   map[string]string     // logical key -> host:port
 	pools   map[string]*TCPPool   // one shared pool per server endpoint
-	downed  map[string]bool       // fault injection: logical nodes marked down
 	closed  bool
-}
-
-// SetNodeDown marks (or clears) every service on the logical node as
-// unreachable: calls through conns dialed to it fail fast with a retryable
-// *DownError, the TCP equivalent of the simulated fabric's crashed node
-// (internal/faults).
-func (t *TCPTransport) SetNodeDown(node string, down bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.downed == nil {
-		t.downed = make(map[string]bool)
-	}
-	if down {
-		t.downed[node] = true
-	} else {
-		delete(t.downed, node)
-	}
-}
-
-func (t *TCPTransport) nodeDown(node string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.downed[node]
-}
-
-// downGate wraps a pool conn with the transport's node-down check.
-type downGate struct {
-	tr   *TCPTransport
-	node string
-	pool *TCPPool
-}
-
-// Call implements Conn, rejecting calls while the node is marked down and
-// failing a call whose handler met the crash (StatusDown) the same way.
-func (g *downGate) Call(ctx *Ctx, proc uint32, args xdr.Marshaler, rep xdr.Unmarshaler) error {
-	var err error = StatusDown
-	if !g.tr.nodeDown(g.node) {
-		err = g.pool.Call(ctx, proc, args, rep)
-	}
-	if err == StatusDown {
-		g.pool.stats.fault()
-		return &DownError{Node: g.node}
-	}
-	return err
 }
 
 // NewTCPTransport returns an empty loopback transport.
@@ -232,7 +191,7 @@ func (t *TCPTransport) Dial(from, node, service string) (Conn, error) {
 		return nil, errConnClosed
 	}
 	if p, ok := t.pools[poolKey]; ok {
-		return &downGate{tr: t, node: node, pool: p}, nil
+		return t.gate(node, p, p.stats), nil
 	}
 	addr, ok := t.addrs[serverKey]
 	if !ok {
@@ -241,7 +200,7 @@ func (t *TCPTransport) Dial(from, node, service string) (Conn, error) {
 	p := NewTCPPool(addr, t.PoolConns)
 	p.stats = newConnStats(t.Metrics, "tcp", service)
 	t.pools[poolKey] = p
-	return &downGate{tr: t, node: node, pool: p}, nil
+	return t.gate(node, p, p.stats), nil
 }
 
 // Addrs returns a snapshot of every registered "node/service" -> address

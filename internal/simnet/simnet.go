@@ -75,23 +75,12 @@ type Node struct {
 	fabric   *Fabric
 	services map[string]*sim.Chan
 
-	// Fault-injection state (internal/faults).  Mutated only from
-	// simulation processes, so no locking is needed: the kernel runs one
-	// process at a time.
-	down     bool
+	// Link-fault state (internal/faults).  Mutated only from simulation
+	// processes, so no locking is needed: the kernel runs one process at a
+	// time.  A crashed node is the rpc transport's state, not the fabric's.
 	loss     float64       // per-message drop probability on this NIC
 	extraLat time.Duration // added one-way delay (half the SetLink RTT)
 }
-
-// SetDown marks the node crashed (unreachable) or restarted.  The rpc layer
-// surfaces calls to a down node as retryable errors.  A request already in a
-// handler runs on: against a volatile store that keeps its image it
-// completes, and against a durable store that crashed with the node it is
-// answered as if it had found the node down (rpc.StatusDown).
-func (n *Node) SetDown(down bool) { n.down = down }
-
-// Down reports whether the node is currently crashed.
-func (n *Node) Down() bool { return n.down }
 
 // SetLink degrades (or, with zero values, restores) the node's link: loss
 // is the probability a message pays RetransmitTimeout, extra is added

@@ -204,20 +204,3 @@ func TestLinkLossPaysRetransmitTimeout(t *testing.T) {
 		t.Fatalf("lossy transfer done at %v, want %v", time.Duration(done), time.Duration(want))
 	}
 }
-
-func TestNodeDownFlag(t *testing.T) {
-	k := sim.NewKernel(1)
-	f := NewFabric(k)
-	n := f.AddNode(NodeConfig{Name: "x"})
-	if n.Down() {
-		t.Fatal("fresh node reports down")
-	}
-	n.SetDown(true)
-	if !n.Down() {
-		t.Fatal("SetDown(true) not visible")
-	}
-	n.SetDown(false)
-	if n.Down() {
-		t.Fatal("SetDown(false) not visible")
-	}
-}
