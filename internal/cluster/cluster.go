@@ -246,11 +246,9 @@ type Cluster struct {
 	rebalanceBytes   *metrics.Counter
 	rebalanceFiles   *metrics.Counter
 
-	// nfsClients are the NFS clients whose layouts a membership change
-	// recalls; directMDS is the Direct-pNFS metadata server's backend, which
-	// tests reach here.
-	nfsClients []*nfs.Client
-	directMDS  *directMDSBackend
+	// directMDS is the Direct-pNFS metadata server's backend, which tests
+	// reach here.
+	directMDS *directMDSBackend
 }
 
 // New builds a cluster for the configuration.
@@ -462,11 +460,9 @@ func (cl *Cluster) clientNode(i int) *simnet.Node {
 	})
 }
 
-// nfsMountAt builds an NFSv4.1 mount on node n against the MDS node.  The
-// client is recorded in nfsClients so the membership reconciler can recall
-// its layouts (the in-process stand-in for CB_LAYOUTRECALL).
+// nfsMountAt builds an NFSv4.1 mount on node n against the MDS node.
 func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client {
-	c := nfs.NewClient(nfs.ClientConfig{
+	return nfs.NewClient(nfs.ClientConfig{
 		Node: n,
 		Name: n.Name,
 		MDS:  cl.dial(n.Name, mdsNode.Name, ServiceMDS),
@@ -478,8 +474,6 @@ func (cl *Cluster) nfsMountAt(n *simnet.Node, mdsNode *simnet.Node) *nfs.Client 
 		Real:    cl.Cfg.Real,
 		Metrics: cl.Cfg.Metrics,
 	})
-	cl.nfsClients = append(cl.nfsClients, c)
-	return c
 }
 
 // buildDirect wires Direct-pNFS: an NFS data server on every storage node

@@ -238,7 +238,6 @@ func (cl *Cluster) applyJoin(ctx *rpc.Ctx, name string) error {
 	if err := cl.rebalance(ctx, cl.activeDist()); err != nil {
 		return fmt.Errorf("cluster: rebalance after join of %s: %w", name, err)
 	}
-	cl.recallLayouts()
 	return nil
 }
 
@@ -266,19 +265,7 @@ func (cl *Cluster) applyDrain(ctx *rpc.Ctx, name string) error {
 	m.state = memberRemoved
 	cl.memberMu.Unlock()
 	cl.updateMemberGauges()
-	cl.recallLayouts()
 	return nil
-}
-
-// recallLayouts recalls every NFS client's layouts once a membership change
-// is done — the in-process stand-in for CB_LAYOUTRECALL.  Nothing depends
-// on it for correctness (a data server refuses I/O under a moved
-// placement, and the client refetches), but it moves the 2-tier clients'
-// blind layouts onto a joiner's data server.
-func (cl *Cluster) recallLayouts() {
-	for _, c := range cl.nfsClients {
-		c.InvalidateLayouts()
-	}
 }
 
 // rebalance moves every file onto target through the metadata manager's

@@ -110,42 +110,62 @@ func readWhole(ctx *rpc.Ctx, m *Mount, path string, want []byte) error {
 	return m.Close(ctx, f)
 }
 
-// TestPVFS2WriteAfterDrain: a native PVFS2 file opened before a drain and
-// written and fsynced through the same open reference well after it reads
-// back the new bytes.  The drain removed the objects the reference was
-// opened on, so its first write answers Stale, and the client re-reads the
-// placement and writes there.
-func TestPVFS2WriteAfterDrain(t *testing.T) {
+// TestHeldFileWritesAfterMembershipChange: a file opened before a join or a
+// drain and written and fsynced through the same open reference well after
+// it reads back the new bytes once the client's caches are dropped, on all
+// five architectures.  The change moved the file and removed the objects
+// the reference was opened on, so its first write answers Stale, and the
+// client re-reads the placement (PVFS2, the exports' data servers) or
+// refetches the layout (Direct-pNFS) and writes there: no recall tells the
+// client, and a 2-tier client keeps its pre-change layout.
+func TestHeldFileWritesAfterMembershipChange(t *testing.T) {
 	const size = 1 << 20
-	cl := New(Config{Arch: ArchPVFS2, Clients: 1, Real: true, StripeSize: 64 << 10})
-	defer cl.Close()
-	var f *File
-	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) (err error) {
-		if f, err = m.Create(ctx, "/held"); err != nil {
-			return err
+	for _, arch := range Archs {
+		for _, ev := range []faults.Event{faults.Join{Node: "io9"}, faults.Drain{Node: "io1"}} {
+			t.Run(fmt.Sprintf("%s/%s", arch, ev.Kind()), func(t *testing.T) {
+				cl := New(Config{Arch: arch, Clients: 1, Real: true, StripeSize: 64 << 10})
+				defer cl.Close()
+				var f *File
+				if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) (err error) {
+					if f, err = m.Create(ctx, "/held"); err != nil {
+						return err
+					}
+					if err := m.Write(ctx, f, 0, payload.Real(memberPattern(0, size))); err != nil {
+						return err
+					}
+					return m.Fsync(ctx, f)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				schedule(t, cl, ev)
+				if err := cl.Reconcile(); err != nil {
+					t.Fatal(err)
+				}
+				if cl.rebalanceFiles.Value() == 0 {
+					t.Fatal("the membership change moved no file")
+				}
+				if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+					ctx.Pause(3 * time.Second)
+					if err := m.Write(ctx, f, 0, payload.Real(memberPattern(1, size))); err != nil {
+						return fmt.Errorf("write: %w", err)
+					}
+					if err := m.Fsync(ctx, f); err != nil {
+						return fmt.Errorf("fsync: %w", err)
+					}
+					return m.Close(ctx, f)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range cl.Mounts() {
+					m.DropCaches()
+				}
+				if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
+					return readWhole(ctx, m, "/held", memberPattern(1, size))
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		if err := m.Write(ctx, f, 0, payload.Real(memberPattern(0, size))); err != nil {
-			return err
-		}
-		return m.Fsync(ctx, f)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	schedule(t, cl, faults.Drain{Node: "io1"})
-	if err := cl.Reconcile(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Run(func(ctx *rpc.Ctx, m *Mount, _ int) error {
-		ctx.Pause(3 * time.Second)
-		if err := m.Write(ctx, f, 0, payload.Real(memberPattern(1, size))); err != nil {
-			return err
-		}
-		if err := m.Fsync(ctx, f); err != nil {
-			return err
-		}
-		return readWhole(ctx, m, "/held", memberPattern(1, size))
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -196,11 +216,11 @@ func TestStalePlacementReadsCurrentBytes(t *testing.T) {
 }
 
 // TestMigratedOpenFileRefetchesItsLayoutOnce: a Direct-pNFS file stays open
-// while a migration moves it (no recall follows: the test runs the
-// migration itself).  The first write under the old layout meets the
-// removed source objects and refetches the layout; the refetched layout
-// becomes the file's, so the remaining chunks go out under it and
-// nfs_client_layout_refetches_total moves by 1, not by one per chunk.
+// while the test runs a migration that moves it.  The first write under
+// the old layout meets the removed source objects and refetches the
+// layout; the refetched layout becomes the file's, so the remaining chunks
+// go out under it and nfs_client_layout_refetches_total moves by 1, not by
+// one per chunk.
 // Every byte reads back from a fresh open.
 func TestMigratedOpenFileRefetchesItsLayoutOnce(t *testing.T) {
 	const chunks, chunk = 5, 2 << 20

@@ -4,7 +4,7 @@
 // drains and scrub passes — that a cluster replays against itself during
 // its next workload run.  The same plan drives every architecture, which is
 // what turns the simulator into a testbed for the paper's *unhappy* paths —
-// layout recall/refetch and MDS-proxied fallback under storage-node loss
+// layout refetch and MDS-proxied fallback under storage-node loss
 // (paper §3–§4, §6) — and for how they compose with membership changes and
 // scrubbing.
 //

@@ -77,7 +77,7 @@ type Client struct {
 	flushSlots *rpc.Sem
 	flushProc  string
 
-	// stateMu guards devices, active, epoch, layouts, and inodeCache:
+	// stateMu guards devices, active, layouts, and inodeCache:
 	// recovery paths mutate them from parallel extent flows.
 	stateMu sync.Mutex
 	devices map[pnfs.DeviceID]rpc.Conn
@@ -86,9 +86,6 @@ type Client struct {
 	// layouts fetched before a membership change remain usable) but are
 	// excluded from replica failover.
 	active map[pnfs.DeviceID]bool
-	// epoch counts layout invalidations (cluster membership changes); open
-	// files compare it to decide whether to refetch their layout.
-	epoch uint64
 
 	layouts map[uint64]*pnfs.FileLayout
 	// inodeCache retains page caches across open/close per filehandle,
@@ -343,9 +340,7 @@ type File struct {
 
 	// lay is the file's layout (nil without pNFS), swapped whole so that a
 	// flow maps and addresses all its extents under the one it loaded.
-	// layoutMu serializes refetches after an epoch bump (a layout recall).
-	layoutMu sync.Mutex
-	lay      atomic.Pointer[laidOut]
+	lay atomic.Pointer[laidOut]
 
 	cache *pageCache
 
@@ -436,9 +431,7 @@ func (c *Client) open(ctx *rpc.Ctx, path string, create bool) (*File, error) {
 	dir, name := splitPath(path)
 	tail := []Op{&OpOpen{Name: name, Create: create}, &OpGetAttr{}}
 	inline := create && c.pnfsOK
-	var epoch uint64
 	if inline {
-		epoch = c.epochNow()
 		tail = append(tail, &OpLayoutGet{})
 	}
 	ops := walkOps(dir, tail...)
@@ -474,7 +467,7 @@ func (c *Client) open(ctx *rpc.Ctx, path string, create bool) (*File, error) {
 	}
 	switch {
 	case inline:
-		err = f.adoptLayout(ctx, res[2].(*ResLayoutGet), epoch)
+		err = f.adoptLayout(ctx, res[2].(*ResLayoutGet))
 	case c.pnfsOK:
 		err = f.fetchLayout(ctx)
 	}

@@ -172,7 +172,7 @@ func TestOpenWithoutLayoutReleasesPageCache(t *testing.T) {
 		if len(pc.segs) == 0 {
 			t.Error("closed file left nothing cached")
 		}
-		client.InvalidateLayouts()
+		delete(client.layouts, fl.fh) // the open must ask the server again
 		backend.refuseLayouts = true
 		if _, err := client.Open(ctx, "/x"); err == nil {
 			t.Error("open without a layout succeeded")

@@ -78,61 +78,37 @@ func (c *Client) refreshDevices(ctx *rpc.Ctx) error {
 	return nil
 }
 
-// InvalidateLayouts discards every cached layout and bumps the layout
-// epoch, so each open file refetches its layout (and the device list)
-// before its next striped I/O: the cluster's recall after a membership
-// change.
-func (c *Client) InvalidateLayouts() {
-	c.stateMu.Lock()
-	n := len(c.layouts)
-	c.layouts = make(map[uint64]*pnfs.FileLayout)
-	c.epoch++
-	c.stateMu.Unlock()
-	for i := 0; i < n; i++ {
-		c.layoutEvicts.Inc()
-	}
-}
-
-func (c *Client) epochNow() uint64 {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	return c.epoch
-}
-
 // fetchLayout gets (or reuses) the file's layout.  Layouts apply to the
 // whole file and stay valid for the lifetime of the inode (paper §5) —
 // unless a device error evicts them (recoverLayout).
 func (f *File) fetchLayout(ctx *rpc.Ctx) error {
 	f.c.stateMu.Lock()
 	l, ok := f.c.layouts[f.fh]
-	epoch := f.c.epoch
 	f.c.stateMu.Unlock()
 	if ok {
 		f.c.layoutHits.Inc()
-		return f.useLayout(ctx, l, epoch)
+		return f.useLayout(ctx, l)
 	}
 	rep, err := f.c.call(ctx, f.c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpLayoutGet{})
 	if err != nil {
 		return err
 	}
-	return f.adoptLayout(ctx, rep.Results[1].(*ResLayoutGet), epoch)
+	return f.adoptLayout(ctx, rep.Results[1].(*ResLayoutGet))
 }
 
 // adoptLayout caches the layout a LAYOUTGET returned for f — on its own, or
-// inside a creating OPEN's compound — and makes it f's, as of epoch.
-func (f *File) adoptLayout(ctx *rpc.Ctx, lg *ResLayoutGet, epoch uint64) error {
+// inside a creating OPEN's compound — and makes it f's.
+func (f *File) adoptLayout(ctx *rpc.Ctx, lg *ResLayoutGet) error {
 	f.c.stateMu.Lock()
 	f.c.layouts[f.fh] = &lg.Layout
 	f.c.stateMu.Unlock()
-	return f.useLayout(ctx, &lg.Layout, epoch)
+	return f.useLayout(ctx, &lg.Layout)
 }
 
-// laidOut is a layout as a file's I/O uses it: with its aggregation driver,
-// and the client's layout epoch it was fetched in.
+// laidOut is a layout as a file's I/O uses it: with its aggregation driver.
 type laidOut struct {
 	layout *pnfs.FileLayout
 	mapper stripe.Mapper
-	epoch  uint64
 }
 
 // laid returns f's layout and its driver, both nil without one.
@@ -143,9 +119,9 @@ func (f *File) laid() (*pnfs.FileLayout, stripe.Mapper) {
 	return nil, nil
 }
 
-// useLayout makes l f's layout as of epoch, dialing any device l references
-// that joined after mount.
-func (f *File) useLayout(ctx *rpc.Ctx, l *pnfs.FileLayout, epoch uint64) error {
+// useLayout makes l f's layout, dialing any device l references that joined
+// after mount.
+func (f *File) useLayout(ctx *rpc.Ctx, l *pnfs.FileLayout) error {
 	m, err := l.Mapper()
 	if err != nil {
 		return fmt.Errorf("nfs: layout for %s: %w", f.Path, err)
@@ -159,22 +135,8 @@ func (f *File) useLayout(ctx *rpc.Ctx, l *pnfs.FileLayout, epoch uint64) error {
 			}
 		}
 	}
-	f.lay.Store(&laidOut{l, m, epoch})
+	f.lay.Store(&laidOut{l, m})
 	return nil
-}
-
-// ensureLayout refetches the file's layout when the client's layout epoch
-// moved since the layout was fetched (a membership change recalled it).
-func (f *File) ensureLayout(ctx *rpc.Ctx) error {
-	if lo := f.lay.Load(); lo == nil || lo.epoch == f.c.epochNow() {
-		return nil
-	}
-	f.layoutMu.Lock()
-	defer f.layoutMu.Unlock()
-	if f.lay.Load().epoch == f.c.epochNow() {
-		return nil
-	}
-	return f.fetchLayout(ctx)
 }
 
 // recoverLayout handles a data-server failure: it evicts the file's cached
@@ -186,12 +148,11 @@ func (f *File) ensureLayout(ctx *rpc.Ctx) error {
 func (c *Client) recoverLayout(ctx *rpc.Ctx, f *File) *laidOut {
 	c.stateMu.Lock()
 	delete(c.layouts, f.fh)
-	epoch := c.epoch
 	c.stateMu.Unlock()
 	c.layoutEvicts.Inc()
 	_ = c.refreshDevices(ctx) // best effort: LAYOUTGET below decides
 	rep, err := c.call(ctx, c.cfg.MDS, true, &OpPutFH{FH: f.fh}, &OpLayoutGet{})
-	if err != nil || f.adoptLayout(ctx, rep.Results[1].(*ResLayoutGet), epoch) != nil {
+	if err != nil || f.adoptLayout(ctx, rep.Results[1].(*ResLayoutGet)) != nil {
 		return nil
 	}
 	c.layoutRefch.Inc()

@@ -169,9 +169,6 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 	if len(chunks) == 0 {
 		return nil
 	}
-	if err := f.ensureLayout(ctx); err != nil {
-		return err
-	}
 	want := c.cfg.Real
 	read := func(ctx *rpc.Ctx, l *pnfs.FileLayout, e stripe.Extent) error {
 		data, sums, err := c.readExtent(ctx, f, l, e, want)

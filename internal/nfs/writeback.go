@@ -94,11 +94,7 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 	var owners []*File
 	for _, wb := range chunks {
 		f, data := wb.f, wb.data
-		exts, layout, err := c.chunkExtents(ctx, f, wb.off, data.Len())
-		if err != nil {
-			f.setAsyncErr(err)
-			continue
-		}
+		exts, layout := c.chunkExtents(f, wb.off, data.Len())
 		fn := c.chunkLadder(f, layout, wb.off, data, wb.sums, false)
 		for _, e := range exts {
 			reqs = append(reqs, e)
@@ -130,23 +126,20 @@ func (c *Client) drainWriteBack(ctx *rpc.Ctx) {
 // and returns the layout it mapped them under: its data-server extents
 // under f's layout or, without one, the whole chunk as one pseudo-extent
 // for the MDS (Dev -1, the engine's MDS marker).
-func (c *Client) chunkExtents(ctx *rpc.Ctx, f *File, off, n int64) ([]stripe.Extent, *pnfs.FileLayout, error) {
-	if err := f.ensureLayout(ctx); err != nil {
-		return nil, nil, err
-	}
+func (c *Client) chunkExtents(f *File, off, n int64) ([]stripe.Extent, *pnfs.FileLayout) {
 	layout, mapper := f.laid()
 	if layout == nil {
-		return []stripe.Extent{{Dev: -1, Off: off, Len: n}}, nil, nil
+		return []stripe.Extent{{Dev: -1, Off: off, Len: n}}, nil
 	}
-	return c.engine.Prepare(mapper.Map(off, n)), layout, nil
+	return c.engine.Prepare(mapper.Map(off, n)), layout
 }
 
 // chunkLadder builds the per-extent dispatch for one gathered chunk, mapped
 // under layout by chunkExtents.  Without a layout that is the write itself — the MDS is the only server.  Under a
 // pNFS layout the striped write sits behind a two-rung policy ladder: a
 // device error evicts the cached layout, re-drives GETDEVICELIST +
-// LAYOUTGET, and retries once against the fresh layout (the recalled-layout
-// path, paper §4); extents that still cannot reach a data server are proxied
+// LAYOUTGET, and retries once against the fresh layout (the layout re-drive,
+// paper §4); extents that still cannot reach a data server are proxied
 // through the metadata server, which writes into the parallel file system on
 // the client's behalf.  Every rung writes stable when stable is set, and
 // then leaves no server a COMMIT to do; otherwise each marks the server its
@@ -346,11 +339,9 @@ func (c *Client) flush(ctx *rpc.Ctx, f *File) (layoutCommit bool, err error) {
 func (c *Client) flushStable(ctx *rpc.Ctx, f *File, run extent) error {
 	data, sums := f.takeDirty(run)
 	defer data.Release()
-	exts, layout, err := c.chunkExtents(ctx, f, run.Off, run.len())
-	if err == nil {
-		err = c.engine.RunWith(ctx, ioengine.RunOpts{Class: ioengine.Background}, exts,
-			c.chunkLadder(f, layout, run.Off, data, sums, true))
-	}
+	exts, layout := c.chunkExtents(f, run.Off, run.len())
+	err := c.engine.RunWith(ctx, ioengine.RunOpts{Class: ioengine.Background}, exts,
+		c.chunkLadder(f, layout, run.Off, data, sums, true))
 	if aerr := f.takeAsyncErr(); aerr != nil {
 		return aerr
 	}

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"dpnfs/internal/fserr"
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/sim"
+	"dpnfs/internal/simdisk"
+	"dpnfs/internal/simnet"
 	"dpnfs/internal/store"
 	"dpnfs/internal/store/mem"
 )
@@ -121,5 +125,56 @@ func TestReadRacingRemove(t *testing.T) {
 			write(i + 1)
 		}()
 		wg.Wait()
+	}
+}
+
+// TestRemoveUnderInFlightIOAnswersStale: an IO-REMOVE — a migration's flip
+// among them — can reclaim an object while an IO-WRITE or IO-READ that
+// already resolved its handle waits inside its CPU charge.  That request
+// must answer Stale, on which a client re-reads the placement and re-runs
+// the operation where the file now lives; NoEnt would reach the
+// application as a failed call.
+func TestRemoveUnderInFlightIOAnswersStale(t *testing.T) {
+	const size = 1 << 20
+	for _, tc := range []struct {
+		name string
+		io   func(s *StorageServer, ctx *rpc.Ctx) fserr.Errno
+	}{
+		{"WRITE", func(s *StorageServer, ctx *rpc.Ctx) fserr.Errno {
+			return s.Write(ctx, &IOWriteArgs{Handle: 1, Data: payload.Real(make([]byte, size))}, store.BlockSums{}).Errno
+		}},
+		{"READ", func(s *StorageServer, ctx *rpc.Ctx) fserr.Errno {
+			rep, _ := s.Read(ctx, &IOReadArgs{Handle: 1, Len: size, WantReal: true})
+			return rep.Errno
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			n := simnet.NewFabric(k).AddNode(simnet.NodeConfig{Name: "io"})
+			s := NewStorageServer(StorageConfig{Node: n, Disk: simdisk.New(simdisk.DefaultConfig("d"))})
+			if e := daemonCreate(s, 1); e != fserr.OK {
+				t.Fatalf("IO-CREATE: %v", e)
+			}
+			if rep := s.Write(&rpc.Ctx{}, &IOWriteArgs{Handle: 1, Data: payload.Real(make([]byte, size))}, store.BlockSums{}); rep.Errno != fserr.OK {
+				t.Fatalf("seed IO-WRITE: %v", rep.Errno)
+			}
+			var got fserr.Errno
+			k.Go("io", func(p *sim.Proc) { got = tc.io(s, &rpc.Ctx{P: p}) })
+			k.Go("remove", func(p *sim.Proc) {
+				// The 1 MiB request's CPU charge runs for 20 ms; the
+				// remove lands 1 ms into it, on the node's other core.
+				p.Sleep(time.Millisecond)
+				rep, _ := s.Handle(&rpc.Ctx{P: p}, ProcIORemove, &IORemoveArgs{Handle: 1})
+				if e := rep.(*IORemoveRep).Errno; e != fserr.OK {
+					t.Errorf("IO-REMOVE: %v", e)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got != fserr.Stale {
+				t.Fatalf("IO-%s whose object was removed under it answered %v, want %v", tc.name, got, fserr.Stale)
+			}
+		})
 	}
 }

@@ -122,10 +122,19 @@ func ObjectHandle(name string) (Handle, bool) {
 // stale handle; any other store error (a crashed store) maps as usual.
 func (s *StorageServer) object(h Handle) (store.FileID, fserr.Errno) {
 	at, err := s.store.Lookup(s.store.Root(), objectName(h))
+	return at.ID, objectErrno(err)
+}
+
+// objectErrno maps a store error on a datafile object.  An object that is
+// gone is a stale handle, also when the request had already resolved it: a
+// remove (a migration's flip among them) can reclaim the object while the
+// request waits for its CPU, buffers or disk, and the client must then
+// re-read the placement, not fail the application's call.
+func objectErrno(err error) fserr.Errno {
 	if err == store.ErrNotExist {
-		return 0, fserr.Stale
+		return fserr.Stale
 	}
-	return at.ID, fserr.ToErrno(err)
+	return fserr.ToErrno(err)
 }
 
 // Store exposes the daemon's content store (scrub wiring, tests).
@@ -243,7 +252,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Mars
 		}
 		at, err := s.store.GetAttr(id)
 		if err != nil {
-			return &IOGetSizeRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
+			return &IOGetSizeRep{Errno: objectErrno(err)}, rpc.StatusOK
 		}
 		return &IOGetSizeRep{Size: at.Size, Change: at.Change}, rpc.StatusOK
 
@@ -255,7 +264,7 @@ func (s *StorageServer) Handle(ctx *rpc.Ctx, proc uint32, req any) (rep xdr.Mars
 			return &IOTruncateRep{Errno: e}, rpc.StatusOK
 		}
 		if err := s.store.Truncate(id, a.ObjSize); err != nil {
-			return &IOTruncateRep{Errno: fserr.ToErrno(err)}, rpc.StatusOK
+			return &IOTruncateRep{Errno: objectErrno(err)}, rpc.StatusOK
 		}
 		return &IOTruncateRep{Errno: s.syncStore(ctx)}, rpc.StatusOK
 	}
@@ -295,7 +304,7 @@ func (s *StorageServer) Write(ctx *rpc.Ctx, a *IOWriteArgs, sums store.BlockSums
 	ctx.Defer(release)
 	prev, err := s.store.GetAttr(id)
 	if err != nil {
-		return &IOWriteRep{Errno: fserr.ToErrno(err)}
+		return &IOWriteRep{Errno: objectErrno(err)}
 	}
 	// A write that partially covers a block of existing data forces a
 	// read-modify-write of the boundary blocks; appends past EOF extend
@@ -319,7 +328,7 @@ func (s *StorageServer) Write(ctx *rpc.Ctx, a *IOWriteArgs, sums store.BlockSums
 		objSize, err = store.WriteSummed(s.store, id, a.Off, a.Data.Bytes, sums)
 	}
 	if err != nil {
-		return &IOWriteRep{Errno: fserr.ToErrno(err)}
+		return &IOWriteRep{Errno: objectErrno(err)}
 	}
 	s.cfg.Disk.Write(ctx.P, uint64(a.Handle), a.Off, n)
 	if a.Sync {
@@ -348,7 +357,7 @@ func (s *StorageServer) Read(ctx *rpc.Ctx, a *IOReadArgs) (*IOReadRep, store.Blo
 	}
 	at, err := s.store.GetAttr(id)
 	if err != nil {
-		return &IOReadRep{Errno: fserr.ToErrno(err)}, store.BlockSums{}
+		return &IOReadRep{Errno: objectErrno(err)}, store.BlockSums{}
 	}
 	n := a.Len
 	if a.Off >= at.Size {
@@ -371,7 +380,7 @@ func (s *StorageServer) Read(ctx *rpc.Ctx, a *IOReadArgs) (*IOReadRep, store.Blo
 			return got, err
 		})
 		if err != nil {
-			return &IOReadRep{Errno: fserr.ToErrno(err)}, store.BlockSums{}
+			return &IOReadRep{Errno: objectErrno(err)}, store.BlockSums{}
 		}
 		// An object that shrank since GetAttr reads short: the reply ends
 		// there.

@@ -32,6 +32,7 @@ fig BENCH_PR4 -fig window -scale 0.05 -clients 2
 fig BENCH_PR6 -fig recovery -clients 1
 fig BENCH_PR7 -fig tail -scale 0.05
 fig BENCH_PR8 -fig rebalance -scale 0.05 -clients 2
+fig BENCH_PR8_s025 -fig rebalance -scale 0.25 -clients 2
 fig BENCH_PR9 -fig sweep -scale 0.05 -clients 16,256
 fig BENCH_PR9_rerun -fig sweep -scale 0.05 -clients 16,256
 fig BENCH_PR10 -fig integrity -scale 0.05 -clients 2
@@ -92,6 +93,12 @@ for label, pts in points(fig).items():
     # BackgroundShare=0.5 of the engine window, so foreground throughput
     # during migration keeps at least that share.
     assert pts[2] >= 0.5 * pts[1], f'foreground collapsed during migration: {label} {pts}'
+
+# Rebalance at a scale whose migration flips files under in-flight requests:
+# a daemon that reclaims an object under a request must answer Stale, or the
+# NFSv4 export's write fails and the figure does not run.
+fig = figure('BENCH_PR8_s025')
+assert total(fig, 'rebalance_bytes_total') >= 1, 'no bytes migrated at scale 0.25 — the join never rebalanced'
 
 # Open-loop sweep: seed-replay determinism — two runs with the same options
 # must produce identical series (virtual-time latencies, seeded Poisson
