@@ -98,3 +98,30 @@ func TestTinyFigureEndToEnd(t *testing.T) {
 		t.Fatalf("tiny figure produced %v MB/s", v)
 	}
 }
+
+// TestFiguresWithoutAShapeTestRun runs each figure that neither a shape test
+// nor a determinism test builds, once at a tiny scale: every point it
+// reports must be positive.
+func TestFiguresWithoutAShapeTestRun(t *testing.T) {
+	for _, id := range []string{"6b", "6e", "7d", "ssh"} {
+		t.Run(id, func(t *testing.T) {
+			fig, err := All[id](Options{Scale: 0.002, Clients: []int{1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fig.Series) == 0 {
+				t.Fatal("no series")
+			}
+			for _, s := range fig.Series {
+				if len(s.Points) == 0 {
+					t.Fatalf("%s: no points", s.Label)
+				}
+				for _, p := range s.Points {
+					if !(p.Y > 0) {
+						t.Errorf("%s at %v: %v, want a positive value", s.Label, p.X, p.Y)
+					}
+				}
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,15 +247,17 @@ func TestMembershipValidation(t *testing.T) {
 	defer cl2.Close()
 	fault := faults.SlowDisk{At: time.Millisecond, Node: "io2", Factor: 1}
 	scrub := faults.Scrub{At: time.Millisecond}
-	refused := func(cl *Cluster, what string, events ...faults.Event) {
+	refused := func(cl *Cluster, what string, events ...faults.Event) error {
 		t.Helper()
 		before := queued(cl)
-		if err := cl.Schedule(faults.NewPlan(1, events...)); err == nil {
+		err := cl.Schedule(faults.NewPlan(1, events...))
+		if err == nil {
 			t.Fatalf("%s was accepted", what)
 		}
 		if n := queued(cl); n != before {
 			t.Fatalf("%s: refused plan left %d events queued, want %d", what, n, before)
 		}
+		return err
 	}
 	refused(cl, "adding an existing node", fault, faults.Join{Node: "io1"})
 	refused(cl, "draining the metadata node", scrub, faults.Drain{Node: "io0"})
@@ -272,7 +275,14 @@ func TestMembershipValidation(t *testing.T) {
 	if n := queued(cl); n != 0 {
 		t.Fatalf("%d events still queued after the run", n)
 	}
-	refused(cl2, "membership with custom aggregation", faults.Join{Node: "io9"})
+	// Replica failover rests on this: a replicated layout's devices never
+	// leave the device list, because neither event is admitted.
+	for _, ev := range []faults.Event{faults.Join{Node: "io9"}, faults.Drain{Node: "io1"}} {
+		err := refused(cl2, fmt.Sprintf("%T under a replicated aggregation", ev), ev)
+		if !strings.Contains(err.Error(), "aggregation") {
+			t.Fatalf("%T refused with %q, want the aggregation named", ev, err)
+		}
+	}
 	// Faults and scrub passes need no membership support.
 	schedule(t, cl2, fault, scrub)
 }

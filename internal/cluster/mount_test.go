@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path"
@@ -11,6 +12,7 @@ import (
 
 	"dpnfs/internal/payload"
 	"dpnfs/internal/rpc"
+	"dpnfs/internal/store"
 )
 
 // TestMountSurfaceMatchesModel drives one seeded op mix through the Mount
@@ -57,6 +59,23 @@ func runMountModel(arch Arch, tr TransportKind, seed int64, steps int) error {
 		for _, d := range modelDirs[1:] {
 			if err := m.Mkdir(ctx, d); err != nil {
 				return fmt.Errorf("mkdir %s: %w", d, err)
+			}
+		}
+		// OPEN of a directory answers ISDIR (RFC 5661 §18.16), creating or
+		// not.  Outside the seeded mix, so its sequence stays the same.  The
+		// root has no name to OPEN under (the NFS servers answer Inval).
+		opens := []struct {
+			verb string
+			open func(*rpc.Ctx, string) (*File, error)
+		}{{"open", m.Open}, {"create", m.Create}}
+		for _, d := range modelDirs[1:] {
+			for _, o := range opens {
+				if f, err := o.open(ctx, d); !errors.Is(err, store.ErrIsDir) {
+					if err == nil {
+						m.Close(ctx, f)
+					}
+					return fmt.Errorf("%s of directory %s: %v, want %v", o.verb, d, err, store.ErrIsDir)
+				}
 			}
 		}
 		for step := 0; step < steps; step++ {

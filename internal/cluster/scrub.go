@@ -52,10 +52,10 @@ func (cl *Cluster) scrubbers() ([]*scrub.Scrubber, error) {
 // store src.
 func (cl *Cluster) newScrubber(dev int, m *member, src scrub.Source) *scrub.Scrubber {
 	var fetch scrub.Fetch
-	if copies := int(cl.distCopies()); copies > 1 {
+	if cl.distCopies() > 1 {
 		// Only a replicated substrate has anywhere to repair from; an
 		// unreplicated scrubber still detects and counts.
-		fetch = cl.replicaFetch(dev, copies, m)
+		fetch = cl.replicaFetch(dev, m)
 	}
 	return scrub.New(scrub.Config{
 		Node:    m.node.Name,
@@ -66,19 +66,19 @@ func (cl *Cluster) newScrubber(dev int, m *member, src scrub.Source) *scrub.Scru
 }
 
 // replicaFetch builds the repair source for member m, the dev-th storage
-// node built (a replicated substrate has no joins or drains): good bytes
-// come from the node's replica partners, dialed by stable ID through the
-// member table (dialDaemon) like every PVFS2 component's daemons, through
-// the shared replica rung
-// (ioengine.Replicas over the substrate's stripe.Replicated geometry — every
-// partner holds a byte-identical object at the same offset) and the PVFS2
-// client's verified single-copy read.  The rung only fetches here: the
+// node built (a replicated substrate has no joins or drains, so the
+// aggregation's mapper over the storage nodes built is the substrate's
+// geometry): good bytes come from the node's replica partners, dialed by
+// stable ID through the member table (dialDaemon) like every PVFS2
+// component's daemons, through the shared replica rung (ioengine.Replicas —
+// every partner holds a byte-identical object at the same offset) and the
+// PVFS2 client's verified single-copy read.  The rung only fetches here: the
 // scrubber rewrites its own store and verifies it afterwards.  The object's
 // name carries its datafile handle, which the metadata server allocated
 // identically on every daemon.
-func (cl *Cluster) replicaFetch(dev, copies int, m *member) scrub.Fetch {
+func (cl *Cluster) replicaFetch(dev int, m *member) scrub.Fetch {
 	node := m.node.Name
-	geometry := stripe.NewReplicated(stripe.NewRoundRobin(1, len(cl.members)/copies), copies)
+	geometry := cl.agg.(*stripe.Replicated)
 	return func(ctx *rpc.Ctx, name string, off int64, b []byte) (int, error) {
 		h, ok := pvfs.ObjectHandle(name)
 		if !ok {

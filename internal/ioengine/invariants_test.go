@@ -356,8 +356,10 @@ func TestBackgroundShareAndPriority(t *testing.T) {
 // it is the identity, with load on the primary copy it moves reads to the
 // idle replica, and ties keep the seeded placement.
 func TestSteerReplicasPicksLeastLoaded(t *testing.T) {
-	inner := stripe.NewRoundRobin(64, 3)
-	rm := &stripe.Replicated{Inner: inner, Copies: 2}
+	rm, err := stripe.NewReplicated(64, 6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := New(Config{Metrics: metrics.NewRegistry()})
 
 	exts := []stripe.Extent{{Dev: 1, Off: 0, DevOff: 0, Len: 64}}

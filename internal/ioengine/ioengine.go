@@ -50,7 +50,7 @@
 //     stripe.Replicated mapper onto each extent's least-loaded replica
 //     device, using the engine's live per-device in-flight counts, with a
 //     deterministic tie-break.  When the steered copy fails, Replicas walks
-//     the others (stripe.Replicated.AlternatesLive).
+//     the others (stripe.Replicated.Alternates).
 //
 // Errors propagate deterministically: whatever the completion interleaving,
 // Run returns the error of the lowest-indexed failed request, and no new
@@ -154,10 +154,8 @@ func (l *RepairLedger[K]) Once(key K, rewrite func() error) bool {
 // Rewrite is set, the bad copy is rewritten with the clean bytes, exactly
 // once per Key.
 type Replicas[K comparable] struct {
-	// Map places the copies.  Live, when non-nil, keeps the rung off
-	// devices that have left the cluster (stripe.Replicated.AlternatesLive).
-	Map  *stripe.Replicated
-	Live func(dev int) bool
+	// Map places the copies; the rung tries Map.Alternates in order.
+	Map *stripe.Replicated
 	// Read reads one copy and verifies it (reply status and checksums).
 	// real asks for actual bytes even from a caller that reads
 	// synthetically: a rewrite stores content, not sizes.
@@ -176,7 +174,7 @@ type Replicas[K comparable] struct {
 // when no copy is clean.  The caller owns the returned payload.
 func (r *Replicas[K]) Recover(ctx *rpc.Ctx, e stripe.Extent, cause error) (payload.Payload, error) {
 	repair := r.Rewrite != nil && rpc.RetryableIntegrity(cause)
-	for _, alt := range r.Map.AlternatesLive(e, r.Live) {
+	for _, alt := range r.Map.Alternates(e) {
 		good, err := r.Read(ctx, alt, repair)
 		if err != nil {
 			continue
@@ -426,7 +424,7 @@ func (e *Engine) coalesceExtents(in []stripe.Extent) []stripe.Extent {
 // placed it (then the lowest replica index), so steering is deterministic:
 // with no load imbalance it is the identity.
 func (e *Engine) SteerReplicas(rm *stripe.Replicated, exts []stripe.Extent) []stripe.Extent {
-	if rm.Copies < 2 || rm.Inner.NumDevices() <= 0 {
+	if rm.Copies < 2 {
 		return exts
 	}
 	out := make([]stripe.Extent, len(exts))

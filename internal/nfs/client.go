@@ -77,15 +77,12 @@ type Client struct {
 	flushSlots *rpc.Sem
 	flushProc  string
 
-	// stateMu guards devices, active, layouts, and inodeCache:
-	// recovery paths mutate them from parallel extent flows.
+	// stateMu guards devices, layouts, and inodeCache: recovery paths
+	// mutate them from parallel extent flows.  devices keeps every device
+	// any GETDEVICELIST advertised, so layouts fetched before a membership
+	// change remain usable.
 	stateMu sync.Mutex
 	devices map[pnfs.DeviceID]rpc.Conn
-	// active is the device set advertised by the most recent GETDEVICELIST.
-	// Conns for devices that have since left the list stay in devices (so
-	// layouts fetched before a membership change remain usable) but are
-	// excluded from replica failover.
-	active map[pnfs.DeviceID]bool
 
 	layouts map[uint64]*pnfs.FileLayout
 	// inodeCache retains page caches across open/close per filehandle,
@@ -169,7 +166,6 @@ func NewClient(cfg ClientConfig) *Client {
 	c := &Client{
 		cfg:        cfg,
 		devices:    make(map[pnfs.DeviceID]rpc.Conn),
-		active:     make(map[pnfs.DeviceID]bool),
 		layouts:    make(map[uint64]*pnfs.FileLayout),
 		inodeCache: make(map[uint64]*inodeState),
 		ops:        newOpStats(reg),

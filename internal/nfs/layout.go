@@ -16,15 +16,6 @@ func (c *Client) device(id pnfs.DeviceID) rpc.Conn {
 	return c.devices[id]
 }
 
-// deviceActive reports whether id appears in the most recent device list
-// and has a conn — the liveness test replica failover uses so it never
-// retries a departed device.
-func (c *Client) deviceActive(id pnfs.DeviceID) bool {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	return c.active[id] && c.devices[id] != nil
-}
-
 // extentCall sends PUTFH + op for extent e of f to the server that holds it —
 // the one place a data-path compound is addressed.  A striped extent goes to
 // its data server under layout l, sessionless, by the stripe object's
@@ -47,13 +38,12 @@ func (c *Client) extentCall(ctx *rpc.Ctx, f *File, l *pnfs.FileLayout, e stripe.
 	return c.call(ctx, conn, false, &OpPutFH{FH: l.FHs[e.Dev]}, op(off))
 }
 
-// refreshDevices re-drives GETDEVICELIST, dials any newly advertised
-// device, and replaces the active set.  Conns for departed devices are
-// retained so layouts fetched before a membership change stay usable.  A
-// server without pNFS support fails the GETDEVICELIST op itself: it lists
-// no devices, and neither does any server to a client without a
-// data-server dialer; only a compound that failed before the op is an
-// error.
+// refreshDevices re-drives GETDEVICELIST and dials any newly advertised
+// device.  Conns for departed devices are retained so layouts fetched
+// before a membership change stay usable.  A server without pNFS support
+// fails the GETDEVICELIST op itself: it lists no devices, and neither does
+// any server to a client without a data-server dialer; only a compound
+// that failed before the op is an error.
 func (c *Client) refreshDevices(ctx *rpc.Ctx) error {
 	rep, err := c.call(ctx, c.cfg.MDS, true, &OpPutRootFH{}, &OpGetDevList{})
 	if rep == nil || len(rep.Results) < 2 {
@@ -67,12 +57,10 @@ func (c *Client) refreshDevices(ctx *rpc.Ctx) error {
 		return nil
 	}
 	c.stateMu.Lock()
-	c.active = make(map[pnfs.DeviceID]bool, len(dl.Devices))
 	for _, dev := range dl.Devices {
 		if c.devices[dev.ID] == nil {
 			c.devices[dev.ID] = c.cfg.DialDS(dev.Addr)
 		}
-		c.active[dev.ID] = true
 	}
 	c.stateMu.Unlock()
 	return nil

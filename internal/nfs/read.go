@@ -228,13 +228,10 @@ func (c *Client) readChunks(ctx *rpc.Ctx, f *File, chunks []extent, opts ioengin
 	if replicated {
 		// Innermost rung: before evicting the layout, read the extent from
 		// another replica device — every replica holds the same stripe
-		// object, so only Dev changes.  The liveness filter keeps the rung
-		// off devices that have left the cluster.
+		// object, so only Dev changes.  Membership refuses replicated
+		// aggregations, so every device the layout names is still listed.
 		replicas := ioengine.Replicas[repairKey]{
 			Map: rm,
-			Live: func(dev int) bool {
-				return dev >= 0 && dev < len(layout.Devices) && c.deviceActive(layout.Devices[dev])
-			},
 			Read: func(ctx *rpc.Ctx, alt stripe.Extent, real bool) (payload.Payload, error) {
 				data, _, err := c.readExtent(ctx, f, layout, alt, want || real)
 				return data, err

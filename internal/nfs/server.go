@@ -371,6 +371,9 @@ func (s *Server) exec(ctx *rpc.Ctx, cpu *sim.KServer, cur *uint64, op Op) (Resul
 		if err == store.ErrNotExist && o.Create {
 			fh, at, err = ns.Create(ctx, *cur, o.Name)
 		}
+		if err == nil && at.IsDir {
+			err = store.ErrIsDir // NFS4ERR_ISDIR (RFC 5661 §18.16)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -137,11 +137,11 @@ var drivers = map[string]func(params []int64, devices int) (stripe.Mapper, error
 		if len(params) != 2 {
 			return nil, fmt.Errorf("pnfs: replicated wants [copies, unit], got %d params", len(params))
 		}
-		copies := int(params[0])
-		if copies <= 0 || devices%copies != 0 {
-			return nil, fmt.Errorf("pnfs: %d devices not divisible into %d replicas", devices, copies)
+		m, err := stripe.NewReplicated(params[1], devices, int(params[0]))
+		if err != nil {
+			return nil, err // not a typed nil inside the interface
 		}
-		return stripe.NewReplicated(stripe.NewRoundRobin(params[1], devices/copies), copies), nil
+		return m, nil
 	},
 	AggHierarchical: func(params []int64, devices int) (stripe.Mapper, error) {
 		if len(params) != 3 {

@@ -1,6 +1,7 @@
 package pnfs
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -102,8 +103,8 @@ func TestMapperStandardSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumDevices() != 6 || m.Name() != "round-robin" {
-		t.Fatalf("unexpected mapper %s/%d", m.Name(), m.NumDevices())
+	if _, ok := m.(*stripe.RoundRobin); !ok || m.NumDevices() != 6 {
+		t.Fatalf("unexpected mapper %T/%d", m, m.NumDevices())
 	}
 
 	cy := &FileLayout{
@@ -116,8 +117,8 @@ func TestMapperStandardSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name() != "cyclic" {
-		t.Fatalf("cyclic mapper is %s", m.Name())
+	if _, ok := m.(*stripe.Cyclic); !ok {
+		t.Fatalf("cyclic mapper is %T", m)
 	}
 }
 
@@ -128,9 +129,9 @@ func TestMapperPluggableDrivers(t *testing.T) {
 		ndev   int
 		want   string
 	}{
-		{AggVariableStripe, []int64{4 << 10, 64 << 10, 1 << 20}, 3, "variable-stripe"},
-		{AggReplicated, []int64{2, 1 << 20}, 6, "replicated+round-robin"},
-		{AggHierarchical, []int64{4 << 20, 1 << 20, 2}, 6, "hierarchical"},
+		{AggVariableStripe, []int64{4 << 10, 64 << 10, 1 << 20}, 3, "*stripe.VariableStripe"},
+		{AggReplicated, []int64{2, 1 << 20}, 6, "*stripe.Replicated"},
+		{AggHierarchical, []int64{4 << 20, 1 << 20, 2}, 6, "*stripe.Hierarchical"},
 	}
 	for _, c := range cases {
 		l := &FileLayout{Aggregation: c.agg, Params: c.params,
@@ -139,8 +140,8 @@ func TestMapperPluggableDrivers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.agg, err)
 		}
-		if m.Name() != c.want {
-			t.Errorf("%s: mapper %q, want %q", c.agg, m.Name(), c.want)
+		if got := fmt.Sprintf("%T", m); got != c.want {
+			t.Errorf("%s: mapper %s, want %s", c.agg, got, c.want)
 		}
 		// The driver must cover a byte range over all its devices.
 		var ext []stripe.Extent = m.Map(0, 32<<20)
@@ -162,8 +163,8 @@ func TestMapperErrors(t *testing.T) {
 		{Aggregation: AggReplicated, Params: []int64{4, 1 << 20}, Devices: make([]DeviceID, 6), FHs: make([]uint64, 6)}, // 6 % 4 != 0
 	}
 	for i, l := range cases {
-		if _, err := l.Mapper(); err == nil {
-			t.Errorf("case %d: bad layout produced a mapper", i)
+		if m, err := l.Mapper(); err == nil || m != nil {
+			t.Errorf("case %d: bad layout produced mapper %#v, error %v", i, m, err)
 		}
 	}
 }

@@ -228,7 +228,7 @@ func (c *Client) Open(ctx *rpc.Ctx, path string) (*File, error) {
 		return nil, err
 	}
 	if isDir {
-		return nil, fmt.Errorf("pvfs: %s is a directory", path)
+		return nil, fmt.Errorf("pvfs: %s: %w", path, store.ErrIsDir)
 	}
 	return c.OpenPlaced(h, place), nil
 }

@@ -153,9 +153,10 @@ type sizedMapper interface {
 // I/O path.
 func (p DistParams) Mapper() sizedMapper {
 	n := max(len(p.Servers), 1)
-	if p.Copies > 1 && n%int(p.Copies) == 0 {
-		return stripe.NewReplicated(
-			stripe.NewRoundRobin(p.StripeSize, n/int(p.Copies)), int(p.Copies))
+	if p.Copies > 1 {
+		if m, err := stripe.NewReplicated(p.StripeSize, n, int(p.Copies)); err == nil {
+			return m
+		}
 	}
 	return stripe.NewRoundRobin(p.StripeSize, n)
 }

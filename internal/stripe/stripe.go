@@ -29,16 +29,14 @@ type Extent struct {
 
 // Mapper translates logical file ranges to device extents.
 type Mapper interface {
-	// Name identifies the aggregation scheme (wire-visible).
-	Name() string
 	// NumDevices reports how many devices the scheme spreads data over.
 	NumDevices() int
 	// Map splits [off, off+length) into per-device extents in logical
 	// order.  Every byte of the range appears in exactly one extent per
 	// stored copy.
 	Map(off, length int64) []Extent
-	// ReadMap is like Map but returns exactly one extent per logical byte,
-	// choosing among replicas (seed breaks ties for load spreading).
+	// ReadMap is like Map but returns exactly one extent per logical byte:
+	// a replicated scheme reads the copy seed picks, spreading load.
 	ReadMap(off, length int64, seed int64) []Extent
 }
 
@@ -58,9 +56,6 @@ func NewRoundRobin(unitSize int64, devices int) *RoundRobin {
 	}
 	return &RoundRobin{UnitSize: unitSize, Devices: devices}
 }
-
-// Name implements Mapper.
-func (m *RoundRobin) Name() string { return "round-robin" }
 
 // NumDevices implements Mapper.
 func (m *RoundRobin) NumDevices() int { return m.Devices }
@@ -130,9 +125,6 @@ func NewCyclic(unitSize int64, order []int) *Cyclic {
 	}
 	return &Cyclic{UnitSize: unitSize, Order: append([]int(nil), order...), devices: max + 1}
 }
-
-// Name implements Mapper.
-func (m *Cyclic) Name() string { return "cyclic" }
 
 // NumDevices implements Mapper.
 func (m *Cyclic) NumDevices() int { return m.devices }
@@ -208,9 +200,6 @@ func NewVariableStripe(sizes []int64) *VariableStripe {
 	return m
 }
 
-// Name implements Mapper.
-func (m *VariableStripe) Name() string { return "variable-stripe" }
-
 // NumDevices implements Mapper.
 func (m *VariableStripe) NumDevices() int { return len(m.Sizes) }
 
@@ -242,34 +231,34 @@ func (m *VariableStripe) Map(off, length int64) []Extent {
 // ReadMap implements Mapper.
 func (m *VariableStripe) ReadMap(off, length, _ int64) []Extent { return m.Map(off, length) }
 
-// Replicated stores Copies full replicas of an inner scheme, device space
-// partitioned per replica: replica r uses devices [r*inner.NumDevices(),
-// (r+1)*inner.NumDevices()).  Writes go to all replicas; reads pick one.
+// Replicated stores Copies full replicas of a round-robin stripe, device
+// space partitioned per replica: replica r uses devices [r*Inner.Devices,
+// (r+1)*Inner.Devices).  Writes go to all replicas; reads pick one.
 type Replicated struct {
-	Inner  Mapper
+	Inner  *RoundRobin
 	Copies int
 }
 
-// NewReplicated wraps inner with replication.
-func NewReplicated(inner Mapper, copies int) *Replicated {
-	if copies <= 0 {
-		panic("stripe: replication needs at least one copy")
+// NewReplicated returns copies replicas of a round-robin stripe of unit-byte
+// units over devices devices in all.  It refuses a copy count that does not
+// divide the devices and leaves the refusal's meaning to the caller: pnfs
+// answers it as a bad layout, pvfs falls back to plain round-robin.
+func NewReplicated(unit int64, devices, copies int) (*Replicated, error) {
+	if copies <= 0 || devices%copies != 0 {
+		return nil, fmt.Errorf("stripe: %d devices not divisible into %d replicas", devices, copies)
 	}
-	return &Replicated{Inner: inner, Copies: copies}
+	return &Replicated{Inner: NewRoundRobin(unit, devices/copies), Copies: copies}, nil
 }
 
-// Name implements Mapper.
-func (m *Replicated) Name() string { return "replicated+" + m.Inner.Name() }
-
 // NumDevices implements Mapper.
-func (m *Replicated) NumDevices() int { return m.Inner.NumDevices() * m.Copies }
+func (m *Replicated) NumDevices() int { return m.Inner.Devices * m.Copies }
 
 // Map implements Mapper: every replica gets a copy of each byte.
 func (m *Replicated) Map(off, length int64) []Extent {
 	base := m.Inner.Map(off, length)
 	out := make([]Extent, 0, len(base)*m.Copies)
 	for r := 0; r < m.Copies; r++ {
-		shift := r * m.Inner.NumDevices()
+		shift := r * m.Inner.Devices
 		for _, e := range base {
 			e.Dev += shift
 			out = append(out, e)
@@ -284,8 +273,8 @@ func (m *Replicated) ReadMap(off, length, seed int64) []Extent {
 	if r < 0 {
 		r += m.Copies
 	}
-	base := m.Inner.ReadMap(off, length, seed)
-	shift := r * m.Inner.NumDevices()
+	base := m.Inner.Map(off, length)
+	shift := r * m.Inner.Devices
 	out := make([]Extent, len(base))
 	for i, e := range base {
 		e.Dev += shift
@@ -294,24 +283,17 @@ func (m *Replicated) ReadMap(off, length, seed int64) []Extent {
 	return out
 }
 
-// LogicalEnd delegates to the inner scheme's size reconstruction: replicas
+// LogicalEnd delegates to the round-robin size reconstruction: replicas
 // hold identical stripe objects, so a device's object size implies the same
-// logical end as its inner-scheme counterpart.
+// logical end as its counterpart in the first replica.
 func (m *Replicated) LogicalEnd(dev int, objSize int64) int64 {
-	type ender interface {
-		LogicalEnd(dev int, objSize int64) int64
-	}
-	e, ok := m.Inner.(ender)
-	if !ok {
-		return 0
-	}
-	return e.LogicalEnd(dev%m.Inner.NumDevices(), objSize)
+	return m.Inner.LogicalEnd(dev%m.Inner.Devices, objSize)
 }
 
 // ReplicaDev returns the device that holds replica r of what device dev
-// holds: the same inner-scheme device in replica r's device range.
+// holds: the same round-robin device in replica r's device range.
 func (m *Replicated) ReplicaDev(dev, r int) int {
-	n := m.Inner.NumDevices()
+	n := m.Inner.Devices
 	return dev%n + r*n
 }
 
@@ -322,7 +304,7 @@ func (m *Replicated) ReplicaDev(dev, r int) int {
 // MDS-proxy rung.  Extents not addressed to one of this mapper's devices
 // (e.g. the Dev<0 MDS sentinel) have no alternates.
 func (m *Replicated) Alternates(e Extent) []Extent {
-	n := m.Inner.NumDevices()
+	n := m.Inner.Devices
 	if m.Copies < 2 || e.Dev < 0 || e.Dev >= n*m.Copies {
 		return nil
 	}
@@ -331,26 +313,6 @@ func (m *Replicated) Alternates(e Extent) []Extent {
 		if d := m.ReplicaDev(e.Dev, r); d != e.Dev {
 			alt := e
 			alt.Dev = d
-			out = append(out, alt)
-		}
-	}
-	return out
-}
-
-// AlternatesLive is Alternates filtered through a liveness predicate: only
-// alternates whose device index live reports as valid are returned.  Under
-// elastic membership a replica's device can depart between the layout fetch
-// and the retry, and a departed device must never be retried — its ID is
-// retired, so the call would either fail again or (worse, with positional
-// IDs) land on an aliased survivor.  A nil live behaves like Alternates.
-func (m *Replicated) AlternatesLive(e Extent, live func(dev int) bool) []Extent {
-	alts := m.Alternates(e)
-	if live == nil {
-		return alts
-	}
-	out := alts[:0]
-	for _, alt := range alts {
-		if live(alt.Dev) {
 			out = append(out, alt)
 		}
 	}
@@ -376,9 +338,6 @@ func NewHierarchical(outerUnit, innerUnit int64, groups, perGroup int) *Hierarch
 	}
 	return &Hierarchical{OuterUnit: outerUnit, InnerUnit: innerUnit, Groups: groups, PerGroup: perGroup}
 }
-
-// Name implements Mapper.
-func (m *Hierarchical) Name() string { return "hierarchical" }
 
 // NumDevices implements Mapper.
 func (m *Hierarchical) NumDevices() int { return m.Groups * m.PerGroup }

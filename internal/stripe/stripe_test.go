@@ -15,16 +15,16 @@ func checkCoverage(t *testing.T, m Mapper, off, n int64, extents []Extent, copie
 	var total int64
 	for _, e := range extents {
 		if e.Len <= 0 {
-			t.Fatalf("%s: non-positive extent %+v", m.Name(), e)
+			t.Fatalf("%T: non-positive extent %+v", m, e)
 		}
 		if e.Dev < 0 || e.Dev >= m.NumDevices() {
-			t.Fatalf("%s: device %d out of range [0,%d)", m.Name(), e.Dev, m.NumDevices())
+			t.Fatalf("%T: device %d out of range [0,%d)", m, e.Dev, m.NumDevices())
 		}
 		if e.DevOff < 0 {
-			t.Fatalf("%s: negative device offset %+v", m.Name(), e)
+			t.Fatalf("%T: negative device offset %+v", m, e)
 		}
 		if e.Off < off || e.Off+e.Len > off+n {
-			t.Fatalf("%s: extent %+v outside [%d,%d)", m.Name(), e, off, off+n)
+			t.Fatalf("%T: extent %+v outside [%d,%d)", m, e, off, off+n)
 		}
 		total += e.Len
 		for b := e.Off; b < e.Off+e.Len; b += 997 { // sample coverage
@@ -32,11 +32,11 @@ func checkCoverage(t *testing.T, m Mapper, off, n int64, extents []Extent, copie
 		}
 	}
 	if total != n*int64(copies) {
-		t.Fatalf("%s: extents cover %d bytes, want %d×%d", m.Name(), total, n, copies)
+		t.Fatalf("%T: extents cover %d bytes, want %d×%d", m, total, n, copies)
 	}
 	for b, c := range covered {
 		if c != copies {
-			t.Fatalf("%s: byte %d covered %d times, want %d", m.Name(), b, c, copies)
+			t.Fatalf("%T: byte %d covered %d times, want %d", m, b, c, copies)
 		}
 	}
 }
@@ -49,8 +49,8 @@ func checkNoDeviceOverlap(t *testing.T, m Mapper, extents []Extent) {
 	for _, e := range extents {
 		for _, r := range byDev[e.Dev] {
 			if e.DevOff < r.hi && r.lo < e.DevOff+e.Len {
-				t.Fatalf("%s: device %d ranges overlap: [%d,%d) and [%d,%d)",
-					m.Name(), e.Dev, r.lo, r.hi, e.DevOff, e.DevOff+e.Len)
+				t.Fatalf("%T: device %d ranges overlap: [%d,%d) and [%d,%d)",
+					m, e.Dev, r.lo, r.hi, e.DevOff, e.DevOff+e.Len)
 			}
 		}
 		byDev[e.Dev] = append(byDev[e.Dev], devRange{e.DevOff, e.DevOff + e.Len})
@@ -137,8 +137,33 @@ func TestVariableStripe(t *testing.T) {
 	}
 }
 
+// newReplicated builds a replicated mapper the test's geometry must allow.
+func newReplicated(t *testing.T, unit int64, devices, copies int) *Replicated {
+	t.Helper()
+	m, err := NewReplicated(unit, devices, copies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestReplicatedRefusesIndivisibleGeometry pins the one check every
+// replicated mapper passes: the copies divide the devices, each replica a
+// round-robin stripe over its share.
+func TestReplicatedRefusesIndivisibleGeometry(t *testing.T) {
+	for _, c := range []struct{ devices, copies int }{{5, 2}, {6, 0}, {6, -1}, {2, 3}} {
+		if m, err := NewReplicated(100, c.devices, c.copies); err == nil {
+			t.Errorf("%d devices into %d copies built %+v", c.devices, c.copies, m)
+		}
+	}
+	m := newReplicated(t, 100, 6, 3)
+	if m.Inner.Devices != 2 || m.Inner.UnitSize != 100 || m.Copies != 3 {
+		t.Fatalf("6 devices into 3 copies: inner %+v, %d copies", *m.Inner, m.Copies)
+	}
+}
+
 func TestReplicatedWritesAllCopies(t *testing.T) {
-	m := NewReplicated(NewRoundRobin(100, 2), 3)
+	m := newReplicated(t, 100, 6, 3)
 	if m.NumDevices() != 6 {
 		t.Fatalf("devices = %d, want 6", m.NumDevices())
 	}
@@ -148,7 +173,7 @@ func TestReplicatedWritesAllCopies(t *testing.T) {
 }
 
 func TestReplicatedReadsPickOneCopy(t *testing.T) {
-	m := NewReplicated(NewRoundRobin(100, 2), 3)
+	m := newReplicated(t, 100, 6, 3)
 	seen := make(map[int]bool)
 	for seed := int64(0); seed < 12; seed++ {
 		ext := m.ReadMap(0, 400, seed)
@@ -162,32 +187,16 @@ func TestReplicatedReadsPickOneCopy(t *testing.T) {
 	}
 }
 
-func TestAlternatesLiveFiltersDepartedReplicas(t *testing.T) {
-	m := NewReplicated(NewRoundRobin(100, 2), 3)
+func TestAlternates(t *testing.T) {
+	m := newReplicated(t, 100, 6, 3)
 	e := Extent{Dev: 0, Off: 0, DevOff: 0, Len: 100}
-	// Unfiltered: the other two replicas of device 0 are 2 and 4.
+	// The other two replicas of device 0 are 2 and 4, DevOff intact.
 	all := m.Alternates(e)
-	if len(all) != 2 || all[0].Dev != 2 || all[1].Dev != 4 {
+	if len(all) != 2 || all[0].Dev != 2 || all[1].Dev != 4 || all[1].DevOff != e.DevOff || all[1].Len != e.Len {
 		t.Fatalf("alternates = %+v, want devs 2 and 4", all)
 	}
-	// A nil predicate behaves like Alternates.
-	if got := m.AlternatesLive(e, nil); len(got) != 2 {
-		t.Fatalf("nil predicate filtered: %+v", got)
-	}
-	// Replica device 2 has departed: it must never be offered as a retry
-	// target, while the still-live device 4 survives with DevOff intact.
-	live := func(dev int) bool { return dev != 2 }
-	got := m.AlternatesLive(e, live)
-	if len(got) != 1 || got[0].Dev != 4 || got[0].DevOff != e.DevOff || got[0].Len != e.Len {
-		t.Fatalf("filtered alternates = %+v, want only dev 4", got)
-	}
-	// All replicas departed: no alternates, so the failover ladder falls
-	// through to its MDS-proxy rung instead of retrying a retired device.
-	if got := m.AlternatesLive(e, func(int) bool { return false }); len(got) != 0 {
-		t.Fatalf("dead cluster still offered alternates: %+v", got)
-	}
-	// The MDS sentinel (Dev < 0) has no alternates to begin with.
-	if got := m.AlternatesLive(Extent{Dev: -1, Len: 100}, live); len(got) != 0 {
+	// The MDS sentinel (Dev < 0) has no alternates.
+	if got := m.Alternates(Extent{Dev: -1, Len: 100}); len(got) != 0 {
 		t.Fatalf("sentinel extent grew alternates: %+v", got)
 	}
 }
@@ -251,7 +260,7 @@ func TestPropertyAllMappersCover(t *testing.T) {
 		NewRoundRobin(64<<10, 6),
 		NewCyclic(64<<10, []int{0, 2, 4, 1, 3, 5}),
 		NewVariableStripe([]int64{4 << 10, 64 << 10, 256 << 10}),
-		NewReplicated(NewRoundRobin(32<<10, 3), 2),
+		newReplicated(t, 32<<10, 6, 2),
 		NewHierarchical(256<<10, 64<<10, 2, 3),
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -313,7 +322,6 @@ func TestBadGeometryPanics(t *testing.T) {
 		func() { NewCyclic(10, nil) },
 		func() { NewVariableStripe(nil) },
 		func() { NewVariableStripe([]int64{10, 0}) },
-		func() { NewReplicated(NewRoundRobin(1, 1), 0) },
 		func() { NewHierarchical(100, 33, 2, 2) }, // outer not multiple of inner
 	}
 	for i, fn := range cases {
